@@ -7,7 +7,8 @@
 //! count. This binary enforces that end to end: `RAYON_NUM_THREADS` is
 //! read once per process, so the parent re-execs itself once per thread
 //! count (`FFTMATVEC_DETGATE_CHILD=1`); each child runs the
-//! `bench_matvec`-shaped workloads plus the batched-FFT and
+//! `bench_matvec`-shaped workloads, the two-level Toeplitz pipeline
+//! (full embedding and split-FFT), plus the batched-FFT and
 //! tree-reduction hot paths and prints an order- and bit-sensitive
 //! FNV-1a digest of every output vector; the parent fails on any
 //! difference between the children's reports. Two extra legs pin the
@@ -25,6 +26,7 @@ use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_core::{DirectMatvec, FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
 use fftmatvec_fft::{BatchedFft, BatchedRealFft};
 use fftmatvec_numeric::{Complex, SplitMix64};
+use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
 const CHILD_ENV: &str = "FFTMATVEC_DETGATE_CHILD";
 
@@ -70,6 +72,43 @@ fn matvec_workloads() {
     let mut d = vec![0.0; 4 * 64];
     direct.apply_forward_into(&m, &mut d).expect("valid shapes");
     report("direct_forward", f64_bits(&d));
+}
+
+/// The second spectral pipeline: a rectangular two-level Toeplitz
+/// operator through both construction paths, in all-double and in a
+/// configuration whose Fft / Sbgemv / Ifft tiers all differ (so every
+/// phase-boundary cast buffer is live). Six columns of 960 elements sit
+/// above the batched-apply parallel threshold.
+fn toeplitz_workloads() {
+    let (outer, inner) = ((32usize, 24usize), (30usize, 40usize));
+    let inner_diags = inner.0 + inner.1 - 1;
+    let mut diags = vec![0.0; (outer.0 + outer.1 - 1) * inner_diags];
+    SplitMix64::new(41).fill_uniform(&mut diags, -1.0, 1.0);
+    diags[(outer.1 - 1) * inner_diags + (inner.1 - 1)] += 4.0;
+    let gen = ToeplitzGenerator::two_level(outer, inner, diags).expect("valid generator");
+    for (path, split) in [("full", false), ("split", true)] {
+        for config in ["ddddd", "dhsdd"] {
+            let cfg: PrecisionConfig = config.parse().expect("valid config literal");
+            let op = TwoLevelToeplitz::builder(gen.clone())
+                .split_fft(split)
+                .precision(cfg)
+                .build()
+                .expect("CPU build");
+            for (dir, d) in [(OpDirection::Forward, "forward"), (OpDirection::Adjoint, "adjoint")] {
+                let (in_len, out_len) = op.shape().io_lens(dir);
+                let input = stuffed_vector(in_len, 43);
+                let mut out = vec![0.0; out_len];
+                op.apply_into(dir, &input, &mut out).expect("valid shapes");
+                report(&format!("toeplitz_{path}_{config}_{d}"), f64_bits(&out));
+
+                let cols = 6;
+                let inputs = stuffed_vector(in_len * cols, 47);
+                let mut outs = vec![0.0; out_len * cols];
+                op.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
+                report(&format!("toeplitz_many_{path}_{config}_{d}"), f64_bits(&outs));
+            }
+        }
+    }
 }
 
 fn fft_workloads() {
@@ -129,6 +168,7 @@ fn run_child() {
         fftmatvec_numeric::simd::active_level().name()
     );
     matvec_workloads();
+    toeplitz_workloads();
     fft_workloads();
     reduce_workload();
 }
