@@ -22,8 +22,6 @@
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use fftmatvec_backend::DeviceBackend;
 use fftmatvec_comm::{NetworkModel, ProcessGrid};
 use fftmatvec_gpu::{DeviceSpec, Phase, PhaseTimes};
@@ -35,7 +33,9 @@ use crate::linop::{
 use crate::operator::BlockToeplitzOperator;
 use crate::pipeline::FftMatvec;
 use crate::precision::{MatvecPhase, PrecisionConfig};
+use crate::spectral::PipelineBackend;
 use crate::timing::{simulate_phases, MatvecDims};
+use crate::workspace::{Checkout, Workspace, WorkspacePool};
 
 /// Pooled staging buffers for one distributed apply.
 struct DistWorkspace {
@@ -47,8 +47,8 @@ struct DistWorkspace {
     reduce: RealBuffer,
 }
 
-impl DistWorkspace {
-    fn empty() -> Self {
+impl Default for DistWorkspace {
+    fn default() -> Self {
         DistWorkspace {
             rank_in: Vec::new(),
             partials: Vec::new(),
@@ -57,29 +57,10 @@ impl DistWorkspace {
     }
 }
 
-/// RAII guard returning a [`DistWorkspace`] to its owner's pool on drop.
-struct PooledDistWorkspace<'a> {
-    owner: &'a DistributedFftMatvec,
-    ws: DistWorkspace,
-}
-
-impl std::ops::Deref for PooledDistWorkspace<'_> {
-    type Target = DistWorkspace;
-    fn deref(&self) -> &DistWorkspace {
-        &self.ws
-    }
-}
-
-impl std::ops::DerefMut for PooledDistWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut DistWorkspace {
-        &mut self.ws
-    }
-}
-
-impl Drop for PooledDistWorkspace<'_> {
-    fn drop(&mut self) {
-        let ws = std::mem::replace(&mut self.ws, DistWorkspace::empty());
-        self.owner.pool().push(ws);
+impl Workspace for DistWorkspace {
+    fn bytes(&self) -> usize {
+        let staged: usize = self.rank_in.iter().chain(&self.partials).map(Vec::len).sum();
+        staged * std::mem::size_of::<f64>() + self.reduce.bytes()
     }
 }
 
@@ -91,7 +72,7 @@ pub struct DistributedFftMatvec {
     nt: usize,
     /// Per-rank pipelines, indexed by grid rank (column-major).
     ranks: Vec<FftMatvec>,
-    workspace: Mutex<Vec<DistWorkspace>>,
+    workspace: WorkspacePool<DistWorkspace>,
 }
 
 impl std::fmt::Debug for DistributedFftMatvec {
@@ -151,7 +132,7 @@ impl DistributedFftMatvec {
             let op = BlockToeplitzOperator::from_first_block_column(ndl, nml, nt, &local)?;
             ranks.push(FftMatvec::builder(op).precision(cfg).build()?);
         }
-        Ok(DistributedFftMatvec { grid, nd, nm, nt, ranks, workspace: Mutex::new(Vec::new()) })
+        Ok(DistributedFftMatvec { grid, nd, nm, nt, ranks, workspace: WorkspacePool::default() })
     }
 
     /// The process grid.
@@ -181,7 +162,7 @@ impl DistributedFftMatvec {
     /// The execution backend the per-rank pipelines were built for
     /// (every rank resolves the same selection, so rank 0 speaks for
     /// all).
-    pub fn backend(&self) -> crate::pipeline::PipelineBackend {
+    pub fn backend(&self) -> PipelineBackend {
         self.ranks[0].backend()
     }
 
@@ -191,22 +172,16 @@ impl DistributedFftMatvec {
         self.ranks[0].device().as_ref()
     }
 
-    fn pool(&self) -> MutexGuard<'_, Vec<DistWorkspace>> {
-        self.workspace.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Check out a pooled workspace behind an RAII guard — like the
-    /// single-rank pipeline's pool, the guard returns the buffers on drop
-    /// so every exit path (including `?` returns) preserves the
-    /// zero-allocation steady state.
-    fn checkout(&self) -> PooledDistWorkspace<'_> {
-        let mut ws = self.pool().pop().unwrap_or_else(DistWorkspace::empty);
-        let size = self.grid.size();
+    /// Check out a staging workspace from the shared pool implementation
+    /// (checkout ledger, bounded retention), sized for this grid.
+    fn checkout(&self) -> Checkout<'_, DistWorkspace> {
+        let mut guard = self.workspace.checkout();
+        let (ws, size) = (guard.ws(), self.grid.size());
         if ws.rank_in.len() != size {
             ws.rank_in.resize_with(size, Vec::new);
             ws.partials.resize_with(size, Vec::new);
         }
-        PooledDistWorkspace { owner: self, ws }
+        guard
     }
 
     /// Run every rank's pipeline over the staged inputs in `ws.rank_in`,
@@ -274,9 +249,7 @@ impl LinearOperator for DistributedFftMatvec {
     fn apply_forward_into(&self, m: &[f64], d: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Forward, m, d)?;
         let mut guard = self.checkout();
-        // Reborrow the plain workspace so field borrows split (the guard's
-        // Deref would otherwise pin the whole struct).
-        let ws: &mut DistWorkspace = &mut guard;
+        let ws = guard.ws();
         // Scatter: column c's slice, replicated down its rows (the
         // phase-1 broadcast/allgather).
         for rank in 0..self.grid.size() {
@@ -317,7 +290,7 @@ impl LinearOperator for DistributedFftMatvec {
     fn apply_adjoint_into(&self, d: &[f64], m: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Adjoint, d, m)?;
         let mut guard = self.checkout();
-        let ws: &mut DistWorkspace = &mut guard;
+        let ws = guard.ws();
         for rank in 0..self.grid.size() {
             let (r, _) = self.grid.coords_of(rank);
             let ri = self.grid.sensor_range(self.nd, r);
@@ -625,6 +598,55 @@ mod tests {
         for rank in &dist.ranks[1..] {
             assert!(std::sync::Arc::ptr_eq(&first, &rank.fft64_plan_handle()));
         }
+    }
+
+    #[test]
+    fn concurrent_applies_park_at_most_the_retention_cap_and_match_serial() {
+        let (nd, nm, nt) = (4usize, 8usize, 6usize);
+        let col = global_col(nd, nm, nt, 12);
+        let dist = DistributedFftMatvec::from_global(
+            nd,
+            nm,
+            nt,
+            &col,
+            ProcessGrid::new(2, 2),
+            PrecisionConfig::all_double(),
+        )
+        .unwrap();
+        let n = crate::workspace_retention_cap() + 5;
+        let inputs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let mut m = vec![0.0; nm * nt];
+                SplitMix64::new(100 + i as u64).fill_uniform(&mut m, -1.0, 1.0);
+                m
+            })
+            .collect();
+        let serial: Vec<Vec<f64>> = inputs.iter().map(|m| dist.apply_forward(m).unwrap()).collect();
+
+        // N applies released together; whatever overlap the scheduler
+        // gives them, every result is bit-equal to its serial apply.
+        let gate = std::sync::Barrier::new(n);
+        let concurrent: Vec<Vec<f64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = inputs
+                .iter()
+                .map(|m| {
+                    s.spawn(|| {
+                        gate.wait();
+                        dist.apply_forward(m).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(concurrent, serial);
+
+        // The worst case made deterministic: N staging workspaces out at
+        // once. On return the pool keeps the cap and frees the burst.
+        let burst: Vec<_> = (0..n).map(|_| dist.checkout()).collect();
+        assert_eq!(dist.workspace.in_flight(), n);
+        drop(burst);
+        assert_eq!(dist.workspace.in_flight(), 0);
+        assert_eq!(dist.workspace.pooled(), crate::workspace_retention_cap());
     }
 
     #[test]

@@ -35,6 +35,18 @@
 //! ([`FftMatvec::builder`]), and all construction/apply failures are
 //! typed ([`ConfigError`] / [`OpError`]) — no panics on the public
 //! paths.
+//!
+//! ## One spectral pipeline
+//!
+//! [`spectral`] is the single implementation of the tiered five-phase
+//! skeleton: [`TieredPipeline`] owns device resolution, the per-tier
+//! engine bank, pooled workspaces ([`workspace`], also used by
+//! [`distributed`]), configuration swaps, budget resolution, batched
+//! applies and diagnostics; a [`SpectralKernel`] supplies the embedding,
+//! the transform engines and the symbol-apply step. [`pipeline`] is the
+//! block-triangular instantiation (`FftMatvec`, SBGEMV kernel);
+//! `fftmatvec-toeplitz` instantiates it for multi-level Toeplitz
+//! operators (pointwise kernel).
 
 pub mod autotune;
 pub mod direct;
@@ -46,7 +58,9 @@ pub mod operator;
 pub mod pareto;
 pub mod pipeline;
 pub mod precision;
+pub mod spectral;
 pub mod timing;
+pub mod workspace;
 
 pub use autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
 pub use direct::DirectMatvec;
@@ -58,5 +72,7 @@ pub use linop::{
 };
 pub use operator::BlockToeplitzOperator;
 pub use pareto::{pareto_front, ParetoPoint};
-pub use pipeline::{workspace_retention_cap, FftMatvec, FftMatvecBuilder, PipelineBackend};
+pub use pipeline::{FftMatvec, FftMatvecBuilder};
 pub use precision::{MatvecPhase, PrecisionConfig};
+pub use spectral::{BuildOptions, PipelineBackend, SpectralKernel, TieredPipeline};
+pub use workspace::{workspace_retention_cap, Workspace};

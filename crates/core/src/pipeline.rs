@@ -1,4 +1,6 @@
-//! The five-phase FFTMatvec pipeline with dynamic mixed precision.
+//! The block-triangular Toeplitz instantiation of the tiered spectral
+//! pipeline ([`crate::spectral`]): the paper's five-phase FFTMatvec with
+//! dynamic mixed precision.
 //!
 //! Both matvec directions share the same pipeline skeleton:
 //!
@@ -13,135 +15,33 @@
 //! vectors are always double (Section 3.2 — downstream inverse-problem
 //! computations need FP64 endpoints).
 //!
-//! Construction goes through [`FftMatvec::builder`]; application goes
-//! through the [`LinearOperator`] trait. The `_into` paths draw every
-//! intermediate buffer from a pooled workspace (and FFT scratch from the
-//! engines' shared `ScratchArena`s), so repeated applies under a fixed
-//! configuration perform **zero heap allocations after warm-up** —
-//! verified by the counting-allocator conformance suite.
+//! This file supplies only what is specific to the family — the
+//! [`SbgemvKernel`] (batched real FFT engines through the
+//! [`DeviceBackend`], the seven-buffer workspace, the five phase calls
+//! with the strided batched GEMV as symbol apply) and the
+//! [`FftMatvecBuilder`]. Engine retention, pooled zero-allocation
+//! workspaces, budget resolution, batching and diagnostics are the
+//! shared [`TieredPipeline`]'s.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
-use fftmatvec_backend::{BackendError, BackendKind, BatchFft, DeviceBackend};
+use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
 use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
 use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, RealBuffer};
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
-use crate::autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
+use crate::autotune::PhaseWeights;
 use crate::error_analysis::{condition_estimate, BoundParams};
 use crate::layout;
-use crate::linop::{
-    check_apply, check_batch, ConfigError, ConfigurableOperator, LinearOperator, OpDirection,
-    OpError, OpShape,
-};
+use crate::linop::{ConfigError, OpDirection, OpError, OpShape};
 use crate::operator::BlockToeplitzOperator;
-use crate::precision::{MatvecPhase, PrecisionConfig};
-
-/// Execution backend a built pipeline computes on — re-exported from
-/// `fftmatvec-backend` under the name this crate has always used. `Cpu`
-/// executes for real (software-emulated 16-bit tiers), `Simulated` adds
-/// modeled device timings, `Portability` is the GPU landing pad.
-pub use fftmatvec_backend::BackendKind as PipelineBackend;
-
-/// Per-tier batched real-FFT engines, planned through the pipeline's
-/// [`DeviceBackend`], built lazily and retained only for the tiers the
-/// current configuration's FFT/IFFT phases actually use.
-///
-/// A configuration switch keeps every engine whose tier is still in use
-/// (its plan handle *and* its warmed scratch arena survive) and drops
-/// only the engines whose tier left the configuration — the fix for the
-/// drop-everything reconfigure this replaces.
-struct TierEngines {
-    n2: usize,
-    h: OnceLock<Arc<dyn BatchFft>>,
-    b: OnceLock<Arc<dyn BatchFft>>,
-    s: OnceLock<Arc<dyn BatchFft>>,
-    d: OnceLock<Arc<dyn BatchFft>>,
-}
-
-impl TierEngines {
-    fn new(n2: usize) -> Self {
-        TierEngines {
-            n2,
-            h: OnceLock::new(),
-            b: OnceLock::new(),
-            s: OnceLock::new(),
-            d: OnceLock::new(),
-        }
-    }
-
-    /// Does `cfg` run an FFT phase in tier `p`? Only phases 2 and 4 own
-    /// transform engines.
-    fn uses(cfg: PrecisionConfig, p: Precision) -> bool {
-        cfg.phase(MatvecPhase::Fft) == p || cfg.phase(MatvecPhase::Ifft) == p
-    }
-
-    fn slot(&self, p: Precision) -> &OnceLock<Arc<dyn BatchFft>> {
-        match p {
-            Precision::Half => &self.h,
-            Precision::BFloat16 => &self.b,
-            Precision::Single => &self.s,
-            Precision::Double => &self.d,
-        }
-    }
-
-    /// The resident engine for tier `p`, planning one through `device` on
-    /// first use. On a plan race the first stored engine wins (same
-    /// semantics as `get_or_init`; the spare handle is dropped).
-    fn engine(
-        &self,
-        device: &dyn DeviceBackend,
-        p: Precision,
-    ) -> Result<&Arc<dyn BatchFft>, BackendError> {
-        let slot = self.slot(p);
-        if let Some(engine) = slot.get() {
-            return Ok(engine);
-        }
-        let built = device.real_fft(p, self.n2)?;
-        Ok(slot.get_or_init(|| built))
-    }
-
-    /// Eagerly build the engines `cfg` needs (plans come from the
-    /// process-wide cache, so this is cheap and mostly a cache lookup).
-    /// Fails typed when the backend cannot plan — the portability stub's
-    /// `Unavailable` surfaces here at build time.
-    fn warm(&self, device: &dyn DeviceBackend, cfg: PrecisionConfig) -> Result<(), BackendError> {
-        for p in [Precision::Half, Precision::BFloat16, Precision::Single, Precision::Double] {
-            if Self::uses(cfg, p) {
-                self.engine(device, p)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Drop engines whose tier `cfg` no longer uses; keep the rest.
-    fn retain(&mut self, cfg: PrecisionConfig) {
-        if !Self::uses(cfg, Precision::Half) {
-            self.h.take();
-        }
-        if !Self::uses(cfg, Precision::BFloat16) {
-            self.b.take();
-        }
-        if !Self::uses(cfg, Precision::Single) {
-            self.s.take();
-        }
-        if !Self::uses(cfg, Precision::Double) {
-            self.d.take();
-        }
-    }
-
-    fn scratch_pooled(&self, p: Precision) -> Option<usize> {
-        self.slot(p).get().map(|e| e.scratch_pooled())
-    }
-}
+use crate::precision::MatvecPhase;
+use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
+use crate::workspace::Workspace;
 
 /// One apply's worth of intermediate buffers. Every field is reset (not
 /// reallocated) each apply as long as the tier/shape it held last time
 /// still matches — which is always the case under a fixed configuration.
-/// The `id` is pool-unique and backs the checkout ledger below.
-struct Workspace {
-    id: u64,
+pub struct MatvecWorkspace {
     padded: RealBuffer,
     casted: RealBuffer,
     spectrum: ComplexBuffer,
@@ -151,11 +51,10 @@ struct Workspace {
     time: RealBuffer,
 }
 
-impl Workspace {
+impl Default for MatvecWorkspace {
     /// All-empty workspace; `Vec::new()` does not allocate.
-    fn empty(id: u64) -> Self {
-        Workspace {
-            id,
+    fn default() -> Self {
+        MatvecWorkspace {
             padded: RealBuffer::F64(Vec::new()),
             casted: RealBuffer::F64(Vec::new()),
             spectrum: ComplexBuffer::C64(Vec::new()),
@@ -167,129 +66,131 @@ impl Workspace {
     }
 }
 
-/// Most workspaces a pool parks between applies. A serving registry can
-/// point many concurrent batch windows at one shared `FftMatvec`; each
-/// window transiently checks out one workspace per executing worker, and
-/// without a cap the pool would permanently retain that burst-peak
-/// footprint. Sized to comfortably cover the machine's worker
-/// concurrency (the steady-state checkout count) while letting bursts
-/// free their excess.
-pub fn workspace_retention_cap() -> usize {
-    // Computed once: `available_parallelism` reads procfs/cgroup state on
-    // Linux, which allocates — and this runs on the apply hot path (every
-    // workspace return), which is contractually allocation-free.
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (2 * hw).max(8)
-    })
+impl Workspace for MatvecWorkspace {
+    fn bytes(&self) -> usize {
+        self.padded.bytes()
+            + self.casted.bytes()
+            + self.spectrum.bytes()
+            + self.xhat.bytes()
+            + self.yhat.bytes()
+            + self.dspec.bytes()
+            + self.time.bytes()
+    }
 }
 
-/// Bookkeeping behind one [`WorkspacePool`] mutex.
-struct PoolLedger {
-    /// Workspaces parked between applies, at most
-    /// [`workspace_retention_cap`] of them.
-    parked: Vec<Workspace>,
-    /// Ids currently checked out. Small (≈ worker concurrency), so a
-    /// linear scan beats a hash set.
-    checked_out: Vec<u64>,
-    /// Next fresh workspace id.
-    next_id: u64,
-    /// High-water mark of concurrent checkouts (diagnostic).
-    peak_out: usize,
+/// The block-triangular symbol apply: per-frequency `N_d × N_m` blocks
+/// of `F̂`, applied as one strided batched GEMV. The operator is held
+/// behind an `Arc`, so several pipelines — e.g. the per-configuration
+/// variants a budget-routing service keeps — share one frequency-domain
+/// setup (`F̂` and its lazily-cached narrow copies) instead of
+/// duplicating it.
+#[derive(Clone)]
+pub struct SbgemvKernel {
+    op: Arc<BlockToeplitzOperator>,
 }
 
-/// Pool of [`Workspace`]s, mirroring the FFT `ScratchArena`: one buffer
-/// set per concurrently running worker, a single reused set when serial.
-///
-/// Hardened for shared-operator serving, where one `FftMatvec` is driven
-/// by many concurrent batch windows:
-///
-/// * **Checkout ledger** — every workspace carries a pool-unique id,
-///   recorded while it is out. A guard returning a workspace the ledger
-///   does not list (the only way two batches could ever alias one
-///   workspace's buffers) is a loud panic instead of silent data
-///   corruption.
-/// * **Bounded retention** — returned workspaces are parked only up to
-///   [`workspace_retention_cap`]; the rest free their buffers, so a
-///   burst of concurrent windows cannot permanently pin its peak
-///   footprint.
-struct WorkspacePool {
-    reuse: bool,
-    state: Mutex<PoolLedger>,
-}
+impl SpectralKernel for SbgemvKernel {
+    type Engine = Arc<dyn BatchFft>;
+    type Workspace = MatvecWorkspace;
 
-impl WorkspacePool {
-    fn new(reuse: bool) -> Self {
-        WorkspacePool {
-            reuse,
-            state: Mutex::new(PoolLedger {
-                parked: Vec::new(),
-                checked_out: Vec::new(),
-                next_id: 0,
-                peak_out: 0,
-            }),
-        }
+    fn shape(&self) -> OpShape {
+        OpShape::new(self.op.nd() * self.op.nt(), self.op.nm() * self.op.nt())
     }
 
-    fn lock(&self) -> MutexGuard<'_, PoolLedger> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn plan(&self, device: &dyn DeviceBackend, p: Precision) -> Result<Self::Engine, BackendError> {
+        device.real_fft(p, 2 * self.op.nt())
     }
 
-    fn checkout(&self) -> PooledWorkspace<'_> {
-        let mut st = self.lock();
-        let ws = match st.parked.pop() {
-            Some(ws) => ws,
-            None => {
-                let id = st.next_id;
-                st.next_id += 1;
-                Workspace::empty(id)
-            }
+    fn scratch_pooled(engine: &Self::Engine) -> usize {
+        engine.scratch_pooled()
+    }
+
+    fn run(
+        &self,
+        pipe: &TieredPipeline<Self>,
+        dir: OpDirection,
+        input: &[f64],
+        out: &mut [f64],
+        ws: &mut MatvecWorkspace,
+    ) -> Result<(), OpError> {
+        let op = &*self.op;
+        let (nd, nm, nt, nfreq) = (op.nd(), op.nm(), op.nt(), op.nfreq());
+        // Series counts on each side of the GEMV.
+        let (gemv_op, n_in, n_out) = match dir {
+            OpDirection::Forward => (GemvOp::NoTrans, nm, nd),
+            OpDirection::Adjoint => (GemvOp::ConjTrans, nd, nm),
         };
-        st.checked_out.push(ws.id);
-        st.peak_out = st.peak_out.max(st.checked_out.len());
-        PooledWorkspace { pool: self, ws: Some(ws) }
-    }
+        let (cfg, device) = (pipe.config(), pipe.device());
+        let MatvecWorkspace { padded, casted, spectrum, xhat, yhat, dspec, time } = ws;
 
-    fn pooled(&self) -> usize {
-        self.lock().parked.len()
-    }
+        // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad]. The
+        // input crosses the host→device boundary here; the ledger books
+        // it (the CPU backends alias host memory, so no copy happens).
+        device.record_upload(std::mem::size_of_val(input));
+        let p_pad = cfg.phase(MatvecPhase::Pad);
+        layout::pad_input_into(input, n_in, nt, p_pad, padded);
 
-    fn in_flight(&self) -> usize {
-        self.lock().checked_out.len()
-    }
+        // Phase 2 — batched R2C FFT in cfg[Fft]; the cast (if any) is
+        // fused with the pad output.
+        let p_fft = cfg.phase(MatvecPhase::Fft);
+        let fft_in: &RealBuffer = if p_fft == p_pad {
+            padded
+        } else {
+            device.cast_real(padded, p_fft, casted)?;
+            casted
+        };
+        spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
+        pipe.engine(p_fft)?.forward(fft_in, spectrum)?;
 
-    fn peak_in_flight(&self) -> usize {
-        self.lock().peak_out
-    }
-}
-
-struct PooledWorkspace<'a> {
-    pool: &'a WorkspacePool,
-    /// Always `Some` until `drop` takes it back.
-    ws: Option<Workspace>,
-}
-
-impl PooledWorkspace<'_> {
-    #[inline]
-    fn ws(&mut self) -> &mut Workspace {
-        self.ws.as_mut().expect("workspace held until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        let ws = self.ws.take().expect("workspace held until drop");
-        let mut st = self.pool.lock();
-        let idx = st
-            .checked_out
-            .iter()
-            .position(|&id| id == ws.id)
-            .expect("workspace returned twice or to a foreign pool: aliased checkout");
-        st.checked_out.swap_remove(idx);
-        if self.pool.reuse && st.parked.len() < workspace_retention_cap() {
-            st.parked.push(ws);
+        // Phase 3 — SOTI→TOSI reorder (fused cast), then the strided
+        // batched GEMV in cfg[Sbgemv].
+        let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
+        layout::spectrum_to_batch_into(spectrum, n_in, nfreq, p_gemv, xhat);
+        yhat.reset_for_overwrite(p_gemv, n_out * nfreq);
+        let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
+        match (&*xhat, &mut *yhat) {
+            (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => {
+                sbgemv(gemv_op, Complex::one(), op.fhat16(), x, Complex::zero(), y, &g);
+            }
+            (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
+                sbgemv(gemv_op, Complex::one(), op.fhatb16(), x, Complex::zero(), y, &g);
+            }
+            (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => {
+                sbgemv(gemv_op, Complex::one(), op.fhat32(), x, Complex::zero(), y, &g);
+            }
+            (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => {
+                sbgemv(gemv_op, Complex::one(), op.fhat(), x, Complex::zero(), y, &g);
+            }
+            _ => return Err(OpError::Internal("phase-3 tier mismatch")),
         }
+
+        // Phase 4 — batched C2R inverse FFT in cfg[Ifft].
+        let p_ifft = cfg.phase(MatvecPhase::Ifft);
+        layout::batch_to_spectrum_into(yhat, n_out, nfreq, p_ifft, dspec);
+        time.reset_for_overwrite(p_ifft, n_out * 2 * nt);
+        pipe.engine(p_ifft)?.inverse(dspec, time)?;
+
+        // Phase 5 — unpad + reduce (SOTI → TOSI) through cfg[Unpad];
+        // output is always double and crosses back to the host.
+        let p_unpad = cfg.phase(MatvecPhase::Unpad);
+        layout::unpad_output_into(time, n_out, nt, p_unpad, out);
+        device.record_download(std::mem::size_of_val(out));
+        Ok(())
+    }
+
+    /// Power iterations per sampled frequency: scan everything up to 32
+    /// frequencies, subsample beyond that so budget resolution stays
+    /// cheap at large `N_t`.
+    fn condition_estimate(&self) -> f64 {
+        condition_estimate(&self.op, (self.op.nfreq() / 32).max(1))
+    }
+
+    fn bound_params(&self, dir: OpDirection, kappa: f64) -> BoundParams {
+        BoundParams::for_direction(dir, self.op.nt(), self.op.nd(), self.op.nm(), 1, 1, kappa)
+    }
+
+    fn phase_weights(&self, dir: OpDirection) -> PhaseWeights {
+        PhaseWeights::for_shape(self.op.nd(), self.op.nm(), self.op.nt(), dir)
     }
 }
 
@@ -300,169 +201,28 @@ impl Drop for PooledWorkspace<'_> {
 /// # let op = BlockToeplitzOperator::from_first_block_column(1, 1, 2, &[1.0, 0.5]).unwrap();
 /// let mv = FftMatvec::builder(op)
 ///     .precision(PrecisionConfig::optimal_forward())
-///     .workspace_reuse(true)
 ///     .build()
 ///     .unwrap();
 /// # let _ = mv;
 /// ```
 pub struct FftMatvecBuilder {
     op: Arc<BlockToeplitzOperator>,
-    cfg: PrecisionConfig,
-    backend: Option<PipelineBackend>,
-    workspace_reuse: bool,
-    budget: Option<(OpDirection, f64)>,
-    kappa: Option<f64>,
+    opts: BuildOptions,
 }
 
 impl FftMatvecBuilder {
-    fn new(op: Arc<BlockToeplitzOperator>) -> Self {
-        FftMatvecBuilder {
-            op,
-            cfg: PrecisionConfig::all_double(),
-            backend: None,
-            workspace_reuse: true,
-            budget: None,
-            kappa: None,
-        }
-    }
+    crate::spectral_builder_setters!(opts);
 
-    /// Five-phase precision configuration (default `ddddd`).
-    pub fn precision(mut self, cfg: PrecisionConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Resolve the precision configuration from a **forward-direction
-    /// error budget** at build time instead of fixing it with
-    /// [`precision`](Self::precision): the built pipeline autotunes to
-    /// the cheapest configuration whose Eq. 6 bound is at or under
-    /// `budget` (see [`crate::autotune`]), and records the bound it
-    /// promised ([`FftMatvec::autotuned`]). Overrides any
-    /// `precision(..)` setting.
-    pub fn error_budget(self, budget: f64) -> Self {
-        self.error_budget_for(OpDirection::Forward, budget)
-    }
-
-    /// [`error_budget`](Self::error_budget) for an explicit direction —
-    /// adjoint-heavy callers (Bayesian inversion applies `F*` as often
-    /// as `F`) tune against the F* side of Eq. 6.
-    pub fn error_budget_for(mut self, dir: OpDirection, budget: f64) -> Self {
-        self.budget = Some((dir, budget));
-        self
-    }
-
-    /// Supply a known condition number `κ(F̂)` for the budget pruning
-    /// instead of estimating one at build time (the estimate runs power
-    /// iterations per sampled frequency — cheap, but a caller that
-    /// already knows its operator can skip it).
-    pub fn kappa_override(mut self, kappa: f64) -> Self {
-        self.kappa = Some(kappa);
-        self
-    }
-
-    /// Execution backend. An explicit choice here wins over the
-    /// `FFTMATVEC_BACKEND` environment override; when neither is set the
-    /// pipeline runs on [`PipelineBackend::Cpu`].
-    pub fn backend(mut self, backend: PipelineBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Keep intermediate buffers pooled between applies (default `true`).
-    /// Disable to trade the steady-state allocations back for a minimal
-    /// resident footprint between calls.
-    pub fn workspace_reuse(mut self, reuse: bool) -> Self {
-        self.workspace_reuse = reuse;
-        self
-    }
-
-    /// Build the pipeline: resolves the per-tier FFT engines the
-    /// configuration needs through the process-wide plan cache and
-    /// preallocates nothing else — workspaces fill on first apply.
-    ///
-    /// With an [`error_budget`](Self::error_budget) set, building also
-    /// runs the autotune pass: estimate `κ` (unless
-    /// [`kappa_override`](Self::kappa_override) supplied one), prune the
-    /// lattice by Eq. 6, time the admissible tiers, and install the
-    /// cheapest admissible configuration. An unsatisfiable or invalid
-    /// budget fails construction with the corresponding
-    /// [`ConfigError`].
+    /// Build the pipeline; see [`TieredPipeline::build`].
     pub fn build(self) -> Result<FftMatvec, ConfigError> {
-        let kind = BackendKind::resolve(self.backend)?;
-        let device = fftmatvec_backend::create(kind)?;
-        let engines = TierEngines::new(2 * self.op.nt());
-        engines.warm(device.as_ref(), self.cfg)?;
-        let mut mv = FftMatvec {
-            op: self.op,
-            cfg: self.cfg,
-            backend: kind,
-            device,
-            engines,
-            workspace: WorkspacePool::new(self.workspace_reuse),
-            autotune: None,
-        };
-        if let Some((dir, budget)) = self.budget {
-            let kappa = self
-                .kappa
-                .unwrap_or_else(|| condition_estimate(&mv.op, default_kappa_stride(mv.op.nfreq())));
-            mv.resolve_budget(dir, budget, kappa).map_err(|e| match e {
-                OpError::Config(c) => c,
-                other => ConfigError::Autotune(other.to_string()),
-            })?;
-        }
-        Ok(mv)
+        TieredPipeline::build(SbgemvKernel { op: self.op }, self.opts)
     }
-}
-
-/// Frequency stride for build-time κ estimation: scan everything up to
-/// 32 frequencies, subsample beyond that so construction stays cheap at
-/// large `N_t`.
-fn default_kappa_stride(nfreq: usize) -> usize {
-    (nfreq / 32).max(1)
-}
-
-/// Flat batches above this many `f64` elements split across the pool.
-#[cfg(feature = "parallel")]
-const MANY_PAR_THRESHOLD: usize = 1 << 12;
-
-/// Live autotuning state a budget-built pipeline carries: the `κ`
-/// estimate and tier calibration persist so later
-/// [`FftMatvec::retune_budget`] calls refine timings instead of
-/// restarting them.
-struct AutotuneState {
-    kappa: f64,
-    calib: TierCalibration,
-    last: Option<AutotuneChoice>,
 }
 
 /// A configured FFTMatvec ready to apply `F` and `F*` through the
-/// [`LinearOperator`] trait.
-///
-/// The operator is held behind an `Arc`, so several pipelines — e.g. the
-/// per-configuration variants a budget-routing service keeps — share one
-/// frequency-domain setup (`F̂` and its lazily-cached narrow copies)
-/// instead of duplicating it.
-pub struct FftMatvec {
-    op: Arc<BlockToeplitzOperator>,
-    cfg: PrecisionConfig,
-    backend: PipelineBackend,
-    device: Arc<dyn DeviceBackend>,
-    engines: TierEngines,
-    workspace: WorkspacePool,
-    autotune: Option<Box<AutotuneState>>,
-}
-
-impl std::fmt::Debug for FftMatvec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FftMatvec")
-            .field("nd", &self.op.nd())
-            .field("nm", &self.op.nm())
-            .field("nt", &self.op.nt())
-            .field("config", &self.cfg.to_string())
-            .field("backend", &self.backend)
-            .finish_non_exhaustive()
-    }
-}
+/// [`LinearOperator`](crate::LinearOperator) trait: the shared
+/// [`TieredPipeline`] over the [`SbgemvKernel`].
+pub type FftMatvec = TieredPipeline<SbgemvKernel>;
 
 impl FftMatvec {
     /// Start building a pipeline around `op`. The batched FFT engines for
@@ -471,7 +231,7 @@ impl FftMatvec {
     /// including the per-rank pipelines of the distributed matvec —
     /// shares one set of twiddle tables per precision.
     pub fn builder(op: BlockToeplitzOperator) -> FftMatvecBuilder {
-        FftMatvecBuilder::new(Arc::new(op))
+        Self::builder_arc(Arc::new(op))
     }
 
     /// [`builder`](Self::builder) over an already-shared operator: the
@@ -480,7 +240,7 @@ impl FftMatvec {
     /// how a budget-routing service builds per-configuration variants of
     /// one registered operator.
     pub fn builder_arc(op: Arc<BlockToeplitzOperator>) -> FftMatvecBuilder {
-        FftMatvecBuilder::new(op)
+        FftMatvecBuilder { op, opts: BuildOptions::default() }
     }
 
     /// The shared double-precision FFT plan handle for this problem size.
@@ -491,301 +251,38 @@ impl FftMatvec {
     /// exercises the engine's plan, not just two cache lookups), and
     /// falls back to the process-wide cache otherwise.
     pub fn fft64_plan_handle(&self) -> fftmatvec_fft::RealPlanHandle<f64> {
-        match self.engines.d.get().and_then(|e| e.plan_handle_f64()) {
+        match self.resident_engine(Precision::Double).and_then(|e| e.plan_handle_f64()) {
             Some(handle) => handle,
-            None => fftmatvec_fft::cache::real_plan::<f64>(2 * self.op.nt()),
+            None => fftmatvec_fft::cache::real_plan::<f64>(2 * self.operator().nt()),
         }
-    }
-
-    /// Scratch buffers pooled inside the FFT engine of tier `p`, or
-    /// `None` when no engine for that tier is resident. Diagnostic: a
-    /// surviving pool across [`FftMatvec::set_config`] proves the engine
-    /// was kept rather than rebuilt.
-    pub fn fft_scratch_pooled(&self, p: Precision) -> Option<usize> {
-        self.engines.scratch_pooled(p)
-    }
-
-    /// Workspaces currently parked in the pipeline's pool (diagnostic).
-    /// Bounded by [`workspace_retention_cap`] however many concurrent
-    /// batch windows have driven this pipeline.
-    pub fn workspaces_pooled(&self) -> usize {
-        self.workspace.pooled()
-    }
-
-    /// Workspaces currently checked out of the pool (diagnostic): the
-    /// number of applies executing on this pipeline right now.
-    pub fn workspaces_in_flight(&self) -> usize {
-        self.workspace.in_flight()
-    }
-
-    /// High-water mark of concurrent workspace checkouts over this
-    /// pipeline's lifetime (diagnostic for concurrency stress tests).
-    pub fn workspaces_peak_in_flight(&self) -> usize {
-        self.workspace.peak_in_flight()
     }
 
     /// The wrapped operator.
     pub fn operator(&self) -> &BlockToeplitzOperator {
-        &self.op
+        &self.kernel().op
     }
 
     /// A shared handle to the wrapped operator, for building further
     /// pipelines over the same setup ([`FftMatvec::builder_arc`]).
     pub fn operator_shared(&self) -> Arc<BlockToeplitzOperator> {
-        Arc::clone(&self.op)
-    }
-
-    /// The autotuner's latest resolution for this pipeline — the
-    /// installed configuration, the Eq. 6 bound it promised, and the
-    /// budget it was resolved against. `None` unless the pipeline was
-    /// built with [`FftMatvecBuilder::error_budget`] or retuned via
-    /// [`retune_budget`](Self::retune_budget).
-    pub fn autotuned(&self) -> Option<&AutotuneChoice> {
-        self.autotune.as_ref().and_then(|s| s.last.as_ref())
-    }
-
-    /// Re-resolve this pipeline's configuration for a new error budget
-    /// (or direction), reusing the `κ` estimate and tier calibration
-    /// from any previous budget resolution — repeat retunes refine the
-    /// timings by EMA rather than re-measuring from scratch. On success
-    /// the winning configuration is installed through the
-    /// engine-retention path ([`set_config`](Self::set_config)); on
-    /// error the current configuration stays.
-    pub fn retune_budget(
-        &mut self,
-        dir: OpDirection,
-        budget: f64,
-    ) -> Result<AutotuneChoice, OpError> {
-        let kappa = match &self.autotune {
-            Some(state) => state.kappa,
-            None => condition_estimate(&self.op, default_kappa_stride(self.op.nfreq())),
-        };
-        self.resolve_budget(dir, budget, kappa)?;
-        Ok(*self.autotuned().expect("resolve_budget stores the choice on success"))
-    }
-
-    /// Shared budget-resolution path for `build()` and `retune_budget`:
-    /// runs the autotune pass with this pipeline's persistent
-    /// calibration and installs the winner. The autotune state is taken
-    /// out for the duration so the calibration applies can borrow `self`
-    /// mutably.
-    fn resolve_budget(&mut self, dir: OpDirection, budget: f64, kappa: f64) -> Result<(), OpError> {
-        let (nd, nm, nt) = (self.op.nd(), self.op.nm(), self.op.nt());
-        let taken = self.autotune.take();
-        let mut state = taken.unwrap_or_else(|| {
-            Box::new(AutotuneState { kappa, calib: TierCalibration::new(), last: None })
-        });
-        state.kappa = kappa;
-        let params = BoundParams::for_direction(dir, nt, nd, nm, 1, 1, kappa);
-        let weights = PhaseWeights::for_shape(nd, nm, nt, dir);
-        let result =
-            crate::autotune::autotune(self, dir, budget, &params, &weights, &mut state.calib);
-        let result = match result {
-            Ok(choice) => {
-                self.set_config(choice.config);
-                state.last = Some(choice);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        self.autotune = Some(state);
-        result
-    }
-
-    /// Current precision configuration.
-    pub fn config(&self) -> PrecisionConfig {
-        self.cfg
-    }
-
-    /// The execution backend this pipeline was built for.
-    pub fn backend(&self) -> PipelineBackend {
-        self.backend
-    }
-
-    /// The device backend handle the pipeline dispatches through —
-    /// transfer accounting ([`fftmatvec_backend::TransferStats`]) and,
-    /// for the simulated device, modeled phase timings hang off it.
-    pub fn device(&self) -> &Arc<dyn DeviceBackend> {
-        &self.device
-    }
-
-    /// Swap the precision configuration at runtime (the paper's dynamic
-    /// reconfiguration — no operator rebuild). Only the FFT engines whose
-    /// tier actually changed are touched: engines still used by the new
-    /// configuration survive with their warmed scratch arenas, engines
-    /// whose tier left the configuration are dropped, and newly needed
-    /// tiers resolve through the plan cache.
-    pub fn set_config(&mut self, cfg: PrecisionConfig) {
-        self.engines.retain(cfg);
-        self.cfg = cfg;
-        // Best-effort warm: a backend that cannot plan here (portability
-        // stub) surfaces the same typed error on the next apply instead.
-        let _ = self.engines.warm(self.device.as_ref(), cfg);
+        Arc::clone(&self.kernel().op)
     }
 
     /// Recover the operator. When other pipelines still share it
     /// (built via [`builder_arc`](Self::builder_arc)), this deep-copies
     /// the double-precision setup rather than disturbing them.
     pub fn into_operator(self) -> BlockToeplitzOperator {
-        Arc::try_unwrap(self.op).unwrap_or_else(|shared| (*shared).clone())
-    }
-
-    /// One full five-phase pipeline pass, all intermediates drawn from
-    /// `ws`. Caller has validated `input`/`out` lengths.
-    fn run_pipeline(
-        &self,
-        input: &[f64],
-        out: &mut [f64],
-        gemv_op: GemvOp,
-        ws: &mut Workspace,
-    ) -> Result<(), OpError> {
-        let (nd, nm, nt, nfreq) = (self.op.nd(), self.op.nm(), self.op.nt(), self.op.nfreq());
-        // Series counts on each side of the GEMV.
-        let (n_in, n_out) = match gemv_op {
-            GemvOp::NoTrans => (nm, nd),
-            _ => (nd, nm),
-        };
-        let Workspace { padded, casted, spectrum, xhat, yhat, dspec, time, .. } = ws;
-
-        // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad]. The
-        // input crosses the host→device boundary here; the ledger books
-        // it (the CPU backends alias host memory, so no copy happens).
-        self.device.record_upload(std::mem::size_of_val(input));
-        let p_pad = self.cfg.phase(MatvecPhase::Pad);
-        layout::pad_input_into(input, n_in, nt, p_pad, padded);
-
-        // Phase 2 — batched R2C FFT in cfg[Fft]; the cast (if any) is
-        // fused with the pad output.
-        let p_fft = self.cfg.phase(MatvecPhase::Fft);
-        let fft_in: &RealBuffer = if p_fft == p_pad {
-            padded
-        } else {
-            self.device.cast_real(padded, p_fft, casted)?;
-            casted
-        };
-        spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
-        self.engines.engine(self.device.as_ref(), p_fft)?.forward(fft_in, spectrum)?;
-
-        // Phase 3 — SOTI→TOSI reorder (fused cast), then the strided
-        // batched GEMV in cfg[Sbgemv].
-        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
-        layout::spectrum_to_batch_into(spectrum, n_in, nfreq, p_gemv, xhat);
-        yhat.reset_for_overwrite(p_gemv, n_out * nfreq);
-        let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
-        match (&*xhat, &mut *yhat) {
-            (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => {
-                sbgemv(gemv_op, Complex::one(), self.op.fhat16(), x, Complex::zero(), y, &g);
-            }
-            (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
-                sbgemv(gemv_op, Complex::one(), self.op.fhatb16(), x, Complex::zero(), y, &g);
-            }
-            (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => {
-                sbgemv(gemv_op, Complex::one(), self.op.fhat32(), x, Complex::zero(), y, &g);
-            }
-            (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => {
-                sbgemv(gemv_op, Complex::one(), self.op.fhat(), x, Complex::zero(), y, &g);
-            }
-            _ => return Err(OpError::Internal("phase-3 tier mismatch")),
-        }
-
-        // Phase 4 — batched C2R inverse FFT in cfg[Ifft].
-        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
-        layout::batch_to_spectrum_into(yhat, n_out, nfreq, p_ifft, dspec);
-        time.reset_for_overwrite(p_ifft, n_out * 2 * nt);
-        self.engines.engine(self.device.as_ref(), p_ifft)?.inverse(dspec, time)?;
-
-        // Phase 5 — unpad + reduce (SOTI → TOSI) through cfg[Unpad];
-        // output is always double and crosses back to the host.
-        let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
-        layout::unpad_output_into(time, n_out, nt, p_unpad, out);
-        self.device.record_download(std::mem::size_of_val(out));
-        Ok(())
-    }
-
-    fn gemv_op(dir: OpDirection) -> GemvOp {
-        match dir {
-            OpDirection::Forward => GemvOp::NoTrans,
-            OpDirection::Adjoint => GemvOp::ConjTrans,
-        }
-    }
-}
-
-impl LinearOperator for FftMatvec {
-    fn shape(&self) -> OpShape {
-        OpShape::new(self.op.nd() * self.op.nt(), self.op.nm() * self.op.nt())
-    }
-
-    fn apply_forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-        check_apply(self.shape(), OpDirection::Forward, input, out)?;
-        let mut guard = self.workspace.checkout();
-        self.run_pipeline(input, out, GemvOp::NoTrans, guard.ws())
-    }
-
-    fn apply_adjoint_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-        check_apply(self.shape(), OpDirection::Adjoint, input, out)?;
-        let mut guard = self.workspace.checkout();
-        self.run_pipeline(input, out, GemvOp::ConjTrans, guard.ws())
-    }
-
-    /// Batched apply: the whole batch shares the engines resolved at
-    /// build time (one plan-cache lookup per tier, not one per column —
-    /// the fix for the per-input re-planning the old `Vec<Vec<f64>>` API
-    /// did) and one pooled workspace per worker. With the `parallel`
-    /// feature the columns overlap across the thread pool — the paper's
-    /// §4.2.2 dense-operator assembly pattern.
-    fn apply_many_into(
-        &self,
-        dir: OpDirection,
-        inputs: &[f64],
-        outputs: &mut [f64],
-    ) -> Result<(), OpError> {
-        let shape = self.shape();
-        let (in_len, out_len) = shape.io_lens(dir);
-        check_batch(shape, dir, inputs, outputs)?;
-        let gemv_op = Self::gemv_op(dir);
-        #[cfg(feature = "parallel")]
-        if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
-            inputs
-                .par_chunks_exact(in_len)
-                .zip(outputs.par_chunks_exact_mut(out_len))
-                .for_each_init(
-                    || self.workspace.checkout(),
-                    |guard, (i, o)| {
-                        if self.run_pipeline(i, o, gemv_op, guard.ws()).is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    },
-                );
-            return if failed.load(Ordering::Relaxed) {
-                Err(OpError::Internal("batched pipeline apply failed"))
-            } else {
-                Ok(())
-            };
-        }
-        let mut guard = self.workspace.checkout();
-        for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.run_pipeline(i, o, gemv_op, guard.ws())?;
-        }
-        Ok(())
-    }
-}
-
-impl ConfigurableOperator for FftMatvec {
-    fn config(&self) -> PrecisionConfig {
-        self.cfg
-    }
-
-    fn set_config(&mut self, cfg: PrecisionConfig) {
-        FftMatvec::set_config(self, cfg);
+        Arc::try_unwrap(self.into_kernel().op).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linop::LinearOperator;
     use crate::precision::PrecisionConfig;
+    use crate::spectral::PipelineBackend;
+    use crate::workspace::workspace_retention_cap;
     use fftmatvec_numeric::vecmath::rel_l2_error;
     use fftmatvec_numeric::SplitMix64;
 
@@ -976,14 +473,12 @@ mod tests {
         let mv = FftMatvec::builder(op)
             .precision(PrecisionConfig::optimal_forward())
             .backend(PipelineBackend::Cpu)
-            .workspace_reuse(false)
             .build()
             .unwrap();
         assert_eq!(mv.backend(), PipelineBackend::Cpu);
         assert_eq!(mv.config(), PrecisionConfig::optimal_forward());
         let m = vec![1.0; 3 * 4];
         let _ = mv.apply_forward(&m).unwrap();
-        assert_eq!(mv.workspaces_pooled(), 0, "reuse=false must not pool workspaces");
     }
 
     #[test]
@@ -1078,45 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_pool_parks_at_most_the_retention_cap() {
-        let pool = WorkspacePool::new(true);
-        let cap = workspace_retention_cap();
-        // A burst of cap + 5 concurrent checkouts...
-        let guards: Vec<_> = (0..cap + 5).map(|_| pool.checkout()).collect();
-        assert_eq!(pool.in_flight(), cap + 5);
-        assert_eq!(pool.peak_in_flight(), cap + 5);
-        // ...parks only `cap` workspaces on return; the excess is freed.
-        drop(guards);
-        assert_eq!(pool.in_flight(), 0);
-        assert_eq!(pool.pooled(), cap, "retention must be bounded by the cap");
-        // Steady-state reuse still works: a fresh checkout drains the
-        // parked set instead of allocating.
-        let g = pool.checkout();
-        assert_eq!(pool.pooled(), cap - 1);
-        drop(g);
-        assert_eq!(pool.pooled(), cap);
-    }
-
-    #[test]
-    fn workspace_checkouts_never_alias() {
-        // Concurrent guards must hold workspaces with distinct ids — the
-        // ledger tracks exactly the outstanding set.
-        let pool = WorkspacePool::new(true);
-        let mut a = pool.checkout();
-        let mut b = pool.checkout();
-        assert_ne!(a.ws().id, b.ws().id, "two live guards must never share a workspace");
-        let (ia, ib) = (a.ws().id, b.ws().id);
-        drop(a);
-        drop(b);
-        // Reuse hands back the same workspaces, still distinct.
-        let mut c = pool.checkout();
-        let mut d = pool.checkout();
-        assert_ne!(c.ws().id, d.ws().id);
-        assert!([ia, ib].contains(&c.ws().id));
-        assert!([ia, ib].contains(&d.ws().id));
-    }
-
-    #[test]
     fn pipeline_tracks_in_flight_workspaces() {
         let op = random_operator(2, 3, 8, 83);
         let mv = mv(op, PrecisionConfig::all_double());
@@ -1127,6 +583,12 @@ mod tests {
         assert_eq!(mv.workspaces_in_flight(), 0, "guard returned after the apply");
         assert!(mv.workspaces_peak_in_flight() >= 1);
         assert!(mv.workspaces_pooled() <= workspace_retention_cap());
+        // The shared pool's byte high-water mark: set by the first apply,
+        // unchanged by an identical second one.
+        let peak = mv.workspace_peak_bytes();
+        assert!(peak > 0);
+        mv.apply_forward_into(&m, &mut out).unwrap();
+        assert_eq!(mv.workspace_peak_bytes(), peak);
     }
 
     /// Identity-plus-noise operator with κ(F̂) ≈ 1, suitable for budget

@@ -14,12 +14,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use fftmatvec_core::autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
-use fftmatvec_core::error_analysis::{condition_estimate, BoundParams};
+use fftmatvec_core::error_analysis::BoundParams;
 use fftmatvec_core::{
-    ConfigurableOperator, FftMatvec, FftMatvecBuilder, LinearOperator, OpDirection, OpShape,
-    PrecisionConfig,
+    BuildOptions, ConfigurableOperator, FftMatvecBuilder, LinearOperator, OpDirection, OpShape,
+    PrecisionConfig, SpectralKernel, TieredPipeline,
 };
-use fftmatvec_toeplitz::{TwoLevelToeplitz, TwoLevelToeplitzBuilder};
+use fftmatvec_toeplitz::TwoLevelToeplitzBuilder;
 
 use crate::error::ServiceError;
 
@@ -216,52 +216,14 @@ impl OperatorRegistry {
         id: &str,
         builder: FftMatvecBuilder,
     ) -> Result<(), ServiceError> {
-        let tuner = builder.build()?;
-        let base = tuner.operator_shared();
-        let base_cfg = tuner.config();
-        let kappa = condition_estimate(&base, (base.nfreq() / 32).max(1));
-        let (nd, nm, nt) = (base.nd(), base.nm(), base.nt());
-        let params = [
-            BoundParams::for_direction(OpDirection::Forward, nt, nd, nm, 1, 1, kappa),
-            BoundParams::for_direction(OpDirection::Adjoint, nt, nd, nm, 1, 1, kappa),
-        ];
-        let weights = [
-            PhaseWeights::for_shape(nd, nm, nt, OpDirection::Forward),
-            PhaseWeights::for_shape(nd, nm, nt, OpDirection::Adjoint),
-        ];
-        // The plain-lane instance (non-budget submits) is itself a
-        // variant sharing the frequency-domain setup with every tuned
-        // configuration.
-        let plain: Arc<FftMatvec> =
-            Arc::new(FftMatvec::builder_arc(Arc::clone(&base)).precision(base_cfg).build()?);
-        let factory_base = Arc::clone(&base);
-        let make_variant: VariantFactory = Box::new(move |cfg| {
-            let v = FftMatvec::builder_arc(Arc::clone(&factory_base)).precision(cfg).build()?;
-            Ok(Arc::new(v) as SharedOp)
-        });
-        let mut variants: HashMap<PrecisionConfig, SharedOp> = HashMap::new();
-        variants.insert(base_cfg, Arc::clone(&plain) as SharedOp);
-        let tunable = Arc::new(TunableState {
-            params,
-            weights,
-            inner: Mutex::new(TunableInner {
-                tuner: Box::new(tuner),
-                make_variant,
-                calib: TierCalibration::new(),
-                resolved: HashMap::new(),
-                variants,
-            }),
-        });
-        let shape = plain.shape();
-        let entry = Arc::new(RegisteredOp { op: plain, shape, tunable: Some(tunable) });
-        self.ops.write().unwrap_or_else(PoisonError::into_inner).insert(id.to_string(), entry);
-        Ok(())
+        self.register_tunable(id, builder.build()?)
     }
 
-    /// Build the configured [`TwoLevelToeplitz`] and register it under
-    /// `id`, replacing any previous operator with that id. The split-FFT
-    /// and full-embedding paths register identically — memory layout is
-    /// the builder's concern, the service only sees [`LinearOperator`].
+    /// Build the configured [`TwoLevelToeplitz`](fftmatvec_toeplitz::TwoLevelToeplitz)
+    /// and register it under `id`, replacing any previous operator with
+    /// that id. The split-FFT and full-embedding paths register
+    /// identically — memory layout is the builder's concern, the service
+    /// only sees [`LinearOperator`].
     pub fn register_toeplitz(
         &self,
         id: &str,
@@ -275,52 +237,48 @@ impl OperatorRegistry {
     /// [`OperatorRegistry::register_toeplitz`] plus autotune support:
     /// budget-routed submissions resolve the cheapest 4-tier
     /// configuration whose Eq. 6 bound clears the request's bucket, just
-    /// like [`OperatorRegistry::register_fft_tunable`] — the tunable
-    /// machinery is operator-family-generic. Every tuned variant shares
-    /// the operator's symbol spectrum via
-    /// [`TwoLevelToeplitz::builder_arc`], so the multi-level embedding
-    /// FFT of the generator is paid exactly once.
+    /// like [`OperatorRegistry::register_fft_tunable`]. Every tuned
+    /// variant shares the operator's symbol spectrum, so the multi-level
+    /// embedding FFT of the generator is paid exactly once.
     pub fn register_toeplitz_tunable(
         &self,
         id: &str,
         builder: TwoLevelToeplitzBuilder,
     ) -> Result<(), ServiceError> {
-        let tuner = builder.build()?;
-        let base_cfg = tuner.config();
-        let sym = tuner.symbol_shared();
-        let split = tuner.is_split();
-        let params =
-            [tuner.bound_params(OpDirection::Forward), tuner.bound_params(OpDirection::Adjoint)];
-        let weights =
-            [tuner.phase_weights(OpDirection::Forward), tuner.phase_weights(OpDirection::Adjoint)];
-        let plain: Arc<TwoLevelToeplitz> = Arc::new(
-            TwoLevelToeplitz::builder_arc(Arc::clone(&sym))
-                .split_fft(split)
-                .precision(base_cfg)
-                .build()?,
-        );
-        let factory_sym = Arc::clone(&sym);
-        let make_variant: VariantFactory = Box::new(move |cfg| {
-            let v = TwoLevelToeplitz::builder_arc(Arc::clone(&factory_sym))
-                .split_fft(split)
-                .precision(cfg)
-                .build()?;
-            Ok(Arc::new(v) as SharedOp)
+        self.register_tunable(id, builder.build()?.into())
+    }
+
+    /// The operator-family-generic tunable registration: `tuner` becomes
+    /// the private calibration instrument, its kernel's Eq. 6 parameters
+    /// and phase weights are precomputed per direction, and every
+    /// variant — the plain-lane instance (non-budget submits) included —
+    /// is a fresh pipeline over a clone of the kernel, i.e. over the
+    /// same shared frequency-domain setup.
+    fn register_tunable<K: SpectralKernel + Clone + 'static>(
+        &self,
+        id: &str,
+        tuner: TieredPipeline<K>,
+    ) -> Result<(), ServiceError> {
+        let dirs = [OpDirection::Forward, OpDirection::Adjoint];
+        let kernel = tuner.kernel().clone();
+        let mut make_variant: VariantFactory = Box::new(move |cfg| {
+            let opts = BuildOptions { precision: cfg, ..BuildOptions::default() };
+            Ok(Arc::new(TieredPipeline::build(kernel.clone(), opts)?) as SharedOp)
         });
-        let mut variants: HashMap<PrecisionConfig, SharedOp> = HashMap::new();
-        variants.insert(base_cfg, Arc::clone(&plain) as SharedOp);
+        let base_cfg = tuner.config();
+        let plain = make_variant(base_cfg)?;
+        let shape = plain.shape();
         let tunable = Arc::new(TunableState {
-            params,
-            weights,
+            params: dirs.map(|d| tuner.bound_params(d)),
+            weights: dirs.map(|d| tuner.phase_weights(d)),
             inner: Mutex::new(TunableInner {
                 tuner: Box::new(tuner),
                 make_variant,
                 calib: TierCalibration::new(),
                 resolved: HashMap::new(),
-                variants,
+                variants: HashMap::from([(base_cfg, Arc::clone(&plain))]),
             }),
         });
-        let shape = plain.shape();
         let entry = Arc::new(RegisteredOp { op: plain, shape, tunable: Some(tunable) });
         self.ops.write().unwrap_or_else(PoisonError::into_inner).insert(id.to_string(), entry);
         Ok(())

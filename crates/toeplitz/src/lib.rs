@@ -27,19 +27,21 @@
 //! length ([`TwoLevelToeplitz::plan_whole`] /
 //! [`TwoLevelToeplitz::plan_block`]).
 //!
-//! Construction is builder-based with the same surface as the 1-level
-//! pipeline (`precision`, `workspace_reuse`, `error_budget[_for]`,
-//! `kappa_override`), applies are zero-allocation over pooled
-//! workspaces, and the expensive symbol spectrum is shareable across
-//! precision variants via `Arc` (`builder_arc`).
+//! Both types are thin instantiations of the workspace's one tiered
+//! spectral pipeline (`fftmatvec_core::spectral`): this crate writes only
+//! the [`operator::PointwiseKernel`] — grid embedding, N-d FFT engines,
+//! the pointwise symbol multiply, head extraction — and the symbol
+//! resolution its builders do. The builder setters (`precision`,
+//! `backend`, `error_budget[_for]`), engine retention across
+//! `set_config`, pooled zero-allocation workspaces, budget resolution,
+//! batched applies and the diagnostics accessors are the shared core's
+//! (the public types deref to it), and the expensive symbol spectrum is
+//! shareable across precision variants via `Arc` (`builder_arc`).
 
 pub mod generator;
 pub mod kernels;
 pub mod operator;
 pub mod symbol;
-
-mod engines;
-mod workspace;
 
 pub use generator::{LevelDims, ToeplitzGenerator, MAX_LEVELS};
 pub use operator::{

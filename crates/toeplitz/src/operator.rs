@@ -3,203 +3,275 @@
 //! [`TwoLevelToeplitz`] (the `L = 2` case, with the optional
 //! memory-optimized split-FFT path).
 //!
-//! Both run the same five-phase mixed-precision pipeline as the 1-level
-//! `FftMatvec` — Pad (grid embedding), Fft (forward N-d transform),
-//! Sbgemv (the pointwise symbol multiply; the per-frequency blocks are
-//! 1×1 so the batched GEMV degenerates to a Hadamard product), Ifft,
-//! Unpad (head extraction) — over a full 4-tier [`PrecisionConfig`],
-//! with pooled zero-allocation workspaces and runtime reconfiguration.
+//! Both are the shared [`TieredPipeline`] over the [`PointwiseKernel`]:
+//! Pad is the grid embedding, Fft/Ifft the N-d complex transforms,
+//! Sbgemv the pointwise symbol multiply (the per-frequency blocks are
+//! 1×1 so the batched GEMV degenerates to a Hadamard product), Unpad the
+//! head extraction. This file supplies only that kernel, the symbol
+//! resolution the builders do, and the family-specific accessors; the
+//! public types deref to the pipeline for everything shared (`config`,
+//! `set_config`, `retune_budget`, `autotuned`, `bound_params`, the
+//! workspace and engine diagnostics, `device`).
 
 use std::sync::Arc;
 
-use fftmatvec_backend::{BackendKind, DeviceBackend};
+use fftmatvec_backend::{BackendError, DeviceBackend};
 use fftmatvec_core::{
-    autotune, check_apply, check_batch, AutotuneChoice, BoundParams, ConfigError,
-    ConfigurableOperator, LinearOperator, MatvecPhase, OpDirection, OpError, OpShape, PhaseWeights,
-    PrecisionConfig, TierCalibration,
+    BoundParams, BuildOptions, ConfigError, ConfigurableOperator, LinearOperator, MatvecPhase,
+    OpDirection, OpError, OpShape, PhaseWeights, PrecisionConfig, SpectralKernel, TieredPipeline,
+    Workspace,
 };
-use fftmatvec_fft::{cache, FftDirection, PlanHandle};
-use fftmatvec_numeric::{ComplexBuffer, Precision};
+use fftmatvec_fft::{cache, FftDirection, NdFft, PlanHandle};
+use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision};
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-use crate::engines::NdTierEngines;
 use crate::generator::{ToeplitzGenerator, MAX_LEVELS};
 use crate::kernels;
-use crate::symbol::{SpectraSet, ToeplitzSymbol};
-use crate::workspace::{Workspace, WorkspacePool};
+use crate::symbol::{SpectraSet, TierSpectra, ToeplitzSymbol};
 
-/// Flat batches above this many `f64` elements split across the pool
-/// (same threshold as the 1-level pipeline).
-#[cfg(feature = "parallel")]
-const MANY_PAR_THRESHOLD: usize = 1 << 12;
-
-/// Live autotuning state a budget-built operator carries; the tier
-/// calibration persists so later `retune_budget` calls refine timings
-/// instead of restarting them.
-struct AutotuneState {
-    calib: TierCalibration,
-    last: Option<AutotuneChoice>,
+/// Evaluate `$body` with `$v` bound to the typed vector inside a
+/// [`ComplexBuffer`], whatever its tier.
+macro_rules! each_tier {
+    ($buf:expr, $v:ident => $body:expr) => {
+        match $buf {
+            ComplexBuffer::C16($v) => $body,
+            ComplexBuffer::CB16($v) => $body,
+            ComplexBuffer::C32($v) => $body,
+            ComplexBuffer::C64($v) => $body,
+        }
+    };
 }
 
-/// The shared pipeline engine behind both public realizations. Holds the
-/// immutable symbol (shareable across precision variants via `Arc`), the
-/// per-tier N-d FFT engines, and the pooled workspaces.
-pub(crate) struct Core {
+/// One tier's N-d complex FFT engine, tier-erased so the shared engine
+/// bank can hold it.
+pub enum NdEngine {
+    H(NdFft<f16>),
+    B(NdFft<bf16>),
+    S(NdFft<f32>),
+    D(NdFft<f64>),
+}
+
+impl NdEngine {
+    /// Transform `data` in place along every axis; `partner` is the
+    /// same-tier rotation buffer.
+    fn process(
+        &self,
+        data: &mut ComplexBuffer,
+        partner: &mut ComplexBuffer,
+        dir: FftDirection,
+    ) -> Result<(), OpError> {
+        match (self, data, partner) {
+            (NdEngine::H(e), ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => e.process(x, y, dir),
+            (NdEngine::B(e), ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
+                e.process(x, y, dir)
+            }
+            (NdEngine::S(e), ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => e.process(x, y, dir),
+            (NdEngine::D(e), ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => e.process(x, y, dir),
+            _ => return Err(OpError::Internal("toeplitz fft tier mismatch")),
+        }
+        Ok(())
+    }
+}
+
+/// One apply's worth of grid buffers. Under a fixed configuration each
+/// buffer keeps a stable tier across applies, so `reset_for_overwrite`
+/// reuses the allocation every time: `spec`/`specb` are the forward
+/// grid and its rotation partner in the Fft tier, `mid` materializes
+/// only when the Sbgemv tier differs, and `ispec`/`ispecb` only when
+/// the Ifft tier differs from its predecessor.
+pub struct GridWorkspace {
+    spec: ComplexBuffer,
+    specb: ComplexBuffer,
+    mid: ComplexBuffer,
+    ispec: ComplexBuffer,
+    ispecb: ComplexBuffer,
+}
+
+impl Default for GridWorkspace {
+    /// All-empty workspace; `Vec::new()` does not allocate.
+    fn default() -> Self {
+        let empty = || ComplexBuffer::C64(Vec::new());
+        GridWorkspace {
+            spec: empty(),
+            specb: empty(),
+            mid: empty(),
+            ispec: empty(),
+            ispecb: empty(),
+        }
+    }
+}
+
+impl Workspace for GridWorkspace {
+    fn bytes(&self) -> usize {
+        [&self.spec, &self.specb, &self.mid, &self.ispec, &self.ispecb]
+            .iter()
+            .map(|b| b.bytes())
+            .sum()
+    }
+}
+
+/// The multi-level symbol apply: a pointwise multiply by the circulant
+/// embedding's spectrum. Holds the immutable symbol behind an `Arc`, so
+/// precision variants of one operator share the spectrum.
+#[derive(Clone)]
+pub struct PointwiseKernel {
     sym: Arc<ToeplitzSymbol>,
-    cfg: PrecisionConfig,
-    backend: BackendKind,
-    device: Arc<dyn DeviceBackend>,
-    engines: NdTierEngines,
-    pool: Arc<WorkspacePool>,
-    shape: OpShape,
-    kappa: f64,
-    autotune: Option<Box<AutotuneState>>,
 }
 
-// ---------------------------------------------------------------------
-// Tier dispatch helpers: one `match` per phase boundary, mirroring the
-// 1-level pipeline's phase dispatch (`_ =>` arms are tier mismatches
-// that the buffer-reset discipline makes unreachable).
-// ---------------------------------------------------------------------
+impl PointwiseKernel {
+    /// Phases 2–4 on the grid already embedded in `ws.spec` (Fft tier):
+    /// forward N-d FFT, multiply by `sp` (conjugated for the adjoint)
+    /// through the device backend's cast and Hadamard primitives,
+    /// inverse N-d FFT. Returns the buffer holding the result.
+    ///
+    /// Each role has a dedicated buffer — the Ifft operand must sit in
+    /// an Ifft-tier buffer with a same-tier rotation partner — so tiers
+    /// stay stable across applies under a fixed configuration (zero
+    /// steady-state allocation).
+    fn transform<'w>(
+        &self,
+        pipe: &TieredPipeline<Self>,
+        sp: &TierSpectra,
+        conj: bool,
+        ws: &'w mut GridWorkspace,
+    ) -> Result<&'w mut ComplexBuffer, OpError> {
+        let (cfg, device) = (pipe.config(), pipe.device());
+        let p_fft = cfg.phase(MatvecPhase::Fft);
+        let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
+        let p_ifft = cfg.phase(MatvecPhase::Ifft);
+        let n = self.sym.grid_len();
+        let GridWorkspace { spec, specb, mid, ispec, ispecb } = ws;
 
-fn pad_full_dispatch(
-    in_dims: &[usize],
-    grid_dims: &[usize],
-    input: &[f64],
-    p_pad: Precision,
-    dst: &mut ComplexBuffer,
-) {
-    match dst {
-        ComplexBuffer::C16(v) => {
-            kernels::zero_fill(v);
-            kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
-        }
-        ComplexBuffer::CB16(v) => {
-            kernels::zero_fill(v);
-            kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
-        }
-        ComplexBuffer::C32(v) => {
-            kernels::zero_fill(v);
-            kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
-        }
-        ComplexBuffer::C64(v) => {
-            kernels::zero_fill(v);
-            kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
-        }
-    }
-}
+        specb.reset_for_overwrite(p_fft, n);
+        pipe.engine(p_fft)?.process(spec, specb, FftDirection::Forward)?;
 
-fn extract_full_dispatch(
-    out_dims: &[usize],
-    grid_dims: &[usize],
-    grid: &ComplexBuffer,
-    p_unpad: Precision,
-    out: &mut [f64],
-) {
-    match grid {
-        ComplexBuffer::C16(v) => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out),
-        ComplexBuffer::CB16(v) => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out),
-        ComplexBuffer::C32(v) => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out),
-        ComplexBuffer::C64(v) => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out),
-    }
-}
+        let use_mid = p_gemv != p_fft;
+        if use_mid {
+            device.cast_complex(spec, p_gemv, mid)?;
+        }
+        let io = if use_mid { &mut *mid } else { &mut *spec };
+        device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
 
-fn fftn_dispatch(
-    engines: &NdTierEngines,
-    data: &mut ComplexBuffer,
-    partner: &mut ComplexBuffer,
-    dir: FftDirection,
-) -> Result<(), OpError> {
-    match (data, partner) {
-        (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => engines.fft16().process(x, y, dir),
-        (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => engines.fftb16().process(x, y, dir),
-        (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => engines.fft32().process(x, y, dir),
-        (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => engines.fft64().process(x, y, dir),
-        _ => return Err(OpError::Internal("toeplitz fft tier mismatch")),
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pad_split_dispatch(
-    in_outer: usize,
-    in_inner: usize,
-    m2: usize,
-    input: &[f64],
-    p_pad: Precision,
-    twist: Option<&[fftmatvec_numeric::C64]>,
-    dst: &mut ComplexBuffer,
-) {
-    match dst {
-        ComplexBuffer::C16(v) => kernels::pad_split(in_outer, in_inner, m2, input, p_pad, twist, v),
-        ComplexBuffer::CB16(v) => {
-            kernels::pad_split(in_outer, in_inner, m2, input, p_pad, twist, v)
-        }
-        ComplexBuffer::C32(v) => kernels::pad_split(in_outer, in_inner, m2, input, p_pad, twist, v),
-        ComplexBuffer::C64(v) => kernels::pad_split(in_outer, in_inner, m2, input, p_pad, twist, v),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extract_split_dispatch(
-    out_outer: usize,
-    out_inner: usize,
-    m2: usize,
-    grid: &ComplexBuffer,
-    p_unpad: Precision,
-    weight: Option<&[fftmatvec_numeric::C64]>,
-    accumulate: bool,
-    out: &mut [f64],
-) {
-    match grid {
-        ComplexBuffer::C16(v) => {
-            kernels::extract_split(out_outer, out_inner, m2, v, p_unpad, weight, accumulate, out)
-        }
-        ComplexBuffer::CB16(v) => {
-            kernels::extract_split(out_outer, out_inner, m2, v, p_unpad, weight, accumulate, out)
-        }
-        ComplexBuffer::C32(v) => {
-            kernels::extract_split(out_outer, out_inner, m2, v, p_unpad, weight, accumulate, out)
-        }
-        ComplexBuffer::C64(v) => {
-            kernels::extract_split(out_outer, out_inner, m2, v, p_unpad, weight, accumulate, out)
-        }
-    }
-}
-
-impl Core {
-    fn new(
-        sym: Arc<ToeplitzSymbol>,
-        cfg: PrecisionConfig,
-        backend: Option<BackendKind>,
-        reuse: bool,
-        kappa_override: Option<f64>,
-    ) -> Result<Core, ConfigError> {
-        let kind = BackendKind::resolve(backend)?;
-        let device = fftmatvec_backend::create(kind)?;
-        let shape = OpShape::new(sym.generator().rows(), sym.generator().cols());
-        let kappa = kappa_override.unwrap_or_else(|| sym.condition_estimate());
-        let core = Core {
-            engines: NdTierEngines::new(sym.work_dims().to_vec()),
-            pool: WorkspacePool::new(reuse),
-            shape,
-            kappa,
-            cfg,
-            backend: kind,
-            device,
-            sym,
-            autotune: None,
+        let (inv, partner) = if p_ifft != p_gemv {
+            device.cast_complex(io, p_ifft, ispec)?;
+            ispecb.reset_for_overwrite(p_ifft, n);
+            (ispec, ispecb)
+        } else if use_mid {
+            ispecb.reset_for_overwrite(p_ifft, n);
+            (mid, ispecb)
+        } else {
+            (spec, specb)
         };
-        core.warm_for(cfg);
-        Ok(core)
+        pipe.engine(p_ifft)?.process(inv, partner, FftDirection::Inverse)?;
+        Ok(inv)
+    }
+}
+
+impl SpectralKernel for PointwiseKernel {
+    type Engine = NdEngine;
+    type Workspace = GridWorkspace;
+
+    fn shape(&self) -> OpShape {
+        OpShape::new(self.sym.generator().rows(), self.sym.generator().cols())
     }
 
-    /// Materialize everything `cfg` touches: FFT engines and the Sbgemv
-    /// tier's spectrum cast (applies stay allocation-free).
-    fn warm_for(&self, cfg: PrecisionConfig) {
-        self.engines.warm(cfg);
+    /// Per-axis plans always resolve through the process-wide cache, so
+    /// rebuilds only re-link shared twiddle tables.
+    fn plan(&self, _device: &dyn DeviceBackend, p: Precision) -> Result<NdEngine, BackendError> {
+        let dims = self.sym.work_dims();
+        Ok(match p {
+            Precision::Half => NdEngine::H(NdFft::new(dims)),
+            Precision::BFloat16 => NdEngine::B(NdFft::new(dims)),
+            Precision::Single => NdEngine::S(NdFft::new(dims)),
+            Precision::Double => NdEngine::D(NdFft::new(dims)),
+        })
+    }
+
+    fn scratch_pooled(engine: &NdEngine) -> usize {
+        match engine {
+            NdEngine::H(e) => e.scratch_pooled(),
+            NdEngine::B(e) => e.scratch_pooled(),
+            NdEngine::S(e) => e.scratch_pooled(),
+            NdEngine::D(e) => e.scratch_pooled(),
+        }
+    }
+
+    fn run(
+        &self,
+        pipe: &TieredPipeline<Self>,
+        dir: OpDirection,
+        input: &[f64],
+        out: &mut [f64],
+        ws: &mut GridWorkspace,
+    ) -> Result<(), OpError> {
+        let levels = self.sym.generator().levels();
+        let nl = levels.len();
+        let mut in_ext = [0usize; MAX_LEVELS];
+        let mut out_ext = [0usize; MAX_LEVELS];
+        for (l, lv) in levels.iter().enumerate() {
+            (in_ext[l], out_ext[l]) = match dir {
+                OpDirection::Forward => (lv.cols, lv.rows),
+                OpDirection::Adjoint => (lv.rows, lv.cols),
+            };
+        }
+        let (in_dims, out_dims) = (&in_ext[..nl], &out_ext[..nl]);
+        let grid_dims = self.sym.work_dims();
+        let n = self.sym.grid_len();
+        let conj = matches!(dir, OpDirection::Adjoint);
+        let cfg = pipe.config();
+        let p_pad = cfg.phase(MatvecPhase::Pad);
+        let p_fft = cfg.phase(MatvecPhase::Fft);
+        let p_unpad = cfg.phase(MatvecPhase::Unpad);
+
+        match self.sym.spectra() {
+            // Full embedding: pad → FFTN → ⊙ĉ → IFFTN → extract, one
+            // pass over the whole circulant grid. The embed rounds
+            // through cfg[Pad] (cast fused into the grid write); the
+            // extraction rounds through cfg[Unpad] into the always-double
+            // output.
+            SpectraSet::Full(sp) => {
+                ws.spec.reset_for_overwrite(p_fft, n);
+                each_tier!(&mut ws.spec, v => {
+                    kernels::zero_fill(v);
+                    kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
+                });
+                let inv = self.transform(pipe, sp, conj, ws)?;
+                each_tier!(&*inv, v => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out));
+            }
+            // Split-FFT (Siron & Molesky, arXiv:2406.17981): the even and
+            // odd outer-frequency channels stream **sequentially**
+            // through one half-size grid — two transform passes, half the
+            // peak scratch. The odd channel pre-twists the input rows and
+            // accumulates its reconstruction-weighted contribution
+            // (the even channel writes ½·E[n], the odd adds
+            // ½·Re(e^{+iπn/n₁}·O[n])) straight into the `f64` output, so
+            // no full-size buffer ever materializes.
+            SpectraSet::Split { even, odd, twist, untwist } => {
+                let m2 = grid_dims[1];
+                let channels = [(even, None, None), (odd, Some(&twist[..]), Some(&untwist[..]))];
+                for (sp, twist, untwist) in channels {
+                    ws.spec.reset_for_overwrite(p_fft, n);
+                    each_tier!(&mut ws.spec, v => {
+                        kernels::pad_split(in_dims[0], in_dims[1], m2, input, p_pad, twist, v)
+                    });
+                    let inv = self.transform(pipe, sp, conj, ws)?;
+                    each_tier!(&*inv, v => kernels::extract_split(
+                        out_dims[0],
+                        out_dims[1],
+                        m2,
+                        v,
+                        p_unpad,
+                        untwist,
+                        untwist.is_some(),
+                        out,
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The Sbgemv tier's spectrum cast (applies stay allocation-free).
+    fn warm(&self, cfg: PrecisionConfig) {
         let p = cfg.phase(MatvecPhase::Sbgemv);
         match self.sym.spectra() {
             SpectraSet::Full(sp) => sp.warm(p),
@@ -210,311 +282,19 @@ impl Core {
         }
     }
 
-    fn set_config(&mut self, cfg: PrecisionConfig) {
-        self.engines.retain(cfg);
-        self.cfg = cfg;
-        self.warm_for(cfg);
+    fn condition_estimate(&self) -> f64 {
+        self.sym.condition_estimate()
     }
 
-    /// Eq. 6 parameters for this operator: the N-d transform depth is
-    /// `log₂(∏ m_l)` regardless of path (split runs the same total work
-    /// in two channels), and the pointwise Sbgemv reduces over a single
-    /// element (`n_local = 1`).
-    fn bound_params(&self, dir: OpDirection) -> BoundParams {
-        BoundParams::for_direction(dir, self.sym.embed_total(), 1, 1, 1, 1, self.kappa)
+    /// The N-d transform depth is `log₂(∏ m_l)` regardless of path
+    /// (split runs the same total work in two channels), and the
+    /// pointwise Sbgemv reduces over a single element (`n_local = 1`).
+    fn bound_params(&self, dir: OpDirection, kappa: f64) -> BoundParams {
+        BoundParams::for_direction(dir, self.sym.embed_total(), 1, 1, 1, 1, kappa)
     }
 
     fn phase_weights(&self, dir: OpDirection) -> PhaseWeights {
         PhaseWeights::for_shape(1, 1, self.sym.embed_total(), dir)
-    }
-
-    /// Shared budget-resolution path for `build()` and `retune_budget`,
-    /// mirroring the 1-level pipeline: take the autotune state out so the
-    /// calibration applies can borrow `self` mutably, install the winner
-    /// through `set_config` on success, and restore the state either way
-    /// (on error the current configuration stays — the same
-    /// restore-on-error contract the sweeps rely on).
-    fn resolve_budget(&mut self, dir: OpDirection, budget: f64) -> Result<(), OpError> {
-        let taken = self.autotune.take();
-        let mut state = taken.unwrap_or_else(|| {
-            Box::new(AutotuneState { calib: TierCalibration::new(), last: None })
-        });
-        let params = self.bound_params(dir);
-        let weights = self.phase_weights(dir);
-        let result = autotune::autotune(self, dir, budget, &params, &weights, &mut state.calib);
-        let result = match result {
-            Ok(choice) => {
-                self.set_config(choice.config);
-                state.last = Some(choice);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        };
-        self.autotune = Some(state);
-        result
-    }
-
-    fn autotuned(&self) -> Option<&AutotuneChoice> {
-        self.autotune.as_ref().and_then(|s| s.last.as_ref())
-    }
-
-    fn retune_budget(&mut self, dir: OpDirection, budget: f64) -> Result<AutotuneChoice, OpError> {
-        self.resolve_budget(dir, budget)?;
-        Ok(*self.autotuned().expect("resolve_budget stores the choice on success"))
-    }
-
-    /// One full pipeline pass, all intermediates drawn from `ws`. Caller
-    /// has validated `input`/`out` lengths.
-    fn run(
-        &self,
-        dir: OpDirection,
-        input: &[f64],
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), OpError> {
-        match self.sym.spectra() {
-            SpectraSet::Full(_) => self.run_full(dir, input, out, ws),
-            SpectraSet::Split { .. } => self.run_split(dir, input, out, ws),
-        }
-    }
-
-    /// Full-embedding pipeline: pad → FFTN → ⊙ĉ → IFFTN → extract, one
-    /// pass over the whole circulant grid.
-    fn run_full(
-        &self,
-        dir: OpDirection,
-        input: &[f64],
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), OpError> {
-        let levels = self.sym.generator().levels();
-        let nl = levels.len();
-        let mut in_ext = [0usize; MAX_LEVELS];
-        let mut out_ext = [0usize; MAX_LEVELS];
-        for (l, lv) in levels.iter().enumerate() {
-            match dir {
-                OpDirection::Forward => {
-                    in_ext[l] = lv.cols;
-                    out_ext[l] = lv.rows;
-                }
-                OpDirection::Adjoint => {
-                    in_ext[l] = lv.rows;
-                    out_ext[l] = lv.cols;
-                }
-            }
-        }
-        let (in_dims, out_dims) = (&in_ext[..nl], &out_ext[..nl]);
-        let grid_dims = self.sym.work_dims();
-        let n = self.sym.grid_len();
-        let conj = matches!(dir, OpDirection::Adjoint);
-        let SpectraSet::Full(sp) = self.sym.spectra() else {
-            return Err(OpError::Internal("full pipeline on a split symbol"));
-        };
-
-        let p_pad = self.cfg.phase(MatvecPhase::Pad);
-        let p_fft = self.cfg.phase(MatvecPhase::Fft);
-        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
-        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
-        let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
-        let Workspace { spec, specb, mid, ispec, ispecb, .. } = ws;
-
-        // Phases 1+2 — embed in cfg[Pad] (cast fused into the grid
-        // write), forward N-d FFT in cfg[Fft].
-        spec.reset_for_overwrite(p_fft, n);
-        specb.reset_for_overwrite(p_fft, n);
-        pad_full_dispatch(in_dims, grid_dims, input, p_pad, spec);
-        fftn_dispatch(&self.engines, spec, specb, FftDirection::Forward)?;
-
-        // Phase 3 — pointwise symbol multiply in cfg[Sbgemv], through the
-        // device backend's cast and Hadamard primitives.
-        let use_mid = p_gemv != p_fft;
-        if use_mid {
-            self.device.cast_complex(spec, p_gemv, mid)?;
-        }
-        let io = if use_mid { &mut *mid } else { &mut *spec };
-        self.device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
-
-        // Phase 4 — inverse N-d FFT in cfg[Ifft]. The operand must sit
-        // in an Ifft-tier buffer with a same-tier rotation partner; each
-        // role has a dedicated buffer so tiers stay stable across
-        // applies under a fixed configuration (zero steady-state
-        // allocation).
-        let use_ispec = p_ifft != p_gemv;
-        let (inv, partner): (&mut ComplexBuffer, &mut ComplexBuffer) = if use_ispec {
-            self.device.cast_complex(if use_mid { &*mid } else { &*spec }, p_ifft, ispec)?;
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (ispec, ispecb)
-        } else if use_mid {
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (mid, ispecb)
-        } else {
-            (spec, specb)
-        };
-        fftn_dispatch(&self.engines, inv, partner, FftDirection::Inverse)?;
-
-        // Phase 5 — head extraction through cfg[Unpad]; output is always
-        // double.
-        extract_full_dispatch(out_dims, grid_dims, inv, p_unpad, out);
-        Ok(())
-    }
-
-    /// Split-FFT pipeline (Siron & Molesky, arXiv:2406.17981): the even
-    /// and odd outer-frequency channels stream **sequentially** through
-    /// one half-size grid — two transform passes, half the peak scratch.
-    /// The odd channel pre-twists the input rows and accumulates its
-    /// reconstruction-weighted contribution straight into the `f64`
-    /// output, so no full-size buffer ever materializes.
-    fn run_split(
-        &self,
-        dir: OpDirection,
-        input: &[f64],
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), OpError> {
-        let levels = self.sym.generator().levels();
-        let (in_outer, in_inner, out_outer, out_inner) = match dir {
-            OpDirection::Forward => {
-                (levels[0].cols, levels[1].cols, levels[0].rows, levels[1].rows)
-            }
-            OpDirection::Adjoint => {
-                (levels[0].rows, levels[1].rows, levels[0].cols, levels[1].cols)
-            }
-        };
-        let m2 = self.sym.work_dims()[1];
-        let n = self.sym.grid_len();
-        let conj = matches!(dir, OpDirection::Adjoint);
-        let SpectraSet::Split { even, odd, twist, untwist } = self.sym.spectra() else {
-            return Err(OpError::Internal("split pipeline on a full symbol"));
-        };
-
-        let p_pad = self.cfg.phase(MatvecPhase::Pad);
-        let p_fft = self.cfg.phase(MatvecPhase::Fft);
-        let p_gemv = self.cfg.phase(MatvecPhase::Sbgemv);
-        let p_ifft = self.cfg.phase(MatvecPhase::Ifft);
-        let p_unpad = self.cfg.phase(MatvecPhase::Unpad);
-        let Workspace { spec, specb, mid, ispec, ispecb, .. } = ws;
-
-        for channel in 0..2u8 {
-            let odd_channel = channel == 1;
-            // Phases 1+2 — embed the (twisted) head into the half grid,
-            // forward transform.
-            spec.reset_for_overwrite(p_fft, n);
-            specb.reset_for_overwrite(p_fft, n);
-            pad_split_dispatch(
-                in_outer,
-                in_inner,
-                m2,
-                input,
-                p_pad,
-                if odd_channel { Some(twist) } else { None },
-                spec,
-            );
-            fftn_dispatch(&self.engines, spec, specb, FftDirection::Forward)?;
-
-            // Phase 3 — this channel's symbol spectrum, through the
-            // device backend's cast and Hadamard primitives.
-            let use_mid = p_gemv != p_fft;
-            if use_mid {
-                self.device.cast_complex(spec, p_gemv, mid)?;
-            }
-            let sp = if odd_channel { odd } else { even };
-            let io = if use_mid { &mut *mid } else { &mut *spec };
-            self.device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
-
-            // Phase 4 — inverse transform on the half grid.
-            let use_ispec = p_ifft != p_gemv;
-            let (inv, partner): (&mut ComplexBuffer, &mut ComplexBuffer) = if use_ispec {
-                self.device.cast_complex(if use_mid { &*mid } else { &*spec }, p_ifft, ispec)?;
-                ispecb.reset_for_overwrite(p_ifft, n);
-                (&mut *ispec, &mut *ispecb)
-            } else if use_mid {
-                ispecb.reset_for_overwrite(p_ifft, n);
-                (&mut *mid, &mut *ispecb)
-            } else {
-                (&mut *spec, &mut *specb)
-            };
-            fftn_dispatch(&self.engines, inv, partner, FftDirection::Inverse)?;
-
-            // Phase 5 — fold this channel into the output: the even
-            // channel writes ½·E[n], the odd accumulates
-            // ½·Re(e^{+iπn/n₁}·O[n]).
-            extract_split_dispatch(
-                out_outer,
-                out_inner,
-                m2,
-                inv,
-                p_unpad,
-                if odd_channel { Some(untwist) } else { None },
-                odd_channel,
-                out,
-            );
-        }
-        Ok(())
-    }
-}
-
-impl LinearOperator for Core {
-    fn shape(&self) -> OpShape {
-        self.shape
-    }
-
-    fn apply_forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-        check_apply(self.shape, OpDirection::Forward, input, out)?;
-        let mut guard = self.pool.checkout();
-        self.run(OpDirection::Forward, input, out, guard.ws())
-    }
-
-    fn apply_adjoint_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-        check_apply(self.shape, OpDirection::Adjoint, input, out)?;
-        let mut guard = self.pool.checkout();
-        self.run(OpDirection::Adjoint, input, out, guard.ws())
-    }
-
-    fn apply_many_into(
-        &self,
-        dir: OpDirection,
-        inputs: &[f64],
-        outputs: &mut [f64],
-    ) -> Result<(), OpError> {
-        let shape = self.shape;
-        let (in_len, out_len) = shape.io_lens(dir);
-        check_batch(shape, dir, inputs, outputs)?;
-        #[cfg(feature = "parallel")]
-        if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
-            inputs
-                .par_chunks_exact(in_len)
-                .zip(outputs.par_chunks_exact_mut(out_len))
-                .for_each_init(
-                    || self.pool.checkout(),
-                    |guard, (i, o)| {
-                        if self.run(dir, i, o, guard.ws()).is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    },
-                );
-            return if failed.load(Ordering::Relaxed) {
-                Err(OpError::Internal("batched pipeline apply failed"))
-            } else {
-                Ok(())
-            };
-        }
-        let mut guard = self.pool.checkout();
-        for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.run(dir, i, o, guard.ws())?;
-        }
-        Ok(())
-    }
-}
-
-impl ConfigurableOperator for Core {
-    fn config(&self) -> PrecisionConfig {
-        self.cfg
-    }
-
-    fn set_config(&mut self, cfg: PrecisionConfig) {
-        Core::set_config(self, cfg);
     }
 }
 
@@ -527,139 +307,66 @@ enum SymbolSource {
     Shared(Arc<ToeplitzSymbol>),
 }
 
-struct BuilderInner {
-    source: SymbolSource,
-    cfg: PrecisionConfig,
-    backend: Option<BackendKind>,
-    reuse: bool,
-    budget: Option<(OpDirection, f64)>,
-    kappa: Option<f64>,
-}
-
-impl BuilderInner {
-    fn new(source: SymbolSource) -> Self {
-        BuilderInner {
-            source,
-            cfg: PrecisionConfig::all_double(),
-            backend: None,
-            reuse: true,
-            budget: None,
-            kappa: None,
+impl SymbolSource {
+    /// Compute or adopt the symbol and build the pipeline over it;
+    /// `split` is the builder's requested path (`None` = full / inherit).
+    fn build(
+        self,
+        opts: BuildOptions,
+        split: Option<bool>,
+        two_level_only: bool,
+    ) -> Result<TieredPipeline<PointwiseKernel>, ConfigError> {
+        let levels = match &self {
+            SymbolSource::Gen(gen) => gen.levels().len(),
+            SymbolSource::Shared(sym) => sym.generator().levels().len(),
+        };
+        if two_level_only && levels != 2 {
+            return Err(ConfigError::ZeroDimension {
+                what: "TwoLevelToeplitz needs exactly two levels",
+            });
         }
-    }
-
-    /// Resolve the symbol and assemble the core; `split` is the builder's
-    /// requested path (`None` = full / inherit).
-    fn build_core(self, split: Option<bool>, two_level_only: bool) -> Result<Core, ConfigError> {
-        let sym = match self.source {
-            SymbolSource::Gen(gen) => {
-                if two_level_only && gen.levels().len() != 2 {
-                    return Err(ConfigError::ZeroDimension {
-                        what: "TwoLevelToeplitz needs exactly two levels",
-                    });
-                }
-                Arc::new(if split == Some(true) {
-                    ToeplitzSymbol::split(gen)?
-                } else {
-                    ToeplitzSymbol::full(gen)?
-                })
-            }
+        let sym = match self {
+            SymbolSource::Gen(gen) if split == Some(true) => Arc::new(ToeplitzSymbol::split(gen)?),
+            SymbolSource::Gen(gen) => Arc::new(ToeplitzSymbol::full(gen)?),
             SymbolSource::Shared(sym) => {
-                if two_level_only && sym.generator().levels().len() != 2 {
+                if split.is_some_and(|want| want != sym.is_split()) {
                     return Err(ConfigError::ZeroDimension {
-                        what: "TwoLevelToeplitz needs exactly two levels",
+                        what: "shared symbol path conflicts with split_fft()",
                     });
-                }
-                if let Some(want) = split {
-                    if want != sym.is_split() {
-                        return Err(ConfigError::ZeroDimension {
-                            what: "shared symbol path conflicts with split_fft()",
-                        });
-                    }
                 }
                 sym
             }
         };
-        let mut core = Core::new(sym, self.cfg, self.backend, self.reuse, self.kappa)?;
-        if let Some((dir, budget)) = self.budget {
-            core.resolve_budget(dir, budget).map_err(|e| match e {
-                OpError::Config(c) => c,
-                other => ConfigError::Autotune(other.to_string()),
-            })?;
-        }
-        Ok(core)
+        TieredPipeline::build(PointwiseKernel { sym }, opts)
     }
-}
-
-macro_rules! builder_setters {
-    () => {
-        /// Five-phase precision configuration (default `ddddd`).
-        pub fn precision(mut self, cfg: PrecisionConfig) -> Self {
-            self.inner.cfg = cfg;
-            self
-        }
-
-        /// Keep workspaces pooled between applies (default `true`).
-        pub fn workspace_reuse(mut self, reuse: bool) -> Self {
-            self.inner.reuse = reuse;
-            self
-        }
-
-        /// Execution backend. An explicit choice here wins over the
-        /// `FFTMATVEC_BACKEND` environment override; when neither is set
-        /// the operator runs on the CPU pool.
-        pub fn backend(mut self, backend: fftmatvec_core::PipelineBackend) -> Self {
-            self.inner.backend = Some(backend);
-            self
-        }
-
-        /// Resolve the precision configuration from a forward-direction
-        /// error budget at build time (see the 1-level builder's
-        /// `error_budget`). Overrides any `precision(..)` setting.
-        pub fn error_budget(self, budget: f64) -> Self {
-            self.error_budget_for(OpDirection::Forward, budget)
-        }
-
-        /// [`error_budget`](Self::error_budget) for an explicit
-        /// direction.
-        pub fn error_budget_for(mut self, dir: OpDirection, budget: f64) -> Self {
-            self.inner.budget = Some((dir, budget));
-            self
-        }
-
-        /// Supply a known condition estimate instead of the symbol's
-        /// spectrum-derived default.
-        pub fn kappa_override(mut self, kappa: f64) -> Self {
-            self.inner.kappa = Some(kappa);
-            self
-        }
-    };
 }
 
 /// Builder for [`NdCirculantEmbedding`].
 pub struct NdCirculantEmbeddingBuilder {
-    inner: BuilderInner,
+    source: SymbolSource,
+    opts: BuildOptions,
 }
 
 impl NdCirculantEmbeddingBuilder {
-    builder_setters!();
+    fftmatvec_core::spectral_builder_setters!(opts);
 
     /// Build the operator: compute (or adopt) the symbol spectrum, warm
     /// the configured FFT engines through the process-wide plan cache,
     /// and — with an error budget set — run the autotune pass.
     pub fn build(self) -> Result<NdCirculantEmbedding, ConfigError> {
-        Ok(NdCirculantEmbedding { core: self.inner.build_core(None, false)? })
+        Ok(NdCirculantEmbedding(self.source.build(self.opts, None, false)?))
     }
 }
 
 /// Builder for [`TwoLevelToeplitz`].
 pub struct TwoLevelToeplitzBuilder {
-    inner: BuilderInner,
+    source: SymbolSource,
+    opts: BuildOptions,
     split: Option<bool>,
 }
 
 impl TwoLevelToeplitzBuilder {
-    builder_setters!();
+    fftmatvec_core::spectral_builder_setters!(opts);
 
     /// Select the memory-optimized split-FFT construction path
     /// (default `false` = full embedding). Over a shared symbol
@@ -673,7 +380,7 @@ impl TwoLevelToeplitzBuilder {
     /// Build the operator (see
     /// [`NdCirculantEmbeddingBuilder::build`]).
     pub fn build(self) -> Result<TwoLevelToeplitz, ConfigError> {
-        Ok(TwoLevelToeplitz { core: self.inner.build_core(self.split, true)? })
+        Ok(TwoLevelToeplitz(self.source.build(self.opts, self.split, true)?))
     }
 }
 
@@ -681,120 +388,71 @@ impl TwoLevelToeplitzBuilder {
 // Public operator types
 // ---------------------------------------------------------------------
 
+/// What both public types share beyond the pipeline they deref to: the
+/// symbol accessors, the builder entry points, and the operator traits
+/// (forwarded so the wrappers themselves can be registered and swept).
 macro_rules! operator_common {
-    ($ty:ident) => {
+    ($ty:ident, $builder:ident { $($extra:tt)* }) => {
         impl $ty {
-            /// Current precision configuration.
-            pub fn config(&self) -> PrecisionConfig {
-                self.core.cfg
+            /// Start building over a generator (computes the symbol
+            /// spectrum at build time).
+            pub fn builder(gen: ToeplitzGenerator) -> $builder {
+                $builder { source: SymbolSource::Gen(gen), opts: BuildOptions::default(), $($extra)* }
             }
 
-            /// Swap the precision configuration at runtime: engines whose
-            /// tier survives are kept (with their warmed scratch), the
-            /// rest rebuild through the shared plan cache.
-            pub fn set_config(&mut self, cfg: PrecisionConfig) {
-                self.core.set_config(cfg);
-            }
-
-            /// Re-resolve the configuration for a new error budget (or
-            /// direction), reusing the tier calibration from previous
-            /// resolutions. On error the current configuration stays.
-            pub fn retune_budget(
-                &mut self,
-                dir: OpDirection,
-                budget: f64,
-            ) -> Result<AutotuneChoice, OpError> {
-                self.core.retune_budget(dir, budget)
-            }
-
-            /// The autotuner's latest resolution, if any budget was ever
-            /// resolved.
-            pub fn autotuned(&self) -> Option<&AutotuneChoice> {
-                self.core.autotuned()
+            /// Start building over an already-computed shared symbol —
+            /// how a service builds per-configuration variants of one
+            /// registered operator without recomputing spectra. The
+            /// symbol's construction path (full or split) carries over.
+            pub fn builder_arc(sym: Arc<ToeplitzSymbol>) -> $builder {
+                $builder { source: SymbolSource::Shared(sym), opts: BuildOptions::default(), $($extra)* }
             }
 
             /// The shared symbol — build further precision variants over
             /// it without recomputing the spectrum.
             pub fn symbol_shared(&self) -> Arc<ToeplitzSymbol> {
-                Arc::clone(&self.core.sym)
+                Arc::clone(&self.0.kernel().sym)
             }
 
             /// The generator this operator realizes.
             pub fn generator(&self) -> &ToeplitzGenerator {
-                self.core.sym.generator()
+                self.0.kernel().sym.generator()
             }
 
             /// Whether this operator runs the split-FFT path.
             pub fn is_split(&self) -> bool {
-                self.core.sym.is_split()
+                self.0.kernel().sym.is_split()
             }
+        }
 
-            /// Condition estimate used for Eq. 6 pruning.
-            pub fn condition_estimate(&self) -> f64 {
-                self.core.kappa
+        impl std::ops::Deref for $ty {
+            type Target = TieredPipeline<PointwiseKernel>;
+            fn deref(&self) -> &Self::Target {
+                &self.0
             }
+        }
 
-            /// Eq. 6 parameters for this operator in direction `dir` —
-            /// what `retune_budget` prunes with, exposed for sweeps and
-            /// the service registry.
-            pub fn bound_params(&self, dir: OpDirection) -> BoundParams {
-                self.core.bound_params(dir)
+        impl std::ops::DerefMut for $ty {
+            fn deref_mut(&mut self) -> &mut Self::Target {
+                &mut self.0
             }
+        }
 
-            /// Phase cost weights for calibration-based selection.
-            pub fn phase_weights(&self, dir: OpDirection) -> PhaseWeights {
-                self.core.phase_weights(dir)
-            }
-
-            /// Workspaces currently parked in the pool (diagnostic).
-            pub fn workspaces_pooled(&self) -> usize {
-                self.core.pool.pooled()
-            }
-
-            /// Workspaces currently checked out (diagnostic).
-            pub fn workspaces_in_flight(&self) -> usize {
-                self.core.pool.in_flight()
-            }
-
-            /// High-water mark of concurrent checkouts (diagnostic).
-            pub fn workspaces_peak_in_flight(&self) -> usize {
-                self.core.pool.peak_in_flight()
-            }
-
-            /// Largest single-workspace scratch footprint (bytes) any
-            /// apply has used — the memory-model diagnostic the bench
-            /// gate compares across construction paths.
-            pub fn workspace_peak_bytes(&self) -> usize {
-                self.core.pool.peak_bytes()
-            }
-
-            /// Scratch buffers pooled inside the FFT engines of tier `p`
-            /// (`None` when no engine of that tier is resident).
-            pub fn fft_scratch_pooled(&self, p: Precision) -> Option<usize> {
-                self.core.engines.scratch_pooled(p)
-            }
-
-            /// The execution backend this operator was built for.
-            pub fn backend(&self) -> fftmatvec_core::PipelineBackend {
-                self.core.backend
-            }
-
-            /// The device backend handle the pointwise multiply and
-            /// boundary casts dispatch through.
-            pub fn device(&self) -> &Arc<dyn fftmatvec_backend::DeviceBackend> {
-                &self.core.device
+        impl From<$ty> for TieredPipeline<PointwiseKernel> {
+            fn from(op: $ty) -> Self {
+                op.0
             }
         }
 
         impl LinearOperator for $ty {
             fn shape(&self) -> OpShape {
-                self.core.shape()
+                self.0.shape()
             }
             fn apply_forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-                self.core.apply_forward_into(input, out)
+                self.0.apply_forward_into(input, out)
             }
             fn apply_adjoint_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
-                self.core.apply_adjoint_into(input, out)
+                self.0.apply_adjoint_into(input, out)
             }
             fn apply_many_into(
                 &self,
@@ -802,16 +460,16 @@ macro_rules! operator_common {
                 inputs: &[f64],
                 outputs: &mut [f64],
             ) -> Result<(), OpError> {
-                self.core.apply_many_into(dir, inputs, outputs)
+                self.0.apply_many_into(dir, inputs, outputs)
             }
         }
 
         impl ConfigurableOperator for $ty {
             fn config(&self) -> PrecisionConfig {
-                self.core.cfg
+                self.0.config()
             }
             fn set_config(&mut self, cfg: PrecisionConfig) {
-                self.core.set_config(cfg);
+                self.0.set_config(cfg);
             }
         }
     };
@@ -821,75 +479,46 @@ macro_rules! operator_common {
 /// embedding: any level count `1 ≤ L ≤` [`MAX_LEVELS`], rectangular
 /// (non-square) levels included. `apply_forward` is
 /// `extract ∘ IFFTN ∘ (⊙ ĉ) ∘ FFTN ∘ pad`; the adjoint conjugates the
-/// symbol.
-pub struct NdCirculantEmbedding {
-    core: Core,
-}
+/// symbol. Derefs to the shared [`TieredPipeline`].
+pub struct NdCirculantEmbedding(TieredPipeline<PointwiseKernel>);
 
-impl NdCirculantEmbedding {
-    /// Start building over a generator (computes the symbol spectrum at
-    /// build time).
-    pub fn builder(gen: ToeplitzGenerator) -> NdCirculantEmbeddingBuilder {
-        NdCirculantEmbeddingBuilder { inner: BuilderInner::new(SymbolSource::Gen(gen)) }
-    }
-
-    /// Start building over an already-computed shared symbol — how a
-    /// service builds per-configuration variants of one registered
-    /// operator without recomputing spectra. The symbol must be a
-    /// full-embedding one (split symbols belong to
-    /// [`TwoLevelToeplitz`]).
-    pub fn builder_arc(sym: Arc<ToeplitzSymbol>) -> NdCirculantEmbeddingBuilder {
-        NdCirculantEmbeddingBuilder { inner: BuilderInner::new(SymbolSource::Shared(sym)) }
-    }
-}
-
-operator_common!(NdCirculantEmbedding);
+operator_common!(NdCirculantEmbedding, NdCirculantEmbeddingBuilder {});
 
 /// Two-level Toeplitz operator (block-Toeplitz with Toeplitz blocks —
 /// the EM-scattering / acoustics / MRI system-matrix case), with an
 /// optional memory-optimized **split-FFT** construction path
 /// ([`TwoLevelToeplitzBuilder::split_fft`]) that streams the even/odd
-/// outer-frequency channels through one half-size grid.
-pub struct TwoLevelToeplitz {
-    core: Core,
-}
+/// outer-frequency channels through one half-size grid. Derefs to the
+/// shared [`TieredPipeline`].
+pub struct TwoLevelToeplitz(TieredPipeline<PointwiseKernel>);
+
+operator_common!(TwoLevelToeplitz, TwoLevelToeplitzBuilder { split: None });
 
 impl TwoLevelToeplitz {
-    /// Start building over a two-level generator.
-    pub fn builder(gen: ToeplitzGenerator) -> TwoLevelToeplitzBuilder {
-        TwoLevelToeplitzBuilder { inner: BuilderInner::new(SymbolSource::Gen(gen)), split: None }
+    /// The shared double-precision plan handle for grid axis `axis`:
+    /// taken from the resident double engine when the configuration has
+    /// one, else resolved through the process-wide cache — either way,
+    /// handles for the same length compare pointer-equal across every
+    /// operator and pipeline in the process.
+    fn axis_plan(&self, axis: usize) -> PlanHandle<f64> {
+        match self.0.resident_engine(Precision::Double) {
+            Some(NdEngine::D(engine)) => engine.axis_plan(axis).clone(),
+            _ => cache::complex_plan::<f64>(self.0.kernel().sym.work_dims()[axis]),
+        }
     }
 
-    /// Start building over an already-computed shared symbol; the
-    /// symbol's construction path (full or split) carries over.
-    pub fn builder_arc(sym: Arc<ToeplitzSymbol>) -> TwoLevelToeplitzBuilder {
-        TwoLevelToeplitzBuilder { inner: BuilderInner::new(SymbolSource::Shared(sym)), split: None }
-    }
-
-    /// The shared double-precision plan handle for the **outer** level's
-    /// transform length (fastmat's `planWhole`). Taken from the resident
-    /// double engine when the configuration has one, else resolved
-    /// through the process-wide cache — either way, handles for the same
-    /// length compare pointer-equal across every operator and pipeline
-    /// in the process.
+    /// The plan handle for the **outer** level's transform length
+    /// (fastmat's `planWhole`).
     pub fn plan_whole(&self) -> PlanHandle<f64> {
-        match self.core.engines.d.get() {
-            Some(engine) => engine.axis_plan(0).clone(),
-            None => cache::complex_plan::<f64>(self.core.sym.work_dims()[0]),
-        }
+        self.axis_plan(0)
     }
 
-    /// The shared double-precision plan handle for the **inner** level's
-    /// transform length (fastmat's `planBlock`).
+    /// The plan handle for the **inner** level's transform length
+    /// (fastmat's `planBlock`).
     pub fn plan_block(&self) -> PlanHandle<f64> {
-        match self.core.engines.d.get() {
-            Some(engine) => engine.axis_plan(1).clone(),
-            None => cache::complex_plan::<f64>(self.core.sym.work_dims()[1]),
-        }
+        self.axis_plan(1)
     }
 }
-
-operator_common!(TwoLevelToeplitz);
 
 #[cfg(test)]
 mod tests {
