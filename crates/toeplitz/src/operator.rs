@@ -438,12 +438,6 @@ macro_rules! operator_common {
             }
         }
 
-        impl From<$ty> for TieredPipeline<PointwiseKernel> {
-            fn from(op: $ty) -> Self {
-                op.0
-            }
-        }
-
         impl LinearOperator for $ty {
             fn shape(&self) -> OpShape {
                 self.0.shape()
@@ -493,6 +487,14 @@ operator_common!(NdCirculantEmbedding, NdCirculantEmbeddingBuilder {});
 pub struct TwoLevelToeplitz(TieredPipeline<PointwiseKernel>);
 
 operator_common!(TwoLevelToeplitz, TwoLevelToeplitzBuilder { split: None });
+
+/// Unwrap to the shared pipeline — how the service registry hands a
+/// built operator to its family-generic tunable registration.
+impl From<TwoLevelToeplitz> for TieredPipeline<PointwiseKernel> {
+    fn from(op: TwoLevelToeplitz) -> Self {
+        op.0
+    }
+}
 
 impl TwoLevelToeplitz {
     /// The shared double-precision plan handle for grid axis `axis`:
