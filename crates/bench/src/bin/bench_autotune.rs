@@ -32,14 +32,13 @@
 //! * `-check <path>` — baseline document to gate against
 //! * `-tol <x>` — allowed relative speedup loss vs the baseline
 //!   (default 1.5)
-//! * `-margin <x>` — the no-slower bar (default 1.10)
+//!
+//! The promise and no-slower bars are constants ([`AUTOTUNE_PROMISE`],
+//! [`AUTOTUNE_NO_SLOWER`] = 1.10).
 
 use std::sync::Arc;
 
-use fftmatvec_bench::autotunejson::{
-    format_document, gated_count, no_slower_failures, parse_document, promise_failures,
-    regressions, AutotuneResult,
-};
+use fftmatvec_bench::record::{self, Record, AUTOTUNE, AUTOTUNE_NO_SLOWER, AUTOTUNE_PROMISE};
 use fftmatvec_bench::{measure_errors_dir, rule, stuffed_vector, timing, Args};
 use fftmatvec_core::{
     BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, PrecisionConfig,
@@ -70,9 +69,9 @@ fn dir_name(dir: OpDirection) -> &'static str {
     }
 }
 
-/// Tune one row and measure it: error via a fresh sweep, cost via
+/// Tune one row, measure it — error via a fresh sweep, cost via
 /// interleaved min-of-samples timing of the tuned and all-double
-/// pipelines over the same operator realization.
+/// pipelines over the same operator realization — and print it.
 fn run_row(
     nd: usize,
     nm: usize,
@@ -81,7 +80,7 @@ fn run_row(
     budget: f64,
     samples: usize,
     sample_ms: f64,
-) -> AutotuneResult {
+) -> Record {
     let base = Arc::new(well_conditioned(nd, nm, nt, 3));
     let tuned = FftMatvec::builder_arc(Arc::clone(&base))
         .error_budget_for(dir, budget)
@@ -103,24 +102,20 @@ fn run_row(
         sample_ms,
     );
 
-    AutotuneResult {
-        shape: format!("{nd}x{nm}x{nt}"),
-        direction: dir_name(dir).to_string(),
-        budget,
-        config: choice.config.to_string(),
-        bound: choice.bound.total,
-        measured_error: measured,
-        double_ns,
-        tuned_ns,
-    }
+    let (shape, config) = (format!("{nd}x{nm}x{nt}"), choice.config.to_string());
+    let bound = choice.bound.total;
+    println!(
+        "{shape:<10} {:>8} {budget:>9.0e} {config:>7} {bound:>11.3e} {measured:>11.3e} \
+         {double_ns:>12.0} {tuned_ns:>12.0} {:>8.2}",
+        dir_name(dir),
+        double_ns / tuned_ns
+    );
+    AUTOTUNE.row(&[&shape, dir_name(dir), &config], &[budget, bound, measured, double_ns, tuned_ns])
 }
 
 fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
-    let out_path: String = args.get("out", "BENCH_autotune.json".to_string());
-    let tol: f64 = args.get("tol", 1.5);
-    let margin: f64 = args.get("margin", 1.10);
     let (samples, sample_ms) = if quick { (5, 20.0) } else { (9, 40.0) };
 
     // Shapes small enough for CI yet large enough that the f32 SBGEMV
@@ -141,90 +136,28 @@ fn main() {
     println!("{header}");
     rule(header.len());
 
-    let mut results = Vec::new();
-    for &(nd, nm, nt, dir, budget) in rows {
-        let r = run_row(nd, nm, nt, dir, budget, samples, sample_ms);
-        println!(
-            "{:<10} {:>8} {:>9.0e} {:>7} {:>11.3e} {:>11.3e} {:>12.0} {:>12.0} {:>8.2}",
-            r.shape,
-            r.direction,
-            r.budget,
-            r.config,
-            r.bound,
-            r.measured_error,
-            r.double_ns,
-            r.tuned_ns,
-            r.speedup()
-        );
-        results.push(r);
-    }
-
-    let doc = format_document(if quick { "quick" } else { "full" }, &results);
-    std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
-
-    let mut failed = false;
+    let results: Vec<Record> = rows
+        .iter()
+        .map(|&(nd, nm, nt, dir, budget)| run_row(nd, nm, nt, dir, budget, samples, sample_ms))
+        .collect();
 
     // The analytic half is deterministic: a budget under every narrow
     // floor must resolve to all-double, on any host.
-    for r in &results {
-        if r.budget <= 1e-12 && r.config != PrecisionConfig::all_double().to_string() {
-            failed = true;
-            eprintln!(
-                "tight-budget gate FAILED: budget {:e} resolved to {} instead of all-double",
-                r.budget, r.config
-            );
-        }
-    }
-
-    let promise = promise_failures(&results);
-    if promise.is_empty() {
-        println!("promise gate: OK (every measured error within its budget)");
-    } else {
-        failed = true;
-        eprintln!("promise gate FAILED:");
-        for f in &promise {
-            eprintln!("  {f}");
-        }
-    }
-
-    let slow = no_slower_failures(&results, margin);
-    if slow.is_empty() {
-        println!("no-slower gate: OK (autotuned within {margin:.2}x of all-double everywhere)");
-    } else {
-        failed = true;
-        eprintln!("no-slower gate FAILED:");
-        for f in &slow {
-            eprintln!("  {f}");
-        }
-    }
-
-    if let Some(baseline_path) =
-        args.has("check").then(|| args.get("check", String::new())).filter(|p| !p.is_empty())
-    {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let baseline = parse_document(&text);
-        assert!(
-            gated_count(&baseline) > 0,
-            "baseline {baseline_path} gates nothing — regenerate it"
-        );
-        let fails = regressions(&results, &baseline, tol);
-        if fails.is_empty() {
-            println!(
-                "baseline gate: OK ({} row(s) within {tol:.2}x of {baseline_path})",
-                gated_count(&baseline)
-            );
-        } else {
-            failed = true;
-            eprintln!("baseline gate FAILED against {baseline_path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let all_double = PrecisionConfig::all_double().to_string();
+    let mut failures: Vec<String> = results
+        .iter()
+        .filter(|r| {
+            AUTOTUNE.num(r, "budget") <= 1e-12 && AUTOTUNE.render(r, "config") != all_double
+        })
+        .map(|r| {
+            format!(
+                "tight budget {} resolved to {} instead of all-double",
+                AUTOTUNE.render(r, "budget"),
+                AUTOTUNE.render(r, "config")
+            )
+        })
+        .collect();
+    failures.extend(AUTOTUNE.threshold_failures(&results, &AUTOTUNE_PROMISE));
+    failures.extend(AUTOTUNE.threshold_failures(&results, &AUTOTUNE_NO_SLOWER));
+    record::finish(&AUTOTUNE, &args, &results, failures);
 }

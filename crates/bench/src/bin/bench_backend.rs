@@ -17,15 +17,15 @@
 //! checks:
 //!
 //! * **ceiling** — every row's trait/direct ratio must stay under
-//!   `-max` (default 1.05: within 5% of the direct path);
+//!   [`BACKEND_CEILING`] (1.05: within 5% of the direct path);
 //! * **baseline** — every row's ratio must stay within `-tol` of the
 //!   committed `bench/baseline_backend.json`.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin bench_backend`
 //! Flags:
-//! * `-out <path>` — write the measured document
+//! * `-out <path>` — write the measured document (default
+//!   `BENCH_backend.json`)
 //! * `-check <path>` — gate against a committed baseline document
-//! * `-max <x>` — absolute overhead ceiling (default 1.05)
 //! * `-tol <x>` — allowed overhead growth vs the baseline (default 1.10)
 //! * `-quick` — shorter samples (the CI smoke mode)
 
@@ -33,7 +33,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use fftmatvec_backend::{CpuPool, DeviceBackend};
-use fftmatvec_bench::backendjson::{self, BackendResult};
+use fftmatvec_bench::record::{self, Record, BACKEND, BACKEND_CEILING};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
@@ -51,7 +51,7 @@ const ELEMS: usize = 1 << 15;
 const PARTS: usize = 8;
 
 fn measure<A: FnMut(), B: FnMut()>(
-    rows: &mut Vec<BackendResult>,
+    rows: &mut Vec<Record>,
     primitive: &str,
     precision: &str,
     direct: A,
@@ -60,28 +60,19 @@ fn measure<A: FnMut(), B: FnMut()>(
     sample_ms: f64,
 ) {
     let (direct_ns, trait_ns) = time_pair_ns(direct, via_trait, samples, sample_ms);
-    let row = BackendResult {
-        primitive: primitive.to_string(),
-        precision: precision.to_string(),
-        direct_ns,
-        trait_ns,
-    };
     println!(
-        "{:<18} {:<8} direct {:>12.1} ns   trait {:>12.1} ns   {:>7.3}x",
-        row.primitive,
-        row.precision,
-        row.direct_ns,
-        row.trait_ns,
-        row.overhead()
+        "{primitive:<18} {precision:<8} direct {direct_ns:>12.1} ns   trait {trait_ns:>12.1} ns   \
+         {:>7.3}x",
+        trait_ns / direct_ns
     );
-    rows.push(row);
+    rows.push(BACKEND.row(&[primitive, precision], &[direct_ns, trait_ns]));
 }
 
 /// Batched real FFT, forward and inverse, in tier `T`: the direct
 /// [`BatchedRealFft`] engine against the same engine reached through
 /// `device.real_fft(..)` as an `Arc<dyn BatchFft>`.
 fn measure_fft<T: Real>(
-    rows: &mut Vec<BackendResult>,
+    rows: &mut Vec<Record>,
     device: &CpuPool,
     p: Precision,
     precision: &str,
@@ -126,12 +117,11 @@ fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (11, 25.0) };
-    let max_overhead: f64 = args.get("max", 1.05);
-    let tol: f64 = args.get("tol", 1.10);
 
     let device = CpuPool::new();
     println!(
-        "Backend dispatch gate: direct call path vs dyn DeviceBackend (ceiling {max_overhead:.2}x)"
+        "Backend dispatch gate: direct call path vs dyn DeviceBackend (ceiling {:.2}x)",
+        BACKEND_CEILING.bound
     );
     rule(78);
 
@@ -249,32 +239,6 @@ fn main() {
     let as_dyn: Arc<dyn DeviceBackend> = Arc::new(device);
     assert_eq!(as_dyn.name(), "cpu-pool");
 
-    let mode = if quick { "quick" } else { "full" };
-    let out_path: String = args.get("out", String::new());
-    if !out_path.is_empty() {
-        std::fs::write(&out_path, backendjson::format_document(mode, &rows))
-            .expect("writing -out file");
-        println!("wrote {out_path}");
-    }
-
-    let mut failures = backendjson::overhead_failures(&rows, max_overhead);
-
-    let check_path: String = args.get("check", String::new());
-    if !check_path.is_empty() {
-        let text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = backendjson::parse_document(&text);
-        assert!(backendjson::gated_count(&baseline) > 0, "baseline {check_path} gates nothing");
-        failures.extend(backendjson::regressions(&rows, &baseline, tol));
-    }
-
-    if failures.is_empty() {
-        println!("backend gate: OK ({} rows within the {max_overhead:.2}x ceiling)", rows.len());
-    } else {
-        eprintln!("backend gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let over_ceiling = BACKEND.threshold_failures(&rows, &BACKEND_CEILING);
+    record::finish(&BACKEND, &args, &rows, over_ceiling);
 }

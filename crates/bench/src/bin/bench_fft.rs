@@ -25,7 +25,7 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::benchjson::{self, BenchResult};
+use fftmatvec_bench::record::{self, Record, FFT};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::Args;
 use fftmatvec_fft::{cache, FftDirection, RecursiveFftPlan};
@@ -47,10 +47,11 @@ fn precision_label(p: Precision) -> &'static str {
 /// mixed-radix-friendly so both engines can run them.
 const SIZES: [usize; 6] = [200, 500, 1024, 2000, 2048, 4096];
 
-/// Measure both engines at size `n` in precision `T`. The timing
-/// machinery (batch calibration, interleaved min-of-samples) lives in
+/// Measure both engines at size `n` in precision `T`, print the
+/// comparison line and append both rows. The timing machinery (batch
+/// calibration, interleaved min-of-samples) lives in
 /// [`fftmatvec_bench::timing`], shared with every gate binary.
-fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec<BenchResult>) {
+fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec<Record>) {
     let precision = precision_label(T::PRECISION);
     let mut rng = SplitMix64::new(n as u64);
     let x: Vec<Complex<T>> = (0..n)
@@ -70,25 +71,32 @@ fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec
         samples,
         sample_ms,
     );
+    println!(
+        "{n:>6} | {precision:>5} | {iterative:>12.0} | {recursive:>12.0} | {:>7.2}x",
+        recursive / iterative
+    );
+    let threads = rayon::current_num_threads() as f64;
     for (engine, ns) in [("iterative", iterative), ("recursive", recursive)] {
-        out.push(BenchResult {
-            size: n,
-            precision: precision.into(),
-            engine: engine.into(),
-            threads: rayon::current_num_threads(),
-            ns_per_transform: ns,
-        });
+        out.push(FFT.row(&[precision, engine], &[n as f64, threads, ns]));
     }
 }
 
 fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
-    let out_path: String = args.get("out", "BENCH_fft.json".to_string());
-    let check_path: String = args.get("check", String::new());
-    let tol: f64 = args.get("tol", 1.25);
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (15, 20.0) };
-    let mode = if quick { "quick" } else { "full" };
+
+    println!(
+        "FFT engine benchmark ({} mode, {} pool threads) — ns per forward transform",
+        if quick { "quick" } else { "full" },
+        rayon::current_num_threads()
+    );
+    let header = format!(
+        "{:>6} | {:>5} | {:>12} | {:>12} | {:>8}",
+        "size", "prec", "iterative", "recursive", "speedup"
+    );
+    println!("{header}");
+    fftmatvec_bench::rule(header.len());
 
     let mut results = Vec::new();
     for &n in &SIZES {
@@ -100,56 +108,7 @@ fn main() {
         measure_size::<f16>(n, samples, sample_ms, &mut results);
         measure_size::<bf16>(n, samples, sample_ms, &mut results);
     }
+    println!();
 
-    // Human-readable view: engine comparison with speedups.
-    println!(
-        "FFT engine benchmark ({mode} mode, {} pool threads) — ns per forward transform",
-        rayon::current_num_threads()
-    );
-    let header = format!(
-        "{:>6} | {:>5} | {:>12} | {:>12} | {:>8}",
-        "size", "prec", "iterative", "recursive", "speedup"
-    );
-    println!("{header}");
-    fftmatvec_bench::rule(header.len());
-    for &n in &SIZES {
-        for prec in ["f64", "f32", "f16", "bf16"] {
-            let get = |engine: &str| {
-                results
-                    .iter()
-                    .find(|r| r.size == n && r.precision == prec && r.engine == engine)
-                    .map(|r| r.ns_per_transform)
-                    .unwrap_or(f64::NAN)
-            };
-            let (it, rec) = (get("iterative"), get("recursive"));
-            println!("{:>6} | {:>5} | {:>12.0} | {:>12.0} | {:>7.2}x", n, prec, it, rec, rec / it);
-        }
-    }
-
-    let doc = benchjson::format_document(mode, &results);
-    std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("\nwrote {out_path} ({} results)", results.len());
-
-    if !check_path.is_empty() {
-        let baseline_text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = benchjson::parse_document(&baseline_text);
-        assert!(!baseline.is_empty(), "baseline {check_path} contains no results");
-        let gated = benchjson::gated_count(&baseline);
-        assert!(
-            gated > 0,
-            "baseline {check_path} gates nothing (no iterative+recursive pairs) — \
-             regenerate it with this binary"
-        );
-        let failures = benchjson::regressions(&results, &baseline, tol);
-        if failures.is_empty() {
-            println!("regression check vs {check_path}: OK ({gated} gated entries)");
-        } else {
-            eprintln!("regression check vs {check_path} FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    record::finish(&FFT, &args, &results, Vec::new());
 }

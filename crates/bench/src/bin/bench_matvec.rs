@@ -24,14 +24,13 @@
 //! * `-check <path>` — compare into/alloc ratios against a baseline
 //!   document; exits non-zero past the tolerance
 //! * `-tol <x>` — regression budget for `-check` (default 1.25 = +25%)
-//! * `-ratio-tol <x>` — intra-run "into no slower than alloc" margin
-//!   (default 1.10; the two paths differ only by one output-vector
-//!   allocation, so the ratio sits at ~1.0 and the margin is pure
-//!   scheduler noise on shared CI runners)
+//!
+//! The intra-run "into no slower than alloc" margin is the constant
+//! [`MATVEC_INTO_NO_SLOWER`] (1.10).
 
 use std::hint::black_box;
 
-use fftmatvec_bench::matvecjson::{self, MatvecResult};
+use fftmatvec_bench::record::{self, Record, MATVEC, MATVEC_INTO_NO_SLOWER};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{make_operator, stuffed_vector, Args};
 use fftmatvec_core::{FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
@@ -46,6 +45,8 @@ const SHAPES: [(usize, usize, usize); 3] = [(2, 64, 64), (4, 128, 128), (8, 256,
 /// Configurations the gate keys on: the baseline and the paper optimum.
 const CONFIGS: [&str; 2] = ["ddddd", "dssdd"];
 
+/// Time both paths at one key, print the comparison line and append
+/// both rows.
 fn measure(
     mv: &FftMatvec,
     shape: &str,
@@ -53,7 +54,7 @@ fn measure(
     dir: OpDirection,
     samples: usize,
     sample_ms: f64,
-    out: &mut Vec<MatvecResult>,
+    out: &mut Vec<Record>,
 ) {
     let (in_len, out_len) = mv.shape().io_lens(dir);
     let input = stuffed_vector(in_len, 7);
@@ -79,27 +80,32 @@ fn measure(
         samples,
         sample_ms,
     );
+    println!(
+        "{shape:>12} | {config:>6} | {direction:>8} | {alloc:>12.0} | {into:>12.0} | {:>9.3}x",
+        into / alloc
+    );
+    let threads = rayon::current_num_threads() as f64;
     for (path, ns) in [("alloc", alloc), ("into", into)] {
-        out.push(MatvecResult {
-            shape: shape.to_string(),
-            config: config.to_string(),
-            direction: direction.to_string(),
-            path: path.to_string(),
-            threads: rayon::current_num_threads(),
-            ns_per_apply: ns,
-        });
+        out.push(MATVEC.row(&[shape, config, direction, path], &[threads, ns]));
     }
 }
 
 fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
-    let out_path: String = args.get("out", "BENCH_matvec.json".to_string());
-    let check_path: String = args.get("check", String::new());
-    let tol: f64 = args.get("tol", 1.25);
-    let ratio_tol: f64 = args.get("ratio-tol", 1.10);
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (15, 25.0) };
-    let mode = if quick { "quick" } else { "full" };
+
+    println!(
+        "Matvec API benchmark ({} mode, {} pool threads) — ns per apply",
+        if quick { "quick" } else { "full" },
+        rayon::current_num_threads()
+    );
+    let header = format!(
+        "{:>12} | {:>6} | {:>8} | {:>12} | {:>12} | {:>10}",
+        "shape", "config", "dir", "alloc", "into", "into/alloc"
+    );
+    println!("{header}");
+    fftmatvec_bench::rule(header.len());
 
     let mut results = Vec::new();
     for &(nd, nm, nt) in &SHAPES {
@@ -115,84 +121,9 @@ fn main() {
             }
         }
     }
-
-    // Human-readable view.
-    println!(
-        "Matvec API benchmark ({mode} mode, {} pool threads) — ns per apply",
-        rayon::current_num_threads()
-    );
-    let header = format!(
-        "{:>12} | {:>6} | {:>8} | {:>12} | {:>12} | {:>10}",
-        "shape", "config", "dir", "alloc", "into", "into/alloc"
-    );
-    println!("{header}");
-    fftmatvec_bench::rule(header.len());
-    for &(nd, nm, nt) in &SHAPES {
-        let shape = format!("{nd}x{nm}x{nt}");
-        for config in CONFIGS {
-            for direction in ["forward", "adjoint"] {
-                let get = |path: &str| {
-                    results
-                        .iter()
-                        .find(|r| {
-                            r.shape == shape
-                                && r.config == config
-                                && r.direction == direction
-                                && r.path == path
-                        })
-                        .map(|r| r.ns_per_apply)
-                        .unwrap_or(f64::NAN)
-                };
-                let (a, i) = (get("alloc"), get("into"));
-                println!(
-                    "{:>12} | {:>6} | {:>8} | {:>12.0} | {:>12.0} | {:>9.3}x",
-                    shape,
-                    config,
-                    direction,
-                    a,
-                    i,
-                    i / a
-                );
-            }
-        }
-    }
-
-    let doc = matvecjson::format_document(mode, &results);
-    std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("\nwrote {out_path} ({} results)", results.len());
+    println!();
 
     // Structural acceptance gate: into never slower than alloc.
-    let slow = matvecjson::into_slower_than_alloc(&results, ratio_tol);
-    if slow.is_empty() {
-        println!("into-vs-alloc check: OK (tolerance {ratio_tol:.2}x)");
-    } else {
-        eprintln!("into-vs-alloc check FAILED:");
-        for f in &slow {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-
-    if !check_path.is_empty() {
-        let baseline_text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = matvecjson::parse_document(&baseline_text);
-        assert!(!baseline.is_empty(), "baseline {check_path} contains no results");
-        let gated = matvecjson::gated_count(&baseline);
-        assert!(
-            gated > 0,
-            "baseline {check_path} gates nothing (no into+alloc pairs) — \
-             regenerate it with this binary"
-        );
-        let failures = matvecjson::regressions(&results, &baseline, tol);
-        if failures.is_empty() {
-            println!("regression check vs {check_path}: OK ({gated} gated entries)");
-        } else {
-            eprintln!("regression check vs {check_path} FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let slow = MATVEC.threshold_failures(&results, &MATVEC_INTO_NO_SLOWER);
+    record::finish(&MATVEC, &args, &results, slow);
 }

@@ -15,7 +15,8 @@
 //!
 //! Two checks, mirroring the other bench gates:
 //! * **floor** — the 16-bit conversion and butterfly kernels (the
-//!   tentpole claim) must be at least `-min`× the scalar path;
+//!   tentpole claim) must be no slower than the scalar path
+//!   ([`SIMD_FLOOR`], 1.0×);
 //! * **baseline** — every row's speedup must stay within `-tol` of the
 //!   committed `bench/baseline_simd.json`.
 //!
@@ -26,16 +27,15 @@
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin bench_simd`
 //! Flags:
-//! * `-out <path>` — write the measured document
+//! * `-out <path>` — write the measured document (default
+//!   `BENCH_simd.json`)
 //! * `-check <path>` — gate against a committed baseline document
 //! * `-tol <x>` — allowed speedup fade vs the baseline (default 1.25)
-//! * `-min <x>` — floor for the 16-bit conversion/butterfly rows
-//!   (default 1.0: "no slower than scalar")
 //! * `-quick` — shorter samples (the CI smoke mode)
 
 use std::hint::black_box;
 
-use fftmatvec_bench::simdjson::{self, SimdResult};
+use fftmatvec_bench::record::{self, Record, SIMD, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_blas::kernels::run_kernel;
@@ -61,7 +61,7 @@ const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
 /// Time `work` with dispatch forced portable vs forced to `level`,
 /// interleaved, and append the row.
 fn measure<F: FnMut()>(
-    rows: &mut Vec<SimdResult>,
+    rows: &mut Vec<Record>,
     kernel: &str,
     precision: &str,
     level: SimdLevel,
@@ -85,29 +85,19 @@ fn measure<F: FnMut()>(
         sample_ms,
     );
     set_active_level(level);
-    let row = SimdResult {
-        kernel: kernel.to_string(),
-        precision: precision.to_string(),
-        level: level.name().to_string(),
-        portable_ns,
-        simd_ns,
-    };
     println!(
-        "{:<16} {:<5} portable {:>12.1} ns   {} {:>12.1} ns   {:>6.2}x",
-        row.kernel,
-        row.precision,
-        row.portable_ns,
-        row.level,
-        row.simd_ns,
-        row.speedup()
+        "{kernel:<16} {precision:<5} portable {portable_ns:>12.1} ns   {} {simd_ns:>12.1} ns   \
+         {:>6.2}x",
+        level.name(),
+        portable_ns / simd_ns
     );
-    rows.push(row);
+    rows.push(SIMD.row(&[kernel, precision, level.name()], &[portable_ns, simd_ns]));
 }
 
 /// The whole-buffer cast kernels, each driven through the same
 /// [`measure`] helper (the public entry points read the active level, so
 /// forcing dispatch works the same way as for the fused kernels).
-fn measure_conversions(rows: &mut Vec<SimdResult>, level: SimdLevel, samples: usize, ms: f64) {
+fn measure_conversions(rows: &mut Vec<Record>, level: SimdLevel, samples: usize, ms: f64) {
     let mut rng = SplitMix64::new(41);
     let f32s: Vec<f32> = (0..CONV_LEN).map(|_| rng.uniform(-1.0, 1.0) as f32).collect();
     let mut f16s = vec![f16::from_f32(0.0); CONV_LEN];
@@ -167,7 +157,7 @@ fn measure_conversions(rows: &mut Vec<SimdResult>, level: SimdLevel, samples: us
 }
 
 fn measure_fft<T: Real>(
-    rows: &mut Vec<SimdResult>,
+    rows: &mut Vec<Record>,
     precision: &str,
     level: SimdLevel,
     samples: usize,
@@ -194,7 +184,7 @@ fn measure_fft<T: Real>(
 }
 
 fn measure_gemv<S: Scalar>(
-    rows: &mut Vec<SimdResult>,
+    rows: &mut Vec<Record>,
     precision: &str,
     level: SimdLevel,
     samples: usize,
@@ -234,24 +224,24 @@ fn measure_gemv<S: Scalar>(
     );
 }
 
-/// Rows the `-min` floor applies to: the tentpole's 16-bit conversion and
+/// Rows [`SIMD_FLOOR`] applies to: the tentpole's 16-bit conversion and
 /// butterfly kernels.
-fn floor_gated(r: &SimdResult) -> bool {
-    (r.precision == "f16" || r.precision == "bf16")
-        && (r.kernel.starts_with("convert") || r.kernel.starts_with("fft"))
+fn floor_gated(r: &Record) -> bool {
+    let (kernel, precision) = (SIMD.render(r, "kernel"), SIMD.render(r, "precision"));
+    (precision == "f16" || precision == "bf16")
+        && (kernel.starts_with("convert") || kernel.starts_with("fft"))
 }
 
 fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (11, 25.0) };
-    let tol: f64 = args.get("tol", 1.25);
-    let min_speedup: f64 = args.get("min", 1.0);
 
     let level = active_level();
     println!(
-        "SIMD ratio gate: portable scalar vs {} (min {min_speedup:.2}x on 16-bit rows)",
-        level.name()
+        "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit rows)",
+        level.name(),
+        SIMD_FLOOR.bound
     );
     rule(78);
 
@@ -266,52 +256,18 @@ fn main() {
     measure_gemv::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
     rule(78);
 
-    let mode = if quick { "quick" } else { "full" };
-    let out_path: String = args.get("out", String::new());
-    if !out_path.is_empty() {
-        std::fs::write(&out_path, simdjson::format_document(mode, &rows))
-            .expect("writing -out file");
-        println!("wrote {out_path}");
-    }
-
     if level == SimdLevel::Portable {
         // No vector level to compare against: both legs measured the same
         // scalar code (the numbers above show it), so there is nothing to
         // enforce on this host/build.
+        record::write_out(&SIMD, &args, &rows);
         println!(
             "simd gate: SKIPPED (no SIMD level active — portable-only host or simd feature off)"
         );
         return;
     }
 
-    let mut failures = Vec::new();
-    for r in rows.iter().filter(|r| floor_gated(r)) {
-        if r.speedup() < min_speedup {
-            failures.push(format!(
-                "kernel={} precision={}: {:.2}x < {min_speedup:.2}x floor",
-                r.kernel,
-                r.precision,
-                r.speedup()
-            ));
-        }
-    }
-
-    let check_path: String = args.get("check", String::new());
-    if !check_path.is_empty() {
-        let text = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("reading baseline {check_path}: {e}"));
-        let baseline = simdjson::parse_document(&text);
-        assert!(simdjson::gated_count(&baseline) > 0, "baseline {check_path} gates nothing");
-        failures.extend(simdjson::regressions(&rows, &baseline, tol));
-    }
-
-    if failures.is_empty() {
-        println!("simd gate: OK ({} rows measured at {})", rows.len(), level.name());
-    } else {
-        eprintln!("simd gate FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    let floor_rows: Vec<Record> = rows.iter().filter(|r| floor_gated(r)).cloned().collect();
+    let below_floor = SIMD.threshold_failures(&floor_rows, &SIMD_FLOOR);
+    record::finish(&SIMD, &args, &rows, below_floor);
 }

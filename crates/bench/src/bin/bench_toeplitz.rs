@@ -24,11 +24,10 @@
 //! * `-check <path>` — baseline document to gate against
 //! * `-tol <x>` — allowed relative speedup loss vs the baseline
 //!   (default 1.5)
-//! * `-margin <x>` — the split-scratch bar (default 0.75)
+//!
+//! The split-scratch bar is the constant [`TOEPLITZ_SCRATCH`] (0.75).
 
-use fftmatvec_bench::toeplitzjson::{
-    format_document, gated_count, parse_document, regressions, scratch_failures, ToeplitzResult,
-};
+use fftmatvec_bench::record::{self, Record, TOEPLITZ, TOEPLITZ_SCRATCH};
 use fftmatvec_bench::{rule, timing, Args};
 use fftmatvec_core::{LinearOperator, OpDirection};
 use fftmatvec_numeric::vecmath::rel_l2_error;
@@ -74,22 +73,25 @@ fn dir_name(dir: OpDirection) -> &'static str {
     }
 }
 
-/// Measure one row: differential-check both FFT paths against the dense
-/// oracle, read their peak workspaces, then time full/split interleaved
-/// and the dense matvec in the same session.
+/// Measure and print one row: differential-check both FFT paths against
+/// the dense oracle (appending to `failures`), read their peak
+/// workspaces, then time full/split interleaved and the dense matvec in
+/// the same session.
 fn run_row(
     outer: (usize, usize),
     inner: (usize, usize),
     dir: OpDirection,
     samples: usize,
     sample_ms: f64,
-    failed: &mut bool,
-) -> ToeplitzResult {
+    failures: &mut Vec<String>,
+) -> Record {
     let gen = two_level_gen(outer, inner, 11);
     let (rows, cols) = (gen.rows(), gen.cols());
     let dense = gen.dense();
     let full = TwoLevelToeplitz::builder(gen.clone()).build().expect("valid shapes");
     let split = TwoLevelToeplitz::builder(gen).split_fft(true).build().expect("valid shapes");
+
+    let shape = format!("{}x{}x{}x{}", outer.0, outer.1, inner.0, inner.1);
 
     let (in_len, out_len) = full.shape().io_lens(dir);
     let mut x = vec![0.0; in_len];
@@ -105,15 +107,10 @@ fn run_row(
     for (path, y) in [("full", &y_full), ("split", &y_split)] {
         let err = rel_l2_error(y, &y_dense);
         if err.is_nan() || err >= 1e-12 {
-            *failed = true;
-            eprintln!(
-                "differential gate FAILED: {path} path at {}x{}x{}x{} {} has rel err {err:e}",
-                outer.0,
-                outer.1,
-                inner.0,
-                inner.1,
+            failures.push(format!(
+                "differential: {path} path at {shape} {} has rel err {err:e}",
                 dir_name(dir)
-            );
+            ));
         }
     }
 
@@ -129,23 +126,23 @@ fn run_row(
         sample_ms,
     );
 
-    ToeplitzResult {
-        shape: format!("{}x{}x{}x{}", outer.0, outer.1, inner.0, inner.1),
-        direction: dir_name(dir).to_string(),
-        full_ns,
-        split_ns,
-        dense_ns,
-        full_peak_bytes: full.workspace_peak_bytes(),
-        split_peak_bytes: split.workspace_peak_bytes(),
-    }
+    let (full_peak, split_peak) = (full.workspace_peak_bytes(), split.workspace_peak_bytes());
+    println!(
+        "{shape:<14} {:>8} {full_ns:>11.0} {split_ns:>11.0} {dense_ns:>12.0} {:>9.2} \
+         {full_peak:>10} {split_peak:>10} {:>7.0}%",
+        dir_name(dir),
+        dense_ns / full_ns,
+        100.0 * split_peak as f64 / full_peak as f64
+    );
+    TOEPLITZ.row(
+        &[&shape, dir_name(dir)],
+        &[full_ns, split_ns, dense_ns, full_peak as f64, split_peak as f64],
+    )
 }
 
 fn main() {
     let args = Args::from_env();
     let quick = args.has("quick");
-    let out_path: String = args.get("out", "BENCH_toeplitz.json".to_string());
-    let tol: f64 = args.get("tol", 1.5);
-    let margin: f64 = args.get("margin", 0.75);
     let (samples, sample_ms) = if quick { (5, 20.0) } else { (9, 40.0) };
 
     // Grids past the FFT/dense crossover (n >= 32 on a 2-D square grid,
@@ -175,66 +172,11 @@ fn main() {
     println!("{header}");
     rule(header.len());
 
-    let mut failed = false;
-    let mut results = Vec::new();
-    for &(outer, inner, dir) in rows {
-        let r = run_row(outer, inner, dir, samples, sample_ms, &mut failed);
-        println!(
-            "{:<14} {:>8} {:>11.0} {:>11.0} {:>12.0} {:>9.2} {:>10} {:>10} {:>7.0}%",
-            r.shape,
-            r.direction,
-            r.full_ns,
-            r.split_ns,
-            r.dense_ns,
-            r.full_speedup(),
-            r.full_peak_bytes,
-            r.split_peak_bytes,
-            100.0 * r.scratch_ratio()
-        );
-        results.push(r);
-    }
-
-    let doc = format_document(if quick { "quick" } else { "full" }, &results);
-    std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
-
-    let scratch = scratch_failures(&results, margin);
-    if scratch.is_empty() {
-        println!("scratch gate: OK (split peak <= {margin:.2}x full peak everywhere)");
-    } else {
-        failed = true;
-        eprintln!("scratch gate FAILED:");
-        for f in &scratch {
-            eprintln!("  {f}");
-        }
-    }
-
-    if let Some(baseline_path) =
-        args.has("check").then(|| args.get("check", String::new())).filter(|p| !p.is_empty())
-    {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let baseline = parse_document(&text);
-        assert!(
-            gated_count(&baseline) > 0,
-            "baseline {baseline_path} gates nothing — regenerate it"
-        );
-        let fails = regressions(&results, &baseline, tol);
-        if fails.is_empty() {
-            println!(
-                "baseline gate: OK ({} row(s) within {tol:.2}x of {baseline_path})",
-                gated_count(&baseline)
-            );
-        } else {
-            failed = true;
-            eprintln!("baseline gate FAILED against {baseline_path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
+    let mut failures = Vec::new();
+    let results: Vec<Record> = rows
+        .iter()
+        .map(|&(outer, inner, dir)| run_row(outer, inner, dir, samples, sample_ms, &mut failures))
+        .collect();
+    failures.extend(TOEPLITZ.threshold_failures(&results, &TOEPLITZ_SCRATCH));
+    record::finish(&TOEPLITZ, &args, &results, failures);
 }
