@@ -174,7 +174,7 @@ fn check_batch_lens(
 }
 
 /// Construct the tier-matched CPU FFT handle.
-pub(crate) fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
+fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
     match p {
         Precision::Half => Arc::new(CpuFft::<f16>::new(p, n)),
         Precision::BFloat16 => Arc::new(CpuFft::<bf16>::new(p, n)),
@@ -184,7 +184,7 @@ pub(crate) fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
 }
 
 /// Upload: host `f64` into tier `p` — one rounding per element.
-pub(crate) fn upload_impl(src: &[f64], p: Precision, dst: &mut RealBuffer) {
+fn upload_impl(src: &[f64], p: Precision, dst: &mut RealBuffer) {
     dst.reset_for_overwrite(p, src.len());
     fn fill<T: Real>(src: &[f64], v: &mut [T]) {
         for (o, &x) in v.iter_mut().zip(src) {
@@ -200,7 +200,7 @@ pub(crate) fn upload_impl(src: &[f64], p: Precision, dst: &mut RealBuffer) {
 }
 
 /// Download: tier buffer back to host `f64` — exact widening.
-pub(crate) fn download_impl(src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
+fn download_impl(src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
     if src.len() != dst.len() {
         return Err(BackendError::LengthMismatch {
             what: "download destination",
@@ -216,7 +216,7 @@ pub(crate) fn download_impl(src: &RealBuffer, dst: &mut [f64]) -> Result<(), Bac
 
 /// Pointwise `io ⊙= sym` (`⊙= conj(sym)` when `conj`), both in the same
 /// tier — the multi-level pipelines' Sbgemv phase.
-pub(crate) fn pointwise_impl(
+fn pointwise_impl(
     io: &mut ComplexBuffer,
     sym: &ComplexBuffer,
     conj: bool,
@@ -259,7 +259,7 @@ pub(crate) fn pointwise_impl(
 /// (exact widening, a single correct rounding on narrowing). Both
 /// variants resolve once; the inner loop is a monomorphized
 /// slice-to-slice cast.
-pub(crate) fn cast_real_impl(src: &RealBuffer, p: Precision, dst: &mut RealBuffer) {
+fn cast_real_impl(src: &RealBuffer, p: Precision, dst: &mut RealBuffer) {
     dst.reset_for_overwrite(p, src.len());
     fn fill<Tin: Real, Tout: Real>(src: &[Tin], out: &mut [Tout]) {
         for (o, &x) in out.iter_mut().zip(src) {
@@ -286,7 +286,7 @@ pub(crate) fn cast_real_impl(src: &RealBuffer, p: Precision, dst: &mut RealBuffe
 /// narrowing). Both variants resolve once, like [`cast_real_impl`] — a
 /// per-element enum match here costs ~3x on the pipeline's phase
 /// boundaries, which the `bench_backend` dispatch gate would flag.
-pub(crate) fn cast_complex_impl(src: &ComplexBuffer, p: Precision, dst: &mut ComplexBuffer) {
+fn cast_complex_impl(src: &ComplexBuffer, p: Precision, dst: &mut ComplexBuffer) {
     dst.reset_for_overwrite(p, src.len());
     fn fill<Tin: Real, Tout: Real>(src: &[Complex<Tin>], out: &mut [Complex<Tout>]) {
         for (o, z) in out.iter_mut().zip(src) {
@@ -310,7 +310,7 @@ pub(crate) fn cast_complex_impl(src: &ComplexBuffer, p: Precision, dst: &mut Com
 
 /// Deterministic tree reduction of the `flat.len()/len` parts into
 /// `flat[..len]`.
-pub(crate) fn tree_reduce_impl(flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
+fn tree_reduce_impl(flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
     if len == 0 || flat.len() % len != 0 {
         return Err(BackendError::LengthMismatch {
             what: "tree-reduce buffer (whole parts required)",

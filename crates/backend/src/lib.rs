@@ -21,11 +21,14 @@
 //!
 //! * [`CpuPool`] — the rayon-pool + SIMD kernels the workspace has always
 //!   run on, **bit-identical** to the direct call path and the default;
-//! * [`SimulatedDevice`] — the `fftmatvec-gpu` analytical cost model
-//!   recast as a backend: arithmetic executes on the CPU (same bits as
-//!   [`CpuPool`]), but every primitive also books modeled device time
-//!   into a [`fftmatvec_gpu::PhaseTimes`] ledger, and transfers are
-//!   charged against a host-link bandwidth model;
+//! * [`SimulatedDevice`] — a [`CpuPool`] plus a modeled device clock:
+//!   arithmetic and the transfer ledger are the pool's (same bits), and
+//!   the pipeline reports each completed apply through
+//!   [`DeviceBackend::record_apply`] with the applied kernel's cost
+//!   model, which the device evaluates on its `DeviceSpec` and adds to a
+//!   [`fftmatvec_gpu::PhaseTimes`] ledger — one booking per apply, none
+//!   per primitive; transfers are additionally charged against a
+//!   host-link bandwidth model;
 //! * a **portability** backend registered by `fftmatvec-portability`
 //!   (see [`registry::register_portability`]) that validates the real
 //!   CUDA/HIP kernel sources as far as an offline environment allows and

@@ -1,38 +1,29 @@
-//! [`SimulatedDevice`] — the `fftmatvec-gpu` analytical cost model recast
-//! as a [`DeviceBackend`].
+//! [`SimulatedDevice`] — a [`CpuPool`] plus a modeled device clock.
 //!
-//! Arithmetic executes on the CPU through the exact same kernels as
-//! [`crate::CpuPool`] (so results are bit-identical — the determinism
-//! gate runs a `FFTMATVEC_BACKEND=simulated` leg to pin this), but every
-//! primitive also books the modeled wall time of the corresponding GPU
-//! launch into a [`PhaseTimes`] ledger. That makes the backend the
-//! cost-model front door: the free-standing `estimate_time` /
-//! `achieved_bandwidth` entry points of `fftmatvec-gpu` are methods here
-//! ([`SimulatedDevice::estimate`], [`SimulatedDevice::achieved_bandwidth`],
-//! [`SimulatedDevice::efficiency`]), and the accumulated
-//! [`SimulatedDevice::modeled`] snapshot is what the autotuner
-//! calibration and the distributed-placement tests consume.
+//! Arithmetic and the transfer ledger are the inner [`CpuPool`]'s (so
+//! results are bit-identical — the determinism gate runs a
+//! `FFTMATVEC_BACKEND=simulated` leg to pin this). On top, the device
+//! keeps one [`PhaseTimes`] cell that is booked **once per apply**: the
+//! pipeline hands [`DeviceBackend::record_apply`] the applied kernel's
+//! cost model and the device evaluates it on its [`DeviceSpec`]. The
+//! model itself lives with the kernels (`fftmatvec_core::timing` for the
+//! block-triangular matvec, the pointwise kernel for multi-level
+//! Toeplitz), so the five compute phases of the ledger are exactly the
+//! closed form the figure binaries print; individual primitives
+//! (`real_fft`, casts, `pointwise_multiply`, `tree_reduce`) book nothing.
 //!
-//! Phase attribution: forward FFTs book [`Phase::Fft`], inverse FFTs
-//! [`Phase::Ifft`], the pointwise symbol multiply [`Phase::Sbgemv`] (it
-//! *is* the degenerate 1×1 SBGEMV of the multi-level pipelines),
-//! phase-boundary casts [`Phase::Pad`] (they are fused into the
-//! pad/boundary streaming traffic on a real device), and transfers plus
-//! tree reductions [`Phase::Comm`]. Host↔device transfers are charged at
-//! [`HOST_LINK_BYTES_PER_SEC`] — a PCIe Gen5 x16-class link, deliberately
-//! far below HBM bandwidth so placement tests see the transfer cliff the
-//! paper's Section 2.4 setup amortizes away.
+//! The one charge made here is the transfer edge: every upload/download
+//! adds a launch plus `bytes /` [`HOST_LINK_BYTES_PER_SEC`] to
+//! [`Phase::Comm`] — a PCIe Gen5 x16-class link, deliberately far below
+//! HBM bandwidth so placement tests see the transfer cliff the paper's
+//! Section 2.4 setup amortizes away.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use fftmatvec_gpu::kernel::dtype_for;
-use fftmatvec_gpu::{DeviceSpec, KernelProfile, Phase, PhaseTimes};
+use fftmatvec_gpu::{DeviceSpec, Phase, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer};
 
-use crate::cpu::{
-    cast_complex_impl, cast_real_impl, download_impl, new_cpu_fft, pointwise_impl,
-    tree_reduce_impl, upload_impl,
-};
+use crate::cpu::CpuPool;
 use crate::error::BackendError;
 use crate::kind::BackendKind;
 use crate::traits::{BatchFft, DeviceBackend, TransferStats};
@@ -40,22 +31,12 @@ use crate::traits::{BatchFft, DeviceBackend, TransferStats};
 /// Modeled host↔device link bandwidth (bytes/s): PCIe Gen5 x16 class.
 pub const HOST_LINK_BYTES_PER_SEC: f64 = 64e9;
 
-/// Read+write sweeps a batched shared-memory GPU FFT of a few thousand
-/// points makes over its data (same constant the phase simulator in
-/// `fftmatvec-core` uses).
-const FFT_PASSES: f64 = 2.0;
-
-#[derive(Debug, Default)]
-struct SimState {
-    times: PhaseTimes,
-    stats: TransferStats,
-}
-
 /// A simulated GPU: CPU execution, modeled device timings.
 #[derive(Debug)]
 pub struct SimulatedDevice {
+    pool: CpuPool,
     spec: DeviceSpec,
-    state: Arc<Mutex<SimState>>,
+    times: Mutex<PhaseTimes>,
 }
 
 impl Default for SimulatedDevice {
@@ -69,7 +50,7 @@ impl Default for SimulatedDevice {
 impl SimulatedDevice {
     /// Simulate an arbitrary device specification.
     pub fn new(spec: DeviceSpec) -> Self {
-        SimulatedDevice { spec, state: Arc::new(Mutex::new(SimState::default())) }
+        SimulatedDevice { pool: CpuPool::new(), spec, times: Mutex::default() }
     }
 
     /// One MI250X Graphics Compute Die (CDNA2).
@@ -97,92 +78,21 @@ impl SimulatedDevice {
         &self.spec
     }
 
-    /// Modeled wall time of one kernel launch on this device — the
-    /// cost-model front door (formerly reached through
-    /// `KernelProfile::estimate_time` + a free-standing `DeviceSpec`).
-    pub fn estimate(&self, kernel: &KernelProfile) -> f64 {
-        kernel.estimate_time(&self.spec)
-    }
-
-    /// Modeled achieved fraction of peak bandwidth for a launch.
-    pub fn efficiency(&self, kernel: &KernelProfile) -> f64 {
-        kernel.efficiency(&self.spec)
-    }
-
-    /// Modeled achieved bandwidth (bytes/s) — the `rocblas-bench` metric
-    /// Figure 1 plots.
-    pub fn achieved_bandwidth(&self, kernel: &KernelProfile) -> f64 {
-        kernel.achieved_bandwidth(&self.spec)
-    }
-
     /// Snapshot of the modeled per-phase device times accumulated since
     /// construction or the last [`DeviceBackend::reset_transfers`].
     pub fn modeled(&self) -> PhaseTimes {
-        self.state.lock().unwrap().times.clone()
+        self.clock().clone()
     }
 
-    fn book(&self, phase: Phase, seconds: f64) {
-        self.state.lock().unwrap().times.add(phase, seconds);
+    /// The clock cell. Every update is a plain `f64` add, so a panic
+    /// elsewhere while it was held cannot leave it half-written.
+    fn clock(&self) -> std::sync::MutexGuard<'_, PhaseTimes> {
+        self.times.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn book_link(&self, bytes: usize) {
-        self.book(Phase::Comm, self.spec.launch_latency + bytes as f64 / HOST_LINK_BYTES_PER_SEC);
-    }
-}
-
-/// Tier FFT handle that executes on the CPU and books modeled device
-/// time per batch.
-#[derive(Debug)]
-struct SimFft {
-    inner: Arc<dyn BatchFft>,
-    spec: DeviceSpec,
-    state: Arc<Mutex<SimState>>,
-}
-
-impl SimFft {
-    fn book_fft(&self, phase: Phase, name: &'static str, batch: usize) {
-        let kernel = KernelProfile::fft(
-            name,
-            dtype_for(true, self.inner.tier()),
-            self.inner.transform_len(),
-            batch,
-            FFT_PASSES,
-        );
-        self.state.lock().unwrap().times.add(phase, kernel.estimate_time(&self.spec));
-    }
-}
-
-impl BatchFft for SimFft {
-    fn tier(&self) -> Precision {
-        self.inner.tier()
-    }
-
-    fn transform_len(&self) -> usize {
-        self.inner.transform_len()
-    }
-
-    fn forward(&self, input: &RealBuffer, output: &mut ComplexBuffer) -> Result<(), BackendError> {
-        self.inner.forward(input, output)?;
-        self.book_fft(Phase::Fft, "sim_fft_forward", input.len() / self.transform_len().max(1));
-        Ok(())
-    }
-
-    fn inverse(
-        &self,
-        spectrum: &ComplexBuffer,
-        output: &mut RealBuffer,
-    ) -> Result<(), BackendError> {
-        self.inner.inverse(spectrum, output)?;
-        self.book_fft(Phase::Ifft, "sim_fft_inverse", output.len() / self.transform_len().max(1));
-        Ok(())
-    }
-
-    fn scratch_pooled(&self) -> usize {
-        self.inner.scratch_pooled()
-    }
-
-    fn plan_handle_f64(&self) -> Option<fftmatvec_fft::RealPlanHandle<f64>> {
-        self.inner.plan_handle_f64()
+        let seconds = self.spec.launch_latency + bytes as f64 / HOST_LINK_BYTES_PER_SEC;
+        self.clock().add(Phase::Comm, seconds);
     }
 }
 
@@ -201,51 +111,43 @@ impl DeviceBackend for SimulatedDevice {
         p: Precision,
         dst: &mut RealBuffer,
     ) -> Result<(), BackendError> {
-        upload_impl(src, p, dst);
-        self.record_upload(std::mem::size_of_val(src));
+        self.pool.upload_f64(src, p, dst)?;
+        self.book_link(std::mem::size_of_val(src));
         Ok(())
     }
 
     fn download_f64(&self, src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
-        download_impl(src, dst)?;
-        self.record_download(std::mem::size_of_val(dst));
+        self.pool.download_f64(src, dst)?;
+        self.book_link(std::mem::size_of_val(dst));
         Ok(())
     }
 
     fn record_upload(&self, bytes: usize) {
-        {
-            let mut st = self.state.lock().unwrap();
-            st.stats.uploads += 1;
-            st.stats.bytes_up += bytes as u64;
-        }
+        self.pool.record_upload(bytes);
         self.book_link(bytes);
     }
 
     fn record_download(&self, bytes: usize) {
-        {
-            let mut st = self.state.lock().unwrap();
-            st.stats.downloads += 1;
-            st.stats.bytes_down += bytes as u64;
-        }
+        self.pool.record_download(bytes);
         self.book_link(bytes);
     }
 
+    fn record_apply(&self, modeled: &dyn Fn(&DeviceSpec) -> PhaseTimes) {
+        let apply = modeled(&self.spec);
+        self.clock().add_with(&apply);
+    }
+
     fn transfers(&self) -> TransferStats {
-        self.state.lock().unwrap().stats
+        self.pool.transfers()
     }
 
     fn reset_transfers(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.stats = TransferStats::default();
-        st.times.clear();
+        self.pool.reset_transfers();
+        self.clock().clear();
     }
 
     fn real_fft(&self, p: Precision, n: usize) -> Result<Arc<dyn BatchFft>, BackendError> {
-        Ok(Arc::new(SimFft {
-            inner: new_cpu_fft(p, n),
-            spec: self.spec.clone(),
-            state: Arc::clone(&self.state),
-        }))
+        self.pool.real_fft(p, n)
     }
 
     fn pointwise_multiply(
@@ -254,16 +156,7 @@ impl DeviceBackend for SimulatedDevice {
         sym: &ComplexBuffer,
         conj: bool,
     ) -> Result<(), BackendError> {
-        pointwise_impl(io, sym, conj)?;
-        // The degenerate 1×1 SBGEMV: read grid + symbol, write grid.
-        let kernel = KernelProfile::streaming(
-            "sim_pointwise",
-            dtype_for(true, sym.precision()),
-            (io.bytes() + sym.bytes()) as f64,
-            io.bytes() as f64,
-        );
-        self.book(Phase::Sbgemv, self.estimate(&kernel));
-        Ok(())
+        self.pool.pointwise_multiply(io, sym, conj)
     }
 
     fn cast_real(
@@ -272,15 +165,7 @@ impl DeviceBackend for SimulatedDevice {
         p: Precision,
         dst: &mut RealBuffer,
     ) -> Result<(), BackendError> {
-        cast_real_impl(src, p, dst);
-        let kernel = KernelProfile::streaming(
-            "sim_cast_real",
-            dtype_for(false, p),
-            src.bytes() as f64,
-            dst.bytes() as f64,
-        );
-        self.book(Phase::Pad, self.estimate(&kernel));
-        Ok(())
+        self.pool.cast_real(src, p, dst)
     }
 
     fn cast_complex(
@@ -289,29 +174,11 @@ impl DeviceBackend for SimulatedDevice {
         p: Precision,
         dst: &mut ComplexBuffer,
     ) -> Result<(), BackendError> {
-        cast_complex_impl(src, p, dst);
-        let kernel = KernelProfile::streaming(
-            "sim_cast_complex",
-            dtype_for(true, p),
-            src.bytes() as f64,
-            dst.bytes() as f64,
-        );
-        self.book(Phase::Pad, self.estimate(&kernel));
-        Ok(())
+        self.pool.cast_complex(src, p, dst)
     }
 
     fn tree_reduce(&self, flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
-        tree_reduce_impl(flat, len)?;
-        // Log-depth reduction: each level halves the live data; total
-        // traffic is ~1 read of the flat buffer plus ~half of it written.
-        let kernel = KernelProfile::streaming(
-            "sim_tree_reduce",
-            dtype_for(false, flat.precision()),
-            flat.bytes() as f64,
-            (flat.bytes() / 2) as f64,
-        );
-        self.book(Phase::Comm, self.estimate(&kernel));
-        Ok(())
+        self.pool.tree_reduce(flat, len)
     }
 
     fn modeled_times(&self) -> Option<PhaseTimes> {
@@ -343,31 +210,20 @@ mod tests {
     }
 
     #[test]
-    fn primitives_book_modeled_phase_time() {
+    fn record_apply_books_the_kernel_model_on_this_spec_and_cpu_pool_skips_it() {
         let sim = SimulatedDevice::mi250x_gcd();
-        assert_eq!(sim.modeled().total(), 0.0);
-        let n = 16;
-        let fft = sim.real_fft(Precision::Double, n).unwrap();
-        let input = RealBuffer::zeros(Precision::Double, 4 * n);
-        let mut spec = ComplexBuffer::zeros(Precision::Double, 4 * (n / 2 + 1));
-        fft.forward(&input, &mut spec).unwrap();
-        let t = sim.modeled();
-        assert!(t.get(Phase::Fft) > 0.0);
-        assert_eq!(t.get(Phase::Ifft), 0.0);
-        let mut out = RealBuffer::zeros(Precision::Double, 4 * n);
-        fft.inverse(&spec, &mut out).unwrap();
-        assert!(sim.modeled().get(Phase::Ifft) > 0.0);
-
-        let sym = ComplexBuffer::zeros(Precision::Double, spec.len());
-        sim.pointwise_multiply(&mut spec, &sym, false).unwrap();
-        assert!(sim.modeled().get(Phase::Sbgemv) > 0.0);
-
-        let mut cast = RealBuffer::zeros(Precision::Single, 0);
-        sim.cast_real(&out, Precision::Single, &mut cast).unwrap();
-        assert!(sim.modeled().get(Phase::Pad) > 0.0);
-
+        let model = |spec: &DeviceSpec| {
+            let mut t = PhaseTimes::new();
+            t.add(Phase::Sbgemv, spec.launch_latency);
+            t
+        };
+        sim.record_apply(&model);
+        sim.record_apply(&model);
+        assert_eq!(sim.modeled().get(Phase::Sbgemv), 2.0 * sim.spec().launch_latency);
+        assert_eq!(sim.modeled().total(), sim.modeled().get(Phase::Sbgemv));
         sim.reset_transfers();
         assert_eq!(sim.modeled().total(), 0.0);
+        CpuPool::new().record_apply(&|_| unreachable!("a real backend keeps no modeled clock"));
     }
 
     #[test]
@@ -387,15 +243,5 @@ mod tests {
         // Two launches + 16 kB over the 64 GB/s link.
         let floor = 2.0 * sim.spec().launch_latency + 16000.0 / HOST_LINK_BYTES_PER_SEC;
         assert!((comm - floor).abs() < 1e-12, "comm={comm} floor={floor}");
-    }
-
-    #[test]
-    fn cost_model_front_door_matches_kernel_profile() {
-        let sim = SimulatedDevice::mi300x();
-        let k = KernelProfile::fft("probe", dtype_for(true, Precision::Double), 2000, 512, 2.0);
-        assert_eq!(sim.estimate(&k), k.estimate_time(sim.spec()));
-        assert_eq!(sim.efficiency(&k), k.efficiency(sim.spec()));
-        assert_eq!(sim.achieved_bandwidth(&k), k.achieved_bandwidth(sim.spec()));
-        assert_eq!(SimulatedDevice::paper_lineup().len(), 3);
     }
 }

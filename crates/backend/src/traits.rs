@@ -14,7 +14,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use fftmatvec_fft::RealPlanHandle;
-use fftmatvec_gpu::PhaseTimes;
+use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer};
 
 use crate::error::BackendError;
@@ -132,6 +132,13 @@ pub trait DeviceBackend: Send + Sync + Debug {
 
     /// Account a device→host crossing of `bytes` (the unpad edge).
     fn record_download(&self, bytes: usize);
+
+    /// Account one completed pipeline apply. `modeled` is the applied
+    /// kernel's cost model — its per-phase device time on a given
+    /// [`DeviceSpec`] — and is evaluated only by backends that keep a
+    /// modeled clock ([`crate::SimulatedDevice`]); backends that execute
+    /// for real ignore it.
+    fn record_apply(&self, _modeled: &dyn Fn(&DeviceSpec) -> PhaseTimes) {}
 
     /// Snapshot of the transfer ledger.
     fn transfers(&self) -> TransferStats;

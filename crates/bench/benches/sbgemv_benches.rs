@@ -1,9 +1,8 @@
-//! Criterion benchmarks for the SBGEMV kernels: baseline vs optimized CPU
-//! execution across shapes and datatypes (the Figure-1 sweep, wall-clock
-//! edition), plus the dispatcher's end-to-end path.
+//! Criterion benchmarks for the CPU SBGEMV kernel across shapes, ops and
+//! datatypes (the Figure-1 sweep, wall-clock edition).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fftmatvec_blas::{sbgemv, sbgemv_with, BatchGeometry, GemvOp, KernelChoice};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
 use fftmatvec_numeric::{Complex, Scalar, SplitMix64, C64};
 use std::hint::black_box;
 
@@ -24,22 +23,9 @@ fn bench_kernels_short_wide(c: &mut Criterion) {
     let x: Vec<C64> = fill(&mut rng, batch * m);
     let mut y = vec![Complex::zero(); batch * n];
     g.throughput(Throughput::Elements((m * n * batch) as u64));
-    for kernel in [KernelChoice::Reference, KernelChoice::Optimized] {
-        g.bench_with_input(BenchmarkId::new("kernel", kernel.to_string()), &kernel, |b, &k| {
-            b.iter(|| {
-                sbgemv_with(
-                    k,
-                    op,
-                    Complex::one(),
-                    black_box(&a),
-                    &x,
-                    Complex::zero(),
-                    &mut y,
-                    &geom,
-                )
-            });
-        });
-    }
+    g.bench_function("kernel", |b| {
+        b.iter(|| sbgemv(op, Complex::one(), black_box(&a), &x, Complex::zero(), &mut y, &geom));
+    });
     g.finish();
 }
 
@@ -58,8 +44,7 @@ fn bench_all_dtypes(c: &mut Criterion) {
             let mut y = vec![<$t as Scalar>::zero(); batch * n];
             g.bench_function($name, |b| {
                 b.iter(|| {
-                    sbgemv_with(
-                        KernelChoice::Optimized,
+                    sbgemv(
                         op,
                         <$t as Scalar>::one(),
                         black_box(&a),
@@ -79,36 +64,6 @@ fn bench_all_dtypes(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dispatch_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sbgemv_dispatch");
-    g.sample_size(20);
-    let (m, n, batch) = (16usize, 256usize, 8usize);
-    let op = GemvOp::ConjTrans;
-    let geom = BatchGeometry::packed(m, n, op, batch);
-    let mut rng = SplitMix64::new(3);
-    let a: Vec<C64> = fill(&mut rng, batch * m * n);
-    let x: Vec<C64> = fill(&mut rng, batch * m);
-    let mut y = vec![Complex::zero(); batch * n];
-    g.bench_function("auto_dispatch", |b| {
-        b.iter(|| sbgemv(op, Complex::one(), black_box(&a), &x, Complex::zero(), &mut y, &geom));
-    });
-    g.bench_function("explicit_kernel", |b| {
-        b.iter(|| {
-            sbgemv_with(
-                KernelChoice::Optimized,
-                op,
-                Complex::one(),
-                black_box(&a),
-                &x,
-                Complex::zero(),
-                &mut y,
-                &geom,
-            )
-        });
-    });
-    g.finish();
-}
-
 fn bench_nontrans(c: &mut Criterion) {
     let mut g = c.benchmark_group("sbgemv_nontrans_z");
     g.sample_size(20);
@@ -121,28 +76,11 @@ fn bench_nontrans(c: &mut Criterion) {
     let x: Vec<C64> = fill(&mut rng, batch * n);
     let mut y = vec![Complex::zero(); batch * m];
     g.throughput(Throughput::Elements((m * n * batch) as u64));
-    g.bench_function("reference", |b| {
-        b.iter(|| {
-            sbgemv_with(
-                KernelChoice::Reference,
-                op,
-                Complex::one(),
-                black_box(&a),
-                &x,
-                Complex::zero(),
-                &mut y,
-                &geom,
-            )
-        });
+    g.bench_function("kernel", |b| {
+        b.iter(|| sbgemv(op, Complex::one(), black_box(&a), &x, Complex::zero(), &mut y, &geom));
     });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_kernels_short_wide,
-    bench_all_dtypes,
-    bench_dispatch_overhead,
-    bench_nontrans
-);
+criterion_group!(benches, bench_kernels_short_wide, bench_all_dtypes, bench_nontrans);
 criterion_main!(benches);

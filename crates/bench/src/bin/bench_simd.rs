@@ -38,8 +38,7 @@ use std::hint::black_box;
 use fftmatvec_bench::record::{self, Record, SIMD, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
-use fftmatvec_blas::kernels::run_kernel;
-use fftmatvec_blas::{BatchGeometry, GemvOp, KernelChoice};
+use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
 use fftmatvec_fft::FftPlan;
 use fftmatvec_numeric::simd::{
     active_level, narrow_f32_to_bf16, narrow_f32_to_f16, set_active_level, widen_bf16_to_f32,
@@ -208,8 +207,7 @@ fn measure_gemv<S: Scalar>(
         precision,
         level,
         || {
-            run_kernel(
-                KernelChoice::Optimized,
+            sbgemv(
                 GemvOp::NoTrans,
                 alpha,
                 black_box(&a),

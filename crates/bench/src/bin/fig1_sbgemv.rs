@@ -5,12 +5,12 @@
 //! (`s`/`d`/`c`/`z`), short-and-wide through square shapes, batch 100,
 //! transpose for real types and conjugate-transpose for complex types.
 //! Bandwidth comes from the kernel cost model; a CPU correctness pass
-//! confirms both kernels compute identical results at each shape.
+//! checks the one executing kernel against a naive dot product.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin fig1_sbgemv`
 
 use fftmatvec_bench::rule;
-use fftmatvec_blas::{kernel_profile, sbgemv_with, BatchGeometry, GemvOp, KernelChoice};
+use fftmatvec_blas::{kernel_profile, sbgemv, BatchGeometry, GemvOp, KernelChoice};
 use fftmatvec_gpu::DeviceSpec;
 use fftmatvec_numeric::{Complex, DType, Scalar, SplitMix64};
 
@@ -58,9 +58,9 @@ fn paper_reference(dtype: DType, m: usize, n: usize) -> Option<(f64, f64)> {
         .map(|&(_, _, _, b, o)| (b, o))
 }
 
-/// CPU cross-check: both kernels must agree numerically (scaled-down
-/// shape to keep the run fast).
-fn kernels_agree<S: Scalar>(op: GemvOp) -> f64 {
+/// CPU cross-check: the kernel against a sequential naive dot per output
+/// (scaled-down shape to keep the run fast). `op` is a transposed mode.
+fn kernel_vs_naive<S: Scalar>(op: GemvOp) -> f64 {
     let (m, n, batch) = (24usize, 96usize, 5usize);
     let mut rng = SplitMix64::new(7);
     let g = BatchGeometry::packed(m, n, op, batch);
@@ -71,13 +71,17 @@ fn kernels_agree<S: Scalar>(op: GemvOp) -> f64 {
     };
     let a: Vec<S> = fill(&mut rng, batch * m * n);
     let x: Vec<S> = fill(&mut rng, batch * m);
-    let mut y1 = vec![S::zero(); batch * n];
-    let mut y2 = vec![S::zero(); batch * n];
-    sbgemv_with(KernelChoice::Reference, op, S::one(), &a, &x, S::zero(), &mut y1, &g);
-    sbgemv_with(KernelChoice::Optimized, op, S::one(), &a, &x, S::zero(), &mut y2, &g);
-    y1.iter()
-        .zip(&y2)
-        .map(|(p, q)| {
+    let mut y = vec![S::zero(); batch * n];
+    sbgemv(op, S::one(), &a, &x, S::zero(), &mut y, &g);
+    let conj = op == GemvOp::ConjTrans;
+    y.iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let (col, xb) = (&a[k * m..(k + 1) * m], &x[k / n * m..(k / n + 1) * m]);
+            let q = col
+                .iter()
+                .zip(xb)
+                .fold(S::zero(), |acc, (&aij, &xi)| acc + if conj { aij.conj() } else { aij } * xi);
             let (pr, pi) = p.to_f64_parts();
             let (qr, qi) = q.to_f64_parts();
             ((pr - qr).powi(2) + (pi - qi).powi(2)).sqrt()
@@ -129,11 +133,11 @@ fn main() {
         println!();
     }
 
-    // Numerical agreement of the two kernel implementations.
-    let dt = kernels_agree::<f64>(GemvOp::Trans);
-    let zt = kernels_agree::<Complex<f64>>(GemvOp::ConjTrans);
+    // Numerical agreement of the CPU kernel with the naive oracle.
+    let dt = kernel_vs_naive::<f64>(GemvOp::Trans);
+    let zt = kernel_vs_naive::<Complex<f64>>(GemvOp::ConjTrans);
     println!(
-        "kernel cross-check (max abs diff, CPU execution): real double T = {dt:.2e}, complex double H = {zt:.2e}"
+        "kernel cross-check (max abs diff vs naive dot, CPU execution): real double T = {dt:.2e}, complex double H = {zt:.2e}"
     );
-    assert!(dt < 1e-12 && zt < 1e-12, "kernel implementations disagree");
+    assert!(dt < 1e-12 && zt < 1e-12, "CPU kernel disagrees with the naive dot");
 }

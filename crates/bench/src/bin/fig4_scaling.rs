@@ -16,9 +16,9 @@
 use fftmatvec_bench::{rule, stuffed_vector, Args};
 use fftmatvec_comm::partition::PartitionProblem;
 use fftmatvec_comm::{choose_grid, NetworkModel, PartitionStrategy, ProcessGrid};
-use fftmatvec_core::timing::{simulate_phases, MatvecDims};
+use fftmatvec_core::timing::{simulate_on_grid, MatvecDims};
 use fftmatvec_core::{DistributedFftMatvec, LinearOperator, PrecisionConfig};
-use fftmatvec_gpu::{DeviceSpec, Phase};
+use fftmatvec_gpu::DeviceSpec;
 use fftmatvec_numeric::vecmath::rel_l2_error;
 use fftmatvec_numeric::SplitMix64;
 
@@ -30,18 +30,7 @@ fn modeled_total(
     dev: &DeviceSpec,
     net: &NetworkModel,
 ) -> f64 {
-    let nd = 100usize;
-    let nm = 5000 * p;
-    let nt = 1000usize;
-    let ndl = nd.div_ceil(grid.rows);
-    let nml = nm.div_ceil(grid.cols);
-    let mut t = simulate_phases(MatvecDims::new(ndl, nml, nt), cfg, false, dev);
-    use fftmatvec_core::MatvecPhase;
-    let p1 = cfg.phase(MatvecPhase::Pad).real_bytes();
-    let p5 = cfg.phase(MatvecPhase::Unpad).real_bytes();
-    let comm = net.forward_matvec_comm(grid, (nml * nt * p1) as f64, (ndl * nt * p5) as f64);
-    t.add(Phase::Comm, comm);
-    t.total()
+    simulate_on_grid(MatvecDims::new(100, 5000 * p, 1000), grid, cfg, false, dev, net).total()
 }
 
 /// Real distributed error at a scaled shape with the same grid.

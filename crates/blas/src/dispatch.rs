@@ -1,17 +1,19 @@
-//! Host-side kernel dispatch and launch cost models.
+//! The GPU kernel dispatcher and launch cost models.
 //!
 //! The paper integrates its optimized kernel into rocBLAS's host
 //! dispatcher so applications pick it up transparently; the *transition
 //! points* between kernels were set from `rocblas-bench` sweeps
-//! (Section 4.1.1). [`select_kernel`] plays that role here, and
-//! [`kernel_profile`] produces the [`KernelProfile`] whose modeled
-//! achieved bandwidth regenerates Figure 1.
+//! (Section 4.1.1). [`select_kernel`] is that dispatcher as a *model*:
+//! it names the GPU kernel a shape would launch, and [`kernel_profile`]
+//! produces the [`KernelProfile`] whose modeled achieved bandwidth
+//! regenerates Figure 1 and feeds the phase simulator. Execution is
+//! [`crate::sbgemv`] on the CPU, where there is one kernel and nothing to
+//! select.
 
 use fftmatvec_gpu::{KernelClass, KernelProfile};
-use fftmatvec_numeric::{DType, Scalar};
+use fftmatvec_numeric::DType;
 
-use crate::kernels::run_kernel;
-use crate::types::{BatchGeometry, GemvOp, KernelChoice};
+use crate::types::{GemvOp, KernelChoice};
 use crate::{OPT_TILE_COLS, REF_ROW_BLOCK};
 
 /// Rows above which the rocBLAS transpose kernel has enough per-block work
@@ -34,37 +36,6 @@ pub fn select_kernel(op: GemvOp, m: usize, n: usize) -> KernelChoice {
     } else {
         KernelChoice::Reference
     }
-}
-
-/// Strided batched GEMV with automatic kernel selection. Returns the
-/// kernel that serviced the call (rocBLAS logs the same via its trace).
-pub fn sbgemv<S: Scalar>(
-    op: GemvOp,
-    alpha: S,
-    a: &[S],
-    x: &[S],
-    beta: S,
-    y: &mut [S],
-    g: &BatchGeometry,
-) -> KernelChoice {
-    let kernel = select_kernel(op, g.m, g.n);
-    run_kernel(kernel, op, alpha, a, x, beta, y, g);
-    kernel
-}
-
-/// Strided batched GEMV with an explicit kernel choice (the
-/// `rocblas-bench` A/B path used to produce Figure 1).
-pub fn sbgemv_with<S: Scalar>(
-    kernel: KernelChoice,
-    op: GemvOp,
-    alpha: S,
-    a: &[S],
-    x: &[S],
-    beta: S,
-    y: &mut [S],
-    g: &BatchGeometry,
-) {
-    run_kernel(kernel, op, alpha, a, x, beta, y, g);
 }
 
 /// Modeled efficiency of the optimized kernel. The tiled launch keeps
@@ -140,6 +111,7 @@ pub fn kernel_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sbgemv, BatchGeometry};
     use fftmatvec_gpu::DeviceSpec;
     use fftmatvec_numeric::{Complex, SplitMix64};
 
@@ -198,22 +170,14 @@ mod tests {
         let x: Vec<Complex<f64>> = (0..batch * m)
             .map(|_| Complex::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
             .collect();
-        let mut y_auto = vec![Complex::zero(); batch * n];
-        let mut y_ref = vec![Complex::zero(); batch * n];
-        let used = sbgemv(op, Complex::one(), &a, &x, Complex::zero(), &mut y_auto, &g);
-        assert_eq!(used, KernelChoice::Optimized);
-        sbgemv_with(
-            KernelChoice::Reference,
-            op,
-            Complex::one(),
-            &a,
-            &x,
-            Complex::zero(),
-            &mut y_ref,
-            &g,
-        );
-        let err: f64 = y_auto.iter().zip(&y_ref).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
-        assert!(err < 1e-12, "kernels disagree: {err}");
+        let mut y = vec![Complex::zero(); batch * n];
+        sbgemv(op, Complex::one(), &a, &x, Complex::zero(), &mut y, &g);
+        for (k, &got) in y.iter().enumerate() {
+            let (b, j) = (k / n, k % n);
+            let want = (0..m)
+                .fold(Complex::zero(), |acc, i| acc + a[(b * n + j) * m + i].conj() * x[b * m + i]);
+            assert!((got - want).abs() < 1e-12, "batch {b} output {j}: {got:?} vs {want:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,12 @@
-//! CPU executions of the two SBGEMV kernels.
+//! The CPU execution of the SBGEMV.
 //!
-//! Both kernels compute `y_b = α·op(A_b)·x_b + β·y_b` for every matrix in
-//! the batch; they differ in *loop structure*, mirroring the GPU algorithms
-//! they stand in for:
-//!
-//! * [`reference_gemv`] — rocBLAS-style. Non-transpose accumulates
-//!   column-by-column (coalesced columns, `⌈m/64⌉` gridblocks); transpose
-//!   computes one full-length dot product per output element (one
-//!   gridblock each — the geometry that collapses when `m ≪ n`).
-//! * [`optimized_gemv`] — the paper's kernel: columns are processed in
-//!   tiles of [`crate::OPT_TILE_COLS`]; each column's dot product runs
-//!   four accumulators over row chunks of four (standing in for `float4`
-//!   vector loads with read/compute/write pipelining), combined at the end
-//!   (the wavefront-shuffle reduction).
-//!
-//! The summation orders differ, so results may differ by O(ε) — tests
-//! compare both against a naive oracle rather than bit-for-bit.
+//! [`sbgemv`] computes `y_b = α·op(A_b)·x_b + β·y_b` for every matrix in
+//! the batch with one loop nest, [`gemv`]: non-transpose accumulates
+//! column-by-column over row tiles; (conjugate-)transpose computes one
+//! pairwise dot product per output element. The two *GPU* kernels of
+//! Figure 1 — rocBLAS's and the paper's — differ in launch geometry, not
+//! in arithmetic, so they are modeled ([`crate::dispatch`]) rather than
+//! executed twice.
 //!
 //! **Summation structure matters for the error analysis.** GPU GEMV
 //! kernels never sum a length-k dot sequentially: threads hold partial
@@ -30,21 +21,20 @@ use fftmatvec_numeric::Scalar;
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
-use crate::types::{BatchGeometry, GemvOp, KernelChoice};
-use crate::OPT_TILE_COLS;
+use crate::types::{BatchGeometry, GemvOp};
 
 /// Serial-vs-parallel threshold in scalar MACs.
 #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 const PAR_THRESHOLD: usize = 1 << 15;
 
-/// Run one of the kernels over the whole batch.
+/// Strided batched GEMV `y_b = α·op(A_b)·x_b + β·y_b` over the whole
+/// batch, mirroring `rocblas_Xgemv_strided_batched`.
 ///
 /// Allocation-free: batch items are visited as chunks of `y` (one chunk
 /// per `stride_y`, output written to its first `output_len` elements), so
 /// repeated calls on preallocated buffers perform no heap work — the
 /// contract the pipeline's `apply_into` paths rely on.
-pub fn run_kernel<S: Scalar>(
-    kernel: KernelChoice,
+pub fn sbgemv<S: Scalar>(
     op: GemvOp,
     alpha: S,
     a: &[S],
@@ -64,10 +54,7 @@ pub fn run_kernel<S: Scalar>(
         let yb = &mut chunk[..out_len];
         let ab = &a[b * g.stride_a..];
         let xb = &x[b * g.stride_x..b * g.stride_x + op.input_len(g.m, g.n)];
-        match kernel {
-            KernelChoice::Reference => reference_gemv(op, alpha, ab, g.lda, xb, beta, yb, g.m, g.n),
-            KernelChoice::Optimized => optimized_gemv(op, alpha, ab, g.lda, xb, beta, yb, g.m, g.n),
-        }
+        gemv(op, alpha, ab, g.lda, xb, beta, yb, g.m, g.n);
     };
     #[cfg(feature = "parallel")]
     if work > PAR_THRESHOLD {
@@ -77,8 +64,8 @@ pub fn run_kernel<S: Scalar>(
     y.chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
 }
 
-/// rocBLAS-style GEMV on one matrix (column-major, leading dim `lda`).
-pub fn reference_gemv<S: Scalar>(
+/// GEMV on one matrix (column-major, leading dim `lda`).
+pub fn gemv<S: Scalar>(
     op: GemvOp,
     alpha: S,
     a: &[S],
@@ -115,17 +102,32 @@ pub fn reference_gemv<S: Scalar>(
             }
         }
         GemvOp::Trans | GemvOp::ConjTrans => {
-            // One dot product of length m per output element — exactly the
-            // per-gridblock work assignment whose bandwidth collapses when
-            // m ≪ n (Section 3.1.1). The dot itself is a wavefront tree.
-            let conj = op == GemvOp::ConjTrans;
-            for (j, yj) in y.iter_mut().enumerate().take(n) {
-                let col = &a[j * lda..j * lda + m];
-                let acc = pairwise_dot(col, &x[..m], conj);
-                let prior = if beta_zero { S::zero() } else { beta * *yj };
-                *yj = alpha.mul_add(acc, prior);
-            }
+            trans_sweep(op == GemvOp::ConjTrans, alpha, a, lda, &x[..m], beta, &mut y[..n]);
         }
+    }
+}
+
+/// The (conjugate-)transposed sweep: one dot product of length `x.len()`
+/// per output element; the dot itself is a wavefront tree.
+///
+/// Its own function rather than an arm of [`gemv`]'s `match`: written
+/// inline there, the pipeline's 16×256 adjoint measured ~5 % slower
+/// (`bench_e2e` `paper_dd`, `adj_p50_us`, 0 of 5 pairs won).
+fn trans_sweep<S: Scalar>(
+    conj: bool,
+    alpha: S,
+    a: &[S],
+    lda: usize,
+    x: &[S],
+    beta: S,
+    y: &mut [S],
+) {
+    let beta_zero = beta == S::zero();
+    for (j, yj) in y.iter_mut().enumerate() {
+        let col = &a[j * lda..j * lda + x.len()];
+        let acc = pairwise_dot(col, x, conj);
+        let prior = if beta_zero { S::zero() } else { beta * *yj };
+        *yj = alpha.mul_add(acc, prior);
     }
 }
 
@@ -197,44 +199,6 @@ fn notrans_pairwise_tile<S: Scalar>(
     }
 }
 
-/// The paper's optimized kernel on one matrix. Only the transposed modes
-/// get the tiled path (the short-wide problem it was built for);
-/// `NoTrans` falls through to the reference loop, matching the upstream
-/// rocBLAS integration where the non-transpose kernel was left unchanged.
-pub fn optimized_gemv<S: Scalar>(
-    op: GemvOp,
-    alpha: S,
-    a: &[S],
-    lda: usize,
-    x: &[S],
-    beta: S,
-    y: &mut [S],
-    m: usize,
-    n: usize,
-) {
-    if op == GemvOp::NoTrans {
-        return reference_gemv(op, alpha, a, lda, x, beta, y, m, n);
-    }
-    let conj = op == GemvOp::ConjTrans;
-    let beta_zero = beta == S::zero();
-    // Gridblocks tile the columns; each block computes a chunk of outputs.
-    for (tile_idx, y_tile) in
-        y.chunks_mut(OPT_TILE_COLS).enumerate().take(n.div_ceil(OPT_TILE_COLS))
-    {
-        let j0 = tile_idx * OPT_TILE_COLS;
-        for (dj, yj) in y_tile.iter_mut().enumerate() {
-            let j = j0 + dj;
-            let col = &a[j * lda..j * lda + m];
-            // The 2-D thread block's dot: vectorized 16-byte loads feed
-            // per-thread partials (the base runs of `pairwise_dot`),
-            // combined by wave shuffles (the pairwise tree).
-            let dotv = pairwise_dot(col, &x[..m], conj);
-            let prior = if beta_zero { S::zero() } else { beta * *yj };
-            *yj = alpha.mul_add(dotv, prior);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +258,7 @@ mod tests {
         (num / den.max(1e-300)).sqrt()
     }
 
-    fn check_both_kernels<S: Scalar>(m: usize, n: usize, batch: usize, op: GemvOp, tol: f64) {
+    fn check_kernel<S: Scalar>(m: usize, n: usize, batch: usize, op: GemvOp, tol: f64) {
         let mut rng = SplitMix64::new((m * 31 + n * 7 + batch) as u64);
         let g = BatchGeometry::packed(m, n, op, batch);
         let a: Vec<S> = fill(&mut rng, batch * m * n);
@@ -318,42 +282,40 @@ mod tests {
                 n,
             );
         }
-        for kernel in [KernelChoice::Reference, KernelChoice::Optimized] {
-            let mut got = y0.clone();
-            run_kernel(kernel, op, alpha, &a, &x, beta, &mut got, &g);
-            let err = rel_err(&got, &want);
-            assert!(err < tol, "{kernel} {op} m={m} n={n} batch={batch}: err {err}");
-        }
+        let mut got = y0.clone();
+        sbgemv(op, alpha, &a, &x, beta, &mut got, &g);
+        let err = rel_err(&got, &want);
+        assert!(err < tol, "{op} m={m} n={n} batch={batch}: err {err}");
     }
 
     #[test]
     fn all_ops_all_scalar_types_small() {
         for op in [GemvOp::NoTrans, GemvOp::Trans, GemvOp::ConjTrans] {
-            check_both_kernels::<f32>(5, 13, 3, op, 1e-5);
-            check_both_kernels::<f64>(5, 13, 3, op, 1e-13);
-            check_both_kernels::<Complex<f32>>(5, 13, 3, op, 1e-5);
-            check_both_kernels::<Complex<f64>>(5, 13, 3, op, 1e-13);
+            check_kernel::<f32>(5, 13, 3, op, 1e-5);
+            check_kernel::<f64>(5, 13, 3, op, 1e-13);
+            check_kernel::<Complex<f32>>(5, 13, 3, op, 1e-5);
+            check_kernel::<Complex<f64>>(5, 13, 3, op, 1e-13);
         }
     }
 
     #[test]
     fn short_wide_complex_double_conjtrans() {
         // The FFTMatvec phase-3 shape (scaled down): m ≪ n, complex.
-        check_both_kernels::<Complex<f64>>(8, 200, 11, GemvOp::ConjTrans, 1e-12);
+        check_kernel::<Complex<f64>>(8, 200, 11, GemvOp::ConjTrans, 1e-12);
     }
 
     #[test]
     fn parallel_path_large_batch() {
         // Cross PAR_THRESHOLD to exercise the rayon path.
-        check_both_kernels::<f64>(16, 64, 64, GemvOp::Trans, 1e-12);
+        check_kernel::<f64>(16, 64, 64, GemvOp::Trans, 1e-12);
     }
 
     #[test]
     fn uneven_sizes_hit_tile_and_simd_remainders() {
-        // m % 4 != 0 and n % OPT_TILE_COLS != 0.
-        check_both_kernels::<f64>(7, 67, 2, GemvOp::Trans, 1e-13);
-        check_both_kernels::<Complex<f32>>(3, 130, 2, GemvOp::ConjTrans, 1e-5);
-        check_both_kernels::<f64>(1, 1, 1, GemvOp::Trans, 1e-14);
+        // m % 4 != 0 and n not a multiple of 64.
+        check_kernel::<f64>(7, 67, 2, GemvOp::Trans, 1e-13);
+        check_kernel::<Complex<f32>>(3, 130, 2, GemvOp::ConjTrans, 1e-5);
+        check_kernel::<f64>(1, 1, 1, GemvOp::Trans, 1e-14);
     }
 
     #[test]
@@ -384,17 +346,15 @@ mod tests {
                 n,
             );
         }
-        for kernel in [KernelChoice::Reference, KernelChoice::Optimized] {
-            let mut got = y0.clone();
-            run_kernel(kernel, op, 1.0, &a, &x, 0.0, &mut got, &g);
-            // Padding between outputs must be untouched.
-            for b in 0..batch - 1 {
-                for p in n..stride_y {
-                    assert_eq!(got[b * stride_y + p], y0[b * stride_y + p], "padding clobbered");
-                }
+        let mut got = y0.clone();
+        sbgemv(op, 1.0, &a, &x, 0.0, &mut got, &g);
+        // Padding between outputs must be untouched.
+        for b in 0..batch - 1 {
+            for p in n..stride_y {
+                assert_eq!(got[b * stride_y + p], y0[b * stride_y + p], "padding clobbered");
             }
-            assert!(rel_err(&got, &want) < 1e-13, "{kernel}");
         }
+        assert!(rel_err(&got, &want) < 1e-13);
     }
 
     #[test]
@@ -407,26 +367,8 @@ mod tests {
         let g = BatchGeometry::packed(m, n, GemvOp::Trans, 1);
         let mut yt = vec![Complex::zero(); n];
         let mut yh = vec![Complex::zero(); n];
-        run_kernel(
-            KernelChoice::Reference,
-            GemvOp::Trans,
-            Complex::one(),
-            &a,
-            &x,
-            Complex::zero(),
-            &mut yt,
-            &g,
-        );
-        run_kernel(
-            KernelChoice::Reference,
-            GemvOp::ConjTrans,
-            Complex::one(),
-            &a,
-            &x,
-            Complex::zero(),
-            &mut yh,
-            &g,
-        );
+        sbgemv(GemvOp::Trans, Complex::one(), &a, &x, Complex::zero(), &mut yt, &g);
+        sbgemv(GemvOp::ConjTrans, Complex::one(), &a, &x, Complex::zero(), &mut yh, &g);
         assert!(rel_err(&yt, &yh) > 1e-3, "conjugation should change the result");
     }
 
@@ -441,7 +383,7 @@ mod tests {
         // "y need not be set". Mirror that: multiply-by-zero semantics are
         // only safe because the kernel writes β·y = 0·NaN = NaN... so the
         // implementation must special-case β=0 like rocBLAS does.
-        run_kernel(KernelChoice::Reference, GemvOp::NoTrans, 1.0, &a, &x, 0.0, &mut y, &g);
+        sbgemv(GemvOp::NoTrans, 1.0, &a, &x, 0.0, &mut y, &g);
         assert!(y.iter().all(|v| v.is_finite()), "beta=0 must ignore prior y");
     }
 }

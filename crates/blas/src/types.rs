@@ -56,7 +56,8 @@ impl fmt::Display for GemvOp {
     }
 }
 
-/// Which kernel implementation services a call.
+/// Which GPU kernel the host dispatcher would launch — a cost-model
+/// label (`select_kernel`, `kernel_profile`); the CPU runs one kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelChoice {
     /// rocBLAS-style baseline.

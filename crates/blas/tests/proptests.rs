@@ -1,8 +1,8 @@
-//! Property-based tests for the SBGEMV kernels: both implementations must
-//! agree with a naive dense oracle across randomly drawn geometries,
-//! operations, scalar types, strides, and scaling factors.
+//! Property-based tests for the SBGEMV kernel: it must agree with a naive
+//! dense oracle across randomly drawn geometries, operations, scalar
+//! types, strides, and scaling factors.
 
-use fftmatvec_blas::{sbgemv, sbgemv_with, select_kernel, BatchGeometry, GemvOp, KernelChoice};
+use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
 use fftmatvec_numeric::{Complex, Scalar, SplitMix64};
 use proptest::prelude::*;
 
@@ -64,7 +64,7 @@ fn rel_err<S: Scalar>(a: &[S], b: &[S]) -> f64 {
     (num / den.max(1e-300)).sqrt()
 }
 
-fn check_kernels<S: Scalar>(
+fn check_kernel<S: Scalar>(
     m: usize,
     n: usize,
     batch: usize,
@@ -105,12 +105,10 @@ fn check_kernels<S: Scalar>(
             n,
         );
     }
-    for kernel in [KernelChoice::Reference, KernelChoice::Optimized] {
-        let mut got = y0.clone();
-        sbgemv_with(kernel, op, alpha, &a, &x, beta, &mut got, &g);
-        let err = rel_err(&got, &want);
-        prop_assert!(err < tol, "{kernel} {op}: m={m} n={n} batch={batch} err={err}");
-    }
+    let mut got = y0;
+    sbgemv(op, alpha, &a, &x, beta, &mut got, &g);
+    let err = rel_err(&got, &want);
+    prop_assert!(err < tol, "{op}: m={m} n={n} batch={batch} err={err}");
     Ok(())
 }
 
@@ -126,7 +124,7 @@ proptest! {
         lda_pad in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
-        check_kernels::<f64>(m, n, batch, op_from(op_sel), lda_pad, seed, 1e-11)?;
+        check_kernel::<f64>(m, n, batch, op_from(op_sel), lda_pad, seed, 1e-11)?;
     }
 
     #[test]
@@ -138,7 +136,7 @@ proptest! {
         lda_pad in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        check_kernels::<Complex<f64>>(m, n, batch, op_from(op_sel), lda_pad, seed, 1e-11)?;
+        check_kernel::<Complex<f64>>(m, n, batch, op_from(op_sel), lda_pad, seed, 1e-11)?;
     }
 
     #[test]
@@ -149,28 +147,19 @@ proptest! {
         op_sel in 0u8..3,
         seed in 0u64..u64::MAX,
     ) {
-        check_kernels::<f32>(m, n, batch, op_from(op_sel), 0, seed, 2e-4)?;
+        check_kernel::<f32>(m, n, batch, op_from(op_sel), 0, seed, 2e-4)?;
     }
 
-    /// The dispatcher's choice never changes the (double-precision)
-    /// result beyond roundoff reordering.
+    /// Which GPU kernel the dispatcher model names for a shape has no say
+    /// in the result: the one CPU kernel matches the oracle on the
+    /// phase-3 op, here out to shapes wider than one 64-column tile.
     #[test]
     fn dispatch_is_result_invariant(
         m in 1usize..64,
         n in 1usize..128,
         seed in 0u64..u64::MAX,
     ) {
-        let op = GemvOp::ConjTrans;
-        let mut rng = SplitMix64::new(seed);
-        let g = BatchGeometry::packed(m, n, op, 2);
-        let a: Vec<Complex<f64>> = fill(&mut rng, 2 * m * n);
-        let x: Vec<Complex<f64>> = fill(&mut rng, 2 * m);
-        let mut y_auto = vec![Complex::zero(); 2 * n];
-        let mut y_ref = vec![Complex::zero(); 2 * n];
-        let used = sbgemv(op, Complex::one(), &a, &x, Complex::zero(), &mut y_auto, &g);
-        prop_assert_eq!(used, select_kernel(op, m, n));
-        sbgemv_with(KernelChoice::Reference, op, Complex::one(), &a, &x, Complex::zero(), &mut y_ref, &g);
-        prop_assert!(rel_err(&y_auto, &y_ref) < 1e-12);
+        check_kernel::<Complex<f64>>(m, n, 2, GemvOp::ConjTrans, 0, seed, 1e-11)?;
     }
 
     /// Linearity in x: K(a·x1 + x2) == a·K(x1) + K(x2) for β = 0.
@@ -190,7 +179,7 @@ proptest! {
         let combo: Vec<f64> = x1.iter().zip(&x2).map(|(p, q)| scale * p + q).collect();
         let run = |x: &[f64]| -> Vec<f64> {
             let mut y = vec![0.0; n];
-            sbgemv_with(KernelChoice::Optimized, op, 1.0, &a, x, 0.0, &mut y, &g);
+            sbgemv(op, 1.0, &a, x, 0.0, &mut y, &g);
             y
         };
         let lhs = run(&combo);
@@ -213,8 +202,8 @@ proptest! {
         let x: Vec<f64> = fill(&mut rng, m);
         let mut yt = vec![0.0; n];
         let mut yh = vec![0.0; n];
-        sbgemv_with(KernelChoice::Reference, GemvOp::Trans, 1.0, &a, &x, 0.0, &mut yt, &g);
-        sbgemv_with(KernelChoice::Reference, GemvOp::ConjTrans, 1.0, &a, &x, 0.0, &mut yh, &g);
+        sbgemv(GemvOp::Trans, 1.0, &a, &x, 0.0, &mut yt, &g);
+        sbgemv(GemvOp::ConjTrans, 1.0, &a, &x, 0.0, &mut yh, &g);
         prop_assert_eq!(yt, yh);
     }
 }

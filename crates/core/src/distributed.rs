@@ -24,7 +24,7 @@ use rayon::prelude::*;
 
 use fftmatvec_backend::DeviceBackend;
 use fftmatvec_comm::{NetworkModel, ProcessGrid};
-use fftmatvec_gpu::{DeviceSpec, Phase, PhaseTimes};
+use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{Precision, Real, RealBuffer};
 
 use crate::linop::{
@@ -34,7 +34,7 @@ use crate::operator::BlockToeplitzOperator;
 use crate::pipeline::FftMatvec;
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::spectral::PipelineBackend;
-use crate::timing::{simulate_phases, MatvecDims};
+use crate::timing::{simulate_on_grid, MatvecDims};
 use crate::workspace::{Checkout, Workspace, WorkspacePool};
 
 /// Pooled staging buffers for one distributed apply.
@@ -220,23 +220,8 @@ impl DistributedFftMatvec {
     /// Modeled matvec time on `dev` ranks under `net`: slowest rank's
     /// compute plus the grid's communication.
     pub fn simulate(&self, dev: &DeviceSpec, net: &NetworkModel, adjoint: bool) -> PhaseTimes {
-        // Rank (0,0) owns the ⌈·⌉ chunk sizes — the slowest rank.
-        let ndl = self.grid.sensor_range(self.nd, 0).len();
-        let nml = self.grid.param_range(self.nm, 0).len();
-        let cfg = self.config();
-        let mut t = simulate_phases(MatvecDims::new(ndl, nml, self.nt), cfg, adjoint, dev);
-
-        let p1 = cfg.phase(MatvecPhase::Pad);
-        let p5 = cfg.phase(MatvecPhase::Unpad);
-        let m_col_bytes = (nml * self.nt * p1.real_bytes()) as f64;
-        let d_row_bytes = (ndl * self.nt * p5.real_bytes()) as f64;
-        let comm = if adjoint {
-            net.adjoint_matvec_comm(&self.grid, m_col_bytes, d_row_bytes)
-        } else {
-            net.forward_matvec_comm(&self.grid, m_col_bytes, d_row_bytes)
-        };
-        t.add(Phase::Comm, comm);
-        t
+        let global = MatvecDims::new(self.nd, self.nm, self.nt);
+        simulate_on_grid(global, &self.grid, self.config(), adjoint, dev, net)
     }
 }
 
@@ -419,7 +404,9 @@ fn reduce_in_precision(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::simulate_phases;
     use fftmatvec_comm::collectives::tree_reduce_sum;
+    use fftmatvec_gpu::Phase;
     use fftmatvec_numeric::vecmath::rel_l2_error;
     use fftmatvec_numeric::SplitMix64;
 
@@ -565,7 +552,17 @@ mod tests {
             PrecisionConfig::all_double(),
         )
         .unwrap();
-        assert_eq!(single.simulate(&dev, &net, false).get(Phase::Comm), 0.0);
+        // One rank: exactly the single-device closed form, nothing else.
+        for adjoint in [false, true] {
+            let want = simulate_phases(
+                MatvecDims::new(nd, nm, nt),
+                PrecisionConfig::all_double(),
+                adjoint,
+                &dev,
+            );
+            assert_eq!(single.simulate(&dev, &net, adjoint), want);
+            assert_eq!(want.get(Phase::Comm), 0.0);
+        }
         let multi = DistributedFftMatvec::from_global(
             nd,
             nm,

@@ -62,6 +62,10 @@ pub mod spectral;
 pub mod timing;
 pub mod workspace;
 
+/// The cost-model substrate a [`SpectralKernel`]'s `modeled_phases` is
+/// written against (`DeviceSpec`, `KernelProfile`, `PhaseTimes`).
+pub use fftmatvec_gpu as gpu;
+
 pub use autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
 pub use direct::DirectMatvec;
 pub use distributed::DistributedFftMatvec;

@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
 use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
+use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, RealBuffer};
 
 use crate::autotune::PhaseWeights;
@@ -34,8 +35,9 @@ use crate::error_analysis::{condition_estimate, BoundParams};
 use crate::layout;
 use crate::linop::{ConfigError, OpDirection, OpError, OpShape};
 use crate::operator::BlockToeplitzOperator;
-use crate::precision::MatvecPhase;
+use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
+use crate::timing::{simulate_phases, MatvecDims};
 use crate::workspace::Workspace;
 
 /// One apply's worth of intermediate buffers. Every field is reset (not
@@ -123,10 +125,7 @@ impl SpectralKernel for SbgemvKernel {
         let (cfg, device) = (pipe.config(), pipe.device());
         let MatvecWorkspace { padded, casted, spectrum, xhat, yhat, dspec, time } = ws;
 
-        // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad]. The
-        // input crosses the host→device boundary here; the ledger books
-        // it (the CPU backends alias host memory, so no copy happens).
-        device.record_upload(std::mem::size_of_val(input));
+        // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad].
         let p_pad = cfg.phase(MatvecPhase::Pad);
         layout::pad_input_into(input, n_in, nt, p_pad, padded);
 
@@ -171,10 +170,9 @@ impl SpectralKernel for SbgemvKernel {
         pipe.engine(p_ifft)?.inverse(dspec, time)?;
 
         // Phase 5 — unpad + reduce (SOTI → TOSI) through cfg[Unpad];
-        // output is always double and crosses back to the host.
+        // output is always double.
         let p_unpad = cfg.phase(MatvecPhase::Unpad);
         layout::unpad_output_into(time, n_out, nt, p_unpad, out);
-        device.record_download(std::mem::size_of_val(out));
         Ok(())
     }
 
@@ -191,6 +189,16 @@ impl SpectralKernel for SbgemvKernel {
 
     fn phase_weights(&self, dir: OpDirection) -> PhaseWeights {
         PhaseWeights::for_shape(self.op.nd(), self.op.nm(), self.op.nt(), dir)
+    }
+
+    fn modeled_phases(
+        &self,
+        cfg: PrecisionConfig,
+        dir: OpDirection,
+        dev: &DeviceSpec,
+    ) -> PhaseTimes {
+        let dims = MatvecDims::new(self.op.nd(), self.op.nm(), self.op.nt());
+        simulate_phases(dims, cfg, dir == OpDirection::Adjoint, dev)
     }
 }
 
@@ -280,7 +288,6 @@ impl FftMatvec {
 mod tests {
     use super::*;
     use crate::linop::LinearOperator;
-    use crate::precision::PrecisionConfig;
     use crate::spectral::PipelineBackend;
     use crate::workspace::workspace_retention_cap;
     use fftmatvec_numeric::vecmath::rel_l2_error;

@@ -19,7 +19,14 @@
 //! * **A [`SpectralKernel`] supplies** only what is operator-specific:
 //!   its shape, how to plan one tier's transform engine, its workspace
 //!   struct, `run` (the five phase calls), `warm` for narrow symbol
-//!   copies, and the Eq. 6 inputs the autotuner needs.
+//!   copies, the Eq. 6 inputs the autotuner needs, and `modeled_phases`
+//!   — what one apply costs on a modeled device.
+//!
+//! Every apply, single or batched, goes through one private step that
+//! records the host→device edge, runs the kernel, records the
+//! device→host edge and hands the kernel's cost model to
+//! [`DeviceBackend::record_apply`] — so transfer and modeled-time
+//! accounting are per apply and identical for every kernel.
 //!
 //! Builders carry their options in a [`BuildOptions`] and get the four
 //! shared setters from [`spectral_builder_setters!`](crate::spectral_builder_setters).
@@ -28,6 +35,7 @@
 use std::sync::{Arc, OnceLock};
 
 use fftmatvec_backend::{BackendError, DeviceBackend};
+use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::Precision;
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -91,6 +99,17 @@ pub trait SpectralKernel: Send + Sync + Sized {
 
     /// Phase cost weights for calibration-based selection.
     fn phase_weights(&self, dir: OpDirection) -> PhaseWeights;
+
+    /// Modeled device time of one apply in direction `dir` under `cfg`
+    /// on `dev`, per phase — the closed form a simulated device books
+    /// once per apply (Comm stays zero: the transfer edge is the
+    /// device's own charge).
+    fn modeled_phases(
+        &self,
+        cfg: PrecisionConfig,
+        dir: OpDirection,
+        dev: &DeviceSpec,
+    ) -> PhaseTimes;
 }
 
 /// Per-tier engine bank: one lazily built `E` per precision, retained
@@ -412,6 +431,25 @@ impl<K: SpectralKernel> TieredPipeline<K> {
         self.resolve_budget(dir, budget)
     }
 
+    /// One apply on a checked-out workspace: the input crosses the
+    /// host→device edge, the kernel runs, the output crosses back, and
+    /// the device is told what the apply costs on a modeled part (a
+    /// backend that executes for real never evaluates the closure). The
+    /// CPU backends alias host memory, so the edges are accounting only.
+    fn step(
+        &self,
+        dir: OpDirection,
+        input: &[f64],
+        out: &mut [f64],
+        ws: &mut K::Workspace,
+    ) -> Result<(), OpError> {
+        self.device.record_upload(std::mem::size_of_val(input));
+        self.kernel.run(self, dir, input, out, ws)?;
+        self.device.record_download(std::mem::size_of_val(out));
+        self.device.record_apply(&|dev| self.kernel.modeled_phases(self.cfg, dir, dev));
+        Ok(())
+    }
+
     /// Budget resolution shared by `build()` and `retune_budget`. The
     /// autotune state is taken out for the duration so the calibration
     /// applies can borrow `self` mutably, and restored either way.
@@ -444,7 +482,7 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
     fn apply_into(&self, dir: OpDirection, input: &[f64], out: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), dir, input, out)?;
         let mut guard = self.pool.checkout();
-        self.kernel.run(self, dir, input, out, guard.ws())
+        self.step(dir, input, out, guard.ws())
     }
 
     /// Batched apply: the whole batch shares the resident engines and one
@@ -472,7 +510,7 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
                 .for_each_init(
                     || self.pool.checkout(),
                     |guard, (col, (i, o))| {
-                        if let Err(e) = self.kernel.run(self, dir, i, o, guard.ws()) {
+                        if let Err(e) = self.step(dir, i, o, guard.ws()) {
                             let mut slot =
                                 first_err.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                             if slot.as_ref().map_or(true, |&(c, _)| col < c) {
@@ -486,7 +524,7 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
         }
         let mut guard = self.pool.checkout();
         for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.kernel.run(self, dir, i, o, guard.ws())?;
+            self.step(dir, i, o, guard.ws())?;
         }
         Ok(())
     }
@@ -590,6 +628,9 @@ mod tests {
         }
         fn phase_weights(&self, _: OpDirection) -> PhaseWeights {
             PhaseWeights::uniform()
+        }
+        fn modeled_phases(&self, _: PrecisionConfig, _: OpDirection, _: &DeviceSpec) -> PhaseTimes {
+            PhaseTimes::new()
         }
     }
 

@@ -8,11 +8,17 @@
 //! phases are lower-order. Reorder (TOSI↔SOTI) traffic is charged to the
 //! SBGEMV phase, matching the paper's timing convention ("The SBGEMV time
 //! includes the SOTI-to-TOSI and TOSI-to-SOTI times").
+//!
+//! [`simulate_phases`] is the one block-triangular assembly: the figure
+//! binaries, the Pareto sweeps, the simulated device's ledger (through
+//! `SbgemvKernel`'s `SpectralKernel::modeled_phases`) and
+//! [`simulate_on_grid`] — the same compute plus the process grid's
+//! collectives — all read it.
 
 use fftmatvec_blas::{kernel_profile, select_kernel, GemvOp};
+use fftmatvec_comm::{NetworkModel, ProcessGrid};
 use fftmatvec_gpu::kernel::dtype_for;
-use fftmatvec_gpu::{DeviceSpec, KernelClass, KernelProfile, Phase, PhaseTimes};
-use fftmatvec_numeric::Precision;
+use fftmatvec_gpu::{DeviceSpec, KernelProfile, Phase, PhaseTimes};
 
 use crate::precision::{MatvecPhase, PrecisionConfig};
 
@@ -41,27 +47,6 @@ impl MatvecDims {
     /// Frequency count `N_t + 1`.
     pub fn nfreq(&self) -> usize {
         self.nt + 1
-    }
-}
-
-/// Number of read+write sweeps a batched FFT of this length makes over its
-/// data (shared-memory GPU FFTs of a few thousand points take ~2).
-const FFT_PASSES: f64 = 2.0;
-
-fn fft_profile(name: &'static str, n_series: usize, nt: usize, p: Precision) -> KernelProfile {
-    let real_in = (n_series * 2 * nt * p.real_bytes()) as f64;
-    let complex_out = (n_series * (nt + 1) * p.complex_bytes()) as f64;
-    let n2 = 2 * nt;
-    KernelProfile {
-        name,
-        class: KernelClass::Fft,
-        dtype: dtype_for(true, p),
-        bytes_read: FFT_PASSES / 2.0 * (real_in + complex_out),
-        bytes_written: FFT_PASSES / 2.0 * (real_in + complex_out),
-        flops: 2.5 * (n2 as f64) * (n2 as f64).log2() * n_series as f64,
-        gridblocks: n_series as f64,
-        work_bytes_per_block: (n2 * p.complex_bytes()) as f64,
-        efficiency_override: None,
     }
 }
 
@@ -100,7 +85,8 @@ pub fn simulate_phases(
     times.add(Phase::Pad, pad.estimate_time(dev));
 
     // Phase 2: batched R2C FFT in p2.
-    times.add(Phase::Fft, fft_profile("fft", n_in, dims.nt, p2).estimate_time(dev));
+    let fft = KernelProfile::real_fft("fft", p2, 2 * dims.nt, n_in);
+    times.add(Phase::Fft, fft.estimate_time(dev));
 
     // Phase 3: reorder in (SOTI→TOSI, boundary precision), SBGEMV, reorder
     // out — all charged to the SBGEMV phase.
@@ -126,7 +112,8 @@ pub fn simulate_phases(
     );
 
     // Phase 4: batched C2R IFFT in p4.
-    times.add(Phase::Ifft, fft_profile("ifft", n_out, dims.nt, p4).estimate_time(dev));
+    let ifft = KernelProfile::real_fft("ifft", p4, 2 * dims.nt, n_out);
+    times.add(Phase::Ifft, ifft.estimate_time(dev));
 
     // Phase 5: unpad to the double output through p5.
     let unpad = KernelProfile::streaming(
@@ -137,6 +124,32 @@ pub fn simulate_phases(
     );
     times.add(Phase::Unpad, unpad.estimate_time(dev));
 
+    times
+}
+
+/// Modeled matvec time of a `global` problem partitioned over `grid`:
+/// the slowest rank's compute (rank (0,0) owns the `⌈·⌉` chunk sizes)
+/// plus the grid's collectives under `net`, which move one column's input
+/// slice in the Pad tier and one row's output slice in the Unpad tier.
+pub fn simulate_on_grid(
+    global: MatvecDims,
+    grid: &ProcessGrid,
+    cfg: PrecisionConfig,
+    adjoint: bool,
+    dev: &DeviceSpec,
+    net: &NetworkModel,
+) -> PhaseTimes {
+    let local =
+        MatvecDims::new(global.nd.div_ceil(grid.rows), global.nm.div_ceil(grid.cols), global.nt);
+    let mut times = simulate_phases(local, cfg, adjoint, dev);
+    let m_col_bytes = (local.nm * local.nt * cfg.phase(MatvecPhase::Pad).real_bytes()) as f64;
+    let d_row_bytes = (local.nd * local.nt * cfg.phase(MatvecPhase::Unpad).real_bytes()) as f64;
+    let comm = if adjoint {
+        net.adjoint_matvec_comm(grid, m_col_bytes, d_row_bytes)
+    } else {
+        net.forward_matvec_comm(grid, m_col_bytes, d_row_bytes)
+    };
+    times.add(Phase::Comm, comm);
     times
 }
 
@@ -154,6 +167,46 @@ mod tests {
             let frac = t.fraction(Phase::Sbgemv);
             assert!((0.80..0.99).contains(&frac), "{}: SBGEMV fraction {frac:.3}", dev.name);
         }
+    }
+
+    #[test]
+    fn paper_shape_totals_are_pinned() {
+        // The totals `fig2_breakdown` / `fft_matvec` print (ms, F / F*):
+        // any change to a profile or a device cap moves these digits.
+        let dims = MatvecDims::paper_single_gpu();
+        let cfg = PrecisionConfig::all_double();
+        let printed = [("7.349", "7.178"), ("2.282", "2.229"), ("2.851", "2.783")];
+        for (dev, (f, fs)) in DeviceSpec::paper_lineup().iter().zip(printed) {
+            let ms =
+                |adjoint| format!("{:.3}", simulate_phases(dims, cfg, adjoint, dev).total() * 1e3);
+            assert_eq!((ms(false).as_str(), ms(true).as_str()), (f, fs), "{}", dev.name);
+        }
+    }
+
+    #[test]
+    fn grid_model_is_compute_plus_the_grids_collectives() {
+        let global = MatvecDims::new(100, 5000 * 16, 1000);
+        let (dev, net) = (DeviceSpec::mi250x_gcd(), NetworkModel::frontier());
+        let cfg = PrecisionConfig::optimal_forward();
+        let grid = ProcessGrid::new(2, 8);
+        let local = MatvecDims::new(50, 5000 * 2, 1000);
+        for adjoint in [false, true] {
+            let t = simulate_on_grid(global, &grid, cfg, adjoint, &dev, &net);
+            let compute = simulate_phases(local, cfg, adjoint, &dev);
+            for p in Phase::COMPUTE {
+                assert_eq!(t.get(p), compute.get(p), "{}", p.label());
+            }
+            // dssdd: both collectives move double-precision slices.
+            let (m_col, d_row) = ((local.nm * 1000 * 8) as f64, (local.nd * 1000 * 8) as f64);
+            let comm = if adjoint {
+                net.adjoint_matvec_comm(&grid, m_col, d_row)
+            } else {
+                net.forward_matvec_comm(&grid, m_col, d_row)
+            };
+            assert_eq!(t.get(Phase::Comm), comm);
+        }
+        let single = simulate_on_grid(global, &ProcessGrid::single(), cfg, false, &dev, &net);
+        assert_eq!(single, simulate_phases(global, cfg, false, &dev));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use core::fmt;
 
 /// The computational phases of the FFTMatvec algorithm (Section 2.4), plus
-/// communication and setup.
+/// communication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Phase 1: broadcast + zero-pad (includes fused casts).
@@ -23,10 +23,8 @@ pub enum Phase {
     Ifft,
     /// Phase 5: unpad + reduction (includes fused casts).
     Unpad,
-    /// Inter-GPU communication (broadcast/reduce).
+    /// Inter-GPU communication (broadcast/reduce) and host-link transfers.
     Comm,
-    /// One-time setup (always double precision; not performance-critical).
-    Setup,
 }
 
 impl Phase {
@@ -43,7 +41,6 @@ impl Phase {
             Phase::Ifft => "IFFT",
             Phase::Unpad => "Unpad",
             Phase::Comm => "Comm",
-            Phase::Setup => "Setup",
         }
     }
 
@@ -55,7 +52,6 @@ impl Phase {
             Phase::Ifft => 3,
             Phase::Unpad => 4,
             Phase::Comm => 5,
-            Phase::Setup => 6,
         }
     }
 }
@@ -63,7 +59,7 @@ impl Phase {
 /// Accumulated simulated seconds per phase.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
-    times: [f64; 7],
+    times: [f64; 6],
 }
 
 impl PhaseTimes {
@@ -82,8 +78,7 @@ impl PhaseTimes {
         self.times[phase.index()]
     }
 
-    /// Total matvec time: compute phases + communication (setup excluded,
-    /// matching the paper's reporting).
+    /// Total matvec time: compute phases + communication.
     pub fn total(&self) -> f64 {
         Phase::COMPUTE.iter().map(|&p| self.get(p)).sum::<f64>() + self.get(Phase::Comm)
     }
@@ -119,7 +114,7 @@ impl PhaseTimes {
 
     /// Reset all phases to zero.
     pub fn clear(&mut self) {
-        self.times = [0.0; 7];
+        self.times = [0.0; 6];
     }
 }
 
@@ -145,7 +140,6 @@ mod tests {
         t.add(Phase::Sbgemv, 1.0e-3);
         t.add(Phase::Sbgemv, 0.5e-3);
         t.add(Phase::Fft, 0.1e-3);
-        t.add(Phase::Setup, 100.0); // excluded from total
         assert!((t.get(Phase::Sbgemv) - 1.5e-3).abs() < 1e-15);
         assert!((t.total() - 1.6e-3).abs() < 1e-15);
         assert!((t.compute_total() - 1.6e-3).abs() < 1e-15);

@@ -159,12 +159,6 @@ impl DeviceSpec {
             Precision::Double => self.peak_fp64,
         }
     }
-
-    /// Time to stream `bytes` at a given achieved efficiency.
-    pub fn stream_time(&self, bytes: f64, efficiency: f64) -> f64 {
-        assert!(efficiency > 0.0 && efficiency <= 1.0, "efficiency in (0,1]");
-        bytes / (self.peak_bw * efficiency)
-    }
 }
 
 #[cfg(test)]
@@ -187,22 +181,6 @@ mod tests {
         let mi355 = DeviceSpec::mi355x();
         assert!(mi355.sbgemv_cap_fp64 < mi300.sbgemv_cap_fp64 / 1.5);
         assert!(mi355.sbgemv_cap_fp32 < mi355.sbgemv_cap_fp64);
-    }
-
-    #[test]
-    fn stream_time_scales_linearly() {
-        let d = DeviceSpec::mi300x();
-        let t1 = d.stream_time(1e9, 0.8);
-        let t2 = d.stream_time(2e9, 0.8);
-        assert!((t2 / t1 - 2.0).abs() < 1e-12);
-        // 1 GB at 80% of 5.3 TB/s ≈ 236 µs.
-        assert!((t1 - 1e9 / (5.3e12 * 0.8)).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "efficiency")]
-    fn zero_efficiency_rejected() {
-        DeviceSpec::mi300x().stream_time(1.0, 0.0);
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub const WPB_MAX: f64 = 0.85;
 /// (`efficiency_override`) are detuned by `device_cap / REFERENCE_CAP`.
 pub const REFERENCE_CAP: f64 = 0.72;
 
+/// Read+write sweeps a batched shared-memory GPU FFT of a few thousand
+/// points makes over its data.
+pub const FFT_PASSES: f64 = 2.0;
+
 /// Kernel families with distinct tuning caps on each device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelClass {
@@ -93,20 +97,39 @@ impl KernelProfile {
         }
     }
 
-    /// A batched-FFT launch: `passes` sweeps over `io_bytes` of data plus
-    /// `5·n·log2(n)` flops per transform.
-    pub fn fft(name: &'static str, dtype: DType, n: usize, batch: usize, passes: f64) -> Self {
+    /// A batched complex-FFT launch: [`FFT_PASSES`] sweeps over `io_bytes`
+    /// of data plus `5·n·log2(n)` flops per transform.
+    pub fn fft(name: &'static str, dtype: DType, n: usize, batch: usize) -> Self {
         let io_bytes = (n * batch * dtype.bytes()) as f64;
         let flops = 5.0 * (n as f64) * (n.max(2) as f64).log2() * batch as f64;
         KernelProfile {
             name,
             class: KernelClass::Fft,
             dtype,
-            bytes_read: passes * io_bytes,
-            bytes_written: passes * io_bytes,
+            bytes_read: FFT_PASSES * io_bytes,
+            bytes_written: FFT_PASSES * io_bytes,
             flops,
             gridblocks: batch.max(1) as f64,
-            work_bytes_per_block: (n * dtype.bytes()) as f64 * passes,
+            work_bytes_per_block: (n * dtype.bytes()) as f64 * FFT_PASSES,
+            efficiency_override: None,
+        }
+    }
+
+    /// A batched R2C (or, mirrored, C2R) launch in tier `p`: `batch` real
+    /// series of `n` points against their `n/2 + 1` packed bins, at half
+    /// the complex transform's flops.
+    pub fn real_fft(name: &'static str, p: Precision, n: usize, batch: usize) -> Self {
+        let real_io = (batch * n * p.real_bytes()) as f64;
+        let packed_io = (batch * (n / 2 + 1) * p.complex_bytes()) as f64;
+        KernelProfile {
+            name,
+            class: KernelClass::Fft,
+            dtype: dtype_for(true, p),
+            bytes_read: FFT_PASSES / 2.0 * (real_io + packed_io),
+            bytes_written: FFT_PASSES / 2.0 * (real_io + packed_io),
+            flops: 2.5 * (n as f64) * (n as f64).log2() * batch as f64,
+            gridblocks: batch as f64,
+            work_bytes_per_block: (n * p.complex_bytes()) as f64,
             efficiency_override: None,
         }
     }
@@ -283,7 +306,7 @@ mod tests {
 
     #[test]
     fn fft_profile_flops() {
-        let p = KernelProfile::fft("fft", DType::ComplexF64, 2000, 5000, 2.0);
+        let p = KernelProfile::fft("fft", DType::ComplexF64, 2000, 5000);
         assert!(p.flops > 0.0);
         assert!(p.bytes_read > 0.0);
         let dev = DeviceSpec::mi300x();

@@ -27,12 +27,18 @@
 //! Numerical results never come from this crate — arithmetic runs for real
 //! on the CPU; only *times* are modeled.
 //!
-//! This crate is the cost-model *substrate*: device specs, kernel
-//! profiles, and the phase clock. The executable front door is
-//! `fftmatvec_backend::SimulatedDevice`, the device backend that runs
-//! every primitive on the CPU while booking these modeled timings — use
-//! it (via `.backend(..)` or `FFTMATVEC_BACKEND=simulated`) instead of
-//! assembling [`KernelProfile`]s by hand.
+//! This crate is the cost-model *substrate*: device specs, the phase
+//! clock, and every launch profile that needs no BLAS type
+//! ([`KernelProfile::streaming`], [`KernelProfile::fft`],
+//! [`KernelProfile::real_fft`], the one [`kernel::FFT_PASSES`]); the GEMV
+//! profile is `fftmatvec_blas::kernel_profile`. What one *apply* costs is
+//! assembled once per kernel family on top of it —
+//! `fftmatvec_core::timing::simulate_phases` for the block-triangular
+//! matvec, the pointwise kernel's `modeled_phases` for multi-level
+//! Toeplitz — and that same assembly is what the figure binaries print
+//! and what `fftmatvec_backend::SimulatedDevice` books, once per apply,
+//! when an operator runs on it (`.backend(..)` or
+//! `FFTMATVEC_BACKEND=simulated`).
 
 pub mod clock;
 pub mod device;

@@ -109,8 +109,8 @@ proptest! {
     #[test]
     fn fft_profile_scaling(n_exp in 6u32..13, batch in 1usize..4096) {
         let n = 1usize << n_exp;
-        let p1 = KernelProfile::fft("f", DType::ComplexF64, n, batch, 2.0);
-        let p2 = KernelProfile::fft("f", DType::ComplexF64, n, batch * 2, 2.0);
+        let p1 = KernelProfile::fft("f", DType::ComplexF64, n, batch);
+        let p2 = KernelProfile::fft("f", DType::ComplexF64, n, batch * 2);
         prop_assert!((p2.total_bytes() / p1.total_bytes() - 2.0).abs() < 1e-9);
         prop_assert!((p2.flops / p1.flops - 2.0).abs() < 1e-9);
         let dev = DeviceSpec::mi300x();

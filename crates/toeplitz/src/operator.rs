@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use fftmatvec_backend::{BackendError, DeviceBackend};
+use fftmatvec_core::gpu::{dtype_for, DeviceSpec, KernelProfile, Phase, PhaseTimes};
 use fftmatvec_core::{
     BoundParams, BuildOptions, ConfigError, ConfigurableOperator, LinearOperator, MatvecPhase,
     OpDirection, OpError, OpShape, PhaseWeights, PrecisionConfig, SpectralKernel, TieredPipeline,
@@ -295,6 +296,51 @@ impl SpectralKernel for PointwiseKernel {
 
     fn phase_weights(&self, dir: OpDirection) -> PhaseWeights {
         PhaseWeights::for_shape(1, 1, self.sym.embed_total(), dir)
+    }
+
+    /// Per channel — one on the full embedding, two half-grid channels
+    /// on the split path — an embed stream, one batched complex FFT
+    /// launch per grid axis, the pointwise multiply (read grid + symbol,
+    /// write grid) with the tier-boundary casts charged to it as the
+    /// paper charges the reorders to SBGEMV, the inverse axis passes and
+    /// the extract stream.
+    fn modeled_phases(
+        &self,
+        cfg: PrecisionConfig,
+        dir: OpDirection,
+        dev: &DeviceSpec,
+    ) -> PhaseTimes {
+        let (in_len, out_len) = self.shape().io_lens(dir);
+        let n = self.sym.grid_len();
+        let [p_pad, p_fft, p_gemv, p_ifft, p_unpad] = MatvecPhase::ALL.map(|ph| cfg.phase(ph));
+        let grid = |p: Precision| (n * p.complex_bytes()) as f64;
+        let stream = |name, p, read, written| {
+            KernelProfile::streaming(name, dtype_for(true, p), read, written).estimate_time(dev)
+        };
+        let cast = |name, from: Precision, to: Precision| {
+            if from == to {
+                0.0
+            } else {
+                stream(name, to, grid(from), grid(to))
+            }
+        };
+        let fftn = |name, p| -> f64 {
+            let axis = |&d| KernelProfile::fft(name, dtype_for(true, p), d, n / d);
+            self.sym.work_dims().iter().map(|d| axis(d).estimate_time(dev)).sum()
+        };
+        let mut channel = PhaseTimes::new();
+        channel.add(Phase::Pad, stream("embed", p_pad, (in_len * 8) as f64, grid(p_fft)));
+        channel.add(Phase::Fft, fftn("fftn", p_fft));
+        let multiply = stream("pointwise", p_gemv, 2.0 * grid(p_gemv), grid(p_gemv));
+        let casts = cast("cast_in", p_fft, p_gemv) + cast("cast_out", p_gemv, p_ifft);
+        channel.add(Phase::Sbgemv, multiply + casts);
+        channel.add(Phase::Ifft, fftn("ifftn", p_ifft));
+        channel.add(Phase::Unpad, stream("extract", p_unpad, grid(p_ifft), (out_len * 8) as f64));
+        let mut times = channel.clone();
+        if self.sym.is_split() {
+            times.add_with(&channel);
+        }
+        times
     }
 }
 

@@ -8,8 +8,11 @@
 //!   trait exactly as they do on the direct path;
 //! * the CPU backend stays **zero-allocation** in the steady state when
 //!   dispatched through `dyn DeviceBackend`;
-//! * the simulated device accounts one logical upload and one download
-//!   per pipeline pass and books modeled phase times;
+//! * every backend's ledger counts one logical upload and one download
+//!   per apply, for every operator family;
+//! * the simulated device's modeled ledger **is** the closed-form cost
+//!   model: `k` applies book exactly `k ×` the kernel's per-apply phase
+//!   times, plus the host-link charge on the transfer edge;
 //! * selecting the portability backend is a typed build-time error,
 //!   never a panic, with and without the hipify factory installed;
 //! * selection precedence is builder > `FFTMATVEC_BACKEND` > default.
@@ -17,11 +20,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fftmatvec::backend::{BackendError, BackendKind, BACKEND_ENV};
+use fftmatvec::backend::simulated::HOST_LINK_BYTES_PER_SEC;
+use fftmatvec::backend::{BackendError, BackendKind, DeviceBackend, SimulatedDevice, BACKEND_ENV};
+use fftmatvec::core::timing::{simulate_phases, MatvecDims};
 use fftmatvec::core::{
-    BlockToeplitzOperator, ConfigError, FftMatvec, LinearOperator, OpError, PipelineBackend,
+    BlockToeplitzOperator, ConfigError, FftMatvec, LinearOperator, MatvecPhase, OpDirection,
+    OpError, PipelineBackend, PrecisionConfig, SpectralKernel,
 };
-use fftmatvec::gpu::Phase;
+use fftmatvec::gpu::{dtype_for, DeviceSpec, KernelProfile, Phase, PhaseTimes};
 use fftmatvec::numeric::{Precision, RealBuffer, SplitMix64};
 use fftmatvec::toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
@@ -161,7 +167,7 @@ fn cpu_backend_is_zero_alloc_when_warm() {
 
 /// The simulated device accounts exactly one logical upload (the pad
 /// edge) and one download (the unpad edge) per pipeline pass, with the
-/// right byte counts, and books modeled FFT phase time.
+/// right byte counts, and books modeled phase time.
 #[test]
 fn simulated_device_accounts_transfers_and_phases() {
     let mv = pipeline(17, "dssdd", BackendKind::Simulated);
@@ -180,7 +186,7 @@ fn simulated_device_accounts_transfers_and_phases() {
     let times = device.modeled_times().expect("simulated device keeps a clock");
     assert!(times.get(Phase::Fft) > 0.0, "forward FFT time booked");
     assert!(times.get(Phase::Ifft) > 0.0, "inverse FFT time booked");
-    assert!(times.get(Phase::Pad) > 0.0, "dssdd boundary cast booked to Pad");
+    assert!(times.get(Phase::Pad) > 0.0, "pad streaming booked");
     assert!(times.get(Phase::Comm) > 0.0, "host-link transfer time booked");
 
     device.reset_transfers();
@@ -206,25 +212,10 @@ fn cpu_backend_keeps_a_transfer_ledger_but_no_clock() {
 /// split-FFT paths.
 #[test]
 fn toeplitz_backends_are_bit_identical_too() {
-    let diags_len = (3 + 4 - 1) * (5 + 3 - 1);
-    let mut diags = vec![0.0; diags_len];
-    SplitMix64::new(23).fill_uniform(&mut diags, -1.0, 1.0);
-    diags[(4 - 1) * (5 + 3 - 1) + (3 - 1)] += 4.0;
-    let gen = ToeplitzGenerator::two_level((3, 4), (5, 3), diags).unwrap();
     for split in [false, true] {
         for cfg in ["ddddd", "dssdd"] {
-            let cpu = TwoLevelToeplitz::builder(gen.clone())
-                .precision(cfg.parse().unwrap())
-                .split_fft(split)
-                .backend(PipelineBackend::Cpu)
-                .build()
-                .unwrap();
-            let sim = TwoLevelToeplitz::builder(gen.clone())
-                .precision(cfg.parse().unwrap())
-                .split_fft(split)
-                .backend(PipelineBackend::Simulated)
-                .build()
-                .unwrap();
+            let cpu = two_level(cfg, split, PipelineBackend::Cpu);
+            let sim = two_level(cfg, split, PipelineBackend::Simulated);
             assert_eq!(sim.backend(), PipelineBackend::Simulated);
             let m = input(cpu.shape().cols, 29);
             assert_eq!(
@@ -232,11 +223,182 @@ fn toeplitz_backends_are_bit_identical_too() {
                 sim.apply_forward(&m).unwrap(),
                 "[split={split},{cfg}] forward"
             );
-            // The pointwise multiply runs through the simulated device,
-            // so Sbgemv phase time accumulates.
+            // The apply books the pointwise kernel's model, so Sbgemv
+            // phase time accumulates.
             assert!(sim.device().modeled_times().unwrap().get(Phase::Sbgemv) > 0.0);
         }
     }
+}
+
+fn two_level_gen() -> ToeplitzGenerator {
+    let mut diags = vec![0.0; (3 + 4 - 1) * (5 + 3 - 1)];
+    SplitMix64::new(43).fill_uniform(&mut diags, -1.0, 1.0);
+    diags[(4 - 1) * (5 + 3 - 1) + (3 - 1)] += 4.0;
+    ToeplitzGenerator::two_level((3, 4), (5, 3), diags).unwrap()
+}
+
+fn two_level(cfg: &str, split: bool, backend: PipelineBackend) -> TwoLevelToeplitz {
+    TwoLevelToeplitz::builder(two_level_gen())
+        .precision(cfg.parse().unwrap())
+        .split_fft(split)
+        .backend(backend)
+        .build()
+        .unwrap()
+}
+
+/// Relative agreement up to the rounding of a `k`-term running sum.
+fn close(got: f64, want: f64) -> bool {
+    (got - want).abs() <= 1e-12 * want.abs()
+}
+
+/// The host↔device edge is booked by the shared pipeline step, so the
+/// Toeplitz operators count it exactly like `FftMatvec` does — on every
+/// backend, on both construction paths, in both directions.
+#[test]
+fn toeplitz_applies_book_the_transfer_edge() {
+    for backend in [PipelineBackend::Cpu, PipelineBackend::Simulated] {
+        for split in [false, true] {
+            let op = two_level("ddddd", split, backend);
+            let (rows, cols) = (op.shape().rows, op.shape().cols);
+            let (x, y) = (input(cols, 47), input(rows, 53));
+            let applies = 3u64;
+            for _ in 0..applies {
+                op.apply_forward(&x).unwrap();
+                op.apply_adjoint(&y).unwrap();
+            }
+            let t = op.device().transfers();
+            let tag = format!("[{backend:?}, split={split}]");
+            assert_eq!((t.uploads, t.downloads), (2 * applies, 2 * applies), "{tag} events");
+            assert_eq!(t.bytes_up, applies * ((cols + rows) * 8) as u64, "{tag} bytes up");
+            assert_eq!(t.bytes_down, applies * ((rows + cols) * 8) as u64, "{tag} bytes down");
+
+            op.device().reset_transfers();
+            op.apply_forward(&x).unwrap();
+            let t = op.device().transfers();
+            assert_eq!((t.uploads, t.downloads), (1, 1), "{tag} one forward apply");
+            assert_eq!((t.bytes_up, t.bytes_down), ((cols * 8) as u64, (rows * 8) as u64), "{tag}");
+        }
+    }
+}
+
+/// The ledger is the closed form. On every paper device the block-
+/// triangular kernel's per-apply model, booked through the accounting
+/// hook, equals `simulate_phases`; on the device the pipeline runs on,
+/// `k` applies leave every compute phase at `k ×` that closed form
+/// (bit-exact for one apply) and Comm at the host-link charge alone.
+#[test]
+fn simulated_ledger_is_the_closed_form() {
+    let dims = MatvecDims::new(ND, NM, NT);
+    for code in ["ddddd", "dssdd", "ddssd", "hbsdd"] {
+        let cfg: PrecisionConfig = code.parse().unwrap();
+        let mv = pipeline(41, code, BackendKind::Simulated);
+        for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+            let adjoint = dir == OpDirection::Adjoint;
+            for dev in SimulatedDevice::paper_lineup() {
+                dev.record_apply(&|spec| mv.kernel().modeled_phases(cfg, dir, spec));
+                assert_eq!(
+                    dev.modeled(),
+                    simulate_phases(dims, cfg, adjoint, dev.spec()),
+                    "[{code} {dir}] {}",
+                    dev.name()
+                );
+            }
+
+            let spec = DeviceSpec::mi300x();
+            assert_eq!(mv.device().name(), spec.name, "the registry's simulated device");
+            let closed = simulate_phases(dims, cfg, adjoint, &spec);
+            let (in_len, out_len) = mv.shape().io_lens(dir);
+            let link = (spec.launch_latency + (in_len * 8) as f64 / HOST_LINK_BYTES_PER_SEC)
+                + (spec.launch_latency + (out_len * 8) as f64 / HOST_LINK_BYTES_PER_SEC);
+            let (x, mut y) = (input(in_len, 59), vec![0.0; out_len]);
+            for k in [1usize, 5] {
+                mv.device().reset_transfers();
+                for _ in 0..k {
+                    mv.apply_into(dir, &x, &mut y).unwrap();
+                }
+                let ledger = mv.device().modeled_times().unwrap();
+                // Comm is the host link alone.
+                let per_apply = |p| if p == Phase::Comm { link } else { closed.get(p) };
+                for p in Phase::COMPUTE.into_iter().chain([Phase::Comm]) {
+                    let (got, want) = (ledger.get(p), k as f64 * per_apply(p));
+                    let ok = if k == 1 { got == want } else { close(got, want) };
+                    assert!(ok, "[{code} {dir} k={k}] {}: {got} vs {want}", p.label());
+                }
+            }
+        }
+    }
+}
+
+/// A 32-column batch books 32 applies — transfers and modeled time — on
+/// both sides of the pipeline's sequential/parallel batch threshold
+/// (4096 `f64` elements: 32 × 80 stays under it, 32 × 320 crosses it).
+#[test]
+fn batched_applies_book_one_apply_per_column() {
+    for nt in [NT, 4 * NT] {
+        let mut col = vec![0.0; nt * ND * NM];
+        SplitMix64::new(61).fill_uniform(&mut col, -1.0, 1.0);
+        let op = BlockToeplitzOperator::from_first_block_column(ND, NM, nt, &col).unwrap();
+        let mv = FftMatvec::builder(op).backend(BackendKind::Simulated).build().unwrap();
+        let (cols, rows) = (NM * nt, ND * nt);
+        let xs = input(32 * cols, 67);
+        let mut ys = vec![0.0; 32 * rows];
+        mv.apply_many_into(OpDirection::Forward, &xs, &mut ys).unwrap();
+
+        let t = mv.device().transfers();
+        assert_eq!((t.uploads, t.downloads), (32, 32), "nt={nt}");
+        assert_eq!((t.bytes_up, t.bytes_down), ((32 * cols * 8) as u64, (32 * rows * 8) as u64));
+        let ledger = mv.device().modeled_times().unwrap();
+        let closed = simulate_phases(
+            MatvecDims::new(ND, NM, nt),
+            PrecisionConfig::all_double(),
+            false,
+            &DeviceSpec::mi300x(),
+        );
+        for p in Phase::COMPUTE {
+            let (got, want) = (ledger.get(p), 32.0 * closed.get(p));
+            assert!(close(got, want), "nt={nt} {}: {got} vs {want}", p.label());
+        }
+    }
+}
+
+/// The Toeplitz kernel books its own five-phase model: every compute
+/// phase is charged, and the transform phases are one complex FFT launch
+/// per grid axis per channel — one full-grid channel on the full
+/// embedding, two half-grid channels on the split path.
+#[test]
+fn toeplitz_ledger_books_five_phases_and_split_runs_two_half_grid_channels() {
+    let spec = DeviceSpec::mi300x();
+    for code in ["ddddd", "dssdd"] {
+        let cfg: PrecisionConfig = code.parse().unwrap();
+        for split in [false, true] {
+            let op = two_level(code, split, PipelineBackend::Simulated);
+            let x = input(op.shape().cols, 71);
+            op.apply_forward(&x).unwrap();
+            let ledger: PhaseTimes = op.device().modeled_times().unwrap();
+            for p in Phase::COMPUTE {
+                assert!(ledger.get(p) > 0.0, "[{code} split={split}] {} booked", p.label());
+            }
+
+            let sym = op.symbol_shared();
+            let (dims, n) = (sym.work_dims(), sym.grid_len());
+            let pass = |phase| -> f64 {
+                let dtype = dtype_for(true, cfg.phase(phase));
+                dims.iter()
+                    .map(|&d| KernelProfile::fft("axis", dtype, d, n / d).estimate_time(&spec))
+                    .sum()
+            };
+            let channels = if split { 2.0 } else { 1.0 };
+            assert_eq!(
+                ledger.get(Phase::Fft) + ledger.get(Phase::Ifft),
+                channels * pass(MatvecPhase::Fft) + channels * pass(MatvecPhase::Ifft),
+                "[{code} split={split}] transform phases"
+            );
+        }
+    }
+    // The split working grid really is the smaller one.
+    let full = two_level("ddddd", false, PipelineBackend::Simulated).symbol_shared();
+    let half = two_level("ddddd", true, PipelineBackend::Simulated).symbol_shared();
+    assert!(half.grid_len() < full.grid_len());
 }
 
 /// Unknown and unavailable backend selections are typed build-time
