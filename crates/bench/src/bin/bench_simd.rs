@@ -11,7 +11,9 @@
 //! * `convert_*` — the batched f16/bf16 ↔ f32 buffer casts;
 //! * `fft_forward` — a full iterative transform (radix-4/radix-2
 //!   butterfly stages) per precision tier;
-//! * `sbgemv_notrans` — the optimized short-wide GEMV tile sweep.
+//! * `sbgemv_notrans` — the short-wide GEMV row-tile sweep (real tiers);
+//! * `sbgemv_conjtrans` — the column-tiled transposed sweep on the
+//!   pipeline's phase-3 block (16×256, complex), the adjoint's kernel.
 //!
 //! Two checks, mirroring the other bench gates:
 //! * **floor** — the 16-bit conversion and butterfly kernels (the
@@ -56,6 +58,9 @@ const CONV_LEN: usize = 1 << 12;
 const FFT_N: usize = 1024;
 /// Short-wide SBGEMV shape (paper regime: `m ≪ n`), batched.
 const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
+/// The `bench_e2e` `paper_*` phase-3 block: `N_d × N_m` per frequency,
+/// `N_t + 1` frequencies.
+const PAPER_BLOCK: (usize, usize, usize) = (16, 256, 65);
 
 /// Time `work` with dispatch forced portable vs forced to `level`,
 /// interleaved, and append the row.
@@ -184,39 +189,31 @@ fn measure_fft<T: Real>(
 
 fn measure_gemv<S: Scalar>(
     rows: &mut Vec<Record>,
+    op: GemvOp,
+    (m, n, batch): (usize, usize, usize),
     precision: &str,
     level: SimdLevel,
     samples: usize,
     ms: f64,
 ) {
-    let (m, n, batch) = GEMV_SHAPE;
     let mut rng = SplitMix64::new(47);
     let mut fill = |len: usize| -> Vec<S> {
         (0..len)
             .map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
             .collect()
     };
-    let g = BatchGeometry::packed(m, n, GemvOp::NoTrans, batch);
+    let g = BatchGeometry::packed(m, n, op, batch);
     let a = fill(batch * m * n);
-    let x = fill(batch * n);
-    let mut y: Vec<S> = fill(batch * m);
+    let x = fill(batch * op.input_len(m, n));
+    let mut y: Vec<S> = fill(batch * op.output_len(m, n));
     let (alpha, beta) = (S::one(), S::zero());
+    let kernel = if op.is_transposed() { "sbgemv_conjtrans" } else { "sbgemv_notrans" };
     measure(
         rows,
-        "sbgemv_notrans",
+        kernel,
         precision,
         level,
-        || {
-            sbgemv(
-                GemvOp::NoTrans,
-                alpha,
-                black_box(&a),
-                black_box(&x),
-                beta,
-                black_box(&mut y),
-                &g,
-            )
-        },
+        || sbgemv(op, alpha, black_box(&a), black_box(&x), beta, black_box(&mut y), &g),
         samples,
         ms,
     );
@@ -249,9 +246,13 @@ fn main() {
     measure_fft::<f32>(&mut rows, "f32", level, samples, sample_ms);
     measure_fft::<f16>(&mut rows, "f16", level, samples, sample_ms);
     measure_fft::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
-    measure_gemv::<f32>(&mut rows, "f32", level, samples, sample_ms);
-    measure_gemv::<f16>(&mut rows, "f16", level, samples, sample_ms);
-    measure_gemv::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
+    let n = GemvOp::NoTrans;
+    measure_gemv::<f32>(&mut rows, n, GEMV_SHAPE, "f32", level, samples, sample_ms);
+    measure_gemv::<f16>(&mut rows, n, GEMV_SHAPE, "f16", level, samples, sample_ms);
+    measure_gemv::<bf16>(&mut rows, n, GEMV_SHAPE, "bf16", level, samples, sample_ms);
+    let h = GemvOp::ConjTrans;
+    measure_gemv::<Complex<f32>>(&mut rows, h, PAPER_BLOCK, "c32", level, samples, sample_ms);
+    measure_gemv::<Complex<f64>>(&mut rows, h, PAPER_BLOCK, "c64", level, samples, sample_ms);
     rule(78);
 
     if level == SimdLevel::Portable {

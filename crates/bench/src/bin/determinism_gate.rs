@@ -35,11 +35,11 @@ fn report(name: &str, digest: u64) {
     println!("DIGEST {name} {digest:016x}");
 }
 
-/// The `bench_matvec` shape set (largest shape exercises every parallel
-/// path) in the baseline and paper-optimal configurations.
-fn matvec_workloads() {
-    let (nd, nm, nt) = (8usize, 256usize, 256usize);
-    for config in ["ddddd", "dssdd"] {
+/// One pipeline shape in two configurations: F and F\*, solo and as a
+/// six-column `apply_many_into` (the pool path), digest names
+/// `matvec{tag}_…` / `matvec_many{tag}_…`.
+fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: [&str; 2]) {
+    for config in configs {
         let cfg: PrecisionConfig = config.parse().expect("valid config literal");
         let mv = FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
             .precision(cfg)
@@ -54,16 +54,22 @@ fn matvec_workloads() {
                 OpDirection::Forward => "forward",
                 OpDirection::Adjoint => "adjoint",
             };
-            report(&format!("matvec_{config}_{d}"), f64_bits(&out));
+            report(&format!("matvec{tag}_{config}_{d}"), f64_bits(&out));
 
             // Column-batched sweep: the apply_many pool path.
             let cols = 6;
             let inputs = stuffed_vector(in_len * cols, 11);
             let mut outs = vec![0.0; out_len * cols];
             mv.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
-            report(&format!("matvec_many_{config}_{d}"), f64_bits(&outs));
+            report(&format!("matvec_many{tag}_{config}_{d}"), f64_bits(&outs));
         }
     }
+}
+
+/// The `bench_matvec` shape set (largest shape exercises every parallel
+/// path) in the baseline and paper-optimal configurations.
+fn matvec_workloads() {
+    matvec_shape("", (8, 256, 256), ["ddddd", "dssdd"]);
 
     // Direct (non-FFT) matvec at a size its O(N_t²) cost tolerates.
     let op = make_operator(4, 32, 64, 17);
@@ -72,6 +78,16 @@ fn matvec_workloads() {
     let mut d = vec![0.0; 4 * 64];
     direct.apply_forward_into(&m, &mut d).expect("valid shapes");
     report("direct_forward", f64_bits(&d));
+
+    // The SBGEMV's pairwise tree and every tile remainder: 8×256 above
+    // keeps each adjoint dot inside one base run and 256 is a multiple of
+    // every tile and lane width. Here `N_d = 19 > 16` splits the adjoint
+    // reduction (and leaves an odd row), `N_m = 51` splits the forward
+    // one and ends every column tile in a partial register group, a lone
+    // register and scalar columns — in f64 (`ddddd`) and with the f32
+    // kernels on both sweeps (`ddssd`). 65 blocks of 19×51 sit above the
+    // batch-parallel threshold.
+    matvec_shape("_19x51", (19, 51, 64), ["ddddd", "ddssd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz

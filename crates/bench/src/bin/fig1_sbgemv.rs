@@ -5,11 +5,15 @@
 //! (`s`/`d`/`c`/`z`), short-and-wide through square shapes, batch 100,
 //! transpose for real types and conjugate-transpose for complex types.
 //! Bandwidth comes from the kernel cost model; a CPU correctness pass
-//! checks the one executing kernel against a naive dot product.
+//! checks the one executing kernel against a naive dot product, and a
+//! closing *measured* line times that kernel's two sweeps on this host.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin fig1_sbgemv`
 
+use std::hint::black_box;
+
 use fftmatvec_bench::rule;
+use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_blas::{kernel_profile, sbgemv, BatchGeometry, GemvOp, KernelChoice};
 use fftmatvec_gpu::DeviceSpec;
 use fftmatvec_numeric::{Complex, DType, Scalar, SplitMix64};
@@ -58,17 +62,16 @@ fn paper_reference(dtype: DType, m: usize, n: usize) -> Option<(f64, f64)> {
         .map(|&(_, _, _, b, o)| (b, o))
 }
 
+fn fill<S: Scalar>(rng: &mut SplitMix64, len: usize) -> Vec<S> {
+    (0..len).map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))).collect()
+}
+
 /// CPU cross-check: the kernel against a sequential naive dot per output
 /// (scaled-down shape to keep the run fast). `op` is a transposed mode.
 fn kernel_vs_naive<S: Scalar>(op: GemvOp) -> f64 {
     let (m, n, batch) = (24usize, 96usize, 5usize);
     let mut rng = SplitMix64::new(7);
     let g = BatchGeometry::packed(m, n, op, batch);
-    let fill = |rng: &mut SplitMix64, len: usize| -> Vec<S> {
-        (0..len)
-            .map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
-            .collect()
-    };
     let a: Vec<S> = fill(&mut rng, batch * m * n);
     let x: Vec<S> = fill(&mut rng, batch * m);
     let mut y = vec![S::zero(); batch * n];
@@ -87,6 +90,30 @@ fn kernel_vs_naive<S: Scalar>(op: GemvOp) -> f64 {
             ((pr - qr).powi(2) + (pi - qi).powi(2)).sqrt()
         })
         .fold(0.0, f64::max)
+}
+
+/// Measured on this CPU: `NoTrans` and `ConjTrans` over the `bench_e2e`
+/// paper block (16×256, 65 frequencies), interleaved; `(µs, GB/s)` per
+/// sweep, bytes = matrix + both vectors. Reported, never asserted.
+fn measured_sweeps<S: Scalar>() -> [(f64, f64); 2] {
+    let (m, n, batch) = (16usize, 256usize, 65usize);
+    let rng = &mut SplitMix64::new(11);
+    let a: Vec<S> = fill(rng, batch * m * n);
+    let (long, short): (Vec<S>, Vec<S>) = (fill(rng, batch * n), fill(rng, batch * m));
+    let (mut y_n, mut y_h) = (short.clone(), long.clone());
+    let (g_n, g_h) = (
+        BatchGeometry::packed(m, n, GemvOp::NoTrans, batch),
+        BatchGeometry::packed(m, n, GemvOp::ConjTrans, batch),
+    );
+    let (one, zero) = (S::one(), S::zero());
+    let (ns_n, ns_h) = time_pair_ns(
+        || sbgemv(GemvOp::NoTrans, one, black_box(&a), &long, zero, black_box(&mut y_n), &g_n),
+        || sbgemv(GemvOp::ConjTrans, one, black_box(&a), &short, zero, black_box(&mut y_h), &g_h),
+        7,
+        10.0,
+    );
+    let bytes = ((a.len() + long.len() + short.len()) * std::mem::size_of::<S>()) as f64;
+    [ns_n, ns_h].map(|ns| (ns / 1e3, bytes / ns))
 }
 
 fn main() {
@@ -140,4 +167,21 @@ fn main() {
         "kernel cross-check (max abs diff vs naive dot, CPU execution): real double T = {dt:.2e}, complex double H = {zt:.2e}"
     );
     assert!(dt < 1e-12 && zt < 1e-12, "CPU kernel disagrees with the naive dot");
+
+    println!();
+    println!(
+        "measured on this CPU ({} pool threads): 16x256 block, batch 65, matrix + vector bytes / best time",
+        rayon::current_num_threads()
+    );
+    let rows = [
+        ("complex float", measured_sweeps::<Complex<f32>>()),
+        ("complex double", measured_sweeps::<Complex<f64>>()),
+    ];
+    for (name, [(us_n, gbps_n), (us_h, gbps_h)]) in rows {
+        println!(
+            "  {name:<14} | N {gbps_n:>5.1} GB/s ({us_n:>6.1} us) | H {gbps_h:>5.1} GB/s ({us_h:>6.1} us) | \
+             H/N time {:.2}x",
+            us_h / us_n
+        );
+    }
 }

@@ -1,12 +1,15 @@
 //! The CPU execution of the SBGEMV.
 //!
 //! [`sbgemv`] computes `y_b = α·op(A_b)·x_b + β·y_b` for every matrix in
-//! the batch with one loop nest, [`gemv`]: non-transpose accumulates
-//! column-by-column over row tiles; (conjugate-)transpose computes one
-//! pairwise dot product per output element. The two *GPU* kernels of
-//! Figure 1 — rocBLAS's and the paper's — differ in launch geometry, not
-//! in arithmetic, so they are modeled ([`crate::dispatch`]) rather than
-//! executed twice.
+//! the batch with one loop nest, `gemv`: the outputs are cut into tiles of
+//! [`crate::OPT_TILE_COLS`] — *rows* for non-transpose, *columns* for
+//! (conjugate-)transpose, the paper's Section 3.1.1 geometry — and every
+//! tile walks its reduction range (columns resp. rows) through one
+//! pairwise tree with one accumulator per output. The two *GPU* kernels
+//! of Figure 1 — rocBLAS's and the paper's — differ in launch geometry,
+//! not in arithmetic, so they are modeled ([`crate::dispatch`]) rather
+//! than executed twice; the executed CPU kernel has the geometry of
+//! [`crate::KernelChoice::Optimized`].
 //!
 //! **Summation structure matters for the error analysis.** GPU GEMV
 //! kernels never sum a length-k dot sequentially: threads hold partial
@@ -16,6 +19,12 @@
 //! `N_m = 5000` FP32 reductions) are only reachable with that structure,
 //! so these CPU kernels use pairwise (recursive-halving) summation — the
 //! same error class as the GPU tree reductions.
+//!
+//! **The tree is per output and fixed by the reduction length alone**
+//! (`mid = r0 + (r1 − r0)/2`, sequential runs of ≤ 16 at the leaves). A
+//! tile only decides which outputs share a pass over the matrix: lanes
+//! and registers run *across* outputs, never along the reduction, so tile
+//! width, lane width and thread count cannot change a bit of any output.
 
 use fftmatvec_numeric::Scalar;
 #[cfg(feature = "parallel")]
@@ -64,8 +73,26 @@ pub fn sbgemv<S: Scalar>(
     y.chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
 }
 
+/// Outputs per tile — rows of `y` for non-transpose, columns of `A` for
+/// (conjugate-)transpose: one gridblock's worth of outputs (the modeled
+/// optimized kernel's column tile) and the size of the stack-resident
+/// accumulator vectors.
+const TILE: usize = crate::OPT_TILE_COLS;
+
+/// Sequential run length at the base of the pairwise trees (a GPU
+/// thread's private accumulation before shuffles take over).
+const PAIRWISE_BASE: usize = 16;
+
 /// GEMV on one matrix (column-major, leading dim `lda`).
-pub fn gemv<S: Scalar>(
+///
+/// **Extent precondition** — what every vector tile in [`crate::simd`]
+/// relies on for its unchecked loads and stores: `lda ≥ m`,
+/// `a.len() ≥ (n−1)·lda + m`, `x.len() ≥ op.input_len(m, n)` and
+/// `y.len() ≥ op.output_len(m, n)`, so that `a[j·lda + i]` is in bounds
+/// for every `i < m`, `j < n`. [`sbgemv`] establishes it per batch item
+/// through [`BatchGeometry::validate`]; it is asserted again here so the
+/// tiles below are sound whoever calls.
+pub(crate) fn gemv<S: Scalar>(
     op: GemvOp,
     alpha: S,
     a: &[S],
@@ -76,126 +103,144 @@ pub fn gemv<S: Scalar>(
     m: usize,
     n: usize,
 ) {
+    let (outs, red) = (op.output_len(m, n), op.input_len(m, n));
+    assert!(
+        m > 0 && n > 0 && lda >= m && a.len() >= (n - 1) * lda + m,
+        "gemv: {m}x{n} matrix (lda {lda}) exceeds a.len() = {}",
+        a.len()
+    );
+    assert!(x.len() >= red && y.len() >= outs, "gemv: x or y shorter than {op}({m}x{n}) needs");
     // BLAS convention: β = 0 means y is write-only (never read), so prior
     // NaN/uninitialized contents must not propagate.
-    let beta_zero = beta == S::zero();
-    match op {
-        GemvOp::NoTrans => {
-            // Column sweep with tree-combined partials: one gridblock
-            // covers up to [`NOTRANS_TILE_ROWS`] contiguous rows; within a
-            // gridblock, per-thread column partials merge pairwise, not in
-            // one long sequential chain. Partials live in fixed stack
-            // tiles (no heap allocation on the hot path) and every column
-            // slice touched is contiguous, so the matrix streams through
-            // cache with full line utilization even when one block
-            // overflows L2. Tiling the rows does not change any element's
-            // summation tree — the pairwise vector merge is elementwise.
-            let mut i0 = 0;
-            for dst in y.chunks_mut(NOTRANS_TILE_ROWS) {
-                let mut partial = [S::zero(); NOTRANS_TILE_ROWS];
-                notrans_pairwise_tile(a, lda, x, i0, dst.len(), 0, n, &mut partial);
-                for (yi, &pi) in dst.iter_mut().zip(&partial) {
-                    let prior = if beta_zero { S::zero() } else { beta * *yi };
-                    *yi = alpha.mul_add(pi, prior);
-                }
-                i0 += dst.len();
+    let beta = (beta != S::zero()).then_some(beta);
+    let sweep = Sweep { op, a, lda, x };
+    let mut o0 = 0;
+    for dst in y[..outs].chunks_mut(TILE) {
+        let mut acc = [S::zero(); TILE];
+        let acc = &mut acc[..dst.len()];
+        sweep.pairwise_tile(o0, 0, red, acc);
+        scale_into(alpha, acc, beta, dst);
+        o0 += dst.len();
+    }
+}
+
+/// One matrix's sweep as the tile recursion sees it: which dimension the
+/// outputs run along is `op`'s business, confined to the base case.
+struct Sweep<'a, S> {
+    op: GemvOp,
+    a: &'a [S],
+    lda: usize,
+    x: &'a [S],
+}
+
+impl<S: Scalar> Sweep<'_, S> {
+    /// One output tile `[o0, o0 + acc.len())` of the pairwise-combined
+    /// sweep: the reduction range `[r0, r1)` splits as a tree, base runs
+    /// of ≤ [`PAIRWISE_BASE`] accumulate sequentially into `acc`, and the
+    /// right half is added elementwise — per output, the association of
+    /// a recursive-halving dot product, but with one pass over the matrix
+    /// per tile instead of per output. Partials live in fixed stack tiles
+    /// (no heap allocation on the hot path); recursion depth is
+    /// `log₂(len/16)`, so worst-case stack use is a few KB of tiles.
+    fn pairwise_tile(&self, o0: usize, r0: usize, r1: usize, acc: &mut [S]) {
+        if r1 - r0 <= PAIRWISE_BASE {
+            self.base_run(o0, r0, r1, acc);
+        } else {
+            let mid = r0 + (r1 - r0) / 2;
+            self.pairwise_tile(o0, r0, mid, acc);
+            let mut right = [S::zero(); TILE];
+            let right = &mut right[..acc.len()];
+            self.pairwise_tile(o0, mid, r1, right);
+            for (l, &r) in acc.iter_mut().zip(right.iter()) {
+                *l += r;
             }
         }
-        GemvOp::Trans | GemvOp::ConjTrans => {
-            trans_sweep(op == GemvOp::ConjTrans, alpha, a, lda, &x[..m], beta, &mut y[..n]);
+    }
+
+    /// The base case: `acc[k] = Σ_{r0 ≤ r < r1} op(A)[o0 + k, r]·x[r]`,
+    /// summed sequentially from zero in increasing `r`. The vector
+    /// kernels run the identical per-output chain (outputs are
+    /// independent lanes), so results are bit-identical whichever path
+    /// executes.
+    fn base_run(&self, o0: usize, r0: usize, r1: usize, acc: &mut [S]) {
+        let Sweep { op, a, lda, x } = *self;
+        match op {
+            GemvOp::NoTrans => {
+                if !crate::simd::notrans_tile(a, lda, x, o0, r0, r1, acc) {
+                    notrans_run(a, lda, x, o0, r0, r1, acc);
+                }
+            }
+            GemvOp::Trans | GemvOp::ConjTrans => {
+                let conj = op == GemvOp::ConjTrans;
+                if !crate::simd::trans_tile(conj, a, lda, x, o0, r0, r1, acc) {
+                    trans_run(conj, a, lda, x, o0, r0, r1, acc);
+                }
+            }
         }
     }
 }
 
-/// The (conjugate-)transposed sweep: one dot product of length `x.len()`
-/// per output element; the dot itself is a wavefront tree.
-///
-/// Its own function rather than an arm of [`gemv`]'s `match`: written
-/// inline there, the pipeline's 16×256 adjoint measured ~5 % slower
-/// (`bench_e2e` `paper_dd`, `adj_p50_us`, 0 of 5 pairs won).
-fn trans_sweep<S: Scalar>(
-    conj: bool,
-    alpha: S,
-    a: &[S],
-    lda: usize,
-    x: &[S],
-    beta: S,
-    y: &mut [S],
-) {
-    let beta_zero = beta == S::zero();
-    for (j, yj) in y.iter_mut().enumerate() {
-        let col = &a[j * lda..j * lda + x.len()];
-        let acc = pairwise_dot(col, x, conj);
-        let prior = if beta_zero { S::zero() } else { beta * *yj };
-        *yj = alpha.mul_add(acc, prior);
-    }
-}
-
-/// Sequential run length at the base of the pairwise trees (a GPU
-/// thread's private accumulation before shuffles take over).
-const PAIRWISE_BASE: usize = 16;
-
-/// Pairwise (recursive-halving) dot product — the error class of a
-/// wavefront tree reduction: `O(ε·log k)` worst case instead of
-/// sequential summation's `O(ε·k)`.
-fn pairwise_dot<S: Scalar>(col: &[S], x: &[S], conj: bool) -> S {
-    debug_assert_eq!(col.len(), x.len());
-    if col.len() <= PAIRWISE_BASE {
-        let mut acc = S::zero();
-        for (&aij, &xi) in col.iter().zip(x) {
-            let v = if conj { aij.conj() } else { aij };
-            acc = v.mul_add(xi, acc);
-        }
-        acc
-    } else {
-        let mid = col.len() / 2;
-        pairwise_dot(&col[..mid], &x[..mid], conj) + pairwise_dot(&col[mid..], &x[mid..], conj)
-    }
-}
-
-/// Row-tile height of the non-transpose column sweep — one gridblock's
-/// worth of outputs, and the size of the stack-resident partial vectors.
-const NOTRANS_TILE_ROWS: usize = 64;
-
-/// One row tile of the pairwise-combined column sweep: the column range
-/// `[j0, j1)` splits as a tree, base runs of ≤ [`PAIRWISE_BASE`] columns
-/// accumulate sequentially into `acc[..rows]` — per element, the same
-/// association the heap-allocating partial-vector merge produced, but
-/// with stack tiles and contiguous `rows`-long column reads. Recursion
-/// depth is `log₂(n/16)`, so worst-case stack use is a few KB of tiles.
-fn notrans_pairwise_tile<S: Scalar>(
+/// Scalar non-transpose base run over rows `[i0, i0 + acc.len())`:
+/// columns `[j0, j1)` in order, every column slice read contiguous.
+pub(crate) fn notrans_run<S: Scalar>(
     a: &[S],
     lda: usize,
     x: &[S],
     i0: usize,
-    rows: usize,
     j0: usize,
     j1: usize,
-    acc: &mut [S; NOTRANS_TILE_ROWS],
+    acc: &mut [S],
 ) {
-    if j1 - j0 <= PAIRWISE_BASE {
-        // The vector kernels run the identical per-row accumulation
-        // chain (rows are independent lanes), so results are
-        // bit-identical whichever path executes.
-        if crate::simd::notrans_tile(a, lda, x, i0, rows, j0, j1, &mut acc[..]) {
-            return;
+    acc.fill(S::zero());
+    for j in j0..j1 {
+        let col = &a[j * lda + i0..j * lda + i0 + acc.len()];
+        let xj = x[j];
+        for (p, &aij) in acc.iter_mut().zip(col) {
+            *p = aij.mul_add(xj, *p);
         }
-        acc[..rows].fill(S::zero());
-        for j in j0..j1 {
-            let col = &a[j * lda + i0..j * lda + i0 + rows];
-            let xj = x[j];
-            for (p, &aij) in acc[..rows].iter_mut().zip(col) {
-                *p = aij.mul_add(xj, *p);
-            }
+    }
+}
+
+/// Scalar (conjugate-)transpose base run over columns
+/// `[j0, j0 + acc.len())`: rows `[i0, i1)` in order. Rows outermost, so
+/// the columns' chains interleave instead of each waiting out its own FMA
+/// latency (5–8 % faster than column-by-column on the 16×256 block).
+pub(crate) fn trans_run<S: Scalar>(
+    conj: bool,
+    a: &[S],
+    lda: usize,
+    x: &[S],
+    j0: usize,
+    i0: usize,
+    i1: usize,
+    acc: &mut [S],
+) {
+    acc.fill(S::zero());
+    for i in i0..i1 {
+        let xi = x[i];
+        for (c, p) in acc.iter_mut().enumerate() {
+            let aij = a[(j0 + c) * lda + i];
+            let v = if conj { aij.conj() } else { aij };
+            *p = v.mul_add(xi, *p);
         }
-    } else {
-        let mid = j0 + (j1 - j0) / 2;
-        notrans_pairwise_tile(a, lda, x, i0, rows, j0, mid, acc);
-        let mut right = [S::zero(); NOTRANS_TILE_ROWS];
-        notrans_pairwise_tile(a, lda, x, i0, rows, mid, j1, &mut right);
-        for (l, &r) in acc[..rows].iter_mut().zip(&right[..rows]) {
-            *l += r;
-        }
+    }
+}
+
+/// The α/β epilogue of one tile: `y = α·acc + β·y`, `y` write-only when
+/// `beta` is `None`. Always the full `mul_add`, α = 1 included: a
+/// shortcut would keep a −0 that the full operation returns as +0, and
+/// the determinism digests hash bits.
+fn scale_into<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) {
+    if !crate::simd::scale_tile(alpha, acc, beta, y) {
+        scale_run(alpha, acc, beta, y);
+    }
+}
+
+/// Scalar epilogue (and the vector epilogues' remainder).
+pub(crate) fn scale_run<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) {
+    for (yi, &pi) in y.iter_mut().zip(acc) {
+        let prior = beta.map_or(S::zero(), |b| b * *yi);
+        *yi = alpha.mul_add(pi, prior);
     }
 }
 
@@ -286,6 +331,90 @@ mod tests {
         sbgemv(op, alpha, &a, &x, beta, &mut got, &g);
         let err = rel_err(&got, &want);
         assert!(err < tol, "{op} m={m} n={n} batch={batch}: err {err}");
+    }
+
+    /// The arithmetic `Trans`/`ConjTrans` executed before the column
+    /// tile, kept as the reference: one recursive-halving dot per output.
+    fn pairwise_dot<S: Scalar>(col: &[S], x: &[S], conj: bool) -> S {
+        debug_assert_eq!(col.len(), x.len());
+        if col.len() <= PAIRWISE_BASE {
+            let mut acc = S::zero();
+            for (&aij, &xi) in col.iter().zip(x) {
+                let v = if conj { aij.conj() } else { aij };
+                acc = v.mul_add(xi, acc);
+            }
+            acc
+        } else {
+            let mid = col.len() / 2;
+            pairwise_dot(&col[..mid], &x[..mid], conj) + pairwise_dot(&col[mid..], &x[mid..], conj)
+        }
+    }
+
+    fn bits<S: Scalar>(v: S) -> (u64, u64) {
+        let (re, im) = v.to_f64_parts();
+        (re.to_bits(), im.to_bits())
+    }
+
+    /// Every transposed output equals the per-column pairwise dot on
+    /// bits, under both epilogues: β = 0 over NaN-prefilled `y`, and a
+    /// general α/β.
+    fn check_transposed_tree<S: Scalar>(op: GemvOp, m: usize, n: usize, lda: usize) {
+        let mut rng = SplitMix64::new((m * 131 + n) as u64);
+        let g = BatchGeometry { m, n, lda, stride_a: lda * n, stride_x: m, stride_y: n, batch: 2 };
+        let a: Vec<S> = fill(&mut rng, 2 * lda * n);
+        let x: Vec<S> = fill(&mut rng, 2 * m);
+        let y0: Vec<S> = fill(&mut rng, 2 * n);
+        let nan = S::from_f64_parts(f64::NAN, f64::NAN);
+        let general = (S::from_f64_parts(1.25, -0.5), S::from_f64_parts(0.75, 0.25));
+        for (alpha, beta) in [(S::one(), S::zero()), general] {
+            let beta_zero = beta == S::zero();
+            let mut y = if beta_zero { vec![nan; 2 * n] } else { y0.clone() };
+            sbgemv(op, alpha, &a, &x, beta, &mut y, &g);
+            for (k, &got) in y.iter().enumerate() {
+                let (b, j) = (k / n, k % n);
+                let col = &a[b * g.stride_a + j * lda..][..m];
+                let dot = pairwise_dot(col, &x[b * m..(b + 1) * m], op == GemvOp::ConjTrans);
+                let prior = if beta_zero { S::zero() } else { beta * y0[k] };
+                let want = alpha.mul_add(dot, prior);
+                assert_eq!(bits(got), bits(want), "{op} {m}x{n} lda={lda} y[{b}][{j}]");
+            }
+        }
+    }
+
+    /// Shapes on both sides of `PAIRWISE_BASE` and of every lane,
+    /// register-group and tile width; packed and padded `lda`.
+    fn check_transposed_trees<S: Scalar>() {
+        for (m, n) in [(16, 256), (1, 1), (15, 17), (17, 33), (33, 7), (67, 130)] {
+            for op in [GemvOp::Trans, GemvOp::ConjTrans] {
+                check_transposed_tree::<S>(op, m, n, m);
+                check_transposed_tree::<S>(op, m, n, m + 3);
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_tree_is_pinned_bit_for_bit() {
+        use fftmatvec_numeric::half::{bf16, f16};
+        use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
+
+        // The level is process-global; sibling tests running meanwhile
+        // are level-agnostic (every level computes the same bits).
+        let prev = active_level();
+        for level in [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon] {
+            if !level_supported(level) {
+                continue;
+            }
+            set_active_level(level);
+            check_transposed_trees::<f32>();
+            check_transposed_trees::<f64>();
+            check_transposed_trees::<f16>();
+            check_transposed_trees::<bf16>();
+            check_transposed_trees::<Complex<f32>>();
+            check_transposed_trees::<Complex<f64>>();
+            check_transposed_trees::<Complex<f16>>();
+            check_transposed_trees::<Complex<bf16>>();
+        }
+        set_active_level(prev);
     }
 
     #[test]

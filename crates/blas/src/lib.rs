@@ -7,9 +7,11 @@
 //! optimized kernel (Section 3.1.1), later merged upstream. This crate
 //! rebuilds both, as what they are here:
 //!
-//! * **One CPU kernel** ([`kernels::gemv`], reached through [`sbgemv`])
-//!   executes the real arithmetic: a row-tiled column sweep for
-//!   non-transpose, one pairwise dot per output for (conj)transpose.
+//! * **One CPU kernel** ([`sbgemv`]) executes the real arithmetic as one
+//!   tiled sweep: tiles of rows walking the columns for non-transpose,
+//!   tiles of *columns* walking the rows for (conj)transpose — the
+//!   geometry of [`KernelChoice::Optimized`] below — with one pairwise
+//!   tree per output either way ([`kernels`]).
 //! * **Two GPU launch models** ([`KernelChoice`], [`select_kernel`],
 //!   [`kernel_profile`]) stand for the kernels Figure 1 compares.
 //!   [`KernelChoice::Reference`] is rocBLAS: in (conj)transpose mode each
@@ -39,7 +41,7 @@ pub use types::{BatchGeometry, GemvOp, KernelChoice};
 
 /// Column tile width of the modeled optimized kernel (the paper's
 /// gridblocks tile the columns; 64 matches one wavefront of threads per
-/// tile edge).
+/// tile edge) — and the output tile of the executed CPU sweep.
 pub const OPT_TILE_COLS: usize = 64;
 
 /// Row chunk the modeled reference non-transpose kernel assigns per

@@ -145,16 +145,29 @@ proptest! {
         n in 1usize..64,
         batch in 1usize..4,
         op_sel in 0u8..3,
+        lda_pad in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
-        check_kernel::<f32>(m, n, batch, op_from(op_sel), 0, seed, 2e-4)?;
+        check_kernel::<f32>(m, n, batch, op_from(op_sel), lda_pad, seed, 2e-4)?;
     }
 
-    /// Which GPU kernel the dispatcher model names for a shape has no say
-    /// in the result: the one CPU kernel matches the oracle on the
-    /// phase-3 op, here out to shapes wider than one 64-column tile.
+    /// The mixed-precision pipeline's kernel type (`dssdd` / `ddssd`).
     #[test]
-    fn dispatch_is_result_invariant(
+    fn complex_f32_kernels_match_oracle(
+        m in 1usize..40,
+        n in 1usize..90,
+        batch in 1usize..4,
+        op_sel in 0u8..3,
+        lda_pad in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        check_kernel::<Complex<f32>>(m, n, batch, op_from(op_sel), lda_pad, seed, 2e-4)?;
+    }
+
+    /// The phase-3 adjoint op out to shapes wider than one 64-column
+    /// tile and taller than one pairwise base run.
+    #[test]
+    fn wide_conjtrans_matches_oracle(
         m in 1usize..64,
         n in 1usize..128,
         seed in 0u64..u64::MAX,

@@ -1,6 +1,6 @@
-//! Bit-for-bit equivalence of the vectorized SBGEMV tile base case
-//! against the scalar sweep, across every dispatch level, for all eight
-//! `Scalar` types (4 real + 4 complex).
+//! Bit-for-bit equivalence of the vectorized SBGEMV tile base cases and
+//! epilogue against the scalar sweep, across every dispatch level, for
+//! all eight `Scalar` types (4 real + 4 complex).
 
 use std::sync::Mutex;
 
@@ -50,10 +50,31 @@ fn run_all<S: Scalar>(m: usize, n: usize, batch: usize, seed: u64) -> Vec<Vec<(u
     digests
 }
 
-/// Shapes exercising the full vector body, the remainder rows of every
-/// lane width (1–7 leftover rows), multiple row tiles, and the pairwise
-/// tree above the base case (n > 16).
-const SHAPES: &[(usize, usize, usize)] = &[(8, 20, 2), (12, 100, 1), (67, 33, 2), (5, 130, 3)];
+/// Shapes exercising the full vector body, the remainders of every lane
+/// and register-group width on both sweeps (1–7 leftover rows; `n mod 16`
+/// takes every value 0…15 across the set, for the transposed column
+/// groups), multiple output tiles, and the pairwise tree above the base
+/// case on either side (`n > 16` for non-transpose, `m > 16` for
+/// transpose). First entry: the pipeline's paper-shaped block.
+const SHAPES: &[(usize, usize, usize)] = &[
+    (16, 256, 2),
+    (8, 20, 2),
+    (12, 100, 1),
+    (67, 33, 2),
+    (5, 130, 3),
+    (3, 19, 1),
+    (17, 21, 1),
+    (20, 38, 1),
+    (33, 23, 1),
+    (9, 40, 1),
+    (18, 25, 2),
+    (2, 42, 1),
+    (31, 27, 1),
+    (16, 44, 1),
+    (19, 29, 1),
+    (7, 46, 1),
+    (24, 31, 1),
+];
 
 fn check_tier<S: Scalar>() {
     let _guard = LEVEL_LOCK.lock().unwrap();
