@@ -9,16 +9,21 @@
 //! rows cover the three vectorized layers:
 //!
 //! * `convert_*` — the batched f16/bf16 ↔ f32 buffer casts;
-//! * `fft_forward` — a full iterative transform (radix-4/radix-2
-//!   butterfly stages) per precision tier;
+//! * `fft_forward` — a full iterative complex transform (radix-4/radix-2
+//!   butterfly stages) per precision tier, and `fft_real_forward_n<N>` —
+//!   the pipeline's R2C transform at the `bench_e2e` lengths and the
+//!   paper's `N_t = 1000` (mixed radix), `f32`/`f64`;
 //! * `sbgemv_notrans` — the short-wide GEMV row-tile sweep (real tiers);
 //! * `sbgemv_conjtrans` — the column-tiled transposed sweep on the
 //!   pipeline's phase-3 block (16×256, complex), the adjoint's kernel.
 //!
-//! Two checks, mirroring the other bench gates:
-//! * **floor** — the 16-bit conversion and butterfly kernels (the
-//!   tentpole claim) must be no slower than the scalar path
-//!   ([`SIMD_FLOOR`], 1.0×);
+//! Three checks, mirroring the other bench gates:
+//! * **floor** — the 16-bit conversion and butterfly kernels must be no
+//!   slower than the scalar path ([`SIMD_FLOOR`], 1.0×);
+//! * **FFT floor** — the `f32`/`f64` transforms must beat the portable
+//!   level by [`SIMD_FFT_FLOOR`] (3.0×): every pass of theirs is a vector
+//!   or FMA-context pass, and a silent fall-back of one of them to the
+//!   plain scalar path costs more than that margin;
 //! * **baseline** — every row's speedup must stay within `-tol` of the
 //!   committed `bench/baseline_simd.json`.
 //!
@@ -37,11 +42,11 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::record::{self, Record, SIMD, SIMD_FLOOR};
+use fftmatvec_bench::record::{self, Record, SIMD, SIMD_FFT_FLOOR, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
-use fftmatvec_fft::FftPlan;
+use fftmatvec_fft::{FftPlan, RealFftPlan};
 use fftmatvec_numeric::simd::{
     active_level, narrow_f32_to_bf16, narrow_f32_to_f16, set_active_level, widen_bf16_to_f32,
     widen_f16_to_f32, SimdLevel,
@@ -53,9 +58,16 @@ use fftmatvec_numeric::{bf16, f16, Complex, Real, Scalar, SplitMix64};
 /// bandwidth and the ratio collapses toward 1.0 regardless of compute
 /// width, which is the memory wall, not a kernel regression.
 const CONV_LEN: usize = 1 << 12;
-/// Transform length for the butterfly rows (pure power of two: every
-/// stage is a vectorized radix-4/radix-2 butterfly).
+/// Complex transform length of the `fft_forward` rows: five radix-4
+/// stages, the first (`s == 1`) with lanes across butterflies, the rest
+/// across the inner stride — and for the 16-bit tiers a scalar first
+/// stage in an FMA context.
 const FFT_N: usize = 1024;
+/// Real transform lengths of the `fft_real_forward_n<N>` rows: the
+/// `bench_e2e` `paper_*`/`serve_*` (128) and `longseries_dd` (8192)
+/// shapes, and the paper's own `N_t = 1000` (2000 = 2·4·2·5³: three
+/// table-driven radix-5 stages).
+const REAL_FFT_NS: [usize; 3] = [128, 2000, 8192];
 /// Short-wide SBGEMV shape (paper regime: `m ≪ n`), batched.
 const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
 /// The `bench_e2e` `paper_*` phase-3 block: `N_d × N_m` per frequency,
@@ -90,7 +102,7 @@ fn measure<F: FnMut()>(
     );
     set_active_level(level);
     println!(
-        "{kernel:<16} {precision:<5} portable {portable_ns:>12.1} ns   {} {simd_ns:>12.1} ns   \
+        "{kernel:<22} {precision:<5} portable {portable_ns:>12.1} ns   {} {simd_ns:>12.1} ns   \
          {:>6.2}x",
         level.name(),
         portable_ns / simd_ns
@@ -160,31 +172,34 @@ fn measure_conversions(rows: &mut Vec<Record>, level: SimdLevel, samples: usize,
     }
 }
 
+/// One transform row: complex out-of-place forward of length `n`
+/// (`fft_forward`, the historical `n = 1024` row name) or, with `real`,
+/// the R2C forward (`fft_real_forward_n<n>`).
 fn measure_fft<T: Real>(
     rows: &mut Vec<Record>,
+    (n, real): (usize, bool),
     precision: &str,
     level: SimdLevel,
     samples: usize,
     ms: f64,
 ) {
     let mut rng = SplitMix64::new(43);
-    let input: Vec<Complex<T>> = (0..FFT_N)
-        .map(|_| {
-            Complex::new(T::from_f64(rng.uniform(-1.0, 1.0)), T::from_f64(rng.uniform(-1.0, 1.0)))
-        })
-        .collect();
-    let plan = FftPlan::<T>::new(FFT_N);
-    let mut output = vec![Complex::<T>::zero(); FFT_N];
-    let mut scratch = vec![Complex::<T>::zero(); plan.scratch_len()];
-    measure(
-        rows,
-        "fft_forward",
-        precision,
-        level,
-        || plan.forward(black_box(&input), black_box(&mut output), &mut scratch),
-        samples,
-        ms,
-    );
+    let signal: Vec<T> = (0..2 * n).map(|_| T::from_f64(rng.uniform(-1.0, 1.0))).collect();
+    if real {
+        let plan = RealFftPlan::<T>::new(n);
+        let mut output = vec![Complex::<T>::zero(); plan.spectrum_len()];
+        let mut scratch = vec![Complex::<T>::zero(); plan.scratch_len()];
+        let kernel = format!("fft_real_forward_n{n}");
+        let work = || plan.forward(black_box(&signal[..n]), black_box(&mut output), &mut scratch);
+        measure(rows, &kernel, precision, level, work, samples, ms);
+    } else {
+        let input: Vec<Complex<T>> = signal.chunks(2).map(|c| Complex::new(c[0], c[1])).collect();
+        let plan = FftPlan::<T>::new(n);
+        let mut output = vec![Complex::<T>::zero(); n];
+        let mut scratch = vec![Complex::<T>::zero(); plan.scratch_len()];
+        let work = || plan.forward(black_box(&input), black_box(&mut output), &mut scratch);
+        measure(rows, "fft_forward", precision, level, work, samples, ms);
+    }
 }
 
 fn measure_gemv<S: Scalar>(
@@ -219,12 +234,21 @@ fn measure_gemv<S: Scalar>(
     );
 }
 
-/// Rows [`SIMD_FLOOR`] applies to: the tentpole's 16-bit conversion and
-/// butterfly kernels.
+/// Is `r` a row of a 16-bit tier?
+fn sixteen_bit(r: &Record) -> bool {
+    matches!(SIMD.render(r, "precision").as_str(), "f16" | "bf16")
+}
+
+/// Rows [`SIMD_FLOOR`] applies to: the 16-bit conversion and butterfly
+/// kernels.
 fn floor_gated(r: &Record) -> bool {
-    let (kernel, precision) = (SIMD.render(r, "kernel"), SIMD.render(r, "precision"));
-    (precision == "f16" || precision == "bf16")
-        && (kernel.starts_with("convert") || kernel.starts_with("fft"))
+    let kernel = SIMD.render(r, "kernel");
+    sixteen_bit(r) && (kernel.starts_with("convert") || kernel.starts_with("fft"))
+}
+
+/// Rows [`SIMD_FFT_FLOOR`] applies to: the `f32`/`f64` transforms.
+fn fft_floor_gated(r: &Record) -> bool {
+    !sixteen_bit(r) && SIMD.render(r, "kernel").starts_with("fft")
 }
 
 fn main() {
@@ -234,18 +258,24 @@ fn main() {
 
     let level = active_level();
     println!(
-        "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit rows)",
+        "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit rows, {:.2}x on f32/f64 \
+         fft rows)",
         level.name(),
-        SIMD_FLOOR.bound
+        SIMD_FLOOR.bound,
+        SIMD_FFT_FLOOR.bound
     );
     rule(78);
 
     let mut rows = Vec::new();
     measure_conversions(&mut rows, level, samples, sample_ms);
-    measure_fft::<f64>(&mut rows, "f64", level, samples, sample_ms);
-    measure_fft::<f32>(&mut rows, "f32", level, samples, sample_ms);
-    measure_fft::<f16>(&mut rows, "f16", level, samples, sample_ms);
-    measure_fft::<bf16>(&mut rows, "bf16", level, samples, sample_ms);
+    measure_fft::<f64>(&mut rows, (FFT_N, false), "f64", level, samples, sample_ms);
+    measure_fft::<f32>(&mut rows, (FFT_N, false), "f32", level, samples, sample_ms);
+    measure_fft::<f16>(&mut rows, (FFT_N, false), "f16", level, samples, sample_ms);
+    measure_fft::<bf16>(&mut rows, (FFT_N, false), "bf16", level, samples, sample_ms);
+    for n in REAL_FFT_NS {
+        measure_fft::<f64>(&mut rows, (n, true), "f64", level, samples, sample_ms);
+        measure_fft::<f32>(&mut rows, (n, true), "f32", level, samples, sample_ms);
+    }
     let n = GemvOp::NoTrans;
     measure_gemv::<f32>(&mut rows, n, GEMV_SHAPE, "f32", level, samples, sample_ms);
     measure_gemv::<f16>(&mut rows, n, GEMV_SHAPE, "f16", level, samples, sample_ms);
@@ -266,7 +296,11 @@ fn main() {
         return;
     }
 
-    let floor_rows: Vec<Record> = rows.iter().filter(|r| floor_gated(r)).cloned().collect();
-    let below_floor = SIMD.threshold_failures(&floor_rows, &SIMD_FLOOR);
+    let below = |applies: fn(&Record) -> bool, bar| {
+        let gated: Vec<Record> = rows.iter().filter(|r| applies(r)).cloned().collect();
+        SIMD.threshold_failures(&gated, bar)
+    };
+    let mut below_floor = below(floor_gated, &SIMD_FLOOR);
+    below_floor.extend(below(fft_floor_gated, &SIMD_FFT_FLOOR));
     record::finish(&SIMD, &args, &rows, below_floor);
 }

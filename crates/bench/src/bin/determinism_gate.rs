@@ -88,6 +88,14 @@ fn matvec_workloads() {
     // kernels on both sweeps (`ddssd`). 65 blocks of 19×51 sit above the
     // batch-parallel threshold.
     matvec_shape("_19x51", (19, 51, 64), ["ddddd", "ddssd"]);
+
+    // A non-power-of-two series: `N_t = 250` transforms length 500, whose
+    // half plan 250 = 2·5³ opens with a radix-2 first stage over an odd
+    // butterfly count (a vector body plus a scalar remainder) and runs
+    // three table-driven radix-5 stages — the scalar stage body in its
+    // FMA instantiation — in f64 (`ddddd`) and in f32 (`dssdd`); 251
+    // mirror-pair bins leave the real unpack/repack a remainder too.
+    matvec_shape("_nt250", (6, 10, 250), ["ddddd", "dssdd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz

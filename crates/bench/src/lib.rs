@@ -397,7 +397,10 @@ mod tests {
                 make: simd_rows,
                 shows: "\"level\": \"avx2\", \"portable_ns\": 4000.0, \"simd_ns\": 1000.0, \
                         \"speedup\": 4.000}",
-                bars: vec![(&SIMD_FLOOR, |x| simd_rows(0, 1000.0 * x, 1000.0))],
+                bars: vec![
+                    (&SIMD_FLOOR, |x| simd_rows(0, 1000.0 * x, 1000.0)),
+                    (&SIMD_FFT_FLOOR, |x| simd_rows(1, 1000.0 * x, 1000.0)),
+                ],
             },
             Case {
                 schema: &SERVICE,
@@ -625,7 +628,7 @@ mod tests {
         let committed = [
             ("baseline.json", (48, 24)),
             ("baseline_matvec.json", (24, 12)),
-            ("baseline_simd.json", (13, 13)),
+            ("baseline_simd.json", (19, 19)),
             ("baseline_service.json", (2, 1)),
             ("baseline_autotune.json", (4, 4)),
             ("baseline_toeplitz.json", (4, 4)),

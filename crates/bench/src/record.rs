@@ -439,6 +439,13 @@ pub const SIMD: Schema = Schema {
 /// only: the vector kernels must be no slower than the scalar paths.
 pub const SIMD_FLOOR: Bar =
     Bar { name: "no-slower-than-scalar", of: None, better: Better::Higher, bound: 1.0 };
+/// Applied by `bench_simd` to the `f32`/`f64` `fft_*` rows: at a vector
+/// level every pass of those transforms is a vector kernel or an
+/// FMA-context scalar body, worth 5–25× over the portable level's libm
+/// `fma` calls; one pass falling back to the plain scalar path (the
+/// first Stockham stage did, at 1.7×) drops the row below this bar.
+pub const SIMD_FFT_FLOOR: Bar =
+    Bar { name: "fft-vector-floor", of: None, better: Better::Higher, bound: 3.0 };
 
 /// `bench_service`: one open-loop load run per `(shape, mode)`, `mode` =
 /// `coalesced` (windows up to `max_batch`) or `batch1`; `threads` is the

@@ -19,6 +19,7 @@ use fftmatvec_numeric::{Complex, Real};
 
 use crate::cache::{self, PlanHandle};
 use crate::plan::FftDirection;
+use crate::simd::fma_pass;
 
 /// Precomputed Bluestein transform of length `n`.
 pub struct BluesteinPlan<T: Real> {
@@ -71,13 +72,9 @@ impl<T: Real> BluesteinPlan<T> {
     /// Chirp-and-pad the input into `a` (length `m`); for the inverse,
     /// conjugate here (first half of the conj identity).
     fn load(&self, input: &[Complex<T>], a: &mut [Complex<T>], inverse: bool) {
-        for j in 0..self.n {
-            let x = if inverse { input[j].conj() } else { input[j] };
-            a[j] = x * self.chirp[j];
-        }
-        for v in a[self.n..].iter_mut() {
-            *v = Complex::zero();
-        }
+        let (head, tail) = a.split_at_mut(self.n);
+        chirp_in(input, &self.chirp, head, inverse);
+        tail.fill(Complex::zero());
     }
 
     /// Circular convolution with the chirp kernel, in place in `a` with
@@ -97,16 +94,7 @@ impl<T: Real> BluesteinPlan<T> {
     /// Final chirp: `X[k] = c[k]·chirp[k]`, finishing the conj identity and
     /// `1/n` scaling for the inverse.
     fn store(&self, a: &[Complex<T>], output: &mut [Complex<T>], inverse: bool) {
-        if inverse {
-            let scale = T::from_usize(self.n).recip();
-            for k in 0..self.n {
-                output[k] = (a[k] * self.chirp[k]).conj().scale(scale);
-            }
-        } else {
-            for k in 0..self.n {
-                output[k] = a[k] * self.chirp[k];
-            }
-        }
+        chirp_out(&a[..self.n], &self.chirp, output, inverse);
     }
 
     /// Transform `input` (length `n`) into `output` (length `n`).
@@ -145,6 +133,36 @@ impl<T: Real> BluesteinPlan<T> {
         self.load(buf, a, inverse);
         self.convolve(a, work);
         self.store(a, buf, inverse);
+    }
+}
+
+fma_pass! {
+    /// `a[j] = x[j]·chirp[j]`, with `x` conjugated first for the inverse.
+    fn chirp_in<T: Real>(
+        input: &[Complex<T>],
+        chirp: &[Complex<T>],
+        a: &mut [Complex<T>],
+        inverse: bool,
+    ) {
+        for ((v, &x), &c) in a.iter_mut().zip(input).zip(chirp) {
+            *v = if inverse { x.conj() } else { x } * c;
+        }
+    }
+}
+
+fma_pass! {
+    /// `output[k] = a[k]·chirp[k]`, conjugated and scaled by `1/n` for the
+    /// inverse.
+    fn chirp_out<T: Real>(
+        a: &[Complex<T>],
+        chirp: &[Complex<T>],
+        output: &mut [Complex<T>],
+        inverse: bool,
+    ) {
+        let scale = T::from_usize(chirp.len()).recip();
+        for ((o, &v), &c) in output.iter_mut().zip(a).zip(chirp) {
+            *o = if inverse { (v * c).conj().scale(scale) } else { v * c };
+        }
     }
 }
 

@@ -7,8 +7,9 @@
 //! schedule:
 //!
 //! * Each prime-power factor becomes one [`Stage`] with its own
-//!   precomputed twiddle table, laid out in the exact order the butterfly
-//!   consumes it — no `q·u` index arithmetic into a shared table.
+//!   precomputed twiddle table, laid out in the exact order that radix's
+//!   butterfly consumes it — no `q·u` index arithmetic into a shared
+//!   table.
 //! * Stages ping-pong between two buffers (the caller's output and a
 //!   scratch arena slice). Stockham's self-sorting property means no
 //!   bit/digit-reversal pass is ever needed, and the innermost loop runs
@@ -17,6 +18,11 @@
 //!   (odd primes up to `MAX_RADIX`) uses a table-driven r-point DFT.
 //!   Lengths with larger prime factors never reach this module — the plan
 //!   routes them to [`crate::bluestein`].
+//! * Every stage is first offered to the vector kernels of
+//!   [`crate::simd`]; what they do not take runs [`scalar_stage`], whose
+//!   one source body is instantiated plainly and in an `avx2,fma` context
+//!   ([`crate::simd::fma_pass`]) so `mul_add` is an instruction, not a
+//!   libm call. All three produce the same bits.
 //!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
 //! outer stride `s` (`n = s·n_cur`), stage output index `r·p + j` holds
@@ -27,6 +33,7 @@
 use fftmatvec_numeric::{Complex, Real};
 
 use crate::plan::{FftDirection, MAX_RADIX};
+use crate::simd::fma_pass;
 
 /// One butterfly pass of the iterative schedule.
 struct Stage<T: Real> {
@@ -36,9 +43,13 @@ struct Stage<T: Real> {
     m: usize,
     /// Outer stride: product of the radices of all earlier stages.
     s: usize,
-    /// `twiddles[p·(r−1) + (j−1)] = e^{-2πi·p·j/n_cur}` for `p in 0..m`,
-    /// `j in 1..r` — one contiguous entry per butterfly output, in
-    /// consumption order (`j = 0` is always 1 and is omitted).
+    /// `e^{-2πi·p·j/n_cur}` for `p in 0..m`, `j in 1..r` (`j = 0` is
+    /// always 1 and is omitted), in the order the radix's butterfly
+    /// consumes it. Radix 2 and 4 keep one plane per output,
+    /// `twiddles[(j−1)·m + p]`: the first-stage vector kernels run lanes
+    /// across `p` and load each plane contiguously ([`twiddles4`]). The
+    /// table-driven odd radices walk `j` innermost and keep
+    /// `twiddles[p·(r−1) + (j−1)]`.
     twiddles: Vec<Complex<T>>,
     /// `radix_roots[x] = e^{-2πi·x/r}` (generic butterflies only; empty
     /// for the hand-coded radices 2 and 4).
@@ -64,13 +75,14 @@ impl<T: Real> IterativeFft<T> {
         for &r in factors {
             let m = n_cur / r;
             let step = -2.0 * std::f64::consts::PI / n_cur as f64;
+            let planar = r == 2 || r == 4;
             let mut twiddles = Vec::with_capacity(m * (r - 1));
-            for p in 0..m {
-                for j in 1..r {
-                    twiddles.push(Complex::<f64>::expi(step * (p * j) as f64).cast());
-                }
+            for i in 0..m * (r - 1) {
+                let (p, j) =
+                    if planar { (i % m, 1 + i / m) } else { (i / (r - 1), 1 + i % (r - 1)) };
+                twiddles.push(Complex::<f64>::expi(step * (p * j) as f64).cast());
             }
-            let radix_roots = if r == 2 || r == 4 {
+            let radix_roots = if planar {
                 Vec::new()
             } else {
                 let rstep = -2.0 * std::f64::consts::PI / r as f64;
@@ -170,97 +182,181 @@ impl<T: Real> IterativeFft<T> {
 }
 
 /// Execute one stage, reading `src` and writing every element of `dst`.
-///
-/// The radix-2/4 arms first offer the stage to [`crate::simd`]; the
-/// vector kernels are bit-identical to the scalar loops below (same
-/// expression tree per butterfly), so which path runs is unobservable
-/// in the output.
 fn run_stage<T: Real>(st: &Stage<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
-    let (r, m, s) = (st.radix, st.m, st.s);
-    match r {
-        2 => {
-            if crate::simd::stage_radix2(src, dst, m, s, &st.twiddles, inverse) {
-                return;
+    if !vector_stage(st, src, dst, inverse) {
+        scalar_stage(st, src, dst, inverse);
+    }
+}
+
+/// Offer one stage to the vector kernels of [`crate::simd`]; `true` if
+/// one executed it. They evaluate the expression tree of [`butterfly2`]
+/// / [`butterfly4`] / [`butterfly_odd`] per lane, so which path runs is
+/// unobservable in the output.
+fn vector_stage<T: Real>(
+    st: &Stage<T>,
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    inverse: bool,
+) -> bool {
+    let (m, s, tw) = (st.m, st.s, &st.twiddles[..]);
+    match st.radix {
+        2 => crate::simd::stage_radix2(src, dst, m, s, tw, inverse),
+        4 => crate::simd::stage_radix4(src, dst, m, s, tw, inverse),
+        _ => crate::simd::stage_odd(src, dst, m, s, tw, &st.radix_roots, inverse),
+    }
+}
+
+/// Butterfly `p`'s radix-2 twiddle, conjugated for the inverse transform.
+#[inline(always)]
+pub(crate) fn twiddle2<T: Real>(tw: &[Complex<T>], p: usize, inverse: bool) -> Complex<T> {
+    if inverse {
+        tw[p].conj()
+    } else {
+        tw[p]
+    }
+}
+
+/// Butterfly `p`'s three radix-4 twiddles — one per plane of the stage
+/// table — conjugated for the inverse transform.
+#[inline(always)]
+pub(crate) fn twiddles4<T: Real>(
+    tw: &[Complex<T>],
+    m: usize,
+    p: usize,
+    inverse: bool,
+) -> [Complex<T>; 3] {
+    let w = [tw[p], tw[m + p], tw[2 * m + p]];
+    if inverse {
+        w.map(Complex::conj)
+    } else {
+        w
+    }
+}
+
+/// One radix-2 butterfly: inputs `src[i]`, `src[i + sm]`, outputs
+/// `dst[o]`, `dst[o + s]`. The one scalar expression tree of a radix-2
+/// stage — the scalar loop, the vector kernels' remainders and (per lane)
+/// their bodies all evaluate exactly this.
+#[inline(always)]
+pub(crate) fn butterfly2<T: Real>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    (i, sm): (usize, usize),
+    (o, s): (usize, usize),
+    w: Complex<T>,
+) {
+    let a = src[i];
+    let b = src[i + sm];
+    dst[o] = a + b;
+    dst[o + s] = (a - b) * w;
+}
+
+/// One radix-4 butterfly: inputs `src[i + l·sm]`, outputs `dst[o + j·s]`;
+/// the radix-4 counterpart of [`butterfly2`].
+#[inline(always)]
+pub(crate) fn butterfly4<T: Real>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    (i, sm): (usize, usize),
+    (o, s): (usize, usize),
+    [w1, w2, w3]: [Complex<T>; 3],
+    inverse: bool,
+) {
+    let t0 = src[i];
+    let t1 = src[i + sm];
+    let t2 = src[i + 2 * sm];
+    let t3 = src[i + 3 * sm];
+    let e = t0 + t2;
+    let f = t0 - t2;
+    let g = t1 + t3;
+    let h = t1 - t3;
+    // ∓i·h depending on direction.
+    let ih = if inverse { Complex::new(-h.im, h.re) } else { Complex::new(h.im, -h.re) };
+    dst[o] = e + g;
+    dst[o + s] = (f + ih) * w1;
+    dst[o + 2 * s] = (e - g) * w2;
+    dst[o + 3 * s] = (f - ih) * w3;
+}
+
+/// One table-driven odd-radix butterfly (`r = roots.len()`): inputs
+/// `src[i + l·sm]`, outputs `dst[o + j·s]`, `tw` the butterfly's `r − 1`
+/// twiddles; the counterpart of [`butterfly2`]. Output `j` is the
+/// sequential chain `acc ← t_l·ω_r^{jl} + acc` over `l = 1..r` — the
+/// vector kernel runs the same chain per lane. `t` is the caller's
+/// gather buffer, so a stage zeroes it once, not per butterfly.
+#[inline(always)]
+pub(crate) fn butterfly_odd<T: Real>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    (i, sm): (usize, usize),
+    (o, s): (usize, usize),
+    tw: &[Complex<T>],
+    roots: &[Complex<T>],
+    inverse: bool,
+    t: &mut [Complex<T>; MAX_RADIX],
+) {
+    let r = roots.len();
+    let conj = |w: Complex<T>| if inverse { w.conj() } else { w };
+    for (l, tl) in t[..r].iter_mut().enumerate() {
+        *tl = src[i + sm * l];
+    }
+    let mut acc = t[0];
+    for &tl in &t[1..r] {
+        acc += tl;
+    }
+    dst[o] = acc;
+    for j in 1..r {
+        let mut acc = t[0];
+        // x = j·l mod r, stepped instead of divided.
+        let mut x = 0;
+        for &tl in &t[1..r] {
+            x += j;
+            if x >= r {
+                x -= r;
             }
-            let sm = s * m;
-            for p in 0..m {
-                let mut w = st.twiddles[p];
-                if inverse {
-                    w = w.conj();
-                }
-                let i0 = s * p;
-                let o0 = 2 * s * p;
-                for q in 0..s {
-                    let a = src[i0 + q];
-                    let b = src[i0 + sm + q];
-                    dst[o0 + q] = a + b;
-                    dst[o0 + s + q] = (a - b) * w;
-                }
-            }
+            acc = tl.mul_add(conj(roots[x]), acc);
         }
-        4 => {
-            if crate::simd::stage_radix4(src, dst, m, s, &st.twiddles, inverse) {
-                return;
-            }
-            let sm = s * m;
-            for p in 0..m {
-                let (mut w1, mut w2, mut w3) =
-                    (st.twiddles[3 * p], st.twiddles[3 * p + 1], st.twiddles[3 * p + 2]);
-                if inverse {
-                    w1 = w1.conj();
-                    w2 = w2.conj();
-                    w3 = w3.conj();
-                }
-                let i0 = s * p;
-                let o0 = 4 * s * p;
-                for q in 0..s {
-                    let t0 = src[i0 + q];
-                    let t1 = src[i0 + sm + q];
-                    let t2 = src[i0 + 2 * sm + q];
-                    let t3 = src[i0 + 3 * sm + q];
-                    let e = t0 + t2;
-                    let f = t0 - t2;
-                    let g = t1 + t3;
-                    let h = t1 - t3;
-                    // ∓i·h depending on direction.
-                    let ih =
-                        if inverse { Complex::new(-h.im, h.re) } else { Complex::new(h.im, -h.re) };
-                    dst[o0 + q] = e + g;
-                    dst[o0 + s + q] = (f + ih) * w1;
-                    dst[o0 + 2 * s + q] = (e - g) * w2;
-                    dst[o0 + 3 * s + q] = (f - ih) * w3;
+        dst[o + s * j] = acc * conj(tw[j - 1]);
+    }
+}
+
+fma_pass! {
+    /// The scalar stage loops: every radix for the portable level, and at
+    /// a vector level whatever [`crate::simd`] has no kernel for (the
+    /// 16-bit tiers' odd radices and first stage, odd radices below one
+    /// register of stride).
+    fn scalar_stage<T: Real>(
+        st: &Stage<T>,
+        src: &[Complex<T>],
+        dst: &mut [Complex<T>],
+        inverse: bool,
+    ) {
+        let (r, m, s) = (st.radix, st.m, st.s);
+        let sm = s * m;
+        match r {
+            2 => {
+                for p in 0..m {
+                    let w = twiddle2(&st.twiddles, p, inverse);
+                    for q in 0..s {
+                        butterfly2(src, dst, (s * p + q, sm), (2 * s * p + q, s), w);
+                    }
                 }
             }
-        }
-        _ => {
-            let mut t = [Complex::<T>::zero(); MAX_RADIX];
-            for p in 0..m {
-                let tw = &st.twiddles[p * (r - 1)..(p + 1) * (r - 1)];
-                let i0 = s * p;
-                let o0 = r * s * p;
-                for q in 0..s {
-                    for (l, tl) in t[..r].iter_mut().enumerate() {
-                        *tl = src[i0 + s * m * l + q];
+            4 => {
+                for p in 0..m {
+                    let w = twiddles4(&st.twiddles, m, p, inverse);
+                    for q in 0..s {
+                        butterfly4(src, dst, (s * p + q, sm), (4 * s * p + q, s), w, inverse);
                     }
-                    let mut acc = t[0];
-                    for &tl in &t[1..r] {
-                        acc += tl;
-                    }
-                    dst[o0 + q] = acc;
-                    for j in 1..r {
-                        let mut acc = t[0];
-                        for (l, &tl) in t[..r].iter().enumerate().skip(1) {
-                            let mut wr = st.radix_roots[(j * l) % r];
-                            if inverse {
-                                wr = wr.conj();
-                            }
-                            acc = tl.mul_add(wr, acc);
-                        }
-                        let mut w = tw[j - 1];
-                        if inverse {
-                            w = w.conj();
-                        }
-                        dst[o0 + s * j + q] = acc * w;
+                }
+            }
+            _ => {
+                let mut t = [Complex::<T>::zero(); MAX_RADIX];
+                for p in 0..m {
+                    let tw = &st.twiddles[p * (r - 1)..(p + 1) * (r - 1)];
+                    for q in 0..s {
+                        let (i, o) = (s * p + q, r * s * p + q);
+                        butterfly_odd(src, dst, (i, sm), (o, s), tw, &st.radix_roots, inverse, &mut t);
                     }
                 }
             }
@@ -313,6 +409,36 @@ mod tests {
             eng.process_inplace(&mut buf, &mut scratch, FftDirection::Forward);
             let err = out.iter().zip(&buf).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
             assert!(err < 1e-12, "n={n} err={err}");
+        }
+    }
+
+    /// At an AVX2-class level every stage of every power-of-two `f32` /
+    /// `f64` schedule is *taken* by a vector kernel — a silent fall-back
+    /// to the scalar arm (the first stage, before it had a kernel) fails
+    /// here, not in a benchmark. Vacuous when the process runs portable.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn every_pow2_stage_is_taken_by_a_vector_kernel() {
+        fn check<T: Real>() {
+            for log2 in 3..=13 {
+                let n = 1usize << log2;
+                let eng = IterativeFft::<T>::new(n, &factors_of(n));
+                let src = vec![Complex::<T>::zero(); n];
+                let mut dst = src.clone();
+                for st in &eng.stages {
+                    assert!(
+                        vector_stage(st, &src, &mut dst, false),
+                        "n={n}: radix-{} stage m={} s={} ran scalar",
+                        st.radix,
+                        st.m,
+                        st.s
+                    );
+                }
+            }
+        }
+        if crate::simd::fma_active() {
+            check::<f32>();
+            check::<f64>();
         }
     }
 

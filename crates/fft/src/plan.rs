@@ -24,6 +24,7 @@ use fftmatvec_numeric::{Complex, Real};
 
 use crate::bluestein::BluesteinPlan;
 use crate::iterative::IterativeFft;
+use crate::simd::fma_pass;
 
 /// Transform direction. Forward is `e^{-2πijk/n}` unscaled; inverse is
 /// `e^{+2πijk/n}` scaled by `1/n`.
@@ -248,11 +249,13 @@ impl<T: Real> FftPlan<T> {
     }
 }
 
-#[inline]
-fn scale_by_recip_n<T: Real>(buf: &mut [Complex<T>], n: usize) {
-    let scale = T::from_usize(n).recip();
-    for v in buf.iter_mut() {
-        *v = v.scale(scale);
+fma_pass! {
+    /// The inverse transform's `1/n` pass.
+    fn scale_by_recip_n<T: Real>(buf: &mut [Complex<T>], n: usize) {
+        let scale = T::from_usize(n).recip();
+        for v in buf.iter_mut() {
+            *v = v.scale(scale);
+        }
     }
 }
 

@@ -7,10 +7,20 @@
 //! SBGEMV batch size quoted in Section 2.4.
 //!
 //! The half-length complex plan is shared through [`crate::cache`] (so a
-//! real plan and a complex plan of length `n/2` cost one twiddle set), and
-//! both directions run it in place on the packed buffer: scratch is the
-//! packed signal plus the half plan's ping-pong partner,
-//! `n/2 + half.scratch_len()` elements — half the seed's requirement.
+//! real plan and a complex plan of length `n/2` cost one twiddle set).
+//! Packing pairs of reals into complex values is the identity on memory
+//! (`Complex<T>` is two interleaved `T`s), so neither direction copies:
+//! the forward transform runs the half plan out of place straight from
+//! the caller's real input (viewed as `n/2` complex values) into scratch
+//! and unpacks from there; the inverse repacks the spectrum into scratch
+//! and runs the half plan out of place straight into the caller's real
+//! output. Scratch is the packed signal plus the half plan's ping-pong
+//! partner, `n/2 + half.scratch_len()` elements.
+//!
+//! The two mirror-pair loops (`unpack_pair`, `repack_pair`) are the only
+//! arithmetic outside the half plan; they go through the crate's `simd`
+//! dispatcher like the butterflies do (vector kernels for `f32`/`f64`,
+//! one scalar body in an FMA context otherwise).
 //!
 //! Conventions match [`crate::FftPlan`]: forward unscaled, inverse scaled
 //! so `inverse(forward(x)) == x`.
@@ -19,6 +29,7 @@ use fftmatvec_numeric::{Complex, Real};
 
 use crate::cache::{self, PlanHandle};
 use crate::plan::FftDirection;
+use crate::simd::fma_pass;
 
 /// Plan for transforms of real signals of even length `n`.
 pub struct RealFftPlan<T: Real> {
@@ -27,6 +38,101 @@ pub struct RealFftPlan<T: Real> {
     half: PlanHandle<T>,
     /// `w[k] = e^{-2πik/n}` for `k in 0..n/2` (unpack twiddles).
     twiddles: Vec<Complex<T>>,
+}
+
+/// View an even-length real slice as interleaved complex pairs:
+/// `z[j] = x[2j] + i·x[2j+1]`, the packed signal of the half-length trick.
+fn as_pairs<T: Real>(x: &[T]) -> &[Complex<T>] {
+    assert_eq!(x.len() % 2, 0, "packed view needs an even length");
+    // SAFETY: `Complex<T>` is `#[repr(C)] { re: T, im: T }` — the size of
+    // two `T`s, the alignment of one, no padding — so `2h` initialized
+    // `T`s are exactly `h` valid `Complex<T>`s (the inverse of
+    // `fftmatvec_numeric::complex::as_flat`).
+    unsafe { core::slice::from_raw_parts(x.as_ptr() as *const Complex<T>, x.len() / 2) }
+}
+
+/// Mutable variant of [`as_pairs`].
+fn as_pairs_mut<T: Real>(x: &mut [T]) -> &mut [Complex<T>] {
+    assert_eq!(x.len() % 2, 0, "packed view needs an even length");
+    // SAFETY: as in `as_pairs`; the exclusive borrow transfers.
+    unsafe { core::slice::from_raw_parts_mut(x.as_mut_ptr() as *mut Complex<T>, x.len() / 2) }
+}
+
+/// One mirror pair of the R2C unpack: split `Z = FFT_h(z)` at `k` and
+/// `h − k` into the spectra of the even and odd samples and stitch
+/// `X[k]`, `X[h − k]`. The one expression tree of the unpack loop (the
+/// vector kernels evaluate it per lane); `half` is `0.5`, converted once
+/// by the caller.
+#[inline(always)]
+pub(crate) fn unpack_pair<T: Real>(
+    z: &[Complex<T>],
+    twiddles: &[Complex<T>],
+    output: &mut [Complex<T>],
+    k: usize,
+    half: T,
+) {
+    let h = z.len();
+    let zk = z[k];
+    let zc = z[h - k].conj();
+    let ze = (zk + zc).scale(half);
+    // zo = (zk − zc)/(2i) = −i·(zk − zc)/2
+    let d = (zk - zc).scale(half);
+    let zo = Complex::new(d.im, -d.re);
+    let t = twiddles[k] * zo;
+    output[k] = ze + t;
+    output[h - k] = (ze - t).conj();
+}
+
+/// One mirror pair of the C2R repack: `Z[k]`, `Z[h − k]` (the FFT of the
+/// packed signal) from `X[k]`, `X[h − k]`; the inverse of [`unpack_pair`].
+#[inline(always)]
+pub(crate) fn repack_pair<T: Real>(
+    spectrum: &[Complex<T>],
+    twiddles: &[Complex<T>],
+    z: &mut [Complex<T>],
+    k: usize,
+    half: T,
+) {
+    let h = z.len();
+    let xk = spectrum[k];
+    let xc = spectrum[h - k].conj();
+    let ze = (xk + xc).scale(half);
+    let t = (xk - xc).scale(half);
+    // zo = conj(w^k)·t
+    let zo = twiddles[k].conj() * t;
+    // Z[k] = ze + i·zo ; Z[h−k] = conj(ze) + i·conj(zo)
+    z[k] = Complex::new(ze.re - zo.im, ze.im + zo.re);
+    let zec = ze.conj();
+    let zoc = zo.conj();
+    z[h - k] = Complex::new(zec.re - zoc.im, zec.im + zoc.re);
+}
+
+fma_pass! {
+    /// Scalar mirror-pair loop of the unpack: every `k` with `0 < 2k < h`.
+    fn unpack_pairs_scalar<T: Real>(
+        z: &[Complex<T>],
+        twiddles: &[Complex<T>],
+        output: &mut [Complex<T>],
+    ) {
+        let half = T::from_f64(0.5);
+        for k in 1..z.len().div_ceil(2) {
+            unpack_pair(z, twiddles, output, k, half);
+        }
+    }
+}
+
+fma_pass! {
+    /// Scalar mirror-pair loop of the repack.
+    fn repack_pairs_scalar<T: Real>(
+        spectrum: &[Complex<T>],
+        twiddles: &[Complex<T>],
+        z: &mut [Complex<T>],
+    ) {
+        let half = T::from_f64(0.5);
+        for k in 1..z.len().div_ceil(2) {
+            repack_pair(spectrum, twiddles, z, k, half);
+        }
+    }
 }
 
 impl<T: Real> RealFftPlan<T> {
@@ -72,33 +178,18 @@ impl<T: Real> RealFftPlan<T> {
         assert!(scratch.len() >= self.scratch_len(), "RealFftPlan scratch too small");
         let (z, inner_scratch) = scratch.split_at_mut(h);
 
-        // Pack pairs of reals into complex: z[j] = x[2j] + i·x[2j+1],
-        // then Z = FFT_h(z) in place.
-        for (j, zj) in z.iter_mut().enumerate() {
-            *zj = Complex::new(input[2 * j], input[2 * j + 1]);
-        }
-        self.half.process_inplace(z, inner_scratch, FftDirection::Forward);
+        // Z = FFT_h(z) of the packed signal z[j] = x[2j] + i·x[2j+1].
+        self.half.process(as_pairs(input), z, inner_scratch, FftDirection::Forward);
 
         // Unpack: split Z into the spectra of even/odd samples and stitch.
-        let half = T::from_f64(0.5);
         output[0] = Complex::from_real(z[0].re + z[0].im);
         output[h] = Complex::from_real(z[0].re - z[0].im);
-        let mut k = 1;
-        while 2 * k < h {
-            let zk = z[k];
-            let zc = z[h - k].conj();
-            let ze = (zk + zc).scale(half);
-            // zo = (zk − zc)/(2i) = −i·(zk − zc)/2
-            let d = (zk - zc).scale(half);
-            let zo = Complex::new(d.im, -d.re);
-            let t = self.twiddles[k] * zo;
-            output[k] = ze + t;
-            output[h - k] = (ze - t).conj();
-            k += 1;
-        }
-        if h % 2 == 0 && h >= 2 {
+        if h % 2 == 0 {
             // Self-paired bin: X[h/2] = conj(Z[h/2]).
             output[h / 2] = z[h / 2].conj();
+        }
+        if !crate::simd::real_unpack_pairs(z, &self.twiddles, output) {
+            unpack_pairs_scalar(z, &self.twiddles, output);
         }
     }
 
@@ -117,33 +208,18 @@ impl<T: Real> RealFftPlan<T> {
             (spectrum[0].re + spectrum[h].re) * half,
             (spectrum[0].re - spectrum[h].re) * half,
         );
-        let mut k = 1;
-        while 2 * k < h {
-            let xk = spectrum[k];
-            let xc = spectrum[h - k].conj();
-            let ze = (xk + xc).scale(half);
-            let t = (xk - xc).scale(half);
-            // zo = conj(w^k)·t
-            let zo = self.twiddles[k].conj() * t;
-            // Z[k] = ze + i·zo ; Z[h−k] = conj(ze) + i·conj(zo)
-            z[k] = Complex::new(ze.re - zo.im, ze.im + zo.re);
-            let zec = ze.conj();
-            let zoc = zo.conj();
-            z[h - k] = Complex::new(zec.re - zoc.im, zec.im + zoc.re);
-            k += 1;
-        }
-        if h % 2 == 0 && h >= 2 {
+        if h % 2 == 0 {
             z[h / 2] = spectrum[h / 2].conj();
         }
-
-        // z = IFFT_h(Z) in place (scaled 1/h); the even/odd stitching above
-        // already accounts for the remaining factor of two, so unpacking
-        // the interleaved reals completes the exact inverse.
-        self.half.process_inplace(z, inner_scratch, FftDirection::Inverse);
-        for (j, t) in z.iter().enumerate() {
-            output[2 * j] = t.re;
-            output[2 * j + 1] = t.im;
+        if !crate::simd::real_repack_pairs(spectrum, &self.twiddles, z) {
+            repack_pairs_scalar(spectrum, &self.twiddles, z);
         }
+
+        // z = IFFT_h(Z) (scaled 1/h), landing in the output viewed as
+        // packed pairs; the even/odd stitching above already accounts for
+        // the remaining factor of two, so the interleaved reals are the
+        // exact inverse.
+        self.half.process(z, as_pairs_mut(output), inner_scratch, FftDirection::Inverse);
     }
 }
 

@@ -1,300 +1,486 @@
-//! AVX2+FMA butterfly kernels. Bit-identical to the scalar stage loops
-//! in [`crate::iterative`]; see the module doc of [`super`] for the
-//! identity argument and `fftmatvec_numeric::simd::x86` for the shared
-//! complex/conversion building blocks.
+//! AVX2+FMA kernels. Bit-identical to the scalar passes they shadow
+//! (`crate::iterative::{butterfly2, butterfly4, butterfly_odd}`,
+//! `crate::real::{unpack_pair, repack_pair}`);
+//! see the module doc of [`super`] for the identity argument and
+//! `fftmatvec_numeric::simd::x86` for the shared complex/conversion
+//! building blocks.
 //!
 //! # Safety
 //!
 //! Uniform contract for every function: the caller must guarantee the
-//! host supports AVX2 and FMA (the dispatcher checks `level_supported`).
-//! Slices are accessed unaligned.
+//! host supports AVX2 and FMA, and the slice extents each kernel names —
+//! both are established by the dispatcher in [`super`] (`fma_active`, and
+//! an `assert!` on the extents before every call). Slices are accessed
+//! unaligned through raw pointers.
 #![allow(clippy::missing_safety_doc)]
 
 use core::arch::x86_64::*;
 
 use fftmatvec_numeric::half::{bf16, f16};
 use fftmatvec_numeric::simd::x86::{
-    cmul_pd, cmul_ps, dup_im_ps, dup_re_ps, narrow8_bf16, narrow8_f16, neg_even_pd, neg_even_ps,
-    neg_odd_pd, neg_odd_ps, round8_bf16, round8_f16, swap_pairs_pd, swap_pairs_ps, widen8_bf16,
+    cmul_pd, cmul_ps, cmuladd_pd, cmuladd_ps, dup_im_ps, dup_re_ps, narrow8_bf16, narrow8_f16,
+    neg_even_ps, neg_odd_ps, round8_bf16, round8_f16, swap_pairs_pd, swap_pairs_ps, widen8_bf16,
     widen8_f16,
 };
 use fftmatvec_numeric::Complex;
 
+use crate::iterative::{butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles4};
+use crate::plan::MAX_RADIX;
+use crate::real::{repack_pair, unpack_pair};
+
+// ---------------------------------------------------------------------------
+// f32 / f64 kernels (native lanes, no storage rounding)
+// ---------------------------------------------------------------------------
+//
+// The two precisions share one kernel source, `native_kernels!`, written
+// against a per-precision vocabulary of register operations: the modules
+// `ps` (4 `Complex<f32>` per register) and `pd` (2 `Complex<f64>`).
+
+/// One vocabulary entry: `#[inline]` so it folds into the kernels (an
+/// out-of-line `target_feature` helper is a real call with its vector
+/// arguments spilled).
+macro_rules! op {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
+        $(#[$doc])*
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn $name($($arg: $ty),*) $(-> $ret)? $body
+    };
+}
+
+/// The kernels, over the vocabulary in scope: `C` (the complex type), `V`
+/// (one register of `L` interleaved complex values), `load`/`store`,
+/// `add`/`sub`/`mul`/`xor`/`addsub`, `splat`, `bcast`, `cmul`, `cmuladd`, `swap`,
+/// `neg_re`/`neg_im`, `reverse`, `store_rows2`/`store_rows4`.
+macro_rules! native_kernels {
+    () => {
+        op! {
+            /// Sign mask conjugating a register of twiddles for the inverse
+            /// transform (and nothing for the forward one): XOR is exact.
+            fn conj_mask(inverse: bool) -> V {
+                if inverse { neg_im() } else { splat(0.0) }
+            }
+        }
+
+        /// Radix-2 Stockham stage, `L` butterflies per step: lanes across
+        /// `q` for `s ≥ L`, across `p` for the first stage (`s == 1`,
+        /// outputs transposed in-register). Extents: `src.len() ==
+        /// dst.len() == 2·m·s`, `tw.len() == m`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix2(
+            src: &[C],
+            tw: &[C],
+            dst: &mut [C],
+            m: usize,
+            s: usize,
+            inverse: bool,
+        ) {
+            let (sp, tp, dp) = (src.as_ptr(), tw.as_ptr(), dst.as_mut_ptr());
+            let sm = s * m;
+            if s == 1 {
+                let conj = conj_mask(inverse);
+                let mut p = 0;
+                while p + L <= m {
+                    let a = load(sp.add(p));
+                    let b = load(sp.add(m + p));
+                    let w = xor(load(tp.add(p)), conj);
+                    store_rows2(dp.add(2 * p), add(a, b), cmul(sub(a, b), w, swap(w)));
+                    p += L;
+                }
+                for p in p..m {
+                    butterfly2(src, dst, (p, m), (2 * p, 1), twiddle2(tw, p, inverse));
+                }
+                return;
+            }
+            for p in 0..m {
+                let w = twiddle2(tw, p, inverse);
+                let w_ri = bcast(w);
+                let w_swap = swap(w_ri);
+                let i0 = s * p;
+                let o0 = 2 * s * p;
+                let mut q = 0;
+                while q + L <= s {
+                    let a = load(sp.add(i0 + q));
+                    let b = load(sp.add(i0 + sm + q));
+                    store(dp.add(o0 + q), add(a, b));
+                    store(dp.add(o0 + s + q), cmul(sub(a, b), w_ri, w_swap));
+                    q += L;
+                }
+                for q in q..s {
+                    butterfly2(src, dst, (i0 + q, sm), (o0 + q, s), w);
+                }
+            }
+        }
+
+        op! {
+            /// `L` radix-4 butterflies on registers: the expression tree
+            /// of [`butterfly4`] per lane. `ih_mask` turns the swapped `h`
+            /// into `∓i·h` (`neg_im` forward, `neg_re` inverse).
+            fn butterflies4(t: [V; 4], w: [V; 3], ih_mask: V) -> [V; 4] {
+                let e = add(t[0], t[2]);
+                let f = sub(t[0], t[2]);
+                let g = add(t[1], t[3]);
+                let h = sub(t[1], t[3]);
+                let ih = xor(swap(h), ih_mask);
+                [
+                    add(e, g),
+                    cmul(add(f, ih), w[0], swap(w[0])),
+                    cmul(sub(e, g), w[1], swap(w[1])),
+                    cmul(sub(f, ih), w[2], swap(w[2])),
+                ]
+            }
+        }
+
+        /// Radix-4 Stockham stage; same lane geometry as [`radix2`].
+        /// Extents: `src.len() == dst.len() == 4·m·s`, `tw.len() == 3·m`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix4(
+            src: &[C],
+            tw: &[C],
+            dst: &mut [C],
+            m: usize,
+            s: usize,
+            inverse: bool,
+        ) {
+            let (sp, tp, dp) = (src.as_ptr(), tw.as_ptr(), dst.as_mut_ptr());
+            let sm = s * m;
+            let ih_mask = if inverse { neg_re() } else { neg_im() };
+            if s == 1 {
+                let conj = conj_mask(inverse);
+                let mut p = 0;
+                while p + L <= m {
+                    let t = [
+                        load(sp.add(p)),
+                        load(sp.add(m + p)),
+                        load(sp.add(2 * m + p)),
+                        load(sp.add(3 * m + p)),
+                    ];
+                    let w = [
+                        xor(load(tp.add(p)), conj),
+                        xor(load(tp.add(m + p)), conj),
+                        xor(load(tp.add(2 * m + p)), conj),
+                    ];
+                    store_rows4(dp.add(4 * p), butterflies4(t, w, ih_mask));
+                    p += L;
+                }
+                for p in p..m {
+                    butterfly4(src, dst, (p, m), (4 * p, 1), twiddles4(tw, m, p, inverse), inverse);
+                }
+                return;
+            }
+            for p in 0..m {
+                let ws = twiddles4(tw, m, p, inverse);
+                let w = [bcast(ws[0]), bcast(ws[1]), bcast(ws[2])];
+                let i0 = s * p;
+                let o0 = 4 * s * p;
+                let mut q = 0;
+                while q + L <= s {
+                    let t = [
+                        load(sp.add(i0 + q)),
+                        load(sp.add(i0 + sm + q)),
+                        load(sp.add(i0 + 2 * sm + q)),
+                        load(sp.add(i0 + 3 * sm + q)),
+                    ];
+                    let o = butterflies4(t, w, ih_mask);
+                    store(dp.add(o0 + q), o[0]);
+                    store(dp.add(o0 + s + q), o[1]);
+                    store(dp.add(o0 + 2 * s + q), o[2]);
+                    store(dp.add(o0 + 3 * s + q), o[3]);
+                    q += L;
+                }
+                for q in q..s {
+                    butterfly4(src, dst, (i0 + q, sm), (o0 + q, s), ws, inverse);
+                }
+            }
+        }
+
+        /// Table-driven odd-radix Stockham stage (`r = roots.len()`), `L`
+        /// butterflies per step across `q`: the chains of
+        /// [`butterfly_odd`] per lane. Extents: `src.len() == dst.len()
+        /// == r·m·s`, `tw.len() == (r−1)·m`, `r ≤ MAX_RADIX`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix_odd(
+            src: &[C],
+            tw: &[C],
+            roots: &[C],
+            dst: &mut [C],
+            m: usize,
+            s: usize,
+            inverse: bool,
+        ) {
+            let r = roots.len();
+            let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+            let sm = s * m;
+            let conj = conj_mask(inverse);
+            // The `r` roots, broadcast and conjugated once per stage.
+            let mut roots_ri = [splat(0.0); MAX_RADIX];
+            let mut roots_swap = [splat(0.0); MAX_RADIX];
+            for x in 0..r {
+                roots_ri[x] = xor(bcast(roots[x]), conj);
+                roots_swap[x] = swap(roots_ri[x]);
+            }
+            let mut t = [splat(0.0); MAX_RADIX];
+            let mut t_rest = [C::zero(); MAX_RADIX];
+            for p in 0..m {
+                let twp = &tw[p * (r - 1)..(p + 1) * (r - 1)];
+                let i0 = s * p;
+                let o0 = r * s * p;
+                let mut q = 0;
+                while q + L <= s {
+                    for l in 0..r {
+                        t[l] = load(sp.add(i0 + sm * l + q));
+                    }
+                    let mut acc = t[0];
+                    for l in 1..r {
+                        acc = add(acc, t[l]);
+                    }
+                    store(dp.add(o0 + q), acc);
+                    for j in 1..r {
+                        let mut acc = t[0];
+                        let mut x = 0;
+                        for l in 1..r {
+                            x += j;
+                            if x >= r {
+                                x -= r;
+                            }
+                            acc = cmuladd(t[l], roots_ri[x], roots_swap[x], acc);
+                        }
+                        let w = xor(bcast(twp[j - 1]), conj);
+                        store(dp.add(o0 + s * j + q), cmul(acc, w, swap(w)));
+                    }
+                    q += L;
+                }
+                for q in q..s {
+                    let (i, o) = ((i0 + q, sm), (o0 + q, s));
+                    butterfly_odd(src, dst, i, o, twp, roots, inverse, &mut t_rest);
+                }
+            }
+        }
+
+        /// Mirror-pair loop of the R2C unpack, `L` pairs per step: the
+        /// expression tree of [`unpack_pair`] per lane, reading `z[k..]`
+        /// ascending and `z[h − k..]` descending (reversed in-register).
+        /// Extents: `tw.len() == z.len() == h`, `out.len() == h + 1`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn real_unpack_pairs(z: &[C], tw: &[C], out: &mut [C]) {
+            let h = z.len();
+            let (zp, tp, op) = (z.as_ptr(), tw.as_ptr(), out.as_mut_ptr());
+            let half = splat(0.5);
+            let end = h.div_ceil(2);
+            let mut k = 1;
+            while k + L <= end {
+                // Lane `i` pairs `k + i` with `h − k − i`.
+                let mirror = h - k - (L - 1);
+                let zk = load(zp.add(k));
+                let zc = xor(reverse(load(zp.add(mirror))), neg_im());
+                let ze = mul(add(zk, zc), half);
+                let d = mul(sub(zk, zc), half);
+                let zo = xor(swap(d), neg_im());
+                let t = cmul(load(tp.add(k)), zo, swap(zo));
+                store(op.add(k), add(ze, t));
+                store(op.add(mirror), reverse(xor(sub(ze, t), neg_im())));
+                k += L;
+            }
+            for k in k..end {
+                unpack_pair(z, tw, out, k, 0.5);
+            }
+        }
+
+        /// Mirror-pair loop of the C2R repack; the counterpart of
+        /// [`real_unpack_pairs`] over [`repack_pair`]. Extents:
+        /// `spectrum.len() == h + 1`, `tw.len() == z.len() == h`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn real_repack_pairs(spectrum: &[C], tw: &[C], z: &mut [C]) {
+            let h = z.len();
+            let (xp, tp, zp) = (spectrum.as_ptr(), tw.as_ptr(), z.as_mut_ptr());
+            let half = splat(0.5);
+            let end = h.div_ceil(2);
+            let mut k = 1;
+            while k + L <= end {
+                let mirror = h - k - (L - 1);
+                let xk = load(xp.add(k));
+                let xc = xor(reverse(load(xp.add(mirror))), neg_im());
+                let ze = mul(add(xk, xc), half);
+                let t = mul(sub(xk, xc), half);
+                let zo = cmul(xor(load(tp.add(k)), neg_im()), t, swap(t));
+                // Z[k] = ze + i·zo: (re − zo.im, im + zo.re) is one addsub.
+                store(zp.add(k), addsub(ze, swap(zo)));
+                let (zec, zoc) = (xor(ze, neg_im()), xor(zo, neg_im()));
+                store(zp.add(mirror), reverse(addsub(zec, swap(zoc))));
+                k += L;
+            }
+            for k in k..end {
+                repack_pair(spectrum, tw, z, k, 0.5);
+            }
+        }
+
+        /// Pointwise `a[i] *= b[i]`. Extents: `a.len() == b.len()`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn pointwise_mul(b: &[C], a: &mut [C]) {
+            let n = a.len();
+            let (ap, bp) = (a.as_mut_ptr(), b.as_ptr());
+            let mut i = 0;
+            while i + L <= n {
+                let w = load(bp.add(i));
+                store(ap.add(i), cmul(load(ap.add(i)), w, swap(w)));
+                i += L;
+            }
+            for i in i..n {
+                a[i] *= b[i];
+            }
+        }
+    };
+}
+
+/// `Complex<f32>` kernels: 4 interleaved complex values per register.
+pub mod ps {
+    use super::*;
+
+    type C = Complex<f32>;
+    type V = __m256;
+    const L: usize = 4;
+
+    op! { fn load(p: *const C) -> V { _mm256_loadu_ps(p as *const f32) } }
+    op! { fn store(p: *mut C, v: V) { _mm256_storeu_ps(p as *mut f32, v) } }
+    op! { fn add(a: V, b: V) -> V { _mm256_add_ps(a, b) } }
+    op! { fn sub(a: V, b: V) -> V { _mm256_sub_ps(a, b) } }
+    op! { fn mul(a: V, b: V) -> V { _mm256_mul_ps(a, b) } }
+    op! { fn xor(a: V, b: V) -> V { _mm256_xor_ps(a, b) } }
+    op! {
+        /// `[a.re − b.re, a.im + b.im]` per pair.
+        fn addsub(a: V, b: V) -> V { _mm256_addsub_ps(a, b) }
+    }
+    op! { fn splat(x: f32) -> V { _mm256_set1_ps(x) } }
+    op! {
+        /// One complex value in every pair.
+        fn bcast(w: C) -> V { _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im) }
+    }
+    op! { fn cmul(a: V, w_ri: V, w_swap: V) -> V { cmul_ps(a, w_ri, w_swap) } }
+    op! {
+        /// `a·x + p`, the tree of `Complex::mul_add`.
+        fn cmuladd(a: V, x_ri: V, x_swap: V, p: V) -> V { cmuladd_ps(a, x_ri, x_swap, p) }
+    }
+    op! { fn swap(v: V) -> V { swap_pairs_ps(v) } }
+    op! {
+        /// Sign mask over the real lanes.
+        fn neg_re() -> V { _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0) }
+    }
+    op! {
+        /// Sign mask over the imaginary lanes.
+        fn neg_im() -> V { _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0) }
+    }
+    op! {
+        /// Reverse the order of the four complex values.
+        fn reverse(v: V) -> V {
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b00_01_10_11>(_mm256_castps_pd(v)))
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
+        /// `2·L` contiguous values.
+        fn store_rows2(p: *mut C, o0: V, o1: V) {
+            let (o0, o1) = (_mm256_castps_pd(o0), _mm256_castps_pd(o1));
+            let lo = _mm256_unpacklo_pd(o0, o1);
+            let hi = _mm256_unpackhi_pd(o0, o1);
+            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(lo, hi)));
+            store(p.add(L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(lo, hi)));
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
+        /// `i`: a 4×4 transpose of 64-bit pairs, `4·L` contiguous values.
+        fn store_rows4(p: *mut C, o: [V; 4]) {
+            let o = [
+                _mm256_castps_pd(o[0]),
+                _mm256_castps_pd(o[1]),
+                _mm256_castps_pd(o[2]),
+                _mm256_castps_pd(o[3]),
+            ];
+            let t0 = _mm256_unpacklo_pd(o[0], o[1]);
+            let t1 = _mm256_unpackhi_pd(o[0], o[1]);
+            let t2 = _mm256_unpacklo_pd(o[2], o[3]);
+            let t3 = _mm256_unpackhi_pd(o[2], o[3]);
+            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t0, t2)));
+            store(p.add(L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t1, t3)));
+            store(p.add(2 * L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t0, t2)));
+            store(p.add(3 * L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t1, t3)));
+        }
+    }
+
+    native_kernels!();
+}
+
+/// `Complex<f64>` kernels: 2 interleaved complex values per register.
+pub mod pd {
+    use super::*;
+
+    type C = Complex<f64>;
+    type V = __m256d;
+    const L: usize = 2;
+
+    op! { fn load(p: *const C) -> V { _mm256_loadu_pd(p as *const f64) } }
+    op! { fn store(p: *mut C, v: V) { _mm256_storeu_pd(p as *mut f64, v) } }
+    op! { fn add(a: V, b: V) -> V { _mm256_add_pd(a, b) } }
+    op! { fn sub(a: V, b: V) -> V { _mm256_sub_pd(a, b) } }
+    op! { fn mul(a: V, b: V) -> V { _mm256_mul_pd(a, b) } }
+    op! { fn xor(a: V, b: V) -> V { _mm256_xor_pd(a, b) } }
+    op! {
+        /// `[a.re − b.re, a.im + b.im]` per pair.
+        fn addsub(a: V, b: V) -> V { _mm256_addsub_pd(a, b) }
+    }
+    op! { fn splat(x: f64) -> V { _mm256_set1_pd(x) } }
+    op! {
+        /// One complex value in both pairs.
+        fn bcast(w: C) -> V { _mm256_setr_pd(w.re, w.im, w.re, w.im) }
+    }
+    op! { fn cmul(a: V, w_ri: V, w_swap: V) -> V { cmul_pd(a, w_ri, w_swap) } }
+    op! {
+        /// `a·x + p`, the tree of `Complex::mul_add`.
+        fn cmuladd(a: V, x_ri: V, x_swap: V, p: V) -> V { cmuladd_pd(a, x_ri, x_swap, p) }
+    }
+    op! { fn swap(v: V) -> V { swap_pairs_pd(v) } }
+    op! {
+        /// Sign mask over the real lanes.
+        fn neg_re() -> V { _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0) }
+    }
+    op! {
+        /// Sign mask over the imaginary lanes.
+        fn neg_im() -> V { _mm256_setr_pd(0.0, -0.0, 0.0, -0.0) }
+    }
+    op! {
+        /// Exchange the two complex values.
+        fn reverse(v: V) -> V { _mm256_permute2f128_pd::<0x01>(v, v) }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
+        /// `2·L` contiguous values.
+        fn store_rows2(p: *mut C, o0: V, o1: V) {
+            store(p, _mm256_permute2f128_pd::<0x20>(o0, o1));
+            store(p.add(L), _mm256_permute2f128_pd::<0x31>(o0, o1));
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
+        /// `i`: `4·L` contiguous values.
+        fn store_rows4(p: *mut C, o: [V; 4]) {
+            store(p, _mm256_permute2f128_pd::<0x20>(o[0], o[1]));
+            store(p.add(L), _mm256_permute2f128_pd::<0x20>(o[2], o[3]));
+            store(p.add(2 * L), _mm256_permute2f128_pd::<0x31>(o[0], o[1]));
+            store(p.add(3 * L), _mm256_permute2f128_pd::<0x31>(o[2], o[3]));
+        }
+    }
+
+    native_kernels!();
+}
+
 /// Broadcast one complex twiddle into `[re, im]×4` and `[im, re]×4`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn bcast_pair_ps(w: Complex<f32>) -> (__m256, __m256) {
     (
         _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im),
         _mm256_setr_ps(w.im, w.re, w.im, w.re, w.im, w.re, w.im, w.re),
     )
-}
-
-/// Broadcast one complex twiddle into `[re, im]×2` and `[im, re]×2`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bcast_pair_pd(w: Complex<f64>) -> (__m256d, __m256d) {
-    (_mm256_setr_pd(w.re, w.im, w.re, w.im), _mm256_setr_pd(w.im, w.re, w.im, w.re))
-}
-
-// ---------------------------------------------------------------------------
-// f32 / f64 stages (native lanes, no storage rounding)
-// ---------------------------------------------------------------------------
-
-/// Radix-2 Stockham stage over `Complex<f32>`, 4 butterflies per step.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn radix2_f32(
-    src: &[Complex<f32>],
-    dst: &mut [Complex<f32>],
-    m: usize,
-    s: usize,
-    tw: &[Complex<f32>],
-    inverse: bool,
-) {
-    let sm = s * m;
-    let sp = src.as_ptr() as *const f32;
-    let dp = dst.as_mut_ptr() as *mut f32;
-    for p in 0..m {
-        let mut w = tw[p];
-        if inverse {
-            w = w.conj();
-        }
-        let (w_ri, w_swap) = bcast_pair_ps(w);
-        let i0 = s * p;
-        let o0 = 2 * s * p;
-        let mut q = 0;
-        while q + 4 <= s {
-            let a = _mm256_loadu_ps(sp.add(2 * (i0 + q)));
-            let b = _mm256_loadu_ps(sp.add(2 * (i0 + sm + q)));
-            _mm256_storeu_ps(dp.add(2 * (o0 + q)), _mm256_add_ps(a, b));
-            let prod = cmul_ps(_mm256_sub_ps(a, b), w_ri, w_swap);
-            _mm256_storeu_ps(dp.add(2 * (o0 + s + q)), prod);
-            q += 4;
-        }
-        while q < s {
-            let a = src[i0 + q];
-            let b = src[i0 + sm + q];
-            dst[o0 + q] = a + b;
-            dst[o0 + s + q] = (a - b) * w;
-            q += 1;
-        }
-    }
-}
-
-/// Radix-2 Stockham stage over `Complex<f64>`, 2 butterflies per step.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn radix2_f64(
-    src: &[Complex<f64>],
-    dst: &mut [Complex<f64>],
-    m: usize,
-    s: usize,
-    tw: &[Complex<f64>],
-    inverse: bool,
-) {
-    let sm = s * m;
-    let sp = src.as_ptr() as *const f64;
-    let dp = dst.as_mut_ptr() as *mut f64;
-    for p in 0..m {
-        let mut w = tw[p];
-        if inverse {
-            w = w.conj();
-        }
-        let (w_ri, w_swap) = bcast_pair_pd(w);
-        let i0 = s * p;
-        let o0 = 2 * s * p;
-        let mut q = 0;
-        while q + 2 <= s {
-            let a = _mm256_loadu_pd(sp.add(2 * (i0 + q)));
-            let b = _mm256_loadu_pd(sp.add(2 * (i0 + sm + q)));
-            _mm256_storeu_pd(dp.add(2 * (o0 + q)), _mm256_add_pd(a, b));
-            let prod = cmul_pd(_mm256_sub_pd(a, b), w_ri, w_swap);
-            _mm256_storeu_pd(dp.add(2 * (o0 + s + q)), prod);
-            q += 2;
-        }
-        while q < s {
-            let a = src[i0 + q];
-            let b = src[i0 + sm + q];
-            dst[o0 + q] = a + b;
-            dst[o0 + s + q] = (a - b) * w;
-            q += 1;
-        }
-    }
-}
-
-/// Radix-4 Stockham stage over `Complex<f32>`, 4 butterflies per step.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn radix4_f32(
-    src: &[Complex<f32>],
-    dst: &mut [Complex<f32>],
-    m: usize,
-    s: usize,
-    tw: &[Complex<f32>],
-    inverse: bool,
-) {
-    let sm = s * m;
-    let sp = src.as_ptr() as *const f32;
-    let dp = dst.as_mut_ptr() as *mut f32;
-    for p in 0..m {
-        let (mut w1, mut w2, mut w3) = (tw[3 * p], tw[3 * p + 1], tw[3 * p + 2]);
-        if inverse {
-            w1 = w1.conj();
-            w2 = w2.conj();
-            w3 = w3.conj();
-        }
-        let (w1_ri, w1_sw) = bcast_pair_ps(w1);
-        let (w2_ri, w2_sw) = bcast_pair_ps(w2);
-        let (w3_ri, w3_sw) = bcast_pair_ps(w3);
-        let i0 = s * p;
-        let o0 = 4 * s * p;
-        let mut q = 0;
-        while q + 4 <= s {
-            let t0 = _mm256_loadu_ps(sp.add(2 * (i0 + q)));
-            let t1 = _mm256_loadu_ps(sp.add(2 * (i0 + sm + q)));
-            let t2 = _mm256_loadu_ps(sp.add(2 * (i0 + 2 * sm + q)));
-            let t3 = _mm256_loadu_ps(sp.add(2 * (i0 + 3 * sm + q)));
-            let e = _mm256_add_ps(t0, t2);
-            let f = _mm256_sub_ps(t0, t2);
-            let g = _mm256_add_ps(t1, t3);
-            let h = _mm256_sub_ps(t1, t3);
-            // ∓i·h: swap (re, im) then flip one sign — exact bit ops,
-            // matching `Complex::new(±h.im, ∓h.re)`.
-            let ih =
-                if inverse { neg_even_ps(swap_pairs_ps(h)) } else { neg_odd_ps(swap_pairs_ps(h)) };
-            _mm256_storeu_ps(dp.add(2 * (o0 + q)), _mm256_add_ps(e, g));
-            let o1 = cmul_ps(_mm256_add_ps(f, ih), w1_ri, w1_sw);
-            _mm256_storeu_ps(dp.add(2 * (o0 + s + q)), o1);
-            let o2 = cmul_ps(_mm256_sub_ps(e, g), w2_ri, w2_sw);
-            _mm256_storeu_ps(dp.add(2 * (o0 + 2 * s + q)), o2);
-            let o3 = cmul_ps(_mm256_sub_ps(f, ih), w3_ri, w3_sw);
-            _mm256_storeu_ps(dp.add(2 * (o0 + 3 * s + q)), o3);
-            q += 4;
-        }
-        while q < s {
-            radix4_scalar_tail(src, dst, i0, o0, sm, s, q, w1, w2, w3, inverse);
-            q += 1;
-        }
-    }
-}
-
-/// Radix-4 Stockham stage over `Complex<f64>`, 2 butterflies per step.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn radix4_f64(
-    src: &[Complex<f64>],
-    dst: &mut [Complex<f64>],
-    m: usize,
-    s: usize,
-    tw: &[Complex<f64>],
-    inverse: bool,
-) {
-    let sm = s * m;
-    let sp = src.as_ptr() as *const f64;
-    let dp = dst.as_mut_ptr() as *mut f64;
-    for p in 0..m {
-        let (mut w1, mut w2, mut w3) = (tw[3 * p], tw[3 * p + 1], tw[3 * p + 2]);
-        if inverse {
-            w1 = w1.conj();
-            w2 = w2.conj();
-            w3 = w3.conj();
-        }
-        let (w1_ri, w1_sw) = bcast_pair_pd(w1);
-        let (w2_ri, w2_sw) = bcast_pair_pd(w2);
-        let (w3_ri, w3_sw) = bcast_pair_pd(w3);
-        let i0 = s * p;
-        let o0 = 4 * s * p;
-        let mut q = 0;
-        while q + 2 <= s {
-            let t0 = _mm256_loadu_pd(sp.add(2 * (i0 + q)));
-            let t1 = _mm256_loadu_pd(sp.add(2 * (i0 + sm + q)));
-            let t2 = _mm256_loadu_pd(sp.add(2 * (i0 + 2 * sm + q)));
-            let t3 = _mm256_loadu_pd(sp.add(2 * (i0 + 3 * sm + q)));
-            let e = _mm256_add_pd(t0, t2);
-            let f = _mm256_sub_pd(t0, t2);
-            let g = _mm256_add_pd(t1, t3);
-            let h = _mm256_sub_pd(t1, t3);
-            let ih =
-                if inverse { neg_even_pd(swap_pairs_pd(h)) } else { neg_odd_pd(swap_pairs_pd(h)) };
-            _mm256_storeu_pd(dp.add(2 * (o0 + q)), _mm256_add_pd(e, g));
-            let o1 = cmul_pd(_mm256_add_pd(f, ih), w1_ri, w1_sw);
-            _mm256_storeu_pd(dp.add(2 * (o0 + s + q)), o1);
-            let o2 = cmul_pd(_mm256_sub_pd(e, g), w2_ri, w2_sw);
-            _mm256_storeu_pd(dp.add(2 * (o0 + 2 * s + q)), o2);
-            let o3 = cmul_pd(_mm256_sub_pd(f, ih), w3_ri, w3_sw);
-            _mm256_storeu_pd(dp.add(2 * (o0 + 3 * s + q)), o3);
-            q += 2;
-        }
-        while q < s {
-            radix4_scalar_tail(src, dst, i0, o0, sm, s, q, w1, w2, w3, inverse);
-            q += 1;
-        }
-    }
-}
-
-/// One scalar radix-4 butterfly — the identical expression tree the
-/// vector body evaluates, for remainder elements.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn radix4_scalar_tail<T: fftmatvec_numeric::Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
-    i0: usize,
-    o0: usize,
-    sm: usize,
-    s: usize,
-    q: usize,
-    w1: Complex<T>,
-    w2: Complex<T>,
-    w3: Complex<T>,
-    inverse: bool,
-) {
-    let t0 = src[i0 + q];
-    let t1 = src[i0 + sm + q];
-    let t2 = src[i0 + 2 * sm + q];
-    let t3 = src[i0 + 3 * sm + q];
-    let e = t0 + t2;
-    let f = t0 - t2;
-    let g = t1 + t3;
-    let h = t1 - t3;
-    let ih = if inverse { Complex::new(-h.im, h.re) } else { Complex::new(h.im, -h.re) };
-    dst[o0 + q] = e + g;
-    dst[o0 + s + q] = (f + ih) * w1;
-    dst[o0 + 2 * s + q] = (e - g) * w2;
-    dst[o0 + 3 * s + q] = (f - ih) * w3;
-}
-
-/// Pointwise `a[i] *= b[i]` over `Complex<f32>`.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn pointwise_mul_f32(a: &mut [Complex<f32>], b: &[Complex<f32>]) {
-    let n = a.len();
-    let ap = a.as_mut_ptr() as *mut f32;
-    let bp = b.as_ptr() as *const f32;
-    let mut i = 0;
-    while i + 4 <= n {
-        let v = _mm256_loadu_ps(ap.add(2 * i));
-        let w = _mm256_loadu_ps(bp.add(2 * i));
-        _mm256_storeu_ps(ap.add(2 * i), cmul_ps(v, w, swap_pairs_ps(w)));
-        i += 4;
-    }
-    while i < n {
-        a[i] *= b[i];
-        i += 1;
-    }
-}
-
-/// Pointwise `a[i] *= b[i]` over `Complex<f64>`.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn pointwise_mul_f64(a: &mut [Complex<f64>], b: &[Complex<f64>]) {
-    let n = a.len();
-    let ap = a.as_mut_ptr() as *mut f64;
-    let bp = b.as_ptr() as *const f64;
-    let mut i = 0;
-    while i + 2 <= n {
-        let v = _mm256_loadu_pd(ap.add(2 * i));
-        let w = _mm256_loadu_pd(bp.add(2 * i));
-        _mm256_storeu_pd(ap.add(2 * i), cmul_pd(v, w, swap_pairs_pd(w)));
-        i += 2;
-    }
-    while i < n {
-        a[i] *= b[i];
-        i += 1;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -312,20 +498,17 @@ macro_rules! half_kernels {
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn $radix2(
             src: &[Complex<$t>],
+            tw: &[Complex<$t>],
             dst: &mut [Complex<$t>],
             m: usize,
             s: usize,
-            tw: &[Complex<$t>],
             inverse: bool,
         ) {
             let sm = s * m;
             let sp = src.as_ptr() as *const u16;
             let dp = dst.as_mut_ptr() as *mut u16;
             for p in 0..m {
-                let mut w = tw[p];
-                if inverse {
-                    w = w.conj();
-                }
+                let w = twiddle2(tw, p, inverse);
                 // Widening to f32 is exact; broadcast the widened pair.
                 let (w_ri, w_swap) = bcast_pair_ps(Complex::new(w.re.to_f32(), w.im.to_f32()));
                 let i0 = s * p;
@@ -342,12 +525,8 @@ macro_rules! half_kernels {
                     _mm_storeu_si128(dp.add(2 * (o0 + s + q)) as *mut __m128i, prod);
                     q += 4;
                 }
-                while q < s {
-                    let a = src[i0 + q];
-                    let b = src[i0 + sm + q];
-                    dst[o0 + q] = a + b;
-                    dst[o0 + s + q] = (a - b) * w;
-                    q += 1;
+                for q in q..s {
+                    butterfly2(src, dst, (i0 + q, sm), (o0 + q, s), w);
                 }
             }
         }
@@ -356,22 +535,18 @@ macro_rules! half_kernels {
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn $radix4(
             src: &[Complex<$t>],
+            tw: &[Complex<$t>],
             dst: &mut [Complex<$t>],
             m: usize,
             s: usize,
-            tw: &[Complex<$t>],
             inverse: bool,
         ) {
             let sm = s * m;
             let sp = src.as_ptr() as *const u16;
             let dp = dst.as_mut_ptr() as *mut u16;
             for p in 0..m {
-                let (mut w1, mut w2, mut w3) = (tw[3 * p], tw[3 * p + 1], tw[3 * p + 2]);
-                if inverse {
-                    w1 = w1.conj();
-                    w2 = w2.conj();
-                    w3 = w3.conj();
-                }
+                let ws = twiddles4(tw, m, p, inverse);
+                let [w1, w2, w3] = ws;
                 let (w1_ri, w1_sw) = bcast_pair_ps(Complex::new(w1.re.to_f32(), w1.im.to_f32()));
                 let (w2_ri, w2_sw) = bcast_pair_ps(Complex::new(w2.re.to_f32(), w2.im.to_f32()));
                 let (w3_ri, w3_sw) = bcast_pair_ps(Complex::new(w3.re.to_f32(), w3.im.to_f32()));
@@ -412,16 +587,15 @@ macro_rules! half_kernels {
                     _mm_storeu_si128(dp.add(2 * (o0 + 3 * s + q)) as *mut __m128i, o3);
                     q += 4;
                 }
-                while q < s {
-                    radix4_scalar_tail(src, dst, i0, o0, sm, s, q, w1, w2, w3, inverse);
-                    q += 1;
+                for q in q..s {
+                    butterfly4(src, dst, (i0 + q, sm), (o0 + q, s), ws, inverse);
                 }
             }
         }
 
         /// Pointwise `a[i] *= b[i]` over 16-bit complex values.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn $pmul(a: &mut [Complex<$t>], b: &[Complex<$t>]) {
+        pub unsafe fn $pmul(b: &[Complex<$t>], a: &mut [Complex<$t>]) {
             let n = a.len();
             let ap = a.as_mut_ptr() as *mut u16;
             let bp = b.as_ptr() as *const u16;
@@ -434,9 +608,8 @@ macro_rules! half_kernels {
                 _mm_storeu_si128(ap.add(2 * i) as *mut __m128i, out);
                 i += 4;
             }
-            while i < n {
+            for i in i..n {
                 a[i] *= b[i];
-                i += 1;
             }
         }
     };

@@ -47,6 +47,7 @@ pub const F64_LANES: usize = 4;
 
 /// Narrow 8 f32 lanes to f16 bit patterns, left as 8 u16 values in i32
 /// lanes (callers pack or re-widen). Replicates `f32_to_f16_bits`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn narrow_f16_lanes(v: __m256) -> __m256i {
     let bits = _mm256_castps_si256(v);
@@ -105,6 +106,7 @@ unsafe fn narrow_f16_lanes(v: __m256) -> __m256i {
 
 /// Widen 8 f16 bit patterns held in i32 lanes to 8 f32 lanes.
 /// Replicates `f16_bits_to_f32` (NaN payloads preserved, not quieted).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn widen_f16_lanes(h32: __m256i) -> __m256 {
     let sign = _mm256_slli_epi32::<16>(_mm256_and_si256(h32, _mm256_set1_epi32(0x8000)));
@@ -127,6 +129,7 @@ unsafe fn widen_f16_lanes(h32: __m256i) -> __m256 {
 }
 
 /// Pack 8 u16 values held in i32 lanes into the low 128 bits.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn pack_u16(h: __m256i) -> __m128i {
     let packed = _mm256_packus_epi32(h, h);
@@ -134,12 +137,14 @@ unsafe fn pack_u16(h: __m256i) -> __m128i {
 }
 
 /// Narrow 8 f32s to 8 f16 bit patterns (low 128 bits of the result).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn narrow8_f16(v: __m256) -> __m128i {
     pack_u16(narrow_f16_lanes(v))
 }
 
 /// Widen 8 f16 bit patterns (low 128 bits) to 8 f32s.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn widen8_f16(h: __m128i) -> __m256 {
     widen_f16_lanes(_mm256_cvtepu16_epi32(h))
@@ -148,6 +153,7 @@ pub unsafe fn widen8_f16(h: __m128i) -> __m256 {
 /// Round 8 f32 lanes through f16 storage (narrow + exact re-widen) —
 /// the per-operation storage rounding of the emulated `f16` arithmetic,
 /// fused so the u16 pack/unpack is skipped.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn round8_f16(v: __m256) -> __m256 {
     widen_f16_lanes(narrow_f16_lanes(v))
@@ -159,6 +165,7 @@ pub unsafe fn round8_f16(v: __m256) -> __m256 {
 
 /// Narrow 8 f32 lanes to bf16 bit patterns in i32 lanes.
 /// Replicates `f32_to_bf16_bits`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn narrow_bf16_lanes(v: __m256) -> __m256i {
     let bits = _mm256_castps_si256(v);
@@ -178,18 +185,21 @@ unsafe fn narrow_bf16_lanes(v: __m256) -> __m256i {
 }
 
 /// Narrow 8 f32s to 8 bf16 bit patterns (low 128 bits of the result).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn narrow8_bf16(v: __m256) -> __m128i {
     pack_u16(narrow_bf16_lanes(v))
 }
 
 /// Widen 8 bf16 bit patterns (low 128 bits) to 8 f32s (exact).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn widen8_bf16(h: __m128i) -> __m256 {
     _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(h)))
 }
 
 /// Round 8 f32 lanes through bf16 storage (fused narrow + widen).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn round8_bf16(v: __m256) -> __m256 {
     _mm256_castsi256_ps(_mm256_slli_epi32::<16>(narrow_bf16_lanes(v)))
@@ -288,30 +298,35 @@ pub unsafe fn narrow_f32_to_bf16(src: &[f32], dst: &mut [bf16]) {
 // arithmetic stays bit-identical to the scalar implementations.
 
 /// Duplicate the even (real) lanes into both halves of each pair.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn dup_re_ps(v: __m256) -> __m256 {
     _mm256_moveldup_ps(v)
 }
 
 /// Duplicate the odd (imaginary) lanes into both halves of each pair.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn dup_im_ps(v: __m256) -> __m256 {
     _mm256_movehdup_ps(v)
 }
 
 /// Swap the two halves of each (re, im) pair.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn swap_pairs_ps(v: __m256) -> __m256 {
     _mm256_permute_ps::<0b10_11_00_01>(v)
 }
 
 /// Flip the sign of the even (real) lanes — an exact bit operation.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn neg_even_ps(v: __m256) -> __m256 {
     _mm256_xor_ps(v, _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0))
 }
 
 /// Flip the sign of the odd (imaginary) lanes — an exact bit operation.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn neg_odd_ps(v: __m256) -> __m256 {
     _mm256_xor_ps(v, _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
@@ -321,6 +336,7 @@ pub unsafe fn neg_odd_ps(v: __m256) -> __m256 {
 /// `w_ri = [re, im]` pairs and `w_swap = [im, re]` pairs. Replicates
 /// `Complex::<f32>::mul` exactly:
 /// `re = fma(a.re, w.re, -(a.im·w.im))`, `im = fma(a.re, w.im, a.im·w.re)`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn cmul_ps(a: __m256, w_ri: __m256, w_swap: __m256) -> __m256 {
     let inner = neg_even_ps(_mm256_mul_ps(dup_im_ps(a), w_swap));
@@ -331,6 +347,7 @@ pub unsafe fn cmul_ps(a: __m256, w_ri: __m256, w_swap: __m256) -> __m256 {
 /// `Complex::<f32>::mul_add` exactly:
 /// `re = fma(a.re, x.re, fma(-a.im, x.im, p.re))`,
 /// `im = fma(a.re, x.im, fma( a.im, x.re, p.im))`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn cmuladd_ps(a: __m256, x_ri: __m256, x_swap: __m256, p: __m256) -> __m256 {
     let inner = _mm256_fmadd_ps(neg_even_ps(dup_im_ps(a)), x_swap, p);
@@ -338,36 +355,42 @@ pub unsafe fn cmuladd_ps(a: __m256, x_ri: __m256, x_swap: __m256, p: __m256) -> 
 }
 
 /// Duplicate the even (real) lanes of 2 packed `Complex<f64>`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn dup_re_pd(v: __m256d) -> __m256d {
     _mm256_movedup_pd(v)
 }
 
 /// Duplicate the odd (imaginary) lanes of 2 packed `Complex<f64>`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn dup_im_pd(v: __m256d) -> __m256d {
     _mm256_permute_pd::<0b1111>(v)
 }
 
 /// Swap the halves of each (re, im) `f64` pair.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn swap_pairs_pd(v: __m256d) -> __m256d {
     _mm256_permute_pd::<0b0101>(v)
 }
 
 /// Flip the sign of the even (real) `f64` lanes.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn neg_even_pd(v: __m256d) -> __m256d {
     _mm256_xor_pd(v, _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0))
 }
 
 /// Flip the sign of the odd (imaginary) `f64` lanes.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn neg_odd_pd(v: __m256d) -> __m256d {
     _mm256_xor_pd(v, _mm256_setr_pd(0.0, -0.0, 0.0, -0.0))
 }
 
 /// `f64` analogue of [`cmul_ps`].
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn cmul_pd(a: __m256d, w_ri: __m256d, w_swap: __m256d) -> __m256d {
     let inner = neg_even_pd(_mm256_mul_pd(dup_im_pd(a), w_swap));
@@ -375,6 +398,7 @@ pub unsafe fn cmul_pd(a: __m256d, w_ri: __m256d, w_swap: __m256d) -> __m256d {
 }
 
 /// `f64` analogue of [`cmuladd_ps`].
+#[inline]
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn cmuladd_pd(a: __m256d, x_ri: __m256d, x_swap: __m256d, p: __m256d) -> __m256d {
     let inner = _mm256_fmadd_pd(neg_even_pd(dup_im_pd(a)), x_swap, p);
