@@ -38,7 +38,9 @@ use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_fft::BatchedRealFft;
-use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, Real, RealBuffer, SplitMix64, C64};
+use fftmatvec_numeric::{
+    fma_pass, Complex, ComplexBuffer, Precision, Real, RealBuffer, SplitMix64, C64,
+};
 
 /// Batched FFT shape: the pipeline regime (transform length `2·N_t`,
 /// one transform per operator row/column).
@@ -49,6 +51,18 @@ const FFT_BATCH: usize = 32;
 const ELEMS: usize = 1 << 15;
 /// Tree-reduce geometry: 8 rank-parts of 4096 elements.
 const PARTS: usize = 8;
+
+fma_pass! {
+    /// The direct leg of the `pointwise_multiply` row: the loop the backend
+    /// wraps, in the FMA context the backend runs it in — a plain loop in
+    /// this binary would call libm `fma` per product and make the trait
+    /// leg look 6× *faster* than "direct".
+    fn pointwise_direct<T: Real>(grid: &mut [Complex<T>], sym: &[Complex<T>]) {
+        for (g, s) in grid.iter_mut().zip(sym) {
+            *g *= *s;
+        }
+    }
+}
 
 fn measure<A: FnMut(), B: FnMut()>(
     rows: &mut Vec<Record>,
@@ -202,11 +216,7 @@ fn main() {
             &mut rows,
             "pointwise_multiply",
             "f64",
-            || {
-                for (g, s) in io_direct.iter_mut().zip(black_box(&sym_direct)) {
-                    *g *= *s;
-                }
-            },
+            || pointwise_direct(&mut io_direct, black_box(&sym_direct)),
             || device.pointwise_multiply(&mut io_trait, black_box(&sym_trait), false).unwrap(),
             samples,
             sample_ms,

@@ -13,13 +13,29 @@
 //!   butterfly stages) per precision tier, and `fft_real_forward_n<N>` —
 //!   the pipeline's R2C transform at the `bench_e2e` lengths and the
 //!   paper's `N_t = 1000` (mixed radix), `f32`/`f64`;
-//! * `sbgemv_notrans` — the short-wide GEMV row-tile sweep (real tiers);
+//! * `sbgemv_notrans` — the short-wide GEMV row-tile sweep (real tiers),
+//!   and `sbgemv_notrans_<m>x<n>` — `Complex<f32>` blocks with fewer rows
+//!   than a register (2) and one row short of one (3), the masked
+//!   partial register of the forward tile;
 //! * `sbgemv_conjtrans` — the column-tiled transposed sweep on the
-//!   pipeline's phase-3 block (16×256, complex), the adjoint's kernel.
+//!   pipeline's phase-3 block (16×256, complex), the adjoint's kernel;
+//! * `pointwise_mul` — the backend's symbol multiply, an FMA-context
+//!   scalar pass (`fftmatvec_numeric::fma_pass`).
 //!
-//! Three checks, mirroring the other bench gates:
-//! * **floor** — the 16-bit conversion and butterfly kernels must be no
-//!   slower than the scalar path ([`SIMD_FLOOR`], 1.0×);
+//! The `layout_*` rows reuse the two legs for a different pair: the
+//! element-by-element loop the pad / reorder / unpad kernels used to be
+//! ([`naive_transpose_map`], kept as oracle and denominator) against the
+//! tiled `core::layout` pass, on the `bench_e2e` `paper_dd` buffers
+//! (256 series × 64 steps, 65 frequencies, f64), both at the active level.
+//!
+//! Four checks, mirroring the other bench gates:
+//! * **floor** — the 16-bit conversion and butterfly kernels, the
+//!   pointwise multiply, the remainder-row SBGEMV blocks and
+//!   `layout_reorder_out` must be no slower than their first leg
+//!   ([`SIMD_FLOOR`], 1.0×);
+//! * **layout floor** — the three layout passes with a power-of-two
+//!   destination stride must beat the naive loop by
+//!   [`LAYOUT_TILE_FLOOR`] (2.0×; measured 3.8–4.8×);
 //! * **FFT floor** — the `f32`/`f64` transforms must beat the portable
 //!   level by [`SIMD_FFT_FLOOR`] (3.0×): every pass of theirs is a vector
 //!   or FMA-context pass, and a silent fall-back of one of them to the
@@ -42,16 +58,20 @@
 
 use std::hint::black_box;
 
-use fftmatvec_bench::record::{self, Record, SIMD, SIMD_FFT_FLOOR, SIMD_FLOOR};
+use fftmatvec_backend::{CpuPool, DeviceBackend};
+use fftmatvec_bench::record::{self, Record, LAYOUT_TILE_FLOOR, SIMD, SIMD_FFT_FLOOR, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
-use fftmatvec_bench::{rule, Args};
+use fftmatvec_bench::{naive_transpose_map, rule, Args};
 use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
+use fftmatvec_core::layout;
 use fftmatvec_fft::{FftPlan, RealFftPlan};
 use fftmatvec_numeric::simd::{
     active_level, narrow_f32_to_bf16, narrow_f32_to_f16, set_active_level, widen_bf16_to_f32,
     widen_f16_to_f32, SimdLevel,
 };
-use fftmatvec_numeric::{bf16, f16, Complex, Real, Scalar, SplitMix64};
+use fftmatvec_numeric::{
+    bf16, f16, Complex, ComplexBuffer, Precision, Real, RealBuffer, Scalar, SplitMix64, C64,
+};
 
 /// Elements per conversion call. Deliberately L1-resident (4096 f32 =
 /// 16 KiB out + 8 KiB in): at larger sizes both legs saturate memory
@@ -73,6 +93,33 @@ const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
 /// The `bench_e2e` `paper_*` phase-3 block: `N_d × N_m` per frequency,
 /// `N_t + 1` frequencies.
 const PAPER_BLOCK: (usize, usize, usize) = (16, 256, 65);
+/// `Complex<f32>` forward blocks below one register of rows: the smallest
+/// `bench_matvec` shape's (2×64, where mixed precision used to lose to
+/// double) and a three-sensor paper block.
+const REMAINDER_BLOCKS: [(usize, usize, usize); 2] = [(2, 64, 65), (3, 256, 65)];
+/// Complex elements per `pointwise_mul` call (`toeplitz_2level`'s grid).
+const POINTWISE_LEN: usize = 1 << 14;
+/// The `paper_dd` forward input: `N_m` series of `N_t` steps.
+const LAYOUT_SHAPE: (usize, usize) = (256, 64);
+
+/// Time two legs interleaved and append the row `first / second`.
+fn measure_legs(
+    rows: &mut Vec<Record>,
+    (kernel, precision, level): (&str, &str, SimdLevel),
+    (first_name, first): (&str, impl FnMut()),
+    second: impl FnMut(),
+    samples: usize,
+    sample_ms: f64,
+) {
+    let (first_ns, second_ns) = time_pair_ns(first, second, samples, sample_ms);
+    println!(
+        "{kernel:<22} {precision:<5} {first_name:<8} {first_ns:>12.1} ns   {} {second_ns:>12.1} ns   \
+         {:>6.2}x",
+        level.name(),
+        first_ns / second_ns
+    );
+    rows.push(SIMD.row(&[kernel, precision, level.name()], &[first_ns, second_ns]));
+}
 
 /// Time `work` with dispatch forced portable vs forced to `level`,
 /// interleaved, and append the row.
@@ -88,26 +135,16 @@ fn measure<F: FnMut()>(
     // Both interleaved legs drive the same workload closure; the RefCell
     // lets the two `FnMut` legs share it.
     let work = std::cell::RefCell::new(work);
-    let (portable_ns, simd_ns) = time_pair_ns(
-        || {
-            set_active_level(SimdLevel::Portable);
+    let at = |leg: SimdLevel| {
+        let work = &work;
+        move || {
+            set_active_level(leg);
             (work.borrow_mut())();
-        },
-        || {
-            set_active_level(level);
-            (work.borrow_mut())();
-        },
-        samples,
-        sample_ms,
-    );
+        }
+    };
+    let portable = ("portable", at(SimdLevel::Portable));
+    measure_legs(rows, (kernel, precision, level), portable, at(level), samples, sample_ms);
     set_active_level(level);
-    println!(
-        "{kernel:<22} {precision:<5} portable {portable_ns:>12.1} ns   {} {simd_ns:>12.1} ns   \
-         {:>6.2}x",
-        level.name(),
-        portable_ns / simd_ns
-    );
-    rows.push(SIMD.row(&[kernel, precision, level.name()], &[portable_ns, simd_ns]));
 }
 
 /// The whole-buffer cast kernels, each driven through the same
@@ -204,6 +241,7 @@ fn measure_fft<T: Real>(
 
 fn measure_gemv<S: Scalar>(
     rows: &mut Vec<Record>,
+    kernel: &str,
     op: GemvOp,
     (m, n, batch): (usize, usize, usize),
     precision: &str,
@@ -222,7 +260,6 @@ fn measure_gemv<S: Scalar>(
     let x = fill(batch * op.input_len(m, n));
     let mut y: Vec<S> = fill(batch * op.output_len(m, n));
     let (alpha, beta) = (S::one(), S::zero());
-    let kernel = if op.is_transposed() { "sbgemv_conjtrans" } else { "sbgemv_notrans" };
     measure(
         rows,
         kernel,
@@ -234,16 +271,112 @@ fn measure_gemv<S: Scalar>(
     );
 }
 
+/// The backend's pointwise symbol multiply in tier `p`. The symbol has
+/// unit modulus so the grid keeps its magnitude over millions of calls
+/// (a decaying grid ends in subnormals and measures the microcode assist).
+fn measure_pointwise(
+    rows: &mut Vec<Record>,
+    p: Precision,
+    precision: &str,
+    level: SimdLevel,
+    samples: usize,
+    ms: f64,
+) {
+    let mut rng = SplitMix64::new(53);
+    let unit: Vec<C64> = (0..POINTWISE_LEN)
+        .map(|_| rng.uniform(0.0, std::f64::consts::TAU))
+        .map(|t| C64::new(t.cos(), t.sin()))
+        .collect();
+    let sym = ComplexBuffer::from_c64(p, &unit);
+    let mut grid = ComplexBuffer::from_c64(p, &unit);
+    let pool = CpuPool::new();
+    let work = || pool.pointwise_multiply(black_box(&mut grid), &sym, false).expect("same tier");
+    measure(rows, "pointwise_mul", precision, level, work, samples, ms);
+}
+
+/// The four fused memory operations of one `paper_dd` apply, naive loop
+/// vs tiled pass, each checked against the naive result before it is
+/// timed.
+fn measure_layout(rows: &mut Vec<Record>, level: SimdLevel, samples: usize, ms: f64) {
+    let (ns, nt) = LAYOUT_SHAPE;
+    let (n2, nf) = (2 * nt, nt + 1);
+    let p = Precision::Double;
+    let mut rng = SplitMix64::new(59);
+    let mut real = |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+    let (m, time) = (real(ns * nt), RealBuffer::F64(real(ns * n2)));
+    let spec = real(2 * ns * nf).chunks(2).map(|z| C64::new(z[0], z[1])).collect();
+    let spec = ComplexBuffer::C64(spec);
+    let (padded, spectra) = (time.as_f64().expect("f64 tier"), spec.as_c64().expect("c64 tier"));
+    let mut row = |kernel: &str, naive: &mut dyn FnMut(), tiled: &mut dyn FnMut()| {
+        measure_legs(rows, (kernel, "f64", level), ("naive", naive), tiled, samples, ms);
+    };
+
+    // Pad: the naive leg zero-fills first, as the library's `reset` does.
+    let mut naive_out = vec![f64::NAN; ns * n2];
+    let mut tiled_out = RealBuffer::zeros(p, 0);
+    let naive = |out: &mut [f64]| {
+        out.fill(0.0);
+        naive_transpose_map(black_box(&m), ns, out, n2, nt, ns, |v| v);
+    };
+    naive(&mut naive_out);
+    layout::pad_input_into(&m, ns, nt, p, &mut tiled_out);
+    assert_eq!(tiled_out, RealBuffer::F64(naive_out.clone()), "layout_pad");
+    row("layout_pad", &mut || naive(&mut naive_out), &mut || {
+        layout::pad_input_into(black_box(&m), ns, nt, p, &mut tiled_out)
+    });
+
+    // Reorder-in scatters at stride 256; reorder-out (the same buffer
+    // read as 65 × 256) at stride 65.
+    let mut naive_out = vec![C64::zero(); ns * nf];
+    let mut tiled_out = ComplexBuffer::zeros(p, 0);
+    type Reorder = fn(&ComplexBuffer, usize, usize, Precision, &mut ComplexBuffer);
+    let reorders: [(&str, Reorder, usize, usize); 2] = [
+        ("layout_reorder_in", layout::spectrum_to_batch_into, ns, nf),
+        ("layout_reorder_out", layout::batch_to_spectrum_into, nf, ns),
+    ];
+    for (kernel, reorder, outer, inner) in reorders {
+        let naive = |out: &mut [C64]| {
+            naive_transpose_map(black_box(spectra), inner, out, outer, outer, inner, |v| v)
+        };
+        let tiled = |out: &mut ComplexBuffer| reorder(black_box(&spec), ns, nf, p, out);
+        naive(&mut naive_out);
+        tiled(&mut tiled_out);
+        assert_eq!(tiled_out, ComplexBuffer::C64(naive_out.clone()), "{kernel}");
+        row(kernel, &mut || naive(&mut naive_out), &mut || tiled(&mut tiled_out));
+    }
+
+    let (mut naive_out, mut tiled_out) = (vec![0.0; ns * nt], vec![0.0; ns * nt]);
+    let naive =
+        |out: &mut [f64]| naive_transpose_map(black_box(padded), n2, out, ns, ns, nt, |v| v);
+    naive(&mut naive_out);
+    layout::unpad_output_into(&time, ns, nt, p, &mut tiled_out);
+    assert_eq!(tiled_out, naive_out, "layout_unpad");
+    row("layout_unpad", &mut || naive(&mut naive_out), &mut || {
+        layout::unpad_output_into(black_box(&time), ns, nt, p, &mut tiled_out)
+    });
+}
+
 /// Is `r` a row of a 16-bit tier?
 fn sixteen_bit(r: &Record) -> bool {
     matches!(SIMD.render(r, "precision").as_str(), "f16" | "bf16")
 }
 
 /// Rows [`SIMD_FLOOR`] applies to: the 16-bit conversion and butterfly
-/// kernels.
+/// kernels, the pointwise multiply, the remainder-row forward blocks and
+/// the one layout pass whose destination stride is not a power of two.
 fn floor_gated(r: &Record) -> bool {
     let kernel = SIMD.render(r, "kernel");
-    sixteen_bit(r) && (kernel.starts_with("convert") || kernel.starts_with("fft"))
+    let sixteen = sixteen_bit(r) && (kernel.starts_with("convert") || kernel.starts_with("fft"));
+    sixteen
+        || kernel == "pointwise_mul"
+        || kernel.starts_with("sbgemv_notrans_")
+        || kernel == "layout_reorder_out"
+}
+
+/// Rows [`LAYOUT_TILE_FLOOR`] applies to: the layout passes with a
+/// power-of-two destination stride.
+fn layout_floor_gated(r: &Record) -> bool {
+    matches!(SIMD.render(r, "kernel").as_str(), "layout_pad" | "layout_reorder_in" | "layout_unpad")
 }
 
 /// Rows [`SIMD_FFT_FLOOR`] applies to: the `f32`/`f64` transforms.
@@ -258,11 +391,12 @@ fn main() {
 
     let level = active_level();
     println!(
-        "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit rows, {:.2}x on f32/f64 \
-         fft rows)",
+        "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit, pointwise and \
+         remainder-row rows, {:.2}x on f32/f64 fft rows, {:.2}x tiled vs naive on layout rows)",
         level.name(),
         SIMD_FLOOR.bound,
-        SIMD_FFT_FLOOR.bound
+        SIMD_FFT_FLOOR.bound,
+        LAYOUT_TILE_FLOOR.bound
     );
     rule(78);
 
@@ -276,13 +410,20 @@ fn main() {
         measure_fft::<f64>(&mut rows, (n, true), "f64", level, samples, sample_ms);
         measure_fft::<f32>(&mut rows, (n, true), "f32", level, samples, sample_ms);
     }
-    let n = GemvOp::NoTrans;
-    measure_gemv::<f32>(&mut rows, n, GEMV_SHAPE, "f32", level, samples, sample_ms);
-    measure_gemv::<f16>(&mut rows, n, GEMV_SHAPE, "f16", level, samples, sample_ms);
-    measure_gemv::<bf16>(&mut rows, n, GEMV_SHAPE, "bf16", level, samples, sample_ms);
-    let h = GemvOp::ConjTrans;
-    measure_gemv::<Complex<f32>>(&mut rows, h, PAPER_BLOCK, "c32", level, samples, sample_ms);
-    measure_gemv::<Complex<f64>>(&mut rows, h, PAPER_BLOCK, "c64", level, samples, sample_ms);
+    let (n, k) = (GemvOp::NoTrans, "sbgemv_notrans");
+    measure_gemv::<f32>(&mut rows, k, n, GEMV_SHAPE, "f32", level, samples, sample_ms);
+    measure_gemv::<f16>(&mut rows, k, n, GEMV_SHAPE, "f16", level, samples, sample_ms);
+    measure_gemv::<bf16>(&mut rows, k, n, GEMV_SHAPE, "bf16", level, samples, sample_ms);
+    let (h, k) = (GemvOp::ConjTrans, "sbgemv_conjtrans");
+    measure_gemv::<Complex<f32>>(&mut rows, k, h, PAPER_BLOCK, "c32", level, samples, sample_ms);
+    measure_gemv::<Complex<f64>>(&mut rows, k, h, PAPER_BLOCK, "c64", level, samples, sample_ms);
+    for shape in REMAINDER_BLOCKS {
+        let k = format!("sbgemv_notrans_{}x{}", shape.0, shape.1);
+        measure_gemv::<Complex<f32>>(&mut rows, &k, n, shape, "c32", level, samples, sample_ms);
+    }
+    measure_pointwise(&mut rows, Precision::Single, "f32", level, samples, sample_ms);
+    measure_pointwise(&mut rows, Precision::Double, "f64", level, samples, sample_ms);
+    measure_layout(&mut rows, level, samples, sample_ms);
     rule(78);
 
     if level == SimdLevel::Portable {
@@ -302,5 +443,6 @@ fn main() {
     };
     let mut below_floor = below(floor_gated, &SIMD_FLOOR);
     below_floor.extend(below(fft_floor_gated, &SIMD_FFT_FLOOR));
+    below_floor.extend(below(layout_floor_gated, &LAYOUT_TILE_FLOOR));
     record::finish(&SIMD, &args, &rows, below_floor);
 }

@@ -123,6 +123,29 @@ pub fn measure_errors(
     measure_errors_dir(op, OpDirection::Forward, configs, seed)
 }
 
+/// The element-by-element transposing loop that `core::layout`'s pad /
+/// reorder / unpad kernels were before they moved tiles — same arguments
+/// and same result as `fftmatvec_numeric::ndindex::transpose_map`, which
+/// replaced it: `dst[c·ld_dst + r] = f(src[r·ld_src + c])`, scattered one
+/// element at a time at stride `ld_dst`. Kept here as `bench_simd`'s
+/// oracle and denominator for the `layout_*` rows, the role
+/// `fft::recursive` plays for `bench_fft`.
+pub fn naive_transpose_map<A: Copy, B>(
+    src: &[A],
+    ld_src: usize,
+    dst: &mut [B],
+    ld_dst: usize,
+    rows: usize,
+    cols: usize,
+    f: impl Fn(A) -> B,
+) {
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * ld_dst + r] = f(src[r * ld_src + c]);
+        }
+    }
+}
+
 /// Format seconds as milliseconds with three decimals.
 pub fn ms(t: f64) -> String {
     format!("{:.3}", t * 1e3)
@@ -628,7 +651,7 @@ mod tests {
         let committed = [
             ("baseline.json", (48, 24)),
             ("baseline_matvec.json", (24, 12)),
-            ("baseline_simd.json", (19, 19)),
+            ("baseline_simd.json", (27, 27)),
             ("baseline_service.json", (2, 1)),
             ("baseline_autotune.json", (4, 4)),
             ("baseline_toeplitz.json", (4, 4)),

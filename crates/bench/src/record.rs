@@ -418,7 +418,9 @@ pub const MATVEC_INTO_NO_SLOWER: Bar =
     Bar { name: "into-no-slower-than-alloc", of: None, better: Better::Lower, bound: 1.10 };
 
 /// `bench_simd`: one kernel call per `(kernel, precision)` with dispatch
-/// forced portable vs the detected vector `level` (informational).
+/// forced portable vs the detected vector `level` (informational). The
+/// `layout_*` rows reuse the two legs for the naive element-by-element
+/// loop vs the tiled library pass.
 pub const SIMD: Schema = Schema {
     name: "simd",
     unit: "ns_per_call",
@@ -435,8 +437,10 @@ pub const SIMD: Schema = Schema {
     better: Better::Higher,
     tol: 1.25,
 };
-/// Applied by `bench_simd` to the 16-bit conversion and butterfly rows
-/// only: the vector kernels must be no slower than the scalar paths.
+/// Applied by `bench_simd` to the 16-bit conversion and butterfly rows,
+/// the `pointwise_mul` and remainder-row `sbgemv_notrans_*` rows and
+/// `layout_reorder_out` (destination stride 65, no set conflicts to win
+/// back): the second leg must be no slower than the first.
 pub const SIMD_FLOOR: Bar =
     Bar { name: "no-slower-than-scalar", of: None, better: Better::Higher, bound: 1.0 };
 /// Applied by `bench_simd` to the `f32`/`f64` `fft_*` rows: at a vector
@@ -446,6 +450,15 @@ pub const SIMD_FLOOR: Bar =
 /// first Stockham stage did, at 1.7×) drops the row below this bar.
 pub const SIMD_FFT_FLOOR: Bar =
     Bar { name: "fft-vector-floor", of: None, better: Better::Higher, bound: 3.0 };
+
+/// Applied by `bench_simd` to the three `layout_*` rows whose
+/// destination stride is a power of two (pad, reorder-in, unpad at
+/// 256 × 64): the tiled pass must beat the element-by-element loop it
+/// replaced, which loses 4–5× to cache-set conflicts there, by 2×. Both
+/// legs run interleaved in one process, so the ratio is
+/// machine-normalized like the other floors.
+pub const LAYOUT_TILE_FLOOR: Bar =
+    Bar { name: "layout-tile-floor", of: None, better: Better::Higher, bound: 2.0 };
 
 /// `bench_service`: one open-loop load run per `(shape, mode)`, `mode` =
 /// `coalesced` (windows up to `max_batch`) or `batch1`; `threads` is the

@@ -25,8 +25,18 @@
 //! tile only decides which outputs share a pass over the matrix: lanes
 //! and registers run *across* outputs, never along the reduction, so tile
 //! width, lane width and thread count cannot change a bit of any output.
+//!
+//! **No `mul_add` outside an FMA context.** The workspace is not built
+//! with `+fma`, so a scalar `mul_add` compiled on its own is a call into
+//! libm. The three scalar loops here (`notrans_run`, `trans_run`,
+//! `scale_run`) are `#[inline(always)]`: the vector tiles of
+//! `crate::simd` inline them for their remainders, and what no vector
+//! tile takes goes through `trans_pass` / `scale_pass`
+//! ([`fftmatvec_numeric::fma_pass`]: the same body, once plainly and once
+//! inside an `avx2,fma` wrapper). Both lowerings are correctly rounded, so
+//! the bits are the same either way.
 
-use fftmatvec_numeric::Scalar;
+use fftmatvec_numeric::{fma_pass, Scalar};
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
@@ -167,13 +177,15 @@ impl<S: Scalar> Sweep<'_, S> {
         match op {
             GemvOp::NoTrans => {
                 if !crate::simd::notrans_tile(a, lda, x, o0, r0, r1, acc) {
+                    // Every type has a forward vector tile, so this is
+                    // the portable level only: no FMA context to enter.
                     notrans_run(a, lda, x, o0, r0, r1, acc);
                 }
             }
             GemvOp::Trans | GemvOp::ConjTrans => {
                 let conj = op == GemvOp::ConjTrans;
                 if !crate::simd::trans_tile(conj, a, lda, x, o0, r0, r1, acc) {
-                    trans_run(conj, a, lda, x, o0, r0, r1, acc);
+                    trans_pass(conj, a, lda, x, o0, r0, r1, acc);
                 }
             }
         }
@@ -182,6 +194,9 @@ impl<S: Scalar> Sweep<'_, S> {
 
 /// Scalar non-transpose base run over rows `[i0, i0 + acc.len())`:
 /// columns `[j0, j1)` in order, every column slice read contiguous.
+/// `#[inline(always)]`, like the other two `*_run` loops, so that it is
+/// compiled in its caller's FMA context (see the module docs).
+#[inline(always)]
 pub(crate) fn notrans_run<S: Scalar>(
     a: &[S],
     lda: usize,
@@ -205,6 +220,7 @@ pub(crate) fn notrans_run<S: Scalar>(
 /// `[j0, j0 + acc.len())`: rows `[i0, i1)` in order. Rows outermost, so
 /// the columns' chains interleave instead of each waiting out its own FMA
 /// latency (5–8 % faster than column-by-column on the 16×256 block).
+#[inline(always)]
 pub(crate) fn trans_run<S: Scalar>(
     conj: bool,
     a: &[S],
@@ -232,15 +248,33 @@ pub(crate) fn trans_run<S: Scalar>(
 /// the determinism digests hash bits.
 fn scale_into<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) {
     if !crate::simd::scale_tile(alpha, acc, beta, y) {
-        scale_run(alpha, acc, beta, y);
+        scale_pass(alpha, acc, beta, y);
     }
 }
 
 /// Scalar epilogue (and the vector epilogues' remainder).
+#[inline(always)]
 pub(crate) fn scale_run<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) {
     for (yi, &pi) in y.iter_mut().zip(acc) {
         let prior = beta.map_or(S::zero(), |b| b * *yi);
         *yi = alpha.mul_add(pi, prior);
+    }
+}
+
+// What no vector tile takes at an AVX2-class level — the real and 16-bit
+// types' transposed sweep and epilogue — runs the same scalar loops as one
+// pass each (at the portable level a pass is its plain body).
+fma_pass! {
+    fn trans_pass<S: Scalar>(
+        conj: bool, a: &[S], lda: usize, x: &[S], j0: usize, i0: usize, i1: usize, acc: &mut [S],
+    ) {
+        trans_run(conj, a, lda, x, j0, i0, i1, acc)
+    }
+}
+
+fma_pass! {
+    fn scale_pass<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) {
+        scale_run(alpha, acc, beta, y)
     }
 }
 

@@ -19,6 +19,20 @@
 //! FMAs per step, which alone leaves the FMA ports idle most cycles.
 //! Real and 16-bit transposes take the scalar tile.
 //!
+//! **Outputs past the last whole register.** The complex forward tiles
+//! finish with one *masked* register (`maskload` / `maskstore` of the
+//! rows left over), so `k·LANES + r` rows cost what `(k+1)·LANES` rows
+//! do: a 3×256×65 `Complex<f32>` sweep takes 47 µs beside 44 µs for
+//! 4×256×65, a single `Complex<f64>` sensor (1×256×65) 48 µs beside 50 µs
+//! for two. Everything else left over — rows of the real and 16-bit
+//! tiles, *columns* of a transposed complex tile (a partial gather is not
+//! written), the epilogue's last elements — runs the scalar loops of
+//! `crate::kernels`, which are `#[inline(always)]` and therefore compiled
+//! *here*, inside the tile's `avx2,fma` context, where a `mul_add` is one
+//! `vfmadd`. Compiled on their own (as they were) every `mul_add` is a
+//! call into libm `fma`, and one remainder row cost 4–9× a whole register
+//! of rows (3×256×65 `Complex<f32>`: 650 µs).
+//!
 //! 16-bit tiers round through storage after every fused multiply-add
 //! (inner product and outer FMA for the complex types), exactly where
 //! the emulated scalar arithmetic rounds.
@@ -35,19 +49,13 @@
 use fftmatvec_numeric::Scalar;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use self::dispatch::{avx2_active, cast, cast_mut, cast_one};
+use self::dispatch::{cast, cast_mut, cast_one};
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use fftmatvec_numeric::simd::fma_active;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod dispatch {
     use core::any::TypeId;
-
-    use fftmatvec_numeric::simd::{active_level, SimdLevel};
-
-    /// Do the AVX2+FMA kernels run? Both levels are only reachable
-    /// through `level_supported`, which verified avx2+fma on this host.
-    pub fn avx2_active() -> bool {
-        matches!(active_level(), SimdLevel::Avx2 | SimdLevel::Avx512)
-    }
 
     pub fn cast<S: 'static, U: 'static>(v: &[S]) -> Option<&[U]> {
         (TypeId::of::<S>() == TypeId::of::<U>()).then(|| {
@@ -82,7 +90,7 @@ pub(crate) fn notrans_tile<S: Scalar>(
     acc: &mut [S],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_active() {
+    if fma_active() {
         use fftmatvec_numeric::half::{bf16, f16};
         use fftmatvec_numeric::Complex;
 
@@ -91,7 +99,7 @@ pub(crate) fn notrans_tile<S: Scalar>(
                 if let (Some(a), Some(x), Some(acc)) =
                     (cast::<S, $u>(a), cast::<S, $u>(x), cast_mut::<S, $u>(acc))
                 {
-                    // SAFETY: avx2+fma verified (`avx2_active`); rows
+                    // SAFETY: avx2+fma verified (`fma_active`); rows
                     // `[i0, i0 + acc.len())` and columns `[j0, j1)` lie
                     // inside the matrix by gemv's extent precondition.
                     unsafe { $kernel(a, lda, x, i0, j0, j1, acc) };
@@ -128,7 +136,7 @@ pub(crate) fn trans_tile<S: Scalar>(
     acc: &mut [S],
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_active() {
+    if fma_active() {
         use fftmatvec_numeric::Complex;
 
         macro_rules! try_tile {
@@ -136,7 +144,7 @@ pub(crate) fn trans_tile<S: Scalar>(
                 if let (Some(a), Some(x), Some(acc)) =
                     (cast::<S, $u>(a), cast::<S, $u>(x), cast_mut::<S, $u>(acc))
                 {
-                    // SAFETY: avx2+fma verified (`avx2_active`); columns
+                    // SAFETY: avx2+fma verified (`fma_active`); columns
                     // `[j0, j0 + acc.len())` and rows `[i0, i1)` lie
                     // inside the matrix by gemv's extent precondition.
                     unsafe { $kernel(conj, a, lda, x, j0, i0, i1, acc) };
@@ -155,7 +163,7 @@ pub(crate) fn trans_tile<S: Scalar>(
 #[allow(unused_variables)]
 pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_active() {
+    if fma_active() {
         use fftmatvec_numeric::Complex;
 
         macro_rules! try_tile {
@@ -164,7 +172,7 @@ pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mu
                     (cast_one::<S, $u>(alpha), cast::<S, $u>(acc), cast_mut::<S, $u>(y))
                 {
                     assert_eq!(acc.len(), y.len(), "epilogue tile length mismatch");
-                    // SAFETY: avx2+fma verified (`avx2_active`); the
+                    // SAFETY: avx2+fma verified (`fma_active`); the
                     // kernel touches `acc` and `y` only below their
                     // common length, checked above (gemv cuts both from
                     // one tile of its extent-checked `y`).
@@ -339,6 +347,8 @@ mod x86 {
         use super::*;
 
         pub type V = __m256d;
+        /// Lane mask of a partial register.
+        pub type M = __m256i;
         /// Complex values per register.
         pub const LANES: usize = 2;
 
@@ -358,6 +368,28 @@ mod x86 {
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn storeu(p: *mut f64, v: V) {
             _mm256_storeu_pd(p, v)
+        }
+
+        /// Lane mask of the first `rem < LANES` complex values of a
+        /// register, for [`maskload`] / [`maskstore`].
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn tail_mask(rem: usize) -> M {
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(2 * rem as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+        }
+
+        /// Load the masked lanes, zero the rest; memory behind a masked-off
+        /// lane is not accessed (and cannot fault).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn maskload(p: *const f64, mask: M) -> V {
+            _mm256_maskload_pd(p, mask)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn maskstore(p: *mut f64, mask: M, v: V) {
+            _mm256_maskstore_pd(p, mask, v)
         }
 
         /// Element `*p` of [`LANES`] consecutive columns (`lda` complex
@@ -425,6 +457,7 @@ mod x86 {
         use super::*;
 
         pub type V = __m256;
+        pub type M = __m256i;
         pub const LANES: usize = 4;
 
         #[inline]
@@ -443,6 +476,25 @@ mod x86 {
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn storeu(p: *mut f32, v: V) {
             _mm256_storeu_ps(p, v)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn tail_mask(rem: usize) -> M {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * rem as i32), lane)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn maskload(p: *const f32, mask: M) -> V {
+            _mm256_maskload_ps(p, mask)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn maskstore(p: *mut f32, mask: M, v: V) {
+            _mm256_maskstore_ps(p, mask, v)
         }
 
         /// Four 64-bit loads: a `Complex<f32>` moves as one 64-bit
@@ -503,7 +555,10 @@ mod x86 {
             /// `ap` points at the first output's first element; outputs
             /// are rows (contiguous loads, reduction steps `lda` apart)
             /// or, with `TRANS`, columns (gathered loads, reduction
-            /// steps contiguous).
+            /// steps contiguous). With `Some(mask)` the (one) register is
+            /// the rows past the last whole one: only its masked lanes
+            /// are loaded and stored, each with the chain it would have
+            /// in a whole register.
             #[inline]
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $regs<const R: usize, const TRANS: bool>(
@@ -512,6 +567,7 @@ mod x86 {
                 lda: usize,
                 x: &[Complex<$t>],
                 out: *mut $t,
+                tail: Option<$v::M>,
             ) {
                 let mut v = [$v::zero(); R];
                 for (r, &xr) in x.iter().enumerate() {
@@ -520,19 +576,28 @@ mod x86 {
                         let a = if TRANS {
                             $v::gather(ap.add(2 * (k * $v::LANES * lda + r)), lda)
                         } else {
-                            $v::loadu(ap.add(2 * (r * lda + k * $v::LANES)))
+                            let p = ap.add(2 * (r * lda + k * $v::LANES));
+                            match tail {
+                                None => $v::loadu(p),
+                                Some(mask) => $v::maskload(p, mask),
+                            }
                         };
                         *vk = $v::cfma(a, sign, x_ri, x_sw, *vk);
                     }
                 }
                 for (k, vk) in v.iter().enumerate() {
-                    $v::storeu(out.add(2 * k * $v::LANES), *vk);
+                    match tail {
+                        None => $v::storeu(out.add(2 * k * $v::LANES), *vk),
+                        Some(mask) => $v::maskstore(out.add(2 * k * $v::LANES), mask, *vk),
+                    }
                 }
             }
 
-            /// All whole registers of one tile: groups of [`IN_FLIGHT`],
-            /// then one at a time. Returns the outputs covered; the
-            /// caller's scalar run takes the rest.
+            /// All registers of one tile: groups of [`IN_FLIGHT`], then
+            /// one at a time, then — rows only — the partial register of
+            /// the rows left over. Returns the outputs covered; the
+            /// caller's scalar run takes the rest (leftover *columns* of
+            /// a transposed tile: a partial gather is not written).
             #[inline]
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $sweep<const TRANS: bool>(
@@ -547,12 +612,17 @@ mod x86 {
                 let mut o = 0;
                 while o + IN_FLIGHT * $v::LANES <= acc.len() {
                     let at = ap.add(2 * o * stride);
-                    $regs::<IN_FLIGHT, TRANS>(sign, at, lda, x, out.add(2 * o));
+                    $regs::<IN_FLIGHT, TRANS>(sign, at, lda, x, out.add(2 * o), None);
                     o += IN_FLIGHT * $v::LANES;
                 }
                 while o + $v::LANES <= acc.len() {
-                    $regs::<1, TRANS>(sign, ap.add(2 * o * stride), lda, x, out.add(2 * o));
+                    $regs::<1, TRANS>(sign, ap.add(2 * o * stride), lda, x, out.add(2 * o), None);
                     o += $v::LANES;
+                }
+                if !TRANS && o < acc.len() {
+                    let mask = Some($v::tail_mask(acc.len() - o));
+                    $regs::<1, false>(sign, ap.add(2 * o), lda, x, out.add(2 * o), mask);
+                    o = acc.len();
                 }
                 o
             }
@@ -570,7 +640,7 @@ mod x86 {
             ) {
                 let ap = a.as_ptr().add(j0 * lda + i0) as *const $t;
                 let done = $sweep::<false>($v::sign(false), ap, lda, &x[j0..j1], acc);
-                notrans_run(a, lda, x, i0 + done, j0, j1, &mut acc[done..]);
+                debug_assert_eq!(done, acc.len());
             }
 
             /// Complex columns: `acc[c] = Σ_i op(a[i][j0 + c])·x[i]` in

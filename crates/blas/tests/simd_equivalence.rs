@@ -32,20 +32,24 @@ fn digest<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Run all three ops over one geometry at the current dispatch level.
+/// Run all three ops over one geometry at the current dispatch level,
+/// packed (`lda = m`) and with a padded leading dimension.
 fn run_all<S: Scalar>(m: usize, n: usize, batch: usize, seed: u64) -> Vec<Vec<(u64, u64)>> {
     let mut digests = Vec::new();
     for op in [GemvOp::NoTrans, GemvOp::Trans, GemvOp::ConjTrans] {
-        let mut rng = SplitMix64::new(seed);
-        let g = BatchGeometry::packed(m, n, op, batch);
-        let a: Vec<S> = fill(&mut rng, batch * m * n);
-        let x: Vec<S> = fill(&mut rng, batch * op.input_len(m, n));
-        let y0: Vec<S> = fill(&mut rng, batch * op.output_len(m, n));
-        let alpha = S::from_f64_parts(1.25, -0.5);
-        let beta = S::from_f64_parts(0.75, 0.25);
-        let mut y = y0;
-        sbgemv(op, alpha, &a, &x, beta, &mut y, &g);
-        digests.push(digest(&y));
+        for lda in [m, m + 3] {
+            let mut rng = SplitMix64::new(seed);
+            let g =
+                BatchGeometry { lda, stride_a: lda * n, ..BatchGeometry::packed(m, n, op, batch) };
+            let a: Vec<S> = fill(&mut rng, batch * lda * n);
+            let x: Vec<S> = fill(&mut rng, batch * op.input_len(m, n));
+            let y0: Vec<S> = fill(&mut rng, batch * op.output_len(m, n));
+            let alpha = S::from_f64_parts(1.25, -0.5);
+            let beta = S::from_f64_parts(0.75, 0.25);
+            let mut y = y0;
+            sbgemv(op, alpha, &a, &x, beta, &mut y, &g);
+            digests.push(digest(&y));
+        }
     }
     digests
 }
@@ -76,11 +80,20 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (24, 31, 1),
 ];
 
+/// Every row count around one and two registers of either complex type
+/// (1–3 and 5–7 rows: the forward tiles' masked partial register; 9: a
+/// whole register group plus one row) against reduction lengths below,
+/// at and past one base run and at the paper's 256.
+fn remainder_row_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+    let rows = [1, 2, 3, 5, 6, 7, 9].into_iter();
+    rows.flat_map(|m| [1, 16, 17, 256].into_iter().map(move |n| (m, n, 1 + n % 2)))
+}
+
 fn check_tier<S: Scalar>() {
     let _guard = LEVEL_LOCK.lock().unwrap();
     let levels = supported_levels();
     let prev = set_active_level(SimdLevel::Portable);
-    for &(m, n, batch) in SHAPES {
+    for (m, n, batch) in SHAPES.iter().copied().chain(remainder_row_shapes()) {
         let seed = (m * 1000 + n * 10 + batch) as u64;
         set_active_level(SimdLevel::Portable);
         let reference = run_all::<S>(m, n, batch, seed);

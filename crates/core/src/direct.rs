@@ -9,6 +9,7 @@
 //! Applications go through the [`LinearOperator`] trait; the `_into`
 //! paths write straight into the caller's buffer and allocate nothing.
 
+use fftmatvec_numeric::vecmath::{axpy, dot};
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
@@ -46,13 +47,8 @@ impl LinearOperator for DirectMatvec<'_> {
             for tj in 0..=ti {
                 let blk = self.op.block(ti - tj);
                 let mj = &m[tj * nm..(tj + 1) * nm];
-                for (i, di) in dt.iter_mut().enumerate() {
-                    let row = &blk[i * nm..(i + 1) * nm];
-                    let mut acc = 0.0;
-                    for (&a, &b) in row.iter().zip(mj) {
-                        acc = f64::mul_add(a, b, acc);
-                    }
-                    *di += acc;
+                for (di, row) in dt.iter_mut().zip(blk.chunks_exact(nm)) {
+                    *di += dot(row, mj);
                 }
             }
         };
@@ -72,12 +68,8 @@ impl LinearOperator for DirectMatvec<'_> {
             for ti in tj..nt {
                 let blk = self.op.block(ti - tj);
                 let di = &d[ti * nd..(ti + 1) * nd];
-                for i in 0..nd {
-                    let row = &blk[i * nm..(i + 1) * nm];
-                    let s = di[i];
-                    for (mk, &a) in mt.iter_mut().zip(row) {
-                        *mk = f64::mul_add(a, s, *mk);
-                    }
+                for (&s, row) in di.iter().zip(blk.chunks_exact(nm)) {
+                    axpy(s, row, mt);
                 }
             }
         };

@@ -11,6 +11,7 @@
 //! materialized lazily for configurations that compute phase 3 in FP32.
 
 use fftmatvec_fft::BatchedRealFft;
+use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::{Complex, C16, C32, C64, CB16};
 
 use crate::linop::ConfigError;
@@ -81,13 +82,7 @@ impl BlockToeplitzOperator {
         let nfreq = nt + 1;
         let series_count = nd * nm;
         let mut padded = vec![0.0f64; series_count * n2];
-        for t in 0..nt {
-            for i in 0..nd {
-                for k in 0..nm {
-                    padded[(i * nm + k) * n2 + t] = col[(t * nd + i) * nm + k];
-                }
-            }
-        }
+        transpose_map(col, series_count, &mut padded, n2, nt, series_count, |v| v);
         let fft = BatchedRealFft::<f64>::new(n2);
         let mut spectra = vec![Complex::zero(); series_count * nfreq];
         fft.forward_batch(&padded, &mut spectra);
@@ -95,14 +90,12 @@ impl BlockToeplitzOperator {
 
         // Transpose to SBGEMV layout: per frequency, column-major nd × nm.
         // fhat[f·nd·nm + k·nd + i] = spectra[(i·nm + k)·nfreq + f].
+        // Per block column k this is a (nd × nfreq) → (nfreq × nd)
+        // transpose between strided views of the two buffers.
         let mut fhat = vec![Complex::zero(); nfreq * nd * nm];
-        for i in 0..nd {
-            for k in 0..nm {
-                let src = &spectra[(i * nm + k) * nfreq..(i * nm + k + 1) * nfreq];
-                for (f, &v) in src.iter().enumerate() {
-                    fhat[f * nd * nm + k * nd + i] = v;
-                }
-            }
+        for k in 0..nm {
+            let (src, dst) = (&spectra[k * nfreq..], &mut fhat[k * nd..]);
+            transpose_map(src, nm * nfreq, dst, nd * nm, nd, nfreq, |v| v);
         }
 
         Ok(BlockToeplitzOperator {

@@ -15,11 +15,10 @@
 //! The inverse transform reuses the same tables through the conjugation
 //! identity `idft(x) = conj(dft(conj(x)))/n`.
 
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::cache::{self, PlanHandle};
 use crate::plan::FftDirection;
-use crate::simd::fma_pass;
 
 /// Precomputed Bluestein transform of length `n`.
 pub struct BluesteinPlan<T: Real> {

@@ -21,7 +21,7 @@
 //! * Every stage is first offered to the vector kernels of
 //!   [`crate::simd`]; what they do not take runs [`scalar_stage`], whose
 //!   one source body is instantiated plainly and in an `avx2,fma` context
-//!   ([`crate::simd::fma_pass`]) so `mul_add` is an instruction, not a
+//!   ([`fftmatvec_numeric::fma_pass`]) so `mul_add` is an instruction, not a
 //!   libm call. All three produce the same bits.
 //!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
@@ -30,10 +30,9 @@
 //! the `s` interleaved sub-problems, after which the schedule recurses on
 //! `n_cur ← m`, `s ← s·r`.
 
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::plan::{FftDirection, MAX_RADIX};
-use crate::simd::fma_pass;
 
 /// One butterfly pass of the iterative schedule.
 struct Stage<T: Real> {
@@ -436,7 +435,7 @@ mod tests {
                 }
             }
         }
-        if crate::simd::fma_active() {
+        if fftmatvec_numeric::simd::fma_active() {
             check::<f32>();
             check::<f64>();
         }

@@ -20,11 +20,10 @@
 //! [`FftPlan::scratch_len`] elements, which lets the batched driver keep
 //! one scratch per worker in a shared arena.
 
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::bluestein::BluesteinPlan;
 use crate::iterative::IterativeFft;
-use crate::simd::fma_pass;
 
 /// Transform direction. Forward is `e^{-2πijk/n}` unscaled; inverse is
 /// `e^{+2πijk/n}` scaled by `1/n`.

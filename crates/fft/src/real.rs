@@ -25,11 +25,10 @@
 //! Conventions match [`crate::FftPlan`]: forward unscaled, inverse scaled
 //! so `inverse(forward(x)) == x`.
 
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::cache::{self, PlanHandle};
 use crate::plan::FftDirection;
-use crate::simd::fma_pass;
 
 /// Plan for transforms of real signals of even length `n`.
 pub struct RealFftPlan<T: Real> {

@@ -1,6 +1,7 @@
 //! Instruction-level dispatch for every pass the FFT makes over its data:
 //! vector kernels for the butterflies, the real-transform mirror loops
-//! and Bluestein's pointwise multiply, and [`fma_pass`] for the scalar
+//! and Bluestein's pointwise multiply, and [`fma_pass`] (defined in
+//! `fftmatvec_numeric::simd`, where every crate finds it) for the scalar
 //! loops that remain.
 //!
 //! Each `bool` entry point here tries the active SIMD level and returns
@@ -50,52 +51,15 @@
 //!   inlined into the kernel.
 //! * Both lowerings of a scalar `mul_add` (libm `fma`, `vfmadd`) are
 //!   correctly rounded, so the two [`fma_pass`] instantiations agree.
+//!
+//! [`fma_pass`]: fftmatvec_numeric::fma_pass
 
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use fftmatvec_numeric::simd::fma_active;
 use fftmatvec_numeric::{Complex, Real};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86;
-
-/// Does the active level execute `avx2,fma` code?
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-pub(crate) fn fma_active() -> bool {
-    use fftmatvec_numeric::simd::{active_level, SimdLevel};
-    matches!(active_level(), SimdLevel::Avx2 | SimdLevel::Avx512)
-}
-
-/// Define a scalar pass `fn name<T: Real>(args…)` whose one body is
-/// instantiated twice: plainly, and inside an `avx2,fma` wrapper taken
-/// whenever [`fma_active`]. Everything the body calls must be
-/// `#[inline(always)]` (the `Real`/`Complex` arithmetic is) so that it is
-/// compiled in the wrapper's context.
-macro_rules! fma_pass {
-    (
-        $(#[$meta:meta])*
-        $vis:vis fn $name:ident<$T:ident: Real>($($arg:ident: $ty:ty),* $(,)?) $body:block
-    ) => {
-        $(#[$meta])*
-        $vis fn $name<$T: Real>($($arg: $ty),*) {
-            #[inline(always)]
-            fn body<$T: Real>($($arg: $ty),*) $body
-
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            {
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn fma<$T: Real>($($arg: $ty),*) {
-                    body($($arg),*)
-                }
-                if $crate::simd::fma_active() {
-                    // SAFETY: `fma_active` implies `level_supported(Avx2)`,
-                    // which verified avx2 and fma on this host.
-                    return unsafe { fma($($arg),*) };
-                }
-            }
-            body($($arg),*)
-        }
-    };
-}
-pub(crate) use fma_pass;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod dispatch {

@@ -194,6 +194,59 @@ pub fn set_active_level(level: SimdLevel) -> SimdLevel {
     prev
 }
 
+/// Does the active level execute `avx2,fma` code? `true` implies
+/// [`level_supported`]`(Avx2)`, i.e. avx2 and fma were verified on this
+/// host — the precondition of every `#[target_feature(enable =
+/// "avx2,fma")]` entry point in the workspace, [`fma_pass!`](crate::fma_pass)'s
+/// included.
+#[inline]
+pub fn fma_active() -> bool {
+    matches!(active_level(), SimdLevel::Avx2 | SimdLevel::Avx512)
+}
+
+/// Define a scalar pass `fn name<T: Bound>(args…) [-> R]` whose one body
+/// is instantiated twice: plainly, and inside an `avx2,fma` wrapper taken
+/// whenever [`fma_active`](crate::simd::fma_active). The workspace is not
+/// built with `+fma`, so outside such a wrapper every scalar `mul_add` is
+/// a *call* into libm `fma`; inside it is one `vfmadd`. Both lowerings
+/// are correctly rounded, so the two instantiations agree on every bit.
+///
+/// Everything the body calls must be `#[inline(always)]` (the `Real` /
+/// `Complex` / `Scalar` arithmetic is) so that it is compiled in the
+/// wrapper's context. The bound is any trait path (`Real`, `Scalar`).
+///
+/// The `cfg` below is evaluated in the *calling* crate: a caller needs
+/// its own `simd` feature (chained to this crate's) to get the second
+/// instantiation, and compiles to the plain body alone without it.
+#[macro_export]
+macro_rules! fma_pass {
+    (
+        $(#[$meta:meta])*
+        $vis:vis fn $name:ident<$T:ident: $bound:path>($($arg:ident: $ty:ty),* $(,)?)
+        $(-> $ret:ty)? $body:block
+    ) => {
+        $(#[$meta])*
+        $vis fn $name<$T: $bound>($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn body<$T: $bound>($($arg: $ty),*) $(-> $ret)? $body
+
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            {
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn fma<$T: $bound>($($arg: $ty),*) $(-> $ret)? {
+                    body($($arg),*)
+                }
+                if $crate::simd::fma_active() {
+                    // SAFETY: `fma_active` implies `level_supported(Avx2)`,
+                    // which verified avx2 and fma on this host.
+                    return unsafe { fma($($arg),*) };
+                }
+            }
+            body($($arg),*)
+        }
+    };
+}
+
 macro_rules! dispatch_conversion {
     ($name:ident, $with:ident, $src:ty, $dst:ty, $doc:literal) => {
         #[doc = $doc]

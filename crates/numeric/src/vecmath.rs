@@ -6,19 +6,26 @@
 //! (`‖δv‖/‖v‖`, Section 3.2.1).
 
 use crate::complex::Complex;
+use crate::fma_pass;
 use crate::real::Real;
 use crate::scalar::Scalar;
 
-/// Euclidean dot product `aᵀb` (no conjugation).
-pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).fold(S::zero(), |acc, (&x, &y)| x.mul_add(y, acc))
+fma_pass! {
+    /// Euclidean dot product `aᵀb` (no conjugation): one sequential
+    /// `mul_add` chain, run as a [`fma_pass`] like [`dotc`] and [`axpy`] —
+    /// a libm call per element otherwise.
+    pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
+        assert_eq!(a.len(), b.len(), "dot length mismatch");
+        a.iter().zip(b).fold(S::zero(), |acc, (&x, &y)| x.mul_add(y, acc))
+    }
 }
 
-/// Hermitian inner product `aᴴb` (conjugate-linear in `a`).
-pub fn dotc<S: Scalar>(a: &[S], b: &[S]) -> S {
-    assert_eq!(a.len(), b.len(), "dotc length mismatch");
-    a.iter().zip(b).fold(S::zero(), |acc, (&x, &y)| x.conj().mul_add(y, acc))
+fma_pass! {
+    /// Hermitian inner product `aᴴb` (conjugate-linear in `a`).
+    pub fn dotc<S: Scalar>(a: &[S], b: &[S]) -> S {
+        assert_eq!(a.len(), b.len(), "dotc length mismatch");
+        a.iter().zip(b).fold(S::zero(), |acc, (&x, &y)| x.conj().mul_add(y, acc))
+    }
 }
 
 /// Squared Euclidean norm `‖a‖²`.
@@ -31,11 +38,13 @@ pub fn nrm2<S: Scalar>(a: &[S]) -> S::Real {
     norm_sqr(a).sqrt()
 }
 
-/// `y ← αx + y`.
-pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(xi, *yi);
+fma_pass! {
+    /// `y ← αx + y`.
+    pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+        assert_eq!(x.len(), y.len(), "axpy length mismatch");
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = alpha.mul_add(xi, *yi);
+        }
     }
 }
 

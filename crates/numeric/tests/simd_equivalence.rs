@@ -206,6 +206,50 @@ fn forced_fallback_runs_portable_on_capable_hosts() {
     );
 }
 
+/// The `fma_pass!` loops of `vecmath` — one sequential `mul_add` chain
+/// each — give the same bits whether `mul_add` lowers to libm `fma`
+/// (portable) or to `vfmadd` (the `avx2,fma` instantiation).
+#[test]
+fn vecmath_passes_are_bit_identical_at_every_level() {
+    use fftmatvec_numeric::vecmath::{axpy, dot, dotc};
+    use fftmatvec_numeric::{Complex, Scalar};
+
+    fn run<S: Scalar>(len: usize) -> Vec<(u64, u64)> {
+        let mut rng = SplitMix64::new(len as u64);
+        let mut fill = || -> Vec<S> {
+            let part = |rng: &mut SplitMix64| rng.uniform(-1.0, 1.0);
+            (0..len).map(|_| S::from_f64_parts(part(&mut rng), part(&mut rng))).collect()
+        };
+        let (a, b, mut y) = (fill(), fill(), fill());
+        axpy(S::from_f64_parts(0.75, -0.5), &a, &mut y);
+        y.push(dot(&a, &b));
+        y.push(dotc(&a, &b));
+        y.iter().map(|v| v.to_f64_parts()).map(|(re, im)| (re.to_bits(), im.to_bits())).collect()
+    }
+    fn run_all(len: usize) -> Vec<Vec<(u64, u64)>> {
+        vec![
+            run::<f32>(len),
+            run::<f64>(len),
+            run::<f16>(len),
+            run::<bf16>(len),
+            run::<Complex<f32>>(len),
+            run::<Complex<f64>>(len),
+        ]
+    }
+
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let prev = set_active_level(SimdLevel::Portable);
+    for len in [0, 1, 7, 1000] {
+        set_active_level(SimdLevel::Portable);
+        let reference = run_all(len);
+        for level in supported_levels() {
+            set_active_level(level);
+            assert_eq!(run_all(len), reference, "len={len} level={level}");
+        }
+    }
+    set_active_level(prev);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -8,7 +8,7 @@
 //! `pad_input_into` + `cast_real_into`), and a value leaving the grid is
 //! rounded through the Unpad tier on its way to the `f64` output.
 
-use fftmatvec_numeric::{Complex, Precision, Real, C64};
+use fftmatvec_numeric::{fma_pass, Complex, Precision, Real, C64};
 
 /// Zero the whole grid (embedding slack must be zero before the head
 /// block is written).
@@ -116,38 +116,42 @@ pub(crate) fn pad_split<T: Real>(
     }
 }
 
-/// Split-path Unpad: fold one channel's half-grid inverse transform into
-/// the output. The length-`m₁` inverse DFT splits as
-/// `y[n] = ½·(E[n] + e^{+iπn/n₁}·O[n])` for `n < n₁`, so the even
-/// channel (weight 1) *writes* `½·Re(h)` and the odd channel
-/// (`weight[n] = e^{+iπn/n₁}`) *accumulates* `½·Re(w_n·h)`. Each
-/// channel's contribution rounds through `p_unpad` before the `f64`
-/// write/add.
-pub(crate) fn extract_split<T: Real>(
-    out_outer: usize,
-    out_inner: usize,
-    m2: usize,
-    grid: &[Complex<T>],
-    p_unpad: Precision,
-    weight: Option<&[C64]>,
-    accumulate: bool,
-    out: &mut [f64],
-) {
-    for n in 0..out_outer {
-        let grow = &grid[n * m2..n * m2 + out_inner];
-        let orow = &mut out[n * out_inner..(n + 1) * out_inner];
-        let w = weight.map(|w| w[n]);
-        for (o, g) in orow.iter_mut().zip(grow) {
-            let h = C64::new(g.re.to_f64(), g.im.to_f64());
-            let re = match w {
-                None => h.re,
-                Some(w) => (w * h).re,
-            };
-            let contrib = p_unpad.round_f64(0.5 * re);
-            if accumulate {
-                *o += contrib;
-            } else {
-                *o = contrib;
+fma_pass! {
+    /// Split-path Unpad: fold one channel's half-grid inverse transform into
+    /// the output. The length-`m₁` inverse DFT splits as
+    /// `y[n] = ½·(E[n] + e^{+iπn/n₁}·O[n])` for `n < n₁`, so the even
+    /// channel (weight 1) *writes* `½·Re(h)` and the odd channel
+    /// (`weight[n] = e^{+iπn/n₁}`) *accumulates* `½·Re(w_n·h)`. Each
+    /// channel's contribution rounds through `p_unpad` before the `f64`
+    /// write/add. The odd channel's `w·h` is a complex product per element,
+    /// so the loop is an [`fma_pass`] (outside an FMA context each product
+    /// is two calls into libm `fma`).
+    pub(crate) fn extract_split<T: Real>(
+        out_outer: usize,
+        out_inner: usize,
+        m2: usize,
+        grid: &[Complex<T>],
+        p_unpad: Precision,
+        weight: Option<&[C64]>,
+        accumulate: bool,
+        out: &mut [f64],
+    ) {
+        for n in 0..out_outer {
+            let grow = &grid[n * m2..n * m2 + out_inner];
+            let orow = &mut out[n * out_inner..(n + 1) * out_inner];
+            let w = weight.map(|w| w[n]);
+            for (o, g) in orow.iter_mut().zip(grow) {
+                let h = C64::new(g.re.to_f64(), g.im.to_f64());
+                let re = match w {
+                    None => h.re,
+                    Some(w) => (w * h).re,
+                };
+                let contrib = p_unpad.round_f64(0.5 * re);
+                if accumulate {
+                    *o += contrib;
+                } else {
+                    *o = contrib;
+                }
             }
         }
     }
