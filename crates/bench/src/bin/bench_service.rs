@@ -117,9 +117,14 @@ fn run_mode(
     let throughput_rps = stats.completed as f64 / elapsed;
     let p50_us = stats.latency_quantile_us(0.50).unwrap_or(0.0);
     let p99_us = stats.latency_quantile_us(0.99).unwrap_or(0.0);
+    // Why the windows closed: full / timer / alone / drain.
+    let closed = format!(
+        "{}/{}/{}/{}",
+        stats.closed_full, stats.closed_timer, stats.closed_alone, stats.closed_drain
+    );
     println!(
         "{mode:<10} {max_batch:>9} {offered_rps:>12.0} {throughput_rps:>14.0} {p50_us:>9.0} \
-         {p99_us:>9.0} {:>10.2} {:>9} {:>8}",
+         {p99_us:>9.0} {:>10.2} {:>9} {:>8} {closed:>14}",
         stats.mean_batch(),
         stats.completed,
         stats.rejected
@@ -181,7 +186,7 @@ fn main() {
     );
 
     let header = format!(
-        "{:<10} {:>9} {:>12} {:>14} {:>9} {:>9} {:>10} {:>9} {:>8}",
+        "{:<10} {:>9} {:>12} {:>14} {:>9} {:>9} {:>10} {:>9} {:>8} {:>14}",
         "mode",
         "max_batch",
         "offered_rps",
@@ -190,7 +195,8 @@ fn main() {
         "p99_us",
         "mean_batch",
         "completed",
-        "rejected"
+        "rejected",
+        "closed f/t/a/d"
     );
     println!("{header}");
     rule(header.len());

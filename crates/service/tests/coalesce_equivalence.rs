@@ -9,7 +9,9 @@
 //! exactly the bits of a freshly built identical pipeline applying each
 //! vector alone through `apply_into`. This leans on (and re-verifies)
 //! the PR-5 determinism contract: pooled batched execution equals the
-//! sequential per-item loop at any thread count.
+//! sequential per-item loop at any thread count. A second property sends
+//! the wave to a lane that no longer lingers, where the window
+//! boundaries are up to the scheduler, and demands the same bits.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,6 +117,72 @@ proptest! {
                 &got,
                 &want,
                 &format!("tier {tier} dims {nd}x{nm}x{nt} {dir:?} item {b}/{batch}"),
+            );
+        }
+    }
+
+    /// A lane that has stopped lingering hands the worker whatever it
+    /// holds, so a wave submitted without waiting is cut wherever the
+    /// worker happens to wake. However it is cut, every response carries
+    /// the solo bits and the counters add up.
+    #[test]
+    fn flipped_lane_wave_is_bit_identical_however_it_is_cut(
+        tier_ix in 0usize..4,
+        dims_ix in 0usize..3,
+        wave in 1usize..9,
+        dir_ix in 0usize..2,
+        seed in 0u64..1u64 << 16,
+    ) {
+        let tier = TIERS[tier_ix];
+        let (nd, nm, nt) = DIMS[dims_ix];
+        let dir = [OpDirection::Forward, OpDirection::Adjoint][dir_ix];
+
+        let registry = Arc::new(OperatorRegistry::new());
+        registry.register("op", Arc::new(build_pipeline(nd, nm, nt, tier, seed)));
+        let reference = build_pipeline(nd, nm, nt, tier, seed);
+        let (in_len, out_len) = reference.shape().io_lens(dir);
+        let inputs: Vec<Vec<f64>> = (0..wave + 2)
+            .map(|b| {
+                let mut rng = SplitMix64::new(seed ^ (0xF11B + b as u64));
+                let mut x = vec![0.0; in_len];
+                rng.fill_uniform(&mut x, -1.0, 1.0);
+                x
+            })
+            .collect();
+
+        // Two lone requests, each waited for: the first waits out the
+        // default 200 µs window alone, so the second is already
+        // dispatched at once.
+        let service = Service::new(Arc::clone(&registry), ServiceConfig::default());
+        let mut outputs: Vec<_> = inputs[..2]
+            .iter()
+            .map(|x| service.submit("op", dir, x.clone()).unwrap().wait())
+            .collect();
+        let stats = service.stats();
+        prop_assert_eq!((stats.closed_timer, stats.closed_alone), (1, 1));
+
+        let tickets: Vec<_> = inputs[2..]
+            .iter()
+            .map(|x| service.submit("op", dir, x.clone()).unwrap())
+            .collect();
+        outputs.extend(block_on(join_all(tickets)));
+
+        let stats = service.stats();
+        prop_assert_eq!(stats.batched_requests, wave as u64 + 2);
+        prop_assert_eq!(stats.completed, wave as u64 + 2);
+        prop_assert_eq!(
+            stats.closed_full + stats.closed_timer + stats.closed_alone + stats.closed_drain,
+            stats.batches
+        );
+
+        let mut want = vec![0.0; out_len];
+        for (b, (x, got)) in inputs.iter().zip(outputs).enumerate() {
+            let got = got.unwrap();
+            reference.apply_into(dir, x, &mut want).unwrap();
+            assert_bits_eq(
+                &got,
+                &want,
+                &format!("tier {tier} dims {nd}x{nm}x{nt} {dir:?} item {b} of 2 + {wave}"),
             );
         }
     }

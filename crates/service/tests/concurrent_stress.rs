@@ -7,8 +7,11 @@
 //! submitter threads, and directly with 8 threads hammering
 //! `apply_many_into` on a shared `Arc<FftMatvec>`. Afterwards the pool
 //! must report zero workspaces in flight and retain no more than the
-//! bounded cap.
+//! bounded cap. A third test reads the counters from a bystander thread
+//! while closed-loop callers run: no snapshot may show more requests
+//! settled than admitted.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -100,6 +103,74 @@ fn concurrent_submitters_stay_bit_exact_and_leak_no_workspaces() {
         served.workspaces_pooled(),
         workspace_retention_cap()
     );
+}
+
+/// An admission is counted before the worker can see the request, so
+/// `completed + expired + failed + panicked ≤ submitted` holds at every
+/// `stats()` call — also for lone requests on lanes that dispatch at
+/// once, which settle within microseconds of the push.
+#[test]
+fn no_snapshot_shows_more_settled_than_submitted() {
+    const PER_THREAD: usize = 600;
+    let dirs = [OpDirection::Forward, OpDirection::Adjoint];
+
+    let registry = Arc::new(OperatorRegistry::new());
+    registry.register("op", Arc::new(build_pipeline(31)));
+    let service = Service::new(Arc::clone(&registry), ServiceConfig::default());
+    let done = AtomicBool::new(false);
+
+    let snapshots = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let s = service.stats();
+                let settled = s.completed + s.expired + s.failed + s.panicked;
+                assert!(
+                    settled <= s.submitted,
+                    "snapshot {snapshots}: {settled} settled > {} submitted",
+                    s.submitted
+                );
+                snapshots += 1;
+            }
+            snapshots
+        });
+        // One closed-loop caller per lane; every eighth request carries a
+        // lapsed deadline so `expired` takes part in the sum.
+        let callers: Vec<_> = dirs
+            .iter()
+            .enumerate()
+            .map(|(t, &dir)| {
+                let service = &service;
+                scope.spawn(move || {
+                    let (in_len, out_len) = service.registry().shape_of("op").unwrap().io_lens(dir);
+                    for i in 0..PER_THREAD {
+                        let x = request_input(in_len, t, i);
+                        if i % 8 == 7 {
+                            let ticket =
+                                service.submit_with_deadline("op", dir, x, Duration::ZERO).unwrap();
+                            assert!(ticket.wait().is_err());
+                        } else {
+                            assert_eq!(
+                                service.submit("op", dir, x).unwrap().wait().unwrap().len(),
+                                out_len
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        watcher.join().unwrap()
+    });
+
+    let stats = service.stats();
+    assert!(snapshots > 0);
+    assert_eq!(stats.submitted, (dirs.len() * PER_THREAD) as u64);
+    assert_eq!(stats.expired, (dirs.len() * PER_THREAD / 8) as u64);
+    assert_eq!(stats.completed + stats.expired, stats.submitted);
 }
 
 #[test]

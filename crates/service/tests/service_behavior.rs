@@ -42,6 +42,12 @@ fn frozen_window() -> ServiceConfig {
     }
 }
 
+/// The default policy with a 1 ms window for the tests that wait one
+/// out; the close counts they assert are exact for any window length.
+fn short_window() -> ServiceConfig {
+    ServiceConfig { max_delay: Duration::from_millis(1), ..Default::default() }
+}
+
 #[test]
 fn unknown_operator_is_rejected_at_submit() {
     let service = Service::new(registry(), ServiceConfig::default());
@@ -81,6 +87,29 @@ fn zero_deadline_expires_instead_of_computing() {
     let stats = service.stats();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.batches, 0, "an expired request must never execute");
+}
+
+/// The same on a lane that has stopped lingering: the expiry sweep runs
+/// before any window is carved, so a lapsed deadline still wins over an
+/// immediate (`closed_alone`) dispatch.
+#[test]
+fn zero_deadline_expires_on_a_lane_that_dispatches_at_once() {
+    let service = Service::new(registry(), short_window());
+    let lone = |x: f64| service.submit("tomo", OpDirection::Forward, vec![x; NM * NT]).unwrap();
+    lone(1.0).wait().unwrap();
+    lone(2.0).wait().unwrap();
+    let stats = service.stats();
+    assert_eq!((stats.closed_timer, stats.closed_alone), (1, 1), "the lane no longer lingers");
+
+    let ticket = service
+        .submit_with_deadline("tomo", OpDirection::Forward, vec![3.0; NM * NT], Duration::ZERO)
+        .unwrap();
+    assert!(matches!(ticket.wait().unwrap_err(), ServiceError::DeadlineExceeded { .. }));
+    // Expiring told the lane nothing about mates: still immediate.
+    lone(4.0).wait().unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.expired, 1);
+    assert_eq!((stats.batches, stats.closed_timer, stats.closed_alone), (3, 1, 2));
 }
 
 #[test]
@@ -172,6 +201,20 @@ fn shutdown_rejects_new_work_and_drains_old() {
 }
 
 #[test]
+fn shutdown_drain_is_counted_as_such() {
+    let mut service = Service::new(registry(), frozen_window());
+    let tickets: Vec<_> = (0..3)
+        .map(|i| service.submit("tomo", OpDirection::Forward, vec![i as f64; NM * NT]).unwrap())
+        .collect();
+    service.shutdown();
+    for t in tickets {
+        t.wait().unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!((stats.batches, stats.closed_drain, stats.batched_requests), (1, 1, 3));
+}
+
+#[test]
 fn deregistered_operator_fails_queued_requests_typed() {
     let reg = registry();
     let mut service = Service::new(Arc::clone(&reg), frozen_window());
@@ -194,6 +237,30 @@ fn tickets_are_futures() {
     assert_eq!(out.len(), ND * NT);
 }
 
+/// A caller that waits for each reply before sending the next can never
+/// be sent a lane-mate: the first request waits out the window, learns
+/// that, and every later one is dispatched at once. Exact on any
+/// scheduler — each window holds the only request in existence.
+#[test]
+fn lone_requests_stop_waiting_after_the_first() {
+    let service = Service::new(registry(), short_window());
+    for i in 0..3 {
+        service
+            .submit("tomo", OpDirection::Forward, vec![i as f64; NM * NT])
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!(stats.batches, 3);
+    assert_eq!(stats.closed_timer, 1);
+    assert_eq!(stats.closed_alone, 2);
+    assert_eq!((stats.closed_full, stats.closed_drain), (0, 0));
+    // The learning is per lane: the adjoint lane starts fresh.
+    service.submit("tomo", OpDirection::Adjoint, vec![1.0; ND * NT]).unwrap().wait().unwrap();
+    assert_eq!(service.stats().closed_timer, 2);
+}
+
 #[test]
 fn stats_counters_reconcile() {
     let service = Service::new(registry(), ServiceConfig::default());
@@ -207,6 +274,11 @@ fn stats_counters_reconcile() {
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.batched_requests, 6);
+    assert_eq!(
+        stats.closed_full + stats.closed_timer + stats.closed_alone + stats.closed_drain,
+        stats.batches,
+        "every executed window closed for exactly one reason"
+    );
     assert_eq!(stats.latencies_ns.len(), 6);
     assert!(stats.mean_batch() >= 1.0);
     let p50 = stats.latency_quantile_us(0.5).unwrap();

@@ -31,6 +31,9 @@ fn main() -> Result<(), ServiceError> {
     println!("registered operators: {:?}", registry.names());
 
     // --- Service: a coalescing queue over the registry ---------------
+    // `max_delay` is an upper bound, paid only where waiting buys
+    // lane-mates: a lane whose last lone request waited it out for
+    // nothing dispatches at once, and a burst re-arms the wait.
     let mut service = Service::new(
         Arc::clone(&registry),
         ServiceConfig {
@@ -130,6 +133,13 @@ fn main() -> Result<(), ServiceError> {
         stats.mean_batch(),
         stats.latency_quantile_us(0.50).unwrap_or(0.0),
         stats.latency_quantile_us(0.99).unwrap_or(0.0),
+    );
+    // Why each window closed: the burst fills one and times out the
+    // rest; every lone request above was the first on its lane, so each
+    // waited out `max_delay` (a second one would read `alone`).
+    println!(
+        "windows closed: {} full, {} timer, {} alone, {} drain",
+        stats.closed_full, stats.closed_timer, stats.closed_alone, stats.closed_drain
     );
     println!("autotuned: {} requests via {:?}", stats.autotuned, stats.configs_served);
 
