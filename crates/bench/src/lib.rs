@@ -450,13 +450,11 @@ mod tests {
             },
             Case {
                 schema: &TOEPLITZ,
-                make: |e, a, b| vec![toeplitz_row(e, a, b, 16384.0)],
-                shows: "\"full_ns\": 1000.0, \"split_ns\": 1400.0, \"dense_ns\": 4000.0, \
-                        \"full_peak_bytes\": 32768, \"split_peak_bytes\": 16384, \
-                        \"full_speedup\": 4.000, \"scratch_ratio\": 0.500}",
-                bars: vec![(&TOEPLITZ_SCRATCH, |x| {
-                    vec![toeplitz_row(0, 8000.0, 1000.0, 32768.0 * x)]
-                })],
+                make: |e, a, b| vec![toeplitz_row(e, a, b, 900.0)],
+                shows: "\"full_ns\": 1000.0, \"dense_ns\": 4000.0, \"real_fftn_ns\": 300.0, \
+                        \"complex_fftn_ns\": 900.0, \"full_peak_bytes\": 32768, \
+                        \"full_speedup\": 4.000, \"real_nd_speedup\": 3.000}",
+                bars: vec![(&REAL_ND_FLOOR, |x| vec![toeplitz_row(0, 8000.0, 1000.0, 300.0 * x)])],
             },
             Case {
                 schema: &BACKEND,
@@ -510,10 +508,10 @@ mod tests {
         )
     }
 
-    fn toeplitz_row(entry: usize, dense_ns: f64, full_ns: f64, split_peak: f64) -> Record {
+    fn toeplitz_row(entry: usize, dense_ns: f64, full_ns: f64, complex_ns: f64) -> Record {
         record::TOEPLITZ.row(
             &["16x16x16x16", ["forward", "adjoint"][entry]],
-            &[full_ns, 1400.0, dense_ns, 32768.0, split_peak],
+            &[full_ns, dense_ns, 300.0, complex_ns, 32768.0],
         )
     }
 

@@ -188,6 +188,9 @@ pub enum ConfigError {
     /// The first-block-column buffer has the wrong number of entries for
     /// the declared `(nd, nm, nt)`.
     ColumnLength { expected: usize, got: usize },
+    /// A multi-level operator was given a number of levels outside the
+    /// inclusive range `allowed` that `what` supports.
+    LevelCount { what: &'static str, got: usize, allowed: (usize, usize) },
     /// A process-grid axis has more ranks than the problem axis it
     /// partitions has entries.
     GridOversubscribed { axis: &'static str, ranks: usize, extent: usize },
@@ -223,6 +226,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ColumnLength { expected, got } => {
                 write!(f, "first block column has {got} entries, expected nt*nd*nm = {expected}")
+            }
+            ConfigError::LevelCount { what, got, allowed: (lo, hi) } => {
+                write!(f, "{what} takes {lo} to {hi} levels, got {got}")
             }
             ConfigError::GridOversubscribed { axis, ranks, extent } => {
                 write!(f, "grid {axis} count {ranks} exceeds the partitioned extent {extent}")

@@ -27,8 +27,11 @@
 //! * [`ndfft`] — separable N-dimensional transforms over nested cached
 //!   1-D plans (outer `planWhole` / inner `planBlock` in the fastmat
 //!   naming), transposing one axis at a time so every axis pass runs the
-//!   contiguous batched driver. Built for the multi-level Toeplitz
-//!   operators.
+//!   contiguous batched driver: [`NdFft`] is the complex whole-grid
+//!   transform, [`RealNdFft`] the real-input, head-pruned one the
+//!   multi-level Toeplitz operators run (R2C innermost axis, each axis
+//!   transformed only over rows that can be non-zero, spectrum left in
+//!   the rotated layout of the last pass).
 //! * [`dft`] — a naive O(n²) reference DFT used by tests and by the
 //!   Bluestein implementation's own validation.
 //! * [`recursive`] — the seed's recursive engine, kept as a differential
@@ -55,7 +58,7 @@ mod simd;
 
 pub use batch::{BatchedFft, BatchedRealFft};
 pub use cache::{PlanHandle, RealPlanHandle};
-pub use ndfft::NdFft;
+pub use ndfft::{NdFft, RealNdFft};
 pub use plan::{FftDirection, FftPlan};
 pub use real::RealFftPlan;
 pub use recursive::RecursiveFftPlan;

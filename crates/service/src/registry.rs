@@ -221,9 +221,7 @@ impl OperatorRegistry {
 
     /// Build the configured [`TwoLevelToeplitz`](fftmatvec_toeplitz::TwoLevelToeplitz)
     /// and register it under `id`, replacing any previous operator with
-    /// that id. The split-FFT and full-embedding paths register
-    /// identically — memory layout is the builder's concern, the service
-    /// only sees [`LinearOperator`].
+    /// that id. The service only sees [`LinearOperator`].
     pub fn register_toeplitz(
         &self,
         id: &str,
@@ -453,11 +451,7 @@ mod tests {
         diags[(4 - 1) * 6 + (2 - 1)] += 4.0; // main diagonal
         let gen = ToeplitzGenerator::two_level((3, 4), (5, 2), diags).unwrap();
         let reg = OperatorRegistry::new();
-        reg.register_toeplitz_tunable(
-            "scatter",
-            TwoLevelToeplitz::builder(gen.clone()).split_fft(true),
-        )
-        .unwrap();
+        reg.register_toeplitz_tunable("scatter", TwoLevelToeplitz::builder(gen.clone())).unwrap();
         let entry = reg.lookup("scatter").unwrap();
         assert_eq!(entry.shape, OpShape::new(3 * 5, 4 * 2));
         let tunable = entry.tunable.as_ref().expect("registered as tunable");

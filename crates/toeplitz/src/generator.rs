@@ -29,8 +29,8 @@ impl LevelDims {
     }
 }
 
-/// Levels are processed recursively; a practical cap keeps the index
-/// kernels allocation-free (stack recursion of bounded depth).
+/// A practical cap on the level count: an apply keeps its per-level
+/// extents in fixed-size stack arrays, so it never allocates.
 pub const MAX_LEVELS: usize = 8;
 
 /// The generator of a multi-level Toeplitz matrix: per-level `(rows,
@@ -47,13 +47,15 @@ impl ToeplitzGenerator {
     /// Validate and build a generator. `diagonals` must hold exactly
     /// `∏ (rows_l + cols_l - 1)` entries in row-major level order.
     pub fn new(levels: &[(usize, usize)], diagonals: Vec<f64>) -> Result<Self, ConfigError> {
-        if levels.is_empty() {
-            return Err(ConfigError::ZeroDimension { what: "toeplitz levels" });
-        }
-        if levels.len() > MAX_LEVELS {
-            // The recursion depth cap doubles as a sanity bound: more
-            // levels than this is far past any scenario in scope.
-            return Err(ConfigError::ZeroDimension { what: "toeplitz levels beyond MAX_LEVELS" });
+        if !(1..=MAX_LEVELS).contains(&levels.len()) {
+            // The cap (per-apply extents live in fixed stack arrays)
+            // doubles as a sanity bound: more levels than this is far
+            // past any scenario in scope.
+            return Err(ConfigError::LevelCount {
+                what: "ToeplitzGenerator",
+                got: levels.len(),
+                allowed: (1, MAX_LEVELS),
+            });
         }
         let mut lv = Vec::with_capacity(levels.len());
         for &(rows, cols) in levels {
@@ -187,8 +189,14 @@ mod tests {
     fn validation_produces_typed_errors() {
         assert!(matches!(
             ToeplitzGenerator::new(&[], vec![]),
-            Err(ConfigError::ZeroDimension { .. })
+            Err(ConfigError::LevelCount { got: 0, allowed: (1, MAX_LEVELS), .. })
         ));
+        let err = ToeplitzGenerator::new(&[(1, 1); MAX_LEVELS + 1], vec![1.0]).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::LevelCount { what: "ToeplitzGenerator", got: 9, allowed: (1, 8) }
+        );
+        assert_eq!(err.to_string(), "ToeplitzGenerator takes 1 to 8 levels, got 9");
         assert!(matches!(
             ToeplitzGenerator::new(&[(0, 2)], vec![1.0]),
             Err(ConfigError::ZeroDimension { .. })

@@ -9,27 +9,34 @@
 //! Unpad) under a runtime [`PrecisionConfig`], so the Eq. 6 error bound,
 //! the Pareto sweeps, and the online autotuner apply unchanged.
 //!
-//! Two realizations of `LinearOperator`:
+//! The generator is real, so the pipeline is too: the transforms are
+//! real-input N-d transforms ([`fftmatvec_fft::RealNdFft`] — R2C on the
+//! innermost axis, half the spectrum stored and multiplied), and they
+//! never transform a zero the embedding put there — each axis pass runs
+//! only over the rows that can be non-zero going in, or that the output
+//! reads coming out, so an apply materializes the input's head rows and
+//! grows them one axis at a time instead of zero-filling a `∏ m_l` grid.
+//! The symbol is stored in the layout the forward pass leaves the
+//! spectrum in (last axis rotated to the front, see the engine's docs),
+//! which spares one full rotation per direction.
+//!
+//! Two entry points to that one pipeline, both `LinearOperator`s:
 //!
 //! * [`NdCirculantEmbedding`] — any level count `1 ≤ L ≤`
-//!   [`MAX_LEVELS`], full circulant grid.
+//!   [`MAX_LEVELS`].
 //! * [`TwoLevelToeplitz`] — the `L = 2` case (EM scattering, acoustics,
-//!   MRI system matrices), with an optional **split-FFT** construction
-//!   path ([`TwoLevelToeplitzBuilder::split_fft`]; Siron & Molesky,
-//!   arXiv:2406.17981) that streams the outer transform's even/odd
-//!   frequency channels sequentially through one half-size grid —
-//!   roughly halving peak scratch for a second transform pass.
+//!   MRI system matrices), which adds the nested-plan accessors below.
 //!
 //! Nested plans follow the fastmat `planWhole`/`planBlock` pattern: each
 //! grid axis resolves its FFT plan through the process-wide
-//! `(n, precision, kind)` cache, so the inner-level plan of a two-level
-//! operator is pointer-identical to any 1-level pipeline of the same
-//! length ([`TwoLevelToeplitz::plan_whole`] /
+//! `(n, precision, kind)` cache, so the inner-level real plan of a
+//! two-level operator is pointer-identical to that of any 1-level
+//! pipeline of the same length ([`TwoLevelToeplitz::plan_whole`] /
 //! [`TwoLevelToeplitz::plan_block`]).
 //!
 //! Both types are thin instantiations of the workspace's one tiered
 //! spectral pipeline (`fftmatvec_core::spectral`): this crate writes only
-//! the [`operator::PointwiseKernel`] — grid embedding, N-d FFT engines,
+//! the [`operator::PointwiseKernel`] — head embedding, N-d FFT engines,
 //! the pointwise symbol multiply, head extraction — and the symbol
 //! resolution its builders do. The builder setters (`precision`,
 //! `backend`, `error_budget[_for]`), engine retention across
@@ -53,9 +60,8 @@ use fftmatvec_core::{MatvecPhase, PrecisionConfig};
 use fftmatvec_numeric::Precision;
 
 /// Documented per-tier relative-ℓ² budgets for differential agreement
-/// between any two realizations of the same operator (FFT path vs dense
-/// reference, split-FFT vs full embedding) on well-conditioned problems
-/// (`κ` near 1). These are the contract the crate's differential tests
+/// between the FFT path and the dense reference on well-conditioned
+/// problems (`κ` near 1). These are the contract the crate's differential tests
 /// and the bench gate assert, with a wide safety margin over each tier's
 /// ε so they hold across shapes, directions, and SIMD backends:
 ///

@@ -1,17 +1,30 @@
 //! The multi-level Toeplitz realizations of [`LinearOperator`]:
-//! [`NdCirculantEmbedding`] (any level count, full circulant grid) and
-//! [`TwoLevelToeplitz`] (the `L = 2` case, with the optional
-//! memory-optimized split-FFT path).
+//! [`NdCirculantEmbedding`] (any level count) and [`TwoLevelToeplitz`]
+//! (the `L = 2` case, with the fastmat `planWhole` / `planBlock`
+//! accessors) — one pipeline, two entry points.
 //!
 //! Both are the shared [`TieredPipeline`] over the [`PointwiseKernel`]:
-//! Pad is the grid embedding, Fft/Ifft the N-d complex transforms,
-//! Sbgemv the pointwise symbol multiply (the per-frequency blocks are
-//! 1×1 so the batched GEMV degenerates to a Hadamard product), Unpad the
-//! head extraction. This file supplies only that kernel, the symbol
-//! resolution the builders do, and the family-specific accessors; the
-//! public types deref to the pipeline for everything shared (`config`,
-//! `set_config`, `retune_budget`, `autotuned`, `bound_params`, the
-//! workspace and engine diagnostics, `device`).
+//! Pad writes the input's head rows (real, padded along the innermost
+//! axis only), Fft/Ifft are the real-input, head-pruned N-d transforms
+//! of [`RealNdFft`], Sbgemv is the pointwise symbol multiply on the half
+//! spectrum (the per-frequency blocks are 1×1 so the batched GEMV
+//! degenerates to a Hadamard product), Unpad reads the output's head
+//! rows. This file supplies only that kernel, the symbol resolution the
+//! builders do, and the family-specific accessors; the public types
+//! deref to the pipeline for everything shared (`config`, `set_config`,
+//! `retune_budget`, `autotuned`, `bound_params`, the workspace and engine
+//! diagnostics, `device`).
+//!
+//! **The head contract.** With `in_l` / `out_l` the input / output
+//! extent of level `l` in the direction applied (`cols_l` / `rows_l`
+//! forward, swapped for the adjoint) and `m_l` the circulant extents, an
+//! apply materializes `∏_{l<L−1} in_l` rows of `m_{L−1}` reals, never
+//! the `∏ m_l` grid: the engine grows the buffer one axis at a time and
+//! zero-fills only the tail `[in_l, m_l)` of rows it is about to
+//! transform; on the way back it keeps `out_l` of `m_l` entries per axis
+//! as soon as that axis is inverted. The outer complex axes run in the
+//! engine, not through [`DeviceBackend`] (the trait has no complex-FFT
+//! primitive); the multiply and the tier casts do cross it.
 
 use std::sync::Arc;
 
@@ -22,91 +35,139 @@ use fftmatvec_core::{
     OpDirection, OpError, OpShape, PhaseWeights, PrecisionConfig, SpectralKernel, TieredPipeline,
     Workspace,
 };
-use fftmatvec_fft::{cache, FftDirection, NdFft, PlanHandle};
-use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision};
+use fftmatvec_fft::{cache, PlanHandle, RealNdFft, RealPlanHandle};
+use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision, RealBuffer};
 
 use crate::generator::{ToeplitzGenerator, MAX_LEVELS};
 use crate::kernels;
-use crate::symbol::{SpectraSet, TierSpectra, ToeplitzSymbol};
+use crate::symbol::ToeplitzSymbol;
 
 /// Evaluate `$body` with `$v` bound to the typed vector inside a
-/// [`ComplexBuffer`], whatever its tier.
+/// [`RealBuffer`], whatever its tier.
 macro_rules! each_tier {
     ($buf:expr, $v:ident => $body:expr) => {
         match $buf {
-            ComplexBuffer::C16($v) => $body,
-            ComplexBuffer::CB16($v) => $body,
-            ComplexBuffer::C32($v) => $body,
-            ComplexBuffer::C64($v) => $body,
+            RealBuffer::F16($v) => $body,
+            RealBuffer::BF16($v) => $body,
+            RealBuffer::F32($v) => $body,
+            RealBuffer::F64($v) => $body,
         }
     };
 }
 
-/// One tier's N-d complex FFT engine, tier-erased so the shared engine
-/// bank can hold it.
+/// One tier's real-input N-d FFT engine, tier-erased so the shared
+/// engine bank can hold it.
 pub enum NdEngine {
-    H(NdFft<f16>),
-    B(NdFft<bf16>),
-    S(NdFft<f32>),
-    D(NdFft<f64>),
+    H(RealNdFft<f16>),
+    B(RealNdFft<bf16>),
+    S(RealNdFft<f32>),
+    D(RealNdFft<f64>),
+}
+
+/// Evaluate `$body` with `$e` bound to the typed engine and `$r`, `$s`,
+/// `$t` to the typed vectors of a same-tier (real, spectrum, stage)
+/// buffer triple.
+macro_rules! with_tier {
+    ($engine:expr, $bufs:expr, ($e:ident, $r:ident, $s:ident, $t:ident) => $body:expr) => {
+        match ($engine, $bufs) {
+            (
+                NdEngine::H($e),
+                (RealBuffer::F16($r), ComplexBuffer::C16($s), ComplexBuffer::C16($t)),
+            ) => $body,
+            (
+                NdEngine::B($e),
+                (RealBuffer::BF16($r), ComplexBuffer::CB16($s), ComplexBuffer::CB16($t)),
+            ) => $body,
+            (
+                NdEngine::S($e),
+                (RealBuffer::F32($r), ComplexBuffer::C32($s), ComplexBuffer::C32($t)),
+            ) => $body,
+            (
+                NdEngine::D($e),
+                (RealBuffer::F64($r), ComplexBuffer::C64($s), ComplexBuffer::C64($t)),
+            ) => $body,
+            _ => return Err(OpError::Internal("toeplitz fft tier mismatch")),
+        }
+    };
 }
 
 impl NdEngine {
-    /// Transform `data` in place along every axis; `partner` is the
-    /// same-tier rotation buffer.
-    fn process(
+    /// Spectrum of the head rows in `real` into `spec` (rotated layout).
+    fn forward(
         &self,
-        data: &mut ComplexBuffer,
-        partner: &mut ComplexBuffer,
-        dir: FftDirection,
+        head: &[usize],
+        real: &RealBuffer,
+        spec: &mut ComplexBuffer,
+        stage: &mut ComplexBuffer,
     ) -> Result<(), OpError> {
-        match (self, data, partner) {
-            (NdEngine::H(e), ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => e.process(x, y, dir),
-            (NdEngine::B(e), ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
-                e.process(x, y, dir)
-            }
-            (NdEngine::S(e), ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => e.process(x, y, dir),
-            (NdEngine::D(e), ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => e.process(x, y, dir),
-            _ => return Err(OpError::Internal("toeplitz fft tier mismatch")),
-        }
+        with_tier!(self, (real, spec, stage), (e, r, s, t) => e.forward(head, r, s, t));
+        Ok(())
+    }
+
+    /// Head rows of the inverse transform of `spec` into `real`.
+    fn inverse(
+        &self,
+        head: &[usize],
+        spec: &mut ComplexBuffer,
+        stage: &mut ComplexBuffer,
+        real: &mut RealBuffer,
+    ) -> Result<(), OpError> {
+        with_tier!(self, (real, spec, stage), (e, r, s, t) => e.inverse(head, s, t, r));
         Ok(())
     }
 }
 
-/// One apply's worth of grid buffers. Under a fixed configuration each
-/// buffer keeps a stable tier across applies, so `reset_for_overwrite`
-/// reuses the allocation every time: `spec`/`specb` are the forward
-/// grid and its rotation partner in the Fft tier, `mid` materializes
-/// only when the Sbgemv tier differs, and `ispec`/`ispecb` only when
-/// the Ifft tier differs from its predecessor.
-pub struct GridWorkspace {
+/// The three buffers one transform direction works in, all in one tier:
+/// the padded real rows, the half spectrum, and the engine's staging
+/// buffer.
+struct TierStage {
+    real: RealBuffer,
     spec: ComplexBuffer,
-    specb: ComplexBuffer,
+    stage: ComplexBuffer,
+}
+
+impl TierStage {
+    /// All-empty; `Vec::new()` does not allocate.
+    fn empty() -> Self {
+        TierStage {
+            real: RealBuffer::F64(Vec::new()),
+            spec: ComplexBuffer::C64(Vec::new()),
+            stage: ComplexBuffer::C64(Vec::new()),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.real.bytes() + self.spec.bytes() + self.stage.bytes()
+    }
+}
+
+/// One apply's worth of buffers. Under a fixed configuration each buffer
+/// keeps a stable tier and length across applies (lengths are the
+/// symbol's, the larger of the two directions' needs), so
+/// `reset_for_overwrite` reuses the
+/// allocation every time: `fwd` is the Fft tier's triple, `mid` the
+/// spectrum in the Sbgemv tier (materialized only when that tier differs
+/// from Fft's), `inv` the Ifft tier's triple (only when Ifft differs from
+/// its predecessor; its `spec` only when Ifft differs from Sbgemv).
+pub struct GridWorkspace {
+    fwd: TierStage,
     mid: ComplexBuffer,
-    ispec: ComplexBuffer,
-    ispecb: ComplexBuffer,
+    inv: TierStage,
 }
 
 impl Default for GridWorkspace {
-    /// All-empty workspace; `Vec::new()` does not allocate.
     fn default() -> Self {
-        let empty = || ComplexBuffer::C64(Vec::new());
         GridWorkspace {
-            spec: empty(),
-            specb: empty(),
-            mid: empty(),
-            ispec: empty(),
-            ispecb: empty(),
+            fwd: TierStage::empty(),
+            mid: ComplexBuffer::C64(Vec::new()),
+            inv: TierStage::empty(),
         }
     }
 }
 
 impl Workspace for GridWorkspace {
     fn bytes(&self) -> usize {
-        [&self.spec, &self.specb, &self.mid, &self.ispec, &self.ispecb]
-            .iter()
-            .map(|b| b.bytes())
-            .sum()
+        self.fwd.bytes() + self.mid.bytes() + self.inv.bytes()
     }
 }
 
@@ -119,51 +180,56 @@ pub struct PointwiseKernel {
 }
 
 impl PointwiseKernel {
-    /// Phases 2–4 on the grid already embedded in `ws.spec` (Fft tier):
-    /// forward N-d FFT, multiply by `sp` (conjugated for the adjoint)
-    /// through the device backend's cast and Hadamard primitives,
-    /// inverse N-d FFT. Returns the buffer holding the result.
+    /// Phases 2–4 on the head rows already written to `ws.fwd.real` (Fft
+    /// tier): forward transform over the outer-axis box `in_head` the
+    /// input occupies, multiply by the symbol (conjugated for the
+    /// adjoint) through the device backend's cast and Hadamard
+    /// primitives, inverse transform on the box `out_head` the output
+    /// reads. Returns the real buffer holding the output's head rows.
     ///
     /// Each role has a dedicated buffer — the Ifft operand must sit in
-    /// an Ifft-tier buffer with a same-tier rotation partner — so tiers
-    /// stay stable across applies under a fixed configuration (zero
-    /// steady-state allocation).
+    /// an Ifft-tier buffer with a same-tier stage and real partner — so
+    /// tiers stay stable across applies under a fixed configuration
+    /// (zero steady-state allocation).
     fn transform<'w>(
         &self,
         pipe: &TieredPipeline<Self>,
-        sp: &TierSpectra,
+        in_head: &[usize],
+        out_head: &[usize],
         conj: bool,
         ws: &'w mut GridWorkspace,
-    ) -> Result<&'w mut ComplexBuffer, OpError> {
+    ) -> Result<&'w RealBuffer, OpError> {
         let (cfg, device) = (pipe.config(), pipe.device());
         let p_fft = cfg.phase(MatvecPhase::Fft);
         let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
         let p_ifft = cfg.phase(MatvecPhase::Ifft);
-        let n = self.sym.grid_len();
-        let GridWorkspace { spec, specb, mid, ispec, ispecb } = ws;
+        let n = self.sym.spectrum_len();
+        let (real_len, stage_len) = self.sym.buffer_lens();
+        let GridWorkspace { fwd, mid, inv } = ws;
 
-        specb.reset_for_overwrite(p_fft, n);
-        pipe.engine(p_fft)?.process(spec, specb, FftDirection::Forward)?;
+        fwd.spec.reset_for_overwrite(p_fft, n);
+        fwd.stage.reset_for_overwrite(p_fft, stage_len);
+        pipe.engine(p_fft)?.forward(in_head, &fwd.real, &mut fwd.spec, &mut fwd.stage)?;
 
         let use_mid = p_gemv != p_fft;
         if use_mid {
-            device.cast_complex(spec, p_gemv, mid)?;
+            device.cast_complex(&fwd.spec, p_gemv, mid)?;
         }
-        let io = if use_mid { &mut *mid } else { &mut *spec };
-        device.pointwise_multiply(io, sp.buffer(p_gemv), conj)?;
+        let io = if use_mid { &mut *mid } else { &mut fwd.spec };
+        device.pointwise_multiply(io, self.sym.spectrum().buffer(p_gemv), conj)?;
 
-        let (inv, partner) = if p_ifft != p_gemv {
-            device.cast_complex(io, p_ifft, ispec)?;
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (ispec, ispecb)
+        let (spec, stage, real) = if p_ifft != p_gemv {
+            device.cast_complex(io, p_ifft, &mut inv.spec)?;
+            (&mut inv.spec, &mut inv.stage, &mut inv.real)
         } else if use_mid {
-            ispecb.reset_for_overwrite(p_ifft, n);
-            (mid, ispecb)
+            (mid, &mut inv.stage, &mut inv.real)
         } else {
-            (spec, specb)
+            (&mut fwd.spec, &mut fwd.stage, &mut fwd.real)
         };
-        pipe.engine(p_ifft)?.process(inv, partner, FftDirection::Inverse)?;
-        Ok(inv)
+        stage.reset_for_overwrite(p_ifft, stage_len);
+        real.reset_for_overwrite(p_ifft, real_len);
+        pipe.engine(p_ifft)?.inverse(out_head, spec, stage, real)?;
+        Ok(real)
     }
 }
 
@@ -176,14 +242,15 @@ impl SpectralKernel for PointwiseKernel {
     }
 
     /// Per-axis plans always resolve through the process-wide cache, so
-    /// rebuilds only re-link shared twiddle tables.
+    /// rebuilds only re-link shared twiddle tables. The engine computes
+    /// on the host whatever the device (see the module docs).
     fn plan(&self, _device: &dyn DeviceBackend, p: Precision) -> Result<NdEngine, BackendError> {
         let dims = self.sym.work_dims();
         Ok(match p {
-            Precision::Half => NdEngine::H(NdFft::new(dims)),
-            Precision::BFloat16 => NdEngine::B(NdFft::new(dims)),
-            Precision::Single => NdEngine::S(NdFft::new(dims)),
-            Precision::Double => NdEngine::D(NdFft::new(dims)),
+            Precision::Half => NdEngine::H(RealNdFft::new(dims)),
+            Precision::BFloat16 => NdEngine::B(RealNdFft::new(dims)),
+            Precision::Single => NdEngine::S(RealNdFft::new(dims)),
+            Precision::Double => NdEngine::D(RealNdFft::new(dims)),
         })
     }
 
@@ -196,6 +263,10 @@ impl SpectralKernel for PointwiseKernel {
         }
     }
 
+    /// pad → FFTN → ⊙ĉ → IFFTN → extract on the head rows. The embed
+    /// rounds through the Pad tier (cast fused into the row write); the
+    /// extraction rounds through the Unpad tier into the always-double
+    /// output.
     fn run(
         &self,
         pipe: &TieredPipeline<Self>,
@@ -205,7 +276,7 @@ impl SpectralKernel for PointwiseKernel {
         ws: &mut GridWorkspace,
     ) -> Result<(), OpError> {
         let levels = self.sym.generator().levels();
-        let nl = levels.len();
+        let outer = levels.len() - 1;
         let mut in_ext = [0usize; MAX_LEVELS];
         let mut out_ext = [0usize; MAX_LEVELS];
         for (l, lv) in levels.iter().enumerate() {
@@ -214,82 +285,32 @@ impl SpectralKernel for PointwiseKernel {
                 OpDirection::Adjoint => (lv.rows, lv.cols),
             };
         }
-        let (in_dims, out_dims) = (&in_ext[..nl], &out_ext[..nl]);
-        let grid_dims = self.sym.work_dims();
-        let n = self.sym.grid_len();
-        let conj = matches!(dir, OpDirection::Adjoint);
+        let m = self.sym.work_dims()[outer];
         let cfg = pipe.config();
         let p_pad = cfg.phase(MatvecPhase::Pad);
         let p_fft = cfg.phase(MatvecPhase::Fft);
         let p_unpad = cfg.phase(MatvecPhase::Unpad);
 
-        match self.sym.spectra() {
-            // Full embedding: pad → FFTN → ⊙ĉ → IFFTN → extract, one
-            // pass over the whole circulant grid. The embed rounds
-            // through cfg[Pad] (cast fused into the grid write); the
-            // extraction rounds through cfg[Unpad] into the always-double
-            // output.
-            SpectraSet::Full(sp) => {
-                ws.spec.reset_for_overwrite(p_fft, n);
-                each_tier!(&mut ws.spec, v => {
-                    kernels::zero_fill(v);
-                    kernels::embed_head(in_dims, grid_dims, input, p_pad, v);
-                });
-                let inv = self.transform(pipe, sp, conj, ws)?;
-                each_tier!(&*inv, v => kernels::extract_head(out_dims, grid_dims, v, p_unpad, out));
-            }
-            // Split-FFT (Siron & Molesky, arXiv:2406.17981): the even and
-            // odd outer-frequency channels stream **sequentially**
-            // through one half-size grid — two transform passes, half the
-            // peak scratch. The odd channel pre-twists the input rows and
-            // accumulates its reconstruction-weighted contribution
-            // (the even channel writes ½·E[n], the odd adds
-            // ½·Re(e^{+iπn/n₁}·O[n])) straight into the `f64` output, so
-            // no full-size buffer ever materializes.
-            SpectraSet::Split { even, odd, twist, untwist } => {
-                let m2 = grid_dims[1];
-                let channels = [(even, None, None), (odd, Some(&twist[..]), Some(&untwist[..]))];
-                for (sp, twist, untwist) in channels {
-                    ws.spec.reset_for_overwrite(p_fft, n);
-                    each_tier!(&mut ws.spec, v => {
-                        kernels::pad_split(in_dims[0], in_dims[1], m2, input, p_pad, twist, v)
-                    });
-                    let inv = self.transform(pipe, sp, conj, ws)?;
-                    each_tier!(&*inv, v => kernels::extract_split(
-                        out_dims[0],
-                        out_dims[1],
-                        m2,
-                        v,
-                        p_unpad,
-                        untwist,
-                        untwist.is_some(),
-                        out,
-                    ));
-                }
-            }
-        }
+        ws.fwd.real.reset_for_overwrite(p_fft, self.sym.buffer_lens().0);
+        each_tier!(&mut ws.fwd.real, v => kernels::embed_head(in_ext[outer], m, input, p_pad, v));
+        let conj = matches!(dir, OpDirection::Adjoint);
+        let rows = self.transform(pipe, &in_ext[..outer], &out_ext[..outer], conj, ws)?;
+        each_tier!(rows, v => kernels::extract_head(out_ext[outer], m, v, p_unpad, out));
         Ok(())
     }
 
     /// The Sbgemv tier's spectrum cast (applies stay allocation-free).
     fn warm(&self, cfg: PrecisionConfig) {
-        let p = cfg.phase(MatvecPhase::Sbgemv);
-        match self.sym.spectra() {
-            SpectraSet::Full(sp) => sp.warm(p),
-            SpectraSet::Split { even, odd, .. } => {
-                even.warm(p);
-                odd.warm(p);
-            }
-        }
+        self.sym.spectrum().warm(cfg.phase(MatvecPhase::Sbgemv));
     }
 
     fn condition_estimate(&self) -> f64 {
         self.sym.condition_estimate()
     }
 
-    /// The N-d transform depth is `log₂(∏ m_l)` regardless of path
-    /// (split runs the same total work in two channels), and the
-    /// pointwise Sbgemv reduces over a single element (`n_local = 1`).
+    /// The N-d transform depth is `log₂(∏ m_l)` (pruning skips zeros, it
+    /// does not shorten any transform), and the pointwise Sbgemv reduces
+    /// over a single element (`n_local = 1`).
     fn bound_params(&self, dir: OpDirection, kappa: f64) -> BoundParams {
         BoundParams::for_direction(dir, self.sym.embed_total(), 1, 1, 1, 1, kappa)
     }
@@ -298,12 +319,13 @@ impl SpectralKernel for PointwiseKernel {
         PhaseWeights::for_shape(1, 1, self.sym.embed_total(), dir)
     }
 
-    /// Per channel — one on the full embedding, two half-grid channels
-    /// on the split path — an embed stream, one batched complex FFT
-    /// launch per grid axis, the pointwise multiply (read grid + symbol,
-    /// write grid) with the tier-boundary casts charged to it as the
-    /// paper charges the reorders to SBGEMV, the inverse axis passes and
-    /// the extract stream.
+    /// What one apply launches: an embed stream writing the input's head
+    /// rows, one real-FFT launch over those rows and one complex launch
+    /// per outer axis over the rows that axis pass transforms, the
+    /// pointwise multiply over the half spectrum (read spectrum + symbol,
+    /// write spectrum) with the tier-boundary casts charged to it as the
+    /// paper charges the reorders to SBGEMV, the mirrored launches over
+    /// the output's head box, and the extract stream.
     fn modeled_phases(
         &self,
         cfg: PrecisionConfig,
@@ -311,9 +333,22 @@ impl SpectralKernel for PointwiseKernel {
         dev: &DeviceSpec,
     ) -> PhaseTimes {
         let (in_len, out_len) = self.shape().io_lens(dir);
-        let n = self.sym.grid_len();
+        let dims = self.sym.work_dims();
+        let (&m, outer) = dims.split_last().expect("a symbol has at least one level");
+        let levels = self.sym.generator().levels();
+        // Outer-axis head box of the input side (`true`) or the output
+        // side of this direction; iterators, not vectors, because a
+        // simulated device evaluates this once per apply.
+        let head = |input: bool| {
+            let forward = matches!(dir, OpDirection::Forward);
+            levels[..outer.len()]
+                .iter()
+                .map(move |lv| if input == forward { lv.cols } else { lv.rows })
+        };
         let [p_pad, p_fft, p_gemv, p_ifft, p_unpad] = MatvecPhase::ALL.map(|ph| cfg.phase(ph));
-        let grid = |p: Precision| (n * p.complex_bytes()) as f64;
+        let rows =
+            |input, p: Precision| (head(input).product::<usize>() * m * p.real_bytes()) as f64;
+        let spectrum = |p: Precision| (self.sym.spectrum_len() * p.complex_bytes()) as f64;
         let stream = |name, p, read, written| {
             KernelProfile::streaming(name, dtype_for(true, p), read, written).estimate_time(dev)
         };
@@ -321,25 +356,34 @@ impl SpectralKernel for PointwiseKernel {
             if from == to {
                 0.0
             } else {
-                stream(name, to, grid(from), grid(to))
+                stream(name, to, spectrum(from), spectrum(to))
             }
         };
-        let fftn = |name, p| -> f64 {
-            let axis = |&d| KernelProfile::fft(name, dtype_for(true, p), d, n / d);
-            self.sym.work_dims().iter().map(|d| axis(d).estimate_time(dev)).sum()
+        // Axis `l` runs over `h · ∏_{l<j<L−1} m_j · ∏_{j<l} head_j` rows
+        // in either direction: the live length divided by the head
+        // extent going in, multiplied by the full extent coming out.
+        let fftn = |name, p, input| -> f64 {
+            let batch: usize = head(input).product();
+            let mut time = KernelProfile::real_fft(name, p, m, batch).estimate_time(dev);
+            let mut len = batch * (m / 2 + 1);
+            for (&m_l, head_l) in outer.iter().zip(head(input)).rev() {
+                let axis = KernelProfile::fft(name, dtype_for(true, p), m_l, len / head_l);
+                time += axis.estimate_time(dev);
+                len = len / head_l * m_l;
+            }
+            time
         };
-        let mut channel = PhaseTimes::new();
-        channel.add(Phase::Pad, stream("embed", p_pad, (in_len * 8) as f64, grid(p_fft)));
-        channel.add(Phase::Fft, fftn("fftn", p_fft));
-        let multiply = stream("pointwise", p_gemv, 2.0 * grid(p_gemv), grid(p_gemv));
+        let mut times = PhaseTimes::new();
+        times.add(Phase::Pad, stream("embed", p_pad, (in_len * 8) as f64, rows(true, p_fft)));
+        times.add(Phase::Fft, fftn("fftn", p_fft, true));
+        let multiply = stream("pointwise", p_gemv, 2.0 * spectrum(p_gemv), spectrum(p_gemv));
         let casts = cast("cast_in", p_fft, p_gemv) + cast("cast_out", p_gemv, p_ifft);
-        channel.add(Phase::Sbgemv, multiply + casts);
-        channel.add(Phase::Ifft, fftn("ifftn", p_ifft));
-        channel.add(Phase::Unpad, stream("extract", p_unpad, grid(p_ifft), (out_len * 8) as f64));
-        let mut times = channel.clone();
-        if self.sym.is_split() {
-            times.add_with(&channel);
-        }
+        times.add(Phase::Sbgemv, multiply + casts);
+        times.add(Phase::Ifft, fftn("ifftn", p_ifft, false));
+        times.add(
+            Phase::Unpad,
+            stream("extract", p_unpad, rows(false, p_ifft), (out_len * 8) as f64),
+        );
         times
     }
 }
@@ -354,12 +398,10 @@ enum SymbolSource {
 }
 
 impl SymbolSource {
-    /// Compute or adopt the symbol and build the pipeline over it;
-    /// `split` is the builder's requested path (`None` = full / inherit).
+    /// Compute or adopt the symbol and build the pipeline over it.
     fn build(
         self,
         opts: BuildOptions,
-        split: Option<bool>,
         two_level_only: bool,
     ) -> Result<TieredPipeline<PointwiseKernel>, ConfigError> {
         let levels = match &self {
@@ -367,21 +409,15 @@ impl SymbolSource {
             SymbolSource::Shared(sym) => sym.generator().levels().len(),
         };
         if two_level_only && levels != 2 {
-            return Err(ConfigError::ZeroDimension {
-                what: "TwoLevelToeplitz needs exactly two levels",
+            return Err(ConfigError::LevelCount {
+                what: "TwoLevelToeplitz",
+                got: levels,
+                allowed: (2, 2),
             });
         }
         let sym = match self {
-            SymbolSource::Gen(gen) if split == Some(true) => Arc::new(ToeplitzSymbol::split(gen)?),
             SymbolSource::Gen(gen) => Arc::new(ToeplitzSymbol::full(gen)?),
-            SymbolSource::Shared(sym) => {
-                if split.is_some_and(|want| want != sym.is_split()) {
-                    return Err(ConfigError::ZeroDimension {
-                        what: "shared symbol path conflicts with split_fft()",
-                    });
-                }
-                sym
-            }
+            SymbolSource::Shared(sym) => sym,
         };
         TieredPipeline::build(PointwiseKernel { sym }, opts)
     }
@@ -400,7 +436,7 @@ impl NdCirculantEmbeddingBuilder {
     /// the configured FFT engines through the process-wide plan cache,
     /// and — with an error budget set — run the autotune pass.
     pub fn build(self) -> Result<NdCirculantEmbedding, ConfigError> {
-        Ok(NdCirculantEmbedding(self.source.build(self.opts, None, false)?))
+        Ok(NdCirculantEmbedding(self.source.build(self.opts, false)?))
     }
 }
 
@@ -408,25 +444,15 @@ impl NdCirculantEmbeddingBuilder {
 pub struct TwoLevelToeplitzBuilder {
     source: SymbolSource,
     opts: BuildOptions,
-    split: Option<bool>,
 }
 
 impl TwoLevelToeplitzBuilder {
     fftmatvec_core::spectral_builder_setters!(opts);
 
-    /// Select the memory-optimized split-FFT construction path
-    /// (default `false` = full embedding). Over a shared symbol
-    /// ([`TwoLevelToeplitz::builder_arc`]) the symbol already fixes the
-    /// path; requesting the other one fails construction.
-    pub fn split_fft(mut self, split: bool) -> Self {
-        self.split = Some(split);
-        self
-    }
-
     /// Build the operator (see
     /// [`NdCirculantEmbeddingBuilder::build`]).
     pub fn build(self) -> Result<TwoLevelToeplitz, ConfigError> {
-        Ok(TwoLevelToeplitz(self.source.build(self.opts, self.split, true)?))
+        Ok(TwoLevelToeplitz(self.source.build(self.opts, true)?))
     }
 }
 
@@ -438,20 +464,19 @@ impl TwoLevelToeplitzBuilder {
 /// symbol accessors, the builder entry points, and the operator traits
 /// (forwarded so the wrappers themselves can be registered and swept).
 macro_rules! operator_common {
-    ($ty:ident, $builder:ident { $($extra:tt)* }) => {
+    ($ty:ident, $builder:ident) => {
         impl $ty {
             /// Start building over a generator (computes the symbol
             /// spectrum at build time).
             pub fn builder(gen: ToeplitzGenerator) -> $builder {
-                $builder { source: SymbolSource::Gen(gen), opts: BuildOptions::default(), $($extra)* }
+                $builder { source: SymbolSource::Gen(gen), opts: BuildOptions::default() }
             }
 
             /// Start building over an already-computed shared symbol —
             /// how a service builds per-configuration variants of one
-            /// registered operator without recomputing spectra. The
-            /// symbol's construction path (full or split) carries over.
+            /// registered operator without recomputing spectra.
             pub fn builder_arc(sym: Arc<ToeplitzSymbol>) -> $builder {
-                $builder { source: SymbolSource::Shared(sym), opts: BuildOptions::default(), $($extra)* }
+                $builder { source: SymbolSource::Shared(sym), opts: BuildOptions::default() }
             }
 
             /// The shared symbol — build further precision variants over
@@ -463,11 +488,6 @@ macro_rules! operator_common {
             /// The generator this operator realizes.
             pub fn generator(&self) -> &ToeplitzGenerator {
                 self.0.kernel().sym.generator()
-            }
-
-            /// Whether this operator runs the split-FFT path.
-            pub fn is_split(&self) -> bool {
-                self.0.kernel().sym.is_split()
             }
         }
 
@@ -515,24 +535,23 @@ macro_rules! operator_common {
     };
 }
 
-/// Multi-level Toeplitz operator realized by full multi-level circulant
+/// Multi-level Toeplitz operator realized by multi-level circulant
 /// embedding: any level count `1 ≤ L ≤` [`MAX_LEVELS`], rectangular
 /// (non-square) levels included. `apply_forward` is
-/// `extract ∘ IFFTN ∘ (⊙ ĉ) ∘ FFTN ∘ pad`; the adjoint conjugates the
-/// symbol. Derefs to the shared [`TieredPipeline`].
+/// `extract ∘ IFFTN ∘ (⊙ ĉ) ∘ FFTN ∘ pad` with real, head-pruned
+/// transforms; the adjoint conjugates the symbol. Derefs to the shared
+/// [`TieredPipeline`].
 pub struct NdCirculantEmbedding(TieredPipeline<PointwiseKernel>);
 
-operator_common!(NdCirculantEmbedding, NdCirculantEmbeddingBuilder {});
+operator_common!(NdCirculantEmbedding, NdCirculantEmbeddingBuilder);
 
 /// Two-level Toeplitz operator (block-Toeplitz with Toeplitz blocks —
-/// the EM-scattering / acoustics / MRI system-matrix case), with an
-/// optional memory-optimized **split-FFT** construction path
-/// ([`TwoLevelToeplitzBuilder::split_fft`]) that streams the even/odd
-/// outer-frequency channels through one half-size grid. Derefs to the
-/// shared [`TieredPipeline`].
+/// the EM-scattering / acoustics / MRI system-matrix case): the same
+/// pipeline as [`NdCirculantEmbedding`] at `L = 2`, plus the fastmat
+/// nested-plan accessors. Derefs to the shared [`TieredPipeline`].
 pub struct TwoLevelToeplitz(TieredPipeline<PointwiseKernel>);
 
-operator_common!(TwoLevelToeplitz, TwoLevelToeplitzBuilder { split: None });
+operator_common!(TwoLevelToeplitz, TwoLevelToeplitzBuilder);
 
 /// Unwrap to the shared pipeline — how the service registry hands a
 /// built operator to its family-generic tunable registration.
@@ -543,28 +562,36 @@ impl From<TwoLevelToeplitz> for TieredPipeline<PointwiseKernel> {
 }
 
 impl TwoLevelToeplitz {
-    /// The shared double-precision plan handle for grid axis `axis`:
-    /// taken from the resident double engine when the configuration has
-    /// one, else resolved through the process-wide cache — either way,
-    /// handles for the same length compare pointer-equal across every
-    /// operator and pipeline in the process.
-    fn axis_plan(&self, axis: usize) -> PlanHandle<f64> {
+    /// The resident double engine, when the configuration has one.
+    fn double_engine(&self) -> Option<&RealNdFft<f64>> {
         match self.0.resident_engine(Precision::Double) {
-            Some(NdEngine::D(engine)) => engine.axis_plan(axis).clone(),
-            _ => cache::complex_plan::<f64>(self.0.kernel().sym.work_dims()[axis]),
+            Some(NdEngine::D(engine)) => Some(engine),
+            _ => None,
         }
     }
 
-    /// The plan handle for the **outer** level's transform length
-    /// (fastmat's `planWhole`).
+    /// The shared double-precision plan handle for the **outer** level's
+    /// complex transform (fastmat's `planWhole`): taken from the resident
+    /// double engine when the configuration has one, else resolved
+    /// through the process-wide cache — either way, handles for the same
+    /// length compare pointer-equal across every operator and pipeline in
+    /// the process.
     pub fn plan_whole(&self) -> PlanHandle<f64> {
-        self.axis_plan(0)
+        match self.double_engine() {
+            Some(engine) => engine.axis_plan(0).clone(),
+            None => cache::complex_plan(self.0.kernel().sym.work_dims()[0]),
+        }
     }
 
-    /// The plan handle for the **inner** level's transform length
-    /// (fastmat's `planBlock`).
-    pub fn plan_block(&self) -> PlanHandle<f64> {
-        self.axis_plan(1)
+    /// The shared double-precision plan handle for the **inner** level's
+    /// transform (fastmat's `planBlock`): a real plan of the inner
+    /// circulant length, whose half-length complex plan is shared through
+    /// the cache as well.
+    pub fn plan_block(&self) -> RealPlanHandle<f64> {
+        match self.double_engine() {
+            Some(engine) => engine.inner_plan().clone(),
+            None => cache::real_plan(self.0.kernel().sym.work_dims()[1]),
+        }
     }
 }
 
@@ -637,28 +664,27 @@ mod tests {
     }
 
     #[test]
-    fn split_matches_dense_and_full_on_odd_and_nonsquare_shapes() {
+    fn two_level_matches_dense_and_nd_on_odd_and_nonsquare_shapes() {
         // Odd block extents and rectangular levels — the regression
-        // shapes: embedding slack on both axes, rows ≠ cols.
+        // shapes: embedding slack on both axes, rows ≠ cols, so the
+        // forward and adjoint head boxes differ.
         for (outer, inner) in
             [((3, 3), (5, 5)), ((4, 2), (3, 7)), ((2, 5), (6, 3)), ((1, 4), (5, 1))]
         {
             let gen = random_gen(&[outer, inner], 11);
-            let full = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
-            let split = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build().unwrap();
-            assert!(split.is_split() && !full.is_split());
+            let two = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
+            let nd = NdCirculantEmbedding::builder(gen.clone()).build().unwrap();
             for dir in [OpDirection::Forward, OpDirection::Adjoint] {
-                let (in_len, out_len) = full.shape().io_lens(dir);
+                let (in_len, out_len) = two.shape().io_lens(dir);
                 let x = random_vec(in_len, 31);
-                let mut yf = vec![0.0; out_len];
-                let mut ys = vec![0.0; out_len];
-                full.apply_into(dir, &x, &mut yf).unwrap();
-                split.apply_into(dir, &x, &mut ys).unwrap();
+                let mut y2 = vec![0.0; out_len];
+                let mut yn = vec![0.0; out_len];
+                two.apply_into(dir, &x, &mut y2).unwrap();
+                nd.apply_into(dir, &x, &mut yn).unwrap();
                 let want = dense_apply(&gen, dir, &x);
-                assert!(rel_l2_error(&want, &ys) < 1e-12, "split vs dense {outer:?}/{inner:?}");
-                // Same algebra, same plans: the two paths agree to
-                // double roundoff.
-                assert!(rel_l2_error(&yf, &ys) < 1e-13, "split vs full {outer:?}/{inner:?}");
+                assert!(rel_l2_error(&want, &y2) < 1e-12, "vs dense {outer:?}/{inner:?} {dir}");
+                // One pipeline behind both entry points: same bits.
+                assert_eq!(y2, yn, "two-level vs N-d {outer:?}/{inner:?} {dir}");
             }
         }
     }
@@ -690,32 +716,39 @@ mod tests {
     }
 
     #[test]
-    fn split_tracks_full_within_documented_budgets_per_tier() {
-        let gen = random_gen(&[(5, 5), (4, 4)], 17);
-        for cfg in
-            [PrecisionConfig::all_double(), PrecisionConfig::all_single(), "dhhdd".parse().unwrap()]
-        {
-            let full = TwoLevelToeplitz::builder(gen.clone()).precision(cfg).build().unwrap();
-            let split = TwoLevelToeplitz::builder(gen.clone())
-                .precision(cfg)
-                .split_fft(true)
+    fn non_finite_input_is_never_laundered_on_any_fft_tier() {
+        // One poisoned input element must reach the output as a
+        // non-finite value: the real transforms read only the real part
+        // of the DC and Nyquist bins, and pruning skips rows — neither
+        // may drop the poison.
+        let gen = random_gen(&[(3, 4), (5, 3)], 17);
+        for code in ["ddddd", "dssdd", "dhhdd", "dbbdd"] {
+            let op = TwoLevelToeplitz::builder(gen.clone())
+                .precision(code.parse().unwrap())
                 .build()
                 .unwrap();
-            let budget = crate::tier_rel_budget(crate::narrowest_tier(cfg));
-            let x = random_vec(full.shape().cols, 43);
-            let mut yf = vec![0.0; full.shape().rows];
-            let mut ys = vec![0.0; full.shape().rows];
-            full.apply_forward_into(&x, &mut yf).unwrap();
-            split.apply_forward_into(&x, &mut ys).unwrap();
-            let err = rel_l2_error(&yf, &ys);
-            assert!(err < budget, "{cfg}: split drifts {err} from full (budget {budget})");
+            for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                let (in_len, out_len) = op.shape().io_lens(dir);
+                for poison in [f64::NAN, f64::INFINITY] {
+                    for at in [0, in_len / 2, in_len - 1] {
+                        let mut x = random_vec(in_len, 43);
+                        x[at] = poison;
+                        let mut y = vec![0.0; out_len];
+                        op.apply_into(dir, &x, &mut y).unwrap();
+                        assert!(
+                            y.iter().any(|v| !v.is_finite()),
+                            "{code} {dir}: {poison} at {at} came out finite"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn into_and_allocating_paths_agree_bitwise() {
         let gen = random_gen(&[(3, 4), (5, 3)], 19);
-        let op = TwoLevelToeplitz::builder(gen).split_fft(true).build().unwrap();
+        let op = TwoLevelToeplitz::builder(gen).build().unwrap();
         let x = random_vec(op.shape().cols, 51);
         let mut y = vec![0.0; op.shape().rows];
         op.apply_forward_into(&x, &mut y).unwrap();
@@ -743,7 +776,6 @@ mod tests {
         let gen = random_gen(&[(4, 4), (5, 5)], 29);
         let mut op = TwoLevelToeplitz::builder(gen.clone())
             .precision(PrecisionConfig::all_double())
-            .split_fft(true)
             .build()
             .unwrap();
         let x = random_vec(op.shape().cols, 61);
@@ -770,43 +802,52 @@ mod tests {
     fn nested_plans_share_through_the_process_cache() {
         let gen = random_gen(&[(4, 4), (8, 8)], 31);
         let a = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
-        let b = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build().unwrap();
-        // Inner extents agree across paths (outer halves under split),
-        // so planBlock is literally the same Arc.
+        // A single-precision variant has no resident double engine: its
+        // handles come straight from the cache and are the same Arcs.
+        let b = TwoLevelToeplitz::builder(gen.clone())
+            .precision(PrecisionConfig::all_single())
+            .build()
+            .unwrap();
         assert!(Arc::ptr_eq(&a.plan_block(), &b.plan_block()));
-        // And a 1-level operator over the inner length shares it too.
+        assert!(Arc::ptr_eq(&a.plan_whole(), &b.plan_whole()));
+        // planBlock is the real plan of the inner circulant length — the
+        // plan a 1-level operator over that length runs — and planWhole
+        // the complex plan of the outer one.
         let inner = NdCirculantEmbedding::builder(random_gen(&[(8, 8)], 33)).build().unwrap();
         let _ = inner;
-        assert!(Arc::ptr_eq(&a.plan_block(), &cache::complex_plan::<f64>(16)));
-        // planWhole: full grid outer is 8, split half grid outer is 4.
+        assert!(Arc::ptr_eq(&a.plan_block(), &cache::real_plan::<f64>(16)));
         assert!(Arc::ptr_eq(&a.plan_whole(), &cache::complex_plan::<f64>(8)));
-        assert!(Arc::ptr_eq(&b.plan_whole(), &cache::complex_plan::<f64>(4)));
     }
 
     #[test]
-    fn split_peak_scratch_is_measurably_below_full() {
+    fn workspace_peak_is_the_pruned_real_footprint() {
+        // 8×8 blocks of 8×8: m = 16 × 16, h = 9. An all-double apply
+        // holds 8 padded real rows, the 8 × 9 stage and the 9 × 16 half
+        // spectrum — not two 16 × 16 complex grids.
         let gen = random_gen(&[(8, 8), (8, 8)], 37);
-        let full = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
-        let split = TwoLevelToeplitz::builder(gen).split_fft(true).build().unwrap();
-        let x = random_vec(full.shape().cols, 71);
-        let mut y = vec![0.0; full.shape().rows];
-        full.apply_forward_into(&x, &mut y).unwrap();
-        split.apply_forward_into(&x, &mut y).unwrap();
-        let (fb, sb) = (full.workspace_peak_bytes(), split.workspace_peak_bytes());
-        assert!(fb > 0 && sb > 0);
-        // The half-size grid should cut workspace scratch to ~half;
-        // allow generous slack while still proving a real reduction.
-        assert!((sb as f64) <= 0.75 * fb as f64, "split scratch {sb} not below 0.75×full {fb}");
+        let op = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
+        let x = random_vec(op.shape().cols, 71);
+        let mut y = vec![0.0; op.shape().rows];
+        op.apply_forward_into(&x, &mut y).unwrap();
+        op.apply_adjoint_into(&x, &mut y).unwrap();
+        assert_eq!(op.workspace_peak_bytes(), 8 * 16 * 8 + 8 * 9 * 16 + 9 * 16 * 16);
+        assert_eq!(op.symbol_shared().spectrum_len(), 9 * 16);
+        // Rectangular levels: both directions share one workspace sized
+        // for the taller head, so the peak does not depend on the order.
+        let gen = random_gen(&[(3, 6), (4, 4)], 39);
+        let (m1, m2, h) = (8, 8, 5);
+        let op = NdCirculantEmbedding::builder(gen).build().unwrap();
+        op.apply_forward(&random_vec(op.shape().cols, 73)).unwrap();
+        let want = 6 * m2 * 8 + 6 * h * 16 + h * m1 * 16;
+        assert_eq!(op.workspace_peak_bytes(), want);
+        op.apply_adjoint(&random_vec(op.shape().rows, 75)).unwrap();
+        assert_eq!(op.workspace_peak_bytes(), want);
     }
 
     #[test]
     fn budget_build_and_retune_restore_on_error() {
         let gen = random_gen(&[(4, 4), (4, 4)], 41);
-        let mut op = TwoLevelToeplitz::builder(gen.clone())
-            .split_fft(true)
-            .error_budget(1e-6)
-            .build()
-            .unwrap();
+        let mut op = TwoLevelToeplitz::builder(gen.clone()).error_budget(1e-6).build().unwrap();
         let choice = *op.autotuned().unwrap();
         assert!(choice.bound.total <= 1e-6);
         assert_eq!(op.config(), choice.config);
@@ -833,25 +874,27 @@ mod tests {
     #[test]
     fn builder_rejects_mismatched_paths_and_level_counts() {
         let g1 = random_gen(&[(3, 3)], 43);
+        let err = TwoLevelToeplitz::builder(g1.clone()).build().err();
+        let want = ConfigError::LevelCount { what: "TwoLevelToeplitz", got: 1, allowed: (2, 2) };
+        assert_eq!(err, Some(want));
+        // A shared symbol is checked the same way.
+        let one_level = Arc::new(ToeplitzSymbol::full(g1).unwrap());
         assert!(matches!(
-            TwoLevelToeplitz::builder(g1).build(),
-            Err(ConfigError::ZeroDimension { .. })
+            TwoLevelToeplitz::builder_arc(Arc::clone(&one_level)).build(),
+            Err(ConfigError::LevelCount { got: 1, .. })
         ));
+        assert!(NdCirculantEmbedding::builder_arc(one_level).build().is_ok());
+        // Sharing a two-level symbol shares the spectrum.
         let g2 = random_gen(&[(3, 3), (4, 4)], 47);
-        let split_sym = Arc::new(ToeplitzSymbol::split(g2.clone()).unwrap());
-        assert!(matches!(
-            TwoLevelToeplitz::builder_arc(Arc::clone(&split_sym)).split_fft(false).build(),
-            Err(ConfigError::ZeroDimension { .. })
-        ));
-        // Inheriting the shared path works and shares the spectra.
-        let op = TwoLevelToeplitz::builder_arc(split_sym).build().unwrap();
-        assert!(op.is_split());
+        let sym = Arc::new(ToeplitzSymbol::full(g2).unwrap());
+        let op = TwoLevelToeplitz::builder_arc(Arc::clone(&sym)).build().unwrap();
+        assert!(Arc::ptr_eq(&op.symbol_shared(), &sym));
     }
 
     #[test]
     fn batched_apply_matches_loop_of_singles() {
         let gen = random_gen(&[(3, 3), (4, 4)], 53);
-        let op = TwoLevelToeplitz::builder(gen).split_fft(true).build().unwrap();
+        let op = TwoLevelToeplitz::builder(gen).build().unwrap();
         let (cols, rows) = (op.shape().cols, op.shape().rows);
         let batch = 5;
         let xs = random_vec(cols * batch, 91);

@@ -11,25 +11,20 @@
 //! shared across every precision variant via `Arc`
 //! ([`crate::TwoLevelToeplitz::builder_arc`]).
 //!
-//! Two embedding paths exist:
-//!
-//! * **Full** — one circulant grid of per-level even extents
-//!   `m_l ≥ rows_l + cols_l - 1`.
-//! * **Split** (Siron & Molesky, arXiv:2406.17981; two-level only) —
-//!   the outer extent is forced to `m₁ = 2·n₁` with
-//!   `n₁ = max(rows₁, cols₁)`, and the radix-2 decimation-in-frequency
-//!   identity splits the outer transform into an *even* and an *odd*
-//!   frequency channel, each living on a half grid of `n₁` outer rows.
-//!   Because the padded input is zero in its second outer half, both
-//!   channels read the same half-size input (the odd channel pre-twists
-//!   by `w_j = e^{-iπj/n₁}`), so the pipeline processes the channels
-//!   sequentially through **one** half-size workspace grid — halving
-//!   peak scratch at the cost of a second FFT pass.
+//! The circulant grid has per-level even extents
+//! `m_l ≥ rows_l + cols_l - 1` ([`ToeplitzSymbol::work_dims`]). The
+//! generator is real, so the first column is real and its spectrum
+//! Hermitian: only the `m_{L−1}/2 + 1` non-redundant bins of the
+//! innermost axis are stored, and they are stored in the **rotated
+//! layout** [`RealNdFft`] produces (`[h, m₀]` for two levels) — the
+//! symbol is computed by the same engine the applies run, with the head
+//! box set to the whole grid, so its element order is the apply's by
+//! construction.
 
 use std::sync::OnceLock;
 
 use fftmatvec_core::ConfigError;
-use fftmatvec_fft::{FftDirection, NdFft};
+use fftmatvec_fft::RealNdFft;
 use fftmatvec_numeric::ndindex::total_len;
 use fftmatvec_numeric::{ComplexBuffer, Precision, C64};
 
@@ -93,28 +88,18 @@ impl TierSpectra {
     }
 }
 
-/// Which embedding realizes the operator.
-pub(crate) enum SpectraSet {
-    /// One spectrum over the full circulant grid.
-    Full(TierSpectra),
-    /// Split-FFT: even/odd outer-frequency channels over half grids,
-    /// plus the input twist `w_j = e^{-iπj/n₁}` and the output
-    /// reconstruction phase `e^{+iπn/n₁}` for the odd channel.
-    Split { even: TierSpectra, odd: TierSpectra, twist: Vec<C64>, untwist: Vec<C64> },
-}
-
 /// The shared, immutable frequency-domain setup of one multi-level
-/// Toeplitz operator: generator, embedding extents, symbol spectra (with
+/// Toeplitz operator: generator, embedding extents, symbol spectrum (with
 /// per-tier lazy casts), and the one-time condition estimate. Buildable
 /// once and shared across precision variants via `Arc`.
 pub struct ToeplitzSymbol {
     gen: ToeplitzGenerator,
-    /// Full circulant extents per level (`m_l`).
-    embed_dims: Vec<usize>,
-    /// Extents of the working grid the pipeline allocates: equals
-    /// `embed_dims` for the full path, `[m₁/2, m₂]` for split.
-    work_dims: Vec<usize>,
-    spectra: SpectraSet,
+    /// Circulant extents per level (`m_l`).
+    dims: Vec<usize>,
+    /// Half spectrum in the engine's rotated layout.
+    spectrum: TierSpectra,
+    /// Lengths of the real and the staging buffer of an apply.
+    buffer_lens: (usize, usize),
     kappa: f64,
 }
 
@@ -122,15 +107,14 @@ impl std::fmt::Debug for ToeplitzSymbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ToeplitzSymbol")
             .field("levels", &self.gen.levels())
-            .field("embed_dims", &self.embed_dims)
-            .field("split", &self.is_split())
+            .field("work_dims", &self.dims)
             .finish()
     }
 }
 
-/// Smallest even circulant extent embedding a level: even lengths keep
-/// the extent choices uniform across paths (the split path needs even
-/// `m₁` structurally).
+/// Smallest even circulant extent embedding a level (the real transform
+/// of the innermost axis needs an even length; the other axes follow the
+/// same rule so extents do not depend on a level's position).
 fn embed_len(level: LevelDims) -> usize {
     let s = level.diags();
     s + (s % 2)
@@ -141,7 +125,7 @@ fn embed_len(level: LevelDims) -> usize {
 /// `+k`, position `k ≥ m - (cols-1)` holds diagonal `k - m`, anything
 /// between is zero (the embedding slack). An entry is non-zero only if
 /// every axis maps.
-fn circulant_column(gen: &ToeplitzGenerator, dims: &[usize]) -> Vec<C64> {
+fn circulant_column(gen: &ToeplitzGenerator, dims: &[usize]) -> Vec<f64> {
     let levels = gen.levels();
     let diag_dims: Vec<usize> = levels.iter().map(LevelDims::diags).collect();
     let diag_strides = fftmatvec_numeric::ndindex::strides_row_major(&diag_dims);
@@ -164,41 +148,23 @@ fn circulant_column(gen: &ToeplitzGenerator, dims: &[usize]) -> Vec<C64> {
                 .collect()
         })
         .collect();
-    let total = total_len(dims);
-    let mut col = vec![C64::new(0.0, 0.0); total];
+    let mut col = vec![0.0; total_len(dims)];
     let mut idx = vec![0usize; dims.len()];
     for (flat, slot) in col.iter_mut().enumerate() {
         fftmatvec_numeric::ndindex::decompose(flat, dims, &mut idx);
-        let mut diag_flat = 0usize;
-        let mut hit = true;
-        for (l, &k) in idx.iter().enumerate() {
-            match maps[l][k] {
-                Some(a) => diag_flat += a * diag_strides[l],
-                None => {
-                    hit = false;
-                    break;
-                }
-            }
-        }
-        if hit {
-            *slot = C64::new(gen.diagonals()[diag_flat], 0.0);
+        let diag_flat: Option<usize> =
+            idx.iter().enumerate().map(|(l, &k)| Some(maps[l][k]? * diag_strides[l])).sum();
+        if let Some(d) = diag_flat {
+            *slot = gen.diagonals()[d];
         }
     }
     col
 }
 
-/// Forward N-d FFT of the first-column tensor (double precision,
-/// construction time).
-fn symbol_spectrum(dims: &[usize], mut col: Vec<C64>) -> Vec<C64> {
-    let nd = NdFft::<f64>::new(dims);
-    let mut partner = vec![C64::new(0.0, 0.0); col.len()];
-    nd.process(&mut col, &mut partner, FftDirection::Forward);
-    col
-}
-
 /// Conservative condition proxy from the circulant spectrum:
 /// `max|ĉ| / min|ĉ|`, capped so a (near-)singular embedding yields a
-/// large-but-finite κ instead of ∞.
+/// large-but-finite κ instead of ∞. Reading the stored half is enough:
+/// the bins it omits are conjugates of bins it holds, equal in modulus.
 fn spectrum_condition(chat: &[C64]) -> f64 {
     let mut amax = 0.0f64;
     let mut amin = f64::INFINITY;
@@ -214,57 +180,26 @@ fn spectrum_condition(chat: &[C64]) -> f64 {
 }
 
 impl ToeplitzSymbol {
-    /// Build the full-embedding symbol for any number of levels.
+    /// Build the symbol for any number of levels: one double-precision
+    /// [`RealNdFft`] forward pass over the whole first-column tensor.
     pub fn full(gen: ToeplitzGenerator) -> Result<ToeplitzSymbol, ConfigError> {
-        let embed_dims: Vec<usize> = gen.levels().iter().map(|&l| embed_len(l)).collect();
-        let chat = symbol_spectrum(&embed_dims, circulant_column(&gen, &embed_dims));
+        let dims: Vec<usize> = gen.levels().iter().map(|&l| embed_len(l)).collect();
+        let engine = RealNdFft::<f64>::new(&dims);
+        let whole = &dims[..dims.len() - 1];
+        let mut chat = vec![C64::new(0.0, 0.0); engine.spectrum_len()];
+        let mut stage = vec![C64::new(0.0, 0.0); engine.stage_len(whole)];
+        engine.forward(whole, &circulant_column(&gen, &dims), &mut chat, &mut stage);
         let kappa = spectrum_condition(&chat);
-        let work_dims = embed_dims.clone();
-        Ok(ToeplitzSymbol {
-            gen,
-            embed_dims,
-            work_dims,
-            spectra: SpectraSet::Full(TierSpectra::new(chat)),
-            kappa,
-        })
-    }
-
-    /// Build the split-FFT symbol (two-level generators only): outer
-    /// extent `m₁ = 2·n₁` with `n₁ = max(rows₁, cols₁)`, spectrum
-    /// pre-split into even/odd outer-frequency half grids.
-    pub fn split(gen: ToeplitzGenerator) -> Result<ToeplitzSymbol, ConfigError> {
-        if gen.levels().len() != 2 {
-            return Err(ConfigError::ZeroDimension { what: "split-FFT needs exactly two levels" });
-        }
-        let outer = gen.levels()[0];
-        let n1 = outer.rows.max(outer.cols);
-        let m1 = 2 * n1;
-        debug_assert!(m1 >= outer.diags(), "2·max(r,c) ≥ r+c-1 always");
-        let m2 = embed_len(gen.levels()[1]);
-        let embed_dims = vec![m1, m2];
-        let chat = symbol_spectrum(&embed_dims, circulant_column(&gen, &embed_dims));
-        let kappa = spectrum_condition(&chat);
-        let mut even = vec![C64::new(0.0, 0.0); n1 * m2];
-        let mut odd = vec![C64::new(0.0, 0.0); n1 * m2];
-        for k in 0..n1 {
-            even[k * m2..(k + 1) * m2].copy_from_slice(&chat[(2 * k) * m2..(2 * k + 1) * m2]);
-            odd[k * m2..(k + 1) * m2].copy_from_slice(&chat[(2 * k + 1) * m2..(2 * k + 2) * m2]);
-        }
-        let theta = std::f64::consts::PI / n1 as f64;
-        let twist: Vec<C64> = (0..n1).map(|j| C64::expi(-theta * j as f64)).collect();
-        let untwist: Vec<C64> = (0..n1).map(|n| C64::expi(theta * n as f64)).collect();
-        Ok(ToeplitzSymbol {
-            gen,
-            embed_dims,
-            work_dims: vec![n1, m2],
-            spectra: SpectraSet::Split {
-                even: TierSpectra::new(even),
-                odd: TierSpectra::new(odd),
-                twist,
-                untwist,
-            },
-            kappa,
-        })
+        // The forward apply's input box is the adjoint's output box and
+        // vice versa; sizing for the larger of the two keeps a workspace
+        // at one size whichever way it is applied.
+        let outer = &gen.levels()[..whole.len()];
+        let (cols, rows): (Vec<_>, Vec<_>) = outer.iter().map(|l| (l.cols, l.rows)).unzip();
+        let buffer_lens = (
+            engine.real_len(&cols).max(engine.real_len(&rows)),
+            engine.stage_len(&cols).max(engine.stage_len(&rows)),
+        );
+        Ok(ToeplitzSymbol { gen, dims, spectrum: TierSpectra::new(chat), buffer_lens, kappa })
     }
 
     /// The generator this symbol was built from.
@@ -272,30 +207,28 @@ impl ToeplitzSymbol {
         &self.gen
     }
 
-    /// Full circulant extents per level.
-    pub fn embed_dims(&self) -> &[usize] {
-        &self.embed_dims
-    }
-
-    /// Extents of the working grid one pipeline pass allocates.
+    /// Logical circulant extents per level (`m_l`, all even) — the grid
+    /// an apply transforms, though it only ever materializes the rows
+    /// that can be non-zero.
     pub fn work_dims(&self) -> &[usize] {
-        &self.work_dims
+        &self.dims
     }
 
-    /// Total full-embedding grid length (`∏ embed_dims`) — the FFT-depth
-    /// proxy the Eq. 6 bound uses as `N_t`.
-    pub fn embed_total(&self) -> usize {
-        total_len(&self.embed_dims)
-    }
-
-    /// Flat length of the working grid (`∏ work_dims`).
+    /// Flat length of the logical circulant grid (`∏ work_dims`).
     pub fn grid_len(&self) -> usize {
-        total_len(&self.work_dims)
+        total_len(&self.dims)
     }
 
-    /// Whether this symbol realizes the split-FFT path.
-    pub fn is_split(&self) -> bool {
-        matches!(self.spectra, SpectraSet::Split { .. })
+    /// [`grid_len`](Self::grid_len) under the name the Eq. 6 bound uses
+    /// it: the FFT-depth proxy `N_t`.
+    pub fn embed_total(&self) -> usize {
+        self.grid_len()
+    }
+
+    /// Complex elements actually stored (and multiplied per apply): the
+    /// half spectrum, `grid_len / m_{L−1} · (m_{L−1}/2 + 1)`.
+    pub fn spectrum_len(&self) -> usize {
+        self.spectrum.c64().len()
     }
 
     /// One-time condition estimate `κ` from the circulant spectrum.
@@ -303,62 +236,66 @@ impl ToeplitzSymbol {
         self.kappa
     }
 
-    pub(crate) fn spectra(&self) -> &SpectraSet {
-        &self.spectra
+    pub(crate) fn spectrum(&self) -> &TierSpectra {
+        &self.spectrum
+    }
+
+    /// `(real, stage)` buffer lengths of an apply in either direction
+    /// (see [`RealNdFft::real_len`] / [`RealNdFft::stage_len`]).
+    pub(crate) fn buffer_lens(&self) -> (usize, usize) {
+        self.buffer_lens
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fftmatvec_fft::{dft, FftDirection};
 
     fn gen_2l() -> ToeplitzGenerator {
         let diags: Vec<f64> = (0..5 * 7).map(|i| ((i * 37 + 11) % 19) as f64 - 9.0).collect();
         ToeplitzGenerator::two_level((3, 3), (4, 4), diags).unwrap()
     }
 
+    /// Whole-grid complex spectrum of the first column, axis by axis with
+    /// the naive DFT (row-major `[k₀, k₁]`).
+    fn complex_spectrum_2l(sym: &ToeplitzSymbol) -> Vec<C64> {
+        let (m0, m1) = (sym.work_dims()[0], sym.work_dims()[1]);
+        let col = circulant_column(sym.generator(), sym.work_dims());
+        let mut grid: Vec<C64> = col.iter().map(|&v| C64::new(v, 0.0)).collect();
+        let mut line = vec![C64::new(0.0, 0.0); m0.max(m1)];
+        for row in grid.chunks_exact_mut(m1) {
+            dft::naive_dft(row, &mut line[..m1], FftDirection::Forward);
+            row.copy_from_slice(&line[..m1]);
+        }
+        for k1 in 0..m1 {
+            let pencil: Vec<C64> = (0..m0).map(|k0| grid[k0 * m1 + k1]).collect();
+            dft::naive_dft(&pencil, &mut line[..m0], FftDirection::Forward);
+            for k0 in 0..m0 {
+                grid[k0 * m1 + k1] = line[k0];
+            }
+        }
+        grid
+    }
+
     #[test]
     fn full_embedding_dims_are_even_and_cover_all_diagonals() {
         let sym = ToeplitzSymbol::full(gen_2l()).unwrap();
-        assert_eq!(sym.embed_dims(), &[6, 8]);
         assert_eq!(sym.work_dims(), &[6, 8]);
-        assert!(!sym.is_split());
         assert_eq!(sym.grid_len(), 48);
+        assert_eq!(sym.embed_total(), 48);
     }
 
     #[test]
-    fn split_embedding_halves_the_working_grid() {
-        let sym = ToeplitzSymbol::split(gen_2l()).unwrap();
-        assert_eq!(sym.embed_dims(), &[6, 8]);
-        assert_eq!(sym.work_dims(), &[3, 8]);
-        assert!(sym.is_split());
-        assert_eq!(sym.grid_len(), sym.embed_total() / 2);
-    }
-
-    #[test]
-    fn split_rejects_non_two_level_generators() {
-        let gen = ToeplitzGenerator::new(&[(3, 3)], vec![1.0; 5]).unwrap();
-        assert!(matches!(ToeplitzSymbol::split(gen), Err(ConfigError::ZeroDimension { .. })));
-    }
-
-    #[test]
-    fn split_channels_interleave_the_full_spectrum() {
-        let gen = gen_2l();
-        let full = ToeplitzSymbol::full(gen.clone()).unwrap();
-        let split = ToeplitzSymbol::split(gen).unwrap();
-        // Same embedding extents here (diags odd → +1 even == 2·max).
-        assert_eq!(full.embed_dims(), split.embed_dims());
-        let SpectraSet::Full(f) = full.spectra() else { panic!() };
-        let SpectraSet::Split { even, odd, .. } = split.spectra() else { panic!() };
-        let m2 = 8;
-        for k in 0..3 {
-            for p in 0..m2 {
-                let e = even.c64()[k * m2 + p];
-                let o = odd.c64()[k * m2 + p];
-                let fe = f.c64()[(2 * k) * m2 + p];
-                let fo = f.c64()[(2 * k + 1) * m2 + p];
-                assert!((e.re - fe.re).abs() < 1e-12 && (e.im - fe.im).abs() < 1e-12);
-                assert!((o.re - fo.re).abs() < 1e-12 && (o.im - fo.im).abs() < 1e-12);
+    fn stored_spectrum_is_the_half_grid_in_rotated_order() {
+        let sym = ToeplitzSymbol::full(gen_2l()).unwrap();
+        // [h, m₀] with h = 8/2 + 1.
+        assert_eq!(sym.spectrum_len(), 5 * 6);
+        let full = complex_spectrum_2l(&sym);
+        for k1 in 0..5 {
+            for k0 in 0..6 {
+                let (got, want) = (sym.spectrum().c64()[k1 * 6 + k0], full[k0 * 8 + k1]);
+                assert!((got - want).abs() < 1e-12, "bin ({k0},{k1}): {got:?} vs {want:?}");
             }
         }
     }
@@ -368,5 +305,8 @@ mod tests {
         let sym = ToeplitzSymbol::full(gen_2l()).unwrap();
         let k = sym.condition_estimate();
         assert!(k.is_finite() && k >= 1.0);
+        // Read from the stored half; the whole grid gives the same value.
+        let full = spectrum_condition(&complex_spectrum_2l(&sym));
+        assert!((k - full).abs() <= 1e-12 * full, "half {k} vs full {full}");
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests for the multi-level Toeplitz operators, across
-//! randomly drawn two-level shapes, all four precision tiers, and batch
-//! sizes 1–8:
+//! randomly drawn shapes of one to four levels, all four precision
+//! tiers, and batch sizes 1–8:
 //!
-//! * full embedding and split-FFT both match the dense reference
-//!   assembly in double, any shape, both directions;
+//! * the embedding matches the dense reference assembly in double, any
+//!   shape and level count, both directions;
 //! * mixed-tier configurations stay within the documented per-tier
 //!   relative budgets ([`fftmatvec_toeplitz::tier_rel_budget`]);
 //! * the batched apply is bit-identical to per-item applies;
@@ -21,15 +21,19 @@ use fftmatvec_toeplitz::{
 };
 use proptest::prelude::*;
 
-/// Two-level generator with the main diagonal lifted, keeping the dense
-/// reference well scaled so relative-error comparisons are meaningful.
-fn two_level_gen(outer: (usize, usize), inner: (usize, usize), seed: u64) -> ToeplitzGenerator {
-    let inner_diags = inner.0 + inner.1 - 1;
-    let n = (outer.0 + outer.1 - 1) * inner_diags;
-    let mut diags = vec![0.0; n];
+/// Generator over `levels` with the main diagonal lifted, keeping the
+/// dense reference well scaled so relative-error comparisons are
+/// meaningful.
+fn lifted_gen(levels: &[(usize, usize)], seed: u64) -> ToeplitzGenerator {
+    let mut diags = vec![0.0; levels.iter().map(|&(r, c)| r + c - 1).product()];
     SplitMix64::new(seed).fill_uniform(&mut diags, -1.0, 1.0);
-    diags[(outer.1 - 1) * inner_diags + (inner.1 - 1)] += 4.0;
-    ToeplitzGenerator::two_level(outer, inner, diags).unwrap()
+    let main = levels.iter().fold(0, |flat, &(r, c)| flat * (r + c - 1) + c - 1);
+    diags[main] += 4.0;
+    ToeplitzGenerator::new(levels, diags).unwrap()
+}
+
+fn two_level_gen(outer: (usize, usize), inner: (usize, usize), seed: u64) -> ToeplitzGenerator {
+    lifted_gen(&[outer, inner], seed)
 }
 
 /// Dense oracle apply in the requested direction (`y = A·x` or
@@ -87,44 +91,39 @@ proptest! {
         }
     }
 
-    /// Split-FFT == dense reference in double, both directions, any
-    /// two-level shape — the memory-optimized path is exact algebra.
+    /// One to four rectangular levels through the N-d entry point ==
+    /// dense reference in double, both directions: every level count
+    /// runs the one engine, head boxes differing by direction.
     #[test]
-    fn split_matches_dense(
-        or in 1usize..5, oc in 1usize..5,
-        ir in 1usize..7, ic in 1usize..7,
+    fn random_rectangular_levels_match_dense(
+        count in 1usize..5,
+        extents in prop::collection::vec((1usize..5, 1usize..5), 4),
         seed in 0u64..u64::MAX,
     ) {
-        let gen = two_level_gen((or, oc), (ir, ic), seed);
-        let op = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build().unwrap();
-        prop_assert!(op.is_split());
+        let gen = lifted_gen(&extents[..count], seed);
+        let op = NdCirculantEmbedding::builder(gen.clone()).build().unwrap();
         for dir in [OpDirection::Forward, OpDirection::Adjoint] {
             let (in_len, out_len) = op.shape().io_lens(dir);
             let x = random_vec(in_len, seed ^ 2);
             let mut y = vec![0.0; out_len];
             op.apply_into(dir, &x, &mut y).unwrap();
-            prop_assert!(rel_l2_error(&y, &dense_apply(&gen, dir, &x)) < 1e-12);
+            let err = rel_l2_error(&y, &dense_apply(&gen, dir, &x));
+            prop_assert!(err < 1e-12, "{:?} {dir:?}: {err:e}", &extents[..count]);
         }
     }
 
     /// Every tier configuration stays within its documented relative
-    /// budget against the dense oracle, on both paths, both directions.
+    /// budget against the dense oracle, both directions.
     #[test]
     fn tiers_within_budget(
         or in 1usize..4, oc in 1usize..4,
         ir in 2usize..6, ic in 2usize..6,
         cfg_idx in 0usize..TIER_CONFIGS.len(),
-        split_idx in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
         let cfg: PrecisionConfig = TIER_CONFIGS[cfg_idx].parse().unwrap();
-        let split = split_idx == 1;
         let gen = two_level_gen((or, oc), (ir, ic), seed);
-        let op = TwoLevelToeplitz::builder(gen.clone())
-            .precision(cfg)
-            .split_fft(split)
-            .build()
-            .unwrap();
+        let op = TwoLevelToeplitz::builder(gen.clone()).precision(cfg).build().unwrap();
         let budget = tier_rel_budget(narrowest_tier(cfg));
         for dir in [OpDirection::Forward, OpDirection::Adjoint] {
             let (in_len, out_len) = op.shape().io_lens(dir);
@@ -137,24 +136,18 @@ proptest! {
     }
 
     /// Batched apply is bit-identical to per-item applies for any batch
-    /// size 1–8, on both paths, under any tier configuration.
+    /// size 1–8, under any tier configuration.
     #[test]
     fn batch_matches_singles(
         or in 1usize..4, oc in 1usize..4,
         ir in 1usize..6, ic in 1usize..6,
         batch in 1usize..9,
         cfg_idx in 0usize..TIER_CONFIGS.len(),
-        split_idx in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
         let cfg: PrecisionConfig = TIER_CONFIGS[cfg_idx].parse().unwrap();
-        let split = split_idx == 1;
         let gen = two_level_gen((or, oc), (ir, ic), seed);
-        let op = TwoLevelToeplitz::builder(gen)
-            .precision(cfg)
-            .split_fft(split)
-            .build()
-            .unwrap();
+        let op = TwoLevelToeplitz::builder(gen).precision(cfg).build().unwrap();
         for dir in [OpDirection::Forward, OpDirection::Adjoint] {
             let (in_len, out_len) = op.shape().io_lens(dir);
             let inputs = random_vec(batch * in_len, seed ^ 4);
@@ -183,15 +176,9 @@ proptest! {
         let b = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
         prop_assert!(Arc::ptr_eq(&a.plan_whole(), &b.plan_whole()));
         prop_assert!(Arc::ptr_eq(&a.plan_block(), &b.plan_block()));
-        // The split path halves the outer transform but keeps the inner
-        // block plan — planBlock is shared across paths.
-        let s = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build().unwrap();
-        prop_assert!(Arc::ptr_eq(&a.plan_block(), &s.plan_block()));
-        let s2 = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build().unwrap();
-        prop_assert!(Arc::ptr_eq(&s.plan_whole(), &s2.plan_whole()));
-        // The general N-d realization runs the same embedding grid.
+        // The general N-d realization is the same pipeline: same bits.
+        let x = random_vec(oc * ic, seed ^ 5);
         let nd = NdCirculantEmbedding::builder(gen).build().unwrap();
-        let y = nd.apply_forward(&vec![1.0; oc * ic]).unwrap();
-        prop_assert_eq!(y.len(), or * ir);
+        prop_assert_eq!(nd.apply_forward(&x).unwrap(), a.apply_forward(&x).unwrap());
     }
 }

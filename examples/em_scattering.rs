@@ -3,12 +3,12 @@
 //! grid is two-level Toeplitz (translation-invariant Green's function),
 //! so its matvec runs through nested FFTs instead of a dense matrix.
 //!
-//! The demo builds the same operator on both construction paths — full
-//! circulant embedding and the memory-optimized split-FFT — compares
-//! their peak workspace footprints, autotunes a precision configuration
-//! against an error budget, then registers the operator as a *tunable*
-//! service and drives budget-routed traffic through the coalescing
-//! queue, mirroring `serve_traffic.rs`.
+//! The demo builds the operator, checks it against the dense matrix it
+//! stands for, shows what the real, pruned embedding keeps in memory
+//! beside the logical circulant grid, autotunes a precision
+//! configuration against an error budget, then registers the operator
+//! as a *tunable* service and drives budget-routed traffic through the
+//! coalescing queue, mirroring `serve_traffic.rs`.
 //!
 //! Run: `cargo run --release --example em_scattering`
 
@@ -42,45 +42,57 @@ fn scattering_generator(n: usize) -> ToeplitzGenerator {
 }
 
 fn main() -> Result<(), ServiceError> {
-    // --- Build: full embedding vs split-FFT --------------------------
-    // Same generator, same spectrum algebra, two memory layouts: the
-    // full path transforms one (2n)×(2n) grid, the split path streams
-    // two half-size frequency channels through one n×(2n) grid.
+    // --- Build: real, pruned circulant embedding ---------------------
+    // The system matrix embeds in a (2n)×(2n) circulant, but the
+    // generator is real and three quarters of the padded input are
+    // zeros: the pipeline stores half the spectrum and never transforms
+    // a row of the grid that is known to be zero.
     let n = 16usize;
     let gen = scattering_generator(n);
-    let full = TwoLevelToeplitz::builder(gen.clone()).build()?;
-    let split = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build()?;
+    let op = TwoLevelToeplitz::builder(gen.clone()).build()?;
     println!(
         "operator: {} x {} (grid {n}x{n}), kappa ~ {:.1}",
-        full.shape().rows,
-        full.shape().cols,
-        full.condition_estimate()
+        op.shape().rows,
+        op.shape().cols,
+        op.condition_estimate()
     );
 
-    // Both paths agree; the split path's peak workspace is measurably
-    // smaller (the bench gate asserts <= 0.75x; here it prints).
+    // The FFT path against the dense matrix it replaces.
     let mut rng = SplitMix64::new(2025);
-    let mut x = vec![0.0; full.shape().cols];
+    let mut x = vec![0.0; op.shape().cols];
     rng.fill_uniform(&mut x, -1.0, 1.0);
-    let yf = full.apply_forward(&x)?;
-    let ys = split.apply_forward(&x)?;
-    let diff: f64 = yf.iter().zip(&ys).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+    let y = op.apply_forward(&x)?;
+    let dense = gen.dense();
+    let cols = op.shape().cols;
+    let diff: f64 = y
+        .iter()
+        .zip(dense.chunks_exact(cols))
+        .map(|(got, row)| got - row.iter().zip(&x).map(|(a, b)| a * b).sum::<f64>())
+        .map(|d| d * d)
+        .sum::<f64>()
+        .sqrt();
+    let sym = op.symbol_shared();
     println!(
-        "full vs split: |diff| = {diff:.2e}, peak workspace {} vs {} bytes ({:.0}% of full)",
-        full.workspace_peak_bytes(),
-        split.workspace_peak_bytes(),
-        100.0 * split.workspace_peak_bytes() as f64 / full.workspace_peak_bytes() as f64
+        "fft vs dense: |diff| = {diff:.2e}; logical grid {:?} = {} complex values, stored \
+         spectrum {} ({:.0}%), peak workspace {} bytes ({:.0}% of two complex grids)",
+        sym.work_dims(),
+        sym.grid_len(),
+        sym.spectrum_len(),
+        100.0 * sym.spectrum_len() as f64 / sym.grid_len() as f64,
+        op.workspace_peak_bytes(),
+        100.0 * op.workspace_peak_bytes() as f64 / (2 * 16 * sym.grid_len()) as f64
     );
 
     // Nested plans come from the process-wide cache: the inner `planBlock`
-    // is one shared handle across both operators.
-    assert!(Arc::ptr_eq(&full.plan_block(), &split.plan_block()));
+    // is one shared handle across every operator of that block size.
+    let again = TwoLevelToeplitz::builder(gen.clone()).build()?;
+    assert!(Arc::ptr_eq(&op.plan_block(), &again.plan_block()));
 
     // --- Budgeted autotune on the operator itself --------------------
     // `retune_budget` installs the cheapest 4-tier configuration whose
     // Eq. 6 bound clears the budget; on failure the previous
     // configuration is untouched.
-    let mut tuned = TwoLevelToeplitz::builder(gen.clone()).split_fft(true).build()?;
+    let mut tuned = again;
     for budget in [1e-3, 1e-9] {
         let choice =
             tuned.retune_budget(OpDirection::Forward, budget).map_err(ServiceError::from)?;
@@ -92,7 +104,7 @@ fn main() -> Result<(), ServiceError> {
 
     // --- Serve it: tunable registration + budget-routed traffic ------
     let registry = Arc::new(OperatorRegistry::new());
-    registry.register_toeplitz_tunable("em2d", TwoLevelToeplitz::builder(gen).split_fft(true))?;
+    registry.register_toeplitz_tunable("em2d", TwoLevelToeplitz::builder(gen))?;
     println!("registered operators: {:?}", registry.names());
 
     let mut service = Service::new(

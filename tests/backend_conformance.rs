@@ -208,25 +208,18 @@ fn cpu_backend_keeps_a_transfer_ledger_but_no_clock() {
 }
 
 /// The multi-level Toeplitz operators thread the same backend selection:
-/// simulated stays bit-identical on both the full-embedding and
-/// split-FFT paths.
+/// simulated stays bit-identical.
 #[test]
 fn toeplitz_backends_are_bit_identical_too() {
-    for split in [false, true] {
-        for cfg in ["ddddd", "dssdd"] {
-            let cpu = two_level(cfg, split, PipelineBackend::Cpu);
-            let sim = two_level(cfg, split, PipelineBackend::Simulated);
-            assert_eq!(sim.backend(), PipelineBackend::Simulated);
-            let m = input(cpu.shape().cols, 29);
-            assert_eq!(
-                cpu.apply_forward(&m).unwrap(),
-                sim.apply_forward(&m).unwrap(),
-                "[split={split},{cfg}] forward"
-            );
-            // The apply books the pointwise kernel's model, so Sbgemv
-            // phase time accumulates.
-            assert!(sim.device().modeled_times().unwrap().get(Phase::Sbgemv) > 0.0);
-        }
+    for cfg in ["ddddd", "dssdd"] {
+        let cpu = two_level(cfg, PipelineBackend::Cpu);
+        let sim = two_level(cfg, PipelineBackend::Simulated);
+        assert_eq!(sim.backend(), PipelineBackend::Simulated);
+        let m = input(cpu.shape().cols, 29);
+        assert_eq!(cpu.apply_forward(&m).unwrap(), sim.apply_forward(&m).unwrap(), "[{cfg}]");
+        // The apply books the pointwise kernel's model, so Sbgemv
+        // phase time accumulates.
+        assert!(sim.device().modeled_times().unwrap().get(Phase::Sbgemv) > 0.0);
     }
 }
 
@@ -237,10 +230,9 @@ fn two_level_gen() -> ToeplitzGenerator {
     ToeplitzGenerator::two_level((3, 4), (5, 3), diags).unwrap()
 }
 
-fn two_level(cfg: &str, split: bool, backend: PipelineBackend) -> TwoLevelToeplitz {
+fn two_level(cfg: &str, backend: PipelineBackend) -> TwoLevelToeplitz {
     TwoLevelToeplitz::builder(two_level_gen())
         .precision(cfg.parse().unwrap())
-        .split_fft(split)
         .backend(backend)
         .build()
         .unwrap()
@@ -253,31 +245,29 @@ fn close(got: f64, want: f64) -> bool {
 
 /// The host↔device edge is booked by the shared pipeline step, so the
 /// Toeplitz operators count it exactly like `FftMatvec` does — on every
-/// backend, on both construction paths, in both directions.
+/// backend, in both directions.
 #[test]
 fn toeplitz_applies_book_the_transfer_edge() {
     for backend in [PipelineBackend::Cpu, PipelineBackend::Simulated] {
-        for split in [false, true] {
-            let op = two_level("ddddd", split, backend);
-            let (rows, cols) = (op.shape().rows, op.shape().cols);
-            let (x, y) = (input(cols, 47), input(rows, 53));
-            let applies = 3u64;
-            for _ in 0..applies {
-                op.apply_forward(&x).unwrap();
-                op.apply_adjoint(&y).unwrap();
-            }
-            let t = op.device().transfers();
-            let tag = format!("[{backend:?}, split={split}]");
-            assert_eq!((t.uploads, t.downloads), (2 * applies, 2 * applies), "{tag} events");
-            assert_eq!(t.bytes_up, applies * ((cols + rows) * 8) as u64, "{tag} bytes up");
-            assert_eq!(t.bytes_down, applies * ((rows + cols) * 8) as u64, "{tag} bytes down");
-
-            op.device().reset_transfers();
+        let op = two_level("ddddd", backend);
+        let (rows, cols) = (op.shape().rows, op.shape().cols);
+        let (x, y) = (input(cols, 47), input(rows, 53));
+        let applies = 3u64;
+        for _ in 0..applies {
             op.apply_forward(&x).unwrap();
-            let t = op.device().transfers();
-            assert_eq!((t.uploads, t.downloads), (1, 1), "{tag} one forward apply");
-            assert_eq!((t.bytes_up, t.bytes_down), ((cols * 8) as u64, (rows * 8) as u64), "{tag}");
+            op.apply_adjoint(&y).unwrap();
         }
+        let t = op.device().transfers();
+        let tag = format!("[{backend:?}]");
+        assert_eq!((t.uploads, t.downloads), (2 * applies, 2 * applies), "{tag} events");
+        assert_eq!(t.bytes_up, applies * ((cols + rows) * 8) as u64, "{tag} bytes up");
+        assert_eq!(t.bytes_down, applies * ((rows + cols) * 8) as u64, "{tag} bytes down");
+
+        op.device().reset_transfers();
+        op.apply_forward(&x).unwrap();
+        let t = op.device().transfers();
+        assert_eq!((t.uploads, t.downloads), (1, 1), "{tag} one forward apply");
+        assert_eq!((t.bytes_up, t.bytes_down), ((cols * 8) as u64, (rows * 8) as u64), "{tag}");
     }
 }
 
@@ -362,43 +352,47 @@ fn batched_applies_book_one_apply_per_column() {
 }
 
 /// The Toeplitz kernel books its own five-phase model: every compute
-/// phase is charged, and the transform phases are one complex FFT launch
-/// per grid axis per channel — one full-grid channel on the full
-/// embedding, two half-grid channels on the split path.
+/// phase is charged, and the transform phases are the launches an apply
+/// makes — one real-FFT launch over the head rows of the direction's
+/// input (output, for the inverse) and one complex launch per outer axis
+/// over the rows that pass transforms, never the whole circulant grid.
 #[test]
-fn toeplitz_ledger_books_five_phases_and_split_runs_two_half_grid_channels() {
+fn toeplitz_ledger_books_five_phases_over_the_pruned_real_passes() {
     let spec = DeviceSpec::mi300x();
     for code in ["ddddd", "dssdd"] {
         let cfg: PrecisionConfig = code.parse().unwrap();
-        for split in [false, true] {
-            let op = two_level(code, split, PipelineBackend::Simulated);
-            let x = input(op.shape().cols, 71);
-            op.apply_forward(&x).unwrap();
+        for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+            let op = two_level(code, PipelineBackend::Simulated);
+            let (in_len, out_len) = op.shape().io_lens(dir);
+            op.apply_into(dir, &input(in_len, 71), &mut vec![0.0; out_len]).unwrap();
             let ledger: PhaseTimes = op.device().modeled_times().unwrap();
             for p in Phase::COMPUTE {
-                assert!(ledger.get(p) > 0.0, "[{code} split={split}] {} booked", p.label());
+                assert!(ledger.get(p) > 0.0, "[{code} {dir}] {} booked", p.label());
             }
 
-            let sym = op.symbol_shared();
-            let (dims, n) = (sym.work_dims(), sym.grid_len());
-            let pass = |phase| -> f64 {
-                let dtype = dtype_for(true, cfg.phase(phase));
-                dims.iter()
-                    .map(|&d| KernelProfile::fft("axis", dtype, d, n / d).estimate_time(&spec))
-                    .sum()
+            // Levels (3, 4) and (5, 3): m = [6, 8], h = 5. The outer axis
+            // always runs over all h rows of the half spectrum; the inner
+            // one over the outer level's input (output) extent.
+            let outer = op.generator().levels()[0];
+            let (head_in, head_out) = match dir {
+                OpDirection::Forward => (outer.cols, outer.rows),
+                OpDirection::Adjoint => (outer.rows, outer.cols),
             };
-            let channels = if split { 2.0 } else { 1.0 };
+            let pass = |phase, head| -> f64 {
+                let p = cfg.phase(phase);
+                KernelProfile::real_fft("inner", p, 8, head).estimate_time(&spec)
+                    + KernelProfile::fft("outer", dtype_for(true, p), 6, 5).estimate_time(&spec)
+            };
             assert_eq!(
                 ledger.get(Phase::Fft) + ledger.get(Phase::Ifft),
-                channels * pass(MatvecPhase::Fft) + channels * pass(MatvecPhase::Ifft),
-                "[{code} split={split}] transform phases"
+                pass(MatvecPhase::Fft, head_in) + pass(MatvecPhase::Ifft, head_out),
+                "[{code} {dir}] transform phases"
             );
         }
     }
-    // The split working grid really is the smaller one.
-    let full = two_level("ddddd", false, PipelineBackend::Simulated).symbol_shared();
-    let half = two_level("ddddd", true, PipelineBackend::Simulated).symbol_shared();
-    assert!(half.grid_len() < full.grid_len());
+    // What is multiplied is the half spectrum, not the logical grid.
+    let sym = two_level("ddddd", PipelineBackend::Simulated).symbol_shared();
+    assert_eq!((sym.work_dims(), sym.grid_len(), sym.spectrum_len()), (&[6usize, 8][..], 48, 30));
 }
 
 /// Unknown and unavailable backend selections are typed build-time

@@ -1,8 +1,7 @@
 //! Shared `LinearOperator` conformance suite, run against every
 //! realization — the FFT pipeline, the direct `O(N_t²)` oracle, the
 //! distributed matvec, and the multi-level Toeplitz operators
-//! (`NdCirculantEmbedding`, `TwoLevelToeplitz` on both the full-embedding
-//! and the split-FFT path). One contract:
+//! (`NdCirculantEmbedding`, `TwoLevelToeplitz`). One contract:
 //!
 //! * `shape()` matches the operator's `(N_d·N_t, N_m·N_t)`;
 //! * the adjoint identity `⟨F·m, d⟩ == ⟨m, F*·d⟩` holds;
@@ -12,11 +11,12 @@
 //! * repeated `apply_*_into` performs **zero heap allocations** after
 //!   warm-up, verified by a counting global allocator.
 //!
-//! The allocation counter is thread-local so concurrently running tests
-//! in the same binary cannot perturb each other's counts.
+//! The allocation counter is thread-local, and the tests in this file
+//! run one at a time (see [`SERIAL`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fftmatvec::comm::ProcessGrid;
 use fftmatvec::core::{
@@ -54,6 +54,20 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn thread_allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Held by every test in this file for its whole body. A per-thread
+/// counter alone does not isolate the tests: a test thread that waits on
+/// the shared pool helps run its siblings' jobs, so allocations of
+/// *their* warm-ups land on its counter and `assert_zero_alloc` fails on
+/// scheduler luck. With one test running at a time there is no sibling
+/// work to pick up.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Take [`SERIAL`]; a sibling that failed while holding it poisons
+/// nothing this file reads.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 const ND: usize = 3;
@@ -179,6 +193,7 @@ fn assert_zero_alloc(op: &dyn LinearOperator, name: &str) {
 
 #[test]
 fn fft_matvec_conforms() {
+    let _serial = serial();
     let mv = FftMatvec::builder(operator(1)).build().unwrap();
     conformance(&mv, OpShape::new(ND * NT, NM * NT), "FftMatvec[ddddd]");
     assert_zero_alloc(&mv, "FftMatvec[ddddd]");
@@ -186,6 +201,7 @@ fn fft_matvec_conforms() {
 
 #[test]
 fn fft_matvec_conforms_mixed_precision() {
+    let _serial = serial();
     // The paper optimum exercises the f32 engine, the fused casts, and
     // the lazily materialized single-precision F̂ copy.
     let mv = FftMatvec::builder(operator(2))
@@ -206,6 +222,7 @@ fn fft_matvec_conforms_mixed_precision() {
 
 #[test]
 fn direct_matvec_conforms() {
+    let _serial = serial();
     let op = operator(4);
     let dm = DirectMatvec::new(&op);
     conformance(&dm, OpShape::new(ND * NT, NM * NT), "DirectMatvec");
@@ -214,6 +231,7 @@ fn direct_matvec_conforms() {
 
 #[test]
 fn distributed_matvec_conforms() {
+    let _serial = serial();
     let op = operator(5);
     let dist = DistributedFftMatvec::from_global(
         ND,
@@ -240,6 +258,7 @@ fn toeplitz_gen(outer: (usize, usize), inner: (usize, usize), seed: u64) -> Toep
 
 #[test]
 fn nd_circulant_embedding_conforms() {
+    let _serial = serial();
     // Three levels with rectangular extents — the general N-d case.
     let mut diags = vec![0.0; 4 * 6 * 5];
     SplitMix64::new(17).fill_uniform(&mut diags, -1.0, 1.0);
@@ -251,38 +270,32 @@ fn nd_circulant_embedding_conforms() {
 
 #[test]
 fn two_level_toeplitz_conforms() {
-    let op = TwoLevelToeplitz::builder(toeplitz_gen((3, 4), (5, 3), 23)).build().unwrap();
-    conformance(&op, OpShape::new(3 * 5, 4 * 3), "TwoLevelToeplitz[full,ddddd]");
-    assert_zero_alloc(&op, "TwoLevelToeplitz[full,ddddd]");
-}
-
-#[test]
-fn two_level_toeplitz_split_conforms() {
-    // Odd, non-square extents on the split-FFT path.
-    let op = TwoLevelToeplitz::builder(toeplitz_gen((5, 3), (3, 7), 29))
-        .split_fft(true)
-        .build()
-        .unwrap();
-    assert!(op.is_split());
-    conformance(&op, OpShape::new(5 * 3, 3 * 7), "TwoLevelToeplitz[split,ddddd]");
-    assert_zero_alloc(&op, "TwoLevelToeplitz[split,ddddd]");
+    let _serial = serial();
+    // The second shape is odd and non-square on both levels, so the two
+    // directions prune to different head boxes.
+    for (outer, inner, seed) in [((3, 4), (5, 3), 23), ((5, 3), (3, 7), 29)] {
+        let op = TwoLevelToeplitz::builder(toeplitz_gen(outer, inner, seed)).build().unwrap();
+        let shape = OpShape::new(outer.0 * inner.0, outer.1 * inner.1);
+        conformance(&op, shape, "TwoLevelToeplitz[ddddd]");
+        assert_zero_alloc(&op, "TwoLevelToeplitz[ddddd]");
+    }
 }
 
 #[test]
 fn toeplitz_conforms_mixed_precision() {
+    let _serial = serial();
     // Mixed tiers change values, so (as for the FFT pipeline above) only
     // the value-independent suite pieces transfer: into-vs-alloc bit
-    // equality and the zero-allocation contract, on both paths.
+    // equality and the zero-allocation contract, through both entry
+    // points.
     let gen = toeplitz_gen((4, 4), (6, 5), 31);
-    for (split, name) in
-        [(false, "TwoLevelToeplitz[full,dssdd]"), (true, "TwoLevelToeplitz[split,dssdd]")]
-    {
-        let op = TwoLevelToeplitz::builder(gen.clone())
-            .precision("dssdd".parse().unwrap())
-            .split_fft(split)
-            .build()
-            .unwrap();
-        let (m, d) = vectors(&op, 37);
+    let cfg: PrecisionConfig = "dssdd".parse().unwrap();
+    let two = TwoLevelToeplitz::builder(gen.clone()).precision(cfg).build().unwrap();
+    let nd = NdCirculantEmbedding::builder(gen).precision(cfg).build().unwrap();
+    let ops: [(&dyn LinearOperator, &str); 2] =
+        [(&two, "TwoLevelToeplitz[dssdd]"), (&nd, "NdCirculantEmbedding[dssdd]")];
+    for (op, name) in ops {
+        let (m, d) = vectors(op, 37);
         let fwd = op.apply_forward(&m).unwrap();
         let mut fwd_into = vec![f64::NAN; op.shape().rows];
         op.apply_forward_into(&m, &mut fwd_into).unwrap();
@@ -291,12 +304,13 @@ fn toeplitz_conforms_mixed_precision() {
         let mut adj_into = vec![f64::NAN; op.shape().cols];
         op.apply_adjoint_into(&d, &mut adj_into).unwrap();
         assert_eq!(adj, adj_into, "{name}: adjoint into != alloc");
-        assert_zero_alloc(&op, name);
+        assert_zero_alloc(op, name);
     }
 }
 
 #[test]
 fn trait_objects_interchange() {
+    let _serial = serial();
     // The point of the redesign: one call site, three realizations.
     let op = operator(6);
     let fft = FftMatvec::builder(operator(6)).build().unwrap();
