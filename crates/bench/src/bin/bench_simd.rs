@@ -22,6 +22,18 @@
 //! * `pointwise_mul` — the backend's symbol multiply, an FMA-context
 //!   scalar pass (`fftmatvec_numeric::fma_pass`).
 //!
+//! The `sbgemv_freqminor_<nd>x<nm>x<nfreq>` rows reuse the two legs for
+//! the two stored spectrum layouts of `BlockToeplitzOperator`, one F and
+//! one F\* symbol apply per call, spectra in and spectra out: per-frequency
+//! blocks (reorder-in → [`sbgemv`] → reorder-out, first leg) against
+//! frequency-minor ([`sbgemv_freq_minor`], no reorder, second leg), both
+//! at the active level and compared on bits before they are timed. They
+//! are the measurement behind `SpectrumLayout::for_shape`'s crossover. The
+//! `sbgemv_freqminor_cast_*` rows are the mixed-tier apply of the same
+//! shapes: the transforms in the other tier than the SBGEMV, so the block
+//! leg's reorders cast and the frequency-minor leg pays two contiguous
+//! casts (`DeviceBackend::cast_complex`) around its kernel.
+//!
 //! The `layout_*` rows reuse the two legs for a different pair: the
 //! element-by-element loop the pad / reorder / unpad kernels used to be
 //! ([`naive_transpose_map`], kept as oracle and denominator) against the
@@ -30,9 +42,10 @@
 //!
 //! Four checks, mirroring the other bench gates:
 //! * **floor** — the 16-bit conversion and butterfly kernels, the
-//!   pointwise multiply, the remainder-row SBGEMV blocks and
-//!   `layout_reorder_out` must be no slower than their first leg
-//!   ([`SIMD_FLOOR`], 1.0×);
+//!   pointwise multiply, the remainder-row SBGEMV blocks,
+//!   `layout_reorder_out` and the `sbgemv_freqminor_*` rows of shapes the
+//!   operator stores frequency-minor must be no slower than their first
+//!   leg ([`SIMD_FLOOR`], 1.0×);
 //! * **layout floor** — the three layout passes with a power-of-two
 //!   destination stride must beat the naive loop by
 //!   [`LAYOUT_TILE_FLOOR`] (2.0×; measured 3.8–4.8×);
@@ -62,8 +75,8 @@ use fftmatvec_backend::{CpuPool, DeviceBackend};
 use fftmatvec_bench::record::{self, Record, LAYOUT_TILE_FLOOR, SIMD, SIMD_FFT_FLOOR, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{naive_transpose_map, rule, Args};
-use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
-use fftmatvec_core::layout;
+use fftmatvec_blas::{sbgemv, sbgemv_freq_minor, BatchGeometry, GemvOp};
+use fftmatvec_core::{layout, SpectrumLayout};
 use fftmatvec_fft::{FftPlan, RealFftPlan};
 use fftmatvec_numeric::simd::{
     active_level, narrow_f32_to_bf16, narrow_f32_to_f16, set_active_level, widen_bf16_to_f32,
@@ -97,6 +110,23 @@ const PAPER_BLOCK: (usize, usize, usize) = (16, 256, 65);
 /// `bench_matvec` shape's (2×64, where mixed precision used to lose to
 /// double) and a three-sensor paper block.
 const REMAINDER_BLOCKS: [(usize, usize, usize); 2] = [(2, 64, 65), (3, 256, 65)];
+/// `N_d × N_m × (N_t + 1)` of the `sbgemv_freqminor_*` rows: the
+/// `bench_e2e` `longseries_dd` and `serve_*` operators, an odd block, and
+/// square and paper-shaped blocks up to `paper_dd`'s across the layout
+/// crossover.
+const LAYOUT_BLOCKS: [(usize, usize, usize); 7] = [
+    (4, 4, 4097),
+    (2, 16, 65),
+    (3, 5, 1025),
+    (8, 8, 513),
+    (16, 16, 65),
+    (16, 64, 65),
+    (16, 256, 65),
+];
+/// The [`LAYOUT_BLOCKS`] that also get `sbgemv_freqminor_cast_*` rows (the
+/// transforms in the other tier than the SBGEMV): the `bench_e2e`
+/// operators stored frequency-minor.
+const CAST_BLOCKS: [(usize, usize, usize); 2] = [(4, 4, 4097), (2, 16, 65)];
 /// Complex elements per `pointwise_mul` call (`toeplitz_2level`'s grid).
 const POINTWISE_LEN: usize = 1 << 14;
 /// The `paper_dd` forward input: `N_m` series of `N_t` steps.
@@ -356,14 +386,115 @@ fn measure_layout(rows: &mut Vec<Record>, level: SimdLevel, samples: usize, ms: 
     });
 }
 
+/// Typed views of a [`ComplexBuffer`] known to hold tier `T`.
+type View<T> = fn(&ComplexBuffer) -> Option<&[Complex<T>]>;
+type ViewMut<T> = fn(&mut ComplexBuffer) -> Option<&mut [Complex<T>]>;
+
+/// One `sbgemv_freqminor_*` row: the symbol apply of F and of F\* on one
+/// operator shape with the SBGEMV in tier `T`, from `[series][freq]`
+/// spectra to `[series][freq]` spectra of tier `spec_p`, through each
+/// stored layout as `core::pipeline` drives it. With `spec_p` = `T`'s tier
+/// that is reorder → [`sbgemv`] → reorder against [`sbgemv_freq_minor`]
+/// alone (`sbgemv_freqminor_<shape>`); with the transforms in the other
+/// tier (`sbgemv_freqminor_cast_<shape>` — `dsd` resp. `sds` around the
+/// kernel) the reorders cast on the block side and the frequency-minor
+/// side pays the device's two contiguous casts.
+fn measure_freq_minor<T: Real>(
+    rows: &mut Vec<Record>,
+    (nd, nm, nfreq): (usize, usize, usize),
+    (precision, view, view_mut): (&str, View<T>, ViewMut<T>),
+    spec_p: Precision,
+    level: SimdLevel,
+    samples: usize,
+    ms: f64,
+) {
+    let p = T::PRECISION;
+    let mut rng = SplitMix64::new(61);
+    let mut fill = |len: usize| -> Vec<Complex<f64>> {
+        (0..len).map(|_| Complex::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))).collect()
+    };
+    // Frequency-minor entries (i, k) in row-major order, and the same
+    // values as per-frequency column-major blocks.
+    let minor: Vec<Complex<T>> = fill(nd * nm * nfreq).iter().map(|z| z.cast()).collect();
+    let mut blocks = vec![Complex::<T>::zero(); minor.len()];
+    for k in 0..nm {
+        let (src, dst) = (&minor[k * nfreq..], &mut blocks[k * nd..]);
+        naive_transpose_map(src, nm * nfreq, dst, nd * nm, nd, nfreq, |v| v);
+    }
+    // (op, input spectra, input series, output series) of F and of F*.
+    let dirs = [
+        (GemvOp::NoTrans, ComplexBuffer::from_c64(spec_p, &fill(nm * nfreq)), nm, nd),
+        (GemvOp::ConjTrans, ComplexBuffer::from_c64(spec_p, &fill(nd * nfreq)), nd, nm),
+    ];
+
+    let device = CpuPool::new();
+    let empty = || ComplexBuffer::zeros(p, 0);
+    let (mut xhat, mut yhat) = (empty(), empty());
+    let mut via_blocks = |outs: &mut [ComplexBuffer; 2]| {
+        for ((op, spec, n_in, n_out), out) in dirs.iter().zip(outs) {
+            layout::spectrum_to_batch_into(black_box(spec), *n_in, nfreq, p, &mut xhat);
+            yhat.reset_for_overwrite(p, n_out * nfreq);
+            let (x, y) = (view(&xhat).expect("tier"), view_mut(&mut yhat).expect("tier"));
+            let g = BatchGeometry::packed(nd, nm, *op, nfreq);
+            sbgemv(*op, Complex::one(), black_box(&blocks), x, Complex::zero(), y, &g);
+            layout::batch_to_spectrum_into(&yhat, *n_out, nfreq, spec_p, out);
+        }
+    };
+    let (mut xcast, mut ycast) = (empty(), empty());
+    let mut via_minor = |outs: &mut [ComplexBuffer; 2]| {
+        for ((op, spec, _, n_out), out) in dirs.iter().zip(outs) {
+            let x = if spec_p == p {
+                black_box(spec)
+            } else {
+                device.cast_complex(black_box(spec), p, &mut xcast).expect("cpu cast");
+                &xcast
+            };
+            let y = if spec_p == p { &mut *out } else { &mut ycast };
+            y.reset_for_overwrite(p, n_out * nfreq);
+            let (x, y_t) = (view(x).expect("tier"), view_mut(y).expect("tier"));
+            sbgemv_freq_minor(*op, black_box(&minor), x, y_t, nd, nm, nfreq);
+            if spec_p != p {
+                device.cast_complex(&ycast, spec_p, out).expect("cpu cast");
+            }
+        }
+    };
+    let (mut by_blocks, mut by_minor) = ([empty(), empty()], [empty(), empty()]);
+    via_blocks(&mut by_blocks);
+    via_minor(&mut by_minor);
+    let cast = if spec_p == p { "" } else { "cast_" };
+    let kernel = format!("sbgemv_freqminor_{cast}{nd}x{nm}x{nfreq}");
+    assert_eq!(by_minor, by_blocks, "{kernel} {precision}: the layouts disagree");
+    measure_legs(
+        rows,
+        (&kernel, precision, level),
+        ("blocks", || via_blocks(&mut by_blocks)),
+        || via_minor(&mut by_minor),
+        samples,
+        ms,
+    );
+}
+
 /// Is `r` a row of a 16-bit tier?
 fn sixteen_bit(r: &Record) -> bool {
     matches!(SIMD.render(r, "precision").as_str(), "f16" | "bf16")
 }
 
+/// Is `kernel` a `sbgemv_freqminor_<nd>x<nm>x<nfreq>` row whose shape
+/// [`SpectrumLayout::for_shape`] stores frequency-minor?
+fn stored_freq_minor(kernel: &str) -> bool {
+    let shape = kernel.strip_prefix("sbgemv_freqminor_").unwrap_or("");
+    let dims = shape.strip_prefix("cast_").unwrap_or(shape).split('x');
+    let dims: Vec<usize> = dims.filter_map(|d| d.parse().ok()).collect();
+    matches!(dims[..], [nd, nm, _]
+        if SpectrumLayout::for_shape(nd, nm) == SpectrumLayout::FrequencyMinor)
+}
+
 /// Rows [`SIMD_FLOOR`] applies to: the 16-bit conversion and butterfly
-/// kernels, the pointwise multiply, the remainder-row forward blocks and
-/// the one layout pass whose destination stride is not a power of two.
+/// kernels, the pointwise multiply, the remainder-row forward blocks, the
+/// one layout pass whose destination stride is not a power of two, and
+/// the `sbgemv_freqminor_*` rows below the layout crossover — where the
+/// operator stores `F̂` frequency-minor, that kernel must not lose to the
+/// block path it displaced.
 fn floor_gated(r: &Record) -> bool {
     let kernel = SIMD.render(r, "kernel");
     let sixteen = sixteen_bit(r) && (kernel.starts_with("convert") || kernel.starts_with("fft"));
@@ -371,6 +502,7 @@ fn floor_gated(r: &Record) -> bool {
         || kernel == "pointwise_mul"
         || kernel.starts_with("sbgemv_notrans_")
         || kernel == "layout_reorder_out"
+        || stored_freq_minor(&kernel)
 }
 
 /// Rows [`LAYOUT_TILE_FLOOR`] applies to: the layout passes with a
@@ -420,6 +552,20 @@ fn main() {
     for shape in REMAINDER_BLOCKS {
         let k = format!("sbgemv_notrans_{}x{}", shape.0, shape.1);
         measure_gemv::<Complex<f32>>(&mut rows, &k, n, shape, "c32", level, samples, sample_ms);
+    }
+    for shape in LAYOUT_BLOCKS {
+        let c64: (_, View<f64>, ViewMut<f64>) =
+            ("c64", ComplexBuffer::as_c64, ComplexBuffer::as_c64_mut);
+        let c32: (_, View<f32>, ViewMut<f32>) =
+            ("c32", ComplexBuffer::as_c32, ComplexBuffer::as_c32_mut);
+        let (d, f) = (Precision::Double, Precision::Single);
+        measure_freq_minor(&mut rows, shape, c64, d, level, samples, sample_ms);
+        measure_freq_minor(&mut rows, shape, c32, f, level, samples, sample_ms);
+        // The mixed-tier apply of the shapes the service autotuner routes.
+        if CAST_BLOCKS.contains(&shape) {
+            measure_freq_minor(&mut rows, shape, c64, f, level, samples, sample_ms);
+            measure_freq_minor(&mut rows, shape, c32, d, level, samples, sample_ms);
+        }
     }
     measure_pointwise(&mut rows, Precision::Single, "f32", level, samples, sample_ms);
     measure_pointwise(&mut rows, Precision::Double, "f64", level, samples, sample_ms);

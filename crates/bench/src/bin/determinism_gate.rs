@@ -34,11 +34,11 @@ fn report(name: &str, digest: u64) {
     println!("DIGEST {name} {digest:016x}");
 }
 
-/// One pipeline shape in two configurations: F and F\*, solo and as a
+/// One pipeline shape in each of `configs`: F and F\*, solo and as a
 /// six-column `apply_many_into` (the pool path), digest names
 /// `matvec{tag}_…` / `matvec_many{tag}_…`.
-fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: [&str; 2]) {
-    for config in configs {
+fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: &[&str]) {
+    for &config in configs {
         let cfg: PrecisionConfig = config.parse().expect("valid config literal");
         let mv = FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
             .precision(cfg)
@@ -68,7 +68,7 @@ fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: [&str; 
 /// The `bench_matvec` shape set (largest shape exercises every parallel
 /// path) in the baseline and paper-optimal configurations.
 fn matvec_workloads() {
-    matvec_shape("", (8, 256, 256), ["ddddd", "dssdd"]);
+    matvec_shape("", (8, 256, 256), &["ddddd", "dssdd"]);
 
     // Direct (non-FFT) matvec at a size its O(N_t²) cost tolerates.
     let op = make_operator(4, 32, 64, 17);
@@ -86,7 +86,7 @@ fn matvec_workloads() {
     // register and scalar columns — in f64 (`ddddd`) and with the f32
     // kernels on both sweeps (`ddssd`). 65 blocks of 19×51 sit above the
     // batch-parallel threshold.
-    matvec_shape("_19x51", (19, 51, 64), ["ddddd", "ddssd"]);
+    matvec_shape("_19x51", (19, 51, 64), &["ddddd", "ddssd"]);
 
     // A non-power-of-two series: `N_t = 250` transforms length 500, whose
     // half plan 250 = 2·5³ opens with a radix-2 first stage over an odd
@@ -94,7 +94,18 @@ fn matvec_workloads() {
     // three table-driven radix-5 stages — the scalar stage body in its
     // FMA instantiation — in f64 (`ddddd`) and in f32 (`dssdd`); 251
     // mirror-pair bins leave the real unpack/repack a remainder too.
-    matvec_shape("_nt250", (6, 10, 250), ["ddddd", "dssdd"]);
+    matvec_shape("_nt250", (6, 10, 250), &["ddddd", "dssdd"]);
+
+    // Small blocks, which `SpectrumLayout::for_shape` stores
+    // frequency-minor: the SBGEMV runs lanes-across-frequencies straight
+    // on the transforms' spectra, with no reorder (`ddddd`), a cast in
+    // place of the reorder-out (`dssdd`: f32 kernel, f64 IFFT) or of the
+    // reorder-in (`ddssd`). 257 and 65 frequencies end in a masked
+    // one-frequency register. These lines were first produced by the
+    // per-frequency-block path (the parent commit with these workloads
+    // added) and did not move.
+    matvec_shape("_4x4", (4, 4, 256), &["ddddd", "dssdd", "ddssd"]);
+    matvec_shape("_2x16", (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz

@@ -6,9 +6,12 @@
 //! (Section 4.1.1). [`select_kernel`] is that dispatcher as a *model*:
 //! it names the GPU kernel a shape would launch, and [`kernel_profile`]
 //! produces the [`KernelProfile`] whose modeled achieved bandwidth
-//! regenerates Figure 1 and feeds the phase simulator. Execution is
-//! [`crate::sbgemv`] on the CPU, where there is one kernel and nothing to
-//! select.
+//! regenerates Figure 1 and feeds the phase simulator. Nothing here
+//! executes: the CPU's own selection — per-frequency blocks
+//! ([`crate::sbgemv`]) or the frequency-minor kernel
+//! ([`crate::sbgemv_freq_minor`]), by measured block-size crossover — is
+//! made where the spectrum is stored,
+//! `fftmatvec_core::SpectrumLayout::for_shape`.
 
 use fftmatvec_gpu::{KernelClass, KernelProfile};
 use fftmatvec_numeric::DType;

@@ -1,15 +1,30 @@
-//! The CPU execution of the SBGEMV.
+//! The CPU execution of the SBGEMV, in the two layouts a caller may store
+//! the batch in.
 //!
-//! [`sbgemv`] computes `y_b = α·op(A_b)·x_b + β·y_b` for every matrix in
-//! the batch with one loop nest, `gemv`: the outputs are cut into tiles of
-//! [`crate::OPT_TILE_COLS`] — *rows* for non-transpose, *columns* for
-//! (conjugate-)transpose, the paper's Section 3.1.1 geometry — and every
-//! tile walks its reduction range (columns resp. rows) through one
-//! pairwise tree with one accumulator per output. The two *GPU* kernels
-//! of Figure 1 — rocBLAS's and the paper's — differ in launch geometry,
-//! not in arithmetic, so they are modeled ([`crate::dispatch`]) rather
-//! than executed twice; the executed CPU kernel has the geometry of
-//! [`crate::KernelChoice::Optimized`].
+//! * **Per-matrix blocks** — [`sbgemv`] computes `y_b = α·op(A_b)·x_b +
+//!   β·y_b` for every column-major matrix in the batch with one loop nest,
+//!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
+//!   *rows* for non-transpose, *columns* for (conjugate-)transpose, the
+//!   paper's Section 3.1.1 geometry — and lanes run across the rows resp.
+//!   columns of one block. A block has to be large enough to fill those
+//!   tiles: a 16×256 block streams at 19–21 GB/s, a 4×4 block pays ≈ 40 ns
+//!   of tile set-up for 16 multiply-adds.
+//! * **Frequency-minor** — [`sbgemv_freq_minor`] takes entry `(i, k)` of
+//!   *all* matrices contiguous (`a[(i·n + k)·nfreq + f]`, the
+//!   compact-batched layout) and vectors as `[series][freq]`, so a tile's
+//!   outputs are consecutive batch items `f` of one output series and
+//!   lanes run across the batch: the per-block loop disappears into the
+//!   registers (2.6 ns per 4×4 block), and a caller whose vectors are FFT
+//!   spectra — which are `[series][freq]` already — needs no reorder pass
+//!   on either side. It is the α = 1, β = 0 case only, the one the
+//!   pipeline runs.
+//!
+//! Which one an operator uses is decided in exactly one place,
+//! `fftmatvec_core::SpectrumLayout::for_shape` (by block size, from
+//! measured rows). The two *GPU* kernels of Figure 1 — rocBLAS's and the
+//! paper's — differ in launch geometry, not in arithmetic, so they are
+//! modeled ([`crate::dispatch`]) rather than executed twice; the executed
+//! block kernel has the geometry of [`crate::KernelChoice::Optimized`].
 //!
 //! **Summation structure matters for the error analysis.** GPU GEMV
 //! kernels never sum a length-k dot sequentially: threads hold partial
@@ -21,17 +36,33 @@
 //! same error class as the GPU tree reductions.
 //!
 //! **The tree is per output and fixed by the reduction length alone**
-//! (`mid = r0 + (r1 − r0)/2`, sequential runs of ≤ 16 at the leaves). A
-//! tile only decides which outputs share a pass over the matrix: lanes
-//! and registers run *across* outputs, never along the reduction, so tile
-//! width, lane width and thread count cannot change a bit of any output.
+//! (`mid = r0 + (r1 − r0)/2`, sequential runs of ≤ 16 at the leaves), and
+//! both layouts walk it through the same two functions: `reduce_tile`
+//! (zeroed accumulators → `pairwise_tile` → the α/β epilogue) over a
+//! layout-specific *base run*. A tile only decides which outputs share a
+//! pass over the matrix: lanes and registers run *across* outputs, never
+//! along the reduction, so tile width, lane width and thread count cannot
+//! change a bit of any output.
+//!
+//! **Why lanes across frequencies cannot change a bit either.** Output
+//! `y[o][f]` of the frequency-minor kernel and output `o` of block `f` of
+//! [`sbgemv`] are the same expression: the same operands
+//! (`op(A_f)[o, r]`, `x_f[r]`) enter the same `Complex::mul_add` in the
+//! same order `r`, through the same tree, from the same `+0` start, into
+//! the same `α.mul_add(acc, 0)` epilogue (which is not a no-op at α = 1:
+//! it turns `−0` into `+0` and `0·∞` into NaN). Only *which other outputs
+//! sit in the neighbouring lanes* differs — rows or columns of one block
+//! there, the same entry of neighbouring frequencies here — and lanes do
+//! not interact. `tests/simd_equivalence.rs` holds the two against each
+//! other on bits for every scalar type, op and dispatch level, special
+//! values included.
 //!
 //! **No `mul_add` outside an FMA context.** The workspace is not built
 //! with `+fma`, so a scalar `mul_add` compiled on its own is a call into
-//! libm. The three scalar loops here (`notrans_run`, `trans_run`,
-//! `scale_run`) are `#[inline(always)]`: the vector tiles of
+//! libm. The four scalar loops here (`notrans_run`, `trans_run`,
+//! `freq_run`, `scale_run`) are `#[inline(always)]`: the vector tiles of
 //! `crate::simd` inline them for their remainders, and what no vector
-//! tile takes goes through `trans_pass` / `scale_pass`
+//! tile takes goes through `trans_pass` / `freq_pass` / `scale_pass`
 //! ([`fftmatvec_numeric::fma_pass`]: the same body, once plainly and once
 //! inside an `avx2,fma` wrapper). Both lowerings are correctly rounded, so
 //! the bits are the same either way.
@@ -83,8 +114,56 @@ pub fn sbgemv<S: Scalar>(
     y.chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
 }
 
+/// The α = 1, β = 0 SBGEMV `y_f = op(A_f)·x_f` over matrices stored
+/// **frequency-minor**: entry `(i, k)` of all `nfreq` matrices is
+/// contiguous, `a[(i·n + k)·nfreq + f]` (`A_f` is `m × n`), and so are the
+/// vectors, `x[r·nfreq + f]` and `y[o·nfreq + f]` — the `[series][freq]`
+/// layout the batched transforms emit and consume, so a caller holding
+/// spectra needs no reorder on either side (see the module docs).
+///
+/// Every `y[o][f]` is bit-identical to what [`sbgemv`] writes for batch
+/// item `f` with `α = 1`, `β = 0` (`y` is write-only). Allocation-free.
+///
+/// # Panics
+/// If a slice length differs from what `m × n × nfreq` under `op` needs.
+pub fn sbgemv_freq_minor<S: Scalar>(
+    op: GemvOp,
+    a: &[S],
+    x: &[S],
+    y: &mut [S],
+    m: usize,
+    n: usize,
+    nfreq: usize,
+) {
+    let (outs, red) = (op.output_len(m, n), op.input_len(m, n));
+    assert!(m > 0 && n > 0 && nfreq > 0, "sbgemv_freq_minor: empty {m}x{n}x{nfreq} batch");
+    assert!(
+        a.len() == m * n * nfreq && x.len() == red * nfreq && y.len() == outs * nfreq,
+        "sbgemv_freq_minor: slices do not match {op}({m}x{n}) x {nfreq} frequencies"
+    );
+    // Entry (i, k) starts at (i·n + k)·nfreq: outputs are rows `i` and the
+    // reduction runs over `k`, or the other way round.
+    let (out_step, red_step) =
+        if op.is_transposed() { (nfreq, n * nfreq) } else { (n * nfreq, nfreq) };
+    let conj = op == GemvOp::ConjTrans;
+    // Frequency tiles outermost, outputs inside: the tile's slice of every
+    // `x` series is read `outs` times while it is still in L1 (output rows
+    // outermost re-stream all of `x` per row: 24 → 18 µs on 3×5×1025).
+    // One thread: no machine has measured a threshold at which spreading
+    // the tiles over the pool pays for this kernel.
+    for f0 in (0..nfreq).step_by(TILE) {
+        let len = TILE.min(nfreq - f0);
+        for o in 0..outs {
+            let sweep = FreqSweep { conj, a: &a[o * out_step..], a_step: red_step, x, nfreq };
+            let dst = &mut y[o * nfreq + f0..][..len];
+            reduce_tile(S::one(), None, red, dst, |r0, r1, acc| sweep.base_run(f0, r0, r1, acc));
+        }
+    }
+}
+
 /// Outputs per tile — rows of `y` for non-transpose, columns of `A` for
-/// (conjugate-)transpose: one gridblock's worth of outputs (the modeled
+/// (conjugate-)transpose, frequencies of one output series for the
+/// frequency-minor layout: one gridblock's worth of outputs (the modeled
 /// optimized kernel's column tile) and the size of the stack-resident
 /// accumulator vectors.
 const TILE: usize = crate::OPT_TILE_COLS;
@@ -126,11 +205,56 @@ pub(crate) fn gemv<S: Scalar>(
     let sweep = Sweep { op, a, lda, x };
     let mut o0 = 0;
     for dst in y[..outs].chunks_mut(TILE) {
-        let mut acc = [S::zero(); TILE];
-        let acc = &mut acc[..dst.len()];
-        sweep.pairwise_tile(o0, 0, red, acc);
-        scale_into(alpha, acc, beta, dst);
+        reduce_tile(alpha, beta, red, dst, |r0, r1, acc| sweep.base_run(o0, r0, r1, acc));
         o0 += dst.len();
+    }
+}
+
+/// One tile of outputs, start to finish: a zeroed stack accumulator per
+/// output, the reduction range `[0, red)` walked through
+/// [`pairwise_tile`] with the layout's `base_run`, and the α/β epilogue
+/// into `dst`. Both stored layouts' kernels are loops over this function,
+/// so tile width, tree and epilogue are stated once.
+fn reduce_tile<S: Scalar>(
+    alpha: S,
+    beta: Option<S>,
+    red: usize,
+    dst: &mut [S],
+    base_run: impl Fn(usize, usize, &mut [S]),
+) {
+    let mut acc = [S::zero(); TILE];
+    let acc = &mut acc[..dst.len()];
+    pairwise_tile(0, red, acc, &base_run);
+    scale_into(alpha, acc, beta, dst);
+}
+
+/// **The reduction tree** of every SBGEMV output, whichever layout the
+/// matrices are stored in: the range `[r0, r1)` splits at
+/// `mid = r0 + (r1 − r0)/2`, base runs of ≤ [`PAIRWISE_BASE`] accumulate
+/// sequentially into `acc` (`base_run(r0, r1, acc)` overwrites `acc` with
+/// the run's sums, one independent chain per output of the tile), and the
+/// right half is added elementwise — per output, the association of a
+/// recursive-halving dot product, but with one pass over the matrix per
+/// tile instead of per output. Partials live in fixed stack tiles (no
+/// heap allocation on the hot path); recursion depth is `log₂(len/16)`,
+/// so worst-case stack use is a few KB of tiles.
+fn pairwise_tile<S: Scalar>(
+    r0: usize,
+    r1: usize,
+    acc: &mut [S],
+    base_run: &impl Fn(usize, usize, &mut [S]),
+) {
+    if r1 - r0 <= PAIRWISE_BASE {
+        base_run(r0, r1, acc);
+    } else {
+        let mid = r0 + (r1 - r0) / 2;
+        pairwise_tile(r0, mid, acc, base_run);
+        let mut right = [S::zero(); TILE];
+        let right = &mut right[..acc.len()];
+        pairwise_tile(mid, r1, right, base_run);
+        for (l, &r) in acc.iter_mut().zip(right.iter()) {
+            *l += r;
+        }
     }
 }
 
@@ -144,30 +268,7 @@ struct Sweep<'a, S> {
 }
 
 impl<S: Scalar> Sweep<'_, S> {
-    /// One output tile `[o0, o0 + acc.len())` of the pairwise-combined
-    /// sweep: the reduction range `[r0, r1)` splits as a tree, base runs
-    /// of ≤ [`PAIRWISE_BASE`] accumulate sequentially into `acc`, and the
-    /// right half is added elementwise — per output, the association of
-    /// a recursive-halving dot product, but with one pass over the matrix
-    /// per tile instead of per output. Partials live in fixed stack tiles
-    /// (no heap allocation on the hot path); recursion depth is
-    /// `log₂(len/16)`, so worst-case stack use is a few KB of tiles.
-    fn pairwise_tile(&self, o0: usize, r0: usize, r1: usize, acc: &mut [S]) {
-        if r1 - r0 <= PAIRWISE_BASE {
-            self.base_run(o0, r0, r1, acc);
-        } else {
-            let mid = r0 + (r1 - r0) / 2;
-            self.pairwise_tile(o0, r0, mid, acc);
-            let mut right = [S::zero(); TILE];
-            let right = &mut right[..acc.len()];
-            self.pairwise_tile(o0, mid, r1, right);
-            for (l, &r) in acc.iter_mut().zip(right.iter()) {
-                *l += r;
-            }
-        }
-    }
-
-    /// The base case: `acc[k] = Σ_{r0 ≤ r < r1} op(A)[o0 + k, r]·x[r]`,
+    /// The base case of output tile `[o0, o0 + acc.len())`: `acc[k] = Σ_{r0 ≤ r < r1} op(A)[o0 + k, r]·x[r]`,
     /// summed sequentially from zero in increasing `r`. The vector
     /// kernels run the identical per-output chain (outputs are
     /// independent lanes), so results are bit-identical whichever path
@@ -188,6 +289,37 @@ impl<S: Scalar> Sweep<'_, S> {
                     trans_pass(conj, a, lda, x, o0, r0, r1, acc);
                 }
             }
+        }
+    }
+}
+
+/// One output series of a frequency-minor batch as the tile recursion
+/// sees it: `a` starts at the output's first entry, reduction step `r`
+/// pairs `a[r·a_step + f]` with `x[r·nfreq + f]`, and a tile's outputs are
+/// consecutive frequencies `f`.
+///
+/// **Extent precondition** of the vector tile's unchecked loads,
+/// established by [`sbgemv_freq_minor`]'s length assertion:
+/// `a.len() ≥ (red − 1)·a_step + nfreq` and `x.len() ≥ red·nfreq` for the
+/// reduction length `red` the tiles are driven over, and every tile
+/// `[f0, f0 + acc.len())` inside `[0, nfreq)`.
+struct FreqSweep<'a, S> {
+    conj: bool,
+    a: &'a [S],
+    a_step: usize,
+    x: &'a [S],
+    nfreq: usize,
+}
+
+impl<S: Scalar> FreqSweep<'_, S> {
+    /// The base case of frequency tile `[f0, f0 + acc.len())`:
+    /// `acc[j] = Σ_{r0 ≤ r < r1} op(a[r][f0 + j])·x[r][f0 + j]`, summed
+    /// sequentially from zero in increasing `r` — per output the chain of
+    /// [`Sweep::base_run`] on that frequency's block.
+    fn base_run(&self, f0: usize, r0: usize, r1: usize, acc: &mut [S]) {
+        let FreqSweep { conj, a, a_step, x, nfreq } = *self;
+        if !crate::simd::freq_tile(conj, a, a_step, x, nfreq, f0, r0, r1, acc) {
+            freq_pass(conj, a, a_step, x, nfreq, f0, r0, r1, acc);
         }
     }
 }
@@ -242,6 +374,33 @@ pub(crate) fn trans_run<S: Scalar>(
     }
 }
 
+/// Scalar frequency-minor base run over frequencies
+/// `[f0, f0 + acc.len())` of one output series: reduction steps `[r0, r1)`
+/// in order, both operands read contiguous. Elementwise in `f`, so the
+/// per-output chain is `trans_run`'s (`conj`) resp. `notrans_run`'s.
+#[inline(always)]
+pub(crate) fn freq_run<S: Scalar>(
+    conj: bool,
+    a: &[S],
+    a_step: usize,
+    x: &[S],
+    nfreq: usize,
+    f0: usize,
+    r0: usize,
+    r1: usize,
+    acc: &mut [S],
+) {
+    acc.fill(S::zero());
+    for r in r0..r1 {
+        let ar = &a[r * a_step + f0..][..acc.len()];
+        let xr = &x[r * nfreq + f0..][..acc.len()];
+        for ((p, &af), &xf) in acc.iter_mut().zip(ar).zip(xr) {
+            let v = if conj { af.conj() } else { af };
+            *p = v.mul_add(xf, *p);
+        }
+    }
+}
+
 /// The α/β epilogue of one tile: `y = α·acc + β·y`, `y` write-only when
 /// `beta` is `None`. Always the full `mul_add`, α = 1 included: a
 /// shortcut would keep a −0 that the full operation returns as +0, and
@@ -262,13 +421,22 @@ pub(crate) fn scale_run<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut
 }
 
 // What no vector tile takes at an AVX2-class level — the real and 16-bit
-// types' transposed sweep and epilogue — runs the same scalar loops as one
-// pass each (at the portable level a pass is its plain body).
+// types' transposed and frequency-minor sweeps and epilogue — runs the
+// same scalar loops as one pass each (at the portable level a pass is its plain body).
 fma_pass! {
     fn trans_pass<S: Scalar>(
         conj: bool, a: &[S], lda: usize, x: &[S], j0: usize, i0: usize, i1: usize, acc: &mut [S],
     ) {
         trans_run(conj, a, lda, x, j0, i0, i1, acc)
+    }
+}
+
+fma_pass! {
+    fn freq_pass<S: Scalar>(
+        conj: bool, a: &[S], a_step: usize, x: &[S], nfreq: usize, f0: usize, r0: usize, r1: usize,
+        acc: &mut [S],
+    ) {
+        freq_run(conj, a, a_step, x, nfreq, f0, r0, r1, acc)
     }
 }
 

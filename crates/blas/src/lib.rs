@@ -7,11 +7,16 @@
 //! optimized kernel (Section 3.1.1), later merged upstream. This crate
 //! rebuilds both, as what they are here:
 //!
-//! * **One CPU kernel** ([`sbgemv`]) executes the real arithmetic as one
-//!   tiled sweep: tiles of rows walking the columns for non-transpose,
-//!   tiles of *columns* walking the rows for (conj)transpose — the
-//!   geometry of [`KernelChoice::Optimized`] below — with one pairwise
-//!   tree per output either way ([`kernels`]).
+//! * **One CPU kernel per stored layout** executes the real arithmetic.
+//!   [`sbgemv`] takes per-matrix column-major blocks as one tiled sweep:
+//!   tiles of rows walking the columns for non-transpose, tiles of
+//!   *columns* walking the rows for (conj)transpose — the geometry of
+//!   [`KernelChoice::Optimized`] below. [`sbgemv_freq_minor`] takes the
+//!   batch frequency-minor (entry `(i, k)` of every matrix contiguous) and
+//!   puts consecutive batch items in the lanes — the custom kernel for the
+//!   shape the general one serves badly *on a CPU*: the small block. One
+//!   pairwise tree per output either way, shared by both, so they agree on
+//!   every bit ([`kernels`]).
 //! * **Two GPU launch models** ([`KernelChoice`], [`select_kernel`],
 //!   [`kernel_profile`]) stand for the kernels Figure 1 compares.
 //!   [`KernelChoice::Reference`] is rocBLAS: in (conj)transpose mode each
@@ -28,7 +33,9 @@
 //! launches generate — which is what Figure 1 measures and what
 //! `fftmatvec_core::timing::simulate_phases` charges to the SBGEMV phase.
 //! The host-side [`dispatch`] mirrors the rocBLAS integration: transition
-//! points choose the modeled kernel from `(op, m, n)`.
+//! points choose the modeled kernel from `(op, m, n)`. Its executed
+//! counterpart — which CPU kernel, i.e. which stored layout, an operator
+//! runs — is `fftmatvec_core::SpectrumLayout::for_shape`.
 
 pub mod dispatch;
 pub mod kernels;
@@ -36,7 +43,7 @@ mod simd;
 pub mod types;
 
 pub use dispatch::{kernel_profile, select_kernel};
-pub use kernels::sbgemv;
+pub use kernels::{sbgemv, sbgemv_freq_minor};
 pub use types::{BatchGeometry, GemvOp, KernelChoice};
 
 /// Column tile width of the modeled optimized kernel (the paper's

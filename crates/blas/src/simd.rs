@@ -1,30 +1,37 @@
-//! Vectorized base cases and epilogue of the tiled SBGEMV sweep.
+//! Vectorized base cases and epilogue of the tiled SBGEMV sweeps.
 //!
-//! [`notrans_tile`] and [`trans_tile`] offer one base run of the tile
-//! recursion (`crate::kernels`) to a vector kernel, [`scale_tile`] the
-//! tile's α/β epilogue; `false` means the caller must run its scalar loop.
+//! [`notrans_tile`], [`trans_tile`] and [`freq_tile`] offer one base run
+//! of the tile recursion (`crate::kernels`) to a vector kernel,
+//! [`scale_tile`] the tile's α/β epilogue; `false` means the caller must
+//! run its scalar loop.
 //!
 //! **Lanes run across outputs, never along the reduction.** A register
 //! holds the accumulators of neighbouring outputs — rows for
-//! non-transpose, *columns* for (conjugate-)transpose — and walks the
-//! reduction run sequentially, so every output sees the *same
-//! accumulation chain* as in the scalar code and results are
+//! non-transpose, *columns* for (conjugate-)transpose, consecutive
+//! *frequencies* of one output series for the frequency-minor layout —
+//! and walks the reduction run sequentially, so every output sees the
+//! *same accumulation chain* as in the scalar code and results are
 //! bit-identical at every dispatch level. Splitting a lane along the
 //! reduction would reassociate the sum; nothing here does. The pairwise
 //! merge above the base case stays scalar: it is elementwise and cheap,
-//! and the tree shape must not change.
+//! and the tree shape must not change. The three complex sweeps are one
+//! register kernel (`regs_*` / `sweep_*` in [`x86`]) with the addressing
+//! as a const parameter: in the frequency-minor mode the reduction
+//! operand is a lane-wise load like the matrix entry (lane `f` pairs
+//! `a[r][f]` with `x[r][f]`) where the block modes broadcast `x[r]`.
 //!
 //! The complex f32/f64 kernels keep [`x86::IN_FLIGHT`] independent
 //! accumulator registers going: one register's chain is two dependent
 //! FMAs per step, which alone leaves the FMA ports idle most cycles.
 //! Real and 16-bit transposes take the scalar tile.
 //!
-//! **Outputs past the last whole register.** The complex forward tiles
-//! finish with one *masked* register (`maskload` / `maskstore` of the
-//! rows left over), so `k·LANES + r` rows cost what `(k+1)·LANES` rows
-//! do: a 3×256×65 `Complex<f32>` sweep takes 47 µs beside 44 µs for
-//! 4×256×65, a single `Complex<f64>` sensor (1×256×65) 48 µs beside 50 µs
-//! for two. Everything else left over — rows of the real and 16-bit
+//! **Outputs past the last whole register.** The complex forward and
+//! frequency-minor tiles finish with one *masked* register (`maskload` /
+//! `maskstore` of the rows resp. frequencies left over — `N_t + 1`
+//! frequencies always leave some), so `k·LANES + r` rows cost what
+//! `(k+1)·LANES` rows do: a 3×256×65 `Complex<f32>` sweep takes 47 µs
+//! beside 44 µs for 4×256×65, a single `Complex<f64>` sensor (1×256×65)
+//! 48 µs beside 50 µs for two. Everything else left over — rows of the real and 16-bit
 //! tiles, *columns* of a transposed complex tile (a partial gather is not
 //! written), the epilogue's last elements — runs the scalar loops of
 //! `crate::kernels`, which are `#[inline(always)]` and therefore compiled
@@ -38,8 +45,10 @@
 //! the emulated scalar arithmetic rounds.
 //!
 //! **Safety.** Every kernel in [`x86`] reads `a` through raw pointers.
-//! All of them rely on one precondition, asserted at `kernels::gemv`
-//! entry (the *extent precondition*): `lda ≥ m`,
+//! The frequency-minor tile relies on `kernels::FreqSweep`'s extent
+//! precondition (asserted at `sbgemv_freq_minor` entry); all others rely
+//! on one precondition, asserted at `kernels::gemv` entry (the *extent
+//! precondition*): `lda ≥ m`,
 //! `a.len() ≥ (n−1)·lda + m`, `x`/`y` at least `op`'s input/output
 //! length — so `a[j·lda + i]` is in bounds for all `i < m`, `j < n` —
 //! together with the tile arguments `gemv`'s recursion derives from it
@@ -153,6 +162,45 @@ pub(crate) fn trans_tile<S: Scalar>(
             )+};
         }
         try_tile!((Complex<f32>, x86::trans_c32), (Complex<f64>, x86::trans_c64));
+    }
+    false
+}
+
+/// Vectorized frequency-minor base case. Fills `acc` with the sequential
+/// accumulation of reduction steps `[r0, r1)` over frequencies
+/// `[f0, f0 + acc.len())` of one output series (operands as in
+/// `kernels::freq_run`). Returns `false` if no vector kernel applies.
+#[allow(unused_variables)]
+pub(crate) fn freq_tile<S: Scalar>(
+    conj: bool,
+    a: &[S],
+    a_step: usize,
+    x: &[S],
+    nfreq: usize,
+    f0: usize,
+    r0: usize,
+    r1: usize,
+    acc: &mut [S],
+) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if fma_active() {
+        use fftmatvec_numeric::Complex;
+
+        macro_rules! try_tile {
+            ($(($u:ty, $kernel:path)),+ $(,)?) => {$(
+                if let (Some(a), Some(x), Some(acc)) =
+                    (cast::<S, $u>(a), cast::<S, $u>(x), cast_mut::<S, $u>(acc))
+                {
+                    // SAFETY: avx2+fma verified (`fma_active`); frequencies
+                    // `[f0, f0 + acc.len())` of reduction steps `[r0, r1)`
+                    // lie inside `a` and `x` by `FreqSweep`'s extent
+                    // precondition.
+                    unsafe { $kernel(conj, a, a_step, x, nfreq, f0, r0, r1, acc) };
+                    return true;
+                }
+            )+};
+        }
+        try_tile!((Complex<f32>, x86::freq_c32), (Complex<f64>, x86::freq_c64));
     }
     false
 }
@@ -392,6 +440,16 @@ mod x86 {
             _mm256_maskstore_pd(p, mask, v)
         }
 
+        /// A whole register, or with `Some(mask)` its masked lanes.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn load(p: *const f64, tail: Option<M>) -> V {
+            match tail {
+                None => loadu(p),
+                Some(mask) => maskload(p, mask),
+            }
+        }
+
         /// Element `*p` of [`LANES`] consecutive columns (`lda` complex
         /// values apart): two 128-bit loads.
         #[inline]
@@ -497,6 +555,15 @@ mod x86 {
             _mm256_maskstore_ps(p, mask, v)
         }
 
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn load(p: *const f32, tail: Option<M>) -> V {
+            match tail {
+                None => loadu(p),
+                Some(mask) => maskload(p, mask),
+            }
+        }
+
         /// Four 64-bit loads: a `Complex<f32>` moves as one 64-bit
         /// pattern, and no arithmetic touches the `f64` view. (Loading 4
         /// rows of 4 columns and transposing in registers measured no
@@ -548,38 +615,63 @@ mod x86 {
         }
     }
 
+    /// What the outputs of a complex sweep are — the `MODE` parameter of
+    /// the register kernels. Rows of `A`: contiguous loads, reduction
+    /// steps `lda` apart, `x[r]` broadcast to every output.
+    const ROWS: u8 = 0;
+    /// Columns of `A`: gathered loads, reduction steps contiguous, `x[r]`
+    /// broadcast.
+    const COLS: u8 = 1;
+    /// Frequencies of one frequency-minor entry: `a` *and* `x` contiguous
+    /// across outputs (`lda` resp. `ldx` apart per reduction step) — lane
+    /// `f` pairs `a[r][f]` with `x[r][f]`, nothing is broadcast.
+    const FREQS: u8 = 2;
+
     macro_rules! complex_kernels {
-        ($v:ident, $t:ty, $regs:ident, $sweep:ident, $tile:ident, $trans:ident, $scale:ident) => {
+        (
+            $v:ident, $t:ty, $regs:ident, $sweep:ident, $tile:ident, $trans:ident, $freq:ident,
+            $scale:ident
+        ) => {
             /// `R` accumulator registers of `LANES` neighbouring outputs
-            /// each, walked through the reduction run `x` in order.
-            /// `ap` points at the first output's first element; outputs
-            /// are rows (contiguous loads, reduction steps `lda` apart)
-            /// or, with `TRANS`, columns (gathered loads, reduction
-            /// steps contiguous). With `Some(mask)` the (one) register is
-            /// the rows past the last whole one: only its masked lanes
+            /// each, walked through `steps` reduction steps in order.
+            /// `ap` / `xp` point at the first output's first operands;
+            /// `MODE` says how outputs and steps are laid out from there
+            /// ([`ROWS`], [`COLS`], [`FREQS`]; `ldx` is 1 for the
+            /// broadcast modes). With `Some(mask)` the (one) register is
+            /// the outputs past the last whole one: only its masked lanes
             /// are loaded and stored, each with the chain it would have
             /// in a whole register.
             #[inline]
             #[target_feature(enable = "avx2,fma")]
-            unsafe fn $regs<const R: usize, const TRANS: bool>(
+            unsafe fn $regs<const R: usize, const MODE: u8>(
                 sign: $v::V,
                 ap: *const $t,
                 lda: usize,
-                x: &[Complex<$t>],
+                xp: *const $t,
+                ldx: usize,
+                steps: usize,
                 out: *mut $t,
                 tail: Option<$v::M>,
             ) {
                 let mut v = [$v::zero(); R];
-                for (r, &xr) in x.iter().enumerate() {
-                    let (x_ri, x_sw) = $v::splat(xr);
+                for r in 0..steps {
+                    let xr = xp.add(2 * r * ldx);
+                    let bcast = if MODE == FREQS {
+                        None
+                    } else {
+                        Some($v::splat((xr as *const Complex<$t>).read()))
+                    };
                     for (k, vk) in v.iter_mut().enumerate() {
-                        let a = if TRANS {
+                        let a = if MODE == COLS {
                             $v::gather(ap.add(2 * (k * $v::LANES * lda + r)), lda)
                         } else {
-                            let p = ap.add(2 * (r * lda + k * $v::LANES));
-                            match tail {
-                                None => $v::loadu(p),
-                                Some(mask) => $v::maskload(p, mask),
+                            $v::load(ap.add(2 * (r * lda + k * $v::LANES)), tail)
+                        };
+                        let (x_ri, x_sw) = match bcast {
+                            Some(splat) => splat,
+                            None => {
+                                let x = $v::load(xr.add(2 * k * $v::LANES), tail);
+                                (x, $v::swap(x))
                             }
                         };
                         *vk = $v::cfma(a, sign, x_ri, x_sw, *vk);
@@ -594,34 +686,44 @@ mod x86 {
             }
 
             /// All registers of one tile: groups of [`IN_FLIGHT`], then
-            /// one at a time, then — rows only — the partial register of
-            /// the rows left over. Returns the outputs covered; the
-            /// caller's scalar run takes the rest (leftover *columns* of
-            /// a transposed tile: a partial gather is not written).
+            /// one at a time, then — contiguous outputs only — the
+            /// partial register of the outputs left over. Returns the
+            /// outputs covered; the caller's scalar run takes the rest
+            /// (leftover *columns* of a transposed tile: a partial gather
+            /// is not written).
             #[inline]
             #[target_feature(enable = "avx2,fma")]
-            unsafe fn $sweep<const TRANS: bool>(
+            unsafe fn $sweep<const MODE: u8>(
                 sign: $v::V,
                 ap: *const $t,
                 lda: usize,
-                x: &[Complex<$t>],
+                xp: *const $t,
+                ldx: usize,
+                steps: usize,
                 acc: &mut [Complex<$t>],
             ) -> usize {
                 let out = acc.as_mut_ptr() as *mut $t;
-                let stride = if TRANS { lda } else { 1 };
+                // Complex values from one output to the next, in a and x.
+                let (oa, ox) = match MODE {
+                    COLS => (lda, 0),
+                    ROWS => (1, 0),
+                    _ => (1, 1),
+                };
                 let mut o = 0;
                 while o + IN_FLIGHT * $v::LANES <= acc.len() {
-                    let at = ap.add(2 * o * stride);
-                    $regs::<IN_FLIGHT, TRANS>(sign, at, lda, x, out.add(2 * o), None);
+                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
+                    $regs::<IN_FLIGHT, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), None);
                     o += IN_FLIGHT * $v::LANES;
                 }
                 while o + $v::LANES <= acc.len() {
-                    $regs::<1, TRANS>(sign, ap.add(2 * o * stride), lda, x, out.add(2 * o), None);
+                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
+                    $regs::<1, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), None);
                     o += $v::LANES;
                 }
-                if !TRANS && o < acc.len() {
+                if MODE != COLS && o < acc.len() {
                     let mask = Some($v::tail_mask(acc.len() - o));
-                    $regs::<1, false>(sign, ap.add(2 * o), lda, x, out.add(2 * o), mask);
+                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
+                    $regs::<1, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), mask);
                     o = acc.len();
                 }
                 o
@@ -639,7 +741,8 @@ mod x86 {
                 acc: &mut [Complex<$t>],
             ) {
                 let ap = a.as_ptr().add(j0 * lda + i0) as *const $t;
-                let done = $sweep::<false>($v::sign(false), ap, lda, &x[j0..j1], acc);
+                let xp = x[j0..j1].as_ptr() as *const $t;
+                let done = $sweep::<ROWS>($v::sign(false), ap, lda, xp, 1, j1 - j0, acc);
                 debug_assert_eq!(done, acc.len());
             }
 
@@ -657,8 +760,30 @@ mod x86 {
                 acc: &mut [Complex<$t>],
             ) {
                 let ap = a.as_ptr().add(j0 * lda + i0) as *const $t;
-                let done = $sweep::<true>($v::sign(conj), ap, lda, &x[i0..i1], acc);
+                let xp = x[i0..i1].as_ptr() as *const $t;
+                let done = $sweep::<COLS>($v::sign(conj), ap, lda, xp, 1, i1 - i0, acc);
                 trans_run(conj, a, lda, x, j0 + done, i0, i1, &mut acc[done..]);
+            }
+
+            /// Frequencies of one frequency-minor output series:
+            /// `acc[j] = Σ_r op(a[r·a_step + f0 + j])·x[r·nfreq + f0 + j]`
+            /// in increasing `r`, `op` = conjugation iff `conj`.
+            #[target_feature(enable = "avx2,fma")]
+            pub unsafe fn $freq(
+                conj: bool,
+                a: &[Complex<$t>],
+                a_step: usize,
+                x: &[Complex<$t>],
+                nfreq: usize,
+                f0: usize,
+                r0: usize,
+                r1: usize,
+                acc: &mut [Complex<$t>],
+            ) {
+                let ap = a.as_ptr().add(r0 * a_step + f0) as *const $t;
+                let xp = x.as_ptr().add(r0 * nfreq + f0) as *const $t;
+                let done = $sweep::<FREQS>($v::sign(conj), ap, a_step, xp, nfreq, r1 - r0, acc);
+                debug_assert_eq!(done, acc.len());
             }
 
             /// Epilogue `y = alpha.mul_add(acc, beta * y)` with α (and β)
@@ -688,6 +813,6 @@ mod x86 {
         };
     }
 
-    complex_kernels!(pd, f64, regs_c64, sweep_c64, tile_c64, trans_c64, scale_c64);
-    complex_kernels!(ps, f32, regs_c32, sweep_c32, tile_c32, trans_c32, scale_c32);
+    complex_kernels!(pd, f64, regs_c64, sweep_c64, tile_c64, trans_c64, freq_c64, scale_c64);
+    complex_kernels!(ps, f32, regs_c32, sweep_c32, tile_c32, trans_c32, freq_c32, scale_c32);
 }

@@ -148,3 +148,128 @@ fn gemv_identical_across_levels_c16() {
 fn gemv_identical_across_levels_cb16() {
     check_tier::<Complex<bf16>>();
 }
+
+// ---------------------------------------------------------------------
+// Frequency-minor SBGEMV against reorder → `sbgemv` → reorder
+// ---------------------------------------------------------------------
+
+use fftmatvec_blas::sbgemv_freq_minor;
+
+/// One value per bit pattern, except that NaNs compare as one value:
+/// which operand's sign and payload a NaN result inherits is left open by
+/// IEEE 754 and differs between x86 instruction forms — *where* NaNs
+/// appear is a property of the kernels.
+fn canonical<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
+    let bits = |w: f64| if w.is_nan() { f64::NAN.to_bits() } else { w.to_bits() };
+    v.iter().map(|s| s.to_f64_parts()).map(|(re, im)| (bits(re), bits(im))).collect()
+}
+
+/// Random data with signed zeros, infinities, NaN and subnormals of every
+/// tier cycled through every `period`-th element (0: none).
+fn fill_special<S: Scalar>(rng: &mut SplitMix64, len: usize, period: usize) -> Vec<S> {
+    const SPECIAL: [f64; 8] =
+        [-0.0, f64::INFINITY, 5e-324, f64::NEG_INFINITY, 1e-40, f64::NAN, -6e-8, 0.0];
+    (0..len)
+        .map(|i| {
+            let (re, im) = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+            match (period, i % period.max(1)) {
+                (0, _) => S::from_f64_parts(re, im),
+                (_, 1) => S::from_f64_parts(SPECIAL[i / period % 8], im),
+                (_, 2) => S::from_f64_parts(re, SPECIAL[(i / period + 3) % 8]),
+                _ => S::from_f64_parts(re, im),
+            }
+        })
+        .collect()
+}
+
+/// `[rows][cols]` → `[cols][rows]`.
+fn transposed<S: Scalar>(v: &[S], rows: usize, cols: usize) -> Vec<S> {
+    (0..rows * cols).map(|i| v[(i % rows) * cols + i / rows]).collect()
+}
+
+/// Both layouts' outputs for one `m × n × nfreq` batch at the current
+/// level, as `[freq][output]`: the frequency-minor kernel fed the
+/// reordered operands, and `sbgemv` with α = 1, β = 0 over a NaN-filled
+/// `y`.
+fn both_layouts<S: Scalar>(
+    op: GemvOp,
+    (m, n, nfreq): (usize, usize, usize),
+    period: usize,
+) -> [Vec<(u64, u64)>; 2] {
+    let (red, outs) = (op.input_len(m, n), op.output_len(m, n));
+    let mut rng = SplitMix64::new((m * 977 + n * 31 + nfreq) as u64);
+    // Column-major blocks: a[f·m·n + k·m + i]; frequency-minor rows are
+    // entries (i, k) in row-major order: fm[(i·n + k)·nfreq + f].
+    let a: Vec<S> = fill_special(&mut rng, nfreq * m * n, period);
+    let x: Vec<S> = fill_special(&mut rng, nfreq * red, period);
+    let a_fm: Vec<S> = (0..m * n * nfreq)
+        .map(|e| (e / nfreq, e % nfreq))
+        .map(|(ik, f)| a[f * m * n + ik % n * m + ik / n])
+        .collect();
+    let x_fm = transposed(&x, nfreq, red);
+    let nan = S::from_f64_parts(f64::NAN, f64::NAN);
+
+    let mut y_fm = vec![nan; outs * nfreq];
+    sbgemv_freq_minor(op, &a_fm, &x_fm, &mut y_fm, m, n, nfreq);
+    let mut y = vec![nan; nfreq * outs];
+    sbgemv(op, S::one(), &a, &x, S::zero(), &mut y, &BatchGeometry::packed(m, n, op, nfreq));
+    [canonical(&transposed(&y_fm, outs, nfreq)), canonical(&y)]
+}
+
+/// Reduction lengths 1, 4, 16, 17, 33 and 67 on either side (both sides
+/// of one base run and of two tree levels) against 1–5 outputs, the two
+/// serve / long-series block shapes, and a 16×16 block.
+const FM_BLOCKS: &[(usize, usize)] =
+    &[(1, 1), (4, 4), (2, 16), (3, 5), (17, 3), (2, 33), (67, 1), (5, 67), (16, 16)];
+
+/// Frequency counts: below one register, every masked tail of either
+/// complex lane width (1…3), a lone register, a register group plus a
+/// tail, `N_t + 1` for a power-of-two series (one tile plus one
+/// frequency), and two tiles plus a tail (with the 16×16 block that is
+/// above the block-major reference's parallel threshold).
+const FM_NFREQ: &[usize] = &[1, 2, 3, 5, 7, 19, 65, 131];
+
+fn check_freq_minor<S: Scalar>() {
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let levels = supported_levels();
+    let prev = set_active_level(SimdLevel::Portable);
+    for &(m, n) in FM_BLOCKS {
+        for &nfreq in FM_NFREQ {
+            for op in [GemvOp::NoTrans, GemvOp::Trans, GemvOp::ConjTrans] {
+                for period in [0, 5] {
+                    set_active_level(SimdLevel::Portable);
+                    let [_, reference] = both_layouts::<S>(op, (m, n, nfreq), period);
+                    for &level in &levels {
+                        set_active_level(level);
+                        let [freq_minor, block_major] =
+                            both_layouts::<S>(op, (m, n, nfreq), period);
+                        let what = format!("{op} {m}x{n}x{nfreq} special/{period} level={level}");
+                        assert_eq!(block_major, reference, "block-major {what}");
+                        assert_eq!(freq_minor, reference, "frequency-minor {what}");
+                    }
+                }
+            }
+        }
+    }
+    set_active_level(prev);
+}
+
+macro_rules! freq_minor_tests {
+    ($(($name:ident, $t:ty)),+ $(,)?) => {$(
+        #[test]
+        fn $name() {
+            check_freq_minor::<$t>();
+        }
+    )+};
+}
+
+freq_minor_tests!(
+    (freq_minor_equals_reordered_sbgemv_f32, f32),
+    (freq_minor_equals_reordered_sbgemv_f64, f64),
+    (freq_minor_equals_reordered_sbgemv_f16, f16),
+    (freq_minor_equals_reordered_sbgemv_bf16, bf16),
+    (freq_minor_equals_reordered_sbgemv_c32, Complex<f32>),
+    (freq_minor_equals_reordered_sbgemv_c64, Complex<f64>),
+    (freq_minor_equals_reordered_sbgemv_c16, Complex<f16>),
+    (freq_minor_equals_reordered_sbgemv_cb16, Complex<bf16>),
+);

@@ -139,9 +139,13 @@ pub fn condition_estimate(op: &BlockToeplitzOperator, freq_stride: usize) -> f64
     let mut sig_max: f64 = 0.0;
     let mut sig_min = f64::INFINITY;
     let mut f = 0;
+    let mut block = vec![Complex::zero(); nd * nm];
     while f < op.nfreq() {
-        let block = &op.fhat()[f * nd * nm..(f + 1) * nd * nm];
-        let b = gram(block, nd, nm);
+        // Column-major F̂_f, gathered from whichever layout is stored.
+        for (e, z) in block.iter_mut().enumerate() {
+            *z = op.fhat_at(f, e % nd, e / nd);
+        }
+        let b = gram(&block, nd, nm);
         let lmax = power_iterate(&b, nd, 40);
         // λ_min via power iteration on (λ_max·I − B).
         let shifted: Vec<C64> = (0..nd * nd)

@@ -5,10 +5,43 @@
 //! blocks `F_{j1} ∈ R^{N_d × N_m}`. Setup embeds `F` in a block-circulant
 //! matrix by zero-padding the block column to length `2·N_t` and takes a
 //! batched real-to-complex FFT along the block index, yielding `N_t + 1`
-//! complex frequency matrices `F̂_k` stored column-major, ready for the
-//! strided batched GEMV. Setup always runs in double precision (it is a
-//! one-time cost, Section 3.2); a single-precision copy of `F̂` is
-//! materialized lazily for configurations that compute phase 3 in FP32.
+//! complex frequency matrices `F̂_k`. Setup always runs in double
+//! precision (it is a one-time cost, Section 3.2); narrower copies of `F̂`
+//! are materialized lazily for configurations that compute phase 3 in a
+//! narrower tier.
+//!
+//! # The two stored layouts of `F̂`, and the one place that picks
+//!
+//! The operator keeps **one** copy of the spectrum, in the layout its
+//! block shape is applied fastest in ([`SpectrumLayout::for_shape`], a
+//! pure function of the shape, decided once at build — no option, no
+//! environment variable):
+//!
+//! * [`SpectrumLayout::BlockMajor`] — `N_t + 1` column-major `N_d × N_m`
+//!   matrices, `F̂[f·N_d·N_m + k·N_d + i]`: the strided batched GEMV's
+//!   layout ([`fftmatvec_blas::sbgemv`]), whose row / column tiles
+//!   amortize over a large block. The pipeline reorders its spectra
+//!   `[series][freq] → [freq][series]` on the way in and back on the way
+//!   out.
+//! * [`SpectrumLayout::FrequencyMinor`] — entry `(i, k)` of all
+//!   frequencies contiguous, `F̂[(i·N_m + k)·(N_t + 1) + f]`: exactly what
+//!   the set-up FFT emits (set-up skips its `N_m` transposes) and the
+//!   layout of the pipeline's own spectra, so
+//!   [`fftmatvec_blas::sbgemv_freq_minor`] runs straight from the forward
+//!   transform's output into the inverse transform's input with lanes
+//!   across frequencies and **no reorder pass**. A small block cannot
+//!   amortize a tile call (≈ 40 ns per 4×4 block against 2.6 ns here).
+//!
+//! The selection is the *executed* counterpart of
+//! [`fftmatvec_blas::select_kernel`], which only names the kernel a GPU
+//! dispatcher would launch for the cost model. Either layout yields the
+//! same output bits (see `fftmatvec_blas::kernels`). The documented
+//! block-major accessors [`BlockToeplitzOperator::fhat`] (and `fhat32` /
+//! `fhat16` / `fhatb16`) answer on both: a frequency-minor operator
+//! materializes that view lazily, for oracles and tests — nothing on the
+//! apply path reads it.
+
+use std::sync::OnceLock;
 
 use fftmatvec_fft::BatchedRealFft;
 use fftmatvec_numeric::ndindex::transpose_map;
@@ -16,20 +49,93 @@ use fftmatvec_numeric::{Complex, C16, C32, C64, CB16};
 
 use crate::linop::ConfigError;
 
+/// How a [`BlockToeplitzOperator`] stores `F̂` (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpectrumLayout {
+    /// Per-frequency column-major blocks: `F̂[f·nd·nm + k·nd + i]`.
+    BlockMajor,
+    /// Per-entry frequency series: `F̂[(i·nm + k)·nfreq + f]`.
+    FrequencyMinor,
+}
+
+impl SpectrumLayout {
+    /// **The selection point**: the layout an operator with `nd × nm`
+    /// blocks stores and applies `F̂` in — frequency-minor up to a measured
+    /// block size, per-frequency blocks above it. The number of
+    /// frequencies is not an argument: the per-block overhead being traded
+    /// is paid per frequency on one side and saved per frequency on the
+    /// other.
+    pub fn for_shape(nd: usize, nm: usize) -> Self {
+        // Largest block (entries) stored frequency-minor: **8×8**, the
+        // largest measured shape on which the two layouts are clearly
+        // apart in both tiers. The `sbgemv_freqminor_<nd>x<nm>x<nfreq>`
+        // rows of `bench/baseline_simd.json` (reorder → `sbgemv` → reorder
+        // ÷ `sbgemv_freq_minor`, one F and one F* symbol apply, hot, one
+        // thread), c64 / c32 `speedup` as committed:
+        //     4×4×4097   4.168 / 6.233      16×16×65   1.090 / 1.399
+        //     2×16×65    2.805 / 3.484      16×64×65   0.951 / 1.224
+        //     3×5×1025   5.501 / 7.755      16×256×65  1.044 / 1.237
+        //     8×8×513    1.999 / 3.091
+        // From 16×16 up the c64 rows cannot be told apart from one another
+        // or from the run-to-run spread (three runs: 16×16 1.09–1.20,
+        // 16×64 0.95–1.03, 16×256 1.04–1.07). Nothing between 64 and 256
+        // entries is resolved by these rows and no `bench_e2e` workload
+        // has a block in that range, so everything above 8×8 stays on the
+        // row / column tiles.
+        const FREQ_MINOR_MAX_ENTRIES: usize = 64;
+        if nd * nm <= FREQ_MINOR_MAX_ENTRIES {
+            SpectrumLayout::FrequencyMinor
+        } else {
+            SpectrumLayout::BlockMajor
+        }
+    }
+}
+
+/// `F̂` in one layout: the double-precision spectrum and its lazily
+/// rounded narrow copies (the one-time cast for configurations that run
+/// phase 3 below double; 16-bit rounding routes through `f32`, see
+/// `fftmatvec_numeric::half`).
+pub(crate) struct Spectrum {
+    c64: Vec<C64>,
+    c32: OnceLock<Vec<C32>>,
+    c16: OnceLock<Vec<C16>>,
+    cb16: OnceLock<Vec<CB16>>,
+}
+
+impl Spectrum {
+    fn new(c64: Vec<C64>) -> Self {
+        Spectrum { c64, c32: OnceLock::new(), c16: OnceLock::new(), cb16: OnceLock::new() }
+    }
+
+    pub(crate) fn c64(&self) -> &[C64] {
+        &self.c64
+    }
+
+    pub(crate) fn c32(&self) -> &[C32] {
+        self.c32.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
+    }
+
+    pub(crate) fn c16(&self) -> &[C16] {
+        self.c16.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
+    }
+
+    pub(crate) fn cb16(&self) -> &[CB16] {
+        self.cb16.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
+    }
+}
+
 /// A block lower-triangular Toeplitz operator in FFT-ready form.
 pub struct BlockToeplitzOperator {
     nd: usize,
     nm: usize,
     nt: usize,
-    /// `F̂` in double precision: `nfreq` column-major `nd × nm` matrices,
-    /// packed contiguously (`stride_a = nd·nm`).
-    fhat: Vec<C64>,
-    /// Lazily cached single-precision copy of `F̂`.
-    fhat32: std::sync::OnceLock<Vec<C32>>,
-    /// Lazily cached binary16 copy of `F̂` (software-emulated tier).
-    fhat16: std::sync::OnceLock<Vec<C16>>,
-    /// Lazily cached bfloat16 copy of `F̂` (software-emulated tier).
-    fhatb16: std::sync::OnceLock<Vec<CB16>>,
+    /// The layout of `stored`; [`SpectrumLayout::for_shape`] of the shape.
+    layout: SpectrumLayout,
+    /// `F̂` as the apply path reads it.
+    stored: Spectrum,
+    /// The block-major view behind `fhat()` & co. on a frequency-minor
+    /// operator, built on first use (never by an apply).
+    block_view: OnceLock<Spectrum>,
     /// The first block column, kept for the direct (oracle) matvec:
     /// layout `col[(t·nd + i)·nm + k] = F_{t+1,1}[i,k]`.
     first_col: Vec<f64>,
@@ -37,18 +143,15 @@ pub struct BlockToeplitzOperator {
 
 impl Clone for BlockToeplitzOperator {
     /// Deep-copies the double-precision setup (`F̂` and the first block
-    /// column); the lazily-cached narrow copies of `F̂` rematerialize in
+    /// column); the lazily-cached narrow copies of `F̂` (and the
+    /// block-major view of a frequency-minor operator) rematerialize in
     /// the clone on first use rather than being copied.
     fn clone(&self) -> Self {
         BlockToeplitzOperator {
-            nd: self.nd,
-            nm: self.nm,
-            nt: self.nt,
-            fhat: self.fhat.clone(),
-            fhat32: std::sync::OnceLock::new(),
-            fhat16: std::sync::OnceLock::new(),
-            fhatb16: std::sync::OnceLock::new(),
+            stored: Spectrum::new(self.stored.c64.clone()),
+            block_view: OnceLock::new(),
             first_col: self.first_col.clone(),
+            ..*self
         }
     }
 }
@@ -63,6 +166,19 @@ impl BlockToeplitzOperator {
         nm: usize,
         nt: usize,
         col: &[f64],
+    ) -> Result<Self, ConfigError> {
+        Self::with_layout(nd, nm, nt, col, SpectrumLayout::for_shape(nd, nm))
+    }
+
+    /// [`from_first_block_column`](Self::from_first_block_column) with the
+    /// stored layout forced — for the tests that hold the two layouts
+    /// against each other; callers get [`SpectrumLayout::for_shape`].
+    pub(crate) fn with_layout(
+        nd: usize,
+        nm: usize,
+        nt: usize,
+        col: &[f64],
+        layout: SpectrumLayout,
     ) -> Result<Self, ConfigError> {
         for (extent, what) in [(nd, "nd"), (nm, "nm"), (nt, "nt")] {
             if extent == 0 {
@@ -88,24 +204,18 @@ impl BlockToeplitzOperator {
         fft.forward_batch(&padded, &mut spectra);
         drop(padded);
 
-        // Transpose to SBGEMV layout: per frequency, column-major nd × nm.
-        // fhat[f·nd·nm + k·nd + i] = spectra[(i·nm + k)·nfreq + f].
-        // Per block column k this is a (nd × nfreq) → (nfreq × nd)
-        // transpose between strided views of the two buffers.
-        let mut fhat = vec![Complex::zero(); nfreq * nd * nm];
-        for k in 0..nm {
-            let (src, dst) = (&spectra[k * nfreq..], &mut fhat[k * nd..]);
-            transpose_map(src, nm * nfreq, dst, nd * nm, nd, nfreq, |v| v);
-        }
-
+        // `spectra[(i·nm + k)·nfreq + f]` *is* the frequency-minor layout.
+        let stored = match layout {
+            SpectrumLayout::FrequencyMinor => spectra,
+            SpectrumLayout::BlockMajor => blocks_of(&spectra, nd, nm, nfreq),
+        };
         Ok(BlockToeplitzOperator {
             nd,
             nm,
             nt,
-            fhat,
-            fhat32: std::sync::OnceLock::new(),
-            fhat16: std::sync::OnceLock::new(),
-            fhatb16: std::sync::OnceLock::new(),
+            layout,
+            stored: Spectrum::new(stored),
+            block_view: OnceLock::new(),
             first_col: col.to_vec(),
         })
     }
@@ -134,28 +244,65 @@ impl BlockToeplitzOperator {
         self.nt + 1
     }
 
-    /// The double-precision frequency matrices.
+    /// The layout `F̂` is stored and applied in.
+    #[inline]
+    pub fn layout(&self) -> SpectrumLayout {
+        self.layout
+    }
+
+    /// `F̂` in [`layout`](Self::layout), as the apply path reads it.
+    #[inline]
+    pub(crate) fn stored(&self) -> &Spectrum {
+        &self.stored
+    }
+
+    /// `F̂` as per-frequency blocks, whatever the stored layout.
+    fn block_view(&self) -> &Spectrum {
+        match self.layout {
+            SpectrumLayout::BlockMajor => &self.stored,
+            SpectrumLayout::FrequencyMinor => self.block_view.get_or_init(|| {
+                Spectrum::new(blocks_of(&self.stored.c64, self.nd, self.nm, self.nfreq()))
+            }),
+        }
+    }
+
+    /// Entry `(i, k)` of `F̂_f`, read from the stored layout.
+    #[inline]
+    pub fn fhat_at(&self, f: usize, i: usize, k: usize) -> C64 {
+        let (nd, nm, nfreq) = (self.nd, self.nm, self.nfreq());
+        assert!(f < nfreq && i < nd && k < nm, "fhat_at({f}, {i}, {k}) outside {nd}x{nm}x{nfreq}");
+        self.stored.c64[match self.layout {
+            SpectrumLayout::BlockMajor => f * nd * nm + k * nd + i,
+            SpectrumLayout::FrequencyMinor => (i * nm + k) * nfreq + f,
+        }]
+    }
+
+    /// The double-precision frequency matrices: `nfreq` column-major
+    /// `nd × nm` matrices, packed contiguously (`stride_a = nd·nm`). On a
+    /// [`SpectrumLayout::FrequencyMinor`] operator this view (like the
+    /// three narrow ones below) is materialized on first use; applies
+    /// never ask for it.
     #[inline]
     pub fn fhat(&self) -> &[C64] {
-        &self.fhat
+        self.block_view().c64()
     }
 
     /// The single-precision frequency matrices (materialized on first
     /// use — the one-time cast for FP32 phase-3 configurations).
     pub fn fhat32(&self) -> &[C32] {
-        self.fhat32.get_or_init(|| self.fhat.iter().map(|z| z.cast()).collect())
+        self.block_view().c32()
     }
 
     /// The binary16 frequency matrices (materialized on first use — the
     /// one-time cast for FP16 phase-3 configurations; rounding routes
     /// through `f32`, see `fftmatvec_numeric::half`).
     pub fn fhat16(&self) -> &[C16] {
-        self.fhat16.get_or_init(|| self.fhat.iter().map(|z| z.cast()).collect())
+        self.block_view().c16()
     }
 
     /// The bfloat16 frequency matrices (materialized on first use).
     pub fn fhatb16(&self) -> &[CB16] {
-        self.fhatb16.get_or_init(|| self.fhat.iter().map(|z| z.cast()).collect())
+        self.block_view().cb16()
     }
 
     /// The stored first block column (`[t][i][k]` layout).
@@ -192,8 +339,21 @@ impl BlockToeplitzOperator {
     /// Bytes of the double-precision `F̂` (the resident matrix data the
     /// bandwidth model streams in phase 3).
     pub fn fhat_bytes(&self) -> usize {
-        self.fhat.len() * core::mem::size_of::<C64>()
+        self.stored.c64.len() * core::mem::size_of::<C64>()
     }
+}
+
+/// Frequency-minor spectra as per-frequency column-major blocks:
+/// `blocks[f·nd·nm + k·nd + i] = spectra[(i·nm + k)·nfreq + f]`. Per block
+/// column `k` this is a `(nd × nfreq) → (nfreq × nd)` transpose between
+/// strided views of the two buffers.
+fn blocks_of(spectra: &[C64], nd: usize, nm: usize, nfreq: usize) -> Vec<C64> {
+    let mut blocks = vec![Complex::zero(); spectra.len()];
+    for k in 0..nm {
+        let (src, dst) = (&spectra[k * nfreq..], &mut blocks[k * nd..]);
+        transpose_map(src, nm * nfreq, dst, nd * nm, nd, nfreq, |v| v);
+    }
+    blocks
 }
 
 #[cfg(test)]
@@ -223,6 +383,39 @@ mod tests {
     fn rejects_bad_shapes() {
         assert!(BlockToeplitzOperator::from_first_block_column(0, 5, 8, &[]).is_err());
         assert!(BlockToeplitzOperator::from_first_block_column(3, 5, 8, &[0.0; 7]).is_err());
+    }
+
+    #[test]
+    fn layout_follows_the_block_size_and_the_block_view_is_the_same_spectrum() {
+        assert_eq!(SpectrumLayout::for_shape(4, 4), SpectrumLayout::FrequencyMinor);
+        assert_eq!(SpectrumLayout::for_shape(2, 16), SpectrumLayout::FrequencyMinor);
+        assert_eq!(SpectrumLayout::for_shape(8, 8), SpectrumLayout::FrequencyMinor);
+        assert_eq!(SpectrumLayout::for_shape(5, 13), SpectrumLayout::BlockMajor);
+        assert_eq!(SpectrumLayout::for_shape(16, 16), SpectrumLayout::BlockMajor);
+        assert_eq!(SpectrumLayout::for_shape(16, 256), SpectrumLayout::BlockMajor);
+
+        let (nd, nm, nt) = (3, 5, 8);
+        let mut col = vec![0.0; nt * nd * nm];
+        SplitMix64::new(6).fill_uniform(&mut col, -1.0, 1.0);
+        let build = |layout| BlockToeplitzOperator::with_layout(nd, nm, nt, &col, layout).unwrap();
+        let (blocks, minor) =
+            (build(SpectrumLayout::BlockMajor), build(SpectrumLayout::FrequencyMinor));
+        assert_eq!(random_operator(nd, nm, nt, 6).layout(), SpectrumLayout::FrequencyMinor);
+        // The documented block-major accessors answer identically on both,
+        // in every tier, and so does the layout-agnostic entry read.
+        assert_eq!(minor.fhat(), blocks.fhat());
+        assert_eq!(minor.fhat32(), blocks.fhat32());
+        assert_eq!(minor.fhat16(), blocks.fhat16());
+        assert_eq!(minor.fhatb16(), blocks.fhatb16());
+        assert_eq!(minor.fhat_bytes(), blocks.fhat_bytes());
+        for (f, i, k) in [(0, 0, 0), (8, 2, 4), (3, 1, 2)] {
+            let want = blocks.fhat()[f * nd * nm + k * nd + i];
+            assert_eq!(blocks.fhat_at(f, i, k), want);
+            assert_eq!(minor.fhat_at(f, i, k), want);
+        }
+        // A clone keeps the layout and rebuilds the lazy views.
+        assert_eq!(minor.clone().layout(), SpectrumLayout::FrequencyMinor);
+        assert_eq!(minor.clone().fhat(), blocks.fhat());
     }
 
     #[test]

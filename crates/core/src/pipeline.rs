@@ -26,15 +26,15 @@
 use std::sync::Arc;
 
 use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
-use fftmatvec_blas::{sbgemv, BatchGeometry, GemvOp};
+use fftmatvec_blas::{sbgemv, sbgemv_freq_minor, BatchGeometry, GemvOp};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
-use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, RealBuffer};
+use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer, Scalar};
 
 use crate::autotune::PhaseWeights;
 use crate::error_analysis::{condition_estimate, BoundParams};
 use crate::layout;
 use crate::linop::{ConfigError, OpDirection, OpError, OpShape};
-use crate::operator::BlockToeplitzOperator;
+use crate::operator::{BlockToeplitzOperator, SpectrumLayout};
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
 use crate::timing::{simulate_phases, MatvecDims};
@@ -141,31 +141,43 @@ impl SpectralKernel for SbgemvKernel {
         spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
         pipe.engine(p_fft)?.forward(fft_in, spectrum)?;
 
-        // Phase 3 — SOTI→TOSI reorder (fused cast), then the strided
-        // batched GEMV in cfg[Sbgemv].
+        // Phase 3 — the symbol apply in cfg[Sbgemv], in the operator's
+        // stored layout; phase 4's input lands in `dspec`, cast to
+        // cfg[Ifft] on the way.
         let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
-        layout::spectrum_to_batch_into(spectrum, n_in, nfreq, p_gemv, xhat);
-        yhat.reset_for_overwrite(p_gemv, n_out * nfreq);
-        let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
-        match (&*xhat, &mut *yhat) {
-            (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => {
-                sbgemv(gemv_op, Complex::one(), op.fhat16(), x, Complex::zero(), y, &g);
+        let p_ifft = cfg.phase(MatvecPhase::Ifft);
+        match op.layout() {
+            // Per-frequency blocks: SOTI→TOSI reorder (fused cast), the
+            // strided batched GEMV, and the reorder back.
+            SpectrumLayout::BlockMajor => {
+                layout::spectrum_to_batch_into(spectrum, n_in, nfreq, p_gemv, xhat);
+                yhat.reset_for_overwrite(p_gemv, n_out * nfreq);
+                apply_symbol(op, gemv_op, xhat, yhat)?;
+                layout::batch_to_spectrum_into(yhat, n_out, nfreq, p_ifft, dspec);
             }
-            (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
-                sbgemv(gemv_op, Complex::one(), op.fhatb16(), x, Complex::zero(), y, &g);
+            // Frequency-minor: the kernel reads the forward engine's
+            // `[series][freq]` spectra and writes the inverse engine's.
+            // With the three tiers equal there is no pass in between and
+            // `xhat` / `yhat` stay empty; a differing neighbour costs one
+            // contiguous cast (the device's, as for phase 2's input) where
+            // the casting reorder was — every element rounds as there.
+            SpectrumLayout::FrequencyMinor => {
+                let x: &ComplexBuffer = if p_fft == p_gemv {
+                    spectrum
+                } else {
+                    device.cast_complex(spectrum, p_gemv, xhat)?;
+                    xhat
+                };
+                let y = if p_gemv == p_ifft { &mut *dspec } else { &mut *yhat };
+                y.reset_for_overwrite(p_gemv, n_out * nfreq);
+                apply_symbol(op, gemv_op, x, y)?;
+                if p_gemv != p_ifft {
+                    device.cast_complex(yhat, p_ifft, dspec)?;
+                }
             }
-            (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => {
-                sbgemv(gemv_op, Complex::one(), op.fhat32(), x, Complex::zero(), y, &g);
-            }
-            (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => {
-                sbgemv(gemv_op, Complex::one(), op.fhat(), x, Complex::zero(), y, &g);
-            }
-            _ => return Err(OpError::Internal("phase-3 tier mismatch")),
         }
 
         // Phase 4 — batched C2R inverse FFT in cfg[Ifft].
-        let p_ifft = cfg.phase(MatvecPhase::Ifft);
-        layout::batch_to_spectrum_into(yhat, n_out, nfreq, p_ifft, dspec);
         time.reset_for_overwrite(p_ifft, n_out * 2 * nt);
         pipe.engine(p_ifft)?.inverse(dspec, time)?;
 
@@ -200,6 +212,37 @@ impl SpectralKernel for SbgemvKernel {
         let dims = MatvecDims::new(self.op.nd(), self.op.nm(), self.op.nt());
         simulate_phases(dims, cfg, dir == OpDirection::Adjoint, dev)
     }
+}
+
+/// `y = op(F̂)·x` (α = 1, β = 0) in the tier both buffers hold, through
+/// the kernel of `op`'s stored layout: `x` / `y` are `[freq][series]`
+/// batch vectors on a block-major operator and `[series][freq]` spectra on
+/// a frequency-minor one.
+fn apply_symbol(
+    op: &BlockToeplitzOperator,
+    gemv_op: GemvOp,
+    x: &ComplexBuffer,
+    y: &mut ComplexBuffer,
+) -> Result<(), OpError> {
+    fn run<S: Scalar>(op: &BlockToeplitzOperator, gemv_op: GemvOp, a: &[S], x: &[S], y: &mut [S]) {
+        let (nd, nm, nfreq) = (op.nd(), op.nm(), op.nfreq());
+        match op.layout() {
+            SpectrumLayout::BlockMajor => {
+                let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
+                sbgemv(gemv_op, S::one(), a, x, S::zero(), y, &g);
+            }
+            SpectrumLayout::FrequencyMinor => sbgemv_freq_minor(gemv_op, a, x, y, nd, nm, nfreq),
+        }
+    }
+    let fhat = op.stored();
+    match (x, y) {
+        (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => run(op, gemv_op, fhat.c16(), x, y),
+        (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => run(op, gemv_op, fhat.cb16(), x, y),
+        (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => run(op, gemv_op, fhat.c32(), x, y),
+        (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => run(op, gemv_op, fhat.c64(), x, y),
+        _ => return Err(OpError::Internal("phase-3 tier mismatch")),
+    }
+    Ok(())
 }
 
 /// Fluent builder for [`FftMatvec`] — the only construction path.
@@ -576,6 +619,96 @@ mod tests {
         for b in 0..batch {
             let single = mv.apply_adjoint(&outputs[b * out_len..(b + 1) * out_len]).unwrap();
             assert_eq!(&back[b * in_len..(b + 1) * in_len], &single[..]);
+        }
+    }
+
+    /// The same first block column built onto each stored layout.
+    fn both_layouts(nd: usize, nm: usize, nt: usize, seed: u64) -> [FftMatvec; 2] {
+        let mut col = vec![0.0; nt * nd * nm];
+        SplitMix64::new(seed).fill_uniform(&mut col, -1.0, 1.0);
+        [SpectrumLayout::BlockMajor, SpectrumLayout::FrequencyMinor].map(|layout| {
+            let op = BlockToeplitzOperator::with_layout(nd, nm, nt, &col, layout).unwrap();
+            assert_eq!(op.layout(), layout);
+            mv(op, PrecisionConfig::all_double())
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stored_layouts_agree_on_bits_in_every_config_and_direction() {
+        // 4×4 and 2×16 are stored frequency-minor on their own, 19×23
+        // block-major (and splits both reductions past one base run);
+        // nt = 9 leaves every lane width a masked tail of frequencies.
+        for (nd, nm, nt) in [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9)] {
+            let [mut blocks, mut minor] = both_layouts(nd, nm, nt, (nd * nm + nt) as u64);
+            for code in ["ddddd", "dssdd", "ddssd", "hbsdd", "sdhbs"] {
+                let cfg: PrecisionConfig = code.parse().unwrap();
+                blocks.set_config(cfg);
+                minor.set_config(cfg);
+                for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                    let (in_len, out_len) = blocks.shape().io_lens(dir);
+                    let cols = 3;
+                    let mut inputs = vec![0.0; cols * in_len];
+                    SplitMix64::new(5).fill_uniform_stuffed(&mut inputs, -1.0, 1.0);
+                    let (mut want, mut got) =
+                        (vec![0.0; cols * out_len], vec![0.0; cols * out_len]);
+                    blocks.apply_many_into(dir, &inputs, &mut want).unwrap();
+                    minor.apply_many_into(dir, &inputs, &mut got).unwrap();
+                    let what = format!("{nd}x{nm}x{nt} {code} {dir}");
+                    assert_eq!(bits(&got), bits(&want), "{what}: layouts differ");
+                    // ... and a batch column is its solo apply, on either.
+                    for mv in [&blocks, &minor] {
+                        let mut solo = vec![0.0; out_len];
+                        mv.apply_into(dir, &inputs[in_len..2 * in_len], &mut solo).unwrap();
+                        assert_eq!(bits(&solo), bits(&want[out_len..2 * out_len]), "{what}: solo");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frequency_minor_applies_size_no_batch_buffers_when_tiers_agree() {
+        let [blocks, minor] = both_layouts(4, 4, 16, 3);
+        let (m, mut out) = (vec![1.0; 4 * 16], vec![0.0; 4 * 16]);
+        blocks.apply_forward_into(&m, &mut out).unwrap();
+        minor.apply_forward_into(&m, &mut out).unwrap();
+        // ddddd: `xhat` and `yhat` (4 series × 17 frequencies of C64 each)
+        // are the whole difference between the two workspaces.
+        let batch_bytes = 2 * 4 * 17 * 16;
+        assert_eq!(minor.workspace_peak_bytes() + batch_bytes, blocks.workspace_peak_bytes());
+    }
+
+    #[test]
+    fn non_finite_input_is_never_laundered() {
+        // One NaN or +∞ among the inputs: whatever the SBGEMV tier, the
+        // direction and the stored layout, the output holds a non-finite
+        // value — never an all-finite vector that hides the poison.
+        // (4×4 is stored frequency-minor on its own, 5×20 as blocks.)
+        for [blocks, minor] in [both_layouts(4, 4, 8, 61), both_layouts(5, 20, 8, 67)] {
+            for mut mv in [blocks, minor] {
+                let layout = mv.operator().layout();
+                for tier in ["d", "s", "h", "b"] {
+                    mv.set_config(format!("dd{tier}dd").parse().unwrap());
+                    for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                        let (in_len, out_len) = mv.shape().io_lens(dir);
+                        for poison in [f64::NAN, f64::INFINITY] {
+                            let mut input = vec![0.0; in_len];
+                            SplitMix64::new(71).fill_uniform(&mut input, -1.0, 1.0);
+                            input[in_len / 3] = poison;
+                            let mut out = vec![0.0; out_len];
+                            mv.apply_into(dir, &input, &mut out).unwrap();
+                            assert!(
+                                out.iter().any(|v| !v.is_finite()),
+                                "{layout:?} dd{tier}dd {dir}: {poison} came out finite"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -13,9 +13,19 @@
 //! bits must agree, because every transform writes a disjoint output
 //! slice and chunk boundaries depend only on the batch size.
 
+use std::sync::{PoisonError, RwLock};
+
 use fftmatvec_fft::{BatchedFft, BatchedRealFft, FftDirection};
 use fftmatvec_numeric::{bf16, f16, Complex, Real, SplitMix64};
 use proptest::prelude::*;
+
+/// Who may have work on the shared pool. A test thread that waits on the
+/// pool helps run whatever is queued — its siblings' chunks included — so
+/// a test that counts *which threads* ran its chunks
+/// (`scratch_pool_bounded_by_worker_concurrency`) takes this exclusively,
+/// and every other test in the file holds it shared for its whole body:
+/// they still overlap each other, never the counting test.
+static POOL: RwLock<()> = RwLock::new(());
 
 /// Transform lengths: powers of two (in-place friendly), mixed-radix
 /// composites, and primes that force the Bluestein chirp-z path. The
@@ -120,6 +130,7 @@ proptest! {
         batch in 1usize..=32,
         seed in 0u64..u64::MAX,
     ) {
+        let _shared = POOL.read().unwrap_or_else(PoisonError::into_inner);
         check_all_tiers(LENS[len_idx], batch, seed, FftDirection::Forward);
     }
 
@@ -130,6 +141,7 @@ proptest! {
         batch in 1usize..=32,
         seed in 0u64..u64::MAX,
     ) {
+        let _shared = POOL.read().unwrap_or_else(PoisonError::into_inner);
         check_all_tiers(LENS[len_idx], batch, seed, FftDirection::Inverse);
     }
 
@@ -141,6 +153,7 @@ proptest! {
         batch in 1usize..=32,
         seed in 0u64..u64::MAX,
     ) {
+        let _shared = POOL.read().unwrap_or_else(PoisonError::into_inner);
         let n = LENS[len_idx];
         let n = if n % 2 == 1 { n + 1 } else { n };
         check_real_batch::<f64>(n, batch, seed);
@@ -154,9 +167,13 @@ proptest! {
 /// pooled batch far above `PAR_THRESHOLD` checks out one scratch guard
 /// per executed work chunk, and every guard is dropped when its chunk
 /// finishes — so the arena parks at most one buffer per pool lane
-/// (exactly one in sequential mode), never one per leaf.
+/// (exactly one in sequential mode), never one per leaf. Holds [`POOL`]
+/// exclusively: with sibling tests waiting on the pool, their threads run
+/// some of these chunks and each parks a buffer of its own, which is the
+/// contract working and the bound failing.
 #[test]
 fn scratch_pool_bounded_by_worker_concurrency() {
+    let _alone = POOL.write().unwrap_or_else(PoisonError::into_inner);
     let bf = BatchedFft::<f64>::new(2048);
     let mut data = complex_signal::<f64>(2048 * 64, 3);
     bf.process_batch_inplace(&mut data, FftDirection::Forward);
@@ -175,6 +192,7 @@ fn scratch_pool_bounded_by_worker_concurrency() {
 /// runs (proptest sampling might skip the threshold-crossing corner).
 #[test]
 fn largest_shape_crosses_par_threshold_and_matches() {
+    let _shared = POOL.read().unwrap_or_else(PoisonError::into_inner);
     // 2048 · 32 = 65536 complex elements — 4× PAR_THRESHOLD.
     check_complex_batch::<f64>(2048, 32, 7, FftDirection::Forward);
     check_complex_batch::<f32>(2048, 32, 7, FftDirection::Forward);
