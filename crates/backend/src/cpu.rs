@@ -13,7 +13,7 @@
 //! here, and it runs as a [`fma_pass`] — one scalar body, instantiated
 //! plainly and inside an `avx2,fma` wrapper — so its `mul_add`s are
 //! instructions, not calls into libm `fma` (16 384 complex f64 products:
-//! 90 → 17 µs, same bits). The casts and transfers contain no `mul_add`.
+//! 90 → 17 µs, same bits). The casts contain no `mul_add`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,37 +189,6 @@ fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
     }
 }
 
-/// Upload: host `f64` into tier `p` — one rounding per element.
-fn upload_impl(src: &[f64], p: Precision, dst: &mut RealBuffer) {
-    dst.reset_for_overwrite(p, src.len());
-    fn fill<T: Real>(src: &[f64], v: &mut [T]) {
-        for (o, &x) in v.iter_mut().zip(src) {
-            *o = T::from_f64(x);
-        }
-    }
-    match dst {
-        RealBuffer::F16(v) => fill(src, v),
-        RealBuffer::BF16(v) => fill(src, v),
-        RealBuffer::F32(v) => fill(src, v),
-        RealBuffer::F64(v) => fill(src, v),
-    }
-}
-
-/// Download: tier buffer back to host `f64` — exact widening.
-fn download_impl(src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
-    if src.len() != dst.len() {
-        return Err(BackendError::LengthMismatch {
-            what: "download destination",
-            expected: src.len(),
-            got: dst.len(),
-        });
-    }
-    for (i, o) in dst.iter_mut().enumerate() {
-        *o = src.get(i);
-    }
-    Ok(())
-}
-
 /// Pointwise `io ⊙= sym` (`⊙= conj(sym)` when `conj`), both in the same
 /// tier — the multi-level pipelines' Sbgemv phase.
 fn pointwise_impl(
@@ -345,23 +314,6 @@ impl DeviceBackend for CpuPool {
 
     fn name(&self) -> &'static str {
         "cpu-pool"
-    }
-
-    fn upload_f64(
-        &self,
-        src: &[f64],
-        p: Precision,
-        dst: &mut RealBuffer,
-    ) -> Result<(), BackendError> {
-        upload_impl(src, p, dst);
-        self.record_upload(std::mem::size_of_val(src));
-        Ok(())
-    }
-
-    fn download_f64(&self, src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError> {
-        download_impl(src, dst)?;
-        self.record_download(std::mem::size_of_val(dst));
-        Ok(())
     }
 
     fn record_upload(&self, bytes: usize) {
@@ -587,12 +539,8 @@ mod tests {
     #[test]
     fn transfer_ledger_counts_events_and_bytes() {
         let pool = CpuPool::new();
-        let host = [1.0f64, 2.0, 3.0];
-        let mut dev = RealBuffer::zeros(Precision::Half, 0);
-        pool.upload_f64(&host, Precision::Half, &mut dev).unwrap();
-        let mut back = [0.0f64; 3];
-        pool.download_f64(&dev, &mut back).unwrap();
-        assert_eq!(back, [1.0, 2.0, 3.0]);
+        pool.record_upload(24);
+        pool.record_download(24);
         let t = pool.transfers();
         assert_eq!(t.uploads, 1);
         assert_eq!(t.downloads, 1);

@@ -6,8 +6,9 @@
 //! aspirational: one object-safe [`DeviceBackend`] trait exposing exactly
 //! the five primitives every matvec path in the workspace actually uses —
 //!
-//! 1. **typed device buffers** — alloc / upload / download with explicit
-//!    transfer accounting ([`TransferStats`]);
+//! 1. **transfer accounting** — `record_upload` / `record_download` mark
+//!    the pad / unpad edges where a host↔device crossing would happen
+//!    ([`TransferStats`]);
 //! 2. **batched real FFT execution** — [`BatchFft`] handles returned by
 //!    [`DeviceBackend::real_fft`], one per precision tier;
 //! 3. **pointwise complex multiply** — the degenerate 1×1 frequency-domain

@@ -7,8 +7,9 @@
 //! [`RealBuffer`]/[`ComplexBuffer`] enums — a backend that keeps device
 //! memory would mirror them into device allocations behind the same
 //! handle types; the shipping backends execute host-side, so the
-//! "device buffer" *is* the host buffer and uploads/downloads are casts
-//! plus accounting.
+//! "device buffer" *is* the host buffer and a host↔device crossing is
+//! accounting only (the pipeline's fused pad and unpad casts are the
+//! copies).
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -100,29 +101,6 @@ pub trait DeviceBackend: Send + Sync + Debug {
     /// Human-readable name for reports (device model for simulated
     /// backends).
     fn name(&self) -> &'static str;
-
-    /// Allocate a zeroed device-resident real buffer.
-    fn alloc_real(&self, p: Precision, n: usize) -> RealBuffer {
-        RealBuffer::zeros(p, n)
-    }
-
-    /// Allocate a zeroed device-resident complex buffer.
-    fn alloc_complex(&self, p: Precision, n: usize) -> ComplexBuffer {
-        ComplexBuffer::zeros(p, n)
-    }
-
-    /// Copy host `f64` data into a device buffer in tier `p` (one rounding
-    /// per element), recording the transfer.
-    fn upload_f64(
-        &self,
-        src: &[f64],
-        p: Precision,
-        dst: &mut RealBuffer,
-    ) -> Result<(), BackendError>;
-
-    /// Copy a device buffer back to host `f64` (exact widening), recording
-    /// the transfer.
-    fn download_f64(&self, src: &RealBuffer, dst: &mut [f64]) -> Result<(), BackendError>;
 
     /// Account a host→device crossing of `bytes` that the pipeline
     /// performed in place (the CPU path's "upload" is the fused pad cast —

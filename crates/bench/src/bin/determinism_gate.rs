@@ -96,14 +96,14 @@ fn matvec_workloads() {
     // mirror-pair bins leave the real unpack/repack a remainder too.
     matvec_shape("_nt250", (6, 10, 250), &["ddddd", "dssdd"]);
 
-    // Small blocks, which `SpectrumLayout::for_shape` stores
-    // frequency-minor: the SBGEMV runs lanes-across-frequencies straight
-    // on the transforms' spectra, with no reorder (`ddddd`), a cast in
-    // place of the reorder-out (`dssdd`: f32 kernel, f64 IFFT) or of the
-    // reorder-in (`ddssd`). 257 and 65 frequencies end in a masked
-    // one-frequency register. These lines were first produced by the
-    // per-frequency-block path (the parent commit with these workloads
-    // added) and did not move.
+    // Small blocks: the SBGEMV runs lanes-across-frequencies straight on
+    // the transforms' spectra, with no pass between them (`ddddd`), a
+    // cast after the kernel (`dssdd`: f32 kernel, f64 IFFT) or before it
+    // (`ddssd`). 257 frequencies are two tiles and a masked
+    // one-frequency register. Every line in this gate — these included —
+    // was first produced by the per-frequency-block path (`sbgemv`
+    // between casting reorders) and none moved when every operator went
+    // frequency-minor.
     matvec_shape("_4x4", (4, 4, 256), &["ddddd", "dssdd", "ddssd"]);
     matvec_shape("_2x16", (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
 }

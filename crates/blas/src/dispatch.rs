@@ -7,11 +7,8 @@
 //! it names the GPU kernel a shape would launch, and [`kernel_profile`]
 //! produces the [`KernelProfile`] whose modeled achieved bandwidth
 //! regenerates Figure 1 and feeds the phase simulator. Nothing here
-//! executes: the CPU's own selection — per-frequency blocks
-//! ([`crate::sbgemv`]) or the frequency-minor kernel
-//! ([`crate::sbgemv_freq_minor`]), by measured block-size crossover — is
-//! made where the spectrum is stored,
-//! `fftmatvec_core::SpectrumLayout::for_shape`.
+//! executes, and the CPU makes no selection: the pipeline stores every
+//! spectrum frequency-minor and runs [`crate::sbgemv_freq_minor`].
 
 use fftmatvec_gpu::{KernelClass, KernelProfile};
 use fftmatvec_numeric::DType;

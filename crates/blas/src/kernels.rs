@@ -1,14 +1,6 @@
-//! The CPU execution of the SBGEMV, in the two layouts a caller may store
-//! the batch in.
+//! The CPU execution of the SBGEMV: the batch layout the pipeline stores,
+//! and Figure 1's per-matrix blocks as its reference.
 //!
-//! * **Per-matrix blocks** — [`sbgemv`] computes `y_b = α·op(A_b)·x_b +
-//!   β·y_b` for every column-major matrix in the batch with one loop nest,
-//!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
-//!   *rows* for non-transpose, *columns* for (conjugate-)transpose, the
-//!   paper's Section 3.1.1 geometry — and lanes run across the rows resp.
-//!   columns of one block. A block has to be large enough to fill those
-//!   tiles: a 16×256 block streams at 19–21 GB/s, a 4×4 block pays ≈ 40 ns
-//!   of tile set-up for 16 multiply-adds.
 //! * **Frequency-minor** — [`sbgemv_freq_minor`] takes entry `(i, k)` of
 //!   *all* matrices contiguous (`a[(i·n + k)·nfreq + f]`, the
 //!   compact-batched layout) and vectors as `[series][freq]`, so a tile's
@@ -17,14 +9,19 @@
 //!   registers (2.6 ns per 4×4 block), and a caller whose vectors are FFT
 //!   spectra — which are `[series][freq]` already — needs no reorder pass
 //!   on either side. It is the α = 1, β = 0 case only, the one the
-//!   pipeline runs.
+//!   pipeline runs, and the only kernel `fftmatvec_core` executes.
+//! * **Per-matrix blocks** — [`sbgemv`] computes `y_b = α·op(A_b)·x_b +
+//!   β·y_b` for every column-major matrix in the batch with one loop nest,
+//!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
+//!   *rows* for non-transpose, *columns* for (conjugate-)transpose, the
+//!   paper's Section 3.1.1 geometry — and lanes run across the rows resp.
+//!   columns of one block. It is the strided batched GEMV of Figure 1 and
+//!   the bit oracle the frequency-minor kernel is held against.
 //!
-//! Which one an operator uses is decided in exactly one place,
-//! `fftmatvec_core::SpectrumLayout::for_shape` (by block size, from
-//! measured rows). The two *GPU* kernels of Figure 1 — rocBLAS's and the
-//! paper's — differ in launch geometry, not in arithmetic, so they are
-//! modeled ([`crate::dispatch`]) rather than executed twice; the executed
-//! block kernel has the geometry of [`crate::KernelChoice::Optimized`].
+//! The two *GPU* kernels of Figure 1 — rocBLAS's and the paper's — differ
+//! in launch geometry, not in arithmetic, so they are modeled
+//! ([`crate::dispatch`]) rather than executed twice; the executed block
+//! kernel has the geometry of [`crate::KernelChoice::Optimized`].
 //!
 //! **Summation structure matters for the error analysis.** GPU GEMV
 //! kernels never sum a length-k dot sequentially: threads hold partial
@@ -42,7 +39,8 @@
 //! layout-specific *base run*. A tile only decides which outputs share a
 //! pass over the matrix: lanes and registers run *across* outputs, never
 //! along the reduction, so tile width, lane width and thread count cannot
-//! change a bit of any output.
+//! change a bit of any output — which is why the two sweeps may tile
+//! differently (`TILE` outputs of a block, `FREQ_TILE` frequencies).
 //!
 //! **Why lanes across frequencies cannot change a bit either.** Output
 //! `y[o][f]` of the frequency-minor kernel and output `o` of block `f` of
@@ -146,27 +144,48 @@ pub fn sbgemv_freq_minor<S: Scalar>(
     let (out_step, red_step) =
         if op.is_transposed() { (nfreq, n * nfreq) } else { (n * nfreq, nfreq) };
     let conj = op == GemvOp::ConjTrans;
-    // Frequency tiles outermost, outputs inside: the tile's slice of every
-    // `x` series is read `outs` times while it is still in L1 (output rows
-    // outermost re-stream all of `x` per row: 24 → 18 µs on 3×5×1025).
-    // One thread: no machine has measured a threshold at which spreading
-    // the tiles over the pool pays for this kernel.
-    for f0 in (0..nfreq).step_by(TILE) {
-        let len = TILE.min(nfreq - f0);
-        for o in 0..outs {
-            let sweep = FreqSweep { conj, a: &a[o * out_step..], a_step: red_step, x, nfreq };
-            let dst = &mut y[o * nfreq + f0..][..len];
-            reduce_tile(S::one(), None, red, dst, |r0, r1, acc| sweep.base_run(f0, r0, r1, acc));
+    // Frequency tiles outermost, groups of output series inside: the tile's
+    // slice of every `x` series is read once per group while it is still
+    // cached (output rows outermost re-stream all of `x` per row: 24 → 18
+    // µs on 3×5×1025). One thread: no machine has measured a threshold at
+    // which spreading the tiles over the pool pays for this kernel.
+    for f0 in (0..nfreq).step_by(FREQ_TILE) {
+        let len = FREQ_TILE.min(nfreq - f0);
+        for o0 in (0..outs).step_by(FREQ_ROWS) {
+            let rows = FREQ_ROWS.min(outs - o0);
+            let a = &a[o0 * out_step..];
+            let sweep = FreqSweep { conj, a, a_step: red_step, row_step: out_step, rows, x, nfreq };
+            let base_run = |r0, r1, acc: &mut [S]| sweep.base_run(f0, r0, r1, acc);
+            reduce_tile::<S, FREQ_ACC>(red, rows * len, base_run, |acc| {
+                for (j, acc) in acc.chunks_exact(len).enumerate() {
+                    scale_into(S::one(), acc, None, &mut y[(o0 + j) * nfreq + f0..][..len]);
+                }
+            });
         }
     }
 }
 
-/// Outputs per tile — rows of `y` for non-transpose, columns of `A` for
-/// (conjugate-)transpose, frequencies of one output series for the
-/// frequency-minor layout: one gridblock's worth of outputs (the modeled
-/// optimized kernel's column tile) and the size of the stack-resident
-/// accumulator vectors.
+/// Outputs per block-GEMV tile — rows of `y` for non-transpose, columns of
+/// `A` for (conjugate-)transpose: one gridblock's worth of outputs (the
+/// modeled optimized kernel's column tile) and the size of the
+/// stack-resident accumulator vectors.
 const TILE: usize = crate::OPT_TILE_COLS;
+
+/// Frequencies per tile of the frequency-minor sweep. Twice the block
+/// tile, so that the `N_t + 1 = 65` frequencies of a power-of-two series
+/// are one tile and not 64 plus a one-frequency tail that re-walks the
+/// whole tree for a single masked lane (`paper_mixed` F 1.12× at 64).
+const FREQ_TILE: usize = 128;
+
+/// Output series per pass of the frequency-minor sweep: each `x` register
+/// loaded is applied to this many series' matrix entries (a block GEMV
+/// reuses a broadcast `x[r]` across a tile of rows the same way). Every
+/// output keeps its own accumulator, so no bit depends on it.
+const FREQ_ROWS: usize = 4;
+
+/// Accumulators of one frequency-minor tile: [`FREQ_ROWS`] series of
+/// [`FREQ_TILE`] frequencies, series-major.
+const FREQ_ACC: usize = FREQ_ROWS * FREQ_TILE;
 
 /// Sequential run length at the base of the pairwise trees (a GPU
 /// thread's private accumulation before shuffles take over).
@@ -205,27 +224,28 @@ pub(crate) fn gemv<S: Scalar>(
     let sweep = Sweep { op, a, lda, x };
     let mut o0 = 0;
     for dst in y[..outs].chunks_mut(TILE) {
-        reduce_tile(alpha, beta, red, dst, |r0, r1, acc| sweep.base_run(o0, r0, r1, acc));
+        let base_run = |r0, r1, acc: &mut [S]| sweep.base_run(o0, r0, r1, acc);
+        reduce_tile::<S, TILE>(red, dst.len(), base_run, |acc| scale_into(alpha, acc, beta, dst));
         o0 += dst.len();
     }
 }
 
-/// One tile of outputs, start to finish: a zeroed stack accumulator per
-/// output, the reduction range `[0, red)` walked through
-/// [`pairwise_tile`] with the layout's `base_run`, and the α/β epilogue
-/// into `dst`. Both stored layouts' kernels are loops over this function,
-/// so tile width, tree and epilogue are stated once.
-fn reduce_tile<S: Scalar>(
-    alpha: S,
-    beta: Option<S>,
+/// One tile of `outs ≤ T` outputs, start to finish: a zeroed stack
+/// accumulator per output, the reduction range `[0, red)` walked through
+/// [`pairwise_tile`] with the layout's `base_run`, and the sums handed to
+/// the `epilogue` (which writes them through [`scale_into`]). Both
+/// layouts' kernels are loops over this function, so the tree is stated
+/// once.
+fn reduce_tile<S: Scalar, const T: usize>(
     red: usize,
-    dst: &mut [S],
+    outs: usize,
     base_run: impl Fn(usize, usize, &mut [S]),
+    epilogue: impl FnOnce(&[S]),
 ) {
-    let mut acc = [S::zero(); TILE];
-    let acc = &mut acc[..dst.len()];
-    pairwise_tile(0, red, acc, &base_run);
-    scale_into(alpha, acc, beta, dst);
+    let mut acc = [S::zero(); T];
+    let acc = &mut acc[..outs];
+    pairwise_tile::<S, T>(0, red, acc, &base_run);
+    epilogue(acc);
 }
 
 /// **The reduction tree** of every SBGEMV output, whichever layout the
@@ -235,10 +255,12 @@ fn reduce_tile<S: Scalar>(
 /// the run's sums, one independent chain per output of the tile), and the
 /// right half is added elementwise — per output, the association of a
 /// recursive-halving dot product, but with one pass over the matrix per
-/// tile instead of per output. Partials live in fixed stack tiles (no
-/// heap allocation on the hot path); recursion depth is `log₂(len/16)`,
-/// so worst-case stack use is a few KB of tiles.
-fn pairwise_tile<S: Scalar>(
+/// tile instead of per output. Partials live in fixed stack tiles of `T`
+/// (the caller's tile width; no heap allocation on the hot path);
+/// recursion depth is `log₂(len/16)`, one tile per level — at most 8 KB
+/// each (a `Complex<f64>` frequency-minor tile), so `N_m = 5000` takes
+/// ≈ 80 KB of stack.
+fn pairwise_tile<S: Scalar, const T: usize>(
     r0: usize,
     r1: usize,
     acc: &mut [S],
@@ -248,10 +270,10 @@ fn pairwise_tile<S: Scalar>(
         base_run(r0, r1, acc);
     } else {
         let mid = r0 + (r1 - r0) / 2;
-        pairwise_tile(r0, mid, acc, base_run);
-        let mut right = [S::zero(); TILE];
+        pairwise_tile::<S, T>(r0, mid, acc, base_run);
+        let mut right = [S::zero(); T];
         let right = &mut right[..acc.len()];
-        pairwise_tile(mid, r1, right, base_run);
+        pairwise_tile::<S, T>(mid, r1, right, base_run);
         for (l, &r) in acc.iter_mut().zip(right.iter()) {
             *l += r;
         }
@@ -293,33 +315,40 @@ impl<S: Scalar> Sweep<'_, S> {
     }
 }
 
-/// One output series of a frequency-minor batch as the tile recursion
-/// sees it: `a` starts at the output's first entry, reduction step `r`
-/// pairs `a[r·a_step + f]` with `x[r·nfreq + f]`, and a tile's outputs are
-/// consecutive frequencies `f`.
+/// `rows` consecutive output series of a frequency-minor batch as the
+/// tile recursion sees them: `a` starts at the first one's first entry,
+/// series `j` starts `j·row_step` further on, reduction step `r` pairs
+/// `a[j·row_step + r·a_step + f]` with `x[r·nfreq + f]`, and a tile's
+/// outputs are `rows` runs of consecutive frequencies `f`, series-major.
 ///
 /// **Extent precondition** of the vector tile's unchecked loads,
 /// established by [`sbgemv_freq_minor`]'s length assertion:
-/// `a.len() ≥ (red − 1)·a_step + nfreq` and `x.len() ≥ red·nfreq` for the
-/// reduction length `red` the tiles are driven over, and every tile
-/// `[f0, f0 + acc.len())` inside `[0, nfreq)`.
+/// `a.len() ≥ (rows − 1)·row_step + (red − 1)·a_step + nfreq` and
+/// `x.len() ≥ red·nfreq` for the reduction length `red` the tiles are
+/// driven over, and every tile `[f0, f0 + acc.len() / rows)` inside
+/// `[0, nfreq)`.
 struct FreqSweep<'a, S> {
     conj: bool,
     a: &'a [S],
     a_step: usize,
+    row_step: usize,
+    rows: usize,
     x: &'a [S],
     nfreq: usize,
 }
 
 impl<S: Scalar> FreqSweep<'_, S> {
-    /// The base case of frequency tile `[f0, f0 + acc.len())`:
-    /// `acc[j] = Σ_{r0 ≤ r < r1} op(a[r][f0 + j])·x[r][f0 + j]`, summed
-    /// sequentially from zero in increasing `r` — per output the chain of
-    /// [`Sweep::base_run`] on that frequency's block.
+    /// The base case of frequency tile `[f0, f0 + len)`, `len =
+    /// acc.len() / rows`: `acc[j·len + i] = Σ_{r0 ≤ r < r1}
+    /// op(a[j][r][f0 + i])·x[r][f0 + i]`, summed sequentially from zero in
+    /// increasing `r` — per output the chain of [`Sweep::base_run`] on that
+    /// frequency's block.
     fn base_run(&self, f0: usize, r0: usize, r1: usize, acc: &mut [S]) {
-        let FreqSweep { conj, a, a_step, x, nfreq } = *self;
-        if !crate::simd::freq_tile(conj, a, a_step, x, nfreq, f0, r0, r1, acc) {
-            freq_pass(conj, a, a_step, x, nfreq, f0, r0, r1, acc);
+        let FreqSweep { conj, a, a_step, row_step, rows, x, nfreq } = *self;
+        if !crate::simd::freq_tile(conj, a, a_step, row_step, rows, x, nfreq, f0, r0, r1, acc) {
+            for (j, acc) in acc.chunks_exact_mut(acc.len() / rows).enumerate() {
+                freq_pass(conj, &a[j * row_step..], a_step, x, nfreq, f0, r0, r1, acc);
+            }
         }
     }
 }

@@ -14,11 +14,14 @@
 //! bit-identical at every dispatch level. Splitting a lane along the
 //! reduction would reassociate the sum; nothing here does. The pairwise
 //! merge above the base case stays scalar: it is elementwise and cheap,
-//! and the tree shape must not change. The three complex sweeps are one
-//! register kernel (`regs_*` / `sweep_*` in [`x86`]) with the addressing
-//! as a const parameter: in the frequency-minor mode the reduction
-//! operand is a lane-wise load like the matrix entry (lane `f` pairs
-//! `a[r][f]` with `x[r][f]`) where the block modes broadcast `x[r]`.
+//! and the tree shape must not change. The two complex block sweeps are
+//! one register kernel (`regs_*` / `sweep_*` in [`x86`]) with the
+//! addressing as a const parameter, both broadcasting `x[r]`. The
+//! frequency-minor sweep (`freq_regs_*` / `freq_sweep_*`) loads the
+//! reduction operand lane-wise like the matrix entry (lane `f` pairs
+//! `a[r][f]` with `x[r][f]`), so it reuses each `x` register across up to
+//! four output series instead, as the block sweeps reuse a broadcast
+//! across a tile of rows.
 //!
 //! The complex f32/f64 kernels keep [`x86::IN_FLIGHT`] independent
 //! accumulator registers going: one register's chain is two dependent
@@ -166,15 +169,19 @@ pub(crate) fn trans_tile<S: Scalar>(
     false
 }
 
-/// Vectorized frequency-minor base case. Fills `acc` with the sequential
+/// Vectorized frequency-minor base case. Fills `acc` — `rows` runs of
+/// `acc.len() / rows` frequencies, series-major — with the sequential
 /// accumulation of reduction steps `[r0, r1)` over frequencies
-/// `[f0, f0 + acc.len())` of one output series (operands as in
-/// `kernels::freq_run`). Returns `false` if no vector kernel applies.
+/// `[f0, f0 + acc.len() / rows)` of `rows` output series `row_step`
+/// apart (operands per series as in `kernels::freq_run`). Returns `false`
+/// if no vector kernel applies.
 #[allow(unused_variables)]
 pub(crate) fn freq_tile<S: Scalar>(
     conj: bool,
     a: &[S],
     a_step: usize,
+    row_step: usize,
+    rows: usize,
     x: &[S],
     nfreq: usize,
     f0: usize,
@@ -192,10 +199,12 @@ pub(crate) fn freq_tile<S: Scalar>(
                     (cast::<S, $u>(a), cast::<S, $u>(x), cast_mut::<S, $u>(acc))
                 {
                     // SAFETY: avx2+fma verified (`fma_active`); frequencies
-                    // `[f0, f0 + acc.len())` of reduction steps `[r0, r1)`
-                    // lie inside `a` and `x` by `FreqSweep`'s extent
-                    // precondition.
-                    unsafe { $kernel(conj, a, a_step, x, nfreq, f0, r0, r1, acc) };
+                    // `[f0, f0 + acc.len() / rows)` of reduction steps
+                    // `[r0, r1)` of the `rows` series lie inside `a` and
+                    // `x` by `FreqSweep`'s extent precondition.
+                    unsafe {
+                        $kernel(conj, a, a_step, row_step, rows, x, nfreq, f0, r0, r1, acc)
+                    };
                     return true;
                 }
             )+};
@@ -615,32 +624,27 @@ mod x86 {
         }
     }
 
-    /// What the outputs of a complex sweep are — the `MODE` parameter of
+    /// What the outputs of a block sweep are — the `MODE` parameter of
     /// the register kernels. Rows of `A`: contiguous loads, reduction
     /// steps `lda` apart, `x[r]` broadcast to every output.
     const ROWS: u8 = 0;
     /// Columns of `A`: gathered loads, reduction steps contiguous, `x[r]`
     /// broadcast.
     const COLS: u8 = 1;
-    /// Frequencies of one frequency-minor entry: `a` *and* `x` contiguous
-    /// across outputs (`lda` resp. `ldx` apart per reduction step) — lane
-    /// `f` pairs `a[r][f]` with `x[r][f]`, nothing is broadcast.
-    const FREQS: u8 = 2;
 
     macro_rules! complex_kernels {
         (
-            $v:ident, $t:ty, $regs:ident, $sweep:ident, $tile:ident, $trans:ident, $freq:ident,
-            $scale:ident
+            $v:ident, $t:ty, $regs:ident, $sweep:ident, $freq_regs:ident, $freq_sweep:ident,
+            $tile:ident, $trans:ident, $freq:ident, $scale:ident
         ) => {
             /// `R` accumulator registers of `LANES` neighbouring outputs
             /// each, walked through `steps` reduction steps in order.
             /// `ap` / `xp` point at the first output's first operands;
             /// `MODE` says how outputs and steps are laid out from there
-            /// ([`ROWS`], [`COLS`], [`FREQS`]; `ldx` is 1 for the
-            /// broadcast modes). With `Some(mask)` the (one) register is
-            /// the outputs past the last whole one: only its masked lanes
-            /// are loaded and stored, each with the chain it would have
-            /// in a whole register.
+            /// ([`ROWS`], [`COLS`]). With `Some(mask)` the (one) register
+            /// is the outputs past the last whole one: only its masked
+            /// lanes are loaded and stored, each with the chain it would
+            /// have in a whole register.
             #[inline]
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $regs<const R: usize, const MODE: u8>(
@@ -648,31 +652,18 @@ mod x86 {
                 ap: *const $t,
                 lda: usize,
                 xp: *const $t,
-                ldx: usize,
                 steps: usize,
                 out: *mut $t,
                 tail: Option<$v::M>,
             ) {
                 let mut v = [$v::zero(); R];
                 for r in 0..steps {
-                    let xr = xp.add(2 * r * ldx);
-                    let bcast = if MODE == FREQS {
-                        None
-                    } else {
-                        Some($v::splat((xr as *const Complex<$t>).read()))
-                    };
+                    let (x_ri, x_sw) = $v::splat((xp.add(2 * r) as *const Complex<$t>).read());
                     for (k, vk) in v.iter_mut().enumerate() {
                         let a = if MODE == COLS {
                             $v::gather(ap.add(2 * (k * $v::LANES * lda + r)), lda)
                         } else {
                             $v::load(ap.add(2 * (r * lda + k * $v::LANES)), tail)
-                        };
-                        let (x_ri, x_sw) = match bcast {
-                            Some(splat) => splat,
-                            None => {
-                                let x = $v::load(xr.add(2 * k * $v::LANES), tail);
-                                (x, $v::swap(x))
-                            }
                         };
                         *vk = $v::cfma(a, sign, x_ri, x_sw, *vk);
                     }
@@ -686,11 +677,10 @@ mod x86 {
             }
 
             /// All registers of one tile: groups of [`IN_FLIGHT`], then
-            /// one at a time, then — contiguous outputs only — the
-            /// partial register of the outputs left over. Returns the
-            /// outputs covered; the caller's scalar run takes the rest
-            /// (leftover *columns* of a transposed tile: a partial gather
-            /// is not written).
+            /// one at a time, then — rows only — the partial register of
+            /// the outputs left over. Returns the outputs covered; the
+            /// caller's scalar run takes the rest (leftover *columns* of a
+            /// transposed tile: a partial gather is not written).
             #[inline]
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $sweep<const MODE: u8>(
@@ -698,35 +688,107 @@ mod x86 {
                 ap: *const $t,
                 lda: usize,
                 xp: *const $t,
-                ldx: usize,
                 steps: usize,
                 acc: &mut [Complex<$t>],
             ) -> usize {
                 let out = acc.as_mut_ptr() as *mut $t;
-                // Complex values from one output to the next, in a and x.
-                let (oa, ox) = match MODE {
-                    COLS => (lda, 0),
-                    ROWS => (1, 0),
-                    _ => (1, 1),
-                };
+                // Complex values of `a` from one output to the next.
+                let oa = if MODE == COLS { lda } else { 1 };
                 let mut o = 0;
                 while o + IN_FLIGHT * $v::LANES <= acc.len() {
-                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
-                    $regs::<IN_FLIGHT, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), None);
+                    let at = ap.add(2 * o * oa);
+                    $regs::<IN_FLIGHT, MODE>(sign, at, lda, xp, steps, out.add(2 * o), None);
                     o += IN_FLIGHT * $v::LANES;
                 }
                 while o + $v::LANES <= acc.len() {
-                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
-                    $regs::<1, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), None);
+                    let at = ap.add(2 * o * oa);
+                    $regs::<1, MODE>(sign, at, lda, xp, steps, out.add(2 * o), None);
                     o += $v::LANES;
                 }
-                if MODE != COLS && o < acc.len() {
-                    let mask = Some($v::tail_mask(acc.len() - o));
-                    let (at, xt) = (ap.add(2 * o * oa), xp.add(2 * o * ox));
-                    $regs::<1, MODE>(sign, at, lda, xt, ldx, steps, out.add(2 * o), mask);
+                if MODE == ROWS && o < acc.len() {
+                    let (at, mask) = (ap.add(2 * o * oa), Some($v::tail_mask(acc.len() - o)));
+                    $regs::<1, MODE>(sign, at, lda, xp, steps, out.add(2 * o), mask);
                     o = acc.len();
                 }
                 o
+            }
+
+            /// The frequency-minor registers: `K` registers of `LANES`
+            /// consecutive frequencies for each of `RB` output series
+            /// (`row_step` apart in `a`), walked through `steps` reduction
+            /// steps in order. Lane `f` pairs `a[j][r][f]` with `x[r][f]`
+            /// (`lda` resp. `ldx` apart per step), nothing is broadcast;
+            /// each step loads the `K` registers of `x` once and applies
+            /// them to all `RB` series, every accumulator on its own
+            /// chain. `out` holds `RB` runs of `out_ld` outputs; `tail` as
+            /// for the block registers above.
+            #[inline]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn $freq_regs<const RB: usize, const K: usize>(
+                sign: $v::V,
+                (ap, lda, row_step): (*const $t, usize, usize),
+                (xp, ldx): (*const $t, usize),
+                steps: usize,
+                (out, out_ld): (*mut $t, usize),
+                tail: Option<$v::M>,
+            ) {
+                let mut v = [[$v::zero(); K]; RB];
+                for r in 0..steps {
+                    let xr = xp.add(2 * r * ldx);
+                    let mut xs = [($v::zero(), $v::zero()); K];
+                    for (k, xk) in xs.iter_mut().enumerate() {
+                        let x = $v::load(xr.add(2 * k * $v::LANES), tail);
+                        *xk = (x, $v::swap(x));
+                    }
+                    for (j, vj) in v.iter_mut().enumerate() {
+                        let aj = ap.add(2 * (j * row_step + r * lda));
+                        for (k, (vjk, &(x_ri, x_sw))) in vj.iter_mut().zip(&xs).enumerate() {
+                            let a = $v::load(aj.add(2 * k * $v::LANES), tail);
+                            *vjk = $v::cfma(a, sign, x_ri, x_sw, *vjk);
+                        }
+                    }
+                }
+                for (j, vj) in v.iter().enumerate() {
+                    for (k, vjk) in vj.iter().enumerate() {
+                        let o = out.add(2 * (j * out_ld + k * $v::LANES));
+                        match tail {
+                            None => $v::storeu(o, *vjk),
+                            Some(mask) => $v::maskstore(o, mask, *vjk),
+                        }
+                    }
+                }
+            }
+
+            /// All registers of one frequency tile of `RB` series: groups
+            /// of `K`, then one at a time, then the masked partial
+            /// register of the frequencies left over.
+            #[inline]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn $freq_sweep<const RB: usize, const K: usize>(
+                sign: $v::V,
+                (ap, lda, row_step): (*const $t, usize, usize),
+                (xp, ldx): (*const $t, usize),
+                steps: usize,
+                acc: &mut [Complex<$t>],
+            ) {
+                let len = acc.len() / RB;
+                let out = acc.as_mut_ptr() as *mut $t;
+                let mut f = 0;
+                while f + K * $v::LANES <= len {
+                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
+                    $freq_regs::<RB, K>(sign, a, x, steps, (out.add(2 * f), len), None);
+                    f += K * $v::LANES;
+                }
+                while f + $v::LANES <= len {
+                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
+                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(2 * f), len), None);
+                    f += $v::LANES;
+                }
+                if f < len {
+                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
+                    let mask = Some($v::tail_mask(len - f));
+                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(2 * f), len), mask);
+                }
             }
 
             /// Complex rows via the exact `mul_add` mix.
@@ -742,7 +804,7 @@ mod x86 {
             ) {
                 let ap = a.as_ptr().add(j0 * lda + i0) as *const $t;
                 let xp = x[j0..j1].as_ptr() as *const $t;
-                let done = $sweep::<ROWS>($v::sign(false), ap, lda, xp, 1, j1 - j0, acc);
+                let done = $sweep::<ROWS>($v::sign(false), ap, lda, xp, j1 - j0, acc);
                 debug_assert_eq!(done, acc.len());
             }
 
@@ -761,18 +823,23 @@ mod x86 {
             ) {
                 let ap = a.as_ptr().add(j0 * lda + i0) as *const $t;
                 let xp = x[i0..i1].as_ptr() as *const $t;
-                let done = $sweep::<COLS>($v::sign(conj), ap, lda, xp, 1, i1 - i0, acc);
+                let done = $sweep::<COLS>($v::sign(conj), ap, lda, xp, i1 - i0, acc);
                 trans_run(conj, a, lda, x, j0 + done, i0, i1, &mut acc[done..]);
             }
 
-            /// Frequencies of one frequency-minor output series:
-            /// `acc[j] = Σ_r op(a[r·a_step + f0 + j])·x[r·nfreq + f0 + j]`
-            /// in increasing `r`, `op` = conjugation iff `conj`.
+            /// Frequencies of `rows` frequency-minor output series:
+            /// `acc[j·len + i] = Σ_r op(a[j·row_step + r·a_step + f0 + i])
+            /// ·x[r·nfreq + f0 + i]` in increasing `r` (`len =
+            /// acc.len() / rows`), `op` = conjugation iff `conj`. One
+            /// series keeps [`IN_FLIGHT`] registers going on its own; two
+            /// to four share each `x` register pair between them.
             #[target_feature(enable = "avx2,fma")]
             pub unsafe fn $freq(
                 conj: bool,
                 a: &[Complex<$t>],
                 a_step: usize,
+                row_step: usize,
+                rows: usize,
                 x: &[Complex<$t>],
                 nfreq: usize,
                 f0: usize,
@@ -780,10 +847,16 @@ mod x86 {
                 r1: usize,
                 acc: &mut [Complex<$t>],
             ) {
-                let ap = a.as_ptr().add(r0 * a_step + f0) as *const $t;
-                let xp = x.as_ptr().add(r0 * nfreq + f0) as *const $t;
-                let done = $sweep::<FREQS>($v::sign(conj), ap, a_step, xp, nfreq, r1 - r0, acc);
-                debug_assert_eq!(done, acc.len());
+                let a = (a.as_ptr().add(r0 * a_step + f0) as *const $t, a_step, row_step);
+                let x = (x.as_ptr().add(r0 * nfreq + f0) as *const $t, nfreq);
+                let (sign, steps) = ($v::sign(conj), r1 - r0);
+                match rows {
+                    1 => $freq_sweep::<1, IN_FLIGHT>(sign, a, x, steps, acc),
+                    2 => $freq_sweep::<2, 2>(sign, a, x, steps, acc),
+                    3 => $freq_sweep::<3, 2>(sign, a, x, steps, acc),
+                    4 => $freq_sweep::<4, 2>(sign, a, x, steps, acc),
+                    _ => unreachable!("kernels::FREQ_ROWS is at most 4"),
+                }
             }
 
             /// Epilogue `y = alpha.mul_add(acc, beta * y)` with α (and β)
@@ -813,6 +886,28 @@ mod x86 {
         };
     }
 
-    complex_kernels!(pd, f64, regs_c64, sweep_c64, tile_c64, trans_c64, freq_c64, scale_c64);
-    complex_kernels!(ps, f32, regs_c32, sweep_c32, tile_c32, trans_c32, freq_c32, scale_c32);
+    complex_kernels!(
+        pd,
+        f64,
+        regs_c64,
+        sweep_c64,
+        freq_regs_c64,
+        freq_sweep_c64,
+        tile_c64,
+        trans_c64,
+        freq_c64,
+        scale_c64
+    );
+    complex_kernels!(
+        ps,
+        f32,
+        regs_c32,
+        sweep_c32,
+        freq_regs_c32,
+        freq_sweep_c32,
+        tile_c32,
+        trans_c32,
+        freq_c32,
+        scale_c32
+    );
 }

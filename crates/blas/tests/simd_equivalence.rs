@@ -224,10 +224,10 @@ const FM_BLOCKS: &[(usize, usize)] =
 
 /// Frequency counts: below one register, every masked tail of either
 /// complex lane width (1…3), a lone register, a register group plus a
-/// tail, `N_t + 1` for a power-of-two series (one tile plus one
-/// frequency), and two tiles plus a tail (with the 16×16 block that is
-/// above the block-major reference's parallel threshold).
-const FM_NFREQ: &[usize] = &[1, 2, 3, 5, 7, 19, 65, 131];
+/// tail, `N_t + 1` for a power-of-two series (one tile), one tile plus a
+/// tail, and two tiles plus a tail (with the 16×16 block both of the
+/// last two are above the block-major reference's parallel threshold).
+const FM_NFREQ: &[usize] = &[1, 2, 3, 5, 7, 19, 65, 131, 257];
 
 fn check_freq_minor<S: Scalar>() {
     let _guard = LEVEL_LOCK.lock().unwrap();

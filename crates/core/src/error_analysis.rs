@@ -141,7 +141,7 @@ pub fn condition_estimate(op: &BlockToeplitzOperator, freq_stride: usize) -> f64
     let mut f = 0;
     let mut block = vec![Complex::zero(); nd * nm];
     while f < op.nfreq() {
-        // Column-major F̂_f, gathered from whichever layout is stored.
+        // Column-major F̂_f, gathered from the frequency-minor store.
         for (e, z) in block.iter_mut().enumerate() {
             *z = op.fhat_at(f, e % nd, e / nd);
         }

@@ -9,7 +9,10 @@
 //! precision of the adjacent compute phases (Section 3.2). Each function
 //! here is one such fused kernel, dispatched over all four tiers of the
 //! extended precision lattice (`h`/`b`/`s`/`d`) via
-//! [`fftmatvec_numeric::with_real`].
+//! [`fftmatvec_numeric::with_real`]. The pipeline itself runs pad and
+//! unpad only: it stores `F̂` frequency-minor, so its spectra never change
+//! layout between the transforms (see [`crate::operator`]); the two
+//! reorders are the block-major reference's.
 //!
 //! # How they move
 //!
@@ -101,21 +104,11 @@ fn transpose_cast_dispatch(
     }
 }
 
-/// Phase 2→3 reorder: per-series spectra `[series][freq]` → per-frequency
-/// batch vectors `[freq][series]`, cast to `p`.
-pub fn spectrum_to_batch(
-    spec: &ComplexBuffer,
-    n_series: usize,
-    nfreq: usize,
-    p: Precision,
-) -> ComplexBuffer {
-    let mut out = ComplexBuffer::C64(Vec::new());
-    spectrum_to_batch_into(spec, n_series, nfreq, p, &mut out);
-    out
-}
-
-/// [`spectrum_to_batch`] writing into a reusable buffer (see
-/// [`pad_input_into`]).
+/// The paper's phase 2→3 reorder: per-series spectra `[series][freq]` →
+/// per-frequency batch vectors `[freq][series]`, cast to `p`, into a
+/// reusable buffer (see [`pad_input_into`]). The pipeline keeps `F̂`
+/// frequency-minor and never reorders; this is the block-major
+/// reference's (Figure 1's strided batched GEMV, the traced replays).
 pub fn spectrum_to_batch_into(
     spec: &ComplexBuffer,
     n_series: usize,
@@ -128,21 +121,9 @@ pub fn spectrum_to_batch_into(
     transpose_cast_dispatch(spec, n_series, nfreq, out);
 }
 
-/// Phase 3→4 reorder: per-frequency batch `[freq][series]` → per-series
-/// spectra `[series][freq]`, cast to `p`.
-pub fn batch_to_spectrum(
-    batch: &ComplexBuffer,
-    n_series: usize,
-    nfreq: usize,
-    p: Precision,
-) -> ComplexBuffer {
-    let mut out = ComplexBuffer::C64(Vec::new());
-    batch_to_spectrum_into(batch, n_series, nfreq, p, &mut out);
-    out
-}
-
-/// [`batch_to_spectrum`] writing into a reusable buffer (see
-/// [`pad_input_into`]).
+/// The paper's phase 3→4 reorder: per-frequency batch `[freq][series]` →
+/// per-series spectra `[series][freq]`, cast to `p`, into a reusable
+/// buffer — the inverse of [`spectrum_to_batch_into`].
 pub fn batch_to_spectrum_into(
     batch: &ComplexBuffer,
     n_series: usize,
@@ -211,34 +192,6 @@ pub fn unpad_output_into(
 /// phases 1 and 2 when their precisions differ). No-op when equal.
 pub fn cast_real(buf: RealBuffer, p: Precision) -> RealBuffer {
     buf.cast(p)
-}
-
-/// [`cast_real`] writing into a reusable destination buffer: `dst` is
-/// reset to precision `p` and filled with `src` rounded through `p`.
-/// Callers skip this kernel entirely when
-/// `src.precision() == p` (the pipeline borrows `src` instead).
-pub fn cast_real_into(src: &RealBuffer, p: Precision, dst: &mut RealBuffer) {
-    dst.reset_for_overwrite(p, src.len());
-    fn fill<Tin: Real, Tout: Real>(src: &[Tin], out: &mut [Tout]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = Tout::from_f64(x.to_f64());
-        }
-    }
-    // Resolve both variants once; the inner loop is a monomorphized
-    // slice-to-slice cast (casts route through f64, RTNE into storage).
-    macro_rules! arms {
-        ($s:expr, $($var:ident),+) => {
-            match dst {
-                $(RealBuffer::$var(o) => fill($s, o),)+
-            }
-        };
-    }
-    match src {
-        RealBuffer::F16(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::BF16(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::F32(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::F64(s) => arms!(s, F16, BF16, F32, F64),
-    }
 }
 
 #[cfg(test)]
@@ -438,6 +391,19 @@ mod tests {
         }
     }
 
+    /// The reorders into a fresh buffer of tier `p`.
+    fn to_batch(spec: &ComplexBuffer, ns: usize, nf: usize, p: Precision) -> ComplexBuffer {
+        let mut out = ComplexBuffer::C64(Vec::new());
+        spectrum_to_batch_into(spec, ns, nf, p, &mut out);
+        out
+    }
+
+    fn to_spectrum(batch: &ComplexBuffer, ns: usize, nf: usize, p: Precision) -> ComplexBuffer {
+        let mut out = ComplexBuffer::C64(Vec::new());
+        batch_to_spectrum_into(batch, ns, nf, p, &mut out);
+        out
+    }
+
     #[test]
     fn reorders_are_mutually_inverse() {
         let (ns, nf) = (5, 7);
@@ -446,8 +412,8 @@ mod tests {
             .map(|_| fftmatvec_numeric::C64::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
             .collect();
         let spec = ComplexBuffer::C64(data.clone());
-        let batch = spectrum_to_batch(&spec, ns, nf, Precision::Double);
-        let back = batch_to_spectrum(&batch, ns, nf, Precision::Double);
+        let batch = to_batch(&spec, ns, nf, Precision::Double);
+        let back = to_spectrum(&batch, ns, nf, Precision::Double);
         assert_eq!(back.to_c64_vec(), data);
     }
 
@@ -460,7 +426,7 @@ mod tests {
                 (0..nf).map(move |f| fftmatvec_numeric::C64::new((s + 10 * f) as f64, 0.0))
             })
             .collect();
-        let batch = spectrum_to_batch(&ComplexBuffer::C64(data), ns, nf, Precision::Double);
+        let batch = to_batch(&ComplexBuffer::C64(data), ns, nf, Precision::Double);
         for f in 0..nf {
             for s in 0..ns {
                 assert_eq!(batch.get(f * ns + s).re, (s + 10 * f) as f64);
@@ -471,17 +437,17 @@ mod tests {
     #[test]
     fn reorder_casts() {
         let spec = ComplexBuffer::C64(vec![fftmatvec_numeric::C64::new(mantissa_stuff(1.0), 0.0)]);
-        let single = spectrum_to_batch(&spec, 1, 1, Precision::Single);
+        let single = to_batch(&spec, 1, 1, Precision::Single);
         assert_eq!(single.precision(), Precision::Single);
         assert_ne!(single.get(0).re, spec.get(0).re);
-        let double = spectrum_to_batch(&spec, 1, 1, Precision::Double);
+        let double = to_batch(&spec, 1, 1, Precision::Double);
         assert_eq!(double.get(0), spec.get(0));
         // Down to the 16-bit tiers and exactly back up.
         for p in [Precision::Half, Precision::BFloat16] {
-            let narrow = spectrum_to_batch(&spec, 1, 1, p);
+            let narrow = to_batch(&spec, 1, 1, p);
             assert_eq!(narrow.precision(), p);
             assert_ne!(narrow.get(0).re, spec.get(0).re);
-            let widened = batch_to_spectrum(&narrow, 1, 1, Precision::Double);
+            let widened = to_spectrum(&narrow, 1, 1, Precision::Double);
             assert_eq!(widened.get(0), narrow.get(0), "widening must be exact");
         }
     }
@@ -497,8 +463,8 @@ mod tests {
             // Once rounded into tier p, a p → p transpose roundtrip is
             // exact for every tier.
             let spec = ComplexBuffer::from_c64(p, &data);
-            let batch = spectrum_to_batch(&spec, ns, nf, p);
-            let back = batch_to_spectrum(&batch, ns, nf, p);
+            let batch = to_batch(&spec, ns, nf, p);
+            let back = to_spectrum(&batch, ns, nf, p);
             assert_eq!(back, spec, "{p}");
         }
     }

@@ -74,7 +74,7 @@ pub use linop::{
     check_apply, check_batch, ConfigError, ConfigurableOperator, LinearOperator, OpDirection,
     OpError, OpShape,
 };
-pub use operator::{BlockToeplitzOperator, SpectrumLayout};
+pub use operator::BlockToeplitzOperator;
 pub use pareto::{pareto_front, ParetoPoint};
 pub use pipeline::{FftMatvec, FftMatvecBuilder};
 pub use precision::{MatvecPhase, PrecisionConfig};

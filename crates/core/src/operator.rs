@@ -10,36 +10,25 @@
 //! are materialized lazily for configurations that compute phase 3 in a
 //! narrower tier.
 //!
-//! # The two stored layouts of `F̂`, and the one place that picks
+//! # The stored layout of `F̂`
 //!
-//! The operator keeps **one** copy of the spectrum, in the layout its
-//! block shape is applied fastest in ([`SpectrumLayout::for_shape`], a
-//! pure function of the shape, decided once at build — no option, no
-//! environment variable):
+//! The operator keeps **one** copy of the spectrum, **frequency-minor**:
+//! entry `(i, k)` of all frequencies contiguous,
+//! `F̂[(i·N_m + k)·(N_t + 1) + f]`. That is exactly what the set-up FFT
+//! emits (set-up transposes nothing) and the layout of the pipeline's own
+//! spectra, so [`fftmatvec_blas::sbgemv_freq_minor`] runs straight from
+//! the forward transform's output into the inverse transform's input with
+//! lanes across frequencies and **no reorder pass**.
 //!
-//! * [`SpectrumLayout::BlockMajor`] — `N_t + 1` column-major `N_d × N_m`
-//!   matrices, `F̂[f·N_d·N_m + k·N_d + i]`: the strided batched GEMV's
-//!   layout ([`fftmatvec_blas::sbgemv`]), whose row / column tiles
-//!   amortize over a large block. The pipeline reorders its spectra
-//!   `[series][freq] → [freq][series]` on the way in and back on the way
-//!   out.
-//! * [`SpectrumLayout::FrequencyMinor`] — entry `(i, k)` of all
-//!   frequencies contiguous, `F̂[(i·N_m + k)·(N_t + 1) + f]`: exactly what
-//!   the set-up FFT emits (set-up skips its `N_m` transposes) and the
-//!   layout of the pipeline's own spectra, so
-//!   [`fftmatvec_blas::sbgemv_freq_minor`] runs straight from the forward
-//!   transform's output into the inverse transform's input with lanes
-//!   across frequencies and **no reorder pass**. A small block cannot
-//!   amortize a tile call (≈ 40 ns per 4×4 block against 2.6 ns here).
-//!
-//! The selection is the *executed* counterpart of
-//! [`fftmatvec_blas::select_kernel`], which only names the kernel a GPU
-//! dispatcher would launch for the cost model. Either layout yields the
-//! same output bits (see `fftmatvec_blas::kernels`). The documented
-//! block-major accessors [`BlockToeplitzOperator::fhat`] (and `fhat32` /
-//! `fhat16` / `fhatb16`) answer on both: a frequency-minor operator
-//! materializes that view lazily, for oracles and tests — nothing on the
-//! apply path reads it.
+//! The paper's phase 3 is instead a strided batched GEMV over
+//! per-frequency column-major blocks, `F̂[f·N_d·N_m + k·N_d + i]`, wrapped
+//! in SOTI↔TOSI reorders ([`fftmatvec_blas::sbgemv`], Figure 1's kernel;
+//! [`fftmatvec_blas::select_kernel`] names the GPU kernel the cost model
+//! charges). Both yield the same output bits (see
+//! `fftmatvec_blas::kernels`). The documented block-major accessors
+//! [`BlockToeplitzOperator::fhat`] (and `fhat32` / `fhat16` / `fhatb16`)
+//! are that layout, materialized lazily for oracles and tests — nothing on
+//! the apply path reads them.
 
 use std::sync::OnceLock;
 
@@ -48,48 +37,6 @@ use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::{Complex, C16, C32, C64, CB16};
 
 use crate::linop::ConfigError;
-
-/// How a [`BlockToeplitzOperator`] stores `F̂` (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpectrumLayout {
-    /// Per-frequency column-major blocks: `F̂[f·nd·nm + k·nd + i]`.
-    BlockMajor,
-    /// Per-entry frequency series: `F̂[(i·nm + k)·nfreq + f]`.
-    FrequencyMinor,
-}
-
-impl SpectrumLayout {
-    /// **The selection point**: the layout an operator with `nd × nm`
-    /// blocks stores and applies `F̂` in — frequency-minor up to a measured
-    /// block size, per-frequency blocks above it. The number of
-    /// frequencies is not an argument: the per-block overhead being traded
-    /// is paid per frequency on one side and saved per frequency on the
-    /// other.
-    pub fn for_shape(nd: usize, nm: usize) -> Self {
-        // Largest block (entries) stored frequency-minor: **8×8**, the
-        // largest measured shape on which the two layouts are clearly
-        // apart in both tiers. The `sbgemv_freqminor_<nd>x<nm>x<nfreq>`
-        // rows of `bench/baseline_simd.json` (reorder → `sbgemv` → reorder
-        // ÷ `sbgemv_freq_minor`, one F and one F* symbol apply, hot, one
-        // thread), c64 / c32 `speedup` as committed:
-        //     4×4×4097   4.168 / 6.233      16×16×65   1.090 / 1.399
-        //     2×16×65    2.805 / 3.484      16×64×65   0.951 / 1.224
-        //     3×5×1025   5.501 / 7.755      16×256×65  1.044 / 1.237
-        //     8×8×513    1.999 / 3.091
-        // From 16×16 up the c64 rows cannot be told apart from one another
-        // or from the run-to-run spread (three runs: 16×16 1.09–1.20,
-        // 16×64 0.95–1.03, 16×256 1.04–1.07). Nothing between 64 and 256
-        // entries is resolved by these rows and no `bench_e2e` workload
-        // has a block in that range, so everything above 8×8 stays on the
-        // row / column tiles.
-        const FREQ_MINOR_MAX_ENTRIES: usize = 64;
-        if nd * nm <= FREQ_MINOR_MAX_ENTRIES {
-            SpectrumLayout::FrequencyMinor
-        } else {
-            SpectrumLayout::BlockMajor
-        }
-    }
-}
 
 /// `F̂` in one layout: the double-precision spectrum and its lazily
 /// rounded narrow copies (the one-time cast for configurations that run
@@ -129,12 +76,10 @@ pub struct BlockToeplitzOperator {
     nd: usize,
     nm: usize,
     nt: usize,
-    /// The layout of `stored`; [`SpectrumLayout::for_shape`] of the shape.
-    layout: SpectrumLayout,
-    /// `F̂` as the apply path reads it.
+    /// `F̂` frequency-minor, as the apply path reads it.
     stored: Spectrum,
-    /// The block-major view behind `fhat()` & co. on a frequency-minor
-    /// operator, built on first use (never by an apply).
+    /// The block-major view behind `fhat()` & co., built on first use
+    /// (never by an apply).
     block_view: OnceLock<Spectrum>,
     /// The first block column, kept for the direct (oracle) matvec:
     /// layout `col[(t·nd + i)·nm + k] = F_{t+1,1}[i,k]`.
@@ -143,9 +88,9 @@ pub struct BlockToeplitzOperator {
 
 impl Clone for BlockToeplitzOperator {
     /// Deep-copies the double-precision setup (`F̂` and the first block
-    /// column); the lazily-cached narrow copies of `F̂` (and the
-    /// block-major view of a frequency-minor operator) rematerialize in
-    /// the clone on first use rather than being copied.
+    /// column); the lazily-cached narrow copies of `F̂` and the block-major
+    /// view rematerialize in the clone on first use rather than being
+    /// copied.
     fn clone(&self) -> Self {
         BlockToeplitzOperator {
             stored: Spectrum::new(self.stored.c64.clone()),
@@ -166,19 +111,6 @@ impl BlockToeplitzOperator {
         nm: usize,
         nt: usize,
         col: &[f64],
-    ) -> Result<Self, ConfigError> {
-        Self::with_layout(nd, nm, nt, col, SpectrumLayout::for_shape(nd, nm))
-    }
-
-    /// [`from_first_block_column`](Self::from_first_block_column) with the
-    /// stored layout forced — for the tests that hold the two layouts
-    /// against each other; callers get [`SpectrumLayout::for_shape`].
-    pub(crate) fn with_layout(
-        nd: usize,
-        nm: usize,
-        nt: usize,
-        col: &[f64],
-        layout: SpectrumLayout,
     ) -> Result<Self, ConfigError> {
         for (extent, what) in [(nd, "nd"), (nm, "nm"), (nt, "nt")] {
             if extent == 0 {
@@ -205,16 +137,11 @@ impl BlockToeplitzOperator {
         drop(padded);
 
         // `spectra[(i·nm + k)·nfreq + f]` *is* the frequency-minor layout.
-        let stored = match layout {
-            SpectrumLayout::FrequencyMinor => spectra,
-            SpectrumLayout::BlockMajor => blocks_of(&spectra, nd, nm, nfreq),
-        };
         Ok(BlockToeplitzOperator {
             nd,
             nm,
             nt,
-            layout,
-            stored: Spectrum::new(stored),
+            stored: Spectrum::new(spectra),
             block_view: OnceLock::new(),
             first_col: col.to_vec(),
         })
@@ -244,44 +171,32 @@ impl BlockToeplitzOperator {
         self.nt + 1
     }
 
-    /// The layout `F̂` is stored and applied in.
-    #[inline]
-    pub fn layout(&self) -> SpectrumLayout {
-        self.layout
-    }
-
-    /// `F̂` in [`layout`](Self::layout), as the apply path reads it.
+    /// `F̂` frequency-minor, `[(i·nm + k)·nfreq + f]`, as the apply path
+    /// reads it.
     #[inline]
     pub(crate) fn stored(&self) -> &Spectrum {
         &self.stored
     }
 
-    /// `F̂` as per-frequency blocks, whatever the stored layout.
+    /// `F̂` as per-frequency blocks, built on first use.
     fn block_view(&self) -> &Spectrum {
-        match self.layout {
-            SpectrumLayout::BlockMajor => &self.stored,
-            SpectrumLayout::FrequencyMinor => self.block_view.get_or_init(|| {
-                Spectrum::new(blocks_of(&self.stored.c64, self.nd, self.nm, self.nfreq()))
-            }),
-        }
+        self.block_view.get_or_init(|| {
+            Spectrum::new(blocks_of(&self.stored.c64, self.nd, self.nm, self.nfreq()))
+        })
     }
 
-    /// Entry `(i, k)` of `F̂_f`, read from the stored layout.
+    /// Entry `(i, k)` of `F̂_f`, read from the stored spectrum.
     #[inline]
     pub fn fhat_at(&self, f: usize, i: usize, k: usize) -> C64 {
         let (nd, nm, nfreq) = (self.nd, self.nm, self.nfreq());
         assert!(f < nfreq && i < nd && k < nm, "fhat_at({f}, {i}, {k}) outside {nd}x{nm}x{nfreq}");
-        self.stored.c64[match self.layout {
-            SpectrumLayout::BlockMajor => f * nd * nm + k * nd + i,
-            SpectrumLayout::FrequencyMinor => (i * nm + k) * nfreq + f,
-        }]
+        self.stored.c64[(i * nm + k) * nfreq + f]
     }
 
     /// The double-precision frequency matrices: `nfreq` column-major
-    /// `nd × nm` matrices, packed contiguously (`stride_a = nd·nm`). On a
-    /// [`SpectrumLayout::FrequencyMinor`] operator this view (like the
-    /// three narrow ones below) is materialized on first use; applies
-    /// never ask for it.
+    /// `nd × nm` matrices, packed contiguously (`stride_a = nd·nm`). This
+    /// view (like the three narrow ones below) is materialized on first
+    /// use; applies never ask for it.
     #[inline]
     pub fn fhat(&self) -> &[C64] {
         self.block_view().c64()
@@ -386,36 +301,33 @@ mod tests {
     }
 
     #[test]
-    fn layout_follows_the_block_size_and_the_block_view_is_the_same_spectrum() {
-        assert_eq!(SpectrumLayout::for_shape(4, 4), SpectrumLayout::FrequencyMinor);
-        assert_eq!(SpectrumLayout::for_shape(2, 16), SpectrumLayout::FrequencyMinor);
-        assert_eq!(SpectrumLayout::for_shape(8, 8), SpectrumLayout::FrequencyMinor);
-        assert_eq!(SpectrumLayout::for_shape(5, 13), SpectrumLayout::BlockMajor);
-        assert_eq!(SpectrumLayout::for_shape(16, 16), SpectrumLayout::BlockMajor);
-        assert_eq!(SpectrumLayout::for_shape(16, 256), SpectrumLayout::BlockMajor);
-
+    fn block_view_is_the_stored_spectrum_as_per_frequency_blocks() {
         let (nd, nm, nt) = (3, 5, 8);
-        let mut col = vec![0.0; nt * nd * nm];
-        SplitMix64::new(6).fill_uniform(&mut col, -1.0, 1.0);
-        let build = |layout| BlockToeplitzOperator::with_layout(nd, nm, nt, &col, layout).unwrap();
-        let (blocks, minor) =
-            (build(SpectrumLayout::BlockMajor), build(SpectrumLayout::FrequencyMinor));
-        assert_eq!(random_operator(nd, nm, nt, 6).layout(), SpectrumLayout::FrequencyMinor);
-        // The documented block-major accessors answer identically on both,
-        // in every tier, and so does the layout-agnostic entry read.
-        assert_eq!(minor.fhat(), blocks.fhat());
-        assert_eq!(minor.fhat32(), blocks.fhat32());
-        assert_eq!(minor.fhat16(), blocks.fhat16());
-        assert_eq!(minor.fhatb16(), blocks.fhatb16());
-        assert_eq!(minor.fhat_bytes(), blocks.fhat_bytes());
-        for (f, i, k) in [(0, 0, 0), (8, 2, 4), (3, 1, 2)] {
-            let want = blocks.fhat()[f * nd * nm + k * nd + i];
-            assert_eq!(blocks.fhat_at(f, i, k), want);
-            assert_eq!(minor.fhat_at(f, i, k), want);
+        let op = random_operator(nd, nm, nt, 6);
+        let (n2, nfreq) = (2 * nt, nt + 1);
+        for f in 0..nfreq {
+            for i in 0..nd {
+                for k in 0..nm {
+                    // The entry read against the zero-padded column's DFT.
+                    let mut want = Complex::<f64>::zero();
+                    for t in 0..nt {
+                        let w = -std::f64::consts::TAU * (f * t) as f64 / n2 as f64;
+                        want += Complex::new(w.cos(), w.sin()).scale(op.block(t)[i * nm + k]);
+                    }
+                    let got = op.fhat_at(f, i, k);
+                    assert!((got - want).abs() < 1e-12, "F̂_{f}[{i},{k}]: {got:?} vs {want:?}");
+                    // The block-major view holds the same value on bits.
+                    assert_eq!(op.fhat()[f * nd * nm + k * nd + i], got);
+                }
+            }
         }
-        // A clone keeps the layout and rebuilds the lazy views.
-        assert_eq!(minor.clone().layout(), SpectrumLayout::FrequencyMinor);
-        assert_eq!(minor.clone().fhat(), blocks.fhat());
+        assert_eq!(op.fhat_bytes(), nfreq * nd * nm * 16);
+        // A clone rebuilds the lazy views from the same stored spectrum.
+        let copy = op.clone();
+        assert_eq!(copy.fhat(), op.fhat());
+        assert_eq!(copy.fhat32(), op.fhat32());
+        assert_eq!(copy.fhat16(), op.fhat16());
+        assert_eq!(copy.fhatb16(), op.fhatb16());
     }
 
     #[test]

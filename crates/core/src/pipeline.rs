@@ -18,7 +18,7 @@
 //! This file supplies only what is specific to the family — the
 //! [`SbgemvKernel`] (batched real FFT engines through the
 //! [`DeviceBackend`], the seven-buffer workspace, the five phase calls
-//! with the strided batched GEMV as symbol apply) and the
+//! with the frequency-minor batched GEMV as symbol apply) and the
 //! [`FftMatvecBuilder`]. Engine retention, pooled zero-allocation
 //! workspaces, budget resolution, batching and diagnostics are the
 //! shared [`TieredPipeline`]'s.
@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
-use fftmatvec_blas::{sbgemv, sbgemv_freq_minor, BatchGeometry, GemvOp};
+use fftmatvec_blas::{sbgemv_freq_minor, GemvOp};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer, Scalar};
 
@@ -34,7 +34,7 @@ use crate::autotune::PhaseWeights;
 use crate::error_analysis::{condition_estimate, BoundParams};
 use crate::layout;
 use crate::linop::{ConfigError, OpDirection, OpError, OpShape};
-use crate::operator::{BlockToeplitzOperator, SpectrumLayout};
+use crate::operator::BlockToeplitzOperator;
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
 use crate::timing::{simulate_phases, MatvecDims};
@@ -80,8 +80,9 @@ impl Workspace for MatvecWorkspace {
     }
 }
 
-/// The block-triangular symbol apply: per-frequency `N_d × N_m` blocks
-/// of `F̂`, applied as one strided batched GEMV. The operator is held
+/// The block-triangular symbol apply: the `N_t + 1` frequency matrices
+/// `F̂_f` (`N_d × N_m`, stored frequency-minor), applied as one batched
+/// GEMV with lanes across frequencies. The operator is held
 /// behind an `Arc`, so several pipelines — e.g. the per-configuration
 /// variants a budget-routing service keeps — share one frequency-domain
 /// setup (`F̂` and its lazily-cached narrow copies) instead of
@@ -141,40 +142,26 @@ impl SpectralKernel for SbgemvKernel {
         spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
         pipe.engine(p_fft)?.forward(fft_in, spectrum)?;
 
-        // Phase 3 — the symbol apply in cfg[Sbgemv], in the operator's
-        // stored layout; phase 4's input lands in `dspec`, cast to
-        // cfg[Ifft] on the way.
+        // Phase 3 — the symbol apply in cfg[Sbgemv] on the frequency-minor
+        // `F̂`: the kernel reads the forward engine's `[series][freq]`
+        // spectra and writes the inverse engine's. With the three tiers
+        // equal there is no pass in between and `xhat` / `yhat` stay
+        // empty; a differing neighbour costs one contiguous cast (the
+        // device's, as for phase 2's input) — every element rounds as it
+        // would in a casting SOTI↔TOSI reorder.
         let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
         let p_ifft = cfg.phase(MatvecPhase::Ifft);
-        match op.layout() {
-            // Per-frequency blocks: SOTI→TOSI reorder (fused cast), the
-            // strided batched GEMV, and the reorder back.
-            SpectrumLayout::BlockMajor => {
-                layout::spectrum_to_batch_into(spectrum, n_in, nfreq, p_gemv, xhat);
-                yhat.reset_for_overwrite(p_gemv, n_out * nfreq);
-                apply_symbol(op, gemv_op, xhat, yhat)?;
-                layout::batch_to_spectrum_into(yhat, n_out, nfreq, p_ifft, dspec);
-            }
-            // Frequency-minor: the kernel reads the forward engine's
-            // `[series][freq]` spectra and writes the inverse engine's.
-            // With the three tiers equal there is no pass in between and
-            // `xhat` / `yhat` stay empty; a differing neighbour costs one
-            // contiguous cast (the device's, as for phase 2's input) where
-            // the casting reorder was — every element rounds as there.
-            SpectrumLayout::FrequencyMinor => {
-                let x: &ComplexBuffer = if p_fft == p_gemv {
-                    spectrum
-                } else {
-                    device.cast_complex(spectrum, p_gemv, xhat)?;
-                    xhat
-                };
-                let y = if p_gemv == p_ifft { &mut *dspec } else { &mut *yhat };
-                y.reset_for_overwrite(p_gemv, n_out * nfreq);
-                apply_symbol(op, gemv_op, x, y)?;
-                if p_gemv != p_ifft {
-                    device.cast_complex(yhat, p_ifft, dspec)?;
-                }
-            }
+        let x: &ComplexBuffer = if p_fft == p_gemv {
+            spectrum
+        } else {
+            device.cast_complex(spectrum, p_gemv, xhat)?;
+            xhat
+        };
+        let y = if p_gemv == p_ifft { &mut *dspec } else { &mut *yhat };
+        y.reset_for_overwrite(p_gemv, n_out * nfreq);
+        apply_symbol(op, gemv_op, x, y)?;
+        if p_gemv != p_ifft {
+            device.cast_complex(yhat, p_ifft, dspec)?;
         }
 
         // Phase 4 — batched C2R inverse FFT in cfg[Ifft].
@@ -214,10 +201,8 @@ impl SpectralKernel for SbgemvKernel {
     }
 }
 
-/// `y = op(F̂)·x` (α = 1, β = 0) in the tier both buffers hold, through
-/// the kernel of `op`'s stored layout: `x` / `y` are `[freq][series]`
-/// batch vectors on a block-major operator and `[series][freq]` spectra on
-/// a frequency-minor one.
+/// `y = op(F̂)·x` (α = 1, β = 0) in the tier both buffers hold, `x` and `y`
+/// `[series][freq]` spectra.
 fn apply_symbol(
     op: &BlockToeplitzOperator,
     gemv_op: GemvOp,
@@ -225,14 +210,7 @@ fn apply_symbol(
     y: &mut ComplexBuffer,
 ) -> Result<(), OpError> {
     fn run<S: Scalar>(op: &BlockToeplitzOperator, gemv_op: GemvOp, a: &[S], x: &[S], y: &mut [S]) {
-        let (nd, nm, nfreq) = (op.nd(), op.nm(), op.nfreq());
-        match op.layout() {
-            SpectrumLayout::BlockMajor => {
-                let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
-                sbgemv(gemv_op, S::one(), a, x, S::zero(), y, &g);
-            }
-            SpectrumLayout::FrequencyMinor => sbgemv_freq_minor(gemv_op, a, x, y, nd, nm, nfreq),
-        }
+        sbgemv_freq_minor(gemv_op, a, x, y, op.nd(), op.nm(), op.nfreq());
     }
     let fhat = op.stored();
     match (x, y) {
@@ -333,6 +311,7 @@ mod tests {
     use crate::linop::LinearOperator;
     use crate::spectral::PipelineBackend;
     use crate::workspace::workspace_retention_cap;
+    use fftmatvec_blas::BatchGeometry;
     use fftmatvec_numeric::vecmath::rel_l2_error;
     use fftmatvec_numeric::SplitMix64;
 
@@ -622,49 +601,89 @@ mod tests {
         }
     }
 
-    /// The same first block column built onto each stored layout.
-    fn both_layouts(nd: usize, nm: usize, nt: usize, seed: u64) -> [FftMatvec; 2] {
-        let mut col = vec![0.0; nt * nd * nm];
-        SplitMix64::new(seed).fill_uniform(&mut col, -1.0, 1.0);
-        [SpectrumLayout::BlockMajor, SpectrumLayout::FrequencyMinor].map(|layout| {
-            let op = BlockToeplitzOperator::with_layout(nd, nm, nt, &col, layout).unwrap();
-            assert_eq!(op.layout(), layout);
-            mv(op, PrecisionConfig::all_double())
-        })
-    }
-
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// One apply the way the paper's phase 3 runs it: pad → engine →
+    /// SOTI→TOSI reorder (casting) → strided batched `sbgemv` on the
+    /// block-major `fhat*()` view → reorder back (casting) → engine →
+    /// unpad, through `mv`'s own device and its configured tiers.
+    fn block_major_replay(mv: &FftMatvec, dir: OpDirection, input: &[f64], out: &mut [f64]) {
+        let op = mv.operator();
+        let (nd, nm, nt, nfreq) = (op.nd(), op.nm(), op.nt(), op.nfreq());
+        let (gemv_op, n_in, n_out) = match dir {
+            OpDirection::Forward => (GemvOp::NoTrans, nm, nd),
+            OpDirection::Adjoint => (GemvOp::ConjTrans, nd, nm),
+        };
+        let phase = |p| mv.config().phase(p);
+        let device = mv.device();
+        let engine = |p| device.real_fft(phase(p), 2 * nt).unwrap();
+
+        let mut padded = RealBuffer::F64(Vec::new());
+        layout::pad_input_into(input, n_in, nt, phase(MatvecPhase::Pad), &mut padded);
+        let mut casted = RealBuffer::F64(Vec::new());
+        device.cast_real(&padded, phase(MatvecPhase::Fft), &mut casted).unwrap();
+        let mut spectrum = ComplexBuffer::zeros(phase(MatvecPhase::Fft), n_in * nfreq);
+        engine(MatvecPhase::Fft).forward(&casted, &mut spectrum).unwrap();
+
+        let p_gemv = phase(MatvecPhase::Sbgemv);
+        let mut xhat = ComplexBuffer::C64(Vec::new());
+        layout::spectrum_to_batch_into(&spectrum, n_in, nfreq, p_gemv, &mut xhat);
+        let mut yhat = ComplexBuffer::zeros(p_gemv, n_out * nfreq);
+        fn gemv<S: Scalar>(op: GemvOp, a: &[S], x: &[S], y: &mut [S], g: &BatchGeometry) {
+            fftmatvec_blas::sbgemv(op, S::one(), a, x, S::zero(), y, g);
+        }
+        let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
+        match (&xhat, &mut yhat) {
+            (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => gemv(gemv_op, op.fhat16(), x, y, &g),
+            (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
+                gemv(gemv_op, op.fhatb16(), x, y, &g)
+            }
+            (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => gemv(gemv_op, op.fhat32(), x, y, &g),
+            (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => gemv(gemv_op, op.fhat(), x, y, &g),
+            _ => unreachable!("both batch buffers are in the SBGEMV tier"),
+        }
+
+        let p_ifft = phase(MatvecPhase::Ifft);
+        let mut dspec = ComplexBuffer::C64(Vec::new());
+        layout::batch_to_spectrum_into(&yhat, n_out, nfreq, p_ifft, &mut dspec);
+        let mut time = RealBuffer::zeros(p_ifft, n_out * 2 * nt);
+        engine(MatvecPhase::Ifft).inverse(&dspec, &mut time).unwrap();
+        layout::unpad_output_into(&time, n_out, nt, phase(MatvecPhase::Unpad), out);
+    }
+
     #[test]
-    fn stored_layouts_agree_on_bits_in_every_config_and_direction() {
-        // 4×4 and 2×16 are stored frequency-minor on their own, 19×23
-        // block-major (and splits both reductions past one base run);
-        // nt = 9 leaves every lane width a masked tail of frequencies.
-        for (nd, nm, nt) in [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9)] {
-            let [mut blocks, mut minor] = both_layouts(nd, nm, nt, (nd * nm + nt) as u64);
+    fn pipeline_equals_the_block_major_replay_on_bits_in_every_config_and_direction() {
+        // 4×4 and 2×16 are the serve / long-series blocks; 19×23 splits
+        // both reductions past one base run; 16×256 is the paper block,
+        // whose forward reduction spans four tree levels and whose batches
+        // sit above the parallel `apply_many_into` threshold. nt = 9
+        // leaves every lane width a masked tail of frequencies.
+        for (nd, nm, nt) in [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9), (16, 256, 8)] {
+            let op = random_operator(nd, nm, nt, (nd * nm + nt) as u64);
+            let mut mv = mv(op, PrecisionConfig::all_double());
             for code in ["ddddd", "dssdd", "ddssd", "hbsdd", "sdhbs"] {
-                let cfg: PrecisionConfig = code.parse().unwrap();
-                blocks.set_config(cfg);
-                minor.set_config(cfg);
+                mv.set_config(code.parse().unwrap());
                 for dir in [OpDirection::Forward, OpDirection::Adjoint] {
-                    let (in_len, out_len) = blocks.shape().io_lens(dir);
+                    let (in_len, out_len) = mv.shape().io_lens(dir);
                     let cols = 3;
                     let mut inputs = vec![0.0; cols * in_len];
                     SplitMix64::new(5).fill_uniform_stuffed(&mut inputs, -1.0, 1.0);
-                    let (mut want, mut got) =
-                        (vec![0.0; cols * out_len], vec![0.0; cols * out_len]);
-                    blocks.apply_many_into(dir, &inputs, &mut want).unwrap();
-                    minor.apply_many_into(dir, &inputs, &mut got).unwrap();
+                    let mut got = vec![0.0; cols * out_len];
+                    mv.apply_many_into(dir, &inputs, &mut got).unwrap();
                     let what = format!("{nd}x{nm}x{nt} {code} {dir}");
-                    assert_eq!(bits(&got), bits(&want), "{what}: layouts differ");
-                    // ... and a batch column is its solo apply, on either.
-                    for mv in [&blocks, &minor] {
-                        let mut solo = vec![0.0; out_len];
-                        mv.apply_into(dir, &inputs[in_len..2 * in_len], &mut solo).unwrap();
-                        assert_eq!(bits(&solo), bits(&want[out_len..2 * out_len]), "{what}: solo");
+                    for (c, (input, got)) in
+                        inputs.chunks(in_len).zip(got.chunks(out_len)).enumerate()
+                    {
+                        let mut want = vec![f64::NAN; out_len];
+                        block_major_replay(&mv, dir, input, &mut want);
+                        assert_eq!(bits(got), bits(&want), "{what}: column {c}");
                     }
+                    // ... and a batch column is its solo apply.
+                    let mut solo = vec![0.0; out_len];
+                    mv.apply_into(dir, &inputs[in_len..2 * in_len], &mut solo).unwrap();
+                    assert_eq!(bits(&solo), bits(&got[out_len..2 * out_len]), "{what}: solo");
                 }
             }
         }
@@ -672,40 +691,38 @@ mod tests {
 
     #[test]
     fn frequency_minor_applies_size_no_batch_buffers_when_tiers_agree() {
-        let [blocks, minor] = both_layouts(4, 4, 16, 3);
-        let (m, mut out) = (vec![1.0; 4 * 16], vec![0.0; 4 * 16]);
-        blocks.apply_forward_into(&m, &mut out).unwrap();
-        minor.apply_forward_into(&m, &mut out).unwrap();
-        // ddddd: `xhat` and `yhat` (4 series × 17 frequencies of C64 each)
-        // are the whole difference between the two workspaces.
-        let batch_bytes = 2 * 4 * 17 * 16;
-        assert_eq!(minor.workspace_peak_bytes() + batch_bytes, blocks.workspace_peak_bytes());
+        let (nd, nm, nt) = (4, 4, 16);
+        let mv = mv(random_operator(nd, nm, nt, 3), PrecisionConfig::all_double());
+        let (m, mut out) = (vec![1.0; nm * nt], vec![0.0; nd * nt]);
+        mv.apply_forward_into(&m, &mut out).unwrap();
+        // ddddd F: `padded` and `time` (4 series × 32 f64 each), `spectrum`
+        // and `dspec` (4 series × 17 C64 each); `casted`, `xhat` and `yhat`
+        // are never sized.
+        let (real, spectra) = (2 * 4 * 32 * 8, 2 * 4 * 17 * 16);
+        assert_eq!(mv.workspace_peak_bytes(), real + spectra);
     }
 
     #[test]
     fn non_finite_input_is_never_laundered() {
-        // One NaN or +∞ among the inputs: whatever the SBGEMV tier, the
-        // direction and the stored layout, the output holds a non-finite
-        // value — never an all-finite vector that hides the poison.
-        // (4×4 is stored frequency-minor on its own, 5×20 as blocks.)
-        for [blocks, minor] in [both_layouts(4, 4, 8, 61), both_layouts(5, 20, 8, 67)] {
-            for mut mv in [blocks, minor] {
-                let layout = mv.operator().layout();
-                for tier in ["d", "s", "h", "b"] {
-                    mv.set_config(format!("dd{tier}dd").parse().unwrap());
-                    for dir in [OpDirection::Forward, OpDirection::Adjoint] {
-                        let (in_len, out_len) = mv.shape().io_lens(dir);
-                        for poison in [f64::NAN, f64::INFINITY] {
-                            let mut input = vec![0.0; in_len];
-                            SplitMix64::new(71).fill_uniform(&mut input, -1.0, 1.0);
-                            input[in_len / 3] = poison;
-                            let mut out = vec![0.0; out_len];
-                            mv.apply_into(dir, &input, &mut out).unwrap();
-                            assert!(
-                                out.iter().any(|v| !v.is_finite()),
-                                "{layout:?} dd{tier}dd {dir}: {poison} came out finite"
-                            );
-                        }
+        // One NaN or +∞ among the inputs: whatever the SBGEMV tier and the
+        // direction, the output holds a non-finite value — never an
+        // all-finite vector that hides the poison.
+        for (nd, nm, seed) in [(4, 4, 61), (5, 20, 67)] {
+            let mut mv = mv(random_operator(nd, nm, 8, seed), PrecisionConfig::all_double());
+            for tier in ["d", "s", "h", "b"] {
+                mv.set_config(format!("dd{tier}dd").parse().unwrap());
+                for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                    let (in_len, out_len) = mv.shape().io_lens(dir);
+                    for poison in [f64::NAN, f64::INFINITY] {
+                        let mut input = vec![0.0; in_len];
+                        SplitMix64::new(71).fill_uniform(&mut input, -1.0, 1.0);
+                        input[in_len / 3] = poison;
+                        let mut out = vec![0.0; out_len];
+                        mv.apply_into(dir, &input, &mut out).unwrap();
+                        assert!(
+                            out.iter().any(|v| !v.is_finite()),
+                            "{nd}x{nm} dd{tier}dd {dir}: {poison} came out finite"
+                        );
                     }
                 }
             }

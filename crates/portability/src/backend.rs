@@ -137,19 +137,6 @@ impl DeviceBackend for PortabilityBackend {
         "portability"
     }
 
-    fn upload_f64(
-        &self,
-        _src: &[f64],
-        _p: Precision,
-        _dst: &mut RealBuffer,
-    ) -> Result<(), BackendError> {
-        Err(self.unavailable("upload"))
-    }
-
-    fn download_f64(&self, _src: &RealBuffer, _dst: &mut [f64]) -> Result<(), BackendError> {
-        Err(self.unavailable("download"))
-    }
-
     fn record_upload(&self, _bytes: usize) {}
 
     fn record_download(&self, _bytes: usize) {}

@@ -11,7 +11,7 @@
 //! Rounding follows the 1-level pipeline's fused-cast semantics: a value
 //! entering the buffer is rounded through the Pad tier *then* stored in
 //! the Fft tier (two roundings when they differ, matching
-//! `pad_input_into` + `cast_real_into`), and a value leaving it is
+//! `pad_input_into` + the device's `cast_real`), and a value leaving it is
 //! rounded through the Unpad tier on its way to the `f64` output.
 
 use fftmatvec_numeric::{Precision, Real};
