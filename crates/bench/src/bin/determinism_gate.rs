@@ -24,7 +24,7 @@ use fftmatvec_bench::{make_operator, respawn, stuffed_vector, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_core::{DirectMatvec, FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
 use fftmatvec_fft::{BatchedFft, BatchedRealFft};
-use fftmatvec_numeric::{Complex, SplitMix64};
+use fftmatvec_numeric::{Complex, Real, SplitMix64};
 use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
 const CHILD_ENV: &str = "FFTMATVEC_DETGATE_CHILD";
@@ -106,6 +106,11 @@ fn matvec_workloads() {
     // frequency-minor.
     matvec_shape("_4x4", (4, 4, 256), &["ddddd", "dssdd", "ddssd"]);
     matvec_shape("_2x16", (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
+
+    // The `longseries_dd` shape: transforms of length 8192, whose
+    // 4096-point half plan runs two radix-16 passes between two radix-4
+    // stages, in f64 (`ddddd`) and with f32 transforms (`dssdd`).
+    matvec_shape("_4x4x4096", (4, 4, 4096), &["ddddd", "dssdd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz
@@ -174,6 +179,37 @@ fn fft_workloads() {
     }
     h.write_f64_bits(&back);
     report("fft_real_roundtrip", h.finish());
+
+    // Batched complex transforms at lengths the radix-16 passes change:
+    // 1024 = 4 · 16 · 16 and 4096 = 4 · 16 · 16 · 4.
+    for n in [1024usize, 4096] {
+        batched_complex::<f32>(n, "f32");
+        batched_complex::<f64>(n, "f64");
+    }
+}
+
+/// Eight complex transforms of length `n` in precision `T`, both
+/// directions, digest names `fft_batched_<n>_<label>_<direction>`.
+/// Widening to `f64` is exact and injective, so the digest is of bits.
+fn batched_complex<T: Real>(n: usize, label: &str) {
+    let batch = 8;
+    let mut rng = SplitMix64::new(53 + n as u64);
+    let data: Vec<Complex<T>> = (0..n * batch)
+        .map(|_| {
+            Complex::new(T::from_f64(rng.uniform(-1.0, 1.0)), T::from_f64(rng.uniform(-1.0, 1.0)))
+        })
+        .collect();
+    let bf = BatchedFft::<T>::new(n);
+    for (out, d) in
+        [(bf.forward_batch_vec(&data), "forward"), (bf.inverse_batch_vec(&data), "inverse")]
+    {
+        let mut h = Fnv1a::new();
+        for c in &out {
+            h.write_u64(c.re.to_f64().to_bits());
+            h.write_u64(c.im.to_f64().to_bits());
+        }
+        report(&format!("fft_batched_{n}_{label}_{d}"), h.finish());
+    }
 }
 
 fn reduce_workload() {

@@ -10,7 +10,7 @@
 //!   precomputed twiddle table, laid out in the exact order that radix's
 //!   butterfly consumes it — no `q·u` index arithmetic into a shared
 //!   table.
-//! * Stages ping-pong between two buffers (the caller's output and a
+//! * Passes ping-pong between two buffers (the caller's output and a
 //!   scratch arena slice). Stockham's self-sorting property means no
 //!   bit/digit-reversal pass is ever needed, and the innermost loop runs
 //!   over a contiguous stride-1 range.
@@ -18,23 +18,39 @@
 //!   (odd primes up to `MAX_RADIX`) uses a table-driven r-point DFT.
 //!   Lengths with larger prime factors never reach this module — the plan
 //!   routes them to [`crate::bluestein`].
-//! * Every stage is first offered to the vector kernels of
-//!   [`crate::simd`]; what they do not take runs [`scalar_stage`], whose
-//!   one source body is instantiated plainly and in an `avx2,fma` context
-//!   ([`fftmatvec_numeric::fma_pass`]) so `mul_add` is an instruction, not a
-//!   libm call. All three produce the same bits.
+//! * The stages are grouped once, in [`IterativeFft::new`], into a **pass
+//!   schedule** — one [`Pass`] per trip through memory. After the first
+//!   stage, each pair of consecutive radix-4 stages with stride `s ≥ 4`
+//!   is one radix-16 pass ([`butterfly16`]): it loads 16 inputs, runs both
+//!   butterfly layers in registers and stores 16 outputs, so a 4096-point
+//!   transform makes 4 passes instead of 6. Every other stage is a pass
+//!   of its own, and so is every stage of a 16-bit plan. The schedule is a
+//!   pure function of the factor list and the tier.
+//! * Every pass is first offered to the vector kernels of
+//!   [`crate::simd`]; what they do not take runs [`scalar_stage`] or
+//!   [`scalar_radix16`], whose one source body each is instantiated
+//!   plainly and in an `avx2,fma` context ([`fftmatvec_numeric::fma_pass`])
+//!   so `mul_add` is an instruction, not a libm call. All of them produce
+//!   the same bits, and a radix-16 pass produces the bits of its two
+//!   stages run one at a time: each value meets the same two
+//!   [`butterfly4`] expression trees, only the intermediate stays in
+//!   registers (or a 16-element stack tile) instead of a buffer.
 //!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
 //! outer stride `s` (`n = s·n_cur`), stage output index `r·p + j` holds
 //! `z_j[p] = ω_{n_cur}^{p·j} · Σ_l src[p + m·l] · ω_r^{j·l}` for each of
 //! the `s` interleaved sub-problems, after which the schedule recurses on
-//! `n_cur ← m`, `s ← s·r`.
+//! `n_cur ← m`, `s ← s·r`. Fusing radix-4 stages at strides `s` and `4s`
+//! (sub-transform counts `4m` and `m`): for each `p < m` and `q < s` the
+//! pass reads `src[q + s·(p + m·l' + 4m·l)]` for `l, l' < 4`, runs
+//! first-layer butterfly `l'` over `l` and second-layer butterfly `j` over
+//! `l'`, and writes `dst[q + s·(16p + j + 4j')]`.
 
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::plan::{FftDirection, MAX_RADIX};
 
-/// One butterfly pass of the iterative schedule.
+/// One butterfly stage of the iterative schedule.
 struct Stage<T: Real> {
     /// Radix split off at this stage.
     radix: usize,
@@ -55,16 +71,25 @@ struct Stage<T: Real> {
     radix_roots: Vec<Complex<T>>,
 }
 
+/// One trip through memory of the pass schedule.
+enum Pass<T: Real> {
+    /// One stage of any radix.
+    Single(Stage<T>),
+    /// Two consecutive radix-4 stages, the first at stride `s ≥ 4` and
+    /// the second at `4s`, run as one radix-16 pass.
+    Radix16(Stage<T>, Stage<T>),
+}
+
 /// Iterative in-place/out-of-place executor for a fixed length `n ≥ 2`.
 pub(crate) struct IterativeFft<T: Real> {
     n: usize,
-    stages: Vec<Stage<T>>,
+    passes: Vec<Pass<T>>,
 }
 
 impl<T: Real> IterativeFft<T> {
-    /// Build the stage schedule from a factor list (as produced by
-    /// `plan::factorize`, radix-4 first). `n` must equal the product of
-    /// `factors` and be ≥ 2.
+    /// Build the stage and pass schedule from a factor list (as produced
+    /// by `plan::factorize`, radix-4 first). `n` must equal the product
+    /// of `factors` and be ≥ 2.
     pub(crate) fn new(n: usize, factors: &[usize]) -> Self {
         debug_assert!(n >= 2);
         debug_assert_eq!(factors.iter().product::<usize>(), n);
@@ -92,30 +117,39 @@ impl<T: Real> IterativeFft<T> {
             n_cur = m;
         }
         debug_assert_eq!(n_cur, 1);
-        IterativeFft { n, stages }
+        let mut passes = Vec::with_capacity(stages.len());
+        let mut stages = stages.into_iter().peekable();
+        while let Some(st) = stages.next() {
+            let pairs = fuses::<T>() && st.radix == 4 && st.s >= 4;
+            match stages.next_if(|next| pairs && next.radix == 4) {
+                Some(next) => passes.push(Pass::Radix16(st, next)),
+                None => passes.push(Pass::Single(st)),
+            }
+        }
+        IterativeFft { n, passes }
     }
 
-    /// Number of butterfly passes.
-    #[inline]
+    /// Number of butterfly stages (a radix-16 pass counts two).
     pub(crate) fn stage_count(&self) -> usize {
-        self.stages.len()
+        self.passes.iter().map(|pass| if let Pass::Radix16(..) = pass { 2 } else { 1 }).sum()
     }
 
-    /// Exact scratch requirement: single-stage schedules run through a
-    /// stack buffer, multi-stage schedules ping-pong through one length-`n`
-    /// slice.
+    /// Exact scratch requirement: single-pass schedules run through a
+    /// stack buffer, multi-pass schedules ping-pong through one length-`n`
+    /// slice. The first stage is never fused, so this is the same as a
+    /// stage-at-a-time schedule would need.
     #[inline]
     pub(crate) fn scratch_len(&self) -> usize {
-        if self.stages.len() <= 1 {
+        if self.passes.len() <= 1 {
             0
         } else {
             self.n
         }
     }
 
-    /// Out-of-place transform (unscaled). The first stage reads straight
-    /// from `input`; the remaining stages ping-pong between `output` and
-    /// `scratch` so the final stage always lands in `output`.
+    /// Out-of-place transform (unscaled). The first pass reads straight
+    /// from `input`; the remaining passes ping-pong between `output` and
+    /// `scratch` so the final pass always lands in `output`.
     pub(crate) fn process(
         &self,
         input: &[Complex<T>],
@@ -124,21 +158,21 @@ impl<T: Real> IterativeFft<T> {
         dir: FftDirection,
     ) {
         let inverse = dir == FftDirection::Inverse;
-        let k = self.stages.len();
+        let k = self.passes.len();
         if k == 1 {
-            run_stage(&self.stages[0], input, output, inverse);
+            run_pass(&self.passes[0], input, output, inverse);
             return;
         }
         let scratch = &mut scratch[..self.n];
-        // After stage 0 there are k−1 ping-pong hops; parity picks the
+        // After pass 0 there are k−1 ping-pong hops; parity picks the
         // first destination so the last hop writes `output`.
         let mut in_scratch = k % 2 == 0;
-        run_stage(&self.stages[0], input, if in_scratch { scratch } else { output }, inverse);
-        for st in &self.stages[1..] {
+        run_pass(&self.passes[0], input, if in_scratch { scratch } else { output }, inverse);
+        for pass in &self.passes[1..] {
             if in_scratch {
-                run_stage(st, scratch, output, inverse);
+                run_pass(pass, scratch, output, inverse);
             } else {
-                run_stage(st, output, scratch, inverse);
+                run_pass(pass, output, scratch, inverse);
             }
             in_scratch = !in_scratch;
         }
@@ -146,9 +180,9 @@ impl<T: Real> IterativeFft<T> {
     }
 
     /// In-place transform (unscaled): `buf` is both input and output.
-    /// Single-stage schedules stage through a stack buffer; multi-stage
+    /// Single-pass schedules stage through a stack buffer; multi-pass
     /// schedules ping-pong `buf` ↔ `scratch`, with one copy-back pass when
-    /// the stage count is odd.
+    /// the pass count is odd.
     pub(crate) fn process_inplace(
         &self,
         buf: &mut [Complex<T>],
@@ -156,21 +190,21 @@ impl<T: Real> IterativeFft<T> {
         dir: FftDirection,
     ) {
         let inverse = dir == FftDirection::Inverse;
-        let k = self.stages.len();
+        let k = self.passes.len();
         if k == 1 {
             // n = radix ≤ MAX_RADIX: gather to the stack, scatter back.
             let mut t = [Complex::<T>::zero(); MAX_RADIX];
             t[..self.n].copy_from_slice(buf);
-            run_stage(&self.stages[0], &t[..self.n], buf, inverse);
+            run_pass(&self.passes[0], &t[..self.n], buf, inverse);
             return;
         }
         let scratch = &mut scratch[..self.n];
         let mut in_scratch = false;
-        for st in &self.stages {
+        for pass in &self.passes {
             if in_scratch {
-                run_stage(st, scratch, buf, inverse);
+                run_pass(pass, scratch, buf, inverse);
             } else {
-                run_stage(st, buf, scratch, inverse);
+                run_pass(pass, buf, scratch, inverse);
             }
             in_scratch = !in_scratch;
         }
@@ -180,11 +214,45 @@ impl<T: Real> IterativeFft<T> {
     }
 }
 
+/// Does a plan in tier `T` fuse radix-4 pairs? The 16-bit tiers' stage
+/// kernels round to storage between stages; their plans keep one stage
+/// per pass.
+#[inline(always)]
+fn fuses<T: Real>() -> bool {
+    T::BYTES >= 4
+}
+
+/// Execute one pass, reading `src` and writing every element of `dst`.
+fn run_pass<T: Real>(pass: &Pass<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
+    match pass {
+        Pass::Single(st) => run_stage(st, src, dst, inverse),
+        Pass::Radix16(a, b) => {
+            // Constant per tier: the 16-bit plans compile no radix-16 body.
+            assert!(fuses::<T>(), "a 16-bit plan has no radix-16 pass");
+            if !vector_radix16(a, b, src, dst, inverse) {
+                scalar_radix16(a, b, src, dst, inverse);
+            }
+        }
+    }
+}
+
 /// Execute one stage, reading `src` and writing every element of `dst`.
 fn run_stage<T: Real>(st: &Stage<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
     if !vector_stage(st, src, dst, inverse) {
         scalar_stage(st, src, dst, inverse);
     }
+}
+
+/// Offer a radix-16 pass (stages `a` then `b`) to the vector kernels;
+/// `true` if one executed it.
+fn vector_radix16<T: Real>(
+    a: &Stage<T>,
+    b: &Stage<T>,
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    inverse: bool,
+) -> bool {
+    crate::simd::pass_radix16(src, dst, b.m, a.s, &a.twiddles, &b.twiddles, inverse)
 }
 
 /// Offer one stage to the vector kernels of [`crate::simd`]; `true` if
@@ -277,6 +345,52 @@ pub(crate) fn butterfly4<T: Real>(
     dst[o + 3 * s] = (f - ih) * w3;
 }
 
+/// One radix-16 butterfly: two layers of [`butterfly4`] through the stack
+/// tile `t`. Inputs `src[i + sm·(l' + 4l)]`, outputs `dst[o + s·(j +
+/// 4j')]`; first-layer butterfly `l'` takes twiddles `wa[l']`, every
+/// second-layer butterfly takes `wb`. The scalar radix-16 pass and the
+/// vector kernels' remainders evaluate exactly this, and their bodies
+/// the same two trees per lane.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn butterfly16<T: Real>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    (i, sm): (usize, usize),
+    (o, s): (usize, usize),
+    wa: &[[Complex<T>; 3]; 4],
+    wb: [Complex<T>; 3],
+    inverse: bool,
+    t: &mut [Complex<T>; 16],
+) {
+    for (l, &w) in wa.iter().enumerate() {
+        butterfly4(src, t, (i + sm * l, 4 * sm), (4 * l, 1), w, inverse);
+    }
+    for j in 0..4 {
+        butterfly4(t, dst, (j, 4), (o + s * j, 4 * s), wb, inverse);
+    }
+}
+
+/// The four first-layer twiddle triples of radix-16 butterfly `p` (stage
+/// `a`, `4m` sub-transforms, butterflies `p + m·l'`) and the second
+/// layer's triple (stage `b`, `m` sub-transforms).
+#[inline(always)]
+pub(crate) fn twiddles16<T: Real>(
+    tw_a: &[Complex<T>],
+    tw_b: &[Complex<T>],
+    m: usize,
+    p: usize,
+    inverse: bool,
+) -> ([[Complex<T>; 3]; 4], [Complex<T>; 3]) {
+    let wa = [
+        twiddles4(tw_a, 4 * m, p, inverse),
+        twiddles4(tw_a, 4 * m, p + m, inverse),
+        twiddles4(tw_a, 4 * m, p + 2 * m, inverse),
+        twiddles4(tw_a, 4 * m, p + 3 * m, inverse),
+    ];
+    (wa, twiddles4(tw_b, m, p, inverse))
+}
+
 /// One table-driven odd-radix butterfly (`r = roots.len()`): inputs
 /// `src[i + l·sm]`, outputs `dst[o + j·s]`, `tw` the butterfly's `r − 1`
 /// twiddles; the counterpart of [`butterfly2`]. Output `j` is the
@@ -363,6 +477,28 @@ fma_pass! {
     }
 }
 
+fma_pass! {
+    /// The scalar radix-16 pass (radix-4 stages `a` at stride `s`, then
+    /// `b` at `4s`): the portable level's, and wherever no vector kernel
+    /// takes the pass.
+    fn scalar_radix16<T: Real>(
+        a: &Stage<T>,
+        b: &Stage<T>,
+        src: &[Complex<T>],
+        dst: &mut [Complex<T>],
+        inverse: bool,
+    ) {
+        let (m, s) = (b.m, a.s);
+        let mut t = [Complex::<T>::zero(); 16];
+        for p in 0..m {
+            let (wa, wb) = twiddles16(&a.twiddles, &b.twiddles, m, p, inverse);
+            for q in 0..s {
+                butterfly16(src, dst, (s * p + q, s * m), (16 * s * p + q, s), &wa, wb, inverse, &mut t);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,27 +547,33 @@ mod tests {
         }
     }
 
-    /// At an AVX2-class level every stage of every power-of-two `f32` /
-    /// `f64` schedule is *taken* by a vector kernel — a silent fall-back
-    /// to the scalar arm (the first stage, before it had a kernel) fails
-    /// here, not in a benchmark. Vacuous when the process runs portable.
+    /// At an AVX2-class level every pass of every power-of-two `f32` /
+    /// `f64` schedule, fused or single, is *taken* by a vector kernel — a
+    /// silent fall-back to a scalar body (the first stage, before it had
+    /// a kernel) fails here, not in a benchmark. Vacuous when the process
+    /// runs portable.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[test]
     fn every_pow2_stage_is_taken_by_a_vector_kernel() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         fn check<T: Real>() {
             for log2 in 3..=13 {
                 let n = 1usize << log2;
                 let eng = IterativeFft::<T>::new(n, &factors_of(n));
                 let src = vec![Complex::<T>::zero(); n];
                 let mut dst = src.clone();
-                for st in &eng.stages {
-                    assert!(
-                        vector_stage(st, &src, &mut dst, false),
-                        "n={n}: radix-{} stage m={} s={} ran scalar",
-                        st.radix,
-                        st.m,
-                        st.s
-                    );
+                for pass in &eng.passes {
+                    let (taken, what) = match pass {
+                        Pass::Single(st) => (
+                            vector_stage(st, &src, &mut dst, false),
+                            format!("radix-{} stage m={} s={}", st.radix, st.m, st.s),
+                        ),
+                        Pass::Radix16(a, b) => (
+                            vector_radix16(a, b, &src, &mut dst, false),
+                            format!("radix-16 pass m={} s={}", b.m, a.s),
+                        ),
+                    };
+                    assert!(taken, "n={n}: {what} ran scalar");
                 }
             }
         }
@@ -439,6 +581,136 @@ mod tests {
             check::<f32>();
             check::<f64>();
         }
+    }
+
+    /// Guards the process-global dispatch level: the schedule test below
+    /// forces it, and the test above reads it.
+    static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Bits of every component, NaNs canonical: which operand's payload a
+    /// NaN inherits is left open by IEEE-754, only where NaNs land is a
+    /// property of the schedule.
+    fn bits<T: Real>(v: &[Complex<T>]) -> Vec<(u64, u64)> {
+        let b = |x: T| if x.to_f64().is_nan() { u64::MAX } else { x.to_f64().to_bits() };
+        v.iter().map(|z| (b(z.re), b(z.im))).collect()
+    }
+
+    /// The reference the pass schedule must reproduce: every stage run on
+    /// its own through [`run_stage`], one trip through memory each.
+    fn stage_at_a_time<T: Real>(
+        eng: &IterativeFft<T>,
+        x: &[Complex<T>],
+        inverse: bool,
+    ) -> Vec<Complex<T>> {
+        let mut cur = x.to_vec();
+        let mut next = vec![Complex::<T>::zero(); x.len()];
+        for pass in &eng.passes {
+            let stages = match pass {
+                Pass::Single(st) => vec![st],
+                Pass::Radix16(a, b) => vec![a, b],
+            };
+            for st in stages {
+                run_stage(st, &cur, &mut next, inverse);
+                std::mem::swap(&mut cur, &mut next);
+            }
+        }
+        cur
+    }
+
+    /// The production pass schedule equals the stage-at-a-time reference
+    /// on bits: every power of two up to 2¹⁴ and three mixed-radix
+    /// lengths, all four tiers, both directions, out of place and in
+    /// place, at the vector level and the portable one, on noise and on
+    /// special values (signed zeros, infinities, NaNs).
+    #[test]
+    fn pass_schedule_equals_stage_at_a_time_on_bits() {
+        use fftmatvec_numeric::half::{bf16, f16};
+        use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
+
+        fn check<T: Real>() {
+            let sizes = (1..=14).map(|k| 1usize << k).chain([60, 240, 2000]);
+            for n in sizes {
+                let eng = IterativeFft::<T>::new(n, &factors_of(n));
+                let mut rng = SplitMix64::new(0x5CED + n as u64);
+                let specials =
+                    [0.0, -0.0, 1.0, -0.5, 3e4, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+                let noise: Vec<Complex<T>> = (0..n)
+                    .map(|_| {
+                        Complex::new(
+                            T::from_f64(rng.uniform(-1.0, 1.0)),
+                            T::from_f64(rng.uniform(-1.0, 1.0)),
+                        )
+                    })
+                    .collect();
+                let special: Vec<Complex<T>> = (0..n)
+                    .map(|_| {
+                        let mut pick =
+                            || T::from_f64(specials[rng.next_u64() as usize % specials.len()]);
+                        Complex::new(pick(), pick())
+                    })
+                    .collect();
+                let mut scratch = vec![Complex::<T>::zero(); eng.scratch_len()];
+                for x in [&noise, &special] {
+                    for dir in [FftDirection::Forward, FftDirection::Inverse] {
+                        let want = bits(&stage_at_a_time(&eng, x, dir == FftDirection::Inverse));
+                        let mut out = vec![Complex::<T>::zero(); n];
+                        eng.process(x, &mut out, &mut scratch, dir);
+                        assert_eq!(
+                            bits(&out),
+                            want,
+                            "{:?} n={n} {dir:?} out of place",
+                            T::PRECISION
+                        );
+                        let mut buf = x.clone();
+                        eng.process_inplace(&mut buf, &mut scratch, dir);
+                        assert_eq!(bits(&buf), want, "{:?} n={n} {dir:?} in place", T::PRECISION);
+                    }
+                }
+            }
+        }
+
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = active_level();
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
+            if !level_supported(level) {
+                continue;
+            }
+            set_active_level(level);
+            check::<f64>();
+            check::<f32>();
+            check::<f16>();
+            check::<bf16>();
+        }
+        set_active_level(prev);
+    }
+
+    /// The pass schedule: after the first stage, radix-4 pairs at
+    /// `s ≥ 4` fuse, left to right, in the native tiers only.
+    #[test]
+    fn radix4_pairs_after_the_first_stage_fuse_in_native_tiers() {
+        fn shape<T: Real>(n: usize) -> Vec<usize> {
+            let eng = IterativeFft::<T>::new(n, &factors_of(n));
+            let shape: Vec<usize> = eng
+                .passes
+                .iter()
+                .map(|pass| match pass {
+                    Pass::Single(st) => st.radix,
+                    Pass::Radix16(..) => 16,
+                })
+                .collect();
+            assert_eq!(eng.stage_count(), factors_of(n).len(), "n={n}");
+            shape
+        }
+        assert_eq!(shape::<f64>(4096), [4, 16, 16, 4]);
+        assert_eq!(shape::<f32>(1024), [4, 16, 16]);
+        assert_eq!(shape::<f64>(64), [4, 16]);
+        assert_eq!(shape::<f64>(16), [4, 4]);
+        assert_eq!(shape::<f64>(2048), [4, 16, 16, 2]);
+        assert_eq!(shape::<f64>(8192), [4, 16, 16, 4, 2]);
+        assert_eq!(shape::<f64>(240), [4, 4, 3, 5]);
+        assert_eq!(shape::<f32>(2000), [4, 4, 5, 5, 5]);
+        assert_eq!(shape::<fftmatvec_numeric::half::f16>(4096), [4; 6]);
+        assert_eq!(shape::<fftmatvec_numeric::half::bf16>(64), [4; 3]);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * `Iterative` — Stockham-style iterative schedule
 //!   (`iterative` module): radix-4/radix-2 stages with hand-coded
 //!   butterflies, a table-driven generic butterfly for odd radices up to
-//!   [`MAX_RADIX`], self-sorting ping-pong execution.
+//!   [`MAX_RADIX`], self-sorting ping-pong execution. The stages are
+//!   grouped once, at construction, into a pass schedule: after the first
+//!   stage, consecutive radix-4 pairs of an `f32` / `f64` plan run as one
+//!   radix-16 pass through memory, with the bits of the two stages run
+//!   one at a time. [`FftPlan::stage_count`] still counts stages.
 //! * `Bluestein` — chirp-z fallback for lengths with a prime factor larger
 //!   than [`MAX_RADIX`] (delegates to [`crate::bluestein`]).
 //!
@@ -239,7 +243,8 @@ impl<T: Real> FftPlan<T> {
     }
 
     /// Number of iterative butterfly stages (`0` for tiny and Bluestein
-    /// plans) — exposed for scratch audits and tests.
+    /// plans; a radix-16 pass counts its two) — exposed for scratch
+    /// audits and tests.
     pub fn stage_count(&self) -> usize {
         match &self.strategy {
             Strategy::Iterative(engine) => engine.stage_count(),

@@ -19,7 +19,9 @@
 //! * `f32`/`f64` stages of any radix with inner stride `s` of at least
 //!   one register run lanes across `q` (the stride-`s` inner loop); a
 //!   radix-2/4 first stage (`s == 1`) runs lanes across *butterflies* `p`
-//!   and transposes its outputs in-register.
+//!   and transposes its outputs in-register. A radix-16 pass (two fused
+//!   radix-4 stages, `s ≥ 4`) runs lanes across `q` too, with its 16
+//!   intermediates in registers.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
@@ -165,6 +167,39 @@ pub(crate) fn stage_radix4<T: Real>(
         (f64, s == 1 || s >= 2, x86::pd::radix4),
         (fftmatvec_numeric::half::f16, s >= 4, x86::radix4_f16),
         (fftmatvec_numeric::half::bf16, s >= 4, x86::radix4_bf16),
+    );
+    false
+}
+
+/// Vectorized radix-16 pass: the radix-4 stages at strides `s` and `4s`
+/// (sub-transform counts `4m` and `m`, twiddle tables `tw_a`, `tw_b`) in
+/// one trip through memory. `f32` / `f64` only — the 16-bit plans never
+/// fuse stages. Returns `false` if no vector kernel applies.
+#[allow(unused_variables)]
+pub(crate) fn pass_radix16<T: Real>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    m: usize,
+    s: usize,
+    tw_a: &[Complex<T>],
+    tw_b: &[Complex<T>],
+    inverse: bool,
+) -> bool {
+    assert!(
+        src.len() == 16 * m * s
+            && dst.len() == src.len()
+            && tw_a.len() == 12 * m
+            && tw_b.len() == 3 * m,
+        "radix-16 pass extents: src {}, dst {}, twiddles {} + {} for m = {m}, s = {s}",
+        src.len(),
+        dst.len(),
+        tw_a.len(),
+        tw_b.len()
+    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    try_kernels!((src, tw_a, tw_b), (dst), (m, s, inverse);
+        (f32, s >= 4, x86::ps::radix16),
+        (f64, s >= 2, x86::pd::radix16),
     );
     false
 }

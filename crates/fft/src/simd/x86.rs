@@ -1,5 +1,5 @@
 //! AVX2+FMA kernels. Bit-identical to the scalar passes they shadow
-//! (`crate::iterative::{butterfly2, butterfly4, butterfly_odd}`,
+//! (`crate::iterative::{butterfly2, butterfly4, butterfly16, butterfly_odd}`,
 //! `crate::real::{unpack_pair, repack_pair}`);
 //! see the module doc of [`super`] for the identity argument and
 //! `fftmatvec_numeric::simd::x86` for the shared complex/conversion
@@ -24,7 +24,9 @@ use fftmatvec_numeric::simd::x86::{
 };
 use fftmatvec_numeric::Complex;
 
-use crate::iterative::{butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles4};
+use crate::iterative::{
+    butterfly16, butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles16, twiddles4,
+};
 use crate::plan::MAX_RADIX;
 use crate::real::{repack_pair, unpack_pair};
 
@@ -190,6 +192,70 @@ macro_rules! native_kernels {
                 }
                 for q in q..s {
                     butterfly4(src, dst, (i0 + q, sm), (o0 + q, s), ws, inverse);
+                }
+            }
+        }
+
+        /// Radix-16 pass — the radix-4 stages at strides `s` and `4s` in
+        /// one trip through memory — `L` butterflies per step across `q`
+        /// (`s ≥ L`): [`butterflies4`] twice per lane, the tree of
+        /// [`butterfly16`]. Extents: `src.len() == dst.len() == 16·m·s`,
+        /// `tw_a.len() == 12·m`, `tw_b.len() == 3·m`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix16(
+            src: &[C],
+            tw_a: &[C],
+            tw_b: &[C],
+            dst: &mut [C],
+            m: usize,
+            s: usize,
+            inverse: bool,
+        ) {
+            let (sp, ta, tb, dp) = (src.as_ptr(), tw_a.as_ptr(), tw_b.as_ptr(), dst.as_mut_ptr());
+            let sm = s * m;
+            let ih_mask = if inverse { neg_re() } else { neg_im() };
+            let conj = conj_mask(inverse);
+            // Twiddle `x` of a plane, broadcast straight from the table
+            // and conjugated in the register: the values of
+            // [`twiddles16`].
+            let tw = |t: *const C, x: usize| xor(bcast(*t.add(x)), conj);
+            for p in 0..m {
+                let mut wa = [[splat(0.0); 3]; 4];
+                for (l, wl) in wa.iter_mut().enumerate() {
+                    for (k, w) in wl.iter_mut().enumerate() {
+                        *w = tw(ta, 4 * m * k + m * l + p);
+                    }
+                }
+                let wb = [tw(tb, p), tw(tb, m + p), tw(tb, 2 * m + p)];
+                let i0 = s * p;
+                let o0 = 16 * s * p;
+                let mut q = 0;
+                while q + L <= s {
+                    let mut x = [[splat(0.0); 4]; 4];
+                    for l in 0..4 {
+                        let t = [
+                            load(sp.add(i0 + sm * l + q)),
+                            load(sp.add(i0 + sm * (l + 4) + q)),
+                            load(sp.add(i0 + sm * (l + 8) + q)),
+                            load(sp.add(i0 + sm * (l + 12) + q)),
+                        ];
+                        x[l] = butterflies4(t, wa[l], ih_mask);
+                    }
+                    for j in 0..4 {
+                        let o = butterflies4([x[0][j], x[1][j], x[2][j], x[3][j]], wb, ih_mask);
+                        for (jj, &oj) in o.iter().enumerate() {
+                            store(dp.add(o0 + s * (j + 4 * jj) + q), oj);
+                        }
+                    }
+                    q += L;
+                }
+                if q < s {
+                    let (was, wbs) = twiddles16(tw_a, tw_b, m, p, inverse);
+                    let mut tile = [C::zero(); 16];
+                    for q in q..s {
+                        let (i, o) = ((i0 + q, sm), (o0 + q, s));
+                        butterfly16(src, dst, i, o, &was, wbs, inverse, &mut tile);
+                    }
                 }
             }
         }

@@ -53,6 +53,14 @@ pub enum ServiceError {
         /// The rejected budget.
         budget: f64,
     },
+    /// The input vector holds a NaN or ±∞. The request is refused at
+    /// submission and never shares a batch window.
+    NonFiniteInput {
+        /// Operator the request was submitted to.
+        operator: String,
+        /// Index of the first non-finite entry.
+        index: usize,
+    },
     /// A budget-routed submission targeted an operator that was
     /// registered without autotune support (`register` / `register_fft`
     /// rather than `register_fft_tunable`).
@@ -86,6 +94,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::InvalidBudget { budget } => {
                 write!(f, "error budget {budget} must be finite and positive")
+            }
+            ServiceError::NonFiniteInput { operator, index } => {
+                write!(f, "input for operator {operator:?} is not finite at index {index}")
             }
             ServiceError::NotTunable { operator } => {
                 write!(f, "operator {operator:?} was not registered as tunable")

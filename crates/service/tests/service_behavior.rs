@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fftmatvec_core::{
-    BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, OpError, OpShape,
+    BlockToeplitzOperator, FftMatvec, FftMatvecBuilder, LinearOperator, OpDirection, OpError,
+    OpShape,
 };
 use fftmatvec_numeric::SplitMix64;
 use fftmatvec_service::{block_on, OperatorRegistry, Service, ServiceConfig, ServiceError};
@@ -16,18 +17,18 @@ const ND: usize = 2;
 const NM: usize = 3;
 const NT: usize = 16;
 
-fn registry() -> Arc<OperatorRegistry> {
+/// The pipeline every test serves as `"tomo"`; a second build is its
+/// bit-identical solo reference.
+fn tomo() -> FftMatvecBuilder {
     let mut rng = SplitMix64::new(7);
     let mut col = vec![0.0; NT * ND * NM];
     rng.fill_uniform(&mut col, -1.0, 1.0);
+    FftMatvec::builder(BlockToeplitzOperator::from_first_block_column(ND, NM, NT, &col).unwrap())
+}
+
+fn registry() -> Arc<OperatorRegistry> {
     let reg = Arc::new(OperatorRegistry::new());
-    reg.register_fft(
-        "tomo",
-        FftMatvec::builder(
-            BlockToeplitzOperator::from_first_block_column(ND, NM, NT, &col).unwrap(),
-        ),
-    )
-    .unwrap();
+    reg.register_fft("tomo", tomo()).unwrap();
     reg
 }
 
@@ -72,6 +73,62 @@ fn wrong_shape_is_rejected_at_submit() {
     // The typed chain reaches the OpError for logging.
     use std::error::Error;
     assert!(err.source().is_some());
+}
+
+/// A burst of 32 with one NaN and one +∞ among them: those two are
+/// refused at submission with the typed error and the index of the bad
+/// entry; the other 30 share one window and each carries the bits of its
+/// solo apply; the counters reconcile.
+#[test]
+fn non_finite_inputs_are_refused_and_do_not_poison_the_burst() {
+    let (burst, nan_at, inf_at) = (32usize, 5usize, 17usize);
+    let service = Service::new(
+        registry(),
+        ServiceConfig {
+            max_batch: burst - 2,
+            max_delay: Duration::from_secs(3600),
+            ..frozen_window()
+        },
+    );
+    let inputs: Vec<Vec<f64>> = (0..burst)
+        .map(|b| {
+            let mut x = vec![0.0; NM * NT];
+            SplitMix64::new(0xB0 + b as u64).fill_uniform(&mut x, -1.0, 1.0);
+            match b {
+                _ if b == nan_at => x[3] = f64::NAN,
+                _ if b == inf_at => x[NM * NT - 1] = f64::INFINITY,
+                _ => {}
+            }
+            x
+        })
+        .collect();
+    let submits: Vec<_> =
+        inputs.iter().map(|x| service.submit("tomo", OpDirection::Forward, x.clone())).collect();
+
+    let reference = tomo().build().unwrap();
+    let mut want = vec![0.0; ND * NT];
+    for (b, (x, submit)) in inputs.iter().zip(submits).enumerate() {
+        if b == nan_at || b == inf_at {
+            let index = if b == nan_at { 3 } else { NM * NT - 1 };
+            assert_eq!(
+                submit.unwrap_err(),
+                ServiceError::NonFiniteInput { operator: "tomo".into(), index },
+                "request {b}"
+            );
+            continue;
+        }
+        let got = submit.unwrap().wait().unwrap();
+        reference.apply_into(OpDirection::Forward, x, &mut want).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "request {b} differs from its solo apply");
+    }
+
+    let stats = service.stats();
+    assert_eq!(stats.rejected, 2);
+    assert_eq!(stats.submitted, burst as u64 - 2);
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!((stats.expired, stats.failed, stats.panicked), (0, 0, 0));
+    assert_eq!((stats.batches, stats.closed_full, stats.batched_requests), (1, 1, 30));
 }
 
 #[test]
