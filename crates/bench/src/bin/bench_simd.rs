@@ -13,26 +13,17 @@
 //!   butterfly stages) per precision tier, and `fft_real_forward_n<N>` —
 //!   the pipeline's R2C transform at the `bench_e2e` lengths and the
 //!   paper's `N_t = 1000` (mixed radix), `f32`/`f64`;
-//! * `sbgemv_notrans` — the short-wide GEMV row-tile sweep (real tiers),
-//!   and `sbgemv_notrans_<m>x<n>` — `Complex<f32>` blocks with fewer rows
-//!   than a register (2) and one row short of one (3), the masked
-//!   partial register of the forward tile;
-//! * `sbgemv_conjtrans` — the column-tiled transposed sweep on the
-//!   pipeline's phase-3 block (16×256, complex), the adjoint's kernel;
+//! * `sbgemv_freqminor_<nd>x<nm>x<nfreq>` — the SBGEMV every apply runs,
+//!   [`sbgemv_freq_minor`] on the frequency-minor `F̂` every
+//!   `BlockToeplitzOperator` stores, one F and one F\* call per sample,
+//!   on the `bench_e2e` operator shapes and a few blocks between them
+//!   (`Complex<f32>` / `Complex<f64>`); both legs' outputs are compared on
+//!   bits before they are timed;
 //! * `pointwise_mul` — the backend's symbol multiply, an FMA-context
 //!   scalar pass (`fftmatvec_numeric::fma_pass`).
 //!
-//! The `sbgemv_freqminor_<nd>x<nm>x<nfreq>` rows reuse the two legs for
-//! the paper's phase 3 against the pipeline's, one F and one F\* symbol
-//! apply per call, spectra in and spectra out: per-frequency blocks
-//! (reorder-in → [`sbgemv`], Figure 1's kernel → reorder-out, first leg)
-//! against the frequency-minor `F̂` every `BlockToeplitzOperator` stores
-//! ([`sbgemv_freq_minor`], no reorder, second leg), both at the active
-//! level and compared on bits before they are timed. The
-//! `sbgemv_freqminor_cast_*` rows are the mixed-tier apply of the same
-//! shapes: the transforms in the other tier than the SBGEMV, so the block
-//! leg's reorders cast and the frequency-minor leg pays two contiguous
-//! casts (`DeviceBackend::cast_complex`) around its kernel.
+//! Figure 1's block kernel (`blas::sbgemv`) has no row: it has no vector
+//! tile, only the scalar `fma_pass!` bodies every level shares.
 //!
 //! The `layout_*` rows reuse the two legs for a different pair: the
 //! element-by-element loop the pad / reorder / unpad kernels used to be
@@ -42,17 +33,16 @@
 //!
 //! Four checks, mirroring the other bench gates:
 //! * **floor** — the 16-bit conversion and butterfly kernels, the
-//!   pointwise multiply, the remainder-row SBGEMV blocks,
-//!   `layout_reorder_out` and the `sbgemv_freqminor_*` rows of
-//!   [`FREQMINOR_GATED`] must be no slower than their first leg
-//!   ([`SIMD_FLOOR`], 1.0×);
+//!   pointwise multiply and `layout_reorder_out` must be no slower than
+//!   their first leg ([`SIMD_FLOOR`], 1.0×);
 //! * **layout floor** — the three layout passes with a power-of-two
 //!   destination stride must beat the naive loop by
 //!   [`LAYOUT_TILE_FLOOR`] (2.0×; measured 3.8–4.8×);
-//! * **FFT floor** — the `f32`/`f64` transforms must beat the portable
-//!   level by [`SIMD_FFT_FLOOR`] (3.0×): every pass of theirs is a vector
-//!   or FMA-context pass, and a silent fall-back of one of them to the
-//!   plain scalar path costs more than that margin;
+//! * **vector floor** — the `f32`/`f64` transforms and the
+//!   `sbgemv_freqminor_*` rows must beat the portable level by
+//!   [`SIMD_FFT_FLOOR`] (3.0×): every pass of theirs is a vector or
+//!   FMA-context pass, and a silent fall-back of one of them to the plain
+//!   scalar path costs more than that margin;
 //! * **baseline** — every row's speedup must stay within `-tol` of the
 //!   committed `bench/baseline_simd.json`.
 //!
@@ -75,7 +65,7 @@ use fftmatvec_backend::{CpuPool, DeviceBackend};
 use fftmatvec_bench::record::{self, Record, LAYOUT_TILE_FLOOR, SIMD, SIMD_FFT_FLOOR, SIMD_FLOOR};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{naive_transpose_map, rule, Args};
-use fftmatvec_blas::{sbgemv, sbgemv_freq_minor, BatchGeometry, GemvOp};
+use fftmatvec_blas::{sbgemv_freq_minor, GemvOp};
 use fftmatvec_core::layout;
 use fftmatvec_fft::{FftPlan, RealFftPlan};
 use fftmatvec_numeric::simd::{
@@ -83,7 +73,7 @@ use fftmatvec_numeric::simd::{
     widen_f16_to_f32, SimdLevel,
 };
 use fftmatvec_numeric::{
-    bf16, f16, Complex, ComplexBuffer, Precision, Real, RealBuffer, Scalar, SplitMix64, C64,
+    bf16, f16, Complex, ComplexBuffer, Precision, Real, RealBuffer, Scalar, SplitMix64, C32, C64,
 };
 
 /// Elements per conversion call. Deliberately L1-resident (4096 f32 =
@@ -101,31 +91,18 @@ const FFT_N: usize = 1024;
 /// shapes, and the paper's own `N_t = 1000` (2000 = 2·4·2·5³: three
 /// table-driven radix-5 stages).
 const REAL_FFT_NS: [usize; 3] = [128, 2000, 8192];
-/// Short-wide SBGEMV shape (paper regime: `m ≪ n`), batched.
-const GEMV_SHAPE: (usize, usize, usize) = (64, 256, 4);
-/// The `bench_e2e` `paper_*` phase-3 block: `N_d × N_m` per frequency,
-/// `N_t + 1` frequencies.
-const PAPER_BLOCK: (usize, usize, usize) = (16, 256, 65);
-/// `Complex<f32>` forward blocks below one register of rows: the smallest
-/// `bench_matvec` shape's (2×64, where mixed precision used to lose to
-/// double) and a three-sensor paper block.
-const REMAINDER_BLOCKS: [(usize, usize, usize); 2] = [(2, 64, 65), (3, 256, 65)];
-/// `N_d × N_m × (N_t + 1)` of the `sbgemv_freqminor_*` rows the floor
-/// gates: the `bench_e2e` `longseries_dd` and `serve_*` operators, an odd
-/// block, 8×8 and 16×16 — blocks small enough that the block kernel's
-/// per-block tile set-up loses it the row by ≥ 1.4× in three quick runs
-/// (2.3–11× below 16×16).
-const FREQMINOR_GATED: [(usize, usize, usize); 5] =
-    [(4, 4, 4097), (2, 16, 65), (3, 5, 1025), (8, 8, 513), (16, 16, 65)];
-/// The `sbgemv_freqminor_*` rows reported but not gated: paper-shaped
-/// blocks up to `paper_dd`'s, on which the c64 margin (1.07–1.29× in three
-/// quick runs) is inside the spread a busy host adds. Their end-to-end
-/// comparison is `bench_e2e`'s `paper_*` workloads.
-const FREQMINOR_REPORTED: [(usize, usize, usize); 2] = [(16, 64, 65), (16, 256, 65)];
-/// The blocks that also get `sbgemv_freqminor_cast_*` rows (the
-/// transforms in the other tier than the SBGEMV): the `bench_e2e`
-/// operators the service autotuner routes.
-const CAST_BLOCKS: [(usize, usize, usize); 2] = [(4, 4, 4097), (2, 16, 65)];
+/// `N_d × N_m × (N_t + 1)` of the `sbgemv_freqminor_*` rows: the
+/// `bench_e2e` `longseries_dd` and `serve_*` operators, an odd block, 8×8,
+/// 16×16, 16×64 and the `paper_*` operator's 16×256.
+const FREQMINOR_BLOCKS: [(usize, usize, usize); 7] = [
+    (4, 4, 4097),
+    (2, 16, 65),
+    (3, 5, 1025),
+    (8, 8, 513),
+    (16, 16, 65),
+    (16, 64, 65),
+    (16, 256, 65),
+];
 /// Complex elements per `pointwise_mul` call (`toeplitz_2level`'s grid).
 const POINTWISE_LEN: usize = 1 << 14;
 /// The `paper_dd` forward input: `N_m` series of `N_t` steps.
@@ -268,38 +245,6 @@ fn measure_fft<T: Real>(
     }
 }
 
-fn measure_gemv<S: Scalar>(
-    rows: &mut Vec<Record>,
-    kernel: &str,
-    op: GemvOp,
-    (m, n, batch): (usize, usize, usize),
-    precision: &str,
-    level: SimdLevel,
-    samples: usize,
-    ms: f64,
-) {
-    let mut rng = SplitMix64::new(47);
-    let mut fill = |len: usize| -> Vec<S> {
-        (0..len)
-            .map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
-            .collect()
-    };
-    let g = BatchGeometry::packed(m, n, op, batch);
-    let a = fill(batch * m * n);
-    let x = fill(batch * op.input_len(m, n));
-    let mut y: Vec<S> = fill(batch * op.output_len(m, n));
-    let (alpha, beta) = (S::one(), S::zero());
-    measure(
-        rows,
-        kernel,
-        precision,
-        level,
-        || sbgemv(op, alpha, black_box(&a), black_box(&x), beta, black_box(&mut y), &g),
-        samples,
-        ms,
-    );
-}
-
 /// The backend's pointwise symbol multiply in tier `p`. The symbol has
 /// unit modulus so the grid keeps its magnitude over millions of calls
 /// (a decaying grid ends in subnormals and measures the microcode assist).
@@ -385,93 +330,45 @@ fn measure_layout(rows: &mut Vec<Record>, level: SimdLevel, samples: usize, ms: 
     });
 }
 
-/// Typed views of a [`ComplexBuffer`] known to hold tier `T`.
-type View<T> = fn(&ComplexBuffer) -> Option<&[Complex<T>]>;
-type ViewMut<T> = fn(&mut ComplexBuffer) -> Option<&mut [Complex<T>]>;
-
-/// One `sbgemv_freqminor_*` row: the symbol apply of F and of F\* on one
-/// operator shape with the SBGEMV in tier `T`, from `[series][freq]`
-/// spectra to `[series][freq]` spectra of tier `spec_p`, through the
-/// paper's block-major phase 3 and through the frequency-minor one
-/// `core::pipeline` drives. With `spec_p` = `T`'s tier
-/// that is reorder → [`sbgemv`] → reorder against [`sbgemv_freq_minor`]
-/// alone (`sbgemv_freqminor_<shape>`); with the transforms in the other
-/// tier (`sbgemv_freqminor_cast_<shape>` — `dsd` resp. `sds` around the
-/// kernel) the reorders cast on the block side and the frequency-minor
-/// side pays the device's two contiguous casts.
-fn measure_freq_minor<T: Real>(
+/// One `sbgemv_freqminor_*` row: one F and one F\* [`sbgemv_freq_minor`]
+/// call on one operator shape, spectra in and spectra out, at the portable
+/// level against the active one; the two legs' outputs are compared on
+/// bits before they are timed.
+fn measure_freq_minor<S: Scalar>(
     rows: &mut Vec<Record>,
     (nd, nm, nfreq): (usize, usize, usize),
-    (precision, view, view_mut): (&str, View<T>, ViewMut<T>),
-    spec_p: Precision,
+    precision: &str,
     level: SimdLevel,
     samples: usize,
     ms: f64,
 ) {
-    let p = T::PRECISION;
     let mut rng = SplitMix64::new(61);
-    let mut fill = |len: usize| -> Vec<Complex<f64>> {
-        (0..len).map(|_| Complex::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))).collect()
+    let mut fill = |len: usize| -> Vec<S> {
+        (0..len)
+            .map(|_| S::from_f64_parts(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+            .collect()
     };
-    // Frequency-minor entries (i, k) in row-major order, and the same
-    // values as per-frequency column-major blocks.
-    let minor: Vec<Complex<T>> = fill(nd * nm * nfreq).iter().map(|z| z.cast()).collect();
-    let mut blocks = vec![Complex::<T>::zero(); minor.len()];
-    for k in 0..nm {
-        let (src, dst) = (&minor[k * nfreq..], &mut blocks[k * nd..]);
-        naive_transpose_map(src, nm * nfreq, dst, nd * nm, nd, nfreq, |v| v);
-    }
-    // (op, input spectra, input series, output series) of F and of F*.
-    let dirs = [
-        (GemvOp::NoTrans, ComplexBuffer::from_c64(spec_p, &fill(nm * nfreq)), nm, nd),
-        (GemvOp::ConjTrans, ComplexBuffer::from_c64(spec_p, &fill(nd * nfreq)), nd, nm),
-    ];
-
-    let device = CpuPool::new();
-    let empty = || ComplexBuffer::zeros(p, 0);
-    let (mut xhat, mut yhat) = (empty(), empty());
-    let mut via_blocks = |outs: &mut [ComplexBuffer; 2]| {
-        for ((op, spec, n_in, n_out), out) in dirs.iter().zip(outs) {
-            layout::spectrum_to_batch_into(black_box(spec), *n_in, nfreq, p, &mut xhat);
-            yhat.reset_for_overwrite(p, n_out * nfreq);
-            let (x, y) = (view(&xhat).expect("tier"), view_mut(&mut yhat).expect("tier"));
-            let g = BatchGeometry::packed(nd, nm, *op, nfreq);
-            sbgemv(*op, Complex::one(), black_box(&blocks), x, Complex::zero(), y, &g);
-            layout::batch_to_spectrum_into(&yhat, *n_out, nfreq, spec_p, out);
+    let a = fill(nd * nm * nfreq);
+    // (op, input spectra) of F and of F*, and their output spectra.
+    let dirs = [(GemvOp::NoTrans, fill(nm * nfreq)), (GemvOp::ConjTrans, fill(nd * nfreq))];
+    let mut ys = [vec![S::zero(); nd * nfreq], vec![S::zero(); nm * nfreq]];
+    let apply = |ys: &mut [Vec<S>; 2]| {
+        for ((op, x), y) in dirs.iter().zip(ys) {
+            sbgemv_freq_minor(*op, black_box(&a), black_box(x), y, nd, nm, nfreq);
         }
     };
-    let (mut xcast, mut ycast) = (empty(), empty());
-    let mut via_minor = |outs: &mut [ComplexBuffer; 2]| {
-        for ((op, spec, _, n_out), out) in dirs.iter().zip(outs) {
-            let x = if spec_p == p {
-                black_box(spec)
-            } else {
-                device.cast_complex(black_box(spec), p, &mut xcast).expect("cpu cast");
-                &xcast
-            };
-            let y = if spec_p == p { &mut *out } else { &mut ycast };
-            y.reset_for_overwrite(p, n_out * nfreq);
-            let (x, y_t) = (view(x).expect("tier"), view_mut(y).expect("tier"));
-            sbgemv_freq_minor(*op, black_box(&minor), x, y_t, nd, nm, nfreq);
-            if spec_p != p {
-                device.cast_complex(&ycast, spec_p, out).expect("cpu cast");
-            }
-        }
+    let bits = |ys: &[Vec<S>; 2]| -> Vec<(u64, u64)> {
+        let parts = ys.iter().flatten().map(|s| s.to_f64_parts());
+        parts.map(|(re, im)| (re.to_bits(), im.to_bits())).collect()
     };
-    let (mut by_blocks, mut by_minor) = ([empty(), empty()], [empty(), empty()]);
-    via_blocks(&mut by_blocks);
-    via_minor(&mut by_minor);
-    let cast = if spec_p == p { "" } else { "cast_" };
-    let kernel = format!("sbgemv_freqminor_{cast}{nd}x{nm}x{nfreq}");
-    assert_eq!(by_minor, by_blocks, "{kernel} {precision}: the layouts disagree");
-    measure_legs(
-        rows,
-        (&kernel, precision, level),
-        ("blocks", || via_blocks(&mut by_blocks)),
-        || via_minor(&mut by_minor),
-        samples,
-        ms,
-    );
+    let kernel = format!("sbgemv_freqminor_{nd}x{nm}x{nfreq}");
+    set_active_level(SimdLevel::Portable);
+    apply(&mut ys);
+    let portable = bits(&ys);
+    set_active_level(level);
+    apply(&mut ys);
+    assert!(bits(&ys) == portable, "{kernel} {precision}: {} differs from portable", level.name());
+    measure(rows, &kernel, precision, level, || apply(&mut ys), samples, ms);
 }
 
 /// Is `r` a row of a 16-bit tier?
@@ -479,28 +376,13 @@ fn sixteen_bit(r: &Record) -> bool {
     matches!(SIMD.render(r, "precision").as_str(), "f16" | "bf16")
 }
 
-/// Is `kernel` a `sbgemv_freqminor_{,cast_}<nd>x<nm>x<nfreq>` row of a
-/// [`FREQMINOR_GATED`] block?
-fn freqminor_gated(kernel: &str) -> bool {
-    let shape = kernel.strip_prefix("sbgemv_freqminor_").unwrap_or("");
-    let dims = shape.strip_prefix("cast_").unwrap_or(shape).split('x');
-    let dims: Vec<usize> = dims.filter_map(|d| d.parse().ok()).collect();
-    matches!(dims[..], [nd, nm, nfreq] if FREQMINOR_GATED.contains(&(nd, nm, nfreq)))
-}
-
 /// Rows [`SIMD_FLOOR`] applies to: the 16-bit conversion and butterfly
-/// kernels, the pointwise multiply, the remainder-row forward blocks, the
-/// one layout pass whose destination stride is not a power of two, and
-/// the small-block `sbgemv_freqminor_*` rows — there the frequency-minor
-/// kernel every operator runs must not lose to the block path.
+/// kernels, the pointwise multiply and the one layout pass whose
+/// destination stride is not a power of two.
 fn floor_gated(r: &Record) -> bool {
     let kernel = SIMD.render(r, "kernel");
     let sixteen = sixteen_bit(r) && (kernel.starts_with("convert") || kernel.starts_with("fft"));
-    sixteen
-        || kernel == "pointwise_mul"
-        || kernel.starts_with("sbgemv_notrans_")
-        || kernel == "layout_reorder_out"
-        || freqminor_gated(&kernel)
+    sixteen || kernel == "pointwise_mul" || kernel == "layout_reorder_out"
 }
 
 /// Rows [`LAYOUT_TILE_FLOOR`] applies to: the layout passes with a
@@ -509,9 +391,11 @@ fn layout_floor_gated(r: &Record) -> bool {
     matches!(SIMD.render(r, "kernel").as_str(), "layout_pad" | "layout_reorder_in" | "layout_unpad")
 }
 
-/// Rows [`SIMD_FFT_FLOOR`] applies to: the `f32`/`f64` transforms.
-fn fft_floor_gated(r: &Record) -> bool {
-    !sixteen_bit(r) && SIMD.render(r, "kernel").starts_with("fft")
+/// Rows [`SIMD_FFT_FLOOR`] applies to: the `f32`/`f64` transforms and the
+/// frequency-minor SBGEMV.
+fn vector_floor_gated(r: &Record) -> bool {
+    let kernel = SIMD.render(r, "kernel");
+    (!sixteen_bit(r) && kernel.starts_with("fft")) || kernel.starts_with("sbgemv_freqminor_")
 }
 
 fn main() {
@@ -522,7 +406,8 @@ fn main() {
     let level = active_level();
     println!(
         "SIMD ratio gate: portable scalar vs {} (min {:.2}x on 16-bit, pointwise and \
-         remainder-row rows, {:.2}x on f32/f64 fft rows, {:.2}x tiled vs naive on layout rows)",
+         reorder-out rows, {:.2}x on f32/f64 fft and sbgemv_freqminor rows, {:.2}x tiled vs \
+         naive on layout rows)",
         level.name(),
         SIMD_FLOOR.bound,
         SIMD_FFT_FLOOR.bound,
@@ -540,30 +425,9 @@ fn main() {
         measure_fft::<f64>(&mut rows, (n, true), "f64", level, samples, sample_ms);
         measure_fft::<f32>(&mut rows, (n, true), "f32", level, samples, sample_ms);
     }
-    let (n, k) = (GemvOp::NoTrans, "sbgemv_notrans");
-    measure_gemv::<f32>(&mut rows, k, n, GEMV_SHAPE, "f32", level, samples, sample_ms);
-    measure_gemv::<f16>(&mut rows, k, n, GEMV_SHAPE, "f16", level, samples, sample_ms);
-    measure_gemv::<bf16>(&mut rows, k, n, GEMV_SHAPE, "bf16", level, samples, sample_ms);
-    let (h, k) = (GemvOp::ConjTrans, "sbgemv_conjtrans");
-    measure_gemv::<Complex<f32>>(&mut rows, k, h, PAPER_BLOCK, "c32", level, samples, sample_ms);
-    measure_gemv::<Complex<f64>>(&mut rows, k, h, PAPER_BLOCK, "c64", level, samples, sample_ms);
-    for shape in REMAINDER_BLOCKS {
-        let k = format!("sbgemv_notrans_{}x{}", shape.0, shape.1);
-        measure_gemv::<Complex<f32>>(&mut rows, &k, n, shape, "c32", level, samples, sample_ms);
-    }
-    for shape in FREQMINOR_GATED.into_iter().chain(FREQMINOR_REPORTED) {
-        let c64: (_, View<f64>, ViewMut<f64>) =
-            ("c64", ComplexBuffer::as_c64, ComplexBuffer::as_c64_mut);
-        let c32: (_, View<f32>, ViewMut<f32>) =
-            ("c32", ComplexBuffer::as_c32, ComplexBuffer::as_c32_mut);
-        let (d, f) = (Precision::Double, Precision::Single);
-        measure_freq_minor(&mut rows, shape, c64, d, level, samples, sample_ms);
-        measure_freq_minor(&mut rows, shape, c32, f, level, samples, sample_ms);
-        // The mixed-tier apply of the shapes the service autotuner routes.
-        if CAST_BLOCKS.contains(&shape) {
-            measure_freq_minor(&mut rows, shape, c64, f, level, samples, sample_ms);
-            measure_freq_minor(&mut rows, shape, c32, d, level, samples, sample_ms);
-        }
+    for shape in FREQMINOR_BLOCKS {
+        measure_freq_minor::<C64>(&mut rows, shape, "c64", level, samples, sample_ms);
+        measure_freq_minor::<C32>(&mut rows, shape, "c32", level, samples, sample_ms);
     }
     measure_pointwise(&mut rows, Precision::Single, "f32", level, samples, sample_ms);
     measure_pointwise(&mut rows, Precision::Double, "f64", level, samples, sample_ms);
@@ -586,7 +450,7 @@ fn main() {
         SIMD.threshold_failures(&gated, bar)
     };
     let mut below_floor = below(floor_gated, &SIMD_FLOOR);
-    below_floor.extend(below(fft_floor_gated, &SIMD_FFT_FLOOR));
+    below_floor.extend(below(vector_floor_gated, &SIMD_FFT_FLOOR));
     below_floor.extend(below(layout_floor_gated, &LAYOUT_TILE_FLOOR));
     record::finish(&SIMD, &args, &rows, below_floor);
 }

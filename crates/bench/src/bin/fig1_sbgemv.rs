@@ -5,8 +5,10 @@
 //! (`s`/`d`/`c`/`z`), short-and-wide through square shapes, batch 100,
 //! transpose for real types and conjugate-transpose for complex types.
 //! Bandwidth comes from the kernel cost model; a CPU correctness pass
-//! checks the one executing kernel against a naive dot product, and a
-//! closing *measured* line times that kernel's two sweeps on this host.
+//! checks Figure 1's block kernel (`sbgemv`, the scalar reference)
+//! against a naive dot product, and a closing *measured* line times the
+//! kernel the pipeline runs (`sbgemv_freq_minor`) in both directions on
+//! this host.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin fig1_sbgemv`
 
@@ -14,7 +16,9 @@ use std::hint::black_box;
 
 use fftmatvec_bench::rule;
 use fftmatvec_bench::timing::time_pair_ns;
-use fftmatvec_blas::{kernel_profile, sbgemv, BatchGeometry, GemvOp, KernelChoice};
+use fftmatvec_blas::{
+    kernel_profile, sbgemv, sbgemv_freq_minor, BatchGeometry, GemvOp, KernelChoice,
+};
 use fftmatvec_gpu::DeviceSpec;
 use fftmatvec_numeric::{Complex, DType, Scalar, SplitMix64};
 
@@ -92,28 +96,30 @@ fn kernel_vs_naive<S: Scalar>(op: GemvOp) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Measured on this CPU: `NoTrans` and `ConjTrans` over the `bench_e2e`
-/// paper block (16×256, 65 frequencies), interleaved; `(µs, GB/s)` per
-/// sweep, bytes = matrix + both vectors. Reported, never asserted.
+/// Measured on this CPU: the pipeline's phase 3, [`sbgemv_freq_minor`]
+/// for F (`NoTrans`) and F\* (`ConjTrans`) on the `bench_e2e` paper
+/// operator (16×256 blocks, 65 frequencies), interleaved; `(µs, GB/s)`
+/// per call, bytes = matrix + both vectors. Reported, never asserted.
 fn measured_sweeps<S: Scalar>() -> [(f64, f64); 2] {
-    let (m, n, batch) = (16usize, 256usize, 65usize);
+    let (nd, nm, nfreq) = (16usize, 256usize, 65usize);
     let rng = &mut SplitMix64::new(11);
-    let a: Vec<S> = fill(rng, batch * m * n);
-    let (long, short): (Vec<S>, Vec<S>) = (fill(rng, batch * n), fill(rng, batch * m));
-    let (mut y_n, mut y_h) = (short.clone(), long.clone());
-    let (g_n, g_h) = (
-        BatchGeometry::packed(m, n, GemvOp::NoTrans, batch),
-        BatchGeometry::packed(m, n, GemvOp::ConjTrans, batch),
-    );
-    let (one, zero) = (S::one(), S::zero());
-    let (ns_n, ns_h) = time_pair_ns(
-        || sbgemv(GemvOp::NoTrans, one, black_box(&a), &long, zero, black_box(&mut y_n), &g_n),
-        || sbgemv(GemvOp::ConjTrans, one, black_box(&a), &short, zero, black_box(&mut y_h), &g_h),
+    let a: Vec<S> = fill(rng, nd * nm * nfreq);
+    let (long, short): (Vec<S>, Vec<S>) = (fill(rng, nm * nfreq), fill(rng, nd * nfreq));
+    let (mut y_f, mut y_h) = (short.clone(), long.clone());
+    let (ns_f, ns_h) = time_pair_ns(
+        || {
+            let y = black_box(&mut y_f);
+            sbgemv_freq_minor(GemvOp::NoTrans, black_box(&a), &long, y, nd, nm, nfreq)
+        },
+        || {
+            let y = black_box(&mut y_h);
+            sbgemv_freq_minor(GemvOp::ConjTrans, black_box(&a), &short, y, nd, nm, nfreq)
+        },
         7,
         10.0,
     );
     let bytes = ((a.len() + long.len() + short.len()) * std::mem::size_of::<S>()) as f64;
-    [ns_n, ns_h].map(|ns| (ns / 1e3, bytes / ns))
+    [ns_f, ns_h].map(|ns| (ns / 1e3, bytes / ns))
 }
 
 fn main() {
@@ -170,18 +176,18 @@ fn main() {
 
     println!();
     println!(
-        "measured on this CPU ({} pool threads): 16x256 block, batch 65, matrix + vector bytes / best time",
-        rayon::current_num_threads()
+        "measured on this CPU (one thread): the pipeline's SBGEMV (sbgemv_freq_minor), 16x256 \
+         blocks x 65 frequencies, matrix + vector bytes / best time"
     );
     let rows = [
         ("complex float", measured_sweeps::<Complex<f32>>()),
         ("complex double", measured_sweeps::<Complex<f64>>()),
     ];
-    for (name, [(us_n, gbps_n), (us_h, gbps_h)]) in rows {
+    for (name, [(us_f, gbps_f), (us_h, gbps_h)]) in rows {
         println!(
-            "  {name:<14} | N {gbps_n:>5.1} GB/s ({us_n:>6.1} us) | H {gbps_h:>5.1} GB/s ({us_h:>6.1} us) | \
-             H/N time {:.2}x",
-            us_h / us_n
+            "  {name:<14} | F {gbps_f:>5.1} GB/s ({us_f:>6.1} us) | F* {gbps_h:>5.1} GB/s ({us_h:>6.1} \
+             us) | F*/F time {:.2}x",
+            us_h / us_f
         );
     }
 }

@@ -649,7 +649,7 @@ mod tests {
         let committed = [
             ("baseline.json", (48, 24)),
             ("baseline_matvec.json", (24, 12)),
-            ("baseline_simd.json", (45, 45)),
+            ("baseline_simd.json", (34, 34)),
             ("baseline_service.json", (2, 1)),
             ("baseline_autotune.json", (4, 4)),
             ("baseline_toeplitz.json", (4, 4)),

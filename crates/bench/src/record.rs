@@ -438,18 +438,19 @@ pub const SIMD: Schema = Schema {
     tol: 1.25,
 };
 /// Applied by `bench_simd` to the 16-bit conversion and butterfly rows,
-/// the `pointwise_mul` and remainder-row `sbgemv_notrans_*` rows and
-/// `layout_reorder_out` (destination stride 65, no set conflicts to win
-/// back): the second leg must be no slower than the first.
+/// the `pointwise_mul` row and `layout_reorder_out` (destination stride
+/// 65, no set conflicts to win back): the second leg must be no slower
+/// than the first.
 pub const SIMD_FLOOR: Bar =
     Bar { name: "no-slower-than-scalar", of: None, better: Better::Higher, bound: 1.0 };
-/// Applied by `bench_simd` to the `f32`/`f64` `fft_*` rows: at a vector
-/// level every pass of those transforms is a vector kernel or an
-/// FMA-context scalar body, worth 5–25× over the portable level's libm
-/// `fma` calls; one pass falling back to the plain scalar path (the
-/// first Stockham stage did, at 1.7×) drops the row below this bar.
+/// Applied by `bench_simd` to the `f32`/`f64` `fft_*` rows and the
+/// `sbgemv_freqminor_*` rows: at a vector level every pass of those
+/// kernels is a vector kernel or an FMA-context scalar body, worth 5–25×
+/// over the portable level's libm `fma` calls; one pass falling back to
+/// the plain scalar path (the first Stockham stage did, at 1.7×) drops
+/// the row below this bar.
 pub const SIMD_FFT_FLOOR: Bar =
-    Bar { name: "fft-vector-floor", of: None, better: Better::Higher, bound: 3.0 };
+    Bar { name: "vector-floor", of: None, better: Better::Higher, bound: 3.0 };
 
 /// Applied by `bench_simd` to the three `layout_*` rows whose
 /// destination stride is a power of two (pad, reorder-in, unpad at

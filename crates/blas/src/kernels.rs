@@ -14,9 +14,10 @@
 //!   β·y_b` for every column-major matrix in the batch with one loop nest,
 //!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
 //!   *rows* for non-transpose, *columns* for (conjugate-)transpose, the
-//!   paper's Section 3.1.1 geometry — and lanes run across the rows resp.
-//!   columns of one block. It is the strided batched GEMV of Figure 1 and
-//!   the bit oracle the frequency-minor kernel is held against.
+//!   paper's Section 3.1.1 geometry — and each tile's base runs are one
+//!   scalar FMA-context pass. It is the strided batched GEMV of Figure 1
+//!   and the bit oracle the frequency-minor kernel is held against; no
+//!   apply runs it, so it has no vector tile of its own.
 //!
 //! The two *GPU* kernels of Figure 1 — rocBLAS's and the paper's — differ
 //! in launch geometry, not in arithmetic, so they are modeled
@@ -40,7 +41,8 @@
 //! pass over the matrix: lanes and registers run *across* outputs, never
 //! along the reduction, so tile width, lane width and thread count cannot
 //! change a bit of any output — which is why the two sweeps may tile
-//! differently (`TILE` outputs of a block, `FREQ_TILE` frequencies).
+//! differently (`TILE` outputs of a block, `FREQ_TILE` frequencies) and
+//! why one may be vectorized and the other not.
 //!
 //! **Why lanes across frequencies cannot change a bit either.** Output
 //! `y[o][f]` of the frequency-minor kernel and output `o` of block `f` of
@@ -53,17 +55,19 @@
 //! there, the same entry of neighbouring frequencies here — and lanes do
 //! not interact. `tests/simd_equivalence.rs` holds the two against each
 //! other on bits for every scalar type, op and dispatch level, special
-//! values included.
+//! values included: one vector kernel against one scalar reference.
 //!
 //! **No `mul_add` outside an FMA context.** The workspace is not built
 //! with `+fma`, so a scalar `mul_add` compiled on its own is a call into
 //! libm. The four scalar loops here (`notrans_run`, `trans_run`,
-//! `freq_run`, `scale_run`) are `#[inline(always)]`: the vector tiles of
-//! `crate::simd` inline them for their remainders, and what no vector
-//! tile takes goes through `trans_pass` / `freq_pass` / `scale_pass`
+//! `freq_run`, `scale_run`) are `#[inline(always)]` and run through
+//! `notrans_pass` / `trans_pass` / `freq_pass` / `scale_pass`
 //! ([`fftmatvec_numeric::fma_pass`]: the same body, once plainly and once
-//! inside an `avx2,fma` wrapper). Both lowerings are correctly rounded, so
-//! the bits are the same either way.
+//! inside an `avx2,fma` wrapper) — the block sweeps always, the
+//! frequency-minor sweep and the epilogue where no vector tile of
+//! `crate::simd` takes them (which inlines `scale_run` for its epilogue's
+//! remainder). Both lowerings are correctly rounded, so the bits are the
+//! same either way.
 
 use fftmatvec_numeric::{fma_pass, Scalar};
 #[cfg(feature = "parallel")]
@@ -193,13 +197,12 @@ const PAIRWISE_BASE: usize = 16;
 
 /// GEMV on one matrix (column-major, leading dim `lda`).
 ///
-/// **Extent precondition** — what every vector tile in [`crate::simd`]
-/// relies on for its unchecked loads and stores: `lda ≥ m`,
-/// `a.len() ≥ (n−1)·lda + m`, `x.len() ≥ op.input_len(m, n)` and
-/// `y.len() ≥ op.output_len(m, n)`, so that `a[j·lda + i]` is in bounds
-/// for every `i < m`, `j < n`. [`sbgemv`] establishes it per batch item
-/// through [`BatchGeometry::validate`]; it is asserted again here so the
-/// tiles below are sound whoever calls.
+/// **Extent precondition**: `lda ≥ m`, `a.len() ≥ (n−1)·lda + m`,
+/// `x.len() ≥ op.input_len(m, n)` and `y.len() ≥ op.output_len(m, n)`, so
+/// that `a[j·lda + i]` is in bounds for every `i < m`, `j < n`.
+/// [`sbgemv`] establishes it per batch item through
+/// [`BatchGeometry::validate`]; it is asserted again here so a violation
+/// names the matrix instead of an index deep in a base run.
 pub(crate) fn gemv<S: Scalar>(
     op: GemvOp,
     alpha: S,
@@ -291,26 +294,14 @@ struct Sweep<'a, S> {
 
 impl<S: Scalar> Sweep<'_, S> {
     /// The base case of output tile `[o0, o0 + acc.len())`: `acc[k] = Σ_{r0 ≤ r < r1} op(A)[o0 + k, r]·x[r]`,
-    /// summed sequentially from zero in increasing `r`. The vector
-    /// kernels run the identical per-output chain (outputs are
-    /// independent lanes), so results are bit-identical whichever path
-    /// executes.
+    /// summed sequentially from zero in increasing `r` by one scalar
+    /// `fma_pass!` (no vector tile: this is Figure 1's reference).
     fn base_run(&self, o0: usize, r0: usize, r1: usize, acc: &mut [S]) {
         let Sweep { op, a, lda, x } = *self;
         match op {
-            GemvOp::NoTrans => {
-                if !crate::simd::notrans_tile(a, lda, x, o0, r0, r1, acc) {
-                    // Every type has a forward vector tile, so this is
-                    // the portable level only: no FMA context to enter.
-                    notrans_run(a, lda, x, o0, r0, r1, acc);
-                }
-            }
-            GemvOp::Trans | GemvOp::ConjTrans => {
-                let conj = op == GemvOp::ConjTrans;
-                if !crate::simd::trans_tile(conj, a, lda, x, o0, r0, r1, acc) {
-                    trans_pass(conj, a, lda, x, o0, r0, r1, acc);
-                }
-            }
+            GemvOp::NoTrans => notrans_pass(a, lda, x, o0, r0, r1, acc),
+            GemvOp::Trans => trans_pass(false, a, lda, x, o0, r0, r1, acc),
+            GemvOp::ConjTrans => trans_pass(true, a, lda, x, o0, r0, r1, acc),
         }
     }
 }
@@ -355,10 +346,10 @@ impl<S: Scalar> FreqSweep<'_, S> {
 
 /// Scalar non-transpose base run over rows `[i0, i0 + acc.len())`:
 /// columns `[j0, j1)` in order, every column slice read contiguous.
-/// `#[inline(always)]`, like the other two `*_run` loops, so that it is
+/// `#[inline(always)]`, like the other three `*_run` loops, so that it is
 /// compiled in its caller's FMA context (see the module docs).
 #[inline(always)]
-pub(crate) fn notrans_run<S: Scalar>(
+fn notrans_run<S: Scalar>(
     a: &[S],
     lda: usize,
     x: &[S],
@@ -382,7 +373,7 @@ pub(crate) fn notrans_run<S: Scalar>(
 /// the columns' chains interleave instead of each waiting out its own FMA
 /// latency (5–8 % faster than column-by-column on the 16×256 block).
 #[inline(always)]
-pub(crate) fn trans_run<S: Scalar>(
+fn trans_run<S: Scalar>(
     conj: bool,
     a: &[S],
     lda: usize,
@@ -408,7 +399,7 @@ pub(crate) fn trans_run<S: Scalar>(
 /// in order, both operands read contiguous. Elementwise in `f`, so the
 /// per-output chain is `trans_run`'s (`conj`) resp. `notrans_run`'s.
 #[inline(always)]
-pub(crate) fn freq_run<S: Scalar>(
+fn freq_run<S: Scalar>(
     conj: bool,
     a: &[S],
     a_step: usize,
@@ -449,9 +440,18 @@ pub(crate) fn scale_run<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut
     }
 }
 
-// What no vector tile takes at an AVX2-class level — the real and 16-bit
-// types' transposed and frequency-minor sweeps and epilogue — runs the
-// same scalar loops as one pass each (at the portable level a pass is its plain body).
+// Figure 1's block sweeps, and what no vector tile takes at an AVX2-class
+// level — the real and 16-bit types' frequency-minor sweep and epilogue —
+// run the scalar loops as one pass each (at the portable level a pass is
+// its plain body).
+fma_pass! {
+    fn notrans_pass<S: Scalar>(
+        a: &[S], lda: usize, x: &[S], i0: usize, j0: usize, j1: usize, acc: &mut [S],
+    ) {
+        notrans_run(a, lda, x, i0, j0, j1, acc)
+    }
+}
+
 fma_pass! {
     fn trans_pass<S: Scalar>(
         conj: bool, a: &[S], lda: usize, x: &[S], j0: usize, i0: usize, i1: usize, acc: &mut [S],

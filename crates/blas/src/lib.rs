@@ -7,18 +7,18 @@
 //! optimized kernel (Section 3.1.1), later merged upstream. This crate
 //! rebuilds both, as what they are here:
 //!
-//! * **Two CPU kernels** execute the real arithmetic.
-//!   [`sbgemv_freq_minor`] takes the batch frequency-minor (entry `(i, k)`
-//!   of every matrix contiguous) and puts consecutive batch items in the
-//!   lanes, reading and writing FFT spectra with no reorder pass — the
-//!   kernel the pipeline runs for every operator shape. [`sbgemv`] takes
-//!   per-matrix column-major blocks as one tiled sweep: tiles of rows
-//!   walking the columns for non-transpose, tiles of *columns* walking the
-//!   rows for (conj)transpose — the geometry of
-//!   [`KernelChoice::Optimized`] below, Figure 1's kernel and the
-//!   reference the pipeline is tested against. One pairwise tree per
-//!   output either way, shared by both, so they agree on every bit
-//!   ([`kernels`]).
+//! * **One vector kernel and one scalar reference** execute the real
+//!   arithmetic. [`sbgemv_freq_minor`] takes the batch frequency-minor
+//!   (entry `(i, k)` of every matrix contiguous) and puts consecutive
+//!   batch items in the SIMD lanes, reading and writing FFT spectra with
+//!   no reorder pass — the kernel the pipeline runs for every operator
+//!   shape, and the only one with AVX2 tiles. [`sbgemv`] takes per-matrix
+//!   column-major blocks as one tiled scalar sweep: tiles of rows walking
+//!   the columns for non-transpose, tiles of *columns* walking the rows
+//!   for (conj)transpose — the geometry of [`KernelChoice::Optimized`]
+//!   below, Figure 1's kernel and the reference the pipeline is tested
+//!   against; no apply runs it. One pairwise tree per output either way,
+//!   shared by both, so they agree on every bit ([`kernels`]).
 //! * **Two GPU launch models** ([`KernelChoice`], [`select_kernel`],
 //!   [`kernel_profile`]) stand for the kernels Figure 1 compares.
 //!   [`KernelChoice::Reference`] is rocBLAS: in (conj)transpose mode each
@@ -49,7 +49,7 @@ pub use types::{BatchGeometry, GemvOp, KernelChoice};
 
 /// Column tile width of the modeled optimized kernel (the paper's
 /// gridblocks tile the columns; 64 matches one wavefront of threads per
-/// tile edge) — and the output tile of the executed CPU block sweep.
+/// tile edge) — and the output tile of the CPU block sweep, [`sbgemv`].
 pub const OPT_TILE_COLS: usize = 64;
 
 /// Row chunk the modeled reference non-transpose kernel assigns per

@@ -730,6 +730,57 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_input_overflows_an_f16_phase_and_stays_in_bound_under_bf16() {
+        use crate::error_analysis::{condition_estimate, error_bound, BoundParams};
+        // Identity first block, zero elsewhere: F and F* are the identity,
+        // so every phase of every config sees values of the input's size.
+        // Max-norm 1e5 is past f16's 65 504 and well inside bf16's range.
+        let (n, nt) = (4usize, 16usize);
+        let mut col = vec![0.0; nt * n * n];
+        (0..n).for_each(|i| col[i * n + i] = 1.0);
+        let op = BlockToeplitzOperator::from_first_block_column(n, n, nt, &col).unwrap();
+        let kappa = condition_estimate(&op, 1);
+        let mut input = vec![0.0; n * nt];
+        SplitMix64::new(73).fill_uniform(&mut input, -1e5, 1e5);
+        input[n * nt / 3] = 1e5;
+        let mut mv = mv(op, PrecisionConfig::all_double());
+        for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+            let mut exact = vec![0.0; n * nt];
+            mv.set_config(PrecisionConfig::all_double());
+            mv.apply_into(dir, &input, &mut exact).unwrap();
+            assert!(rel_l2_error(&exact, &input) < 1e-14, "{dir}: not the identity");
+            let mut out = vec![0.0; n * nt];
+            // One f16 phase, all others double: an out-of-range value
+            // rounds to ±∞ where that phase stores it — never a finite
+            // wrong answer. Before the output, the transforms spread it
+            // (∞ − ∞, 0·∞) into a NaN in every output element.
+            for cfg in ["hdddd", "dhddd", "ddhdd", "dddhd"] {
+                mv.set_config(cfg.parse().unwrap());
+                mv.apply_into(dir, &input, &mut out).unwrap();
+                assert!(out.iter().all(|v| v.is_nan()), "{cfg} {dir}: not all NaN");
+            }
+            // In the unpad phase it is the output itself: ±∞ exactly where
+            // the exact output rounds past 65 504, finite everywhere else.
+            mv.set_config("ddddh".parse().unwrap());
+            mv.apply_into(dir, &input, &mut out).unwrap();
+            for (&got, &want) in out.iter().zip(&exact) {
+                let overflow = want.abs() >= 65520.0;
+                let ok =
+                    if overflow { got == want.signum() * f64::INFINITY } else { got.is_finite() };
+                assert!(ok, "ddddh {dir}: {want} came out {got}");
+            }
+            // bf16 has f32's exponent range: finite, and inside Eq. 6.
+            let cfg: PrecisionConfig = "bbbbb".parse().unwrap();
+            mv.set_config(cfg);
+            mv.apply_into(dir, &input, &mut out).unwrap();
+            assert!(out.iter().all(|v| v.is_finite()), "bbbbb {dir}: overflowed");
+            let bound = error_bound(cfg, &BoundParams::for_direction(dir, nt, n, n, 1, 1, kappa));
+            let err = rel_l2_error(&out, &exact);
+            assert!(err <= bound.total, "bbbbb {dir}: error {err:.3e} > bound {:.3e}", bound.total);
+        }
+    }
+
+    #[test]
     fn pipeline_tracks_in_flight_workspaces() {
         let op = random_operator(2, 3, 8, 83);
         let mv = mv(op, PrecisionConfig::all_double());

@@ -21,7 +21,7 @@
 //!   single-workspace byte footprint seen at return time (how the bench
 //!   gate proves split-FFT scratch stays below the full embedding's).
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One apply's worth of intermediate buffers, poolable by
 /// [`WorkspacePool`]. `Default` must not allocate (`Vec::new()` does
@@ -36,18 +36,11 @@ pub trait Workspace: Default {
 /// point many concurrent batch windows at one shared operator; each
 /// window transiently checks out one workspace per executing worker, and
 /// without a cap the pool would permanently retain that burst-peak
-/// footprint. Sized to comfortably cover the machine's worker
-/// concurrency (the steady-state checkout count) while letting bursts
-/// free their excess.
+/// footprint. The same cap as the FFT scratch arenas'
+/// ([`fftmatvec_fft::scratch::scratch_retention_cap`]): one formula,
+/// computed once, allocation-free on the apply hot path.
 pub fn workspace_retention_cap() -> usize {
-    // Computed once: `available_parallelism` reads procfs/cgroup state on
-    // Linux, which allocates — and this runs on the apply hot path (every
-    // workspace return), which is contractually allocation-free.
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (2 * hw).max(8)
-    })
+    fftmatvec_fft::scratch::scratch_retention_cap()
 }
 
 /// Bookkeeping behind one [`WorkspacePool`] mutex.
