@@ -485,7 +485,7 @@ mod tests {
         // The level is process-global; sibling tests running meanwhile
         // are level-agnostic (every level computes the same bits).
         let prev = active_level();
-        let levels = [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon];
+        let levels = [SimdLevel::Portable, SimdLevel::Avx2];
         for len in [0, 1, 7, 16_384] {
             let (a, b) = (awkward(len, 3), awkward(len, 4));
             for p in Precision::ALL {

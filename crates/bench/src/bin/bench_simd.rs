@@ -46,10 +46,9 @@
 //! * **baseline** — every row's speedup must stay within `-tol` of the
 //!   committed `bench/baseline_simd.json`.
 //!
-//! On a host where no vector level is available (or the `simd` feature is
-//! compiled out) the binary reports SKIPPED (exit 0) with the measured
-//! numbers still in the log, like the parallel-speedup gate on a 1-core
-//! runner.
+//! On a host without AVX2 + FMA (or with `FFTMATVEC_SIMD=portable`) the
+//! binary reports SKIPPED (exit 0) with the measured numbers still in the
+//! log, like the parallel-speedup gate on a 1-core runner.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin bench_simd`
 //! Flags:
@@ -437,10 +436,10 @@ fn main() {
     if level == SimdLevel::Portable {
         // No vector level to compare against: both legs measured the same
         // scalar code (the numbers above show it), so there is nothing to
-        // enforce on this host/build.
+        // enforce on this host.
         record::write_out(&SIMD, &args, &rows);
         println!(
-            "simd gate: SKIPPED (no SIMD level active — portable-only host or simd feature off)"
+            "simd gate: SKIPPED (no SIMD level active — portable-only host or FFTMATVEC_SIMD=portable)"
         );
         return;
     }

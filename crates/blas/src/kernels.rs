@@ -70,13 +70,11 @@
 //! same either way.
 
 use fftmatvec_numeric::{fma_pass, Scalar};
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 use crate::types::{BatchGeometry, GemvOp};
 
 /// Serial-vs-parallel threshold in scalar MACs.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Strided batched GEMV `y_b = α·op(A_b)·x_b + β·y_b` over the whole
@@ -100,7 +98,6 @@ pub fn sbgemv<S: Scalar>(
     // `stride_y ≥ out_len` is enforced by `validate`; the final chunk may
     // be exactly `out_len` long (no trailing padding required).
     let stride = g.stride_y.max(out_len).max(1);
-    #[cfg(feature = "parallel")]
     let work = g.batch * g.m * g.n;
     let body = |(b, chunk): (usize, &mut [S])| {
         let yb = &mut chunk[..out_len];
@@ -108,7 +105,6 @@ pub fn sbgemv<S: Scalar>(
         let xb = &x[b * g.stride_x..b * g.stride_x + op.input_len(g.m, g.n)];
         gemv(op, alpha, ab, g.lda, xb, beta, yb, g.m, g.n);
     };
-    #[cfg(feature = "parallel")]
     if work > PAR_THRESHOLD {
         y.par_chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
         return;
@@ -631,7 +627,7 @@ mod tests {
         // The level is process-global; sibling tests running meanwhile
         // are level-agnostic (every level computes the same bits).
         let prev = active_level();
-        for level in [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon] {
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
             if !level_supported(level) {
                 continue;
             }

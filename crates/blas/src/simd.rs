@@ -40,12 +40,12 @@
 
 use fftmatvec_numeric::Scalar;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use self::dispatch::{cast, cast_mut, cast_one};
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use fftmatvec_numeric::simd::fma_active;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod dispatch {
     use core::any::TypeId;
 
@@ -88,7 +88,7 @@ pub(crate) fn freq_tile<S: Scalar>(
     r1: usize,
     acc: &mut [S],
 ) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if fma_active() {
         use fftmatvec_numeric::Complex;
 
@@ -118,7 +118,7 @@ pub(crate) fn freq_tile<S: Scalar>(
 /// mix. Returns `false` if no vector kernel applies.
 #[allow(unused_variables)]
 pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mut [S]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if fma_active() {
         use fftmatvec_numeric::Complex;
 
@@ -142,7 +142,7 @@ pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mu
     false
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2+FMA tile kernels. Uniform safety contract: the caller
     //! guarantees AVX2+FMA support and — for the sweep — `FreqSweep`'s

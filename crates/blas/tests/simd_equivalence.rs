@@ -13,10 +13,7 @@ use fftmatvec_numeric::{Complex, Scalar, SplitMix64};
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn supported_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon]
-        .into_iter()
-        .filter(|&l| level_supported(l))
-        .collect()
+    [SimdLevel::Portable, SimdLevel::Avx2].into_iter().filter(|&l| level_supported(l)).collect()
 }
 
 fn fill<S: Scalar>(rng: &mut SplitMix64, len: usize) -> Vec<S> {

@@ -14,16 +14,13 @@ use fftmatvec_numeric::Real;
 /// the BLAS kernels carry their own): the profitable cutoff depends on
 /// the per-element cost of each workload, so the crates are tuned
 /// independently rather than sharing one number.
-#[cfg(feature = "parallel")]
 const PAR_THRESHOLD: usize = 1 << 14;
 
-/// Run the two halves of a reduction node — in parallel (with the
-/// `parallel` feature, above [`PAR_THRESHOLD`] work) or inline. Only the
-/// *scheduling* of the subtrees changes; the combine performed by the
-/// caller after this returns is identical in every mode, so the
-/// summation association — and therefore the result bits — cannot
-/// depend on the feature set or the thread count.
-#[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
+/// Run the two halves of a reduction node — in parallel (above
+/// [`PAR_THRESHOLD`] work) or inline. Only the *scheduling* of the
+/// subtrees changes; the combine performed by the caller after this
+/// returns is identical in every mode, so the summation association —
+/// and therefore the result bits — cannot depend on the thread count.
 fn node_halves<RA, RB>(
     work: usize,
     left: impl FnOnce() -> RA + Send,
@@ -33,7 +30,6 @@ where
     RA: Send,
     RB: Send,
 {
-    #[cfg(feature = "parallel")]
     if work > PAR_THRESHOLD {
         return rayon::join(left, right);
     }
@@ -42,9 +38,9 @@ where
 
 /// Pairwise-tree sum of per-rank vectors (all the same length). The
 /// summation tree has depth `⌈log2(p)⌉`, matching both an MPI/RCCL tree
-/// reduction and the error model's `log2(p)` factor. With the `parallel`
-/// feature, independent subtrees execute concurrently on the pool —
-/// same tree, same association, same bits.
+/// reduction and the error model's `log2(p)` factor. Independent
+/// subtrees execute concurrently on the pool — same tree, same
+/// association, same bits.
 pub fn tree_reduce_sum<T: Real>(inputs: &[Vec<T>]) -> Vec<T> {
     assert!(!inputs.is_empty(), "reduce over empty rank set");
     let len = inputs[0].len();

@@ -1,9 +1,9 @@
 //! Pooled tree reductions == sequential tree reductions, bit for bit.
 //!
-//! With the `parallel` feature, `tree_reduce_sum` and
-//! `tree_reduce_sum_in_place` run their two subtrees concurrently above
-//! a work threshold. Only the *scheduling* may change — the summation
-//! tree (largest power of two below `p` on the left) is fixed — so the
+//! `tree_reduce_sum` and `tree_reduce_sum_in_place` run their two
+//! subtrees concurrently above a work threshold. Only the *scheduling*
+//! may change — the summation tree (largest power of two below `p` on
+//! the left) is fixed — so the
 //! result bits must match a reference reduction written here from
 //! scratch, sequentially, with no shared code. Cancellation-prone inputs
 //! spanning ten orders of magnitude make any association drift visible

@@ -10,7 +10,6 @@
 //! paths write straight into the caller's buffer and allocate nothing.
 
 use fftmatvec_numeric::vecmath::{axpy, dot};
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 use crate::linop::{check_apply, LinearOperator, OpDirection, OpError, OpShape};
@@ -43,7 +42,7 @@ impl LinearOperator for DirectMatvec<'_> {
         check_apply(self.shape(), OpDirection::Forward, m, d)?;
         let (nd, nm) = (self.op.nd(), self.op.nm());
         d.fill(0.0);
-        let body = |(ti, dt): (usize, &mut [f64])| {
+        d.par_chunks_mut(nd).enumerate().for_each(|(ti, dt)| {
             for tj in 0..=ti {
                 let blk = self.op.block(ti - tj);
                 let mj = &m[tj * nm..(tj + 1) * nm];
@@ -51,11 +50,7 @@ impl LinearOperator for DirectMatvec<'_> {
                     *di += dot(row, mj);
                 }
             }
-        };
-        #[cfg(feature = "parallel")]
-        d.par_chunks_mut(nd).enumerate().for_each(body);
-        #[cfg(not(feature = "parallel"))]
-        d.chunks_mut(nd).enumerate().for_each(body);
+        });
         Ok(())
     }
 
@@ -64,7 +59,7 @@ impl LinearOperator for DirectMatvec<'_> {
         check_apply(self.shape(), OpDirection::Adjoint, d, m)?;
         let (nd, nm, nt) = (self.op.nd(), self.op.nm(), self.op.nt());
         m.fill(0.0);
-        let body = |(tj, mt): (usize, &mut [f64])| {
+        m.par_chunks_mut(nm).enumerate().for_each(|(tj, mt)| {
             for ti in tj..nt {
                 let blk = self.op.block(ti - tj);
                 let di = &d[ti * nd..(ti + 1) * nd];
@@ -72,11 +67,7 @@ impl LinearOperator for DirectMatvec<'_> {
                     axpy(s, row, mt);
                 }
             }
-        };
-        #[cfg(feature = "parallel")]
-        m.par_chunks_mut(nm).enumerate().for_each(body);
-        #[cfg(not(feature = "parallel"))]
-        m.chunks_mut(nm).enumerate().for_each(body);
+        });
         Ok(())
     }
 }

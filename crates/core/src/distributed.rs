@@ -19,7 +19,8 @@
 //! a pooled workspace, so repeated applies allocate nothing after
 //! warm-up.
 
-#[cfg(feature = "parallel")]
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use rayon::prelude::*;
 
 use fftmatvec_backend::DeviceBackend;
@@ -196,23 +197,15 @@ impl DistributedFftMatvec {
             // steady-state resizes are O(1).
             out.resize(out_len, 0.0);
         }
-        #[cfg(feature = "parallel")]
-        {
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let failed = AtomicBool::new(false);
-            let rank_in = &ws.rank_in;
-            ws.partials.par_iter_mut().enumerate().for_each(|(rank, out)| {
-                if self.ranks[rank].apply_into(dir, &rank_in[rank], out).is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-            });
-            if failed.load(Ordering::Relaxed) {
-                return Err(OpError::Internal("distributed rank apply failed"));
+        let failed = AtomicBool::new(false);
+        let rank_in = &ws.rank_in;
+        ws.partials.par_iter_mut().enumerate().for_each(|(rank, out)| {
+            if self.ranks[rank].apply_into(dir, &rank_in[rank], out).is_err() {
+                failed.store(true, Ordering::Relaxed);
             }
-        }
-        #[cfg(not(feature = "parallel"))]
-        for (rank, out) in ws.partials.iter_mut().enumerate() {
-            self.ranks[rank].apply_into(dir, &ws.rank_in[rank], out)?;
+        });
+        if failed.load(Ordering::Relaxed) {
+            return Err(OpError::Internal("distributed rank apply failed"));
         }
         Ok(())
     }

@@ -729,21 +729,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_range_input_overflows_an_f16_phase_and_stays_in_bound_under_bf16() {
-        use crate::error_analysis::{condition_estimate, error_bound, BoundParams};
-        // Identity first block, zero elsewhere: F and F* are the identity,
-        // so every phase of every config sees values of the input's size.
-        // Max-norm 1e5 is past f16's 65 504 and well inside bf16's range.
-        let (n, nt) = (4usize, 16usize);
+    /// The range tests' operator: identity first block, zero elsewhere, so
+    /// F and F* are the identity and every phase of every config sees
+    /// values of the input's size. Returns it with its condition estimate.
+    fn identity_blocks(n: usize, nt: usize) -> (FftMatvec, f64) {
         let mut col = vec![0.0; nt * n * n];
         (0..n).for_each(|i| col[i * n + i] = 1.0);
         let op = BlockToeplitzOperator::from_first_block_column(n, n, nt, &col).unwrap();
-        let kappa = condition_estimate(&op, 1);
-        let mut input = vec![0.0; n * nt];
-        SplitMix64::new(73).fill_uniform(&mut input, -1e5, 1e5);
-        input[n * nt / 3] = 1e5;
-        let mut mv = mv(op, PrecisionConfig::all_double());
+        let kappa = crate::error_analysis::condition_estimate(&op, 1);
+        (mv(op, PrecisionConfig::all_double()), kappa)
+    }
+
+    /// `len` uniform values in `±scale` with one entry at `scale`.
+    fn max_norm_input(len: usize, scale: f64) -> Vec<f64> {
+        let mut input = vec![0.0; len];
+        SplitMix64::new(73).fill_uniform(&mut input, -scale, scale);
+        input[len / 3] = scale;
+        input
+    }
+
+    #[test]
+    fn out_of_range_input_overflows_an_f16_phase_and_stays_in_bound_under_bf16() {
+        use crate::error_analysis::{error_bound, BoundParams};
+        // Max-norm 1e5 is past f16's 65 504 and well inside bf16's range.
+        let (n, nt) = (4usize, 16usize);
+        let (mut mv, kappa) = identity_blocks(n, nt);
+        let input = max_norm_input(n * nt, 1e5);
         for dir in [OpDirection::Forward, OpDirection::Adjoint] {
             let mut exact = vec![0.0; n * nt];
             mv.set_config(PrecisionConfig::all_double());
@@ -777,6 +788,53 @@ mod tests {
             let bound = error_bound(cfg, &BoundParams::for_direction(dir, nt, n, n, 1, 1, kappa));
             let err = rel_l2_error(&out, &exact);
             assert!(err <= bound.total, "bbbbb {dir}: error {err:.3e} > bound {:.3e}", bound.total);
+        }
+    }
+
+    #[test]
+    fn tiny_input_underflows_an_f16_phase_and_stays_in_bound_under_bf16_and_f32() {
+        use crate::error_analysis::{error_bound, BoundParams};
+        // f16's smallest normal is 2⁻¹⁴ ≈ 6.1e-5, its smallest subnormal
+        // 2⁻²⁴ ≈ 6.0e-8. Max-norm 1e-9 stays below half of that through
+        // every phase; max-norm 1e-6 lands among the subnormals, which
+        // carry only a few significant bits.
+        let (n, nt) = (4usize, 16usize);
+        let (mut mv, kappa) = identity_blocks(n, nt);
+        for scale in [1e-9, 1e-6] {
+            let input = max_norm_input(n * nt, scale);
+            for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                let mut exact = vec![0.0; n * nt];
+                mv.set_config(PrecisionConfig::all_double());
+                mv.apply_into(dir, &input, &mut exact).unwrap();
+                assert!(rel_l2_error(&exact, &input) < 1e-14, "{dir}: not the identity");
+                let mut out = vec![0.0; n * nt];
+                let mut run = |cfg: &str, out: &mut [f64]| {
+                    let cfg: PrecisionConfig = cfg.parse().unwrap();
+                    mv.set_config(cfg);
+                    mv.apply_into(dir, &input, out).unwrap();
+                    let params = BoundParams::for_direction(dir, nt, n, n, 1, 1, kappa);
+                    (rel_l2_error(out, &exact), error_bound(cfg, &params).total)
+                };
+                // Any f16 phase, alone or all five: a finite answer past
+                // Eq. 6 and nothing to say so. At 1e-9 it is exact zeros
+                // (relative error 1); at 1e-6 a few percent.
+                for cfg in ["hdddd", "dhddd", "ddhdd", "dddhd", "ddddh", "hhhhh"] {
+                    let (err, bound) = run(cfg, &mut out);
+                    assert!(out.iter().all(|v| v.is_finite()), "{cfg} {dir} at {scale:e}");
+                    if scale == 1e-9 {
+                        assert!(out.iter().all(|&v| v == 0.0), "{cfg} {dir}: not flushed to zero");
+                    } else {
+                        assert!(err < 0.1, "{cfg} {dir} at {scale:e}: error {err:.3e}");
+                    }
+                    assert!(err > bound, "{cfg} {dir} at {scale:e}: {err:.3e} within {bound:.3e}");
+                }
+                // bf16 keeps f32's exponent range: inside Eq. 6 at both
+                // scales, as f32 is.
+                for cfg in ["bbbbb", "bdddd", "ddddb", "sdddd", "sssss"] {
+                    let (err, bound) = run(cfg, &mut out);
+                    assert!(err <= bound, "{cfg} {dir} at {scale:e}: {err:.3e} > {bound:.3e}");
+                }
+            }
         }
     }
 

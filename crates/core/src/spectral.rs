@@ -37,7 +37,6 @@ use std::sync::{Arc, OnceLock};
 use fftmatvec_backend::{BackendError, DeviceBackend};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::Precision;
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 use crate::autotune::{self, AutotuneChoice, PhaseWeights, TierCalibration};
@@ -239,7 +238,6 @@ macro_rules! spectral_builder_setters {
 }
 
 /// Flat batches above this many `f64` elements split across the pool.
-#[cfg(feature = "parallel")]
 const MANY_PAR_THRESHOLD: usize = 1 << 12;
 
 /// Live autotuning state a budget-resolved pipeline carries: the tier
@@ -486,9 +484,9 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
     }
 
     /// Batched apply: the whole batch shares the resident engines and one
-    /// pooled workspace per worker. With the `parallel` feature large
-    /// batches overlap columns across the thread pool — the paper's
-    /// §4.2.2 dense-operator assembly pattern. Either way a failing
+    /// pooled workspace per worker. Large batches overlap columns across
+    /// the thread pool — the paper's §4.2.2 dense-operator assembly
+    /// pattern. Either way a failing
     /// batch returns the error of its **lowest failing column**, so the
     /// result does not depend on the batch size or the thread count.
     fn apply_many_into(
@@ -500,7 +498,6 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
         let shape = self.shape();
         let (in_len, out_len) = shape.io_lens(dir);
         check_batch(shape, dir, inputs, outputs)?;
-        #[cfg(feature = "parallel")]
         if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
             let first_err = std::sync::Mutex::new(None::<(usize, OpError)>);
             inputs
@@ -638,7 +635,7 @@ mod tests {
     fn batched_apply_returns_the_first_failing_columns_typed_error() {
         let pipe = TieredPipeline::build(FailOnNegative, BuildOptions::default()).unwrap();
         // 5 columns stay on the sequential path; 600 × 8 elements cross
-        // the parallel threshold when the pool is compiled in.
+        // the parallel threshold.
         for batch in [5usize, 600] {
             let mut inputs = vec![1.0; batch * N];
             let mut outputs = vec![0.0; batch * N];

@@ -4,8 +4,8 @@
 //! (phase 4: `N_d` series). The batched drivers here run every series
 //! through one cached plan (see [`crate::cache`]) and draw per-worker
 //! scratch from a shared [`ScratchArena`] instead of allocating per call.
-//! With the `parallel` feature the batch dimension is split across the
-//! rayon pool's work chunks; `for_each_init` builds one arena checkout
+//! Above a size threshold the batch dimension is split across the rayon
+//! pool's work chunks; `for_each_init` builds one arena checkout
 //! per executed chunk (real-rayon semantics: roughly one per
 //! participating worker, never one shared guard for the whole batch), so
 //! at most one scratch buffer per concurrently-running worker is live at
@@ -14,7 +14,6 @@
 //! batched results are byte-identical at any `RAYON_NUM_THREADS`.
 
 use fftmatvec_numeric::{Complex, Real};
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
@@ -24,7 +23,6 @@ use crate::scratch::ScratchArena;
 
 /// Work below this many complex elements stays serial; smaller batches
 /// are dominated by thread-pool dispatch.
-#[cfg(feature = "parallel")]
 const PAR_THRESHOLD: usize = 1 << 14;
 
 /// Batched complex transforms sharing one cached [`FftPlan`].
@@ -77,7 +75,6 @@ impl<T: Real> BatchedFft<T> {
         let n = self.plan.len();
         assert_eq!(input.len(), output.len(), "batched FFT in/out length mismatch");
         assert_eq!(input.len() % n, 0, "batched FFT length not a multiple of n");
-        #[cfg(feature = "parallel")]
         if input.len() > PAR_THRESHOLD {
             input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(n)).for_each_init(
                 || self.arena.checkout(),
@@ -97,7 +94,6 @@ impl<T: Real> BatchedFft<T> {
     pub fn process_batch_inplace(&self, data: &mut [Complex<T>], dir: FftDirection) {
         let n = self.plan.len();
         assert_eq!(data.len() % n, 0, "batched FFT length not a multiple of n");
-        #[cfg(feature = "parallel")]
         if data.len() > PAR_THRESHOLD {
             data.par_chunks_exact_mut(n).for_each_init(
                 || self.arena.checkout(),
@@ -177,7 +173,6 @@ impl<T: Real> BatchedRealFft<T> {
         assert_eq!(input.len() % n, 0, "batched R2C input not a multiple of n");
         let batch = input.len() / n;
         assert_eq!(output.len(), batch * s, "batched R2C output length mismatch");
-        #[cfg(feature = "parallel")]
         if input.len() > PAR_THRESHOLD {
             input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(s)).for_each_init(
                 || self.arena.checkout(),
@@ -199,7 +194,6 @@ impl<T: Real> BatchedRealFft<T> {
         assert_eq!(spectrum.len() % s, 0, "batched C2R spectrum not a multiple of bins");
         let batch = spectrum.len() / s;
         assert_eq!(output.len(), batch * n, "batched C2R output length mismatch");
-        #[cfg(feature = "parallel")]
         if output.len() > PAR_THRESHOLD {
             spectrum.par_chunks_exact(s).zip(output.par_chunks_exact_mut(n)).for_each_init(
                 || self.arena.checkout(),

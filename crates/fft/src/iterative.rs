@@ -552,7 +552,7 @@ mod tests {
     /// silent fall-back to a scalar body (the first stage, before it had
     /// a kernel) fails here, not in a benchmark. Vacuous when the process
     /// runs portable.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_pow2_stage_is_taken_by_a_vector_kernel() {
         let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());

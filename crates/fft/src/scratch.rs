@@ -49,12 +49,6 @@ impl<T: Real> ScratchArena<T> {
         ScratchArena { len, pool: Mutex::new(Vec::new()) }
     }
 
-    /// Buffer length this arena provisions.
-    #[inline]
-    pub fn buffer_len(&self) -> usize {
-        self.len
-    }
-
     /// Lock the pool, shrugging off poisoning: a panicked worker can only
     /// have left the pool missing a buffer (re-allocated on demand), never
     /// structurally broken — so the arena itself stays panic-free.

@@ -56,14 +56,14 @@
 //!
 //! [`fma_pass`]: fftmatvec_numeric::fma_pass
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use fftmatvec_numeric::simd::fma_active;
 use fftmatvec_numeric::{Complex, Real};
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod dispatch {
     use core::any::TypeId;
 
@@ -94,7 +94,7 @@ mod dispatch {
 /// the row's type) and returns `true` from the enclosing function. Every
 /// caller states the extents its kernels rely on as an `assert!` just
 /// above the invocation; the `SAFETY` comment below cites it.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 macro_rules! try_kernels {
     ($ins:tt, $outs:tt, $args:tt; $(($u:ty, $takes:expr, $kernel:path)),+ $(,)?) => {
         if fma_active() {
@@ -140,7 +140,7 @@ pub(crate) fn stage_radix2<T: Real>(
     inverse: bool,
 ) -> bool {
     assert_stage_extents(2, (src.len(), dst.len(), twiddles.len()), m, s);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix2),
         (f64, s == 1 || s >= 2, x86::pd::radix2),
@@ -161,7 +161,7 @@ pub(crate) fn stage_radix4<T: Real>(
     inverse: bool,
 ) -> bool {
     assert_stage_extents(4, (src.len(), dst.len(), twiddles.len()), m, s);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix4),
         (f64, s == 1 || s >= 2, x86::pd::radix4),
@@ -196,7 +196,7 @@ pub(crate) fn pass_radix16<T: Real>(
         tw_a.len(),
         tw_b.len()
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((src, tw_a, tw_b), (dst), (m, s, inverse);
         (f32, s >= 4, x86::ps::radix16),
         (f64, s >= 2, x86::pd::radix16),
@@ -218,7 +218,7 @@ pub(crate) fn stage_odd<T: Real>(
 ) -> bool {
     assert!(roots.len() <= crate::plan::MAX_RADIX, "odd radix {} past MAX_RADIX", roots.len());
     assert_stage_extents(roots.len(), (src.len(), dst.len(), twiddles.len()), m, s);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((src, twiddles, roots), (dst), (m, s, inverse);
         (f32, s >= 4, x86::ps::radix_odd),
         (f64, s >= 2, x86::pd::radix_odd),
@@ -238,7 +238,7 @@ pub(crate) fn real_unpack_pairs<T: Real>(
 ) -> bool {
     let h = z.len();
     assert!(twiddles.len() == h && output.len() == h + 1, "R2C unpack extents");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((z, twiddles), (output), ();
         (f32, true, x86::ps::real_unpack_pairs),
         (f64, true, x86::pd::real_unpack_pairs),
@@ -257,7 +257,7 @@ pub(crate) fn real_repack_pairs<T: Real>(
 ) -> bool {
     let h = z.len();
     assert!(twiddles.len() == h && spectrum.len() == h + 1, "C2R repack extents");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((spectrum, twiddles), (z), ();
         (f32, true, x86::ps::real_repack_pairs),
         (f64, true, x86::pd::real_repack_pairs),
@@ -270,7 +270,7 @@ pub(crate) fn real_repack_pairs<T: Real>(
 #[allow(unused_variables)]
 pub(crate) fn pointwise_mul_assign<T: Real>(a: &mut [Complex<T>], b: &[Complex<T>]) -> bool {
     assert_eq!(a.len(), b.len(), "pointwise multiply length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     try_kernels!((b), (a), ();
         (f32, true, x86::ps::pointwise_mul),
         (f64, true, x86::pd::pointwise_mul),

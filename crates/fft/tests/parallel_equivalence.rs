@@ -167,7 +167,7 @@ proptest! {
 /// pooled batch far above `PAR_THRESHOLD` checks out one scratch guard
 /// per executed work chunk, and every guard is dropped when its chunk
 /// finishes — so the arena parks at most one buffer per pool lane
-/// (exactly one in sequential mode), never one per leaf. Holds [`POOL`]
+/// (exactly one at `RAYON_NUM_THREADS=1`), never one per leaf. Holds [`POOL`]
 /// exclusively: with sibling tests waiting on the pool, their threads run
 /// some of these chunks and each parks a buffer of its own, which is the
 /// contract working and the bound failing.
@@ -178,10 +178,7 @@ fn scratch_pool_bounded_by_worker_concurrency() {
     let mut data = complex_signal::<f64>(2048 * 64, 3);
     bf.process_batch_inplace(&mut data, FftDirection::Forward);
     let pooled = bf.scratch_pooled();
-    #[cfg(feature = "parallel")]
     let lanes = rayon::current_num_threads();
-    #[cfg(not(feature = "parallel"))]
-    let lanes = 1;
     assert!(
         (1..=lanes).contains(&pooled),
         "scratch pool must stabilize at <= {lanes} pool lanes, found {pooled} parked buffers"

@@ -18,10 +18,7 @@ use fftmatvec_numeric::{Complex, Real, SplitMix64};
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn supported_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon]
-        .into_iter()
-        .filter(|&l| level_supported(l))
-        .collect()
+    [SimdLevel::Portable, SimdLevel::Avx2].into_iter().filter(|&l| level_supported(l)).collect()
 }
 
 /// Lengths covering every execution strategy: tiny, pure powers of two

@@ -226,34 +226,6 @@ impl RealBuffer {
         }
     }
 
-    pub fn as_f16_mut(&mut self) -> Option<&mut [f16]> {
-        match self {
-            RealBuffer::F16(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_bf16_mut(&mut self) -> Option<&mut [bf16]> {
-        match self {
-            RealBuffer::BF16(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f32_mut(&mut self) -> Option<&mut [f32]> {
-        match self {
-            RealBuffer::F32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64_mut(&mut self) -> Option<&mut [f64]> {
-        match self {
-            RealBuffer::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Elementwise accumulate `self += other`, in `self`'s precision
     /// (16-bit accumulators round after every add — the storage-rounding
     /// compute model). Used by the phase-5 reduction when summing partial
@@ -465,34 +437,6 @@ impl ComplexBuffer {
             _ => None,
         }
     }
-
-    pub fn as_c16_mut(&mut self) -> Option<&mut [Complex<f16>]> {
-        match self {
-            ComplexBuffer::C16(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_cb16_mut(&mut self) -> Option<&mut [Complex<bf16>]> {
-        match self {
-            ComplexBuffer::CB16(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_c32_mut(&mut self) -> Option<&mut [Complex<f32>]> {
-        match self {
-            ComplexBuffer::C32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_c64_mut(&mut self) -> Option<&mut [Complex<f64>]> {
-        match self {
-            ComplexBuffer::C64(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -591,9 +535,8 @@ mod tests {
         assert!(b.as_c32().is_some());
         assert!(b.as_c64().is_none());
         assert!(b.as_c16().is_none());
-        let mut b = b.cast(Precision::Double);
-        assert!(b.as_c64_mut().is_some());
-        assert!(b.as_c32_mut().is_none());
+        let b = b.cast(Precision::Double);
+        assert!(b.as_c64().is_some() && b.as_c32().is_none());
         let h = ComplexBuffer::zeros(Precision::Half, 2);
         assert!(h.as_c16().is_some() && h.as_cb16().is_none());
         let r = RealBuffer::zeros(Precision::BFloat16, 2);

@@ -82,12 +82,6 @@ impl<T: Real> Complex<T> {
         Complex { re: c, im: s }
     }
 
-    /// Construct from polar form `r·e^{iθ}`.
-    #[inline(always)]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        Self::expi(theta).scale(r)
-    }
-
     /// Fused multiply-add `self * a + b` using real FMAs where profitable.
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {

@@ -8,22 +8,16 @@
 //!
 //! # Dispatch model
 //!
-//! The instruction-set level is detected **once**, on first use, and
-//! cached ([`active_level`]). Detection picks the widest supported level
-//! (AVX-512 → AVX2 → NEON → portable); the `FFTMATVEC_SIMD` environment
-//! variable overrides it (`portable`, `avx2`, `avx512`, `neon`, or
-//! `auto`). Malformed or unsupported values **panic** — a silently
-//! ignored override would run kernels at the wrong width unnoticed, the
-//! same failure mode the vendored pool guards against for
+//! There are two levels: the portable scalar kernels, and AVX2 + FMA on
+//! x86-64 (the `std::arch` paths are compiled on that target only). The
+//! level is detected **once**, on first use, and cached
+//! ([`active_level`]): AVX2 + FMA if the host has both, else portable.
+//! The `FFTMATVEC_SIMD` environment variable overrides it (`portable`,
+//! `avx2`, or `auto`). Malformed or unsupported values **panic** — a
+//! silently ignored override would run kernels at the wrong width
+//! unnoticed, the same failure mode the vendored pool guards against for
 //! `RAYON_NUM_THREADS`. Tests and benchmarks can force a level
 //! programmatically with [`set_active_level`].
-//!
-//! Two levels are currently mapped onto other implementations: `Avx512`
-//! routes to the 256-bit AVX2 kernels (the 512-bit widening is a future
-//! landing slot; detection and dispatch are already in place), and
-//! `Neon` routes to the portable kernels on every architecture (same
-//! status). Disabling the crate's `simd` feature compiles the
-//! `std::arch` paths out entirely; only `portable` remains.
 //!
 //! # Bit-identity contract
 //!
@@ -39,7 +33,7 @@
 //! the differential oracle running identically at any level.
 
 pub mod portable;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub mod x86;
 
 use core::fmt;
@@ -54,10 +48,6 @@ pub enum SimdLevel {
     Portable,
     /// 256-bit AVX2 + FMA (x86-64).
     Avx2,
-    /// AVX-512F detected; currently executes the 256-bit AVX2 kernels.
-    Avx512,
-    /// aarch64 NEON detected; currently executes the portable kernels.
-    Neon,
 }
 
 impl SimdLevel {
@@ -66,8 +56,6 @@ impl SimdLevel {
         match self {
             SimdLevel::Portable => "portable",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
-            SimdLevel::Neon => "neon",
         }
     }
 
@@ -77,8 +65,6 @@ impl SimdLevel {
         match s.to_ascii_lowercase().as_str() {
             "portable" | "scalar" => Some(SimdLevel::Portable),
             "avx2" => Some(SimdLevel::Avx2),
-            "avx512" => Some(SimdLevel::Avx512),
-            "neon" => Some(SimdLevel::Neon),
             _ => None,
         }
     }
@@ -97,8 +83,6 @@ fn encode(level: SimdLevel) -> u8 {
     match level {
         SimdLevel::Portable => 1,
         SimdLevel::Avx2 => 2,
-        SimdLevel::Avx512 => 3,
-        SimdLevel::Neon => 4,
     }
 }
 
@@ -106,40 +90,31 @@ fn decode(v: u8) -> SimdLevel {
     match v {
         1 => SimdLevel::Portable,
         2 => SimdLevel::Avx2,
-        3 => SimdLevel::Avx512,
-        4 => SimdLevel::Neon,
         _ => unreachable!("invalid SimdLevel encoding {v}"),
     }
 }
 
-/// Can `level` run on this host with this build configuration?
+/// Can `level` run on this host?
 pub fn level_supported(level: SimdLevel) -> bool {
     match level {
         SimdLevel::Portable => true,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx512 => {
-            level_supported(SimdLevel::Avx2) && std::arch::is_x86_feature_detected!("avx512f")
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        SimdLevel::Neon => true,
-        #[allow(unreachable_patterns)]
-        _ => false,
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2 => false,
     }
 }
 
 /// Widest supported level on this host (ignoring any override).
 pub fn detected_level() -> SimdLevel {
-    for level in [SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Neon] {
-        if level_supported(level) {
-            return level;
-        }
+    if level_supported(SimdLevel::Avx2) {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Portable
     }
-    SimdLevel::Portable
 }
 
 fn init_level() -> SimdLevel {
@@ -149,15 +124,14 @@ fn init_level() -> SimdLevel {
             let level = SimdLevel::parse(v).unwrap_or_else(|| {
                 panic!(
                     "FFTMATVEC_SIMD={v:?} is not a valid SIMD level \
-                     (expected auto, portable, avx2, avx512, or neon)"
+                     (expected auto, portable, or avx2)"
                 )
             });
             assert!(
                 level_supported(level),
-                "FFTMATVEC_SIMD={v:?}: level `{level}` is not supported on this host/build \
-                 (detected `{}`{})",
+                "FFTMATVEC_SIMD={v:?}: level `{level}` is not supported on this host \
+                 (detected `{}`)",
                 detected_level(),
-                if cfg!(feature = "simd") { "" } else { "; built without the `simd` feature" },
             );
             level
         }
@@ -187,7 +161,7 @@ pub fn active_level() -> SimdLevel {
 pub fn set_active_level(level: SimdLevel) -> SimdLevel {
     assert!(
         level_supported(level),
-        "cannot force SIMD level `{level}`: not supported on this host/build"
+        "cannot force SIMD level `{level}`: not supported on this host"
     );
     let prev = active_level();
     LEVEL.store(encode(level), Ordering::Relaxed);
@@ -201,7 +175,7 @@ pub fn set_active_level(level: SimdLevel) -> SimdLevel {
 /// included.
 #[inline]
 pub fn fma_active() -> bool {
-    matches!(active_level(), SimdLevel::Avx2 | SimdLevel::Avx512)
+    active_level() == SimdLevel::Avx2
 }
 
 /// Define a scalar pass `fn name<T: Bound>(args…) [-> R]` whose one body
@@ -214,10 +188,6 @@ pub fn fma_active() -> bool {
 /// Everything the body calls must be `#[inline(always)]` (the `Real` /
 /// `Complex` / `Scalar` arithmetic is) so that it is compiled in the
 /// wrapper's context. The bound is any trait path (`Real`, `Scalar`).
-///
-/// The `cfg` below is evaluated in the *calling* crate: a caller needs
-/// its own `simd` feature (chained to this crate's) to get the second
-/// instantiation, and compiles to the plain body alone without it.
 #[macro_export]
 macro_rules! fma_pass {
     (
@@ -230,7 +200,7 @@ macro_rules! fma_pass {
             #[inline(always)]
             fn body<$T: $bound>($($arg: $ty),*) $(-> $ret)? $body
 
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2,fma")]
                 unsafe fn fma<$T: $bound>($($arg: $ty),*) $(-> $ret)? {
@@ -262,8 +232,8 @@ macro_rules! dispatch_conversion {
         pub fn $with(level: SimdLevel, src: &[$src], dst: &mut [$dst]) {
             assert_eq!(src.len(), dst.len(), "conversion kernel length mismatch");
             match level {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                SimdLevel::Avx2 | SimdLevel::Avx512 => {
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx2 => {
                     // SAFETY: levels above Portable are only reachable
                     // through `level_supported`, which verified avx2+fma.
                     unsafe { x86::$name(src, dst) }
@@ -309,12 +279,13 @@ mod tests {
 
     #[test]
     fn level_names_roundtrip() {
-        for level in [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon] {
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
             assert_eq!(SimdLevel::parse(level.name()), Some(level));
         }
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Portable));
         assert_eq!(SimdLevel::parse("AVX2"), Some(SimdLevel::Avx2));
         assert_eq!(SimdLevel::parse("sse9"), None);
+        assert_eq!(SimdLevel::parse("avx512"), None);
         assert_eq!(SimdLevel::parse(""), None);
     }
 

@@ -421,12 +421,6 @@ impl Service {
         Service { inner, workers }
     }
 
-    /// Convenience: service over a fresh registry (register operators
-    /// through [`Service::registry`]).
-    pub fn with_default_registry(cfg: ServiceConfig) -> Service {
-        Service::new(Arc::new(OperatorRegistry::new()), cfg)
-    }
-
     /// The registry this service serves from. Operators may be
     /// registered and deregistered while the service is live.
     pub fn registry(&self) -> &Arc<OperatorRegistry> {

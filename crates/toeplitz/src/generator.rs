@@ -9,7 +9,7 @@
 //! `NdCirculantEmbedding` takes any `L ≥ 1`.
 
 use fftmatvec_core::ConfigError;
-use fftmatvec_numeric::ndindex::{strides_row_major, total_len};
+use fftmatvec_numeric::ndindex::strides_row_major;
 
 /// `(rows, cols)` extents of one Toeplitz level. The operator's shape is
 /// the per-level product: `∏ rows_l × ∏ cols_l`.
@@ -140,11 +140,6 @@ impl ToeplitzGenerator {
             }
         }
         out
-    }
-
-    /// Total grid length of the row-major diagonal tensor.
-    pub fn diag_len(&self) -> usize {
-        total_len(&self.levels.iter().map(LevelDims::diags).collect::<Vec<_>>())
     }
 }
 
