@@ -1,8 +1,8 @@
 //! Typed backend errors.
 //!
 //! Every failure mode of backend selection and primitive dispatch is a
-//! [`BackendError`] variant — selection of an unknown or unregistered
-//! backend is a build-time error, never a panic. The variant set is
+//! [`BackendError`] variant — selection of an unknown backend is a
+//! build-time error, never a panic. The variant set is
 //! `#[non_exhaustive]` so real GPU backends can add failure modes (device
 //! OOM, driver loss) without a major version bump. `fftmatvec-core` lifts
 //! this type into its `OpError`/`ConfigError` chains with `source()`
@@ -12,24 +12,17 @@ use std::fmt;
 
 use fftmatvec_numeric::Precision;
 
+use crate::kind::BackendKind;
+
 /// What went wrong inside (or while selecting) a device backend.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum BackendError {
     /// A backend name (builder string or `FFTMATVEC_BACKEND` value) did
-    /// not match any registered [`crate::BackendKind`].
+    /// not match any [`BackendKind`].
     UnknownBackend {
         /// The name as given.
         name: String,
-    },
-    /// The selected backend exists but cannot run here — e.g. the
-    /// portability backend in an offline environment with no GPU
-    /// toolchain, or before `fftmatvec-portability` registered it.
-    Unavailable {
-        /// Stable name of the backend that refused.
-        backend: &'static str,
-        /// Human-readable explanation (what is missing, how to get it).
-        reason: String,
     },
     /// A primitive was handed a buffer in a different precision tier than
     /// the one it was planned for.
@@ -56,10 +49,8 @@ impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendError::UnknownBackend { name } => {
-                write!(f, "unknown backend {name:?} (expected one of: cpu, simulated, portability)")
-            }
-            BackendError::Unavailable { backend, reason } => {
-                write!(f, "backend {backend:?} is unavailable: {reason}")
+                let known = BackendKind::ALL.map(BackendKind::name).join(", ");
+                write!(f, "unknown backend {name:?} (expected one of: {known})")
             }
             BackendError::TierMismatch { what, expected, got } => {
                 write!(f, "{what}: buffer tier {got:?} does not match planned tier {expected:?}")
@@ -80,12 +71,7 @@ mod tests {
     #[test]
     fn display_names_the_failure() {
         let e = BackendError::UnknownBackend { name: "tpu".into() };
-        assert!(e.to_string().contains("tpu"));
-        assert!(e.to_string().contains("simulated"));
-        let e =
-            BackendError::Unavailable { backend: "portability", reason: "no GPU toolchain".into() };
-        assert!(e.to_string().contains("portability"));
-        assert!(e.to_string().contains("toolchain"));
+        assert_eq!(e.to_string(), r#"unknown backend "tpu" (expected one of: cpu, simulated)"#);
         let e = BackendError::TierMismatch {
             what: "fft",
             expected: Precision::Double,

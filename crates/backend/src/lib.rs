@@ -18,7 +18,7 @@
 //! 5. **tree-reduce** — the bit-deterministic partial-sum reduction the
 //!    distributed matvec performs in its output precision.
 //!
-//! Three backends ship:
+//! Two backends ship, both executing on the host:
 //!
 //! * [`CpuPool`] — the rayon-pool + SIMD kernels the workspace has always
 //!   run on, **bit-identical** to the direct call path and the default;
@@ -29,29 +29,23 @@
 //!   model, which the device evaluates on its `DeviceSpec` and adds to a
 //!   [`fftmatvec_gpu::PhaseTimes`] ledger — one booking per apply, none
 //!   per primitive; transfers are additionally charged against a
-//!   host-link bandwidth model;
-//! * a **portability** backend registered by `fftmatvec-portability`
-//!   (see [`registry::register_portability`]) that validates the real
-//!   CUDA/HIP kernel sources as far as an offline environment allows and
-//!   returns [`BackendError::Unavailable`] at execution time — the
-//!   landing pad for real GPU execution.
+//!   host-link bandwidth model.
 //!
 //! Selection precedence is **builder > environment > default**: an
 //! explicit `.backend(..)` wins, otherwise the `FFTMATVEC_BACKEND`
 //! environment variable (mirroring `FFTMATVEC_SIMD`; read per build, not
-//! cached) is consulted, otherwise [`BackendKind::Cpu`]. Unknown or
-//! unregistered selections are typed [`BackendError`]s, never panics.
+//! cached) is consulted, otherwise [`BackendKind::Cpu`]. An unknown name
+//! is a typed [`BackendError`], never a panic; [`create`] then builds the
+//! resolved kind and cannot fail.
 
 pub mod cpu;
 pub mod error;
 pub mod kind;
-pub mod registry;
 pub mod simulated;
 pub mod traits;
 
 pub use cpu::CpuPool;
 pub use error::BackendError;
-pub use kind::{BackendKind, BACKEND_ENV};
-pub use registry::{create, register_portability};
+pub use kind::{create, BackendKind, BACKEND_ENV};
 pub use simulated::SimulatedDevice;
 pub use traits::{BatchFft, DeviceBackend, TransferStats};

@@ -95,7 +95,7 @@ pub trait BatchFft: Send + Sync + Debug {
 /// by every workspace of an operator and by the batched `apply_many`
 /// rayon tasks.
 pub trait DeviceBackend: Send + Sync + Debug {
-    /// Which registered backend this is.
+    /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
     /// Human-readable name for reports (device model for simulated

@@ -4,12 +4,12 @@
 //!
 //! The `DeviceBackend` refactor moved every pipeline primitive — batched
 //! FFTs, phase-boundary casts, the pointwise symbol multiply, the
-//! deterministic tree reduction — behind a trait object so the CPU pool,
-//! the simulated device, and the portability backends are one dispatch
-//! API. The trait boundary adds one vtable hop plus enum tier/length
-//! validation per call; because every primitive is *batched*, that fixed
-//! cost amortizes over thousands of elements and must disappear into
-//! noise. This gate pins it there.
+//! deterministic tree reduction — behind a trait object so the CPU pool
+//! and the simulated device are one dispatch API. The trait boundary adds
+//! one vtable hop plus enum tier/length validation per call; because
+//! every primitive is *batched*, that fixed cost amortizes over
+//! thousands of elements and must disappear into noise. This gate pins
+//! it there.
 //!
 //! Each row times the two legs *interleaved* (direct, trait, direct,
 //! ...) over identical workloads, which cancels machine-state drift out

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rayon::prelude::*;
 
-use fftmatvec_backend::DeviceBackend;
+use fftmatvec_backend::{BackendKind, DeviceBackend};
 use fftmatvec_comm::{NetworkModel, ProcessGrid};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{Precision, Real, RealBuffer};
@@ -34,7 +34,6 @@ use crate::linop::{
 use crate::operator::BlockToeplitzOperator;
 use crate::pipeline::FftMatvec;
 use crate::precision::{MatvecPhase, PrecisionConfig};
-use crate::spectral::PipelineBackend;
 use crate::timing::{simulate_on_grid, MatvecDims};
 use crate::workspace::{Checkout, Workspace, WorkspacePool};
 
@@ -163,7 +162,7 @@ impl DistributedFftMatvec {
     /// The execution backend the per-rank pipelines were built for
     /// (every rank resolves the same selection, so rank 0 speaks for
     /// all).
-    pub fn backend(&self) -> PipelineBackend {
+    pub fn backend(&self) -> BackendKind {
         self.ranks[0].backend()
     }
 

@@ -70,6 +70,10 @@ pub use autotune::{AutotuneChoice, PhaseWeights, TierCalibration};
 pub use direct::DirectMatvec;
 pub use distributed::DistributedFftMatvec;
 pub use error_analysis::{BoundParams, ErrorBound};
+/// The execution backend every builder's `.backend(..)` takes, from
+/// `fftmatvec-backend`: `Cpu` (the default) or `Simulated` (the same
+/// bits plus modeled device timings).
+pub use fftmatvec_backend::BackendKind;
 pub use linop::{
     check_apply, check_batch, ConfigError, ConfigurableOperator, LinearOperator, OpDirection,
     OpError, OpShape,
@@ -78,5 +82,5 @@ pub use operator::BlockToeplitzOperator;
 pub use pareto::{pareto_front, ParetoPoint};
 pub use pipeline::{FftMatvec, FftMatvecBuilder};
 pub use precision::{MatvecPhase, PrecisionConfig};
-pub use spectral::{BuildOptions, PipelineBackend, SpectralKernel, TieredPipeline};
+pub use spectral::{BuildOptions, SpectralKernel, TieredPipeline};
 pub use workspace::{workspace_retention_cap, Workspace};

@@ -112,9 +112,9 @@ pub enum OpError {
     /// [`std::error::Error::source`]), so paths that build operators on
     /// demand can report failures through one error type.
     Config(ConfigError),
-    /// A device-backend primitive failed during execution — e.g. the
-    /// portability backend's kernels are validated but not runnable in
-    /// this environment. Carries the underlying
+    /// A device-backend primitive failed during execution — e.g. it was
+    /// handed a buffer in a tier or of a length it was not planned for.
+    /// Carries the underlying
     /// [`fftmatvec_backend::BackendError`] (also reachable through
     /// [`std::error::Error::source`]).
     Backend(fftmatvec_backend::BackendError),
@@ -212,7 +212,7 @@ pub enum ConfigError {
     /// correctly-sized buffers, so this is unreachable by construction).
     Autotune(String),
     /// Backend selection or warm-up failed at build time: the requested
-    /// backend is unknown, unregistered, or cannot run here. Carries the
+    /// backend is unknown, or planning a tier's engine failed. Carries the
     /// underlying [`fftmatvec_backend::BackendError`] (also reachable
     /// through [`std::error::Error::source`]).
     Backend(fftmatvec_backend::BackendError),

@@ -309,8 +309,8 @@ impl FftMatvec {
 mod tests {
     use super::*;
     use crate::linop::LinearOperator;
-    use crate::spectral::PipelineBackend;
     use crate::workspace::workspace_retention_cap;
+    use crate::BackendKind;
     use fftmatvec_blas::BatchGeometry;
     use fftmatvec_numeric::vecmath::rel_l2_error;
     use fftmatvec_numeric::SplitMix64;
@@ -501,10 +501,10 @@ mod tests {
         let op = random_operator(2, 3, 4, 31);
         let mv = FftMatvec::builder(op)
             .precision(PrecisionConfig::optimal_forward())
-            .backend(PipelineBackend::Cpu)
+            .backend(BackendKind::Cpu)
             .build()
             .unwrap();
-        assert_eq!(mv.backend(), PipelineBackend::Cpu);
+        assert_eq!(mv.backend(), BackendKind::Cpu);
         assert_eq!(mv.config(), PrecisionConfig::optimal_forward());
         let m = vec![1.0; 3 * 4];
         let _ = mv.apply_forward(&m).unwrap();

@@ -34,7 +34,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use fftmatvec_backend::{BackendError, DeviceBackend};
+use fftmatvec_backend::{BackendError, BackendKind, DeviceBackend};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::Precision;
 use rayon::prelude::*;
@@ -47,12 +47,6 @@ use crate::linop::{
 };
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::workspace::{Workspace, WorkspacePool};
-
-/// Execution backend a built pipeline computes on — re-exported from
-/// `fftmatvec-backend` under the name this crate has always used. `Cpu`
-/// executes for real (software-emulated 16-bit tiers), `Simulated` adds
-/// modeled device timings, `Portability` is the GPU landing pad.
-pub use fftmatvec_backend::BackendKind as PipelineBackend;
 
 /// The operator-specific part of a tiered spectral pipeline.
 pub trait SpectralKernel: Send + Sync + Sized {
@@ -185,7 +179,7 @@ pub struct BuildOptions {
     pub precision: PrecisionConfig,
     /// Explicit execution backend; `None` defers to the
     /// `FFTMATVEC_BACKEND` environment override, then the CPU pool.
-    pub backend: Option<PipelineBackend>,
+    pub backend: Option<BackendKind>,
     /// Resolve the configuration from an error budget at build time.
     pub error_budget: Option<(OpDirection, f64)>,
 }
@@ -211,7 +205,7 @@ macro_rules! spectral_builder_setters {
         /// Execution backend. An explicit choice here wins over the
         /// `FFTMATVEC_BACKEND` environment override; when neither is set
         /// the operator runs on the CPU pool.
-        pub fn backend(mut self, backend: $crate::PipelineBackend) -> Self {
+        pub fn backend(mut self, backend: $crate::BackendKind) -> Self {
             self.$opts.backend = Some(backend);
             self
         }
@@ -255,7 +249,7 @@ struct AutotuneState {
 pub struct TieredPipeline<K: SpectralKernel> {
     kernel: K,
     cfg: PrecisionConfig,
-    backend: PipelineBackend,
+    backend: BackendKind,
     device: Arc<dyn DeviceBackend>,
     engines: TierSlots<K::Engine>,
     pool: WorkspacePool<K::Workspace>,
@@ -274,10 +268,10 @@ impl<K: SpectralKernel> std::fmt::Debug for TieredPipeline<K> {
 }
 
 impl<K: SpectralKernel> TieredPipeline<K> {
-    /// Build a pipeline around `kernel`: resolve the backend, plan the
-    /// engines the configuration needs (a backend that cannot plan —
-    /// the portability stub's `Unavailable` — fails here, typed) and
-    /// preallocate nothing else; workspaces fill on first apply.
+    /// Build a pipeline around `kernel`: resolve the backend (an unknown
+    /// `FFTMATVEC_BACKEND` name fails here, typed), plan the engines the
+    /// configuration needs and preallocate nothing else; workspaces fill
+    /// on first apply.
     ///
     /// With an error budget set, building also runs the autotune pass:
     /// estimate `κ`, prune the lattice by Eq. 6, time the admissible
@@ -285,12 +279,12 @@ impl<K: SpectralKernel> TieredPipeline<K> {
     /// unsatisfiable or invalid budget fails construction with the
     /// corresponding [`ConfigError`].
     pub fn build(kernel: K, opts: BuildOptions) -> Result<Self, ConfigError> {
-        let backend = PipelineBackend::resolve(opts.backend)?;
+        let backend = BackendKind::resolve(opts.backend)?;
         let mut pipe = TieredPipeline {
             kernel,
             cfg: opts.precision,
             backend,
-            device: fftmatvec_backend::create(backend)?,
+            device: fftmatvec_backend::create(backend),
             engines: TierSlots::default(),
             pool: WorkspacePool::default(),
             kappa: OnceLock::new(),
@@ -335,13 +329,13 @@ impl<K: SpectralKernel> TieredPipeline<K> {
     pub fn set_config(&mut self, cfg: PrecisionConfig) {
         self.engines.retain(cfg);
         self.cfg = cfg;
-        // Best-effort warm: a backend that cannot plan here (portability
-        // stub) surfaces the same typed error on the next apply instead.
+        // Best-effort warm: a tier that cannot plan here surfaces the
+        // same typed error on the next apply instead.
         let _ = self.warm();
     }
 
     /// The execution backend this pipeline was built for.
-    pub fn backend(&self) -> PipelineBackend {
+    pub fn backend(&self) -> BackendKind {
         self.backend
     }
 
@@ -564,7 +558,7 @@ mod tests {
 
         // A failing plan is returned typed and stores nothing.
         slots.retain(PrecisionConfig::all_double());
-        let err = BackendError::Unavailable { backend: "test", reason: "no".into() };
+        let err = BackendError::LengthMismatch { what: "test", expected: 1, got: 0 };
         assert_eq!(slots.get_or_plan(s, || Err(err.clone())).unwrap_err(), err);
         assert!(slots.get(s).is_none());
     }

@@ -18,8 +18,8 @@
 //!   burst of concurrent windows cannot permanently pin its peak
 //!   footprint.
 //! * **High-water marks** — peak concurrent checkouts and the largest
-//!   single-workspace byte footprint seen at return time (how the bench
-//!   gate proves split-FFT scratch stays below the full embedding's).
+//!   single-workspace byte footprint seen at return time (the scratch
+//!   footprint `bench_toeplitz` records per shape).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -182,6 +182,28 @@ pub fn hipify_source(src: &str) -> HipifyResult {
     replacements += launch_count;
 
     // Pass 3: identifier-aware API mapping + unsupported detection.
+    let source = rewrite_identifiers(&text, |ident, line| {
+        if let Some(&hip) = map.get(ident) {
+            replacements += 1;
+            return Some(hip);
+        }
+        if CUDA_PREFIXES.iter().any(|p| ident.starts_with(p)) {
+            unsupported.push(UnsupportedApi { name: ident.to_string(), line });
+        }
+        None
+    });
+
+    HipifyResult { source, replacements, unsupported }
+}
+
+/// Rebuild `text` with every whole identifier passed through `rewrite` (with
+/// its 1-based line): `Some(new)` replaces it, `None` keeps it. Text that
+/// is not an identifier is copied as is, so a mapped name inside a longer
+/// identifier is never touched.
+pub(crate) fn rewrite_identifiers<'a>(
+    text: &str,
+    mut rewrite: impl FnMut(&str, usize) -> Option<&'a str>,
+) -> String {
     let mut out = String::with_capacity(text.len());
     let bytes: Vec<char> = text.chars().collect();
     let mut i = 0usize;
@@ -198,22 +220,13 @@ pub fn hipify_source(src: &str) -> HipifyResult {
                 i += 1;
             }
             let ident: String = bytes[start..i].iter().collect();
-            if let Some(&hip) = map.get(ident.as_str()) {
-                out.push_str(hip);
-                replacements += 1;
-            } else {
-                if CUDA_PREFIXES.iter().any(|p| ident.starts_with(p)) {
-                    unsupported.push(UnsupportedApi { name: ident.clone(), line });
-                }
-                out.push_str(&ident);
-            }
+            out.push_str(rewrite(&ident, line).unwrap_or(&ident));
         } else {
             out.push(c);
             i += 1;
         }
     }
-
-    HipifyResult { source: out, replacements, unsupported }
+    out
 }
 
 /// Rewrite `kernel<<<grid, block[, shmem[, stream]]>>>(args…)` into

@@ -17,21 +17,18 @@
 //!   reduction, and the cuTENSOR complex permutation that hipTensor does
 //!   not support), per-source staleness hashing so edits re-trigger
 //!   hipification, and a custom-kernel fallback registry that plugs the
-//!   cuTENSOR gap exactly as Section 3.1 does.
-//! * [`backend`] — the dispatch layer pairing each logical kernel with a
-//!   per-vendor artifact and simulated device, exposed as the workspace's
-//!   [`fftmatvec_backend::DeviceBackend`] portability backend (call
-//!   [`install`] to register it for `FFTMATVEC_BACKEND=portability`
-//!   selection; its execution primitives are typed-unavailable until a
-//!   real GPU runtime exists).
+//!   cuTENSOR gap exactly as Section 3.1 does. [`GpuVendor`] selects the
+//!   translation path: CUDA passes through, HIP is hipified.
+//! * [`report`] — per-library translation summaries.
+//!
+//! The translated sources are validated, not executed: no GPU runtime
+//! exists here, and the workspace's device backends run on the host.
 
-pub mod backend;
 pub mod hipify;
 pub mod kernels_cuda;
 pub mod pipeline;
 pub mod report;
 
-pub use backend::{install, GpuVendor, PortabilityBackend};
 pub use hipify::{hipify_source, HipifyResult, UnsupportedApi};
-pub use pipeline::{BuildError, HipifyPipeline};
+pub use pipeline::{BuildError, GpuVendor, HipifyPipeline};
 pub use report::{report_for, TranslationReport};

@@ -11,8 +11,27 @@
 
 use std::collections::HashMap;
 
-use crate::backend::GpuVendor;
-use crate::hipify::{hipify_source, UnsupportedApi};
+use crate::hipify::{hipify_source, rewrite_identifiers, UnsupportedApi};
+
+/// GPU vendor a kernel source compiles for: the vendor selects the
+/// translation path, nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum GpuVendor {
+    /// NVIDIA path — the maintained sources compile as-is.
+    Cuda,
+    /// AMD path — sources are hipified on the fly.
+    Hip,
+}
+
+impl GpuVendor {
+    /// The compiler the build system invokes for this target.
+    pub fn compiler(self) -> &'static str {
+        match self {
+            GpuVendor::Cuda => "nvcc",
+            GpuVendor::Hip => "amdclang++",
+        }
+    }
+}
 
 /// Build failure modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,19 +182,15 @@ impl HipifyPipeline {
             },
             GpuVendor::Hip => {
                 let mut result = hipify_source(&src);
+                // Each API's custom kernel is spliced once, however often
+                // the unit calls it.
+                let mut used: Vec<(&str, &FallbackKernel)> = Vec::new();
                 let mut remaining = Vec::new();
                 for u in result.unsupported {
-                    if let Some(fb) = self.fallbacks.get(&u.name) {
-                        // Redirect the call and append the (hipified)
-                        // custom kernel to the unit.
-                        result.source = result.source.replace(&u.name, &fb.entry_point);
-                        let fb_hip = hipify_source(&fb.source);
-                        debug_assert!(fb_hip.is_clean(), "fallback source must hipify cleanly");
-                        result.source.push_str("\n// --- custom fallback kernel ---\n");
-                        result.source.push_str(&fb_hip.source);
-                        result.replacements += 1 + fb_hip.replacements;
-                    } else {
-                        remaining.push(u);
+                    match self.fallbacks.get_key_value(&u.name) {
+                        Some(_) if used.iter().any(|(api, _)| *api == u.name) => {}
+                        Some((api, fb)) => used.push((api.as_str(), fb)),
+                        None => remaining.push(u),
                     }
                 }
                 if !remaining.is_empty() {
@@ -183,6 +198,20 @@ impl HipifyPipeline {
                         file: name.to_string(),
                         apis: remaining,
                     });
+                }
+                // Redirect every call (whole identifiers only) and append
+                // each (hipified) custom kernel to the unit.
+                result.source = rewrite_identifiers(&result.source, |ident, _| {
+                    used.iter()
+                        .find(|(api, _)| *api == ident)
+                        .map(|(_, fb)| fb.entry_point.as_str())
+                });
+                for (_, fb) in used {
+                    let fb_hip = hipify_source(&fb.source);
+                    debug_assert!(fb_hip.is_clean(), "fallback source must hipify cleanly");
+                    result.source.push_str("\n// --- custom fallback kernel ---\n");
+                    result.source.push_str(&fb_hip.source);
+                    result.replacements += 1 + fb_hip.replacements;
                 }
                 Artifact {
                     name: name.to_string(),
@@ -212,15 +241,78 @@ mod tests {
     fn cuda_build_is_passthrough() {
         let mut p = HipifyPipeline::fftmatvec_app();
         let arts = p.build_all(GpuVendor::Cuda).unwrap();
-        assert_eq!(arts.len(), 6);
+        assert_eq!(arts.len(), crate::kernels_cuda::ALL_SOURCES.len());
         for a in &arts {
             assert_eq!(a.replacements, 0, "{}", a.name);
-            assert!(
-                a.source.contains("cuda")
-                    || a.source.contains("cublas")
-                    || a.source.contains("nccl")
-            );
         }
+    }
+
+    #[test]
+    fn cuda_build_keeps_sources_verbatim() {
+        let mut p = HipifyPipeline::fftmatvec_app();
+        for a in &p.build_all(GpuVendor::Cuda).unwrap() {
+            let (_, text) = crate::kernels_cuda::ALL_SOURCES
+                .iter()
+                .find(|(name, _)| *name == a.name)
+                .unwrap_or_else(|| panic!("{} is not a maintained source", a.name));
+            assert_eq!(a.source, *text, "{} must pass through byte for byte", a.name);
+        }
+    }
+
+    #[test]
+    fn same_logical_kernels_on_both_vendors() {
+        let mut p = HipifyPipeline::fftmatvec_app();
+        let names = |arts: Vec<Artifact>| arts.into_iter().map(|a| a.name).collect::<Vec<_>>();
+        let cuda = names(p.build_all(GpuVendor::Cuda).unwrap());
+        let hip = names(p.build_all(GpuVendor::Hip).unwrap());
+        assert_eq!(cuda, hip, "one source tree, two targets");
+        assert_eq!(cuda, p.source_names());
+    }
+
+    #[test]
+    fn compilers() {
+        assert_eq!(GpuVendor::Cuda.compiler(), "nvcc");
+        assert_eq!(GpuVendor::Hip.compiler(), "amdclang++");
+    }
+
+    /// A pipeline holding one source plus the cuTENSOR fallback.
+    fn with_permute_fallback(src: &str) -> HipifyPipeline {
+        let mut p = HipifyPipeline::new();
+        p.add_source("unit.cu", src);
+        p.register_fallback(
+            "cutensorPermutation",
+            "permute_setup_tensor_custom",
+            crate::kernels_cuda::COMPLEX_PERMUTE_FALLBACK,
+        );
+        p
+    }
+
+    #[test]
+    fn a_fallback_kernel_is_spliced_once_per_api() {
+        let once = "#include <cutensor.h>\ncutensorPermutation(h, a, in, out);\n";
+        let twice = "#include <cutensor.h>\ncutensorPermutation(h, a, in, out);\n\
+                     cutensorPermutation(h, a, out, in);\n";
+        let one = with_permute_fallback(once).build_one("unit.cu", GpuVendor::Hip).unwrap();
+        let two = with_permute_fallback(twice).build_one("unit.cu", GpuVendor::Hip).unwrap();
+        for art in [&one, &two] {
+            assert_eq!(art.source.matches("custom fallback kernel").count(), 1, "{}", art.source);
+            assert_eq!(art.source.matches("void permute_cdouble_kernel(").count(), 1);
+            assert!(!art.source.contains("cutensorPermutation"));
+        }
+        assert_eq!(two.source.matches("permute_setup_tensor_custom(h, a,").count(), 2);
+        // Include, redirect, and the fallback's own three rewrites.
+        assert_eq!(one.replacements, 5);
+        assert_eq!(two.replacements, one.replacements);
+    }
+
+    #[test]
+    fn the_fallback_redirect_respects_identifiers() {
+        let src = "cutensorPermutation(h, a, in, out);\n\
+                   int my_cutensorPermutation_wrapper = 0;\n";
+        let art = with_permute_fallback(src).build_one("unit.cu", GpuVendor::Hip).unwrap();
+        assert!(art.source.starts_with("permute_setup_tensor_custom(h, a, in, out);\n"));
+        assert!(art.source.contains("int my_cutensorPermutation_wrapper = 0;"), "{}", art.source);
+        assert!(!art.source.contains("my_permute_setup_tensor_custom_wrapper"));
     }
 
     #[test]

@@ -356,7 +356,7 @@ mod tests {
         // while its device handle accumulates transfer accounting.
         let reg = OperatorRegistry::new();
         reg.register_fft("cpu", tiny_builder()).unwrap();
-        reg.register_fft("sim", tiny_builder().backend(fftmatvec_core::PipelineBackend::Simulated))
+        reg.register_fft("sim", tiny_builder().backend(fftmatvec_core::BackendKind::Simulated))
             .unwrap();
         let cpu = reg.lookup("cpu").unwrap();
         let sim = reg.lookup("sim").unwrap();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fftmatvec_core::{
-    BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, PipelineBackend, PrecisionConfig,
+    BackendKind, BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, PrecisionConfig,
 };
 use fftmatvec_numeric::SplitMix64;
 use fftmatvec_service::{block_on, join_all, OperatorRegistry, Service, ServiceConfig};
@@ -73,7 +73,7 @@ fn mixed_budget_traffic_is_config_routed_and_bit_deterministic() {
         // CI leg still runs everything else through the env backend.
         let registry = Arc::new(OperatorRegistry::new());
         registry
-            .register_fft_tunable("tuned", FftMatvec::builder(op).backend(PipelineBackend::Cpu))
+            .register_fft_tunable("tuned", FftMatvec::builder(op).backend(BackendKind::Cpu))
             .unwrap();
         let service = Service::new(
             Arc::clone(&registry),

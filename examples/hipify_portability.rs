@@ -1,12 +1,11 @@
 //! The hipify-on-the-fly workflow (Section 3.1) end to end: one CUDA
 //! source tree, compile-time translation, "Not Supported" diagnostics,
-//! custom-kernel fallbacks, and per-vendor backend dispatch.
+//! custom-kernel fallbacks, and per-source rebuilds.
 //!
 //! Run: `cargo run --release --example hipify_portability`
 
-use fftmatvec::gpu::DeviceSpec;
 use fftmatvec::portability::kernels_cuda;
-use fftmatvec::portability::{GpuVendor, HipifyPipeline, PortabilityBackend};
+use fftmatvec::portability::{GpuVendor, HipifyPipeline};
 
 fn main() {
     // The application's maintained sources are pure CUDA.
@@ -53,23 +52,4 @@ fn main() {
     pipeline.add_source("pad_kernel.cu", &kernels_cuda::PAD_KERNEL.replace("256", "512"));
     let rebuilt = pipeline.build_one("pad_kernel.cu", GpuVendor::Hip).unwrap();
     println!("after editing the CUDA source: rebuilt = {}", rebuilt.rebuilt);
-    println!();
-
-    // Backend dispatch binds the built artifacts to simulated devices.
-    for dev in DeviceSpec::paper_lineup() {
-        let d = PortabilityBackend::build(GpuVendor::Hip, dev).unwrap();
-        println!(
-            "dispatch: {:<22} <- {} units via {}",
-            d.device().name,
-            d.artifacts().len(),
-            d.vendor().compiler()
-        );
-    }
-    let nv = PortabilityBackend::cuda_reference().unwrap();
-    println!(
-        "dispatch: {:<22} <- {} units via {}",
-        nv.device().name,
-        nv.artifacts().len(),
-        nv.vendor().compiler()
-    );
 }

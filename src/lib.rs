@@ -16,9 +16,9 @@
 //! * [`core`] — the FFTMatvec pipeline, mixed-precision framework, error
 //!   analysis, Pareto front, and the distributed matvec.
 //! * [`toeplitz`] — multi-level Toeplitz operators (`TwoLevelToeplitz`,
-//!   `NdCirculantEmbedding`) via circulant embedding, including the
-//!   memory-optimized split-FFT path; nested plans share the process-wide
-//!   FFT plan cache in the `planWhole`/`planBlock` style.
+//!   `NdCirculantEmbedding`) via circulant embedding, on real N-d
+//!   transforms that skip the embedding's zero rows; nested plans share
+//!   the process-wide FFT plan cache in the `planWhole`/`planBlock` style.
 //! * [`lti`] — linear autonomous dynamical systems and Bayesian inversion.
 //! * [`portability`] — the hipify-on-the-fly translation pipeline.
 //! * [`service`] — operator-as-a-service: a persistent registry plus an

@@ -13,22 +13,23 @@
 //! * the simulated device's modeled ledger **is** the closed-form cost
 //!   model: `k` applies book exactly `k ×` the kernel's per-apply phase
 //!   times, plus the host-link charge on the transfer edge;
-//! * selecting the portability backend is a typed build-time error,
-//!   never a panic, with and without the hipify factory installed;
+//! * selecting an unknown backend is a typed build-time error, never a
+//!   panic;
 //! * selection precedence is builder > `FFTMATVEC_BACKEND` > default.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use fftmatvec::backend::simulated::HOST_LINK_BYTES_PER_SEC;
 use fftmatvec::backend::{BackendError, BackendKind, DeviceBackend, SimulatedDevice, BACKEND_ENV};
 use fftmatvec::core::timing::{simulate_phases, MatvecDims};
 use fftmatvec::core::{
     BlockToeplitzOperator, ConfigError, FftMatvec, LinearOperator, MatvecPhase, OpDirection,
-    OpError, PipelineBackend, PrecisionConfig, SpectralKernel,
+    OpError, PrecisionConfig, SpectralKernel,
 };
 use fftmatvec::gpu::{dtype_for, DeviceSpec, KernelProfile, Phase, PhaseTimes};
-use fftmatvec::numeric::{Precision, RealBuffer, SplitMix64};
+use fftmatvec::numeric::SplitMix64;
 use fftmatvec::toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
 /// Counts allocations made by the current thread (same pattern as
@@ -117,11 +118,10 @@ fn executing_backends_are_bit_identical_to_cpu_pool() {
     }
 }
 
-/// The adjoint identity holds through the trait on every executing
-/// backend.
+/// The adjoint identity holds through the trait on every backend.
 #[test]
 fn adjoint_identity_holds_per_backend() {
-    for kind in [BackendKind::Cpu, BackendKind::Simulated] {
+    for kind in BackendKind::ALL {
         let mv = pipeline(7, "ddddd", kind);
         let m = input(NM * NT, 8);
         let d = input(ND * NT, 9);
@@ -212,9 +212,9 @@ fn cpu_backend_keeps_a_transfer_ledger_but_no_clock() {
 #[test]
 fn toeplitz_backends_are_bit_identical_too() {
     for cfg in ["ddddd", "dssdd"] {
-        let cpu = two_level(cfg, PipelineBackend::Cpu);
-        let sim = two_level(cfg, PipelineBackend::Simulated);
-        assert_eq!(sim.backend(), PipelineBackend::Simulated);
+        let cpu = two_level(cfg, BackendKind::Cpu);
+        let sim = two_level(cfg, BackendKind::Simulated);
+        assert_eq!(sim.backend(), BackendKind::Simulated);
         let m = input(cpu.shape().cols, 29);
         assert_eq!(cpu.apply_forward(&m).unwrap(), sim.apply_forward(&m).unwrap(), "[{cfg}]");
         // The apply books the pointwise kernel's model, so Sbgemv
@@ -230,7 +230,7 @@ fn two_level_gen() -> ToeplitzGenerator {
     ToeplitzGenerator::two_level((3, 4), (5, 3), diags).unwrap()
 }
 
-fn two_level(cfg: &str, backend: PipelineBackend) -> TwoLevelToeplitz {
+fn two_level(cfg: &str, backend: BackendKind) -> TwoLevelToeplitz {
     TwoLevelToeplitz::builder(two_level_gen())
         .precision(cfg.parse().unwrap())
         .backend(backend)
@@ -248,7 +248,7 @@ fn close(got: f64, want: f64) -> bool {
 /// backend, in both directions.
 #[test]
 fn toeplitz_applies_book_the_transfer_edge() {
-    for backend in [PipelineBackend::Cpu, PipelineBackend::Simulated] {
+    for backend in BackendKind::ALL {
         let op = two_level("ddddd", backend);
         let (rows, cols) = (op.shape().rows, op.shape().cols);
         let (x, y) = (input(cols, 47), input(rows, 53));
@@ -362,7 +362,7 @@ fn toeplitz_ledger_books_five_phases_over_the_pruned_real_passes() {
     for code in ["ddddd", "dssdd"] {
         let cfg: PrecisionConfig = code.parse().unwrap();
         for dir in [OpDirection::Forward, OpDirection::Adjoint] {
-            let op = two_level(code, PipelineBackend::Simulated);
+            let op = two_level(code, BackendKind::Simulated);
             let (in_len, out_len) = op.shape().io_lens(dir);
             op.apply_into(dir, &input(in_len, 71), &mut vec![0.0; out_len]).unwrap();
             let ledger: PhaseTimes = op.device().modeled_times().unwrap();
@@ -391,55 +391,51 @@ fn toeplitz_ledger_books_five_phases_over_the_pruned_real_passes() {
         }
     }
     // What is multiplied is the half spectrum, not the logical grid.
-    let sym = two_level("ddddd", PipelineBackend::Simulated).symbol_shared();
+    let sym = two_level("ddddd", BackendKind::Simulated).symbol_shared();
     assert_eq!((sym.work_dims(), sym.grid_len(), sym.spectrum_len()), (&[6usize, 8][..], 48, 30));
 }
 
-/// Unknown and unavailable backend selections are typed build-time
-/// errors with a `source()` chain down to the `BackendError`.
+/// Serializes the two tests that set [`BACKEND_ENV`]: every test in this
+/// binary shares the process environment. The others pass an explicit
+/// backend, so they never read it.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Unknown backend selections are typed build-time errors with a
+/// `source()` chain down to the `BackendError`.
 #[test]
 fn backend_selection_failures_are_typed() {
-    // Portability before the factory is installed: typed Unavailable.
-    let err = FftMatvec::builder(operator(31)).backend(BackendKind::Portability).build();
-    match err {
-        Err(ConfigError::Backend(BackendError::Unavailable { backend, .. })) => {
-            assert_eq!(backend, "portability");
+    // `portability` names no backend: the hipify pipeline translates
+    // kernel sources, it does not execute them.
+    let built = {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = std::env::var_os(BACKEND_ENV);
+        std::env::set_var(BACKEND_ENV, "portability");
+        let built = FftMatvec::builder(operator(31)).build();
+        match saved {
+            Some(v) => std::env::set_var(BACKEND_ENV, v),
+            None => std::env::remove_var(BACKEND_ENV),
         }
-        other => panic!("expected typed Unavailable, got {other:?}"),
-    }
-
-    // After installing the hipify factory the build gets further —
-    // sources hipify and validate — but planning an FFT is still typed
-    // Unavailable (no GPU runtime here), not a panic.
-    let _freshly_installed = fftmatvec::portability::install();
-    let err = FftMatvec::builder(operator(31)).backend(BackendKind::Portability).build();
-    match err {
-        Err(ConfigError::Backend(BackendError::Unavailable { backend, reason })) => {
-            assert_eq!(backend, "portability");
-            assert!(!reason.is_empty());
+        built
+    };
+    match built {
+        Err(ConfigError::Backend(BackendError::UnknownBackend { name })) => {
+            assert_eq!(name, "portability");
         }
-        other => panic!("expected typed Unavailable after install, got {other:?}"),
+        other => panic!("expected typed UnknownBackend, got {other:?}"),
     }
 
     // The error chain threads source() down to the BackendError.
-    let op_err: OpError =
-        BackendError::Unavailable { backend: "portability", reason: "x".into() }.into();
+    let op_err: OpError = BackendError::UnknownBackend { name: "portability".into() }.into();
     let src = std::error::Error::source(&op_err).expect("OpError::Backend has a source");
     assert!(src.downcast_ref::<BackendError>().is_some());
-
-    // A portability device created directly also refuses primitives with
-    // typed errors.
-    let device = fftmatvec::backend::create(BackendKind::Portability).unwrap();
-    let mut buf = RealBuffer::zeros(Precision::Double, 8);
-    assert!(matches!(device.tree_reduce(&mut buf, 4), Err(BackendError::Unavailable { .. })));
 }
 
 /// Selection precedence: builder wins over the environment, the
 /// environment wins over the default, and an unknown name in the
-/// environment is a typed error. Env manipulation stays inside this one
-/// test (other tests in this binary always pass an explicit backend).
+/// environment is a typed error.
 #[test]
 fn selection_precedence_is_builder_env_default() {
+    let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     std::env::set_var(BACKEND_ENV, "simulated");
     let from_env = FftMatvec::builder(operator(37)).build().unwrap();
     assert_eq!(from_env.backend(), BackendKind::Simulated, "env override selects simulated");
@@ -458,5 +454,5 @@ fn selection_precedence_is_builder_env_default() {
     std::env::remove_var(BACKEND_ENV);
     let default = FftMatvec::builder(operator(37)).build().unwrap();
     assert_eq!(default.backend(), BackendKind::Cpu, "default is the CPU pool");
-    assert_eq!(default.backend(), PipelineBackend::default());
+    assert_eq!(default.backend(), BackendKind::default());
 }

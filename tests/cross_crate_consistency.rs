@@ -14,7 +14,7 @@ use fftmatvec::gpu::{DeviceSpec, Phase};
 use fftmatvec::lti::{HeatEquation1D, LtiSystem, P2oMap};
 use fftmatvec::numeric::vecmath::rel_l2_error;
 use fftmatvec::numeric::SplitMix64;
-use fftmatvec::portability::{GpuVendor, PortabilityBackend};
+use fftmatvec::portability::{GpuVendor, HipifyPipeline};
 
 fn random_operator(nd: usize, nm: usize, nt: usize, seed: u64) -> BlockToeplitzOperator {
     let mut rng = SplitMix64::new(seed);
@@ -177,16 +177,17 @@ fn distributed_simulation_combines_compute_and_comm() {
 fn hipified_application_and_compute_pipeline_share_kernel_names() {
     // The portability layer's artifact set covers the pipeline's phases:
     // pad, unpad, SBGEMV dispatch, FFT plans, reduction.
-    let d = PortabilityBackend::build(GpuVendor::Hip, DeviceSpec::mi300x()).unwrap();
+    let arts = HipifyPipeline::fftmatvec_app().build_all(GpuVendor::Hip).unwrap();
+    let artifact = |name: &str| arts.iter().find(|a| a.name == name);
     for needed in
         ["pad_kernel.cu", "unpad_kernel.cu", "sbgemv_host.cu", "fft_host.cu", "nccl_reduce.cu"]
     {
-        let art = d.artifact(needed).unwrap_or_else(|| panic!("missing {needed}"));
+        let art = artifact(needed).unwrap_or_else(|| panic!("missing {needed}"));
         assert!(art.replacements > 0);
     }
     // And the hipified SBGEMV host calls the rocBLAS entry points our BLAS
     // crate models.
-    let sb = d.artifact("sbgemv_host.cu").unwrap();
+    let sb = artifact("sbgemv_host.cu").unwrap();
     assert!(sb.source.contains("rocblas_zgemv_strided_batched"));
     assert!(sb.source.contains("rocblas_operation_conjugate_transpose"));
 }
