@@ -2,25 +2,25 @@
 //! SIMD kernels the workspace has always executed, behind the
 //! [`DeviceBackend`] trait.
 //!
-//! Every primitive here is the same code path the pre-trait pipeline ran
-//! (batched FFTs through [`fftmatvec_fft::BatchedRealFft`], casts
-//! elementwise through `f64`, the deterministic tree reduction from
-//! `fftmatvec-comm`), so results are **bit-identical** to the direct call
-//! path — the determinism gate pins this. Transfer accounting is a pair
-//! of relaxed atomic counters; no copies are added to the hot path.
-//!
-//! The pointwise symbol multiply is the one elementwise arithmetic loop
-//! here, and it runs as a [`fma_pass`] — one scalar body, instantiated
-//! plainly and inside an `avx2,fma` wrapper — so its `mul_add`s are
-//! instructions, not calls into libm `fma` (16 384 complex f64 products:
-//! 90 → 17 µs, same bits). The casts contain no `mul_add`.
+//! Every primitive here is a thin tier match around the one library
+//! kernel of its kind — batched FFTs through
+//! [`fftmatvec_fft::BatchedRealFft`], casts through
+//! [`RealBuffer::cast_into`] / [`ComplexBuffer::cast_into`] (the
+//! `16-bit ↔ f32` pairs on the SIMD conversions), the pointwise multiply
+//! through [`fftmatvec_numeric::simd::pointwise_mul_assign`] (a vector
+//! kernel per tier at the AVX2 level), the deterministic tree reduction
+//! from `fftmatvec-comm` — so results are **bit-identical** to calling
+//! those directly, and `bench_backend` prices exactly the dispatch.
+//! Transfer accounting is a pair of relaxed atomic counters; no copies
+//! are added to the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_fft::{BatchedRealFft, RealPlanHandle};
-use fftmatvec_numeric::{bf16, f16, fma_pass, Complex, ComplexBuffer, Precision, Real, RealBuffer};
+use fftmatvec_numeric::simd::pointwise_mul_assign;
+use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision, Real, RealBuffer};
 
 use crate::error::BackendError;
 use crate::kind::BackendKind;
@@ -189,105 +189,6 @@ fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
     }
 }
 
-/// Pointwise `io ⊙= sym` (`⊙= conj(sym)` when `conj`), both in the same
-/// tier — the multi-level pipelines' Sbgemv phase.
-fn pointwise_impl(
-    io: &mut ComplexBuffer,
-    sym: &ComplexBuffer,
-    conj: bool,
-) -> Result<(), BackendError> {
-    if io.len() != sym.len() {
-        return Err(BackendError::LengthMismatch {
-            what: "pointwise symbol multiply",
-            expected: sym.len(),
-            got: io.len(),
-        });
-    }
-    fma_pass! {
-        /// One tier's multiply: a complex product is an unfused product
-        /// and a `mul_add` per part, so outside an FMA context this loop
-        /// is two libm calls per element (7 ns against 1.2 ns in one).
-        fn go<T: Real>(grid: &mut [Complex<T>], sym: &[Complex<T>], conj: bool) {
-            if conj {
-                for (g, s) in grid.iter_mut().zip(sym) {
-                    *g *= s.conj();
-                }
-            } else {
-                for (g, s) in grid.iter_mut().zip(sym) {
-                    *g *= *s;
-                }
-            }
-        }
-    }
-    match (io, sym) {
-        (ComplexBuffer::C16(g), ComplexBuffer::C16(s)) => go(g, s, conj),
-        (ComplexBuffer::CB16(g), ComplexBuffer::CB16(s)) => go(g, s, conj),
-        (ComplexBuffer::C32(g), ComplexBuffer::C32(s)) => go(g, s, conj),
-        (ComplexBuffer::C64(g), ComplexBuffer::C64(s)) => go(g, s, conj),
-        (io, sym) => {
-            return Err(BackendError::TierMismatch {
-                what: "pointwise symbol multiply",
-                expected: sym.precision(),
-                got: io.precision(),
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Phase-boundary real cast into tier `p`, elementwise through `f64`
-/// (exact widening, a single correct rounding on narrowing). Both
-/// variants resolve once; the inner loop is a monomorphized
-/// slice-to-slice cast.
-fn cast_real_impl(src: &RealBuffer, p: Precision, dst: &mut RealBuffer) {
-    dst.reset_for_overwrite(p, src.len());
-    fn fill<Tin: Real, Tout: Real>(src: &[Tin], out: &mut [Tout]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = Tout::from_f64(x.to_f64());
-        }
-    }
-    macro_rules! arms {
-        ($s:expr, $($var:ident),+) => {
-            match dst {
-                $(RealBuffer::$var(o) => fill($s, o),)+
-            }
-        };
-    }
-    match src {
-        RealBuffer::F16(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::BF16(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::F32(s) => arms!(s, F16, BF16, F32, F64),
-        RealBuffer::F64(s) => arms!(s, F16, BF16, F32, F64),
-    }
-}
-
-/// Phase-boundary complex cast into tier `p`, elementwise through `f64`
-/// (exact widening, a single correct rounding per component on
-/// narrowing). Both variants resolve once, like [`cast_real_impl`] — a
-/// per-element enum match here costs ~3x on the pipeline's phase
-/// boundaries, which the `bench_backend` dispatch gate would flag.
-fn cast_complex_impl(src: &ComplexBuffer, p: Precision, dst: &mut ComplexBuffer) {
-    dst.reset_for_overwrite(p, src.len());
-    fn fill<Tin: Real, Tout: Real>(src: &[Complex<Tin>], out: &mut [Complex<Tout>]) {
-        for (o, z) in out.iter_mut().zip(src) {
-            *o = Complex::new(Tout::from_f64(z.re.to_f64()), Tout::from_f64(z.im.to_f64()));
-        }
-    }
-    macro_rules! arms {
-        ($s:expr, $($var:ident),+) => {
-            match dst {
-                $(ComplexBuffer::$var(o) => fill($s, o),)+
-            }
-        };
-    }
-    match src {
-        ComplexBuffer::C16(s) => arms!(s, C16, CB16, C32, C64),
-        ComplexBuffer::CB16(s) => arms!(s, C16, CB16, C32, C64),
-        ComplexBuffer::C32(s) => arms!(s, C16, CB16, C32, C64),
-        ComplexBuffer::C64(s) => arms!(s, C16, CB16, C32, C64),
-    }
-}
-
 /// Deterministic tree reduction of the `flat.len()/len` parts into
 /// `flat[..len]`.
 fn tree_reduce_impl(flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
@@ -352,7 +253,27 @@ impl DeviceBackend for CpuPool {
         sym: &ComplexBuffer,
         conj: bool,
     ) -> Result<(), BackendError> {
-        pointwise_impl(io, sym, conj)
+        if io.len() != sym.len() {
+            return Err(BackendError::LengthMismatch {
+                what: "pointwise symbol multiply",
+                expected: sym.len(),
+                got: io.len(),
+            });
+        }
+        match (io, sym) {
+            (ComplexBuffer::C16(g), ComplexBuffer::C16(s)) => pointwise_mul_assign(g, s, conj),
+            (ComplexBuffer::CB16(g), ComplexBuffer::CB16(s)) => pointwise_mul_assign(g, s, conj),
+            (ComplexBuffer::C32(g), ComplexBuffer::C32(s)) => pointwise_mul_assign(g, s, conj),
+            (ComplexBuffer::C64(g), ComplexBuffer::C64(s)) => pointwise_mul_assign(g, s, conj),
+            (io, sym) => {
+                return Err(BackendError::TierMismatch {
+                    what: "pointwise symbol multiply",
+                    expected: sym.precision(),
+                    got: io.precision(),
+                })
+            }
+        }
+        Ok(())
     }
 
     fn cast_real(
@@ -361,7 +282,7 @@ impl DeviceBackend for CpuPool {
         p: Precision,
         dst: &mut RealBuffer,
     ) -> Result<(), BackendError> {
-        cast_real_impl(src, p, dst);
+        src.cast_into(p, dst);
         Ok(())
     }
 
@@ -371,7 +292,7 @@ impl DeviceBackend for CpuPool {
         p: Precision,
         dst: &mut ComplexBuffer,
     ) -> Result<(), BackendError> {
-        cast_complex_impl(src, p, dst);
+        src.cast_into(p, dst);
         Ok(())
     }
 
@@ -383,7 +304,7 @@ impl DeviceBackend for CpuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fftmatvec_numeric::C64;
+    use fftmatvec_numeric::{Complex, C64};
 
     #[test]
     fn forward_inverse_roundtrip_f64() {
@@ -449,6 +370,9 @@ mod tests {
         }
     }
 
+    /// Every tier, both `conj` values, at every SIMD level — the vector
+    /// kernels of `numeric::simd::pointwise_mul_assign` included — equals
+    /// the scalar `*g *= s` / `*g *= s.conj()` on bits, tails included.
     #[test]
     fn pointwise_is_bit_identical_at_every_simd_level() {
         use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
@@ -481,6 +405,27 @@ mod tests {
         let bits = |b: &ComplexBuffer| -> Vec<(u64, u64)> {
             (0..b.len()).map(|i| (b.get(i).re.to_bits(), b.get(i).im.to_bits())).collect()
         };
+        // The scalar `*g *= s` / `*g *= s.conj()` of the tier, on bits.
+        fn scalar(io: &ComplexBuffer, sym: &ComplexBuffer, conj: bool) -> ComplexBuffer {
+            fn go<T: Real>(io: &[Complex<T>], sym: &[Complex<T>], conj: bool) -> Vec<Complex<T>> {
+                let mut out = io.to_vec();
+                for (g, s) in out.iter_mut().zip(sym) {
+                    if conj {
+                        *g *= s.conj();
+                    } else {
+                        *g *= *s;
+                    }
+                }
+                out
+            }
+            match (io, sym) {
+                (ComplexBuffer::C16(g), ComplexBuffer::C16(s)) => go(g, s, conj).into(),
+                (ComplexBuffer::CB16(g), ComplexBuffer::CB16(s)) => go(g, s, conj).into(),
+                (ComplexBuffer::C32(g), ComplexBuffer::C32(s)) => go(g, s, conj).into(),
+                (ComplexBuffer::C64(g), ComplexBuffer::C64(s)) => go(g, s, conj).into(),
+                _ => unreachable!("one tier"),
+            }
+        }
         let pool = CpuPool::new();
         // The level is process-global; sibling tests running meanwhile
         // are level-agnostic (every level computes the same bits).
@@ -489,17 +434,14 @@ mod tests {
         for len in [0, 1, 7, 16_384] {
             let (a, b) = (awkward(len, 3), awkward(len, 4));
             for p in Precision::ALL {
-                let sym = ComplexBuffer::from_c64(p, &b);
+                let (io, sym) = (ComplexBuffer::from_c64(p, &a), ComplexBuffer::from_c64(p, &b));
                 for conj in [false, true] {
-                    let run = |level| {
-                        set_active_level(level);
-                        let mut io = ComplexBuffer::from_c64(p, &a);
-                        pool.pointwise_multiply(&mut io, &sym, conj).unwrap();
-                        bits(&io)
-                    };
-                    let reference = run(SimdLevel::Portable);
+                    let reference = bits(&scalar(&io, &sym, conj));
                     for level in levels.into_iter().filter(|&l| level_supported(l)) {
-                        assert_eq!(run(level), reference, "{p} len={len} conj={conj} {level}");
+                        set_active_level(level);
+                        let mut got = io.clone();
+                        pool.pointwise_multiply(&mut got, &sym, conj).unwrap();
+                        assert_eq!(bits(&got), reference, "{p} len={len} conj={conj} {level}");
                     }
                 }
             }

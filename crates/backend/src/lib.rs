@@ -12,9 +12,13 @@
 //! 2. **batched real FFT execution** — [`BatchFft`] handles returned by
 //!    [`DeviceBackend::real_fft`], one per precision tier;
 //! 3. **pointwise complex multiply** — the degenerate 1×1 frequency-domain
-//!    product the multi-level circulant pipelines run instead of SBGEMV;
-//! 4. **batched cast** — the phase-boundary tier changes
-//!    (double-rounding-safe, elementwise through `f64`);
+//!    product the multi-level circulant pipelines run instead of SBGEMV
+//!    (on the CPU, `fftmatvec_numeric::simd::pointwise_mul_assign`, a
+//!    vector kernel per tier);
+//! 4. **batched cast** — the phase-boundary tier changes, one correct
+//!    rounding per element, never two (on the CPU,
+//!    `RealBuffer::cast_into` / `ComplexBuffer::cast_into`, with vector
+//!    `16-bit ↔ f32` conversions);
 //! 5. **tree-reduce** — the bit-deterministic partial-sum reduction the
 //!    distributed matvec performs in its output precision.
 //!

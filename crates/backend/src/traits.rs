@@ -137,9 +137,10 @@ pub trait DeviceBackend: Send + Sync + Debug {
         conj: bool,
     ) -> Result<(), BackendError>;
 
-    /// Batched phase-boundary cast of a real buffer into tier `p`
-    /// (elementwise through `f64`: exact widening, a single correct
-    /// rounding on narrowing). Resets `dst` to `(p, src.len())`.
+    /// Batched phase-boundary cast of a real buffer into tier `p`: the
+    /// values of `Tout::from_f64(x.to_f64())` per element (exact
+    /// widening, a single correct rounding on narrowing). Resets `dst`
+    /// to `(p, src.len())`.
     fn cast_real(
         &self,
         src: &RealBuffer,

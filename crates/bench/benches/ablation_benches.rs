@@ -32,7 +32,7 @@ fn bench_fused_vs_separate_cast(c: &mut Criterion) {
     g.bench_function("separate_pad_then_cast", |b| {
         b.iter(|| {
             let padded = layout::pad_input(black_box(&m), n_series, nt, Precision::Double);
-            layout::cast_real(padded, Precision::Single)
+            padded.cast(Precision::Single)
         });
     });
     g.finish();

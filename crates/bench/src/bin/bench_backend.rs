@@ -38,9 +38,8 @@ use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::{rule, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_fft::BatchedRealFft;
-use fftmatvec_numeric::{
-    fma_pass, Complex, ComplexBuffer, Precision, Real, RealBuffer, SplitMix64, C64,
-};
+use fftmatvec_numeric::simd::pointwise_mul_assign;
+use fftmatvec_numeric::{Complex, ComplexBuffer, Precision, Real, RealBuffer, SplitMix64, C64};
 
 /// Batched FFT shape: the pipeline regime (transform length `2·N_t`,
 /// one transform per operator row/column).
@@ -51,18 +50,6 @@ const FFT_BATCH: usize = 32;
 const ELEMS: usize = 1 << 15;
 /// Tree-reduce geometry: 8 rank-parts of 4096 elements.
 const PARTS: usize = 8;
-
-fma_pass! {
-    /// The direct leg of the `pointwise_multiply` row: the loop the backend
-    /// wraps, in the FMA context the backend runs it in — a plain loop in
-    /// this binary would call libm `fma` per product and make the trait
-    /// leg look 6× *faster* than "direct".
-    fn pointwise_direct<T: Real>(grid: &mut [Complex<T>], sym: &[Complex<T>]) {
-        for (g, s) in grid.iter_mut().zip(sym) {
-            *g *= *s;
-        }
-    }
-}
 
 fn measure<A: FnMut(), B: FnMut()>(
     rows: &mut Vec<Record>,
@@ -145,60 +132,49 @@ fn main() {
     measure_fft::<f64>(&mut rows, &device, Precision::Double, "f64", samples, sample_ms);
     measure_fft::<f32>(&mut rows, &device, Precision::Single, "f32", samples, sample_ms);
 
-    // Phase-boundary real cast, f64 -> f32: one correct rounding per
-    // element on both legs.
+    // Phase-boundary real cast, f64 -> f32: the backend wraps
+    // `RealBuffer::cast_into`, so the direct leg calls it itself and the
+    // ratio prices the dispatch alone.
     {
         let mut host = vec![0.0f64; ELEMS];
         rng.fill_uniform(&mut host, -1.0, 1.0);
-        let src_direct = host.clone();
-        let mut dst_direct = vec![0.0f32; ELEMS];
-        let src_trait = RealBuffer::from_f64(Precision::Double, &host);
-        let mut dst_trait = RealBuffer::zeros(Precision::Single, ELEMS);
+        let src = RealBuffer::from_f64(Precision::Double, &host);
+        let mut dst_direct = RealBuffer::zeros(Precision::Single, ELEMS);
+        let mut dst_trait = dst_direct.clone();
         measure(
             &mut rows,
             "cast_real",
             "f64->f32",
-            || {
-                for (o, &x) in dst_direct.iter_mut().zip(black_box(&src_direct)) {
-                    *o = x as f32;
-                }
-            },
-            || device.cast_real(black_box(&src_trait), Precision::Single, &mut dst_trait).unwrap(),
+            || black_box(&src).cast_into(Precision::Single, &mut dst_direct),
+            || device.cast_real(black_box(&src), Precision::Single, &mut dst_trait).unwrap(),
             samples,
             sample_ms,
         );
     }
 
-    // Phase-boundary complex cast, f64 -> f32.
+    // Phase-boundary complex cast, f64 -> f32, through
+    // `ComplexBuffer::cast_into` on the direct leg.
     {
         let zs: Vec<C64> =
             (0..ELEMS).map(|_| C64::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))).collect();
-        let src_direct = zs.clone();
-        let mut dst_direct = vec![Complex::<f32>::zero(); ELEMS];
-        let src_trait = ComplexBuffer::from_c64(Precision::Double, &zs);
-        let mut dst_trait = ComplexBuffer::zeros(Precision::Single, ELEMS);
+        let src = ComplexBuffer::from_c64(Precision::Double, &zs);
+        let mut dst_direct = ComplexBuffer::zeros(Precision::Single, ELEMS);
+        let mut dst_trait = dst_direct.clone();
         measure(
             &mut rows,
             "cast_complex",
             "f64->f32",
-            || {
-                for (o, z) in dst_direct.iter_mut().zip(black_box(&src_direct)) {
-                    *o = Complex::new(z.re as f32, z.im as f32);
-                }
-            },
-            || {
-                device
-                    .cast_complex(black_box(&src_trait), Precision::Single, &mut dst_trait)
-                    .unwrap()
-            },
+            || black_box(&src).cast_into(Precision::Single, &mut dst_direct),
+            || device.cast_complex(black_box(&src), Precision::Single, &mut dst_trait).unwrap(),
             samples,
             sample_ms,
         );
     }
 
-    // Pointwise symbol multiply. The symbol is unit-modulus so repeated
-    // in-place multiplies keep |io| constant — no drift into denormals
-    // or infinities that would distort either leg's timing.
+    // Pointwise symbol multiply: the direct leg calls the library kernel
+    // the backend wraps, on the typed slices. The symbol is unit-modulus
+    // so repeated in-place multiplies keep |io| constant — no drift into
+    // denormals or infinities that would distort either leg's timing.
     {
         let sym: Vec<C64> = (0..ELEMS)
             .map(|_| {
@@ -216,7 +192,7 @@ fn main() {
             &mut rows,
             "pointwise_multiply",
             "f64",
-            || pointwise_direct(&mut io_direct, black_box(&sym_direct)),
+            || pointwise_mul_assign(&mut io_direct, black_box(&sym_direct), false),
             || device.pointwise_multiply(&mut io_trait, black_box(&sym_trait), false).unwrap(),
             samples,
             sample_ms,

@@ -19,8 +19,9 @@
 //!   on the `bench_e2e` operator shapes and a few blocks between them
 //!   (`Complex<f32>` / `Complex<f64>`); both legs' outputs are compared on
 //!   bits before they are timed;
-//! * `pointwise_mul` — the backend's symbol multiply, an FMA-context
-//!   scalar pass (`fftmatvec_numeric::fma_pass`).
+//! * `pointwise_mul` — the backend's symbol multiply,
+//!   `fftmatvec_numeric::simd::pointwise_mul_assign`: a vector kernel per
+//!   tier against the portable scalar loop.
 //!
 //! Figure 1's block kernel (`blas::sbgemv`) has no row: it has no vector
 //! tile, only the scalar `fma_pass!` bodies every level shares.

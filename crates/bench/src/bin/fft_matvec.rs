@@ -18,7 +18,7 @@
 //! fft_matvec -nm 1000 -nd 50 -Nt 200 -prec sssss -raw
 //! ```
 
-use fftmatvec_bench::{make_operator, stuffed_vector, Args};
+use fftmatvec_bench::{die, make_operator, stuffed_vector, Args};
 use fftmatvec_core::timing::{simulate_phases, MatvecDims};
 use fftmatvec_core::{DirectMatvec, FftMatvec, LinearOperator, PrecisionConfig};
 use fftmatvec_gpu::{DeviceSpec, Phase};
@@ -57,14 +57,14 @@ fn main() {
         std::process::exit(self_test());
     }
 
-    let nm = args.get("nm", 5000usize);
-    let nd = args.get("nd", 100usize);
-    let nt = args.get("Nt", args.get("nt", 1000usize));
+    // Flags are case-insensitive, so `-Nt` and `-nt` are one flag.
+    let size = |flag: &str, default: usize| match args.get(flag, default) {
+        0 => die(format!("flag -{flag}: a problem size must be at least 1")),
+        n => n,
+    };
+    let (nm, nd, nt) = (size("nm", 5000), size("nd", 100), size("Nt", 1000));
     let prec: String = args.get("prec", "ddddd".to_string());
-    let cfg: PrecisionConfig = prec.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let cfg: PrecisionConfig = prec.parse().unwrap_or_else(|e| die(format!("flag -prec: {e}")));
     let raw = args.has("raw");
     let reps = args.get("reps", 100usize);
     let dev = match args.get("dev", "mi250x".to_string()).as_str() {

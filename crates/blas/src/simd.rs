@@ -41,32 +41,7 @@
 use fftmatvec_numeric::Scalar;
 
 #[cfg(target_arch = "x86_64")]
-use self::dispatch::{cast, cast_mut, cast_one};
-#[cfg(target_arch = "x86_64")]
-use fftmatvec_numeric::simd::fma_active;
-
-#[cfg(target_arch = "x86_64")]
-mod dispatch {
-    use core::any::TypeId;
-
-    pub fn cast<S: 'static, U: 'static>(v: &[S]) -> Option<&[U]> {
-        (TypeId::of::<S>() == TypeId::of::<U>()).then(|| {
-            // SAFETY: S == U was just checked; identity cast.
-            unsafe { core::slice::from_raw_parts(v.as_ptr() as *const U, v.len()) }
-        })
-    }
-
-    pub fn cast_one<S: Copy + 'static, U: Copy + 'static>(v: S) -> Option<U> {
-        cast::<S, U>(core::slice::from_ref(&v)).map(|s| s[0])
-    }
-
-    pub fn cast_mut<S: 'static, U: 'static>(v: &mut [S]) -> Option<&mut [U]> {
-        (TypeId::of::<S>() == TypeId::of::<U>()).then(|| {
-            // SAFETY: as above; the exclusive borrow transfers.
-            unsafe { core::slice::from_raw_parts_mut(v.as_mut_ptr() as *mut U, v.len()) }
-        })
-    }
-}
+use fftmatvec_numeric::simd::{fma_active, recast, recast_mut, recast_one};
 
 /// Vectorized frequency-minor base case. Fills `acc` — `rows` runs of
 /// `acc.len() / rows` frequencies, series-major — with the sequential
@@ -95,7 +70,7 @@ pub(crate) fn freq_tile<S: Scalar>(
         macro_rules! try_tile {
             ($(($u:ty, $kernel:path)),+ $(,)?) => {$(
                 if let (Some(a), Some(x), Some(acc)) =
-                    (cast::<S, $u>(a), cast::<S, $u>(x), cast_mut::<S, $u>(acc))
+                    (recast::<S, $u>(a), recast::<S, $u>(x), recast_mut::<S, $u>(acc))
                 {
                     // SAFETY: avx2+fma verified (`fma_active`); frequencies
                     // `[f0, f0 + acc.len() / rows)` of reduction steps
@@ -125,14 +100,14 @@ pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mu
         macro_rules! try_tile {
             ($(($u:ty, $kernel:path)),+ $(,)?) => {$(
                 if let (Some(alpha), Some(acc), Some(y)) =
-                    (cast_one::<S, $u>(alpha), cast::<S, $u>(acc), cast_mut::<S, $u>(y))
+                    (recast_one::<S, $u>(alpha), recast::<S, $u>(acc), recast_mut::<S, $u>(y))
                 {
                     assert_eq!(acc.len(), y.len(), "epilogue tile length mismatch");
                     // SAFETY: avx2+fma verified (`fma_active`); the
                     // kernel touches `acc` and `y` only below their
                     // common length, checked above (both kernels cut them
                     // from one tile of their extent-checked `y`).
-                    unsafe { $kernel(alpha, acc, beta.and_then(cast_one::<S, $u>), y) };
+                    unsafe { $kernel(alpha, acc, beta.and_then(recast_one::<S, $u>), y) };
                     return true;
                 }
             )+};
@@ -144,212 +119,20 @@ pub(crate) fn scale_tile<S: Scalar>(alpha: S, acc: &[S], beta: Option<S>, y: &mu
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2+FMA tile kernels. Uniform safety contract: the caller
-    //! guarantees AVX2+FMA support and — for the sweep — `FreqSweep`'s
-    //! extent precondition for the frequency and reduction ranges passed
-    //! (see the parent module); accesses are unaligned.
+    //! AVX2+FMA tile kernels, written in the register vocabulary of
+    //! `fftmatvec_numeric::simd::x86::{pd, ps}`. Uniform safety contract:
+    //! the caller guarantees AVX2+FMA support and — for the sweep —
+    //! `FreqSweep`'s extent precondition for the frequency and reduction
+    //! ranges passed (see the parent module); accesses are unaligned.
     #![allow(clippy::missing_safety_doc)]
 
-    use core::arch::x86_64::*;
-
+    use fftmatvec_numeric::simd::x86::{pd, ps};
     use fftmatvec_numeric::Complex;
 
     use crate::kernels::scale_run;
 
     /// Independent accumulator registers of a one-series sweep.
     pub const IN_FLIGHT: usize = 4;
-
-    /// The per-register primitives of the `Complex<f64>` kernels: a
-    /// `__m256d` holds 2 interleaved complex values.
-    mod pd {
-        use super::*;
-
-        pub type V = __m256d;
-        /// Lane mask of a partial register.
-        pub type M = __m256i;
-        /// Complex values per register.
-        pub const LANES: usize = 2;
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn zero() -> V {
-            _mm256_setzero_pd()
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn loadu(p: *const f64) -> V {
-            _mm256_loadu_pd(p)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn storeu(p: *mut f64, v: V) {
-            _mm256_storeu_pd(p, v)
-        }
-
-        /// Lane mask of the first `rem < LANES` complex values of a
-        /// register, for [`load`] / [`maskstore`].
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn tail_mask(rem: usize) -> M {
-            _mm256_cmpgt_epi64(_mm256_set1_epi64x(2 * rem as i64), _mm256_setr_epi64x(0, 1, 2, 3))
-        }
-
-        /// A whole register, or with `Some(mask)` its masked lanes with the
-        /// rest zeroed; memory behind a masked-off lane is not accessed
-        /// (and cannot fault).
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn load(p: *const f64, tail: Option<M>) -> V {
-            match tail {
-                None => loadu(p),
-                Some(mask) => _mm256_maskload_pd(p, mask),
-            }
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn maskstore(p: *mut f64, mask: M, v: V) {
-            _mm256_maskstore_pd(p, mask, v)
-        }
-
-        /// One complex value as `[re, im]` pairs.
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn splat(x: Complex<f64>) -> V {
-            _mm256_setr_pd(x.re, x.im, x.re, x.im)
-        }
-
-        /// Swap the halves of each `(re, im)` pair.
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn swap(v: V) -> V {
-            _mm256_permute_pd::<0b0101>(v)
-        }
-
-        /// Sign of the `s.im` products of `s.mul_add(x, p)` per lane:
-        /// negative in the real lanes — or, for `s = conj(a)` given `a`,
-        /// in the imaginary lanes. Also the sign of `Complex::mul`'s
-        /// unfused product (`conj = false`).
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn sign(conj: bool) -> V {
-            if conj {
-                _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
-            } else {
-                _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0)
-            }
-        }
-
-        /// `s·x + p` with `s = a` or `conj(a)` by `sign` — the operation
-        /// mix of `Complex::mul_add` (`numeric::simd::x86::cmuladd_pd`,
-        /// inlined, conjugation folded into the mask):
-        /// `re = fma(s.re, x.re, fma(-s.im, x.im, p.re))`,
-        /// `im = fma(s.re, x.im, fma( s.im, x.re, p.im))`.
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn cfma(a: V, sign: V, x_ri: V, x_sw: V, p: V) -> V {
-            let a_im = _mm256_xor_pd(_mm256_permute_pd::<0b1111>(a), sign);
-            _mm256_fmadd_pd(_mm256_movedup_pd(a), x_ri, _mm256_fmadd_pd(a_im, x_sw, p))
-        }
-
-        /// `b·y`, the operation mix of `Complex::mul`:
-        /// `re = fma(b.re, y.re, -(b.im·y.im))`,
-        /// `im = fma(b.re, y.im,   b.im·y.re)`; `sign = sign(false)`.
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn cmul(b: V, sign: V, y: V) -> V {
-            let inner = _mm256_xor_pd(_mm256_mul_pd(_mm256_permute_pd::<0b1111>(b), swap(y)), sign);
-            _mm256_fmadd_pd(_mm256_movedup_pd(b), y, inner)
-        }
-    }
-
-    /// The `Complex<f32>` primitives: a `__m256` holds 4 interleaved
-    /// complex values. Same operations as [`pd`].
-    mod ps {
-        use super::*;
-
-        pub type V = __m256;
-        pub type M = __m256i;
-        pub const LANES: usize = 4;
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn zero() -> V {
-            _mm256_setzero_ps()
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn loadu(p: *const f32) -> V {
-            _mm256_loadu_ps(p)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn storeu(p: *mut f32, v: V) {
-            _mm256_storeu_ps(p, v)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn tail_mask(rem: usize) -> M {
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * rem as i32), lane)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn load(p: *const f32, tail: Option<M>) -> V {
-            match tail {
-                None => loadu(p),
-                Some(mask) => _mm256_maskload_ps(p, mask),
-            }
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn maskstore(p: *mut f32, mask: M, v: V) {
-            _mm256_maskstore_ps(p, mask, v)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn splat(x: Complex<f32>) -> V {
-            _mm256_setr_ps(x.re, x.im, x.re, x.im, x.re, x.im, x.re, x.im)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn swap(v: V) -> V {
-            _mm256_permute_ps::<0b10_11_00_01>(v)
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn sign(conj: bool) -> V {
-            if conj {
-                _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0)
-            } else {
-                _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
-            }
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn cfma(a: V, sign: V, x_ri: V, x_sw: V, p: V) -> V {
-            let a_im = _mm256_xor_ps(_mm256_movehdup_ps(a), sign);
-            _mm256_fmadd_ps(_mm256_moveldup_ps(a), x_ri, _mm256_fmadd_ps(a_im, x_sw, p))
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn cmul(b: V, sign: V, y: V) -> V {
-            let inner = _mm256_xor_ps(_mm256_mul_ps(_mm256_movehdup_ps(b), swap(y)), sign);
-            _mm256_fmadd_ps(_mm256_moveldup_ps(b), y, inner)
-        }
-    }
 
     macro_rules! complex_kernels {
         ($v:ident, $t:ty, $freq_regs:ident, $freq_sweep:ident, $freq:ident, $scale:ident) => {
@@ -369,35 +152,31 @@ mod x86 {
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $freq_regs<const RB: usize, const K: usize>(
                 sign: $v::V,
-                (ap, lda, row_step): (*const $t, usize, usize),
-                (xp, ldx): (*const $t, usize),
+                (ap, lda, row_step): (*const $v::C, usize, usize),
+                (xp, ldx): (*const $v::C, usize),
                 steps: usize,
-                (out, out_ld): (*mut $t, usize),
+                (out, out_ld): (*mut $v::C, usize),
                 tail: Option<$v::M>,
             ) {
-                let mut v = [[$v::zero(); K]; RB];
+                let mut v = [[$v::splat(0.0); K]; RB];
                 for r in 0..steps {
-                    let xr = xp.add(2 * r * ldx);
-                    let mut xs = [($v::zero(), $v::zero()); K];
+                    let xr = xp.add(r * ldx);
+                    let mut xs = [($v::splat(0.0), $v::splat(0.0)); K];
                     for (k, xk) in xs.iter_mut().enumerate() {
-                        let x = $v::load(xr.add(2 * k * $v::LANES), tail);
+                        let x = $v::load_masked(xr.add(k * $v::LANES), tail);
                         *xk = (x, $v::swap(x));
                     }
                     for (j, vj) in v.iter_mut().enumerate() {
-                        let aj = ap.add(2 * (j * row_step + r * lda));
+                        let aj = ap.add(j * row_step + r * lda);
                         for (k, (vjk, &(x_ri, x_sw))) in vj.iter_mut().zip(&xs).enumerate() {
-                            let a = $v::load(aj.add(2 * k * $v::LANES), tail);
+                            let a = $v::load_masked(aj.add(k * $v::LANES), tail);
                             *vjk = $v::cfma(a, sign, x_ri, x_sw, *vjk);
                         }
                     }
                 }
                 for (j, vj) in v.iter().enumerate() {
                     for (k, vjk) in vj.iter().enumerate() {
-                        let o = out.add(2 * (j * out_ld + k * $v::LANES));
-                        match tail {
-                            None => $v::storeu(o, *vjk),
-                            Some(mask) => $v::maskstore(o, mask, *vjk),
-                        }
+                        $v::store_masked(out.add(j * out_ld + k * $v::LANES), tail, *vjk);
                     }
                 }
             }
@@ -409,37 +188,39 @@ mod x86 {
             #[target_feature(enable = "avx2,fma")]
             unsafe fn $freq_sweep<const RB: usize, const K: usize>(
                 sign: $v::V,
-                (ap, lda, row_step): (*const $t, usize, usize),
-                (xp, ldx): (*const $t, usize),
+                (ap, lda, row_step): (*const $v::C, usize, usize),
+                (xp, ldx): (*const $v::C, usize),
                 steps: usize,
-                acc: &mut [Complex<$t>],
+                acc: &mut [$v::C],
             ) {
                 let len = acc.len() / RB;
-                let out = acc.as_mut_ptr() as *mut $t;
+                let out = acc.as_mut_ptr();
                 let mut f = 0;
                 while f + K * $v::LANES <= len {
-                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
-                    $freq_regs::<RB, K>(sign, a, x, steps, (out.add(2 * f), len), None);
+                    let (a, x) = ((ap.add(f), lda, row_step), (xp.add(f), ldx));
+                    $freq_regs::<RB, K>(sign, a, x, steps, (out.add(f), len), None);
                     f += K * $v::LANES;
                 }
                 while f + $v::LANES <= len {
-                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
-                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(2 * f), len), None);
+                    let (a, x) = ((ap.add(f), lda, row_step), (xp.add(f), ldx));
+                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(f), len), None);
                     f += $v::LANES;
                 }
                 if f < len {
-                    let (a, x) = ((ap.add(2 * f), lda, row_step), (xp.add(2 * f), ldx));
+                    let (a, x) = ((ap.add(f), lda, row_step), (xp.add(f), ldx));
                     let mask = Some($v::tail_mask(len - f));
-                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(2 * f), len), mask);
+                    $freq_regs::<RB, 1>(sign, a, x, steps, (out.add(f), len), mask);
                 }
             }
 
             /// Frequencies of `rows` frequency-minor output series:
             /// `acc[j·len + i] = Σ_r op(a[j·row_step + r·a_step + f0 + i])
             /// ·x[r·nfreq + f0 + i]` in increasing `r` (`len =
-            /// acc.len() / rows`), `op` = conjugation iff `conj`. One
-            /// series keeps [`IN_FLIGHT`] registers going on its own; two
-            /// to four share each `x` register pair between them.
+            /// acc.len() / rows`), `op` = conjugation iff `conj` (the sign
+            /// of the `a.im` products moves from the real to the imaginary
+            /// lanes). One series keeps [`IN_FLIGHT`] registers going on
+            /// its own; two to four share each `x` register pair between
+            /// them.
             #[target_feature(enable = "avx2,fma")]
             pub unsafe fn $freq(
                 conj: bool,
@@ -454,9 +235,10 @@ mod x86 {
                 r1: usize,
                 acc: &mut [Complex<$t>],
             ) {
-                let a = (a.as_ptr().add(r0 * a_step + f0) as *const $t, a_step, row_step);
-                let x = (x.as_ptr().add(r0 * nfreq + f0) as *const $t, nfreq);
-                let (sign, steps) = ($v::sign(conj), r1 - r0);
+                let a = (a.as_ptr().add(r0 * a_step + f0), a_step, row_step);
+                let x = (x.as_ptr().add(r0 * nfreq + f0), nfreq);
+                let sign = if conj { $v::neg_im() } else { $v::neg_re() };
+                let steps = r1 - r0;
                 match rows {
                     1 => $freq_sweep::<1, IN_FLIGHT>(sign, a, x, steps, acc),
                     2 => $freq_sweep::<2, 2>(sign, a, x, steps, acc),
@@ -476,17 +258,19 @@ mod x86 {
                 y: &mut [Complex<$t>],
             ) {
                 let full = y.len() / $v::LANES * $v::LANES;
-                let sign = $v::sign(false);
-                let alpha_ri = $v::splat(alpha);
-                let beta_ri = beta.map(|b| $v::splat(b));
-                let (ap, yp) = (acc.as_ptr() as *const $t, y.as_mut_ptr() as *mut $t);
+                let alpha_ri = $v::bcast(alpha);
+                let beta_ri = beta.map(|b| $v::bcast(b));
+                let (ap, yp) = (acc.as_ptr(), y.as_mut_ptr());
                 for r in (0..full).step_by($v::LANES) {
                     let prior = match beta_ri {
-                        None => $v::zero(),
-                        Some(b) => $v::cmul(b, sign, $v::loadu(yp.add(2 * r))),
+                        None => $v::splat(0.0),
+                        Some(b) => {
+                            let y = $v::load(yp.add(r));
+                            $v::cmul(b, y, $v::swap(y))
+                        }
                     };
-                    let t = $v::loadu(ap.add(2 * r));
-                    $v::storeu(yp.add(2 * r), $v::cfma(alpha_ri, sign, t, $v::swap(t), prior));
+                    let t = $v::load(ap.add(r));
+                    $v::store(yp.add(r), $v::cmuladd(alpha_ri, t, $v::swap(t), prior));
                 }
                 scale_run(alpha, &acc[full..], beta, &mut y[full..]);
             }

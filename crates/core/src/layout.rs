@@ -188,12 +188,6 @@ pub fn unpad_output_into(
     }
 }
 
-/// Cast a real SOTI buffer to a target precision (the fused cast between
-/// phases 1 and 2 when their precisions differ). No-op when equal.
-pub fn cast_real(buf: RealBuffer, p: Precision) -> RealBuffer {
-    buf.cast(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

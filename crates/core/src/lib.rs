@@ -11,8 +11,9 @@
 //! 4. batched (complex-to-real) inverse FFT,
 //! 5. unpad + reduce.
 //!
-//! Each phase computes in single or double precision per a runtime
-//! [`PrecisionConfig`] (32 combinations); casts are fused into the adjacent
+//! Each phase computes in one of four tiers — `f16`, `bf16`, single or
+//! double — per a runtime [`PrecisionConfig`] (4⁵ = 1024
+//! configurations); casts are fused into the adjacent
 //! memory operations, and memory operations run in the lowest precision of
 //! their neighbouring phases (Section 3.2). The adjoint matvec `F*` uses
 //! the conjugate-transpose GEMV with input/output roles switched.

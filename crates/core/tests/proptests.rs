@@ -227,7 +227,7 @@ proptest! {
         prop_assert!(corrupted.parse::<PrecisionConfig>().is_err(), "{corrupted:?}");
     }
 
-    /// `layout::cast_real` roundtrips are exact whenever the intermediate
+    /// `RealBuffer::cast` roundtrips are exact whenever the intermediate
     /// tier is wider (every value of the source tier is representable),
     /// and the up-cast itself never changes a value.
     #[test]
@@ -243,14 +243,14 @@ proptest! {
         let mut data = vec![0.0; n];
         rng.fill_uniform_stuffed(&mut data, -1.0, 1.0);
         let src = fftmatvec_numeric::RealBuffer::from_f64(from, &data);
-        let cast = fftmatvec_core::layout::cast_real(src.clone(), to);
+        let cast = src.clone().cast(to);
         prop_assert_eq!(cast.precision(), to);
         if from.widens_exactly_to(to) {
             // Widening is value-exact and the down-cast back is identity.
             for i in 0..n {
                 prop_assert_eq!(cast.get(i), src.get(i), "{} → {} value", from, to);
             }
-            let back = fftmatvec_core::layout::cast_real(cast, from);
+            let back = cast.cast(from);
             prop_assert_eq!(back, src, "{} → {} → {} roundtrip", from, to, from);
         }
     }

@@ -15,6 +15,7 @@
 //! The inverse transform reuses the same tables through the conjugation
 //! identity `idft(x) = conj(dft(conj(x)))/n`.
 
+use fftmatvec_numeric::simd::pointwise_mul_assign;
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 
 use crate::cache::{self, PlanHandle};
@@ -82,11 +83,7 @@ impl<T: Real> BluesteinPlan<T> {
         self.inner.process_inplace(a, work, FftDirection::Forward);
         // Pointwise multiply by the chirp kernel spectrum — vectorized
         // when a SIMD kernel applies (bit-identical either way).
-        if !crate::simd::pointwise_mul_assign(a, &self.b_fft) {
-            for (v, &bf) in a.iter_mut().zip(&self.b_fft) {
-                *v *= bf;
-            }
-        }
+        pointwise_mul_assign(a, &self.b_fft, false);
         self.inner.process_inplace(a, work, FftDirection::Inverse);
     }
 

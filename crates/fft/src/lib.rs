@@ -7,7 +7,11 @@
 //!
 //! * [`FftPlan`] — Stockham-style iterative mixed-radix engine
 //!   (the private `iterative` module) for sizes whose prime factors are ≤ 61, with
-//!   hand-tuned radix-2/4 butterflies and table-driven odd radices;
+//!   radix-2/4 butterflies, consecutive radix-4 stages fused into
+//!   radix-16 passes (one trip through memory for two stages, `f32` /
+//!   `f64`), and table-driven odd radices; vector kernels for all of them
+//!   at the AVX2 level, in `fftmatvec_numeric::simd`'s register
+//!   vocabulary;
 //!   Bluestein's chirp-z algorithm for anything with a larger prime
 //!   factor. Per-stage twiddles are precomputed at plan time (the "setup
 //!   phase" of the paper, always done in double precision by the caller),

@@ -1,13 +1,15 @@
 //! Instruction-level dispatch for every pass the FFT makes over its data:
-//! vector kernels for the butterflies, the real-transform mirror loops
-//! and Bluestein's pointwise multiply, and [`fma_pass`] (defined in
-//! `fftmatvec_numeric::simd`, where every crate finds it) for the scalar
-//! loops that remain.
+//! vector kernels for the butterflies and the real-transform mirror
+//! loops, and [`fma_pass`] (defined in `fftmatvec_numeric::simd`, where
+//! every crate finds it) for the scalar loops that remain. Bluestein's
+//! pointwise multiply is `fftmatvec_numeric::simd::pointwise_mul_assign`,
+//! the one the Toeplitz symbol multiply also runs.
 //!
 //! Each `bool` entry point here tries the active SIMD level and returns
 //! `true` only when a vector kernel fully handled the call; `false` means
 //! the caller must run its scalar pass. Dispatch is by `TypeId` on the
-//! concrete [`Real`] type (the four precisions are a closed set) plus
+//! concrete [`Real`] type (`fftmatvec_numeric::simd::recast`; the four
+//! precisions are a closed set) plus
 //! [`fftmatvec_numeric::simd::active_level`].
 //!
 //! # What runs where
@@ -57,35 +59,11 @@
 //! [`fma_pass`]: fftmatvec_numeric::fma_pass
 
 #[cfg(target_arch = "x86_64")]
-use fftmatvec_numeric::simd::fma_active;
+use fftmatvec_numeric::simd::{fma_active, recast, recast_mut};
 use fftmatvec_numeric::{Complex, Real};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
-
-#[cfg(target_arch = "x86_64")]
-mod dispatch {
-    use core::any::TypeId;
-
-    use fftmatvec_numeric::{Complex, Real};
-
-    /// Reinterpret a generic complex slice as its concrete type, if `T`
-    /// *is* `U` (then the cast is the identity and trivially sound).
-    pub(super) fn cast<T: Real, U: Real>(v: &[Complex<T>]) -> Option<&[Complex<U>]> {
-        (TypeId::of::<T>() == TypeId::of::<U>()).then(|| {
-            // SAFETY: T == U was just checked; same layout, same lifetime.
-            unsafe { core::slice::from_raw_parts(v.as_ptr() as *const Complex<U>, v.len()) }
-        })
-    }
-
-    /// Mutable variant of [`cast`].
-    pub(super) fn cast_mut<T: Real, U: Real>(v: &mut [Complex<T>]) -> Option<&mut [Complex<U>]> {
-        (TypeId::of::<T>() == TypeId::of::<U>()).then(|| {
-            // SAFETY: as above; the exclusive borrow transfers.
-            unsafe { core::slice::from_raw_parts_mut(v.as_mut_ptr() as *mut Complex<U>, v.len()) }
-        })
-    }
-}
 
 /// Dispatch one kernel call over the closed set of [`Real`] types:
 /// `try_kernels!((inputs…), (outputs…), (extra args…); rows…)`. The first
@@ -105,8 +83,8 @@ macro_rules! try_kernels {
      $u:ty, $takes:expr, $kernel:path) => {
         if $takes {
             if let ($(Some($src),)* $(Some($dst),)*) = (
-                $(dispatch::cast::<T, $u>($src),)*
-                $(dispatch::cast_mut::<T, $u>($dst),)*
+                $(recast::<_, Complex<$u>>($src),)*
+                $(recast_mut::<_, Complex<$u>>($dst),)*
             ) {
                 // SAFETY: `fma_active` implies `level_supported(Avx2)`
                 // (avx2 and fma verified), and the caller's `assert!`
@@ -144,8 +122,8 @@ pub(crate) fn stage_radix2<T: Real>(
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix2),
         (f64, s == 1 || s >= 2, x86::pd::radix2),
-        (fftmatvec_numeric::half::f16, s >= 4, x86::radix2_f16),
-        (fftmatvec_numeric::half::bf16, s >= 4, x86::radix2_bf16),
+        (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix2_f16),
+        (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix2_bf16),
     );
     false
 }
@@ -165,8 +143,8 @@ pub(crate) fn stage_radix4<T: Real>(
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix4),
         (f64, s == 1 || s >= 2, x86::pd::radix4),
-        (fftmatvec_numeric::half::f16, s >= 4, x86::radix4_f16),
-        (fftmatvec_numeric::half::bf16, s >= 4, x86::radix4_bf16),
+        (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix4_f16),
+        (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix4_bf16),
     );
     false
 }
@@ -261,21 +239,6 @@ pub(crate) fn real_repack_pairs<T: Real>(
     try_kernels!((spectrum, twiddles), (z), ();
         (f32, true, x86::ps::real_repack_pairs),
         (f64, true, x86::pd::real_repack_pairs),
-    );
-    false
-}
-
-/// Vectorized pointwise complex multiply `a[i] *= b[i]` (Bluestein's
-/// frequency-domain convolution). Returns `false` if unhandled.
-#[allow(unused_variables)]
-pub(crate) fn pointwise_mul_assign<T: Real>(a: &mut [Complex<T>], b: &[Complex<T>]) -> bool {
-    assert_eq!(a.len(), b.len(), "pointwise multiply length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((b), (a), ();
-        (f32, true, x86::ps::pointwise_mul),
-        (f64, true, x86::pd::pointwise_mul),
-        (fftmatvec_numeric::half::f16, true, x86::pointwise_mul_f16),
-        (fftmatvec_numeric::half::bf16, true, x86::pointwise_mul_bf16),
     );
     false
 }

@@ -1,9 +1,12 @@
 //! AVX2+FMA kernels. Bit-identical to the scalar passes they shadow
 //! (`crate::iterative::{butterfly2, butterfly4, butterfly16, butterfly_odd}`,
 //! `crate::real::{unpack_pair, repack_pair}`);
-//! see the module doc of [`super`] for the identity argument and
-//! `fftmatvec_numeric::simd::x86` for the shared complex/conversion
-//! building blocks.
+//! see the module doc of [`super`] for the identity argument. The
+//! register vocabulary (`load`, `add`, `bcast`, `cmul`, `cmuladd`,
+//! `swap`, the sign masks, …) and the 16-bit conversions are
+//! `fftmatvec_numeric::simd::x86`'s; only the three lane shuffles no
+//! other kernel needs (`reverse`, `store_rows2`, `store_rows4`) are
+//! defined here.
 //!
 //! # Safety
 //!
@@ -18,9 +21,7 @@ use core::arch::x86_64::*;
 
 use fftmatvec_numeric::half::{bf16, f16};
 use fftmatvec_numeric::simd::x86::{
-    cmul_pd, cmul_ps, cmuladd_pd, cmuladd_ps, dup_im_ps, dup_re_ps, narrow8_bf16, narrow8_f16,
-    neg_even_ps, neg_odd_ps, round8_bf16, round8_f16, swap_pairs_pd, swap_pairs_ps, widen8_bf16,
-    widen8_f16,
+    narrow8_bf16, narrow8_f16, round8_bf16, round8_f16, widen8_bf16, widen8_f16,
 };
 use fftmatvec_numeric::Complex;
 
@@ -35,10 +36,11 @@ use crate::real::{repack_pair, unpack_pair};
 // ---------------------------------------------------------------------------
 //
 // The two precisions share one kernel source, `native_kernels!`, written
-// against a per-precision vocabulary of register operations: the modules
-// `ps` (4 `Complex<f32>` per register) and `pd` (2 `Complex<f64>`).
+// against the per-precision register vocabulary of
+// `fftmatvec_numeric::simd::x86::{ps, pd}` (4 `Complex<f32>` resp. 2
+// `Complex<f64>` per register), glob-imported into the modules below.
 
-/// One vocabulary entry: `#[inline]` so it folds into the kernels (an
+/// One register helper: `#[inline]` so it folds into the kernels (an
 /// out-of-line `target_feature` helper is a real call with its vector
 /// arguments spilled).
 macro_rules! op {
@@ -51,21 +53,15 @@ macro_rules! op {
 }
 
 /// The kernels, over the vocabulary in scope: `C` (the complex type), `V`
-/// (one register of `L` interleaved complex values), `load`/`store`,
-/// `add`/`sub`/`mul`/`xor`/`addsub`, `splat`, `bcast`, `cmul`, `cmuladd`, `swap`,
-/// `neg_re`/`neg_im`, `reverse`, `store_rows2`/`store_rows4`.
+/// (one register of `LANES` interleaved complex values), `load`/`store`,
+/// `add`/`sub`/`mul`/`xor`/`addsub`, `splat`, `bcast`, `cmul`, `cmuladd`,
+/// `swap`, `neg_re`/`neg_im`, `conj_mask` (conjugates the twiddles of the
+/// inverse transform), and this module's `reverse`,
+/// `store_rows2`/`store_rows4`.
 macro_rules! native_kernels {
     () => {
-        op! {
-            /// Sign mask conjugating a register of twiddles for the inverse
-            /// transform (and nothing for the forward one): XOR is exact.
-            fn conj_mask(inverse: bool) -> V {
-                if inverse { neg_im() } else { splat(0.0) }
-            }
-        }
-
-        /// Radix-2 Stockham stage, `L` butterflies per step: lanes across
-        /// `q` for `s ≥ L`, across `p` for the first stage (`s == 1`,
+        /// Radix-2 Stockham stage, `LANES` butterflies per step: lanes across
+        /// `q` for `s ≥ LANES`, across `p` for the first stage (`s == 1`,
         /// outputs transposed in-register). Extents: `src.len() ==
         /// dst.len() == 2·m·s`, `tw.len() == m`.
         #[target_feature(enable = "avx2,fma")]
@@ -82,12 +78,12 @@ macro_rules! native_kernels {
             if s == 1 {
                 let conj = conj_mask(inverse);
                 let mut p = 0;
-                while p + L <= m {
+                while p + LANES <= m {
                     let a = load(sp.add(p));
                     let b = load(sp.add(m + p));
                     let w = xor(load(tp.add(p)), conj);
                     store_rows2(dp.add(2 * p), add(a, b), cmul(sub(a, b), w, swap(w)));
-                    p += L;
+                    p += LANES;
                 }
                 for p in p..m {
                     butterfly2(src, dst, (p, m), (2 * p, 1), twiddle2(tw, p, inverse));
@@ -101,12 +97,12 @@ macro_rules! native_kernels {
                 let i0 = s * p;
                 let o0 = 2 * s * p;
                 let mut q = 0;
-                while q + L <= s {
+                while q + LANES <= s {
                     let a = load(sp.add(i0 + q));
                     let b = load(sp.add(i0 + sm + q));
                     store(dp.add(o0 + q), add(a, b));
                     store(dp.add(o0 + s + q), cmul(sub(a, b), w_ri, w_swap));
-                    q += L;
+                    q += LANES;
                 }
                 for q in q..s {
                     butterfly2(src, dst, (i0 + q, sm), (o0 + q, s), w);
@@ -115,7 +111,7 @@ macro_rules! native_kernels {
         }
 
         op! {
-            /// `L` radix-4 butterflies on registers: the expression tree
+            /// `LANES` radix-4 butterflies on registers: the expression tree
             /// of [`butterfly4`] per lane. `ih_mask` turns the swapped `h`
             /// into `∓i·h` (`neg_im` forward, `neg_re` inverse).
             fn butterflies4(t: [V; 4], w: [V; 3], ih_mask: V) -> [V; 4] {
@@ -150,7 +146,7 @@ macro_rules! native_kernels {
             if s == 1 {
                 let conj = conj_mask(inverse);
                 let mut p = 0;
-                while p + L <= m {
+                while p + LANES <= m {
                     let t = [
                         load(sp.add(p)),
                         load(sp.add(m + p)),
@@ -163,7 +159,7 @@ macro_rules! native_kernels {
                         xor(load(tp.add(2 * m + p)), conj),
                     ];
                     store_rows4(dp.add(4 * p), butterflies4(t, w, ih_mask));
-                    p += L;
+                    p += LANES;
                 }
                 for p in p..m {
                     butterfly4(src, dst, (p, m), (4 * p, 1), twiddles4(tw, m, p, inverse), inverse);
@@ -176,7 +172,7 @@ macro_rules! native_kernels {
                 let i0 = s * p;
                 let o0 = 4 * s * p;
                 let mut q = 0;
-                while q + L <= s {
+                while q + LANES <= s {
                     let t = [
                         load(sp.add(i0 + q)),
                         load(sp.add(i0 + sm + q)),
@@ -188,7 +184,7 @@ macro_rules! native_kernels {
                     store(dp.add(o0 + s + q), o[1]);
                     store(dp.add(o0 + 2 * s + q), o[2]);
                     store(dp.add(o0 + 3 * s + q), o[3]);
-                    q += L;
+                    q += LANES;
                 }
                 for q in q..s {
                     butterfly4(src, dst, (i0 + q, sm), (o0 + q, s), ws, inverse);
@@ -197,8 +193,8 @@ macro_rules! native_kernels {
         }
 
         /// Radix-16 pass — the radix-4 stages at strides `s` and `4s` in
-        /// one trip through memory — `L` butterflies per step across `q`
-        /// (`s ≥ L`): [`butterflies4`] twice per lane, the tree of
+        /// one trip through memory — `LANES` butterflies per step across `q`
+        /// (`s ≥ LANES`): [`butterflies4`] twice per lane, the tree of
         /// [`butterfly16`]. Extents: `src.len() == dst.len() == 16·m·s`,
         /// `tw_a.len() == 12·m`, `tw_b.len() == 3·m`.
         #[target_feature(enable = "avx2,fma")]
@@ -230,7 +226,7 @@ macro_rules! native_kernels {
                 let i0 = s * p;
                 let o0 = 16 * s * p;
                 let mut q = 0;
-                while q + L <= s {
+                while q + LANES <= s {
                     let mut x = [[splat(0.0); 4]; 4];
                     for l in 0..4 {
                         let t = [
@@ -247,7 +243,7 @@ macro_rules! native_kernels {
                             store(dp.add(o0 + s * (j + 4 * jj) + q), oj);
                         }
                     }
-                    q += L;
+                    q += LANES;
                 }
                 if q < s {
                     let (was, wbs) = twiddles16(tw_a, tw_b, m, p, inverse);
@@ -260,7 +256,7 @@ macro_rules! native_kernels {
             }
         }
 
-        /// Table-driven odd-radix Stockham stage (`r = roots.len()`), `L`
+        /// Table-driven odd-radix Stockham stage (`r = roots.len()`), `LANES`
         /// butterflies per step across `q`: the chains of
         /// [`butterfly_odd`] per lane. Extents: `src.len() == dst.len()
         /// == r·m·s`, `tw.len() == (r−1)·m`, `r ≤ MAX_RADIX`.
@@ -292,7 +288,7 @@ macro_rules! native_kernels {
                 let i0 = s * p;
                 let o0 = r * s * p;
                 let mut q = 0;
-                while q + L <= s {
+                while q + LANES <= s {
                     for l in 0..r {
                         t[l] = load(sp.add(i0 + sm * l + q));
                     }
@@ -314,7 +310,7 @@ macro_rules! native_kernels {
                         let w = xor(bcast(twp[j - 1]), conj);
                         store(dp.add(o0 + s * j + q), cmul(acc, w, swap(w)));
                     }
-                    q += L;
+                    q += LANES;
                 }
                 for q in q..s {
                     let (i, o) = ((i0 + q, sm), (o0 + q, s));
@@ -323,7 +319,7 @@ macro_rules! native_kernels {
             }
         }
 
-        /// Mirror-pair loop of the R2C unpack, `L` pairs per step: the
+        /// Mirror-pair loop of the R2C unpack, `LANES` pairs per step: the
         /// expression tree of [`unpack_pair`] per lane, reading `z[k..]`
         /// ascending and `z[h − k..]` descending (reversed in-register).
         /// Extents: `tw.len() == z.len() == h`, `out.len() == h + 1`.
@@ -334,9 +330,9 @@ macro_rules! native_kernels {
             let half = splat(0.5);
             let end = h.div_ceil(2);
             let mut k = 1;
-            while k + L <= end {
+            while k + LANES <= end {
                 // Lane `i` pairs `k + i` with `h − k − i`.
-                let mirror = h - k - (L - 1);
+                let mirror = h - k - (LANES - 1);
                 let zk = load(zp.add(k));
                 let zc = xor(reverse(load(zp.add(mirror))), neg_im());
                 let ze = mul(add(zk, zc), half);
@@ -345,7 +341,7 @@ macro_rules! native_kernels {
                 let t = cmul(load(tp.add(k)), zo, swap(zo));
                 store(op.add(k), add(ze, t));
                 store(op.add(mirror), reverse(xor(sub(ze, t), neg_im())));
-                k += L;
+                k += LANES;
             }
             for k in k..end {
                 unpack_pair(z, tw, out, k, 0.5);
@@ -362,8 +358,8 @@ macro_rules! native_kernels {
             let half = splat(0.5);
             let end = h.div_ceil(2);
             let mut k = 1;
-            while k + L <= end {
-                let mirror = h - k - (L - 1);
+            while k + LANES <= end {
+                let mirror = h - k - (LANES - 1);
                 let xk = load(xp.add(k));
                 let xc = xor(reverse(load(xp.add(mirror))), neg_im());
                 let ze = mul(add(xk, xc), half);
@@ -373,190 +369,23 @@ macro_rules! native_kernels {
                 store(zp.add(k), addsub(ze, swap(zo)));
                 let (zec, zoc) = (xor(ze, neg_im()), xor(zo, neg_im()));
                 store(zp.add(mirror), reverse(addsub(zec, swap(zoc))));
-                k += L;
+                k += LANES;
             }
             for k in k..end {
                 repack_pair(spectrum, tw, z, k, 0.5);
             }
         }
-
-        /// Pointwise `a[i] *= b[i]`. Extents: `a.len() == b.len()`.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn pointwise_mul(b: &[C], a: &mut [C]) {
-            let n = a.len();
-            let (ap, bp) = (a.as_mut_ptr(), b.as_ptr());
-            let mut i = 0;
-            while i + L <= n {
-                let w = load(bp.add(i));
-                store(ap.add(i), cmul(load(ap.add(i)), w, swap(w)));
-                i += L;
-            }
-            for i in i..n {
-                a[i] *= b[i];
-            }
-        }
     };
-}
-
-/// `Complex<f32>` kernels: 4 interleaved complex values per register.
-pub mod ps {
-    use super::*;
-
-    type C = Complex<f32>;
-    type V = __m256;
-    const L: usize = 4;
-
-    op! { fn load(p: *const C) -> V { _mm256_loadu_ps(p as *const f32) } }
-    op! { fn store(p: *mut C, v: V) { _mm256_storeu_ps(p as *mut f32, v) } }
-    op! { fn add(a: V, b: V) -> V { _mm256_add_ps(a, b) } }
-    op! { fn sub(a: V, b: V) -> V { _mm256_sub_ps(a, b) } }
-    op! { fn mul(a: V, b: V) -> V { _mm256_mul_ps(a, b) } }
-    op! { fn xor(a: V, b: V) -> V { _mm256_xor_ps(a, b) } }
-    op! {
-        /// `[a.re − b.re, a.im + b.im]` per pair.
-        fn addsub(a: V, b: V) -> V { _mm256_addsub_ps(a, b) }
-    }
-    op! { fn splat(x: f32) -> V { _mm256_set1_ps(x) } }
-    op! {
-        /// One complex value in every pair.
-        fn bcast(w: C) -> V { _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im) }
-    }
-    op! { fn cmul(a: V, w_ri: V, w_swap: V) -> V { cmul_ps(a, w_ri, w_swap) } }
-    op! {
-        /// `a·x + p`, the tree of `Complex::mul_add`.
-        fn cmuladd(a: V, x_ri: V, x_swap: V, p: V) -> V { cmuladd_ps(a, x_ri, x_swap, p) }
-    }
-    op! { fn swap(v: V) -> V { swap_pairs_ps(v) } }
-    op! {
-        /// Sign mask over the real lanes.
-        fn neg_re() -> V { _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0) }
-    }
-    op! {
-        /// Sign mask over the imaginary lanes.
-        fn neg_im() -> V { _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0) }
-    }
-    op! {
-        /// Reverse the order of the four complex values.
-        fn reverse(v: V) -> V {
-            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b00_01_10_11>(_mm256_castps_pd(v)))
-        }
-    }
-    op! {
-        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
-        /// `2·L` contiguous values.
-        fn store_rows2(p: *mut C, o0: V, o1: V) {
-            let (o0, o1) = (_mm256_castps_pd(o0), _mm256_castps_pd(o1));
-            let lo = _mm256_unpacklo_pd(o0, o1);
-            let hi = _mm256_unpackhi_pd(o0, o1);
-            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(lo, hi)));
-            store(p.add(L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(lo, hi)));
-        }
-    }
-    op! {
-        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
-        /// `i`: a 4×4 transpose of 64-bit pairs, `4·L` contiguous values.
-        fn store_rows4(p: *mut C, o: [V; 4]) {
-            let o = [
-                _mm256_castps_pd(o[0]),
-                _mm256_castps_pd(o[1]),
-                _mm256_castps_pd(o[2]),
-                _mm256_castps_pd(o[3]),
-            ];
-            let t0 = _mm256_unpacklo_pd(o[0], o[1]);
-            let t1 = _mm256_unpackhi_pd(o[0], o[1]);
-            let t2 = _mm256_unpacklo_pd(o[2], o[3]);
-            let t3 = _mm256_unpackhi_pd(o[2], o[3]);
-            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t0, t2)));
-            store(p.add(L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t1, t3)));
-            store(p.add(2 * L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t0, t2)));
-            store(p.add(3 * L), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t1, t3)));
-        }
-    }
-
-    native_kernels!();
-}
-
-/// `Complex<f64>` kernels: 2 interleaved complex values per register.
-pub mod pd {
-    use super::*;
-
-    type C = Complex<f64>;
-    type V = __m256d;
-    const L: usize = 2;
-
-    op! { fn load(p: *const C) -> V { _mm256_loadu_pd(p as *const f64) } }
-    op! { fn store(p: *mut C, v: V) { _mm256_storeu_pd(p as *mut f64, v) } }
-    op! { fn add(a: V, b: V) -> V { _mm256_add_pd(a, b) } }
-    op! { fn sub(a: V, b: V) -> V { _mm256_sub_pd(a, b) } }
-    op! { fn mul(a: V, b: V) -> V { _mm256_mul_pd(a, b) } }
-    op! { fn xor(a: V, b: V) -> V { _mm256_xor_pd(a, b) } }
-    op! {
-        /// `[a.re − b.re, a.im + b.im]` per pair.
-        fn addsub(a: V, b: V) -> V { _mm256_addsub_pd(a, b) }
-    }
-    op! { fn splat(x: f64) -> V { _mm256_set1_pd(x) } }
-    op! {
-        /// One complex value in both pairs.
-        fn bcast(w: C) -> V { _mm256_setr_pd(w.re, w.im, w.re, w.im) }
-    }
-    op! { fn cmul(a: V, w_ri: V, w_swap: V) -> V { cmul_pd(a, w_ri, w_swap) } }
-    op! {
-        /// `a·x + p`, the tree of `Complex::mul_add`.
-        fn cmuladd(a: V, x_ri: V, x_swap: V, p: V) -> V { cmuladd_pd(a, x_ri, x_swap, p) }
-    }
-    op! { fn swap(v: V) -> V { swap_pairs_pd(v) } }
-    op! {
-        /// Sign mask over the real lanes.
-        fn neg_re() -> V { _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0) }
-    }
-    op! {
-        /// Sign mask over the imaginary lanes.
-        fn neg_im() -> V { _mm256_setr_pd(0.0, -0.0, 0.0, -0.0) }
-    }
-    op! {
-        /// Exchange the two complex values.
-        fn reverse(v: V) -> V { _mm256_permute2f128_pd::<0x01>(v, v) }
-    }
-    op! {
-        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
-        /// `2·L` contiguous values.
-        fn store_rows2(p: *mut C, o0: V, o1: V) {
-            store(p, _mm256_permute2f128_pd::<0x20>(o0, o1));
-            store(p.add(L), _mm256_permute2f128_pd::<0x31>(o0, o1));
-        }
-    }
-    op! {
-        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
-        /// `i`: `4·L` contiguous values.
-        fn store_rows4(p: *mut C, o: [V; 4]) {
-            store(p, _mm256_permute2f128_pd::<0x20>(o[0], o[1]));
-            store(p.add(L), _mm256_permute2f128_pd::<0x20>(o[2], o[3]));
-            store(p.add(2 * L), _mm256_permute2f128_pd::<0x31>(o[0], o[1]));
-            store(p.add(3 * L), _mm256_permute2f128_pd::<0x31>(o[2], o[3]));
-        }
-    }
-
-    native_kernels!();
-}
-
-/// Broadcast one complex twiddle into `[re, im]×4` and `[im, re]×4`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bcast_pair_ps(w: Complex<f32>) -> (__m256, __m256) {
-    (
-        _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im),
-        _mm256_setr_ps(w.im, w.re, w.im, w.re, w.im, w.re, w.im, w.re),
-    )
 }
 
 // ---------------------------------------------------------------------------
 // 16-bit stages: widen to f32 registers, round through storage after
 // every operation — exactly where the emulated scalar arithmetic rounds.
+// Instantiated in `ps`, over its vocabulary.
 // ---------------------------------------------------------------------------
 
 macro_rules! half_kernels {
-    ($t:ty, $radix2:ident, $radix4:ident, $pmul:ident, $widen8:ident, $narrow8:ident,
-     $round8:ident) => {
+    ($t:ty, $radix2:ident, $radix4:ident, $widen8:ident, $narrow8:ident, $round8:ident) => {
         /// Radix-2 stage over 4 widened 16-bit complex values per step.
         /// Rounding points match the scalar emulated arithmetic:
         /// `a+b` and `a−b` round once each; the twiddle multiply rounds
@@ -576,18 +405,18 @@ macro_rules! half_kernels {
             for p in 0..m {
                 let w = twiddle2(tw, p, inverse);
                 // Widening to f32 is exact; broadcast the widened pair.
-                let (w_ri, w_swap) = bcast_pair_ps(Complex::new(w.re.to_f32(), w.im.to_f32()));
+                let (w_ri, w_swap) = bcast_pair(Complex::new(w.re.to_f32(), w.im.to_f32()));
                 let i0 = s * p;
                 let o0 = 2 * s * p;
                 let mut q = 0;
                 while q + 4 <= s {
                     let a = $widen8(_mm_loadu_si128(sp.add(2 * (i0 + q)) as *const __m128i));
                     let b = $widen8(_mm_loadu_si128(sp.add(2 * (i0 + sm + q)) as *const __m128i));
-                    let sum = $narrow8(_mm256_add_ps(a, b));
+                    let sum = $narrow8(add(a, b));
                     _mm_storeu_si128(dp.add(2 * (o0 + q)) as *mut __m128i, sum);
-                    let d = $round8(_mm256_sub_ps(a, b));
-                    let inner = neg_even_ps($round8(_mm256_mul_ps(dup_im_ps(d), w_swap)));
-                    let prod = $narrow8(_mm256_fmadd_ps(dup_re_ps(d), w_ri, inner));
+                    let d = $round8(sub(a, b));
+                    let inner = xor($round8(mul(dup_im(d), w_swap)), neg_re());
+                    let prod = $narrow8(fma(dup_re(d), w_ri, inner));
                     _mm_storeu_si128(dp.add(2 * (o0 + s + q)) as *mut __m128i, prod);
                     q += 4;
                 }
@@ -613,9 +442,9 @@ macro_rules! half_kernels {
             for p in 0..m {
                 let ws = twiddles4(tw, m, p, inverse);
                 let [w1, w2, w3] = ws;
-                let (w1_ri, w1_sw) = bcast_pair_ps(Complex::new(w1.re.to_f32(), w1.im.to_f32()));
-                let (w2_ri, w2_sw) = bcast_pair_ps(Complex::new(w2.re.to_f32(), w2.im.to_f32()));
-                let (w3_ri, w3_sw) = bcast_pair_ps(Complex::new(w3.re.to_f32(), w3.im.to_f32()));
+                let (w1_ri, w1_sw) = bcast_pair(Complex::new(w1.re.to_f32(), w1.im.to_f32()));
+                let (w2_ri, w2_sw) = bcast_pair(Complex::new(w2.re.to_f32(), w2.im.to_f32()));
+                let (w3_ri, w3_sw) = bcast_pair(Complex::new(w3.re.to_f32(), w3.im.to_f32()));
                 let i0 = s * p;
                 let o0 = 4 * s * p;
                 let mut q = 0;
@@ -626,30 +455,26 @@ macro_rules! half_kernels {
                         $widen8(_mm_loadu_si128(sp.add(2 * (i0 + 2 * sm + q)) as *const __m128i));
                     let t3 =
                         $widen8(_mm_loadu_si128(sp.add(2 * (i0 + 3 * sm + q)) as *const __m128i));
-                    let e = $round8(_mm256_add_ps(t0, t2));
-                    let f = $round8(_mm256_sub_ps(t0, t2));
-                    let g = $round8(_mm256_add_ps(t1, t3));
-                    let h = $round8(_mm256_sub_ps(t1, t3));
+                    let e = $round8(add(t0, t2));
+                    let f = $round8(sub(t0, t2));
+                    let g = $round8(add(t1, t3));
+                    let h = $round8(sub(t1, t3));
                     // Exact data movement + sign flip on already-rounded
                     // values — no further rounding, as in the scalar code.
-                    let ih = if inverse {
-                        neg_even_ps(swap_pairs_ps(h))
-                    } else {
-                        neg_odd_ps(swap_pairs_ps(h))
-                    };
-                    let sum = $narrow8(_mm256_add_ps(e, g));
+                    let ih = xor(swap(h), if inverse { neg_re() } else { neg_im() });
+                    let sum = $narrow8(add(e, g));
                     _mm_storeu_si128(dp.add(2 * (o0 + q)) as *mut __m128i, sum);
-                    let x1 = $round8(_mm256_add_ps(f, ih));
-                    let inner1 = neg_even_ps($round8(_mm256_mul_ps(dup_im_ps(x1), w1_sw)));
-                    let o1 = $narrow8(_mm256_fmadd_ps(dup_re_ps(x1), w1_ri, inner1));
+                    let x1 = $round8(add(f, ih));
+                    let inner1 = xor($round8(mul(dup_im(x1), w1_sw)), neg_re());
+                    let o1 = $narrow8(fma(dup_re(x1), w1_ri, inner1));
                     _mm_storeu_si128(dp.add(2 * (o0 + s + q)) as *mut __m128i, o1);
-                    let x2 = $round8(_mm256_sub_ps(e, g));
-                    let inner2 = neg_even_ps($round8(_mm256_mul_ps(dup_im_ps(x2), w2_sw)));
-                    let o2 = $narrow8(_mm256_fmadd_ps(dup_re_ps(x2), w2_ri, inner2));
+                    let x2 = $round8(sub(e, g));
+                    let inner2 = xor($round8(mul(dup_im(x2), w2_sw)), neg_re());
+                    let o2 = $narrow8(fma(dup_re(x2), w2_ri, inner2));
                     _mm_storeu_si128(dp.add(2 * (o0 + 2 * s + q)) as *mut __m128i, o2);
-                    let x3 = $round8(_mm256_sub_ps(f, ih));
-                    let inner3 = neg_even_ps($round8(_mm256_mul_ps(dup_im_ps(x3), w3_sw)));
-                    let o3 = $narrow8(_mm256_fmadd_ps(dup_re_ps(x3), w3_ri, inner3));
+                    let x3 = $round8(sub(f, ih));
+                    let inner3 = xor($round8(mul(dup_im(x3), w3_sw)), neg_re());
+                    let o3 = $narrow8(fma(dup_re(x3), w3_ri, inner3));
                     _mm_storeu_si128(dp.add(2 * (o0 + 3 * s + q)) as *mut __m128i, o3);
                     q += 4;
                 }
@@ -658,36 +483,93 @@ macro_rules! half_kernels {
                 }
             }
         }
-
-        /// Pointwise `a[i] *= b[i]` over 16-bit complex values.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn $pmul(b: &[Complex<$t>], a: &mut [Complex<$t>]) {
-            let n = a.len();
-            let ap = a.as_mut_ptr() as *mut u16;
-            let bp = b.as_ptr() as *const u16;
-            let mut i = 0;
-            while i + 4 <= n {
-                let v = $widen8(_mm_loadu_si128(ap.add(2 * i) as *const __m128i));
-                let w = $widen8(_mm_loadu_si128(bp.add(2 * i) as *const __m128i));
-                let inner = neg_even_ps($round8(_mm256_mul_ps(dup_im_ps(v), swap_pairs_ps(w))));
-                let out = $narrow8(_mm256_fmadd_ps(dup_re_ps(v), w, inner));
-                _mm_storeu_si128(ap.add(2 * i) as *mut __m128i, out);
-                i += 4;
-            }
-            for i in i..n {
-                a[i] *= b[i];
-            }
-        }
     };
 }
 
-half_kernels!(f16, radix2_f16, radix4_f16, pointwise_mul_f16, widen8_f16, narrow8_f16, round8_f16);
-half_kernels!(
-    bf16,
-    radix2_bf16,
-    radix4_bf16,
-    pointwise_mul_bf16,
-    widen8_bf16,
-    narrow8_bf16,
-    round8_bf16
-);
+/// `Complex<f32>` kernels: 4 interleaved complex values per register,
+/// and the 16-bit stages, which widen into the same registers.
+pub mod ps {
+    use super::*;
+    use fftmatvec_numeric::simd::x86::ps::*;
+
+    op! {
+        /// Reverse the order of the four complex values.
+        fn reverse(v: V) -> V {
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b00_01_10_11>(_mm256_castps_pd(v)))
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
+        /// `2·LANES` contiguous values.
+        fn store_rows2(p: *mut C, o0: V, o1: V) {
+            let (o0, o1) = (_mm256_castps_pd(o0), _mm256_castps_pd(o1));
+            let lo = _mm256_unpacklo_pd(o0, o1);
+            let hi = _mm256_unpackhi_pd(o0, o1);
+            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(lo, hi)));
+            store(p.add(LANES), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(lo, hi)));
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
+        /// `i`: a 4×4 transpose of 64-bit pairs, `4·LANES` contiguous values.
+        fn store_rows4(p: *mut C, o: [V; 4]) {
+            let o = [
+                _mm256_castps_pd(o[0]),
+                _mm256_castps_pd(o[1]),
+                _mm256_castps_pd(o[2]),
+                _mm256_castps_pd(o[3]),
+            ];
+            let t0 = _mm256_unpacklo_pd(o[0], o[1]);
+            let t1 = _mm256_unpackhi_pd(o[0], o[1]);
+            let t2 = _mm256_unpacklo_pd(o[2], o[3]);
+            let t3 = _mm256_unpackhi_pd(o[2], o[3]);
+            store(p, _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t0, t2)));
+            store(p.add(LANES), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x20>(t1, t3)));
+            store(p.add(2 * LANES), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t0, t2)));
+            store(p.add(3 * LANES), _mm256_castpd_ps(_mm256_permute2f128_pd::<0x31>(t1, t3)));
+        }
+    }
+
+    op! {
+        /// A widened 16-bit twiddle as `[re, im]` and `[im, re]` pairs.
+        fn bcast_pair(w: C) -> (V, V) {
+            let w_ri = bcast(w);
+            (w_ri, swap(w_ri))
+        }
+    }
+
+    native_kernels!();
+    half_kernels!(f16, radix2_f16, radix4_f16, widen8_f16, narrow8_f16, round8_f16);
+    half_kernels!(bf16, radix2_bf16, radix4_bf16, widen8_bf16, narrow8_bf16, round8_bf16);
+}
+
+/// `Complex<f64>` kernels: 2 interleaved complex values per register.
+pub mod pd {
+    use super::*;
+    use fftmatvec_numeric::simd::x86::pd::*;
+
+    op! {
+        /// Exchange the two complex values.
+        fn reverse(v: V) -> V { _mm256_permute2f128_pd::<0x01>(v, v) }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o0[i], o1[i])` as row `i`:
+        /// `2·LANES` contiguous values.
+        fn store_rows2(p: *mut C, o0: V, o1: V) {
+            store(p, _mm256_permute2f128_pd::<0x20>(o0, o1));
+            store(p.add(LANES), _mm256_permute2f128_pd::<0x31>(o0, o1));
+        }
+    }
+    op! {
+        /// Store butterfly `i`'s outputs `(o[0][i], …, o[3][i])` as row
+        /// `i`: `4·LANES` contiguous values.
+        fn store_rows4(p: *mut C, o: [V; 4]) {
+            store(p, _mm256_permute2f128_pd::<0x20>(o[0], o[1]));
+            store(p.add(LANES), _mm256_permute2f128_pd::<0x20>(o[2], o[3]));
+            store(p.add(2 * LANES), _mm256_permute2f128_pd::<0x31>(o[0], o[1]));
+            store(p.add(3 * LANES), _mm256_permute2f128_pd::<0x31>(o[2], o[3]));
+        }
+    }
+
+    native_kernels!();
+}

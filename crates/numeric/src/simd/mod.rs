@@ -2,9 +2,13 @@
 //!
 //! The paper's speed claim for the 16-bit tiers rests on vector hardware:
 //! half the bytes moved *and* more elements per arithmetic instruction.
-//! This module is the CPU-side realization: batched `f16`/`bf16` ↔ `f32`
-//! conversion kernels here, and in-register building blocks
-//! ([`x86`]) that the FFT butterflies and the SBGEMV tile sweep build on.
+//! This module is the CPU-side realization and the one home of the
+//! workspace's vector primitives: the batched `f16`/`bf16` ↔ `f32`
+//! conversion kernels, the pointwise complex multiply
+//! ([`pointwise_mul_assign`]), the complex-register vocabulary ([`x86`])
+//! that the FFT butterflies and the SBGEMV tile sweep are written in, and
+//! the `TypeId` recast ([`recast`]) by which a generic kernel reaches its
+//! monomorphic vector body.
 //!
 //! # Dispatch model
 //!
@@ -36,10 +40,13 @@ pub mod portable;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
+use core::any::TypeId;
 use core::fmt;
 use core::sync::atomic::{AtomicU8, Ordering};
 
+use crate::complex::Complex;
 use crate::half::{bf16, f16};
+use crate::real::Real;
 
 /// Instruction-set level the dispatched kernels run at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -272,6 +279,70 @@ dispatch_conversion!(
     bf16,
     "Batched RTNE narrowing `f32 → bf16` over whole buffers."
 );
+
+/// `v` as a slice of `U`, if `S` *is* `U` (then the cast is the identity
+/// and trivially sound). This is how a generic kernel entry point reaches
+/// the monomorphic vector body of its concrete type; the set of types is
+/// closed, so a `TypeId` comparison is the whole dispatch.
+pub fn recast<S: 'static, U: 'static>(v: &[S]) -> Option<&[U]> {
+    (TypeId::of::<S>() == TypeId::of::<U>()).then(|| {
+        // SAFETY: S == U was just checked; same layout, same lifetime.
+        unsafe { core::slice::from_raw_parts(v.as_ptr() as *const U, v.len()) }
+    })
+}
+
+/// Mutable variant of [`recast`].
+pub fn recast_mut<S: 'static, U: 'static>(v: &mut [S]) -> Option<&mut [U]> {
+    (TypeId::of::<S>() == TypeId::of::<U>()).then(|| {
+        // SAFETY: as above; the exclusive borrow transfers.
+        unsafe { core::slice::from_raw_parts_mut(v.as_mut_ptr() as *mut U, v.len()) }
+    })
+}
+
+/// One value variant of [`recast`].
+pub fn recast_one<S: Copy + 'static, U: Copy + 'static>(v: S) -> Option<U> {
+    recast::<S, U>(core::slice::from_ref(&v)).map(|s| s[0])
+}
+
+/// Pointwise complex multiply `a[i] *= b[i]`, or `a[i] *= conj(b[i])`
+/// when `conj` — Bluestein's convolution and the multi-level Toeplitz
+/// symbol multiply. At the AVX2 level every tier runs a vector kernel
+/// ([`x86::ps::pointwise_mul`] and its siblings); otherwise the scalar
+/// loop, as a [`fma_pass!`](crate::fma_pass). Bit-identical to
+/// `*g *= s` (`*g *= s.conj()`) at every level: conjugation is a sign
+/// XOR, and the 16-bit kernels round through storage where the emulated
+/// arithmetic does. Panics on a length mismatch.
+pub fn pointwise_mul_assign<T: Real>(a: &mut [Complex<T>], b: &[Complex<T>], conj: bool) {
+    assert_eq!(a.len(), b.len(), "pointwise multiply length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if fma_active() {
+        macro_rules! try_kernels {
+            ($(($u:ty, $kernel:path)),+) => {$(
+                if let (Some(a), Some(b)) =
+                    (recast_mut::<_, Complex<$u>>(a), recast::<_, Complex<$u>>(b))
+                {
+                    // SAFETY: `fma_active` implies `level_supported(Avx2)`
+                    // (avx2 and fma verified); the lengths agree (asserted).
+                    return unsafe { $kernel(a, b, conj) };
+                }
+            )+};
+        }
+        try_kernels!(
+            (f32, x86::ps::pointwise_mul),
+            (f64, x86::pd::pointwise_mul),
+            (f16, x86::pointwise_mul_f16),
+            (bf16, x86::pointwise_mul_bf16)
+        );
+    }
+    fma_pass! {
+        fn scalar<T: Real>(a: &mut [Complex<T>], b: &[Complex<T>], conj: bool) {
+            for (g, s) in a.iter_mut().zip(b) {
+                *g *= if conj { s.conj() } else { *s };
+            }
+        }
+    }
+    scalar(a, b, conj)
+}
 
 #[cfg(test)]
 mod tests {

@@ -21,8 +21,19 @@
 //! vector kernel evaluates the *same expression tree per element* as the
 //! scalar code (no reassociation, same fused/unfused mix), running eight
 //! elements per instruction cannot change a single bit. The complex
-//! helpers at the bottom encode the exact operation mix of
+//! products of [`ps`] / [`pd`] encode the exact operation mix of
 //! [`crate::complex::Complex`]'s `Mul`/`mul_add`.
+//!
+//! # One vocabulary
+//!
+//! [`ps`] (4 `Complex<f32>` per register) and [`pd`] (2 `Complex<f64>`)
+//! offer the same entries under the same names — register type, lane
+//! count, tail mask, plain and masked load/store, lane arithmetic,
+//! `splat` / `bcast`, `swap`, `dup_re` / `dup_im`, the sign masks, `cmul`
+//! and `cfma` — so one kernel source instantiates for either precision.
+//! The FFT butterflies, the SBGEMV tiles and the pointwise multiply are
+//! all written against them; no other crate spells an intrinsic for
+//! these operations.
 //!
 //! # Safety
 //!
@@ -34,12 +45,11 @@
 
 use core::arch::x86_64::*;
 
+use crate::complex::Complex;
 use crate::half::{bf16, f16};
 
 /// f32 lanes per 256-bit vector.
 pub const F32_LANES: usize = 8;
-/// f64 lanes per 256-bit vector.
-pub const F64_LANES: usize = 4;
 
 // ---------------------------------------------------------------------------
 // f16 ↔ f32
@@ -289,118 +299,251 @@ pub unsafe fn narrow_f32_to_bf16(src: &[f32], dst: &mut [bf16]) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved-complex building blocks (shared by the FFT and BLAS kernels)
+// Interleaved-complex register vocabulary
 // ---------------------------------------------------------------------------
-//
-// A `__m256` holds 4 interleaved `Complex<f32>` as [re0, im0, …, re3, im3];
-// a `__m256d` holds 2 `Complex<f64>`. The helpers below encode the exact
-// operation mix of `Complex::{Mul, mul_add}`, so lane-parallel complex
-// arithmetic stays bit-identical to the scalar implementations.
 
-/// Duplicate the even (real) lanes into both halves of each pair.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn dup_re_ps(v: __m256) -> __m256 {
-    _mm256_moveldup_ps(v)
+/// One vocabulary entry: `#[inline]` so it folds into the kernels of every
+/// crate that uses it (an out-of-line `target_feature` helper is a real
+/// call with its vector arguments spilled to memory).
+macro_rules! op {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
+        $(#[$doc])*
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? $body
+    };
 }
 
-/// Duplicate the odd (imaginary) lanes into both halves of each pair.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn dup_im_ps(v: __m256) -> __m256 {
-    _mm256_movehdup_ps(v)
+/// The entries written once over the per-precision ones in scope: the
+/// complex products and the pointwise multiply. `cmul` / `cfma` encode
+/// the exact operation mix of `Complex::{mul, mul_add}`, so lane-parallel
+/// complex arithmetic is bit-identical to the scalar code.
+macro_rules! complex_ops {
+    () => {
+        op! {
+            /// Mask that conjugates a register under [`xor`] when `conj`,
+            /// and leaves it alone otherwise. XOR is exact, `−0` and NaN
+            /// included.
+            fn conj_mask(conj: bool) -> V {
+                if conj { neg_im() } else { splat(0.0) }
+            }
+        }
+        op! {
+            /// `a·w` per complex lane, with `w` given as `w_ri = [re, im]`
+            /// pairs and `w_swap = swap(w_ri)`. The tree of `Complex::mul`:
+            /// `re = fma(a.re, w.re, −(a.im·w.im))`,
+            /// `im = fma(a.re, w.im, a.im·w.re)`.
+            fn cmul(a: V, w_ri: V, w_swap: V) -> V {
+                fma(dup_re(a), w_ri, xor(mul(dup_im(a), w_swap), neg_re()))
+            }
+        }
+        op! {
+            /// `s·x + p` with `s = a`, its `im` products signed by `sign`:
+            /// [`neg_re`] gives `a`, [`neg_im`] gives `conj(a)`. The tree of
+            /// `Complex::mul_add`:
+            /// `re = fma(s.re, x.re, fma(−s.im, x.im, p.re))`,
+            /// `im = fma(s.re, x.im, fma( s.im, x.re, p.im))`.
+            fn cfma(a: V, sign: V, x_ri: V, x_swap: V, p: V) -> V {
+                fma(dup_re(a), x_ri, fma(xor(dup_im(a), sign), x_swap, p))
+            }
+        }
+        op! {
+            /// `a·x + p`: [`cfma`] with the real-lane sign mask.
+            fn cmuladd(a: V, x_ri: V, x_swap: V, p: V) -> V {
+                cfma(a, neg_re(), x_ri, x_swap, p)
+            }
+        }
+
+        /// Pointwise `a[i] *= b[i]`, or `a[i] *= conj(b[i])` when `conj`:
+        /// [`cmul`] per lane, the conjugation a sign XOR. Extents:
+        /// `a.len() == b.len()`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn pointwise_mul(a: &mut [C], b: &[C], conj: bool) {
+            let n = a.len();
+            let (ap, bp) = (a.as_mut_ptr(), b.as_ptr());
+            let mask = conj_mask(conj);
+            let mut i = 0;
+            while i + LANES <= n {
+                let w = xor(load(bp.add(i)), mask);
+                store(ap.add(i), cmul(load(ap.add(i)), w, swap(w)));
+                i += LANES;
+            }
+            scalar_tail(&mut a[i..], &b[i..], conj);
+        }
+    };
 }
 
-/// Swap the two halves of each (re, im) pair.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn swap_pairs_ps(v: __m256) -> __m256 {
-    _mm256_permute_ps::<0b10_11_00_01>(v)
+/// The scalar `a[i] *= b[i]` (`conj(b[i])`) of the elements past the
+/// last whole register, inlined into the calling kernel's context.
+#[inline(always)]
+fn scalar_tail<T: crate::Real>(a: &mut [Complex<T>], b: &[Complex<T>], conj: bool) {
+    for (g, s) in a.iter_mut().zip(b) {
+        *g *= if conj { s.conj() } else { *s };
+    }
 }
 
-/// Flip the sign of the even (real) lanes — an exact bit operation.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn neg_even_ps(v: __m256) -> __m256 {
-    _mm256_xor_ps(v, _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0))
+/// `Complex<f32>` registers: a `__m256` holds 4 interleaved complex
+/// values as `[re0, im0, …, re3, im3]`.
+pub mod ps {
+    use super::*;
+
+    /// The complex element type.
+    pub type C = Complex<f32>;
+    /// One register of [`LANES`] complex values.
+    pub type V = __m256;
+    /// Lane mask of a partial register.
+    pub type M = __m256i;
+    /// Complex values per register.
+    pub const LANES: usize = 4;
+
+    op! { fn load(p: *const C) -> V { _mm256_loadu_ps(p as *const f32) } }
+    op! { fn store(p: *mut C, v: V) { _mm256_storeu_ps(p as *mut f32, v) } }
+    op! {
+        /// Lane mask of the first `rem < LANES` complex values.
+        fn tail_mask(rem: usize) -> M {
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * rem as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+        }
+    }
+    op! {
+        /// A whole register, or with `Some(mask)` its masked lanes with the
+        /// rest zeroed; memory behind a masked-off lane is not accessed.
+        fn load_masked(p: *const C, tail: Option<M>) -> V {
+            match tail {
+                None => load(p),
+                Some(mask) => _mm256_maskload_ps(p as *const f32, mask),
+            }
+        }
+    }
+    op! {
+        /// A whole register, or with `Some(mask)` its masked lanes only.
+        fn store_masked(p: *mut C, tail: Option<M>, v: V) {
+            match tail {
+                None => store(p, v),
+                Some(mask) => _mm256_maskstore_ps(p as *mut f32, mask, v),
+            }
+        }
+    }
+    op! { fn add(a: V, b: V) -> V { _mm256_add_ps(a, b) } }
+    op! { fn sub(a: V, b: V) -> V { _mm256_sub_ps(a, b) } }
+    op! { fn mul(a: V, b: V) -> V { _mm256_mul_ps(a, b) } }
+    op! {
+        /// `a·b + c`, one rounding.
+        fn fma(a: V, b: V, c: V) -> V { _mm256_fmadd_ps(a, b, c) }
+    }
+    op! { fn xor(a: V, b: V) -> V { _mm256_xor_ps(a, b) } }
+    op! {
+        /// `[a.re − b.re, a.im + b.im]` per pair.
+        fn addsub(a: V, b: V) -> V { _mm256_addsub_ps(a, b) }
+    }
+    op! { fn splat(x: f32) -> V { _mm256_set1_ps(x) } }
+    op! {
+        /// One complex value in every pair.
+        fn bcast(w: C) -> V { _mm256_setr_ps(w.re, w.im, w.re, w.im, w.re, w.im, w.re, w.im) }
+    }
+    op! {
+        /// Swap the two halves of each `(re, im)` pair.
+        fn swap(v: V) -> V { _mm256_permute_ps::<0b10_11_00_01>(v) }
+    }
+    op! {
+        /// The real lanes, duplicated into both halves of each pair.
+        fn dup_re(v: V) -> V { _mm256_moveldup_ps(v) }
+    }
+    op! {
+        /// The imaginary lanes, duplicated into both halves of each pair.
+        fn dup_im(v: V) -> V { _mm256_movehdup_ps(v) }
+    }
+    op! {
+        /// Sign mask over the real lanes.
+        fn neg_re() -> V { _mm256_setr_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0) }
+    }
+    op! {
+        /// Sign mask over the imaginary lanes.
+        fn neg_im() -> V { _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0) }
+    }
+
+    complex_ops!();
 }
 
-/// Flip the sign of the odd (imaginary) lanes — an exact bit operation.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn neg_odd_ps(v: __m256) -> __m256 {
-    _mm256_xor_ps(v, _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0))
+/// `Complex<f64>` registers: a `__m256d` holds 2 interleaved complex
+/// values. Same entries as [`ps`].
+pub mod pd {
+    use super::*;
+
+    pub type C = Complex<f64>;
+    pub type V = __m256d;
+    pub type M = __m256i;
+    pub const LANES: usize = 2;
+
+    op! { fn load(p: *const C) -> V { _mm256_loadu_pd(p as *const f64) } }
+    op! { fn store(p: *mut C, v: V) { _mm256_storeu_pd(p as *mut f64, v) } }
+    op! {
+        fn tail_mask(rem: usize) -> M {
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(2 * rem as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+        }
+    }
+    op! {
+        fn load_masked(p: *const C, tail: Option<M>) -> V {
+            match tail {
+                None => load(p),
+                Some(mask) => _mm256_maskload_pd(p as *const f64, mask),
+            }
+        }
+    }
+    op! {
+        fn store_masked(p: *mut C, tail: Option<M>, v: V) {
+            match tail {
+                None => store(p, v),
+                Some(mask) => _mm256_maskstore_pd(p as *mut f64, mask, v),
+            }
+        }
+    }
+    op! { fn add(a: V, b: V) -> V { _mm256_add_pd(a, b) } }
+    op! { fn sub(a: V, b: V) -> V { _mm256_sub_pd(a, b) } }
+    op! { fn mul(a: V, b: V) -> V { _mm256_mul_pd(a, b) } }
+    op! { fn fma(a: V, b: V, c: V) -> V { _mm256_fmadd_pd(a, b, c) } }
+    op! { fn xor(a: V, b: V) -> V { _mm256_xor_pd(a, b) } }
+    op! { fn addsub(a: V, b: V) -> V { _mm256_addsub_pd(a, b) } }
+    op! { fn splat(x: f64) -> V { _mm256_set1_pd(x) } }
+    op! { fn bcast(w: C) -> V { _mm256_setr_pd(w.re, w.im, w.re, w.im) } }
+    op! { fn swap(v: V) -> V { _mm256_permute_pd::<0b0101>(v) } }
+    op! { fn dup_re(v: V) -> V { _mm256_movedup_pd(v) } }
+    op! { fn dup_im(v: V) -> V { _mm256_permute_pd::<0b1111>(v) } }
+    op! { fn neg_re() -> V { _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0) } }
+    op! { fn neg_im() -> V { _mm256_setr_pd(0.0, -0.0, 0.0, -0.0) } }
+
+    complex_ops!();
 }
 
-/// Element-wise complex multiply `a * w`, with `w` pre-split into
-/// `w_ri = [re, im]` pairs and `w_swap = [im, re]` pairs. Replicates
-/// `Complex::<f32>::mul` exactly:
-/// `re = fma(a.re, w.re, -(a.im·w.im))`, `im = fma(a.re, w.im, a.im·w.re)`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cmul_ps(a: __m256, w_ri: __m256, w_swap: __m256) -> __m256 {
-    let inner = neg_even_ps(_mm256_mul_ps(dup_im_ps(a), w_swap));
-    _mm256_fmadd_ps(dup_re_ps(a), w_ri, inner)
+// ---------------------------------------------------------------------------
+// 16-bit pointwise multiply: widen to `f32` registers, round through
+// storage where the emulated scalar arithmetic rounds.
+// ---------------------------------------------------------------------------
+
+macro_rules! half_pointwise {
+    ($name:ident, $t:ty, $widen8:ident, $narrow8:ident, $round8:ident) => {
+        /// Pointwise `a[i] *= b[i]` (`conj(b[i])` when `conj`) over 16-bit
+        /// complex values, [`ps::LANES`] per step: the inner product rounds
+        /// through storage, then the FMA result, as `Complex::mul` does.
+        /// Extents: `a.len() == b.len()`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn $name(a: &mut [Complex<$t>], b: &[Complex<$t>], conj: bool) {
+            use ps::*;
+            let n = a.len();
+            let (ap, bp) = (a.as_mut_ptr() as *mut u16, b.as_ptr() as *const u16);
+            let mask = conj_mask(conj);
+            let mut i = 0;
+            while i + LANES <= n {
+                let v = $widen8(_mm_loadu_si128(ap.add(2 * i) as *const __m128i));
+                let w = xor($widen8(_mm_loadu_si128(bp.add(2 * i) as *const __m128i)), mask);
+                let inner = xor($round8(mul(dup_im(v), swap(w))), neg_re());
+                let out = $narrow8(fma(dup_re(v), w, inner));
+                _mm_storeu_si128(ap.add(2 * i) as *mut __m128i, out);
+                i += LANES;
+            }
+            scalar_tail(&mut a[i..], &b[i..], conj);
+        }
+    };
 }
 
-/// Element-wise complex FMA `a * x + p`, replicating
-/// `Complex::<f32>::mul_add` exactly:
-/// `re = fma(a.re, x.re, fma(-a.im, x.im, p.re))`,
-/// `im = fma(a.re, x.im, fma( a.im, x.re, p.im))`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cmuladd_ps(a: __m256, x_ri: __m256, x_swap: __m256, p: __m256) -> __m256 {
-    let inner = _mm256_fmadd_ps(neg_even_ps(dup_im_ps(a)), x_swap, p);
-    _mm256_fmadd_ps(dup_re_ps(a), x_ri, inner)
-}
-
-/// Duplicate the even (real) lanes of 2 packed `Complex<f64>`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn dup_re_pd(v: __m256d) -> __m256d {
-    _mm256_movedup_pd(v)
-}
-
-/// Duplicate the odd (imaginary) lanes of 2 packed `Complex<f64>`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn dup_im_pd(v: __m256d) -> __m256d {
-    _mm256_permute_pd::<0b1111>(v)
-}
-
-/// Swap the halves of each (re, im) `f64` pair.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn swap_pairs_pd(v: __m256d) -> __m256d {
-    _mm256_permute_pd::<0b0101>(v)
-}
-
-/// Flip the sign of the even (real) `f64` lanes.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn neg_even_pd(v: __m256d) -> __m256d {
-    _mm256_xor_pd(v, _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0))
-}
-
-/// Flip the sign of the odd (imaginary) `f64` lanes.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn neg_odd_pd(v: __m256d) -> __m256d {
-    _mm256_xor_pd(v, _mm256_setr_pd(0.0, -0.0, 0.0, -0.0))
-}
-
-/// `f64` analogue of [`cmul_ps`].
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cmul_pd(a: __m256d, w_ri: __m256d, w_swap: __m256d) -> __m256d {
-    let inner = neg_even_pd(_mm256_mul_pd(dup_im_pd(a), w_swap));
-    _mm256_fmadd_pd(dup_re_pd(a), w_ri, inner)
-}
-
-/// `f64` analogue of [`cmuladd_ps`].
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn cmuladd_pd(a: __m256d, x_ri: __m256d, x_swap: __m256d, p: __m256d) -> __m256d {
-    let inner = _mm256_fmadd_pd(neg_even_pd(dup_im_pd(a)), x_swap, p);
-    _mm256_fmadd_pd(dup_re_pd(a), x_ri, inner)
-}
+half_pointwise!(pointwise_mul_f16, f16, widen8_f16, narrow8_f16, round8_f16);
+half_pointwise!(pointwise_mul_bf16, bf16, widen8_bf16, narrow8_bf16, round8_bf16);
