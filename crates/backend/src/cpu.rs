@@ -44,7 +44,7 @@ impl CpuPool {
 }
 
 /// One planned tier of the CPU batched real FFT. Fresh per
-/// [`DeviceBackend::real_fft`] call (each handle owns its scratch arena);
+/// [`DeviceBackend::real_fft`] call (each handle owns its scratch pool);
 /// the plan itself is deduplicated by the process-wide plan cache, so
 /// same-length handles share twiddle tables.
 struct CpuFft<T: Real> {
@@ -134,10 +134,6 @@ macro_rules! impl_cpu_fft {
                 check_batch_lens(self.n, self.spectrum_len(), v.len(), s.len())?;
                 self.engine.inverse_batch(s, v);
                 Ok(())
-            }
-
-            fn scratch_pooled(&self) -> usize {
-                self.engine.scratch_pooled()
             }
 
             fn plan_handle_f64(&self) -> Option<RealPlanHandle<f64>> {

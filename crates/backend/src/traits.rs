@@ -80,10 +80,6 @@ pub trait BatchFft: Send + Sync + Debug {
         output: &mut RealBuffer,
     ) -> Result<(), BackendError>;
 
-    /// Scratch buffers currently parked in this handle's arena (the
-    /// zero-alloc steady-state observable the workspace tests assert on).
-    fn scratch_pooled(&self) -> usize;
-
     /// The shared `f64` plan handle, when this handle is the `f64` tier —
     /// callers use pointer equality to verify plan-cache sharing.
     fn plan_handle_f64(&self) -> Option<RealPlanHandle<f64>>;

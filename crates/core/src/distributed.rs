@@ -31,7 +31,7 @@ use fftmatvec_numeric::{Precision, Real, RealBuffer};
 use crate::linop::{
     check_apply, ConfigError, ConfigurableOperator, LinearOperator, OpDirection, OpError, OpShape,
 };
-use crate::operator::BlockToeplitzOperator;
+use crate::operator::{checked_volume, BlockToeplitzOperator};
 use crate::pipeline::FftMatvec;
 use crate::precision::{MatvecPhase, PrecisionConfig};
 use crate::timing::{simulate_on_grid, MatvecDims};
@@ -99,8 +99,9 @@ impl DistributedFftMatvec {
         grid: ProcessGrid,
         cfg: PrecisionConfig,
     ) -> Result<Self, ConfigError> {
-        if col.len() != nt * nd * nm {
-            return Err(ConfigError::ColumnLength { expected: nt * nd * nm, got: col.len() });
+        let expected = checked_volume(nd, nm, nt)?;
+        if col.len() != expected {
+            return Err(ConfigError::ColumnLength { expected, got: col.len() });
         }
         if grid.rows > nd {
             return Err(ConfigError::GridOversubscribed {
@@ -678,6 +679,23 @@ mod tests {
             .unwrap_err(),
             ConfigError::ColumnLength { expected: 24, got: 23 }
         );
+    }
+
+    #[test]
+    fn overflowing_global_shape_is_typed() {
+        // 2³² · 2³² wraps to 0 on 64-bit targets: an empty column must
+        // not pass for it.
+        let big = 1usize << (usize::BITS / 2);
+        let err = DistributedFftMatvec::from_global(
+            big,
+            big,
+            1,
+            &[],
+            ProcessGrid::single(),
+            PrecisionConfig::all_double(),
+        )
+        .unwrap_err();
+        assert_eq!(err, ConfigError::DimensionOverflow { what: "nt*nd*nm" });
     }
 
     #[test]

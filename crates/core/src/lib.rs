@@ -61,7 +61,9 @@ pub mod pipeline;
 pub mod precision;
 pub mod spectral;
 pub mod timing;
-pub mod workspace;
+/// The pooled per-apply workspaces, from `fftmatvec-numeric` (the FFT
+/// drivers pool their scratch in the same [`workspace::WorkspacePool`]).
+pub use fftmatvec_numeric::workspace;
 
 /// The cost-model substrate a [`SpectralKernel`]'s `modeled_phases` is
 /// written against (`DeviceSpec`, `KernelProfile`, `PhaseTimes`).

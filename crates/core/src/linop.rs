@@ -188,6 +188,9 @@ pub enum ConfigError {
     /// The first-block-column buffer has the wrong number of entries for
     /// the declared `(nd, nm, nt)`.
     ColumnLength { expected: usize, got: usize },
+    /// A product or sum of the given extents (`what` names it) does not
+    /// fit in `usize`.
+    DimensionOverflow { what: &'static str },
     /// A multi-level operator was given a number of levels outside the
     /// inclusive range `allowed` that `what` supports.
     LevelCount { what: &'static str, got: usize, allowed: (usize, usize) },
@@ -226,6 +229,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ColumnLength { expected, got } => {
                 write!(f, "first block column has {got} entries, expected nt*nd*nm = {expected}")
+            }
+            ConfigError::DimensionOverflow { what } => {
+                write!(f, "operator dimension {what} overflows usize")
             }
             ConfigError::LevelCount { what, got, allowed: (lo, hi) } => {
                 write!(f, "{what} takes {lo} to {hi} levels, got {got}")

@@ -7,8 +7,8 @@
 //! batched real-to-complex FFT along the block index, yielding `N_t + 1`
 //! complex frequency matrices `F̂_k`. Setup always runs in double
 //! precision (it is a one-time cost, Section 3.2); narrower copies of `F̂`
-//! are materialized lazily for configurations that compute phase 3 in a
-//! narrower tier.
+//! are materialized lazily, in a [`TierSpectra`], for configurations that
+//! compute phase 3 in a narrower tier.
 //!
 //! # The stored layout of `F̂`
 //!
@@ -34,42 +34,10 @@ use std::sync::OnceLock;
 
 use fftmatvec_fft::BatchedRealFft;
 use fftmatvec_numeric::ndindex::transpose_map;
-use fftmatvec_numeric::{Complex, C16, C32, C64, CB16};
+use fftmatvec_numeric::{Complex, Precision, C16, C32, C64, CB16};
 
 use crate::linop::ConfigError;
-
-/// `F̂` in one layout: the double-precision spectrum and its lazily
-/// rounded narrow copies (the one-time cast for configurations that run
-/// phase 3 below double; 16-bit rounding routes through `f32`, see
-/// `fftmatvec_numeric::half`).
-pub(crate) struct Spectrum {
-    c64: Vec<C64>,
-    c32: OnceLock<Vec<C32>>,
-    c16: OnceLock<Vec<C16>>,
-    cb16: OnceLock<Vec<CB16>>,
-}
-
-impl Spectrum {
-    fn new(c64: Vec<C64>) -> Self {
-        Spectrum { c64, c32: OnceLock::new(), c16: OnceLock::new(), cb16: OnceLock::new() }
-    }
-
-    pub(crate) fn c64(&self) -> &[C64] {
-        &self.c64
-    }
-
-    pub(crate) fn c32(&self) -> &[C32] {
-        self.c32.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
-    }
-
-    pub(crate) fn c16(&self) -> &[C16] {
-        self.c16.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
-    }
-
-    pub(crate) fn cb16(&self) -> &[CB16] {
-        self.cb16.get_or_init(|| self.c64.iter().map(|z| z.cast()).collect())
-    }
-}
+use crate::spectral::TierSpectra;
 
 /// A block lower-triangular Toeplitz operator in FFT-ready form.
 pub struct BlockToeplitzOperator {
@@ -77,10 +45,10 @@ pub struct BlockToeplitzOperator {
     nm: usize,
     nt: usize,
     /// `F̂` frequency-minor, as the apply path reads it.
-    stored: Spectrum,
+    stored: TierSpectra,
     /// The block-major view behind `fhat()` & co., built on first use
     /// (never by an apply).
-    block_view: OnceLock<Spectrum>,
+    block_view: OnceLock<TierSpectra>,
     /// The first block column, kept for the direct (oracle) matvec:
     /// layout `col[(t·nd + i)·nm + k] = F_{t+1,1}[i,k]`.
     first_col: Vec<f64>,
@@ -93,7 +61,7 @@ impl Clone for BlockToeplitzOperator {
     /// copied.
     fn clone(&self) -> Self {
         BlockToeplitzOperator {
-            stored: Spectrum::new(self.stored.c64.clone()),
+            stored: TierSpectra::new(self.stored.c64().to_vec()),
             block_view: OnceLock::new(),
             first_col: self.first_col.clone(),
             ..*self
@@ -117,8 +85,9 @@ impl BlockToeplitzOperator {
                 return Err(ConfigError::ZeroDimension { what });
             }
         }
-        if col.len() != nt * nd * nm {
-            return Err(ConfigError::ColumnLength { expected: nt * nd * nm, got: col.len() });
+        let expected = checked_volume(nd, nm, nt)?;
+        if col.len() != expected {
+            return Err(ConfigError::ColumnLength { expected, got: col.len() });
         }
 
         // Gather each (i,k) time series contiguously, zero-padded to 2·nt,
@@ -141,7 +110,7 @@ impl BlockToeplitzOperator {
             nd,
             nm,
             nt,
-            stored: Spectrum::new(spectra),
+            stored: TierSpectra::new(spectra),
             block_view: OnceLock::new(),
             first_col: col.to_vec(),
         })
@@ -174,14 +143,14 @@ impl BlockToeplitzOperator {
     /// `F̂` frequency-minor, `[(i·nm + k)·nfreq + f]`, as the apply path
     /// reads it.
     #[inline]
-    pub(crate) fn stored(&self) -> &Spectrum {
+    pub(crate) fn stored(&self) -> &TierSpectra {
         &self.stored
     }
 
     /// `F̂` as per-frequency blocks, built on first use.
-    fn block_view(&self) -> &Spectrum {
+    fn block_view(&self) -> &TierSpectra {
         self.block_view.get_or_init(|| {
-            Spectrum::new(blocks_of(&self.stored.c64, self.nd, self.nm, self.nfreq()))
+            TierSpectra::new(blocks_of(self.stored.c64(), self.nd, self.nm, self.nfreq()))
         })
     }
 
@@ -190,7 +159,7 @@ impl BlockToeplitzOperator {
     pub fn fhat_at(&self, f: usize, i: usize, k: usize) -> C64 {
         let (nd, nm, nfreq) = (self.nd, self.nm, self.nfreq());
         assert!(f < nfreq && i < nd && k < nm, "fhat_at({f}, {i}, {k}) outside {nd}x{nm}x{nfreq}");
-        self.stored.c64[(i * nm + k) * nfreq + f]
+        self.stored.c64()[(i * nm + k) * nfreq + f]
     }
 
     /// The double-precision frequency matrices: `nfreq` column-major
@@ -205,19 +174,19 @@ impl BlockToeplitzOperator {
     /// The single-precision frequency matrices (materialized on first
     /// use — the one-time cast for FP32 phase-3 configurations).
     pub fn fhat32(&self) -> &[C32] {
-        self.block_view().c32()
+        self.block_view().buffer(Precision::Single).as_c32().expect("single tier")
     }
 
     /// The binary16 frequency matrices (materialized on first use — the
     /// one-time cast for FP16 phase-3 configurations; rounding routes
     /// through `f32`, see `fftmatvec_numeric::half`).
     pub fn fhat16(&self) -> &[C16] {
-        self.block_view().c16()
+        self.block_view().buffer(Precision::Half).as_c16().expect("half tier")
     }
 
     /// The bfloat16 frequency matrices (materialized on first use).
     pub fn fhatb16(&self) -> &[CB16] {
-        self.block_view().cb16()
+        self.block_view().buffer(Precision::BFloat16).as_cb16().expect("bfloat16 tier")
     }
 
     /// The stored first block column (`[t][i][k]` layout).
@@ -254,8 +223,16 @@ impl BlockToeplitzOperator {
     /// Bytes of the double-precision `F̂` (the resident matrix data the
     /// bandwidth model streams in phase 3).
     pub fn fhat_bytes(&self) -> usize {
-        self.stored.c64.len() * core::mem::size_of::<C64>()
+        std::mem::size_of_val(self.stored.c64())
     }
+}
+
+/// `nt·nd·nm`, the length of a first block column — a typed error
+/// instead of a wrapped product when the extents come from outside.
+pub(crate) fn checked_volume(nd: usize, nm: usize, nt: usize) -> Result<usize, ConfigError> {
+    nt.checked_mul(nd)
+        .and_then(|v| v.checked_mul(nm))
+        .ok_or(ConfigError::DimensionOverflow { what: "nt*nd*nm" })
 }
 
 /// Frequency-minor spectra as per-frequency column-major blocks:
@@ -298,6 +275,17 @@ mod tests {
     fn rejects_bad_shapes() {
         assert!(BlockToeplitzOperator::from_first_block_column(0, 5, 8, &[]).is_err());
         assert!(BlockToeplitzOperator::from_first_block_column(3, 5, 8, &[0.0; 7]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_column_length_that_overflows() {
+        // 2³² · 2³² wraps to 0 on 64-bit targets: an empty column must
+        // not pass for it.
+        let big = 1usize << (usize::BITS / 2);
+        assert_eq!(
+            BlockToeplitzOperator::from_first_block_column(big, big, 1, &[]).err(),
+            Some(ConfigError::DimensionOverflow { what: "nt*nd*nm" })
+        );
     }
 
     #[test]

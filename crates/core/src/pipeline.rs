@@ -104,10 +104,6 @@ impl SpectralKernel for SbgemvKernel {
         device.real_fft(p, 2 * self.op.nt())
     }
 
-    fn scratch_pooled(engine: &Self::Engine) -> usize {
-        engine.scratch_pooled()
-    }
-
     fn run(
         &self,
         pipe: &TieredPipeline<Self>,
@@ -159,7 +155,7 @@ impl SpectralKernel for SbgemvKernel {
         };
         let y = if p_gemv == p_ifft { &mut *dspec } else { &mut *yhat };
         y.reset_for_overwrite(p_gemv, n_out * nfreq);
-        apply_symbol(op, gemv_op, x, y)?;
+        apply_symbol(op, gemv_op, op.stored().buffer(p_gemv), x, y)?;
         if p_gemv != p_ifft {
             device.cast_complex(yhat, p_ifft, dspec)?;
         }
@@ -201,23 +197,24 @@ impl SpectralKernel for SbgemvKernel {
     }
 }
 
-/// `y = op(F̂)·x` (α = 1, β = 0) in the tier both buffers hold, `x` and `y`
-/// `[series][freq]` spectra.
+/// `y = op(F̂)·x` (α = 1, β = 0) with `fhat` the frequency-minor `F̂`, in
+/// the tier all three buffers hold, `x` and `y` `[series][freq]` spectra.
 fn apply_symbol(
     op: &BlockToeplitzOperator,
     gemv_op: GemvOp,
+    fhat: &ComplexBuffer,
     x: &ComplexBuffer,
     y: &mut ComplexBuffer,
 ) -> Result<(), OpError> {
     fn run<S: Scalar>(op: &BlockToeplitzOperator, gemv_op: GemvOp, a: &[S], x: &[S], y: &mut [S]) {
         sbgemv_freq_minor(gemv_op, a, x, y, op.nd(), op.nm(), op.nfreq());
     }
-    let fhat = op.stored();
-    match (x, y) {
-        (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => run(op, gemv_op, fhat.c16(), x, y),
-        (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => run(op, gemv_op, fhat.cb16(), x, y),
-        (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => run(op, gemv_op, fhat.c32(), x, y),
-        (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => run(op, gemv_op, fhat.c64(), x, y),
+    use ComplexBuffer::{C16, C32, C64, CB16};
+    match (fhat, x, y) {
+        (C16(a), C16(x), C16(y)) => run(op, gemv_op, a, x, y),
+        (CB16(a), CB16(x), CB16(y)) => run(op, gemv_op, a, x, y),
+        (C32(a), C32(x), C32(y)) => run(op, gemv_op, a, x, y),
+        (C64(a), C64(x), C64(y)) => run(op, gemv_op, a, x, y),
         _ => return Err(OpError::Internal("phase-3 tier mismatch")),
     }
     Ok(())
@@ -460,24 +457,30 @@ mod tests {
         let m = vec![1.0; 3 * 8];
         let mut out = vec![0.0; 2 * 8];
         mv.apply_forward_into(&m, &mut out).unwrap();
-        let d_pool = mv.fft_scratch_pooled(Precision::Double).expect("d engine resident");
+        let (d, s) = (Precision::Double, Precision::Single);
+        let d_engine = Arc::clone(mv.resident_engine(d).expect("d engine resident"));
 
         // Changing only the GEMV tier must keep the d engine (and its
-        // warmed scratch arena) untouched.
+        // warmed scratch pool) untouched.
         mv.set_config("ddsdd".parse().unwrap());
-        assert_eq!(mv.fft_scratch_pooled(Precision::Double), Some(d_pool), "engine kept");
-        assert_eq!(mv.fft_scratch_pooled(Precision::Single), None, "no s engine needed");
+        assert!(Arc::ptr_eq(mv.resident_engine(d).unwrap(), &d_engine), "engine kept");
+        assert!(mv.resident_engine(s).is_none(), "no s engine needed");
 
         // dssdd adds the single-precision FFT tier: d survives, s built.
         mv.set_config(PrecisionConfig::optimal_forward());
-        assert_eq!(mv.fft_scratch_pooled(Precision::Double), Some(d_pool), "d engine survives");
-        assert_eq!(mv.fft_scratch_pooled(Precision::Single), Some(0), "s engine fresh");
+        assert!(Arc::ptr_eq(mv.resident_engine(d).unwrap(), &d_engine), "d engine survives");
+        let s_engine = Arc::clone(mv.resident_engine(s).expect("s engine built"));
 
-        // sssss drops the double tier entirely.
+        // sssss drops the double tier entirely and keeps the s engine.
         mv.set_config(PrecisionConfig::all_single());
-        assert_eq!(mv.fft_scratch_pooled(Precision::Double), None, "d engine dropped");
+        assert!(mv.resident_engine(d).is_none(), "d engine dropped");
+        assert!(Arc::ptr_eq(mv.resident_engine(s).unwrap(), &s_engine), "s engine survives");
         mv.apply_forward_into(&m, &mut out).unwrap();
-        assert!(mv.fft_scratch_pooled(Precision::Single).unwrap() >= 1);
+        assert!(Arc::ptr_eq(mv.resident_engine(s).unwrap(), &s_engine), "applies plan nothing");
+
+        // Back to ddddd: the d tier is planned afresh.
+        mv.set_config(PrecisionConfig::all_double());
+        assert!(!Arc::ptr_eq(mv.resident_engine(d).unwrap(), &d_engine), "d engine rebuilt");
     }
 
     #[test]
@@ -984,6 +987,25 @@ mod tests {
         let op = conditioned_operator(2, 3, 8, 21);
         let solo = FftMatvec::builder(op).build().unwrap();
         let _op = solo.into_operator();
+    }
+
+    #[test]
+    fn pipelines_over_one_operator_share_its_narrowed_fhat() {
+        // Two mixed pipelines over one `Arc`: the f32 `F̂` the first
+        // apply narrows is the one the second pipeline's apply reads.
+        let shared = Arc::new(conditioned_operator(2, 3, 8, 23));
+        let cfg = PrecisionConfig::optimal_forward();
+        let build = || FftMatvec::builder_arc(Arc::clone(&shared)).precision(cfg).build().unwrap();
+        let (a, b) = (build(), build());
+        let m = vec![1.0; 3 * 8];
+        let ya = a.apply_forward(&m).unwrap();
+        let narrowed: *const ComplexBuffer = shared.stored().buffer(Precision::Single);
+        let yb = b.apply_forward(&m).unwrap();
+        assert_eq!(ya, yb);
+        for mv in [&a, &b] {
+            let fhat32 = mv.operator().stored().buffer(Precision::Single);
+            assert!(std::ptr::eq(fhat32, narrowed), "one narrowed F̂ per operator");
+        }
     }
 
     #[test]

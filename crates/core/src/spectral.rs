@@ -21,6 +21,11 @@
 //!   struct, `run` (the five phase calls), `warm` for narrow symbol
 //!   copies, the Eq. 6 inputs the autotuner needs, and `modeled_phases`
 //!   — what one apply costs on a modeled device.
+//! * **[`TierSpectra`]** is the symbol every kernel multiplies by: one
+//!   double-precision spectrum computed at setup plus its lazily narrowed
+//!   per-tier copies, held in a [`TierSlots`] bank — `F̂` for the
+//!   block-triangular family, the circulant symbol for the multi-level
+//!   one.
 //!
 //! Every apply, single or batched, goes through one private step that
 //! records the host→device edge, runs the kernel, records the
@@ -36,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 
 use fftmatvec_backend::{BackendError, BackendKind, DeviceBackend};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
-use fftmatvec_numeric::Precision;
+use fftmatvec_numeric::{ComplexBuffer, Precision, C64};
 use rayon::prelude::*;
 
 use crate::autotune::{self, AutotuneChoice, PhaseWeights, TierCalibration};
@@ -61,10 +66,6 @@ pub trait SpectralKernel: Send + Sync + Sized {
     /// Plan the transform engine for tier `p`. Plans resolve through the
     /// process-wide plan cache, so this is mostly a lookup.
     fn plan(&self, device: &dyn DeviceBackend, p: Precision) -> Result<Self::Engine, BackendError>;
-
-    /// Scratch buffers pooled inside `engine` (diagnostic: a surviving
-    /// pool across `set_config` proves the engine was kept).
-    fn scratch_pooled(engine: &Self::Engine) -> usize;
 
     /// One full five-phase pass in `pipe.config()`, all intermediates
     /// drawn from `ws` and engines from [`TieredPipeline::engine`]. The
@@ -105,8 +106,10 @@ pub trait SpectralKernel: Send + Sync + Sized {
     ) -> PhaseTimes;
 }
 
-/// Per-tier engine bank: one lazily built `E` per precision, retained
-/// only for the tiers the current configuration's FFT/IFFT phases use.
+/// Per-tier bank: one lazily built `E` per precision. Holds a pipeline's
+/// transform engines (retained only for the tiers the current
+/// configuration's FFT/IFFT phases use) and a [`TierSpectra`]'s narrowed
+/// copies.
 pub struct TierSlots<E> {
     slots: [OnceLock<E>; 4],
 }
@@ -124,9 +127,16 @@ impl<E> TierSlots<E> {
         cfg.phase(MatvecPhase::Fft) == p || cfg.phase(MatvecPhase::Ifft) == p
     }
 
-    /// The resident engine for tier `p`, if any.
+    /// The resident entry for tier `p`, if any.
     pub fn get(&self, p: Precision) -> Option<&E> {
         self.slots[p as usize].get()
+    }
+
+    /// The resident entry for tier `p`, built by `init` on first use. On
+    /// a race exactly one `init` result is stored and every caller sees
+    /// it.
+    pub fn get_or_init(&self, p: Precision, init: impl FnOnce() -> E) -> &E {
+        self.slots[p as usize].get_or_init(init)
     }
 
     /// The resident engine for tier `p`, planning one on first use. On a
@@ -137,12 +147,11 @@ impl<E> TierSlots<E> {
         p: Precision,
         plan: impl FnOnce() -> Result<E, BackendError>,
     ) -> Result<&E, BackendError> {
-        let slot = &self.slots[p as usize];
-        if let Some(engine) = slot.get() {
+        if let Some(engine) = self.get(p) {
             return Ok(engine);
         }
         let built = plan()?;
-        Ok(slot.get_or_init(|| built))
+        Ok(self.get_or_init(p, || built))
     }
 
     /// Eagerly plan every engine `cfg` needs.
@@ -160,13 +169,53 @@ impl<E> TierSlots<E> {
     }
 
     /// Drop engines whose tier `cfg` no longer uses; keep the rest (plan
-    /// handle *and* warmed scratch arena survive).
+    /// handle *and* warmed scratch pool survive).
     pub fn retain(&mut self, cfg: PrecisionConfig) {
         for p in Precision::ALL {
             if !Self::uses(cfg, p) {
                 self.slots[p as usize].take();
             }
         }
+    }
+}
+
+/// One spectrum computed once in double precision at setup, with a
+/// lazily narrowed copy per tier that a configuration's symbol-apply
+/// phase reads — the paper's one-time cast of `F̂` (Section 3.2). Every
+/// tier is a [`ComplexBuffer`], so a kernel can hand it straight to a
+/// [`DeviceBackend`] primitive; rounding is
+/// [`ComplexBuffer::from_c64`]'s (16-bit tiers route through `f32`).
+/// Shared behind the operator's `Arc`, every pipeline over one operator
+/// reads the same narrowed copies.
+pub struct TierSpectra {
+    /// The double spectrum, stored once: `buffer(Double)` is this.
+    c64: ComplexBuffer,
+    /// Narrowed copies; the double slot stays empty.
+    narrow: TierSlots<ComplexBuffer>,
+}
+
+impl TierSpectra {
+    /// Bank the double-precision spectrum; nothing is narrowed yet.
+    pub fn new(c64: Vec<C64>) -> Self {
+        TierSpectra { c64: ComplexBuffer::C64(c64), narrow: TierSlots::default() }
+    }
+
+    /// The double-precision spectrum.
+    pub fn c64(&self) -> &[C64] {
+        self.c64.as_c64().expect("the stored spectrum is double")
+    }
+
+    /// The spectrum in tier `p`, narrowed on first request.
+    pub fn buffer(&self, p: Precision) -> &ComplexBuffer {
+        match p {
+            Precision::Double => &self.c64,
+            _ => self.narrow.get_or_init(p, || ComplexBuffer::from_c64(p, self.c64())),
+        }
+    }
+
+    /// Narrow the copy for tier `p` now, so applies stay allocation-free.
+    pub fn warm(&self, p: Precision) {
+        self.buffer(p);
     }
 }
 
@@ -323,7 +372,7 @@ impl<K: SpectralKernel> TieredPipeline<K> {
 
     /// Swap the precision configuration at runtime (the paper's dynamic
     /// reconfiguration — no operator rebuild). Engines still used by the
-    /// new configuration survive with their warmed scratch arenas,
+    /// new configuration survive with their warmed scratch pools,
     /// engines whose tier left the configuration are dropped, and newly
     /// needed tiers resolve through the plan cache.
     pub fn set_config(&mut self, cfg: PrecisionConfig) {
@@ -354,12 +403,6 @@ impl<K: SpectralKernel> TieredPipeline<K> {
     /// The engine for tier `p` if one is resident.
     pub fn resident_engine(&self, p: Precision) -> Option<&K::Engine> {
         self.engines.get(p)
-    }
-
-    /// Scratch buffers pooled inside the engine of tier `p`, or `None`
-    /// when no engine for that tier is resident.
-    pub fn fft_scratch_pooled(&self, p: Precision) -> Option<usize> {
-        self.engines.get(p).map(K::scratch_pooled)
     }
 
     /// Workspaces currently parked in the pool; bounded by
@@ -563,6 +606,20 @@ mod tests {
         assert!(slots.get(s).is_none());
     }
 
+    #[test]
+    fn tier_spectra_narrow_once_and_store_the_double_once() {
+        let c = |re: f64, im: f64| C64::new(re, im);
+        let spectra = TierSpectra::new(vec![c(1.0 / 3.0, -0.1), c(1e-9, 7.0)]);
+        assert!(std::ptr::eq(spectra.buffer(Precision::Double).as_c64().unwrap(), spectra.c64()));
+        for p in [Precision::Single, Precision::Half, Precision::BFloat16] {
+            assert!(spectra.narrow.get(p).is_none(), "{p:?} narrowed before use");
+            let first: *const ComplexBuffer = spectra.buffer(p);
+            assert_eq!(*spectra.buffer(p), ComplexBuffer::from_c64(p, spectra.c64()));
+            assert!(std::ptr::eq(spectra.buffer(p), first), "{p:?} narrowed twice");
+        }
+        assert!(spectra.narrow.get(Precision::Double).is_none(), "double never copied");
+    }
+
     /// Test-only kernel: copies its input, except that a column whose
     /// first element is negative fails with a typed backend error that
     /// carries the column's second element (the tests store the column
@@ -593,9 +650,6 @@ mod tests {
         }
         fn plan(&self, _: &dyn DeviceBackend, _: Precision) -> Result<(), BackendError> {
             Ok(())
-        }
-        fn scratch_pooled(_: &()) -> usize {
-            0
         }
         fn run(
             &self,

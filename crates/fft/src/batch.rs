@@ -3,9 +3,9 @@
 //! FFTMatvec's phase 2 transforms `N_m` independent time series at once
 //! (phase 4: `N_d` series). The batched drivers here run every series
 //! through one cached plan (see [`crate::cache`]) and draw per-worker
-//! scratch from a shared [`ScratchArena`] instead of allocating per call.
-//! Above a size threshold the batch dimension is split across the rayon
-//! pool's work chunks; `for_each_init` builds one arena checkout
+//! scratch vectors from a [`WorkspacePool`] instead of allocating per
+//! call. Above a size threshold the batch dimension is split across the
+//! rayon pool's work chunks; `for_each_init` builds one pool checkout
 //! per executed chunk (real-rayon semantics: roughly one per
 //! participating worker, never one shared guard for the whole batch), so
 //! at most one scratch buffer per concurrently-running worker is live at
@@ -13,29 +13,38 @@
 //! thread count — and every transform writes a disjoint output slice, so
 //! batched results are byte-identical at any `RAYON_NUM_THREADS`.
 
+use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
 use fftmatvec_numeric::{Complex, Real};
 use rayon::prelude::*;
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
 use crate::plan::{FftDirection, FftPlan};
 use crate::real::RealFftPlan;
-use crate::scratch::ScratchArena;
 
 /// Work below this many complex elements stays serial; smaller batches
 /// are dominated by thread-pool dispatch.
 const PAR_THRESHOLD: usize = 1 << 14;
 
+/// Per-worker scratch vectors of one batched driver.
+type ScratchPool<T> = WorkspacePool<Vec<Complex<T>>>;
+
+/// Check a scratch vector out of `pool`, sized to `len`. Contents are
+/// unspecified — FFT execution overwrites scratch before reading it.
+fn scratch<T: Real>(pool: &ScratchPool<T>, len: usize) -> Checkout<'_, Vec<Complex<T>>> {
+    let mut guard = pool.checkout();
+    guard.ws().resize(len, Complex::zero());
+    guard
+}
+
 /// Batched complex transforms sharing one cached [`FftPlan`].
 pub struct BatchedFft<T: Real> {
     plan: PlanHandle<T>,
-    arena: ScratchArena<T>,
+    pool: ScratchPool<T>,
 }
 
 impl<T: Real> BatchedFft<T> {
     pub fn new(n: usize) -> Self {
-        let plan = cache::complex_plan::<T>(n);
-        let arena = ScratchArena::new(plan.scratch_len());
-        BatchedFft { plan, arena }
+        BatchedFft { plan: cache::complex_plan::<T>(n), pool: ScratchPool::default() }
     }
 
     /// Transform length per batch item.
@@ -57,10 +66,10 @@ impl<T: Real> BatchedFft<T> {
         &self.plan
     }
 
-    /// Scratch buffers currently parked in this driver's arena
-    /// (diagnostic: observes engine identity/reuse across reconfigures).
+    /// Scratch vectors currently parked in this driver's pool: at most
+    /// one per worker that ran a chunk of the last parallel batch.
     pub fn scratch_pooled(&self) -> usize {
-        self.arena.pooled()
+        self.pool.pooled()
     }
 
     /// Out-of-place batched transform. Layout is batch-major contiguous:
@@ -77,14 +86,14 @@ impl<T: Real> BatchedFft<T> {
         assert_eq!(input.len() % n, 0, "batched FFT length not a multiple of n");
         if input.len() > PAR_THRESHOLD {
             input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(n)).for_each_init(
-                || self.arena.checkout(),
-                |scratch, (i, o)| self.plan.process(i, o, scratch.as_mut_slice(), dir),
+                || scratch(&self.pool, self.plan.scratch_len()),
+                |scratch, (i, o)| self.plan.process(i, o, scratch.ws(), dir),
             );
             return;
         }
-        let mut scratch = self.arena.checkout();
+        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
         for (i, o) in input.chunks_exact(n).zip(output.chunks_exact_mut(n)) {
-            self.plan.process(i, o, scratch.as_mut_slice(), dir);
+            self.plan.process(i, o, scratch.ws(), dir);
         }
     }
 
@@ -96,14 +105,14 @@ impl<T: Real> BatchedFft<T> {
         assert_eq!(data.len() % n, 0, "batched FFT length not a multiple of n");
         if data.len() > PAR_THRESHOLD {
             data.par_chunks_exact_mut(n).for_each_init(
-                || self.arena.checkout(),
-                |scratch, chunk| self.plan.process_inplace(chunk, scratch.as_mut_slice(), dir),
+                || scratch(&self.pool, self.plan.scratch_len()),
+                |scratch, chunk| self.plan.process_inplace(chunk, scratch.ws(), dir),
             );
             return;
         }
-        let mut scratch = self.arena.checkout();
+        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
         for chunk in data.chunks_exact_mut(n) {
-            self.plan.process_inplace(chunk, scratch.as_mut_slice(), dir);
+            self.plan.process_inplace(chunk, scratch.ws(), dir);
         }
     }
 
@@ -125,14 +134,12 @@ impl<T: Real> BatchedFft<T> {
 /// Batched real transforms sharing one cached [`RealFftPlan`].
 pub struct BatchedRealFft<T: Real> {
     plan: RealPlanHandle<T>,
-    arena: ScratchArena<T>,
+    pool: ScratchPool<T>,
 }
 
 impl<T: Real> BatchedRealFft<T> {
     pub fn new(n: usize) -> Self {
-        let plan = cache::real_plan::<T>(n);
-        let arena = ScratchArena::new(plan.scratch_len());
-        BatchedRealFft { plan, arena }
+        BatchedRealFft { plan: cache::real_plan::<T>(n), pool: ScratchPool::default() }
     }
 
     /// Real signal length per batch item.
@@ -159,10 +166,10 @@ impl<T: Real> BatchedRealFft<T> {
         &self.plan
     }
 
-    /// Scratch buffers currently parked in this driver's arena
-    /// (diagnostic: observes engine identity/reuse across reconfigures).
+    /// Scratch vectors currently parked in this driver's pool: at most
+    /// one per worker that ran a chunk of the last parallel batch.
     pub fn scratch_pooled(&self) -> usize {
-        self.arena.pooled()
+        self.pool.pooled()
     }
 
     /// Batched forward R2C. `input.len() = batch·n`,
@@ -175,14 +182,14 @@ impl<T: Real> BatchedRealFft<T> {
         assert_eq!(output.len(), batch * s, "batched R2C output length mismatch");
         if input.len() > PAR_THRESHOLD {
             input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(s)).for_each_init(
-                || self.arena.checkout(),
-                |scratch, (i, o)| self.plan.forward(i, o, scratch.as_mut_slice()),
+                || scratch(&self.pool, self.plan.scratch_len()),
+                |scratch, (i, o)| self.plan.forward(i, o, scratch.ws()),
             );
             return;
         }
-        let mut scratch = self.arena.checkout();
+        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
         for (i, o) in input.chunks_exact(n).zip(output.chunks_exact_mut(s)) {
-            self.plan.forward(i, o, scratch.as_mut_slice());
+            self.plan.forward(i, o, scratch.ws());
         }
     }
 
@@ -196,14 +203,14 @@ impl<T: Real> BatchedRealFft<T> {
         assert_eq!(output.len(), batch * n, "batched C2R output length mismatch");
         if output.len() > PAR_THRESHOLD {
             spectrum.par_chunks_exact(s).zip(output.par_chunks_exact_mut(n)).for_each_init(
-                || self.arena.checkout(),
-                |scratch, (i, o)| self.plan.inverse(i, o, scratch.as_mut_slice()),
+                || scratch(&self.pool, self.plan.scratch_len()),
+                |scratch, (i, o)| self.plan.inverse(i, o, scratch.ws()),
             );
             return;
         }
-        let mut scratch = self.arena.checkout();
+        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
         for (i, o) in spectrum.chunks_exact(s).zip(output.chunks_exact_mut(n)) {
-            self.plan.inverse(i, o, scratch.as_mut_slice());
+            self.plan.inverse(i, o, scratch.ws());
         }
     }
 }
@@ -262,10 +269,44 @@ mod tests {
         let bf = BatchedFft::<f64>::new(n);
         let data = vec![C::one(); n * 4];
         let _ = bf.forward_batch_vec(&data);
-        let pooled_after_first = bf.arena.pooled();
-        assert!(pooled_after_first >= 1, "scratch must return to the arena");
+        let pooled_after_first = bf.scratch_pooled();
+        assert!(pooled_after_first >= 1, "scratch must return to the pool");
         let _ = bf.forward_batch_vec(&data);
-        assert_eq!(bf.arena.pooled(), pooled_after_first, "second batch reuses pooled scratch");
+        assert_eq!(bf.scratch_pooled(), pooled_after_first, "second batch reuses pooled scratch");
+        assert_eq!(bf.pool.peak_in_flight(), 1, "a serial batch holds one scratch vector");
+    }
+
+    #[test]
+    fn pooled_scratch_is_sized_to_the_plan() {
+        // 2048 runs a multi-pass schedule (scratch = n); the R2C driver
+        // needs the packed half signal on top of its half plan's scratch.
+        let n = 2048;
+        let bf = BatchedFft::<f64>::new(n);
+        let _ = bf.forward_batch_vec(&vec![C::one(); n * 3]);
+        assert_eq!(bf.pool.peak_bytes(), bf.plan().scratch_len() * 16);
+        assert!(bf.plan().scratch_len() > 0);
+        {
+            let mut guard = scratch(&bf.pool, bf.plan().scratch_len());
+            assert_eq!(guard.ws().len(), bf.plan().scratch_len());
+        }
+        assert_eq!(bf.scratch_pooled(), 1, "a checkout reuses the pooled buffer, not a second one");
+        let rf = BatchedRealFft::<f32>::new(64);
+        let mut spec = vec![Complex::<f32>::zero(); 2 * rf.spectrum_len()];
+        rf.forward_batch(&[1.0; 128], &mut spec);
+        assert_eq!(rf.pool.peak_bytes(), rf.plan().scratch_len() * 8);
+        assert!(rf.plan().scratch_len() > 0);
+    }
+
+    #[test]
+    fn zero_length_scratch_is_free() {
+        // 7 runs as a single stage, so its plan needs no scratch at all.
+        let n = 7;
+        let bf = BatchedFft::<f64>::new(n);
+        assert_eq!(bf.plan().scratch_len(), 0);
+        let _ = bf.forward_batch_vec(&vec![C::one(); n * 3]);
+        assert_eq!(bf.pool.peak_bytes(), 0);
+        let mut guard = scratch(&bf.pool, 0);
+        assert!(guard.ws().is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   butterfly consumes it — no `q·u` index arithmetic into a shared
 //!   table.
 //! * Passes ping-pong between two buffers (the caller's output and a
-//!   scratch arena slice). Stockham's self-sorting property means no
+//!   pooled scratch slice). Stockham's self-sorting property means no
 //!   bit/digit-reversal pass is ever needed, and the innermost loop runs
 //!   over a contiguous stride-1 range.
 //! * Radix 4 and radix 2 butterflies are hand-coded; any other radix

@@ -24,10 +24,10 @@
 //!   length `n` the forward transform returns `n/2 + 1` complex bins —
 //!   exactly why the paper's frequency-domain SBGEMV batch count is
 //!   `N_t + 1` (Section 2.4).
-//! * [`batch`] — contiguous batched execution through one shared scratch
-//!   arena ([`scratch`]), parallelized across the batch dimension on the
-//!   rayon work-stealing pool, standing in for
-//!   `cufftPlanMany`/`hipfftPlanMany`.
+//! * [`batch`] — contiguous batched execution drawing per-worker scratch
+//!   from a `fftmatvec_numeric::workspace::WorkspacePool`, parallelized
+//!   across the batch dimension on the rayon work-stealing pool, standing
+//!   in for `cufftPlanMany`/`hipfftPlanMany`.
 //! * [`ndfft`] — separable N-dimensional transforms over nested cached
 //!   1-D plans (outer `planWhole` / inner `planBlock` in the fastmat
 //!   naming), transposing one axis at a time so every axis pass runs the
@@ -45,8 +45,9 @@
 //! Conventions: forward transform uses `e^{-2πi jk/n}` and is unscaled;
 //! the inverse uses `e^{+2πi jk/n}` and scales by `1/n`, so
 //! `inverse(forward(x)) == x` up to roundoff. Everything is generic over
-//! [`fftmatvec_numeric::Real`] (f32/f64) so the mixed-precision pipeline
-//! can run each phase in its configured precision.
+//! [`fftmatvec_numeric::Real`] — the four tiers `f64`, `f32`, `f16` and
+//! `bf16` — so the mixed-precision pipeline can run each phase in its
+//! configured precision.
 
 pub mod batch;
 pub mod bluestein;
@@ -57,7 +58,6 @@ pub mod ndfft;
 pub mod plan;
 pub mod real;
 pub mod recursive;
-pub mod scratch;
 mod simd;
 
 pub use batch::{BatchedFft, BatchedRealFft};
@@ -66,7 +66,6 @@ pub use ndfft::{NdFft, RealNdFft};
 pub use plan::{FftDirection, FftPlan};
 pub use real::RealFftPlan;
 pub use recursive::RecursiveFftPlan;
-pub use scratch::ScratchArena;
 
 /// Theoretical FFT relative error growth factor `log2(n)` used by the
 /// paper's error bound (Eq. 6, after [Van Loan 1992]).

@@ -16,7 +16,7 @@
 //! in row-major layout with every axis transformed. The rotation
 //! ping-pongs between the caller's grid and a caller-supplied partner
 //! buffer of equal length, so the driver performs no allocation of its
-//! own after the per-axis scratch arenas warm up.
+//! own after the per-axis scratch pools warm up.
 //!
 //! # [`RealNdFft`]: real input, head-pruned, rotated spectrum
 //!
@@ -100,12 +100,6 @@ impl<T: Real> NdFft<T> {
         self.axes[i].plan_handle()
     }
 
-    /// Scratch buffers currently parked across all per-axis arenas
-    /// (diagnostic: observes engine identity/reuse across reconfigures).
-    pub fn scratch_pooled(&self) -> usize {
-        self.axes.iter().map(BatchedFft::scratch_pooled).sum()
-    }
-
     /// Transform the grid in `data` along every axis. `partner` is the
     /// rotation ping-pong buffer; both must have length [`len`](Self::len).
     /// The result always lands back in `data` (buffers are swapped, not
@@ -144,7 +138,7 @@ impl<T: Real> NdFft<T> {
 /// be even. Forward is unscaled, inverse scales by `1/∏ dims`, so
 /// `inverse ∘ forward` is the identity on the head box. The caller owns
 /// all three buffers; nothing is allocated after the per-axis scratch
-/// arenas warm up.
+/// pools warm up.
 pub struct RealNdFft<T: Real> {
     dims: Vec<usize>,
     rotated: Vec<usize>,
@@ -214,13 +208,6 @@ impl<T: Real> RealNdFft<T> {
     /// (`axis_plan(0)` is `planWhole`).
     pub fn axis_plan(&self, i: usize) -> &PlanHandle<T> {
         self.outer[i].plan_handle()
-    }
-
-    /// Scratch buffers currently parked across all per-axis arenas
-    /// (diagnostic: observes engine identity/reuse across reconfigures).
-    pub fn scratch_pooled(&self) -> usize {
-        self.inner.scratch_pooled()
-            + self.outer.iter().map(BatchedFft::scratch_pooled).sum::<usize>()
     }
 
     fn check(&self, head: &[usize], real: usize, spec: usize, stage: usize) {

@@ -22,7 +22,7 @@
 //! ([`FftPlan::process`]) and in-place ([`FftPlan::process_inplace`]).
 //! Both take a caller-supplied scratch slice of exactly
 //! [`FftPlan::scratch_len`] elements, which lets the batched driver keep
-//! one scratch per worker in a shared arena.
+//! one scratch vector per worker in a pool.
 
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 

@@ -163,10 +163,10 @@ proptest! {
     }
 }
 
-/// The per-leaf state contract, observed through the scratch arena: a
+/// The per-leaf state contract, observed through the scratch pool: a
 /// pooled batch far above `PAR_THRESHOLD` checks out one scratch guard
 /// per executed work chunk, and every guard is dropped when its chunk
-/// finishes — so the arena parks at most one buffer per pool lane
+/// finishes — so the scratch pool parks at most one buffer per pool lane
 /// (exactly one at `RAYON_NUM_THREADS=1`), never one per leaf. Holds [`POOL`]
 /// exclusively: with sibling tests waiting on the pool, their threads run
 /// some of these chunks and each parks a buffer of its own, which is the

@@ -18,6 +18,9 @@
 //!   the mixed-precision pipeline fuses with neighbouring memory ops.
 //! * [`rng`] — deterministic RNG, including the paper's mantissa-stuffing
 //!   trick (Section 4.2.1) that guarantees double→single casts lose bits.
+//! * [`workspace`] — the one pool of per-apply buffers: operator
+//!   workspaces and FFT scratch alike are checked out of a
+//!   [`workspace::WorkspacePool`].
 
 pub mod buffer;
 pub mod complex;
@@ -30,6 +33,7 @@ pub mod rng;
 pub mod scalar;
 pub mod simd;
 pub mod vecmath;
+pub mod workspace;
 
 pub use buffer::{ComplexBuffer, RealBuffer};
 pub use complex::Complex;

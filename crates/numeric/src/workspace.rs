@@ -1,12 +1,13 @@
-//! The one pooled-workspace implementation every operator stages
-//! through: the spectral pipelines ([`crate::spectral`]) and the
-//! distributed matvec ([`crate::distributed`]) differ only in the buffer
-//! struct `W` they pool.
+//! The one pooled-workspace implementation: every per-apply buffer set
+//! in the workspace is checked out of a [`WorkspacePool`]. The spectral
+//! pipelines and the distributed matvec of `fftmatvec-core` pool their
+//! apply workspaces here, and the batched FFT drivers of `fftmatvec-fft`
+//! pool their per-worker scratch vectors (`Vec<Complex<T>>`); they differ
+//! only in the buffer struct `W` they pool.
 //!
-//! Mirrors the FFT `ScratchArena`: one buffer set per concurrently
-//! running worker, a single reused set when serial. Hardened for
-//! shared-operator serving, where one operator is driven by many
-//! concurrent batch windows:
+//! One buffer set per concurrently running worker, a single reused set
+//! when serial. Hardened for shared-operator serving, where one operator
+//! is driven by many concurrent batch windows:
 //!
 //! * **Checkout ledger** — every workspace carries a pool-unique id,
 //!   recorded while it is out. A guard returning a workspace the ledger
@@ -21,7 +22,7 @@
 //!   single-workspace byte footprint seen at return time (the scratch
 //!   footprint `bench_toeplitz` records per shape).
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One apply's worth of intermediate buffers, poolable by
 /// [`WorkspacePool`]. `Default` must not allocate (`Vec::new()` does
@@ -32,15 +33,29 @@ pub trait Workspace: Default {
     fn bytes(&self) -> usize;
 }
 
+/// A plain vector is a one-buffer workspace: the FFT drivers pool their
+/// per-worker scratch this way.
+impl<E> Workspace for Vec<E> {
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.as_slice())
+    }
+}
+
 /// Most workspaces a pool parks between applies. A serving registry can
 /// point many concurrent batch windows at one shared operator; each
 /// window transiently checks out one workspace per executing worker, and
 /// without a cap the pool would permanently retain that burst-peak
-/// footprint. The same cap as the FFT scratch arenas'
-/// ([`fftmatvec_fft::scratch::scratch_retention_cap`]): one formula,
-/// computed once, allocation-free on the apply hot path.
+/// footprint. Sized to cover the machine's worker concurrency with
+/// headroom while letting bursts free their excess.
 pub fn workspace_retention_cap() -> usize {
-    fftmatvec_fft::scratch::scratch_retention_cap()
+    // Computed once: `available_parallelism` reads procfs/cgroup state on
+    // Linux, which allocates — and this runs on every return to a pool,
+    // which must stay allocation-free.
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        (2 * hw).max(8)
+    })
 }
 
 /// Bookkeeping behind one [`WorkspacePool`] mutex.

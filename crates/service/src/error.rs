@@ -63,7 +63,8 @@ pub enum ServiceError {
     },
     /// A budget-routed submission targeted an operator that was
     /// registered without autotune support (`register` / `register_fft`
-    /// rather than `register_fft_tunable`).
+    /// / `register_toeplitz` rather than `register_fft_tunable` /
+    /// `register_toeplitz_tunable`).
     NotTunable {
         /// The operator that cannot retune.
         operator: String,

@@ -36,7 +36,8 @@ pub(crate) struct RegisteredOp {
     pub(crate) op: Arc<dyn LinearOperator + Send + Sync>,
     pub(crate) shape: OpShape,
     /// Present for operators registered via
-    /// [`OperatorRegistry::register_fft_tunable`]: the per-operator
+    /// [`OperatorRegistry::register_fft_tunable`] or
+    /// [`OperatorRegistry::register_toeplitz_tunable`]: the per-operator
     /// autotune state budget-routed submissions resolve through.
     pub(crate) tunable: Option<Arc<TunableState>>,
 }

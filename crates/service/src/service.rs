@@ -457,7 +457,8 @@ impl Service {
     /// under the resolved configuration.
     ///
     /// Requires the operator to have been registered with
-    /// [`OperatorRegistry::register_fft_tunable`]; rejects with
+    /// [`OperatorRegistry::register_fft_tunable`] or
+    /// [`OperatorRegistry::register_toeplitz_tunable`]; rejects with
     /// [`ServiceError::NotTunable`] otherwise, and with
     /// [`ServiceError::InvalidBudget`] for non-finite or non-positive
     /// budgets. An unsatisfiable budget (below the all-double Eq. 6
@@ -524,24 +525,17 @@ impl Service {
         let Some(entry) = inner.registry.lookup(op_id) else {
             return reject(ServiceError::UnknownOperator(op_id.to_string()));
         };
-        // Budget routing resolves synchronously at admission: the caller
-        // learns about an invalid/unsatisfiable budget (or an untunable
-        // operator) here, and the lane's variant is warm before its
-        // first window executes.
-        let bucket = match budget {
+        // The cheap checks run first, so a request that is refused leaves
+        // nothing behind: no calibration, no resolved entry, no variant.
+        let tunable = match budget {
             None => None,
-            Some(b) => {
-                if !(b.is_finite() && b > 0.0) {
-                    return reject(ServiceError::InvalidBudget { budget: b });
-                }
-                let Some(tunable) = entry.tunable.as_ref() else {
-                    return reject(ServiceError::NotTunable { operator: op_id.to_string() });
-                };
-                if let Err(e) = tunable.resolve(dir, b) {
-                    return reject(e);
-                }
-                Some(budget_bucket(b))
+            Some(b) if !(b.is_finite() && b > 0.0) => {
+                return reject(ServiceError::InvalidBudget { budget: b });
             }
+            Some(b) => match entry.tunable.as_ref() {
+                Some(tunable) => Some((tunable, b)),
+                None => return reject(ServiceError::NotTunable { operator: op_id.to_string() }),
+            },
         };
         let (in_len, _) = entry.shape.io_lens(dir);
         if input.len() != in_len {
@@ -556,6 +550,18 @@ impl Service {
         if let Some(index) = first_non_finite(&input) {
             return reject(ServiceError::NonFiniteInput { operator: op_id.to_string(), index });
         }
+        // Budget routing resolves synchronously at admission: the caller
+        // learns about an unsatisfiable budget here, and the lane's
+        // variant is warm before its first window executes.
+        let bucket = match tunable {
+            None => None,
+            Some((tunable, b)) => {
+                if let Err(e) = tunable.resolve(dir, b) {
+                    return reject(e);
+                }
+                Some(budget_bucket(b))
+            }
+        };
 
         let submitted = Instant::now();
         let shared = TicketShared::new();

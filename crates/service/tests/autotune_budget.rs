@@ -11,10 +11,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fftmatvec_core::{
-    BackendKind, BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, PrecisionConfig,
+    BackendKind, BlockToeplitzOperator, FftMatvec, LinearOperator, OpDirection, OpError,
+    PrecisionConfig,
 };
 use fftmatvec_numeric::SplitMix64;
-use fftmatvec_service::{block_on, join_all, OperatorRegistry, Service, ServiceConfig};
+use fftmatvec_service::{
+    block_on, join_all, OperatorRegistry, Service, ServiceConfig, ServiceError,
+};
 
 /// Identity-plus-noise operator: κ(F̂) ≈ 1, so the Eq. 6 pruning admits
 /// genuinely narrow configurations at loose budgets while a tight budget
@@ -173,4 +176,32 @@ fn plain_and_budget_lanes_coexist_on_one_operator() {
 
     // The un-budgeted direction never resolved anything.
     assert!(service.resolved_config("tuned", OpDirection::Adjoint, 1e-14).is_none());
+}
+
+#[test]
+fn a_rejected_budget_submission_leaves_no_trace() {
+    let (nd, nm, nt) = (2usize, 3usize, 8usize);
+    let registry = Arc::new(OperatorRegistry::new());
+    let op = well_conditioned(nd, nm, nt, 31);
+    registry.register_fft_tunable("tuned", FftMatvec::builder(op)).unwrap();
+    let service = Service::new(Arc::clone(&registry), ServiceConfig::default());
+    let dir = OpDirection::Forward;
+
+    // A wrong-length input and a NaN input, each in a budget decade no
+    // request has used yet: both are refused before the budget resolves.
+    let short = service.submit_with_budget("tuned", dir, 1e-3, vec![1.0; nm * nt - 1]);
+    assert!(matches!(short.err(), Some(ServiceError::Shape(OpError::InputLength { .. }))));
+    let mut nan = vec![1.0; nm * nt];
+    nan[5] = f64::NAN;
+    let poisoned = service.submit_with_budget("tuned", dir, 1e-5, nan);
+    assert!(matches!(poisoned.err(), Some(ServiceError::NonFiniteInput { index: 5, .. })));
+    for budget in [1e-3, 1e-5] {
+        assert!(service.resolved_config("tuned", dir, budget).is_none(), "budget {budget:e}");
+    }
+    assert_eq!(service.stats().rejected, 2);
+
+    // An admissible request in the same decade resolves as usual.
+    let ok = service.submit_with_budget("tuned", dir, 1e-3, vec![1.0; nm * nt]).unwrap();
+    ok.wait().unwrap();
+    assert!(service.resolved_config("tuned", dir, 1e-3).is_some());
 }

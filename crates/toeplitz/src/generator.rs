@@ -67,7 +67,10 @@ impl ToeplitzGenerator {
             }
             lv.push(LevelDims { rows, cols });
         }
-        let expected: usize = lv.iter().map(LevelDims::diags).product();
+        let expected = lv
+            .iter()
+            .try_fold(1usize, |n, l| n.checked_mul(l.rows.checked_add(l.cols - 1)?))
+            .ok_or(ConfigError::DimensionOverflow { what: "toeplitz diagonal count" })?;
         if diagonals.len() != expected {
             return Err(ConfigError::ColumnLength { expected, got: diagonals.len() });
         }
@@ -204,5 +207,17 @@ mod tests {
             ToeplitzGenerator::new(&[(2, 2)], vec![1.0]),
             Err(ConfigError::ColumnLength { expected: 3, got: 1 })
         ));
+    }
+
+    #[test]
+    fn overflowing_diagonal_counts_are_typed() {
+        // rows + cols - 1 past usize::MAX, and a product of two 2³²
+        // diagonal counts that wraps to 0 on 64-bit targets (an empty
+        // tensor must not pass for it).
+        let big = 1usize << (usize::BITS / 2);
+        let want = ConfigError::DimensionOverflow { what: "toeplitz diagonal count" };
+        for levels in [vec![(usize::MAX, 2)], vec![(big, 1), (big, 1)]] {
+            assert_eq!(ToeplitzGenerator::new(&levels, vec![]).unwrap_err(), want, "{levels:?}");
+        }
     }
 }

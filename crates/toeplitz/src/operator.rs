@@ -56,7 +56,8 @@ macro_rules! each_tier {
 }
 
 /// One tier's real-input N-d FFT engine, tier-erased so the shared
-/// engine bank can hold it.
+/// engine bank can hold it (behind an `Arc`, as the block-triangular
+/// kernel's engines are).
 pub enum NdEngine {
     H(RealNdFft<f16>),
     B(RealNdFft<bf16>),
@@ -234,7 +235,7 @@ impl PointwiseKernel {
 }
 
 impl SpectralKernel for PointwiseKernel {
-    type Engine = NdEngine;
+    type Engine = Arc<NdEngine>;
     type Workspace = GridWorkspace;
 
     fn shape(&self) -> OpShape {
@@ -244,23 +245,18 @@ impl SpectralKernel for PointwiseKernel {
     /// Per-axis plans always resolve through the process-wide cache, so
     /// rebuilds only re-link shared twiddle tables. The engine computes
     /// on the host whatever the device (see the module docs).
-    fn plan(&self, _device: &dyn DeviceBackend, p: Precision) -> Result<NdEngine, BackendError> {
+    fn plan(
+        &self,
+        _device: &dyn DeviceBackend,
+        p: Precision,
+    ) -> Result<Arc<NdEngine>, BackendError> {
         let dims = self.sym.work_dims();
-        Ok(match p {
+        Ok(Arc::new(match p {
             Precision::Half => NdEngine::H(RealNdFft::new(dims)),
             Precision::BFloat16 => NdEngine::B(RealNdFft::new(dims)),
             Precision::Single => NdEngine::S(RealNdFft::new(dims)),
             Precision::Double => NdEngine::D(RealNdFft::new(dims)),
-        })
-    }
-
-    fn scratch_pooled(engine: &NdEngine) -> usize {
-        match engine {
-            NdEngine::H(e) => e.scratch_pooled(),
-            NdEngine::B(e) => e.scratch_pooled(),
-            NdEngine::S(e) => e.scratch_pooled(),
-            NdEngine::D(e) => e.scratch_pooled(),
-        }
+        }))
     }
 
     /// pad → FFTN → ⊙ĉ → IFFTN → extract on the head rows. The embed
@@ -564,7 +560,7 @@ impl From<TwoLevelToeplitz> for TieredPipeline<PointwiseKernel> {
 impl TwoLevelToeplitz {
     /// The resident double engine, when the configuration has one.
     fn double_engine(&self) -> Option<&RealNdFft<f64>> {
-        match self.0.resident_engine(Precision::Double) {
+        match self.0.resident_engine(Precision::Double).map(|e| &**e) {
             Some(NdEngine::D(engine)) => Some(engine),
             _ => None,
         }
@@ -781,18 +777,19 @@ mod tests {
         let x = random_vec(op.shape().cols, 61);
         let mut y = vec![0.0; op.shape().rows];
         op.apply_forward_into(&x, &mut y).unwrap();
-        let pooled_before = op.fft_scratch_pooled(Precision::Double);
-        assert!(pooled_before.is_some());
+        let (d, s) = (Precision::Double, Precision::Single);
+        let d_engine = Arc::clone(op.resident_engine(d).expect("d engine resident"));
         // dssdd keeps the double Ifft engine resident.
         op.set_config("dssdd".parse().unwrap());
-        assert_eq!(op.fft_scratch_pooled(Precision::Double), pooled_before);
-        assert!(op.fft_scratch_pooled(Precision::Single).is_some());
+        assert!(Arc::ptr_eq(op.resident_engine(d).unwrap(), &d_engine), "d engine kept");
+        assert!(op.resident_engine(s).is_some());
         let mut y2 = vec![0.0; op.shape().rows];
         op.apply_forward_into(&x, &mut y2).unwrap();
         assert!(rel_l2_error(&y, &y2) < crate::tier_rel_budget(Precision::Single));
-        // Back to all-double: single engine dropped.
+        // Back to all-double: single engine dropped, double still the same.
         op.set_config(PrecisionConfig::all_double());
-        assert!(op.fft_scratch_pooled(Precision::Single).is_none());
+        assert!(op.resident_engine(s).is_none());
+        assert!(Arc::ptr_eq(op.resident_engine(d).unwrap(), &d_engine), "d engine kept");
         let mut y3 = vec![0.0; op.shape().rows];
         op.apply_forward_into(&x, &mut y3).unwrap();
         assert_eq!(y, y3);
@@ -889,6 +886,24 @@ mod tests {
         let sym = Arc::new(ToeplitzSymbol::full(g2).unwrap());
         let op = TwoLevelToeplitz::builder_arc(Arc::clone(&sym)).build().unwrap();
         assert!(Arc::ptr_eq(&op.symbol_shared(), &sym));
+    }
+
+    #[test]
+    fn variants_over_one_symbol_share_its_narrowed_spectrum() {
+        // Two mixed variants over one `Arc`: the f32 spectrum the first
+        // build narrows is the one both variants' applies multiply by.
+        let gen = random_gen(&[(3, 3), (4, 4)], 57);
+        let sym = Arc::new(ToeplitzSymbol::full(gen).unwrap());
+        let cfg = PrecisionConfig::optimal_forward();
+        let build = || TwoLevelToeplitz::builder_arc(Arc::clone(&sym)).precision(cfg).build();
+        let (a, b) = (build().unwrap(), build().unwrap());
+        let x = random_vec(a.shape().cols, 97);
+        assert_eq!(a.apply_forward(&x).unwrap(), b.apply_forward(&x).unwrap());
+        let narrowed = sym.spectrum().buffer(Precision::Single);
+        for op in [&a, &b] {
+            let spectrum = op.kernel().sym.spectrum().buffer(Precision::Single);
+            assert!(std::ptr::eq(spectrum, narrowed), "one narrowed symbol per operator");
+        }
     }
 
     #[test]

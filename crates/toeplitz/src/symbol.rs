@@ -7,8 +7,9 @@
 //! first-column tensor. The symbol is the expensive, shareable part of
 //! construction (like `F̂` for the 1-level pipeline): [`ToeplitzSymbol`]
 //! is built once per generator, computed in double precision, and lazily
-//! cast per tier the first time a configuration touches that tier, then
-//! shared across every precision variant via `Arc`
+//! cast per tier the first time a configuration touches that tier (in a
+//! [`TierSpectra`], the bank `F̂` lives in too), then shared across every
+//! precision variant via `Arc`
 //! ([`crate::TwoLevelToeplitz::builder_arc`]).
 //!
 //! The circulant grid has per-level even extents
@@ -21,72 +22,13 @@
 //! box set to the whole grid, so its element order is the apply's by
 //! construction.
 
-use std::sync::OnceLock;
-
+use fftmatvec_core::spectral::TierSpectra;
 use fftmatvec_core::ConfigError;
 use fftmatvec_fft::RealNdFft;
 use fftmatvec_numeric::ndindex::total_len;
-use fftmatvec_numeric::{ComplexBuffer, Precision, C64};
+use fftmatvec_numeric::C64;
 
 use crate::generator::{LevelDims, ToeplitzGenerator};
-
-/// One spectrum stored in double precision with lazily materialized
-/// per-tier casts — the `F̂`-style cache of the 1-level pipeline. Every
-/// tier is held as a [`ComplexBuffer`] so the pointwise multiply can
-/// hand the spectrum straight to a
-/// [`DeviceBackend`](fftmatvec_backend::DeviceBackend) primitive.
-pub(crate) struct TierSpectra {
-    d: ComplexBuffer,
-    s: OnceLock<ComplexBuffer>,
-    h: OnceLock<ComplexBuffer>,
-    b: OnceLock<ComplexBuffer>,
-}
-
-/// Narrow a double spectrum into tier `p` (same rounding as the 1-level
-/// pipeline's `F̂` casts).
-fn narrowed(d: &[C64], p: Precision) -> ComplexBuffer {
-    match p {
-        Precision::Half => ComplexBuffer::C16(d.iter().map(|z| z.cast()).collect()),
-        Precision::BFloat16 => ComplexBuffer::CB16(d.iter().map(|z| z.cast()).collect()),
-        Precision::Single => ComplexBuffer::C32(d.iter().map(|z| z.cast()).collect()),
-        Precision::Double => ComplexBuffer::C64(d.to_vec()),
-    }
-}
-
-impl TierSpectra {
-    fn new(d: Vec<C64>) -> Self {
-        TierSpectra {
-            d: ComplexBuffer::C64(d),
-            s: OnceLock::new(),
-            h: OnceLock::new(),
-            b: OnceLock::new(),
-        }
-    }
-
-    pub(crate) fn c64(&self) -> &[C64] {
-        match &self.d {
-            ComplexBuffer::C64(v) => v,
-            _ => unreachable!("TierSpectra base spectrum is always double"),
-        }
-    }
-
-    /// The spectrum as a device buffer in tier `p`, narrowing lazily on
-    /// first request.
-    pub(crate) fn buffer(&self, p: Precision) -> &ComplexBuffer {
-        match p {
-            Precision::Double => &self.d,
-            Precision::Single => self.s.get_or_init(|| narrowed(self.c64(), p)),
-            Precision::Half => self.h.get_or_init(|| narrowed(self.c64(), p)),
-            Precision::BFloat16 => self.b.get_or_init(|| narrowed(self.c64(), p)),
-        }
-    }
-
-    /// Materialize the cast for `p` (warm-up; keeps applies
-    /// allocation-free).
-    pub(crate) fn warm(&self, p: Precision) {
-        let _ = self.buffer(p);
-    }
-}
 
 /// The shared, immutable frequency-domain setup of one multi-level
 /// Toeplitz operator: generator, embedding extents, symbol spectrum (with
