@@ -136,6 +136,52 @@ macro_rules! impl_cpu_fft {
                 Ok(())
             }
 
+            fn forward_padded(
+                &self,
+                input: &[f64],
+                n_series: usize,
+                pad: Precision,
+                output: &mut ComplexBuffer,
+            ) -> Result<(), BackendError> {
+                let s = match output {
+                    ComplexBuffer::$cvar(s) => s,
+                    other => {
+                        return Err(BackendError::TierMismatch {
+                            what: "batched padded FFT forward output",
+                            expected: self.tier,
+                            got: other.precision(),
+                        })
+                    }
+                };
+                check_tosi_lens(self.n / 2, n_series, input.len())?;
+                check_batch_lens(self.n, self.spectrum_len(), n_series * self.n, s.len())?;
+                self.engine.forward_padded(input, n_series, pad, s);
+                Ok(())
+            }
+
+            fn inverse_unpadded(
+                &self,
+                spectrum: &ComplexBuffer,
+                unpad: Precision,
+                output: &mut [f64],
+            ) -> Result<(), BackendError> {
+                let s = match spectrum {
+                    ComplexBuffer::$cvar(s) => s,
+                    other => {
+                        return Err(BackendError::TierMismatch {
+                            what: "batched unpadded FFT inverse input",
+                            expected: self.tier,
+                            got: other.precision(),
+                        })
+                    }
+                };
+                let batch = s.len() / self.spectrum_len();
+                check_batch_lens(self.n, self.spectrum_len(), batch * self.n, s.len())?;
+                check_tosi_lens(self.n / 2, batch, output.len())?;
+                self.engine.inverse_unpadded(s, unpad, output);
+                Ok(())
+            }
+
             fn plan_handle_f64(&self) -> Option<RealPlanHandle<f64>> {
                 #[allow(clippy::redundant_closure_call)]
                 ($handle)(self)
@@ -170,6 +216,19 @@ fn check_batch_lens(
             what: "batched FFT spectrum buffer",
             expected: batch * nfreq,
             got: spec_len,
+        });
+    }
+    Ok(())
+}
+
+/// Validate a time-outer/series-inner `f64` matrix of `n_series` series
+/// of `nt` samples each.
+fn check_tosi_lens(nt: usize, n_series: usize, len: usize) -> Result<(), BackendError> {
+    if len != nt * n_series {
+        return Err(BackendError::LengthMismatch {
+            what: "batched padded FFT time-outer matrix",
+            expected: nt * n_series,
+            got: len,
         });
     }
     Ok(())

@@ -80,6 +80,36 @@ pub trait BatchFft: Send + Sync + Debug {
         output: &mut RealBuffer,
     ) -> Result<(), BackendError>;
 
+    /// Batched R2C forward of `n_series` zero-padded series read straight
+    /// from a time-outer/series-inner `f64` matrix: sample `t < n/2` of
+    /// series `s` is `input[t·n_series + s]`, rounded through tier `pad`
+    /// into the handle's tier; samples `n/2..n` are the circulant
+    /// embedding's zeros. `output` must hold `n_series · spectrum_len()`
+    /// bins in the handle's tier. On bits this is the pad kernel into
+    /// `pad`, [`DeviceBackend::cast_real`] into the handle's tier and
+    /// [`Self::forward`] — with no padded buffer, no cast buffer, and no
+    /// zero stored or loaded.
+    fn forward_padded(
+        &self,
+        input: &[f64],
+        n_series: usize,
+        pad: Precision,
+        output: &mut ComplexBuffer,
+    ) -> Result<(), BackendError>;
+
+    /// Batched C2R inverse (scaled by `1/n`) that keeps samples `t < n/2`
+    /// of each series, routes them through tier `unpad` and stores them in
+    /// the time-outer/series-inner `f64` matrix `output[t·batch + s]`. On
+    /// bits this is [`Self::inverse`] followed by the unpad kernel — with
+    /// no time buffer, no separate scaling pass, and the discarded half of
+    /// each series never computed.
+    fn inverse_unpadded(
+        &self,
+        spectrum: &ComplexBuffer,
+        unpad: Precision,
+        output: &mut [f64],
+    ) -> Result<(), BackendError>;
+
     /// The shared `f64` plan handle, when this handle is the `f64` tier —
     /// callers use pointer equality to verify plan-cache sharing.
     fn plan_handle_f64(&self) -> Option<RealPlanHandle<f64>>;

@@ -111,6 +111,13 @@ fn matvec_workloads() {
     // 4096-point half plan runs two radix-16 passes between two radix-4
     // stages, in f64 (`ddddd`) and with f32 transforms (`dssdd`).
     matvec_shape("_4x4x4096", (4, 4, 4096), &["ddddd", "dssdd"]);
+
+    // A Bluestein length: `N_t = 97` is a prime above `MAX_RADIX`, so the
+    // half plan is a chirp-z transform over an inner power of two (256),
+    // and the padded forward and unpadded inverse gather into and store
+    // from scratch around it — in f64 (`ddddd`) and with f32 transforms
+    // (`dssdd`).
+    matvec_shape("_nt97", (2, 3, 97), &["ddddd", "dssdd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz

@@ -9,10 +9,19 @@
 //! precision of the adjacent compute phases (Section 3.2). Each function
 //! here is one such fused kernel, dispatched over all four tiers of the
 //! extended precision lattice (`h`/`b`/`s`/`d`) via
-//! [`fftmatvec_numeric::with_real`]. The pipeline itself runs pad and
-//! unpad only: it stores `F̂` frequency-minor, so its spectra never change
-//! layout between the transforms (see [`crate::operator`]); the two
-//! reorders are the block-major reference's.
+//! [`fftmatvec_numeric::with_real`].
+//!
+//! **The pipeline calls none of them.** Its transforms read the TOSI
+//! input and write the TOSI output in place — the batched FFT's
+//! `forward_padded` rounds each sample through `cfg[Pad]` into `cfg[Fft]`
+//! in its first pass and never loads an embedding zero, and
+//! `inverse_unpadded` computes only the kept half in its last pass and
+//! stores it routed through `cfg[Unpad]` — and it stores `F̂`
+//! frequency-minor, so its spectra never change layout between the
+//! transforms (see [`crate::operator`]). These kernels are the reference
+//! those passes equal on bits (the tests below compare them for every
+//! tier pair) and the phases the block-major replay and the end-to-end
+//! benchmark's traced leg time.
 //!
 //! # How they move
 //!
@@ -347,6 +356,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The transforms that fold pad and unpad into their first and last
+    /// passes equal the kernels they replace on the apply path, on bits:
+    /// the padded forward equals [`pad_input_into`] + `cast_real` +
+    /// `forward`, the unpadded inverse equals `inverse` +
+    /// [`unpad_output_into`] — every (pad, FFT) and (IFFT, unpad) tier
+    /// pair, transform lengths covering tiny, single-pass, Bluestein,
+    /// radix-2-first and radix-16-last plans and odd `nt`, series counts
+    /// on both sides of one register, awkward and plain inputs, at every
+    /// SIMD level. NaNs compare canonical, as in the FFT's own bit tests:
+    /// which operand's payload a NaN inherits is left open by IEEE-754
+    /// (the vector and scalar butterflies differ there), only where NaNs
+    /// land is a property of the schedule.
+    #[test]
+    fn padded_transforms_equal_pad_cast_forward_and_inverse_unpad_on_bits() {
+        use fftmatvec_backend::{CpuPool, DeviceBackend};
+        use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
+        use fftmatvec_numeric::C64;
+
+        let canon = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+        let bits = |v: &[f64]| v.iter().map(|&x| canon(x)).collect::<Vec<_>>();
+        let complex_bits = |b: &ComplexBuffer| {
+            (0..b.len()).map(|i| (canon(b.get(i).re), canon(b.get(i).im))).collect::<Vec<_>>()
+        };
+        let device = CpuPool::new();
+        let prev = active_level();
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
+            if !level_supported(level) {
+                continue;
+            }
+            set_active_level(level);
+            for nt in [1usize, 2, 3, 5, 64, 97, 250, 4096] {
+                for n_series in [1usize, 2, 3, 4, 5, 16] {
+                    let seed = (nt * 31 + n_series) as u64;
+                    let mut plain = vec![0.0; n_series * 2 * (nt + 1)];
+                    SplitMix64::new(seed).fill_uniform(&mut plain, -1.0, 1.0);
+                    // At 4096 the specials make every output NaN; plain
+                    // data is what exercises the long transform's bits.
+                    let awkward = (nt < 4096).then(|| awkward(plain.len(), seed));
+                    for data in awkward.into_iter().chain([plain]) {
+                        let m = &data[..n_series * nt];
+                        let spec: Vec<C64> =
+                            data.chunks_exact(2).map(|z| C64::new(z[0], z[1])).collect();
+                        for p_fft in Precision::ALL {
+                            let engine = device.real_fft(p_fft, 2 * nt).unwrap();
+                            let nbins = n_series * (nt + 1);
+                            for p_pad in Precision::ALL {
+                                let what =
+                                    format!("{level} nt={nt} ns={n_series} {p_pad}->{p_fft}");
+                                let mut padded = RealBuffer::F64(Vec::new());
+                                pad_input_into(m, n_series, nt, p_pad, &mut padded);
+                                let mut casted = RealBuffer::F64(Vec::new());
+                                device.cast_real(&padded, p_fft, &mut casted).unwrap();
+                                let mut want = ComplexBuffer::zeros(p_fft, nbins);
+                                engine.forward(&casted, &mut want).unwrap();
+                                let mut got = ComplexBuffer::from_c64(p_fft, &spec[..nbins]);
+                                engine.forward_padded(m, n_series, p_pad, &mut got).unwrap();
+                                assert_eq!(complex_bits(&got), complex_bits(&want), "{what}");
+                            }
+                            // The inverse runs on tier-`p_fft` spectra.
+                            let spectrum = ComplexBuffer::from_c64(p_fft, &spec[..nbins]);
+                            let mut time = RealBuffer::zeros(p_fft, n_series * 2 * nt);
+                            engine.inverse(&spectrum, &mut time).unwrap();
+                            for p_unpad in Precision::ALL {
+                                let what =
+                                    format!("{level} nt={nt} ns={n_series} {p_fft}->{p_unpad}");
+                                let mut want = vec![f64::NAN; n_series * nt];
+                                unpad_output_into(&time, n_series, nt, p_unpad, &mut want);
+                                let mut got = vec![f64::NAN; n_series * nt];
+                                engine.inverse_unpadded(&spectrum, p_unpad, &mut got).unwrap();
+                                assert_eq!(bits(&got), bits(&want), "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        set_active_level(prev);
     }
 
     #[test]

@@ -90,20 +90,17 @@ impl BlockToeplitzOperator {
             return Err(ConfigError::ColumnLength { expected, got: col.len() });
         }
 
-        // Gather each (i,k) time series contiguously, zero-padded to 2·nt,
-        // and FFT the whole nd·nm batch (the double-precision setup FFT of
-        // Section 3.2.1, error bounded by c_F·ε_d·log2(2·N_t)). The
-        // batched driver pulls its plan from the process-wide cache, so
-        // this setup pass and the per-matvec pipeline share twiddles.
-        let n2 = 2 * nt;
-        let nfreq = nt + 1;
+        // FFT each (i,k) time series zero-padded to 2·nt, the whole nd·nm
+        // batch at once (the double-precision setup FFT of Section 3.2.1,
+        // error bounded by c_F·ε_d·log2(2·N_t)). `col` is time-outer with
+        // the series inner, which the padded transform reads in place: no
+        // padded copy is made. The batched driver pulls its plan from the
+        // process-wide cache, so this setup pass and the per-matvec
+        // pipeline share twiddles.
         let series_count = nd * nm;
-        let mut padded = vec![0.0f64; series_count * n2];
-        transpose_map(col, series_count, &mut padded, n2, nt, series_count, |v| v);
-        let fft = BatchedRealFft::<f64>::new(n2);
-        let mut spectra = vec![Complex::zero(); series_count * nfreq];
-        fft.forward_batch(&padded, &mut spectra);
-        drop(padded);
+        let fft = BatchedRealFft::<f64>::new(2 * nt);
+        let mut spectra = vec![Complex::zero(); series_count * (nt + 1)];
+        fft.forward_padded(col, series_count, Precision::Double, &mut spectra);
 
         // `spectra[(i·nm + k)·nfreq + f]` *is* the frequency-minor layout.
         Ok(BlockToeplitzOperator {

@@ -10,15 +10,17 @@
 //! ```
 //!
 //! The working precision is tracked through the phases: each phase
-//! computes in its configured precision, casts are fused into the
-//! adjacent memory operations ([`crate::layout`]), and the input/output
-//! vectors are always double (Section 3.2 — downstream inverse-problem
-//! computations need FP64 endpoints).
+//! computes in its configured precision, the pad and unpad memory
+//! operations — casts included — run inside the transforms' first and
+//! last passes, and the input/output vectors are always double
+//! (Section 3.2 — downstream inverse-problem computations need FP64
+//! endpoints).
 //!
 //! This file supplies only what is specific to the family — the
 //! [`SbgemvKernel`] (batched real FFT engines through the
-//! [`DeviceBackend`], the seven-buffer workspace, the five phase calls
-//! with the frequency-minor batched GEMV as symbol apply) and the
+//! [`DeviceBackend`], the four-spectrum workspace, the five phases in
+//! three calls — pad fused into the forward transform, unpad into the
+//! inverse — with the frequency-minor batched GEMV as symbol apply) and the
 //! [`FftMatvecBuilder`]. Engine retention, pooled zero-allocation
 //! workspaces, budget resolution, batching and diagnostics are the
 //! shared [`TieredPipeline`]'s.
@@ -28,11 +30,10 @@ use std::sync::Arc;
 use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
 use fftmatvec_blas::{sbgemv_freq_minor, GemvOp};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
-use fftmatvec_numeric::{ComplexBuffer, Precision, RealBuffer, Scalar};
+use fftmatvec_numeric::{ComplexBuffer, Precision, Scalar};
 
 use crate::autotune::PhaseWeights;
 use crate::error_analysis::{condition_estimate, BoundParams};
-use crate::layout;
 use crate::linop::{ConfigError, OpDirection, OpError, OpShape};
 use crate::operator::BlockToeplitzOperator;
 use crate::precision::{MatvecPhase, PrecisionConfig};
@@ -40,43 +41,34 @@ use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
 use crate::timing::{simulate_phases, MatvecDims};
 use crate::workspace::Workspace;
 
-/// One apply's worth of intermediate buffers. Every field is reset (not
-/// reallocated) each apply as long as the tier/shape it held last time
-/// still matches — which is always the case under a fixed configuration.
+/// One apply's worth of intermediate buffers: the spectra on either side
+/// of the symbol apply. The time-domain ends need none — the transforms
+/// read the input and write the output in place. Every field is reset
+/// (not reallocated) each apply as long as the tier/shape it held last
+/// time still matches — which is always the case under a fixed
+/// configuration.
 pub struct MatvecWorkspace {
-    padded: RealBuffer,
-    casted: RealBuffer,
     spectrum: ComplexBuffer,
     xhat: ComplexBuffer,
     yhat: ComplexBuffer,
     dspec: ComplexBuffer,
-    time: RealBuffer,
 }
 
 impl Default for MatvecWorkspace {
     /// All-empty workspace; `Vec::new()` does not allocate.
     fn default() -> Self {
         MatvecWorkspace {
-            padded: RealBuffer::F64(Vec::new()),
-            casted: RealBuffer::F64(Vec::new()),
             spectrum: ComplexBuffer::C64(Vec::new()),
             xhat: ComplexBuffer::C64(Vec::new()),
             yhat: ComplexBuffer::C64(Vec::new()),
             dspec: ComplexBuffer::C64(Vec::new()),
-            time: RealBuffer::F64(Vec::new()),
         }
     }
 }
 
 impl Workspace for MatvecWorkspace {
     fn bytes(&self) -> usize {
-        self.padded.bytes()
-            + self.casted.bytes()
-            + self.spectrum.bytes()
-            + self.xhat.bytes()
-            + self.yhat.bytes()
-            + self.dspec.bytes()
-            + self.time.bytes()
+        self.spectrum.bytes() + self.xhat.bytes() + self.yhat.bytes() + self.dspec.bytes()
     }
 }
 
@@ -113,30 +105,22 @@ impl SpectralKernel for SbgemvKernel {
         ws: &mut MatvecWorkspace,
     ) -> Result<(), OpError> {
         let op = &*self.op;
-        let (nd, nm, nt, nfreq) = (op.nd(), op.nm(), op.nt(), op.nfreq());
+        let (nd, nm, nfreq) = (op.nd(), op.nm(), op.nfreq());
         // Series counts on each side of the GEMV.
         let (gemv_op, n_in, n_out) = match dir {
             OpDirection::Forward => (GemvOp::NoTrans, nm, nd),
             OpDirection::Adjoint => (GemvOp::ConjTrans, nd, nm),
         };
         let (cfg, device) = (pipe.config(), pipe.device());
-        let MatvecWorkspace { padded, casted, spectrum, xhat, yhat, dspec, time } = ws;
+        let MatvecWorkspace { spectrum, xhat, yhat, dspec } = ws;
 
-        // Phase 1 — broadcast + zero-pad (TOSI → SOTI), in cfg[Pad].
-        let p_pad = cfg.phase(MatvecPhase::Pad);
-        layout::pad_input_into(input, n_in, nt, p_pad, padded);
-
-        // Phase 2 — batched R2C FFT in cfg[Fft]; the cast (if any) is
-        // fused with the pad output.
+        // Phases 1 + 2 — broadcast + zero-pad (TOSI → SOTI) in cfg[Pad],
+        // then the batched R2C FFT in cfg[Fft]: the transform's first
+        // pass reads the TOSI input, rounds each sample through cfg[Pad]
+        // into cfg[Fft], and never loads an embedding zero.
         let p_fft = cfg.phase(MatvecPhase::Fft);
-        let fft_in: &RealBuffer = if p_fft == p_pad {
-            padded
-        } else {
-            device.cast_real(padded, p_fft, casted)?;
-            casted
-        };
         spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
-        pipe.engine(p_fft)?.forward(fft_in, spectrum)?;
+        pipe.engine(p_fft)?.forward_padded(input, n_in, cfg.phase(MatvecPhase::Pad), spectrum)?;
 
         // Phase 3 — the symbol apply in cfg[Sbgemv] on the frequency-minor
         // `F̂`: the kernel reads the forward engine's `[series][freq]`
@@ -160,14 +144,11 @@ impl SpectralKernel for SbgemvKernel {
             device.cast_complex(yhat, p_ifft, dspec)?;
         }
 
-        // Phase 4 — batched C2R inverse FFT in cfg[Ifft].
-        time.reset_for_overwrite(p_ifft, n_out * 2 * nt);
-        pipe.engine(p_ifft)?.inverse(dspec, time)?;
-
-        // Phase 5 — unpad + reduce (SOTI → TOSI) through cfg[Unpad];
-        // output is always double.
-        let p_unpad = cfg.phase(MatvecPhase::Unpad);
-        layout::unpad_output_into(time, n_out, nt, p_unpad, out);
+        // Phases 4 + 5 — batched C2R inverse FFT in cfg[Ifft], then unpad
+        // (SOTI → TOSI) through cfg[Unpad] into the double output: the
+        // transform's last pass computes only the kept half of each
+        // series, scales it and stores it, routed, into `out`.
+        pipe.engine(p_ifft)?.inverse_unpadded(dspec, cfg.phase(MatvecPhase::Unpad), out)?;
         Ok(())
     }
 
@@ -305,12 +286,13 @@ impl FftMatvec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout;
     use crate::linop::LinearOperator;
     use crate::workspace::workspace_retention_cap;
     use crate::BackendKind;
     use fftmatvec_blas::BatchGeometry;
     use fftmatvec_numeric::vecmath::rel_l2_error;
-    use fftmatvec_numeric::SplitMix64;
+    use fftmatvec_numeric::{RealBuffer, SplitMix64};
 
     fn random_operator(nd: usize, nm: usize, nt: usize, seed: u64) -> BlockToeplitzOperator {
         let mut rng = SplitMix64::new(seed);
@@ -698,11 +680,9 @@ mod tests {
         let mv = mv(random_operator(nd, nm, nt, 3), PrecisionConfig::all_double());
         let (m, mut out) = (vec![1.0; nm * nt], vec![0.0; nd * nt]);
         mv.apply_forward_into(&m, &mut out).unwrap();
-        // ddddd F: `padded` and `time` (4 series × 32 f64 each), `spectrum`
-        // and `dspec` (4 series × 17 C64 each); `casted`, `xhat` and `yhat`
-        // are never sized.
-        let (real, spectra) = (2 * 4 * 32 * 8, 2 * 4 * 17 * 16);
-        assert_eq!(mv.workspace_peak_bytes(), real + spectra);
+        // ddddd F: `spectrum` and `dspec` (4 series × 17 C64 each); `xhat`
+        // and `yhat` are never sized, and no time-domain buffer exists.
+        assert_eq!(mv.workspace_peak_bytes(), 2 * 4 * 17 * 16);
     }
 
     #[test]
@@ -837,6 +817,34 @@ mod tests {
                     let (err, bound) = run(cfg, &mut out);
                     assert!(err <= bound, "{cfg} {dir} at {scale:e}: {err:.3e} > {bound:.3e}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_f16_inverse_over_a_bluestein_length_stays_finite_and_in_bound() {
+        use crate::error_analysis::{condition_estimate, error_bound, BoundParams};
+        // N_t = 67, 71, 89, 97: the transforms of length 2·N_t are
+        // Bluestein plans. Before the kernel spectrum carried the inner
+        // inverse's 1/m, an f16 IFFT held the m-fold product and came out
+        // NaN or ∞ on unit-scale data.
+        let cfg: PrecisionConfig = "dddhd".parse().unwrap();
+        for nt in [67usize, 71, 89, 97] {
+            let op = random_operator(1, 1, nt, nt as u64);
+            let kappa = condition_estimate(&op, 1);
+            let mut mv = mv(op, PrecisionConfig::all_double());
+            for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                let input = max_norm_input(nt, 1.0);
+                let mut exact = vec![0.0; nt];
+                mv.set_config(PrecisionConfig::all_double());
+                mv.apply_into(dir, &input, &mut exact).unwrap();
+                let mut out = vec![0.0; nt];
+                mv.set_config(cfg);
+                mv.apply_into(dir, &input, &mut out).unwrap();
+                assert!(out.iter().all(|v| v.is_finite()), "nt={nt} {dir}: non-finite output");
+                let params = BoundParams::for_direction(dir, nt, 1, 1, 1, 1, kappa);
+                let (err, bound) = (rel_l2_error(&out, &exact), error_bound(cfg, &params).total);
+                assert!(err <= bound, "nt={nt} {dir}: error {err:.3e} > bound {bound:.3e}");
             }
         }
     }

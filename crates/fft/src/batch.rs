@@ -13,8 +13,9 @@
 //! thread count — and every transform writes a disjoint output slice, so
 //! batched results are byte-identical at any `RAYON_NUM_THREADS`.
 
+use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{Complex, Precision, Real};
 use rayon::prelude::*;
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
@@ -135,11 +136,30 @@ impl<T: Real> BatchedFft<T> {
 pub struct BatchedRealFft<T: Real> {
     plan: RealPlanHandle<T>,
     pool: ScratchPool<T>,
+    /// Per-worker staging blocks of the padded entry points.
+    stage: WorkspacePool<Vec<f64>>,
 }
+
+/// Series per group of the padded entry points. A batch of at most this
+/// many series is read and written in place, at its own stride; a wider
+/// one runs in groups whose columns are moved through a staging block of
+/// `STAGE·n/2` reals, one 64-byte line of an `f64` row per group. Reading
+/// one series at a time straight from a wide matrix would touch a fresh
+/// line per sample, `n_series·8` bytes apart — at the paper's 256 series a
+/// power-of-two stride that keeps every access of a series in two sets
+/// of the L1.
+const STAGE: usize = 8;
+
+/// One worker's buffers of the padded entry points.
+type Buffers<'a, T> = (Checkout<'a, Vec<Complex<T>>>, Checkout<'a, Vec<f64>>);
 
 impl<T: Real> BatchedRealFft<T> {
     pub fn new(n: usize) -> Self {
-        BatchedRealFft { plan: cache::real_plan::<T>(n), pool: ScratchPool::default() }
+        BatchedRealFft {
+            plan: cache::real_plan::<T>(n),
+            pool: ScratchPool::default(),
+            stage: WorkspacePool::default(),
+        }
     }
 
     /// Real signal length per batch item.
@@ -190,6 +210,189 @@ impl<T: Real> BatchedRealFft<T> {
         let mut scratch = scratch(&self.pool, self.plan.scratch_len());
         for (i, o) in input.chunks_exact(n).zip(output.chunks_exact_mut(s)) {
             self.plan.forward(i, o, scratch.ws());
+        }
+    }
+
+    /// Batched forward R2C of `n_series` zero-padded series read in place
+    /// from a time-outer/series-inner `f64` matrix — sample `t < n/2` of
+    /// series `s` is `input[t·n_series + s]`, rounded through tier `pad` —
+    /// into `output.len() = n_series·(n/2+1)` bins, series-major. See
+    /// `RealFftPlan::forward_padded`: the pad and the cast happen in the
+    /// first pass, and no embedding zero is stored or loaded. Up to
+    /// `STAGE` series are read in place, one task per series above the
+    /// parallel threshold; wider batches run in groups of `STAGE` through
+    /// a staging block.
+    pub fn forward_padded(
+        &self,
+        input: &[f64],
+        n_series: usize,
+        pad: Precision,
+        output: &mut [Complex<T>],
+    ) {
+        let (n, s) = (self.plan.len(), self.plan.spectrum_len());
+        assert_eq!(input.len(), n_series * (n / 2), "batched padded R2C input length mismatch");
+        assert_eq!(output.len(), n_series * s, "batched padded R2C output length mismatch");
+        if n_series <= STAGE {
+            // One group, read in place: one task per series, as the
+            // unpadded driver.
+            let series = |scratch: &mut Checkout<'_, Vec<Complex<T>>>,
+                          (k, o): (usize, &mut [Complex<T>])| {
+                self.plan.forward_padded(&input[k..], n_series, pad, o, scratch.ws())
+            };
+            if n_series * n > PAR_THRESHOLD {
+                output
+                    .par_chunks_mut(s)
+                    .enumerate()
+                    .for_each_init(|| scratch(&self.pool, self.plan.scratch_len()), series);
+            } else {
+                let mut scratch = scratch(&self.pool, self.plan.scratch_len());
+                output.chunks_mut(s).enumerate().for_each(|ko| series(&mut scratch, ko));
+            }
+            return;
+        }
+        let group = |bufs: &mut Buffers<'_, T>, k: usize, out: &mut [Complex<T>]| {
+            self.forward_group(input, n_series, k * STAGE, pad, out, bufs)
+        };
+        if n_series * n > PAR_THRESHOLD {
+            output
+                .par_chunks_mut(STAGE * s)
+                .enumerate()
+                .for_each_init(|| self.buffers(), |bufs, (k, out)| group(bufs, k, out));
+            return;
+        }
+        let mut bufs = self.buffers();
+        for (k, out) in output.chunks_mut(STAGE * s).enumerate() {
+            group(&mut bufs, k, out);
+        }
+    }
+
+    /// Batched inverse C2R (scaled by `1/n`) of `spectrum.len() =
+    /// batch·(n/2+1)` bins that keeps samples `t < n/2` of each series,
+    /// routed through tier `unpad`, in the time-outer/series-inner `f64`
+    /// matrix `output[t·batch + s]` (`output.len() = batch·n/2`). See
+    /// `RealFftPlan::inverse_unpadded`: the scale and the unpad happen
+    /// in the last pass, which computes only the kept half. Up to `STAGE`
+    /// series are written in place, one task per series above the
+    /// parallel threshold; wider batches run in groups of `STAGE` through
+    /// a staging block.
+    pub fn inverse_unpadded(&self, spectrum: &[Complex<T>], unpad: Precision, output: &mut [f64]) {
+        let (n, s) = (self.plan.len(), self.plan.spectrum_len());
+        assert_eq!(spectrum.len() % s, 0, "batched C2R spectrum not a multiple of bins");
+        let batch = spectrum.len() / s;
+        assert_eq!(output.len(), batch * (n / 2), "batched unpadded C2R output length mismatch");
+        /// The output matrix, shared by the series (or groups of series)
+        /// whose columns interleave in it.
+        struct Interleaved(*mut f64);
+        // SAFETY: each task writes only its own columns (see below).
+        unsafe impl Sync for Interleaved {}
+        impl Interleaved {
+            /// The matrix (a method, so closures capture the `Sync`
+            /// wrapper rather than the raw pointer).
+            fn get(&self) -> *mut f64 {
+                self.0
+            }
+        }
+        let out = Interleaved(output.as_mut_ptr());
+        if batch <= STAGE {
+            let series = |scratch: &mut Checkout<'_, Vec<Complex<T>>>,
+                          (k, spec): (usize, &[Complex<T>])| {
+                // SAFETY: `output` is exclusively borrowed for the whole
+                // call and holds `batch·n/2` elements; series `k` writes
+                // only column `k`, disjoint from every other series'.
+                unsafe {
+                    let column = out.get().add(k);
+                    self.plan.inverse_unpadded_raw(spec, column, batch, unpad, scratch.ws())
+                }
+            };
+            if batch * n > PAR_THRESHOLD {
+                spectrum
+                    .par_chunks(s)
+                    .enumerate()
+                    .for_each_init(|| scratch(&self.pool, self.plan.scratch_len()), series);
+            } else {
+                let mut scratch = scratch(&self.pool, self.plan.scratch_len());
+                spectrum.chunks(s).enumerate().for_each(|ks| series(&mut scratch, ks));
+            }
+            return;
+        }
+        let group = |bufs: &mut Buffers<'_, T>, k: usize, spectra: &[Complex<T>]| {
+            // SAFETY: `output` is exclusively borrowed for the whole call
+            // and holds `batch·n/2` elements; group `k` writes only the
+            // columns of its own series, `k·STAGE..`, disjoint from every
+            // other group's.
+            unsafe { self.inverse_group(spectra, unpad, out.get(), batch, k * STAGE, bufs) }
+        };
+        if batch * n > PAR_THRESHOLD {
+            spectrum
+                .par_chunks(STAGE * s)
+                .enumerate()
+                .for_each_init(|| self.buffers(), |bufs, (k, spectra)| group(bufs, k, spectra));
+            return;
+        }
+        let mut bufs = self.buffers();
+        for (k, spectra) in spectrum.chunks(STAGE * s).enumerate() {
+            group(&mut bufs, k, spectra);
+        }
+    }
+
+    /// One worker's buffers: plan scratch, and the staging block.
+    fn buffers(&self) -> Buffers<'_, T> {
+        (scratch(&self.pool, self.plan.scratch_len()), self.stage.checkout())
+    }
+
+    /// The padded forward of the group of series `s0..` whose spectra are
+    /// `out`, read from the group's columns transposed into the staging
+    /// block.
+    fn forward_group(
+        &self,
+        input: &[f64],
+        n_series: usize,
+        s0: usize,
+        pad: Precision,
+        out: &mut [Complex<T>],
+        (scratch, stage): &mut Buffers<'_, T>,
+    ) {
+        let (nt, s) = (self.plan.len() / 2, self.plan.spectrum_len());
+        let spectra = out.chunks_exact_mut(s);
+        let stage = stage.ws();
+        stage.resize(spectra.len() * nt, 0.0);
+        transpose_map(&input[s0..], n_series, stage, nt, nt, spectra.len(), |v| v);
+        for (o, series) in spectra.zip(stage.chunks_exact(nt)) {
+            self.plan.forward_padded(series, 1, pad, o, scratch.ws());
+        }
+    }
+
+    /// The unpadded inverse of the group of series `s0..` whose spectra
+    /// are `spectra`, into columns `s0..` of the `batch`-series output
+    /// matrix at `out`, through the staging block, one row of the group at
+    /// a time.
+    ///
+    /// # Safety
+    ///
+    /// `out` holds `batch·n/2` elements, and nothing else accesses the
+    /// group's columns during the call.
+    unsafe fn inverse_group(
+        &self,
+        spectra: &[Complex<T>],
+        unpad: Precision,
+        out: *mut f64,
+        batch: usize,
+        s0: usize,
+        (scratch, stage): &mut Buffers<'_, T>,
+    ) {
+        let (nt, s) = (self.plan.len() / 2, self.plan.spectrum_len());
+        let spectra = spectra.chunks_exact(s);
+        let width = spectra.len();
+        let stage = stage.ws();
+        stage.resize(width * nt, 0.0);
+        for (spec, series) in spectra.zip(stage.chunks_exact_mut(nt)) {
+            self.plan.inverse_unpadded(spec, series, 1, unpad, scratch.ws());
+        }
+        for t in 0..nt {
+            let row = out.add(t * batch + s0);
+            for (k, series) in stage.chunks_exact(nt).enumerate() {
+                *row.add(k) = series[t];
+            }
         }
     }
 

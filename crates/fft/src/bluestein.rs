@@ -29,7 +29,10 @@ pub struct BluesteinPlan<T: Real> {
     inner: PlanHandle<T>,
     /// `chirp[j] = e^{-πi j²/n}`, `j in 0..n`.
     chirp: Vec<Complex<T>>,
-    /// Forward FFT (length `m`) of the wrapped conjugate chirp.
+    /// Forward FFT (length `m`) of the wrapped conjugate chirp, times the
+    /// inner inverse's `1/m` — an exact power of two, applied here so the
+    /// convolution never holds the `m`-fold unscaled product (which
+    /// overflows the 16-bit tiers' range).
     b_fft: Vec<Complex<T>>,
 }
 
@@ -58,7 +61,8 @@ impl<T: Real> BluesteinPlan<T> {
                 b[m - j] = c;
             }
         }
-        let b_fft = inner.forward_vec(&b);
+        let recip_m = T::from_usize(m).recip();
+        let b_fft = inner.forward_vec(&b).into_iter().map(|v| v.scale(recip_m)).collect();
 
         BluesteinPlan { n, m, inner, chirp, b_fft }
     }
@@ -84,7 +88,10 @@ impl<T: Real> BluesteinPlan<T> {
         // Pointwise multiply by the chirp kernel spectrum — vectorized
         // when a SIMD kernel applies (bit-identical either way).
         pointwise_mul_assign(a, &self.b_fft, false);
-        self.inner.process_inplace(a, work, FftDirection::Inverse);
+        // `b_fft` carries the `1/m`: scaling by a power of two commutes
+        // with every rounding of the convolution, so the f32 / f64 bits
+        // are those of scaling after the butterflies.
+        self.inner.process_inplace_unscaled(a, work, FftDirection::Inverse);
     }
 
     /// Final chirp: `X[k] = c[k]·chirp[k]`, finishing the conj identity and
@@ -236,6 +243,52 @@ mod tests {
         let fast = plan.forward_vec(&x);
         let err = fast.iter().zip(&slow).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
         assert!(err < 1e-9);
+    }
+
+    /// Relative l2 error of the `f16` forward transform of `n` values in
+    /// `±scale` (one at `scale`), against the `f64` DFT of the same
+    /// rounded input; `None` if any output is non-finite.
+    fn f16_forward_error(n: usize, scale: f64) -> Option<f64> {
+        use fftmatvec_numeric::half::f16;
+        let mut rng = SplitMix64::new(n as u64);
+        let mut x: Vec<Complex<f16>> = (0..n)
+            .map(|_| {
+                let mut v = || f16::from_f64(rng.uniform(-scale, scale));
+                Complex::new(v(), v())
+            })
+            .collect();
+        x[n / 3].re = f16::from_f64(scale);
+        let got = FftPlan::<f16>::new(n).forward_vec(&x);
+        if got.iter().any(|v| !v.re.is_finite() || !v.im.is_finite()) {
+            return None;
+        }
+        let wide: Vec<C> = x.iter().map(|v| C::new(v.re.to_f64(), v.im.to_f64())).collect();
+        let mut want = vec![C::zero(); n];
+        naive_dft(&wide, &mut want, FftDirection::Forward);
+        let diff: f64 = got
+            .iter()
+            .zip(&want)
+            .map(|(g, w)| (C::new(g.re.to_f64(), g.im.to_f64()) - *w).norm_sqr())
+            .sum();
+        let norm: f64 = want.iter().map(|w| w.norm_sqr()).sum();
+        Some((diff / norm).sqrt())
+    }
+
+    #[test]
+    fn f16_bluestein_keeps_the_range_of_a_radix_plan() {
+        // The inner inverse's 1/m rides in the kernel spectrum, so the
+        // convolution never holds the m-fold unscaled product: at max-abs
+        // 16 and 64 every output is finite, and the error is no worse
+        // than the largest radix plan's (n = 61, one table-driven stage).
+        for scale in [16.0, 64.0] {
+            let radix = f16_forward_error(61, scale).expect("radix plan stays finite");
+            for n in [67usize, 97, 127] {
+                assert!(FftPlan::<fftmatvec_numeric::half::f16>::new(n).is_bluestein());
+                let err = f16_forward_error(n, scale)
+                    .unwrap_or_else(|| panic!("n={n} at max-abs {scale}: non-finite output"));
+                assert!(err <= radix, "n={n} at max-abs {scale}: error {err:.3e} > {radix:.3e}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,16 @@
 //!   [`butterfly4`] expression trees, only the intermediate stays in
 //!   registers (or a 16-element stack tile) instead of a buffer.
 //!
+//! * [`IterativeFft::forward_padded`] and [`IterativeFft::inverse_unpadded`]
+//!   replace one pass each for the real transform's circulant embedding
+//!   (see `crate::padded`): the forward's first pass gathers its operands
+//!   from a padded series, the embedding's zeros as `+0` values that are
+//!   never loaded, and the inverse's last pass (`m = 1`) keeps only the
+//!   outputs that hold a kept sample, scaling each by `1/n` after its
+//!   butterfly — the multiply of the plan's scaling pass — on the way
+//!   out. Both evaluate the stage's own expression trees, so their bits
+//!   are those of the padded buffer through the full schedule.
+//!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
 //! outer stride `s` (`n = s·n_cur`), stage output index `r·p + j` holds
 //! `z_j[p] = ω_{n_cur}^{p·j} · Σ_l src[p + m·l] · ω_r^{j·l}` for each of
@@ -48,6 +58,7 @@
 
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 
+use crate::padded::{PaddedSeries, UnpaddedSeries};
 use crate::plan::{FftDirection, MAX_RADIX};
 
 /// One butterfly stage of the iterative schedule.
@@ -177,6 +188,64 @@ impl<T: Real> IterativeFft<T> {
             in_scratch = !in_scratch;
         }
         debug_assert!(!in_scratch);
+    }
+
+    /// Forward transform (unscaled) of a zero-padded series read in place:
+    /// the first pass takes its operands from `src` — the packed signal,
+    /// rounded on load, its embedding zeros never loaded — and the
+    /// remaining passes run as in [`Self::process`].
+    pub(crate) fn forward_padded<P: Real>(
+        &self,
+        src: &PaddedSeries<'_, P>,
+        output: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+    ) {
+        debug_assert_eq!(src.nt(), self.n, "a padded series is half the real length");
+        let k = self.passes.len();
+        if k == 1 {
+            first_pass_padded(&self.passes[0], src, output);
+            return;
+        }
+        let scratch = &mut scratch[..self.n];
+        // As in `process`: parity picks pass 0's destination.
+        let mut in_scratch = k % 2 == 0;
+        first_pass_padded(&self.passes[0], src, if in_scratch { scratch } else { output });
+        for pass in &self.passes[1..] {
+            if in_scratch {
+                run_pass(pass, scratch, output, false);
+            } else {
+                run_pass(pass, output, scratch, false);
+            }
+            in_scratch = !in_scratch;
+        }
+    }
+
+    /// Inverse transform (scaled by `1/n`) whose last pass computes only
+    /// the outputs that hold a sample `sink` keeps, scales them and stores
+    /// them through `sink`. `buf` is the input and is clobbered; the
+    /// passes before the last ping-pong between it and `scratch`.
+    pub(crate) fn inverse_unpadded<Q: Real>(
+        &self,
+        buf: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        sink: &mut UnpaddedSeries<Q>,
+    ) {
+        debug_assert_eq!(sink.nt(), self.n, "an unpadded series is half the real length");
+        let (last, rest) = self.passes.split_last().expect("a schedule has at least one pass");
+        let mut in_scratch = false;
+        if !rest.is_empty() {
+            let scratch = &mut scratch[..self.n];
+            for pass in rest {
+                if in_scratch {
+                    run_pass(pass, scratch, buf, true);
+                } else {
+                    run_pass(pass, buf, scratch, true);
+                }
+                in_scratch = !in_scratch;
+            }
+        }
+        let src = if in_scratch { &scratch[..self.n] } else { &*buf };
+        last_pass_unpadded(last, src, sink, self.n);
     }
 
     /// In-place transform (unscaled): `buf` is both input and output.
@@ -499,6 +568,135 @@ fma_pass! {
     }
 }
 
+/// Run the first pass of a forward transform with its operands read from
+/// the padded series `src` (the first stage is never fused, so `pass` is
+/// one stage at stride 1): a vector kernel where one takes it, else
+/// [`scalar_first_padded`].
+fn first_pass_padded<T: Real, P: Real>(
+    pass: &Pass<T>,
+    src: &PaddedSeries<'_, P>,
+    dst: &mut [Complex<T>],
+) {
+    let Pass::Single(st) = pass else { unreachable!("the first stage is never fused") };
+    debug_assert_eq!(st.s, 1);
+    let (m, tw) = (st.m, &st.twiddles[..]);
+    let taken = match st.radix {
+        2 => crate::simd::first_radix2_padded(src, dst, m, tw),
+        4 => crate::simd::first_radix4_padded(src, dst, m, tw),
+        _ => false,
+    };
+    if !taken {
+        scalar_first_padded(st, src, dst);
+    }
+}
+
+/// Run the last pass of an inverse transform of length `n` into `sink`:
+/// a vector kernel where one takes it, else [`scalar_last_unpadded`].
+fn last_pass_unpadded<T: Real, Q: Real>(
+    pass: &Pass<T>,
+    src: &[Complex<T>],
+    sink: &mut UnpaddedSeries<Q>,
+    n: usize,
+) {
+    let taken = match pass {
+        Pass::Single(st) if st.radix == 2 => {
+            crate::simd::last_radix2_unpadded(src, sink, st.s, &st.twiddles)
+        }
+        Pass::Single(st) if st.radix == 4 => {
+            crate::simd::last_radix4_unpadded(src, sink, st.s, &st.twiddles)
+        }
+        Pass::Radix16(a, b) => {
+            crate::simd::last_radix16_unpadded(src, sink, a.s, &a.twiddles, &b.twiddles)
+        }
+        _ => false,
+    };
+    if !taken {
+        scalar_last_unpadded(pass, src, sink, n);
+    }
+}
+
+fma_pass! {
+    /// The scalar first pass of a forward transform over a padded series:
+    /// each butterfly gathers its `r` operands from `src` (the embedding's
+    /// `+0` past the live half) onto the stack and runs the stage's
+    /// expression tree on them — the values [`scalar_stage`] computes from
+    /// the padded buffer. Every radix, every tier.
+    fn scalar_first_padded<T: Real, P: Real>(
+        st: &Stage<T>,
+        src: &PaddedSeries<'_, P>,
+        dst: &mut [Complex<T>],
+    ) {
+        let (r, m) = (st.radix, st.m);
+        let mut t = [Complex::<T>::zero(); MAX_RADIX];
+        let mut gather = [Complex::<T>::zero(); MAX_RADIX];
+        for p in 0..m {
+            for (l, tl) in t[..r].iter_mut().enumerate() {
+                *tl = src.packed(p + m * l);
+            }
+            match r {
+                2 => butterfly2(&t, dst, (0, 1), (2 * p, 1), twiddle2(&st.twiddles, p, false)),
+                4 => {
+                    let w = twiddles4(&st.twiddles, m, p, false);
+                    butterfly4(&t, dst, (0, 1), (4 * p, 1), w, false);
+                }
+                _ => {
+                    let tw = &st.twiddles[p * (r - 1)..(p + 1) * (r - 1)];
+                    let roots = &st.radix_roots;
+                    butterfly_odd(&t, dst, (0, 1), (r * p, 1), tw, roots, false, &mut gather);
+                }
+            }
+        }
+    }
+}
+
+fma_pass! {
+    /// The scalar last pass of an inverse transform of length `n` into
+    /// `sink`: each butterfly (one stage or one radix-16 pair, `m = 1`)
+    /// writes its outputs to a stack tile, and only those that hold a kept
+    /// sample are scaled by `1/n` — the multiply of the plan's scaling
+    /// pass, after the butterfly — and stored. Every radix, every tier.
+    fn scalar_last_unpadded<T: Real, Q: Real>(
+        pass: &Pass<T>,
+        src: &[Complex<T>],
+        sink: &mut UnpaddedSeries<Q>,
+        n: usize,
+    ) {
+        let scale = T::from_usize(n).recip();
+        let live = sink.live();
+        let mut tile = [Complex::<T>::zero(); MAX_RADIX];
+        match pass {
+            Pass::Single(st) => {
+                let (r, s, tw) = (st.radix, st.s, &st.twiddles[..]);
+                let mut gather = [Complex::<T>::zero(); MAX_RADIX];
+                for q in 0..s.min(live) {
+                    match r {
+                        2 => butterfly2(src, &mut tile, (q, s), (0, 1), twiddle2(tw, 0, true)),
+                        4 => butterfly4(src, &mut tile, (q, s), (0, 1), twiddles4(tw, 1, 0, true), true),
+                        _ => {
+                            let roots = &st.radix_roots;
+                            butterfly_odd(src, &mut tile, (q, s), (0, 1), tw, roots, true, &mut gather);
+                        }
+                    }
+                    for (j, v) in tile[..r].iter().enumerate().take_while(|&(j, _)| q + s * j < live) {
+                        sink.put_packed(q + s * j, v.scale(scale));
+                    }
+                }
+            }
+            Pass::Radix16(a, b) => {
+                let s = a.s;
+                let (wa, wb) = twiddles16(&a.twiddles, &b.twiddles, 1, 0, true);
+                let mut t = [Complex::<T>::zero(); 16];
+                for q in 0..s.min(live) {
+                    butterfly16(src, &mut tile, (q, s), (0, 1), &wa, wb, true, &mut t);
+                    for (j, v) in tile[..16].iter().enumerate().take_while(|&(j, _)| q + s * j < live) {
+                        sink.put_packed(q + s * j, v.scale(scale));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,8 +781,64 @@ mod tests {
         }
     }
 
+    /// The padded forward's first pass and the unpadded inverse's last
+    /// pass of every power-of-two `f32` / `f64` schedule are taken by a
+    /// vector kernel too — contiguous and strided series alike. Vacuous
+    /// when the process runs portable.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_pow2_padded_pass_is_taken_by_a_vector_kernel() {
+        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        fn check<T: Real>() {
+            for log2 in 3..=13 {
+                let n = 1usize << log2;
+                let eng = IterativeFft::<T>::new(n, &factors_of(n));
+                let x = vec![0.0; 3 * n];
+                for stride in [1, 3] {
+                    let src = PaddedSeries::<f64>::new(&x, stride, n);
+                    let mut dst = vec![Complex::<T>::zero(); n];
+                    let Pass::Single(st) = &eng.passes[0] else { unreachable!("first stage") };
+                    let (m, tw) = (st.m, &st.twiddles[..]);
+                    let taken = match st.radix {
+                        2 => crate::simd::first_radix2_padded(&src, &mut dst, m, tw),
+                        4 => crate::simd::first_radix4_padded(&src, &mut dst, m, tw),
+                        _ => false,
+                    };
+                    assert!(taken, "n={n} stride {stride}: padded first stage ran scalar");
+                    let mut out = vec![0.0; stride * n];
+                    // SAFETY: `out` holds `stride·n` elements, borrowed by
+                    // nothing else.
+                    let mut sink =
+                        unsafe { UnpaddedSeries::<f64>::new(out.as_mut_ptr(), stride, n) };
+                    let src = vec![Complex::<T>::zero(); n];
+                    let taken = match eng.passes.last().unwrap() {
+                        Pass::Single(st) if st.radix == 2 => {
+                            crate::simd::last_radix2_unpadded(&src, &mut sink, st.s, &st.twiddles)
+                        }
+                        Pass::Single(st) if st.radix == 4 => {
+                            crate::simd::last_radix4_unpadded(&src, &mut sink, st.s, &st.twiddles)
+                        }
+                        Pass::Radix16(a, b) => crate::simd::last_radix16_unpadded(
+                            &src,
+                            &mut sink,
+                            a.s,
+                            &a.twiddles,
+                            &b.twiddles,
+                        ),
+                        Pass::Single(_) => false,
+                    };
+                    assert!(taken, "n={n} stride {stride}: unpadded last pass ran scalar");
+                }
+            }
+        }
+        if fftmatvec_numeric::simd::fma_active() {
+            check::<f32>();
+            check::<f64>();
+        }
+    }
+
     /// Guards the process-global dispatch level: the schedule test below
-    /// forces it, and the test above reads it.
+    /// forces it, and the tests above read it.
     static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Bits of every component, NaNs canonical: which operand's payload a

@@ -55,6 +55,7 @@ pub mod cache;
 pub mod dft;
 mod iterative;
 pub mod ndfft;
+mod padded;
 pub mod plan;
 pub mod real;
 pub mod recursive;

@@ -201,6 +201,30 @@ impl<T: Real> FftPlan<T> {
         }
     }
 
+    /// [`Self::process_inplace`] without the inverse transform's `1/n`
+    /// pass: Bluestein's inner inverse, whose `1/m` is folded into its
+    /// kernel spectrum.
+    pub(crate) fn process_inplace_unscaled(
+        &self,
+        buf: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        dir: FftDirection,
+    ) {
+        match &self.strategy {
+            Strategy::Iterative(engine) => engine.process_inplace(buf, scratch, dir),
+            _ => unreachable!("Bluestein's inner plan is a multi-stage power of two"),
+        }
+    }
+
+    /// The iterative engine, when this plan runs one — the real
+    /// transform's fused pad and unpad passes run inside it.
+    pub(crate) fn iterative(&self) -> Option<&IterativeFft<T>> {
+        match &self.strategy {
+            Strategy::Iterative(engine) => Some(engine),
+            _ => None,
+        }
+    }
+
     /// Forward transform into `output`.
     pub fn forward(
         &self,

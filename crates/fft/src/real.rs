@@ -22,12 +22,23 @@
 //! dispatcher like the butterflies do (vector kernels for `f32`/`f64`,
 //! one scalar body in an FMA context otherwise).
 //!
+//! FFTMatvec's signals are zero-padded series of a time-outer matrix, and
+//! only the first half of each inverse is kept.
+//! `RealFftPlan::forward_padded` and `RealFftPlan::inverse_unpadded`
+//! take and give exactly that: the half plan's first pass reads the
+//! series in place (rounding each sample through the pad tier, loading no
+//! embedding zero) and its last pass stores only the kept samples, scaled
+//! and routed through the unpad tier — the pad, cast, scale and unpad
+//! passes of the batched pipeline folded into the transform, with the
+//! same bits.
+//!
 //! Conventions match [`crate::FftPlan`]: forward unscaled, inverse scaled
 //! so `inverse(forward(x)) == x`.
 
-use fftmatvec_numeric::{fma_pass, Complex, Real};
+use fftmatvec_numeric::{fma_pass, with_real, Complex, Precision, Real};
 
 use crate::cache::{self, PlanHandle};
+use crate::padded::{PaddedSeries, UnpaddedSeries};
 use crate::plan::FftDirection;
 
 /// Plan for transforms of real signals of even length `n`.
@@ -180,7 +191,49 @@ impl<T: Real> RealFftPlan<T> {
         // Z = FFT_h(z) of the packed signal z[j] = x[2j] + i·x[2j+1].
         self.half.process(as_pairs(input), z, inner_scratch, FftDirection::Forward);
 
-        // Unpack: split Z into the spectra of even/odd samples and stitch.
+        self.unpack(z, output);
+    }
+
+    /// Forward R2C of a zero-padded series read in place from a
+    /// time-outer/series-inner `f64` matrix: sample `t < n/2` is
+    /// `input[t·stride]`, rounded through tier `pad` into `T`, and samples
+    /// `n/2..n` are the circulant embedding's zeros. Equals, on bits,
+    /// [`Self::forward`] of that padded signal, but nothing is gathered:
+    /// the half plan's first pass reads the samples where they are and
+    /// never loads a zero. (Tiny and Bluestein half plans gather the
+    /// packed signal into scratch first.) `output.len() == n/2 + 1`.
+    pub(crate) fn forward_padded(
+        &self,
+        input: &[f64],
+        stride: usize,
+        pad: Precision,
+        output: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+    ) {
+        let h = self.n / 2;
+        assert_eq!(output.len(), h + 1, "RealFftPlan forward output length");
+        assert!(scratch.len() >= self.scratch_len(), "RealFftPlan scratch too small");
+        let (z, inner_scratch) = scratch.split_at_mut(h);
+        with_real!(pad, P => {
+            let src = PaddedSeries::<P>::new(input, stride, h);
+            match self.half.iterative() {
+                Some(engine) => engine.forward_padded(&src, z, inner_scratch),
+                None => {
+                    for (j, v) in z.iter_mut().enumerate() {
+                        *v = src.packed(j);
+                    }
+                    self.half.process_inplace(z, inner_scratch, FftDirection::Forward);
+                }
+            }
+        });
+        self.unpack(z, output);
+    }
+
+    /// Unpack `Z = FFT_h(z)` into the `h + 1` bins of the real spectrum.
+    #[inline(always)]
+    fn unpack(&self, z: &[Complex<T>], output: &mut [Complex<T>]) {
+        let h = self.n / 2;
+        // Split Z into the spectra of even/odd samples and stitch.
         output[0] = Complex::from_real(z[0].re + z[0].im);
         output[h] = Complex::from_real(z[0].re - z[0].im);
         if h % 2 == 0 {
@@ -202,6 +255,81 @@ impl<T: Real> RealFftPlan<T> {
         let (z, inner_scratch) = scratch.split_at_mut(h);
 
         // Repack the spectrum into Z (the FFT of the packed signal).
+        self.repack(spectrum, z);
+
+        // z = IFFT_h(Z) (scaled 1/h), landing in the output viewed as
+        // packed pairs; the even/odd stitching above already accounts for
+        // the remaining factor of two, so the interleaved reals are the
+        // exact inverse.
+        self.half.process(z, as_pairs_mut(output), inner_scratch, FftDirection::Inverse);
+    }
+
+    /// Inverse C2R (scaled by `1/n`) that keeps only samples `t < n/2`,
+    /// routes each through tier `unpad` and stores it at
+    /// `output[t·stride]` of a time-outer/series-inner `f64` matrix.
+    /// Equals, on bits, [`Self::inverse`] followed by that unpad — the
+    /// route is the identity when `T` widens exactly into `unpad` — but
+    /// the half plan's last pass computes only the outputs that hold a
+    /// kept sample and stores them there, scaled. (Tiny and Bluestein
+    /// half plans transform in scratch and store from there.)
+    /// `spectrum.len() == n/2 + 1`.
+    pub(crate) fn inverse_unpadded(
+        &self,
+        spectrum: &[Complex<T>],
+        output: &mut [f64],
+        stride: usize,
+        unpad: Precision,
+        scratch: &mut [Complex<T>],
+    ) {
+        let h = self.n / 2;
+        assert!(stride >= 1, "unpadded series stride must be positive");
+        assert!(output.len() > (h - 1) * stride, "unpadded series runs past its output");
+        // SAFETY: the exclusive borrow of `output` covers every
+        // `t·stride`, `t < h`, as just asserted.
+        unsafe { self.inverse_unpadded_raw(spectrum, output.as_mut_ptr(), stride, unpad, scratch) }
+    }
+
+    /// [`Self::inverse_unpadded`] into a raw output: the batched driver's
+    /// entry, whose series interleave in one output matrix.
+    ///
+    /// # Safety
+    ///
+    /// `output.add(t·stride)` is valid for writes for every `t < n/2`, and
+    /// nothing else accesses those elements during the call.
+    pub(crate) unsafe fn inverse_unpadded_raw(
+        &self,
+        spectrum: &[Complex<T>],
+        output: *mut f64,
+        stride: usize,
+        unpad: Precision,
+        scratch: &mut [Complex<T>],
+    ) {
+        let h = self.n / 2;
+        assert_eq!(spectrum.len(), h + 1, "RealFftPlan inverse spectrum length");
+        assert!(scratch.len() >= self.scratch_len(), "RealFftPlan scratch too small");
+        let (z, inner_scratch) = scratch.split_at_mut(h);
+        self.repack(spectrum, z);
+        let route = if T::PRECISION.widens_exactly_to(unpad) { Precision::Double } else { unpad };
+        with_real!(route, Q => {
+            // SAFETY: the caller's contract, for `nt = h`.
+            let mut sink = UnpaddedSeries::<Q>::new(output, stride, h);
+            match self.half.iterative() {
+                Some(engine) => engine.inverse_unpadded(z, inner_scratch, &mut sink),
+                None => {
+                    self.half.process_inplace(z, inner_scratch, FftDirection::Inverse);
+                    for (j, &v) in z[..sink.live()].iter().enumerate() {
+                        sink.put_packed(j, v);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Repack the `h + 1` bins of a real spectrum into `Z`, the FFT of the
+    /// packed signal.
+    #[inline(always)]
+    fn repack(&self, spectrum: &[Complex<T>], z: &mut [Complex<T>]) {
+        let h = self.n / 2;
         let half = T::from_f64(0.5);
         z[0] = Complex::new(
             (spectrum[0].re + spectrum[h].re) * half,
@@ -213,12 +341,6 @@ impl<T: Real> RealFftPlan<T> {
         if !crate::simd::real_repack_pairs(spectrum, &self.twiddles, z) {
             repack_pairs_scalar(spectrum, &self.twiddles, z);
         }
-
-        // z = IFFT_h(Z) (scaled 1/h), landing in the output viewed as
-        // packed pairs; the even/odd stitching above already accounts for
-        // the remaining factor of two, so the interleaved reals are the
-        // exact inverse.
-        self.half.process(z, as_pairs_mut(output), inner_scratch, FftDirection::Inverse);
     }
 }
 

@@ -24,6 +24,13 @@
 //!   and transposes its outputs in-register. A radix-16 pass (two fused
 //!   radix-4 stages, `s ≥ 4`) runs lanes across `q` too, with its 16
 //!   intermediates in registers.
+//! * The padded forward's first stage (radix 2 or 4, `f32`/`f64`) runs
+//!   lanes across butterflies like any first stage, loading its live
+//!   operands from the caller's series (one vector load when the samples
+//!   are contiguous, a gather at a stride) and holding the embedding's
+//!   zero operands in a register; the unpadded inverse's last pass
+//!   (radix 2, 4 or 16, `s` of at least one register) runs lanes across
+//!   `q` and computes, scales and stores only the kept outputs.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
@@ -61,6 +68,8 @@
 #[cfg(target_arch = "x86_64")]
 use fftmatvec_numeric::simd::{fma_active, recast, recast_mut};
 use fftmatvec_numeric::{Complex, Real};
+
+use crate::padded::{PaddedSeries, UnpaddedSeries};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -200,6 +209,137 @@ pub(crate) fn stage_odd<T: Real>(
     try_kernels!((src, twiddles, roots), (dst), (m, s, inverse);
         (f32, s >= 4, x86::ps::radix_odd),
         (f64, s >= 2, x86::pd::radix_odd),
+    );
+    false
+}
+
+/// Vectorized first stage of a forward transform over a padded series,
+/// radix 4 (`h = 4m`): operands `l < 2` are live packed values with both
+/// samples present (`nt = h` is even), operands `l ≥ 2` the embedding's
+/// zeros, held in a register instead of loaded. Returns `false` if no
+/// vector kernel applies.
+#[allow(unused_variables)]
+pub(crate) fn first_radix4_padded<T: Real, P: Real>(
+    src: &PaddedSeries<'_, P>,
+    dst: &mut [Complex<T>],
+    m: usize,
+    twiddles: &[Complex<T>],
+) -> bool {
+    assert!(
+        src.nt() == 4 * m && dst.len() == 4 * m && twiddles.len() == 3 * m,
+        "padded radix-4 first stage extents: nt {}, dst {}, twiddles {} for m = {m}",
+        src.nt(),
+        dst.len(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    try_kernels!((twiddles), (dst), (src, m);
+        (f32, true, x86::ps::radix4_first_padded),
+        (f64, true, x86::pd::radix4_first_padded),
+    );
+    false
+}
+
+/// Vectorized first stage of a forward transform over a padded series,
+/// radix 2 (`h = 2m`): operand 0 is live, operand 1 the embedding's zero.
+/// Same contract as [`first_radix4_padded`].
+#[allow(unused_variables)]
+pub(crate) fn first_radix2_padded<T: Real, P: Real>(
+    src: &PaddedSeries<'_, P>,
+    dst: &mut [Complex<T>],
+    m: usize,
+    twiddles: &[Complex<T>],
+) -> bool {
+    assert!(
+        src.nt() == 2 * m && dst.len() == 2 * m && twiddles.len() == m,
+        "padded radix-2 first stage extents: nt {}, dst {}, twiddles {} for m = {m}",
+        src.nt(),
+        dst.len(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    try_kernels!((twiddles), (dst), (src, m);
+        (f32, true, x86::ps::radix2_first_padded),
+        (f64, true, x86::pd::radix2_first_padded),
+    );
+    false
+}
+
+/// Vectorized last stage of an inverse transform into an unpadded series,
+/// radix 4 at stride `s` (`h = 4s`, `m = 1`): outputs `j < 2` hold the
+/// kept samples and are scaled by `1/h` and stored through `sink`;
+/// outputs `j ≥ 2` are never computed. Returns `false` if no vector
+/// kernel applies (below one register of stride).
+#[allow(unused_variables)]
+pub(crate) fn last_radix4_unpadded<T: Real, Q: Real>(
+    src: &[Complex<T>],
+    sink: &mut UnpaddedSeries<Q>,
+    s: usize,
+    twiddles: &[Complex<T>],
+) -> bool {
+    assert!(
+        src.len() == 4 * s && sink.nt() == 4 * s && twiddles.len() == 3,
+        "unpadded radix-4 last stage extents: src {}, nt {}, twiddles {} for s = {s}",
+        src.len(),
+        sink.nt(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    try_kernels!((src, twiddles), (), (&mut *sink, s);
+        (f32, s >= 4, x86::ps::radix4_last_unpadded),
+        (f64, s >= 2, x86::pd::radix4_last_unpadded),
+    );
+    false
+}
+
+/// Vectorized last stage of an inverse transform into an unpadded series,
+/// radix 2 at stride `s` (`h = 2s`): output 0 only. Same contract as
+/// [`last_radix4_unpadded`].
+#[allow(unused_variables)]
+pub(crate) fn last_radix2_unpadded<T: Real, Q: Real>(
+    src: &[Complex<T>],
+    sink: &mut UnpaddedSeries<Q>,
+    s: usize,
+    twiddles: &[Complex<T>],
+) -> bool {
+    assert!(
+        src.len() == 2 * s && sink.nt() == 2 * s && twiddles.len() == 1,
+        "unpadded radix-2 last stage extents: src {}, nt {}, twiddles {} for s = {s}",
+        src.len(),
+        sink.nt(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    try_kernels!((src), (), (&mut *sink, s);
+        (f32, s >= 4, x86::ps::radix2_last_unpadded),
+        (f64, s >= 2, x86::pd::radix2_last_unpadded),
+    );
+    false
+}
+
+/// Vectorized last pass of an inverse transform into an unpadded series,
+/// radix 16 (stages at strides `s` and `4s`, `h = 16s`): second-layer
+/// outputs `j' < 2` only. Same contract as [`last_radix4_unpadded`].
+#[allow(unused_variables)]
+pub(crate) fn last_radix16_unpadded<T: Real, Q: Real>(
+    src: &[Complex<T>],
+    sink: &mut UnpaddedSeries<Q>,
+    s: usize,
+    tw_a: &[Complex<T>],
+    tw_b: &[Complex<T>],
+) -> bool {
+    assert!(
+        src.len() == 16 * s && sink.nt() == 16 * s && tw_a.len() == 12 && tw_b.len() == 3,
+        "unpadded radix-16 last pass extents: src {}, nt {}, twiddles {} + {} for s = {s}",
+        src.len(),
+        sink.nt(),
+        tw_a.len(),
+        tw_b.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    try_kernels!((src, tw_a, tw_b), (), (&mut *sink, s);
+        (f32, s >= 4, x86::ps::radix16_last_unpadded),
+        (f64, s >= 2, x86::pd::radix16_last_unpadded),
     );
     false
 }

@@ -23,11 +23,12 @@ use fftmatvec_numeric::half::{bf16, f16};
 use fftmatvec_numeric::simd::x86::{
     narrow8_bf16, narrow8_f16, round8_bf16, round8_f16, widen8_bf16, widen8_f16,
 };
-use fftmatvec_numeric::Complex;
+use fftmatvec_numeric::{Complex, Real};
 
 use crate::iterative::{
     butterfly16, butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles16, twiddles4,
 };
+use crate::padded::{PaddedSeries, UnpaddedSeries};
 use crate::plan::MAX_RADIX;
 use crate::real::{repack_pair, unpack_pair};
 
@@ -319,6 +320,179 @@ macro_rules! native_kernels {
             }
         }
 
+        /// First stage of a forward transform over a padded series, radix 4
+        /// (`nt = 4m`), `LANES` butterflies per step across `p` as in
+        /// [`radix4`]'s first stage: operands `l < 2` load (and round) their
+        /// samples straight from `src`, operands `l ≥ 2` are the
+        /// embedding's `+0` in a register, so the tree of [`butterfly4`]
+        /// runs without their loads. Extents: `dst.len() == 4·m`,
+        /// `tw.len() == 3·m`, `src.nt() == 4·m`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix4_first_padded<P: Real>(
+            tw: &[C],
+            dst: &mut [C],
+            src: &PaddedSeries<'_, P>,
+            m: usize,
+        ) {
+            let (tp, dp) = (tw.as_ptr(), dst.as_mut_ptr());
+            let zero = splat(0.0);
+            let mut p = 0;
+            while p + LANES <= m {
+                let t = [load_padded(src, p), load_padded(src, m + p), zero, zero];
+                let w = [load(tp.add(p)), load(tp.add(m + p)), load(tp.add(2 * m + p))];
+                store_rows4(dp.add(4 * p), butterflies4(t, w, neg_im()));
+                p += LANES;
+            }
+            let mut t = [C::zero(); 4];
+            for p in p..m {
+                t[0] = src.packed(p);
+                t[1] = src.packed(m + p);
+                butterfly4(&t, dst, (0, 1), (4 * p, 1), twiddles4(tw, m, p, false), false);
+            }
+        }
+
+        /// First stage of a forward transform over a padded series, radix 2
+        /// (`nt = 2m`): operand 0 loads, operand 1 is the embedding's `+0`;
+        /// the counterpart of [`radix4_first_padded`] over [`butterfly2`].
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix2_first_padded<P: Real>(
+            tw: &[C],
+            dst: &mut [C],
+            src: &PaddedSeries<'_, P>,
+            m: usize,
+        ) {
+            let (tp, dp) = (tw.as_ptr(), dst.as_mut_ptr());
+            let zero = splat(0.0);
+            let mut p = 0;
+            while p + LANES <= m {
+                let a = load_padded(src, p);
+                let w = load(tp.add(p));
+                store_rows2(dp.add(2 * p), add(a, zero), cmul(sub(a, zero), w, swap(w)));
+                p += LANES;
+            }
+            let mut t = [C::zero(); 2];
+            for p in p..m {
+                t[0] = src.packed(p);
+                butterfly2(&t, dst, (0, 1), (2 * p, 1), twiddle2(tw, p, false));
+            }
+        }
+
+        /// Last stage of an inverse transform into an unpadded series,
+        /// radix 4 at stride `s` (`nt = 4s`, `m = 1`), `LANES` butterflies
+        /// per step across `q`: outputs `j < 2` (the kept samples) are
+        /// scaled by `1/nt` and stored through `sink`; the tree of
+        /// [`butterfly4`] for outputs `j ≥ 2` is dead and never computed.
+        /// Extents: `src.len() == 4·s`, `tw.len() == 3`, `sink.nt() == 4·s`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix4_last_unpadded<Q: Real>(
+            src: &[C],
+            tw: &[C],
+            sink: &mut UnpaddedSeries<Q>,
+            s: usize,
+        ) {
+            let sp = src.as_ptr();
+            let ws = twiddles4(tw, 1, 0, true);
+            let w = [bcast(ws[0]), bcast(ws[1]), bcast(ws[2])];
+            let scale = F::from_usize(4 * s).recip();
+            let sc = splat(scale);
+            let mut q = 0;
+            while q + LANES <= s {
+                let t = [
+                    load(sp.add(q)),
+                    load(sp.add(s + q)),
+                    load(sp.add(2 * s + q)),
+                    load(sp.add(3 * s + q)),
+                ];
+                let o = butterflies4(t, w, neg_re());
+                put_lanes(sink, q, mul(o[0], sc));
+                put_lanes(sink, s + q, mul(o[1], sc));
+                q += LANES;
+            }
+            let mut tile = [C::zero(); 4];
+            for q in q..s {
+                butterfly4(src, &mut tile, (q, s), (0, 1), ws, true);
+                sink.put_packed(q, tile[0].scale(scale));
+                sink.put_packed(s + q, tile[1].scale(scale));
+            }
+        }
+
+        /// Last stage of an inverse transform into an unpadded series,
+        /// radix 2 at stride `s` (`nt = 2s`): output 0, `a + b`, only; the
+        /// counterpart of [`radix4_last_unpadded`] over [`butterfly2`].
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix2_last_unpadded<Q: Real>(
+            src: &[C],
+            sink: &mut UnpaddedSeries<Q>,
+            s: usize,
+        ) {
+            let sp = src.as_ptr();
+            let scale = F::from_usize(2 * s).recip();
+            let sc = splat(scale);
+            let mut q = 0;
+            while q + LANES <= s {
+                put_lanes(sink, q, mul(add(load(sp.add(q)), load(sp.add(s + q))), sc));
+                q += LANES;
+            }
+            for q in q..s {
+                sink.put_packed(q, (src[q] + src[s + q]).scale(scale));
+            }
+        }
+
+        /// Last pass of an inverse transform into an unpadded series, radix
+        /// 16 (stages at strides `s` and `4s`, `nt = 16s`), `LANES`
+        /// butterflies per step across `q` as in [`radix16`]: second-layer
+        /// outputs `j' < 2` (the kept samples) are scaled by `1/nt` and
+        /// stored through `sink`; the rest are never computed. Extents:
+        /// `src.len() == 16·s`, `tw_a.len() == 12`, `tw_b.len() == 3`,
+        /// `sink.nt() == 16·s`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn radix16_last_unpadded<Q: Real>(
+            src: &[C],
+            tw_a: &[C],
+            tw_b: &[C],
+            sink: &mut UnpaddedSeries<Q>,
+            s: usize,
+        ) {
+            let sp = src.as_ptr();
+            let ih_mask = neg_re();
+            let (was, wbs) = twiddles16(tw_a, tw_b, 1, 0, true);
+            let mut wa = [[splat(0.0); 3]; 4];
+            for (wl, wsl) in wa.iter_mut().zip(&was) {
+                for (w, &ws) in wl.iter_mut().zip(wsl) {
+                    *w = bcast(ws);
+                }
+            }
+            let wb = [bcast(wbs[0]), bcast(wbs[1]), bcast(wbs[2])];
+            let scale = F::from_usize(16 * s).recip();
+            let sc = splat(scale);
+            let mut q = 0;
+            while q + LANES <= s {
+                let mut x = [[splat(0.0); 4]; 4];
+                for l in 0..4 {
+                    let t = [
+                        load(sp.add(s * l + q)),
+                        load(sp.add(s * (l + 4) + q)),
+                        load(sp.add(s * (l + 8) + q)),
+                        load(sp.add(s * (l + 12) + q)),
+                    ];
+                    x[l] = butterflies4(t, wa[l], ih_mask);
+                }
+                for j in 0..4 {
+                    let o = butterflies4([x[0][j], x[1][j], x[2][j], x[3][j]], wb, ih_mask);
+                    put_lanes(sink, s * j + q, mul(o[0], sc));
+                    put_lanes(sink, s * (j + 4) + q, mul(o[1], sc));
+                }
+                q += LANES;
+            }
+            let (mut tile, mut t) = ([C::zero(); 16], [C::zero(); 16]);
+            for q in q..s {
+                butterfly16(src, &mut tile, (q, s), (0, 1), &was, wbs, true, &mut t);
+                for (j, v) in tile[..8].iter().enumerate() {
+                    sink.put_packed(q + s * j, v.scale(scale));
+                }
+            }
+        }
+
         /// Mirror-pair loop of the R2C unpack, `LANES` pairs per step: the
         /// expression tree of [`unpack_pair`] per lane, reading `z[k..]`
         /// ascending and `z[h − k..]` descending (reversed in-register).
@@ -530,6 +704,47 @@ pub mod ps {
         }
     }
 
+    /// The real type of one lane.
+    type F = f32;
+
+    /// Packed values `z[j..j + LANES]` of a padded series — samples `2j`
+    /// to `2j + 7` — each rounded through the pad tier, then into `f32`
+    /// (`cvtpd_ps` rounds to nearest even, as `as f32` does; after an f32
+    /// pad tier it is exact). Contiguous samples through a wide pad tier
+    /// are two vector loads; anything else is gathered. The caller
+    /// guarantees `2j + 8 ≤ src.nt()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_padded<P: Real>(src: &PaddedSeries<'_, P>, j: usize) -> V {
+        let t = 2 * j;
+        let (lo, hi) = if src.stride() == 1 && P::BYTES >= 4 {
+            (_mm256_loadu_pd(src.at(t)), _mm256_loadu_pd(src.at(t + 4)))
+        } else {
+            let x = |i: usize| src.sample_unchecked::<f64>(t + i);
+            (_mm256_setr_pd(x(0), x(1), x(2), x(3)), _mm256_setr_pd(x(4), x(5), x(6), x(7)))
+        };
+        _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
+    }
+
+    /// Store the `LANES` complex values of `v` — samples `2o` to `2o + 7`
+    /// — through `sink`: two vector stores of the exactly widened lanes
+    /// when they are contiguous and the route is the identity, one routed
+    /// store per sample otherwise. The caller guarantees `2o + 8 ≤
+    /// sink.nt()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn put_lanes<Q: Real>(sink: &mut UnpaddedSeries<Q>, o: usize, v: V) {
+        if sink.stride() == 1 && Q::BYTES == 8 {
+            _mm256_storeu_pd(sink.at(2 * o), _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+            _mm256_storeu_pd(sink.at(2 * o + 4), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
+            return;
+        }
+        let lanes: [f32; 8] = core::mem::transmute(v);
+        for (i, &x) in lanes.iter().enumerate() {
+            sink.put_unchecked(2 * o + i, x);
+        }
+    }
+
     op! {
         /// A widened 16-bit twiddle as `[re, im]` and `[im, re]` pairs.
         fn bcast_pair(w: C) -> (V, V) {
@@ -547,6 +762,46 @@ pub mod ps {
 pub mod pd {
     use super::*;
     use fftmatvec_numeric::simd::x86::pd::*;
+
+    /// The real type of one lane.
+    type F = f64;
+
+    /// Packed values `z[j..j + LANES]` of a padded series — samples `2j`
+    /// to `2j + 3` — each rounded through the pad tier: one vector load
+    /// (and, through an f32 pad tier, the round trip `cvtpd_ps` /
+    /// `cvtps_pd`, which is `as f32 as f64`) when the samples are
+    /// contiguous and the tier is wide, a gather otherwise. The caller
+    /// guarantees `2j + 4 ≤ src.nt()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_padded<P: Real>(src: &PaddedSeries<'_, P>, j: usize) -> V {
+        let t = 2 * j;
+        if src.stride() == 1 && P::BYTES >= 4 {
+            let v = _mm256_loadu_pd(src.at(t));
+            return if P::BYTES == 8 { v } else { _mm256_cvtps_pd(_mm256_cvtpd_ps(v)) };
+        }
+        let x = |i: usize| src.sample_unchecked::<f64>(t + i);
+        _mm256_setr_pd(x(0), x(1), x(2), x(3))
+    }
+
+    /// Store the `LANES` complex values of `v` — samples `2o` to `2o + 3`
+    /// — through `sink`: one vector store (after the same f32 round trip
+    /// through an f32 route) when they are contiguous and the route is
+    /// wide, one routed store per sample otherwise. The caller guarantees
+    /// `2o + 4 ≤ sink.nt()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn put_lanes<Q: Real>(sink: &mut UnpaddedSeries<Q>, o: usize, v: V) {
+        if sink.stride() == 1 && Q::BYTES >= 4 {
+            let v = if Q::BYTES == 8 { v } else { _mm256_cvtps_pd(_mm256_cvtpd_ps(v)) };
+            _mm256_storeu_pd(sink.at(2 * o), v);
+            return;
+        }
+        let lanes: [f64; 4] = core::mem::transmute(v);
+        for (i, &x) in lanes.iter().enumerate() {
+            sink.put_unchecked(2 * o + i, x);
+        }
+    }
 
     op! {
         /// Exchange the two complex values.
