@@ -15,6 +15,19 @@
 //!   ([`fftmatvec_fft::RecursiveFftPlan`]), kept as the baseline the
 //!   speedup is measured against.
 //!
+//! and the batched transforms the block-triangular apply runs — the
+//! padded R2C (`BatchedRealFft::forward_padded`, `r2c_padded`) and the
+//! unpadded C2R (`inverse_unpadded`, `c2r_unpadded`) of `series` TOSI
+//! series of `N_t ∈ {64, 256, 1024, 4096}` samples (`size = 2·N_t`), in
+//! `f64` and `f32`, ns per series, through:
+//!
+//! * `lanes` — the driver as the apply runs it: 4 (`f64`) or 8 (`f32`)
+//!   series per register up to its crossover length, per series beyond;
+//! * `per_series` — the same driver with the lanes path switched off
+//!   (`BatchedRealFft::per_series`), every series on its own.
+//!
+//! Their ratio is what sets `fft::batch`'s crossover lengths.
+//!
 //! Run: `cargo run --release -p fftmatvec-bench --bin bench_fft`
 //! Flags:
 //! * `-quick` — short samples (the CI smoke mode)
@@ -28,7 +41,7 @@ use std::hint::black_box;
 use fftmatvec_bench::record::{self, Record, FFT};
 use fftmatvec_bench::timing::time_pair_ns;
 use fftmatvec_bench::Args;
-use fftmatvec_fft::{cache, FftDirection, RecursiveFftPlan};
+use fftmatvec_fft::{cache, BatchedRealFft, FftDirection, RecursiveFftPlan};
 use fftmatvec_numeric::{bf16, f16, Complex, Precision, Real, SplitMix64};
 
 /// Row label for a precision — the regression gate keys rows on
@@ -77,7 +90,87 @@ fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec
     );
     let threads = rayon::current_num_threads() as f64;
     for (engine, ns) in [("iterative", iterative), ("recursive", recursive)] {
-        out.push(FFT.row(&[precision, engine], &[n as f64, threads, ns]));
+        out.push(FFT.row(&["c2c", precision, engine], &[n as f64, 1.0, threads, ns]));
+    }
+}
+
+/// `N_t` of the batched rows: the `paper_*` series length, two between,
+/// and `longseries_dd`'s.
+const BATCH_NT: [usize; 4] = [64, 256, 1024, 4096];
+
+/// Series per batched row: below one lane group, the `serve_*` width, and
+/// the paper's `N_m`.
+const BATCH_SERIES: [usize; 3] = [2, 16, 256];
+
+/// A zeroed slice of `len` values in `store`, starting on a 64-byte line:
+/// a batch reads and writes its TOSI rows in line-sized pieces, and where
+/// a row starts within a line moves a call by up to ≈ 20 % (measured on
+/// the 256-series inverse), which would otherwise differ from one
+/// process to the next.
+fn line_aligned<E: Copy>(store: &mut Vec<E>, len: usize, zero: E) -> &mut [E] {
+    let slack = 64 / std::mem::size_of::<E>();
+    *store = vec![zero; len + slack];
+    let off = store.as_ptr().align_offset(64).min(slack);
+    &mut store[off..off + len]
+}
+
+/// Measure the padded R2C and the unpadded C2R of `series` TOSI series of
+/// `nt` samples in tier `T`, lanes path against per-series driver, ns per
+/// series; print the comparison lines and append the rows.
+fn measure_batched<T: Real>(
+    nt: usize,
+    series: usize,
+    samples: usize,
+    sample_ms: f64,
+    out: &mut Vec<Record>,
+) {
+    let precision = precision_label(T::PRECISION);
+    let lanes = BatchedRealFft::<T>::new(2 * nt);
+    let reference = BatchedRealFft::<T>::new(2 * nt).per_series();
+    let (mut xs, mut specs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
+    let x = line_aligned(&mut xs, nt * series, 0.0);
+    SplitMix64::new((nt * series) as u64).fill_uniform(x, -1.0, 1.0);
+    let x = &*x;
+    let spec = line_aligned(&mut specs, series * lanes.spectrum_len(), Complex::<T>::zero());
+    let y = line_aligned(&mut ys, nt * series, 0.0);
+    let threads = rayon::current_num_threads() as f64;
+    let per_series = |ns: f64| ns / series as f64;
+    // Both drivers read and write the same buffers (their outputs are
+    // equal on bits), so where those sit in memory favours neither.
+    let spec = std::cell::RefCell::new(spec);
+    let (fwd_lanes, fwd_series) = time_pair_ns(
+        || lanes.forward_padded(black_box(x), series, Precision::Double, &mut spec.borrow_mut()),
+        || {
+            reference.forward_padded(
+                black_box(x),
+                series,
+                Precision::Double,
+                &mut spec.borrow_mut(),
+            )
+        },
+        samples,
+        sample_ms,
+    );
+    let (spec, y) = (&*spec.into_inner(), std::cell::RefCell::new(y));
+    let (inv_lanes, inv_series) = time_pair_ns(
+        || lanes.inverse_unpadded(black_box(spec), Precision::Double, &mut y.borrow_mut()),
+        || reference.inverse_unpadded(black_box(spec), Precision::Double, &mut y.borrow_mut()),
+        samples,
+        sample_ms,
+    );
+    for (transform, l, r) in
+        [("r2c_padded", fwd_lanes, fwd_series), ("c2r_unpadded", inv_lanes, inv_series)]
+    {
+        let (l, r) = (per_series(l), per_series(r));
+        println!(
+            "{:>6} | {series:>6} | {transform:>12} | {precision:>5} | {l:>10.1} | {r:>10.1} | {:>6.2}x",
+            2 * nt,
+            r / l
+        );
+        let size = (2 * nt) as f64;
+        for (engine, ns) in [("lanes", l), ("per_series", r)] {
+            out.push(FFT.row(&[transform, precision, engine], &[size, series as f64, threads, ns]));
+        }
     }
 }
 
@@ -107,6 +200,24 @@ fn main() {
         // gate and to carry through once a GPU backend makes them fast.
         measure_size::<f16>(n, samples, sample_ms, &mut results);
         measure_size::<bf16>(n, samples, sample_ms, &mut results);
+    }
+    println!();
+
+    println!("Batched padded R2C / unpadded C2R — ns per series, lanes path vs per-series driver");
+    let header = format!(
+        "{:>6} | {:>6} | {:>12} | {:>5} | {:>10} | {:>10} | {:>7}",
+        "size", "series", "transform", "prec", "lanes", "per_series", "speedup"
+    );
+    println!("{header}");
+    fftmatvec_bench::rule(header.len());
+    // A batch walks far more memory per call than one transform, so its
+    // minimum settles more slowly: three times the samples.
+    let samples = 3 * samples;
+    for &nt in &BATCH_NT {
+        for &series in &BATCH_SERIES {
+            measure_batched::<f64>(nt, series, samples, sample_ms, &mut results);
+            measure_batched::<f32>(nt, series, samples, sample_ms, &mut results);
+        }
     }
     println!();
 

@@ -15,6 +15,10 @@
 //!
 //! * `regressed` — the change's median is worse than the parent's by more
 //!   than the metric's bound in `BENCHMARK.json`;
+//! * `worse` — within that bound, but the change lost at least 9 pairs in
+//!   10 and its median is worse by more than the parent's interquartile
+//!   range: a confirmed slowdown, which the pipeline rejects whatever the
+//!   bound;
 //! * `gain` — the change won at least 9 pairs in 10 and its median is
 //!   better by more than the parent's interquartile range;
 //! * `unresolved` — the parent's IQR is wider than the metric's bound
@@ -24,8 +28,10 @@
 //! * `unresolved` — anything else: a shift past the parent's own spread
 //!   that the pairs do not confirm.
 //!
-//! Output: one JSON line (`{"pairs":…,"seconds":…,"rows":[…]}`), then the
-//! same rows as a markdown table. Exit 1 if any run failed (no record,
+//! Output: one JSON line (`{"pairs":…,"seconds":…,"hw_threads":…,
+//! "rayon_num_threads":…,"rows":[…]}`), then the same rows as a markdown
+//! table under a header naming the host's hardware threads
+//! (`available_parallelism`) and the pool width every run got. Exit 1 if any run failed (no record,
 //! `"correct":false` or `"failed"` > 0), 2 on a bad flag.
 //!
 //! Run (from the repository root, both binaries built beforehand):
@@ -97,12 +103,15 @@ fn declaration(path: &str) -> (Vec<String>, Vec<Metric>) {
     (workloads, metrics)
 }
 
+/// `RAYON_NUM_THREADS` of every run: one pool thread.
+const RUN_THREADS: &str = "1";
+
 /// Run one binary on one workload and return its last stdout line.
 fn run(bin: &str, workload: &str, seed: u64, seconds: f64) -> String {
     let out = Command::new(bin)
         .args(["--workload", workload, "--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string(), "--trace", "0"])
-        .env("RAYON_NUM_THREADS", "1")
+        .env("RAYON_NUM_THREADS", RUN_THREADS)
         .output()
         .unwrap_or_else(|e| die(format!("cannot run {bin}: {e}")));
     String::from_utf8_lossy(&out.stdout).lines().last().unwrap_or("").to_string()
@@ -138,6 +147,7 @@ fn summary(xs: &[f64]) -> (f64, f64, f64) {
 fn verdict(m: &Metric, parent: &[f64], change: &[f64]) -> (&'static str, usize) {
     let better = |c: f64, p: f64| if m.lower_is_better { c < p } else { c > p };
     let won = parent.iter().zip(change).filter(|&(&p, &c)| better(c, p)).count();
+    let lost = parent.iter().zip(change).filter(|&(&p, &c)| better(p, c)).count();
     let (p_med, p_q1, p_q3) = summary(parent);
     let c_med = summary(change).0;
     let ratio = c_med / p_med;
@@ -147,6 +157,8 @@ fn verdict(m: &Metric, parent: &[f64], change: &[f64]) -> (&'static str, usize) 
     let beats_all = change.iter().all(|&c| parent.iter().all(|&p| better(c, p)));
     let v = if worse_by > m.bound {
         "regressed"
+    } else if 10 * lost >= 9 * parent.len() && better(p_med, c_med) && shift > iqr {
+        "worse"
     } else if 10 * won >= 9 * parent.len() && better(c_med, p_med) && shift > iqr {
         "gain"
     } else if iqr / p_med.abs() > m.bound && !beats_all {
@@ -221,6 +233,7 @@ fn main() {
     }
 
     let pairs = b - a;
+    let hw_threads = std::thread::available_parallelism().map_or(0, |n| n.get());
     let side =
         |(med, q1, q3): (f64, f64, f64)| format!("{{\"median\":{med},\"q1\":{q1},\"q3\":{q3}}}");
     let json_rows: Vec<String> = rows
@@ -235,9 +248,11 @@ fn main() {
         })
         .collect();
     println!(
-        "{{\"pairs\":{pairs},\"seconds\":{seconds},\"failed_runs\":{failed_runs},\"rows\":[{}]}}",
+        "{{\"pairs\":{pairs},\"seconds\":{seconds},\"hw_threads\":{hw_threads},\"rayon_num_threads\":{RUN_THREADS},\"failed_runs\":{failed_runs},\"rows\":[{}]}}",
         json_rows.join(",")
     );
+    println!();
+    println!("{hw_threads} hardware threads; every run at RAYON_NUM_THREADS={RUN_THREADS}");
     println!();
     println!("| workload | metric | parent median [q1, q3] | change median [q1, q3] | ratio | won | verdict |");
     println!("|---|---|---|---|---|---|---|");
@@ -291,7 +306,7 @@ mod tests {
         assert_eq!(verdict(&lower(0.25), &parent, &mixed).0, "unresolved");
         // Higher-is-better metrics flip every comparison.
         let rate = Metric { name: "ops_per_s".into(), lower_is_better: false, bound: 0.25 };
-        assert_eq!(verdict(&rate, &parent, &faster).0, "unresolved");
+        assert_eq!(verdict(&rate, &parent, &faster), ("worse", 0));
         assert_eq!(verdict(&rate, &parent, &slower), ("gain", 10));
         // A parent whose IQR (40 % of its median) is wider than the bound:
         // an unchanged change is not flat but unresolved…
@@ -307,6 +322,25 @@ mod tests {
         let near: Vec<f64> = narrow.iter().map(|p| p * 0.98).collect();
         assert_eq!(verdict(&lower(0.25), &narrow, &near).0, "flat");
         assert_eq!(verdict(&lower(0.05), &narrow, &near).0, "unresolved");
+        // Slower in every pair by less than the bound: worse, not
+        // unresolved; a 9-of-10 loss still is, an 8-of-10 one is not.
+        let behind: Vec<f64> = parent.iter().map(|p| p * 1.15).collect();
+        assert_eq!(verdict(&lower(0.25), &parent, &behind), ("worse", 0));
+        let mut nine = behind.clone();
+        nine[0] = parent[0] * 0.9;
+        assert_eq!(verdict(&lower(0.25), &parent, &nine), ("worse", 1));
+        let mut eight = nine.clone();
+        eight[1] = parent[1] * 0.9;
+        assert_eq!(verdict(&lower(0.25), &parent, &eight).0, "unresolved");
+        // A shift inside the parent's IQR is flat however many pairs it
+        // loses.
+        let close: Vec<f64> = parent.iter().map(|p| p * 1.005).collect();
+        assert_eq!(verdict(&lower(0.25), &parent, &close), ("flat", 0));
+        // Higher-is-better: a rate lower in every pair is worse.
+        assert_eq!(
+            verdict(&rate, &parent, &behind.iter().map(|p| p * 0.75).collect::<Vec<_>>()).0,
+            "worse"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use fftmatvec_bench::{make_operator, respawn, stuffed_vector, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
 use fftmatvec_core::{DirectMatvec, FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
 use fftmatvec_fft::{BatchedFft, BatchedRealFft};
-use fftmatvec_numeric::{Complex, Real, SplitMix64};
+use fftmatvec_numeric::{Complex, Precision, Real, SplitMix64};
 use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
 const CHILD_ENV: &str = "FFTMATVEC_DETGATE_CHILD";
@@ -193,6 +193,39 @@ fn fft_workloads() {
         batched_complex::<f32>(n, "f32");
         batched_complex::<f64>(n, "f64");
     }
+
+    // The apply's padded R2C and unpadded C2R straight from and into TOSI
+    // matrices: at `N_t = 64` a width of 3 runs per series, 16 runs two
+    // f32 / four f64 groups with the series in the register lanes, and 257
+    // runs 32 / 64 groups plus a one-series remainder per series; at
+    // `N_t = 4096` every width runs per series. The portable leg never
+    // takes the lanes path.
+    for nt in [64usize, 4096] {
+        for width in [3usize, 16, 257] {
+            batched_padded::<f32>(nt, width, "f32");
+            batched_padded::<f64>(nt, width, "f64");
+        }
+    }
+}
+
+/// `BatchedRealFft::forward_padded` of `width` series of `nt` samples in
+/// precision `T` (pad tier double), then `inverse_unpadded` of its
+/// spectra (unpad tier single), digest names
+/// `fft_padded_<nt>x<width>_<label>_{forward,inverse}`.
+fn batched_padded<T: Real>(nt: usize, width: usize, label: &str) {
+    let rf = BatchedRealFft::<T>::new(2 * nt);
+    let x = stuffed_vector(nt * width, 59 + width as u64);
+    let mut spec = vec![Complex::<T>::zero(); width * rf.spectrum_len()];
+    rf.forward_padded(&x, width, Precision::Double, &mut spec);
+    let mut h = Fnv1a::new();
+    for c in &spec {
+        h.write_u64(c.re.to_f64().to_bits());
+        h.write_u64(c.im.to_f64().to_bits());
+    }
+    report(&format!("fft_padded_{nt}x{width}_{label}_forward"), h.finish());
+    let mut y = vec![0.0; nt * width];
+    rf.inverse_unpadded(&spec, Precision::Single, &mut y);
+    report(&format!("fft_padded_{nt}x{width}_{label}_inverse"), f64_bits(&y));
 }
 
 /// Eight complex transforms of length `n` in precision `T`, both

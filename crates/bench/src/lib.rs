@@ -404,8 +404,9 @@ mod tests {
             Case {
                 schema: &FFT,
                 make: fft_rows,
-                shows: "{\"size\": 1024, \"precision\": \"f64\", \"engine\": \"iterative\", \
-                        \"threads\": 4, \"ns_per_transform\": 4000.0},",
+                shows: "{\"size\": 1024, \"series\": 1, \"transform\": \"c2c\", \
+                        \"precision\": \"f64\", \"engine\": \"iterative\", \"threads\": 4, \
+                        \"ns_per_transform\": 4000.0},",
                 bars: vec![],
             },
             Case {
@@ -465,11 +466,16 @@ mod tests {
         ]
     }
 
-    fn fft_rows(entry: usize, iterative: f64, recursive: f64) -> Vec<Record> {
-        let size = [1024.0, 2048.0][entry];
+    /// Entry 0 is a complex transform (`iterative/recursive`), entry 1 a
+    /// batched padded R2C (`lanes/per_series`): one schema, two role pairs.
+    fn fft_rows(entry: usize, num: f64, den: f64) -> Vec<Record> {
+        let (size, series, transform, roles) = [
+            (1024.0, 1.0, "c2c", ["iterative", "recursive"]),
+            (128.0, 16.0, "r2c_padded", ["lanes", "per_series"]),
+        ][entry];
         vec![
-            record::FFT.row(&["f64", "iterative"], &[size, 4.0, iterative]),
-            record::FFT.row(&["f64", "recursive"], &[size, 4.0, recursive]),
+            record::FFT.row(&[transform, "f64", roles[0]], &[size, series, 4.0, num]),
+            record::FFT.row(&[transform, "f64", roles[1]], &[size, series, 4.0, den]),
         ]
     }
 
@@ -557,9 +563,9 @@ mod tests {
         assert_eq!(s.regressions(&[], &good, tol).len(), 2, "{name}");
         // A baseline without its reference rows gates nothing — and
         // gated_count exposes that so the runner can refuse it.
-        if let Stat::Roles { field, num, .. } = s.stat {
-            let refless: Vec<Record> =
-                good.iter().filter(|r| s.render(r, field) == num).cloned().collect();
+        if let Stat::Roles { field, pairs, .. } = s.stat {
+            let num = |r: &&Record| pairs.iter().any(|&(num, _)| s.render(r, field) == num);
+            let refless: Vec<Record> = good.iter().filter(num).cloned().collect();
             assert_eq!((refless.len(), s.gated_count(&refless)), (2, 0), "{name}");
             assert!(s.regressions(&[], &refless, tol).is_empty(), "{name}");
         }
@@ -636,7 +642,20 @@ mod tests {
         let failures = fft.regressions(&pair(0, 650.0, 1000.0), &base, 1.25);
         assert_eq!(failures.len(), 1);
         assert!(
-            failures[0].starts_with("size=1024 precision=f64: iterative/recursive = 0.650"),
+            failures[0].starts_with(
+                "size=1024 series=1 transform=c2c precision=f64: iterative/recursive = 0.650"
+            ),
+            "{failures:?}"
+        );
+        // The batched rows gate lanes ÷ per-series the same way, by name.
+        let base = pair(1, 500.0, 1000.0);
+        assert!(fft.regressions(&pair(1, 600.0, 1000.0), &base, 1.25).is_empty());
+        let failures = fft.regressions(&pair(1, 700.0, 1000.0), &base, 1.25);
+        assert_eq!(failures.len(), 1);
+        assert!(
+            failures[0].starts_with(
+                "size=128 series=16 transform=r2c_padded precision=f64: lanes/per_series = 0.700"
+            ),
             "{failures:?}"
         );
     }
@@ -647,7 +666,7 @@ mod tests {
     #[test]
     fn committed_baselines_round_trip_byte_for_byte() {
         let committed = [
-            ("baseline.json", (48, 24)),
+            ("baseline.json", (96, 48)),
             ("baseline_matvec.json", (24, 12)),
             ("baseline_simd.json", (34, 34)),
             ("baseline_service.json", (2, 1)),

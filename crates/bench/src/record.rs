@@ -48,10 +48,16 @@ pub struct Field {
 
 /// The machine-normalized gate statistic of a schema.
 pub enum Stat {
-    /// `value` of the row whose `field` is `num` ÷ `value` of the row
-    /// whose `field` is `den`, among the rows sharing one key
-    /// (`iterative/recursive`, `into/alloc`, `coalesced/batch1`).
-    Roles { field: &'static str, num: &'static str, den: &'static str, value: &'static str },
+    /// `value` of the row whose `field` is a numerator role ÷ `value` of
+    /// the row whose `field` is that role's denominator, among the rows
+    /// sharing one key. `pairs` lists the `(numerator, denominator)` roles
+    /// (`iterative/recursive`, `into/alloc`, `coalesced/batch1`); the rows
+    /// of one key play one pair.
+    Roles {
+        field: &'static str,
+        pairs: &'static [(&'static str, &'static str)],
+        value: &'static str,
+    },
     /// Field `num` ÷ field `den` of the row itself.
     Fields { num: &'static str, den: &'static str },
 }
@@ -183,10 +189,15 @@ impl Schema {
         pairs.join(" ")
     }
 
-    /// What the statistic divides, for failure lines (`into/alloc`).
-    fn stat_name(&self) -> String {
+    /// The role pair `(num, den)` whose numerator row has key `key` in
+    /// `doc` — what the statistic of that entry divides — or the ratio's
+    /// fields for [`Stat::Fields`].
+    fn pair_of(&self, doc: &[Record], key: &str) -> Option<(&'static str, &'static str)> {
         match self.stat {
-            Stat::Roles { num, den, .. } | Stat::Fields { num, den } => format!("{num}/{den}"),
+            Stat::Roles { field, pairs, .. } => pairs.iter().copied().find(|&(num, _)| {
+                doc.iter().any(|r| self.key_of(r) == key && self.render(r, field) == num)
+            }),
+            Stat::Fields { num, den } => Some((num, den)),
         }
     }
 
@@ -243,7 +254,8 @@ impl Schema {
             })
         };
         Some(match self.stat {
-            Stat::Roles { field, num, den, value } => {
+            Stat::Roles { field, value, .. } => {
+                let (num, den) = self.pair_of(doc, key)?;
                 self.num(find(Some((field, num)))?, value)
                     / self.num(find(Some((field, den)))?, value)
             }
@@ -254,16 +266,22 @@ impl Schema {
         })
     }
 
-    /// The entries `doc` can gate, as `(statistic, key)`: one per row
-    /// ([`Stat::Fields`]) or per numerator-role row ([`Stat::Roles`])
-    /// whose statistic exists.
-    fn gated(&self, doc: &[Record]) -> Vec<(f64, String)> {
+    /// The entries `doc` can gate, as `(statistic, key, what it
+    /// divides)`: one per row ([`Stat::Fields`]) or per numerator-role row
+    /// ([`Stat::Roles`]) whose statistic exists.
+    fn gated(&self, doc: &[Record]) -> Vec<(f64, String, String)> {
         let anchors = doc.iter().filter(|r| match self.stat {
-            Stat::Roles { field, num, .. } => self.render(r, field) == num,
+            Stat::Roles { field, pairs, .. } => {
+                pairs.iter().any(|&(num, _)| self.render(r, field) == num)
+            }
             Stat::Fields { .. } => true,
         });
         let keys = anchors.map(|r| self.key_of(r));
-        keys.filter_map(|key| Some((self.statistic(doc, &key)?, key))).collect()
+        keys.filter_map(|key| {
+            let (num, den) = self.pair_of(doc, &key)?;
+            Some((self.statistic(doc, &key)?, key, format!("{num}/{den}")))
+        })
+        .collect()
     }
 
     /// Number of baseline entries the gate can actually enforce. A
@@ -280,7 +298,7 @@ impl Schema {
     /// human-readable failure lines; empty = pass.
     pub fn regressions(&self, current: &[Record], baseline: &[Record], tol: f64) -> Vec<String> {
         let mut failures = Vec::new();
-        for (base, key) in self.gated(baseline) {
+        for (base, key, what) in self.gated(baseline) {
             let Some(cur) = self.statistic(current, &key) else {
                 failures.push(format!("missing result for {key}"));
                 continue;
@@ -291,8 +309,7 @@ impl Schema {
             };
             if !(cur.is_finite() && base.is_finite() && within(worse, tol, Better::Lower)) {
                 failures.push(format!(
-                    "{key}: {} = {cur:.3} vs baseline {base:.3} ({worse:.2}x worse, budget {tol:.2}x)",
-                    self.stat_name()
+                    "{key}: {what} = {cur:.3} vs baseline {base:.3} ({worse:.2}x worse, budget {tol:.2}x)"
                 ));
             }
         }
@@ -301,17 +318,19 @@ impl Schema {
 
     /// Check an absolute [`Bar`] on `doc` alone. Returns failure lines.
     pub fn threshold_failures(&self, doc: &[Record], bar: &Bar) -> Vec<String> {
-        let (what, values) = match bar.of {
-            None => (self.stat_name(), self.gated(doc)),
-            Some((num, den)) => (
-                format!("{num}/{den}"),
-                doc.iter().map(|r| (self.num(r, num) / self.num(r, den), self.key_of(r))).collect(),
-            ),
+        let values = match bar.of {
+            None => self.gated(doc),
+            Some((num, den)) => doc
+                .iter()
+                .map(|r| {
+                    (self.num(r, num) / self.num(r, den), self.key_of(r), format!("{num}/{den}"))
+                })
+                .collect(),
         };
         let (bound, cmp) = (bar.bound, if bar.better == Better::Lower { "<=" } else { ">=" });
-        let missed = values.into_iter().filter(|&(v, _)| !within(v, bound, bar.better));
+        let missed = values.into_iter().filter(|(v, ..)| !within(*v, bound, bar.better));
         missed
-            .map(|(v, key)| {
+            .map(|(v, key, what)| {
                 format!("{key}: {what} = {v:.3} misses the {} bar ({cmp} {bound:.2})", bar.name)
             })
             .collect()
@@ -370,24 +389,30 @@ const fn col(name: &'static str, kind: Kind) -> Field {
 }
 
 /// `bench_fft`: one complex transform per `(size, precision)` through
-/// the `iterative` (Stockham) and `recursive` (seed) engines. `precision`
-/// is the tier label (`f64`/`f32`/`f16`/`bf16` — the 16-bit tiers share a
-/// byte width, not a label); `threads` is the pool width, informational.
+/// the `iterative` (Stockham) and `recursive` (seed) engines
+/// (`transform` `c2c`, `series` 1), and the batched padded R2C / unpadded
+/// C2R per `(size, series, precision)` through the series-in-lanes path
+/// (`lanes`) and the per-series driver (`per_series`), ns per series
+/// (`transform` `r2c_padded` / `c2r_unpadded`, `size` the real length
+/// `2·N_t`). `precision` is the tier label (`f64`/`f32`/`f16`/`bf16` — the
+/// 16-bit tiers share a byte width, not a label); `threads` is the pool
+/// width, informational.
 pub const FFT: Schema = Schema {
     name: "fft",
     unit: "ns_per_transform",
     fields: &[
         col("size", Int),
+        col("series", Int),
+        col("transform", Text),
         col("precision", Text),
         col("engine", Text),
         col("threads", Int),
         col("ns_per_transform", Fixed(1)),
     ],
-    key: &["size", "precision"],
+    key: &["size", "series", "transform", "precision"],
     stat: Stat::Roles {
         field: "engine",
-        num: "iterative",
-        den: "recursive",
+        pairs: &[("iterative", "recursive"), ("lanes", "per_series")],
         value: "ns_per_transform",
     },
     better: Better::Lower,
@@ -408,7 +433,7 @@ pub const MATVEC: Schema = Schema {
         col("ns_per_apply", Fixed(1)),
     ],
     key: &["shape", "config", "direction"],
-    stat: Stat::Roles { field: "path", num: "into", den: "alloc", value: "ns_per_apply" },
+    stat: Stat::Roles { field: "path", pairs: &[("into", "alloc")], value: "ns_per_apply" },
     better: Better::Lower,
     tol: 1.25,
 };
@@ -481,7 +506,7 @@ pub const SERVICE: Schema = Schema {
         col("rejected", Int),
     ],
     key: &["shape"],
-    stat: Stat::Roles { field: "mode", num: "coalesced", den: "batch1", value: "throughput_rps" },
+    stat: Stat::Roles { field: "mode", pairs: &[("coalesced", "batch1")], value: "throughput_rps" },
     better: Better::Higher,
     tol: 1.25,
 };

@@ -364,9 +364,10 @@ mod tests {
     /// `forward`, the unpadded inverse equals `inverse` +
     /// [`unpad_output_into`] — every (pad, FFT) and (IFFT, unpad) tier
     /// pair, transform lengths covering tiny, single-pass, Bluestein,
-    /// radix-2-first and radix-16-last plans and odd `nt`, series counts
-    /// on both sides of one register, awkward and plain inputs, at every
-    /// SIMD level. NaNs compare canonical, as in the FFT's own bit tests:
+    /// radix-2-first and radix-16-last plans and odd `nt`, lengths on both
+    /// sides of the series-in-lanes crossover, series counts on both sides
+    /// of one register and of one lane group, awkward and plain inputs, at
+    /// every SIMD level. NaNs compare canonical, as in the FFT's own bit tests:
     /// which operand's payload a NaN inherits is left open by IEEE-754
     /// (the vector and scalar butterflies differ there), only where NaNs
     /// land is a property of the schedule.
@@ -388,14 +389,28 @@ mod tests {
                 continue;
             }
             set_active_level(level);
-            for nt in [1usize, 2, 3, 5, 64, 97, 250, 4096] {
-                for n_series in [1usize, 2, 3, 4, 5, 16] {
+            // N_t = 1024 and 2048 sit on either side of the FFT's
+            // series-in-lanes crossover (`2·N_t` = 2048); 8 and 9 series
+            // are one whole `f32` lane group (two `f64` ones) and one more.
+            // Up to N_t = 64 the widths add lane groups with a remainder
+            // of every size, and more than one staging group; the Bluestein
+            // and radix-5 lengths, which never run in lanes, add the first
+            // staged width.
+            for nt in [1usize, 2, 3, 5, 64, 97, 250, 1024, 2048, 4096] {
+                let widths: &[usize] = match nt {
+                    97 | 250 => &[1, 2, 3, 4, 5, 9, 16],
+                    1024 | 2048 => &[8, 9],
+                    4096 => &[1, 2, 3, 4, 5, 16],
+                    _ => &[1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33],
+                };
+                for &n_series in widths {
                     let seed = (nt * 31 + n_series) as u64;
                     let mut plain = vec![0.0; n_series * 2 * (nt + 1)];
                     SplitMix64::new(seed).fill_uniform(&mut plain, -1.0, 1.0);
-                    // At 4096 the specials make every output NaN; plain
-                    // data is what exercises the long transform's bits.
-                    let awkward = (nt < 4096).then(|| awkward(plain.len(), seed));
+                    // From 1024 on the specials make every output NaN;
+                    // plain data is what exercises the long transforms'
+                    // bits.
+                    let awkward = (nt < 1024).then(|| awkward(plain.len(), seed));
                     for data in awkward.into_iter().chain([plain]) {
                         let m = &data[..n_series * nt];
                         let spec: Vec<C64> =

@@ -26,15 +26,16 @@
 //! [`fftmatvec_blas::select_kernel`] names the GPU kernel the cost model
 //! charges). Both yield the same output bits (see
 //! `fftmatvec_blas::kernels`). The documented block-major accessors
-//! [`BlockToeplitzOperator::fhat`] (and `fhat32` / `fhat16` / `fhatb16`)
-//! are that layout, materialized lazily for oracles and tests — nothing on
-//! the apply path reads them.
+//! [`BlockToeplitzOperator::fhat`] and `fhat32` are that layout,
+//! materialized lazily for oracles and tests (the 16-bit tiers' copies are
+//! crate-private, for the pipeline's replay) — nothing on the apply path
+//! reads them.
 
 use std::sync::OnceLock;
 
 use fftmatvec_fft::BatchedRealFft;
 use fftmatvec_numeric::ndindex::transpose_map;
-use fftmatvec_numeric::{Complex, Precision, C16, C32, C64, CB16};
+use fftmatvec_numeric::{Complex, Precision, C32, C64};
 
 use crate::linop::ConfigError;
 use crate::spectral::TierSpectra;
@@ -174,16 +175,12 @@ impl BlockToeplitzOperator {
         self.block_view().buffer(Precision::Single).as_c32().expect("single tier")
     }
 
-    /// The binary16 frequency matrices (materialized on first use — the
-    /// one-time cast for FP16 phase-3 configurations; rounding routes
-    /// through `f32`, see `fftmatvec_numeric::half`).
-    pub fn fhat16(&self) -> &[C16] {
-        self.block_view().buffer(Precision::Half).as_c16().expect("half tier")
-    }
-
-    /// The bfloat16 frequency matrices (materialized on first use).
-    pub fn fhatb16(&self) -> &[CB16] {
-        self.block_view().buffer(Precision::BFloat16).as_cb16().expect("bfloat16 tier")
+    /// The frequency matrices of [`Self::fhat`] in tier `p`, narrowed from
+    /// the double copy on first use: the block-major operand the
+    /// pipeline's replay oracle hands `sbgemv` in every tier.
+    #[cfg(test)]
+    pub(crate) fn fhat_in(&self, p: Precision) -> &fftmatvec_numeric::ComplexBuffer {
+        self.block_view().buffer(p)
     }
 
     /// The stored first block column (`[t][i][k]` layout).
@@ -311,8 +308,9 @@ mod tests {
         let copy = op.clone();
         assert_eq!(copy.fhat(), op.fhat());
         assert_eq!(copy.fhat32(), op.fhat32());
-        assert_eq!(copy.fhat16(), op.fhat16());
-        assert_eq!(copy.fhatb16(), op.fhatb16());
+        for p in [Precision::Half, Precision::BFloat16] {
+            assert_eq!(copy.fhat_in(p), op.fhat_in(p), "{p}");
+        }
     }
 
     #[test]
@@ -378,8 +376,8 @@ mod tests {
     fn half_tier_fhats_are_the_rounded_fhat() {
         use fftmatvec_numeric::{bf16, f16};
         let op = random_operator(2, 3, 4, 5);
-        let h = op.fhat16();
-        let b = op.fhatb16();
+        let h = op.fhat_in(Precision::Half).as_c16().expect("half tier");
+        let b = op.fhat_in(Precision::BFloat16).as_cb16().expect("bfloat16 tier");
         assert_eq!(h.len(), op.fhat().len());
         assert_eq!(b.len(), op.fhat().len());
         for ((zh, zb), z) in h.iter().zip(b).zip(op.fhat()) {

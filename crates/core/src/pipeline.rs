@@ -620,14 +620,20 @@ mod tests {
             fftmatvec_blas::sbgemv(op, S::one(), a, x, S::zero(), y, g);
         }
         let g = BatchGeometry::packed(nd, nm, gemv_op, nfreq);
-        match (&xhat, &mut yhat) {
-            (ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => gemv(gemv_op, op.fhat16(), x, y, &g),
-            (ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
-                gemv(gemv_op, op.fhatb16(), x, y, &g)
+        match (op.fhat_in(p_gemv), &xhat, &mut yhat) {
+            (ComplexBuffer::C16(a), ComplexBuffer::C16(x), ComplexBuffer::C16(y)) => {
+                gemv(gemv_op, a, x, y, &g)
             }
-            (ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => gemv(gemv_op, op.fhat32(), x, y, &g),
-            (ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => gemv(gemv_op, op.fhat(), x, y, &g),
-            _ => unreachable!("both batch buffers are in the SBGEMV tier"),
+            (ComplexBuffer::CB16(a), ComplexBuffer::CB16(x), ComplexBuffer::CB16(y)) => {
+                gemv(gemv_op, a, x, y, &g)
+            }
+            (ComplexBuffer::C32(a), ComplexBuffer::C32(x), ComplexBuffer::C32(y)) => {
+                gemv(gemv_op, a, x, y, &g)
+            }
+            (ComplexBuffer::C64(a), ComplexBuffer::C64(x), ComplexBuffer::C64(y)) => {
+                gemv(gemv_op, a, x, y, &g)
+            }
+            _ => unreachable!("the operator view and both batch buffers are in the SBGEMV tier"),
         }
 
         let p_ifft = phase(MatvecPhase::Ifft);

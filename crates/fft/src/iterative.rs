@@ -62,13 +62,13 @@ use crate::padded::{PaddedSeries, UnpaddedSeries};
 use crate::plan::{FftDirection, MAX_RADIX};
 
 /// One butterfly stage of the iterative schedule.
-struct Stage<T: Real> {
+pub(crate) struct Stage<T: Real> {
     /// Radix split off at this stage.
-    radix: usize,
+    pub(crate) radix: usize,
     /// Sub-transform count: `n_cur / radix`.
-    m: usize,
+    pub(crate) m: usize,
     /// Outer stride: product of the radices of all earlier stages.
-    s: usize,
+    pub(crate) s: usize,
     /// `e^{-2πi·p·j/n_cur}` for `p in 0..m`, `j in 1..r` (`j = 0` is
     /// always 1 and is omitted), in the order the radix's butterfly
     /// consumes it. Radix 2 and 4 keep one plane per output,
@@ -76,7 +76,7 @@ struct Stage<T: Real> {
     /// across `p` and load each plane contiguously ([`twiddles4`]). The
     /// table-driven odd radices walk `j` innermost and keep
     /// `twiddles[p·(r−1) + (j−1)]`.
-    twiddles: Vec<Complex<T>>,
+    pub(crate) twiddles: Vec<Complex<T>>,
     /// `radix_roots[x] = e^{-2πi·x/r}` (generic butterflies only; empty
     /// for the hand-coded radices 2 and 4).
     radix_roots: Vec<Complex<T>>,
@@ -142,7 +142,20 @@ impl<T: Real> IterativeFft<T> {
 
     /// Number of butterfly stages (a radix-16 pass counts two).
     pub(crate) fn stage_count(&self) -> usize {
-        self.passes.iter().map(|pass| if let Pass::Radix16(..) = pass { 2 } else { 1 }).sum()
+        self.stages().count()
+    }
+
+    /// The butterfly stages in schedule order, a radix-16 pass as its two
+    /// radix-4 stages: what an executor running one stage at a time (the
+    /// series-in-lanes kernels, the schedule test's reference) walks.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &Stage<T>> {
+        self.passes
+            .iter()
+            .flat_map(|pass| match pass {
+                Pass::Single(st) => [Some(st), None],
+                Pass::Radix16(a, b) => [Some(a), Some(b)],
+            })
+            .flatten()
     }
 
     /// Exact scratch requirement: single-pass schedules run through a
@@ -753,7 +766,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_pow2_stage_is_taken_by_a_vector_kernel() {
-        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         fn check<T: Real>() {
             for log2 in 3..=13 {
                 let n = 1usize << log2;
@@ -788,7 +801,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_pow2_padded_pass_is_taken_by_a_vector_kernel() {
-        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         fn check<T: Real>() {
             for log2 in 3..=13 {
                 let n = 1usize << log2;
@@ -837,10 +850,6 @@ mod tests {
         }
     }
 
-    /// Guards the process-global dispatch level: the schedule test below
-    /// forces it, and the tests above read it.
-    static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Bits of every component, NaNs canonical: which operand's payload a
     /// NaN inherits is left open by IEEE-754, only where NaNs land is a
     /// property of the schedule.
@@ -858,15 +867,9 @@ mod tests {
     ) -> Vec<Complex<T>> {
         let mut cur = x.to_vec();
         let mut next = vec![Complex::<T>::zero(); x.len()];
-        for pass in &eng.passes {
-            let stages = match pass {
-                Pass::Single(st) => vec![st],
-                Pass::Radix16(a, b) => vec![a, b],
-            };
-            for st in stages {
-                run_stage(st, &cur, &mut next, inverse);
-                std::mem::swap(&mut cur, &mut next);
-            }
+        for st in eng.stages() {
+            run_stage(st, &cur, &mut next, inverse);
+            std::mem::swap(&mut cur, &mut next);
         }
         cur
     }
@@ -923,7 +926,7 @@ mod tests {
             }
         }
 
-        let _level = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = active_level();
         for level in [SimdLevel::Portable, SimdLevel::Avx2] {
             if !level_supported(level) {

@@ -78,6 +78,12 @@ pub fn fft_error_growth(n: usize) -> f64 {
     }
 }
 
+/// Guards the process-global SIMD dispatch level in this crate's unit
+/// tests: the tests that force a level hold it, and so do the tests that
+/// read the level to decide what must run.
+#[cfg(test)]
+pub(crate) static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;

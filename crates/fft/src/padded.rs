@@ -67,6 +67,13 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
         self.stride
     }
 
+    /// Elements of the input slice, from sample 0 on: how far past a
+    /// sample a reader of neighbouring columns may go.
+    #[inline(always)]
+    pub(crate) fn extent(&self) -> usize {
+        self.x.len()
+    }
+
     /// Where sample `t` is read.
     ///
     /// # Safety

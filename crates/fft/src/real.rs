@@ -44,10 +44,12 @@ use crate::plan::FftDirection;
 /// Plan for transforms of real signals of even length `n`.
 pub struct RealFftPlan<T: Real> {
     n: usize,
-    /// Shared half-length complex plan.
-    half: PlanHandle<T>,
-    /// `w[k] = e^{-2πik/n}` for `k in 0..n/2` (unpack twiddles).
-    twiddles: Vec<Complex<T>>,
+    /// Shared half-length complex plan (the batched driver's
+    /// series-in-lanes path walks its stages).
+    pub(crate) half: PlanHandle<T>,
+    /// `w[k] = e^{-2πik/n}` for `k in 0..n/2` (unpack and repack
+    /// twiddles).
+    pub(crate) twiddles: Vec<Complex<T>>,
 }
 
 /// View an even-length real slice as interleaved complex pairs:

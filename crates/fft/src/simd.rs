@@ -31,6 +31,18 @@
 //!   zero operands in a register; the unpadded inverse's last pass
 //!   (radix 2, 4 or 16, `s` of at least one register) runs lanes across
 //!   `q` and computes, scales and stores only the kept outputs.
+//! * The batched padded R2C and unpadded C2R (`BatchedRealFft::
+//!   {forward_padded, inverse_unpadded}`) of a group of 4 (`f64`) or 8
+//!   (`f32`) consecutive series — radix-2/4 schedules up to the batch
+//!   driver's crossover length — run with the **series in the lanes**
+//!   ([`Lanes`]): a register holds one real or imaginary part of every
+//!   series in the group, planar. The first stage loads TOSI rows `2j`
+//!   and `2j + 1` as the real and imaginary planes of `z[j]` (rounded
+//!   through the pad tier in the register, the embedding's zeros `+0`
+//!   registers), every stage broadcasts one twiddle per butterfly from the
+//!   plan's stage tables, the unpack / repack move to and from the
+//!   series-major spectra through an in-register transpose, and the
+//!   inverse's last stage stores the kept samples into the TOSI rows.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
@@ -46,7 +58,7 @@
 //! The vector kernels replicate the scalar expression tree per element —
 //! same adds/subs, same fused multiplies, same rounding points — and
 //! lanes only ever run across independent outputs (butterflies, `q`,
-//! mirror pairs), never along a sum, so nothing is reassociated and lane
+//! mirror pairs, series), never along a sum, so nothing is reassociated and lane
 //! width never changes a single output bit (the same contract as
 //! [`fftmatvec_numeric::simd`], pinned by `tests/simd_equivalence.rs`).
 //! Concretely:
@@ -85,21 +97,23 @@ mod x86;
 macro_rules! try_kernels {
     ($ins:tt, $outs:tt, $args:tt; $(($u:ty, $takes:expr, $kernel:path)),+ $(,)?) => {
         if fma_active() {
-            $( try_kernels!(@row $ins, $outs, $args, $u, $takes, $kernel); )+
+            $( try_kernels!(@row $ins, $outs, $args, $u, $takes, $kernel, true); )+
         }
     };
     (@row ($($src:ident),*), ($($dst:ident),*), ($($arg:expr),*),
-     $u:ty, $takes:expr, $kernel:path) => {
+     $u:ty, $takes:expr, $kernel:path, $ran:expr) => {
         if $takes {
             if let ($(Some($src),)* $(Some($dst),)*) = (
                 $(recast::<_, Complex<$u>>($src),)*
                 $(recast_mut::<_, Complex<$u>>($dst),)*
             ) {
-                // SAFETY: `fma_active` implies `level_supported(Avx2)`
-                // (avx2 and fma verified), and the caller's `assert!`
-                // established the slice extents the kernel documents.
+                // SAFETY: avx2 and fma were verified on this host — by
+                // `fma_active` just above, or by the `Lanes` token that
+                // `run_lanes!`'s caller holds (made under it) — and the
+                // caller's `assert!` established the slice extents the
+                // kernel documents.
                 unsafe { $kernel($($src,)* $($dst,)* $($arg),*) };
-                return true;
+                return $ran;
             }
         }
     };
@@ -381,6 +395,209 @@ pub(crate) fn real_repack_pairs<T: Real>(
         (f64, true, x86::pd::real_repack_pairs),
     );
     false
+}
+
+/// Run one series-in-lanes kernel: `run_lanes!((inputs…), (outputs…),
+/// (extra args…); f32 kernel, f64 kernel)` — a [`try_kernels!`] row per
+/// tier, with no level check: a [`Lanes`] token in scope proves the host
+/// can run it, whatever the level is now.
+#[cfg(target_arch = "x86_64")]
+macro_rules! run_lanes {
+    ($ins:tt, $outs:tt, $args:tt; $ps:path, $pd:path) => {
+        try_kernels!(@row $ins, $outs, $args, f32, true, $ps, ());
+        try_kernels!(@row $ins, $outs, $args, f64, true, $pd, ());
+    };
+}
+
+/// Proof that the series-in-lanes kernels run here, and their group width
+/// in tier `T`: 8 series in `f32`, 4 in `f64`, one per real lane. Made
+/// only at an AVX2-class active level ([`Lanes::of`]); the kernels need
+/// only the host's support, which a later change of the level does not
+/// revoke, so a path chosen with a token runs to its end.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lanes {
+    width: usize,
+}
+
+impl Lanes {
+    /// The token for tier `T` at the active level: `None` at the
+    /// portable level and in the 16-bit tiers.
+    pub(crate) fn of<T: Real>() -> Option<Lanes> {
+        #[cfg(target_arch = "x86_64")]
+        if fma_active() {
+            let width = match T::PRECISION {
+                fftmatvec_numeric::Precision::Single => 8,
+                fftmatvec_numeric::Precision::Double => 4,
+                _ => return None,
+            };
+            return Some(Lanes { width });
+        }
+        None
+    }
+
+    /// Series per group.
+    pub(crate) fn width(self) -> usize {
+        self.width
+    }
+
+    /// Complex slots of `elements` planar elements: `width` each (see
+    /// `x86`'s planar layout).
+    fn planar(self, elements: usize) -> usize {
+        self.width * elements
+    }
+}
+
+/// Series-in-lanes radix-2/4 stage over planar buffers: the stage of
+/// [`stage_radix2`] / [`stage_radix4`] run for each of the group's series
+/// in its own lane.
+#[allow(unused_variables)]
+pub(crate) fn lanes_stage<T: Real>(
+    lanes: Lanes,
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    r: usize,
+    m: usize,
+    s: usize,
+    twiddles: &[Complex<T>],
+    inverse: bool,
+) {
+    assert!(
+        (r == 2 || r == 4)
+            && src.len() == lanes.planar(r * m * s)
+            && dst.len() == src.len()
+            && twiddles.len() == (r - 1) * m,
+        "lanes radix-{r} stage extents: src {}, dst {}, twiddles {} for m = {m}, s = {s}",
+        src.len(),
+        dst.len(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((src, twiddles), (dst), (r, m, s, inverse);
+        x86::ps::lanes_stage, x86::pd::lanes_stage);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes first stage of the forward transforms of a group of
+/// padded series read in place — series `k` of the group is column `k` of
+/// `src`'s rows — into a planar buffer: the stage of
+/// [`first_radix4_padded`] / [`first_radix2_padded`] per lane.
+#[allow(unused_variables)]
+pub(crate) fn lanes_first_padded<T: Real, P: Real>(
+    lanes: Lanes,
+    src: &PaddedSeries<'_, P>,
+    dst: &mut [Complex<T>],
+    r: usize,
+    m: usize,
+    twiddles: &[Complex<T>],
+) {
+    assert!(
+        (r == 2 || r == 4)
+            && src.nt() == r * m
+            && (src.nt() - 1) * src.stride() + lanes.width() <= src.extent()
+            && dst.len() == lanes.planar(r * m)
+            && twiddles.len() == (r - 1) * m,
+        "lanes padded radix-{r} first stage extents: nt {}, stride {}, dst {}, twiddles {} for m = {m}",
+        src.nt(),
+        src.stride(),
+        dst.len(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((twiddles), (dst), (src, r, m);
+        x86::ps::lanes_first_padded, x86::pd::lanes_first_padded);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes last stage (`m = 1`) of the inverse transforms of a
+/// group into its unpadded rows — series `k` of the group lands in column
+/// `k` of `sink`'s rows: the stage of [`last_radix4_unpadded`] /
+/// [`last_radix2_unpadded`] per lane.
+///
+/// # Safety
+///
+/// `sink` was made for `nt` rows of `lanes.width()` columns:
+/// `out.add(t·stride + k)` is valid for writes for every `t < nt` and `k <
+/// lanes.width()`, and nothing else accesses them during the call.
+#[allow(unused_variables)]
+pub(crate) unsafe fn lanes_last_unpadded<T: Real, Q: Real>(
+    lanes: Lanes,
+    src: &[Complex<T>],
+    sink: &mut UnpaddedSeries<Q>,
+    r: usize,
+    s: usize,
+    twiddles: &[Complex<T>],
+) {
+    assert!(
+        (r == 2 || r == 4)
+            && src.len() == lanes.planar(r * s)
+            && sink.nt() == r * s
+            && sink.stride() >= lanes.width()
+            && twiddles.len() == r - 1,
+        "lanes unpadded radix-{r} last stage extents: src {}, nt {}, stride {}, twiddles {} for s = {s}",
+        src.len(),
+        sink.nt(),
+        sink.stride(),
+        twiddles.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((src, twiddles), (), (&mut *sink, r, s);
+        x86::ps::lanes_last_unpadded, x86::pd::lanes_last_unpadded);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes R2C unpack: the `h + 1` bins of each of the group's
+/// series from the planar `Z = FFT_h(z)`, staged in the planar `bins` and
+/// stored into the series-major spectra `output` — [`real_unpack_pairs`]'
+/// tree per lane.
+#[allow(unused_variables)]
+pub(crate) fn lanes_unpack<T: Real>(
+    lanes: Lanes,
+    z: &[Complex<T>],
+    twiddles: &[Complex<T>],
+    bins: &mut [Complex<T>],
+    output: &mut [Complex<T>],
+) {
+    let h = twiddles.len();
+    assert!(
+        z.len() == lanes.planar(h)
+            && bins.len() == lanes.planar(h + 1)
+            && output.len() == bins.len(),
+        "lanes R2C unpack extents: z {}, bins {}, output {} for h = {h}",
+        z.len(),
+        bins.len(),
+        output.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((z, twiddles), (bins, output), ();
+        x86::ps::lanes_unpack, x86::pd::lanes_unpack);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes C2R repack: the series-major spectra of the group,
+/// staged in the planar `bins`, into the planar `Z` of each series' packed
+/// signal — [`real_repack_pairs`]' tree per lane.
+#[allow(unused_variables)]
+pub(crate) fn lanes_repack<T: Real>(
+    lanes: Lanes,
+    spectra: &[Complex<T>],
+    twiddles: &[Complex<T>],
+    bins: &mut [Complex<T>],
+    z: &mut [Complex<T>],
+) {
+    let h = twiddles.len();
+    assert!(
+        z.len() == lanes.planar(h)
+            && bins.len() == lanes.planar(h + 1)
+            && spectra.len() == bins.len(),
+        "lanes C2R repack extents: spectra {}, bins {}, z {} for h = {h}",
+        spectra.len(),
+        bins.len(),
+        z.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((spectra, twiddles), (bins, z), ();
+        x86::ps::lanes_repack, x86::pd::lanes_repack);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! see the module doc of [`super`] for the identity argument. The
 //! register vocabulary (`load`, `add`, `bcast`, `cmul`, `cmuladd`,
 //! `swap`, the sign masks, …) and the 16-bit conversions are
-//! `fftmatvec_numeric::simd::x86`'s; only the three lane shuffles no
-//! other kernel needs (`reverse`, `store_rows2`, `store_rows4`) are
-//! defined here.
+//! `fftmatvec_numeric::simd::x86`'s; only what no other kernel needs is
+//! defined here: three lane shuffles (`reverse`, `store_rows2`,
+//! `store_rows4`), and for the series-in-lanes kernels the real-register
+//! load / store, the TOSI row load / store through a tier and the lane
+//! transpose.
 //!
 //! # Safety
 //!
@@ -553,6 +555,328 @@ macro_rules! native_kernels {
 }
 
 // ---------------------------------------------------------------------------
+// Series in lanes (f32 / f64): one register holds one real or imaginary
+// part of `SERIES` series, so every butterfly runs `SERIES` transforms.
+// ---------------------------------------------------------------------------
+//
+// A planar buffer holds one transform's elements for a group of `SERIES`
+// series: element `j` is `SERIES` complex slots, the series' real parts
+// then their imaginary parts (`zload(p, j)`). Lanes run across series
+// only, so each lane evaluates the scalar tree of its own series.
+
+/// The series-in-lanes kernels, over the vocabulary in scope: `F`, `C`,
+/// `V`, `LANES` (complex values per interleaved register), `SERIES` (real
+/// lanes per register, `2·LANES`), `add`/`sub`/`mul`/`fma`/`xor`/`splat`,
+/// `load`/`store`, and this module's `loadv`/`storev` (one register of
+/// reals), `load_row`/`store_row` (one TOSI row through a tier) and
+/// `transpose` (a `SERIES × SERIES` lane transpose).
+macro_rules! lane_kernels {
+    () => {
+        /// One complex value of `SERIES` series: their real parts and their
+        /// imaginary parts, one register each.
+        #[derive(Clone, Copy)]
+        struct Z {
+            re: V,
+            im: V,
+        }
+
+        op! {
+            fn zzero() -> Z { Z { re: splat(0.0), im: splat(0.0) } }
+        }
+        op! {
+            fn zadd(a: Z, b: Z) -> Z { Z { re: add(a.re, b.re), im: add(a.im, b.im) } }
+        }
+        op! {
+            fn zsub(a: Z, b: Z) -> Z { Z { re: sub(a.re, b.re), im: sub(a.im, b.im) } }
+        }
+        op! {
+            /// `−x` per lane: a sign flip, exact (`−0` and NaN included).
+            fn neg(x: V) -> V { xor(x, splat(-0.0)) }
+        }
+        op! {
+            fn zconj(a: Z) -> Z { Z { re: a.re, im: neg(a.im) } }
+        }
+        op! {
+            /// `a·k` per part, the tree of `Complex::scale`.
+            fn zscale(a: Z, k: V) -> Z { Z { re: mul(a.re, k), im: mul(a.im, k) } }
+        }
+        op! {
+            /// `a·b`, the tree of `Complex::mul`: `re = fma(a.re, b.re,
+            /// −(a.im·b.im))`, `im = fma(a.re, b.im, a.im·b.re)` — one unfused
+            /// product and one FMA per part.
+            fn zmul(a: Z, b: Z) -> Z {
+                Z { re: fma(a.re, b.re, neg(mul(a.im, b.im))), im: fma(a.re, b.im, mul(a.im, b.re)) }
+            }
+        }
+        op! {
+            /// One complex value in every lane.
+            fn zbcast(w: C) -> Z { Z { re: splat(w.re), im: splat(w.im) } }
+        }
+        op! {
+            /// Element `j` of a planar buffer.
+            fn zload(p: *const C, j: usize) -> Z {
+                let p = (p as *const F).add(2 * SERIES * j);
+                Z { re: loadv(p), im: loadv(p.add(SERIES)) }
+            }
+        }
+        op! {
+            fn zstore(p: *mut C, j: usize, v: Z) {
+                let p = (p as *mut F).add(2 * SERIES * j);
+                storev(p, v.re);
+                storev(p.add(SERIES), v.im);
+            }
+        }
+        /// Packed value `z[j]` of the group's padded series: TOSI rows
+        /// `2j` and `2j + 1`, each rounded through the pad tier.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zload_rows<P: Real>(src: &PaddedSeries<'_, P>, j: usize) -> Z {
+            Z { re: load_row::<P>(src.at(2 * j)), im: load_row::<P>(src.at(2 * j + 1)) }
+        }
+
+        /// Store the kept packed value `z[i]`, scaled by `k`, as TOSI rows
+        /// `2i` and `2i + 1` through the unpad route — the scale after the
+        /// butterfly, as the plan's scaling pass multiplies.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zput_rows<Q: Real>(sink: &mut UnpaddedSeries<Q>, i: usize, v: Z, k: V) {
+            store_row::<Q>(sink.at(2 * i), mul(v.re, k));
+            store_row::<Q>(sink.at(2 * i + 1), mul(v.im, k));
+        }
+        op! {
+            /// Twiddle triple `w` broadcast into lanes.
+            fn zbcast3(w: [C; 3]) -> [Z; 3] { [zbcast(w[0]), zbcast(w[1]), zbcast(w[2])] }
+        }
+        op! {
+            /// `SERIES` radix-4 butterflies: the tree of [`butterfly4`] per
+            /// lane; `∓i·h` is a lane move and a sign flip.
+            fn zbutterfly4(t: [Z; 4], w: [Z; 3], inverse: bool) -> [Z; 4] {
+                let e = zadd(t[0], t[2]);
+                let f = zsub(t[0], t[2]);
+                let g = zadd(t[1], t[3]);
+                let h = zsub(t[1], t[3]);
+                let ih = if inverse { Z { re: neg(h.im), im: h.re } } else { Z { re: h.im, im: neg(h.re) } };
+                [zadd(e, g), zmul(zadd(f, ih), w[0]), zmul(zsub(e, g), w[1]), zmul(zsub(f, ih), w[2])]
+            }
+        }
+
+        /// Radix-2/4 Stockham stage over planar buffers, `SERIES` series
+        /// per butterfly, each butterfly's twiddles broadcast from the stage
+        /// table (conjugated for the inverse). Extents: `src.len() ==
+        /// dst.len() == SERIES·r·m·s`, `tw.len() == (r−1)·m`, `r ∈ {2, 4}`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn lanes_stage(
+            src: &[C],
+            tw: &[C],
+            dst: &mut [C],
+            r: usize,
+            m: usize,
+            s: usize,
+            inverse: bool,
+        ) {
+            let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+            let sm = s * m;
+            for p in 0..m {
+                let (i0, o0) = (s * p, r * s * p);
+                if r == 4 {
+                    let w = zbcast3(twiddles4(tw, m, p, inverse));
+                    for q in 0..s {
+                        let i = i0 + q;
+                        let t = [zload(sp, i), zload(sp, i + sm), zload(sp, i + 2 * sm), zload(sp, i + 3 * sm)];
+                        let o = zbutterfly4(t, w, inverse);
+                        for (j, &oj) in o.iter().enumerate() {
+                            zstore(dp, o0 + q + j * s, oj);
+                        }
+                    }
+                } else {
+                    let w = zbcast(twiddle2(tw, p, inverse));
+                    for q in 0..s {
+                        let (a, b) = (zload(sp, i0 + q), zload(sp, i0 + sm + q));
+                        zstore(dp, o0 + q, zadd(a, b));
+                        zstore(dp, o0 + s + q, zmul(zsub(a, b), w));
+                    }
+                }
+            }
+        }
+
+        /// First stage (`s = 1`) of the forward transforms of a group of
+        /// padded series read in place: operand `l` of butterfly `p` is
+        /// packed value `p + m·l`, loaded from the group's TOSI rows for the
+        /// live half and the embedding's `+0` register past it — the tree of
+        /// [`butterfly4`] / [`butterfly2`] per lane on the padded buffer's
+        /// values. Extents: `dst.len() == SERIES·r·m`, `tw.len() ==
+        /// (r−1)·m`, `src.nt() == r·m`, and `SERIES` consecutive samples
+        /// readable at every row.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn lanes_first_padded<P: Real>(
+            tw: &[C],
+            dst: &mut [C],
+            src: &PaddedSeries<'_, P>,
+            r: usize,
+            m: usize,
+        ) {
+            let dp = dst.as_mut_ptr();
+            let zero = zzero();
+            for p in 0..m {
+                if r == 4 {
+                    let t = [zload_rows(src, p), zload_rows(src, m + p), zero, zero];
+                    let o = zbutterfly4(t, zbcast3(twiddles4(tw, m, p, false)), false);
+                    for (j, &oj) in o.iter().enumerate() {
+                        zstore(dp, 4 * p + j, oj);
+                    }
+                } else {
+                    let a = zload_rows(src, p);
+                    zstore(dp, 2 * p, zadd(a, zero));
+                    zstore(dp, 2 * p + 1, zmul(zsub(a, zero), zbcast(twiddle2(tw, p, false))));
+                }
+            }
+        }
+
+        /// Last stage (`m = 1`, stride `s`) of the inverse transforms of a
+        /// group into its unpadded TOSI rows: only the outputs that hold a
+        /// kept sample (`j < r/2`) are stored, scaled by `1/(r·s)` after the
+        /// butterfly; the rest of the tree is dead. Extents: `src.len() ==
+        /// SERIES·r·s`, `tw.len() == r − 1`, `sink.nt() == r·s`, and
+        /// `SERIES` consecutive samples writable at every row.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn lanes_last_unpadded<Q: Real>(
+            src: &[C],
+            tw: &[C],
+            sink: &mut UnpaddedSeries<Q>,
+            r: usize,
+            s: usize,
+        ) {
+            let sp = src.as_ptr();
+            let k = splat(F::from_usize(r * s).recip());
+            if r == 4 {
+                let w = zbcast3(twiddles4(tw, 1, 0, true));
+                for q in 0..s {
+                    let t = [zload(sp, q), zload(sp, s + q), zload(sp, 2 * s + q), zload(sp, 3 * s + q)];
+                    let o = zbutterfly4(t, w, true);
+                    zput_rows(sink, q, o[0], k);
+                    zput_rows(sink, s + q, o[1], k);
+                }
+            } else {
+                for q in 0..s {
+                    zput_rows(sink, q, zadd(zload(sp, q), zload(sp, s + q)), k);
+                }
+            }
+        }
+
+        /// Move `bins` planar elements into `SERIES` series-major spectra of
+        /// `bins` values each (`spectra[s·bins + b]`), `LANES` bins per
+        /// transpose; the inverse of [`from_series`].
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn to_series(planar: &[C], spectra: &mut [C], bins: usize) {
+            let (pp, op) = (planar.as_ptr() as *const F, spectra.as_mut_ptr());
+            let mut b = 0;
+            while b + LANES <= bins {
+                let mut rows = [splat(0.0); SERIES];
+                for (i, row) in rows.iter_mut().enumerate() {
+                    *row = loadv(pp.add(2 * SERIES * b + SERIES * i));
+                }
+                for (s, &col) in transpose(rows).iter().enumerate() {
+                    store(op.add(s * bins + b), col);
+                }
+                b += LANES;
+            }
+            for b in b..bins {
+                for s in 0..SERIES {
+                    *op.add(s * bins + b) =
+                        C::new(*pp.add(2 * SERIES * b + s), *pp.add(2 * SERIES * b + SERIES + s));
+                }
+            }
+        }
+
+        /// Move `SERIES` series-major spectra of `bins` values each into
+        /// `bins` planar elements; the inverse of [`to_series`].
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn from_series(spectra: &[C], planar: &mut [C], bins: usize) {
+            let (sp, pp) = (spectra.as_ptr(), planar.as_mut_ptr() as *mut F);
+            let mut b = 0;
+            while b + LANES <= bins {
+                let mut cols = [splat(0.0); SERIES];
+                for (s, col) in cols.iter_mut().enumerate() {
+                    *col = load(sp.add(s * bins + b));
+                }
+                for (i, &row) in transpose(cols).iter().enumerate() {
+                    storev(pp.add(2 * SERIES * b + SERIES * i), row);
+                }
+                b += LANES;
+            }
+            for b in b..bins {
+                for s in 0..SERIES {
+                    let v = *sp.add(s * bins + b);
+                    *pp.add(2 * SERIES * b + s) = v.re;
+                    *pp.add(2 * SERIES * b + SERIES + s) = v.im;
+                }
+            }
+        }
+
+        /// R2C unpack of a group: the `h + 1` bins of every series from
+        /// `Z = FFT_h(z)` in the planar `z`, each mirror pair through the
+        /// tree of [`unpack_pair`] per lane, staged in the planar `bins` and
+        /// transposed into the `SERIES` series-major spectra `out`.
+        /// Extents: `tw.len() == h`, `z.len() == SERIES·h`, `bins.len() ==
+        /// out.len() == SERIES·(h + 1)`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn lanes_unpack(z: &[C], tw: &[C], bins: &mut [C], out: &mut [C]) {
+            let h = tw.len();
+            let (zp, bp) = (z.as_ptr(), bins.as_mut_ptr());
+            let half = splat(0.5);
+            let z0 = zload(zp, 0);
+            zstore(bp, 0, Z { re: add(z0.re, z0.im), im: splat(0.0) });
+            zstore(bp, h, Z { re: sub(z0.re, z0.im), im: splat(0.0) });
+            if h % 2 == 0 {
+                zstore(bp, h / 2, zconj(zload(zp, h / 2)));
+            }
+            for k in 1..h.div_ceil(2) {
+                let zk = zload(zp, k);
+                let zc = zconj(zload(zp, h - k));
+                let ze = zscale(zadd(zk, zc), half);
+                let d = zscale(zsub(zk, zc), half);
+                let zo = Z { re: d.im, im: neg(d.re) };
+                let t = zmul(zbcast(tw[k]), zo);
+                zstore(bp, k, zadd(ze, t));
+                zstore(bp, h - k, zconj(zsub(ze, t)));
+            }
+            to_series(bins, out, h + 1);
+        }
+
+        /// C2R repack of a group: the `SERIES` series-major spectra
+        /// transposed into the planar `bins`, then `Z`, the FFT of every
+        /// series' packed signal, into the planar `z`, each mirror pair
+        /// through the tree of [`repack_pair`] per lane. Extents:
+        /// `tw.len() == h`, `spectra.len() == bins.len() == SERIES·(h + 1)`,
+        /// `z.len() == SERIES·h`.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn lanes_repack(spectra: &[C], tw: &[C], bins: &mut [C], z: &mut [C]) {
+            let h = tw.len();
+            from_series(spectra, bins, h + 1);
+            let (xp, zp) = (bins.as_ptr(), z.as_mut_ptr());
+            let half = splat(0.5);
+            let (x0, xh) = (zload(xp, 0), zload(xp, h));
+            zstore(zp, 0, Z { re: mul(add(x0.re, xh.re), half), im: mul(sub(x0.re, xh.re), half) });
+            if h % 2 == 0 {
+                zstore(zp, h / 2, zconj(zload(xp, h / 2)));
+            }
+            for k in 1..h.div_ceil(2) {
+                let xk = zload(xp, k);
+                let xc = zconj(zload(xp, h - k));
+                let ze = zscale(zadd(xk, xc), half);
+                let t = zscale(zsub(xk, xc), half);
+                let zo = zmul(zbcast(tw[k].conj()), t);
+                zstore(zp, k, Z { re: sub(ze.re, zo.im), im: add(ze.im, zo.re) });
+                let (zec, zoc) = (zconj(ze), zconj(zo));
+                zstore(zp, h - k, Z { re: sub(zec.re, zoc.im), im: add(zec.im, zoc.re) });
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // 16-bit stages: widen to f32 registers, round through storage after
 // every operation — exactly where the emulated scalar arithmetic rounds.
 // Instantiated in `ps`, over its vocabulary.
@@ -753,7 +1077,79 @@ pub mod ps {
         }
     }
 
+    /// Real lanes per register: series per lane group.
+    const SERIES: usize = 8;
+
+    op! { fn loadv(p: *const F) -> V { _mm256_loadu_ps(p) } }
+    op! { fn storev(p: *mut F, v: V) { _mm256_storeu_ps(p, v) } }
+
+    /// `SERIES` consecutive samples of a TOSI row at `x`, each rounded
+    /// through the pad tier, then into `f32` — `cvtpd_ps` after a wide
+    /// tier, the scalar conversions after a 16-bit one.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_row<P: Real>(x: *const f64) -> V {
+        if P::BYTES >= 4 {
+            let (lo, hi) = (_mm256_loadu_pd(x), _mm256_loadu_pd(x.add(4)));
+            return _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+        }
+        let lanes: [F; SERIES] =
+            core::array::from_fn(|i| F::from_f64(P::from_f64(*x.add(i)).to_f64()));
+        loadv(lanes.as_ptr())
+    }
+
+    /// Store `SERIES` lanes as consecutive samples of a TOSI row at `out`,
+    /// each routed through the unpad tier: exactly widened after a wide
+    /// route, the scalar conversions after a 16-bit one.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_row<Q: Real>(out: *mut f64, v: V) {
+        if Q::BYTES >= 4 {
+            _mm256_storeu_pd(out, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+            _mm256_storeu_pd(out.add(4), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
+            return;
+        }
+        let lanes: [F; SERIES] = core::mem::transmute(v);
+        for (i, &x) in lanes.iter().enumerate() {
+            *out.add(i) = Q::from_f64(x.to_f64()).to_f64();
+        }
+    }
+
+    op! {
+        /// 8×8 transpose of `f32` lanes: lane `s` of row `i` becomes lane
+        /// `i` of row `s`.
+        fn transpose(r: [V; SERIES]) -> [V; SERIES] {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
+        }
+    }
+
     native_kernels!();
+    lane_kernels!();
     half_kernels!(f16, radix2_f16, radix4_f16, widen8_f16, narrow8_f16, round8_f16);
     half_kernels!(bf16, radix2_bf16, radix4_bf16, widen8_bf16, narrow8_bf16, round8_bf16);
 }
@@ -826,5 +1222,62 @@ pub mod pd {
         }
     }
 
+    /// Real lanes per register: series per lane group.
+    const SERIES: usize = 4;
+
+    op! { fn loadv(p: *const F) -> V { _mm256_loadu_pd(p) } }
+    op! { fn storev(p: *mut F, v: V) { _mm256_storeu_pd(p, v) } }
+
+    /// `SERIES` consecutive samples of a TOSI row at `x`, each rounded
+    /// through the pad tier: as loaded, through the `f32` round trip, or
+    /// through the scalar conversions of a 16-bit tier.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_row<P: Real>(x: *const f64) -> V {
+        match P::BYTES {
+            8 => loadv(x),
+            4 => _mm256_cvtps_pd(_mm256_cvtpd_ps(loadv(x))),
+            _ => {
+                let lanes: [F; SERIES] = core::array::from_fn(|i| P::from_f64(*x.add(i)).to_f64());
+                loadv(lanes.as_ptr())
+            }
+        }
+    }
+
+    /// Store `SERIES` lanes as consecutive samples of a TOSI row at `out`,
+    /// each routed through the unpad tier, as [`load_row`] rounds.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_row<Q: Real>(out: *mut f64, v: V) {
+        match Q::BYTES {
+            8 => storev(out, v),
+            4 => storev(out, _mm256_cvtps_pd(_mm256_cvtpd_ps(v))),
+            _ => {
+                let lanes: [F; SERIES] = core::mem::transmute(v);
+                for (i, &x) in lanes.iter().enumerate() {
+                    *out.add(i) = Q::from_f64(x).to_f64();
+                }
+            }
+        }
+    }
+
+    op! {
+        /// 4×4 transpose of `f64` lanes: lane `s` of row `i` becomes lane
+        /// `i` of row `s`.
+        fn transpose(r: [V; SERIES]) -> [V; SERIES] {
+            let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+            let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+            let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+            let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+            [
+                _mm256_permute2f128_pd::<0x20>(t0, t2),
+                _mm256_permute2f128_pd::<0x20>(t1, t3),
+                _mm256_permute2f128_pd::<0x31>(t0, t2),
+                _mm256_permute2f128_pd::<0x31>(t1, t3),
+            ]
+        }
+    }
+
     native_kernels!();
+    lane_kernels!();
 }
