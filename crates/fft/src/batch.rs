@@ -496,7 +496,8 @@ impl<T: Real> BatchedRealFft<T> {
         let first = stages.next().expect("a schedule has a stage");
         with_real!(pad, P => {
             let src = PaddedSeries::<P>::new(input, n_series, h);
-            simd::lanes_first_padded(lanes, &src, &mut a[..e], first.radix, first.m, &first.twiddles);
+            let (r, m, s, tw) = (first.radix, first.m, first.s, &first.twiddles);
+            simd::lanes_stage(lanes, &src, &mut a[..e], r, m, s, tw, false);
         });
         let mut in_a = true;
         for st in stages {
@@ -587,8 +588,8 @@ impl<T: Real> BatchedRealFft<T> {
             with_real!(route, Q => {
                 // SAFETY: the caller's contract: `lanes.width()` columns of
                 // `h` rows, `batch` apart.
-                let mut sink = UnpaddedSeries::<Q>::new(out, batch, h);
-                simd::lanes_last_unpadded(lanes, src, &mut sink, st.radix, st.s, &st.twiddles);
+                let mut sink = UnpaddedSeries::<Q>::new(out, batch, h, lanes.width());
+                simd::lanes_stage(lanes, src, &mut sink, st.radix, st.m, st.s, &st.twiddles, true);
             });
         }
     }

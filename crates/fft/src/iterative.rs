@@ -36,15 +36,16 @@
 //!   [`butterfly4`] expression trees, only the intermediate stays in
 //!   registers (or a 16-element stack tile) instead of a buffer.
 //!
-//! * [`IterativeFft::forward_padded`] and [`IterativeFft::inverse_unpadded`]
-//!   replace one pass each for the real transform's circulant embedding
-//!   (see `crate::padded`): the forward's first pass gathers its operands
-//!   from a padded series, the embedding's zeros as `+0` values that are
-//!   never loaded, and the inverse's last pass (`m = 1`) keeps only the
-//!   outputs that hold a kept sample, scaling each by `1/n` after its
-//!   butterfly — the multiply of the plan's scaling pass — on the way
-//!   out. Both evaluate the stage's own expression trees, so their bits
-//!   are those of the padded buffer through the full schedule.
+//! * Every stage body reads an operand [`Source`] and writes an output
+//!   [`Sink`] (see `crate::padded`). [`IterativeFft::process`]'s first
+//!   pass may read a padded series in place, the embedding's zeros as
+//!   `+0` values that are never loaded, and
+//!   [`IterativeFft::inverse_unpadded`]'s last pass (`m = 1`) writes an
+//!   unpadded series, which keeps only the outputs that hold a kept
+//!   sample, each scaled by `1/n` after its butterfly — the multiply of
+//!   the plan's scaling pass. The stage's own expression trees run either
+//!   way, so the bits are those of the padded buffer through the full
+//!   schedule.
 //!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
 //! outer stride `s` (`n = s·n_cur`), stage output index `r·p + j` holds
@@ -58,7 +59,7 @@
 
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 
-use crate::padded::{PaddedSeries, UnpaddedSeries};
+use crate::padded::{Sink, Source, UnpaddedSeries};
 use crate::plan::{FftDirection, MAX_RADIX};
 
 /// One butterfly stage of the iterative schedule.
@@ -172,26 +173,30 @@ impl<T: Real> IterativeFft<T> {
     }
 
     /// Out-of-place transform (unscaled). The first pass reads straight
-    /// from `input`; the remaining passes ping-pong between `output` and
-    /// `scratch` so the final pass always lands in `output`.
-    pub(crate) fn process(
+    /// from `input` — a slice, or (forward) a padded series read in place;
+    /// the remaining passes ping-pong between `output` and `scratch` so
+    /// the final pass always lands in `output`.
+    pub(crate) fn process<S: Source<T> + ?Sized>(
         &self,
-        input: &[Complex<T>],
+        input: &S,
         output: &mut [Complex<T>],
         scratch: &mut [Complex<T>],
         dir: FftDirection,
     ) {
         let inverse = dir == FftDirection::Inverse;
+        // The first stage is never fused: a source other than a slice
+        // compiles no radix-16 body.
+        let Pass::Single(first) = &self.passes[0] else { unreachable!("the first stage is fused") };
         let k = self.passes.len();
         if k == 1 {
-            run_pass(&self.passes[0], input, output, inverse);
+            run_stage(first, input, output, inverse);
             return;
         }
         let scratch = &mut scratch[..self.n];
         // After pass 0 there are k−1 ping-pong hops; parity picks the
         // first destination so the last hop writes `output`.
         let mut in_scratch = k % 2 == 0;
-        run_pass(&self.passes[0], input, if in_scratch { scratch } else { output }, inverse);
+        run_stage(first, input, if in_scratch { scratch } else { output }, inverse);
         for pass in &self.passes[1..] {
             if in_scratch {
                 run_pass(pass, scratch, output, inverse);
@@ -203,40 +208,10 @@ impl<T: Real> IterativeFft<T> {
         debug_assert!(!in_scratch);
     }
 
-    /// Forward transform (unscaled) of a zero-padded series read in place:
-    /// the first pass takes its operands from `src` — the packed signal,
-    /// rounded on load, its embedding zeros never loaded — and the
-    /// remaining passes run as in [`Self::process`].
-    pub(crate) fn forward_padded<P: Real>(
-        &self,
-        src: &PaddedSeries<'_, P>,
-        output: &mut [Complex<T>],
-        scratch: &mut [Complex<T>],
-    ) {
-        debug_assert_eq!(src.nt(), self.n, "a padded series is half the real length");
-        let k = self.passes.len();
-        if k == 1 {
-            first_pass_padded(&self.passes[0], src, output);
-            return;
-        }
-        let scratch = &mut scratch[..self.n];
-        // As in `process`: parity picks pass 0's destination.
-        let mut in_scratch = k % 2 == 0;
-        first_pass_padded(&self.passes[0], src, if in_scratch { scratch } else { output });
-        for pass in &self.passes[1..] {
-            if in_scratch {
-                run_pass(pass, scratch, output, false);
-            } else {
-                run_pass(pass, output, scratch, false);
-            }
-            in_scratch = !in_scratch;
-        }
-    }
-
-    /// Inverse transform (scaled by `1/n`) whose last pass computes only
-    /// the outputs that hold a sample `sink` keeps, scales them and stores
-    /// them through `sink`. `buf` is the input and is clobbered; the
-    /// passes before the last ping-pong between it and `scratch`.
+    /// Inverse transform (scaled by `1/n`) whose last pass writes `sink`:
+    /// only the outputs that hold a sample it keeps are computed, scaled
+    /// and stored. `buf` is the input and is clobbered; the passes before
+    /// the last ping-pong between it and `scratch`.
     pub(crate) fn inverse_unpadded<Q: Real>(
         &self,
         buf: &mut [Complex<T>],
@@ -258,7 +233,7 @@ impl<T: Real> IterativeFft<T> {
             }
         }
         let src = if in_scratch { &scratch[..self.n] } else { &*buf };
-        last_pass_unpadded(last, src, sink, self.n);
+        run_pass(last, src, sink, true);
     }
 
     /// In-place transform (unscaled): `buf` is both input and output.
@@ -304,8 +279,13 @@ fn fuses<T: Real>() -> bool {
     T::BYTES >= 4
 }
 
-/// Execute one pass, reading `src` and writing every element of `dst`.
-fn run_pass<T: Real>(pass: &Pass<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
+/// Execute one pass from `src` into `dst`.
+fn run_pass<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    pass: &Pass<T>,
+    src: &S,
+    dst: &mut D,
+    inverse: bool,
+) {
     match pass {
         Pass::Single(st) => run_stage(st, src, dst, inverse),
         Pass::Radix16(a, b) => {
@@ -318,8 +298,13 @@ fn run_pass<T: Real>(pass: &Pass<T>, src: &[Complex<T>], dst: &mut [Complex<T>],
     }
 }
 
-/// Execute one stage, reading `src` and writing every element of `dst`.
-fn run_stage<T: Real>(st: &Stage<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
+/// Execute one stage from `src` into `dst`.
+fn run_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    st: &Stage<T>,
+    src: &S,
+    dst: &mut D,
+    inverse: bool,
+) {
     if !vector_stage(st, src, dst, inverse) {
         scalar_stage(st, src, dst, inverse);
     }
@@ -327,11 +312,11 @@ fn run_stage<T: Real>(st: &Stage<T>, src: &[Complex<T>], dst: &mut [Complex<T>],
 
 /// Offer a radix-16 pass (stages `a` then `b`) to the vector kernels;
 /// `true` if one executed it.
-fn vector_radix16<T: Real>(
+fn vector_radix16<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     a: &Stage<T>,
     b: &Stage<T>,
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+    src: &S,
+    dst: &mut D,
     inverse: bool,
 ) -> bool {
     crate::simd::pass_radix16(src, dst, b.m, a.s, &a.twiddles, &b.twiddles, inverse)
@@ -341,10 +326,10 @@ fn vector_radix16<T: Real>(
 /// one executed it. They evaluate the expression tree of [`butterfly2`]
 /// / [`butterfly4`] / [`butterfly_odd`] per lane, so which path runs is
 /// unobservable in the output.
-fn vector_stage<T: Real>(
+fn vector_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     st: &Stage<T>,
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+    src: &S,
+    dst: &mut D,
     inverse: bool,
 ) -> bool {
     let (m, s, tw) = (st.m, st.s, &st.twiddles[..]);
@@ -387,44 +372,44 @@ pub(crate) fn twiddles4<T: Real>(
 /// stage — the scalar loop, the vector kernels' remainders and (per lane)
 /// their bodies all evaluate exactly this.
 #[inline(always)]
-pub(crate) fn butterfly2<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn butterfly2<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     (i, sm): (usize, usize),
     (o, s): (usize, usize),
     w: Complex<T>,
 ) {
-    let a = src[i];
-    let b = src[i + sm];
-    dst[o] = a + b;
-    dst[o + s] = (a - b) * w;
+    let a = src.get(i);
+    let b = src.get(i + sm);
+    dst.put(o, a + b);
+    dst.put(o + s, (a - b) * w);
 }
 
 /// One radix-4 butterfly: inputs `src[i + l·sm]`, outputs `dst[o + j·s]`;
 /// the radix-4 counterpart of [`butterfly2`].
 #[inline(always)]
-pub(crate) fn butterfly4<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn butterfly4<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     (i, sm): (usize, usize),
     (o, s): (usize, usize),
     [w1, w2, w3]: [Complex<T>; 3],
     inverse: bool,
 ) {
-    let t0 = src[i];
-    let t1 = src[i + sm];
-    let t2 = src[i + 2 * sm];
-    let t3 = src[i + 3 * sm];
+    let t0 = src.get(i);
+    let t1 = src.get(i + sm);
+    let t2 = src.get(i + 2 * sm);
+    let t3 = src.get(i + 3 * sm);
     let e = t0 + t2;
     let f = t0 - t2;
     let g = t1 + t3;
     let h = t1 - t3;
     // ∓i·h depending on direction.
     let ih = if inverse { Complex::new(-h.im, h.re) } else { Complex::new(h.im, -h.re) };
-    dst[o] = e + g;
-    dst[o + s] = (f + ih) * w1;
-    dst[o + 2 * s] = (e - g) * w2;
-    dst[o + 3 * s] = (f - ih) * w3;
+    dst.put(o, e + g);
+    dst.put(o + s, (f + ih) * w1);
+    dst.put(o + 2 * s, (e - g) * w2);
+    dst.put(o + 3 * s, (f - ih) * w3);
 }
 
 /// One radix-16 butterfly: two layers of [`butterfly4`] through the stack
@@ -435,9 +420,9 @@ pub(crate) fn butterfly4<T: Real>(
 /// the same two trees per lane.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn butterfly16<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn butterfly16<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     (i, sm): (usize, usize),
     (o, s): (usize, usize),
     wa: &[[Complex<T>; 3]; 4],
@@ -446,10 +431,10 @@ pub(crate) fn butterfly16<T: Real>(
     t: &mut [Complex<T>; 16],
 ) {
     for (l, &w) in wa.iter().enumerate() {
-        butterfly4(src, t, (i + sm * l, 4 * sm), (4 * l, 1), w, inverse);
+        butterfly4(src, &mut t[..], (i + sm * l, 4 * sm), (4 * l, 1), w, inverse);
     }
     for j in 0..4 {
-        butterfly4(t, dst, (j, 4), (o + s * j, 4 * s), wb, inverse);
+        butterfly4(&t[..], dst, (j, 4), (o + s * j, 4 * s), wb, inverse);
     }
 }
 
@@ -480,9 +465,9 @@ pub(crate) fn twiddles16<T: Real>(
 /// vector kernel runs the same chain per lane. `t` is the caller's
 /// gather buffer, so a stage zeroes it once, not per butterfly.
 #[inline(always)]
-pub(crate) fn butterfly_odd<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn butterfly_odd<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     (i, sm): (usize, usize),
     (o, s): (usize, usize),
     tw: &[Complex<T>],
@@ -493,13 +478,13 @@ pub(crate) fn butterfly_odd<T: Real>(
     let r = roots.len();
     let conj = |w: Complex<T>| if inverse { w.conj() } else { w };
     for (l, tl) in t[..r].iter_mut().enumerate() {
-        *tl = src[i + sm * l];
+        *tl = src.get(i + sm * l);
     }
     let mut acc = t[0];
     for &tl in &t[1..r] {
         acc += tl;
     }
-    dst[o] = acc;
+    dst.put(o, acc);
     for j in 1..r {
         let mut acc = t[0];
         // x = j·l mod r, stepped instead of divided.
@@ -511,19 +496,20 @@ pub(crate) fn butterfly_odd<T: Real>(
             }
             acc = tl.mul_add(conj(roots[x]), acc);
         }
-        dst[o + s * j] = acc * conj(tw[j - 1]);
+        dst.put(o + s * j, acc * conj(tw[j - 1]));
     }
 }
 
 fma_pass! {
     /// The scalar stage loops: every radix for the portable level, and at
     /// a vector level whatever [`crate::simd`] has no kernel for (the
-    /// 16-bit tiers' odd radices and first stage, odd radices below one
-    /// register of stride).
-    fn scalar_stage<T: Real>(
+    /// 16-bit tiers' odd radices, first stage and passes over a padded or
+    /// unpadded series, odd radices below one register of stride or over
+    /// either series).
+    fn scalar_stage<T: Real, S: ?Sized + Source<T>, D: ?Sized + Sink<T>>(
         st: &Stage<T>,
-        src: &[Complex<T>],
-        dst: &mut [Complex<T>],
+        src: &S,
+        dst: &mut D,
         inverse: bool,
     ) {
         let (r, m, s) = (st.radix, st.m, st.s);
@@ -563,11 +549,11 @@ fma_pass! {
     /// The scalar radix-16 pass (radix-4 stages `a` at stride `s`, then
     /// `b` at `4s`): the portable level's, and wherever no vector kernel
     /// takes the pass.
-    fn scalar_radix16<T: Real>(
+    fn scalar_radix16<T: Real, S: ?Sized + Source<T>, D: ?Sized + Sink<T>>(
         a: &Stage<T>,
         b: &Stage<T>,
-        src: &[Complex<T>],
-        dst: &mut [Complex<T>],
+        src: &S,
+        dst: &mut D,
         inverse: bool,
     ) {
         let (m, s) = (b.m, a.s);
@@ -581,139 +567,11 @@ fma_pass! {
     }
 }
 
-/// Run the first pass of a forward transform with its operands read from
-/// the padded series `src` (the first stage is never fused, so `pass` is
-/// one stage at stride 1): a vector kernel where one takes it, else
-/// [`scalar_first_padded`].
-fn first_pass_padded<T: Real, P: Real>(
-    pass: &Pass<T>,
-    src: &PaddedSeries<'_, P>,
-    dst: &mut [Complex<T>],
-) {
-    let Pass::Single(st) = pass else { unreachable!("the first stage is never fused") };
-    debug_assert_eq!(st.s, 1);
-    let (m, tw) = (st.m, &st.twiddles[..]);
-    let taken = match st.radix {
-        2 => crate::simd::first_radix2_padded(src, dst, m, tw),
-        4 => crate::simd::first_radix4_padded(src, dst, m, tw),
-        _ => false,
-    };
-    if !taken {
-        scalar_first_padded(st, src, dst);
-    }
-}
-
-/// Run the last pass of an inverse transform of length `n` into `sink`:
-/// a vector kernel where one takes it, else [`scalar_last_unpadded`].
-fn last_pass_unpadded<T: Real, Q: Real>(
-    pass: &Pass<T>,
-    src: &[Complex<T>],
-    sink: &mut UnpaddedSeries<Q>,
-    n: usize,
-) {
-    let taken = match pass {
-        Pass::Single(st) if st.radix == 2 => {
-            crate::simd::last_radix2_unpadded(src, sink, st.s, &st.twiddles)
-        }
-        Pass::Single(st) if st.radix == 4 => {
-            crate::simd::last_radix4_unpadded(src, sink, st.s, &st.twiddles)
-        }
-        Pass::Radix16(a, b) => {
-            crate::simd::last_radix16_unpadded(src, sink, a.s, &a.twiddles, &b.twiddles)
-        }
-        _ => false,
-    };
-    if !taken {
-        scalar_last_unpadded(pass, src, sink, n);
-    }
-}
-
-fma_pass! {
-    /// The scalar first pass of a forward transform over a padded series:
-    /// each butterfly gathers its `r` operands from `src` (the embedding's
-    /// `+0` past the live half) onto the stack and runs the stage's
-    /// expression tree on them — the values [`scalar_stage`] computes from
-    /// the padded buffer. Every radix, every tier.
-    fn scalar_first_padded<T: Real, P: Real>(
-        st: &Stage<T>,
-        src: &PaddedSeries<'_, P>,
-        dst: &mut [Complex<T>],
-    ) {
-        let (r, m) = (st.radix, st.m);
-        let mut t = [Complex::<T>::zero(); MAX_RADIX];
-        let mut gather = [Complex::<T>::zero(); MAX_RADIX];
-        for p in 0..m {
-            for (l, tl) in t[..r].iter_mut().enumerate() {
-                *tl = src.packed(p + m * l);
-            }
-            match r {
-                2 => butterfly2(&t, dst, (0, 1), (2 * p, 1), twiddle2(&st.twiddles, p, false)),
-                4 => {
-                    let w = twiddles4(&st.twiddles, m, p, false);
-                    butterfly4(&t, dst, (0, 1), (4 * p, 1), w, false);
-                }
-                _ => {
-                    let tw = &st.twiddles[p * (r - 1)..(p + 1) * (r - 1)];
-                    let roots = &st.radix_roots;
-                    butterfly_odd(&t, dst, (0, 1), (r * p, 1), tw, roots, false, &mut gather);
-                }
-            }
-        }
-    }
-}
-
-fma_pass! {
-    /// The scalar last pass of an inverse transform of length `n` into
-    /// `sink`: each butterfly (one stage or one radix-16 pair, `m = 1`)
-    /// writes its outputs to a stack tile, and only those that hold a kept
-    /// sample are scaled by `1/n` — the multiply of the plan's scaling
-    /// pass, after the butterfly — and stored. Every radix, every tier.
-    fn scalar_last_unpadded<T: Real, Q: Real>(
-        pass: &Pass<T>,
-        src: &[Complex<T>],
-        sink: &mut UnpaddedSeries<Q>,
-        n: usize,
-    ) {
-        let scale = T::from_usize(n).recip();
-        let live = sink.live();
-        let mut tile = [Complex::<T>::zero(); MAX_RADIX];
-        match pass {
-            Pass::Single(st) => {
-                let (r, s, tw) = (st.radix, st.s, &st.twiddles[..]);
-                let mut gather = [Complex::<T>::zero(); MAX_RADIX];
-                for q in 0..s.min(live) {
-                    match r {
-                        2 => butterfly2(src, &mut tile, (q, s), (0, 1), twiddle2(tw, 0, true)),
-                        4 => butterfly4(src, &mut tile, (q, s), (0, 1), twiddles4(tw, 1, 0, true), true),
-                        _ => {
-                            let roots = &st.radix_roots;
-                            butterfly_odd(src, &mut tile, (q, s), (0, 1), tw, roots, true, &mut gather);
-                        }
-                    }
-                    for (j, v) in tile[..r].iter().enumerate().take_while(|&(j, _)| q + s * j < live) {
-                        sink.put_packed(q + s * j, v.scale(scale));
-                    }
-                }
-            }
-            Pass::Radix16(a, b) => {
-                let s = a.s;
-                let (wa, wb) = twiddles16(&a.twiddles, &b.twiddles, 1, 0, true);
-                let mut t = [Complex::<T>::zero(); 16];
-                for q in 0..s.min(live) {
-                    butterfly16(src, &mut tile, (q, s), (0, 1), &wa, wb, true, &mut t);
-                    for (j, v) in tile[..16].iter().enumerate().take_while(|&(j, _)| q + s * j < live) {
-                        sink.put_packed(q + s * j, v.scale(scale));
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft::naive_dft;
+    use crate::padded::PaddedSeries;
     use fftmatvec_numeric::SplitMix64;
 
     type C = Complex<f64>;
@@ -735,7 +593,7 @@ mod tests {
             let x = random_signal(n, n as u64);
             let mut out = vec![C::zero(); n];
             let mut scratch = vec![C::zero(); eng.scratch_len()];
-            eng.process(&x, &mut out, &mut scratch, FftDirection::Forward);
+            eng.process(&x[..], &mut out, &mut scratch, FftDirection::Forward);
             let mut slow = vec![C::zero(); n];
             naive_dft(&x, &mut slow, FftDirection::Forward);
             let err = out.iter().zip(&slow).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
@@ -750,7 +608,7 @@ mod tests {
             let x = random_signal(n, 1 + n as u64);
             let mut out = vec![C::zero(); n];
             let mut scratch = vec![C::zero(); eng.scratch_len()];
-            eng.process(&x, &mut out, &mut scratch, FftDirection::Forward);
+            eng.process(&x[..], &mut out, &mut scratch, FftDirection::Forward);
             let mut buf = x.clone();
             eng.process_inplace(&mut buf, &mut scratch, FftDirection::Forward);
             let err = out.iter().zip(&buf).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
@@ -776,11 +634,11 @@ mod tests {
                 for pass in &eng.passes {
                     let (taken, what) = match pass {
                         Pass::Single(st) => (
-                            vector_stage(st, &src, &mut dst, false),
+                            vector_stage(st, &src[..], &mut dst[..], false),
                             format!("radix-{} stage m={} s={}", st.radix, st.m, st.s),
                         ),
                         Pass::Radix16(a, b) => (
-                            vector_radix16(a, b, &src, &mut dst, false),
+                            vector_radix16(a, b, &src[..], &mut dst[..], false),
                             format!("radix-16 pass m={} s={}", b.m, a.s),
                         ),
                     };
@@ -796,51 +654,75 @@ mod tests {
 
     /// The padded forward's first pass and the unpadded inverse's last
     /// pass of every power-of-two `f32` / `f64` schedule are taken by a
-    /// vector kernel too — contiguous and strided series alike. Vacuous
-    /// when the process runs portable.
+    /// vector stage body too — contiguous and strided series alike. At
+    /// stride 3 the unpadded series gets column 0 only, with the bits the
+    /// scalar body stores: columns 1 and 2 and the slack past the matrix
+    /// keep their NaN sentinel. Vacuous when the process runs portable.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_pow2_padded_pass_is_taken_by_a_vector_kernel() {
         let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        /// The last pass of `eng` from `z` into a fresh `stride`-series
+        /// output of NaNs with slack, by a vector body (`None` if none
+        /// takes it) or by the scalar one.
+        fn last_pass<T: Real>(
+            eng: &IterativeFft<T>,
+            z: &[Complex<T>],
+            stride: usize,
+            vector: bool,
+        ) -> Option<Vec<f64>> {
+            let n = z.len();
+            let mut out = vec![f64::NAN; stride * n + 5];
+            // SAFETY: `out` holds more than `stride·n` elements, borrowed
+            // by nothing else.
+            let sink = &mut unsafe { UnpaddedSeries::<f64>::new(out.as_mut_ptr(), stride, n, 1) };
+            let taken = match (eng.passes.last().unwrap(), vector) {
+                (Pass::Single(st), true) => vector_stage(st, z, sink, true),
+                (Pass::Radix16(a, b), true) => vector_radix16(a, b, z, sink, true),
+                (Pass::Single(st), false) => {
+                    scalar_stage(st, z, sink, true);
+                    true
+                }
+                (Pass::Radix16(a, b), false) => {
+                    scalar_radix16(a, b, z, sink, true);
+                    true
+                }
+            };
+            taken.then_some(out)
+        }
         fn check<T: Real>() {
+            let mut rng = SplitMix64::new(0x9AD);
             for log2 in 3..=13 {
                 let n = 1usize << log2;
                 let eng = IterativeFft::<T>::new(n, &factors_of(n));
                 let x = vec![0.0; 3 * n];
+                let z: Vec<Complex<T>> = (0..n)
+                    .map(|_| {
+                        let mut v = || T::from_f64(rng.uniform(-1.0, 1.0));
+                        Complex::new(v(), v())
+                    })
+                    .collect();
                 for stride in [1, 3] {
                     let src = PaddedSeries::<f64>::new(&x, stride, n);
                     let mut dst = vec![Complex::<T>::zero(); n];
                     let Pass::Single(st) = &eng.passes[0] else { unreachable!("first stage") };
-                    let (m, tw) = (st.m, &st.twiddles[..]);
-                    let taken = match st.radix {
-                        2 => crate::simd::first_radix2_padded(&src, &mut dst, m, tw),
-                        4 => crate::simd::first_radix4_padded(&src, &mut dst, m, tw),
-                        _ => false,
-                    };
+                    let taken = vector_stage(st, &src, &mut dst[..], false);
                     assert!(taken, "n={n} stride {stride}: padded first stage ran scalar");
-                    let mut out = vec![0.0; stride * n];
-                    // SAFETY: `out` holds `stride·n` elements, borrowed by
-                    // nothing else.
-                    let mut sink =
-                        unsafe { UnpaddedSeries::<f64>::new(out.as_mut_ptr(), stride, n) };
-                    let src = vec![Complex::<T>::zero(); n];
-                    let taken = match eng.passes.last().unwrap() {
-                        Pass::Single(st) if st.radix == 2 => {
-                            crate::simd::last_radix2_unpadded(&src, &mut sink, st.s, &st.twiddles)
-                        }
-                        Pass::Single(st) if st.radix == 4 => {
-                            crate::simd::last_radix4_unpadded(&src, &mut sink, st.s, &st.twiddles)
-                        }
-                        Pass::Radix16(a, b) => crate::simd::last_radix16_unpadded(
-                            &src,
-                            &mut sink,
-                            a.s,
-                            &a.twiddles,
-                            &b.twiddles,
-                        ),
-                        Pass::Single(_) => false,
+                    let Some(got) = last_pass(&eng, &z, stride, true) else {
+                        panic!("n={n} stride {stride}: unpadded last pass ran scalar")
                     };
-                    assert!(taken, "n={n} stride {stride}: unpadded last pass ran scalar");
+                    let want = last_pass(&eng, &z, stride, false).unwrap();
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        if i % stride == 0 && i < stride * n {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "n={n} stride {stride}: sample {i}"
+                            );
+                        } else {
+                            assert!(g.is_nan(), "n={n} stride {stride}: element {i} written");
+                        }
+                    }
                 }
             }
         }
@@ -868,7 +750,7 @@ mod tests {
         let mut cur = x.to_vec();
         let mut next = vec![Complex::<T>::zero(); x.len()];
         for st in eng.stages() {
-            run_stage(st, &cur, &mut next, inverse);
+            run_stage(st, &cur[..], &mut next[..], inverse);
             std::mem::swap(&mut cur, &mut next);
         }
         cur
@@ -911,7 +793,7 @@ mod tests {
                     for dir in [FftDirection::Forward, FftDirection::Inverse] {
                         let want = bits(&stage_at_a_time(&eng, x, dir == FftDirection::Inverse));
                         let mut out = vec![Complex::<T>::zero(); n];
-                        eng.process(x, &mut out, &mut scratch, dir);
+                        eng.process(&x[..], &mut out, &mut scratch, dir);
                         assert_eq!(
                             bits(&out),
                             want,

@@ -24,10 +24,176 @@
 //! tier `P` followed by the cast into tier `T`; `Q::from_f64(v.to_f64())`
 //! is the unpad's route. The zeros the first pass reads are the `+0`
 //! values the pad wrote, so every value meets the same expression tree.
+//!
+//! Every stage body of the FFT executors reads a [`Source`] and writes a
+//! [`Sink`]: a slice, or one of the two views. A padded series yields the
+//! embedding's `+0` for every operand past its live half, and an unpadded
+//! series scales each kept output by `1/nt`, routes it and drops the rest.
+//! For an even radix the live half of a stage's input is its operand rows
+//! `l < r/2`, and, in a last stage (`m = 1`), the kept half of its output
+//! is its output rows `j < r/2`; the vector bodies state each row's half
+//! as a constant, so a padded operand is never loaded and a dropped output
+//! is dead code.
 
 use core::marker::PhantomData;
 
+use fftmatvec_numeric::simd::{recast, recast_mut};
 use fftmatvec_numeric::{Complex, Real};
+
+/// What a [`Source`] is, as a stage body reads it. An explicit tag, not a
+/// niche in a pointer, so a stage body's `match` on a source it was
+/// instantiated for folds away.
+#[repr(u8)]
+pub(crate) enum Operands<'a, T, P> {
+    /// Operand `i` is element `i`.
+    Slice(&'a [Complex<T>]),
+    /// Operand `i` is packed value `z[i]` of a padded series, `+0` past
+    /// the live half (the series-in-lanes bodies read the series of a
+    /// group of adjacent columns, one per lane).
+    Padded(PaddedSeries<'a, P>),
+}
+
+/// What a [`Sink`] is, as a stage body writes it (tagged as
+/// [`Operands`]).
+#[repr(u8)]
+pub(crate) enum Outputs<'a, T, Q> {
+    /// Output `o` is element `o`.
+    Slice(&'a mut [Complex<T>]),
+    /// Output `o` is packed value `z[o]` of an unpadded series: kept,
+    /// scaled by `1/nt` and routed when it holds a sample, dropped past
+    /// the live half.
+    Unpadded(&'a mut UnpaddedSeries<Q>),
+}
+
+/// Where a stage of tier `T` reads its operands.
+pub(crate) trait Source<T: Real> {
+    /// The pad tier of a padded series (`f64` for a slice, which has none).
+    type Pad: Real;
+    /// The same source read in tier `U`.
+    type In<U: Real>: Source<U> + ?Sized;
+
+    fn operands(&self) -> Operands<'_, T, Self::Pad>;
+
+    /// This source in tier `U`: `None` for a slice of another tier (a
+    /// padded series reads into any tier).
+    fn tier<U: Real>(&self) -> Option<&Self::In<U>>;
+
+    /// Operands of the stage's input.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        match self.operands() {
+            Operands::Slice(x) => x.len(),
+            Operands::Padded(x) => x.nt(),
+        }
+    }
+
+    /// Operand `i`.
+    #[inline(always)]
+    fn get(&self, i: usize) -> Complex<T> {
+        match self.operands() {
+            Operands::Slice(x) => x[i],
+            Operands::Padded(x) => x.packed(i),
+        }
+    }
+}
+
+/// Where a stage of tier `T` writes its outputs.
+pub(crate) trait Sink<T: Real> {
+    /// The unpad route of an unpadded series (`f64` for a slice).
+    type Route: Real;
+    /// The same sink written in tier `U`.
+    type In<U: Real>: Sink<U> + ?Sized;
+
+    fn outputs(&mut self) -> Outputs<'_, T, Self::Route>;
+
+    /// This sink in tier `U`: `None` for a slice of another tier.
+    fn tier_mut<U: Real>(&mut self) -> Option<&mut Self::In<U>>;
+
+    /// Outputs of the stage.
+    fn len(&self) -> usize;
+
+    /// Output `o`.
+    #[inline(always)]
+    fn put(&mut self, o: usize, v: Complex<T>) {
+        match self.outputs() {
+            Outputs::Slice(x) => x[o] = v,
+            Outputs::Unpadded(x) if o < x.live() => {
+                x.put_packed(o, v.scale(T::from_usize(x.nt()).recip()))
+            }
+            Outputs::Unpadded(_) => {}
+        }
+    }
+}
+
+impl<T: Real> Source<T> for [Complex<T>] {
+    type Pad = f64;
+    type In<U: Real> = [Complex<U>];
+
+    #[inline(always)]
+    fn operands(&self) -> Operands<'_, T, f64> {
+        Operands::Slice(self)
+    }
+
+    #[inline(always)]
+    fn tier<U: Real>(&self) -> Option<&[Complex<U>]> {
+        recast(self)
+    }
+}
+
+impl<'a, T: Real, P: Real> Source<T> for PaddedSeries<'a, P> {
+    type Pad = P;
+    type In<U: Real> = Self;
+
+    #[inline(always)]
+    fn operands(&self) -> Operands<'_, T, P> {
+        Operands::Padded(*self)
+    }
+
+    #[inline(always)]
+    fn tier<U: Real>(&self) -> Option<&Self> {
+        Some(self)
+    }
+}
+
+impl<T: Real> Sink<T> for [Complex<T>] {
+    type Route = f64;
+    type In<U: Real> = [Complex<U>];
+
+    #[inline(always)]
+    fn outputs(&mut self) -> Outputs<'_, T, f64> {
+        Outputs::Slice(self)
+    }
+
+    #[inline(always)]
+    fn tier_mut<U: Real>(&mut self) -> Option<&mut [Complex<U>]> {
+        recast_mut(self)
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        <[Complex<T>]>::len(self)
+    }
+}
+
+impl<T: Real, Q: Real> Sink<T> for UnpaddedSeries<Q> {
+    type Route = Q;
+    type In<U: Real> = Self;
+
+    #[inline(always)]
+    fn outputs(&mut self) -> Outputs<'_, T, Q> {
+        Outputs::Unpadded(self)
+    }
+
+    #[inline(always)]
+    fn tier_mut<U: Real>(&mut self) -> Option<&mut Self> {
+        Some(self)
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.nt
+    }
+}
 
 /// One series of a TOSI `f64` matrix as the packed, zero-padded input of
 /// a real transform of length `2·nt` (see the module docs).
@@ -103,7 +269,11 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
     }
 
     /// Packed value `z[j]` of the padded series: `+0` past the live half.
-    #[inline(always)]
+    /// Out of line: its callers (the scalar stage bodies and remainders,
+    /// the Bluestein gather) are cold at a vector level, the stage bodies
+    /// are instantiated per pad tier, and the inlined 16-bit rounding made
+    /// each copy of them several kilobytes larger.
+    #[inline(never)]
     pub(crate) fn packed<T: Real>(&self, j: usize) -> Complex<T> {
         let t = 2 * j;
         if t + 1 < self.nt {
@@ -123,18 +293,23 @@ pub(crate) struct UnpaddedSeries<Q> {
     out: *mut f64,
     stride: usize,
     nt: usize,
+    /// Adjacent columns writable at every row: the series-in-lanes bodies
+    /// store a group of series, one per lane.
+    cols: usize,
     route: PhantomData<Q>,
 }
 
 impl<Q: Real> UnpaddedSeries<Q> {
-    /// The series whose sample `t < nt` lands in `*out.add(t·stride)`.
+    /// The series whose sample `t < nt` lands in `*out.add(t·stride)`,
+    /// with `cols` adjacent series beside it.
     ///
     /// # Safety
     ///
-    /// `out.add(t·stride)` is valid for writes for every `t < nt`, and
-    /// nothing else reads or writes those elements while the value lives.
-    pub(crate) unsafe fn new(out: *mut f64, stride: usize, nt: usize) -> Self {
-        UnpaddedSeries { out, stride, nt, route: PhantomData }
+    /// `out.add(t·stride + k)` is valid for writes for every `t < nt` and
+    /// `k < cols`, and nothing else reads or writes those elements while
+    /// the value lives.
+    pub(crate) unsafe fn new(out: *mut f64, stride: usize, nt: usize, cols: usize) -> Self {
+        UnpaddedSeries { out, stride, nt, cols, route: PhantomData }
     }
 
     /// Samples per series (the unpadded length).
@@ -147,6 +322,12 @@ impl<Q: Real> UnpaddedSeries<Q> {
     #[inline(always)]
     pub(crate) fn stride(&self) -> usize {
         self.stride
+    }
+
+    /// Adjacent columns writable at every row.
+    #[inline(always)]
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
     }
 
     /// Where sample `t` is stored.
@@ -187,8 +368,9 @@ impl<Q: Real> UnpaddedSeries<Q> {
     }
 
     /// Store the kept samples `2j` and (when `2j + 1 < nt`) `2j + 1` of
-    /// the packed output value `z[j]`, `j < live()`.
-    #[inline(always)]
+    /// the packed output value `z[j]`, `j < live()`. Out of line, as
+    /// [`PaddedSeries::packed`].
+    #[inline(never)]
     pub(crate) fn put_packed<T: Real>(&mut self, j: usize, v: Complex<T>) {
         self.put(2 * j, v.re);
         if 2 * j + 1 < self.nt {
@@ -228,7 +410,7 @@ mod tests {
     fn kept_samples_land_at_their_stride_through_the_route() {
         let mut out = [f64::NAN; 6];
         // SAFETY: t·2 < 6 for t < 3, and `out` is borrowed by nothing else.
-        let mut sink = unsafe { UnpaddedSeries::<f32>::new(out.as_mut_ptr(), 2, 3) };
+        let mut sink = unsafe { UnpaddedSeries::<f32>::new(out.as_mut_ptr(), 2, 3, 1) };
         assert_eq!(sink.live(), 2);
         sink.put_packed(0, Complex::new(1.0 + 2f64.powi(-30), 2.0));
         sink.put_packed(1, Complex::new(3.0, f64::INFINITY));

@@ -219,7 +219,7 @@ impl<T: Real> RealFftPlan<T> {
         with_real!(pad, P => {
             let src = PaddedSeries::<P>::new(input, stride, h);
             match self.half.iterative() {
-                Some(engine) => engine.forward_padded(&src, z, inner_scratch),
+                Some(engine) => engine.process(&src, z, inner_scratch, FftDirection::Forward),
                 None => {
                     for (j, v) in z.iter_mut().enumerate() {
                         *v = src.packed(j);
@@ -314,7 +314,7 @@ impl<T: Real> RealFftPlan<T> {
         let route = if T::PRECISION.widens_exactly_to(unpad) { Precision::Double } else { unpad };
         with_real!(route, Q => {
             // SAFETY: the caller's contract, for `nt = h`.
-            let mut sink = UnpaddedSeries::<Q>::new(output, stride, h);
+            let mut sink = UnpaddedSeries::<Q>::new(output, stride, h, 1);
             match self.half.iterative() {
                 Some(engine) => engine.inverse_unpadded(z, inner_scratch, &mut sink),
                 None => {

@@ -8,7 +8,8 @@
 //! Each `bool` entry point here tries the active SIMD level and returns
 //! `true` only when a vector kernel fully handled the call; `false` means
 //! the caller must run its scalar pass. Dispatch is by `TypeId` on the
-//! concrete [`Real`] type (`fftmatvec_numeric::simd::recast`; the four
+//! concrete [`Real`] type (`Source::tier` / `Sink::tier_mut`, which
+//! recast a slice through `fftmatvec_numeric::simd::recast`; the four
 //! precisions are a closed set) plus
 //! [`fftmatvec_numeric::simd::active_level`].
 //!
@@ -24,31 +25,33 @@
 //!   and transposes its outputs in-register. A radix-16 pass (two fused
 //!   radix-4 stages, `s ≥ 4`) runs lanes across `q` too, with its 16
 //!   intermediates in registers.
-//! * The padded forward's first stage (radix 2 or 4, `f32`/`f64`) runs
-//!   lanes across butterflies like any first stage, loading its live
-//!   operands from the caller's series (one vector load when the samples
-//!   are contiguous, a gather at a stride) and holding the embedding's
-//!   zero operands in a register; the unpadded inverse's last pass
-//!   (radix 2, 4 or 16, `s` of at least one register) runs lanes across
-//!   `q` and computes, scales and stores only the kept outputs.
+//! * Every radix-2/4/16 stage body reads an operand source and writes an
+//!   output sink (`crate::padded::{Source, Sink}`): a slice, or, for the
+//!   padded forward's first stage, a series of the caller's TOSI matrix
+//!   (one vector load when the samples are contiguous, a gather at a
+//!   stride, the embedding's zero operands a register), and for the
+//!   unpadded inverse's last pass (`m = 1`, `s` of at least one register)
+//!   a series the kept outputs are scaled and stored into, the dropped
+//!   ones never computed.
 //! * The batched padded R2C and unpadded C2R (`BatchedRealFft::
 //!   {forward_padded, inverse_unpadded}`) of a group of 4 (`f64`) or 8
 //!   (`f32`) consecutive series — radix-2/4 schedules up to the batch
 //!   driver's crossover length — run with the **series in the lanes**
 //!   ([`Lanes`]): a register holds one real or imaginary part of every
-//!   series in the group, planar. The first stage loads TOSI rows `2j`
-//!   and `2j + 1` as the real and imaginary planes of `z[j]` (rounded
-//!   through the pad tier in the register, the embedding's zeros `+0`
-//!   registers), every stage broadcasts one twiddle per butterfly from the
-//!   plan's stage tables, the unpack / repack move to and from the
-//!   series-major spectra through an in-register transpose, and the
-//!   inverse's last stage stores the kept samples into the TOSI rows.
+//!   series in the group, planar. The same stage body reads TOSI rows
+//!   `2j` and `2j + 1` as the real and imaginary planes of `z[j]` in the
+//!   first stage (rounded through the pad tier in the register, the
+//!   embedding's zeros `+0` registers) and stores the kept samples into
+//!   the TOSI rows in the inverse's last stage; every stage broadcasts one
+//!   twiddle per butterfly from the plan's stage tables, and the unpack /
+//!   repack move to and from the series-major spectra through an
+//!   in-register transpose.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
-//!   radices and first stage, remainders, scaling, Bluestein's chirps —
-//!   is a scalar body defined through
-//!   [`fma_pass`]: one source, instantiated once plainly (the portable
+//!   radices, first stage and passes over a padded or unpadded series,
+//!   remainders, scaling, Bluestein's chirps — is a scalar body defined
+//!   through [`fma_pass`]: one source, instantiated once plainly (the portable
 //!   level, and hosts without FMA) and once inside a
 //!   `#[target_feature(enable = "avx2,fma")]` wrapper, where `mul_add`
 //!   lowers to `vfmadd` instead of a call into libm.
@@ -78,21 +81,22 @@
 //! [`fma_pass`]: fftmatvec_numeric::fma_pass
 
 #[cfg(target_arch = "x86_64")]
-use fftmatvec_numeric::simd::{fma_active, recast, recast_mut};
+use fftmatvec_numeric::simd::fma_active;
 use fftmatvec_numeric::{Complex, Real};
 
-use crate::padded::{PaddedSeries, UnpaddedSeries};
+use crate::padded::{Operands, Outputs, Sink, Source};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 /// Dispatch one kernel call over the closed set of [`Real`] types:
-/// `try_kernels!((inputs…), (outputs…), (extra args…); rows…)`. The first
+/// `try_kernels!((sources…), (sinks…), (extra args…); rows…)`. The first
 /// row `(type, condition, kernel)` whose type *is* `T` and whose
-/// condition holds runs its monomorphic kernel on the slices (recast to
-/// the row's type) and returns `true` from the enclosing function. Every
-/// caller states the extents its kernels rely on as an `assert!` just
-/// above the invocation; the `SAFETY` comment below cites it.
+/// condition holds runs its monomorphic kernel on the sources and sinks
+/// (each in the row's tier: a slice recast, a padded or unpadded series
+/// as it is) and returns `true` from the enclosing function. Every caller
+/// states the extents its kernels rely on as an `assert!` just above the
+/// invocation; the `SAFETY` comment below cites it.
 #[cfg(target_arch = "x86_64")]
 macro_rules! try_kernels {
     ($ins:tt, $outs:tt, $args:tt; $(($u:ty, $takes:expr, $kernel:path)),+ $(,)?) => {
@@ -104,8 +108,8 @@ macro_rules! try_kernels {
      $u:ty, $takes:expr, $kernel:path, $ran:expr) => {
         if $takes {
             if let ($(Some($src),)* $(Some($dst),)*) = (
-                $(recast::<_, Complex<$u>>($src),)*
-                $(recast_mut::<_, Complex<$u>>($dst),)*
+                $($src.tier::<$u>(),)*
+                $($dst.tier_mut::<$u>(),)*
             ) {
                 // SAFETY: avx2 and fma were verified on this host — by
                 // `fma_active` just above, or by the `Lanes` token that
@@ -120,55 +124,77 @@ macro_rules! try_kernels {
 }
 
 /// The one extent precondition of every stage kernel: a radix-`r` stage
-/// reads `r·m·s` elements, writes as many, and owns `(r−1)·m` twiddles.
+/// reads `r·m·s` operands, writes as many, and owns `(r−1)·m` twiddles;
+/// a padded source is read by a first stage (`s = 1`) and an unpadded
+/// sink written by a last one (`m = 1`), whose output rows are the kept
+/// and dropped halves.
 #[inline]
-fn assert_stage_extents(r: usize, (src, dst, tw): (usize, usize, usize), m: usize, s: usize) {
+fn assert_stage_extents<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    r: usize,
+    (src, dst, tw): (&S, &mut D, usize),
+    m: usize,
+    s: usize,
+) {
+    let (reads, writes) = (src.len(), dst.len());
+    let first = s == 1 || matches!(src.operands(), Operands::Slice(_));
+    let last = m == 1 || matches!(dst.outputs(), Outputs::Slice(_));
     assert!(
-        src == r * m * s && dst == src && tw == (r - 1) * m,
-        "radix-{r} stage extents: src {src}, dst {dst}, twiddles {tw} for m = {m}, s = {s}"
+        reads == r * m * s && writes == reads && tw == (r - 1) * m && first && last,
+        "radix-{r} stage extents: src {reads}, dst {writes}, twiddles {tw} for m = {m}, s = {s}"
     );
 }
 
-/// Vectorized radix-2 stage. Returns `false` if no vector kernel applies
-/// (portable level, or a 16-bit tier below one register of stride).
+/// Vectorized radix-2 stage from `src` into `dst`. Returns `false` if no
+/// vector kernel applies (portable level, or a 16-bit tier below one
+/// register of stride or over a padded or unpadded series).
 #[allow(unused_variables)]
-pub(crate) fn stage_radix2<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn stage_radix2<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     m: usize,
     s: usize,
     twiddles: &[Complex<T>],
     inverse: bool,
 ) -> bool {
-    assert_stage_extents(2, (src.len(), dst.len(), twiddles.len()), m, s);
+    assert_stage_extents(2, (src, &mut *dst, twiddles.len()), m, s);
     #[cfg(target_arch = "x86_64")]
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix2),
         (f64, s == 1 || s >= 2, x86::pd::radix2),
-        (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix2_f16),
-        (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix2_bf16),
     );
+    #[cfg(target_arch = "x86_64")]
+    if let (Operands::Slice(src), Outputs::Slice(dst)) = (src.operands(), dst.outputs()) {
+        try_kernels!((src, twiddles), (dst), (m, s, inverse);
+            (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix2_f16),
+            (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix2_bf16),
+        );
+    }
     false
 }
 
 /// Vectorized radix-4 stage; same contract as [`stage_radix2`].
 #[allow(unused_variables)]
-pub(crate) fn stage_radix4<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn stage_radix4<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     m: usize,
     s: usize,
     twiddles: &[Complex<T>],
     inverse: bool,
 ) -> bool {
-    assert_stage_extents(4, (src.len(), dst.len(), twiddles.len()), m, s);
+    assert_stage_extents(4, (src, &mut *dst, twiddles.len()), m, s);
     #[cfg(target_arch = "x86_64")]
     try_kernels!((src, twiddles), (dst), (m, s, inverse);
         (f32, s == 1 || s >= 4, x86::ps::radix4),
         (f64, s == 1 || s >= 2, x86::pd::radix4),
-        (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix4_f16),
-        (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix4_bf16),
     );
+    #[cfg(target_arch = "x86_64")]
+    if let (Operands::Slice(src), Outputs::Slice(dst)) = (src.operands(), dst.outputs()) {
+        try_kernels!((src, twiddles), (dst), (m, s, inverse);
+            (fftmatvec_numeric::half::f16, s >= 4, x86::ps::radix4_f16),
+            (fftmatvec_numeric::half::bf16, s >= 4, x86::ps::radix4_bf16),
+        );
+    }
     false
 }
 
@@ -177,26 +203,17 @@ pub(crate) fn stage_radix4<T: Real>(
 /// one trip through memory. `f32` / `f64` only — the 16-bit plans never
 /// fuse stages. Returns `false` if no vector kernel applies.
 #[allow(unused_variables)]
-pub(crate) fn pass_radix16<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn pass_radix16<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     m: usize,
     s: usize,
     tw_a: &[Complex<T>],
     tw_b: &[Complex<T>],
     inverse: bool,
 ) -> bool {
-    assert!(
-        src.len() == 16 * m * s
-            && dst.len() == src.len()
-            && tw_a.len() == 12 * m
-            && tw_b.len() == 3 * m,
-        "radix-16 pass extents: src {}, dst {}, twiddles {} + {} for m = {m}, s = {s}",
-        src.len(),
-        dst.len(),
-        tw_a.len(),
-        tw_b.len()
-    );
+    assert_stage_extents(16, (src, &mut *dst, tw_a.len() + tw_b.len()), m, s);
+    assert!(tw_b.len() == 3 * m, "radix-16 pass extents: {} second-layer twiddles", tw_b.len());
     #[cfg(target_arch = "x86_64")]
     try_kernels!((src, tw_a, tw_b), (dst), (m, s, inverse);
         (f32, s >= 4, x86::ps::radix16),
@@ -206,11 +223,12 @@ pub(crate) fn pass_radix16<T: Real>(
 }
 
 /// Vectorized table-driven odd-radix stage (`r = roots.len()`, twiddles
-/// in `p·(r−1) + (j−1)` order); same contract as [`stage_radix2`].
+/// in `p·(r−1) + (j−1)` order), slices only; same contract as
+/// [`stage_radix2`].
 #[allow(unused_variables)]
-pub(crate) fn stage_odd<T: Real>(
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+pub(crate) fn stage_odd<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    src: &S,
+    dst: &mut D,
     m: usize,
     s: usize,
     twiddles: &[Complex<T>],
@@ -218,143 +236,14 @@ pub(crate) fn stage_odd<T: Real>(
     inverse: bool,
 ) -> bool {
     assert!(roots.len() <= crate::plan::MAX_RADIX, "odd radix {} past MAX_RADIX", roots.len());
-    assert_stage_extents(roots.len(), (src.len(), dst.len(), twiddles.len()), m, s);
+    assert_stage_extents(roots.len(), (src, &mut *dst, twiddles.len()), m, s);
     #[cfg(target_arch = "x86_64")]
-    try_kernels!((src, twiddles, roots), (dst), (m, s, inverse);
-        (f32, s >= 4, x86::ps::radix_odd),
-        (f64, s >= 2, x86::pd::radix_odd),
-    );
-    false
-}
-
-/// Vectorized first stage of a forward transform over a padded series,
-/// radix 4 (`h = 4m`): operands `l < 2` are live packed values with both
-/// samples present (`nt = h` is even), operands `l ≥ 2` the embedding's
-/// zeros, held in a register instead of loaded. Returns `false` if no
-/// vector kernel applies.
-#[allow(unused_variables)]
-pub(crate) fn first_radix4_padded<T: Real, P: Real>(
-    src: &PaddedSeries<'_, P>,
-    dst: &mut [Complex<T>],
-    m: usize,
-    twiddles: &[Complex<T>],
-) -> bool {
-    assert!(
-        src.nt() == 4 * m && dst.len() == 4 * m && twiddles.len() == 3 * m,
-        "padded radix-4 first stage extents: nt {}, dst {}, twiddles {} for m = {m}",
-        src.nt(),
-        dst.len(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((twiddles), (dst), (src, m);
-        (f32, true, x86::ps::radix4_first_padded),
-        (f64, true, x86::pd::radix4_first_padded),
-    );
-    false
-}
-
-/// Vectorized first stage of a forward transform over a padded series,
-/// radix 2 (`h = 2m`): operand 0 is live, operand 1 the embedding's zero.
-/// Same contract as [`first_radix4_padded`].
-#[allow(unused_variables)]
-pub(crate) fn first_radix2_padded<T: Real, P: Real>(
-    src: &PaddedSeries<'_, P>,
-    dst: &mut [Complex<T>],
-    m: usize,
-    twiddles: &[Complex<T>],
-) -> bool {
-    assert!(
-        src.nt() == 2 * m && dst.len() == 2 * m && twiddles.len() == m,
-        "padded radix-2 first stage extents: nt {}, dst {}, twiddles {} for m = {m}",
-        src.nt(),
-        dst.len(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((twiddles), (dst), (src, m);
-        (f32, true, x86::ps::radix2_first_padded),
-        (f64, true, x86::pd::radix2_first_padded),
-    );
-    false
-}
-
-/// Vectorized last stage of an inverse transform into an unpadded series,
-/// radix 4 at stride `s` (`h = 4s`, `m = 1`): outputs `j < 2` hold the
-/// kept samples and are scaled by `1/h` and stored through `sink`;
-/// outputs `j ≥ 2` are never computed. Returns `false` if no vector
-/// kernel applies (below one register of stride).
-#[allow(unused_variables)]
-pub(crate) fn last_radix4_unpadded<T: Real, Q: Real>(
-    src: &[Complex<T>],
-    sink: &mut UnpaddedSeries<Q>,
-    s: usize,
-    twiddles: &[Complex<T>],
-) -> bool {
-    assert!(
-        src.len() == 4 * s && sink.nt() == 4 * s && twiddles.len() == 3,
-        "unpadded radix-4 last stage extents: src {}, nt {}, twiddles {} for s = {s}",
-        src.len(),
-        sink.nt(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((src, twiddles), (), (&mut *sink, s);
-        (f32, s >= 4, x86::ps::radix4_last_unpadded),
-        (f64, s >= 2, x86::pd::radix4_last_unpadded),
-    );
-    false
-}
-
-/// Vectorized last stage of an inverse transform into an unpadded series,
-/// radix 2 at stride `s` (`h = 2s`): output 0 only. Same contract as
-/// [`last_radix4_unpadded`].
-#[allow(unused_variables)]
-pub(crate) fn last_radix2_unpadded<T: Real, Q: Real>(
-    src: &[Complex<T>],
-    sink: &mut UnpaddedSeries<Q>,
-    s: usize,
-    twiddles: &[Complex<T>],
-) -> bool {
-    assert!(
-        src.len() == 2 * s && sink.nt() == 2 * s && twiddles.len() == 1,
-        "unpadded radix-2 last stage extents: src {}, nt {}, twiddles {} for s = {s}",
-        src.len(),
-        sink.nt(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((src), (), (&mut *sink, s);
-        (f32, s >= 4, x86::ps::radix2_last_unpadded),
-        (f64, s >= 2, x86::pd::radix2_last_unpadded),
-    );
-    false
-}
-
-/// Vectorized last pass of an inverse transform into an unpadded series,
-/// radix 16 (stages at strides `s` and `4s`, `h = 16s`): second-layer
-/// outputs `j' < 2` only. Same contract as [`last_radix4_unpadded`].
-#[allow(unused_variables)]
-pub(crate) fn last_radix16_unpadded<T: Real, Q: Real>(
-    src: &[Complex<T>],
-    sink: &mut UnpaddedSeries<Q>,
-    s: usize,
-    tw_a: &[Complex<T>],
-    tw_b: &[Complex<T>],
-) -> bool {
-    assert!(
-        src.len() == 16 * s && sink.nt() == 16 * s && tw_a.len() == 12 && tw_b.len() == 3,
-        "unpadded radix-16 last pass extents: src {}, nt {}, twiddles {} + {} for s = {s}",
-        src.len(),
-        sink.nt(),
-        tw_a.len(),
-        tw_b.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    try_kernels!((src, tw_a, tw_b), (), (&mut *sink, s);
-        (f32, s >= 4, x86::ps::radix16_last_unpadded),
-        (f64, s >= 2, x86::pd::radix16_last_unpadded),
-    );
+    if let (Operands::Slice(src), Outputs::Slice(dst)) = (src.operands(), dst.outputs()) {
+        try_kernels!((src, twiddles, roots), (dst), (m, s, inverse);
+            (f32, s >= 4, x86::ps::radix_odd),
+            (f64, s >= 2, x86::pd::radix_odd),
+        );
+    }
     false
 }
 
@@ -447,25 +336,33 @@ impl Lanes {
     }
 }
 
-/// Series-in-lanes radix-2/4 stage over planar buffers: the stage of
-/// [`stage_radix2`] / [`stage_radix4`] run for each of the group's series
-/// in its own lane.
+/// Series-in-lanes radix-2/4 stage: the stage of [`stage_radix2`] /
+/// [`stage_radix4`] run for each of the group's series in its own lane.
+/// A slice is a planar buffer; a padded source reads the group's
+/// `lanes.width()` adjacent columns of its rows (the first stage), an
+/// unpadded sink writes them (the last stage, `m = 1`).
 #[allow(unused_variables)]
-pub(crate) fn lanes_stage<T: Real>(
+pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     lanes: Lanes,
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
+    src: &S,
+    dst: &mut D,
     r: usize,
     m: usize,
     s: usize,
     twiddles: &[Complex<T>],
     inverse: bool,
 ) {
+    let n = r * m * s;
+    let reads = match src.operands() {
+        Operands::Slice(x) => x.len() == lanes.planar(n),
+        Operands::Padded(x) => x.nt() == n && (n - 1) * x.stride() + lanes.width() <= x.extent(),
+    };
+    let writes = match dst.outputs() {
+        Outputs::Slice(x) => x.len() == lanes.planar(n),
+        Outputs::Unpadded(x) => x.nt() == n && m == 1 && x.cols() >= lanes.width(),
+    };
     assert!(
-        (r == 2 || r == 4)
-            && src.len() == lanes.planar(r * m * s)
-            && dst.len() == src.len()
-            && twiddles.len() == (r - 1) * m,
+        (r == 2 || r == 4) && reads && writes && twiddles.len() == (r - 1) * m,
         "lanes radix-{r} stage extents: src {}, dst {}, twiddles {} for m = {m}, s = {s}",
         src.len(),
         dst.len(),
@@ -474,74 +371,6 @@ pub(crate) fn lanes_stage<T: Real>(
     #[cfg(target_arch = "x86_64")]
     run_lanes!((src, twiddles), (dst), (r, m, s, inverse);
         x86::ps::lanes_stage, x86::pd::lanes_stage);
-    unreachable!("no lanes token in tier {:?}", T::PRECISION)
-}
-
-/// Series-in-lanes first stage of the forward transforms of a group of
-/// padded series read in place — series `k` of the group is column `k` of
-/// `src`'s rows — into a planar buffer: the stage of
-/// [`first_radix4_padded`] / [`first_radix2_padded`] per lane.
-#[allow(unused_variables)]
-pub(crate) fn lanes_first_padded<T: Real, P: Real>(
-    lanes: Lanes,
-    src: &PaddedSeries<'_, P>,
-    dst: &mut [Complex<T>],
-    r: usize,
-    m: usize,
-    twiddles: &[Complex<T>],
-) {
-    assert!(
-        (r == 2 || r == 4)
-            && src.nt() == r * m
-            && (src.nt() - 1) * src.stride() + lanes.width() <= src.extent()
-            && dst.len() == lanes.planar(r * m)
-            && twiddles.len() == (r - 1) * m,
-        "lanes padded radix-{r} first stage extents: nt {}, stride {}, dst {}, twiddles {} for m = {m}",
-        src.nt(),
-        src.stride(),
-        dst.len(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    run_lanes!((twiddles), (dst), (src, r, m);
-        x86::ps::lanes_first_padded, x86::pd::lanes_first_padded);
-    unreachable!("no lanes token in tier {:?}", T::PRECISION)
-}
-
-/// Series-in-lanes last stage (`m = 1`) of the inverse transforms of a
-/// group into its unpadded rows — series `k` of the group lands in column
-/// `k` of `sink`'s rows: the stage of [`last_radix4_unpadded`] /
-/// [`last_radix2_unpadded`] per lane.
-///
-/// # Safety
-///
-/// `sink` was made for `nt` rows of `lanes.width()` columns:
-/// `out.add(t·stride + k)` is valid for writes for every `t < nt` and `k <
-/// lanes.width()`, and nothing else accesses them during the call.
-#[allow(unused_variables)]
-pub(crate) unsafe fn lanes_last_unpadded<T: Real, Q: Real>(
-    lanes: Lanes,
-    src: &[Complex<T>],
-    sink: &mut UnpaddedSeries<Q>,
-    r: usize,
-    s: usize,
-    twiddles: &[Complex<T>],
-) {
-    assert!(
-        (r == 2 || r == 4)
-            && src.len() == lanes.planar(r * s)
-            && sink.nt() == r * s
-            && sink.stride() >= lanes.width()
-            && twiddles.len() == r - 1,
-        "lanes unpadded radix-{r} last stage extents: src {}, nt {}, stride {}, twiddles {} for s = {s}",
-        src.len(),
-        sink.nt(),
-        sink.stride(),
-        twiddles.len()
-    );
-    #[cfg(target_arch = "x86_64")]
-    run_lanes!((src, twiddles), (), (&mut *sink, r, s);
-        x86::ps::lanes_last_unpadded, x86::pd::lanes_last_unpadded);
     unreachable!("no lanes token in tier {:?}", T::PRECISION)
 }
 
@@ -609,18 +438,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "radix-4 stage extents")]
     fn stage_with_a_short_twiddle_table_is_rejected() {
-        let src = vec![Complex::<f64>::zero(); 16];
-        let mut dst = src.clone();
-        let tw = vec![Complex::<f64>::zero(); 11]; // 3·m = 12 for m = 4
-        stage_radix4(&src, &mut dst, 4, 1, &tw, false);
+        let src = [Complex::<f64>::zero(); 16];
+        let mut dst = src;
+        let tw = [Complex::<f64>::zero(); 11]; // 3·m = 12 for m = 4
+        stage_radix4(&src[..], &mut dst[..], 4, 1, &tw, false);
     }
 
     #[test]
     #[should_panic(expected = "radix-2 stage extents")]
     fn stage_with_a_short_destination_is_rejected() {
-        let src = vec![Complex::<f32>::zero(); 16];
-        let mut dst = vec![Complex::<f32>::zero(); 15];
-        let tw = vec![Complex::<f32>::zero(); 2];
-        stage_radix2(&src, &mut dst, 2, 4, &tw, false);
+        let src = [Complex::<f32>::zero(); 16];
+        let mut dst = [Complex::<f32>::zero(); 15];
+        let tw = [Complex::<f32>::zero(); 2];
+        stage_radix2(&src[..], &mut dst[..], 2, 4, &tw, false);
     }
 }

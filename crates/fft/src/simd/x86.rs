@@ -6,16 +6,25 @@
 //! `swap`, the sign masks, …) and the 16-bit conversions are
 //! `fftmatvec_numeric::simd::x86`'s; only what no other kernel needs is
 //! defined here: three lane shuffles (`reverse`, `store_rows2`,
-//! `store_rows4`), and for the series-in-lanes kernels the real-register
-//! load / store, the TOSI row load / store through a tier and the lane
-//! transpose.
+//! `store_rows4`), the padded and unpadded series' register load and
+//! store (`load_padded`, `put_lanes`), and for the series-in-lanes kernels
+//! the real-register load / store, the TOSI row load / store through a
+//! tier (`load_row`, `store_row`) and the lane transpose.
+//!
+//! The radix-2/4/16 stage bodies of both executors read a
+//! [`Source`](crate::padded::Source) and write a
+//! [`Sink`](crate::padded::Sink) through one pair of helpers each
+//! (`read` / `write`, `zread` / `zwrite`), told at every operand and
+//! output whether it lies in the upper half of its stage: there a padded
+//! series yields a `+0` register, never loaded, and an unpadded series
+//! drops the output, so the tree that computed it is dead code.
 //!
 //! # Safety
 //!
 //! Uniform contract for every function: the caller must guarantee the
-//! host supports AVX2 and FMA, and the slice extents each kernel names —
-//! both are established by the dispatcher in [`super`] (`fma_active`, and
-//! an `assert!` on the extents before every call). Slices are accessed
+//! host supports AVX2 and FMA, and the extents each kernel names — both
+//! are established by the dispatcher in [`super`] (`fma_active`, and an
+//! `assert!` on the extents before every call). Slices are accessed
 //! unaligned through raw pointers.
 #![allow(clippy::missing_safety_doc)]
 
@@ -30,7 +39,7 @@ use fftmatvec_numeric::{Complex, Real};
 use crate::iterative::{
     butterfly16, butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles16, twiddles4,
 };
-use crate::padded::{PaddedSeries, UnpaddedSeries};
+use crate::padded::{Operands, Outputs, PaddedSeries, Sink, Source, UnpaddedSeries};
 use crate::plan::MAX_RADIX;
 use crate::real::{repack_pair, unpack_pair};
 
@@ -55,37 +64,95 @@ macro_rules! op {
     };
 }
 
-/// The kernels, over the vocabulary in scope: `C` (the complex type), `V`
-/// (one register of `LANES` interleaved complex values), `load`/`store`,
-/// `add`/`sub`/`mul`/`xor`/`addsub`, `splat`, `bcast`, `cmul`, `cmuladd`,
-/// `swap`, `neg_re`/`neg_im`, `conj_mask` (conjugates the twiddles of the
-/// inverse transform), and this module's `reverse`,
-/// `store_rows2`/`store_rows4`.
+/// The kernels, over the vocabulary in scope: `F` (the real type), `C`
+/// (the complex type), `V` (one register of `LANES` interleaved complex
+/// values), `load`/`store`, `add`/`sub`/`mul`/`xor`/`addsub`, `splat`,
+/// `bcast`, `cmul`, `cmuladd`, `swap`, `neg_re`/`neg_im`, `conj_mask`
+/// (conjugates the twiddles of the inverse transform), and this module's
+/// `reverse`, `store_rows2`/`store_rows4`, `load_padded`, `put_lanes`.
 macro_rules! native_kernels {
     () => {
+        /// Operands `i..i + LANES` of a stage reading `src`; `upper` says
+        /// they lie in the upper half of the stage's input (operand rows
+        /// `l ≥ r/2`), which a padded series holds as the embedding's `+0`.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn read<S: Source<F> + ?Sized>(src: &S, upper: bool, i: usize) -> V {
+            match src.operands() {
+                Operands::Slice(x) => load(x.as_ptr().add(i)),
+                Operands::Padded(_) if upper => splat(0.0),
+                Operands::Padded(x) => load_padded(&x, i),
+            }
+        }
+
+        /// Store outputs `o..o + LANES` of a stage writing `dst`; `upper`
+        /// says they lie in the upper half of a last stage's output (rows
+        /// `j ≥ r/2`), which an unpadded series drops. It scales the kept
+        /// ones by `sc`, `1/nt` in every lane, after the butterfly.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn write<D: Sink<F> + ?Sized>(dst: &mut D, upper: bool, o: usize, v: V, sc: V) {
+            match dst.outputs() {
+                Outputs::Slice(x) => store(x.as_mut_ptr().add(o), v),
+                Outputs::Unpadded(_) if upper => {}
+                Outputs::Unpadded(x) => put_lanes(x, o, mul(v, sc)),
+            }
+        }
+
+        /// Does a radix-2/4 stage run its lanes across butterflies `p` (a
+        /// first stage, `s = 1`) rather than across `q`? A padded source is
+        /// read by a first stage and an unpadded sink written by a last one
+        /// (`m = 1`), so for them the answer is a constant and the other
+        /// branch is not compiled.
+        #[inline(always)]
+        fn across_p<S: Source<F> + ?Sized, D: Sink<F> + ?Sized>(
+            src: &S,
+            dst: &mut D,
+            s: usize,
+        ) -> bool {
+            match (src.operands(), dst.outputs()) {
+                (Operands::Padded(_), _) => true,
+                (_, Outputs::Unpadded(_)) => false,
+                _ => s == 1,
+            }
+        }
+
+        /// Where a first stage's lanes across butterflies store from output
+        /// `o`: a slice, since an unpadded series runs lanes across `q`
+        /// (`across_p`).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn rows<D: Sink<F> + ?Sized>(dst: &mut D, o: usize) -> *mut C {
+            match dst.outputs() {
+                Outputs::Slice(x) => x.as_mut_ptr().add(o),
+                Outputs::Unpadded(_) => unreachable!("an unpadded series runs lanes across q"),
+            }
+        }
+
         /// Radix-2 Stockham stage, `LANES` butterflies per step: lanes across
         /// `q` for `s ≥ LANES`, across `p` for the first stage (`s == 1`,
         /// outputs transposed in-register). Extents: `src.len() ==
-        /// dst.len() == 2·m·s`, `tw.len() == m`.
+        /// dst.len() == 2·m·s`, `tw.len() == m`, `s == 1` from a padded
+        /// series, `m == 1` into an unpadded one.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix2(
-            src: &[C],
+        pub unsafe fn radix2<S: Source<F> + ?Sized, D: Sink<F> + ?Sized>(
+            src: &S,
             tw: &[C],
-            dst: &mut [C],
+            dst: &mut D,
             m: usize,
             s: usize,
             inverse: bool,
         ) {
-            let (sp, tp, dp) = (src.as_ptr(), tw.as_ptr(), dst.as_mut_ptr());
+            let tp = tw.as_ptr();
             let sm = s * m;
-            if s == 1 {
+            let sc = splat(F::from_usize(2 * sm).recip());
+            if across_p(src, dst, s) {
                 let conj = conj_mask(inverse);
                 let mut p = 0;
                 while p + LANES <= m {
-                    let a = load(sp.add(p));
-                    let b = load(sp.add(m + p));
+                    let (a, b) = (read(src, false, p), read(src, true, m + p));
                     let w = xor(load(tp.add(p)), conj);
-                    store_rows2(dp.add(2 * p), add(a, b), cmul(sub(a, b), w, swap(w)));
+                    store_rows2(rows(dst, 2 * p), add(a, b), cmul(sub(a, b), w, swap(w)));
                     p += LANES;
                 }
                 for p in p..m {
@@ -101,10 +168,9 @@ macro_rules! native_kernels {
                 let o0 = 2 * s * p;
                 let mut q = 0;
                 while q + LANES <= s {
-                    let a = load(sp.add(i0 + q));
-                    let b = load(sp.add(i0 + sm + q));
-                    store(dp.add(o0 + q), add(a, b));
-                    store(dp.add(o0 + s + q), cmul(sub(a, b), w_ri, w_swap));
+                    let (a, b) = (read(src, false, i0 + q), read(src, true, i0 + sm + q));
+                    write(dst, false, o0 + q, add(a, b), sc);
+                    write(dst, true, o0 + s + q, cmul(sub(a, b), w_ri, w_swap), sc);
                     q += LANES;
                 }
                 for q in q..s {
@@ -133,35 +199,37 @@ macro_rules! native_kernels {
         }
 
         /// Radix-4 Stockham stage; same lane geometry as [`radix2`].
-        /// Extents: `src.len() == dst.len() == 4·m·s`, `tw.len() == 3·m`.
+        /// Extents: `src.len() == dst.len() == 4·m·s`, `tw.len() == 3·m`,
+        /// `s == 1` from a padded series, `m == 1` into an unpadded one.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix4(
-            src: &[C],
+        pub unsafe fn radix4<S: Source<F> + ?Sized, D: Sink<F> + ?Sized>(
+            src: &S,
             tw: &[C],
-            dst: &mut [C],
+            dst: &mut D,
             m: usize,
             s: usize,
             inverse: bool,
         ) {
-            let (sp, tp, dp) = (src.as_ptr(), tw.as_ptr(), dst.as_mut_ptr());
+            let tp = tw.as_ptr();
             let sm = s * m;
+            let sc = splat(F::from_usize(4 * sm).recip());
             let ih_mask = if inverse { neg_re() } else { neg_im() };
-            if s == 1 {
+            if across_p(src, dst, s) {
                 let conj = conj_mask(inverse);
                 let mut p = 0;
                 while p + LANES <= m {
                     let t = [
-                        load(sp.add(p)),
-                        load(sp.add(m + p)),
-                        load(sp.add(2 * m + p)),
-                        load(sp.add(3 * m + p)),
+                        read(src, false, p),
+                        read(src, false, m + p),
+                        read(src, true, 2 * m + p),
+                        read(src, true, 3 * m + p),
                     ];
                     let w = [
                         xor(load(tp.add(p)), conj),
                         xor(load(tp.add(m + p)), conj),
                         xor(load(tp.add(2 * m + p)), conj),
                     ];
-                    store_rows4(dp.add(4 * p), butterflies4(t, w, ih_mask));
+                    store_rows4(rows(dst, 4 * p), butterflies4(t, w, ih_mask));
                     p += LANES;
                 }
                 for p in p..m {
@@ -177,16 +245,16 @@ macro_rules! native_kernels {
                 let mut q = 0;
                 while q + LANES <= s {
                     let t = [
-                        load(sp.add(i0 + q)),
-                        load(sp.add(i0 + sm + q)),
-                        load(sp.add(i0 + 2 * sm + q)),
-                        load(sp.add(i0 + 3 * sm + q)),
+                        read(src, false, i0 + q),
+                        read(src, false, i0 + sm + q),
+                        read(src, true, i0 + 2 * sm + q),
+                        read(src, true, i0 + 3 * sm + q),
                     ];
                     let o = butterflies4(t, w, ih_mask);
-                    store(dp.add(o0 + q), o[0]);
-                    store(dp.add(o0 + s + q), o[1]);
-                    store(dp.add(o0 + 2 * s + q), o[2]);
-                    store(dp.add(o0 + 3 * s + q), o[3]);
+                    write(dst, false, o0 + q, o[0], sc);
+                    write(dst, false, o0 + s + q, o[1], sc);
+                    write(dst, true, o0 + 2 * s + q, o[2], sc);
+                    write(dst, true, o0 + 3 * s + q, o[3], sc);
                     q += LANES;
                 }
                 for q in q..s {
@@ -199,19 +267,21 @@ macro_rules! native_kernels {
         /// one trip through memory — `LANES` butterflies per step across `q`
         /// (`s ≥ LANES`): [`butterflies4`] twice per lane, the tree of
         /// [`butterfly16`]. Extents: `src.len() == dst.len() == 16·m·s`,
-        /// `tw_a.len() == 12·m`, `tw_b.len() == 3·m`.
+        /// `tw_a.len() == 12·m`, `tw_b.len() == 3·m`, `m == 1` into an
+        /// unpadded series.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix16(
-            src: &[C],
+        pub unsafe fn radix16<S: Source<F> + ?Sized, D: Sink<F> + ?Sized>(
+            src: &S,
             tw_a: &[C],
             tw_b: &[C],
-            dst: &mut [C],
+            dst: &mut D,
             m: usize,
             s: usize,
             inverse: bool,
         ) {
-            let (sp, ta, tb, dp) = (src.as_ptr(), tw_a.as_ptr(), tw_b.as_ptr(), dst.as_mut_ptr());
+            let (ta, tb) = (tw_a.as_ptr(), tw_b.as_ptr());
             let sm = s * m;
+            let sc = splat(F::from_usize(16 * sm).recip());
             let ih_mask = if inverse { neg_re() } else { neg_im() };
             let conj = conj_mask(inverse);
             // Twiddle `x` of a plane, broadcast straight from the table
@@ -233,17 +303,17 @@ macro_rules! native_kernels {
                     let mut x = [[splat(0.0); 4]; 4];
                     for l in 0..4 {
                         let t = [
-                            load(sp.add(i0 + sm * l + q)),
-                            load(sp.add(i0 + sm * (l + 4) + q)),
-                            load(sp.add(i0 + sm * (l + 8) + q)),
-                            load(sp.add(i0 + sm * (l + 12) + q)),
+                            read(src, false, i0 + sm * l + q),
+                            read(src, false, i0 + sm * (l + 4) + q),
+                            read(src, true, i0 + sm * (l + 8) + q),
+                            read(src, true, i0 + sm * (l + 12) + q),
                         ];
                         x[l] = butterflies4(t, wa[l], ih_mask);
                     }
                     for j in 0..4 {
                         let o = butterflies4([x[0][j], x[1][j], x[2][j], x[3][j]], wb, ih_mask);
                         for (jj, &oj) in o.iter().enumerate() {
-                            store(dp.add(o0 + s * (j + 4 * jj) + q), oj);
+                            write(dst, jj >= 2, o0 + s * (j + 4 * jj) + q, oj, sc);
                         }
                     }
                     q += LANES;
@@ -318,179 +388,6 @@ macro_rules! native_kernels {
                 for q in q..s {
                     let (i, o) = ((i0 + q, sm), (o0 + q, s));
                     butterfly_odd(src, dst, i, o, twp, roots, inverse, &mut t_rest);
-                }
-            }
-        }
-
-        /// First stage of a forward transform over a padded series, radix 4
-        /// (`nt = 4m`), `LANES` butterflies per step across `p` as in
-        /// [`radix4`]'s first stage: operands `l < 2` load (and round) their
-        /// samples straight from `src`, operands `l ≥ 2` are the
-        /// embedding's `+0` in a register, so the tree of [`butterfly4`]
-        /// runs without their loads. Extents: `dst.len() == 4·m`,
-        /// `tw.len() == 3·m`, `src.nt() == 4·m`.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix4_first_padded<P: Real>(
-            tw: &[C],
-            dst: &mut [C],
-            src: &PaddedSeries<'_, P>,
-            m: usize,
-        ) {
-            let (tp, dp) = (tw.as_ptr(), dst.as_mut_ptr());
-            let zero = splat(0.0);
-            let mut p = 0;
-            while p + LANES <= m {
-                let t = [load_padded(src, p), load_padded(src, m + p), zero, zero];
-                let w = [load(tp.add(p)), load(tp.add(m + p)), load(tp.add(2 * m + p))];
-                store_rows4(dp.add(4 * p), butterflies4(t, w, neg_im()));
-                p += LANES;
-            }
-            let mut t = [C::zero(); 4];
-            for p in p..m {
-                t[0] = src.packed(p);
-                t[1] = src.packed(m + p);
-                butterfly4(&t, dst, (0, 1), (4 * p, 1), twiddles4(tw, m, p, false), false);
-            }
-        }
-
-        /// First stage of a forward transform over a padded series, radix 2
-        /// (`nt = 2m`): operand 0 loads, operand 1 is the embedding's `+0`;
-        /// the counterpart of [`radix4_first_padded`] over [`butterfly2`].
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix2_first_padded<P: Real>(
-            tw: &[C],
-            dst: &mut [C],
-            src: &PaddedSeries<'_, P>,
-            m: usize,
-        ) {
-            let (tp, dp) = (tw.as_ptr(), dst.as_mut_ptr());
-            let zero = splat(0.0);
-            let mut p = 0;
-            while p + LANES <= m {
-                let a = load_padded(src, p);
-                let w = load(tp.add(p));
-                store_rows2(dp.add(2 * p), add(a, zero), cmul(sub(a, zero), w, swap(w)));
-                p += LANES;
-            }
-            let mut t = [C::zero(); 2];
-            for p in p..m {
-                t[0] = src.packed(p);
-                butterfly2(&t, dst, (0, 1), (2 * p, 1), twiddle2(tw, p, false));
-            }
-        }
-
-        /// Last stage of an inverse transform into an unpadded series,
-        /// radix 4 at stride `s` (`nt = 4s`, `m = 1`), `LANES` butterflies
-        /// per step across `q`: outputs `j < 2` (the kept samples) are
-        /// scaled by `1/nt` and stored through `sink`; the tree of
-        /// [`butterfly4`] for outputs `j ≥ 2` is dead and never computed.
-        /// Extents: `src.len() == 4·s`, `tw.len() == 3`, `sink.nt() == 4·s`.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix4_last_unpadded<Q: Real>(
-            src: &[C],
-            tw: &[C],
-            sink: &mut UnpaddedSeries<Q>,
-            s: usize,
-        ) {
-            let sp = src.as_ptr();
-            let ws = twiddles4(tw, 1, 0, true);
-            let w = [bcast(ws[0]), bcast(ws[1]), bcast(ws[2])];
-            let scale = F::from_usize(4 * s).recip();
-            let sc = splat(scale);
-            let mut q = 0;
-            while q + LANES <= s {
-                let t = [
-                    load(sp.add(q)),
-                    load(sp.add(s + q)),
-                    load(sp.add(2 * s + q)),
-                    load(sp.add(3 * s + q)),
-                ];
-                let o = butterflies4(t, w, neg_re());
-                put_lanes(sink, q, mul(o[0], sc));
-                put_lanes(sink, s + q, mul(o[1], sc));
-                q += LANES;
-            }
-            let mut tile = [C::zero(); 4];
-            for q in q..s {
-                butterfly4(src, &mut tile, (q, s), (0, 1), ws, true);
-                sink.put_packed(q, tile[0].scale(scale));
-                sink.put_packed(s + q, tile[1].scale(scale));
-            }
-        }
-
-        /// Last stage of an inverse transform into an unpadded series,
-        /// radix 2 at stride `s` (`nt = 2s`): output 0, `a + b`, only; the
-        /// counterpart of [`radix4_last_unpadded`] over [`butterfly2`].
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix2_last_unpadded<Q: Real>(
-            src: &[C],
-            sink: &mut UnpaddedSeries<Q>,
-            s: usize,
-        ) {
-            let sp = src.as_ptr();
-            let scale = F::from_usize(2 * s).recip();
-            let sc = splat(scale);
-            let mut q = 0;
-            while q + LANES <= s {
-                put_lanes(sink, q, mul(add(load(sp.add(q)), load(sp.add(s + q))), sc));
-                q += LANES;
-            }
-            for q in q..s {
-                sink.put_packed(q, (src[q] + src[s + q]).scale(scale));
-            }
-        }
-
-        /// Last pass of an inverse transform into an unpadded series, radix
-        /// 16 (stages at strides `s` and `4s`, `nt = 16s`), `LANES`
-        /// butterflies per step across `q` as in [`radix16`]: second-layer
-        /// outputs `j' < 2` (the kept samples) are scaled by `1/nt` and
-        /// stored through `sink`; the rest are never computed. Extents:
-        /// `src.len() == 16·s`, `tw_a.len() == 12`, `tw_b.len() == 3`,
-        /// `sink.nt() == 16·s`.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn radix16_last_unpadded<Q: Real>(
-            src: &[C],
-            tw_a: &[C],
-            tw_b: &[C],
-            sink: &mut UnpaddedSeries<Q>,
-            s: usize,
-        ) {
-            let sp = src.as_ptr();
-            let ih_mask = neg_re();
-            let (was, wbs) = twiddles16(tw_a, tw_b, 1, 0, true);
-            let mut wa = [[splat(0.0); 3]; 4];
-            for (wl, wsl) in wa.iter_mut().zip(&was) {
-                for (w, &ws) in wl.iter_mut().zip(wsl) {
-                    *w = bcast(ws);
-                }
-            }
-            let wb = [bcast(wbs[0]), bcast(wbs[1]), bcast(wbs[2])];
-            let scale = F::from_usize(16 * s).recip();
-            let sc = splat(scale);
-            let mut q = 0;
-            while q + LANES <= s {
-                let mut x = [[splat(0.0); 4]; 4];
-                for l in 0..4 {
-                    let t = [
-                        load(sp.add(s * l + q)),
-                        load(sp.add(s * (l + 4) + q)),
-                        load(sp.add(s * (l + 8) + q)),
-                        load(sp.add(s * (l + 12) + q)),
-                    ];
-                    x[l] = butterflies4(t, wa[l], ih_mask);
-                }
-                for j in 0..4 {
-                    let o = butterflies4([x[0][j], x[1][j], x[2][j], x[3][j]], wb, ih_mask);
-                    put_lanes(sink, s * j + q, mul(o[0], sc));
-                    put_lanes(sink, s * (j + 4) + q, mul(o[1], sc));
-                }
-                q += LANES;
-            }
-            let (mut tile, mut t) = ([C::zero(); 16], [C::zero(); 16]);
-            for q in q..s {
-                butterfly16(src, &mut tile, (q, s), (0, 1), &was, wbs, true, &mut t);
-                for (j, v) in tile[..8].iter().enumerate() {
-                    sink.put_packed(q + s * j, v.scale(scale));
                 }
             }
         }
@@ -643,6 +540,32 @@ macro_rules! lane_kernels {
             store_row::<Q>(sink.at(2 * i), mul(v.re, k));
             store_row::<Q>(sink.at(2 * i + 1), mul(v.im, k));
         }
+        /// Operand `j` of a stage reading `src` for the group: element `j`
+        /// of a planar buffer, or packed value `z[j]` of the group's padded
+        /// series — `+0` registers when `upper` (see `read`).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zread<S: Source<F> + ?Sized>(src: &S, upper: bool, j: usize) -> Z {
+            match src.operands() {
+                Operands::Slice(x) => zload(x.as_ptr(), j),
+                Operands::Padded(_) if upper => zzero(),
+                Operands::Padded(x) => zload_rows(&x, j),
+            }
+        }
+
+        /// Store output `o` of a stage writing `dst` for the group: element
+        /// `o` of a planar buffer, or, scaled by `k`, the group's unpadded
+        /// rows — nothing when `upper` (see `write`).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zwrite<D: Sink<F> + ?Sized>(dst: &mut D, upper: bool, o: usize, v: Z, k: V) {
+            match dst.outputs() {
+                Outputs::Slice(x) => zstore(x.as_mut_ptr(), o, v),
+                Outputs::Unpadded(_) if upper => {}
+                Outputs::Unpadded(x) => zput_rows(x, o, v, k),
+            }
+        }
+
         op! {
             /// Twiddle triple `w` broadcast into lanes.
             fn zbcast3(w: [C; 3]) -> [Z; 3] { [zbcast(w[0]), zbcast(w[1]), zbcast(w[2])] }
@@ -660,105 +583,79 @@ macro_rules! lane_kernels {
             }
         }
 
-        /// Radix-2/4 Stockham stage over planar buffers, `SERIES` series
-        /// per butterfly, each butterfly's twiddles broadcast from the stage
-        /// table (conjugated for the inverse). Extents: `src.len() ==
-        /// dst.len() == SERIES·r·m·s`, `tw.len() == (r−1)·m`, `r ∈ {2, 4}`.
+        /// Radix-2/4 Stockham stage for a group, `SERIES` series per
+        /// butterfly, each butterfly's twiddles broadcast from the stage
+        /// table (conjugated for the inverse): from a planar buffer or the
+        /// group's padded series, into a planar buffer or the group's
+        /// unpadded rows. Extents: `src.len() == dst.len() == r·m·s`
+        /// elements (`SERIES` slots each in a planar buffer), `tw.len() ==
+        /// (r−1)·m`, `r ∈ {2, 4}`; `SERIES` adjacent columns readable and
+        /// writable at every row of a padded or unpadded series, and `m ==
+        /// 1` into the latter.
         #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn lanes_stage(
-            src: &[C],
+        pub unsafe fn lanes_stage<S: Source<F> + ?Sized, D: Sink<F> + ?Sized>(
+            src: &S,
             tw: &[C],
-            dst: &mut [C],
+            dst: &mut D,
             r: usize,
             m: usize,
             s: usize,
             inverse: bool,
         ) {
-            let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-            let sm = s * m;
+            // The direction is a constant in the body, so a stage folds its
+            // conjugations and sign flips (the forward's first stage and the
+            // inverse's last are in one direction only).
+            if inverse {
+                lanes_stage_in::<S, D, true>(src, tw, dst, r, m, s)
+            } else {
+                lanes_stage_in::<S, D, false>(src, tw, dst, r, m, s)
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn lanes_stage_in<S: Source<F> + ?Sized, D: Sink<F> + ?Sized, const INVERSE: bool>(
+            src: &S,
+            tw: &[C],
+            dst: &mut D,
+            r: usize,
+            m: usize,
+            s: usize,
+        ) {
+            let (sm, inverse) = (s * m, INVERSE);
+            let k = splat(F::from_usize(r * sm).recip());
             for p in 0..m {
                 let (i0, o0) = (s * p, r * s * p);
                 if r == 4 {
-                    let w = zbcast3(twiddles4(tw, m, p, inverse));
-                    for q in 0..s {
+                    let twiddles = || zbcast3(twiddles4(tw, m, p, inverse));
+                    let mut butterfly = |q: usize, w: [Z; 3]| {
                         let i = i0 + q;
-                        let t = [zload(sp, i), zload(sp, i + sm), zload(sp, i + 2 * sm), zload(sp, i + 3 * sm)];
+                        let t = [
+                            zread(src, false, i),
+                            zread(src, false, i + sm),
+                            zread(src, true, i + 2 * sm),
+                            zread(src, true, i + 3 * sm),
+                        ];
                         let o = zbutterfly4(t, w, inverse);
                         for (j, &oj) in o.iter().enumerate() {
-                            zstore(dp, o0 + q + j * s, oj);
+                            zwrite(dst, j >= 2, o0 + q + j * s, oj, k);
                         }
+                    };
+                    // A first stage (`s = 1`) has no inner loop to hoist its
+                    // twiddles out of: they are broadcast where they are used.
+                    if s == 1 {
+                        butterfly(0, twiddles())
+                    } else {
+                        let w = twiddles();
+                        (0..s).for_each(|q| butterfly(q, w))
                     }
                 } else {
                     let w = zbcast(twiddle2(tw, p, inverse));
                     for q in 0..s {
-                        let (a, b) = (zload(sp, i0 + q), zload(sp, i0 + sm + q));
-                        zstore(dp, o0 + q, zadd(a, b));
-                        zstore(dp, o0 + s + q, zmul(zsub(a, b), w));
+                        let (a, b) = (zread(src, false, i0 + q), zread(src, true, i0 + sm + q));
+                        zwrite(dst, false, o0 + q, zadd(a, b), k);
+                        zwrite(dst, true, o0 + s + q, zmul(zsub(a, b), w), k);
                     }
-                }
-            }
-        }
-
-        /// First stage (`s = 1`) of the forward transforms of a group of
-        /// padded series read in place: operand `l` of butterfly `p` is
-        /// packed value `p + m·l`, loaded from the group's TOSI rows for the
-        /// live half and the embedding's `+0` register past it — the tree of
-        /// [`butterfly4`] / [`butterfly2`] per lane on the padded buffer's
-        /// values. Extents: `dst.len() == SERIES·r·m`, `tw.len() ==
-        /// (r−1)·m`, `src.nt() == r·m`, and `SERIES` consecutive samples
-        /// readable at every row.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn lanes_first_padded<P: Real>(
-            tw: &[C],
-            dst: &mut [C],
-            src: &PaddedSeries<'_, P>,
-            r: usize,
-            m: usize,
-        ) {
-            let dp = dst.as_mut_ptr();
-            let zero = zzero();
-            for p in 0..m {
-                if r == 4 {
-                    let t = [zload_rows(src, p), zload_rows(src, m + p), zero, zero];
-                    let o = zbutterfly4(t, zbcast3(twiddles4(tw, m, p, false)), false);
-                    for (j, &oj) in o.iter().enumerate() {
-                        zstore(dp, 4 * p + j, oj);
-                    }
-                } else {
-                    let a = zload_rows(src, p);
-                    zstore(dp, 2 * p, zadd(a, zero));
-                    zstore(dp, 2 * p + 1, zmul(zsub(a, zero), zbcast(twiddle2(tw, p, false))));
-                }
-            }
-        }
-
-        /// Last stage (`m = 1`, stride `s`) of the inverse transforms of a
-        /// group into its unpadded TOSI rows: only the outputs that hold a
-        /// kept sample (`j < r/2`) are stored, scaled by `1/(r·s)` after the
-        /// butterfly; the rest of the tree is dead. Extents: `src.len() ==
-        /// SERIES·r·s`, `tw.len() == r − 1`, `sink.nt() == r·s`, and
-        /// `SERIES` consecutive samples writable at every row.
-        #[target_feature(enable = "avx2,fma")]
-        pub unsafe fn lanes_last_unpadded<Q: Real>(
-            src: &[C],
-            tw: &[C],
-            sink: &mut UnpaddedSeries<Q>,
-            r: usize,
-            s: usize,
-        ) {
-            let sp = src.as_ptr();
-            let k = splat(F::from_usize(r * s).recip());
-            if r == 4 {
-                let w = zbcast3(twiddles4(tw, 1, 0, true));
-                for q in 0..s {
-                    let t = [zload(sp, q), zload(sp, s + q), zload(sp, 2 * s + q), zload(sp, 3 * s + q)];
-                    let o = zbutterfly4(t, w, true);
-                    zput_rows(sink, q, o[0], k);
-                    zput_rows(sink, s + q, o[1], k);
-                }
-            } else {
-                for q in 0..s {
-                    zput_rows(sink, q, zadd(zload(sp, q), zload(sp, s + q)), k);
                 }
             }
         }

@@ -194,24 +194,26 @@ pub fn fma_active() -> bool {
 ///
 /// Everything the body calls must be `#[inline(always)]` (the `Real` /
 /// `Complex` / `Scalar` arithmetic is) so that it is compiled in the
-/// wrapper's context. Each bound is one trait path (`Real`, `Scalar`);
-/// a pass may take several type parameters (`<T: Real, P: Real>`).
+/// wrapper's context. Each bound is one trait path (`Real`, `Scalar`),
+/// optionally after `?Sized +`; a pass may take several type parameters
+/// (`<T: Real, P: Real>`, `<T: Real, S: ?Sized + Source<T>>`).
 #[macro_export]
 macro_rules! fma_pass {
     (
         $(#[$meta:meta])*
-        $vis:vis fn $name:ident<$($T:ident: $bound:path),+>($($arg:ident: $ty:ty),* $(,)?)
-        $(-> $ret:ty)? $body:block
+        $vis:vis fn $name:ident<$($T:ident: $(?$unsized:ident +)? $bound:path),+>(
+            $($arg:ident: $ty:ty),* $(,)?
+        ) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$meta])*
-        $vis fn $name<$($T: $bound),+>($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name<$($T: $(?$unsized +)? $bound),+>($($arg: $ty),*) $(-> $ret)? {
             #[inline(always)]
-            fn body<$($T: $bound),+>($($arg: $ty),*) $(-> $ret)? $body
+            fn body<$($T: $(?$unsized +)? $bound),+>($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2,fma")]
-                unsafe fn fma<$($T: $bound),+>($($arg: $ty),*) $(-> $ret)? {
+                unsafe fn fma<$($T: $(?$unsized +)? $bound),+>($($arg: $ty),*) $(-> $ret)? {
                     body($($arg),*)
                 }
                 if $crate::simd::fma_active() {
