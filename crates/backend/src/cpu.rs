@@ -65,6 +65,23 @@ impl<T: Real> CpuFft<T> {
     }
 }
 
+/// The payload of `$buf` when it is the `$variant` tier, else a typed
+/// tier mismatch naming `$what` returned from the enclosing function.
+macro_rules! tiered {
+    ($buf:expr, $variant:path, $tier:expr, $what:literal) => {
+        match $buf {
+            $variant(v) => v,
+            other => {
+                return Err(BackendError::TierMismatch {
+                    what: $what,
+                    expected: $tier,
+                    got: other.precision(),
+                })
+            }
+        }
+    };
+}
+
 macro_rules! impl_cpu_fft {
     ($ty:ty, $rvar:ident, $cvar:ident, $handle:expr) => {
         impl BatchFft for CpuFft<$ty> {
@@ -81,26 +98,9 @@ macro_rules! impl_cpu_fft {
                 input: &RealBuffer,
                 output: &mut ComplexBuffer,
             ) -> Result<(), BackendError> {
-                let v = match input {
-                    RealBuffer::$rvar(v) => v,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched FFT forward input",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
-                let s = match output {
-                    ComplexBuffer::$cvar(s) => s,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched FFT forward output",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
+                let v = tiered!(input, RealBuffer::$rvar, self.tier, "batched FFT forward input");
+                let s =
+                    tiered!(output, ComplexBuffer::$cvar, self.tier, "batched FFT forward output");
                 check_batch_lens(self.n, self.spectrum_len(), v.len(), s.len())?;
                 self.engine.forward_batch(v, s);
                 Ok(())
@@ -111,26 +111,9 @@ macro_rules! impl_cpu_fft {
                 spectrum: &ComplexBuffer,
                 output: &mut RealBuffer,
             ) -> Result<(), BackendError> {
-                let s = match spectrum {
-                    ComplexBuffer::$cvar(s) => s,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched FFT inverse input",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
-                let v = match output {
-                    RealBuffer::$rvar(v) => v,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched FFT inverse output",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
+                let s =
+                    tiered!(spectrum, ComplexBuffer::$cvar, self.tier, "batched FFT inverse input");
+                let v = tiered!(output, RealBuffer::$rvar, self.tier, "batched FFT inverse output");
                 check_batch_lens(self.n, self.spectrum_len(), v.len(), s.len())?;
                 self.engine.inverse_batch(s, v);
                 Ok(())
@@ -143,16 +126,12 @@ macro_rules! impl_cpu_fft {
                 pad: Precision,
                 output: &mut ComplexBuffer,
             ) -> Result<(), BackendError> {
-                let s = match output {
-                    ComplexBuffer::$cvar(s) => s,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched padded FFT forward output",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
+                let s = tiered!(
+                    output,
+                    ComplexBuffer::$cvar,
+                    self.tier,
+                    "batched padded FFT forward output"
+                );
                 check_tosi_lens(self.n / 2, n_series, input.len())?;
                 check_batch_lens(self.n, self.spectrum_len(), n_series * self.n, s.len())?;
                 self.engine.forward_padded(input, n_series, pad, s);
@@ -165,16 +144,12 @@ macro_rules! impl_cpu_fft {
                 unpad: Precision,
                 output: &mut [f64],
             ) -> Result<(), BackendError> {
-                let s = match spectrum {
-                    ComplexBuffer::$cvar(s) => s,
-                    other => {
-                        return Err(BackendError::TierMismatch {
-                            what: "batched unpadded FFT inverse input",
-                            expected: self.tier,
-                            got: other.precision(),
-                        })
-                    }
-                };
+                let s = tiered!(
+                    spectrum,
+                    ComplexBuffer::$cvar,
+                    self.tier,
+                    "batched unpadded FFT inverse input"
+                );
                 let batch = s.len() / self.spectrum_len();
                 check_batch_lens(self.n, self.spectrum_len(), batch * self.n, s.len())?;
                 check_tosi_lens(self.n / 2, batch, output.len())?;
@@ -234,35 +209,6 @@ fn check_tosi_lens(nt: usize, n_series: usize, len: usize) -> Result<(), Backend
     Ok(())
 }
 
-/// Construct the tier-matched CPU FFT handle.
-fn new_cpu_fft(p: Precision, n: usize) -> Arc<dyn BatchFft> {
-    match p {
-        Precision::Half => Arc::new(CpuFft::<f16>::new(p, n)),
-        Precision::BFloat16 => Arc::new(CpuFft::<bf16>::new(p, n)),
-        Precision::Single => Arc::new(CpuFft::<f32>::new(p, n)),
-        Precision::Double => Arc::new(CpuFft::<f64>::new(p, n)),
-    }
-}
-
-/// Deterministic tree reduction of the `flat.len()/len` parts into
-/// `flat[..len]`.
-fn tree_reduce_impl(flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
-    if len == 0 || flat.len() % len != 0 {
-        return Err(BackendError::LengthMismatch {
-            what: "tree-reduce buffer (whole parts required)",
-            expected: len,
-            got: flat.len(),
-        });
-    }
-    match flat {
-        RealBuffer::F16(v) => tree_reduce_sum_in_place(v, len),
-        RealBuffer::BF16(v) => tree_reduce_sum_in_place(v, len),
-        RealBuffer::F32(v) => tree_reduce_sum_in_place(v, len),
-        RealBuffer::F64(v) => tree_reduce_sum_in_place(v, len),
-    }
-    Ok(())
-}
-
 impl DeviceBackend for CpuPool {
     fn kind(&self) -> BackendKind {
         BackendKind::Cpu
@@ -298,8 +244,14 @@ impl DeviceBackend for CpuPool {
         self.bytes_down.store(0, Ordering::Relaxed);
     }
 
+    /// The tier-matched CPU FFT handle.
     fn real_fft(&self, p: Precision, n: usize) -> Result<Arc<dyn BatchFft>, BackendError> {
-        Ok(new_cpu_fft(p, n))
+        Ok(match p {
+            Precision::Half => Arc::new(CpuFft::<f16>::new(p, n)),
+            Precision::BFloat16 => Arc::new(CpuFft::<bf16>::new(p, n)),
+            Precision::Single => Arc::new(CpuFft::<f32>::new(p, n)),
+            Precision::Double => Arc::new(CpuFft::<f64>::new(p, n)),
+        })
     }
 
     fn pointwise_multiply(
@@ -351,8 +303,23 @@ impl DeviceBackend for CpuPool {
         Ok(())
     }
 
+    /// Deterministic tree reduction of the `flat.len()/len` parts into
+    /// `flat[..len]`.
     fn tree_reduce(&self, flat: &mut RealBuffer, len: usize) -> Result<(), BackendError> {
-        tree_reduce_impl(flat, len)
+        if len == 0 || flat.len() % len != 0 {
+            return Err(BackendError::LengthMismatch {
+                what: "tree-reduce buffer (whole parts required)",
+                expected: len,
+                got: flat.len(),
+            });
+        }
+        match flat {
+            RealBuffer::F16(v) => tree_reduce_sum_in_place(v, len),
+            RealBuffer::BF16(v) => tree_reduce_sum_in_place(v, len),
+            RealBuffer::F32(v) => tree_reduce_sum_in_place(v, len),
+            RealBuffer::F64(v) => tree_reduce_sum_in_place(v, len),
+        }
+        Ok(())
     }
 }
 

@@ -33,14 +33,16 @@
 //! * `-quick` — short samples (the CI smoke mode)
 //! * `-out <path>` — write the JSON document (default `BENCH_fft.json`)
 //! * `-check <path>` — compare against a baseline document; exits
-//!   non-zero on any iterative entry regressing past the tolerance
+//!   non-zero on any iterative entry regressing past the tolerance, and
+//!   with 2 before measuring if a batched baseline row was measured at
+//!   another pool width than this run's (`RAYON_NUM_THREADS`)
 //! * `-tol <x>` — regression budget for `-check` (default 1.25 = +25%)
 
 use std::hint::black_box;
 
 use fftmatvec_bench::record::{self, Record, FFT};
 use fftmatvec_bench::timing::time_pair_ns;
-use fftmatvec_bench::Args;
+use fftmatvec_bench::{die, Args};
 use fftmatvec_fft::{cache, BatchedRealFft, FftDirection, RecursiveFftPlan};
 use fftmatvec_numeric::{bf16, f16, Complex, Precision, Real, SplitMix64};
 
@@ -174,8 +176,33 @@ fn measure_batched<T: Real>(
     }
 }
 
+/// Refuse a `-check` baseline whose batched rows were measured at another
+/// pool width than this run: a batch above the parallel threshold (the
+/// 256-series rows) runs its groups on every pool thread, so its ratio
+/// means something else at another width. Exits 2, naming both widths.
+fn require_baseline_pool_width(args: &Args) {
+    let check: String = args.get("check", String::new());
+    if check.is_empty() {
+        return;
+    }
+    let text = std::fs::read_to_string(&check)
+        .unwrap_or_else(|e| die(format!("reading baseline {check}: {e}")));
+    let threads = rayon::current_num_threads();
+    for row in FFT.parse_document(&text) {
+        let width = FFT.num(&row, "threads") as usize;
+        if FFT.render(&row, "transform") != "c2c" && width != threads {
+            die(format!(
+                "unusable baseline {check}: batched row {} was measured at {width} pool \
+                 threads, this run has {threads} (set RAYON_NUM_THREADS={width})",
+                FFT.key_of(&row)
+            ));
+        }
+    }
+}
+
 fn main() {
     let args = Args::from_env();
+    require_baseline_pool_width(&args);
     let quick = args.has("quick");
     let (samples, sample_ms) = if quick { (7, 10.0) } else { (15, 20.0) };
 

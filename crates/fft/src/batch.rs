@@ -4,24 +4,31 @@
 //! (phase 4: `N_d` series). The batched drivers here run every series
 //! through one cached plan (see [`crate::cache`]) and draw per-worker
 //! scratch vectors from a [`WorkspacePool`] instead of allocating per
-//! call. Above a size threshold the batch dimension is split across the
-//! rayon pool's work chunks; `for_each_init` builds one pool checkout
-//! per executed chunk (real-rayon semantics: roughly one per
-//! participating worker, never one shared guard for the whole batch), so
-//! at most one scratch buffer per concurrently-running worker is live at
-//! a time. Chunk boundaries depend only on the batch size — not the
-//! thread count — and every transform writes a disjoint output slice, so
-//! batched results are byte-identical at any `RAYON_NUM_THREADS`.
+//! call. Every driver cuts its batch into chunks and walks them through
+//! one pair of helpers (`for_each_chunk` / `for_each_chunk_mut`, for a
+//! shared or an exclusive batch) behind one serial/parallel decision.
+//! Above a size threshold the chunks are split across the rayon pool's
+//! work chunks; `for_each_init` builds one worker state per executed
+//! chunk (real-rayon semantics: roughly one per participating worker,
+//! never one shared guard for the whole batch), so at most one scratch
+//! buffer per concurrently-running worker is live at a time. Below it one
+//! state serves a serial loop. Chunk boundaries depend only on the batch
+//! size — not the thread count — and every transform writes a disjoint
+//! output, so batched results are byte-identical at any
+//! `RAYON_NUM_THREADS`.
 //!
 //! The padded entry points of [`BatchedRealFft`] — the block-triangular
-//! apply's FFT and IFFT phases — run short `f32` / `f64` power-of-two
-//! transforms with the **series in the SIMD lanes**: each group of 4
+//! apply's FFT and IFFT phases — choose a group width once per call and
+//! run every group through one body. Short `f32` / `f64` power-of-two
+//! transforms run with the **series in the SIMD lanes**: each group of 4
 //! (`f64`) or 8 (`f32`) consecutive series runs its transforms together,
 //! one register per real or imaginary part of a value (see
 //! `crate::simd`), read from and written to the TOSI matrix in place.
 //! Lanes run across series only, so every series gets the bits of its
-//! own per-series transform; remainders, other tiers and lengths, and
-//! longer transforms run per series.
+//! own per-series transform. Other batches run per series: one series per
+//! group, in place, up to `STAGE` series, and groups of `STAGE` through a
+//! staging block beyond; the lanes path's remainder group stages too.
+//! Only a group that stages checks a staging block out.
 
 use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
@@ -38,6 +45,46 @@ use crate::simd::{self, Lanes};
 /// Work below this many complex elements stays serial; smaller batches
 /// are dominated by thread-pool dispatch.
 const PAR_THRESHOLD: usize = 1 << 14;
+
+/// The one serial/parallel decision: does a batch of `work` elements
+/// (series × transform length) go to the pool?
+fn parallel(work: usize) -> bool {
+    work > PAR_THRESHOLD
+}
+
+/// Run `op` on every `(index, chunk)` of `data` cut into chunks of `len`,
+/// with worker states from `init`: one per executed work chunk of the
+/// pool when [`parallel`]`(work)`, else one for a serial loop.
+fn for_each_chunk<E: Sync, S: Send>(
+    work: usize,
+    data: &[E],
+    len: usize,
+    init: impl Fn() -> S + Sync + Send,
+    op: impl Fn(&mut S, (usize, &[E])) + Sync + Send,
+) {
+    if parallel(work) {
+        data.par_chunks(len).enumerate().for_each_init(init, op);
+    } else {
+        let mut state = init();
+        data.chunks(len).enumerate().for_each(|item| op(&mut state, item));
+    }
+}
+
+/// [`for_each_chunk`] over a batch the chunks write.
+fn for_each_chunk_mut<E: Send, S: Send>(
+    work: usize,
+    data: &mut [E],
+    len: usize,
+    init: impl Fn() -> S + Sync + Send,
+    op: impl Fn(&mut S, (usize, &mut [E])) + Sync + Send,
+) {
+    if parallel(work) {
+        data.par_chunks_mut(len).enumerate().for_each_init(init, op);
+    } else {
+        let mut state = init();
+        data.chunks_mut(len).enumerate().for_each(|item| op(&mut state, item));
+    }
+}
 
 /// Per-worker scratch vectors of one batched driver.
 type ScratchPool<T> = WorkspacePool<Vec<Complex<T>>>;
@@ -98,17 +145,10 @@ impl<T: Real> BatchedFft<T> {
         let n = self.plan.len();
         assert_eq!(input.len(), output.len(), "batched FFT in/out length mismatch");
         assert_eq!(input.len() % n, 0, "batched FFT length not a multiple of n");
-        if input.len() > PAR_THRESHOLD {
-            input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(n)).for_each_init(
-                || scratch(&self.pool, self.plan.scratch_len()),
-                |scratch, (i, o)| self.plan.process(i, o, scratch.ws(), dir),
-            );
-            return;
-        }
-        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-        for (i, o) in input.chunks_exact(n).zip(output.chunks_exact_mut(n)) {
-            self.plan.process(i, o, scratch.ws(), dir);
-        }
+        let init = || scratch(&self.pool, self.plan.scratch_len());
+        for_each_chunk_mut(input.len(), output, n, init, |scratch, (b, o)| {
+            self.plan.process(&input[b * n..][..n], o, scratch.ws(), dir)
+        });
     }
 
     /// In-place batched transform: each `data[b*n..][..n]` chunk is
@@ -117,17 +157,10 @@ impl<T: Real> BatchedFft<T> {
     pub fn process_batch_inplace(&self, data: &mut [Complex<T>], dir: FftDirection) {
         let n = self.plan.len();
         assert_eq!(data.len() % n, 0, "batched FFT length not a multiple of n");
-        if data.len() > PAR_THRESHOLD {
-            data.par_chunks_exact_mut(n).for_each_init(
-                || scratch(&self.pool, self.plan.scratch_len()),
-                |scratch, chunk| self.plan.process_inplace(chunk, scratch.ws(), dir),
-            );
-            return;
-        }
-        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-        for chunk in data.chunks_exact_mut(n) {
-            self.plan.process_inplace(chunk, scratch.ws(), dir);
-        }
+        let init = || scratch(&self.pool, self.plan.scratch_len());
+        for_each_chunk_mut(data.len(), data, n, init, |scratch, (_, chunk)| {
+            self.plan.process_inplace(chunk, scratch.ws(), dir)
+        });
     }
 
     /// Allocating forward batch.
@@ -149,26 +182,34 @@ impl<T: Real> BatchedFft<T> {
 pub struct BatchedRealFft<T: Real> {
     plan: RealPlanHandle<T>,
     pool: ScratchPool<T>,
-    /// Per-worker staging blocks of the padded entry points.
+    /// Per-worker staging blocks of the padded entry points' staged
+    /// groups.
     stage: WorkspacePool<Vec<f64>>,
     /// May the padded entry points take the series-in-lanes path?
     lanes: bool,
 }
 
-/// Series per group of the padded entry points' per-series driver (the
-/// lanes path has its own groups, [`Lanes::width`]). A batch of at most
-/// this many series is read and written in place, at its own stride; a
-/// wider one runs in groups whose columns are moved through a staging
-/// block of `STAGE·n/2` reals, one 64-byte line of an `f64` row per group.
-/// Reading one series at a time straight from a wide matrix would touch a
-/// fresh line per sample, `n_series·8` bytes apart — at the paper's 256
-/// series a power-of-two stride that keeps every access of a series in
-/// two sets of the L1. The per-series driver runs every batch the lanes
-/// path does not take, and the lanes path's remainder group.
+/// Series per group of a padded batch the lanes path does not take (the
+/// lanes path's groups are [`Lanes::width`] wide). A batch of at most this
+/// many series runs one series per group, read and written in place at
+/// its own stride, so each series is a task of its own above the parallel
+/// threshold. A wider one runs in groups of this many, whose columns move
+/// through a staging block of `STAGE·n/2` reals, one 64-byte line of an
+/// `f64` row per group. Reading one series at a time straight from a wide
+/// matrix would touch a fresh line per sample, `n_series·8` bytes apart —
+/// at the paper's 256 series a power-of-two stride that keeps every access
+/// of a series in two sets of the L1. The lanes path's remainder group,
+/// narrower than a lane group, stages too.
 const STAGE: usize = 8;
 
-/// One worker's buffers of the padded entry points.
-type Buffers<'a, T> = (Checkout<'a, Vec<Complex<T>>>, Checkout<'a, Vec<f64>>);
+/// One worker's buffers of the padded entry points: the plan scratch
+/// (which holds the planar buffers on the lanes path), and the staging
+/// block, checked out by the worker's first group that stages.
+type Buffers<'a, T> = (Checkout<'a, Vec<Complex<T>>>, Option<Checkout<'a, Vec<f64>>>);
+
+/// The lanes kernels' token (with the group width) and the half plan's
+/// engine, when a padded batch runs its full groups in the lanes.
+type LanePath<'a, T> = Option<(Lanes, &'a IterativeFft<T>)>;
 
 /// Longest real transform (`n = 2·N_t`) the padded entry points run on the
 /// series-in-lanes path; longer ones run per series. `bench_fft`'s
@@ -187,8 +228,8 @@ type Buffers<'a, T> = (Checkout<'a, Vec<Complex<T>>>, Checkout<'a, Vec<f64>>);
 /// it stops winning. It is where the f64 256-series rows are down to
 /// 1.08, the planar buffers reach 131 KB per worker (`2·64·(n/2 + 1)`
 /// bytes), and the next length is `longseries_dd`'s: 4 series of 8192
-/// points, one lane group and so one task, where the per-series driver
-/// forks one task per series.
+/// points, which would be one lane group and so one task, where groups of
+/// one series fork one task per series.
 const LANES_MAX_LEN: usize = 2048;
 
 /// The series-in-lanes path's planar buffers within one worker's plan
@@ -212,10 +253,10 @@ fn planar_scratch_len<T: Real>(width: usize, h: usize) -> usize {
     2 * width * (h + 1) + 64 / core::mem::size_of::<Complex<T>>()
 }
 
-/// The output matrix of the unpadded inverse, shared by the series (or
-/// groups of series) whose columns interleave in it.
+/// The output matrix of the unpadded inverse, shared by the groups of
+/// series whose columns interleave in it.
 struct Interleaved(*mut f64);
-// SAFETY: each task writes only its own columns (see the callers).
+// SAFETY: each group writes only its own columns (see the caller).
 unsafe impl Sync for Interleaved {}
 impl Interleaved {
     /// The matrix (a method, so closures capture the `Sync` wrapper
@@ -282,17 +323,24 @@ impl<T: Real> BatchedRealFft<T> {
         assert_eq!(input.len() % n, 0, "batched R2C input not a multiple of n");
         let batch = input.len() / n;
         assert_eq!(output.len(), batch * s, "batched R2C output length mismatch");
-        if input.len() > PAR_THRESHOLD {
-            input.par_chunks_exact(n).zip(output.par_chunks_exact_mut(s)).for_each_init(
-                || scratch(&self.pool, self.plan.scratch_len()),
-                |scratch, (i, o)| self.plan.forward(i, o, scratch.ws()),
-            );
-            return;
-        }
-        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-        for (i, o) in input.chunks_exact(n).zip(output.chunks_exact_mut(s)) {
-            self.plan.forward(i, o, scratch.ws());
-        }
+        let init = || scratch(&self.pool, self.plan.scratch_len());
+        for_each_chunk_mut(input.len(), output, s, init, |scratch, (b, o)| {
+            self.plan.forward(&input[b * n..][..n], o, scratch.ws())
+        });
+    }
+
+    /// Batched inverse C2R. `spectrum.len() = batch·(n/2+1)`,
+    /// `output.len() = batch·n`.
+    pub fn inverse_batch(&self, spectrum: &[Complex<T>], output: &mut [T]) {
+        let n = self.plan.len();
+        let s = self.plan.spectrum_len();
+        assert_eq!(spectrum.len() % s, 0, "batched C2R spectrum not a multiple of bins");
+        let batch = spectrum.len() / s;
+        assert_eq!(output.len(), batch * n, "batched C2R output length mismatch");
+        let init = || scratch(&self.pool, self.plan.scratch_len());
+        for_each_chunk_mut(output.len(), output, n, init, |scratch, (b, o)| {
+            self.plan.inverse(&spectrum[b * s..][..s], o, scratch.ws())
+        });
     }
 
     /// Batched forward R2C of `n_series` zero-padded series read in place
@@ -300,12 +348,14 @@ impl<T: Real> BatchedRealFft<T> {
     /// series `s` is `input[t·n_series + s]`, rounded through tier `pad` —
     /// into `output.len() = n_series·(n/2+1)` bins, series-major. See
     /// `RealFftPlan::forward_padded`: the pad and the cast happen in the
-    /// first pass, and no embedding zero is stored or loaded. Short
-    /// `f32` / `f64` power-of-two transforms run with the series in the
-    /// SIMD lanes (`forward_padded_lanes`); otherwise up to `STAGE` series
-    /// are read in place, one task per series above the parallel
-    /// threshold, and wider batches run in groups of `STAGE` through a
-    /// staging block.
+    /// first pass, and no embedding zero is stored or loaded.
+    ///
+    /// The batch runs in groups of consecutive series, one width per call:
+    /// a lane group wide when short `f32` / `f64` power-of-two transforms
+    /// take the series-in-lanes path, one series when there are at most
+    /// `STAGE`, `STAGE` otherwise. A full lane group runs in the lanes, a
+    /// single series in place through its plan, and any other group (a
+    /// `STAGE` group, the lanes path's remainder) through a staging block.
     pub fn forward_padded(
         &self,
         input: &[f64],
@@ -316,42 +366,18 @@ impl<T: Real> BatchedRealFft<T> {
         let (n, s) = (self.plan.len(), self.plan.spectrum_len());
         assert_eq!(input.len(), n_series * (n / 2), "batched padded R2C input length mismatch");
         assert_eq!(output.len(), n_series * s, "batched padded R2C output length mismatch");
-        if let Some((lanes, engine)) = self.lanes(n_series) {
-            self.forward_padded_lanes(lanes, engine, input, n_series, pad, output);
-            return;
-        }
-        if n_series <= STAGE {
-            // One group, read in place: one task per series, as the
-            // unpadded driver.
-            let series = |scratch: &mut Checkout<'_, Vec<Complex<T>>>,
-                          (k, o): (usize, &mut [Complex<T>])| {
-                self.plan.forward_padded(&input[k..], n_series, pad, o, scratch.ws())
-            };
-            if n_series * n > PAR_THRESHOLD {
-                output
-                    .par_chunks_mut(s)
-                    .enumerate()
-                    .for_each_init(|| scratch(&self.pool, self.plan.scratch_len()), series);
-            } else {
-                let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-                output.chunks_mut(s).enumerate().for_each(|ko| series(&mut scratch, ko));
+        let (width, lanes) = self.groups(n_series);
+        let init = || self.buffers(lanes);
+        for_each_chunk_mut(n_series * n, output, width * s, init, |bufs, (k, out)| {
+            let x = &input[k * width..];
+            match lanes {
+                Some((lanes, engine)) if out.len() == width * s => {
+                    self.forward_lanes(lanes, engine, x, n_series, pad, out, bufs.0.ws())
+                }
+                _ if width == 1 => self.plan.forward_padded(x, n_series, pad, out, bufs.0.ws()),
+                _ => self.forward_group(x, n_series, pad, out, bufs),
             }
-            return;
-        }
-        let group = |bufs: &mut Buffers<'_, T>, k: usize, out: &mut [Complex<T>]| {
-            self.forward_group(input, n_series, k * STAGE, pad, out, bufs)
-        };
-        if n_series * n > PAR_THRESHOLD {
-            output
-                .par_chunks_mut(STAGE * s)
-                .enumerate()
-                .for_each_init(|| self.buffers(), |bufs, (k, out)| group(bufs, k, out));
-            return;
-        }
-        let mut bufs = self.buffers();
-        for (k, out) in output.chunks_mut(STAGE * s).enumerate() {
-            group(&mut bufs, k, out);
-        }
+        });
     }
 
     /// Batched inverse C2R (scaled by `1/n`) of `spectrum.len() =
@@ -359,118 +385,66 @@ impl<T: Real> BatchedRealFft<T> {
     /// routed through tier `unpad`, in the time-outer/series-inner `f64`
     /// matrix `output[t·batch + s]` (`output.len() = batch·n/2`). See
     /// `RealFftPlan::inverse_unpadded`: the scale and the unpad happen
-    /// in the last pass, which computes only the kept half. Which batches
-    /// run with the series in the lanes, and how the rest run, is as in
-    /// [`Self::forward_padded`].
+    /// in the last pass, which computes only the kept half. The groups,
+    /// and how each runs, are those of [`Self::forward_padded`].
     pub fn inverse_unpadded(&self, spectrum: &[Complex<T>], unpad: Precision, output: &mut [f64]) {
         let (n, s) = (self.plan.len(), self.plan.spectrum_len());
         assert_eq!(spectrum.len() % s, 0, "batched C2R spectrum not a multiple of bins");
         let batch = spectrum.len() / s;
         assert_eq!(output.len(), batch * (n / 2), "batched unpadded C2R output length mismatch");
-        if let Some((lanes, engine)) = self.lanes(batch) {
-            self.inverse_unpadded_lanes(lanes, engine, spectrum, unpad, output);
-            return;
-        }
+        let (width, lanes) = self.groups(batch);
         let out = Interleaved(output.as_mut_ptr());
-        if batch <= STAGE {
-            let series = |scratch: &mut Checkout<'_, Vec<Complex<T>>>,
-                          (k, spec): (usize, &[Complex<T>])| {
-                // SAFETY: `output` is exclusively borrowed for the whole
-                // call and holds `batch·n/2` elements; series `k` writes
-                // only column `k`, disjoint from every other series'.
-                unsafe {
-                    let column = out.get().add(k);
-                    self.plan.inverse_unpadded_raw(spec, column, batch, unpad, scratch.ws())
-                }
-            };
-            if batch * n > PAR_THRESHOLD {
-                spectrum
-                    .par_chunks(s)
-                    .enumerate()
-                    .for_each_init(|| scratch(&self.pool, self.plan.scratch_len()), series);
-            } else {
-                let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-                spectrum.chunks(s).enumerate().for_each(|ks| series(&mut scratch, ks));
-            }
-            return;
-        }
-        let group = |bufs: &mut Buffers<'_, T>, k: usize, spectra: &[Complex<T>]| {
+        let init = || self.buffers(lanes);
+        for_each_chunk(batch * n, spectrum, width * s, init, |bufs, (k, spectra)| {
             // SAFETY: `output` is exclusively borrowed for the whole call
             // and holds `batch·n/2` elements; group `k` writes only the
-            // columns of its own series, `k·STAGE..`, disjoint from every
+            // columns of its own series, `k·width..`, disjoint from every
             // other group's.
-            unsafe { self.inverse_group(spectra, unpad, out.get(), batch, k * STAGE, bufs) }
-        };
-        if batch * n > PAR_THRESHOLD {
-            spectrum
-                .par_chunks(STAGE * s)
-                .enumerate()
-                .for_each_init(|| self.buffers(), |bufs, (k, spectra)| group(bufs, k, spectra));
-            return;
-        }
-        let mut bufs = self.buffers();
-        for (k, spectra) in spectrum.chunks(STAGE * s).enumerate() {
-            group(&mut bufs, k, spectra);
-        }
+            unsafe {
+                let column = out.get().add(k * width);
+                match lanes {
+                    Some((lanes, engine)) if spectra.len() == width * s => self.inverse_lanes(
+                        lanes,
+                        engine,
+                        spectra,
+                        unpad,
+                        column,
+                        batch,
+                        bufs.0.ws(),
+                    ),
+                    _ if width == 1 => {
+                        self.plan.inverse_unpadded_raw(spectra, column, batch, unpad, bufs.0.ws())
+                    }
+                    _ => self.inverse_group(spectra, unpad, column, batch, bufs),
+                }
+            }
+        });
     }
 
-    /// One worker's buffers: plan scratch, and the staging block.
-    fn buffers(&self) -> Buffers<'_, T> {
-        (scratch(&self.pool, self.plan.scratch_len()), self.stage.checkout())
+    /// The group width of a padded batch of `n_series`, and the lanes
+    /// path when its full groups run in the lanes.
+    fn groups(&self, n_series: usize) -> (usize, LanePath<'_, T>) {
+        match self.lanes(n_series) {
+            Some(lanes) => (lanes.0.width(), Some(lanes)),
+            None => (if n_series <= STAGE { 1 } else { STAGE }, None),
+        }
     }
 
     /// The series-in-lanes path for a batch of `n_series`, when it takes
-    /// it: the kernels' token (with the group width) and the half plan's
-    /// engine. It runs `f32` / `f64` radix-2/4 schedules up to
+    /// it. It runs `f32` / `f64` radix-2/4 schedules up to
     /// [`LANES_MAX_LEN`], at least one whole group wide.
-    fn lanes(&self, n_series: usize) -> Option<(Lanes, &IterativeFft<T>)> {
+    fn lanes(&self, n_series: usize) -> LanePath<'_, T> {
         let lanes = Lanes::of::<T>().filter(|l| self.lanes && n_series >= l.width())?;
         let engine = self.plan.half.iterative().filter(|_| self.plan.len() <= LANES_MAX_LEN)?;
         engine.stages().all(|st| st.radix == 2 || st.radix == 4).then_some((lanes, engine))
     }
 
-    /// One worker's buffers on the lanes path: plan scratch holding the
-    /// planar buffers (and enough for the remainder group's plan), and the
-    /// remainder group's staging block.
-    fn lane_buffers(&self, lanes: Lanes) -> Buffers<'_, T> {
-        let len = planar_scratch_len::<T>(lanes.width(), self.plan.len() / 2);
-        (scratch(&self.pool, len.max(self.plan.scratch_len())), self.stage.checkout())
-    }
-
-    /// [`Self::forward_padded`] on the lanes path: each group of `width`
-    /// consecutive series runs its transforms in the lanes of one register
-    /// per value, read in place from the TOSI input; the remainder of
-    /// fewer series runs per series through the staging block. Groups go
-    /// to the pool above the parallel threshold.
-    fn forward_padded_lanes(
-        &self,
-        lanes: Lanes,
-        engine: &IterativeFft<T>,
-        input: &[f64],
-        n_series: usize,
-        pad: Precision,
-        output: &mut [Complex<T>],
-    ) {
-        let (n, s, width) = (self.plan.len(), self.plan.spectrum_len(), lanes.width());
-        let group = |bufs: &mut Buffers<'_, T>, k: usize, out: &mut [Complex<T>]| {
-            if out.len() == width * s {
-                let x = &input[k * width..];
-                self.forward_lanes(lanes, engine, x, n_series, pad, out, bufs.0.ws());
-            } else {
-                self.forward_group(input, n_series, k * width, pad, out, bufs);
-            }
-        };
-        if n_series * n > PAR_THRESHOLD {
-            output
-                .par_chunks_mut(width * s)
-                .enumerate()
-                .for_each_init(|| self.lane_buffers(lanes), |bufs, (k, out)| group(bufs, k, out));
-            return;
-        }
-        let mut bufs = self.lane_buffers(lanes);
-        for (k, out) in output.chunks_mut(width * s).enumerate() {
-            group(&mut bufs, k, out);
-        }
+    /// One worker's buffers: plan scratch, with room for the planar
+    /// buffers on the lanes path, and no staging block yet.
+    fn buffers(&self, lanes: LanePath<'_, T>) -> Buffers<'_, T> {
+        let h = self.plan.len() / 2;
+        let planar = lanes.map_or(0, |(lanes, _)| planar_scratch_len::<T>(lanes.width(), h));
+        (scratch(&self.pool, planar.max(self.plan.scratch_len())), None)
     }
 
     /// The padded forward transforms of one lane group: the series whose
@@ -507,46 +481,6 @@ impl<T: Real> BatchedRealFft<T> {
         }
         let (z, bins) = if in_a { (&a[..e], b) } else { (&b[..e], a) };
         simd::lanes_unpack(lanes, z, &self.plan.twiddles, bins, out);
-    }
-
-    /// [`Self::inverse_unpadded`] on the lanes path; the counterpart of
-    /// [`Self::forward_padded_lanes`].
-    fn inverse_unpadded_lanes(
-        &self,
-        lanes: Lanes,
-        engine: &IterativeFft<T>,
-        spectrum: &[Complex<T>],
-        unpad: Precision,
-        output: &mut [f64],
-    ) {
-        let (n, s, width) = (self.plan.len(), self.plan.spectrum_len(), lanes.width());
-        let batch = spectrum.len() / s;
-        let out = Interleaved(output.as_mut_ptr());
-        let group = |bufs: &mut Buffers<'_, T>, k: usize, spectra: &[Complex<T>]| {
-            // SAFETY: `output` is exclusively borrowed for the whole call
-            // and holds `batch·n/2` elements; group `k` writes only the
-            // columns of its own series, `k·width..`, disjoint from every
-            // other group's.
-            unsafe {
-                if spectra.len() == width * s {
-                    let column = out.get().add(k * width);
-                    self.inverse_lanes(lanes, engine, spectra, unpad, column, batch, bufs.0.ws());
-                } else {
-                    self.inverse_group(spectra, unpad, out.get(), batch, k * width, bufs);
-                }
-            }
-        };
-        if batch * n > PAR_THRESHOLD {
-            spectrum
-                .par_chunks(width * s)
-                .enumerate()
-                .for_each_init(|| self.lane_buffers(lanes), |bufs, (k, sp)| group(bufs, k, sp));
-            return;
-        }
-        let mut bufs = self.lane_buffers(lanes);
-        for (k, spectra) in spectrum.chunks(width * s).enumerate() {
-            group(&mut bufs, k, spectra);
-        }
     }
 
     /// The unpadded inverse transforms of one lane group: the spectra
@@ -594,80 +528,59 @@ impl<T: Real> BatchedRealFft<T> {
         }
     }
 
-    /// The padded forward of the group of series `s0..` whose spectra are
-    /// `out`, read from the group's columns transposed into the staging
-    /// block.
-    fn forward_group(
-        &self,
+    /// The padded forward of the group of series whose samples are the
+    /// first columns of `input`'s rows (`n_series` apart) and whose
+    /// spectra are `out`, read from those columns transposed into the
+    /// staging block.
+    fn forward_group<'a>(
+        &'a self,
         input: &[f64],
         n_series: usize,
-        s0: usize,
         pad: Precision,
         out: &mut [Complex<T>],
-        (scratch, stage): &mut Buffers<'_, T>,
+        (scratch, stage): &mut Buffers<'a, T>,
     ) {
         let (nt, s) = (self.plan.len() / 2, self.plan.spectrum_len());
         let spectra = out.chunks_exact_mut(s);
-        let stage = stage.ws();
+        let stage = stage.get_or_insert_with(|| self.stage.checkout()).ws();
         stage.resize(spectra.len() * nt, 0.0);
-        transpose_map(&input[s0..], n_series, stage, nt, nt, spectra.len(), |v| v);
+        transpose_map(input, n_series, stage, nt, nt, spectra.len(), |v| v);
         for (o, series) in spectra.zip(stage.chunks_exact(nt)) {
             self.plan.forward_padded(series, 1, pad, o, scratch.ws());
         }
     }
 
-    /// The unpadded inverse of the group of series `s0..` whose spectra
-    /// are `spectra`, into columns `s0..` of the `batch`-series output
+    /// The unpadded inverse of the group of series whose spectra are
+    /// `spectra`, into the first columns of the `batch`-series output
     /// matrix at `out`, through the staging block, one row of the group at
     /// a time.
     ///
     /// # Safety
     ///
-    /// `out` holds `batch·n/2` elements, and nothing else accesses the
-    /// group's columns during the call.
-    unsafe fn inverse_group(
-        &self,
+    /// `out.add(t·batch + c)` is valid for writes for every `t < n/2` and
+    /// every series `c` of the group, and nothing else accesses those
+    /// elements during the call.
+    unsafe fn inverse_group<'a>(
+        &'a self,
         spectra: &[Complex<T>],
         unpad: Precision,
         out: *mut f64,
         batch: usize,
-        s0: usize,
-        (scratch, stage): &mut Buffers<'_, T>,
+        (scratch, stage): &mut Buffers<'a, T>,
     ) {
         let (nt, s) = (self.plan.len() / 2, self.plan.spectrum_len());
         let spectra = spectra.chunks_exact(s);
         let width = spectra.len();
-        let stage = stage.ws();
+        let stage = stage.get_or_insert_with(|| self.stage.checkout()).ws();
         stage.resize(width * nt, 0.0);
         for (spec, series) in spectra.zip(stage.chunks_exact_mut(nt)) {
             self.plan.inverse_unpadded(spec, series, 1, unpad, scratch.ws());
         }
         for t in 0..nt {
-            let row = out.add(t * batch + s0);
+            let row = out.add(t * batch);
             for (k, series) in stage.chunks_exact(nt).enumerate() {
                 *row.add(k) = series[t];
             }
-        }
-    }
-
-    /// Batched inverse C2R. `spectrum.len() = batch·(n/2+1)`,
-    /// `output.len() = batch·n`.
-    pub fn inverse_batch(&self, spectrum: &[Complex<T>], output: &mut [T]) {
-        let n = self.plan.len();
-        let s = self.plan.spectrum_len();
-        assert_eq!(spectrum.len() % s, 0, "batched C2R spectrum not a multiple of bins");
-        let batch = spectrum.len() / s;
-        assert_eq!(output.len(), batch * n, "batched C2R output length mismatch");
-        if output.len() > PAR_THRESHOLD {
-            spectrum.par_chunks_exact(s).zip(output.par_chunks_exact_mut(n)).for_each_init(
-                || scratch(&self.pool, self.plan.scratch_len()),
-                |scratch, (i, o)| self.plan.inverse(i, o, scratch.ws()),
-            );
-            return;
-        }
-        let mut scratch = scratch(&self.pool, self.plan.scratch_len());
-        for (i, o) in spectrum.chunks_exact(s).zip(output.chunks_exact_mut(n)) {
-            self.plan.inverse(i, o, scratch.ws());
         }
     }
 }
@@ -868,6 +781,55 @@ mod tests {
                                 "n={n} ns={n_series} unpad {unpad}"
                             );
                         }
+                    }
+                }
+            }
+        }
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// A staging block is checked out only by a group that stages: a
+    /// batch of full lane groups or of at most `STAGE` series takes none,
+    /// a wider batch the lanes path does not take does (at the portable
+    /// level that is every batch wider than `STAGE`). Both sides of the
+    /// parallel threshold, forward and inverse. A second identical call
+    /// parks no new buffer; on the pool with more than one thread, how
+    /// many workers a call reaches varies, so there only the bound holds.
+    #[test]
+    fn the_staging_block_is_taken_only_by_a_group_that_stages() {
+        fn check<T: Real>() {
+            let threads = rayon::current_num_threads();
+            let cases = [(128, 16), (128, 256), (128, 2), (8192, 4), (1000, 9), (8192, 9)];
+            for (n, n_series) in cases {
+                let lanes = Lanes::of::<T>().is_some() && n <= LANES_MAX_LEN && n.is_power_of_two();
+                let staged = n_series > STAGE && !lanes;
+                let serial = !parallel(n_series * n) || threads == 1;
+                let (nt, s) = (n / 2, n / 2 + 1);
+                let x = vec![0.25; n_series * nt];
+                let spec = vec![Complex::<T>::one(); n_series * s];
+                for inverse in [false, true] {
+                    let bf = BatchedRealFft::<T>::new(n);
+                    let call = || {
+                        if inverse {
+                            bf.inverse_unpadded(&spec, Precision::Double, &mut x.clone());
+                        } else {
+                            let mut out = spec.clone();
+                            bf.forward_padded(&x, n_series, Precision::Double, &mut out);
+                        }
+                    };
+                    call();
+                    let parked = (bf.pool.pooled(), bf.stage.pooled());
+                    call();
+                    let what = format!("n={n} series={n_series} inverse={inverse}");
+                    assert_eq!(bf.stage.peak_in_flight() > 0, staged, "{what}: staging block");
+                    assert!(bf.pool.peak_in_flight() <= threads, "{what}: one scratch per worker");
+                    let now = (bf.pool.pooled(), bf.stage.pooled());
+                    if serial {
+                        assert_eq!(now, parked, "{what}: a second call parks no new buffer");
+                    } else {
+                        assert!(now.0 <= threads && now.1 <= threads, "{what}: {now:?} parked");
                     }
                 }
             }
