@@ -22,7 +22,10 @@
 use fftmatvec_bench::digest::{f64_bits, Fnv1a};
 use fftmatvec_bench::{make_operator, respawn, stuffed_vector, Args};
 use fftmatvec_comm::collectives::tree_reduce_sum_in_place;
-use fftmatvec_core::{DirectMatvec, FftMatvec, LinearOperator, OpDirection, PrecisionConfig};
+use fftmatvec_comm::ProcessGrid;
+use fftmatvec_core::{
+    DirectMatvec, DistributedFftMatvec, FftMatvec, LinearOperator, OpDirection, PrecisionConfig,
+};
 use fftmatvec_fft::{BatchedFft, BatchedRealFft};
 use fftmatvec_numeric::{Complex, Precision, Real, SplitMix64};
 use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
@@ -35,7 +38,8 @@ fn report(name: &str, digest: u64) {
 }
 
 /// One pipeline shape in each of `configs`: F and F\*, solo and as a
-/// six-column `apply_many_into` (the pool path), digest names
+/// six-column `apply_many_into` (the pool path from 2 731 elements read
+/// and written per column), digest names
 /// `matvec{tag}_…` / `matvec_many{tag}_…`.
 fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: &[&str]) {
     for &config in configs {
@@ -55,7 +59,7 @@ fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: &[&str]
             };
             report(&format!("matvec{tag}_{config}_{d}"), f64_bits(&out));
 
-            // Column-batched sweep: the apply_many pool path.
+            // Column-batched sweep: the apply_many path.
             let cols = 6;
             let inputs = stuffed_vector(in_len * cols, 11);
             let mut outs = vec![0.0; out_len * cols];
@@ -77,6 +81,23 @@ fn matvec_workloads() {
     let mut d = vec![0.0; 4 * 64];
     direct.apply_forward_into(&m, &mut d).expect("valid shapes");
     report("direct_forward", f64_bits(&d));
+    let mut m = vec![0.0; 32 * 64];
+    direct.apply_adjoint_into(&stuffed_vector(4 * 64, 19), &mut m).expect("valid shapes");
+    report("direct_adjoint", f64_bits(&m));
+
+    // A 2×3 process grid whose rank loop reads and writes 30 720 elements
+    // in either direction, above the parallel threshold.
+    let (nd, nm, nt) = (8, 48, 256);
+    let cfg: PrecisionConfig = "ddddd".parse().expect("valid config literal");
+    let col = stuffed_vector(nd * nm * nt, 61);
+    let dist = DistributedFftMatvec::from_global(nd, nm, nt, &col, ProcessGrid::new(2, 3), cfg)
+        .expect("valid grid");
+    for (dir, name) in [(OpDirection::Forward, "forward"), (OpDirection::Adjoint, "adjoint")] {
+        let (in_len, out_len) = dist.shape().io_lens(dir);
+        let mut out = vec![0.0; out_len];
+        dist.apply_into(dir, &stuffed_vector(in_len, 67), &mut out).expect("valid shapes");
+        report(&format!("distributed_2x3_{name}"), f64_bits(&out));
+    }
 
     // The SBGEMV's pairwise tree and every tile remainder: 8×256 above
     // keeps each adjoint dot inside one base run and 256 is a multiple of
@@ -84,8 +105,7 @@ fn matvec_workloads() {
     // reduction (and leaves an odd row), `N_m = 51` splits the forward
     // one and ends every column tile in a partial register group, a lone
     // register and scalar columns — in f64 (`ddddd`) and with the f32
-    // kernels on both sweeps (`ddssd`). 65 blocks of 19×51 sit above the
-    // batch-parallel threshold.
+    // kernels on both sweeps (`ddssd`).
     matvec_shape("_19x51", (19, 51, 64), &["ddddd", "ddssd"]);
 
     // A non-power-of-two series: `N_t = 250` transforms length 500, whose
@@ -124,10 +144,10 @@ fn matvec_workloads() {
 /// operator (odd-radix circulant extents 56 × 70, head boxes that differ
 /// by direction), in all-double and in a configuration whose Fft /
 /// Sbgemv / Ifft tiers all differ (so every phase-boundary cast buffer
-/// is live). Six columns of 960 elements sit above the batched-apply
-/// parallel threshold. The `full` in the labels is historical (there
-/// was a second construction path); they are kept so digests diff line
-/// for line across commits.
+/// is live). Six columns of 960 elements in and 960 out stay under the
+/// batched-apply parallel threshold. The `full` in the labels is
+/// historical (there was a second construction path); they are kept so
+/// digests diff line for line across commits.
 fn toeplitz_workloads() {
     let (outer, inner) = ((32usize, 24usize), (30usize, 40usize));
     let inner_diags = inner.0 + inner.1 - 1;

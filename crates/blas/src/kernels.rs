@@ -70,12 +70,8 @@
 //! same either way.
 
 use fftmatvec_numeric::{fma_pass, Scalar};
-use rayon::prelude::*;
 
 use crate::types::{BatchGeometry, GemvOp};
-
-/// Serial-vs-parallel threshold in scalar MACs.
-const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Strided batched GEMV `y_b = α·op(A_b)·x_b + β·y_b` over the whole
 /// batch, mirroring `rocblas_Xgemv_strided_batched`.
@@ -98,18 +94,11 @@ pub fn sbgemv<S: Scalar>(
     // `stride_y ≥ out_len` is enforced by `validate`; the final chunk may
     // be exactly `out_len` long (no trailing padding required).
     let stride = g.stride_y.max(out_len).max(1);
-    let work = g.batch * g.m * g.n;
-    let body = |(b, chunk): (usize, &mut [S])| {
-        let yb = &mut chunk[..out_len];
+    for (b, chunk) in y.chunks_mut(stride).take(g.batch).enumerate() {
         let ab = &a[b * g.stride_a..];
         let xb = &x[b * g.stride_x..b * g.stride_x + op.input_len(g.m, g.n)];
-        gemv(op, alpha, ab, g.lda, xb, beta, yb, g.m, g.n);
-    };
-    if work > PAR_THRESHOLD {
-        y.par_chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
-        return;
+        gemv(op, alpha, ab, g.lda, xb, beta, &mut chunk[..out_len], g.m, g.n);
     }
-    y.chunks_mut(stride).take(g.batch).enumerate().for_each(|(b, c)| body((b, c)));
 }
 
 /// The α = 1, β = 0 SBGEMV `y_f = op(A_f)·x_f` over matrices stored
@@ -662,7 +651,8 @@ mod tests {
 
     #[test]
     fn parallel_path_large_batch() {
-        // Cross PAR_THRESHOLD to exercise the rayon path.
+        // Pins the large batch (16·64·64 MACs) that the reference kernel's
+        // parallel fork ran before it became one serial loop.
         check_kernel::<f64>(16, 64, 64, GemvOp::Trans, 1e-12);
     }
 

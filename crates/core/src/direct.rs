@@ -9,8 +9,8 @@
 //! Applications go through the [`LinearOperator`] trait; the `_into`
 //! paths write straight into the caller's buffer and allocate nothing.
 
+use fftmatvec_fft::par::for_each_chunk_mut;
 use fftmatvec_numeric::vecmath::{axpy, dot};
-use rayon::prelude::*;
 
 use crate::linop::{check_apply, LinearOperator, OpDirection, OpError, OpShape};
 use crate::operator::BlockToeplitzOperator;
@@ -25,10 +25,17 @@ impl<'a> DirectMatvec<'a> {
         DirectMatvec { op }
     }
 
-    /// Flop count of the direct forward matvec (for crossover analysis).
+    /// Flop count of the direct forward matvec (for crossover analysis):
+    /// one multiply-add per matrix element read.
     pub fn flops(&self) -> f64 {
-        let (nd, nm, nt) = (self.op.nd() as f64, self.op.nm() as f64, self.op.nt() as f64);
-        nt * (nt + 1.0) / 2.0 * nd * nm * 2.0
+        2.0 * self.block_reads() as f64
+    }
+
+    /// Matrix elements either direction reads: `N_t(N_t+1)/2` blocks of
+    /// `N_d·N_m` — the work the time-step loop is split by.
+    fn block_reads(&self) -> usize {
+        let nt = self.op.nt();
+        nt * (nt + 1) / 2 * self.op.nd() * self.op.nm()
     }
 }
 
@@ -40,9 +47,9 @@ impl LinearOperator for DirectMatvec<'_> {
     /// `d = F·m` by direct block convolution.
     fn apply_forward_into(&self, m: &[f64], d: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Forward, m, d)?;
-        let (nd, nm) = (self.op.nd(), self.op.nm());
+        let (nd, nm, stateless) = (self.op.nd(), self.op.nm(), || ());
         d.fill(0.0);
-        d.par_chunks_mut(nd).enumerate().for_each(|(ti, dt)| {
+        for_each_chunk_mut(self.block_reads(), d, nd, stateless, |(), (ti, dt)| {
             for tj in 0..=ti {
                 let blk = self.op.block(ti - tj);
                 let mj = &m[tj * nm..(tj + 1) * nm];
@@ -57,9 +64,9 @@ impl LinearOperator for DirectMatvec<'_> {
     /// `m = Fᵀ·d` by direct block correlation.
     fn apply_adjoint_into(&self, d: &[f64], m: &mut [f64]) -> Result<(), OpError> {
         check_apply(self.shape(), OpDirection::Adjoint, d, m)?;
-        let (nd, nm, nt) = (self.op.nd(), self.op.nm(), self.op.nt());
+        let (nd, nm, nt, stateless) = (self.op.nd(), self.op.nm(), self.op.nt(), || ());
         m.fill(0.0);
-        m.par_chunks_mut(nm).enumerate().for_each(|(tj, mt)| {
+        for_each_chunk_mut(self.block_reads(), m, nm, stateless, |(), (tj, mt)| {
             for ti in tj..nt {
                 let blk = self.op.block(ti - tj);
                 let di = &d[ti * nd..(ti + 1) * nd];

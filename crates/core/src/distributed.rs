@@ -19,12 +19,9 @@
 //! a pooled workspace, so repeated applies allocate nothing after
 //! warm-up.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use rayon::prelude::*;
-
 use fftmatvec_backend::{BackendKind, DeviceBackend};
 use fftmatvec_comm::{NetworkModel, ProcessGrid};
+use fftmatvec_fft::par::try_for_each_chunk_mut;
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{Precision, Real, RealBuffer};
 
@@ -186,28 +183,24 @@ impl DistributedFftMatvec {
     }
 
     /// Run every rank's pipeline over the staged inputs in `ws.rank_in`,
-    /// writing into `ws.partials`. Per-rank shapes are struct invariants,
-    /// so rank applies cannot fail; a failure anyway is surfaced as
-    /// [`OpError::Internal`] rather than a panic.
+    /// writing into `ws.partials`, through `fftmatvec_fft::par` sized by
+    /// the ranks' input and output elements. Per-rank shapes are struct
+    /// invariants, so rank applies cannot fail; a failure anyway returns
+    /// the lowest failing rank's own error rather than a panic.
     fn run_ranks(&self, dir: OpDirection, ws: &mut DistWorkspace) -> Result<(), OpError> {
+        let mut work = 0;
         for (rank, out) in ws.partials.iter_mut().enumerate() {
             let (in_len, out_len) = self.ranks[rank].shape().io_lens(dir);
             debug_assert_eq!(ws.rank_in[rank].len(), in_len);
             // Fully overwritten by the rank apply below — no clear, so
             // steady-state resizes are O(1).
             out.resize(out_len, 0.0);
+            work += in_len + out_len;
         }
-        let failed = AtomicBool::new(false);
-        let rank_in = &ws.rank_in;
-        ws.partials.par_iter_mut().enumerate().for_each(|(rank, out)| {
-            if self.ranks[rank].apply_into(dir, &rank_in[rank], out).is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-        });
-        if failed.load(Ordering::Relaxed) {
-            return Err(OpError::Internal("distributed rank apply failed"));
-        }
-        Ok(())
+        let (rank_in, stateless) = (&ws.rank_in, || ());
+        try_for_each_chunk_mut(work, &mut ws.partials, 1, stateless, |(), (rank, out)| {
+            self.ranks[rank].apply_into(dir, &rank_in[rank], &mut out[0])
+        })
     }
 
     /// Modeled matvec time on `dev` ranks under `net`: slowest rank's

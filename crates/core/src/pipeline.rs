@@ -649,8 +649,9 @@ mod tests {
         // 4×4 and 2×16 are the serve / long-series blocks; 19×23 splits
         // both reductions past one base run; 16×256 is the paper block,
         // whose forward reduction spans four tree levels and whose batches
-        // sit above the parallel `apply_many_into` threshold. nt = 9
-        // leaves every lane width a masked tail of frequencies.
+        // of 8 columns (17 408 elements read and written) sit above the
+        // parallel `apply_many_into` threshold. nt = 9 leaves every lane
+        // width a masked tail of frequencies.
         for (nd, nm, nt) in [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9), (16, 256, 8)] {
             let op = random_operator(nd, nm, nt, (nd * nm + nt) as u64);
             let mut mv = mv(op, PrecisionConfig::all_double());
@@ -658,7 +659,7 @@ mod tests {
                 mv.set_config(code.parse().unwrap());
                 for dir in [OpDirection::Forward, OpDirection::Adjoint] {
                     let (in_len, out_len) = mv.shape().io_lens(dir);
-                    let cols = 3;
+                    let cols = 8;
                     let mut inputs = vec![0.0; cols * in_len];
                     SplitMix64::new(5).fill_uniform_stuffed(&mut inputs, -1.0, 1.0);
                     let mut got = vec![0.0; cols * out_len];

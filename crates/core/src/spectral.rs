@@ -40,9 +40,9 @@
 use std::sync::{Arc, OnceLock};
 
 use fftmatvec_backend::{BackendError, BackendKind, DeviceBackend};
+use fftmatvec_fft::par::try_for_each_chunk_mut;
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, C64};
-use rayon::prelude::*;
 
 use crate::autotune::{self, AutotuneChoice, PhaseWeights, TierCalibration};
 use crate::error_analysis::BoundParams;
@@ -279,9 +279,6 @@ macro_rules! spectral_builder_setters {
         }
     };
 }
-
-/// Flat batches above this many `f64` elements split across the pool.
-const MANY_PAR_THRESHOLD: usize = 1 << 12;
 
 /// Live autotuning state a budget-resolved pipeline carries: the tier
 /// calibration persists so later retunes refine timings instead of
@@ -523,9 +520,11 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
     /// Batched apply: the whole batch shares the resident engines and one
     /// pooled workspace per worker. Large batches overlap columns across
     /// the thread pool — the paper's §4.2.2 dense-operator assembly
-    /// pattern. Either way a failing
-    /// batch returns the error of its **lowest failing column**, so the
-    /// result does not depend on the batch size or the thread count.
+    /// pattern — through `fftmatvec_fft::par`, sized by the batch's input
+    /// and output elements. A failing batch returns the error of its
+    /// **lowest failing column** (the helper's rule: the serial loop stops
+    /// there, the pool runs every column), so which error comes back does
+    /// not depend on the batch size or the thread count.
     fn apply_many_into(
         &self,
         dir: OpDirection,
@@ -535,32 +534,10 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
         let shape = self.shape();
         let (in_len, out_len) = shape.io_lens(dir);
         check_batch(shape, dir, inputs, outputs)?;
-        if inputs.len().max(outputs.len()) > MANY_PAR_THRESHOLD {
-            let first_err = std::sync::Mutex::new(None::<(usize, OpError)>);
-            inputs
-                .par_chunks_exact(in_len)
-                .zip(outputs.par_chunks_exact_mut(out_len))
-                .enumerate()
-                .for_each_init(
-                    || self.pool.checkout(),
-                    |guard, (col, (i, o))| {
-                        if let Err(e) = self.step(dir, i, o, guard.ws()) {
-                            let mut slot =
-                                first_err.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if slot.as_ref().map_or(true, |&(c, _)| col < c) {
-                                *slot = Some((col, e));
-                            }
-                        }
-                    },
-                );
-            let slot = first_err.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-            return slot.map_or(Ok(()), |(_, e)| Err(e));
-        }
-        let mut guard = self.pool.checkout();
-        for (i, o) in inputs.chunks_exact(in_len).zip(outputs.chunks_exact_mut(out_len)) {
-            self.step(dir, i, o, guard.ws())?;
-        }
-        Ok(())
+        let (work, init) = (inputs.len() + outputs.len(), || self.pool.checkout());
+        try_for_each_chunk_mut(work, outputs, out_len, init, |guard, (col, o)| {
+            self.step(dir, &inputs[col * in_len..][..in_len], o, guard.ws())
+        })
     }
 }
 
@@ -682,9 +659,9 @@ mod tests {
     #[test]
     fn batched_apply_returns_the_first_failing_columns_typed_error() {
         let pipe = TieredPipeline::build(FailOnNegative, BuildOptions::default()).unwrap();
-        // 5 columns stay on the sequential path; 600 × 8 elements cross
-        // the parallel threshold.
-        for batch in [5usize, 600] {
+        // 5 columns stay on the sequential path; 1100 columns of 8 in and
+        // 8 out cross the parallel threshold.
+        for batch in [5usize, 1100] {
             let mut inputs = vec![1.0; batch * N];
             let mut outputs = vec![0.0; batch * N];
             pipe.apply_many_into(OpDirection::Forward, &inputs, &mut outputs).unwrap();

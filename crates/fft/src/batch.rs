@@ -5,17 +5,9 @@
 //! through one cached plan (see [`crate::cache`]) and draw per-worker
 //! scratch vectors from a [`WorkspacePool`] instead of allocating per
 //! call. Every driver cuts its batch into chunks and walks them through
-//! one pair of helpers (`for_each_chunk` / `for_each_chunk_mut`, for a
-//! shared or an exclusive batch) behind one serial/parallel decision.
-//! Above a size threshold the chunks are split across the rayon pool's
-//! work chunks; `for_each_init` builds one worker state per executed
-//! chunk (real-rayon semantics: roughly one per participating worker,
-//! never one shared guard for the whole batch), so at most one scratch
-//! buffer per concurrently-running worker is live at a time. Below it one
-//! state serves a serial loop. Chunk boundaries depend only on the batch
-//! size — not the thread count — and every transform writes a disjoint
-//! output, so batched results are byte-identical at any
-//! `RAYON_NUM_THREADS`.
+//! the library's one parallel-for, [`crate::par`], which decides serial
+//! or parallel, builds the per-worker states and keeps the results
+//! byte-identical at any `RAYON_NUM_THREADS`.
 //!
 //! The padded entry points of [`BatchedRealFft`] — the block-triangular
 //! apply's FFT and IFFT phases — choose a group width once per call and
@@ -33,58 +25,14 @@
 use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
 use fftmatvec_numeric::{with_real, Complex, Precision, Real};
-use rayon::prelude::*;
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
 use crate::iterative::IterativeFft;
 use crate::padded::{PaddedSeries, UnpaddedSeries};
+use crate::par::{for_each_chunk, for_each_chunk_mut};
 use crate::plan::{FftDirection, FftPlan};
 use crate::real::RealFftPlan;
 use crate::simd::{self, Lanes};
-
-/// Work below this many complex elements stays serial; smaller batches
-/// are dominated by thread-pool dispatch.
-const PAR_THRESHOLD: usize = 1 << 14;
-
-/// The one serial/parallel decision: does a batch of `work` elements
-/// (series × transform length) go to the pool?
-fn parallel(work: usize) -> bool {
-    work > PAR_THRESHOLD
-}
-
-/// Run `op` on every `(index, chunk)` of `data` cut into chunks of `len`,
-/// with worker states from `init`: one per executed work chunk of the
-/// pool when [`parallel`]`(work)`, else one for a serial loop.
-fn for_each_chunk<E: Sync, S: Send>(
-    work: usize,
-    data: &[E],
-    len: usize,
-    init: impl Fn() -> S + Sync + Send,
-    op: impl Fn(&mut S, (usize, &[E])) + Sync + Send,
-) {
-    if parallel(work) {
-        data.par_chunks(len).enumerate().for_each_init(init, op);
-    } else {
-        let mut state = init();
-        data.chunks(len).enumerate().for_each(|item| op(&mut state, item));
-    }
-}
-
-/// [`for_each_chunk`] over a batch the chunks write.
-fn for_each_chunk_mut<E: Send, S: Send>(
-    work: usize,
-    data: &mut [E],
-    len: usize,
-    init: impl Fn() -> S + Sync + Send,
-    op: impl Fn(&mut S, (usize, &mut [E])) + Sync + Send,
-) {
-    if parallel(work) {
-        data.par_chunks_mut(len).enumerate().for_each_init(init, op);
-    } else {
-        let mut state = init();
-        data.chunks_mut(len).enumerate().for_each(|item| op(&mut state, item));
-    }
-}
 
 /// Per-worker scratch vectors of one batched driver.
 type ScratchPool<T> = WorkspacePool<Vec<Complex<T>>>;
@@ -805,7 +753,7 @@ mod tests {
             for (n, n_series) in cases {
                 let lanes = Lanes::of::<T>().is_some() && n <= LANES_MAX_LEN && n.is_power_of_two();
                 let staged = n_series > STAGE && !lanes;
-                let serial = !parallel(n_series * n) || threads == 1;
+                let serial = !crate::par::parallel(n_series * n) || threads == 1;
                 let (nt, s) = (n / 2, n / 2 + 1);
                 let x = vec![0.25; n_series * nt];
                 let spec = vec![Complex::<T>::one(); n_series * s];

@@ -28,6 +28,10 @@
 //!   from a `fftmatvec_numeric::workspace::WorkspacePool`, parallelized
 //!   across the batch dimension on the rayon work-stealing pool, standing
 //!   in for `cufftPlanMany`/`hipfftPlanMany`.
+//! * [`par`] — the library's one parallel-for: a batch of chunks, one
+//!   serial/parallel decision, per-worker state, and the lowest failing
+//!   chunk's error. The batched drivers and `fftmatvec-core`'s column,
+//!   time-step and rank loops all run through it.
 //! * [`ndfft`] — separable N-dimensional transforms over nested cached
 //!   1-D plans (outer `planWhole` / inner `planBlock` in the fastmat
 //!   naming), transposing one axis at a time so every axis pass runs the
@@ -56,6 +60,7 @@ pub mod dft;
 mod iterative;
 pub mod ndfft;
 mod padded;
+pub mod par;
 pub mod plan;
 pub mod real;
 pub mod recursive;
