@@ -119,10 +119,11 @@ macro_rules! impl_cpu_fft {
                 Ok(())
             }
 
-            fn forward_padded(
+            fn forward_padded_many(
                 &self,
                 input: &[f64],
                 n_series: usize,
+                cols: usize,
                 pad: Precision,
                 output: &mut ComplexBuffer,
             ) -> Result<(), BackendError> {
@@ -132,15 +133,17 @@ macro_rules! impl_cpu_fft {
                     self.tier,
                     "batched padded FFT forward output"
                 );
-                check_tosi_lens(self.n / 2, n_series, input.len())?;
-                check_batch_lens(self.n, self.spectrum_len(), n_series * self.n, s.len())?;
-                self.engine.forward_padded(input, n_series, pad, s);
+                check_columns(cols, cols * n_series)?;
+                check_tosi_lens(self.n / 2, cols * n_series, input.len())?;
+                check_batch_lens(self.n, self.spectrum_len(), cols * n_series * self.n, s.len())?;
+                self.engine.forward_padded_many(input, n_series, cols, pad, s);
                 Ok(())
             }
 
-            fn inverse_unpadded(
+            fn inverse_unpadded_many(
                 &self,
                 spectrum: &ComplexBuffer,
+                cols: usize,
                 unpad: Precision,
                 output: &mut [f64],
             ) -> Result<(), BackendError> {
@@ -152,8 +155,9 @@ macro_rules! impl_cpu_fft {
                 );
                 let batch = s.len() / self.spectrum_len();
                 check_batch_lens(self.n, self.spectrum_len(), batch * self.n, s.len())?;
+                check_columns(cols, batch)?;
                 check_tosi_lens(self.n / 2, batch, output.len())?;
-                self.engine.inverse_unpadded(s, unpad, output);
+                self.engine.inverse_unpadded_many(s, cols, unpad, output);
                 Ok(())
             }
 
@@ -191,6 +195,19 @@ fn check_batch_lens(
             what: "batched FFT spectrum buffer",
             expected: batch * nfreq,
             got: spec_len,
+        });
+    }
+    Ok(())
+}
+
+/// Validate a column count: at least one column, and `batch` series that
+/// split into `cols` equal columns.
+fn check_columns(cols: usize, batch: usize) -> Result<(), BackendError> {
+    if cols == 0 || batch % cols != 0 {
+        return Err(BackendError::LengthMismatch {
+            what: "batched padded FFT columns (equal, non-empty columns required)",
+            expected: cols,
+            got: batch,
         });
     }
     Ok(())

@@ -88,11 +88,27 @@ pub trait BatchFft: Send + Sync + Debug {
     /// bins in the handle's tier. On bits this is the pad kernel into
     /// `pad`, [`DeviceBackend::cast_real`] into the handle's tier and
     /// [`Self::forward`] — with no padded buffer, no cast buffer, and no
-    /// zero stored or loaded.
+    /// zero stored or loaded. One column of [`Self::forward_padded_many`].
     fn forward_padded(
         &self,
         input: &[f64],
         n_series: usize,
+        pad: Precision,
+        output: &mut ComplexBuffer,
+    ) -> Result<(), BackendError> {
+        self.forward_padded_many(input, n_series, 1, pad, output)
+    }
+
+    /// [`Self::forward_padded`] of `cols` columns through one operator:
+    /// `input` holds `cols` TOSI matrices of `n_series` series back to
+    /// back, and the spectra of column `c` are series `c·n_series..` of
+    /// `output`. Every series has the bits of its own transform; the
+    /// columns only share the call (and, on the CPU, SIMD lanes).
+    fn forward_padded_many(
+        &self,
+        input: &[f64],
+        n_series: usize,
+        cols: usize,
         pad: Precision,
         output: &mut ComplexBuffer,
     ) -> Result<(), BackendError>;
@@ -102,10 +118,25 @@ pub trait BatchFft: Send + Sync + Debug {
     /// the time-outer/series-inner `f64` matrix `output[t·batch + s]`. On
     /// bits this is [`Self::inverse`] followed by the unpad kernel — with
     /// no time buffer, no separate scaling pass, and the discarded half of
-    /// each series never computed.
+    /// each series never computed. One column of
+    /// [`Self::inverse_unpadded_many`].
     fn inverse_unpadded(
         &self,
         spectrum: &ComplexBuffer,
+        unpad: Precision,
+        output: &mut [f64],
+    ) -> Result<(), BackendError> {
+        self.inverse_unpadded_many(spectrum, 1, unpad, output)
+    }
+
+    /// [`Self::inverse_unpadded`] of `cols` columns, the layout of
+    /// [`Self::forward_padded_many`] mirrored: column `c`'s spectra are
+    /// the `c`-th of `cols` equal runs of `spectrum`, and its TOSI matrix
+    /// the `c`-th of `cols` equal runs of `output`.
+    fn inverse_unpadded_many(
+        &self,
+        spectrum: &ComplexBuffer,
+        cols: usize,
         unpad: Precision,
         output: &mut [f64],
     ) -> Result<(), BackendError>;

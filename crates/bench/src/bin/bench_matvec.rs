@@ -27,6 +27,13 @@
 //!
 //! The intra-run "into no slower than alloc" margin is the constant
 //! [`MATVEC_INTO_NO_SLOWER`] (1.10).
+//!
+//! A second table is the batched apply's per-vector cost curve,
+//! `per_vec_us(b)`: `apply_many_into` over `b` ∈ {1, 4, 8, 32} columns,
+//! ns per column, at the service shape 2×16×64 and the paper block
+//! 16×256×64 in `ddddd` and `dssdd`, both directions (`path` =
+//! `many{b}`). The rows are printed and written but not gated — a
+//! baseline document that lacks them gates only its `into`/`alloc` pairs.
 
 use std::hint::black_box;
 
@@ -44,6 +51,60 @@ const SHAPES: [(usize, usize, usize); 3] = [(2, 64, 64), (4, 128, 128), (8, 256,
 
 /// Configurations the gate keys on: the baseline and the paper optimum.
 const CONFIGS: [&str; 2] = ["ddddd", "dssdd"];
+
+/// Shapes of the batched per-vector curve: the served operator (two-series
+/// outputs, register panels and lane-sharing transforms both pay) and the
+/// paper block (`F̂` streamed from cache once per panel, not per column).
+const MANY_SHAPES: [(usize, usize, usize); 2] = [(2, 16, 64), (16, 256, 64)];
+
+/// Batch widths of the per-vector curve: a solo apply through the batched
+/// entry point, one panel of register width, one whole panel, and a
+/// service window of four panels.
+const MANY_COLS: [usize; 4] = [1, 4, 8, 32];
+
+/// Time `apply_many_into` of `b` columns for every `b` in [`MANY_COLS`]
+/// at one key, in pairs of widths so neighbours share time windows; print
+/// ns per column and append one `many{b}` row per width.
+fn measure_many(
+    mv: &FftMatvec,
+    shape: &str,
+    config: &str,
+    dir: OpDirection,
+    samples: usize,
+    sample_ms: f64,
+    out: &mut Vec<Record>,
+) {
+    let (in_len, out_len) = mv.shape().io_lens(dir);
+    let widest = MANY_COLS[MANY_COLS.len() - 1];
+    let inputs = stuffed_vector(widest * in_len, 7);
+    let mut outs = vec![0.0; widest * out_len];
+    let mut sink = outs.clone();
+    let direction = dir.to_string();
+    let threads = rayon::current_num_threads() as f64;
+    let mut per_vec = Vec::new();
+    for pair in MANY_COLS.chunks(2) {
+        let (b0, b1) = (pair[0], pair[1]);
+        let (ns0, ns1) = time_pair_ns(
+            || {
+                let (x, y) = (&inputs[..b0 * in_len], &mut outs[..b0 * out_len]);
+                mv.apply_many_into(dir, black_box(x), black_box(y)).expect("valid shape");
+            },
+            || {
+                let (x, y) = (&inputs[..b1 * in_len], &mut sink[..b1 * out_len]);
+                mv.apply_many_into(dir, black_box(x), black_box(y)).expect("valid shape");
+            },
+            samples,
+            sample_ms,
+        );
+        per_vec.extend([(b0, ns0 / b0 as f64), (b1, ns1 / b1 as f64)]);
+    }
+    let cells: Vec<String> = per_vec.iter().map(|&(_, ns)| format!("{ns:>10.0}")).collect();
+    println!("{shape:>12} | {config:>6} | {direction:>8} | {}", cells.join(" | "));
+    for (b, ns) in per_vec {
+        let path = format!("many{b}");
+        out.push(MATVEC.row(&[shape, config, &direction, &path], &[threads, ns]));
+    }
+}
 
 /// Time both paths at one key, print the comparison line and append
 /// both rows.
@@ -118,6 +179,28 @@ fn main() {
                 .expect("CPU build");
             for dir in [OpDirection::Forward, OpDirection::Adjoint] {
                 measure(&mv, &shape, config, dir, samples, sample_ms, &mut results);
+            }
+        }
+    }
+    println!();
+
+    let widths: Vec<String> =
+        MANY_COLS.iter().map(|b| format!("{:>10}", format!("many{b}"))).collect();
+    let header =
+        format!("{:>12} | {:>6} | {:>8} | {}", "shape", "config", "dir", widths.join(" | "));
+    println!("Batched apply, ns per column (not gated)");
+    println!("{header}");
+    fftmatvec_bench::rule(header.len());
+    for &(nd, nm, nt) in &MANY_SHAPES {
+        let shape = format!("{nd}x{nm}x{nt}");
+        for config in CONFIGS {
+            let cfg: PrecisionConfig = config.parse().expect("valid config literal");
+            let mv = FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
+                .precision(cfg)
+                .build()
+                .expect("CPU build");
+            for dir in [OpDirection::Forward, OpDirection::Adjoint] {
+                measure_many(&mv, &shape, config, dir, samples, sample_ms, &mut results);
             }
         }
     }

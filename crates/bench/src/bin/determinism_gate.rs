@@ -60,13 +60,33 @@ fn matvec_shape(tag: &str, (nd, nm, nt): (usize, usize, usize), configs: &[&str]
             report(&format!("matvec{tag}_{config}_{d}"), f64_bits(&out));
 
             // Column-batched sweep: the apply_many path.
-            let cols = 6;
-            let inputs = stuffed_vector(in_len * cols, 11);
-            let mut outs = vec![0.0; out_len * cols];
-            mv.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
-            report(&format!("matvec_many{tag}_{config}_{d}"), f64_bits(&outs));
+            report(&format!("matvec_many{tag}_{config}_{d}"), many_digest(&mv, dir, 6));
         }
     }
+}
+
+/// A `cols`-column `apply_many_into` of one pipeline shape in each of
+/// `configs`, F and F\*, digest names `matvec_many{cols}{tag}_…`.
+fn matvec_many(tag: &str, cols: usize, (nd, nm, nt): (usize, usize, usize), configs: &[&str]) {
+    for &config in configs {
+        let cfg: PrecisionConfig = config.parse().expect("valid config literal");
+        let mv = FftMatvec::builder(make_operator(nd, nm, nt, nt as u64))
+            .precision(cfg)
+            .build()
+            .expect("CPU build");
+        for (dir, d) in [(OpDirection::Forward, "forward"), (OpDirection::Adjoint, "adjoint")] {
+            report(&format!("matvec_many{cols}{tag}_{config}_{d}"), many_digest(&mv, dir, cols));
+        }
+    }
+}
+
+/// Digest of `mv`'s `cols`-column batch in direction `dir`.
+fn many_digest(mv: &FftMatvec, dir: OpDirection, cols: usize) -> u64 {
+    let (in_len, out_len) = mv.shape().io_lens(dir);
+    let inputs = stuffed_vector(in_len * cols, 11);
+    let mut outs = vec![0.0; out_len * cols];
+    mv.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
+    f64_bits(&outs)
 }
 
 /// The `bench_matvec` shape set (largest shape exercises every parallel
@@ -138,6 +158,13 @@ fn matvec_workloads() {
     // from scratch around it — in f64 (`ddddd`) and with f32 transforms
     // (`dssdd`).
     matvec_shape("_nt97", (2, 3, 97), &["ddddd", "dssdd"]);
+
+    // Batches the panels split: 16 serve-shape columns (16 · 1 152
+    // elements read and written, past the pool threshold) and a ragged 13
+    // columns of the remainder shape, whose last panel is narrower than a
+    // register panel.
+    matvec_many("_2x16", 16, (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
+    matvec_many("_19x51", 13, (19, 51, 64), &["ddddd", "ddssd"]);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz

@@ -9,7 +9,11 @@
 //!   registers (2.6 ns per 4×4 block), and a caller whose vectors are FFT
 //!   spectra — which are `[series][freq]` already — needs no reorder pass
 //!   on either side. It is the α = 1, β = 0 case only, the one the
-//!   pipeline runs, and the only kernel `fftmatvec_core` executes.
+//!   pipeline runs. [`sbgemv_freq_minor_many`] runs it over a batch of
+//!   columns through one operator, **registers across columns**: a
+//!   register panel of four columns loads and prepares each register of
+//!   `a` once per reduction step and feeds every column's accumulator from
+//!   it. The two are the only kernels `fftmatvec_core` executes.
 //! * **Per-matrix blocks** — [`sbgemv`] computes `y_b = α·op(A_b)·x_b +
 //!   β·y_b` for every column-major matrix in the batch with one loop nest,
 //!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
@@ -39,10 +43,17 @@
 //! (zeroed accumulators → `pairwise_tile` → the α/β epilogue) over a
 //! layout-specific *base run*. A tile only decides which outputs share a
 //! pass over the matrix: lanes and registers run *across* outputs, never
-//! along the reduction, so tile width, lane width and thread count cannot
-//! change a bit of any output — which is why the two sweeps may tile
-//! differently (`TILE` outputs of a block, `FREQ_TILE` frequencies) and
-//! why one may be vectorized and the other not.
+//! along the reduction, so tile width, lane width, panel width and thread
+//! count cannot change a bit of any output — which is why the two sweeps
+//! may tile differently (`TILE` outputs of a block, `FREQ_TILE`
+//! frequencies, `PANEL_COLS` columns of `PANEL_ROWS` series), why one may
+//! be vectorized and the other not, and why a column in a register panel
+//! has the bits of the column run alone: the panel only decides which
+//! outputs share a register of `a` (lanes across frequencies, registers
+//! across series and columns), and the tree per output is unchanged. A
+//! reduction of at most `PAIRWISE_BASE` steps is one base run, so a
+//! panel there applies the epilogue in its registers instead of through a
+//! tile — the same operations on the same values.
 //!
 //! **Why lanes across frequencies cannot change a bit either.** Output
 //! `y[o][f]` of the frequency-minor kernel and output `o` of block `f` of
@@ -69,8 +80,11 @@
 //! remainder). Both lowerings are correctly rounded, so the bits are the
 //! same either way.
 
+use core::mem::MaybeUninit;
+
 use fftmatvec_numeric::{fma_pass, Scalar};
 
+use crate::simd::{PanelOut, PANEL_COLS, PANEL_ROWS};
 use crate::types::{BatchGeometry, GemvOp};
 
 /// Strided batched GEMV `y_b = α·op(A_b)·x_b + β·y_b` over the whole
@@ -154,6 +168,102 @@ pub fn sbgemv_freq_minor<S: Scalar>(
     }
 }
 
+/// [`sbgemv_freq_minor`] over a batch of `cols` columns through one
+/// operator: `x` holds `cols` back-to-back `[series][freq]` inputs
+/// (`op.input_len(m, n)·nfreq` each) and `y` as many outputs. Every column
+/// of `y` is bit-identical to [`sbgemv_freq_minor`] on that column alone.
+///
+/// Where a vector panel kernel exists (the complex `f32` / `f64` types at
+/// an AVX2-class level) the columns run in register panels of four: each
+/// register of `a` is loaded and prepared once per reduction step and
+/// feeds all four columns' accumulators, through the same pairwise tree
+/// per output. A remainder of fewer than four columns — and therefore every
+/// single column — runs the one-column sweep, as do all columns of the
+/// other types and at the portable level. Allocation-free.
+///
+/// # Panics
+/// If a slice length differs from what `cols` columns of `m × n × nfreq`
+/// under `op` need.
+#[allow(clippy::too_many_arguments)]
+pub fn sbgemv_freq_minor_many<S: Scalar>(
+    op: GemvOp,
+    a: &[S],
+    x: &[S],
+    y: &mut [S],
+    m: usize,
+    n: usize,
+    nfreq: usize,
+    cols: usize,
+) {
+    let (xs, ys) = (op.input_len(m, n) * nfreq, op.output_len(m, n) * nfreq);
+    assert!(
+        m > 0 && n > 0 && nfreq > 0 && cols > 0 && x.len() == cols * xs && y.len() == cols * ys,
+        "sbgemv_freq_minor_many: slices do not hold {cols} columns of {op}({m}x{n}) x {nfreq}"
+    );
+    let mut c = 0;
+    if crate::simd::has_freq_panel::<S>() {
+        assert_eq!(a.len(), m * n * nfreq, "sbgemv_freq_minor_many: matrix batch length");
+        while c + PANEL_COLS <= cols {
+            let (x, y) = (&x[c * xs..][..PANEL_COLS * xs], &mut y[c * ys..][..PANEL_COLS * ys]);
+            freq_panel(op, a, x, y, m, n, nfreq);
+            c += PANEL_COLS;
+        }
+    }
+    for c in c..cols {
+        sbgemv_freq_minor(op, a, &x[c * xs..][..xs], &mut y[c * ys..][..ys], m, n, nfreq);
+    }
+}
+
+/// One register panel of [`PANEL_COLS`] columns, `x` and `y` holding
+/// exactly those columns: [`sbgemv_freq_minor`]'s loop nest with
+/// [`PANEL_ROWS`] output series of all the columns per tile, every output
+/// on its own accumulator through the same tree and epilogue. A reduction
+/// of at most [`PAIRWISE_BASE`] steps is one base run, so its tree is the
+/// run alone: the kernel applies the epilogue in its registers and stores
+/// `y` directly, with no tile in between.
+fn freq_panel<S: Scalar>(
+    op: GemvOp,
+    a: &[S],
+    x: &[S],
+    y: &mut [S],
+    m: usize,
+    n: usize,
+    nfreq: usize,
+) {
+    let (outs, red) = (op.output_len(m, n), op.input_len(m, n));
+    let (x_col, y_col) = (red * nfreq, outs * nfreq);
+    let (out_step, red_step) =
+        if op.is_transposed() { (nfreq, n * nfreq) } else { (n * nfreq, nfreq) };
+    let conj = op == GemvOp::ConjTrans;
+    for f0 in (0..nfreq).step_by(FREQ_TILE) {
+        let len = FREQ_TILE.min(nfreq - f0);
+        for o0 in (0..outs).step_by(PANEL_ROWS) {
+            let rows = PANEL_ROWS.min(outs - o0);
+            let a = &a[o0 * out_step..];
+            let sweep =
+                PanelSweep { conj, a, a_step: red_step, row_step: out_step, rows, x, x_col };
+            if red <= PAIRWISE_BASE {
+                let y = &mut y[o0 * nfreq + f0..];
+                sweep.base_run(nfreq, f0, 0, red, PanelOut::y(y, y_col, nfreq, len));
+                continue;
+            }
+            let base_run =
+                |r0, r1, acc: &mut [S]| sweep.base_run(nfreq, f0, r0, r1, PanelOut::acc(acc, rows));
+            reduce_tile::<S, PANEL_ACC>(red, PANEL_COLS * rows * len, base_run, |acc| {
+                for (k, acc) in acc.chunks_exact(len).enumerate() {
+                    let (c, j) = (k / rows, k % rows);
+                    scale_into(
+                        S::one(),
+                        acc,
+                        None,
+                        &mut y[c * y_col + (o0 + j) * nfreq + f0..][..len],
+                    );
+                }
+            });
+        }
+    }
+}
+
 /// Outputs per block-GEMV tile — rows of `y` for non-transpose, columns of
 /// `A` for (conjugate-)transpose: one gridblock's worth of outputs (the
 /// modeled optimized kernel's column tile) and the size of the
@@ -175,6 +285,10 @@ const FREQ_ROWS: usize = 4;
 /// Accumulators of one frequency-minor tile: [`FREQ_ROWS`] series of
 /// [`FREQ_TILE`] frequencies, series-major.
 const FREQ_ACC: usize = FREQ_ROWS * FREQ_TILE;
+
+/// Accumulators of one register-panel tile: [`PANEL_COLS`] columns of
+/// [`PANEL_ROWS`] series of [`FREQ_TILE`] frequencies, column-major.
+const PANEL_ACC: usize = PANEL_COLS * PANEL_ROWS * FREQ_TILE;
 
 /// Sequential run length at the base of the pairwise trees (a GPU
 /// thread's private accumulation before shuffles take over).
@@ -230,10 +344,24 @@ fn reduce_tile<S: Scalar, const T: usize>(
     base_run: impl Fn(usize, usize, &mut [S]),
     epilogue: impl FnOnce(&[S]),
 ) {
-    let mut acc = [S::zero(); T];
-    let acc = &mut acc[..outs];
+    let mut acc = [MaybeUninit::uninit(); T];
+    let acc = zeroed(&mut acc, outs);
     pairwise_tile::<S, T>(0, red, acc, &base_run);
     epilogue(acc);
+}
+
+/// The first `len` elements of a stack tile of capacity `T`, zeroed; the
+/// rest stays untouched, so a tile costs the outputs it holds and not its
+/// capacity (a register panel's `Complex<f64>` tile is 16 KB, of which a
+/// 65-frequency tile of two series uses half).
+fn zeroed<S: Scalar, const T: usize>(tile: &mut [MaybeUninit<S>; T], len: usize) -> &mut [S] {
+    let head = &mut tile[..len];
+    for e in head.iter_mut() {
+        e.write(S::zero());
+    }
+    // SAFETY: every element of `head` was just initialized, and
+    // `MaybeUninit<S>` has the layout of `S`.
+    unsafe { &mut *(head as *mut [MaybeUninit<S>] as *mut [S]) }
 }
 
 /// **The reduction tree** of every SBGEMV output, whichever layout the
@@ -259,8 +387,8 @@ fn pairwise_tile<S: Scalar, const T: usize>(
     } else {
         let mid = r0 + (r1 - r0) / 2;
         pairwise_tile::<S, T>(r0, mid, acc, base_run);
-        let mut right = [S::zero(); T];
-        let right = &mut right[..acc.len()];
+        let mut right = [MaybeUninit::uninit(); T];
+        let right = zeroed(&mut right, acc.len());
         pairwise_tile::<S, T>(mid, r1, right, base_run);
         for (l, &r) in acc.iter_mut().zip(right.iter()) {
             *l += r;
@@ -324,6 +452,52 @@ impl<S: Scalar> FreqSweep<'_, S> {
         if !crate::simd::freq_tile(conj, a, a_step, row_step, rows, x, nfreq, f0, r0, r1, acc) {
             for (j, acc) in acc.chunks_exact_mut(acc.len() / rows).enumerate() {
                 freq_pass(conj, &a[j * row_step..], a_step, x, nfreq, f0, r0, r1, acc);
+            }
+        }
+    }
+}
+
+/// [`FreqSweep`] over the [`PANEL_COLS`] columns of a register panel:
+/// column `c`'s reduction operand starts at `x[c·x_col]`, and a tile's
+/// outputs are `PANEL_COLS·rows` runs of consecutive frequencies, column
+/// by column, series-major within one.
+///
+/// **Extent precondition**: `FreqSweep`'s for `a`, and
+/// `x.len() ≥ (PANEL_COLS − 1)·x_col + red·nfreq`, established by
+/// [`sbgemv_freq_minor_many`]'s length assertions.
+struct PanelSweep<'a, S> {
+    conj: bool,
+    a: &'a [S],
+    a_step: usize,
+    row_step: usize,
+    rows: usize,
+    x: &'a [S],
+    x_col: usize,
+}
+
+impl<S: Scalar> PanelSweep<'_, S> {
+    /// The base case of frequency tile `[f0, f0 + out.len)` of all
+    /// columns: per output the chain of [`FreqSweep::base_run`] on its own
+    /// column, stored as `out` says. The scalar loop (through a tile and
+    /// the epilogue when `out` is `y`) runs only if the dispatch level
+    /// changed since the driver chose the panel.
+    fn base_run(&self, nfreq: usize, f0: usize, r0: usize, r1: usize, out: PanelOut<'_, S>) {
+        let PanelSweep { conj, a, a_step, row_step, rows, x, x_col } = *self;
+        let (a_geom, x_geom) = ((a, a_step, row_step, rows), (x, x_col, nfreq));
+        let PanelOut { out: runs, col_ld, row_ld, len, epilogue } = out;
+        let out = PanelOut { out: &mut *runs, col_ld, row_ld, len, epilogue };
+        if crate::simd::freq_panel(conj, a_geom, x_geom, (f0, r0, r1), out) {
+            return;
+        }
+        let mut acc = [S::zero(); FREQ_TILE];
+        for k in 0..PANEL_COLS * rows {
+            let (c, j) = (k / rows, k % rows);
+            let (a, x) = (&a[j * row_step..], &x[c * x_col..]);
+            let run = &mut runs[c * col_ld + j * row_ld..][..len];
+            let sums = if epilogue { &mut acc[..len] } else { &mut *run };
+            freq_pass(conj, a, a_step, x, nfreq, f0, r0, r1, sums);
+            if epilogue {
+                scale_into(S::one(), &acc[..len], None, run);
             }
         }
     }

@@ -12,7 +12,10 @@
 //!   (entry `(i, k)` of every matrix contiguous) and puts consecutive
 //!   batch items in the SIMD lanes, reading and writing FFT spectra with
 //!   no reorder pass — the kernel the pipeline runs for every operator
-//!   shape, and the only one with AVX2 tiles. [`sbgemv`] takes per-matrix
+//!   shape, and the only one with AVX2 tiles; [`sbgemv_freq_minor_many`]
+//!   runs it over a batch of vectors (columns) through one operator, in
+//!   register panels that share each loaded matrix register between four
+//!   columns, with every column's bits unchanged. [`sbgemv`] takes per-matrix
 //!   column-major blocks as one tiled scalar sweep: tiles of rows walking
 //!   the columns for non-transpose, tiles of *columns* walking the rows
 //!   for (conj)transpose — the geometry of [`KernelChoice::Optimized`]
@@ -44,7 +47,7 @@ mod simd;
 pub mod types;
 
 pub use dispatch::{kernel_profile, select_kernel};
-pub use kernels::{sbgemv, sbgemv_freq_minor};
+pub use kernels::{sbgemv, sbgemv_freq_minor, sbgemv_freq_minor_many};
 pub use types::{BatchGeometry, GemvOp, KernelChoice};
 
 /// Column tile width of the modeled optimized kernel (the paper's

@@ -26,6 +26,16 @@
 //! `f32` / `f64` types have a vector kernel; the others take the scalar
 //! FMA-context pass.
 //!
+//! **Registers across columns.** A batch of columns through one operator
+//! runs [`freq_panel`]: per reduction step each of [`PANEL_ROWS`]
+//! registers of `a` is loaded once and split (`cfma_lhs`: the `movedup`,
+//! `permute` and sign `xor` of a complex product), and each of
+//! [`PANEL_COLS`] columns' `x` registers is loaded and swapped once, so
+//! the shuffles of one `cfma` are shared by eight products (`cfma_with`)
+//! and the FMA ports, not the shuffle port, set the pace. Lanes still run
+//! across frequencies and each accumulator walks the same chain as in the
+//! one-column sweep, so every bit is that sweep's.
+//!
 //! **Frequencies past the last whole register** — `N_t + 1` frequencies
 //! always leave some — run as one *masked* register (`maskload` /
 //! `maskstore` of the lanes left over), so `k·LANES + r` frequencies cost
@@ -88,6 +98,102 @@ pub(crate) fn freq_tile<S: Scalar>(
     false
 }
 
+/// Is there a vector panel kernel ([`freq_panel`]) for `S` at the active
+/// level? The panel driver runs only where there is; a column remainder,
+/// the 16-bit and real types and the portable level take the one-column
+/// sweep per column.
+pub(crate) fn has_freq_panel<S: Scalar>() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if fma_active() {
+        use fftmatvec_numeric::Complex;
+        let none: &[S] = &[];
+        return recast::<S, Complex<f32>>(none).is_some()
+            || recast::<S, Complex<f64>>(none).is_some();
+    }
+    false
+}
+
+/// Where a register panel stores its `PANEL_COLS·rows` runs of `len`
+/// frequencies: run `(c, j)` — column `c`, output series `j` — at
+/// `out[c·col_ld + j·row_ld..][..len]`. Without `epilogue` a run holds the
+/// base run's sums (a tile of `kernels::reduce_tile`); with it the sums
+/// have been through the α = 1, β = 0 epilogue (`scale_into`'s operation
+/// mix) in the registers, and `out` is the output `y` itself.
+pub(crate) struct PanelOut<'a, S> {
+    pub out: &'a mut [S],
+    pub col_ld: usize,
+    pub row_ld: usize,
+    pub len: usize,
+    pub epilogue: bool,
+}
+
+impl<'a, S> PanelOut<'a, S> {
+    /// A base run's sums, into a tile of `rows` series per column.
+    pub(crate) fn acc(acc: &'a mut [S], rows: usize) -> Self {
+        let len = acc.len() / (PANEL_COLS * rows);
+        PanelOut { out: acc, col_ld: rows * len, row_ld: len, len, epilogue: false }
+    }
+
+    /// The outputs through the epilogue, into `y` whose columns are `y_col`
+    /// and whose series `nfreq` apart.
+    pub(crate) fn y(y: &'a mut [S], y_col: usize, nfreq: usize, len: usize) -> Self {
+        PanelOut { out: y, col_ld: y_col, row_ld: nfreq, len, epilogue: true }
+    }
+}
+
+/// Vectorized frequency-minor base case of a register panel: [`freq_tile`]
+/// for [`PANEL_COLS`] columns at once, column `c`'s reduction operand at
+/// `x[c·x_col..]`, stored as `out` says. Returns `false` if no vector
+/// kernel applies.
+#[allow(unused_variables)]
+pub(crate) fn freq_panel<S: Scalar>(
+    conj: bool,
+    (a, a_step, row_step, rows): (&[S], usize, usize, usize),
+    (x, x_col, nfreq): (&[S], usize, usize),
+    (f0, r0, r1): (usize, usize, usize),
+    out: PanelOut<'_, S>,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if fma_active() {
+        use fftmatvec_numeric::Complex;
+
+        let PanelOut { out, col_ld, row_ld, len, epilogue } = out;
+        assert!(
+            (PANEL_COLS - 1) * col_ld + (rows - 1) * row_ld + len <= out.len(),
+            "register panel output extents"
+        );
+        macro_rules! try_panel {
+            ($(($u:ty, $kernel:path)),+ $(,)?) => {$(
+                if let (Some(a), Some(x), Some(out)) =
+                    (recast::<S, $u>(a), recast::<S, $u>(x), recast_mut::<S, $u>(out))
+                {
+                    let out = (out.as_mut_ptr(), col_ld, row_ld, len);
+                    // SAFETY: avx2+fma verified (`fma_active`); frequencies
+                    // `[f0, f0 + len)` of reduction steps `[r0, r1)` of the
+                    // `rows` series and the `PANEL_COLS` columns lie inside
+                    // `a` and `x` by `PanelSweep`'s extent precondition, and
+                    // every run stored lies inside `out` (asserted above).
+                    unsafe {
+                        let geom = ((a, a_step, row_step, rows), (x, x_col, nfreq), (f0, r0, r1));
+                        $kernel(conj, geom, out, epilogue)
+                    };
+                    return true;
+                }
+            )+};
+        }
+        try_panel!((Complex<f32>, x86::panel_c32), (Complex<f64>, x86::panel_c64));
+    }
+    false
+}
+
+/// Columns of a register panel: each register of `F̂` is prepared once
+/// (`cfma_lhs`) and feeds this many columns' products.
+pub(crate) const PANEL_COLS: usize = 4;
+
+/// Output series of a register panel (two prepared `F̂` registers, four
+/// columns: 8 accumulators, 4 + 2 operand registers of the 16).
+pub(crate) const PANEL_ROWS: usize = 2;
+
 /// Vectorized tile epilogue `y = α·acc + β·y` (`y` write-only when
 /// `beta` is `None`), elementwise with the scalar epilogue's operation
 /// mix. Returns `false` if no vector kernel applies.
@@ -129,6 +235,7 @@ mod x86 {
     use fftmatvec_numeric::simd::x86::{pd, ps};
     use fftmatvec_numeric::Complex;
 
+    use super::PANEL_COLS;
     use crate::kernels::scale_run;
 
     /// Independent accumulator registers of a one-series sweep.
@@ -279,4 +386,114 @@ mod x86 {
 
     complex_kernels!(pd, f64, freq_regs_c64, freq_sweep_c64, freq_c64, scale_c64);
     complex_kernels!(ps, f32, freq_regs_c32, freq_sweep_c32, freq_c32, scale_c32);
+
+    /// A register panel's operand geometry: `a` with its step and row
+    /// step and the number of output series, `x` with its column step and
+    /// reduction step, and the frequency and reduction ranges.
+    type Geom<'a, C> =
+        ((&'a [C], usize, usize, usize), (&'a [C], usize, usize), (usize, usize, usize));
+
+    macro_rules! panel_kernels {
+        ($v:ident, $t:ty, $panel_regs:ident, $panel_sweep:ident, $panel:ident) => {
+            /// The panel registers: one register of `LANES` consecutive
+            /// frequencies for each of `RB` output series (`row_step`
+            /// apart in `a`) and each of `PANEL_COLS` columns (`x_col`
+            /// apart in `x`), walked through `steps` reduction steps in
+            /// order. Each step loads the `RB` registers of `a` once and
+            /// prepares them (`cfma_lhs`), then loads each column's `x`
+            /// register once and applies it to all `RB` series: per
+            /// accumulator the two FMAs of `cfma`, on its own chain. Run
+            /// `(c, j)` is stored at `out + c·col_ld + j·row_ld`, through
+            /// the α = 1 epilogue when `EPI`. `tail` masks the
+            /// frequencies past the last whole register, as in the
+            /// one-column sweep.
+            #[inline]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn $panel_regs<const RB: usize, const EPI: bool>(
+                sign: $v::V,
+                (ap, lda, row_step): (*const $v::C, usize, usize),
+                (xp, ldx, x_col): (*const $v::C, usize, usize),
+                steps: usize,
+                (out, col_ld, row_ld): (*mut $v::C, usize, usize),
+                tail: Option<$v::M>,
+            ) {
+                let zero = $v::splat(0.0);
+                let mut v = [[zero; RB]; PANEL_COLS];
+                for r in 0..steps {
+                    let mut s = [(zero, zero); RB];
+                    for (j, sj) in s.iter_mut().enumerate() {
+                        let a = $v::load_masked(ap.add(j * row_step + r * lda), tail);
+                        *sj = $v::cfma_lhs(a, sign);
+                    }
+                    for (c, vc) in v.iter_mut().enumerate() {
+                        let x = $v::load_masked(xp.add(c * x_col + r * ldx), tail);
+                        let x_sw = $v::swap(x);
+                        for (vcj, &sj) in vc.iter_mut().zip(&s) {
+                            *vcj = $v::cfma_with(sj, x, x_sw, *vcj);
+                        }
+                    }
+                }
+                let one = $v::bcast(Complex::new(1.0, 0.0));
+                for (c, vc) in v.iter().enumerate() {
+                    for (j, &vcj) in vc.iter().enumerate() {
+                        let y = if EPI { $v::cmuladd(one, vcj, $v::swap(vcj), zero) } else { vcj };
+                        $v::store_masked(out.add(c * col_ld + j * row_ld), tail, y);
+                    }
+                }
+            }
+
+            /// All registers of one frequency tile of a panel: whole ones,
+            /// then the masked partial register of the frequencies left.
+            #[inline]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn $panel_sweep<const RB: usize, const EPI: bool>(
+                sign: $v::V,
+                (ap, lda, row_step): (*const $v::C, usize, usize),
+                (xp, ldx, x_col): (*const $v::C, usize, usize),
+                steps: usize,
+                (out, col_ld, row_ld, len): (*mut $v::C, usize, usize, usize),
+            ) {
+                let mut f = 0;
+                while f < len {
+                    let tail = (f + $v::LANES > len).then(|| $v::tail_mask(len - f));
+                    let (a, x) = ((ap.add(f), lda, row_step), (xp.add(f), ldx, x_col));
+                    let out = (out.add(f), col_ld, row_ld);
+                    $panel_regs::<RB, EPI>(sign, a, x, steps, out, tail);
+                    f += $v::LANES;
+                }
+            }
+
+            /// Frequencies of `rows` frequency-minor output series of
+            /// `PANEL_COLS` columns: run `(c, j)` of `out` holds, for
+            /// `i < len`, `Σ_r op(a[j·row_step + r·a_step + f0 + i])
+            /// ·x[c·x_col + r·nfreq + f0 + i]` in increasing `r` — per
+            /// output the chain of the one-column sweep — or, with
+            /// `epilogue`, that sum through the α = 1 epilogue.
+            #[target_feature(enable = "avx2,fma")]
+            pub unsafe fn $panel(
+                conj: bool,
+                ((a, a_step, row_step, rows), (x, x_col, nfreq), (f0, r0, r1)): Geom<
+                    '_,
+                    Complex<$t>,
+                >,
+                out: (*mut Complex<$t>, usize, usize, usize),
+                epilogue: bool,
+            ) {
+                let a = (a.as_ptr().add(r0 * a_step + f0), a_step, row_step);
+                let x = (x.as_ptr().add(r0 * nfreq + f0), nfreq, x_col);
+                let sign = if conj { $v::neg_im() } else { $v::neg_re() };
+                let steps = r1 - r0;
+                match (rows, epilogue) {
+                    (1, false) => $panel_sweep::<1, false>(sign, a, x, steps, out),
+                    (2, false) => $panel_sweep::<2, false>(sign, a, x, steps, out),
+                    (1, true) => $panel_sweep::<1, true>(sign, a, x, steps, out),
+                    (2, true) => $panel_sweep::<2, true>(sign, a, x, steps, out),
+                    _ => unreachable!("PANEL_ROWS is 2"),
+                }
+            }
+        };
+    }
+
+    panel_kernels!(pd, f64, panel_regs_c64, panel_sweep_c64, panel_c64);
+    panel_kernels!(ps, f32, panel_regs_c32, panel_sweep_c32, panel_c32);
 }

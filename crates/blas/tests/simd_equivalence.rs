@@ -270,3 +270,74 @@ freq_minor_tests!(
     (freq_minor_equals_reordered_sbgemv_c16, Complex<f16>),
     (freq_minor_equals_reordered_sbgemv_cb16, Complex<bf16>),
 );
+
+// ---------------------------------------------------------------------
+// Register panels against the one-column kernel
+// ---------------------------------------------------------------------
+
+use fftmatvec_blas::sbgemv_freq_minor_many;
+
+/// `cols` columns of one `m × n × nfreq` batch at the current level: the
+/// panel entry point's output, and `sbgemv_freq_minor` run on each column
+/// alone, both over NaN-filled `y`.
+fn panel_and_columns<S: Scalar>(
+    op: GemvOp,
+    (m, n, nfreq): (usize, usize, usize),
+    cols: usize,
+    period: usize,
+) -> [Vec<(u64, u64)>; 2] {
+    let (red, outs) = (op.input_len(m, n), op.output_len(m, n));
+    let (xs, ys) = (red * nfreq, outs * nfreq);
+    let mut rng = SplitMix64::new((m * 977 + n * 31 + nfreq * 7 + cols) as u64);
+    let a: Vec<S> = fill_special(&mut rng, m * n * nfreq, period);
+    let x: Vec<S> = fill_special(&mut rng, cols * xs, period);
+    let nan = S::from_f64_parts(f64::NAN, f64::NAN);
+    let mut panel = vec![nan; cols * ys];
+    sbgemv_freq_minor_many(op, &a, &x, &mut panel, m, n, nfreq, cols);
+    let mut alone = vec![nan; cols * ys];
+    for (x, y) in x.chunks_exact(xs).zip(alone.chunks_exact_mut(ys)) {
+        sbgemv_freq_minor(op, &a, x, y, m, n, nfreq);
+    }
+    [digest(&panel), digest(&alone)]
+}
+
+/// 1–9 columns (no register panel, one or two and a remainder of every
+/// width) in both of the pipeline's ops, over the frequency-minor blocks —
+/// reductions inside one base run, where the panel stores `y` through its
+/// own epilogue, and past it, through the tree — and every frequency count
+/// above but the three-tile one (every masked tail, one tile and a tail),
+/// with and without −0, ±∞, NaN and subnormals: every output bit of the
+/// panel equals the column run alone. At every vector level; at the
+/// portable level the panel entry point is the per-column loop itself.
+fn check_panels<S: Scalar>() {
+    let _guard = LEVEL_LOCK.lock().unwrap();
+    let prev = set_active_level(SimdLevel::Portable);
+    for level in supported_levels().into_iter().filter(|&l| l != SimdLevel::Portable) {
+        set_active_level(level);
+        for &(m, n) in FM_BLOCKS {
+            for &nfreq in FM_NFREQ.iter().filter(|&&f| f < 257) {
+                for op in [GemvOp::NoTrans, GemvOp::ConjTrans] {
+                    for cols in 1..=9 {
+                        for period in [0, 5] {
+                            let [panel, alone] =
+                                panel_and_columns::<S>(op, (m, n, nfreq), cols, period);
+                            let what = format!("{op} {m}x{n}x{nfreq} cols={cols} special/{period}");
+                            assert_eq!(panel, alone, "{what} level={level}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    set_active_level(prev);
+}
+
+#[test]
+fn register_panels_equal_columns_alone_c32() {
+    check_panels::<Complex<f32>>();
+}
+
+#[test]
+fn register_panels_equal_columns_alone_c64() {
+    check_panels::<Complex<f64>>();
+}

@@ -19,8 +19,9 @@
 //! This file supplies only what is specific to the family — the
 //! [`SbgemvKernel`] (batched real FFT engines through the
 //! [`DeviceBackend`], the four-spectrum workspace, the five phases in
-//! three calls — pad fused into the forward transform, unpad into the
-//! inverse — with the frequency-minor batched GEMV as symbol apply) and the
+//! three calls for a whole panel of columns — pad fused into the forward
+//! transform, unpad into the inverse — with the frequency-minor batched
+//! GEMV, in register panels, as symbol apply) and the
 //! [`FftMatvecBuilder`]. Engine retention, pooled zero-allocation
 //! workspaces, budget resolution, batching and diagnostics are the
 //! shared [`TieredPipeline`]'s.
@@ -28,7 +29,7 @@
 use std::sync::Arc;
 
 use fftmatvec_backend::{BackendError, BatchFft, DeviceBackend};
-use fftmatvec_blas::{sbgemv_freq_minor, GemvOp};
+use fftmatvec_blas::{sbgemv_freq_minor_many, GemvOp};
 use fftmatvec_gpu::{DeviceSpec, PhaseTimes};
 use fftmatvec_numeric::{ComplexBuffer, Precision, Scalar};
 
@@ -41,34 +42,61 @@ use crate::spectral::{BuildOptions, SpectralKernel, TieredPipeline};
 use crate::timing::{simulate_phases, MatvecDims};
 use crate::workspace::Workspace;
 
-/// One apply's worth of intermediate buffers: the spectra on either side
+/// One panel's worth of intermediate buffers: the spectra on either side
 /// of the symbol apply. The time-domain ends need none — the transforms
-/// read the input and write the output in place. Every field is reset
-/// (not reallocated) each apply as long as the tier/shape it held last
-/// time still matches — which is always the case under a fixed
-/// configuration.
+/// read the input and write the output in place. A buffer belongs to a
+/// side of the operator and a tier, not to a direction or a phase: the
+/// `N_m` series are F's input and F\*'s output, so one buffer per tier
+/// holds them in both directions, and a workspace serving F and F\* grows
+/// one `N_m`-wide and one `N_d`-wide spectrum per tier it uses, not two of
+/// the wider (with panels of up to eight columns the wide one dominates).
+/// Within one apply the buffers a side needs are in distinct tiers (the
+/// transform's and the SBGEMV's when they differ), and a slot never
+/// changes tier, so under a fixed configuration every buffer is reset,
+/// not reallocated, once the widest panel has run.
+#[derive(Default)]
 pub struct MatvecWorkspace {
-    spectrum: ComplexBuffer,
-    xhat: ComplexBuffer,
-    yhat: ComplexBuffer,
-    dspec: ComplexBuffer,
+    m: SideSpectra,
+    d: SideSpectra,
 }
 
-impl Default for MatvecWorkspace {
-    /// All-empty workspace; `Vec::new()` does not allocate.
+/// One side's spectra, one slot per tier (`Precision as usize`), empty
+/// until a phase runs that side in that tier.
+struct SideSpectra([ComplexBuffer; 4]);
+
+impl Default for SideSpectra {
+    /// All empty; `Vec::new()` does not allocate.
     fn default() -> Self {
-        MatvecWorkspace {
-            spectrum: ComplexBuffer::C64(Vec::new()),
-            xhat: ComplexBuffer::C64(Vec::new()),
-            yhat: ComplexBuffer::C64(Vec::new()),
-            dspec: ComplexBuffer::C64(Vec::new()),
+        SideSpectra(std::array::from_fn(|_| ComplexBuffer::C64(Vec::new())))
+    }
+}
+
+impl SideSpectra {
+    /// The slot of tier `p`.
+    fn tier(&mut self, p: Precision) -> &mut ComplexBuffer {
+        &mut self.0[p as usize]
+    }
+
+    /// The slots of two distinct tiers: a cast's source and destination.
+    fn cast_pair(
+        &mut self,
+        from: Precision,
+        to: Precision,
+    ) -> (&ComplexBuffer, &mut ComplexBuffer) {
+        let (f, t) = (from as usize, to as usize);
+        assert_ne!(f, t, "a cast changes tier");
+        let (lo, hi) = self.0.split_at_mut(f.max(t));
+        if f < t {
+            (&lo[f], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[t])
         }
     }
 }
 
 impl Workspace for MatvecWorkspace {
     fn bytes(&self) -> usize {
-        self.spectrum.bytes() + self.xhat.bytes() + self.yhat.bytes() + self.dspec.bytes()
+        self.m.0.iter().chain(&self.d.0).map(ComplexBuffer::bytes).sum()
     }
 }
 
@@ -96,59 +124,70 @@ impl SpectralKernel for SbgemvKernel {
         device.real_fft(p, 2 * self.op.nt())
     }
 
+    /// A panel of `cols` columns runs the five phases in three calls for
+    /// all of them: one forward transform of every column's series, one
+    /// register-panel SBGEMV, one inverse transform. The spectra sit
+    /// column by column in the workspace, each column's `[series][freq]`.
     fn run(
         &self,
         pipe: &TieredPipeline<Self>,
         dir: OpDirection,
-        input: &[f64],
-        out: &mut [f64],
+        inputs: &[f64],
+        outs: &mut [f64],
+        cols: usize,
         ws: &mut MatvecWorkspace,
     ) -> Result<(), OpError> {
         let op = &*self.op;
         let (nd, nm, nfreq) = (op.nd(), op.nm(), op.nfreq());
-        // Series counts on each side of the GEMV.
-        let (gemv_op, n_in, n_out) = match dir {
-            OpDirection::Forward => (GemvOp::NoTrans, nm, nd),
-            OpDirection::Adjoint => (GemvOp::ConjTrans, nd, nm),
+        // Series counts and spectra on each side of the GEMV.
+        let MatvecWorkspace { m, d } = ws;
+        let (gemv_op, n_in, n_out, ins, outs_side) = match dir {
+            OpDirection::Forward => (GemvOp::NoTrans, nm, nd, m, d),
+            OpDirection::Adjoint => (GemvOp::ConjTrans, nd, nm, d, m),
         };
         let (cfg, device) = (pipe.config(), pipe.device());
-        let MatvecWorkspace { spectrum, xhat, yhat, dspec } = ws;
 
         // Phases 1 + 2 — broadcast + zero-pad (TOSI → SOTI) in cfg[Pad],
         // then the batched R2C FFT in cfg[Fft]: the transform's first
-        // pass reads the TOSI input, rounds each sample through cfg[Pad]
-        // into cfg[Fft], and never loads an embedding zero.
+        // pass reads each column's TOSI input, rounds each sample through
+        // cfg[Pad] into cfg[Fft], and never loads an embedding zero.
         let p_fft = cfg.phase(MatvecPhase::Fft);
-        spectrum.reset_for_overwrite(p_fft, n_in * nfreq);
-        pipe.engine(p_fft)?.forward_padded(input, n_in, cfg.phase(MatvecPhase::Pad), spectrum)?;
+        let spectrum = ins.tier(p_fft);
+        spectrum.reset_for_overwrite(p_fft, cols * n_in * nfreq);
+        let p_pad = cfg.phase(MatvecPhase::Pad);
+        pipe.engine(p_fft)?.forward_padded_many(inputs, n_in, cols, p_pad, spectrum)?;
 
         // Phase 3 — the symbol apply in cfg[Sbgemv] on the frequency-minor
         // `F̂`: the kernel reads the forward engine's `[series][freq]`
         // spectra and writes the inverse engine's. With the three tiers
-        // equal there is no pass in between and `xhat` / `yhat` stay
-        // empty; a differing neighbour costs one contiguous cast (the
+        // equal there is no pass in between and no other buffer is
+        // sized; a differing neighbour costs one contiguous cast (the
         // device's, as for phase 2's input) — every element rounds as it
         // would in a casting SOTI↔TOSI reorder.
         let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
         let p_ifft = cfg.phase(MatvecPhase::Ifft);
         let x: &ComplexBuffer = if p_fft == p_gemv {
-            spectrum
+            ins.tier(p_fft)
         } else {
+            let (spectrum, xhat) = ins.cast_pair(p_fft, p_gemv);
             device.cast_complex(spectrum, p_gemv, xhat)?;
             xhat
         };
-        let y = if p_gemv == p_ifft { &mut *dspec } else { &mut *yhat };
-        y.reset_for_overwrite(p_gemv, n_out * nfreq);
-        apply_symbol(op, gemv_op, op.stored().buffer(p_gemv), x, y)?;
+        let y = outs_side.tier(p_gemv);
+        y.reset_for_overwrite(p_gemv, cols * n_out * nfreq);
+        apply_symbol(op, gemv_op, op.stored().buffer(p_gemv), x, y, cols)?;
         if p_gemv != p_ifft {
+            let (yhat, dspec) = outs_side.cast_pair(p_gemv, p_ifft);
             device.cast_complex(yhat, p_ifft, dspec)?;
         }
 
         // Phases 4 + 5 — batched C2R inverse FFT in cfg[Ifft], then unpad
         // (SOTI → TOSI) through cfg[Unpad] into the double output: the
         // transform's last pass computes only the kept half of each
-        // series, scales it and stores it, routed, into `out`.
-        pipe.engine(p_ifft)?.inverse_unpadded(dspec, cfg.phase(MatvecPhase::Unpad), out)?;
+        // series, scales it and stores it, routed, into its column of
+        // `outs`.
+        let p_unpad = cfg.phase(MatvecPhase::Unpad);
+        pipe.engine(p_ifft)?.inverse_unpadded_many(outs_side.tier(p_ifft), cols, p_unpad, outs)?;
         Ok(())
     }
 
@@ -178,24 +217,28 @@ impl SpectralKernel for SbgemvKernel {
     }
 }
 
-/// `y = op(F̂)·x` (α = 1, β = 0) with `fhat` the frequency-minor `F̂`, in
-/// the tier all three buffers hold, `x` and `y` `[series][freq]` spectra.
+/// `y = op(F̂)·x` (α = 1, β = 0) for each of `cols` columns, with `fhat`
+/// the frequency-minor `F̂`, in the tier all three buffers hold, `x` and
+/// `y` each `cols` back-to-back `[series][freq]` spectra.
 fn apply_symbol(
     op: &BlockToeplitzOperator,
     gemv_op: GemvOp,
     fhat: &ComplexBuffer,
     x: &ComplexBuffer,
     y: &mut ComplexBuffer,
+    cols: usize,
 ) -> Result<(), OpError> {
-    fn run<S: Scalar>(op: &BlockToeplitzOperator, gemv_op: GemvOp, a: &[S], x: &[S], y: &mut [S]) {
-        sbgemv_freq_minor(gemv_op, a, x, y, op.nd(), op.nm(), op.nfreq());
+    let dims = (op.nd(), op.nm(), op.nfreq());
+    fn run<S: Scalar>(op: GemvOp, a: &[S], x: &[S], y: &mut [S], (m, n, nf): Dims, cols: usize) {
+        sbgemv_freq_minor_many(op, a, x, y, m, n, nf, cols);
     }
+    type Dims = (usize, usize, usize);
     use ComplexBuffer::{C16, C32, C64, CB16};
     match (fhat, x, y) {
-        (C16(a), C16(x), C16(y)) => run(op, gemv_op, a, x, y),
-        (CB16(a), CB16(x), CB16(y)) => run(op, gemv_op, a, x, y),
-        (C32(a), C32(x), C32(y)) => run(op, gemv_op, a, x, y),
-        (C64(a), C64(x), C64(y)) => run(op, gemv_op, a, x, y),
+        (C16(a), C16(x), C16(y)) => run(gemv_op, a, x, y, dims, cols),
+        (CB16(a), CB16(x), CB16(y)) => run(gemv_op, a, x, y, dims, cols),
+        (C32(a), C32(x), C32(y)) => run(gemv_op, a, x, y, dims, cols),
+        (C64(a), C64(x), C64(y)) => run(gemv_op, a, x, y, dims, cols),
         _ => return Err(OpError::Internal("phase-3 tier mismatch")),
     }
     Ok(())
@@ -564,25 +607,35 @@ mod tests {
 
     #[test]
     fn many_matches_individual_applies() {
+        // 3×6 leaves both transforms' columns a lane remainder (6 and 3
+        // series), so every panel runs them as one straddling batch; 13
+        // columns are a panel of 8 (two register panels) and a ragged 5.
         let op = random_operator(3, 6, 8, 31);
-        let mv = mv(op, PrecisionConfig::optimal_forward());
+        let mut mv = mv(op, PrecisionConfig::all_double());
         let mut rng = SplitMix64::new(9);
         let (in_len, out_len) = (6 * 8, 3 * 8);
-        let batch = 5;
-        let mut inputs = vec![0.0; batch * in_len];
-        rng.fill_uniform(&mut inputs, -1.0, 1.0);
-        let mut outputs = vec![0.0; batch * out_len];
-        mv.apply_forward_many_into(&inputs, &mut outputs).unwrap();
-        for b in 0..batch {
-            let single = mv.apply_forward(&inputs[b * in_len..(b + 1) * in_len]).unwrap();
-            assert_eq!(&outputs[b * out_len..(b + 1) * out_len], &single[..]);
-        }
-        // Round-trip the batch through the adjoint direction too.
-        let mut back = vec![0.0; batch * in_len];
-        mv.apply_adjoint_many_into(&outputs, &mut back).unwrap();
-        for b in 0..batch {
-            let single = mv.apply_adjoint(&outputs[b * out_len..(b + 1) * out_len]).unwrap();
-            assert_eq!(&back[b * in_len..(b + 1) * in_len], &single[..]);
+        for code in ["ddddd", "sssss", "hhhhh", "bbbbb", "dssdd"] {
+            mv.set_config(code.parse().unwrap());
+            for batch in [1usize, 5, 13] {
+                let mut inputs = vec![0.0; batch * in_len];
+                rng.fill_uniform(&mut inputs, -1.0, 1.0);
+                let mut outputs = vec![0.0; batch * out_len];
+                mv.apply_forward_many_into(&inputs, &mut outputs).unwrap();
+                for b in 0..batch {
+                    let single = mv.apply_forward(&inputs[b * in_len..(b + 1) * in_len]).unwrap();
+                    let got = &outputs[b * out_len..(b + 1) * out_len];
+                    assert_eq!(bits(got), bits(&single), "{code} batch {batch}: F column {b}");
+                }
+                // Round-trip the batch through the adjoint direction too.
+                let mut back = vec![0.0; batch * in_len];
+                mv.apply_adjoint_many_into(&outputs, &mut back).unwrap();
+                for b in 0..batch {
+                    let single =
+                        mv.apply_adjoint(&outputs[b * out_len..(b + 1) * out_len]).unwrap();
+                    let got = &back[b * in_len..(b + 1) * in_len];
+                    assert_eq!(bits(got), bits(&single), "{code} batch {batch}: F* column {b}");
+                }
+            }
         }
     }
 

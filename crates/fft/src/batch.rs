@@ -21,6 +21,15 @@
 //! group, in place, up to `STAGE` series, and groups of `STAGE` through a
 //! staging block beyond; the lanes path's remainder group stages too.
 //! Only a group that stages checks a staging block out.
+//!
+//! A batch of **columns** through one operator
+//! ([`BatchedRealFft::forward_padded_many`] / `inverse_unpadded_many`,
+//! one TOSI matrix per column) runs column by column when a column's
+//! series fill whole lane groups, and otherwise as one batch of all the
+//! columns' series laid side by side by a staging copy, so that lane
+//! groups straddle columns instead of leaving each column a remainder —
+//! the two series of a 2×16 operator's narrow side fill a 4-wide `f64`
+//! group from two columns. Every series keeps its own transform's bits.
 
 use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
@@ -214,6 +223,23 @@ impl Interleaved {
     }
 }
 
+/// The staging copy of a batch whose columns share lane groups: `cols`
+/// TOSI matrices of `n_series` series of `h` samples, back to back, laid
+/// side by side as one TOSI matrix of `cols·n_series` series.
+/// `copy(wide, col)` is called with the index of every element in the
+/// wide matrix and in the column matrices. One series at a time, so the
+/// inner loop is a whole series: a row of a column is as short as two
+/// samples.
+fn side_by_side(n_series: usize, h: usize, cols: usize, mut copy: impl FnMut(usize, usize)) {
+    let width = cols * n_series;
+    for c in 0..cols {
+        for s in 0..n_series {
+            let (wide, col) = (c * n_series + s, c * h * n_series + s);
+            (0..h).for_each(|t| copy(wide + t * width, col + t * n_series));
+        }
+    }
+}
+
 impl<T: Real> BatchedRealFft<T> {
     pub fn new(n: usize) -> Self {
         BatchedRealFft {
@@ -367,6 +393,83 @@ impl<T: Real> BatchedRealFft<T> {
                 }
             }
         });
+    }
+
+    /// [`Self::forward_padded`] of `cols` columns, each a TOSI matrix of
+    /// `n_series` series, back to back in `input` (`cols·n_series·n/2`
+    /// samples); the spectra of column `c` are series `c·n_series..` of
+    /// `output` (`cols·n_series·(n/2+1)` bins). Every series gets the bits
+    /// of its own transform.
+    ///
+    /// Where the series-in-lanes path would leave every column a
+    /// remainder group — `n_series` not a multiple of the lane width, as
+    /// on the two-series side of a short, wide operator — the columns run
+    /// as one batch of `cols·n_series` series whose lane groups straddle
+    /// columns: a staging copy lays the columns side by side as one TOSI
+    /// matrix. Otherwise each column is one call.
+    pub fn forward_padded_many(
+        &self,
+        input: &[f64],
+        n_series: usize,
+        cols: usize,
+        pad: Precision,
+        output: &mut [Complex<T>],
+    ) {
+        let (h, s) = (self.plan.len() / 2, self.plan.spectrum_len());
+        assert_eq!(input.len(), cols * n_series * h, "batched padded R2C input length mismatch");
+        assert_eq!(output.len(), cols * n_series * s, "batched padded R2C output length mismatch");
+        if !self.straddles(n_series, cols) {
+            let columns =
+                input.chunks_exact(n_series * h).zip(output.chunks_exact_mut(n_series * s));
+            columns.for_each(|(x, out)| self.forward_padded(x, n_series, pad, out));
+            return;
+        }
+        let mut stage = self.stage.checkout();
+        let stage = stage.ws();
+        stage.resize(input.len(), 0.0);
+        side_by_side(n_series, h, cols, |wide, col| stage[wide] = input[col]);
+        self.forward_padded(stage, cols * n_series, pad, output);
+    }
+
+    /// [`Self::inverse_unpadded`] of `cols` columns of `spectrum.len() /
+    /// (cols·(n/2+1))` series each into `cols` TOSI matrices back to back
+    /// in `output`; the columns run as one batch through a staging copy
+    /// exactly when [`Self::forward_padded_many`]'s do.
+    pub fn inverse_unpadded_many(
+        &self,
+        spectrum: &[Complex<T>],
+        cols: usize,
+        unpad: Precision,
+        output: &mut [f64],
+    ) {
+        let (h, s) = (self.plan.len() / 2, self.plan.spectrum_len());
+        assert!(
+            cols > 0 && spectrum.len() % (cols * s) == 0,
+            "batched C2R spectrum not whole columns"
+        );
+        let n_series = spectrum.len() / (cols * s);
+        assert_eq!(
+            output.len(),
+            cols * n_series * h,
+            "batched unpadded C2R output length mismatch"
+        );
+        if !self.straddles(n_series, cols) {
+            let columns =
+                spectrum.chunks_exact(n_series * s).zip(output.chunks_exact_mut(n_series * h));
+            columns.for_each(|(spec, out)| self.inverse_unpadded(spec, unpad, out));
+            return;
+        }
+        let mut stage = self.stage.checkout();
+        let stage = stage.ws();
+        stage.resize(output.len(), 0.0);
+        self.inverse_unpadded(spectrum, unpad, stage);
+        side_by_side(n_series, h, cols, |wide, col| output[col] = stage[wide]);
+    }
+
+    /// Would the lane groups of `cols` columns of `n_series` series run as
+    /// one batch straddle columns? Only then do the columns share a batch.
+    fn straddles(&self, n_series: usize, cols: usize) -> bool {
+        cols > 1 && self.lanes(cols * n_series).is_some_and(|(l, _)| n_series % l.width() != 0)
     }
 
     /// The group width of a padded batch of `n_series`, and the lanes
@@ -729,6 +832,62 @@ mod tests {
                                 "n={n} ns={n_series} unpad {unpad}"
                             );
                         }
+                    }
+                }
+            }
+        }
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// A batch of columns equals each column transformed alone, on bits
+    /// (NaNs canonical: lanes and per-series butterflies give NaNs
+    /// different signs): both tiers, column widths that fill the lanes and
+    /// ones that leave a remainder (so the columns share straddling lane
+    /// groups), one column and several, lengths on both sides of the
+    /// lanes crossover, noise and special values.
+    #[test]
+    fn column_batches_equal_each_column_alone_on_bits() {
+        fn check<T: Real>() {
+            let canon = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+            let specials = [0.0, -0.0, 1.0, -0.5, 3e4, 1e-40, f64::INFINITY, f64::NAN];
+            for n in [8usize, 128, 2 * LANES_MAX_LEN] {
+                let bf = BatchedRealFft::<T>::new(n);
+                let (h, s) = (n / 2, bf.spectrum_len());
+                for (n_series, cols) in [(2usize, 1usize), (2, 8), (3, 5), (8, 3), (19, 4), (1, 7)]
+                {
+                    let mut rng = SplitMix64::new((n * 64 + n_series * 8 + cols) as u64);
+                    let len = cols * n_series * h;
+                    let noise: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    let special: Vec<f64> =
+                        (0..len).map(|_| specials[rng.next_u64() as usize % 8]).collect();
+                    for x in [noise, special] {
+                        let what = format!("n={n} series={n_series} cols={cols}");
+                        let mut many = vec![Complex::<T>::zero(); cols * n_series * s];
+                        bf.forward_padded_many(&x, n_series, cols, Precision::Single, &mut many);
+                        let mut alone = many.clone();
+                        let columns =
+                            x.chunks_exact(n_series * h).zip(alone.chunks_exact_mut(n_series * s));
+                        columns.for_each(|(x, o)| {
+                            bf.forward_padded(x, n_series, Precision::Single, o)
+                        });
+                        let cbits = |v: &[Complex<T>]| {
+                            v.iter()
+                                .map(|z| (canon(z.re.to_f64()), canon(z.im.to_f64())))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(cbits(&many), cbits(&alone), "{what}: forward");
+
+                        let mut many_t = vec![f64::NAN; len];
+                        bf.inverse_unpadded_many(&many, cols, Precision::Half, &mut many_t);
+                        let mut alone_t = many_t.clone();
+                        let columns = many
+                            .chunks_exact(n_series * s)
+                            .zip(alone_t.chunks_exact_mut(n_series * h));
+                        columns.for_each(|(spec, o)| bf.inverse_unpadded(spec, Precision::Half, o));
+                        let bits = |v: &[f64]| v.iter().map(|&x| canon(x)).collect::<Vec<_>>();
+                        assert_eq!(bits(&many_t), bits(&alone_t), "{what}: inverse");
                     }
                 }
             }

@@ -12,9 +12,12 @@
 //! worker, never one shared guard for the whole batch), so at most one
 //! scratch buffer per concurrently-running worker is live at a time.
 //! Below it one state serves a serial loop. Chunk boundaries depend only
-//! on the batch length — not the thread count — and every chunk writes a
-//! disjoint output, so results are byte-identical at any
-//! `RAYON_NUM_THREADS`.
+//! on the batch length and the caller's chunk length — not the thread
+//! count — and every chunk writes a disjoint output, so results are
+//! byte-identical at any `RAYON_NUM_THREADS`. A caller that sizes its
+//! chunks by [`spread_len`] (the batched apply's column panels) makes the
+//! boundaries follow the pool width; it may only because its chunks'
+//! outputs do not depend on where they are cut.
 //!
 //! A failing batch returns the error of its **lowest failing chunk**: the
 //! serial loop stops there, the pool runs every chunk and keeps the
@@ -34,6 +37,14 @@ const PAR_THRESHOLD: usize = 1 << 14;
 /// write `work` elements go to the pool?
 pub(crate) fn parallel(work: usize) -> bool {
     work > PAR_THRESHOLD
+}
+
+/// Items per chunk when a batch of `items` is cut into chunks of at most
+/// `max`: as wide as `max` allows but no wider than `⌈items / threads⌉`,
+/// so that a batch the pool takes still spreads over every thread of it.
+/// Never 0.
+pub fn spread_len(items: usize, max: usize) -> usize {
+    items.div_ceil(rayon::current_num_threads()).clamp(1, max.max(1))
 }
 
 /// Run `op` on every `(index, chunk)` of `data` cut into chunks of `len`,

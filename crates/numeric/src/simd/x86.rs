@@ -30,7 +30,9 @@
 //! offer the same entries under the same names — register type, lane
 //! count, tail mask, plain and masked load/store, lane arithmetic,
 //! `splat` / `bcast`, `swap`, `dup_re` / `dup_im`, the sign masks, `cmul`
-//! and `cfma` — so one kernel source instantiates for either precision.
+//! and `cfma` (also in two halves, `cfma_lhs` / `cfma_with`, for a matrix
+//! register shared by several vectors) — so one kernel source
+//! instantiates for either precision.
 //! The FFT butterflies, the SBGEMV tiles and the pointwise multiply are
 //! all written against them; no other crate spells an intrinsic for
 //! these operations.
@@ -344,7 +346,22 @@ macro_rules! complex_ops {
             /// `re = fma(s.re, x.re, fma(−s.im, x.im, p.re))`,
             /// `im = fma(s.re, x.im, fma( s.im, x.re, p.im))`.
             fn cfma(a: V, sign: V, x_ri: V, x_swap: V, p: V) -> V {
-                fma(dup_re(a), x_ri, fma(xor(dup_im(a), sign), x_swap, p))
+                cfma_with(cfma_lhs(a, sign), x_ri, x_swap, p)
+            }
+        }
+        op! {
+            /// [`cfma`]'s `s` operand prepared once, `(dup_re(a),
+            /// dup_im(a) ^ sign)`, so that one register of `a` feeds the
+            /// products of several `x` registers.
+            fn cfma_lhs(a: V, sign: V) -> (V, V) {
+                (dup_re(a), xor(dup_im(a), sign))
+            }
+        }
+        op! {
+            /// [`cfma`] with `s` prepared by [`cfma_lhs`]: the same two
+            /// FMAs, so the same bits.
+            fn cfma_with(s: (V, V), x_ri: V, x_swap: V, p: V) -> V {
+                fma(s.0, x_ri, fma(s.1, x_swap, p))
             }
         }
         op! {

@@ -3,11 +3,13 @@
 //! The service's whole premise is that merging concurrent single-vector
 //! submissions into one `apply_many_into` window changes *when* work
 //! runs, never *what* it computes. These properties pin that down: for
-//! every precision tier (f16/bf16/f32/f64), several operator shapes, and
-//! batch sizes 1–8, a wave of requests coalesced into exactly one batch
-//! window — driven through the bundled futures executor — must return
-//! exactly the bits of a freshly built identical pipeline applying each
-//! vector alone through `apply_into`. This leans on (and re-verifies)
+//! every precision tier (f16/bf16/f32/f64) and one mixed configuration,
+//! several operator shapes, and batch sizes 1–33 (one register panel or
+//! several, whole or with a ragged tail, and past one 32-request window),
+//! a wave of requests coalesced into exactly one batch window — driven
+//! through the bundled futures executor — must return exactly the bits of
+//! a freshly built identical pipeline applying each vector alone through
+//! `apply_into`. This leans on (and re-verifies)
 //! the PR-5 determinism contract: pooled batched execution equals the
 //! sequential per-item loop at any thread count. A second property sends
 //! the wave to a lane that no longer lingers, where the window
@@ -23,7 +25,7 @@ use fftmatvec_numeric::SplitMix64;
 use fftmatvec_service::{block_on, join_all, OperatorRegistry, Service, ServiceConfig};
 use proptest::prelude::*;
 
-const TIERS: [&str; 4] = ["hhhhh", "bbbbb", "sssss", "ddddd"];
+const TIERS: [&str; 5] = ["hhhhh", "bbbbb", "sssss", "ddddd", "dssdd"];
 const DIMS: [(usize, usize, usize); 3] = [(2, 3, 16), (3, 2, 32), (4, 4, 64)];
 
 fn build_pipeline(nd: usize, nm: usize, nt: usize, tier: &str, seed: u64) -> FftMatvec {
@@ -50,9 +52,9 @@ proptest! {
     /// One coalesced window == per-item sequential applies, exactly.
     #[test]
     fn coalesced_window_is_bit_identical_to_sequential(
-        tier_ix in 0usize..4,
+        tier_ix in 0usize..5,
         dims_ix in 0usize..3,
-        batch in 1usize..9,
+        batch in 1usize..34,
         dir_ix in 0usize..2,
         seed in 0u64..1u64 << 16,
     ) {
@@ -127,9 +129,9 @@ proptest! {
     /// the solo bits and the counters add up.
     #[test]
     fn flipped_lane_wave_is_bit_identical_however_it_is_cut(
-        tier_ix in 0usize..4,
+        tier_ix in 0usize..5,
         dims_ix in 0usize..3,
-        wave in 1usize..9,
+        wave in 1usize..34,
         dir_ix in 0usize..2,
         seed in 0u64..1u64 << 16,
     ) {

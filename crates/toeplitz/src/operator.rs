@@ -232,38 +232,12 @@ impl PointwiseKernel {
         pipe.engine(p_ifft)?.inverse(out_head, spec, stage, real)?;
         Ok(real)
     }
-}
-
-impl SpectralKernel for PointwiseKernel {
-    type Engine = Arc<NdEngine>;
-    type Workspace = GridWorkspace;
-
-    fn shape(&self) -> OpShape {
-        OpShape::new(self.sym.generator().rows(), self.sym.generator().cols())
-    }
-
-    /// Per-axis plans always resolve through the process-wide cache, so
-    /// rebuilds only re-link shared twiddle tables. The engine computes
-    /// on the host whatever the device (see the module docs).
-    fn plan(
-        &self,
-        _device: &dyn DeviceBackend,
-        p: Precision,
-    ) -> Result<Arc<NdEngine>, BackendError> {
-        let dims = self.sym.work_dims();
-        Ok(Arc::new(match p {
-            Precision::Half => NdEngine::H(RealNdFft::new(dims)),
-            Precision::BFloat16 => NdEngine::B(RealNdFft::new(dims)),
-            Precision::Single => NdEngine::S(RealNdFft::new(dims)),
-            Precision::Double => NdEngine::D(RealNdFft::new(dims)),
-        }))
-    }
 
     /// pad → FFTN → ⊙ĉ → IFFTN → extract on the head rows. The embed
     /// rounds through the Pad tier (cast fused into the row write); the
     /// extraction rounds through the Unpad tier into the always-double
     /// output.
-    fn run(
+    fn run_column(
         &self,
         pipe: &TieredPipeline<Self>,
         dir: OpDirection,
@@ -292,6 +266,50 @@ impl SpectralKernel for PointwiseKernel {
         let conj = matches!(dir, OpDirection::Adjoint);
         let rows = self.transform(pipe, &in_ext[..outer], &out_ext[..outer], conj, ws)?;
         each_tier!(rows, v => kernels::extract_head(out_ext[outer], m, v, p_unpad, out));
+        Ok(())
+    }
+}
+
+impl SpectralKernel for PointwiseKernel {
+    type Engine = Arc<NdEngine>;
+    type Workspace = GridWorkspace;
+
+    fn shape(&self) -> OpShape {
+        OpShape::new(self.sym.generator().rows(), self.sym.generator().cols())
+    }
+
+    /// Per-axis plans always resolve through the process-wide cache, so
+    /// rebuilds only re-link shared twiddle tables. The engine computes
+    /// on the host whatever the device (see the module docs).
+    fn plan(
+        &self,
+        _device: &dyn DeviceBackend,
+        p: Precision,
+    ) -> Result<Arc<NdEngine>, BackendError> {
+        let dims = self.sym.work_dims();
+        Ok(Arc::new(match p {
+            Precision::Half => NdEngine::H(RealNdFft::new(dims)),
+            Precision::BFloat16 => NdEngine::B(RealNdFft::new(dims)),
+            Precision::Single => NdEngine::S(RealNdFft::new(dims)),
+            Precision::Double => NdEngine::D(RealNdFft::new(dims)),
+        }))
+    }
+
+    /// The panel's columns one after another, each `run_column` on the
+    /// same workspace: a column's bits are its solo apply's.
+    fn run(
+        &self,
+        pipe: &TieredPipeline<Self>,
+        dir: OpDirection,
+        inputs: &[f64],
+        outs: &mut [f64],
+        _cols: usize,
+        ws: &mut GridWorkspace,
+    ) -> Result<(), OpError> {
+        let (in_len, out_len) = self.shape().io_lens(dir);
+        for (input, out) in inputs.chunks_exact(in_len).zip(outs.chunks_exact_mut(out_len)) {
+            self.run_column(pipe, dir, input, out, ws)?;
+        }
         Ok(())
     }
 

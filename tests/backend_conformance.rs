@@ -319,34 +319,42 @@ fn simulated_ledger_is_the_closed_form() {
     }
 }
 
-/// A 32-column batch books 32 applies — transfers and modeled time — on
-/// both sides of the pipeline's sequential/parallel batch threshold
-/// (4096 `f64` elements: 32 × 80 stays under it, 32 × 320 crosses it).
+/// A batch books one apply per column — transfers and modeled time —
+/// however it is cut into panels: 32 columns and a ragged 13 (whose last
+/// panel is narrower than the rest), on both sides of the pipeline's
+/// sequential/parallel batch threshold (2¹⁴ `f64` elements read and
+/// written: at `NT` both batches stay under it, and at `8·NT` the
+/// 32-column batch, 32 × 832 elements, crosses it).
 #[test]
 fn batched_applies_book_one_apply_per_column() {
-    for nt in [NT, 4 * NT] {
+    for nt in [NT, 8 * NT] {
         let mut col = vec![0.0; nt * ND * NM];
         SplitMix64::new(61).fill_uniform(&mut col, -1.0, 1.0);
         let op = BlockToeplitzOperator::from_first_block_column(ND, NM, nt, &col).unwrap();
         let mv = FftMatvec::builder(op).backend(BackendKind::Simulated).build().unwrap();
         let (cols, rows) = (NM * nt, ND * nt);
-        let xs = input(32 * cols, 67);
-        let mut ys = vec![0.0; 32 * rows];
-        mv.apply_many_into(OpDirection::Forward, &xs, &mut ys).unwrap();
-
-        let t = mv.device().transfers();
-        assert_eq!((t.uploads, t.downloads), (32, 32), "nt={nt}");
-        assert_eq!((t.bytes_up, t.bytes_down), ((32 * cols * 8) as u64, (32 * rows * 8) as u64));
-        let ledger = mv.device().modeled_times().unwrap();
         let closed = simulate_phases(
             MatvecDims::new(ND, NM, nt),
             PrecisionConfig::all_double(),
             false,
             &DeviceSpec::mi300x(),
         );
-        for p in Phase::COMPUTE {
-            let (got, want) = (ledger.get(p), 32.0 * closed.get(p));
-            assert!(close(got, want), "nt={nt} {}: {got} vs {want}", p.label());
+        for batch in [32usize, 13] {
+            mv.device().reset_transfers();
+            let xs = input(batch * cols, 67);
+            let mut ys = vec![0.0; batch * rows];
+            mv.apply_many_into(OpDirection::Forward, &xs, &mut ys).unwrap();
+
+            let t = mv.device().transfers();
+            let n = batch as u64;
+            assert_eq!((t.uploads, t.downloads), (n, n), "nt={nt} batch={batch}");
+            let bytes = ((batch * cols * 8) as u64, (batch * rows * 8) as u64);
+            assert_eq!((t.bytes_up, t.bytes_down), bytes, "nt={nt} batch={batch}");
+            let ledger = mv.device().modeled_times().unwrap();
+            for p in Phase::COMPUTE {
+                let (got, want) = (ledger.get(p), batch as f64 * closed.get(p));
+                assert!(close(got, want), "nt={nt} batch={batch} {}: {got} vs {want}", p.label());
+            }
         }
     }
 }
