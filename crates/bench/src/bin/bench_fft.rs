@@ -18,7 +18,7 @@
 //! and the batched transforms the block-triangular apply runs — the
 //! padded R2C (`BatchedRealFft::forward_padded`, `r2c_padded`) and the
 //! unpadded C2R (`inverse_unpadded`, `c2r_unpadded`) of `series` TOSI
-//! series of `N_t ∈ {64, 256, 1024, 4096}` samples (`size = 2·N_t`), in
+//! series of `N_t ∈ {64, 256, 1000, 1024, 4096}` samples (`size = 2·N_t`), in
 //! `f64` and `f32`, ns per series, through:
 //!
 //! * `lanes` — the driver as the apply runs it: 4 (`f64`) or 8 (`f32`)
@@ -97,8 +97,9 @@ fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec
 }
 
 /// `N_t` of the batched rows: the `paper_*` series length, two between,
-/// and `longseries_dd`'s.
-const BATCH_NT: [usize; 4] = [64, 256, 1024, 4096];
+/// the paper's `N_t = 1000` (a half plan `4·2·5³` that ends in an
+/// odd-radix pass, so both drivers run per series) and `longseries_dd`'s.
+const BATCH_NT: [usize; 5] = [64, 256, 1000, 1024, 4096];
 
 /// Series per batched row: below one lane group, the `serve_*` width, and
 /// the paper's `N_m`.

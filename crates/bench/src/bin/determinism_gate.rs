@@ -165,6 +165,22 @@ fn matvec_workloads() {
     // register panel.
     matvec_many("_2x16", 16, (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
     matvec_many("_19x51", 13, (19, 51, 64), &["ddddd", "ddssd"]);
+
+    // The small-block batch past the pool threshold: 16 columns of
+    // 2 048 elements, the pooled twin of `matvec_many_4x4_*`.
+    matvec_many("_4x4", 16, (4, 4, 256), &["ddddd", "dssdd", "ddssd"]);
+
+    // Pad tiers and unpad routes other than double: the first pass reads
+    // a series rounded through a bf16 / f16 / f32 pad tier and the last
+    // pass stores through an f16 / bf16 / f32 route, in 16-bit and in
+    // native transform tiers (`bhsdh`: pad b into an f16 forward, route h
+    // out of an f64 inverse; `hbssb`: pad h into bf16, route b out of
+    // f32; `sdhhb`: pad s into f64, route b out of f16; `sbsds`: pad s
+    // into bf16, route s out of f64). At `N_t = 64` the half plans are
+    // powers of two; at `N_t = 250` the inverse's last pass is radix 5.
+    let tiers = ["bhsdh", "hbssb", "sdhhb", "sbsds"];
+    matvec_shape("_3x5", (3, 5, 64), &tiers);
+    matvec_shape("_3x5_nt250", (3, 5, 250), &tiers);
 }
 
 /// The second spectral pipeline: a rectangular two-level Toeplitz
@@ -172,9 +188,9 @@ fn matvec_workloads() {
 /// by direction), in all-double and in a configuration whose Fft /
 /// Sbgemv / Ifft tiers all differ (so every phase-boundary cast buffer
 /// is live). Six columns of 960 elements in and 960 out stay under the
-/// batched-apply parallel threshold. The `full` in the labels is
-/// historical (there was a second construction path); they are kept so
-/// digests diff line for line across commits.
+/// batched-apply parallel threshold, sixteen cross it. The `full` in the
+/// labels is historical (there was a second construction path); they are
+/// kept so digests diff line for line across commits.
 fn toeplitz_workloads() {
     let (outer, inner) = ((32usize, 24usize), (30usize, 40usize));
     let inner_diags = inner.0 + inner.1 - 1;
@@ -192,11 +208,12 @@ fn toeplitz_workloads() {
             op.apply_into(dir, &input, &mut out).expect("valid shapes");
             report(&format!("toeplitz_full_{config}_{d}"), f64_bits(&out));
 
-            let cols = 6;
-            let inputs = stuffed_vector(in_len * cols, 47);
-            let mut outs = vec![0.0; out_len * cols];
-            op.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
-            report(&format!("toeplitz_many_full_{config}_{d}"), f64_bits(&outs));
+            for (cols, tag) in [(6, ""), (16, "16")] {
+                let inputs = stuffed_vector(in_len * cols, 47);
+                let mut outs = vec![0.0; out_len * cols];
+                op.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
+                report(&format!("toeplitz_many{tag}_full_{config}_{d}"), f64_bits(&outs));
+            }
         }
     }
 }

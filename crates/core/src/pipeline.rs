@@ -704,8 +704,12 @@ mod tests {
         // whose forward reduction spans four tree levels and whose batches
         // of 8 columns (17 408 elements read and written) sit above the
         // parallel `apply_many_into` threshold. nt = 9 leaves every lane
-        // width a masked tail of frequencies.
-        for (nd, nm, nt) in [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9), (16, 256, 8)] {
+        // width a masked tail of frequencies. 2×16×250 is a paper-like
+        // block at an odd-radix length: its half plans 250 = 2·5³ end in a
+        // radix-5 pass that writes the unpadded output from a staged slice.
+        let shapes =
+            [(4usize, 4usize, 9usize), (2, 16, 64), (19, 23, 9), (16, 256, 8), (2, 16, 250)];
+        for (nd, nm, nt) in shapes {
             let op = random_operator(nd, nm, nt, (nd * nm + nt) as u64);
             let mut mv = mv(op, PrecisionConfig::all_double());
             for code in ["ddddd", "dssdd", "ddssd", "hbsdd", "sdhbs"] {

@@ -546,8 +546,9 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
 
     /// Batched apply — the paper's §4.2.2 dense-operator assembly pattern:
     /// the batch is cut into **panels** of at most [`PANEL`] consecutive
-    /// columns, and no wider than `⌈cols / pool threads⌉` so that a batch
-    /// the pool takes still spreads over every thread. Each panel is one
+    /// columns, and, when the pool takes the batch, no wider than
+    /// `⌈cols / pool threads⌉` so that it spreads over every thread (a
+    /// serial batch keeps the widest panels). Each panel is one
     /// kernel `run` on one pooled workspace (the block-triangular kernel
     /// runs one forward transform, one register-panel SBGEMV and one
     /// inverse transform for all its columns), and the panels go through
@@ -568,8 +569,8 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
         let shape = self.shape();
         let (in_len, out_len) = shape.io_lens(dir);
         check_batch(shape, dir, inputs, outputs)?;
-        let width = spread_len(outputs.len() / out_len, PANEL);
         let (work, init) = (inputs.len() + outputs.len(), || self.pool.checkout());
+        let width = spread_len(work, outputs.len() / out_len, PANEL);
         try_for_each_chunk_mut(work, outputs, width * out_len, init, |guard, (k, o)| {
             let cols = o.len() / out_len;
             self.step(dir, &inputs[k * width * in_len..][..cols * in_len], o, cols, guard.ws())

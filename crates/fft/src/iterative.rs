@@ -28,24 +28,29 @@
 //!   pure function of the factor list and the tier.
 //! * Every pass is first offered to the vector kernels of
 //!   [`crate::simd`]; what they do not take runs [`scalar_stage`] or
-//!   [`scalar_radix16`], whose one source body each is instantiated
-//!   plainly and in an `avx2,fma` context ([`fftmatvec_numeric::fma_pass`])
-//!   so `mul_add` is an instruction, not a libm call. All of them produce
-//!   the same bits, and a radix-16 pass produces the bits of its two
-//!   stages run one at a time: each value meets the same two
-//!   [`butterfly4`] expression trees, only the intermediate stays in
-//!   registers (or a 16-element stack tile) instead of a buffer.
+//!   [`scalar_radix16`] on slices, whose one source body each is
+//!   instantiated plainly and in an `avx2,fma` context
+//!   ([`fftmatvec_numeric::fma_pass`]) so `mul_add` is an instruction, not
+//!   a libm call — once per tier. All of them produce the same bits, and
+//!   a radix-16 pass produces the bits of its two stages run one at a
+//!   time: each value meets the same two [`butterfly4`] expression trees,
+//!   only the intermediate stays in registers (or a 16-element stack
+//!   tile) instead of a buffer.
 //!
-//! * Every stage body reads an operand [`Source`] and writes an output
-//!   [`Sink`] (see `crate::padded`). [`IterativeFft::process`]'s first
-//!   pass may read a padded series in place, the embedding's zeros as
-//!   `+0` values that are never loaded, and
+//! * The vector stage bodies read an operand [`Source`] and write an
+//!   output [`Sink`] (see `crate::padded`). [`IterativeFft::process`]'s
+//!   first pass may read a padded series in place, the embedding's zeros
+//!   as `+0` values that are never loaded, and
 //!   [`IterativeFft::inverse_unpadded`]'s last pass (`m = 1`) writes an
 //!   unpadded series, which keeps only the outputs that hold a kept
 //!   sample, each scaled by `1/n` after its butterfly — the multiply of
-//!   the plan's scaling pass. The stage's own expression trees run either
-//!   way, so the bits are those of the padded buffer through the full
-//!   schedule.
+//!   the plan's scaling pass. A padded first pass no vector body takes is
+//!   declined before anything is written (the real plan gathers the
+//!   series and transforms the slice); an unpadded last pass no vector
+//!   body takes runs on slices into the free ping-pong buffer and each
+//!   output is put into the series from there. The stage's own expression
+//!   trees run every way, so the bits are those of the padded buffer
+//!   through the full schedule.
 //!
 //! The decimation-in-frequency stage recurrence: with `n_cur = r·m` and
 //! outer stride `s` (`n = s·n_cur`), stage output index `r·p + j` holds
@@ -59,7 +64,7 @@
 
 use fftmatvec_numeric::{fma_pass, Complex, Real};
 
-use crate::padded::{Sink, Source, UnpaddedSeries};
+use crate::padded::{Operands, Sink, Source, UnpaddedSeries};
 use crate::plan::{FftDirection, MAX_RADIX};
 
 /// One butterfly stage of the iterative schedule.
@@ -173,30 +178,31 @@ impl<T: Real> IterativeFft<T> {
     }
 
     /// Out-of-place transform (unscaled). The first pass reads straight
-    /// from `input` — a slice, or (forward) a padded series read in place;
-    /// the remaining passes ping-pong between `output` and `scratch` so
-    /// the final pass always lands in `output`.
+    /// from `input` — a slice, or (forward) a padded series read in place
+    /// by a vector body; the remaining passes ping-pong between `output`
+    /// and `scratch` so the final pass always lands in `output`. Returns
+    /// `false`, having written nothing, when no vector body takes a padded
+    /// first pass: the caller gathers the series and transforms the slice.
     pub(crate) fn process<S: Source<T> + ?Sized>(
         &self,
         input: &S,
         output: &mut [Complex<T>],
         scratch: &mut [Complex<T>],
         dir: FftDirection,
-    ) {
+    ) -> bool {
         let inverse = dir == FftDirection::Inverse;
         // The first stage is never fused: a source other than a slice
         // compiles no radix-16 body.
         let Pass::Single(first) = &self.passes[0] else { unreachable!("the first stage is fused") };
-        let k = self.passes.len();
-        if k == 1 {
-            run_stage(first, input, output, inverse);
-            return;
-        }
-        let scratch = &mut scratch[..self.n];
+        let scratch = &mut scratch[..self.scratch_len()];
         // After pass 0 there are k−1 ping-pong hops; parity picks the
         // first destination so the last hop writes `output`.
-        let mut in_scratch = k % 2 == 0;
-        run_stage(first, input, if in_scratch { scratch } else { output }, inverse);
+        let mut in_scratch = self.passes.len() % 2 == 0;
+        let dst = if in_scratch { &mut *scratch } else { &mut *output };
+        if !vector_stage(first, input, dst, inverse) {
+            let Operands::Slice(input) = input.operands() else { return false };
+            scalar_stage(first, input, dst, inverse);
+        }
         for pass in &self.passes[1..] {
             if in_scratch {
                 run_pass(pass, scratch, output, inverse);
@@ -206,12 +212,15 @@ impl<T: Real> IterativeFft<T> {
             in_scratch = !in_scratch;
         }
         debug_assert!(!in_scratch);
+        true
     }
 
     /// Inverse transform (scaled by `1/n`) whose last pass writes `sink`:
-    /// only the outputs that hold a sample it keeps are computed, scaled
-    /// and stored. `buf` is the input and is clobbered; the passes before
-    /// the last ping-pong between it and `scratch`.
+    /// only the outputs that hold a sample it keeps are scaled and stored.
+    /// `buf` is the input and is clobbered; the passes before the last
+    /// ping-pong between it and `scratch`. A last pass no vector body
+    /// takes into the series runs on slices into the buffer it does not
+    /// read (a stack tile for a single-pass plan) and is stored from there.
     pub(crate) fn inverse_unpadded<Q: Real>(
         &self,
         buf: &mut [Complex<T>],
@@ -220,20 +229,25 @@ impl<T: Real> IterativeFft<T> {
     ) {
         debug_assert_eq!(sink.nt(), self.n, "an unpadded series is half the real length");
         let (last, rest) = self.passes.split_last().expect("a schedule has at least one pass");
+        let scratch = &mut scratch[..self.scratch_len()];
         let mut in_scratch = false;
-        if !rest.is_empty() {
-            let scratch = &mut scratch[..self.n];
-            for pass in rest {
-                if in_scratch {
-                    run_pass(pass, scratch, buf, true);
-                } else {
-                    run_pass(pass, buf, scratch, true);
-                }
-                in_scratch = !in_scratch;
+        for pass in rest {
+            if in_scratch {
+                run_pass(pass, scratch, buf, true);
+            } else {
+                run_pass(pass, buf, scratch, true);
+            }
+            in_scratch = !in_scratch;
+        }
+        let (src, free) = if in_scratch { (&*scratch, buf) } else { (&*buf, scratch) };
+        if !vector_pass(last, src, sink, true) {
+            let mut tile = [Complex::<T>::zero(); MAX_RADIX];
+            let free = if rest.is_empty() { &mut tile[..self.n] } else { free };
+            run_pass(last, src, free, true);
+            for (o, &v) in free.iter().enumerate() {
+                Sink::put(sink, o, v);
             }
         }
-        let src = if in_scratch { &scratch[..self.n] } else { &*buf };
-        run_pass(last, src, sink, true);
     }
 
     /// In-place transform (unscaled): `buf` is both input and output.
@@ -280,46 +294,33 @@ fn fuses<T: Real>() -> bool {
 }
 
 /// Execute one pass from `src` into `dst`.
-fn run_pass<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
-    pass: &Pass<T>,
-    src: &S,
-    dst: &mut D,
-    inverse: bool,
-) {
+fn run_pass<T: Real>(pass: &Pass<T>, src: &[Complex<T>], dst: &mut [Complex<T>], inverse: bool) {
+    if vector_pass(pass, src, dst, inverse) {
+        return;
+    }
     match pass {
-        Pass::Single(st) => run_stage(st, src, dst, inverse),
+        Pass::Single(st) => scalar_stage(st, src, dst, inverse),
         Pass::Radix16(a, b) => {
             // Constant per tier: the 16-bit plans compile no radix-16 body.
             assert!(fuses::<T>(), "a 16-bit plan has no radix-16 pass");
-            if !vector_radix16(a, b, src, dst, inverse) {
-                scalar_radix16(a, b, src, dst, inverse);
-            }
+            scalar_radix16(a, b, src, dst, inverse);
         }
     }
 }
 
-/// Execute one stage from `src` into `dst`.
-fn run_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
-    st: &Stage<T>,
-    src: &S,
-    dst: &mut D,
-    inverse: bool,
-) {
-    if !vector_stage(st, src, dst, inverse) {
-        scalar_stage(st, src, dst, inverse);
-    }
-}
-
-/// Offer a radix-16 pass (stages `a` then `b`) to the vector kernels;
-/// `true` if one executed it.
-fn vector_radix16<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
-    a: &Stage<T>,
-    b: &Stage<T>,
+/// Offer one pass to the vector kernels; `true` if one executed it.
+fn vector_pass<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
+    pass: &Pass<T>,
     src: &S,
     dst: &mut D,
     inverse: bool,
 ) -> bool {
-    crate::simd::pass_radix16(src, dst, b.m, a.s, &a.twiddles, &b.twiddles, inverse)
+    match pass {
+        Pass::Single(st) => vector_stage(st, src, dst, inverse),
+        Pass::Radix16(a, b) => {
+            crate::simd::pass_radix16(src, dst, b.m, a.s, &a.twiddles, &b.twiddles, inverse)
+        }
+    }
 }
 
 /// Offer one stage to the vector kernels of [`crate::simd`]; `true` if
@@ -501,15 +502,14 @@ pub(crate) fn butterfly_odd<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>
 }
 
 fma_pass! {
-    /// The scalar stage loops: every radix for the portable level, and at
-    /// a vector level whatever [`crate::simd`] has no kernel for (the
-    /// 16-bit tiers' odd radices, first stage and passes over a padded or
-    /// unpadded series, odd radices below one register of stride or over
-    /// either series).
-    fn scalar_stage<T: Real, S: ?Sized + Source<T>, D: ?Sized + Sink<T>>(
+    /// The scalar stage loops, slices only: every radix for the portable
+    /// level, and at a vector level whatever [`crate::simd`] has no kernel
+    /// for (the 16-bit tiers' odd radices and their stages below four of
+    /// stride, odd radices below one register of stride).
+    fn scalar_stage<T: Real>(
         st: &Stage<T>,
-        src: &S,
-        dst: &mut D,
+        src: &[Complex<T>],
+        dst: &mut [Complex<T>],
         inverse: bool,
     ) {
         let (r, m, s) = (st.radix, st.m, st.s);
@@ -547,13 +547,13 @@ fma_pass! {
 
 fma_pass! {
     /// The scalar radix-16 pass (radix-4 stages `a` at stride `s`, then
-    /// `b` at `4s`): the portable level's, and wherever no vector kernel
-    /// takes the pass.
-    fn scalar_radix16<T: Real, S: ?Sized + Source<T>, D: ?Sized + Sink<T>>(
+    /// `b` at `4s`), slices only: the portable level's, and wherever no
+    /// vector kernel takes the pass.
+    fn scalar_radix16<T: Real>(
         a: &Stage<T>,
         b: &Stage<T>,
-        src: &S,
-        dst: &mut D,
+        src: &[Complex<T>],
+        dst: &mut [Complex<T>],
         inverse: bool,
     ) {
         let (m, s) = (b.m, a.s);
@@ -632,16 +632,13 @@ mod tests {
                 let src = vec![Complex::<T>::zero(); n];
                 let mut dst = src.clone();
                 for pass in &eng.passes {
-                    let (taken, what) = match pass {
-                        Pass::Single(st) => (
-                            vector_stage(st, &src[..], &mut dst[..], false),
-                            format!("radix-{} stage m={} s={}", st.radix, st.m, st.s),
-                        ),
-                        Pass::Radix16(a, b) => (
-                            vector_radix16(a, b, &src[..], &mut dst[..], false),
-                            format!("radix-16 pass m={} s={}", b.m, a.s),
-                        ),
+                    let what = match pass {
+                        Pass::Single(st) => {
+                            format!("radix-{} stage m={} s={}", st.radix, st.m, st.s)
+                        }
+                        Pass::Radix16(a, b) => format!("radix-16 pass m={} s={}", b.m, a.s),
                     };
+                    let taken = vector_pass(pass, &src[..], &mut dst[..], false);
                     assert!(taken, "n={n}: {what} ran scalar");
                 }
             }
@@ -656,7 +653,8 @@ mod tests {
     /// pass of every power-of-two `f32` / `f64` schedule are taken by a
     /// vector stage body too — contiguous and strided series alike. At
     /// stride 3 the unpadded series gets column 0 only, with the bits the
-    /// scalar body stores: columns 1 and 2 and the slack past the matrix
+    /// staged fallback stores (the pass on slices, then each output put
+    /// into the series): columns 1 and 2 and the slack past the matrix
     /// keep their NaN sentinel. Vacuous when the process runs portable.
     #[cfg(target_arch = "x86_64")]
     #[test]
@@ -664,7 +662,7 @@ mod tests {
         let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         /// The last pass of `eng` from `z` into a fresh `stride`-series
         /// output of NaNs with slack, by a vector body (`None` if none
-        /// takes it) or by the scalar one.
+        /// takes it) or staged through a slice.
         fn last_pass<T: Real>(
             eng: &IterativeFft<T>,
             z: &[Complex<T>],
@@ -676,19 +674,16 @@ mod tests {
             // SAFETY: `out` holds more than `stride·n` elements, borrowed
             // by nothing else.
             let sink = &mut unsafe { UnpaddedSeries::<f64>::new(out.as_mut_ptr(), stride, n, 1) };
-            let taken = match (eng.passes.last().unwrap(), vector) {
-                (Pass::Single(st), true) => vector_stage(st, z, sink, true),
-                (Pass::Radix16(a, b), true) => vector_radix16(a, b, z, sink, true),
-                (Pass::Single(st), false) => {
-                    scalar_stage(st, z, sink, true);
-                    true
-                }
-                (Pass::Radix16(a, b), false) => {
-                    scalar_radix16(a, b, z, sink, true);
-                    true
-                }
-            };
-            taken.then_some(out)
+            let last = eng.passes.last().unwrap();
+            if vector {
+                return vector_pass(last, z, sink, true).then_some(out);
+            }
+            let mut staged = vec![Complex::<T>::zero(); n];
+            run_pass(last, z, &mut staged, true);
+            for (o, &v) in staged.iter().enumerate() {
+                Sink::put(&mut *sink, o, v);
+            }
+            Some(out)
         }
         fn check<T: Real>() {
             let mut rng = SplitMix64::new(0x9AD);
@@ -741,7 +736,7 @@ mod tests {
     }
 
     /// The reference the pass schedule must reproduce: every stage run on
-    /// its own through [`run_stage`], one trip through memory each.
+    /// its own, one trip through memory each.
     fn stage_at_a_time<T: Real>(
         eng: &IterativeFft<T>,
         x: &[Complex<T>],
@@ -750,7 +745,9 @@ mod tests {
         let mut cur = x.to_vec();
         let mut next = vec![Complex::<T>::zero(); x.len()];
         for st in eng.stages() {
-            run_stage(st, &cur[..], &mut next[..], inverse);
+            if !vector_stage(st, &cur[..], &mut next[..], inverse) {
+                scalar_stage(st, &cur, &mut next, inverse);
+            }
             std::mem::swap(&mut cur, &mut next);
         }
         cur

@@ -25,10 +25,16 @@
 //! is the unpad's route. The zeros the first pass reads are the `+0`
 //! values the pad wrote, so every value meets the same expression tree.
 //!
-//! Every stage body of the FFT executors reads a [`Source`] and writes a
-//! [`Sink`]: a slice, or one of the two views. A padded series yields the
-//! embedding's `+0` for every operand past its live half, and an unpadded
-//! series scales each kept output by `1/nt`, routes it and drops the rest.
+//! Every vector stage body of the FFT executors reads a [`Source`] and
+//! writes a [`Sink`]: a slice, or one of the two views. A padded series
+//! yields the embedding's `+0` for every operand past its live half, and
+//! an unpadded series scales each kept output by `1/nt`, routes it and
+//! drops the rest. The scalar stage bodies read and write slices only:
+//! a padded first pass no vector body takes is gathered into a slice
+//! first ([`PaddedSeries::packed`]), and an unpadded last pass no vector
+//! body takes is staged in a slice and put into the series
+//! ([`Sink::put`]), so the scalar bodies are compiled once per tier, not
+//! once per pad tier and unpad route.
 //! For an even radix the live half of a stage's input is its operand rows
 //! `l < r/2`, and, in a last stage (`m = 1`), the kept half of its output
 //! is its output rows `j < r/2`; the vector bodies state each row's half
@@ -269,10 +275,10 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
     }
 
     /// Packed value `z[j]` of the padded series: `+0` past the live half.
-    /// Out of line: its callers (the scalar stage bodies and remainders,
-    /// the Bluestein gather) are cold at a vector level, the stage bodies
-    /// are instantiated per pad tier, and the inlined 16-bit rounding made
-    /// each copy of them several kilobytes larger.
+    /// Out of line: its callers (the vector bodies' remainders, the
+    /// gather of a first pass no vector body takes) are cold, the vector
+    /// bodies are instantiated per pad tier, and the inlined 16-bit
+    /// rounding made each copy of them several kilobytes larger.
     #[inline(never)]
     pub(crate) fn packed<T: Real>(&self, j: usize) -> Complex<T> {
         let t = 2 * j;

@@ -39,12 +39,14 @@ pub(crate) fn parallel(work: usize) -> bool {
     work > PAR_THRESHOLD
 }
 
-/// Items per chunk when a batch of `items` is cut into chunks of at most
-/// `max`: as wide as `max` allows but no wider than `⌈items / threads⌉`,
-/// so that a batch the pool takes still spreads over every thread of it.
+/// Items per chunk when a batch of `items`, whose kernels read and write
+/// `work` elements, is cut into chunks of at most `max`: `max` for a
+/// serial batch, and for a batch the pool takes no wider than
+/// `⌈items / threads⌉`, so that it spreads over every thread of the pool.
 /// Never 0.
-pub fn spread_len(items: usize, max: usize) -> usize {
-    items.div_ceil(rayon::current_num_threads()).clamp(1, max.max(1))
+pub fn spread_len(work: usize, items: usize, max: usize) -> usize {
+    let spread = if parallel(work) { items.div_ceil(rayon::current_num_threads()) } else { max };
+    spread.clamp(1, max.max(1))
 }
 
 /// Run `op` on every `(index, chunk)` of `data` cut into chunks of `len`,
@@ -176,6 +178,20 @@ mod tests {
             );
             assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1), "work {work}");
         }
+    }
+
+    /// A serial batch is cut into the widest chunks, even on a wide pool
+    /// (8 serve-shape columns, 9 216 elements, stay one panel of 8); a
+    /// batch the pool takes is spread over every thread of it.
+    #[test]
+    fn only_a_batch_the_pool_takes_is_spread_over_its_threads() {
+        let threads = rayon::current_num_threads();
+        for items in [0, 1, 8, 13] {
+            assert_eq!(spread_len(PAR_THRESHOLD, items, 8), 8, "{items} items, serial");
+            let spread = items.div_ceil(threads).clamp(1, 8);
+            assert_eq!(spread_len(PAR_THRESHOLD + 1, items, 8), spread, "{items} items, pooled");
+        }
+        assert_eq!(spread_len(PAR_THRESHOLD, 8, 0), 1, "never 0");
     }
 
     /// One worker state, counting how many are live.

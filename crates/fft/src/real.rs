@@ -30,7 +30,10 @@
 //! embedding zero) and its last pass stores only the kept samples, scaled
 //! and routed through the unpad tier — the pad, cast, scale and unpad
 //! passes of the batched pipeline folded into the transform, with the
-//! same bits.
+//! same bits. Where no vector body takes one of those passes (the
+//! portable level, the 16-bit tiers, odd radices), the first pass reads a
+//! gathered copy of the series and the last pass a staged slice: the
+//! scalar bodies only ever see slices.
 //!
 //! Conventions match [`crate::FftPlan`]: forward unscaled, inverse scaled
 //! so `inverse(forward(x)) == x`.
@@ -202,8 +205,9 @@ impl<T: Real> RealFftPlan<T> {
     /// `n/2..n` are the circulant embedding's zeros. Equals, on bits,
     /// [`Self::forward`] of that padded signal, but nothing is gathered:
     /// the half plan's first pass reads the samples where they are and
-    /// never loads a zero. (Tiny and Bluestein half plans gather the
-    /// packed signal into scratch first.) `output.len() == n/2 + 1`.
+    /// never loads a zero. (When no vector body takes that pass, and for
+    /// tiny and Bluestein half plans, the packed signal is gathered into
+    /// scratch and transformed there.) `output.len() == n/2 + 1`.
     pub(crate) fn forward_padded(
         &self,
         input: &[f64],
@@ -218,14 +222,12 @@ impl<T: Real> RealFftPlan<T> {
         let (z, inner_scratch) = scratch.split_at_mut(h);
         with_real!(pad, P => {
             let src = PaddedSeries::<P>::new(input, stride, h);
-            match self.half.iterative() {
-                Some(engine) => engine.process(&src, z, inner_scratch, FftDirection::Forward),
-                None => {
-                    for (j, v) in z.iter_mut().enumerate() {
-                        *v = src.packed(j);
-                    }
-                    self.half.process_inplace(z, inner_scratch, FftDirection::Forward);
+            let engine = self.half.iterative();
+            if !engine.is_some_and(|e| e.process(&src, z, inner_scratch, FftDirection::Forward)) {
+                for (j, v) in z.iter_mut().enumerate() {
+                    *v = src.packed(j);
                 }
+                self.half.process_inplace(z, inner_scratch, FftDirection::Forward);
             }
         });
         self.unpack(z, output);

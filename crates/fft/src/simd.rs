@@ -49,12 +49,14 @@
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
-//!   radices, first stage and passes over a padded or unpadded series,
-//!   remainders, scaling, Bluestein's chirps — is a scalar body defined
-//!   through [`fma_pass`]: one source, instantiated once plainly (the portable
-//!   level, and hosts without FMA) and once inside a
-//!   `#[target_feature(enable = "avx2,fma")]` wrapper, where `mul_add`
-//!   lowers to `vfmadd` instead of a call into libm.
+//!   radices and first stage, remainders, scaling, Bluestein's chirps — is
+//!   a scalar body defined through [`fma_pass`]: one source over slices,
+//!   instantiated once plainly (the portable level, and hosts without FMA)
+//!   and once inside a `#[target_feature(enable = "avx2,fma")]` wrapper,
+//!   where `mul_add` lowers to `vfmadd` instead of a call into libm. A
+//!   padded first pass that no kernel takes is gathered into a slice
+//!   before it runs, and an unpadded last pass that no kernel takes runs
+//!   into a slice that is then stored into the series.
 //!
 //! # Bit-identity
 //!
