@@ -18,11 +18,12 @@
 //! and the batched transforms the block-triangular apply runs — the
 //! padded R2C (`BatchedRealFft::forward_padded`, `r2c_padded`) and the
 //! unpadded C2R (`inverse_unpadded`, `c2r_unpadded`) of `series` TOSI
-//! series of `N_t ∈ {64, 256, 1000, 1024, 4096}` samples (`size = 2·N_t`), in
-//! `f64` and `f32`, ns per series, through:
+//! series of `N_t ∈ {64, 256, 1000, 1024, 4096, 8192}` samples
+//! (`size = 2·N_t`), in `f64` and `f32`, ns per series, through:
 //!
 //! * `lanes` — the driver as the apply runs it: 4 (`f64`) or 8 (`f32`)
-//!   series per register up to its crossover length, per series beyond;
+//!   series per register for power-of-two sizes up to 16 384 (its
+//!   crossover length, the largest size here), per series otherwise;
 //! * `per_series` — the same driver with the lanes path switched off
 //!   (`BatchedRealFft::per_series`), every series on its own.
 //!
@@ -98,12 +99,14 @@ fn measure_size<T: Real>(n: usize, samples: usize, sample_ms: f64, out: &mut Vec
 
 /// `N_t` of the batched rows: the `paper_*` series length, two between,
 /// the paper's `N_t = 1000` (a half plan `4·2·5³` that ends in an
-/// odd-radix pass, so both drivers run per series) and `longseries_dd`'s.
-const BATCH_NT: [usize; 5] = [64, 256, 1000, 1024, 4096];
+/// odd-radix pass, so both drivers run per series), `longseries_dd`'s,
+/// and the longest the lanes path takes.
+const BATCH_NT: [usize; 6] = [64, 256, 1000, 1024, 4096, 8192];
 
-/// Series per batched row: below one lane group, the `serve_*` width, and
-/// the paper's `N_m`.
-const BATCH_SERIES: [usize; 3] = [2, 16, 256];
+/// Series per batched row: below one lane group, `longseries_dd`'s `N_m`
+/// and `N_d` (exactly one `f64` group), the `serve_*` width, and the
+/// paper's `N_m`.
+const BATCH_SERIES: [usize; 4] = [2, 4, 16, 256];
 
 /// A zeroed slice of `len` values in `store`, starting on a 64-byte line:
 /// a batch reads and writes its TOSI rows in line-sized pieces, and where

@@ -147,10 +147,17 @@ fn matvec_workloads() {
     matvec_shape("_4x4", (4, 4, 256), &["ddddd", "dssdd", "ddssd"]);
     matvec_shape("_2x16", (2, 16, 64), &["ddddd", "dssdd", "ddssd"]);
 
-    // The `longseries_dd` shape: transforms of length 8192, whose
-    // 4096-point half plan runs two radix-16 passes between two radix-4
-    // stages, in f64 (`ddddd`) and with f32 transforms (`dssdd`).
+    // The `longseries_dd` shape: transforms of length 8192, in f64
+    // (`ddddd`: each side's four series are one lane group, whose
+    // 4096-point half plan runs stage by stage) and with f32 transforms
+    // (`dssdd`: four series are narrower than an f32 group, so each runs
+    // on its own, two radix-16 passes between two radix-4 stages).
     matvec_shape("_4x4x4096", (4, 4, 4096), &["ddddd", "dssdd"]);
+
+    // The longest transforms the series-in-lanes path takes: length
+    // 16 384 (`N_t = 8192`), four series to a side, so each side's
+    // transforms are one `f64` lane group.
+    matvec_shape("_4x4x8192", (4, 4, 8192), &["ddddd"]);
 
     // A Bluestein length: `N_t = 97` is a prime above `MAX_RADIX`, so the
     // half plan is a chirp-z transform over an inner power of two (256),
@@ -259,11 +266,11 @@ fn fft_workloads() {
     }
 
     // The apply's padded R2C and unpadded C2R straight from and into TOSI
-    // matrices: at `N_t = 64` a width of 3 runs per series, 16 runs two
-    // f32 / four f64 groups with the series in the register lanes, and 257
-    // runs 32 / 64 groups plus a one-series remainder per series; at
-    // `N_t = 4096` every width runs per series. The portable leg never
-    // takes the lanes path.
+    // matrices, at `N_t = 64` and at `longseries_dd`'s 4096: a width of 3
+    // runs per series, 16 runs two f32 / four f64 groups with the series
+    // in the register lanes, and 257 runs 32 / 64 groups plus a one-series
+    // remainder through the staging block. The portable leg never takes
+    // the lanes path.
     for nt in [64usize, 4096] {
         for width in [3usize, 16, 257] {
             batched_padded::<f32>(nt, width, "f32");

@@ -364,8 +364,8 @@ mod tests {
     /// `forward`, the unpadded inverse equals `inverse` +
     /// [`unpad_output_into`] — every (pad, FFT) and (IFFT, unpad) tier
     /// pair, transform lengths covering tiny, single-pass, Bluestein,
-    /// radix-2-first and radix-16-last plans and odd `nt`, lengths on both
-    /// sides of the series-in-lanes crossover, series counts on both sides
+    /// radix-2-first and radix-16-last plans and odd `nt`, long lengths in
+    /// the series lanes up to `longseries_dd`'s, series counts on both sides
     /// of one register and of one lane group, awkward and plain inputs, at
     /// every SIMD level. NaNs compare canonical, as in the FFT's own bit tests:
     /// which operand's payload a NaN inherits is left open by IEEE-754
@@ -389,9 +389,10 @@ mod tests {
                 continue;
             }
             set_active_level(level);
-            // N_t = 1024 and 2048 sit on either side of the FFT's
-            // series-in-lanes crossover (`2·N_t` = 2048); 8 and 9 series
-            // are one whole `f32` lane group (two `f64` ones) and one more.
+            // N_t = 1024, 2048 and 4096 run in the series lanes (up to
+            // `2·N_t` = 16 384; a longer power of two runs the per-series
+            // bodies the narrow widths take here); 8 and 9 series are one
+            // whole `f32` lane group (two `f64` ones) and one more.
             // Up to N_t = 64 the widths add lane groups with a remainder
             // of every size, and more than one staging group; the Bluestein
             // and radix-5 lengths, which never run in lanes, add the first

@@ -547,8 +547,9 @@ impl<K: SpectralKernel> LinearOperator for TieredPipeline<K> {
     /// Batched apply — the paper's §4.2.2 dense-operator assembly pattern:
     /// the batch is cut into **panels** of at most [`PANEL`] consecutive
     /// columns, and, when the pool takes the batch, no wider than
-    /// `⌈cols / pool threads⌉` so that it spreads over every thread (a
-    /// serial batch keeps the widest panels). Each panel is one
+    /// `⌈cols / threads⌉` so that it spreads over every thread that can
+    /// run at once (the pool's, capped at the cores; a serial batch keeps
+    /// the widest panels). Each panel is one
     /// kernel `run` on one pooled workspace (the block-triangular kernel
     /// runs one forward transform, one register-panel SBGEMV and one
     /// inverse transform for all its columns), and the panels go through

@@ -172,7 +172,7 @@ type LanePath<'a, T> = Option<(Lanes, &'a IterativeFft<T>)>;
 /// series-in-lanes path; longer ones run per series. `bench_fft`'s
 /// batched rows, per-series ÷ lanes ns per series (`bench/baseline.json`:
 /// for each row the median of three full runs, one pool thread, a shared
-/// 2-vCPU x86-64 VM with AVX2; forward / inverse):
+/// 2-vCPU x86-64 VM with AVX2 and 2 MiB of L2; forward / inverse):
 ///
 /// | `n`  | f64, 16 series | f64, 256    | f32, 16     | f32, 256    |
 /// |------|----------------|-------------|-------------|-------------|
@@ -180,14 +180,23 @@ type LanePath<'a, T> = Option<(Lanes, &'a IterativeFft<T>)>;
 /// | 512  | 1.79 / 1.74    | 1.81 / 1.38 | 2.68 / 2.34 | 2.33 / 1.95 |
 /// | 2048 | 1.42 / 1.34    | 1.08 / 1.08 | 1.73 / 1.41 | 1.91 / 1.59 |
 ///
-/// The lanes path leads at every length in the table (and, in a scratch
-/// build with the limit raised, at 8192 too), so the limit is not where
-/// it stops winning. It is where the f64 256-series rows are down to
-/// 1.08, the planar buffers reach 131 KB per worker (`2·64·(n/2 + 1)`
-/// bytes), and the next length is `longseries_dd`'s: 4 series of 8192
-/// points, which would be one lane group and so one task, where groups of
-/// one series fork one task per series.
-const LANES_MAX_LEN: usize = 2048;
+/// and, from one `-quick` run on the same host with the limit removed:
+///
+/// | `n`    | f64, 4 series | f64, 16     | f64, 64     | f32, 16     | f32, 64     |
+/// |--------|---------------|-------------|-------------|-------------|-------------|
+/// | 8192   | 1.63 / 2.16   | 1.75 / 1.76 | 1.52 / 1.48 | 2.15 / 2.09 | 1.95 / 1.74 |
+/// | 16 384 | 1.43 / 1.63   | 1.11 / 1.07 | 1.28 / 1.19 | 1.37 / 1.31 | 1.55 / 1.46 |
+/// | 32 768 | 0.96 / 0.98   | 1.13 / 0.97 | 1.26 / 1.08 | 1.33 / 1.19 | 1.66 / 1.37 |
+///
+/// The limit is the longest length at which every row leads. At 32 768
+/// the two planar buffers of an `f64` lane group (`2·64·(n/2 + 1)` bytes,
+/// 2.1 MB per worker) outgrow the L2, and `f64` rows lose. A lane group is
+/// one task of the parallel-for, so `longseries_dd`'s 4 series of 8192
+/// points run as one task per side where one-series groups would fork
+/// four; the end-to-end metrics run at one pool thread, and at two the
+/// single group still beat the four tasks (ROADMAP 4(e)), so the limit
+/// follows the kernels, not the task count.
+const LANES_MAX_LEN: usize = 16_384;
 
 /// The series-in-lanes path's planar buffers within one worker's plan
 /// scratch: two of `width·(h + 1)` complex slots, the first starting on a
@@ -782,8 +791,13 @@ mod tests {
 
     /// The series-in-lanes path equals the per-series driver on bits, NaNs
     /// canonical: both tiers, every pad and unpad tier, lengths on both
-    /// sides of the crossover, whole groups and remainders, batches on both
-    /// sides of the parallel threshold, on noise and on special values.
+    /// sides of the crossover (`longseries_dd`'s 8192 among them), whole
+    /// groups and remainders, batches on both sides of the parallel
+    /// threshold, on noise and on special values. From 8192 on, the widths
+    /// are a full `f64` group, a remainder, and two groups and a remainder,
+    /// and the data noise only: there every series of special values holds
+    /// a NaN or an infinity, so every output is NaN. That keeps the test
+    /// affordable in a debug build.
     #[test]
     fn lanes_path_equals_the_per_series_driver_on_bits() {
         fn check<T: Real>() {
@@ -792,8 +806,10 @@ mod tests {
                 v.iter().map(|z| (canon(z.re.to_f64()), canon(z.im.to_f64()))).collect::<Vec<_>>()
             };
             let specials = [0.0, -0.0, 1.0, -0.5, 3e4, 1e-40, f64::INFINITY, f64::NAN];
-            for n in [2usize, 4, 8, 16, 128, LANES_MAX_LEN, 2 * LANES_MAX_LEN] {
-                for n_series in [1usize, 3, 4, 5, 8, 9, 17, 33] {
+            for n in [2usize, 4, 8, 16, 128, 2048, 8192, LANES_MAX_LEN, 2 * LANES_MAX_LEN] {
+                let long = n >= 8192;
+                let widths: &[usize] = if long { &[4, 5, 9] } else { &[1, 3, 4, 5, 8, 9, 17, 33] };
+                for &n_series in widths {
                     let lanes = BatchedRealFft::<T>::new(n);
                     let reference = BatchedRealFft::<T>::new(n).per_series();
                     let taken = lanes.lanes(n_series).is_some();
@@ -807,7 +823,8 @@ mod tests {
                         (0..n_series * 2 * s).map(|_| rng.uniform(-1.0, 1.0)).collect();
                     let special: Vec<f64> =
                         (0..noise.len()).map(|_| specials[rng.next_u64() as usize % 8]).collect();
-                    for data in [noise, special] {
+                    let data = if long { vec![noise] } else { vec![noise, special] };
+                    for data in data {
                         let x = &data[..n_series * nt];
                         for pad in Precision::ALL {
                             let mut got = vec![Complex::<T>::zero(); n_series * s];
@@ -846,7 +863,10 @@ mod tests {
     /// different signs): both tiers, column widths that fill the lanes and
     /// ones that leave a remainder (so the columns share straddling lane
     /// groups), one column and several, lengths on both sides of the
-    /// lanes crossover, noise and special values.
+    /// lanes crossover, noise and special values. Past the crossover no
+    /// columns share lane groups, so there only the two shapes whose lane
+    /// groups would straddle columns below it run, on noise, which keeps
+    /// the test affordable in a debug build.
     #[test]
     fn column_batches_equal_each_column_alone_on_bits() {
         fn check<T: Real>() {
@@ -855,14 +875,20 @@ mod tests {
             for n in [8usize, 128, 2 * LANES_MAX_LEN] {
                 let bf = BatchedRealFft::<T>::new(n);
                 let (h, s) = (n / 2, bf.spectrum_len());
-                for (n_series, cols) in [(2usize, 1usize), (2, 8), (3, 5), (8, 3), (19, 4), (1, 7)]
-                {
+                let past = n > LANES_MAX_LEN;
+                let shapes: &[(usize, usize)] = if past {
+                    &[(2, 8), (3, 5)]
+                } else {
+                    &[(2, 1), (2, 8), (3, 5), (8, 3), (19, 4), (1, 7)]
+                };
+                for &(n_series, cols) in shapes {
                     let mut rng = SplitMix64::new((n * 64 + n_series * 8 + cols) as u64);
                     let len = cols * n_series * h;
                     let noise: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
                     let special: Vec<f64> =
                         (0..len).map(|_| specials[rng.next_u64() as usize % 8]).collect();
-                    for x in [noise, special] {
+                    let data = if past { vec![noise] } else { vec![noise, special] };
+                    for x in data {
                         let what = format!("n={n} series={n_series} cols={cols}");
                         let mut many = vec![Complex::<T>::zero(); cols * n_series * s];
                         bf.forward_padded_many(&x, n_series, cols, Precision::Single, &mut many);
@@ -898,9 +924,10 @@ mod tests {
     }
 
     /// A staging block is checked out only by a group that stages: a
-    /// batch of full lane groups or of at most `STAGE` series takes none,
-    /// a wider batch the lanes path does not take does (at the portable
-    /// level that is every batch wider than `STAGE`). Both sides of the
+    /// batch of full lane groups or of at most `STAGE` series takes none;
+    /// a lanes batch with a remainder group does, and so does a wider
+    /// batch the lanes path does not take (at the portable level that is
+    /// every batch wider than `STAGE`), short or long. Both sides of the
     /// parallel threshold, forward and inverse. A second identical call
     /// parks no new buffer; on the pool with more than one thread, how
     /// many workers a call reaches varies, so there only the bound holds.
@@ -908,10 +935,15 @@ mod tests {
     fn the_staging_block_is_taken_only_by_a_group_that_stages() {
         fn check<T: Real>() {
             let threads = rayon::current_num_threads();
-            let cases = [(128, 16), (128, 256), (128, 2), (8192, 4), (1000, 9), (8192, 9)];
+            let cases =
+                [(128, 16), (128, 256), (128, 2), (8192, 4), (1000, 9), (8192, 9), (32768, 9)];
             for (n, n_series) in cases {
-                let lanes = Lanes::of::<T>().is_some() && n <= LANES_MAX_LEN && n.is_power_of_two();
-                let staged = n_series > STAGE && !lanes;
+                let lanes = Lanes::of::<T>()
+                    .map(|l| l.width())
+                    .filter(|&w| n_series >= w && n <= LANES_MAX_LEN && n.is_power_of_two());
+                // A lanes batch stages its remainder group, if it has one;
+                // any other batch stages when it is wider than `STAGE`.
+                let staged = lanes.map_or(n_series > STAGE, |w| n_series % w != 0);
                 let serial = !crate::par::parallel(n_series * n) || threads == 1;
                 let (nt, s) = (n / 2, n / 2 + 1);
                 let x = vec![0.25; n_series * nt];

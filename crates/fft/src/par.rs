@@ -16,8 +16,8 @@
 //! count — and every chunk writes a disjoint output, so results are
 //! byte-identical at any `RAYON_NUM_THREADS`. A caller that sizes its
 //! chunks by [`spread_len`] (the batched apply's column panels) makes the
-//! boundaries follow the pool width; it may only because its chunks'
-//! outputs do not depend on where they are cut.
+//! boundaries follow the pool width, capped at the cores; it may only
+//! because its chunks' outputs do not depend on where they are cut.
 //!
 //! A failing batch returns the error of its **lowest failing chunk**: the
 //! serial loop stops there, the pool runs every chunk and keeps the
@@ -25,7 +25,7 @@
 //! batch size or the thread count.
 
 use std::convert::Infallible;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rayon::prelude::*;
 
@@ -42,10 +42,27 @@ pub(crate) fn parallel(work: usize) -> bool {
 /// Items per chunk when a batch of `items`, whose kernels read and write
 /// `work` elements, is cut into chunks of at most `max`: `max` for a
 /// serial batch, and for a batch the pool takes no wider than
-/// `⌈items / threads⌉`, so that it spreads over every thread of the pool.
-/// Never 0.
+/// `⌈items / threads⌉`, so that it spreads over every thread that can run
+/// at once — the pool's, but no more than the cores. Never 0.
 pub fn spread_len(work: usize, items: usize, max: usize) -> usize {
-    let spread = if parallel(work) { items.div_ceil(rayon::current_num_threads()) } else { max };
+    spread_len_over(work, items, max, spread_threads())
+}
+
+/// The threads [`spread_len`] spreads a batch over: the pool's width,
+/// capped at the cores. A pool wider than the machine runs no more chunks
+/// at once, so spreading over it would only cut chunks narrower than the
+/// kernels' register panels (`RAYON_NUM_THREADS=4` on 2 cores: 8 columns
+/// as 4 panels of 2). The core count is read once per process, because
+/// `available_parallelism` reads cgroup files on Linux.
+fn spread_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    rayon::current_num_threads().min(cores)
+}
+
+/// [`spread_len`] over `threads` threads.
+fn spread_len_over(work: usize, items: usize, max: usize, threads: usize) -> usize {
+    let spread = if parallel(work) { items.div_ceil(threads) } else { max };
     spread.clamp(1, max.max(1))
 }
 
@@ -182,16 +199,28 @@ mod tests {
 
     /// A serial batch is cut into the widest chunks, even on a wide pool
     /// (8 serve-shape columns, 9 216 elements, stay one panel of 8); a
-    /// batch the pool takes is spread over every thread of it.
+    /// batch the pool takes is spread over its threads, but never over more
+    /// threads than the cores: a 4-thread pool on 2 cores cuts 8 columns
+    /// into 2 chunks of 4, not 4 of 2.
     #[test]
     fn only_a_batch_the_pool_takes_is_spread_over_its_threads() {
-        let threads = rayon::current_num_threads();
-        for items in [0, 1, 8, 13] {
-            assert_eq!(spread_len(PAR_THRESHOLD, items, 8), 8, "{items} items, serial");
-            let spread = items.div_ceil(threads).clamp(1, 8);
-            assert_eq!(spread_len(PAR_THRESHOLD + 1, items, 8), spread, "{items} items, pooled");
+        for threads in [1, 2, 4, 8] {
+            for items in [0, 1, 8, 13] {
+                let what = format!("{items} items, {threads} threads");
+                assert_eq!(spread_len_over(PAR_THRESHOLD, items, 8, threads), 8, "{what}, serial");
+                let spread = items.div_ceil(threads).clamp(1, 8);
+                let pooled = spread_len_over(PAR_THRESHOLD + 1, items, 8, threads);
+                assert_eq!(pooled, spread, "{what}, pooled");
+            }
         }
-        assert_eq!(spread_len(PAR_THRESHOLD, 8, 0), 1, "never 0");
+        assert_eq!(spread_len_over(PAR_THRESHOLD, 8, 0, 2), 1, "never 0");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = rayon::current_num_threads().min(cores);
+        assert_eq!(spread_threads(), threads, "the pool's threads, capped at the cores");
+        for items in [0, 1, 8, 13] {
+            let want = spread_len_over(PAR_THRESHOLD + 1, items, 8, threads);
+            assert_eq!(spread_len(PAR_THRESHOLD + 1, items, 8), want, "{items} items");
+        }
     }
 
     /// One worker state, counting how many are live.

@@ -35,17 +35,17 @@
 //!   ones never computed.
 //! * The batched padded R2C and unpadded C2R (`BatchedRealFft::
 //!   {forward_padded, inverse_unpadded}`) of a group of 4 (`f64`) or 8
-//!   (`f32`) consecutive series — radix-2/4 schedules up to the batch
-//!   driver's crossover length — run with the **series in the lanes**
-//!   ([`Lanes`]): a register holds one real or imaginary part of every
-//!   series in the group, planar. The same stage body reads TOSI rows
-//!   `2j` and `2j + 1` as the real and imaginary planes of `z[j]` in the
-//!   first stage (rounded through the pad tier in the register, the
-//!   embedding's zeros `+0` registers) and stores the kept samples into
-//!   the TOSI rows in the inverse's last stage; every stage broadcasts one
-//!   twiddle per butterfly from the plan's stage tables, and the unpack /
-//!   repack move to and from the series-major spectra through an
-//!   in-register transpose.
+//!   (`f32`) consecutive series — radix-2/4 schedules up to 16 384
+//!   points, the batch driver's crossover length — run with the **series
+//!   in the lanes** ([`Lanes`]): a register holds one real or imaginary
+//!   part of every series in the group, planar. The same stage body reads
+//!   TOSI rows `2j` and `2j + 1` as the real and imaginary planes of
+//!   `z[j]` in the first stage (rounded through the pad tier in the
+//!   register, the embedding's zeros `+0` registers) and stores the kept
+//!   samples into the TOSI rows in the inverse's last stage; every stage
+//!   broadcasts one twiddle per butterfly from the plan's stage tables,
+//!   and the unpack / repack move to and from the series-major spectra
+//!   through an in-register transpose.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
