@@ -80,30 +80,19 @@ pub trait BatchFft: Send + Sync + Debug {
         output: &mut RealBuffer,
     ) -> Result<(), BackendError>;
 
-    /// Batched R2C forward of `n_series` zero-padded series read straight
-    /// from a time-outer/series-inner `f64` matrix: sample `t < n/2` of
-    /// series `s` is `input[t·n_series + s]`, rounded through tier `pad`
-    /// into the handle's tier; samples `n/2..n` are the circulant
-    /// embedding's zeros. `output` must hold `n_series · spectrum_len()`
-    /// bins in the handle's tier. On bits this is the pad kernel into
-    /// `pad`, [`DeviceBackend::cast_real`] into the handle's tier and
-    /// [`Self::forward`] — with no padded buffer, no cast buffer, and no
-    /// zero stored or loaded. One column of [`Self::forward_padded_many`].
-    fn forward_padded(
-        &self,
-        input: &[f64],
-        n_series: usize,
-        pad: Precision,
-        output: &mut ComplexBuffer,
-    ) -> Result<(), BackendError> {
-        self.forward_padded_many(input, n_series, 1, pad, output)
-    }
-
-    /// [`Self::forward_padded`] of `cols` columns through one operator:
-    /// `input` holds `cols` TOSI matrices of `n_series` series back to
-    /// back, and the spectra of column `c` are series `c·n_series..` of
-    /// `output`. Every series has the bits of its own transform; the
-    /// columns only share the call (and, on the CPU, SIMD lanes).
+    /// Batched R2C forward of `cols` columns of `n_series` zero-padded
+    /// series, read straight from time-outer/series-inner `f64` matrices:
+    /// `input` holds the `cols` TOSI matrices back to back, sample `t < n/2`
+    /// of series `s` of a column is `matrix[t·n_series + s]`, rounded through
+    /// tier `pad` into the handle's tier, and samples `n/2..n` are the
+    /// circulant embedding's zeros. The spectra of column `c` are series
+    /// `c·n_series..` of `output`, which must hold `cols · n_series ·
+    /// spectrum_len()` bins in the handle's tier. On bits each column is the
+    /// pad kernel into `pad`, [`DeviceBackend::cast_real`] into the handle's
+    /// tier and [`Self::forward`] — with no padded buffer, no cast buffer,
+    /// and no zero stored or loaded. Every series has the bits of its own
+    /// transform; the columns only share the call (and, on the CPU, SIMD
+    /// lanes). One column is `cols = 1`.
     fn forward_padded_many(
         &self,
         input: &[f64],
@@ -113,26 +102,15 @@ pub trait BatchFft: Send + Sync + Debug {
         output: &mut ComplexBuffer,
     ) -> Result<(), BackendError>;
 
-    /// Batched C2R inverse (scaled by `1/n`) that keeps samples `t < n/2`
-    /// of each series, routes them through tier `unpad` and stores them in
-    /// the time-outer/series-inner `f64` matrix `output[t·batch + s]`. On
-    /// bits this is [`Self::inverse`] followed by the unpad kernel — with
-    /// no time buffer, no separate scaling pass, and the discarded half of
-    /// each series never computed. One column of
-    /// [`Self::inverse_unpadded_many`].
-    fn inverse_unpadded(
-        &self,
-        spectrum: &ComplexBuffer,
-        unpad: Precision,
-        output: &mut [f64],
-    ) -> Result<(), BackendError> {
-        self.inverse_unpadded_many(spectrum, 1, unpad, output)
-    }
-
-    /// [`Self::inverse_unpadded`] of `cols` columns, the layout of
-    /// [`Self::forward_padded_many`] mirrored: column `c`'s spectra are
-    /// the `c`-th of `cols` equal runs of `spectrum`, and its TOSI matrix
-    /// the `c`-th of `cols` equal runs of `output`.
+    /// Batched C2R inverse (scaled by `1/n`) of `cols` columns, the layout
+    /// of [`Self::forward_padded_many`] mirrored: column `c`'s spectra are
+    /// the `c`-th of `cols` equal runs of `spectrum`, and its TOSI matrix the
+    /// `c`-th of `cols` equal runs of `output`. Samples `t < n/2` of each
+    /// series are kept, routed through tier `unpad` and stored at
+    /// `matrix[t·batch + s]` (`batch` series per column). On bits each
+    /// column is [`Self::inverse`] followed by the unpad kernel — with no
+    /// time buffer, no separate scaling pass, and the discarded half of each
+    /// series never computed. One column is `cols = 1`.
     fn inverse_unpadded_many(
         &self,
         spectrum: &ComplexBuffer,

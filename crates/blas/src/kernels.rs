@@ -1,19 +1,21 @@
 //! The CPU execution of the SBGEMV: the batch layout the pipeline stores,
 //! and Figure 1's per-matrix blocks as its reference.
 //!
-//! * **Frequency-minor** — [`sbgemv_freq_minor`] takes entry `(i, k)` of
-//!   *all* matrices contiguous (`a[(i·n + k)·nfreq + f]`, the
+//! * **Frequency-minor** — [`sbgemv_freq_minor_many`] takes entry `(i, k)`
+//!   of *all* matrices contiguous (`a[(i·n + k)·nfreq + f]`, the
 //!   compact-batched layout) and vectors as `[series][freq]`, so a tile's
 //!   outputs are consecutive batch items `f` of one output series and
 //!   lanes run across the batch: the per-block loop disappears into the
 //!   registers (2.6 ns per 4×4 block), and a caller whose vectors are FFT
 //!   spectra — which are `[series][freq]` already — needs no reorder pass
 //!   on either side. It is the α = 1, β = 0 case only, the one the
-//!   pipeline runs. [`sbgemv_freq_minor_many`] runs it over a batch of
-//!   columns through one operator, **registers across columns**: a
-//!   register panel of four columns loads and prepares each register of
-//!   `a` once per reduction step and feeds every column's accumulator from
-//!   it. The two are the only kernels `fftmatvec_core` executes.
+//!   pipeline runs, over a batch of columns through one operator in
+//!   **register panels**: one loop nest whose plan (`panel_plan`) takes
+//!   four columns of two series while four columns are left — each
+//!   register of `a` loaded and prepared once per reduction step feeds
+//!   four columns' accumulators — and one column of four series otherwise.
+//!   [`sbgemv_freq_minor`], a single vector, is a panel of one column. The
+//!   two are the only kernels `fftmatvec_core` executes.
 //! * **Per-matrix blocks** — [`sbgemv`] computes `y_b = α·op(A_b)·x_b +
 //!   β·y_b` for every column-major matrix in the batch with one loop nest,
 //!   `gemv`: the outputs are cut into tiles of [`crate::OPT_TILE_COLS`] —
@@ -46,14 +48,14 @@
 //! along the reduction, so tile width, lane width, panel width and thread
 //! count cannot change a bit of any output — which is why the two sweeps
 //! may tile differently (`TILE` outputs of a block, `FREQ_TILE`
-//! frequencies, `PANEL_COLS` columns of `PANEL_ROWS` series), why one may
-//! be vectorized and the other not, and why a column in a register panel
-//! has the bits of the column run alone: the panel only decides which
-//! outputs share a register of `a` (lanes across frequencies, registers
-//! across series and columns), and the tree per output is unchanged. A
-//! reduction of at most `PAIRWISE_BASE` steps is one base run, so a
-//! panel there applies the epilogue in its registers instead of through a
-//! tile — the same operations on the same values.
+//! frequencies of a panel's columns and series), why one may be vectorized
+//! and the other not, and why a column in a panel of four has the bits of
+//! the column run alone: the panel only decides which outputs share a
+//! register of `a` (lanes across frequencies, registers across series and
+//! columns), and the tree per output is unchanged. A reduction of at most
+//! `PAIRWISE_BASE` steps is one base run, so a panel of any width there
+//! applies the epilogue in its registers instead of through a tile — the
+//! same operations on the same values.
 //!
 //! **Why lanes across frequencies cannot change a bit either.** Output
 //! `y[o][f]` of the frequency-minor kernel and output `o` of block `f` of
@@ -75,7 +77,7 @@
 //! `notrans_pass` / `trans_pass` / `freq_pass` / `scale_pass`
 //! ([`fftmatvec_numeric::fma_pass`]: the same body, once plainly and once
 //! inside an `avx2,fma` wrapper) — the block sweeps always, the
-//! frequency-minor sweep and the epilogue where no vector tile of
+//! frequency-minor sweep and the epilogue where no vector kernel of
 //! `crate::simd` takes them (which inlines `scale_run` for its epilogue's
 //! remainder). Both lowerings are correctly rounded, so the bits are the
 //! same either way.
@@ -84,7 +86,7 @@ use core::mem::MaybeUninit;
 
 use fftmatvec_numeric::{fma_pass, Scalar};
 
-use crate::simd::{PanelOut, PANEL_COLS, PANEL_ROWS};
+use crate::simd::PanelOut;
 use crate::types::{BatchGeometry, GemvOp};
 
 /// Strided batched GEMV `y_b = α·op(A_b)·x_b + β·y_b` over the whole
@@ -120,7 +122,9 @@ pub fn sbgemv<S: Scalar>(
 /// contiguous, `a[(i·n + k)·nfreq + f]` (`A_f` is `m × n`), and so are the
 /// vectors, `x[r·nfreq + f]` and `y[o·nfreq + f]` — the `[series][freq]`
 /// layout the batched transforms emit and consume, so a caller holding
-/// spectra needs no reorder on either side (see the module docs).
+/// spectra needs no reorder on either side (see the module docs). A
+/// register panel of one column: [`sbgemv_freq_minor_many`] with
+/// `cols = 1`.
 ///
 /// Every `y[o][f]` is bit-identical to what [`sbgemv`] writes for batch
 /// item `f` with `α = 1`, `β = 0` (`y` is write-only). Allocation-free.
@@ -136,36 +140,7 @@ pub fn sbgemv_freq_minor<S: Scalar>(
     n: usize,
     nfreq: usize,
 ) {
-    let (outs, red) = (op.output_len(m, n), op.input_len(m, n));
-    assert!(m > 0 && n > 0 && nfreq > 0, "sbgemv_freq_minor: empty {m}x{n}x{nfreq} batch");
-    assert!(
-        a.len() == m * n * nfreq && x.len() == red * nfreq && y.len() == outs * nfreq,
-        "sbgemv_freq_minor: slices do not match {op}({m}x{n}) x {nfreq} frequencies"
-    );
-    // Entry (i, k) starts at (i·n + k)·nfreq: outputs are rows `i` and the
-    // reduction runs over `k`, or the other way round.
-    let (out_step, red_step) =
-        if op.is_transposed() { (nfreq, n * nfreq) } else { (n * nfreq, nfreq) };
-    let conj = op == GemvOp::ConjTrans;
-    // Frequency tiles outermost, groups of output series inside: the tile's
-    // slice of every `x` series is read once per group while it is still
-    // cached (output rows outermost re-stream all of `x` per row: 24 → 18
-    // µs on 3×5×1025). One thread: no machine has measured a threshold at
-    // which spreading the tiles over the pool pays for this kernel.
-    for f0 in (0..nfreq).step_by(FREQ_TILE) {
-        let len = FREQ_TILE.min(nfreq - f0);
-        for o0 in (0..outs).step_by(FREQ_ROWS) {
-            let rows = FREQ_ROWS.min(outs - o0);
-            let a = &a[o0 * out_step..];
-            let sweep = FreqSweep { conj, a, a_step: red_step, row_step: out_step, rows, x, nfreq };
-            let base_run = |r0, r1, acc: &mut [S]| sweep.base_run(f0, r0, r1, acc);
-            reduce_tile::<S, FREQ_ACC>(red, rows * len, base_run, |acc| {
-                for (j, acc) in acc.chunks_exact(len).enumerate() {
-                    scale_into(S::one(), acc, None, &mut y[(o0 + j) * nfreq + f0..][..len]);
-                }
-            });
-        }
-    }
+    sbgemv_freq_minor_many(op, a, x, y, m, n, nfreq, 1);
 }
 
 /// [`sbgemv_freq_minor`] over a batch of `cols` columns through one
@@ -173,13 +148,13 @@ pub fn sbgemv_freq_minor<S: Scalar>(
 /// (`op.input_len(m, n)·nfreq` each) and `y` as many outputs. Every column
 /// of `y` is bit-identical to [`sbgemv_freq_minor`] on that column alone.
 ///
-/// Where a vector panel kernel exists (the complex `f32` / `f64` types at
-/// an AVX2-class level) the columns run in register panels of four: each
-/// register of `a` is loaded and prepared once per reduction step and
-/// feeds all four columns' accumulators, through the same pairwise tree
-/// per output. A remainder of fewer than four columns — and therefore every
-/// single column — runs the one-column sweep, as do all columns of the
-/// other types and at the portable level. Allocation-free.
+/// The columns run in register panels, one loop nest for every width:
+/// four at a time while four are left, then one at a time. In a panel of
+/// four each register of `a` is loaded and prepared once per reduction
+/// step and feeds all four columns' accumulators; every output keeps its
+/// own pairwise tree, so the panel width cannot change a bit. Where no
+/// vector kernel exists (the real and 16-bit types, the portable level)
+/// each output run of a panel is one scalar pass. Allocation-free.
 ///
 /// # Panics
 /// If a slice length differs from what `cols` columns of `m × n × nfreq`
@@ -195,72 +170,74 @@ pub fn sbgemv_freq_minor_many<S: Scalar>(
     nfreq: usize,
     cols: usize,
 ) {
-    let (xs, ys) = (op.input_len(m, n) * nfreq, op.output_len(m, n) * nfreq);
-    assert!(
-        m > 0 && n > 0 && nfreq > 0 && cols > 0 && x.len() == cols * xs && y.len() == cols * ys,
-        "sbgemv_freq_minor_many: slices do not hold {cols} columns of {op}({m}x{n}) x {nfreq}"
-    );
-    let mut c = 0;
-    if crate::simd::has_freq_panel::<S>() {
-        assert_eq!(a.len(), m * n * nfreq, "sbgemv_freq_minor_many: matrix batch length");
-        while c + PANEL_COLS <= cols {
-            let (x, y) = (&x[c * xs..][..PANEL_COLS * xs], &mut y[c * ys..][..PANEL_COLS * ys]);
-            freq_panel(op, a, x, y, m, n, nfreq);
-            c += PANEL_COLS;
-        }
-    }
-    for c in c..cols {
-        sbgemv_freq_minor(op, a, &x[c * xs..][..xs], &mut y[c * ys..][..ys], m, n, nfreq);
-    }
-}
-
-/// One register panel of [`PANEL_COLS`] columns, `x` and `y` holding
-/// exactly those columns: [`sbgemv_freq_minor`]'s loop nest with
-/// [`PANEL_ROWS`] output series of all the columns per tile, every output
-/// on its own accumulator through the same tree and epilogue. A reduction
-/// of at most [`PAIRWISE_BASE`] steps is one base run, so its tree is the
-/// run alone: the kernel applies the epilogue in its registers and stores
-/// `y` directly, with no tile in between.
-fn freq_panel<S: Scalar>(
-    op: GemvOp,
-    a: &[S],
-    x: &[S],
-    y: &mut [S],
-    m: usize,
-    n: usize,
-    nfreq: usize,
-) {
     let (outs, red) = (op.output_len(m, n), op.input_len(m, n));
     let (x_col, y_col) = (red * nfreq, outs * nfreq);
+    assert!(
+        m > 0 && n > 0 && nfreq > 0 && cols > 0 && a.len() == m * n * nfreq,
+        "sbgemv_freq_minor: empty or mismatched {op}({m}x{n}) x {nfreq} batch"
+    );
+    assert!(
+        x.len() == cols * x_col && y.len() == cols * y_col,
+        "sbgemv_freq_minor: slices do not hold {cols} columns of {op}({m}x{n}) x {nfreq}"
+    );
+    // Entry (i, k) starts at (i·n + k)·nfreq: outputs are rows `i` and the
+    // reduction runs over `k`, or the other way round.
     let (out_step, red_step) =
         if op.is_transposed() { (nfreq, n * nfreq) } else { (n * nfreq, nfreq) };
     let conj = op == GemvOp::ConjTrans;
-    for f0 in (0..nfreq).step_by(FREQ_TILE) {
-        let len = FREQ_TILE.min(nfreq - f0);
-        for o0 in (0..outs).step_by(PANEL_ROWS) {
-            let rows = PANEL_ROWS.min(outs - o0);
-            let a = &a[o0 * out_step..];
-            let sweep =
-                PanelSweep { conj, a, a_step: red_step, row_step: out_step, rows, x, x_col };
-            if red <= PAIRWISE_BASE {
-                let y = &mut y[o0 * nfreq + f0..];
-                sweep.base_run(nfreq, f0, 0, red, PanelOut::y(y, y_col, nfreq, len));
-                continue;
-            }
-            let base_run =
-                |r0, r1, acc: &mut [S]| sweep.base_run(nfreq, f0, r0, r1, PanelOut::acc(acc, rows));
-            reduce_tile::<S, PANEL_ACC>(red, PANEL_COLS * rows * len, base_run, |acc| {
-                for (k, acc) in acc.chunks_exact(len).enumerate() {
-                    let (c, j) = (k / rows, k % rows);
-                    scale_into(
-                        S::one(),
-                        acc,
-                        None,
-                        &mut y[c * y_col + (o0 + j) * nfreq + f0..][..len],
-                    );
+    let mut c0 = 0;
+    while c0 < cols {
+        let (panel, group) = panel_plan(cols - c0);
+        let x = &x[c0 * x_col..][..panel * x_col];
+        let y = &mut y[c0 * y_col..][..panel * y_col];
+        // Frequency tiles outermost, groups of output series inside: the
+        // tile's slice of every `x` series is read once per group while it
+        // is still cached (output rows outermost re-stream all of `x` per
+        // row: 24 → 18 µs on 3×5×1025). One thread: no machine has measured
+        // a threshold at which spreading the tiles over the pool pays for
+        // this kernel.
+        for f0 in (0..nfreq).step_by(FREQ_TILE) {
+            let len = FREQ_TILE.min(nfreq - f0);
+            for o0 in (0..outs).step_by(group) {
+                let rows = group.min(outs - o0);
+                let a = &a[o0 * out_step..];
+                let (a_step, row_step, cols) = (red_step, out_step, panel);
+                let sweep = PanelSweep { conj, a, a_step, row_step, rows, x, x_col, cols, nfreq };
+                // A reduction of at most `PAIRWISE_BASE` steps is one base
+                // run, so its tree is the run alone: the kernel applies the
+                // epilogue in its registers and stores `y` directly.
+                if red <= PAIRWISE_BASE {
+                    let y = PanelOut::y(&mut y[o0 * nfreq + f0..], y_col, nfreq, len);
+                    sweep.base_run(f0, 0, red, y);
+                    continue;
                 }
-            });
+                let base_run = |r0, r1, acc: &mut [S]| {
+                    sweep.base_run(f0, r0, r1, PanelOut::acc(acc, panel, rows))
+                };
+                reduce_tile::<S, FREQ_ACC>(red, panel * rows * len, base_run, |acc| {
+                    for (k, acc) in acc.chunks_exact(len).enumerate() {
+                        let (c, j) = (k / rows, k % rows);
+                        let y = &mut y[c * y_col + (o0 + j) * nfreq + f0..][..len];
+                        scale_into(S::one(), acc, None, y);
+                    }
+                });
+            }
         }
+        c0 += panel;
+    }
+}
+
+/// The register panel for `left` columns still to run, as `(columns,
+/// output series)`: four columns of two series (8 accumulators, 4 + 2
+/// operand registers of the 16) while four are left, else one column of
+/// four series, each `x` register reused across them. The vector kernel
+/// adds the frequency registers per series. Every output keeps its own
+/// accumulator, so no bit depends on the plan.
+fn panel_plan(left: usize) -> (usize, usize) {
+    if left >= 4 {
+        (4, 2)
+    } else {
+        (1, 4)
     }
 }
 
@@ -276,19 +253,10 @@ const TILE: usize = crate::OPT_TILE_COLS;
 /// whole tree for a single masked lane (`paper_mixed` F 1.12× at 64).
 const FREQ_TILE: usize = 128;
 
-/// Output series per pass of the frequency-minor sweep: each `x` register
-/// loaded is applied to this many series' matrix entries (a block GEMV
-/// reuses a broadcast `x[r]` across a tile of rows the same way). Every
-/// output keeps its own accumulator, so no bit depends on it.
-const FREQ_ROWS: usize = 4;
-
-/// Accumulators of one frequency-minor tile: [`FREQ_ROWS`] series of
-/// [`FREQ_TILE`] frequencies, series-major.
-const FREQ_ACC: usize = FREQ_ROWS * FREQ_TILE;
-
-/// Accumulators of one register-panel tile: [`PANEL_COLS`] columns of
-/// [`PANEL_ROWS`] series of [`FREQ_TILE`] frequencies, column-major.
-const PANEL_ACC: usize = PANEL_COLS * PANEL_ROWS * FREQ_TILE;
+/// Accumulators of one frequency-minor tile: the outputs of the widest
+/// [`panel_plan`], eight runs (four columns of two series, or one column of
+/// four) of [`FREQ_TILE`] frequencies.
+const FREQ_ACC: usize = 8 * FREQ_TILE;
 
 /// Sequential run length at the base of the pairwise trees (a GPU
 /// thread's private accumulation before shuffles take over).
@@ -373,9 +341,9 @@ fn zeroed<S: Scalar, const T: usize>(tile: &mut [MaybeUninit<S>; T], len: usize)
 /// recursive-halving dot product, but with one pass over the matrix per
 /// tile instead of per output. Partials live in fixed stack tiles of `T`
 /// (the caller's tile width; no heap allocation on the hot path);
-/// recursion depth is `log₂(len/16)`, one tile per level — at most 8 KB
+/// recursion depth is `log₂(len/16)`, one tile per level — at most 16 KB
 /// each (a `Complex<f64>` frequency-minor tile), so `N_m = 5000` takes
-/// ≈ 80 KB of stack.
+/// ≈ 160 KB of stack.
 fn pairwise_tile<S: Scalar, const T: usize>(
     r0: usize,
     r1: usize,
@@ -419,52 +387,20 @@ impl<S: Scalar> Sweep<'_, S> {
     }
 }
 
-/// `rows` consecutive output series of a frequency-minor batch as the
-/// tile recursion sees them: `a` starts at the first one's first entry,
-/// series `j` starts `j·row_step` further on, reduction step `r` pairs
-/// `a[j·row_step + r·a_step + f]` with `x[r·nfreq + f]`, and a tile's
-/// outputs are `rows` runs of consecutive frequencies `f`, series-major.
+/// `rows` consecutive output series of `cols` columns of a
+/// frequency-minor batch as the tile recursion sees them: `a` starts at
+/// the first series' first entry, series `j` starts `j·row_step` further
+/// on, and reduction step `r` of column `c` pairs
+/// `a[j·row_step + r·a_step + f]` with `x[c·x_col + r·nfreq + f]`. A
+/// tile's outputs are `cols·rows` runs of consecutive frequencies `f`,
+/// column by column, series-major within one.
 ///
-/// **Extent precondition** of the vector tile's unchecked loads,
-/// established by [`sbgemv_freq_minor`]'s length assertion:
+/// **Extent precondition** of the vector kernel's unchecked loads,
+/// established by [`sbgemv_freq_minor_many`]'s length assertions:
 /// `a.len() ≥ (rows − 1)·row_step + (red − 1)·a_step + nfreq` and
-/// `x.len() ≥ red·nfreq` for the reduction length `red` the tiles are
-/// driven over, and every tile `[f0, f0 + acc.len() / rows)` inside
+/// `x.len() ≥ (cols − 1)·x_col + red·nfreq` for the reduction length `red`
+/// the tiles are driven over, and every tile `[f0, f0 + len)` inside
 /// `[0, nfreq)`.
-struct FreqSweep<'a, S> {
-    conj: bool,
-    a: &'a [S],
-    a_step: usize,
-    row_step: usize,
-    rows: usize,
-    x: &'a [S],
-    nfreq: usize,
-}
-
-impl<S: Scalar> FreqSweep<'_, S> {
-    /// The base case of frequency tile `[f0, f0 + len)`, `len =
-    /// acc.len() / rows`: `acc[j·len + i] = Σ_{r0 ≤ r < r1}
-    /// op(a[j][r][f0 + i])·x[r][f0 + i]`, summed sequentially from zero in
-    /// increasing `r` — per output the chain of [`Sweep::base_run`] on that
-    /// frequency's block.
-    fn base_run(&self, f0: usize, r0: usize, r1: usize, acc: &mut [S]) {
-        let FreqSweep { conj, a, a_step, row_step, rows, x, nfreq } = *self;
-        if !crate::simd::freq_tile(conj, a, a_step, row_step, rows, x, nfreq, f0, r0, r1, acc) {
-            for (j, acc) in acc.chunks_exact_mut(acc.len() / rows).enumerate() {
-                freq_pass(conj, &a[j * row_step..], a_step, x, nfreq, f0, r0, r1, acc);
-            }
-        }
-    }
-}
-
-/// [`FreqSweep`] over the [`PANEL_COLS`] columns of a register panel:
-/// column `c`'s reduction operand starts at `x[c·x_col]`, and a tile's
-/// outputs are `PANEL_COLS·rows` runs of consecutive frequencies, column
-/// by column, series-major within one.
-///
-/// **Extent precondition**: `FreqSweep`'s for `a`, and
-/// `x.len() ≥ (PANEL_COLS − 1)·x_col + red·nfreq`, established by
-/// [`sbgemv_freq_minor_many`]'s length assertions.
 struct PanelSweep<'a, S> {
     conj: bool,
     a: &'a [S],
@@ -473,31 +409,34 @@ struct PanelSweep<'a, S> {
     rows: usize,
     x: &'a [S],
     x_col: usize,
+    cols: usize,
+    nfreq: usize,
 }
 
 impl<S: Scalar> PanelSweep<'_, S> {
-    /// The base case of frequency tile `[f0, f0 + out.len)` of all
-    /// columns: per output the chain of [`FreqSweep::base_run`] on its own
-    /// column, stored as `out` says. The scalar loop (through a tile and
-    /// the epilogue when `out` is `y`) runs only if the dispatch level
-    /// changed since the driver chose the panel.
-    fn base_run(&self, nfreq: usize, f0: usize, r0: usize, r1: usize, out: PanelOut<'_, S>) {
-        let PanelSweep { conj, a, a_step, row_step, rows, x, x_col } = *self;
-        let (a_geom, x_geom) = ((a, a_step, row_step, rows), (x, x_col, nfreq));
-        let PanelOut { out: runs, col_ld, row_ld, len, epilogue } = out;
-        let out = PanelOut { out: &mut *runs, col_ld, row_ld, len, epilogue };
-        if crate::simd::freq_panel(conj, a_geom, x_geom, (f0, r0, r1), out) {
+    /// The base case of frequency tile `[f0, f0 + out.len)` of every
+    /// column: run `(c, j)` gets `Σ_{r0 ≤ r < r1} op(a[j][r][f])·x[c][r][f]`,
+    /// summed sequentially from zero in increasing `r` — per output the
+    /// chain of [`Sweep::base_run`] on that frequency's block — stored as
+    /// `out` says. Where no vector kernel takes it, each run is one scalar
+    /// pass (through a tile and the epilogue when `out` is `y`).
+    fn base_run(&self, f0: usize, r0: usize, r1: usize, mut out: PanelOut<'_, S>) {
+        let PanelSweep { conj, a, a_step, row_step, rows, x, x_col, cols, nfreq } = *self;
+        let (a_geom, x_geom) = ((a, a_step, row_step, rows), (x, x_col, cols, nfreq));
+        if crate::simd::freq_panel(conj, a_geom, x_geom, (f0, r0, r1), &mut out) {
             return;
         }
-        let mut acc = [S::zero(); FREQ_TILE];
-        for k in 0..PANEL_COLS * rows {
+        let PanelOut { out: runs, col_ld, row_ld, len, epilogue } = out;
+        let mut tile = [MaybeUninit::uninit(); FREQ_TILE];
+        let acc = zeroed(&mut tile, len);
+        for k in 0..cols * rows {
             let (c, j) = (k / rows, k % rows);
             let (a, x) = (&a[j * row_step..], &x[c * x_col..]);
             let run = &mut runs[c * col_ld + j * row_ld..][..len];
-            let sums = if epilogue { &mut acc[..len] } else { &mut *run };
+            let sums = if epilogue { &mut *acc } else { &mut *run };
             freq_pass(conj, a, a_step, x, nfreq, f0, r0, r1, sums);
             if epilogue {
-                scale_into(S::one(), &acc[..len], None, run);
+                scale_into(S::one(), acc, None, run);
             }
         }
     }

@@ -8,14 +8,15 @@
 //! rebuilds both, as what they are here:
 //!
 //! * **One vector kernel and one scalar reference** execute the real
-//!   arithmetic. [`sbgemv_freq_minor`] takes the batch frequency-minor
-//!   (entry `(i, k)` of every matrix contiguous) and puts consecutive
-//!   batch items in the SIMD lanes, reading and writing FFT spectra with
-//!   no reorder pass — the kernel the pipeline runs for every operator
-//!   shape, and the only one with AVX2 tiles; [`sbgemv_freq_minor_many`]
-//!   runs it over a batch of vectors (columns) through one operator, in
-//!   register panels that share each loaded matrix register between four
-//!   columns, with every column's bits unchanged. [`sbgemv`] takes per-matrix
+//!   arithmetic. [`sbgemv_freq_minor_many`] takes the batch
+//!   frequency-minor (entry `(i, k)` of every matrix contiguous) and puts
+//!   consecutive batch items in the SIMD lanes, reading and writing FFT
+//!   spectra with no reorder pass — the kernel the pipeline runs for every
+//!   operator shape, and the only one with AVX2 tiles. It runs a batch of
+//!   vectors (columns) through one operator as register panels, one body
+//!   with a plan per column count: four columns share each loaded matrix
+//!   register, and a single vector ([`sbgemv_freq_minor`]) is a panel of
+//!   one column, with every column's bits unchanged. [`sbgemv`] takes per-matrix
 //!   column-major blocks as one tiled scalar sweep: tiles of rows walking
 //!   the columns for non-transpose, tiles of *columns* walking the rows
 //!   for (conj)transpose — the geometry of [`KernelChoice::Optimized`]

@@ -272,20 +272,23 @@ freq_minor_tests!(
 );
 
 // ---------------------------------------------------------------------
-// Register panels against the one-column kernel
+// Register panels against the column alone and the block-major reference
 // ---------------------------------------------------------------------
 
 use fftmatvec_blas::sbgemv_freq_minor_many;
 
-/// `cols` columns of one `m × n × nfreq` batch at the current level: the
-/// panel entry point's output, and `sbgemv_freq_minor` run on each column
-/// alone, both over NaN-filled `y`.
+/// `cols` columns of one `m × n × nfreq` batch at the current level, each
+/// as `[series][freq]`: the panel entry point's output and
+/// `sbgemv_freq_minor` run on each column alone, as bits, and `sbgemv`
+/// with α = 1, β = 0 on each column's operands reordered block-major (as
+/// [`both_layouts`] does), as [`canonical`] bits — all over NaN-filled
+/// `y`. Returns `[panel, alone, panel, block_major]`.
 fn panel_and_columns<S: Scalar>(
     op: GemvOp,
     (m, n, nfreq): (usize, usize, usize),
     cols: usize,
     period: usize,
-) -> [Vec<(u64, u64)>; 2] {
+) -> [Vec<(u64, u64)>; 4] {
     let (red, outs) = (op.input_len(m, n), op.output_len(m, n));
     let (xs, ys) = (red * nfreq, outs * nfreq);
     let mut rng = SplitMix64::new((m * 977 + n * 31 + nfreq * 7 + cols) as u64);
@@ -298,31 +301,44 @@ fn panel_and_columns<S: Scalar>(
     for (x, y) in x.chunks_exact(xs).zip(alone.chunks_exact_mut(ys)) {
         sbgemv_freq_minor(op, &a, x, y, m, n, nfreq);
     }
-    [digest(&panel), digest(&alone)]
+    // Column-major blocks: a_bm[f·m·n + k·m + i] = a[(i·n + k)·nfreq + f].
+    let a_bm: Vec<S> = (0..nfreq * m * n)
+        .map(|e| (e / (m * n), e % (m * n)))
+        .map(|(f, ki)| a[(ki % m * n + ki / m) * nfreq + f])
+        .collect();
+    let g = BatchGeometry::packed(m, n, op, nfreq);
+    let mut block_major = Vec::with_capacity(cols * ys);
+    for x in x.chunks_exact(xs) {
+        let mut y = vec![nan; nfreq * outs];
+        sbgemv(op, S::one(), &a_bm, &transposed(x, red, nfreq), S::zero(), &mut y, &g);
+        block_major.extend(transposed(&y, nfreq, outs));
+    }
+    [digest(&panel), digest(&alone), canonical(&panel), canonical(&block_major)]
 }
 
-/// 1–9 columns (no register panel, one or two and a remainder of every
-/// width) in both of the pipeline's ops, over the frequency-minor blocks —
+/// 1–9 columns (one or two panels of four and a remainder of every width)
+/// in both of the pipeline's ops, over the frequency-minor blocks —
 /// reductions inside one base run, where the panel stores `y` through its
 /// own epilogue, and past it, through the tree — and every frequency count
 /// above but the three-tile one (every masked tail, one tile and a tail),
-/// with and without −0, ±∞, NaN and subnormals: every output bit of the
-/// panel equals the column run alone. At every vector level; at the
-/// portable level the panel entry point is the per-column loop itself.
+/// with and without −0, ±∞, NaN and subnormals, at every level: every
+/// output bit of the panel equals the column run alone, and every output
+/// equals the block-major reference (NaNs compared as one value).
 fn check_panels<S: Scalar>() {
     let _guard = LEVEL_LOCK.lock().unwrap();
     let prev = set_active_level(SimdLevel::Portable);
-    for level in supported_levels().into_iter().filter(|&l| l != SimdLevel::Portable) {
+    for level in supported_levels() {
         set_active_level(level);
         for &(m, n) in FM_BLOCKS {
             for &nfreq in FM_NFREQ.iter().filter(|&&f| f < 257) {
                 for op in [GemvOp::NoTrans, GemvOp::ConjTrans] {
                     for cols in 1..=9 {
                         for period in [0, 5] {
-                            let [panel, alone] =
+                            let [panel, alone, canonical, block_major] =
                                 panel_and_columns::<S>(op, (m, n, nfreq), cols, period);
                             let what = format!("{op} {m}x{n}x{nfreq} cols={cols} special/{period}");
-                            assert_eq!(panel, alone, "{what} level={level}");
+                            assert_eq!(panel, alone, "column alone {what} level={level}");
+                            assert_eq!(canonical, block_major, "block-major {what} level={level}");
                         }
                     }
                 }

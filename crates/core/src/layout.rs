@@ -429,7 +429,9 @@ mod tests {
                                 let mut want = ComplexBuffer::zeros(p_fft, nbins);
                                 engine.forward(&casted, &mut want).unwrap();
                                 let mut got = ComplexBuffer::from_c64(p_fft, &spec[..nbins]);
-                                engine.forward_padded(m, n_series, p_pad, &mut got).unwrap();
+                                engine
+                                    .forward_padded_many(m, n_series, 1, p_pad, &mut got)
+                                    .unwrap();
                                 assert_eq!(complex_bits(&got), complex_bits(&want), "{what}");
                             }
                             // The inverse runs on tier-`p_fft` spectra.
@@ -442,7 +444,9 @@ mod tests {
                                 let mut want = vec![f64::NAN; n_series * nt];
                                 unpad_output_into(&time, n_series, nt, p_unpad, &mut want);
                                 let mut got = vec![f64::NAN; n_series * nt];
-                                engine.inverse_unpadded(&spectrum, p_unpad, &mut got).unwrap();
+                                engine
+                                    .inverse_unpadded_many(&spectrum, 1, p_unpad, &mut got)
+                                    .unwrap();
                                 assert_eq!(bits(&got), bits(&want), "{what}");
                             }
                         }
