@@ -28,7 +28,7 @@ use fftmatvec_core::{
 };
 use fftmatvec_fft::{BatchedFft, BatchedRealFft};
 use fftmatvec_numeric::{Complex, Precision, Real, SplitMix64};
-use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
+use fftmatvec_toeplitz::{NdCirculantEmbedding, ToeplitzGenerator, TwoLevelToeplitz};
 
 const CHILD_ENV: &str = "FFTMATVEC_DETGATE_CHILD";
 
@@ -190,37 +190,69 @@ fn matvec_workloads() {
     matvec_shape("_3x5_nt250", (3, 5, 250), &tiers);
 }
 
-/// The second spectral pipeline: a rectangular two-level Toeplitz
-/// operator (odd-radix circulant extents 56 × 70, head boxes that differ
-/// by direction), in all-double and in a configuration whose Fft /
-/// Sbgemv / Ifft tiers all differ (so every phase-boundary cast buffer
-/// is live). Six columns of 960 elements in and 960 out stay under the
-/// batched-apply parallel threshold, sixteen cross it. The `full` in the
-/// labels is historical (there was a second construction path); they are
-/// kept so digests diff line for line across commits.
+/// The second spectral pipeline, in three shapes, each in all-double and
+/// in configurations whose transform tiers differ from the pointwise
+/// multiply's:
+///
+/// * `full`: a rectangular two-level operator (odd-radix circulant
+///   extents 56 × 70, head boxes that differ by direction) in a
+///   configuration whose Fft / Sbgemv / Ifft tiers all differ (so every
+///   phase-boundary cast buffer is live). Six columns of 960 elements in
+///   and 960 out stay under the batched-apply parallel threshold, sixteen
+///   cross it. The `full` in the labels is historical (there was a second
+///   construction path); they are kept so digests diff line for line
+///   across commits.
+/// * `pow2`: a rectangular two-level operator on power-of-two extents
+///   128 × 64, whose outer axis runs with the series in the lanes: 33
+///   series (a remainder group in either lane width), and heads of 88 and
+///   40 rows, on both sides of half the axis. Fft and Ifft in `f32` too.
+/// * `3level`: a three-level embedding on extents 8 × 16 × 32, whose
+///   middle axis transforms its columns in several blocks.
 fn toeplitz_workloads() {
-    let (outer, inner) = ((32usize, 24usize), (30usize, 40usize));
-    let inner_diags = inner.0 + inner.1 - 1;
-    let mut diags = vec![0.0; (outer.0 + outer.1 - 1) * inner_diags];
-    SplitMix64::new(41).fill_uniform(&mut diags, -1.0, 1.0);
-    diags[(outer.1 - 1) * inner_diags + (inner.1 - 1)] += 4.0;
-    let gen = ToeplitzGenerator::two_level(outer, inner, diags).expect("valid generator");
+    let full = toeplitz_generator(&[(32, 24), (30, 40)], 41);
     for config in ["ddddd", "dhsdd"] {
         let cfg: PrecisionConfig = config.parse().expect("valid config literal");
-        let op = TwoLevelToeplitz::builder(gen.clone()).precision(cfg).build().expect("CPU build");
-        for (dir, d) in [(OpDirection::Forward, "forward"), (OpDirection::Adjoint, "adjoint")] {
-            let (in_len, out_len) = op.shape().io_lens(dir);
-            let input = stuffed_vector(in_len, 43);
-            let mut out = vec![0.0; out_len];
-            op.apply_into(dir, &input, &mut out).expect("valid shapes");
-            report(&format!("toeplitz_full_{config}_{d}"), f64_bits(&out));
+        let op = TwoLevelToeplitz::builder(full.clone()).precision(cfg).build().expect("CPU build");
+        toeplitz_digests(&op, "full", config, &[(6, ""), (16, "16")]);
+    }
+    let pow2 = toeplitz_generator(&[(40, 88), (30, 35)], 61);
+    for config in ["ddddd", "dsdsd"] {
+        let cfg: PrecisionConfig = config.parse().expect("valid config literal");
+        let op = TwoLevelToeplitz::builder(pow2.clone()).precision(cfg).build().expect("CPU build");
+        toeplitz_digests(&op, "pow2", config, &[(6, "")]);
+    }
+    let levels3 = toeplitz_generator(&[(5, 4), (9, 8), (17, 16)], 67);
+    let op = NdCirculantEmbedding::builder(levels3).build().expect("CPU build");
+    toeplitz_digests(&op, "3level", "ddddd", &[(6, "")]);
+}
 
-            for (cols, tag) in [(6, ""), (16, "16")] {
-                let inputs = stuffed_vector(in_len * cols, 47);
-                let mut outs = vec![0.0; out_len * cols];
-                op.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
-                report(&format!("toeplitz_many{tag}_full_{config}_{d}"), f64_bits(&outs));
-            }
+/// A Toeplitz generator over `levels` (`(rows, cols)` each) with uniform
+/// random diagonals from `seed` and the main diagonal lifted by 4.
+fn toeplitz_generator(levels: &[(usize, usize)], seed: u64) -> ToeplitzGenerator {
+    let extents: Vec<usize> = levels.iter().map(|&(r, c)| r + c - 1).collect();
+    let mut diags = vec![0.0; extents.iter().product()];
+    SplitMix64::new(seed).fill_uniform(&mut diags, -1.0, 1.0);
+    let main = levels.iter().zip(&extents).fold(0, |at, (&(_, c), &e)| at * e + c - 1);
+    diags[main] += 4.0;
+    ToeplitzGenerator::new(levels, diags).expect("valid generator")
+}
+
+/// F and F\* of one Toeplitz operator, solo (digest names
+/// `toeplitz_{label}_{config}_…`) and as an `apply_many_into` of each
+/// `(cols, tag)` in `many` (`toeplitz_many{tag}_{label}_{config}_…`).
+fn toeplitz_digests(op: &impl LinearOperator, label: &str, config: &str, many: &[(usize, &str)]) {
+    for (dir, d) in [(OpDirection::Forward, "forward"), (OpDirection::Adjoint, "adjoint")] {
+        let (in_len, out_len) = op.shape().io_lens(dir);
+        let input = stuffed_vector(in_len, 43);
+        let mut out = vec![0.0; out_len];
+        op.apply_into(dir, &input, &mut out).expect("valid shapes");
+        report(&format!("toeplitz_{label}_{config}_{d}"), f64_bits(&out));
+
+        for &(cols, tag) in many {
+            let inputs = stuffed_vector(in_len * cols, 47);
+            let mut outs = vec![0.0; out_len * cols];
+            op.apply_many_into(dir, &inputs, &mut outs).expect("valid shapes");
+            report(&format!("toeplitz_many{tag}_{label}_{config}_{d}"), f64_bits(&outs));
         }
     }
 }

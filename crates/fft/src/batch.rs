@@ -22,6 +22,20 @@
 //! staging block beyond; the lanes path's remainder group stages too.
 //! Only a group that stages checks a staging block out.
 //!
+//! The **column transforms** of [`BatchedFft`]
+//! ([`BatchedFft::forward_columns`] / `inverse_columns`) are the outer
+//! axes of a multi-level transform: the transforms of the columns of a
+//! time-outer/series-inner complex matrix, read (forward) or written
+//! (inverse) in place, of which only the first `head` rows are stored —
+//! the rest of each column is `+0` going in and dropped coming out. The
+//! spectra are series-major, `ld` apart, so a caller's rotation of axes
+//! is the driver's loads and stores. They choose groups as the padded
+//! entry points do: a power-of-two `f32` / `f64` plan runs each lane group
+//! with the series in the lanes, the first stage reading the group's rows
+//! (and the inverse's last stage storing them, scaled) in place and a
+//! lane transpose moving the spectra; every other group runs one column
+//! at a time, gathered into its spectrum's storage.
+//!
 //! A batch of **columns** through one operator
 //! ([`BatchedRealFft::forward_padded_many`] / `inverse_unpadded_many`,
 //! one TOSI matrix per column) runs column by column when a column's
@@ -37,7 +51,7 @@ use fftmatvec_numeric::{with_real, Complex, Precision, Real};
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
 use crate::iterative::IterativeFft;
-use crate::padded::{PaddedSeries, UnpaddedSeries};
+use crate::padded::{ComplexColumn, ComplexColumnOut, PaddedSeries, Sink, Source, UnpaddedSeries};
 use crate::par::{for_each_chunk, for_each_chunk_mut};
 use crate::plan::{FftDirection, FftPlan};
 use crate::real::RealFftPlan;
@@ -120,6 +134,171 @@ impl<T: Real> BatchedFft<T> {
         });
     }
 
+    /// Forward transforms of the `n_series` columns of a
+    /// time-outer/series-inner complex matrix, read in place: `input`
+    /// holds its first `head = input.len() / n_series` rows (`1 ≤ head ≤
+    /// n`), and every later row of the `n` a transform reads is zero —
+    /// never stored or loaded. The spectrum of column `k` lands in
+    /// `output[k·ld..][..n]`, where `ld ≥ n` and `output.len() =
+    /// (n_series − 1)·ld + n`: a series stride `ld` wider than `n` leaves
+    /// room between spectra for other calls' — the rotated layout of a
+    /// multi-level transform. What lies between the spectra is not
+    /// touched.
+    ///
+    /// The columns run in groups of adjacent ones, through one
+    /// parallel-for: a lane group wide (4 `f64` or 8 `f32` columns) when
+    /// the plan takes the series-in-lanes path (the first stage reads the
+    /// group's rows in place, the rest run planar, and a transpose stores
+    /// the spectra), `STAGE` wide otherwise. A group the lanes do not take — the
+    /// remainder, or every group at the portable level, in a 16-bit tier
+    /// or for another schedule — runs one column at a time: gathered into
+    /// its spectrum's storage, zero-extended and transformed in place.
+    /// Every column gets the bits of its own transform either way.
+    pub fn forward_columns(
+        &self,
+        input: &[Complex<T>],
+        n_series: usize,
+        output: &mut [Complex<T>],
+        ld: usize,
+    ) {
+        let n = self.plan.len();
+        let head = self.column_rows(input.len(), n_series, output.len(), ld);
+        let (width, lanes) = self.groups(n_series);
+        let init = || self.buffers(lanes);
+        for_each_chunk_mut(n_series * n, output, width * ld, init, |scratch, (g, out)| {
+            let cols = width.min(n_series - g * width);
+            let out = &mut out[..(cols - 1) * ld + n];
+            let src = ComplexColumn::new(&input[g * width..], n_series, head, n);
+            match lanes {
+                Some((lanes, engine)) if cols == width => {
+                    let e = width * n;
+                    let (z, _) = lanes_forward(lanes, engine, &src, planar(scratch.ws(), e), e);
+                    simd::lanes_to_series(lanes, z, out, ld);
+                }
+                _ => self.forward_series(&src, cols, out, ld, scratch.ws()),
+            }
+        });
+    }
+
+    /// Inverse transforms (scaled by `1/n`) of `n_series` spectra,
+    /// spectrum `k` at `spectra[k·ld..][..n]` (the layout
+    /// [`Self::forward_columns`] writes; their contents are clobbered),
+    /// that keep the first `head = output.len() / n_series` rows of each
+    /// (`1 ≤ head ≤ n`) as column `k` of the time-outer/series-inner
+    /// complex matrix `output`. The groups are those of `forward_columns`;
+    /// a lane group's spectra are transposed into planar buffers, every
+    /// stage but the last runs planar, and the last scales and stores only
+    /// the kept rows into the matrix in place. A group the lanes do not
+    /// take transforms each spectrum in place and stores its kept rows.
+    pub fn inverse_columns(
+        &self,
+        spectra: &mut [Complex<T>],
+        ld: usize,
+        output: &mut [Complex<T>],
+        n_series: usize,
+    ) {
+        let n = self.plan.len();
+        let head = self.column_rows(output.len(), n_series, spectra.len(), ld);
+        let (width, lanes) = self.groups(n_series);
+        let out = Interleaved(output.as_mut_ptr());
+        let init = || self.buffers(lanes);
+        for_each_chunk_mut(n_series * n, spectra, width * ld, init, |scratch, (g, spec)| {
+            let cols = width.min(n_series - g * width);
+            let spec = &mut spec[..(cols - 1) * ld + n];
+            // SAFETY: `output` is exclusively borrowed for the whole call
+            // and holds `head` rows of `n_series`; group `g` writes only
+            // its own columns, `g·width..`, disjoint from every other
+            // group's.
+            let mut sink =
+                unsafe { ComplexColumnOut::new(out.get().add(g * width), n_series, head, n, cols) };
+            match lanes {
+                Some((lanes, engine)) if cols == width => {
+                    let (a, b) = planar(scratch.ws(), width * n);
+                    simd::lanes_from_series(lanes, spec, ld, a);
+                    lanes_inverse(lanes, engine, a, b, &mut sink);
+                }
+                _ => self.inverse_series(spec, ld, &mut sink, scratch.ws()),
+            }
+        });
+    }
+
+    /// The rows of a column batch's `matrix`-element TOSI matrix of
+    /// `n_series` columns, once the batch's extents are checked.
+    fn column_rows(&self, matrix: usize, n_series: usize, spectra: usize, ld: usize) -> usize {
+        let n = self.plan.len();
+        assert!(
+            n_series > 0 && matrix % n_series == 0 && (1..=n).contains(&(matrix / n_series)),
+            "column batch: {matrix} elements are not 1..={n} rows of {n_series} columns"
+        );
+        assert!(
+            ld >= n && spectra == (n_series - 1) * ld + n,
+            "column batch: {spectra} spectrum elements for {n_series} series of {n}, {ld} apart"
+        );
+        matrix / n_series
+    }
+
+    /// The group width of a column batch of `n_series`, and the lanes
+    /// path when its full groups run in the lanes.
+    fn groups(&self, n_series: usize) -> (usize, LanePath<'_, T>) {
+        match lane_path(&self.plan).filter(|(l, _)| n_series >= l.width()) {
+            Some(lanes) => (lanes.0.width(), Some(lanes)),
+            None => (STAGE, None),
+        }
+    }
+
+    /// One worker's plan scratch, with room for the planar buffers on the
+    /// lanes path.
+    fn buffers(&self, lanes: LanePath<'_, T>) -> Checkout<'_, Vec<Complex<T>>> {
+        let n = self.plan.len();
+        let planar = lanes.map_or(0, |(lanes, _)| planar_scratch_len::<T>(lanes.width() * n));
+        scratch(&self.pool, planar.max(self.plan.scratch_len()))
+    }
+
+    /// The forward transforms of the first `cols` columns of `src`, one at
+    /// a time, into `out` (`ld` apart): the rows gathered into each
+    /// spectrum's storage, the rest zero-filled, each transformed in place.
+    fn forward_series(
+        &self,
+        src: &ComplexColumn<'_, T>,
+        cols: usize,
+        out: &mut [Complex<T>],
+        ld: usize,
+        scratch: &mut [Complex<T>],
+    ) {
+        let (n, head) = (self.plan.len(), src.rows());
+        for t in 0..head {
+            for (k, &v) in src.row(t, cols).iter().enumerate() {
+                out[k * ld + t] = v;
+            }
+        }
+        for series in out.chunks_mut(ld) {
+            let series = &mut series[..n];
+            series[head..].fill(Complex::zero());
+            self.plan.process_inplace(series, scratch, FftDirection::Forward);
+        }
+    }
+
+    /// The inverse transforms of the spectra of `sink`'s columns (`ld`
+    /// apart in `spec`), one at a time in place, then their kept rows
+    /// stored into the columns.
+    fn inverse_series(
+        &self,
+        spec: &mut [Complex<T>],
+        ld: usize,
+        sink: &mut ComplexColumnOut<T>,
+        scratch: &mut [Complex<T>],
+    ) {
+        let n = self.plan.len();
+        for series in spec.chunks_mut(ld) {
+            self.plan.process_inplace(&mut series[..n], scratch, FftDirection::Inverse);
+        }
+        for t in 0..sink.rows() {
+            for (k, series) in spec.chunks(ld).enumerate() {
+                sink.store(t, k, series[t]);
+            }
+        }
+    }
+
     /// Allocating forward batch.
     pub fn forward_batch_vec(&self, input: &[Complex<T>]) -> Vec<Complex<T>> {
         let mut out = vec![Complex::zero(); input.len()];
@@ -199,15 +378,9 @@ type LanePath<'a, T> = Option<(Lanes, &'a IterativeFft<T>)>;
 const LANES_MAX_LEN: usize = 16_384;
 
 /// The series-in-lanes path's planar buffers within one worker's plan
-/// scratch: two of `width·(h + 1)` complex slots, the first starting on a
-/// 64-byte line so every planar element (64 bytes in either tier) is one
-/// line.
-fn planar<T: Real>(
-    scratch: &mut [Complex<T>],
-    width: usize,
-    h: usize,
-) -> (&mut [Complex<T>], &mut [Complex<T>]) {
-    let e = width * (h + 1);
+/// scratch: two of `e` complex slots, the first starting on a 64-byte
+/// line so every planar element (64 bytes in either tier) is one line.
+fn planar<T: Real>(scratch: &mut [Complex<T>], e: usize) -> (&mut [Complex<T>], &mut [Complex<T>]) {
     let off = scratch.as_ptr().align_offset(64).min(scratch.len() - 2 * e);
     let (a, b) = scratch[off..].split_at_mut(e);
     (a, &mut b[..e])
@@ -215,19 +388,76 @@ fn planar<T: Real>(
 
 /// Complex slots one worker's plan scratch needs on the series-in-lanes
 /// path: the two planar buffers of [`planar`] and a line of alignment.
-fn planar_scratch_len<T: Real>(width: usize, h: usize) -> usize {
-    2 * width * (h + 1) + 64 / core::mem::size_of::<Complex<T>>()
+fn planar_scratch_len<T: Real>(e: usize) -> usize {
+    2 * e + 64 / core::mem::size_of::<Complex<T>>()
 }
 
-/// The output matrix of the unpadded inverse, shared by the groups of
-/// series whose columns interleave in it.
-struct Interleaved(*mut f64);
-// SAFETY: each group writes only its own columns (see the caller).
-unsafe impl Sync for Interleaved {}
-impl Interleaved {
+/// The series-in-lanes path of a complex plan, when it takes it: `f32` /
+/// `f64` radix-2/4 schedules of up to `LANES_MAX_LEN / 2` points — a
+/// real transform of up to [`LANES_MAX_LEN`] through its half plan, and
+/// complex transforms whose planar buffers are no larger.
+fn lane_path<T: Real>(plan: &FftPlan<T>) -> LanePath<'_, T> {
+    let lanes = Lanes::of::<T>()?;
+    let engine = plan.iterative().filter(|_| 2 * plan.len() <= LANES_MAX_LEN)?;
+    engine.stages().all(|st| st.radix == 2 || st.radix == 4).then_some((lanes, engine))
+}
+
+/// Every forward stage of `engine` for a lane group: the first reads
+/// `src`, the rest ping-pong through the first `e` slots of the planar
+/// buffers `a` and `b`. Returns the transforms (planar) and the other
+/// buffer, whole.
+fn lanes_forward<'b, T: Real, S: Source<T> + ?Sized>(
+    lanes: Lanes,
+    engine: &IterativeFft<T>,
+    src: &S,
+    (a, b): (&'b mut [Complex<T>], &'b mut [Complex<T>]),
+    e: usize,
+) -> (&'b [Complex<T>], &'b mut [Complex<T>]) {
+    let mut stages = engine.stages();
+    let first = stages.next().expect("a schedule has a stage");
+    let (r, m, s, tw) = (first.radix, first.m, first.s, &first.twiddles);
+    simd::lanes_stage(lanes, src, &mut a[..e], r, m, s, tw, false);
+    let mut in_a = true;
+    for st in stages {
+        let (src, dst) = if in_a { (&a[..e], &mut b[..e]) } else { (&b[..e], &mut a[..e]) };
+        simd::lanes_stage(lanes, src, dst, st.radix, st.m, st.s, &st.twiddles, false);
+        in_a = !in_a;
+    }
+    if in_a {
+        (&a[..e], b)
+    } else {
+        (&b[..e], a)
+    }
+}
+
+/// Every inverse stage of `engine` for a lane group whose input is the
+/// planar `x`: the last writes `dst`, the others ping-pong through `x` and
+/// the planar `y`, which both clobber.
+fn lanes_inverse<'b, T: Real, D: Sink<T> + ?Sized>(
+    lanes: Lanes,
+    engine: &IterativeFft<T>,
+    mut x: &'b mut [Complex<T>],
+    mut y: &'b mut [Complex<T>],
+    dst: &mut D,
+) {
+    let last = engine.stages().count() - 1;
+    for st in engine.stages().take(last) {
+        simd::lanes_stage(lanes, &*x, &mut *y, st.radix, st.m, st.s, &st.twiddles, true);
+        std::mem::swap(&mut x, &mut y);
+    }
+    let st = engine.stages().nth(last).expect("a schedule has a stage");
+    simd::lanes_stage(lanes, &*x, dst, st.radix, st.m, st.s, &st.twiddles, true);
+}
+
+/// An output matrix shared by the groups of series whose columns
+/// interleave in it.
+struct Interleaved<E>(*mut E);
+// SAFETY: each group writes only its own columns (see the callers).
+unsafe impl<E: Send> Sync for Interleaved<E> {}
+impl<E> Interleaved<E> {
     /// The matrix (a method, so closures capture the `Sync` wrapper
     /// rather than the raw pointer).
-    fn get(&self) -> *mut f64 {
+    fn get(&self) -> *mut E {
         self.0
     }
 }
@@ -494,16 +724,14 @@ impl<T: Real> BatchedRealFft<T> {
     /// it. It runs `f32` / `f64` radix-2/4 schedules up to
     /// [`LANES_MAX_LEN`], at least one whole group wide.
     fn lanes(&self, n_series: usize) -> LanePath<'_, T> {
-        let lanes = Lanes::of::<T>().filter(|l| self.lanes && n_series >= l.width())?;
-        let engine = self.plan.half.iterative().filter(|_| self.plan.len() <= LANES_MAX_LEN)?;
-        engine.stages().all(|st| st.radix == 2 || st.radix == 4).then_some((lanes, engine))
+        lane_path(&self.plan.half).filter(|(l, _)| self.lanes && n_series >= l.width())
     }
 
     /// One worker's buffers: plan scratch, with room for the planar
     /// buffers on the lanes path, and no staging block yet.
     fn buffers(&self, lanes: LanePath<'_, T>) -> Buffers<'_, T> {
         let h = self.plan.len() / 2;
-        let planar = lanes.map_or(0, |(lanes, _)| planar_scratch_len::<T>(lanes.width(), h));
+        let planar = lanes.map_or(0, |(lanes, _)| planar_scratch_len::<T>(lanes.width() * (h + 1)));
         (scratch(&self.pool, planar.max(self.plan.scratch_len())), None)
     }
 
@@ -524,22 +752,11 @@ impl<T: Real> BatchedRealFft<T> {
         scratch: &mut [Complex<T>],
     ) {
         let h = self.plan.len() / 2;
-        let e = lanes.width() * h;
-        let (a, b) = planar(scratch, lanes.width(), h);
-        let mut stages = engine.stages();
-        let first = stages.next().expect("a schedule has a stage");
-        with_real!(pad, P => {
+        let buffers = planar(scratch, lanes.width() * (h + 1));
+        let (z, bins) = with_real!(pad, P => {
             let src = PaddedSeries::<P>::new(input, n_series, h);
-            let (r, m, s, tw) = (first.radix, first.m, first.s, &first.twiddles);
-            simd::lanes_stage(lanes, &src, &mut a[..e], r, m, s, tw, false);
+            lanes_forward(lanes, engine, &src, buffers, lanes.width() * h)
         });
-        let mut in_a = true;
-        for st in stages {
-            let (src, dst) = if in_a { (&a[..e], &mut b[..e]) } else { (&b[..e], &mut a[..e]) };
-            simd::lanes_stage(lanes, src, dst, st.radix, st.m, st.s, &st.twiddles, false);
-            in_a = !in_a;
-        }
-        let (z, bins) = if in_a { (&a[..e], b) } else { (&b[..e], a) };
         simd::lanes_unpack(lanes, z, &self.plan.twiddles, bins, out);
     }
 
@@ -567,25 +784,15 @@ impl<T: Real> BatchedRealFft<T> {
     ) {
         let h = self.plan.len() / 2;
         let e = lanes.width() * h;
-        let (a, b) = planar(scratch, lanes.width(), h);
+        let (a, b) = planar(scratch, lanes.width() * (h + 1));
         simd::lanes_repack(lanes, spectra, &self.plan.twiddles, a, &mut b[..e]);
         let route = if T::PRECISION.widens_exactly_to(unpad) { Precision::Double } else { unpad };
-        let last = engine.stages().count() - 1;
-        let mut in_b = true;
-        for (i, st) in engine.stages().enumerate() {
-            let (src, dst) = if in_b { (&b[..e], &mut a[..e]) } else { (&a[..e], &mut b[..e]) };
-            if i < last {
-                simd::lanes_stage(lanes, src, dst, st.radix, st.m, st.s, &st.twiddles, true);
-                in_b = !in_b;
-                continue;
-            }
-            with_real!(route, Q => {
-                // SAFETY: the caller's contract: `lanes.width()` columns of
-                // `h` rows, `batch` apart.
-                let mut sink = UnpaddedSeries::<Q>::new(out, batch, h, lanes.width());
-                simd::lanes_stage(lanes, src, &mut sink, st.radix, st.m, st.s, &st.twiddles, true);
-            });
-        }
+        with_real!(route, Q => {
+            // SAFETY: the caller's contract: `lanes.width()` columns of `h`
+            // rows, `batch` apart.
+            let mut sink = UnpaddedSeries::<Q>::new(out, batch, h, lanes.width());
+            lanes_inverse(lanes, engine, &mut b[..e], &mut a[..e], &mut sink);
+        });
     }
 
     /// The padded forward of the group of series whose samples are the
@@ -921,6 +1128,99 @@ mod tests {
         let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         check::<f64>();
         check::<f32>();
+    }
+
+    /// The column entry points equal each column transformed on its own
+    /// (gathered, zero-extended, `process_inplace`, its kept rows stored)
+    /// on bits, NaNs canonical: both lane tiers and a 16-bit one, lengths
+    /// from one stage to past the lanes crossover, widths with and without
+    /// a remainder group, heads from one row to all, spectra packed and
+    /// spread out, noise and special values. Nothing between the spectra
+    /// or past the kept rows is written, and the lanes take exactly the
+    /// power-of-two `f32` / `f64` batches at least one group wide. From
+    /// 4096 points on only one width, head and stride run, on noise, and
+    /// the 16-bit tier not at all, which keeps the test affordable in a
+    /// debug build.
+    #[test]
+    fn column_batches_keep_each_series_bits() {
+        fn check<T: Real>() {
+            let canon = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+            let cbits = |v: &[Complex<T>]| {
+                v.iter().map(|z| (canon(z.re.to_f64()), canon(z.im.to_f64()))).collect::<Vec<_>>()
+            };
+            let specials = [0.0, -0.0, 1.0, -0.5, 3e4, 1e-40, f64::INFINITY, f64::NAN];
+            for n in [1usize, 2, 4, 8, 12, 128, LANES_MAX_LEN / 2, LANES_MAX_LEN] {
+                let long = n >= 4096;
+                if long && T::BYTES < 4 {
+                    continue;
+                }
+                let bf = BatchedFft::<T>::new(n);
+                let widths: &[usize] = if long { &[9] } else { &[1, 3, 4, 8, 9, 17] };
+                for &n_series in widths {
+                    let lanes = Lanes::of::<T>().filter(|l| n_series >= l.width());
+                    let pow2 = n.is_power_of_two() && (2..=LANES_MAX_LEN / 2).contains(&n);
+                    let expect = lanes.is_some() && pow2;
+                    assert_eq!(bf.groups(n_series).1.is_some(), expect, "n={n} ns={n_series}");
+                    let heads =
+                        if long { vec![n / 2] } else { vec![1, n.div_ceil(2), n / 2 + 1, n] };
+                    let strides: &[_] =
+                        if long { &[(n + 3, false)] } else { &[(n, false), (n + 3, true)] };
+                    for head in heads.into_iter().filter(|&h| h <= n) {
+                        for &(ld, special) in strides {
+                            let what = format!("n={n} ns={n_series} head={head} ld={ld}");
+                            let mut rng = SplitMix64::new((n * 64 + n_series * 8 + head) as u64);
+                            let mut value = || {
+                                let x = rng.uniform(-1.0, 1.0);
+                                T::from_f64(if special {
+                                    specials[rng.next_u64() as usize % 8]
+                                } else {
+                                    x
+                                })
+                            };
+                            let x: Vec<Complex<T>> = (0..head * n_series)
+                                .map(|_| Complex::new(value(), value()))
+                                .collect();
+                            let span = (n_series - 1) * ld + n;
+                            let nan = T::from_f64(f64::NAN);
+                            let mut got = vec![Complex::new(nan, nan); span];
+                            bf.forward_columns(&x, n_series, &mut got, ld);
+                            let mut want = vec![Complex::new(nan, nan); span];
+                            let mut scratch = vec![Complex::zero(); bf.plan().scratch_len()];
+                            for k in 0..n_series {
+                                let series = &mut want[k * ld..][..n];
+                                series.fill(Complex::zero());
+                                (0..head).for_each(|t| series[t] = x[t * n_series + k]);
+                                bf.plan().process_inplace(
+                                    series,
+                                    &mut scratch,
+                                    FftDirection::Forward,
+                                );
+                            }
+                            assert_eq!(cbits(&got), cbits(&want), "{what}: forward");
+
+                            let mut spec = got;
+                            let mut out = vec![Complex::new(nan, nan); head * n_series];
+                            let mut want = out.clone();
+                            for k in 0..n_series {
+                                let mut series = spec[k * ld..][..n].to_vec();
+                                bf.plan().process_inplace(
+                                    &mut series,
+                                    &mut scratch,
+                                    FftDirection::Inverse,
+                                );
+                                (0..head).for_each(|t| want[t * n_series + k] = series[t]);
+                            }
+                            bf.inverse_columns(&mut spec, ld, &mut out, n_series);
+                            assert_eq!(cbits(&out), cbits(&want), "{what}: inverse");
+                        }
+                    }
+                }
+            }
+        }
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        check::<f64>();
+        check::<f32>();
+        check::<fftmatvec_numeric::f16>();
     }
 
     /// A staging block is checked out only by a group that stages: a

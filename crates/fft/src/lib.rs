@@ -34,12 +34,13 @@
 //!   time-step and rank loops all run through it.
 //! * [`ndfft`] — separable N-dimensional transforms over nested cached
 //!   1-D plans (outer `planWhole` / inner `planBlock` in the fastmat
-//!   naming), transposing one axis at a time so every axis pass runs the
-//!   contiguous batched driver: [`NdFft`] is the complex whole-grid
-//!   transform, [`RealNdFft`] the real-input, head-pruned one the
-//!   multi-level Toeplitz operators run (R2C innermost axis, each axis
-//!   transformed only over rows that can be non-zero, spectrum left in
-//!   the rotated layout of the last pass).
+//!   naming): [`NdFft`] is the complex whole-grid transform, which
+//!   transposes one axis at a time so every axis pass runs the contiguous
+//!   batched driver; [`RealNdFft`] the real-input, head-pruned one the
+//!   multi-level Toeplitz operators run (R2C innermost axis, each outer
+//!   axis a batch of column transforms over only the rows that can be
+//!   non-zero, which read the grid in place and write the spectrum in the
+//!   rotated layout of the last pass).
 //! * [`dft`] — a naive O(n²) reference DFT used by tests and by the
 //!   Bluestein implementation's own validation.
 //! * [`recursive`] — the seed's recursive engine, kept as a differential

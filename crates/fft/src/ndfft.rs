@@ -30,11 +30,15 @@
 //! * every axis is transformed only over the rows that can be non-zero
 //!   (forward) or that will be read (inverse). The buffer grows one axis
 //!   at a time: `[head₀, …, head_{L−2}, m_{L−1}]` reals → R2C → for
-//!   `l = L−2 … 0`, rotate the last axis to the front while
-//!   zero-extending axis `l` from `head_l` to `m_l`, then transform it.
-//!   The all-zero rows of the embedding are never materialized and the
-//!   only zero-fill is the tail `[head_l, m_l)` of the rows about to be
-//!   transformed — written every call, so dirty buffers are fine;
+//!   `l = L−2 … 0`, the column transforms of
+//!   [`BatchedFft::forward_columns`] read each `[head_l, last]` block in
+//!   place as a matrix of `last` columns and write every column's
+//!   `m_l`-point spectrum `ld` apart in the next buffer, so axis `l`
+//!   lands at the end and the old last axis at the front: the rotation
+//!   is the column driver's loads and stores, and no axis is transposed
+//!   on its own. The rows `[head_l, m_l)` of the embedding are never
+//!   materialized: the transforms read them as `+0` (in the lanes, as
+//!   registers that are never loaded), so dirty buffers are fine;
 //! * the spectrum stays in the **rotated layout** the last axis pass
 //!   leaves: axes in the order `(1, 2, …, L−1, 0)`, the `L−1` axis
 //!   truncated to its `h` non-redundant bins — `[h, m₀]` for two levels,
@@ -44,12 +48,14 @@
 //!   so the rotations that would restore row-major order (one per
 //!   direction) are simply not run.
 //!
-//! The inverse mirrors the forward: per outer axis `l = 0 … L−2`, inverse
-//! transform the last axis, rotate the front axis back to the end keeping
-//! only `head_l` of the `m_l` entries, and finish with C2R on the
-//! surviving rows.
+//! The inverse mirrors the forward: per outer axis `l = 0 … L−2`,
+//! [`BatchedFft::inverse_columns`] inverse-transforms the spectra of the
+//! front axis and stores only the first `head_l` of the `m_l` rows of
+//! each, scaled, as a column of a matrix whose rows make the last axis —
+//! the rotation back is again the column driver's loads and stores — and
+//! C2R on the surviving rows finishes.
 
-use fftmatvec_numeric::ndindex::{rotate_last_to_front, total_len, transpose_map};
+use fftmatvec_numeric::ndindex::{rotate_last_to_front, total_len};
 use fftmatvec_numeric::{Complex, Real};
 
 use crate::batch::{BatchedFft, BatchedRealFft};
@@ -249,20 +255,17 @@ impl<T: Real> RealNdFft<T> {
         self.inner.forward_batch(&real[..self.real_len(head)], &mut cur[..len]);
         for l in (0..self.outer.len()).rev() {
             let (head_l, m_l) = (head[l], self.dims[l]);
-            // cur is [lead, head_l, last]; next becomes [last, lead, m_l].
+            // cur is [lead, head_l, last]; next becomes [last, lead, m_l]:
+            // block `p` of cur is a matrix of `last` columns whose spectra
+            // land `ld` apart from `next[p·m_l]` on.
             let lead = len / (head_l * last);
             let ld = lead * m_l;
+            let span = (last - 1) * ld + m_l;
             for p in 0..lead {
-                let (src, dst) = (&cur[p * head_l * last..], &mut next[p * m_l..]);
-                transpose_map(src, last, dst, ld, head_l, last, |v| v);
+                let src = &cur[p * head_l * last..][..head_l * last];
+                self.outer[l].forward_columns(src, last, &mut next[p * m_l..][..span], ld);
             }
             len = last * ld;
-            if head_l < m_l {
-                for row in next[..len].chunks_exact_mut(m_l) {
-                    row[head_l..].fill(Complex::zero());
-                }
-            }
-            self.outer[l].process_batch_inplace(&mut next[..len], FftDirection::Forward);
             std::mem::swap(&mut cur, &mut next);
             last = m_l;
         }
@@ -285,13 +288,17 @@ impl<T: Real> RealNdFft<T> {
         let mut len = self.spectrum_len();
         for l in 0..self.outer.len() {
             let (head_l, m_l) = (head[l], self.dims[l]);
-            self.outer[l].process_batch_inplace(&mut cur[..len], FftDirection::Inverse);
-            // cur is [front, lead, m_l]; next becomes [lead, head_l, front].
+            // cur is [front, lead, m_l]; next becomes [lead, head_l, front]:
+            // the `front` spectra `ld` apart from `cur[p·m_l]` on keep
+            // `head_l` rows each as block `p` of next, a matrix of `front`
+            // columns.
             let front = self.rotated[l];
             let lead = len / (front * m_l);
+            let ld = lead * m_l;
+            let span = (front - 1) * ld + m_l;
             for p in 0..lead {
-                let (src, dst) = (&cur[p * m_l..], &mut next[p * head_l * front..]);
-                transpose_map(src, lead * m_l, dst, front, front, head_l, |v| v);
+                let dst = &mut next[p * head_l * front..][..head_l * front];
+                self.outer[l].inverse_columns(&mut cur[p * m_l..][..span], ld, dst, front);
             }
             len = lead * head_l * front;
             std::mem::swap(&mut cur, &mut next);
@@ -304,7 +311,8 @@ impl<T: Real> RealNdFft<T> {
 mod tests {
     use super::*;
     use crate::{cache, dft};
-    use fftmatvec_numeric::ndindex::{compose, decompose, strides_row_major};
+    use fftmatvec_numeric::ndindex::{compose, decompose, strides_row_major, transpose_map};
+    use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
     use fftmatvec_numeric::{bf16, f16, SplitMix64};
     use std::sync::Arc;
 
@@ -536,6 +544,120 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The outer axes as they ran before the column driver: transpose each
+    /// block into a zeroed buffer, then transform every series in place.
+    /// Built from public pieces only, so it pins the column driver's bits.
+    fn transposing_forward<T: Real>(
+        e: &RealNdFft<T>,
+        head: &[usize],
+        real: &[T],
+    ) -> Vec<Complex<T>> {
+        let dims = e.dims();
+        let inner = BatchedRealFft::<T>::new(dims[dims.len() - 1]);
+        let mut last = inner.spectrum_len();
+        let mut cur = vec![Complex::zero(); total_len(head) * last];
+        inner.forward_batch(&real[..e.real_len(head)], &mut cur);
+        for l in (0..head.len()).rev() {
+            let (head_l, m_l) = (head[l], dims[l]);
+            let lead = cur.len() / (head_l * last);
+            let ld = lead * m_l;
+            let mut next = vec![Complex::zero(); last * ld];
+            for p in 0..lead {
+                let (src, dst) = (&cur[p * head_l * last..], &mut next[p * m_l..]);
+                transpose_map(src, last, dst, ld, head_l, last, |v| v);
+            }
+            BatchedFft::<T>::new(m_l).process_batch_inplace(&mut next, FftDirection::Forward);
+            (cur, last) = (next, m_l);
+        }
+        cur
+    }
+
+    /// The inverse of [`transposing_forward`], as the inverse ran before.
+    fn transposing_inverse<T: Real>(
+        e: &RealNdFft<T>,
+        head: &[usize],
+        spec: &[Complex<T>],
+    ) -> Vec<T> {
+        let dims = e.dims();
+        let mut cur = spec.to_vec();
+        for (l, &head_l) in head.iter().enumerate() {
+            let (m_l, front) = (dims[l], e.rotated_dims()[l]);
+            BatchedFft::<T>::new(m_l).process_batch_inplace(&mut cur, FftDirection::Inverse);
+            let lead = cur.len() / (front * m_l);
+            let mut next = vec![Complex::zero(); lead * head_l * front];
+            for p in 0..lead {
+                let (src, dst) = (&cur[p * m_l..], &mut next[p * head_l * front..]);
+                transpose_map(src, lead * m_l, dst, front, front, head_l, |v| v);
+            }
+            cur = next;
+        }
+        let mut out = vec![T::ZERO; e.real_len(head)];
+        BatchedRealFft::<T>::new(dims[dims.len() - 1]).inverse_batch(&cur, &mut out);
+        out
+    }
+
+    /// Shapes whose outer axes run the column driver's every path: heads
+    /// below, at and above half of a 128-point axis and the full head the
+    /// symbol build transforms; 65 and 33 series (a remainder in both lane
+    /// widths); three levels, where the middle axis has blocks (`lead >
+    /// 1`) and fewer series than an `f32` lane group; and odd radices,
+    /// which run one series at a time.
+    const COLUMN_CASES: [(&[usize], &[&[usize]]); 5] = [
+        (&[128, 128], &[&[40], &[64], &[100], &[128]]),
+        (&[128, 64], &[&[64], &[127]]),
+        (&[16, 16, 64], &[&[16, 16], &[5, 9], &[8, 3]]),
+        (&[8, 16, 12], &[&[5, 9], &[8, 16]]),
+        (&[6, 10], &[&[4], &[6]]),
+    ];
+
+    /// Forward and inverse equal the transposing reference bit for bit,
+    /// in every tier that has a path of its own, at the portable level and
+    /// the host's vector level, from buffers poisoned with NaN: no row
+    /// outside the head box is read, and the inverse writes nothing past
+    /// `real_len`.
+    #[test]
+    fn outer_axes_keep_the_bits_of_the_transposing_reference() {
+        fn check<T: Real>() {
+            let bits = |v: &[Complex<T>]| {
+                v.iter()
+                    .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            for (dims, heads) in COLUMN_CASES {
+                let engine = RealNdFft::<T>::new(dims);
+                for (case, &head) in heads.iter().enumerate() {
+                    let what = format!("{:?} {dims:?} head {head:?}", T::PRECISION);
+                    let data = random_head(&engine, head, 91 + case as u64);
+                    let (mut real, mut spec, mut stage) = nan_buffers(&engine, head);
+                    real[..data.len()].copy_from_slice(&data);
+                    engine.forward(head, &real, &mut spec, &mut stage);
+                    let want = transposing_forward(&engine, head, &data);
+                    assert_eq!(bits(&spec), bits(&want), "{what}: forward");
+
+                    let (mut real, _, mut stage) = nan_buffers(&engine, head);
+                    let want = transposing_inverse(&engine, head, &spec);
+                    engine.inverse(head, &mut spec, &mut stage, &mut real);
+                    let (got, slack) = real.split_at(engine.real_len(head));
+                    let got_bits: Vec<u64> = got.iter().map(|x| x.to_f64().to_bits()).collect();
+                    let want_bits: Vec<u64> = want.iter().map(|x| x.to_f64().to_bits()).collect();
+                    assert_eq!(got_bits, want_bits, "{what}: inverse");
+                    assert!(slack.iter().all(|x| x.to_f64().is_nan()), "{what}: slack untouched");
+                }
+            }
+        }
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = active_level();
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
+            if level_supported(level) {
+                set_active_level(level);
+                check::<f64>();
+                check::<f32>();
+                check::<f16>();
+            }
+        }
+        set_active_level(prev);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (the block-circulant embedding) and keeps only the first half of each
 //! inverse transform. Both ends touch the caller's vectors in the
 //! time-outer/series-inner layout (TOSI: sample `t` of series `s` at
-//! `x[t·n_series + s]`). The two views here let the passes of a real
-//! transform read and write that layout in place:
+//! `x[t·n_series + s]`). The views here let the passes of a transform
+//! read and write that layout in place:
 //!
 //! * [`PaddedSeries`] is one series of a TOSI `f64` matrix seen as the
 //!   packed signal of the half-length trick, `z[j] = x[2j] + i·x[2j+1]`,
@@ -18,6 +18,14 @@
 //!   samples `t < nt` of the inverse transform, each routed through the
 //!   unpad tier `Q` (`Q = f64` when the transform tier widens exactly into
 //!   the unpad tier, so the route is the identity).
+//! * [`ComplexColumn`] is one column of a complex TOSI matrix of `rows`
+//!   rows as the input of a transform of length `n ≥ rows`: rows past the
+//!   matrix are `+0` and never stored. [`ComplexColumnOut`] is one column
+//!   of a complex TOSI output that keeps the first `rows` outputs of an
+//!   inverse transform, each scaled by `1/n`. They are the outer axes of
+//!   a multi-level real transform (`BatchedFft::{forward_columns,
+//!   inverse_columns}`), and only the series-in-lanes stage bodies take
+//!   them: a group the lanes do not take gathers its columns into slices.
 //!
 //! The rounding is the composition of the kernels the pipeline used to
 //! run: `T::from_f64(P::from_f64(x).to_f64())` is the pad's store into
@@ -26,7 +34,7 @@
 //! values the pad wrote, so every value meets the same expression tree.
 //!
 //! Every vector stage body of the FFT executors reads a [`Source`] and
-//! writes a [`Sink`]: a slice, or one of the two views. A padded series
+//! writes a [`Sink`]: a slice, or one of the views. A padded series
 //! yields the embedding's `+0` for every operand past its live half, and
 //! an unpadded series scales each kept output by `1/nt`, routes it and
 //! drops the rest. The scalar stage bodies read and write slices only:
@@ -57,6 +65,10 @@ pub(crate) enum Operands<'a, T, P> {
     /// the live half (the series-in-lanes bodies read the series of a
     /// group of adjacent columns, one per lane).
     Padded(PaddedSeries<'a, P>),
+    /// Operand `i` is row `i` of a column of a complex TOSI matrix, `+0`
+    /// past its rows (the series-in-lanes bodies only: they read a group
+    /// of adjacent columns, one per lane).
+    Column(ComplexColumn<'a, T>),
 }
 
 /// What a [`Sink`] is, as a stage body writes it (tagged as
@@ -69,6 +81,10 @@ pub(crate) enum Outputs<'a, T, Q> {
     /// scaled by `1/nt` and routed when it holds a sample, dropped past
     /// the live half.
     Unpadded(&'a mut UnpaddedSeries<Q>),
+    /// Output `o` is row `o` of a column of a complex TOSI matrix: scaled
+    /// by `1/n` and stored when the matrix has that row, dropped past it
+    /// (the series-in-lanes bodies only, as [`Operands::Column`]).
+    Column(&'a mut ComplexColumnOut<T>),
 }
 
 /// Where a stage of tier `T` reads its operands.
@@ -90,6 +106,7 @@ pub(crate) trait Source<T: Real> {
         match self.operands() {
             Operands::Slice(x) => x.len(),
             Operands::Padded(x) => x.nt(),
+            Operands::Column(x) => x.n(),
         }
     }
 
@@ -99,6 +116,7 @@ pub(crate) trait Source<T: Real> {
         match self.operands() {
             Operands::Slice(x) => x[i],
             Operands::Padded(x) => x.packed(i),
+            Operands::Column(x) => x.get(i),
         }
     }
 }
@@ -127,6 +145,7 @@ pub(crate) trait Sink<T: Real> {
                 x.put_packed(o, v.scale(T::from_usize(x.nt()).recip()))
             }
             Outputs::Unpadded(_) => {}
+            Outputs::Column(x) => x.put(o, v.scale(T::from_usize(x.n()).recip())),
         }
     }
 }
@@ -199,6 +218,49 @@ impl<T: Real, Q: Real> Sink<T> for UnpaddedSeries<Q> {
     fn len(&self) -> usize {
         self.nt
     }
+}
+
+impl<'a, T: Real> Source<T> for ComplexColumn<'a, T> {
+    type Pad = f64;
+    type In<U: Real> = ComplexColumn<'a, U>;
+
+    #[inline(always)]
+    fn operands(&self) -> Operands<'_, T, f64> {
+        Operands::Column(*self)
+    }
+
+    #[inline(always)]
+    fn tier<U: Real>(&self) -> Option<&ComplexColumn<'a, U>> {
+        // SAFETY: `T == U`, so the two types are one.
+        same_tier::<T, U>().then(|| unsafe { &*(self as *const Self).cast() })
+    }
+}
+
+impl<T: Real> Sink<T> for ComplexColumnOut<T> {
+    type Route = f64;
+    type In<U: Real> = ComplexColumnOut<U>;
+
+    #[inline(always)]
+    fn outputs(&mut self) -> Outputs<'_, T, f64> {
+        Outputs::Column(self)
+    }
+
+    #[inline(always)]
+    fn tier_mut<U: Real>(&mut self) -> Option<&mut ComplexColumnOut<U>> {
+        // SAFETY: `T == U`, so the two types are one.
+        same_tier::<T, U>().then(|| unsafe { &mut *(self as *mut Self).cast() })
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.n
+    }
+}
+
+/// Is tier `U` tier `T`? What lets a complex column recast itself.
+#[inline(always)]
+fn same_tier<T: Real, U: Real>() -> bool {
+    core::any::TypeId::of::<T>() == core::any::TypeId::of::<U>()
 }
 
 /// One series of a TOSI `f64` matrix as the packed, zero-padded input of
@@ -382,6 +444,173 @@ impl<Q: Real> UnpaddedSeries<Q> {
         if 2 * j + 1 < self.nt {
             self.put(2 * j + 1, v.im);
         }
+    }
+}
+
+/// One column of a complex TOSI matrix (`rows` rows, `stride` apart) as
+/// the input of a transform of length `n ≥ rows`: operand `i < rows` is
+/// row `i`, every later one `+0`, never stored or loaded. The forward
+/// column transforms of a multi-level embedding read their zero-extended
+/// axis this way.
+pub(crate) struct ComplexColumn<'a, T> {
+    /// Row `t` of the column is `x[t·stride]`.
+    x: &'a [Complex<T>],
+    stride: usize,
+    rows: usize,
+    n: usize,
+}
+
+impl<T> Clone for ComplexColumn<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for ComplexColumn<'_, T> {}
+
+impl<'a, T: Real> ComplexColumn<'a, T> {
+    /// The column whose row `t < rows` is `x[t·stride]`, read by a
+    /// transform of length `n`.
+    pub(crate) fn new(x: &'a [Complex<T>], stride: usize, rows: usize, n: usize) -> Self {
+        assert!(
+            stride >= 1 && (1..=n).contains(&rows),
+            "complex column of {rows} rows for n = {n}"
+        );
+        assert!(x.len() > (rows - 1) * stride, "complex column runs past its input");
+        ComplexColumn { x, stride, rows, n }
+    }
+
+    /// Rows the matrix holds.
+    #[inline(always)]
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Operands of the transform.
+    #[inline(always)]
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Distance between consecutive rows.
+    #[inline(always)]
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Elements of the input slice, from row 0 on: how far past a row a
+    /// reader of neighbouring columns may go.
+    #[inline(always)]
+    pub(crate) fn extent(&self) -> usize {
+        self.x.len()
+    }
+
+    /// Where row `t` is read.
+    ///
+    /// # Safety
+    ///
+    /// `t < rows`.
+    #[inline(always)]
+    pub(crate) unsafe fn at(&self, t: usize) -> *const Complex<T> {
+        debug_assert!(t < self.rows);
+        self.x.as_ptr().add(t * self.stride)
+    }
+
+    /// Row `t < rows` of this column and the `cols − 1` beside it.
+    pub(crate) fn row(&self, t: usize, cols: usize) -> &'a [Complex<T>] {
+        assert!(t < self.rows, "complex column row {t} past {}", self.rows);
+        &self.x[t * self.stride..][..cols]
+    }
+
+    /// Operand `i`: row `i`, `+0` past the rows.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> Complex<T> {
+        if i < self.rows {
+            self.x[i * self.stride]
+        } else {
+            Complex::zero()
+        }
+    }
+}
+
+/// One column of a complex TOSI output (`rows` rows, `stride` apart) that
+/// keeps the first `rows` outputs of an inverse transform of length `n`,
+/// each scaled by `1/n` — the multiply of the plan's scaling pass.
+pub(crate) struct ComplexColumnOut<T> {
+    /// Row `t` of the column lands in `*out.add(t·stride)`.
+    out: *mut Complex<T>,
+    stride: usize,
+    rows: usize,
+    n: usize,
+    /// Adjacent columns writable at every row, as [`UnpaddedSeries`].
+    cols: usize,
+}
+
+impl<T: Real> ComplexColumnOut<T> {
+    /// The column whose row `t < rows` lands in `*out.add(t·stride)`, with
+    /// `cols` adjacent columns beside it, written by a transform of
+    /// length `n ≥ rows`.
+    ///
+    /// # Safety
+    ///
+    /// `out.add(t·stride + k)` is valid for writes for every `t < rows`
+    /// and `k < cols`, and nothing else reads or writes those elements
+    /// while the value lives.
+    pub(crate) unsafe fn new(
+        out: *mut Complex<T>,
+        stride: usize,
+        rows: usize,
+        n: usize,
+        cols: usize,
+    ) -> Self {
+        assert!(rows <= n, "complex column of {rows} rows for n = {n}");
+        ComplexColumnOut { out, stride, rows, n, cols }
+    }
+
+    /// Rows the output keeps.
+    #[inline(always)]
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Outputs of the transform.
+    #[inline(always)]
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Adjacent columns writable at every row.
+    #[inline(always)]
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Where row `t` is stored.
+    ///
+    /// # Safety
+    ///
+    /// `t < rows`.
+    #[inline(always)]
+    pub(crate) unsafe fn at(&self, t: usize) -> *mut Complex<T> {
+        debug_assert!(t < self.rows);
+        self.out.add(t * self.stride)
+    }
+
+    /// Store output `o` (already scaled) when the column keeps it.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, o: usize, v: Complex<T>) {
+        if o < self.rows {
+            self.store(o, 0, v);
+        }
+    }
+
+    /// Store `v` as row `t < rows` of column `k < cols`.
+    #[inline(always)]
+    pub(crate) fn store(&mut self, t: usize, k: usize, v: Complex<T>) {
+        assert!(t < self.rows && k < self.cols, "complex column output ({t}, {k}) out of bounds");
+        // SAFETY: in bounds, just checked: the extent `new`'s caller
+        // guaranteed.
+        unsafe { *self.at(t).add(k) = v };
     }
 }
 

@@ -46,6 +46,15 @@
 //!   broadcasts one twiddle per butterfly from the plan's stage tables,
 //!   and the unpack / repack move to and from the series-major spectra
 //!   through an in-register transpose.
+//! * The column transforms of a multi-level transform
+//!   (`BatchedFft::{forward_columns, inverse_columns}`) of a group of 4
+//!   (`f64`) or 8 (`f32`) adjacent columns run on the same path, up to
+//!   8192 points: the first stage reads the group's rows of the complex
+//!   TOSI matrix in place (split into real and imaginary planes in the
+//!   register, rows past the matrix `+0` registers), the inverse's last
+//!   stage scales and stores the kept rows in place (the planes
+//!   interleaved again), and the spectra move to and from their
+//!   series-major storage, `ld` apart, through the same transpose.
 //! * The 16-bit tiers have radix-2/4 stride kernels only (`s ≥ 4`).
 //! * `f32`/`f64` real-transform mirror-pair loops run lanes across `k`.
 //! * Everything else — an odd-radix first stage, the 16-bit tiers' odd
@@ -340,9 +349,10 @@ impl Lanes {
 
 /// Series-in-lanes radix-2/4 stage: the stage of [`stage_radix2`] /
 /// [`stage_radix4`] run for each of the group's series in its own lane.
-/// A slice is a planar buffer; a padded source reads the group's
-/// `lanes.width()` adjacent columns of its rows (the first stage), an
-/// unpadded sink writes them (the last stage, `m = 1`).
+/// A slice is a planar buffer; a padded source or a complex column reads
+/// the group's `lanes.width()` adjacent columns of its rows (the first
+/// stage), an unpadded sink or a complex column output writes them (the
+/// last stage, `m = 1`).
 #[allow(unused_variables)]
 pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     lanes: Lanes,
@@ -358,10 +368,14 @@ pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     let reads = match src.operands() {
         Operands::Slice(x) => x.len() == lanes.planar(n),
         Operands::Padded(x) => x.nt() == n && (n - 1) * x.stride() + lanes.width() <= x.extent(),
+        Operands::Column(x) => {
+            x.n() == n && s == 1 && (x.rows() - 1) * x.stride() + lanes.width() <= x.extent()
+        }
     };
     let writes = match dst.outputs() {
         Outputs::Slice(x) => x.len() == lanes.planar(n),
         Outputs::Unpadded(x) => x.nt() == n && m == 1 && x.cols() >= lanes.width(),
+        Outputs::Column(x) => x.n() == n && m == 1 && x.cols() >= lanes.width(),
     };
     assert!(
         (r == 2 || r == 4) && reads && writes && twiddles.len() == (r - 1) * m,
@@ -373,6 +387,53 @@ pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     #[cfg(target_arch = "x86_64")]
     run_lanes!((src, twiddles), (dst), (r, m, s, inverse);
         x86::ps::lanes_stage, x86::pd::lanes_stage);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes store of a group's transforms: the `bins` planar
+/// elements of `planar` into the group's series-major spectra, series `k`
+/// at `spectra[k·ld..][..bins]`.
+#[allow(unused_variables)]
+pub(crate) fn lanes_to_series<T: Real>(
+    lanes: Lanes,
+    planar: &[Complex<T>],
+    spectra: &mut [Complex<T>],
+    ld: usize,
+) {
+    let bins = planar.len() / lanes.width();
+    assert!(
+        planar.len() == lanes.planar(bins)
+            && bins <= ld
+            && spectra.len() == (lanes.width() - 1) * ld + bins,
+        "lanes series store extents: planar {}, spectra {} for ld = {ld}",
+        planar.len(),
+        spectra.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((planar), (spectra), (bins, ld); x86::ps::to_series, x86::pd::to_series);
+    unreachable!("no lanes token in tier {:?}", T::PRECISION)
+}
+
+/// Series-in-lanes load of a group's spectra: the inverse of
+/// [`lanes_to_series`], with its extents.
+#[allow(unused_variables)]
+pub(crate) fn lanes_from_series<T: Real>(
+    lanes: Lanes,
+    spectra: &[Complex<T>],
+    ld: usize,
+    planar: &mut [Complex<T>],
+) {
+    let bins = planar.len() / lanes.width();
+    assert!(
+        planar.len() == lanes.planar(bins)
+            && bins <= ld
+            && spectra.len() == (lanes.width() - 1) * ld + bins,
+        "lanes series load extents: spectra {}, planar {} for ld = {ld}",
+        spectra.len(),
+        planar.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    run_lanes!((spectra), (planar), (bins, ld); x86::ps::from_series, x86::pd::from_series);
     unreachable!("no lanes token in tier {:?}", T::PRECISION)
 }
 

@@ -9,7 +9,9 @@
 //! `store_rows4`), the padded and unpadded series' register load and
 //! store (`load_padded`, `put_lanes`), and for the series-in-lanes kernels
 //! the real-register load / store, the TOSI row load / store through a
-//! tier (`load_row`, `store_row`) and the lane transpose.
+//! tier (`load_row`, `store_row`), the complex TOSI row's split into and
+//! join from real and imaginary planes (`deinterleave`, `interleave`)
+//! and the lane transpose.
 //!
 //! The radix-2/4/16 stage bodies of both executors read a
 //! [`Source`](crate::padded::Source) and write a
@@ -82,6 +84,7 @@ macro_rules! native_kernels {
                 Operands::Slice(x) => load(x.as_ptr().add(i)),
                 Operands::Padded(_) if upper => splat(0.0),
                 Operands::Padded(x) => load_padded(&x, i),
+                Operands::Column(_) => unreachable!("a complex column is read in the lanes"),
             }
         }
 
@@ -96,6 +99,7 @@ macro_rules! native_kernels {
                 Outputs::Slice(x) => store(x.as_mut_ptr().add(o), v),
                 Outputs::Unpadded(_) if upper => {}
                 Outputs::Unpadded(x) => put_lanes(x, o, mul(v, sc)),
+                Outputs::Column(_) => unreachable!("a complex column is written in the lanes"),
             }
         }
 
@@ -125,7 +129,7 @@ macro_rules! native_kernels {
         unsafe fn rows<D: Sink<F> + ?Sized>(dst: &mut D, o: usize) -> *mut C {
             match dst.outputs() {
                 Outputs::Slice(x) => x.as_mut_ptr().add(o),
-                Outputs::Unpadded(_) => unreachable!("an unpadded series runs lanes across q"),
+                _ => unreachable!("an unpadded series runs lanes across q"),
             }
         }
 
@@ -540,9 +544,28 @@ macro_rules! lane_kernels {
             store_row::<Q>(sink.at(2 * i), mul(v.re, k));
             store_row::<Q>(sink.at(2 * i + 1), mul(v.im, k));
         }
+        op! {
+            /// Row `t` of the group's complex columns: `SERIES` adjacent
+            /// interleaved values at `p`, split into their parts.
+            fn zload_cols(p: *const C) -> Z {
+                let (re, im) = deinterleave(load(p), load(p.add(LANES)));
+                Z { re, im }
+            }
+        }
+        op! {
+            /// The inverse of [`zload_cols`]: `v` as `SERIES` adjacent
+            /// interleaved values at `p`.
+            fn zstore_cols(p: *mut C, v: Z) {
+                let (lo, hi) = interleave(v.re, v.im);
+                store(p, lo);
+                store(p.add(LANES), hi);
+            }
+        }
+
         /// Operand `j` of a stage reading `src` for the group: element `j`
-        /// of a planar buffer, or packed value `z[j]` of the group's padded
-        /// series — `+0` registers when `upper` (see `read`).
+        /// of a planar buffer, packed value `z[j]` of the group's padded
+        /// series — `+0` registers when `upper` (see `read`) — or row `j`
+        /// of the group's complex columns, `+0` registers past their rows.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn zread<S: Source<F> + ?Sized>(src: &S, upper: bool, j: usize) -> Z {
@@ -550,12 +573,15 @@ macro_rules! lane_kernels {
                 Operands::Slice(x) => zload(x.as_ptr(), j),
                 Operands::Padded(_) if upper => zzero(),
                 Operands::Padded(x) => zload_rows(&x, j),
+                Operands::Column(x) if j < x.rows() => zload_cols(x.at(j)),
+                Operands::Column(_) => zzero(),
             }
         }
 
         /// Store output `o` of a stage writing `dst` for the group: element
-        /// `o` of a planar buffer, or, scaled by `k`, the group's unpadded
-        /// rows — nothing when `upper` (see `write`).
+        /// `o` of a planar buffer or, scaled by `k`, the group's unpadded
+        /// rows — nothing when `upper` (see `write`) — or row `o` of the
+        /// group's complex columns, nothing past their rows.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn zwrite<D: Sink<F> + ?Sized>(dst: &mut D, upper: bool, o: usize, v: Z, k: V) {
@@ -563,6 +589,8 @@ macro_rules! lane_kernels {
                 Outputs::Slice(x) => zstore(x.as_mut_ptr(), o, v),
                 Outputs::Unpadded(_) if upper => {}
                 Outputs::Unpadded(x) => zput_rows(x, o, v, k),
+                Outputs::Column(x) if o < x.rows() => zstore_cols(x.at(o), zscale(v, k)),
+                Outputs::Column(_) => {}
             }
         }
 
@@ -661,11 +689,13 @@ macro_rules! lane_kernels {
         }
 
         /// Move `bins` planar elements into `SERIES` series-major spectra of
-        /// `bins` values each (`spectra[s·bins + b]`), `LANES` bins per
-        /// transpose; the inverse of [`from_series`].
+        /// `bins` values each, `ld` apart (`spectra[s·ld + b]`), `LANES`
+        /// bins per transpose; the inverse of [`from_series`]. Extents:
+        /// `planar.len() ≥ SERIES·bins`, `spectra.len() ≥ (SERIES − 1)·ld +
+        /// bins`.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn to_series(planar: &[C], spectra: &mut [C], bins: usize) {
+        pub unsafe fn to_series(planar: &[C], spectra: &mut [C], bins: usize, ld: usize) {
             let (pp, op) = (planar.as_ptr() as *const F, spectra.as_mut_ptr());
             let mut b = 0;
             while b + LANES <= bins {
@@ -674,29 +704,30 @@ macro_rules! lane_kernels {
                     *row = loadv(pp.add(2 * SERIES * b + SERIES * i));
                 }
                 for (s, &col) in transpose(rows).iter().enumerate() {
-                    store(op.add(s * bins + b), col);
+                    store(op.add(s * ld + b), col);
                 }
                 b += LANES;
             }
             for b in b..bins {
                 for s in 0..SERIES {
-                    *op.add(s * bins + b) =
+                    *op.add(s * ld + b) =
                         C::new(*pp.add(2 * SERIES * b + s), *pp.add(2 * SERIES * b + SERIES + s));
                 }
             }
         }
 
-        /// Move `SERIES` series-major spectra of `bins` values each into
-        /// `bins` planar elements; the inverse of [`to_series`].
+        /// Move `SERIES` series-major spectra of `bins` values each, `ld`
+        /// apart, into `bins` planar elements; the inverse of
+        /// [`to_series`], with its extents.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn from_series(spectra: &[C], planar: &mut [C], bins: usize) {
+        pub unsafe fn from_series(spectra: &[C], planar: &mut [C], bins: usize, ld: usize) {
             let (sp, pp) = (spectra.as_ptr(), planar.as_mut_ptr() as *mut F);
             let mut b = 0;
             while b + LANES <= bins {
                 let mut cols = [splat(0.0); SERIES];
                 for (s, col) in cols.iter_mut().enumerate() {
-                    *col = load(sp.add(s * bins + b));
+                    *col = load(sp.add(s * ld + b));
                 }
                 for (i, &row) in transpose(cols).iter().enumerate() {
                     storev(pp.add(2 * SERIES * b + SERIES * i), row);
@@ -705,7 +736,7 @@ macro_rules! lane_kernels {
             }
             for b in b..bins {
                 for s in 0..SERIES {
-                    let v = *sp.add(s * bins + b);
+                    let v = *sp.add(s * ld + b);
                     *pp.add(2 * SERIES * b + s) = v.re;
                     *pp.add(2 * SERIES * b + SERIES + s) = v.im;
                 }
@@ -739,7 +770,7 @@ macro_rules! lane_kernels {
                 zstore(bp, k, zadd(ze, t));
                 zstore(bp, h - k, zconj(zsub(ze, t)));
             }
-            to_series(bins, out, h + 1);
+            to_series(bins, out, h + 1, h + 1);
         }
 
         /// C2R repack of a group: the `SERIES` series-major spectra
@@ -751,7 +782,7 @@ macro_rules! lane_kernels {
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn lanes_repack(spectra: &[C], tw: &[C], bins: &mut [C], z: &mut [C]) {
             let h = tw.len();
-            from_series(spectra, bins, h + 1);
+            from_series(spectra, bins, h + 1, h + 1);
             let (xp, zp) = (bins.as_ptr(), z.as_mut_ptr());
             let half = splat(0.5);
             let (x0, xh) = (zload(xp, 0), zload(xp, h));
@@ -1013,6 +1044,30 @@ pub mod ps {
     }
 
     op! {
+        /// Swap the middle two 64-bit quarters of a register.
+        fn swap_mid(x: V) -> V {
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(x)))
+        }
+    }
+    op! {
+        /// The real and imaginary parts of the 8 complex values in `a`
+        /// then `b`, each in order.
+        fn deinterleave(a: V, b: V) -> (V, V) {
+            // Per 128-bit lane: parts 0, 1 of `a` then of `b`.
+            let (re, im) = (_mm256_shuffle_ps::<0x88>(a, b), _mm256_shuffle_ps::<0xDD>(a, b));
+            (swap_mid(re), swap_mid(im))
+        }
+    }
+    op! {
+        /// The inverse of [`deinterleave`]: the 8 complex values of parts
+        /// `re` and `im`, interleaved, the first 4 then the last 4.
+        fn interleave(re: V, im: V) -> (V, V) {
+            let (re, im) = (swap_mid(re), swap_mid(im));
+            (_mm256_unpacklo_ps(re, im), _mm256_unpackhi_ps(re, im))
+        }
+    }
+
+    op! {
         /// 8×8 transpose of `f32` lanes: lane `s` of row `i` becomes lane
         /// `i` of row `s`.
         fn transpose(r: [V; SERIES]) -> [V; SERIES] {
@@ -1155,6 +1210,26 @@ pub mod pd {
                     *out.add(i) = Q::from_f64(x).to_f64();
                 }
             }
+        }
+    }
+
+    op! {
+        /// Swap the middle two values of a register.
+        fn swap_mid(x: V) -> V { _mm256_permute4x64_pd::<0b11_01_10_00>(x) }
+    }
+    op! {
+        /// The real and imaginary parts of the 4 complex values in `a`
+        /// then `b`, each in order.
+        fn deinterleave(a: V, b: V) -> (V, V) {
+            (swap_mid(_mm256_unpacklo_pd(a, b)), swap_mid(_mm256_unpackhi_pd(a, b)))
+        }
+    }
+    op! {
+        /// The inverse of [`deinterleave`]: the 4 complex values of parts
+        /// `re` and `im`, interleaved, the first 2 then the last 2.
+        fn interleave(re: V, im: V) -> (V, V) {
+            let (re, im) = (swap_mid(re), swap_mid(im));
+            (_mm256_unpacklo_pd(re, im), _mm256_unpackhi_pd(re, im))
         }
     }
 
