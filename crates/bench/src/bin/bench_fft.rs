@@ -27,7 +27,14 @@
 //! * `per_series` — the same driver with the lanes path switched off
 //!   (`BatchedRealFft::per_series`), every series on its own.
 //!
-//! Their ratio is what sets `fft::batch`'s crossover lengths.
+//! Their ratio is what sets `fft::batch`'s crossover lengths. The same
+//! two engines also run the row transforms the multi-level Toeplitz
+//! operators' innermost axis runs — the R2C of the rows of a row-major
+//! `f64` matrix padded from `head` samples to `size`
+//! (`BatchedRealFft::forward_rows`, `r2c_rows`) and the C2R keeping
+//! `head` samples of each (`inverse_rows`, `c2r_rows`) — on
+//! `toeplitz_2level`'s 64 rows of 128 at head 64 and at the ragged head
+//! 45 (`r2c_rows_ragged` / `c2r_rows_ragged`), ns per row.
 //!
 //! Run: `cargo run --release -p fftmatvec-bench --bin bench_fft`
 //! Flags:
@@ -130,7 +137,6 @@ fn measure_batched<T: Real>(
     sample_ms: f64,
     out: &mut Vec<Record>,
 ) {
-    let precision = precision_label(T::PRECISION);
     let lanes = BatchedRealFft::<T>::new(2 * nt);
     let reference = BatchedRealFft::<T>::new(2 * nt).per_series();
     let (mut xs, mut specs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
@@ -139,8 +145,6 @@ fn measure_batched<T: Real>(
     let x = &*x;
     let spec = line_aligned(&mut specs, series * lanes.spectrum_len(), Complex::<T>::zero());
     let y = line_aligned(&mut ys, nt * series, 0.0);
-    let threads = rayon::current_num_threads() as f64;
-    let per_series = |ns: f64| ns / series as f64;
     // Both drivers read and write the same buffers (their outputs are
     // equal on bits), so where those sit in memory favours neither.
     let spec = std::cell::RefCell::new(spec);
@@ -164,20 +168,73 @@ fn measure_batched<T: Real>(
         samples,
         sample_ms,
     );
-    for (transform, l, r) in
-        [("r2c_padded", fwd_lanes, fwd_series), ("c2r_unpadded", inv_lanes, inv_series)]
-    {
-        let (l, r) = (per_series(l), per_series(r));
+    let rows = [("r2c_padded", fwd_lanes, fwd_series), ("c2r_unpadded", inv_lanes, inv_series)];
+    push_pairs::<T>(2 * nt, series, rows, out);
+}
+
+/// Print the comparison line of each `(transform, lanes ns, per-series
+/// ns)` of a batch of `series` transforms of length `size` in tier `T`,
+/// and append its rows, ns per series.
+fn push_pairs<T: Real>(
+    size: usize,
+    series: usize,
+    pairs: [(&str, f64, f64); 2],
+    out: &mut Vec<Record>,
+) {
+    let precision = precision_label(T::PRECISION);
+    let threads = rayon::current_num_threads() as f64;
+    for (transform, l, r) in pairs {
+        let (l, r) = (l / series as f64, r / series as f64);
         println!(
-            "{:>6} | {series:>6} | {transform:>12} | {precision:>5} | {l:>10.1} | {r:>10.1} | {:>6.2}x",
-            2 * nt,
+            "{size:>6} | {series:>6} | {transform:>15} | {precision:>5} | {l:>10.1} | {r:>10.1} | {:>6.2}x",
             r / l
         );
-        let size = (2 * nt) as f64;
         for (engine, ns) in [("lanes", l), ("per_series", r)] {
-            out.push(FFT.row(&[transform, precision, engine], &[size, series as f64, threads, ns]));
+            let values = [size as f64, series as f64, threads, ns];
+            out.push(FFT.row(&[transform, precision, engine], &values));
         }
     }
+}
+
+/// Measure the row R2C of `rows` rows of `head` samples padded to `n`, and
+/// the C2R keeping `head` samples of each, in tier `T`, lanes path against
+/// per-series driver, ns per row, as `r2c_rows{tag}` / `c2r_rows{tag}`.
+#[allow(clippy::too_many_arguments)]
+fn measure_rows<T: Real>(
+    n: usize,
+    rows: usize,
+    head: usize,
+    tag: &str,
+    samples: usize,
+    sample_ms: f64,
+    out: &mut Vec<Record>,
+) {
+    let lanes = BatchedRealFft::<T>::new(n);
+    let reference = BatchedRealFft::<T>::new(n).per_series();
+    let (mut xs, mut specs, mut ys) = (Vec::new(), Vec::new(), Vec::new());
+    let x = line_aligned(&mut xs, rows * head, 0.0);
+    SplitMix64::new((n * rows + head) as u64).fill_uniform(x, -1.0, 1.0);
+    let x = &*x;
+    let spec = line_aligned(&mut specs, rows * lanes.spectrum_len(), Complex::<T>::zero());
+    let y = line_aligned(&mut ys, rows * head, 0.0);
+    // As in `measure_batched`: both drivers share the buffers.
+    let spec = std::cell::RefCell::new(spec);
+    let (fwd_lanes, fwd_series) = time_pair_ns(
+        || lanes.forward_rows(black_box(x), head, Precision::Double, &mut spec.borrow_mut()),
+        || reference.forward_rows(black_box(x), head, Precision::Double, &mut spec.borrow_mut()),
+        samples,
+        sample_ms,
+    );
+    let (spec, y) = (&*spec.into_inner(), std::cell::RefCell::new(y));
+    let (inv_lanes, inv_series) = time_pair_ns(
+        || lanes.inverse_rows(black_box(spec), head, Precision::Double, &mut y.borrow_mut()),
+        || reference.inverse_rows(black_box(spec), head, Precision::Double, &mut y.borrow_mut()),
+        samples,
+        sample_ms,
+    );
+    let (fwd, inv) = (format!("r2c_rows{tag}"), format!("c2r_rows{tag}"));
+    let pairs = [(fwd.as_str(), fwd_lanes, fwd_series), (inv.as_str(), inv_lanes, inv_series)];
+    push_pairs::<T>(n, rows, pairs, out);
 }
 
 /// Refuse a `-check` baseline whose batched rows were measured at another
@@ -234,9 +291,12 @@ fn main() {
     }
     println!();
 
-    println!("Batched padded R2C / unpadded C2R — ns per series, lanes path vs per-series driver");
+    println!(
+        "Batched padded R2C / unpadded C2R and row transforms — ns per series or row, lanes \
+         path vs per-series driver"
+    );
     let header = format!(
-        "{:>6} | {:>6} | {:>12} | {:>5} | {:>10} | {:>10} | {:>7}",
+        "{:>6} | {:>6} | {:>15} | {:>5} | {:>10} | {:>10} | {:>7}",
         "size", "series", "transform", "prec", "lanes", "per_series", "speedup"
     );
     println!("{header}");
@@ -249,6 +309,10 @@ fn main() {
             measure_batched::<f64>(nt, series, samples, sample_ms, &mut results);
             measure_batched::<f32>(nt, series, samples, sample_ms, &mut results);
         }
+    }
+    for (head, tag) in [(64, ""), (45, "_ragged")] {
+        measure_rows::<f64>(128, 64, head, tag, samples, sample_ms, &mut results);
+        measure_rows::<f32>(128, 64, head, tag, samples, sample_ms, &mut results);
     }
     println!();
 

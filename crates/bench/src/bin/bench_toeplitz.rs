@@ -35,7 +35,7 @@ use fftmatvec_bench::{rule, timing, Args};
 use fftmatvec_core::{LinearOperator, OpDirection};
 use fftmatvec_fft::{FftDirection, NdFft, RealNdFft};
 use fftmatvec_numeric::vecmath::rel_l2_error;
-use fftmatvec_numeric::{SplitMix64, C64};
+use fftmatvec_numeric::{Precision, SplitMix64, C64};
 use fftmatvec_toeplitz::{ToeplitzGenerator, TwoLevelToeplitz};
 
 /// One measurement row: two-level extents and the apply direction.
@@ -78,31 +78,32 @@ fn dir_name(dir: OpDirection) -> &'static str {
 }
 
 /// Time one forward + inverse pass of the real, head-pruned engine (head
-/// boxes `head_in` → `head_out` on the outer axis) against the complex
-/// whole-grid one on the `[m1, m2]` circulant grid, interleaved. Before
-/// timing, both transform the same zero-embedded random head and must
-/// agree on every stored bin.
+/// boxes `head_in` → `head_out`, as the apply reads its input and writes
+/// its output) against the complex whole-grid one on the `[m1, m2]`
+/// circulant grid, interleaved. Before timing, both transform the same
+/// zero-embedded random head box and must agree on every stored bin.
 fn time_engines(
     (m1, m2): (usize, usize),
-    (head_in, head_out): (usize, usize),
+    (head_in, head_out): ([usize; 2], [usize; 2]),
     samples: usize,
     sample_ms: f64,
     failures: &mut Vec<String>,
 ) -> (f64, f64) {
     let real_nd = RealNdFft::<f64>::new(&[m1, m2]);
     let complex_nd = NdFft::<f64>::new(&[m1, m2]);
-    let tallest = [head_in.max(head_out)];
-    let mut rows = vec![0.0; real_nd.real_len(&tallest)];
-    SplitMix64::new(23).fill_uniform(&mut rows[..head_in * m2], -1.0, 1.0);
+    let mut input = vec![0.0; head_in[0] * head_in[1]];
+    SplitMix64::new(23).fill_uniform(&mut input, -1.0, 1.0);
+    let mut output = vec![0.0; head_out[0] * head_out[1]];
     let mut spec = vec![C64::new(0.0, 0.0); real_nd.spectrum_len()];
-    let mut stage = vec![C64::new(0.0, 0.0); real_nd.stage_len(&tallest)];
+    let stage_len = real_nd.stage_len(&head_in).max(real_nd.stage_len(&head_out));
+    let mut stage = vec![C64::new(0.0, 0.0); stage_len];
     let mut grid = vec![C64::new(0.0, 0.0); m1 * m2];
-    for (g, &r) in grid.iter_mut().zip(&rows[..head_in * m2]) {
-        *g = C64::new(r, 0.0);
+    for (g, row) in grid.chunks_exact_mut(m2).zip(input.chunks_exact(head_in[1])) {
+        g.iter_mut().zip(row).for_each(|(g, &r)| *g = C64::new(r, 0.0));
     }
     let mut partner = grid.clone();
 
-    real_nd.forward(&[head_in], &rows, &mut spec, &mut stage);
+    real_nd.forward(&head_in, &input, Precision::Double, &mut spec, &mut stage);
     complex_nd.process(&mut grid, &mut partner, FftDirection::Forward);
     // Stored bin (k2, k1) of the rotated half is bin (k1, k2) of the grid.
     let scale = grid.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -116,8 +117,8 @@ fn time_engines(
 
     timing::time_pair_ns(
         || {
-            real_nd.forward(&[head_in], &rows, &mut spec, &mut stage);
-            real_nd.inverse(&[head_out], &mut spec, &mut stage, &mut rows);
+            real_nd.forward(&head_in, &input, Precision::Double, &mut spec, &mut stage);
+            real_nd.inverse(&head_out, &mut spec, &mut stage, Precision::Double, &mut output);
         },
         || {
             complex_nd.process(&mut grid, &mut partner, FftDirection::Forward);
@@ -173,8 +174,8 @@ fn run_row(
     );
     let sym = full.symbol_shared();
     let heads = match dir {
-        OpDirection::Forward => (outer.1, outer.0),
-        OpDirection::Adjoint => (outer.0, outer.1),
+        OpDirection::Forward => ([outer.1, inner.1], [outer.0, inner.0]),
+        OpDirection::Adjoint => ([outer.0, inner.0], [outer.1, inner.1]),
     };
     let (real_ns, complex_ns) =
         time_engines((sym.work_dims()[0], sym.work_dims()[1]), heads, samples, sample_ms, failures);

@@ -208,6 +208,11 @@ fn matvec_workloads() {
 ///   40 rows, on both sides of half the axis. Fft and Ifft in `f32` too.
 /// * `3level`: a three-level embedding on extents 8 × 16 × 32, whose
 ///   middle axis transforms its columns in several blocks.
+/// * `rows`: a square two-level operator on extents 26 × 64 whose inner
+///   head, 32, is exactly half of its power-of-two axis: the innermost
+///   R2C / C2R run with the rows in the lanes, and its 13 rows leave a
+///   remainder group in either lane width. `hsdsh` pads and unpads
+///   through `f16` around `f32` transforms.
 fn toeplitz_workloads() {
     let full = toeplitz_generator(&[(32, 24), (30, 40)], 41);
     for config in ["ddddd", "dhsdd"] {
@@ -224,6 +229,12 @@ fn toeplitz_workloads() {
     let levels3 = toeplitz_generator(&[(5, 4), (9, 8), (17, 16)], 67);
     let op = NdCirculantEmbedding::builder(levels3).build().expect("CPU build");
     toeplitz_digests(&op, "3level", "ddddd", &[(6, "")]);
+    let rows = toeplitz_generator(&[(13, 13), (32, 32)], 71);
+    for config in ["ddddd", "dsdsd", "hsdsh"] {
+        let cfg: PrecisionConfig = config.parse().expect("valid config literal");
+        let op = TwoLevelToeplitz::builder(rows.clone()).precision(cfg).build().expect("CPU build");
+        toeplitz_digests(&op, "rows", config, &[(6, "")]);
+    }
 }
 
 /// A Toeplitz generator over `levels` (`(rows, cols)` each) with uniform

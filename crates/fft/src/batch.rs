@@ -36,6 +36,21 @@
 //! lane transpose moving the spectra; every other group runs one column
 //! at a time, gathered into its spectrum's storage.
 //!
+//! The **row transforms** of [`BatchedRealFft`]
+//! ([`BatchedRealFft::forward_rows`] / `inverse_rows`) are the innermost
+//! axis of a multi-level real transform: the R2C of each row of a
+//! row-major `f64` matrix, zero-padded from its `head` samples to `n`,
+//! and the C2R that keeps the first `keep` samples of each — the pad and
+//! the unpad of the embedding folded into the first and last passes, with
+//! the bits of the rows padded into a buffer and run through
+//! `forward_batch` (and `inverse_batch`, then unpadded). A lane group of
+//! 4 (`f64`) or 8 (`f32`) rows runs with the rows in the lanes, the first
+//! stage reading them through a transposing load (one 2-sample load per
+//! row, shuffled into the real and imaginary registers; operands past the
+//! head `+0` registers, never loaded) and the inverse's last stage storing
+//! the kept samples through the mirrored transposing store; any other row
+//! is padded into scratch and transformed through its plan.
+//!
 //! A batch of **columns** through one operator
 //! ([`BatchedRealFft::forward_padded_many`] / `inverse_unpadded_many`,
 //! one TOSI matrix per column) runs column by column when a column's
@@ -45,13 +60,17 @@
 //! the two series of a 2×16 operator's narrow side fill a 4-wide `f64`
 //! group from two columns. Every series keeps its own transform's bits.
 
+use fftmatvec_numeric::complex::as_flat_mut;
 use fftmatvec_numeric::ndindex::transpose_map;
 use fftmatvec_numeric::workspace::{Checkout, WorkspacePool};
 use fftmatvec_numeric::{with_real, Complex, Precision, Real};
 
 use crate::cache::{self, PlanHandle, RealPlanHandle};
 use crate::iterative::IterativeFft;
-use crate::padded::{ComplexColumn, ComplexColumnOut, PaddedSeries, Sink, Source, UnpaddedSeries};
+use crate::padded::{
+    ComplexColumn, ComplexColumnOut, PaddedRows, PaddedSeries, Sink, Source, UnpaddedRows,
+    UnpaddedSeries,
+};
 use crate::par::{for_each_chunk, for_each_chunk_mut};
 use crate::plan::{FftDirection, FftPlan};
 use crate::real::RealFftPlan;
@@ -634,6 +653,139 @@ impl<T: Real> BatchedRealFft<T> {
         });
     }
 
+    /// Batched forward R2C of rows zero-padded to `n`, read in place from
+    /// the row-major `f64` matrix `input` of `head` columns (`1 ≤ head ≤
+    /// n`): sample `t` of row `r` is `input[r·head + t]`, rounded through
+    /// tier `pad` into `T` (as [`Self::forward_padded`] rounds), and
+    /// samples `head..n` are zeros. Row `r`'s `n/2 + 1` bins land in
+    /// `output[r·(n/2+1)..]`, as [`Self::forward_batch`] writes them, with
+    /// the bits `forward_batch` gives the padded rows.
+    ///
+    /// The rows run in groups through one parallel-for: a lane group wide
+    /// (4 `f64` or 8 `f32` rows) when short `f32` / `f64` power-of-two
+    /// transforms take the series-in-lanes path — the first stage reads
+    /// the group's rows through a transposing load, the embedding's zeros
+    /// `+0` registers that are never loaded, and the unpack stores
+    /// series-major — and one row otherwise. A row the lanes do not take
+    /// (the remainder group, the portable level, the 16-bit tiers, other
+    /// schedules) is rounded and zero-extended into scratch and
+    /// transformed through the plan.
+    pub fn forward_rows(
+        &self,
+        input: &[f64],
+        head: usize,
+        pad: Precision,
+        output: &mut [Complex<T>],
+    ) {
+        let (n, s) = (self.plan.len(), self.plan.spectrum_len());
+        assert!(
+            (1..=n).contains(&head) && output.len() % s == 0,
+            "batched row R2C: {} bins are not rows of {s}, or head {head} outside 1..={n}",
+            output.len()
+        );
+        let rows = output.len() / s;
+        assert_eq!(input.len(), rows * head, "batched row R2C input length mismatch");
+        let lanes = self.lanes(rows);
+        let width = lanes.map_or(1, |(l, _)| l.width());
+        let init = || self.row_buffers(lanes);
+        for_each_chunk_mut(rows * n, output, width * s, init, |scratch, (g, out)| {
+            let x = &input[g * width * head..][..out.len() / s * head];
+            match lanes {
+                Some((lanes, engine)) if out.len() == width * s => {
+                    let h = n / 2;
+                    let buffers = planar(scratch.ws(), width * (h + 1));
+                    let (z, bins) = with_real!(pad, P => {
+                        let src = PaddedRows::<P>::rows(x, head, n);
+                        lanes_forward(lanes, engine, &src, buffers, width * h)
+                    });
+                    simd::lanes_unpack(lanes, z, &self.plan.twiddles, bins, out);
+                }
+                _ => {
+                    for (row, spectrum) in x.chunks_exact(head).zip(out.chunks_exact_mut(s)) {
+                        let (signal, rest) = scratch.ws().split_at_mut(n / 2);
+                        let (live, zeros) = as_flat_mut(signal).split_at_mut(head);
+                        for (v, &x) in live.iter_mut().zip(row) {
+                            *v = T::from_f64(pad.round_f64(x));
+                        }
+                        zeros.fill(T::ZERO);
+                        self.plan.forward(as_flat_mut(signal), spectrum, rest);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Batched inverse C2R (scaled by `1/n`) of `spectrum.len() =
+    /// rows·(n/2+1)` bins, laid out as [`Self::forward_rows`] writes them,
+    /// that keeps samples `t < keep` of each row (`1 ≤ keep ≤ n`), routed
+    /// through tier `unpad`, in the row-major `f64` matrix `output[r·keep +
+    /// t]`: [`Self::inverse_batch`] followed by that unpad, on bits. The
+    /// groups are those of `forward_rows`: a lane group's spectra are
+    /// repacked into planar buffers, every stage but the last runs planar,
+    /// and the last scales and stores only the kept samples through a
+    /// transposing store; a row the lanes do not take is transformed into
+    /// scratch and its kept samples routed out from there.
+    pub fn inverse_rows(
+        &self,
+        spectrum: &[Complex<T>],
+        keep: usize,
+        unpad: Precision,
+        output: &mut [f64],
+    ) {
+        let (n, s) = (self.plan.len(), self.plan.spectrum_len());
+        assert!(
+            (1..=n).contains(&keep) && spectrum.len() % s == 0,
+            "batched row C2R: {} bins are not rows of {s}, or keep {keep} outside 1..={n}",
+            spectrum.len()
+        );
+        let rows = spectrum.len() / s;
+        assert_eq!(output.len(), rows * keep, "batched row C2R output length mismatch");
+        let lanes = self.lanes(rows);
+        let width = lanes.map_or(1, |(l, _)| l.width());
+        let init = || self.row_buffers(lanes);
+        for_each_chunk_mut(rows * n, output, width * keep, init, |scratch, (g, out)| {
+            let spectra = &spectrum[g * width * s..][..out.len() / keep * s];
+            match lanes {
+                Some((lanes, engine)) if out.len() == width * keep => {
+                    let (h, e) = (n / 2, width * (n / 2));
+                    let (a, b) = planar(scratch.ws(), width * (h + 1));
+                    simd::lanes_repack(lanes, spectra, &self.plan.twiddles, a, &mut b[..e]);
+                    let route = if T::PRECISION.widens_exactly_to(unpad) {
+                        Precision::Double
+                    } else {
+                        unpad
+                    };
+                    let out = out.as_mut_ptr();
+                    with_real!(route, Q => {
+                        // SAFETY: `out` is the exclusively borrowed chunk of
+                        // the group's `width` rows of `keep` samples.
+                        let mut sink = unsafe { UnpaddedRows::<Q>::rows(out, keep, n, width) };
+                        lanes_inverse(lanes, engine, &mut b[..e], &mut a[..e], &mut sink);
+                    });
+                }
+                _ => {
+                    for (spectrum, row) in spectra.chunks_exact(s).zip(out.chunks_exact_mut(keep)) {
+                        let (signal, rest) = scratch.ws().split_at_mut(n / 2);
+                        let signal = as_flat_mut(signal);
+                        self.plan.inverse(spectrum, signal, rest);
+                        for (o, v) in row.iter_mut().zip(&*signal) {
+                            *o = unpad.round_f64(v.to_f64());
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// One worker's scratch of the row entry points: the planar buffers on
+    /// the lanes path, and a row of `n` reals beside the plan scratch for
+    /// a row the lanes do not take.
+    fn row_buffers(&self, lanes: LanePath<'_, T>) -> Checkout<'_, Vec<Complex<T>>> {
+        let h = self.plan.len() / 2;
+        let planar = lanes.map_or(0, |(l, _)| planar_scratch_len::<T>(l.width() * (h + 1)));
+        scratch(&self.pool, planar.max(h + self.plan.scratch_len()))
+    }
+
     /// [`Self::forward_padded`] of `cols` columns, each a TOSI matrix of
     /// `n_series` series, back to back in `input` (`cols·n_series·n/2`
     /// samples); the spectra of column `c` are series `c·n_series..` of
@@ -855,6 +1007,7 @@ impl<T: Real> BatchedRealFft<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fftmatvec_numeric::simd::{active_level, level_supported, set_active_level, SimdLevel};
     use fftmatvec_numeric::SplitMix64;
 
     type C = Complex<f64>;
@@ -1221,6 +1374,86 @@ mod tests {
         check::<f64>();
         check::<f32>();
         check::<fftmatvec_numeric::f16>();
+    }
+
+    /// The row entry points equal the old embed (each row's samples
+    /// rounded through the pad tier, zero-extended to `n`) through
+    /// `forward_batch`, and `inverse_batch` with each row's kept samples
+    /// routed through the unpad tier (the old extract), on bits: `f64`,
+    /// `f32` and `f16` at the portable and the AVX2 level, 1 to 65 rows
+    /// (whole lane groups and remainders in both widths) and 130 (past the
+    /// parallel threshold at `n = 128`), heads and keeps of one sample, an
+    /// odd count, half, one past half and the whole length, pad and unpad
+    /// tiers unlike the compute tier, power-of-two lengths (the lanes) and
+    /// 70 (an odd-radix half plan). Outputs start NaN-poisoned, the lanes
+    /// take exactly the power-of-two `f32` / `f64` batches at least one
+    /// group wide, and nothing past the kept rows is written.
+    #[test]
+    fn row_batches_keep_the_bits_of_embed_forward_batch_and_extract() {
+        fn check<T: Real>() {
+            let cbits = |v: &[Complex<T>]| {
+                v.iter()
+                    .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let nan = T::from_f64(f64::NAN);
+            for n in [8usize, 64, 128, 70] {
+                let bf = BatchedRealFft::<T>::new(n);
+                let s = bf.spectrum_len();
+                for rows in [1usize, 3, 4, 8, 13, 64, 65, 130] {
+                    let lanes = Lanes::of::<T>().filter(|l| rows >= l.width());
+                    let expect = lanes.is_some() && n.is_power_of_two();
+                    assert_eq!(bf.lanes(rows).is_some(), expect, "n={n} rows={rows}");
+                    for (i, head) in [1, (n / 3) | 1, n / 2, n / 2 + 1, n].into_iter().enumerate() {
+                        let (pad, unpad) = (Precision::ALL[(i + rows) % 4], Precision::ALL[i % 4]);
+                        let what = format!("n={n} rows={rows} head={head} {pad}/{unpad}");
+                        let mut rng = SplitMix64::new((n * 64 + rows * 8 + head) as u64);
+                        let x: Vec<f64> =
+                            (0..rows * head).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                        let mut got = vec![Complex::new(nan, nan); rows * s];
+                        bf.forward_rows(&x, head, pad, &mut got);
+                        let mut real = vec![T::ZERO; rows * n];
+                        for (r, x) in real.chunks_exact_mut(n).zip(x.chunks_exact(head)) {
+                            r.iter_mut()
+                                .zip(x)
+                                .for_each(|(v, &x)| *v = T::from_f64(pad.round_f64(x)));
+                        }
+                        let mut want = vec![Complex::new(nan, nan); rows * s];
+                        bf.forward_batch(&real, &mut want);
+                        assert_eq!(cbits(&got), cbits(&want), "{what}: forward");
+
+                        let keep = head;
+                        let spec: Vec<Complex<T>> = (0..rows * s)
+                            .map(|_| {
+                                let mut v = || T::from_f64(rng.uniform(-1.0, 1.0));
+                                Complex::new(v(), v())
+                            })
+                            .collect();
+                        let mut out = vec![f64::NAN; rows * keep + 3];
+                        bf.inverse_rows(&spec, keep, unpad, &mut out[..rows * keep]);
+                        assert!(out[rows * keep..].iter().all(|v| v.is_nan()), "{what}: slack");
+                        bf.inverse_batch(&spec, &mut real);
+                        let want: Vec<f64> = real
+                            .chunks_exact(n)
+                            .flat_map(|r| r[..keep].iter().map(|v| unpad.round_f64(v.to_f64())))
+                            .collect();
+                        assert_eq!(bits(&out[..rows * keep]), bits(&want), "{what}: inverse");
+                    }
+                }
+            }
+        }
+        let _level = crate::LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = active_level();
+        for level in [SimdLevel::Portable, SimdLevel::Avx2] {
+            if level_supported(level) {
+                set_active_level(level);
+                check::<f64>();
+                check::<f32>();
+                check::<fftmatvec_numeric::f16>();
+            }
+        }
+        set_active_level(prev);
     }
 
     /// A staging block is checked out only by a group that stages: a

@@ -37,10 +37,12 @@
 //!   naming): [`NdFft`] is the complex whole-grid transform, which
 //!   transposes one axis at a time so every axis pass runs the contiguous
 //!   batched driver; [`RealNdFft`] the real-input, head-pruned one the
-//!   multi-level Toeplitz operators run (R2C innermost axis, each outer
-//!   axis a batch of column transforms over only the rows that can be
-//!   non-zero, which read the grid in place and write the spectrum in the
-//!   rotated layout of the last pass).
+//!   multi-level Toeplitz operators run (an R2C innermost axis that reads
+//!   the caller's `f64` rows in place, the pad in its first pass and the
+//!   unpad in the inverse's last; each outer axis a batch of column
+//!   transforms over only the rows that can be non-zero, which read the
+//!   grid in place and write the spectrum in the rotated layout of the
+//!   last pass).
 //! * [`dft`] — a naive O(n²) reference DFT used by tests and by the
 //!   Bluestein implementation's own validation.
 //! * [`recursive`] — the seed's recursive engine, kept as a differential

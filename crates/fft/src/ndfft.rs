@@ -21,15 +21,23 @@
 //! # [`RealNdFft`]: real input, head-pruned, rotated spectrum
 //!
 //! The transform a circulant embedding wants. Its input is real and
-//! non-zero only on a *head box* `[head₀, …, head_{L−2}]` of the outer
-//! axes (the innermost axis always arrives whole: the caller pads each
-//! row), and its output is read only on such a box, so:
+//! non-zero only on a *head box* `[head₀, …, head_{L−1}]` — the caller's
+//! `f64` values, row-major over the box — and its output is read only on
+//! such a box, so:
 //!
-//! * the innermost axis is an R2C transform ([`BatchedRealFft`]) —
-//!   `h = m_{L−1}/2 + 1` bins per row instead of `m_{L−1}`;
+//! * the innermost axis is an R2C transform
+//!   ([`BatchedRealFft::forward_rows`]) — `h = m_{L−1}/2 + 1` bins per row
+//!   instead of `m_{L−1}` — that reads the caller's rows in place: the
+//!   pad is its first pass (each sample rounded through the pad tier, the
+//!   zeros `[head_{L−1}, m_{L−1})` of a row never stored; in the lanes
+//!   they are `+0` registers). The inverse's C2R
+//!   ([`BatchedRealFft::inverse_rows`]) is the unpad: its last pass stores
+//!   only the kept samples of each row, scaled and routed through the
+//!   unpad tier, into the caller's output. Neither direction has a real
+//!   buffer of its own;
 //! * every axis is transformed only over the rows that can be non-zero
 //!   (forward) or that will be read (inverse). The buffer grows one axis
-//!   at a time: `[head₀, …, head_{L−2}, m_{L−1}]` reals → R2C → for
+//!   at a time: `[head₀, …, head_{L−1}]` reals → R2C → for
 //!   `l = L−2 … 0`, the column transforms of
 //!   [`BatchedFft::forward_columns`] read each `[head_l, last]` block in
 //!   place as a matrix of `last` columns and write every column's
@@ -56,7 +64,7 @@
 //! C2R on the surviving rows finishes.
 
 use fftmatvec_numeric::ndindex::{rotate_last_to_front, total_len};
-use fftmatvec_numeric::{Complex, Real};
+use fftmatvec_numeric::{Complex, Precision, Real};
 
 use crate::batch::{BatchedFft, BatchedRealFft};
 use crate::cache::{PlanHandle, RealPlanHandle};
@@ -142,9 +150,9 @@ impl<T: Real> NdFft<T> {
 ///
 /// `dims` are the logical grid extents, outermost first; the last must
 /// be even. Forward is unscaled, inverse scales by `1/∏ dims`, so
-/// `inverse ∘ forward` is the identity on the head box. The caller owns
-/// all three buffers; nothing is allocated after the per-axis scratch
-/// pools warm up.
+/// `inverse ∘ forward` is the identity on the head box (up to the pad and
+/// unpad tiers' rounding). The caller owns every buffer; nothing is
+/// allocated after the per-axis scratch pools warm up.
 pub struct RealNdFft<T: Real> {
     dims: Vec<usize>,
     rotated: Vec<usize>,
@@ -190,17 +198,15 @@ impl<T: Real> RealNdFft<T> {
         total_len(&self.rotated)
     }
 
-    /// Reals a transform over `head` reads (forward) or writes (inverse):
-    /// `∏ head` rows of `dims[L−1]`.
-    pub fn real_len(&self, head: &[usize]) -> usize {
-        total_len(head) * self.inner.len()
-    }
-
-    /// Complex elements of the staging buffer a transform over `head`
-    /// needs: the largest intermediate that is not the spectrum itself
-    /// (zero for one axis, where no rotation happens).
+    /// Complex elements of the staging buffer a transform over the head
+    /// box `head` (one extent per axis) needs: the largest intermediate
+    /// that is not the spectrum itself (zero for one axis, where no
+    /// rotation happens).
     pub fn stage_len(&self, head: &[usize]) -> usize {
-        head.first().map_or(0, |&h0| self.spectrum_len() / self.dims[0] * h0)
+        match head {
+            [h0, _, ..] => self.spectrum_len() / self.dims[0] * h0,
+            _ => 0,
+        }
     }
 
     /// The shared cache handle of the innermost axis's real plan
@@ -217,42 +223,43 @@ impl<T: Real> RealNdFft<T> {
     }
 
     fn check(&self, head: &[usize], real: usize, spec: usize, stage: usize) {
-        assert_eq!(head.len(), self.outer.len(), "RealNdFft head: one extent per outer axis");
+        assert_eq!(head.len(), self.dims.len(), "RealNdFft head: one extent per axis");
         assert!(
             head.iter().zip(&self.dims).all(|(&h, &d)| (1..=d).contains(&h)),
             "RealNdFft head {head:?} outside 1..=dims {:?}",
             self.dims
         );
-        assert!(real >= self.real_len(head), "RealNdFft real buffer too short");
+        assert_eq!(real, total_len(head), "RealNdFft real values: one per head-box element");
         assert_eq!(spec, self.spectrum_len(), "RealNdFft spectrum length");
         assert!(stage >= self.stage_len(head), "RealNdFft stage buffer too short");
     }
 
-    /// Forward transform of the real grid that is `real` on the head box
-    /// and zero elsewhere: `real` holds `∏ head` rows of `dims[L−1]`
-    /// values (row-major over `head`, each row already padded by the
-    /// caller; anything past [`real_len`](Self::real_len) is ignored).
-    /// The spectrum lands in `spec` (exactly
+    /// Forward transform of the real grid that is `input` on the head box
+    /// and zero elsewhere: `input` holds the `∏ head` values of the box,
+    /// row-major, each rounded through tier `pad` into `T` as the first
+    /// pass reads it. The spectrum lands in `spec` (exactly
     /// [`spectrum_len`](Self::spectrum_len) long) in the rotated layout;
     /// `stage` (at least [`stage_len`](Self::stage_len)) is scratch.
     /// Neither complex buffer's prior contents are read.
     pub fn forward(
         &self,
         head: &[usize],
-        real: &[T],
+        input: &[f64],
+        pad: Precision,
         spec: &mut [Complex<T>],
         stage: &mut [Complex<T>],
     ) {
-        self.check(head, real.len(), spec.len(), stage.len());
+        self.check(head, input.len(), spec.len(), stage.len());
         // One buffer swap per outer axis; start where the last one ends
         // in `spec`.
         let (mut cur, mut next) =
             if self.outer.len() % 2 == 0 { (spec, stage) } else { (stage, spec) };
         // `len` elements of `cur` are live; its contiguous last axis has
         // extent `last`.
+        let (&row, outer) = head.split_last().expect("checked: one extent per axis");
         let mut last = self.inner.spectrum_len();
-        let mut len = total_len(head) * last;
-        self.inner.forward_batch(&real[..self.real_len(head)], &mut cur[..len]);
+        let mut len = total_len(outer) * last;
+        self.inner.forward_rows(input, row, pad, &mut cur[..len]);
         for l in (0..self.outer.len()).rev() {
             let (head_l, m_l) = (head[l], self.dims[l]);
             // cur is [lead, head_l, last]; next becomes [last, lead, m_l]:
@@ -273,17 +280,19 @@ impl<T: Real> RealNdFft<T> {
 
     /// Inverse of [`forward`](Self::forward), computed only on the head
     /// box: consumes the rotated spectrum in `spec` (its contents are
-    /// destroyed) and writes `∏ head` rows of `dims[L−1]` reals into
-    /// `real` — the rows of the full inverse transform whose outer
-    /// indices lie inside `head`. `stage` is scratch as in `forward`.
+    /// destroyed) and writes the `∏ head` values of the full inverse
+    /// transform that lie inside the box into `output`, row-major, each
+    /// routed through tier `unpad` as the last pass stores it. `stage` is
+    /// scratch as in `forward`.
     pub fn inverse(
         &self,
         head: &[usize],
         spec: &mut [Complex<T>],
         stage: &mut [Complex<T>],
-        real: &mut [T],
+        unpad: Precision,
+        output: &mut [f64],
     ) {
-        self.check(head, real.len(), spec.len(), stage.len());
+        self.check(head, output.len(), spec.len(), stage.len());
         let (mut cur, mut next) = (spec, stage);
         let mut len = self.spectrum_len();
         for l in 0..self.outer.len() {
@@ -303,7 +312,7 @@ impl<T: Real> RealNdFft<T> {
             len = lead * head_l * front;
             std::mem::swap(&mut cur, &mut next);
         }
-        self.inner.inverse_batch(&cur[..len], &mut real[..self.real_len(head)]);
+        self.inner.inverse_rows(&cur[..len], head[self.outer.len()], unpad, output);
     }
 }
 
@@ -414,38 +423,55 @@ mod tests {
         // Distinct lengths stay distinct.
         assert!(!Arc::ptr_eq(a.axis_plan(0), a.axis_plan(1)));
     }
-    /// Random reals on the head box `[head.., m_last]`, in `T`.
-    fn random_head<T: Real>(engine: &RealNdFft<T>, head: &[usize], seed: u64) -> Vec<T> {
+
+    /// Random values on the head box `head`.
+    fn random_box(head: &[usize], seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
-        (0..engine.real_len(head)).map(|_| T::from_f64(rng.next_f64() * 2.0 - 1.0)).collect()
+        (0..total_len(head)).map(|_| rng.next_f64() * 2.0 - 1.0).collect()
     }
 
-    /// All three buffers of a transform over `head`, NaN-filled with
-    /// slack past every length the engine asks for: anything a pass reads
-    /// without having written it this call poisons the result.
+    /// The spectrum and staging buffers of a transform over `head`,
+    /// NaN-filled, the stage with slack past the length the engine asks
+    /// for: anything a pass reads without having written it this call
+    /// poisons the result.
     fn nan_buffers<T: Real>(
         engine: &RealNdFft<T>,
         head: &[usize],
-    ) -> (Vec<T>, Vec<Complex<T>>, Vec<Complex<T>>) {
+    ) -> (Vec<Complex<T>>, Vec<Complex<T>>) {
         let nan = T::from_f64(f64::NAN);
         (
-            vec![nan; engine.real_len(head) + 3],
             vec![Complex::new(nan, nan); engine.spectrum_len()],
             vec![Complex::new(nan, nan); engine.stage_len(head) + 3],
         )
     }
 
-    /// The complex whole-grid transform of the head data zero-embedded
-    /// into `dims`, read back in the real engine's rotated half layout.
+    /// Run the inverse over `head` into a NaN-filled output with slack
+    /// past the box, assert the slack is untouched, and return the box.
+    fn inverse_into_nan<T: Real>(
+        engine: &RealNdFft<T>,
+        head: &[usize],
+        spec: &mut [Complex<T>],
+        unpad: Precision,
+    ) -> Vec<f64> {
+        let (_, mut stage) = nan_buffers(engine, head);
+        let len = total_len(head);
+        let mut out = vec![f64::NAN; len + 3];
+        engine.inverse(head, spec, &mut stage, unpad, &mut out[..len]);
+        assert!(out[len..].iter().all(|v| v.is_nan()), "{head:?}: slack untouched");
+        out.truncate(len);
+        out
+    }
+
+    /// The complex whole-grid transform of the head box's data
+    /// zero-embedded into `dims`, read back in the real engine's rotated
+    /// half layout.
     fn rotated_half_oracle(dims: &[usize], head: &[usize], data: &[f64]) -> Vec<C64> {
         let rank = dims.len();
-        let mut box_dims = head.to_vec();
-        box_dims.push(dims[rank - 1]);
         let strides = strides_row_major(dims);
         let mut grid = vec![C64::new(0.0, 0.0); total_len(dims)];
         let mut idx = vec![0usize; rank];
         for (flat, &v) in data.iter().enumerate() {
-            decompose(flat, &box_dims, &mut idx);
+            decompose(flat, head, &mut idx);
             grid[compose(&idx, &strides)] = C64::new(v, 0.0);
         }
         let mut partner = grid.clone();
@@ -476,29 +502,30 @@ mod tests {
     }
 
     /// Logical extents with every head box tried on them: powers of two
-    /// mixed with 6, 10, 22, 26 and 70, one to four axes, heads full,
-    /// ragged and degenerate.
+    /// mixed with 6, 10, 22, 26 and 70, one to four axes, outer heads
+    /// full, ragged and degenerate, rows whole, cut short of, at and past
+    /// half their length.
     const REAL_CASES: [(&[usize], &[&[usize]]); 9] = [
-        (&[70], &[&[]]),
-        (&[64], &[&[]]),
-        (&[6, 10], &[&[6], &[4], &[1]]),
-        (&[22, 26], &[&[22], &[13]]),
-        (&[128, 16], &[&[64]]),
-        (&[4, 6, 10], &[&[4, 6], &[2, 1], &[1, 3]]),
-        (&[10, 22, 8], &[&[7, 5]]),
-        (&[2, 6, 4, 10], &[&[2, 6, 4], &[1, 3, 2], &[2, 1, 1]]),
-        (&[4, 2, 6, 70], &[&[3, 1, 4]]),
+        (&[70], &[&[70], &[35], &[36]]),
+        (&[64], &[&[64], &[1]]),
+        (&[6, 10], &[&[6, 10], &[4, 10], &[1, 3]]),
+        (&[22, 26], &[&[22, 26], &[13, 14]]),
+        (&[128, 16], &[&[64, 16], &[64, 9]]),
+        (&[4, 6, 10], &[&[4, 6, 10], &[2, 1, 10], &[1, 3, 5]]),
+        (&[10, 22, 8], &[&[7, 5, 8]]),
+        (&[2, 6, 4, 10], &[&[2, 6, 4, 10], &[1, 3, 2, 10], &[2, 1, 1, 7]]),
+        (&[4, 2, 6, 70], &[&[3, 1, 4, 70]]),
     ];
 
     fn forward_tracks_the_complex_engine<T: Real>(tol: f64) {
         for (dims, heads) in REAL_CASES {
             let engine = RealNdFft::<T>::new(dims);
             for (case, &head) in heads.iter().enumerate() {
-                let data = random_head(&engine, head, 31 + case as u64);
-                let (mut real, mut spec, mut stage) = nan_buffers(&engine, head);
-                real[..data.len()].copy_from_slice(&data);
-                engine.forward(head, &real, &mut spec, &mut stage);
-                let exact: Vec<f64> = data.iter().map(|v| v.to_f64()).collect();
+                let data = random_box(head, 31 + case as u64);
+                let (mut spec, mut stage) = nan_buffers(&engine, head);
+                engine.forward(head, &data, T::PRECISION, &mut spec, &mut stage);
+                // The first pass rounds every value into `T`.
+                let exact: Vec<f64> = data.iter().map(|&v| T::from_f64(v).to_f64()).collect();
                 let err = rel_l2(&spec, &rotated_half_oracle(dims, head, &exact));
                 assert!(err <= tol, "{dims:?} head {head:?}: rel err {err:.3e} over {tol:.0e}");
             }
@@ -517,49 +544,48 @@ mod tests {
     fn real_inverse_returns_any_head_box_of_the_original_grid() {
         for (dims, heads) in REAL_CASES {
             let engine = RealNdFft::<f64>::new(dims);
-            let rank = dims.len();
-            let full = &dims[..rank - 1];
-            let grid = random_head(&engine, full, 77);
-            let (_, mut spectrum, mut stage) = nan_buffers(&engine, full);
-            engine.forward(full, &grid, &mut spectrum, &mut stage);
+            let grid = random_box(dims, 77);
+            let (mut spectrum, mut stage) = nan_buffers(&engine, dims);
+            engine.forward(dims, &grid, Precision::Double, &mut spectrum, &mut stage);
+            let strides = strides_row_major(dims);
+            let mut idx = vec![0usize; dims.len()];
             for &head in heads {
-                let (mut real, _, mut stage) = nan_buffers(&engine, head);
-                let mut spec = spectrum.clone();
-                engine.inverse(head, &mut spec, &mut stage, &mut real);
-                let mut box_dims = head.to_vec();
-                box_dims.push(dims[rank - 1]);
-                let strides = strides_row_major(dims);
-                let mut idx = vec![0usize; rank];
-                for (flat, got) in real[..engine.real_len(head)].iter().enumerate() {
-                    decompose(flat, &box_dims, &mut idx);
+                let got = inverse_into_nan(&engine, head, &mut spectrum.clone(), Precision::Double);
+                for (flat, got) in got.iter().enumerate() {
+                    decompose(flat, head, &mut idx);
                     let want = grid[compose(&idx, &strides)];
                     assert!(
                         (got - want).abs() < 1e-12,
                         "{dims:?} head {head:?} at {idx:?}: {got} vs {want}"
                     );
                 }
-                assert!(
-                    real[engine.real_len(head)..].iter().all(|v| v.is_nan()),
-                    "slack untouched"
-                );
             }
         }
     }
 
-    /// The outer axes as they ran before the column driver: transpose each
-    /// block into a zeroed buffer, then transform every series in place.
-    /// Built from public pieces only, so it pins the column driver's bits.
+    /// The forward as it ran before the row and column drivers: the head
+    /// box's rows rounded through `pad` into zero-extended rows of `T`
+    /// (the embed), `forward_batch`, then per outer axis a transpose of
+    /// each block into a zeroed buffer and every series transformed in
+    /// place. Built from public pieces only, so it pins both drivers'
+    /// bits.
     fn transposing_forward<T: Real>(
         e: &RealNdFft<T>,
         head: &[usize],
-        real: &[T],
+        input: &[f64],
+        pad: Precision,
     ) -> Vec<Complex<T>> {
         let dims = e.dims();
-        let inner = BatchedRealFft::<T>::new(dims[dims.len() - 1]);
+        let ((&row, outer), m) = (head.split_last().unwrap(), dims[dims.len() - 1]);
+        let mut real = vec![T::ZERO; total_len(outer) * m];
+        for (r, x) in real.chunks_exact_mut(m).zip(input.chunks_exact(row)) {
+            r.iter_mut().zip(x).for_each(|(v, &x)| *v = T::from_f64(pad.round_f64(x)));
+        }
+        let inner = BatchedRealFft::<T>::new(m);
         let mut last = inner.spectrum_len();
-        let mut cur = vec![Complex::zero(); total_len(head) * last];
-        inner.forward_batch(&real[..e.real_len(head)], &mut cur);
-        for l in (0..head.len()).rev() {
+        let mut cur = vec![Complex::zero(); total_len(outer) * last];
+        inner.forward_batch(&real, &mut cur);
+        for l in (0..outer.len()).rev() {
             let (head_l, m_l) = (head[l], dims[l]);
             let lead = cur.len() / (head_l * last);
             let ld = lead * m_l;
@@ -574,15 +600,19 @@ mod tests {
         cur
     }
 
-    /// The inverse of [`transposing_forward`], as the inverse ran before.
+    /// The inverse of [`transposing_forward`], as the inverse ran before:
+    /// the transposes, `inverse_batch` into rows of `T`, and the kept
+    /// values of each row routed through `unpad` (the extract).
     fn transposing_inverse<T: Real>(
         e: &RealNdFft<T>,
         head: &[usize],
         spec: &[Complex<T>],
-    ) -> Vec<T> {
+        unpad: Precision,
+    ) -> Vec<f64> {
         let dims = e.dims();
+        let ((&keep, outer), m) = (head.split_last().unwrap(), dims[dims.len() - 1]);
         let mut cur = spec.to_vec();
-        for (l, &head_l) in head.iter().enumerate() {
+        for (l, &head_l) in outer.iter().enumerate() {
             let (m_l, front) = (dims[l], e.rotated_dims()[l]);
             BatchedFft::<T>::new(m_l).process_batch_inplace(&mut cur, FftDirection::Inverse);
             let lead = cur.len() / (front * m_l);
@@ -593,30 +623,33 @@ mod tests {
             }
             cur = next;
         }
-        let mut out = vec![T::ZERO; e.real_len(head)];
-        BatchedRealFft::<T>::new(dims[dims.len() - 1]).inverse_batch(&cur, &mut out);
-        out
+        let mut real = vec![T::ZERO; total_len(outer) * m];
+        BatchedRealFft::<T>::new(m).inverse_batch(&cur, &mut real);
+        let kept = real.chunks_exact(m).flat_map(|r| &r[..keep]);
+        kept.map(|v| unpad.round_f64(v.to_f64())).collect()
     }
 
-    /// Shapes whose outer axes run the column driver's every path: heads
-    /// below, at and above half of a 128-point axis and the full head the
-    /// symbol build transforms; 65 and 33 series (a remainder in both lane
+    /// Boxes whose axes run the drivers' every path: outer heads below,
+    /// at and above half of a 128-point axis and the full head the symbol
+    /// build transforms; 65 and 33 series (a remainder in both lane
     /// widths); three levels, where the middle axis has blocks (`lead >
-    /// 1`) and fewer series than an `f32` lane group; and odd radices,
-    /// which run one series at a time.
+    /// 1`) and fewer series than an `f32` lane group; odd radices, which
+    /// run one series at a time; and rows of one sample, an odd count,
+    /// half, one past half and the whole length.
     const COLUMN_CASES: [(&[usize], &[&[usize]]); 5] = [
-        (&[128, 128], &[&[40], &[64], &[100], &[128]]),
-        (&[128, 64], &[&[64], &[127]]),
-        (&[16, 16, 64], &[&[16, 16], &[5, 9], &[8, 3]]),
-        (&[8, 16, 12], &[&[5, 9], &[8, 16]]),
-        (&[6, 10], &[&[4], &[6]]),
+        (&[128, 128], &[&[40, 64], &[64, 65], &[100, 1], &[128, 128]]),
+        (&[128, 64], &[&[64, 32], &[127, 33]]),
+        (&[16, 16, 64], &[&[16, 16, 64], &[5, 9, 31], &[8, 3, 33]]),
+        (&[8, 16, 12], &[&[5, 9, 7], &[8, 16, 12]]),
+        (&[6, 10], &[&[4, 5], &[6, 10]]),
     ];
 
-    /// Forward and inverse equal the transposing reference bit for bit,
-    /// in every tier that has a path of its own, at the portable level and
-    /// the host's vector level, from buffers poisoned with NaN: no row
-    /// outside the head box is read, and the inverse writes nothing past
-    /// `real_len`.
+    /// Forward and inverse equal the embed / transposing / extract
+    /// reference bit for bit, in every tier that has a path of its own,
+    /// with pad and unpad tiers that differ from it, at the portable level
+    /// and the host's vector level, from buffers poisoned with NaN: no
+    /// value outside the head box is read, and the inverse writes nothing
+    /// past it.
     #[test]
     fn outer_axes_keep_the_bits_of_the_transposing_reference() {
         fn check<T: Real>() {
@@ -625,25 +658,22 @@ mod tests {
                     .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
                     .collect::<Vec<_>>()
             };
-            for (dims, heads) in COLUMN_CASES {
+            for (ci, (dims, heads)) in COLUMN_CASES.iter().enumerate() {
                 let engine = RealNdFft::<T>::new(dims);
                 for (case, &head) in heads.iter().enumerate() {
-                    let what = format!("{:?} {dims:?} head {head:?}", T::PRECISION);
-                    let data = random_head(&engine, head, 91 + case as u64);
-                    let (mut real, mut spec, mut stage) = nan_buffers(&engine, head);
-                    real[..data.len()].copy_from_slice(&data);
-                    engine.forward(head, &real, &mut spec, &mut stage);
-                    let want = transposing_forward(&engine, head, &data);
+                    let pad = Precision::ALL[(ci + case) % 4];
+                    let unpad = Precision::ALL[(ci + case + 1) % 4];
+                    let what = format!("{:?} {dims:?} head {head:?} {pad}/{unpad}", T::PRECISION);
+                    let data = random_box(head, 91 + case as u64);
+                    let (mut spec, mut stage) = nan_buffers(&engine, head);
+                    engine.forward(head, &data, pad, &mut spec, &mut stage);
+                    let want = transposing_forward(&engine, head, &data, pad);
                     assert_eq!(bits(&spec), bits(&want), "{what}: forward");
 
-                    let (mut real, _, mut stage) = nan_buffers(&engine, head);
-                    let want = transposing_inverse(&engine, head, &spec);
-                    engine.inverse(head, &mut spec, &mut stage, &mut real);
-                    let (got, slack) = real.split_at(engine.real_len(head));
-                    let got_bits: Vec<u64> = got.iter().map(|x| x.to_f64().to_bits()).collect();
-                    let want_bits: Vec<u64> = want.iter().map(|x| x.to_f64().to_bits()).collect();
-                    assert_eq!(got_bits, want_bits, "{what}: inverse");
-                    assert!(slack.iter().all(|x| x.to_f64().is_nan()), "{what}: slack untouched");
+                    let want = transposing_inverse(&engine, head, &spec, unpad);
+                    let got = inverse_into_nan(&engine, head, &mut spec, unpad);
+                    let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(f64_bits(&got), f64_bits(&want), "{what}: inverse");
                 }
             }
         }
@@ -665,14 +695,14 @@ mod tests {
         let e = RealNdFft::<f64>::new(&[12, 30, 26]);
         assert_eq!(e.rotated_dims(), &[30, 14, 12]);
         assert_eq!(e.spectrum_len(), 12 * 30 * 14);
-        assert_eq!(e.stage_len(&[5, 30]), 5 * 30 * 14);
+        assert_eq!(e.stage_len(&[5, 30, 26]), 5 * 30 * 14);
         assert!(Arc::ptr_eq(e.inner_plan(), &cache::real_plan::<f64>(26)));
         assert!(Arc::ptr_eq(e.axis_plan(0), &cache::complex_plan::<f64>(12)));
         assert!(Arc::ptr_eq(e.axis_plan(1), &cache::complex_plan::<f64>(30)));
         // The complex engine's axes are the same cached plans.
         assert!(Arc::ptr_eq(e.axis_plan(1), NdFft::<f64>::new(&[30, 4]).axis_plan(0)));
         let one = RealNdFft::<f32>::new(&[8]);
-        assert_eq!((one.rotated_dims(), one.stage_len(&[])), (&[5usize][..], 0));
+        assert_eq!((one.rotated_dims(), one.stage_len(&[8])), (&[5usize][..], 0));
     }
 
     #[test]

@@ -18,6 +18,17 @@
 //!   samples `t < nt` of the inverse transform, each routed through the
 //!   unpad tier `Q` (`Q = f64` when the transform tier widens exactly into
 //!   the unpad tier, so the route is the identity).
+//! * Both views have a sample stride and a lane stride — where the series
+//!   in the next lane of a lane group starts. A TOSI series has lane
+//!   stride 1 (the group's series are adjacent columns). With `ROWS` set
+//!   they are the rows of a row-major matrix instead ([`PaddedRows`],
+//!   [`UnpaddedRows`]: sample stride 1, lane stride the row length), the
+//!   innermost axis of a multi-level real transform
+//!   (`BatchedRealFft::{forward_rows, inverse_rows}`): a row holds `head`
+//!   samples of a transform of any even length `n ≥ head` (the output
+//!   keeps `keep ≤ n`), so live and kept samples may reach past the half.
+//!   Only the series-in-lanes stage bodies take rows, as complex columns
+//!   below; a row the lanes do not take is gathered into a slice.
 //! * [`ComplexColumn`] is one column of a complex TOSI matrix of `rows`
 //!   rows as the input of a transform of length `n ≥ rows`: rows past the
 //!   matrix are `+0` and never stored. [`ComplexColumnOut`] is one column
@@ -65,6 +76,10 @@ pub(crate) enum Operands<'a, T, P> {
     /// the live half (the series-in-lanes bodies read the series of a
     /// group of adjacent columns, one per lane).
     Padded(PaddedSeries<'a, P>),
+    /// Operand `i` is packed value `z[i]` of a padded row, `+0` past its
+    /// head (the series-in-lanes bodies only: they read a group of
+    /// adjacent rows, one per lane).
+    Rows(PaddedRows<'a, P>),
     /// Operand `i` is row `i` of a column of a complex TOSI matrix, `+0`
     /// past its rows (the series-in-lanes bodies only: they read a group
     /// of adjacent columns, one per lane).
@@ -81,6 +96,10 @@ pub(crate) enum Outputs<'a, T, Q> {
     /// scaled by `1/nt` and routed when it holds a sample, dropped past
     /// the live half.
     Unpadded(&'a mut UnpaddedSeries<Q>),
+    /// Output `o` is packed value `z[o]` of an unpadded row: kept, scaled
+    /// and routed where it holds a sample the row keeps (the
+    /// series-in-lanes bodies only, as [`Operands::Rows`]).
+    Rows(&'a mut UnpaddedRows<Q>),
     /// Output `o` is row `o` of a column of a complex TOSI matrix: scaled
     /// by `1/n` and stored when the matrix has that row, dropped past it
     /// (the series-in-lanes bodies only, as [`Operands::Column`]).
@@ -106,6 +125,7 @@ pub(crate) trait Source<T: Real> {
         match self.operands() {
             Operands::Slice(x) => x.len(),
             Operands::Padded(x) => x.nt(),
+            Operands::Rows(x) => x.h(),
             Operands::Column(x) => x.n(),
         }
     }
@@ -116,6 +136,7 @@ pub(crate) trait Source<T: Real> {
         match self.operands() {
             Operands::Slice(x) => x[i],
             Operands::Padded(x) => x.packed(i),
+            Operands::Rows(_) => unreachable!("padded rows are read in the lanes"),
             Operands::Column(x) => x.get(i),
         }
     }
@@ -145,6 +166,7 @@ pub(crate) trait Sink<T: Real> {
                 x.put_packed(o, v.scale(T::from_usize(x.nt()).recip()))
             }
             Outputs::Unpadded(_) => {}
+            Outputs::Rows(_) => unreachable!("unpadded rows are written in the lanes"),
             Outputs::Column(x) => x.put(o, v.scale(T::from_usize(x.n()).recip())),
         }
     }
@@ -172,6 +194,21 @@ impl<'a, T: Real, P: Real> Source<T> for PaddedSeries<'a, P> {
     #[inline(always)]
     fn operands(&self) -> Operands<'_, T, P> {
         Operands::Padded(*self)
+    }
+
+    #[inline(always)]
+    fn tier<U: Real>(&self) -> Option<&Self> {
+        Some(self)
+    }
+}
+
+impl<'a, T: Real, P: Real> Source<T> for PaddedRows<'a, P> {
+    type Pad = P;
+    type In<U: Real> = Self;
+
+    #[inline(always)]
+    fn operands(&self) -> Operands<'_, T, P> {
+        Operands::Rows(*self)
     }
 
     #[inline(always)]
@@ -216,7 +253,27 @@ impl<T: Real, Q: Real> Sink<T> for UnpaddedSeries<Q> {
 
     #[inline(always)]
     fn len(&self) -> usize {
-        self.nt
+        self.h
+    }
+}
+
+impl<T: Real, Q: Real> Sink<T> for UnpaddedRows<Q> {
+    type Route = Q;
+    type In<U: Real> = Self;
+
+    #[inline(always)]
+    fn outputs(&mut self) -> Outputs<'_, T, Q> {
+        Outputs::Rows(self)
+    }
+
+    #[inline(always)]
+    fn tier_mut<U: Real>(&mut self) -> Option<&mut Self> {
+        Some(self)
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.h
     }
 }
 
@@ -264,37 +321,81 @@ fn same_tier<T: Real, U: Real>() -> bool {
 }
 
 /// One series of a TOSI `f64` matrix as the packed, zero-padded input of
-/// a real transform of length `2·nt` (see the module docs).
-pub(crate) struct PaddedSeries<'a, P> {
-    /// Sample `t` of the series is `x[t·stride]`.
+/// a real transform of length `2·nt` (see the module docs); with `ROWS`,
+/// one row of a row-major matrix ([`PaddedRows`]).
+pub(crate) struct PaddedSeries<'a, P, const ROWS: bool = false> {
+    /// Sample `t` of the series is `x[t·stride]`; sample `t` of the series
+    /// `k` lanes on, `x[k·lane + t·stride]`.
     x: &'a [f64],
     stride: usize,
-    nt: usize,
+    lane: usize,
+    /// Live samples: every later one of the `2·h` is an embedding zero.
+    head: usize,
+    /// Packed values: half the real length.
+    h: usize,
     pad: PhantomData<P>,
 }
 
-impl<P> Clone for PaddedSeries<'_, P> {
+/// One row of a row-major `f64` matrix as the packed, zero-padded input of
+/// a real transform: a padded series whose lane stride is the row length.
+pub(crate) type PaddedRows<'a, P> = PaddedSeries<'a, P, true>;
+
+impl<P, const ROWS: bool> Clone for PaddedSeries<'_, P, ROWS> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<P> Copy for PaddedSeries<'_, P> {}
+impl<P, const ROWS: bool> Copy for PaddedSeries<'_, P, ROWS> {}
 
 impl<'a, P: Real> PaddedSeries<'a, P> {
     /// The series whose sample `t < nt` is `x[t·stride]`.
     pub(crate) fn new(x: &'a [f64], stride: usize, nt: usize) -> Self {
         assert!(stride >= 1, "padded series stride must be positive");
         assert!(nt == 0 || x.len() > (nt - 1) * stride, "padded series runs past its input");
-        PaddedSeries { x, stride, nt, pad: PhantomData }
+        PaddedSeries { x, stride, lane: 1, head: nt, h: nt, pad: PhantomData }
     }
 
     /// Samples per series (the unpadded length).
     #[inline(always)]
     pub(crate) fn nt(&self) -> usize {
-        self.nt
+        self.h
+    }
+}
+
+impl<'a, P: Real> PaddedRows<'a, P> {
+    /// The rows of `head` samples each, back to back from `x` on, of a
+    /// real transform of length `n`: sample `t < head` of the row `k`
+    /// lanes on is `x[k·head + t]`, samples `head..n` are zeros.
+    pub(crate) fn rows(x: &'a [f64], head: usize, n: usize) -> Self {
+        assert!(
+            n % 2 == 0 && (1..=n).contains(&head) && x.len() >= head,
+            "padded rows of {head} samples for n = {n} in {} elements",
+            x.len()
+        );
+        PaddedSeries { x, stride: 1, lane: head, head, h: n / 2, pad: PhantomData }
     }
 
+    /// Live samples per row.
+    #[inline(always)]
+    pub(crate) fn head(&self) -> usize {
+        self.head
+    }
+
+    /// Packed values per row: half the real length.
+    #[inline(always)]
+    pub(crate) fn h(&self) -> usize {
+        self.h
+    }
+
+    /// Where the row one lane on starts, relative to this one.
+    #[inline(always)]
+    pub(crate) fn lane(&self) -> usize {
+        self.lane
+    }
+}
+
+impl<'a, P: Real, const ROWS: bool> PaddedSeries<'a, P, ROWS> {
     /// Distance between consecutive samples in the input.
     #[inline(always)]
     pub(crate) fn stride(&self) -> usize {
@@ -312,14 +413,14 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
     ///
     /// # Safety
     ///
-    /// `t < nt`.
+    /// `t < head`.
     #[inline(always)]
     pub(crate) unsafe fn at(&self, t: usize) -> *const f64 {
-        debug_assert!(t < self.nt);
+        debug_assert!(t < self.head);
         self.x.as_ptr().add(t * self.stride)
     }
 
-    /// Sample `t < nt`, rounded through the pad tier into tier `T`.
+    /// Sample `t < head`, rounded through the pad tier into tier `T`.
     #[inline(always)]
     pub(crate) fn sample<T: Real>(&self, t: usize) -> T {
         T::from_f64(P::from_f64(self.x[t * self.stride]).to_f64())
@@ -329,10 +430,11 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
     ///
     /// # Safety
     ///
-    /// `t < nt`.
+    /// `t < head`.
     #[inline(always)]
     pub(crate) unsafe fn sample_unchecked<T: Real>(&self, t: usize) -> T {
-        // SAFETY: `new` checked `x.len() > (nt − 1)·stride`, and `t < nt`.
+        // SAFETY: `new` and `rows` checked that the input reaches sample
+        // `head − 1`, and `t < head`.
         T::from_f64(P::from_f64(*self.at(t)).to_f64())
     }
 
@@ -344,9 +446,9 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
     #[inline(never)]
     pub(crate) fn packed<T: Real>(&self, j: usize) -> Complex<T> {
         let t = 2 * j;
-        if t + 1 < self.nt {
+        if t + 1 < self.head {
             Complex::new(self.sample(t), self.sample(t + 1))
-        } else if t < self.nt {
+        } else if t < self.head {
             Complex::new(self.sample(t), T::ZERO)
         } else {
             Complex::zero()
@@ -355,17 +457,28 @@ impl<'a, P: Real> PaddedSeries<'a, P> {
 }
 
 /// One series of a TOSI `f64` output that keeps the first `nt` samples of
-/// an inverse real transform of length `2·nt` (see the module docs).
-pub(crate) struct UnpaddedSeries<Q> {
-    /// Sample `t` of the series lands in `*out.add(t·stride)`.
+/// an inverse real transform of length `2·nt` (see the module docs); with
+/// `ROWS`, one row of a row-major output ([`UnpaddedRows`]).
+pub(crate) struct UnpaddedSeries<Q, const ROWS: bool = false> {
+    /// Sample `t` of the series lands in `*out.add(t·stride)`, and sample
+    /// `t` of the series `k` lanes on in `*out.add(k·lane + t·stride)`.
     out: *mut f64,
     stride: usize,
-    nt: usize,
-    /// Adjacent columns writable at every row: the series-in-lanes bodies
-    /// store a group of series, one per lane.
+    lane: usize,
+    /// Kept samples.
+    keep: usize,
+    /// Packed values: half the real length.
+    h: usize,
+    /// Series writable from this one on, one lane apart: the
+    /// series-in-lanes bodies store a group of series, one per lane.
     cols: usize,
     route: PhantomData<Q>,
 }
+
+/// One row of a row-major `f64` output that keeps the first samples of an
+/// inverse real transform: an unpadded series whose lane stride is the
+/// row length.
+pub(crate) type UnpaddedRows<Q> = UnpaddedSeries<Q, true>;
 
 impl<Q: Real> UnpaddedSeries<Q> {
     /// The series whose sample `t < nt` lands in `*out.add(t·stride)`,
@@ -377,13 +490,13 @@ impl<Q: Real> UnpaddedSeries<Q> {
     /// `k < cols`, and nothing else reads or writes those elements while
     /// the value lives.
     pub(crate) unsafe fn new(out: *mut f64, stride: usize, nt: usize, cols: usize) -> Self {
-        UnpaddedSeries { out, stride, nt, cols, route: PhantomData }
+        UnpaddedSeries { out, stride, lane: 1, keep: nt, h: nt, cols, route: PhantomData }
     }
 
     /// Samples per series (the unpadded length).
     #[inline(always)]
     pub(crate) fn nt(&self) -> usize {
-        self.nt
+        self.h
     }
 
     /// Distance between consecutive samples in the output.
@@ -392,35 +505,18 @@ impl<Q: Real> UnpaddedSeries<Q> {
         self.stride
     }
 
-    /// Adjacent columns writable at every row.
-    #[inline(always)]
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Where sample `t` is stored.
-    ///
-    /// # Safety
-    ///
-    /// `t < nt`.
-    #[inline(always)]
-    pub(crate) unsafe fn at(&self, t: usize) -> *mut f64 {
-        debug_assert!(t < self.nt);
-        self.out.add(t * self.stride)
-    }
-
     /// Complex values `z[j]` of the packed output that hold a kept sample:
     /// `⌈nt/2⌉`.
     #[inline(always)]
     pub(crate) fn live(&self) -> usize {
-        self.nt.div_ceil(2)
+        self.keep.div_ceil(2)
     }
 
     /// Store sample `t < nt`, routed through the unpad tier.
     #[inline(always)]
     pub(crate) fn put<T: Real>(&mut self, t: usize, v: T) {
-        assert!(t < self.nt, "unpadded sample {t} past {}", self.nt);
-        // SAFETY: `t < nt`, just checked.
+        assert!(t < self.keep, "unpadded sample {t} past {}", self.keep);
+        // SAFETY: `t < keep` (`nt` of a TOSI series), just checked.
         unsafe { self.put_unchecked(t, v) };
     }
 
@@ -441,9 +537,62 @@ impl<Q: Real> UnpaddedSeries<Q> {
     #[inline(never)]
     pub(crate) fn put_packed<T: Real>(&mut self, j: usize, v: Complex<T>) {
         self.put(2 * j, v.re);
-        if 2 * j + 1 < self.nt {
+        if 2 * j + 1 < self.keep {
             self.put(2 * j + 1, v.im);
         }
+    }
+}
+
+impl<Q: Real> UnpaddedRows<Q> {
+    /// The rows that keep `keep` samples each, back to back from `out` on,
+    /// of an inverse real transform of length `n`: sample `t < keep` of
+    /// the row `k` lanes on lands in `*out.add(k·keep + t)`, for `cols`
+    /// rows.
+    ///
+    /// # Safety
+    ///
+    /// `out.add(i)` is valid for writes for every `i < cols·keep`, and
+    /// nothing else reads or writes those elements while the value lives.
+    pub(crate) unsafe fn rows(out: *mut f64, keep: usize, n: usize, cols: usize) -> Self {
+        assert!(n % 2 == 0 && (1..=n).contains(&keep), "unpadded rows keep {keep} of n = {n}");
+        UnpaddedSeries { out, stride: 1, lane: keep, keep, h: n / 2, cols, route: PhantomData }
+    }
+
+    /// Kept samples per row.
+    #[inline(always)]
+    pub(crate) fn keep(&self) -> usize {
+        self.keep
+    }
+
+    /// Packed values per row: half the real length.
+    #[inline(always)]
+    pub(crate) fn h(&self) -> usize {
+        self.h
+    }
+
+    /// Where the row one lane on starts, relative to this one.
+    #[inline(always)]
+    pub(crate) fn lane(&self) -> usize {
+        self.lane
+    }
+}
+
+impl<Q: Real, const ROWS: bool> UnpaddedSeries<Q, ROWS> {
+    /// Series writable from this one on, one lane apart.
+    #[inline(always)]
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Where sample `t` is stored.
+    ///
+    /// # Safety
+    ///
+    /// `t < keep`.
+    #[inline(always)]
+    pub(crate) unsafe fn at(&self, t: usize) -> *mut f64 {
+        debug_assert!(t < self.keep);
+        self.out.add(t * self.stride)
     }
 }
 

@@ -46,6 +46,15 @@
 //!   broadcasts one twiddle per butterfly from the plan's stage tables,
 //!   and the unpack / repack move to and from the series-major spectra
 //!   through an in-register transpose.
+//! * The row transforms of a multi-level real transform
+//!   (`BatchedRealFft::{forward_rows, inverse_rows}`) of a group of 4
+//!   (`f64`) or 8 (`f32`) rows run on the same path: the first stage
+//!   reads packed value `z[j]` of every row through a transposing load
+//!   (one 2-sample load per row, shuffled into the real and imaginary
+//!   registers, rounded through the pad tier; past the rows' head `+0`
+//!   registers), and the inverse's last stage stores the kept samples
+//!   through the mirrored transposing store, scaled and routed through
+//!   the unpad tier.
 //! * The column transforms of a multi-level transform
 //!   (`BatchedFft::{forward_columns, inverse_columns}`) of a group of 4
 //!   (`f64`) or 8 (`f32`) adjacent columns run on the same path, up to
@@ -350,9 +359,10 @@ impl Lanes {
 /// Series-in-lanes radix-2/4 stage: the stage of [`stage_radix2`] /
 /// [`stage_radix4`] run for each of the group's series in its own lane.
 /// A slice is a planar buffer; a padded source or a complex column reads
-/// the group's `lanes.width()` adjacent columns of its rows (the first
-/// stage), an unpadded sink or a complex column output writes them (the
-/// last stage, `m = 1`).
+/// the group's `lanes.width()` adjacent columns of its rows, and padded
+/// rows the group's adjacent rows (the first stage); an unpadded sink, a
+/// complex column output or unpadded rows write them (the last stage,
+/// `m = 1`).
 #[allow(unused_variables)]
 pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     lanes: Lanes,
@@ -368,6 +378,10 @@ pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     let reads = match src.operands() {
         Operands::Slice(x) => x.len() == lanes.planar(n),
         Operands::Padded(x) => x.nt() == n && (n - 1) * x.stride() + lanes.width() <= x.extent(),
+        Operands::Rows(x) => {
+            let extent = (lanes.width() - 1) * x.lane() + x.head();
+            x.h() == n && s == 1 && !inverse && extent <= x.extent()
+        }
         Operands::Column(x) => {
             x.n() == n && s == 1 && (x.rows() - 1) * x.stride() + lanes.width() <= x.extent()
         }
@@ -375,6 +389,7 @@ pub(crate) fn lanes_stage<T: Real, S: Source<T> + ?Sized, D: Sink<T> + ?Sized>(
     let writes = match dst.outputs() {
         Outputs::Slice(x) => x.len() == lanes.planar(n),
         Outputs::Unpadded(x) => x.nt() == n && m == 1 && x.cols() >= lanes.width(),
+        Outputs::Rows(x) => x.h() == n && m == 1 && inverse && x.cols() >= lanes.width(),
         Outputs::Column(x) => x.n() == n && m == 1 && x.cols() >= lanes.width(),
     };
     assert!(

@@ -9,9 +9,12 @@
 //! `store_rows4`), the padded and unpadded series' register load and
 //! store (`load_padded`, `put_lanes`), and for the series-in-lanes kernels
 //! the real-register load / store, the TOSI row load / store through a
-//! tier (`load_row`, `store_row`), the complex TOSI row's split into and
-//! join from real and imaginary planes (`deinterleave`, `interleave`)
-//! and the lane transpose.
+//! tier (`load_row`, `store_row`), the rows' transposing load / store
+//! through a tier (`load_pairs`, `store_pairs`, over the four-row
+//! `load_pairs4` / `store_pairs4`, and `gather_rows` / `scatter_rows`
+//! for a lone sample), the complex TOSI row's split into and join from
+//! real and imaginary planes (`deinterleave`, `interleave`) and the lane
+//! transpose.
 //!
 //! The radix-2/4/16 stage bodies of both executors read a
 //! [`Source`](crate::padded::Source) and write a
@@ -19,7 +22,9 @@
 //! (`read` / `write`, `zread` / `zwrite`), told at every operand and
 //! output whether it lies in the upper half of its stage: there a padded
 //! series yields a `+0` register, never loaded, and an unpadded series
-//! drops the output, so the tree that computed it is dead code.
+//! drops the output, so the tree that computed it is dead code. Padded
+//! and unpadded rows, whose head or keep may pass the half, decide per
+//! packed value instead: past the head a `+0` register, never loaded.
 //!
 //! # Safety
 //!
@@ -41,7 +46,9 @@ use fftmatvec_numeric::{Complex, Real};
 use crate::iterative::{
     butterfly16, butterfly2, butterfly4, butterfly_odd, twiddle2, twiddles16, twiddles4,
 };
-use crate::padded::{Operands, Outputs, PaddedSeries, Sink, Source, UnpaddedSeries};
+use crate::padded::{
+    Operands, Outputs, PaddedRows, PaddedSeries, Sink, Source, UnpaddedRows, UnpaddedSeries,
+};
 use crate::plan::MAX_RADIX;
 use crate::real::{repack_pair, unpack_pair};
 
@@ -84,6 +91,7 @@ macro_rules! native_kernels {
                 Operands::Slice(x) => load(x.as_ptr().add(i)),
                 Operands::Padded(_) if upper => splat(0.0),
                 Operands::Padded(x) => load_padded(&x, i),
+                Operands::Rows(_) => unreachable!("padded rows are read in the lanes"),
                 Operands::Column(_) => unreachable!("a complex column is read in the lanes"),
             }
         }
@@ -99,6 +107,7 @@ macro_rules! native_kernels {
                 Outputs::Slice(x) => store(x.as_mut_ptr().add(o), v),
                 Outputs::Unpadded(_) if upper => {}
                 Outputs::Unpadded(x) => put_lanes(x, o, mul(v, sc)),
+                Outputs::Rows(_) => unreachable!("unpadded rows are written in the lanes"),
                 Outputs::Column(_) => unreachable!("a complex column is written in the lanes"),
             }
         }
@@ -544,6 +553,61 @@ macro_rules! lane_kernels {
             store_row::<Q>(sink.at(2 * i), mul(v.re, k));
             store_row::<Q>(sink.at(2 * i + 1), mul(v.im, k));
         }
+        /// The samples at `x` of `SERIES` rows `lane` apart, each rounded
+        /// through the pad tier into `F`, one load per row.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn gather_rows<P: Real>(x: *const f64, lane: usize) -> V {
+            let lanes: [F; SERIES] =
+                core::array::from_fn(|k| F::from_f64(P::from_f64(*x.add(k * lane)).to_f64()));
+            loadv(lanes.as_ptr())
+        }
+
+        /// The inverse of [`gather_rows`]: the lanes of `v` as the samples
+        /// at `out` of `SERIES` rows `lane` apart, each routed through the
+        /// unpad tier, one store per row.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn scatter_rows<Q: Real>(out: *mut f64, lane: usize, v: V) {
+            let lanes: [F; SERIES] = core::mem::transmute(v);
+            for (k, &x) in lanes.iter().enumerate() {
+                *out.add(k * lane) = Q::from_f64(x.to_f64()).to_f64();
+            }
+        }
+
+        /// Packed value `z[j]` of the group's padded rows: samples `2j`
+        /// and `2j + 1` of every row, each rounded through the pad tier,
+        /// through a transposing load — `+0` registers, not loaded, past
+        /// the rows' head, and a `+0` imaginary part where the head ends
+        /// between the two.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zload_transposed<P: Real>(src: &PaddedRows<'_, P>, j: usize) -> Z {
+            let t = 2 * j;
+            if t + 1 < src.head() {
+                let (re, im) = load_pairs::<P>(src.at(t), src.lane());
+                Z { re, im }
+            } else if t < src.head() {
+                Z { re: gather_rows::<P>(src.at(t), src.lane()), im: splat(0.0) }
+            } else {
+                zzero()
+            }
+        }
+
+        /// Store packed value `z[o]`, scaled by `k`, as samples `2o` and
+        /// `2o + 1` of every row of the group that the rows keep, each
+        /// routed through the unpad tier, through a transposing store.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn zput_transposed<Q: Real>(sink: &mut UnpaddedRows<Q>, o: usize, v: Z, k: V) {
+            let t = 2 * o;
+            if t + 1 < sink.keep() {
+                store_pairs::<Q>(sink.at(t), sink.lane(), mul(v.re, k), mul(v.im, k));
+            } else if t < sink.keep() {
+                scatter_rows::<Q>(sink.at(t), sink.lane(), mul(v.re, k));
+            }
+        }
+
         op! {
             /// Row `t` of the group's complex columns: `SERIES` adjacent
             /// interleaved values at `p`, split into their parts.
@@ -564,8 +628,9 @@ macro_rules! lane_kernels {
 
         /// Operand `j` of a stage reading `src` for the group: element `j`
         /// of a planar buffer, packed value `z[j]` of the group's padded
-        /// series — `+0` registers when `upper` (see `read`) — or row `j`
-        /// of the group's complex columns, `+0` registers past their rows.
+        /// series — `+0` registers when `upper` (see `read`) — or rows, or
+        /// row `j` of the group's complex columns, `+0` registers past
+        /// their rows.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn zread<S: Source<F> + ?Sized>(src: &S, upper: bool, j: usize) -> Z {
@@ -573,6 +638,7 @@ macro_rules! lane_kernels {
                 Operands::Slice(x) => zload(x.as_ptr(), j),
                 Operands::Padded(_) if upper => zzero(),
                 Operands::Padded(x) => zload_rows(&x, j),
+                Operands::Rows(x) => zload_transposed(&x, j),
                 Operands::Column(x) if j < x.rows() => zload_cols(x.at(j)),
                 Operands::Column(_) => zzero(),
             }
@@ -580,8 +646,8 @@ macro_rules! lane_kernels {
 
         /// Store output `o` of a stage writing `dst` for the group: element
         /// `o` of a planar buffer or, scaled by `k`, the group's unpadded
-        /// rows — nothing when `upper` (see `write`) — or row `o` of the
-        /// group's complex columns, nothing past their rows.
+        /// series — nothing when `upper` (see `write`) — or rows, or row
+        /// `o` of the group's complex columns, nothing past their rows.
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn zwrite<D: Sink<F> + ?Sized>(dst: &mut D, upper: bool, o: usize, v: Z, k: V) {
@@ -589,6 +655,7 @@ macro_rules! lane_kernels {
                 Outputs::Slice(x) => zstore(x.as_mut_ptr(), o, v),
                 Outputs::Unpadded(_) if upper => {}
                 Outputs::Unpadded(x) => zput_rows(x, o, v, k),
+                Outputs::Rows(x) => zput_transposed(x, o, v, k),
                 Outputs::Column(x) if o < x.rows() => zstore_cols(x.at(o), zscale(v, k)),
                 Outputs::Column(_) => {}
             }
@@ -632,7 +699,14 @@ macro_rules! lane_kernels {
         ) {
             // The direction is a constant in the body, so a stage folds its
             // conjugations and sign flips (the forward's first stage and the
-            // inverse's last are in one direction only).
+            // inverse's last are in one direction only). Rows are only read
+            // forward and written inverse (the dispatcher asserts it), so
+            // their bodies compile that direction alone.
+            let inverse = match (src.operands(), dst.outputs()) {
+                (Operands::Rows(_), _) => false,
+                (_, Outputs::Rows(_)) => true,
+                _ => inverse,
+            };
             if inverse {
                 lanes_stage_in::<S, D, true>(src, tw, dst, r, m, s)
             } else {
@@ -912,6 +986,32 @@ macro_rules! half_kernels {
     };
 }
 
+// ---------------------------------------------------------------------------
+// Rows in lanes: the transposing load and store of four `f64` rows.
+// ---------------------------------------------------------------------------
+
+op! {
+    /// Samples `t` and `t + 1` of four rows `lane` apart, from `x` (sample
+    /// `t` of the first row) on: one 2-sample load per row, transposed into
+    /// the four rows' samples `t`, then their samples `t + 1`.
+    fn load_pairs4(x: *const f64, lane: usize) -> (__m256d, __m256d) {
+        let a = _mm256_set_m128d(_mm_loadu_pd(x.add(2 * lane)), _mm_loadu_pd(x));
+        let b = _mm256_set_m128d(_mm_loadu_pd(x.add(3 * lane)), _mm_loadu_pd(x.add(lane)));
+        (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
+    }
+}
+op! {
+    /// The inverse of [`load_pairs4`]: the four rows' samples `t` (`even`)
+    /// and `t + 1` (`odd`), one 2-sample store per row.
+    fn store_pairs4(out: *mut f64, lane: usize, even: __m256d, odd: __m256d) {
+        let (lo, hi) = (_mm256_unpacklo_pd(even, odd), _mm256_unpackhi_pd(even, odd));
+        _mm_storeu_pd(out, _mm256_castpd256_pd128(lo));
+        _mm_storeu_pd(out.add(lane), _mm256_castpd256_pd128(hi));
+        _mm_storeu_pd(out.add(2 * lane), _mm256_extractf128_pd::<1>(lo));
+        _mm_storeu_pd(out.add(3 * lane), _mm256_extractf128_pd::<1>(hi));
+    }
+}
+
 /// `Complex<f32>` kernels: 4 interleaved complex values per register,
 /// and the 16-bit stages, which widen into the same registers.
 pub mod ps {
@@ -1041,6 +1141,42 @@ pub mod ps {
         for (i, &x) in lanes.iter().enumerate() {
             *out.add(i) = Q::from_f64(x.to_f64()).to_f64();
         }
+    }
+
+    /// Samples `t` and `t + 1` of `SERIES` rows `lane` apart, from `x` on,
+    /// each rounded through the pad tier, then into `f32`: two transposing
+    /// loads of four rows and `cvtpd_ps` after a wide tier, the scalar
+    /// conversions after a 16-bit one.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_pairs<P: Real>(x: *const f64, lane: usize) -> (V, V) {
+        if P::BYTES < 4 {
+            return (gather_rows::<P>(x, lane), gather_rows::<P>(x.add(1), lane));
+        }
+        let (re_lo, im_lo) = load_pairs4(x, lane);
+        let (re_hi, im_hi) = load_pairs4(x.add(4 * lane), lane);
+        (
+            _mm256_set_m128(_mm256_cvtpd_ps(re_hi), _mm256_cvtpd_ps(re_lo)),
+            _mm256_set_m128(_mm256_cvtpd_ps(im_hi), _mm256_cvtpd_ps(im_lo)),
+        )
+    }
+
+    /// The inverse of [`load_pairs`]: samples `t` (`re`) and `t + 1`
+    /// (`im`) of `SERIES` rows, each routed through the unpad tier —
+    /// exactly widened into two transposing stores of four rows after a
+    /// wide route, the scalar conversions after a 16-bit one.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_pairs<Q: Real>(out: *mut f64, lane: usize, re: V, im: V) {
+        if Q::BYTES < 4 {
+            scatter_rows::<Q>(out, lane, re);
+            scatter_rows::<Q>(out.add(1), lane, im);
+            return;
+        }
+        let (re_lo, im_lo) = (_mm256_castps256_ps128(re), _mm256_castps256_ps128(im));
+        store_pairs4(out, lane, _mm256_cvtps_pd(re_lo), _mm256_cvtps_pd(im_lo));
+        let (re_hi, im_hi) = (_mm256_extractf128_ps::<1>(re), _mm256_extractf128_ps::<1>(im));
+        store_pairs4(out.add(4 * lane), lane, _mm256_cvtps_pd(re_hi), _mm256_cvtps_pd(im_hi));
     }
 
     op! {
@@ -1209,6 +1345,42 @@ pub mod pd {
                 for (i, &x) in lanes.iter().enumerate() {
                     *out.add(i) = Q::from_f64(x).to_f64();
                 }
+            }
+        }
+    }
+
+    /// Samples `t` and `t + 1` of `SERIES` rows `lane` apart, from `x` on,
+    /// each rounded through the pad tier: one transposing load, as loaded,
+    /// through the `f32` round trip, or through the scalar conversions of
+    /// a 16-bit tier.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load_pairs<P: Real>(x: *const f64, lane: usize) -> (V, V) {
+        match P::BYTES {
+            8 => load_pairs4(x, lane),
+            4 => {
+                let (re, im) = load_pairs4(x, lane);
+                (_mm256_cvtps_pd(_mm256_cvtpd_ps(re)), _mm256_cvtps_pd(_mm256_cvtpd_ps(im)))
+            }
+            _ => (gather_rows::<P>(x, lane), gather_rows::<P>(x.add(1), lane)),
+        }
+    }
+
+    /// The inverse of [`load_pairs`]: samples `t` (`re`) and `t + 1`
+    /// (`im`) of `SERIES` rows, each routed through the unpad tier, as
+    /// [`load_pairs`] rounds.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn store_pairs<Q: Real>(out: *mut f64, lane: usize, re: V, im: V) {
+        match Q::BYTES {
+            8 => store_pairs4(out, lane, re, im),
+            4 => {
+                let (re, im) = (_mm256_cvtpd_ps(re), _mm256_cvtpd_ps(im));
+                store_pairs4(out, lane, _mm256_cvtps_pd(re), _mm256_cvtps_pd(im))
+            }
+            _ => {
+                scatter_rows::<Q>(out, lane, re);
+                scatter_rows::<Q>(out.add(1), lane, im);
             }
         }
     }

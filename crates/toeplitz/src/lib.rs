@@ -14,8 +14,11 @@
 //! innermost axis, half the spectrum stored and multiplied), and they
 //! never transform a zero the embedding put there — each axis pass runs
 //! only over the rows that can be non-zero going in, or that the output
-//! reads coming out, so an apply materializes the input's head rows and
-//! grows them one axis at a time instead of zero-filling a `∏ m_l` grid.
+//! reads coming out. Pad and Unpad are the innermost transform's first
+//! and last passes: it reads the input vector's rows in place and stores
+//! the output vector's kept samples, so an apply grows the input's head
+//! box one axis at a time and materializes neither padded rows nor a
+//! `∏ m_l` grid.
 //! The symbol is stored in the layout the forward pass leaves the
 //! spectrum in (last axis rotated to the front, see the engine's docs),
 //! which spares one full rotation per direction.
@@ -36,9 +39,9 @@
 //!
 //! Both types are thin instantiations of the workspace's one tiered
 //! spectral pipeline (`fftmatvec_core::spectral`): this crate writes only
-//! the [`operator::PointwiseKernel`] — head embedding, N-d FFT engines,
-//! the pointwise symbol multiply, head extraction — and the symbol
-//! resolution its builders do. The builder setters (`precision`,
+//! the [`operator::PointwiseKernel`] — the N-d FFT engines (with the pad
+//! and the unpad folded in) and the pointwise symbol multiply — and the
+//! symbol resolution its builders do. The builder setters (`precision`,
 //! `backend`, `error_budget[_for]`), engine retention across
 //! `set_config`, pooled zero-allocation workspaces, budget resolution,
 //! batched applies and the diagnostics accessors are the shared core's
@@ -46,7 +49,6 @@
 //! shareable across precision variants via `Arc` (`builder_arc`).
 
 pub mod generator;
-pub mod kernels;
 pub mod operator;
 pub mod symbol;
 

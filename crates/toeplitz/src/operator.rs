@@ -4,12 +4,11 @@
 //! accessors) — one pipeline, two entry points.
 //!
 //! Both are the shared [`TieredPipeline`] over the [`PointwiseKernel`]:
-//! Pad writes the input's head rows (real, padded along the innermost
-//! axis only), Fft/Ifft are the real-input, head-pruned N-d transforms
-//! of [`RealNdFft`], Sbgemv is the pointwise symbol multiply on the half
-//! spectrum (the per-frequency blocks are 1×1 so the batched GEMV
-//! degenerates to a Hadamard product), Unpad reads the output's head
-//! rows. This file supplies only that kernel, the symbol resolution the
+//! Fft/Ifft are the real-input, head-pruned N-d transforms of
+//! [`RealNdFft`], with Pad and Unpad folded into them, and Sbgemv is the
+//! pointwise symbol multiply on the half spectrum (the per-frequency
+//! blocks are 1×1 so the batched GEMV degenerates to a Hadamard product).
+//! This file supplies only that kernel, the symbol resolution the
 //! builders do, and the family-specific accessors; the public types
 //! deref to the pipeline for everything shared (`config`, `set_config`,
 //! `retune_budget`, `autotuned`, `bound_params`, the workspace and engine
@@ -17,14 +16,20 @@
 //!
 //! **The head contract.** With `in_l` / `out_l` the input / output
 //! extent of level `l` in the direction applied (`cols_l` / `rows_l`
-//! forward, swapped for the adjoint) and `m_l` the circulant extents, an
-//! apply materializes `∏_{l<L−1} in_l` rows of `m_{L−1}` reals, never
-//! the `∏ m_l` grid: the engine grows the buffer one axis at a time and
-//! zero-fills only the tail `[in_l, m_l)` of rows it is about to
-//! transform; on the way back it keeps `out_l` of `m_l` entries per axis
-//! as soon as that axis is inverted. The outer complex axes run in the
-//! engine, not through [`DeviceBackend`] (the trait has no complex-FFT
-//! primitive); the multiply and the tier casts do cross it.
+//! forward, swapped for the adjoint) and `m_l` the circulant extents, the
+//! input vector is the head box `[in_0, …, in_{L−1}]` of the embedding
+//! grid, row-major, and the output vector the box `[out_0, …,
+//! out_{L−1}]`. An apply never materializes the `∏ m_l` grid, nor a padded
+//! copy of either vector: the forward transform's innermost pass reads
+//! the input's rows in place (Pad: each value rounded through the Pad
+//! tier, the zeros `[in_{L−1}, m_{L−1})` of a row never stored), every
+//! outer axis reads only the `in_l` rows that can be non-zero, and the
+//! inverse keeps `out_l` of `m_l` entries per axis as soon as that axis is
+//! inverted, its innermost pass storing the kept `out_{L−1}` values of
+//! each row into the output, routed through the Unpad tier (Unpad). The
+//! transforms run in the engine, not through [`DeviceBackend`] (the trait
+//! has no complex-FFT primitive); the multiply and the tier casts do
+//! cross it.
 
 use std::sync::Arc;
 
@@ -36,24 +41,10 @@ use fftmatvec_core::{
     Workspace,
 };
 use fftmatvec_fft::{cache, PlanHandle, RealNdFft, RealPlanHandle};
-use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision, RealBuffer};
+use fftmatvec_numeric::{bf16, f16, ComplexBuffer, Precision};
 
 use crate::generator::{ToeplitzGenerator, MAX_LEVELS};
-use crate::kernels;
 use crate::symbol::ToeplitzSymbol;
-
-/// Evaluate `$body` with `$v` bound to the typed vector inside a
-/// [`RealBuffer`], whatever its tier.
-macro_rules! each_tier {
-    ($buf:expr, $v:ident => $body:expr) => {
-        match $buf {
-            RealBuffer::F16($v) => $body,
-            RealBuffer::BF16($v) => $body,
-            RealBuffer::F32($v) => $body,
-            RealBuffer::F64($v) => $body,
-        }
-    };
-}
 
 /// One tier's real-input N-d FFT engine, tier-erased so the shared
 /// engine bank can hold it (behind an `Arc`, as the block-triangular
@@ -65,64 +56,53 @@ pub enum NdEngine {
     D(RealNdFft<f64>),
 }
 
-/// Evaluate `$body` with `$e` bound to the typed engine and `$r`, `$s`,
-/// `$t` to the typed vectors of a same-tier (real, spectrum, stage)
-/// buffer triple.
+/// Evaluate `$body` with `$e` bound to the typed engine and `$s`, `$t` to
+/// the typed vectors of a same-tier (spectrum, stage) buffer pair.
 macro_rules! with_tier {
-    ($engine:expr, $bufs:expr, ($e:ident, $r:ident, $s:ident, $t:ident) => $body:expr) => {
+    ($engine:expr, $bufs:expr, ($e:ident, $s:ident, $t:ident) => $body:expr) => {
         match ($engine, $bufs) {
-            (
-                NdEngine::H($e),
-                (RealBuffer::F16($r), ComplexBuffer::C16($s), ComplexBuffer::C16($t)),
-            ) => $body,
-            (
-                NdEngine::B($e),
-                (RealBuffer::BF16($r), ComplexBuffer::CB16($s), ComplexBuffer::CB16($t)),
-            ) => $body,
-            (
-                NdEngine::S($e),
-                (RealBuffer::F32($r), ComplexBuffer::C32($s), ComplexBuffer::C32($t)),
-            ) => $body,
-            (
-                NdEngine::D($e),
-                (RealBuffer::F64($r), ComplexBuffer::C64($s), ComplexBuffer::C64($t)),
-            ) => $body,
+            (NdEngine::H($e), (ComplexBuffer::C16($s), ComplexBuffer::C16($t))) => $body,
+            (NdEngine::B($e), (ComplexBuffer::CB16($s), ComplexBuffer::CB16($t))) => $body,
+            (NdEngine::S($e), (ComplexBuffer::C32($s), ComplexBuffer::C32($t))) => $body,
+            (NdEngine::D($e), (ComplexBuffer::C64($s), ComplexBuffer::C64($t))) => $body,
             _ => return Err(OpError::Internal("toeplitz fft tier mismatch")),
         }
     };
 }
 
 impl NdEngine {
-    /// Spectrum of the head rows in `real` into `spec` (rotated layout).
+    /// Spectrum of the head box `input` (rounded through `pad` as it is
+    /// read) into `spec` (rotated layout).
     fn forward(
         &self,
         head: &[usize],
-        real: &RealBuffer,
+        input: &[f64],
+        pad: Precision,
         spec: &mut ComplexBuffer,
         stage: &mut ComplexBuffer,
     ) -> Result<(), OpError> {
-        with_tier!(self, (real, spec, stage), (e, r, s, t) => e.forward(head, r, s, t));
+        with_tier!(self, (spec, stage), (e, s, t) => e.forward(head, input, pad, s, t));
         Ok(())
     }
 
-    /// Head rows of the inverse transform of `spec` into `real`.
+    /// The head box `out` of the inverse transform of `spec` (each value
+    /// routed through `unpad` as it is stored).
     fn inverse(
         &self,
         head: &[usize],
         spec: &mut ComplexBuffer,
         stage: &mut ComplexBuffer,
-        real: &mut RealBuffer,
+        unpad: Precision,
+        out: &mut [f64],
     ) -> Result<(), OpError> {
-        with_tier!(self, (real, spec, stage), (e, r, s, t) => e.inverse(head, s, t, r));
+        with_tier!(self, (spec, stage), (e, s, t) => e.inverse(head, s, t, unpad, out));
         Ok(())
     }
 }
 
-/// The three buffers one transform direction works in, all in one tier:
-/// the padded real rows, the half spectrum, and the engine's staging
-/// buffer.
+/// The two buffers one transform direction works in, both in one tier:
+/// the half spectrum and the engine's staging buffer.
 struct TierStage {
-    real: RealBuffer,
     spec: ComplexBuffer,
     stage: ComplexBuffer,
 }
@@ -130,26 +110,23 @@ struct TierStage {
 impl TierStage {
     /// All-empty; `Vec::new()` does not allocate.
     fn empty() -> Self {
-        TierStage {
-            real: RealBuffer::F64(Vec::new()),
-            spec: ComplexBuffer::C64(Vec::new()),
-            stage: ComplexBuffer::C64(Vec::new()),
-        }
+        TierStage { spec: ComplexBuffer::C64(Vec::new()), stage: ComplexBuffer::C64(Vec::new()) }
     }
 
     fn bytes(&self) -> usize {
-        self.real.bytes() + self.spec.bytes() + self.stage.bytes()
+        self.spec.bytes() + self.stage.bytes()
     }
 }
 
 /// One apply's worth of buffers. Under a fixed configuration each buffer
 /// keeps a stable tier and length across applies (lengths are the
 /// symbol's, the larger of the two directions' needs), so
-/// `reset_for_overwrite` reuses the
-/// allocation every time: `fwd` is the Fft tier's triple, `mid` the
-/// spectrum in the Sbgemv tier (materialized only when that tier differs
-/// from Fft's), `inv` the Ifft tier's triple (only when Ifft differs from
-/// its predecessor; its `spec` only when Ifft differs from Sbgemv).
+/// `reset_for_overwrite` reuses the allocation every time: `fwd` is the
+/// Fft tier's pair, `mid` the spectrum in the Sbgemv tier (materialized
+/// only when that tier differs from Fft's), `inv` the Ifft tier's pair
+/// (only when Ifft differs from its predecessor; its `spec` only when
+/// Ifft differs from Sbgemv). The transforms read the input vector and
+/// write the output vector themselves, so there is no real buffer.
 pub struct GridWorkspace {
     fwd: TierStage,
     mid: ComplexBuffer,
@@ -181,62 +158,18 @@ pub struct PointwiseKernel {
 }
 
 impl PointwiseKernel {
-    /// Phases 2–4 on the head rows already written to `ws.fwd.real` (Fft
-    /// tier): forward transform over the outer-axis box `in_head` the
-    /// input occupies, multiply by the symbol (conjugated for the
-    /// adjoint) through the device backend's cast and Hadamard
-    /// primitives, inverse transform on the box `out_head` the output
-    /// reads. Returns the real buffer holding the output's head rows.
+    /// pad → FFTN → ⊙ĉ → IFFTN → unpad of one column: the forward
+    /// transform over the head box the input occupies (its first pass
+    /// reads `input`, rounding each value through the Pad tier), the
+    /// multiply by the symbol (conjugated for the adjoint) through the
+    /// device backend's cast and Hadamard primitives, and the inverse
+    /// transform on the box the output reads (its last pass stores into
+    /// `out`, routing each value through the Unpad tier).
     ///
-    /// Each role has a dedicated buffer — the Ifft operand must sit in
-    /// an Ifft-tier buffer with a same-tier stage and real partner — so
-    /// tiers stay stable across applies under a fixed configuration
-    /// (zero steady-state allocation).
-    fn transform<'w>(
-        &self,
-        pipe: &TieredPipeline<Self>,
-        in_head: &[usize],
-        out_head: &[usize],
-        conj: bool,
-        ws: &'w mut GridWorkspace,
-    ) -> Result<&'w RealBuffer, OpError> {
-        let (cfg, device) = (pipe.config(), pipe.device());
-        let p_fft = cfg.phase(MatvecPhase::Fft);
-        let p_gemv = cfg.phase(MatvecPhase::Sbgemv);
-        let p_ifft = cfg.phase(MatvecPhase::Ifft);
-        let n = self.sym.spectrum_len();
-        let (real_len, stage_len) = self.sym.buffer_lens();
-        let GridWorkspace { fwd, mid, inv } = ws;
-
-        fwd.spec.reset_for_overwrite(p_fft, n);
-        fwd.stage.reset_for_overwrite(p_fft, stage_len);
-        pipe.engine(p_fft)?.forward(in_head, &fwd.real, &mut fwd.spec, &mut fwd.stage)?;
-
-        let use_mid = p_gemv != p_fft;
-        if use_mid {
-            device.cast_complex(&fwd.spec, p_gemv, mid)?;
-        }
-        let io = if use_mid { &mut *mid } else { &mut fwd.spec };
-        device.pointwise_multiply(io, self.sym.spectrum().buffer(p_gemv), conj)?;
-
-        let (spec, stage, real) = if p_ifft != p_gemv {
-            device.cast_complex(io, p_ifft, &mut inv.spec)?;
-            (&mut inv.spec, &mut inv.stage, &mut inv.real)
-        } else if use_mid {
-            (mid, &mut inv.stage, &mut inv.real)
-        } else {
-            (&mut fwd.spec, &mut fwd.stage, &mut fwd.real)
-        };
-        stage.reset_for_overwrite(p_ifft, stage_len);
-        real.reset_for_overwrite(p_ifft, real_len);
-        pipe.engine(p_ifft)?.inverse(out_head, spec, stage, real)?;
-        Ok(real)
-    }
-
-    /// pad → FFTN → ⊙ĉ → IFFTN → extract on the head rows. The embed
-    /// rounds through the Pad tier (cast fused into the row write); the
-    /// extraction rounds through the Unpad tier into the always-double
-    /// output.
+    /// Each role has a dedicated buffer — the Ifft operand must sit in an
+    /// Ifft-tier buffer with a same-tier stage — so tiers stay stable
+    /// across applies under a fixed configuration (zero steady-state
+    /// allocation).
     fn run_column(
         &self,
         pipe: &TieredPipeline<Self>,
@@ -246,27 +179,42 @@ impl PointwiseKernel {
         ws: &mut GridWorkspace,
     ) -> Result<(), OpError> {
         let levels = self.sym.generator().levels();
-        let outer = levels.len() - 1;
-        let mut in_ext = [0usize; MAX_LEVELS];
-        let mut out_ext = [0usize; MAX_LEVELS];
+        let mut in_head = [0usize; MAX_LEVELS];
+        let mut out_head = [0usize; MAX_LEVELS];
         for (l, lv) in levels.iter().enumerate() {
-            (in_ext[l], out_ext[l]) = match dir {
+            (in_head[l], out_head[l]) = match dir {
                 OpDirection::Forward => (lv.cols, lv.rows),
                 OpDirection::Adjoint => (lv.rows, lv.cols),
             };
         }
-        let m = self.sym.work_dims()[outer];
-        let cfg = pipe.config();
-        let p_pad = cfg.phase(MatvecPhase::Pad);
-        let p_fft = cfg.phase(MatvecPhase::Fft);
-        let p_unpad = cfg.phase(MatvecPhase::Unpad);
+        let (in_head, out_head) = (&in_head[..levels.len()], &out_head[..levels.len()]);
+        let (cfg, device) = (pipe.config(), pipe.device());
+        let [p_pad, p_fft, p_gemv, p_ifft, p_unpad] = MatvecPhase::ALL.map(|ph| cfg.phase(ph));
+        let (n, stage_len) = (self.sym.spectrum_len(), self.sym.stage_len());
+        let GridWorkspace { fwd, mid, inv } = ws;
 
-        ws.fwd.real.reset_for_overwrite(p_fft, self.sym.buffer_lens().0);
-        each_tier!(&mut ws.fwd.real, v => kernels::embed_head(in_ext[outer], m, input, p_pad, v));
+        fwd.spec.reset_for_overwrite(p_fft, n);
+        fwd.stage.reset_for_overwrite(p_fft, stage_len);
+        pipe.engine(p_fft)?.forward(in_head, input, p_pad, &mut fwd.spec, &mut fwd.stage)?;
+
+        let use_mid = p_gemv != p_fft;
+        if use_mid {
+            device.cast_complex(&fwd.spec, p_gemv, mid)?;
+        }
+        let io = if use_mid { &mut *mid } else { &mut fwd.spec };
         let conj = matches!(dir, OpDirection::Adjoint);
-        let rows = self.transform(pipe, &in_ext[..outer], &out_ext[..outer], conj, ws)?;
-        each_tier!(rows, v => kernels::extract_head(out_ext[outer], m, v, p_unpad, out));
-        Ok(())
+        device.pointwise_multiply(io, self.sym.spectrum().buffer(p_gemv), conj)?;
+
+        let (spec, stage) = if p_ifft != p_gemv {
+            device.cast_complex(io, p_ifft, &mut inv.spec)?;
+            (&mut inv.spec, &mut inv.stage)
+        } else if use_mid {
+            (mid, &mut inv.stage)
+        } else {
+            (&mut fwd.spec, &mut fwd.stage)
+        };
+        stage.reset_for_overwrite(p_ifft, stage_len);
+        pipe.engine(p_ifft)?.inverse(out_head, spec, stage, p_unpad, out)
     }
 }
 
@@ -837,23 +785,24 @@ mod tests {
     #[test]
     fn workspace_peak_is_the_pruned_real_footprint() {
         // 8×8 blocks of 8×8: m = 16 × 16, h = 9. An all-double apply
-        // holds 8 padded real rows, the 8 × 9 stage and the 9 × 16 half
-        // spectrum — not two 16 × 16 complex grids.
+        // holds the 8 × 9 stage and the 9 × 16 half spectrum — not two
+        // 16 × 16 complex grids, and no padded real rows: the transforms
+        // read the input and write the output in place.
         let gen = random_gen(&[(8, 8), (8, 8)], 37);
         let op = TwoLevelToeplitz::builder(gen.clone()).build().unwrap();
         let x = random_vec(op.shape().cols, 71);
         let mut y = vec![0.0; op.shape().rows];
         op.apply_forward_into(&x, &mut y).unwrap();
         op.apply_adjoint_into(&x, &mut y).unwrap();
-        assert_eq!(op.workspace_peak_bytes(), 8 * 16 * 8 + 8 * 9 * 16 + 9 * 16 * 16);
+        assert_eq!(op.workspace_peak_bytes(), 8 * 9 * 16 + 9 * 16 * 16);
         assert_eq!(op.symbol_shared().spectrum_len(), 9 * 16);
         // Rectangular levels: both directions share one workspace sized
         // for the taller head, so the peak does not depend on the order.
         let gen = random_gen(&[(3, 6), (4, 4)], 39);
-        let (m1, m2, h) = (8, 8, 5);
+        let (m1, h) = (8, 5);
         let op = NdCirculantEmbedding::builder(gen).build().unwrap();
         op.apply_forward(&random_vec(op.shape().cols, 73)).unwrap();
-        let want = 6 * m2 * 8 + 6 * h * 16 + h * m1 * 16;
+        let want = 6 * h * 16 + h * m1 * 16;
         assert_eq!(op.workspace_peak_bytes(), want);
         op.apply_adjoint(&random_vec(op.shape().rows, 75)).unwrap();
         assert_eq!(op.workspace_peak_bytes(), want);

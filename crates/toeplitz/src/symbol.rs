@@ -26,7 +26,7 @@ use fftmatvec_core::spectral::TierSpectra;
 use fftmatvec_core::ConfigError;
 use fftmatvec_fft::RealNdFft;
 use fftmatvec_numeric::ndindex::total_len;
-use fftmatvec_numeric::C64;
+use fftmatvec_numeric::{Precision, C64};
 
 use crate::generator::{LevelDims, ToeplitzGenerator};
 
@@ -40,8 +40,8 @@ pub struct ToeplitzSymbol {
     dims: Vec<usize>,
     /// Half spectrum in the engine's rotated layout.
     spectrum: TierSpectra,
-    /// Lengths of the real and the staging buffer of an apply.
-    buffer_lens: (usize, usize),
+    /// Length of the staging buffer of an apply.
+    stage_len: usize,
     kappa: f64,
 }
 
@@ -123,25 +123,23 @@ fn spectrum_condition(chat: &[C64]) -> f64 {
 
 impl ToeplitzSymbol {
     /// Build the symbol for any number of levels: one double-precision
-    /// [`RealNdFft`] forward pass over the whole first-column tensor.
+    /// [`RealNdFft`] forward pass over the whole first-column tensor — the
+    /// engine the applies run, with the whole grid as its head box and
+    /// the pad a double one.
     pub fn full(gen: ToeplitzGenerator) -> Result<ToeplitzSymbol, ConfigError> {
         let dims: Vec<usize> = gen.levels().iter().map(|&l| embed_len(l)).collect();
         let engine = RealNdFft::<f64>::new(&dims);
-        let whole = &dims[..dims.len() - 1];
         let mut chat = vec![C64::new(0.0, 0.0); engine.spectrum_len()];
-        let mut stage = vec![C64::new(0.0, 0.0); engine.stage_len(whole)];
-        engine.forward(whole, &circulant_column(&gen, &dims), &mut chat, &mut stage);
+        let mut stage = vec![C64::new(0.0, 0.0); engine.stage_len(&dims)];
+        let column = circulant_column(&gen, &dims);
+        engine.forward(&dims, &column, Precision::Double, &mut chat, &mut stage);
         let kappa = spectrum_condition(&chat);
         // The forward apply's input box is the adjoint's output box and
         // vice versa; sizing for the larger of the two keeps a workspace
         // at one size whichever way it is applied.
-        let outer = &gen.levels()[..whole.len()];
-        let (cols, rows): (Vec<_>, Vec<_>) = outer.iter().map(|l| (l.cols, l.rows)).unzip();
-        let buffer_lens = (
-            engine.real_len(&cols).max(engine.real_len(&rows)),
-            engine.stage_len(&cols).max(engine.stage_len(&rows)),
-        );
-        Ok(ToeplitzSymbol { gen, dims, spectrum: TierSpectra::new(chat), buffer_lens, kappa })
+        let (cols, rows): (Vec<_>, Vec<_>) = gen.levels().iter().map(|l| (l.cols, l.rows)).unzip();
+        let stage_len = engine.stage_len(&cols).max(engine.stage_len(&rows));
+        Ok(ToeplitzSymbol { gen, dims, spectrum: TierSpectra::new(chat), stage_len, kappa })
     }
 
     /// The generator this symbol was built from.
@@ -182,10 +180,12 @@ impl ToeplitzSymbol {
         &self.spectrum
     }
 
-    /// `(real, stage)` buffer lengths of an apply in either direction
-    /// (see [`RealNdFft::real_len`] / [`RealNdFft::stage_len`]).
-    pub(crate) fn buffer_lens(&self) -> (usize, usize) {
-        self.buffer_lens
+    /// Length of the staging buffer of an apply in either direction (see
+    /// [`RealNdFft::stage_len`]): the only buffer an apply needs besides
+    /// the spectrum, since the transforms read the input vector and write
+    /// the output vector in place.
+    pub(crate) fn stage_len(&self) -> usize {
+        self.stage_len
     }
 }
 
